@@ -2,16 +2,18 @@
 
 from benchmarks.conftest import report
 from repro.analysis.atomicity import check_swmr_atomicity
-from repro.storage.fastabd import FastAbdSystem
+from repro.storage.abd import FASTABD, RegisterSystem
 
 
 def scenario():
     rows = []
-    system = FastAbdSystem(n_readers=2)
+    system = RegisterSystem(FASTABD, n_readers=2)
     write = system.write("a")
     read = system.read()
     rows.append(("all up", write.rounds, read.rounds, read.result))
-    degraded = FastAbdSystem(n_readers=2, crash_times={4: 0.0, 5: 0.0})
+    degraded = RegisterSystem(
+        FASTABD, n_readers=2, crash_times={4: 0.0, 5: 0.0}
+    )
     write2 = degraded.write("b")
     read2 = degraded.read()
     rows.append(("t=2 crashed", write2.rounds, read2.rounds, read2.result))

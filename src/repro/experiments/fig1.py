@@ -3,8 +3,8 @@
 The paper opens with 5 servers and ``t = 2`` crash failures and shows
 that *any* algorithm greedily completing operations in one round after
 hearing from ``n − t = 3`` servers violates atomicity.  We replay the
-composed schedule of executions ex3+ex4 against the greedy algorithm of
-:mod:`repro.storage.naive`:
+composed schedule of executions ex3+ex4 against the greedy algorithm
+(the ``"naive"`` row of :mod:`repro.storage.abd`):
 
 1. ``wr = write(v)`` is invoked but its messages reach **only server 3**
    (the write is incomplete, as in ex3).
@@ -19,8 +19,8 @@ against the Section 1.2 algorithm (4-server fast quorums, the
 ``"fastabd"`` protocol) stays atomic — that contrast is the whole point
 of Figure 2.  Both replays are the *same* schedule: the sweep
 :data:`GRID` has a single ``algorithm`` axis and its two cells differ
-only in the protocol id (and the per-protocol read message type the
-delay rule matches).
+only in the protocol id (both rows speak one message vocabulary, so
+the delay rule matches the same read message).
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from repro.scenarios import (
     payload_is,
     run_grid,
 )
-from repro.storage.fastabd import FRead
-from repro.storage.naive import NRead
+from repro.storage.abd import SlotRead
 
 NAIVE = "naive (3-of-5 fast)"
 FASTABD = "section-1.2 (4-of-5)"
@@ -69,7 +68,7 @@ class Fig1Outcome:
         )
 
 
-def _schedule(protocol: str, read_message_type, horizon: float) -> ScenarioSpec:
+def _schedule(protocol: str, horizon: float) -> ScenarioSpec:
     """The adversarial Figure 1 schedule, parameterized by protocol."""
     return ScenarioSpec(
         protocol=protocol,
@@ -83,7 +82,7 @@ def _schedule(protocol: str, read_message_type, horizon: float) -> ScenarioSpec:
                      label="wr reaches only s3"),
                 # r1's *first-round read* messages to servers 1, 2 delayed.
                 Hold(src=("reader1",), dst=(1, 2),
-                     payload=payload_is(read_message_type),
+                     payload=payload_is(SlotRead),
                      label="r1 cannot reach s1, s2"),
             ),
         ),
@@ -97,8 +96,8 @@ def _schedule(protocol: str, read_message_type, horizon: float) -> ScenarioSpec:
 
 
 def _build(point: Mapping) -> ScenarioSpec:
-    protocol, read_message_type, horizon = point["algorithm"]
-    return _schedule(protocol, read_message_type, horizon)
+    protocol, horizon = point["algorithm"]
+    return _schedule(protocol, horizon)
 
 
 def _measure(point: Mapping, result) -> Mapping:
@@ -118,8 +117,8 @@ GRID = SweepSpec(
     name="fig1",
     axes={
         "algorithm": (
-            labeled(NAIVE, ("naive", NRead, 20.0)),
-            labeled(FASTABD, ("fastabd", FRead, 40.0)),
+            labeled(NAIVE, ("naive", 20.0)),
+            labeled(FASTABD, ("fastabd", 40.0)),
         )
     },
     build=_build,

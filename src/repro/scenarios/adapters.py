@@ -40,9 +40,7 @@ from repro.consensus.proposer import EquivocatingProposer
 from repro.consensus.system import ConsensusSystem
 from repro.consensus.paxos import PaxosSystem
 from repro.consensus.pbft import PbftSystem, Request
-from repro.storage.abd import AbdSystem
-from repro.storage.fastabd import FastAbdSystem
-from repro.storage.naive import NaiveSystem
+from repro.storage.abd import PROTOCOLS, RegisterSystem
 from repro.storage.server import (
     FabricatingServer,
     ForgetfulServer,
@@ -498,6 +496,20 @@ class RqsStorageAdapter(StorageAdapter):
             role.process: _storage_server_factory(role)
             for role in spec.faults.byzantine_for(SERVER)
         }
+        batched = [
+            op.batch_size for op in spec.workload
+            if isinstance(op, RandomMix) and op.batch_size != 1
+        ]
+        if factories and batched:
+            # Byzantine servers override the unbatched handlers only;
+            # batched traffic would reach the benign base-class
+            # handlers and the role would silently run honest.
+            raise ScenarioError(
+                f"Byzantine server roles (faults.byzantine, servers "
+                f"{sorted(factories, key=repr)}) cannot be combined with "
+                f"batch_size={batched[0]!r}: batched messages bypass the "
+                f"Byzantine handlers; use batch_size=1"
+            )
         system = StorageSystem(
             rqs,
             n_readers=spec.readers,
@@ -515,33 +527,15 @@ class RqsStorageAdapter(StorageAdapter):
         return cls(system)
 
 
-@register_protocol("abd")
-class AbdAdapter(StorageAdapter):
-    """Classic ABD baseline (crash model, 2-round reads)."""
+class RegisterAdapter(StorageAdapter):
+    """The crash-model count-quorum baselines — classic ABD, the
+    Section 1.2 fast variant and the broken greedy algorithm of
+    Figure 1 — each one row of :data:`repro.storage.abd.PROTOCOLS`."""
 
     @classmethod
-    def build(cls, spec) -> "AbdAdapter":
-        system = AbdSystem(
-            n=spec.param("n", 5),
-            n_readers=spec.readers,
-            delta=spec.delta,
-            rules=spec.faults.rules(),
-            trace_level=spec.trace_level,
-            n_writers=spec.n_writers,
-        )
-        adapter = cls(system)
-        _unsupported_roles(adapter, spec)
-        _unsupported_strategy(adapter, spec)
-        return adapter
-
-
-@register_protocol("fastabd")
-class FastAbdAdapter(StorageAdapter):
-    """The Section 1.2 fast-ABD variant (4-of-5 fast quorums)."""
-
-    @classmethod
-    def build(cls, spec) -> "FastAbdAdapter":
-        system = FastAbdSystem(
+    def build(cls, spec) -> "RegisterAdapter":
+        system = RegisterSystem(
+            PROTOCOLS[cls.protocol_id],
             n=spec.param("n", 5),
             t=spec.param("t", 2),
             fast=spec.param("fast", 4),
@@ -557,25 +551,12 @@ class FastAbdAdapter(StorageAdapter):
         return adapter
 
 
-@register_protocol("naive")
-class NaiveAdapter(StorageAdapter):
-    """The broken greedy 3-of-5 algorithm of Figure 1 (counterexamples)."""
-
-    @classmethod
-    def build(cls, spec) -> "NaiveAdapter":
-        system = NaiveSystem(
-            n=spec.param("n", 5),
-            t=spec.param("t", 2),
-            n_readers=spec.readers,
-            delta=spec.delta,
-            rules=spec.faults.rules(),
-            trace_level=spec.trace_level,
-            n_writers=spec.n_writers,
-        )
-        adapter = cls(system)
-        _unsupported_roles(adapter, spec)
-        _unsupported_strategy(adapter, spec)
-        return adapter
+# One registration per table row (a subclass each, because
+# ``register_protocol`` stamps the id on the class it registers).
+for _protocol_id in PROTOCOLS:
+    register_protocol(_protocol_id)(
+        type(f"RegisterAdapter[{_protocol_id}]", (RegisterAdapter,), {})
+    )
 
 
 # -- consensus ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The RQS-based Byzantine atomic storage algorithm (Figures 5-7)
-plus baselines (ABD, the Section 1.2 fast variant, the broken Figure 1
-algorithm)."""
+plus the count-quorum baseline kernel (:mod:`repro.storage.abd`: ABD,
+the Section 1.2 fast variant and the broken Figure 1 algorithm as
+three rows of one table)."""
 
 from repro.storage.history import BOTTOM, History, HistoryView, Pair
 from repro.storage.messages import RD, RdAck, WR, WrAck

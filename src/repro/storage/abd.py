@@ -1,34 +1,67 @@
-"""The classic ABD atomic storage baseline (Attiya–Bar-Noy–Dolev).
+"""The count-quorum register kernel: ABD, fast-ABD and the broken greedy
+algorithm as three rows of one table.
 
-Crash-failure model, majority quorums.  Writes take one round; reads take
-two rounds **always** (collect + write-back) — the paper's motivating
-observation is that no optimally-resilient atomic storage can make both
-reads and writes single-round in all cases [11], and ABD is the canonical
-two-round-read baseline the RQS algorithm is compared against
-(experiment E12).
+The paper's opening argument (Section 1.2, Figures 1–2) is that the
+broken greedy algorithm and the correct fast variant are the *same*
+crash-model register algorithm and differ only in how many servers
+must have answered before an operation may skip its second round;
+classic ABD (Attiya–Bar-Noy–Dolev) is the always-two-round-read
+baseline both are measured against (experiment E12).  This module says
+so in code: one message vocabulary, one slotted server, one writer,
+one reader and one deployment, driven by a :class:`RegisterProtocol`
+row.
 
-The register space is keyed: servers keep one highest-timestamped pair
-per key, and all messages carry the key they address.  Multi-writer
-deployments (``n_writers > 1``) use the standard MW-ABD lift — a
-majority collect round discovers the highest stored timestamp, and
-writes stamp ``(seq, writer_id)`` (see
-:func:`~repro.storage.history.make_stamp`) so timestamps are totally
-ordered across writers.  Single-writer systems keep the historical bare
-counters and one-round writes.
+* :data:`ABD` — majority quorums, one write slot.  Writes take one
+  round; reads take two rounds **always** (collect + write-back).  The
+  paper's motivating observation is that no optimally-resilient atomic
+  storage can make both reads and writes single-round in all cases
+  [11]; this is the cost RQS avoids.
+* :data:`FASTABD` — the Section 1.2 variant (``n=5, t=2, fast=4`` by
+  default).  Servers keep **two** slots, ``pw`` (pre-write) and ``w``.
+  ``write(v)`` pre-writes ``⟨ts, v⟩`` into every ``pw`` and waits out
+  ``2Δ``; if ``fast`` servers (a class-1 quorum) acked it is done,
+  otherwise round 2 writes ``w`` and completes on ``n − t`` acks.
+  ``read()`` collects all slots from ``n − t`` servers (waiting out
+  ``2Δ`` to hear from more), selects the highest-timestamped pair
+  ``cmax`` and returns after round 1 iff ``cmax`` was seen in ``n − t``
+  ``pw`` fields or in *some* ``w`` field; otherwise round 2 writes
+  ``cmax`` back into ``pw``.  Correctness hinges on
+  ``Q'1 ∩ Q'2 ∩ Q3 ≠ ∅`` for 4-element fast quorums (Figure 2(b)).
+* :data:`NAIVE` — the *broken* algorithm of Figure 1, kept deliberately
+  faithful to the counterexample: every operation completes in one
+  round as soon as ``n − t`` servers respond and reads **never** write
+  back.  With 3-of-5 fast quorums ``Q1 ∩ Q2 ∩ Q3 = ∅`` (Figure 2(a)),
+  so scripted schedules drive it into a stale read that the atomicity
+  checker flags.
+
+The register space is keyed (independent slots per key, keys on every
+message).  Multi-writer deployments (``n_writers > 1``) use the
+standard MW-ABD lift — a quorum collect discovers the highest stored
+timestamp and writes stamp ``(seq, writer_id)`` (see
+:func:`~repro.storage.history.make_stamp`) — which leaves each row's
+completion rule, naive's actual flaw included, untouched.  Single-writer
+systems keep the historical bare counters and skip discovery.
+
+A row is resolved into plain instance attributes when a process is
+built; the kernel branches on those policy values only, never on which
+row they came from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from itertools import chain
+from operator import attrgetter
+from typing import (
+    Any, Callable, Collection, Dict, Hashable, List, NamedTuple, Optional,
+    Tuple,
+)
 
-from repro.sim.conditions import AckSet, ConditionMap, Counter
-from repro.sim.network import Message, Rule
+from repro.sim.conditions import AckSet, AllOf, ConditionMap
+from repro.sim.network import Message, Rule, TraceLevel
 from repro.sim.process import Process
-from repro.sim.simulator import Simulator
-from repro.sim.network import Network, TraceLevel
 from repro.sim.tasks import WaitUntil
-from repro.sim.trace import OperationRecord, Trace
+from repro.sim.trace import Trace
 from repro.storage.batching import (
     BatchAck,
     BatchAcks,
@@ -37,68 +70,194 @@ from repro.storage.batching import (
     WriteBatch,
     distinct_keys,
 )
-from repro.storage.history import BOTTOM, DEFAULT_KEY, Pair
-from repro.storage.stamping import DiscoveryInbox, StampIssuer, writer_fleet
+from repro.storage.deployment import Deployment
+from repro.storage.history import DEFAULT_KEY, INITIAL_PAIR, Pair
+from repro.storage.stamping import DiscoveryInbox, StampIssuer
 
+_TS = attrgetter("ts")
+
+#: One server's reply for one key: its slots' pairs, in slot order.
+SlotPairs = Tuple[Pair, ...]
+
+
+# -- wire vocabulary ----------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
-class AbdWrite:
+class SlotWrite:
+    """Store ``⟨ts, value⟩`` in ``slot`` of register ``key`` (under the
+    ``ts >`` rule)."""
+
     ts: int
     value: Any
+    slot: str
     key: Hashable = DEFAULT_KEY
 
 
 @dataclass(frozen=True, slots=True)
-class AbdWriteAck:
+class SlotWriteAck:
     ts: int
+    slot: str
     key: Hashable = DEFAULT_KEY
 
 
 @dataclass(frozen=True, slots=True)
-class AbdRead:
+class SlotRead:
     read_no: int
     key: Hashable = DEFAULT_KEY
 
 
 @dataclass(frozen=True, slots=True)
-class AbdReadAck:
+class SlotReadAck:
     read_no: int
-    pair: Pair
+    pairs: SlotPairs
     key: Hashable = DEFAULT_KEY
 
 
-class AbdServer(Process):
-    """Stores the highest-timestamped pair it has seen, per key."""
+# -- the protocol table -------------------------------------------------------
 
-    def __init__(self, pid: Hashable):
+def majority(n: int, t: int) -> int:
+    return n // 2 + 1
+
+
+def all_but_t(n: int, t: int) -> int:
+    return n - t
+
+
+def always(cmax: Pair, replies: Collection[SlotPairs], quorum: int) -> bool:
+    """Write back unconditionally (the second round ABD always pays)."""
+    return True
+
+
+def never(cmax: Pair, replies: Collection[SlotPairs], quorum: int) -> bool:
+    """Return the collected maximum at once (naive's deliberate flaw)."""
+    return False
+
+
+def unless_confirmed(
+    cmax: Pair, replies: Collection[SlotPairs], quorum: int
+) -> bool:
+    """Write back unless ``cmax`` is already safe to return: a quorum
+    of the replies hold it in their first (pre-write) slot, or some
+    reply holds it in a later (write) slot."""
+    pre_written = sum(1 for pairs in replies if pairs[0] == cmax)
+    written = any(cmax in pairs[1:] for pairs in replies)
+    return not (pre_written >= quorum or written)
+
+
+class WriteRound(NamedTuple):
+    """One broadcast round of a write.
+
+    The round stores the pair in ``slot`` and waits for a quorum of
+    acks — and, with ``wait_out``, also for the ``2Δ`` timer so that
+    more than a quorum can be heard.  With ``early_exit`` the write
+    completes here if the deployment's ``fast`` ack count was reached
+    and moves on to the next round otherwise; a round without it (a
+    row's last) completes on its quorum.
+    """
+
+    slot: str
+    wait_out: bool = False
+    early_exit: bool = False
+
+
+@dataclass(frozen=True)
+class RegisterProtocol:
+    """One count-quorum register algorithm, as data."""
+
+    name: str
+    #: The quorum threshold, from the deployment's ``(n, t)``.
+    quorum: Callable[[int, int], int]
+    #: Server slots per key, in reply order; read write-backs go to
+    #: the first.
+    slots: Tuple[str, ...]
+    write_rounds: Tuple[WriteRound, ...]
+    #: Whether a read's collect waits out ``2Δ`` beyond its quorum.
+    collect_waits: bool
+    #: ``(cmax, replies, quorum) -> bool``: must the read write
+    #: ``cmax`` back before returning it?
+    write_back: Callable[[Pair, Collection[SlotPairs], int], bool]
+
+
+ABD = RegisterProtocol(
+    name="abd",
+    quorum=majority,
+    slots=("w",),
+    write_rounds=(WriteRound("w"),),
+    collect_waits=False,
+    write_back=always,
+)
+
+FASTABD = RegisterProtocol(
+    name="fastabd",
+    quorum=all_but_t,
+    slots=("pw", "w"),
+    write_rounds=(
+        WriteRound("pw", wait_out=True, early_exit=True),
+        WriteRound("w"),
+    ),
+    collect_waits=True,
+    write_back=unless_confirmed,
+)
+
+NAIVE = RegisterProtocol(
+    name="naive",
+    quorum=all_but_t,
+    slots=("w",),
+    write_rounds=(WriteRound("w"),),
+    collect_waits=False,
+    write_back=never,
+)
+
+#: Protocol id → row; the scenario layer registers one adapter per entry.
+PROTOCOLS: Dict[str, RegisterProtocol] = {
+    row.name: row for row in (ABD, FASTABD, NAIVE)
+}
+
+
+# -- processes ----------------------------------------------------------------
+
+class RegisterServer(Process):
+    """Keeps, per key, the highest-timestamped pair seen in each slot."""
+
+    def __init__(self, pid: Hashable, slots: Tuple[str, ...]):
         super().__init__(pid)
-        self.pairs: Dict[Hashable, Pair] = {}
+        self._initial = dict.fromkeys(slots, INITIAL_PAIR)
+        self.slots: Dict[Hashable, Dict[str, Pair]] = {}
 
-    @property
-    def pair(self) -> Pair:
-        """The default register's pair (single-register compatibility)."""
-        return self.pair_for(DEFAULT_KEY)
-
-    def pair_for(self, key: Hashable) -> Pair:
-        return self.pairs.get(key, Pair(0, BOTTOM))
+    def slots_for(self, key: Hashable) -> Dict[str, Pair]:
+        """Register ``key``'s slot → pair mapping (created on first use)."""
+        slots = self.slots.get(key)
+        if slots is None:
+            slots = self.slots[key] = dict(self._initial)
+        return slots
 
     def on_message(self, message: Message) -> None:
         payload = message.payload
-        if isinstance(payload, AbdWrite):
-            if payload.ts > self.pair_for(payload.key).ts:
-                self.pairs[payload.key] = Pair(payload.ts, payload.value)
-            self.send(message.src, AbdWriteAck(payload.ts, payload.key))
-        elif isinstance(payload, AbdRead):
+        if isinstance(payload, SlotWrite):
+            slots = self.slots_for(payload.key)
+            if payload.ts > slots[payload.slot].ts:
+                slots[payload.slot] = Pair(payload.ts, payload.value)
             self.send(
                 message.src,
-                AbdReadAck(payload.read_no, self.pair_for(payload.key),
-                           payload.key),
+                SlotWriteAck(payload.ts, payload.slot, payload.key),
+            )
+        elif isinstance(payload, SlotRead):
+            self.send(
+                message.src,
+                SlotReadAck(
+                    payload.read_no,
+                    tuple(self.slots_for(payload.key).values()),
+                    payload.key,
+                ),
             )
         elif isinstance(payload, WriteBatch):
-            # Apply elements in batch (draw) order, one ack for all.
+            # Every element targets the batch's slot and is applied in
+            # batch (draw) order; one ack for all.
+            slot = payload.slot
             for ts, value, key in payload.ops:
-                if ts > self.pair_for(key).ts:
-                    self.pairs[key] = Pair(ts, value)
+                slots = self.slots_for(key)
+                if ts > slots[slot].ts:
+                    slots[slot] = Pair(ts, value)
             self.send(message.src, BatchAck(payload.batch_no, payload.rnd))
         elif isinstance(payload, ReadBatch):
             self.send(
@@ -106,89 +265,145 @@ class AbdServer(Process):
                 ReadBatchAck(
                     payload.read_no,
                     payload.rnd,
-                    tuple(self.pair_for(key) for key in payload.keys),
+                    tuple(
+                        tuple(self.slots_for(key).values())
+                        for key in payload.keys
+                    ),
                 ),
             )
 
 
-class AbdWriter(Process):
+class _RegisterClient(Process):
+    """What the writer and the reader share: the thresholds resolved
+    from a row, the ack bookkeeping and the query round."""
+
     def __init__(
         self,
         pid: Hashable,
         servers: Tuple[Hashable, ...],
         trace: Trace,
-        writer_id: Optional[int] = None,
+        protocol: RegisterProtocol,
+        t: int,
+        delta: float,
     ):
         super().__init__(pid)
         self.servers = servers
         self.trace = trace
-        self.majority = len(servers) // 2 + 1
+        self.name = protocol.name
+        self.quorum = protocol.quorum(len(servers), t)
+        self.timeout = 2.0 * delta
+        # Slot-write responders per (key, ts, slot): a write's rounds,
+        # a read's write-backs.
+        self._acks = ConditionMap(AckSet, self.name + " key={} ts={} {}")
+        # Numbered query rounds: read collects, MW timestamp discovery.
+        self._queries = DiscoveryInbox(self.name + " query#{}")
+        self._batches = BatchAcks(self.name + " batch#{} rnd={}")
+
+    def on_message(self, message: Message) -> None:
+        payload = message.payload
+        if isinstance(payload, SlotWriteAck):
+            # peek, not create: acks straggling in after the operation
+            # retired its responder set must not resurrect it (the
+            # bounded-memory contract of streaming soaks).
+            acks = self._acks.peek(payload.key, payload.ts, payload.slot)
+            if acks is not None:
+                acks.add(message.src)
+        elif isinstance(payload, SlotReadAck):
+            self._queries.record(payload.read_no, message.src, payload.pairs)
+        elif isinstance(payload, BatchAck):
+            self._batches.record(payload.batch_no, payload.rnd, message.src)
+        elif isinstance(payload, ReadBatchAck):
+            # Batched query replies: per key, the slot pairs.
+            self._queries.record(payload.read_no, message.src,
+                                 payload.replies)
+
+    def _quorum_of(self, acks: AckSet, wait_out: bool):
+        """The round's wait: a quorum of ``acks`` — and the ``2Δ``
+        timer too when the round waits out stragglers."""
+        enough = acks.at_least(self.quorum)
+        if wait_out:
+            timer = self.sim.timer_at(self.sim.now + self.timeout)
+            return AllOf(timer, enough)
+        return enough
+
+    def _query(self, message_for: Callable[[int], Any], wait_out: bool):
+        """One query round: broadcast ``message_for(number)`` and return
+        sender → reply once a quorum answered.  Replies arriving after
+        that are dropped — per-query state lives only while the round
+        is in flight."""
+        number = self._queries.open()
+        responders = self._queries.responders(number)
+        self.send_all(self.servers, message_for(number))
+        yield WaitUntil(
+            self._quorum_of(responders, wait_out),
+            f"{self.name} query#{number}",
+        )
+        return self._queries.close(number)
+
+
+class RegisterWriter(_RegisterClient):
+    def __init__(
+        self,
+        pid: Hashable,
+        servers: Tuple[Hashable, ...],
+        trace: Trace,
+        protocol: RegisterProtocol,
+        t: int,
+        fast: int,
+        delta: float,
+        writer_id: Optional[int] = None,
+    ):
+        super().__init__(pid, servers, trace, protocol, t, delta)
+        #: ``(slot, wait_out, exit_at)`` per round: after the round's
+        #: wait the write completes iff ``exit_at`` servers acked.
+        self.rounds = tuple(
+            (rnd.slot, rnd.wait_out, fast if rnd.early_exit else self.quorum)
+            for rnd in protocol.write_rounds
+        )
         self.stamps = StampIssuer(writer_id)
-        self._acks = ConditionMap(AckSet, "abd wr key={} ts={}")
-        # MW timestamp discovery (a majority collect round).
-        self._discovery = DiscoveryInbox("abd ts-discovery#{}")
-        self._batches = BatchAcks("abd wr batch#{} rnd={}")
 
     @property
     def ts(self) -> int:
         return self.stamps.seq()
 
-    def on_message(self, message: Message) -> None:
-        payload = message.payload
-        if isinstance(payload, AbdWriteAck):
-            # peek, not create: acks straggling in after the write
-            # retired its responder set must not resurrect it (the
-            # bounded-memory contract of streaming soaks).
-            acks = self._acks.peek(payload.key, payload.ts)
-            if acks is not None:
-                acks.add(message.src)
-        elif isinstance(payload, AbdReadAck):
-            self._discovery.record(payload.read_no, message.src,
-                                   payload.pair)
-        elif isinstance(payload, BatchAck):
-            self._batches.record(payload.batch_no, payload.rnd, message.src)
-        elif isinstance(payload, ReadBatchAck):
-            # Batched MW discovery replies: the per-key pair tuple.
-            self._discovery.record(payload.read_no, message.src,
-                                   payload.replies)
-
     def write(self, value: Any, key: Hashable = DEFAULT_KEY):
         record = self.trace.begin("write", self.pid, self.sim.now, value,
                                   key=key)
         if not self.stamps.multi_writer:
-            ts, rounds = self.stamps.bare(key), 1
+            ts, discovery_rounds = self.stamps.bare(key), 0
         else:
-            number = self._discovery.open()
-            acks = self._discovery.responders(number)
-            for server in self.servers:
-                self.send(server, AbdRead(number, key))
-            yield WaitUntil(
-                acks.at_least(self.majority),
-                f"abd write ts-discovery#{number}",
+            # MW timestamp discovery (a quorum collect round).
+            replies = yield from self._query(
+                lambda number: SlotRead(number, key), False
             )
-            pairs = self._discovery.close(number)
-            observed = max(p.ts for p in pairs.values())
-            ts, rounds = self.stamps.stamped(key, observed), 2
+            observed = max(map(_TS, chain.from_iterable(replies.values())))
+            ts, discovery_rounds = self.stamps.stamped(key, observed), 1
         # Surface the timestamp for the stamp-ordered online checker.
         record.meta["ts"] = ts
-        acks = self._acks(key, ts)
-        for server in self.servers:
-            self.send(server, AbdWrite(ts, value, key))
-        yield WaitUntil(
-            acks.at_least(self.majority),
-            f"abd write ts={ts}",
-        )
-        self._acks.discard(key, ts)
-        self.trace.complete(record, self.sim.now, "OK", rounds=rounds)
+        for rnd, (slot, wait_out, exit_at) in enumerate(self.rounds, 1):
+            acks = self._acks(key, ts, slot)
+            self.send_all(self.servers, SlotWrite(ts, value, slot, key))
+            yield WaitUntil(
+                self._quorum_of(acks, wait_out),
+                f"{self.name} write ts={ts} round {rnd}",
+            )
+            if len(acks) >= exit_at:
+                break
+        for slot, _, _ in self.rounds:
+            self._acks.discard(key, ts, slot)
+        self.trace.complete(record, self.sim.now, "OK",
+                            rounds=rnd + discovery_rounds)
         return record
 
     def write_batch(self, elems: List[Tuple[Any, Hashable]]):
-        """One batched round-trip for ``[(value, key), ...]``.
+        """The write's rounds, batched, for ``[(value, key), ...]``.
 
         Stamps are issued per element in draw order; multi-writer
         batches amortize one discovery collect over the batch's
-        distinct keys.  All elements complete together at batch end,
-        in element order (the online checkers' ordering contract).
+        distinct keys.  The shared responder set makes every round's
+        exit decision hold per element exactly as unbatched.  All
+        elements complete together at batch end, in element order (the
+        online checkers' ordering contract).
         """
         now = self.sim.now
         records = [
@@ -197,187 +412,161 @@ class AbdWriter(Process):
         ]
         if not self.stamps.multi_writer:
             stamps = [self.stamps.bare(key) for _, key in elems]
-            rounds = 1
+            discovery_rounds = 0
         else:
             keys = distinct_keys(elems)
-            number = self._discovery.open()
-            acks = self._discovery.responders(number)
-            collect = ReadBatch(number, 0, keys)
-            for server in self.servers:
-                self.send(server, collect)
-            yield WaitUntil(
-                acks.at_least(self.majority),
-                f"abd batch ts-discovery#{number}",
+            replies = yield from self._query(
+                lambda number: ReadBatch(number, 0, keys), False
             )
-            replies = self._discovery.close(number)
             observed = {
-                key: max(pairs[i].ts for pairs in replies.values())
+                key: max(
+                    pair.ts for per_key in replies.values()
+                    for pair in per_key[i]
+                )
                 for i, key in enumerate(keys)
             }
             stamps = [
                 self.stamps.stamped(key, observed[key]) for _, key in elems
             ]
-            rounds = 2
+            discovery_rounds = 1
         for record, ts in zip(records, stamps):
             record.meta["ts"] = ts
+        ops = tuple(
+            (ts, value, key) for ts, (value, key) in zip(stamps, elems)
+        )
         number = self._batches.open()
-        batch_acks = self._batches.responders(number, 1)
-        message = WriteBatch(
-            number, 1, "",
-            tuple(
-                (ts, value, key)
-                for ts, (value, key) in zip(stamps, elems)
-            ),
-            frozenset(),
-        )
-        for server in self.servers:
-            self.send(server, message)
-        yield WaitUntil(
-            batch_acks.at_least(self.majority),
-            f"abd write batch#{number}",
-        )
-        self._batches.close(number, 1)
+        for rnd, (slot, wait_out, exit_at) in enumerate(self.rounds, 1):
+            acks = self._batches.responders(number, rnd)
+            self.send_all(
+                self.servers, WriteBatch(number, rnd, slot, ops, frozenset())
+            )
+            yield WaitUntil(
+                self._quorum_of(acks, wait_out),
+                f"{self.name} write batch#{number} round {rnd}",
+            )
+            if len(acks) >= exit_at:
+                break
+        self._batches.close(number, *range(1, rnd + 1))
         now = self.sim.now
         for record in records:
-            self.trace.complete(record, now, "OK", rounds=rounds)
+            self.trace.complete(record, now, "OK",
+                                rounds=rnd + discovery_rounds)
         return records
 
 
-class AbdReader(Process):
-    def __init__(self, pid: Hashable, servers: Tuple[Hashable, ...], trace: Trace):
-        super().__init__(pid)
-        self.servers = servers
-        self.trace = trace
-        self.majority = len(servers) // 2 + 1
-        self.read_no = 0
-        self._pairs: Dict[int, Dict[Hashable, Pair]] = {}
-        self._replies = ConditionMap(Counter, "abd rd#{}")
-        self._wb = ConditionMap(AckSet, "abd wb key={} ts={}")
+class RegisterReader(_RegisterClient):
+    def __init__(
+        self,
+        pid: Hashable,
+        servers: Tuple[Hashable, ...],
+        trace: Trace,
+        protocol: RegisterProtocol,
+        t: int,
+        delta: float,
+    ):
+        super().__init__(pid, servers, trace, protocol, t, delta)
+        self.collect_waits = protocol.collect_waits
+        self.needs_write_back = protocol.write_back
+        self.wb_slot = protocol.slots[0]
         # Per key, the timestamp of the newest write-back responder set
         # still retained.  Write-back timestamps are monotone per reader
-        # (majorities intersect), so superseded sets can never be
-        # queried again and are pruned — bounding state to O(keys)
-        # while keeping the historical repeat-write-back fast path
-        # (same-timestamp write-backs reuse accumulated acks).
+        # (quorums intersect), so superseded sets can never be queried
+        # again and are pruned — bounding state to O(keys) while keeping
+        # the historical repeat-write-back fast path (same-timestamp
+        # write-backs reuse accumulated acks).
         self._wb_ts: Dict[Hashable, int] = {}
-        self._batches = BatchAcks("abd rd-wb batch#{} rnd={}")
-        self._batch_replies: Dict[int, Dict[Hashable, Tuple[Pair, ...]]] = {}
-
-    def on_message(self, message: Message) -> None:
-        payload = message.payload
-        if isinstance(payload, AbdReadAck):
-            # Replies for retired reads are dropped (peek, not create) —
-            # per-read state lives only while the read is in flight.
-            replies = self._pairs.get(payload.read_no)
-            if replies is not None and message.src not in replies:
-                replies[message.src] = payload.pair
-                self._replies(payload.read_no).add()
-        elif isinstance(payload, AbdWriteAck):
-            acks = self._wb.peek(payload.key, payload.ts)
-            if acks is not None:
-                acks.add(message.src)
-        elif isinstance(payload, ReadBatchAck):
-            replies = self._batch_replies.get(payload.read_no)
-            if replies is not None and message.src not in replies:
-                replies[message.src] = payload.replies
-                self._replies(payload.read_no).add()
-        elif isinstance(payload, BatchAck):
-            self._batches.record(payload.batch_no, payload.rnd, message.src)
 
     def read(self, key: Hashable = DEFAULT_KEY):
         record = self.trace.begin("read", self.pid, self.sim.now, key=key)
-        self.read_no += 1
-        number = self.read_no
-        self._pairs[number] = {}
-        replies = self._replies(number)
-        for server in self.servers:
-            self.send(server, AbdRead(number, key))
-        yield WaitUntil(
-            replies.at_least(self.majority),
-            f"abd read#{number} collect",
+        replies = yield from self._query(
+            lambda number: SlotRead(number, key), self.collect_waits
         )
-        best = max(self._pairs[number].values(), key=lambda p: p.ts)
-        record.meta["ts"] = best.ts
-        # Write-back round (unconditional — the cost RQS avoids).
-        previous = self._wb_ts.get(key)
-        if previous is not None and previous != best.ts:
-            self._wb.discard(key, previous)
-        self._wb_ts[key] = best.ts
-        wb_acks = self._wb(key, best.ts)
-        for server in self.servers:
-            self.send(server, AbdWrite(best.ts, best.val, key))
-        yield WaitUntil(
-            wb_acks.at_least(self.majority),
-            f"abd read#{number} writeback",
-        )
-        self._pairs.pop(number, None)
-        self._replies.discard(number)
-        self.trace.complete(record, self.sim.now, best.val, rounds=2)
+        cmax = max(chain.from_iterable(replies.values()), key=_TS)
+        record.meta["ts"] = cmax.ts
+        rounds = 1
+        if self.needs_write_back(cmax, replies.values(), self.quorum):
+            previous = self._wb_ts.get(key)
+            if previous is not None and previous != cmax.ts:
+                self._acks.discard(key, previous, self.wb_slot)
+            self._wb_ts[key] = cmax.ts
+            wb_acks = self._acks(key, cmax.ts, self.wb_slot)
+            self.send_all(
+                self.servers, SlotWrite(cmax.ts, cmax.val, self.wb_slot, key)
+            )
+            yield WaitUntil(
+                wb_acks.at_least(self.quorum),
+                f"{self.name} read writeback key={key} ts={cmax.ts}",
+            )
+            rounds = 2
+        self.trace.complete(record, self.sim.now, cmax.val, rounds=rounds)
         return record
 
     def read_batch(self, keys: List[Hashable]):
-        """One batched collect + one batched write-back for ``keys``.
+        """One batched collect; per-element write-back decisions from
+        the shared replies, and only the elements that need it join one
+        batched write-back.
 
-        Every element's best pair is selected from the same majority's
-        replies and written back in a single :class:`WriteBatch`.  The
-        per-element completion contract (each element completes as soon
-        as its quorum fills) is degenerate here: acks are
-        batch-granular and ABD's atomicity needs the write-back before
-        *any* element returns, so every element's quorum fills at the
-        write-back ack instant — all elements complete there, in
+        Completion is **per element**: elements that need no write-back
+        complete at the collect instant (their quorum is full — waiting
+        on the others' write-back would only inflate their tail), the
+        rest when the write-back quorum-acks.  Under ``always`` and
+        ``never`` the contract degenerates — acks are batch-granular,
+        so every element's quorum fills at the same instant (the
+        write-back ack, resp. the collect) and all complete there, in
         element order.
         """
         now = self.sim.now
         records = [
             self.trace.begin("read", self.pid, now, key=key) for key in keys
         ]
-        self.read_no += 1
-        number = self.read_no
-        self._batch_replies[number] = {}
-        replies = self._replies(number)
-        collect = ReadBatch(number, 1, tuple(keys))
-        for server in self.servers:
-            self.send(server, collect)
-        yield WaitUntil(
-            replies.at_least(self.majority),
-            f"abd read batch#{number} collect",
+        data = yield from self._query(
+            lambda number: ReadBatch(number, 1, tuple(keys)),
+            self.collect_waits,
         )
-        data = self._batch_replies.pop(number)
-        self._replies.discard(number)
-        bests = [
-            max((pairs[i] for pairs in data.values()), key=lambda p: p.ts)
-            for i in range(len(keys))
-        ]
-        for record, best in zip(records, bests):
-            record.meta["ts"] = best.ts
-        wb_no = self._batches.open()
-        wb_acks = self._batches.responders(wb_no, 2)
-        writeback = WriteBatch(
-            wb_no, 2, "",
-            tuple(
-                (best.ts, best.val, key) for best, key in zip(bests, keys)
-            ),
-            frozenset(),
-        )
-        for server in self.servers:
-            self.send(server, writeback)
-        yield WaitUntil(
-            wb_acks.at_least(self.majority),
-            f"abd read batch#{number} writeback",
-        )
-        self._batches.close(wb_no, 2)
         now = self.sim.now
-        for record, best in zip(records, bests):
-            self.trace.complete(record, now, best.val, rounds=2)
+        cmaxes: List[Pair] = []
+        failing: List[int] = []
+        for i, record in enumerate(records):
+            replies = [per_key[i] for per_key in data.values()]
+            cmax = max(chain.from_iterable(replies), key=_TS)
+            cmaxes.append(cmax)
+            record.meta["ts"] = cmax.ts
+            if self.needs_write_back(cmax, replies, self.quorum):
+                failing.append(i)
+            else:
+                self.trace.complete(record, now, cmax.val, rounds=1)
+        if failing:
+            wb_no = self._batches.open()
+            wb_acks = self._batches.responders(wb_no, 2)
+            self.send_all(self.servers, WriteBatch(
+                wb_no, 2, self.wb_slot,
+                tuple((cmaxes[i].ts, cmaxes[i].val, keys[i]) for i in failing),
+                frozenset(),
+            ))
+            yield WaitUntil(
+                wb_acks.at_least(self.quorum),
+                f"{self.name} read writeback batch#{wb_no}",
+            )
+            self._batches.close(wb_no, 2)
+            now = self.sim.now
+            for i in failing:
+                self.trace.complete(records[i], now, cmaxes[i].val, rounds=2)
         return records
 
 
-class AbdSystem:
-    """Wired ABD deployment mirroring :class:`StorageSystem`'s surface."""
+class RegisterSystem(Deployment):
+    """A wired count-quorum register deployment: ``n`` servers
+    (``1..n``), up to ``t`` crash failures, ``fast`` acks to exit a
+    write round early.  The defaults are the paper's Section 1.2
+    instance (``n=5, t=2, fast=4``); rows whose thresholds do not
+    depend on ``t`` or ``fast`` ignore them."""
 
     def __init__(
         self,
+        protocol: RegisterProtocol,
         n: int = 5,
+        t: int = 2,
+        fast: int = 4,
         n_readers: int = 2,
         delta: float = 1.0,
         crash_times: Optional[Dict[Hashable, float]] = None,
@@ -385,49 +574,28 @@ class AbdSystem:
         trace_level: TraceLevel = TraceLevel.FULL,
         n_writers: int = 1,
     ):
-        self.sim = Simulator()
-        self.network = Network(
-            self.sim, delta=delta, rules=list(rules or []),
-            trace_level=trace_level,
+        self.protocol = protocol
+        self.t = t
+        self.fast = fast
+        super().__init__(
+            range(1, n + 1), n_readers=n_readers, delta=delta,
+            crash_times=crash_times, rules=rules, trace_level=trace_level,
+            n_writers=n_writers,
         )
-        self.trace = Trace(
-            retain=self.network.trace_level >= TraceLevel.FULL
-        )
-        server_ids = tuple(range(1, n + 1))
-        self.servers = {
-            sid: AbdServer(sid).bind(self.network) for sid in server_ids
-        }
-        for sid, time in (crash_times or {}).items():
-            self.servers[sid].schedule_crash(time)
-        self.writers: List[AbdWriter] = writer_fleet(
-            n_writers,
-            lambda pid, writer_id: AbdWriter(
-                pid, server_ids, self.trace, writer_id=writer_id
-            ).bind(self.network),
-        )
-        self.writer = self.writers[0]
-        self.readers = [
-            AbdReader(f"reader{i + 1}", server_ids, self.trace).bind(
-                self.network
-            )
-            for i in range(n_readers)
-        ]
 
-    def write(self, value: Any, key: Hashable = DEFAULT_KEY) -> OperationRecord:
-        task = self.sim.spawn(
-            self.writer.write(value, key), f"write({value!r})"
-        )
-        self.sim.run_to_completion(strict=False)
-        if not task.done():
-            raise TimeoutError("abd write blocked")
-        return task.result
+    def make_server(self, sid: Hashable) -> RegisterServer:
+        return RegisterServer(sid, self.protocol.slots)
 
-    def read(
-        self, reader_index: int = 0, key: Hashable = DEFAULT_KEY
-    ) -> OperationRecord:
-        reader = self.readers[reader_index]
-        task = self.sim.spawn(reader.read(key), f"{reader.pid}.read()")
-        self.sim.run_to_completion(strict=False)
-        if not task.done():
-            raise TimeoutError("abd read blocked")
-        return task.result
+    def make_writer(
+        self, pid: Hashable, writer_id: Optional[int]
+    ) -> RegisterWriter:
+        return RegisterWriter(
+            pid, self.server_ids, self.trace, self.protocol, self.t,
+            self.fast, self.delta, writer_id=writer_id,
+        )
+
+    def make_reader(self, pid: Hashable) -> RegisterReader:
+        return RegisterReader(
+            pid, self.server_ids, self.trace, self.protocol, self.t,
+            self.delta,
+        )

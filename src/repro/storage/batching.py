@@ -19,11 +19,11 @@ sets.
 **Per-element completion contract.**  Batched *reads* complete
 element-wise: each element returns as soon as its own quorum decisions
 are in, never waiting on the batch's slowest element.  Where later
-protocol phases are already batch-granular (ABD's mandatory write-back,
-naive's single collect) the contract degenerates to the whole batch
-completing at one instant; where elements genuinely diverge it bites —
-fast-ABD's fast-path elements complete at the collect instant while
-only the failing elements wait out the pre-write write-back, and the
+protocol phases are already batch-granular (a kernel row that always
+or never writes back: ABD, naive) the contract degenerates to the whole
+batch completing at one instant; where elements genuinely diverge it
+bites — fast-ABD's confirmed elements complete at the collect instant
+while only the unconfirmed ones wait out the pre-write write-back, and the
 RQS reader resolves elements in per-round *cohorts*, each launching its
 own batched line 49 write-back concurrently with further collect rounds
 (see each reader's ``read_batch``).  A lossy or contended quorum thus
@@ -35,19 +35,18 @@ one completion instant.
 The message vocabulary is protocol-agnostic; each server class
 interprets the payloads its own way:
 
-* ABD / naive — ``ops`` elements are ``(ts, value, key)`` triples
-  applied under the ``ts >`` rule; read replies are per-key ``Pair``s.
-* fast-ABD — ``slot`` selects the pre-write/write slot; read replies
-  are per-key ``(pw, w)`` pair 2-tuples.
+* the count-quorum kernel (:mod:`repro.storage.abd`) — ``slot`` names
+  the server slot every element is applied to under the ``ts >`` rule;
+  read replies are, per key, the slots' ``Pair``s in slot order.
 * RQS — ``sets`` carries the batch's shared QC'2 quorum-id set and
   ``rnd`` the Figure 5 round; read replies are per-key history
   snapshots (``HistoryView``).
 
 Byzantine server subclasses override the *unbatched* handlers
 (``handle_write`` / ``handle_read``); batching targets the crash/lossy
-fault hot path and batched traffic bypasses those overrides — specs
-mixing Byzantine servers with ``batch_size > 1`` are outside the
-batched fast path's contract.
+fault hot path and batched traffic would bypass those overrides, so the
+``rqs-storage`` adapter refuses specs that combine Byzantine server
+roles with ``batch_size != 1``.
 """
 
 from __future__ import annotations
@@ -73,10 +72,10 @@ class WriteBatch:
 
     ``ops`` holds ``(ts, value, key)`` triples in the client's draw
     order; ``rnd`` is the protocol round this batch message belongs to
-    (ABD/naive: 1, read write-backs: 2; fast-ABD: 1=pre-write, 2=write;
-    RQS: Figure 5 rounds 1–3) and ``slot`` the fast-ABD slot name
-    (``""`` elsewhere).  ``sets`` is the RQS batch's shared QC'2
-    quorum-id set (empty frozenset elsewhere).
+    (kernel: the write's round number, read write-backs: 2; RQS:
+    Figure 5 rounds 1–3) and ``slot`` the kernel server slot the
+    elements target (``""`` for RQS).  ``sets`` is the RQS batch's
+    shared QC'2 quorum-id set (empty frozenset elsewhere).
     """
 
     batch_no: int

@@ -22,12 +22,9 @@ Writes are the unchanged three-round Figure 5 writer.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Optional, Sequence
+from typing import Hashable
 
-from repro.core.rqs import RefinedQuorumSystem
-from repro.sim.network import Rule, TraceLevel
 from repro.sim.tasks import WaitUntil
-from repro.sim.trace import OperationRecord, Trace
 from repro.storage.history import DEFAULT_KEY
 from repro.storage.messages import RD
 from repro.storage.predicates import ReadState
@@ -87,29 +84,5 @@ class RegularReader(StorageReader):
 class RegularStorageSystem(StorageSystem):
     """A :class:`StorageSystem` whose readers are regular readers."""
 
-    def __init__(
-        self,
-        rqs: RefinedQuorumSystem,
-        n_readers: int = 2,
-        delta: float = 1.0,
-        server_factories: Optional[Dict[Hashable, Any]] = None,
-        crash_times: Optional[Dict[Hashable, float]] = None,
-        rules: Optional[Sequence[Rule]] = None,
-        trace_level: TraceLevel = TraceLevel.FULL,
-    ):
-        super().__init__(
-            rqs,
-            n_readers=0,
-            delta=delta,
-            server_factories=server_factories,
-            crash_times=crash_times,
-            rules=rules,
-            trace_level=trace_level,
-        )
-        self.readers = []
-        for index in range(n_readers):
-            reader = RegularReader(
-                f"reader{index + 1}", rqs, self.trace, delta=delta
-            )
-            reader.bind(self.network)
-            self.readers.append(reader)
+    def make_reader(self, pid: Hashable) -> RegularReader:
+        return RegularReader(pid, self.rqs, self.trace, delta=self.delta)

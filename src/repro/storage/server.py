@@ -112,39 +112,53 @@ class StorageServer(Process):
     # Handlers are separate methods so Byzantine variants can reuse or
     # selectively override them.  (The batched handlers below sit on
     # the base class only: batching targets the crash/lossy fault hot
-    # path, and batched traffic bypasses the Byzantine overrides.)
+    # path, batched traffic would bypass the Byzantine overrides, and
+    # the rqs-storage adapter refuses that combination.)
 
     def handle_write(self, client: Hashable, wr: WR) -> None:
         history = self.history_for(wr.key)
         self.history_cells += history.store(wr.ts, wr.rnd, wr.value,
                                             wr.qc2_ids)
         if self.bounded_history:
-            self._collect(client, wr, history)
+            self._collect(client, wr.key, wr.ts, wr.rnd)
         if self.history_cells > self.max_history_cells:
             self.max_history_cells = self.history_cells
         self.send(client, WrAck(wr.ts, wr.rnd, wr.key))
 
-    def _collect(self, client: Hashable, wr: WR, history: History) -> None:
-        """Advance the per-key stable timestamp and GC below it.
+    def _collect(
+        self, client: Hashable, key: Hashable, ts: int, rnd: int
+    ) -> None:
+        """Advance ``key``'s stable timestamp and GC below it.
 
-        See the class docstring for the quorum-ack evidence rules.  A
-        late-arriving ``wr`` below the stable mark is stored (the ack
+        See the class docstring for the quorum-ack evidence rules:
+        ``(ts, rnd)`` is what ``client``'s message stored for ``key``.
+        A late-arriving ``wr`` below the stable mark is stored (the ack
         must not depend on GC state) and collected again immediately,
         so superseded cells never re-materialize.
+
+        A batch passes each key's highest element (per-key stamps are
+        issued in increasing draw order).  Its elements are sent
+        without the client blocking between them, so timestamps within
+        a batch are **not** ack evidence for each other — only
+        cross-message evidence counts: a ``rnd >= 2`` batch proves
+        every element's round 1 was quorum-acked (the client blocked on
+        a quorum of round-1 batch acks), and a new batch whose per-key
+        last ``(ts, rnd)`` differs from the previous message's proves
+        the previous round was quorum-acked.
         """
-        key = wr.key
+        history = self.history_for(key)
         stable = self._stable_ts.get(key, 0)
         advanced = stable
-        if wr.rnd >= 2 and wr.ts > advanced:
-            advanced = wr.ts
+        if rnd >= 2 and ts > advanced:
+            advanced = ts
         prev = self._last_wr.get((key, client))
-        if prev is not None and prev != (wr.ts, wr.rnd) and prev[0] > advanced:
+        if prev is not None and prev != (ts, rnd) and prev[0] > advanced:
             advanced = prev[0]
-        self._last_wr[(key, client)] = (wr.ts, wr.rnd)
+        self._last_wr[(key, client)] = (ts, rnd)
         if advanced > stable:
             self._stable_ts[key] = advanced
             removed = history.gc_below(advanced)
-        elif wr.ts < stable:
+        elif ts < stable:
             removed = history.gc_below(stable)
         else:
             removed = 0
@@ -175,45 +189,10 @@ class StorageServer(Process):
             touched[key] = ts
         if self.bounded_history:
             for key, last_ts in touched.items():
-                self._collect_batch(client, key, last_ts, wb.rnd)
+                self._collect(client, key, last_ts, wb.rnd)
         if self.history_cells > self.max_history_cells:
             self.max_history_cells = self.history_cells
         self.send(client, BatchAck(wb.batch_no, wb.rnd))
-
-    def _collect_batch(
-        self, client: Hashable, key: Hashable, last_ts: int, rnd: int
-    ) -> None:
-        """Bounded-history inference at *batch* granularity.
-
-        Elements of one batch are sent without the client blocking
-        between them, so timestamps within a batch are **not** ack
-        evidence for each other — only cross-message evidence counts:
-        a ``rnd >= 2`` batch proves every element's round 1 was
-        quorum-acked (the client blocked on a quorum of round-1 batch
-        acks), and a new batch whose per-key last ``(ts, rnd)`` differs
-        from the previous message's proves the previous round was
-        quorum-acked.  ``last_ts`` is the key's highest batch element
-        (per-key stamps are issued in increasing draw order).
-        """
-        history = self.history_for(key)
-        stable = self._stable_ts.get(key, 0)
-        advanced = stable
-        if rnd >= 2 and last_ts > advanced:
-            advanced = last_ts
-        prev = self._last_wr.get((key, client))
-        if prev is not None and prev != (last_ts, rnd) and prev[0] > advanced:
-            advanced = prev[0]
-        self._last_wr[(key, client)] = (last_ts, rnd)
-        if advanced > stable:
-            self._stable_ts[key] = advanced
-            removed = history.gc_below(advanced)
-        elif last_ts < stable:
-            removed = history.gc_below(stable)
-        else:
-            removed = 0
-        if removed:
-            self.gc_removed += removed
-            self.history_cells -= removed
 
     def handle_read_batch(self, client: Hashable, rb: ReadBatch) -> None:
         self.send(

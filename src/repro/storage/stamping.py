@@ -6,8 +6,8 @@ per-key sequence counters in the paper's SWMR mode, totally-ordered
 ``(seq, writer_id)`` stamps (see
 :func:`~repro.storage.history.make_stamp`) preceded by a
 timestamp-discovery round in MW mode.  The three helpers here hold the
-mechanics once so the four writers (rqs/abd/fastabd/naive) cannot
-drift:
+mechanics once so the two writers (RQS and the count-quorum kernel)
+cannot drift:
 
 * :class:`StampIssuer` — per-key sequence accounting and the
   single-writer/multi-writer timestamp encoding choice.

@@ -1,8 +1,8 @@
 """End-to-end wiring for storage executions.
 
 :class:`StorageSystem` assembles a simulator, a network, an RQS, servers
-(benign or Byzantine, with optional crash schedules), one writer and any
-number of readers, and exposes convenience drivers for scripted and
+(benign or Byzantine, with optional crash schedules), a writer fleet and
+any number of readers, and exposes convenience drivers for scripted and
 randomized workloads.  All operations are recorded in a shared
 :class:`~repro.sim.trace.Trace` consumed by the checkers.
 
@@ -14,23 +14,22 @@ This class is the thin wiring behind the ``"rqs-storage"`` protocol of
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.core.rqs import RefinedQuorumSystem
-from repro.sim.network import Network, Rule, TraceLevel
-from repro.sim.simulator import Simulator
-from repro.sim.trace import OperationRecord, Trace
-from repro.storage.history import DEFAULT_KEY
+from repro.sim.network import Rule, TraceLevel
+from repro.sim.trace import OperationRecord
+from repro.storage.deployment import Deployment
 from repro.storage.reader import StorageReader
 from repro.storage.server import RateLimitedServer, StorageServer
-from repro.storage.stamping import writer_fleet
 from repro.storage.writer import StorageWriter
 
 ServerFactory = Callable[[Hashable], StorageServer]
 
 
-class StorageSystem:
-    """A fully wired storage deployment over a simulated network.
+class StorageSystem(Deployment):
+    """The RQS storage deployment (shared wiring in
+    :class:`~repro.storage.deployment.Deployment`).
 
     The register space is keyed: every operation addresses one register
     (the default key reproduces the historical single register).
@@ -66,76 +65,59 @@ class StorageSystem:
         bounded_history: bool = False,
     ):
         self.rqs = rqs
-        self.delta = delta
         self.n_keys = n_keys
         self.strategy = strategy
+        self.strategy_seed = strategy_seed
         self.bounded_history = bounded_history
-        self.sim = Simulator()
-        self.network = Network(
-            self.sim, delta=delta, rules=list(rules or []),
-            trace_level=trace_level,
+        self.capacity_model = capacity_model
+        self._server_factories = server_factories or {}
+        super().__init__(
+            sorted(rqs.ground_set, key=repr),
+            n_readers=n_readers, delta=delta, crash_times=crash_times,
+            rules=rules, trace_level=trace_level, n_writers=n_writers,
         )
-        self.trace = Trace(
-            retain=self.network.trace_level >= TraceLevel.FULL
-        )
 
-        self.servers: Dict[Hashable, StorageServer] = {}
-        factories = server_factories or {}
-
-        def default_factory(sid):
-            return StorageServer(sid, bounded_history=bounded_history)
-
-        if capacity_model:
+    def make_server(self, sid: Hashable) -> StorageServer:
+        # Explicit per-role factories (Byzantine variants) take
+        # precedence over the benign default.
+        factory = self._server_factories.get(sid)
+        if factory is not None:
+            return factory(sid)
+        if self.capacity_model:
             # Finite service capacity per node: serving costs the
-            # reciprocal of the node's (read/write) capacity.  Explicit
-            # per-role factories (Byzantine variants) take precedence.
-            read_caps = getattr(rqs, "read_capacity", None) or {}
-            write_caps = getattr(rqs, "write_capacity", None) or {}
-
-            def default_factory(sid, _r=read_caps, _w=write_caps):
-                return RateLimitedServer(
-                    sid,
-                    read_cost=1.0 / float(_r.get(sid, 1)),
-                    write_cost=1.0 / float(_w.get(sid, 1)),
-                    bounded_history=bounded_history,
-                )
-
-        for sid in sorted(rqs.ground_set, key=repr):
-            factory = factories.get(sid, default_factory)
-            server = factory(sid)
-            server.bind(self.network)
-            self.servers[sid] = server
-        for sid, time in (crash_times or {}).items():
-            self.servers[sid].schedule_crash(time)
-
-        def selector_for(pid):
-            """A per-client quorum selector (own seeded RNG stream), or
-            ``None`` when no strategy is configured — in which case no
-            strategy RNG exists at all and executions are bit-identical
-            to the historical broadcast behaviour."""
-            if strategy is None:
-                return None
-            from repro.core.strategy import QuorumSelector
-
-            return QuorumSelector(strategy, strategy_seed, pid)
-
-        self.writers: List[StorageWriter] = writer_fleet(
-            n_writers,
-            lambda pid, writer_id: StorageWriter(
-                pid, rqs, self.trace, delta=delta, writer_id=writer_id,
-                selector=selector_for(pid),
-            ).bind(self.network),
-        )
-        self.writer = self.writers[0]
-        self.readers: List[StorageReader] = []
-        for index in range(n_readers):
-            pid = f"reader{index + 1}"
-            reader = StorageReader(
-                pid, rqs, self.trace, delta=delta,
-                selector=selector_for(pid),
+            # reciprocal of the node's (read/write) capacity.
+            read_caps = getattr(self.rqs, "read_capacity", None) or {}
+            write_caps = getattr(self.rqs, "write_capacity", None) or {}
+            return RateLimitedServer(
+                sid,
+                read_cost=1.0 / float(read_caps.get(sid, 1)),
+                write_cost=1.0 / float(write_caps.get(sid, 1)),
+                bounded_history=self.bounded_history,
             )
-            reader.bind(self.network)
-            self.readers.append(reader)
+        return StorageServer(sid, bounded_history=self.bounded_history)
+
+    def _selector_for(self, pid: Hashable):
+        """A per-client quorum selector (own seeded RNG stream), or
+        ``None`` when no strategy is configured — in which case no
+        strategy RNG exists at all and executions are bit-identical
+        to the historical broadcast behaviour."""
+        if self.strategy is None:
+            return None
+        from repro.core.strategy import QuorumSelector
+
+        return QuorumSelector(self.strategy, self.strategy_seed, pid)
+
+    def make_writer(self, pid: Hashable, writer_id: Optional[int]):
+        return StorageWriter(
+            pid, self.rqs, self.trace, delta=self.delta,
+            writer_id=writer_id, selector=self._selector_for(pid),
+        )
+
+    def make_reader(self, pid: Hashable):
+        return StorageReader(
+            pid, self.rqs, self.trace, delta=self.delta,
+            selector=self._selector_for(pid),
+        )
 
     # -- scripted drivers ------------------------------------------------------
 
@@ -169,29 +151,6 @@ class StorageSystem:
 
     def run_to_completion(self, strict: bool = False) -> None:
         self.sim.run_to_completion(strict=strict)
-
-    # -- synchronous convenience API (examples / quickstart) ----------------------
-
-    def write(self, value: Any, key: Hashable = DEFAULT_KEY) -> OperationRecord:
-        """Invoke a write now and run the simulation until it completes."""
-        task = self.sim.spawn(
-            self.writer.write(value, key), f"write({value!r})"
-        )
-        self.sim.run_to_completion(strict=False)
-        if not task.done():
-            raise TimeoutError("write blocked: no responsive quorum")
-        return task.result
-
-    def read(
-        self, reader_index: int = 0, key: Hashable = DEFAULT_KEY
-    ) -> OperationRecord:
-        """Invoke a read now and run the simulation until it completes."""
-        reader = self.readers[reader_index]
-        task = self.sim.spawn(reader.read(key), f"{reader.pid}.read()")
-        self.sim.run_to_completion(strict=False)
-        if not task.done():
-            raise TimeoutError("read blocked: no responsive quorum")
-        return task.result
 
     # -- randomized workload -------------------------------------------------------
 

@@ -53,18 +53,14 @@ def _final_pairs(result):
     state.
     """
     servers = list(result.system.servers.values())
-    protocol = result.spec.protocol
-    if protocol in ("abd", "naive"):
-        keys = set().union(*(s.pairs for s in servers))
-        pairs_of = lambda s, k: (s.pair_for(k),)
-    elif protocol == "fastabd":
-        keys = set().union(*(s.slots for s in servers))
-        pairs_of = lambda s, k: tuple(s._slots_for(k).values())
-    else:  # rqs-storage
+    if result.spec.protocol == "rqs-storage":
         keys = set().union(*(s.histories for s in servers))
         pairs_of = lambda s, k: tuple(
             s.history_for(k).snapshot().pairs()
         )
+    else:  # the count-quorum kernel: one slotted server for all rows
+        keys = set().union(*(s.slots for s in servers))
+        pairs_of = lambda s, k: tuple(s.slots_for(k).values())
     out = {}
     for key in sorted(keys, key=repr):
         best = max(
@@ -224,6 +220,32 @@ def test_consensus_adapters_reject_batching(protocol):
         run(spec)
 
 
+@pytest.mark.parametrize("batch_size", (4, "auto"))
+def test_byzantine_servers_reject_batching(batch_size):
+    """Byzantine server variants override the unbatched handlers only,
+    so a batched run would answer every ``ReadBatch`` honestly and the
+    role would pass vacuously — refuse, naming both knobs."""
+    from repro.scenarios.faults import ByzantineRole
+
+    spec = ScenarioSpec(
+        protocol="rqs-storage",
+        rqs="example6",
+        faults=FaultPlan(byzantine=(
+            ByzantineRole(8, "fabricating",
+                          params={"ts": 999, "value": "EVIL"}),
+        )),
+        workload=(RandomMix(3, 3, horizon=10.0, batch_size=batch_size),),
+        seed=1,
+    )
+    with pytest.raises(
+        ScenarioError, match=rf"byzantine.*batch_size={batch_size!r}"
+    ):
+        run(spec)
+    # The same role unbatched is the supported combination.
+    unbatched = spec.with_(workload=(RandomMix(3, 3, horizon=10.0),))
+    assert run(unbatched).atomicity.atomic
+
+
 def test_mixed_literal_expansion_rejects_batching():
     spec = ScenarioSpec(
         protocol="abd",
@@ -245,16 +267,16 @@ class TestPerElementCompletion:
         """One element with a contended (partial) pre-write fails the
         fast decision and waits out the write-back; the clean element
         completes two time units earlier at the collect instant."""
-        from repro.storage.fastabd import FastAbdSystem
+        from repro.storage.abd import FASTABD, RegisterSystem
         from repro.storage.history import Pair
 
-        system = FastAbdSystem(n_readers=1)
+        system = RegisterSystem(FASTABD, n_readers=1)
         system.write("a0", key="a")
         system.write("b0", key="b")
         ts = system.writer.ts
         # Stage a newer pre-write visible at only 2 servers (< slow=3).
         for sid in list(system.servers)[:2]:
-            system.servers[sid]._slots_for("b")["pw"] = Pair(ts + 1, "b1")
+            system.servers[sid].slots_for("b")["pw"] = Pair(ts + 1, "b1")
         task = system.sim.spawn(
             system.readers[0].read_batch(["a", "b"]), "batch read"
         )

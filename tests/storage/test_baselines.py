@@ -3,33 +3,33 @@
 import pytest
 
 from repro.analysis.atomicity import check_swmr_atomicity
-from repro.storage.abd import AbdSystem
-from repro.storage.fastabd import FastAbdSystem
-from repro.storage.naive import NaiveSystem
+from repro.storage.abd import ABD, FASTABD, NAIVE, RegisterSystem
 
 
 class TestAbd:
     def test_reads_always_two_rounds(self):
-        system = AbdSystem(n=5, n_readers=1)
+        system = RegisterSystem(ABD, n=5, n_readers=1)
         system.write("a")
         for _ in range(3):
             record = system.read()
             assert record.rounds == 2 and record.result == "a"
 
     def test_tolerates_minority_crashes(self):
-        system = AbdSystem(n=5, n_readers=1, crash_times={1: 0.0, 2: 0.0})
+        system = RegisterSystem(
+            ABD, n=5, n_readers=1, crash_times={1: 0.0, 2: 0.0}
+        )
         system.write("v")
         assert system.read().result == "v"
 
     def test_blocks_on_majority_crash(self):
-        system = AbdSystem(
-            n=5, n_readers=1, crash_times={1: 0.0, 2: 0.0, 3: 0.0}
+        system = RegisterSystem(
+            ABD, n=5, n_readers=1, crash_times={1: 0.0, 2: 0.0, 3: 0.0}
         )
         with pytest.raises(TimeoutError):
             system.write("v")
 
     def test_atomic_history(self):
-        system = AbdSystem(n=5, n_readers=2)
+        system = RegisterSystem(ABD, n=5, n_readers=2)
         system.write("a")
         system.read(0)
         system.write("b")
@@ -39,22 +39,23 @@ class TestAbd:
 
 class TestFastAbd:
     def test_single_round_best_case(self):
-        system = FastAbdSystem(n_readers=1)
+        system = RegisterSystem(FASTABD, n_readers=1)
         assert system.write("v").rounds == 1
         read = system.read()
         assert (read.result, read.rounds) == ("v", 1)
 
     def test_two_round_fallback(self):
-        system = FastAbdSystem(n_readers=1, crash_times={4: 0.0, 5: 0.0})
+        system = RegisterSystem(
+            FASTABD, n_readers=1, crash_times={4: 0.0, 5: 0.0}
+        )
         assert system.write("v").rounds == 2
         assert system.read().result == "v"
 
     def test_atomic_with_incomplete_write(self):
-        from repro.storage.fastabd import FRead
         from repro.sim.network import hold_rule
 
-        system = FastAbdSystem(
-            n_readers=2,
+        system = RegisterSystem(
+            FASTABD, n_readers=2,
             rules=[hold_rule(src={"writer"}, dst={1, 2, 4, 5})],
         )
         system.sim.spawn(system.writer.write("v"), "incomplete write")
@@ -67,7 +68,7 @@ class TestFastAbd:
 
 class TestNaive:
     def test_works_in_failure_free_runs(self):
-        system = NaiveSystem(n_readers=1)
+        system = RegisterSystem(NAIVE, n_readers=1)
         write_task = system.sim.spawn(system.writer.write("v"), "w")
         system.sim.run(until=5.0)
         read_task = system.sim.spawn(system.readers[0].read(), "r")
