@@ -246,8 +246,7 @@ class Acceptor(Process):
     def _record_decision(self, src: Hashable, value: Any) -> None:
         senders = self._decision_senders(value)
         senders.add(src)
-        acceptor_senders = senders & set(self.rqs.ground_set)
-        if any(q <= acceptor_senders for q in self.rqs.quorums):
+        if self.rqs.contains_quorum(senders):
             self._stop_suspect_timer()
 
     def _handle_decision_pull(self, src: Hashable) -> None:

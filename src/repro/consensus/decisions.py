@@ -26,9 +26,9 @@ class DecisionTracker:
 
     Sender sets are signalling :class:`~repro.sim.conditions.AckSet`
     containers (condition-native consensus internals): tasks and tests
-    can derive indexed wait conditions from them (``includes_any`` over
-    a quorum class) instead of polling, and the tracker's own checks
-    keep reading them as plain sets.
+    can derive indexed wait conditions from them (``includes_quorum``
+    over the system's ``contains_quorum``) instead of polling, and the
+    tracker's own checks keep reading them as plain sets.
     """
 
     def __init__(self, rqs: RefinedQuorumSystem):
@@ -54,13 +54,13 @@ class DecisionTracker:
     def _check(self, update: Update) -> Optional[Any]:
         senders = self._senders(update.step, update.value, update.view)
         if update.step == 1:
-            if any(q1 <= senders for q1 in self.rqs.qc1):
+            if self.rqs.contains_quorum(senders, cls=1):
                 return update.value
         elif update.step == 2 and update.quorum is not None:
             exact = self._senders2(update.value, update.view, update.quorum)
             if update.quorum in set(self.rqs.qc2) and update.quorum <= exact:
                 return update.value
         elif update.step == 3:
-            if any(q <= senders for q in self.rqs.quorums):
+            if self.rqs.contains_quorum(senders):
                 return update.value
         return None

@@ -116,8 +116,7 @@ class Proposer(Process):
             return
         if self.leader_of(next_view) != self.pid:
             return
-        senders = set(bucket)
-        if any(q <= senders for q in self.rqs.quorums):
+        if self.rqs.contains_quorum(bucket):
             # Elected (Figure 14 lines 10-13).
             self.view_proof = tuple(
                 bucket[s] for s in sorted(bucket, key=repr)
@@ -135,8 +134,7 @@ class Proposer(Process):
     def _handle_decision(self, src: Hashable, decision: Decision) -> None:
         senders = self._decisions.setdefault(decision.value, set())
         senders.add(src)
-        acceptor_senders = senders & set(self.rqs.ground_set)
-        if any(q <= acceptor_senders for q in self.rqs.quorums):
+        if self.rqs.contains_quorum(senders):
             self.halted = True  # Figure 15 line 104
             self._signal_consult()
 

@@ -80,4 +80,4 @@ def validate_view_proof(
         if not service.verify(signed):
             return False
         signers.add(signed.signer)
-    return any(q <= signers for q in rqs.quorums)
+    return rqs.contains_quorum(signers)

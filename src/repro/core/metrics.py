@@ -106,8 +106,7 @@ def failure_probability(
     # Enumerate alive-subsets of the relevant universe.
     for alive_size in range(n + 1):
         for alive in combinations(relevant, alive_size):
-            alive_set = frozenset(alive)
-            if any(q <= alive_set for q in family):
+            if rqs.contains_quorum(alive, cls):
                 continue
             weight = (1 - p) ** alive_size * p ** (n - alive_size)
             dead_probability += weight

@@ -165,11 +165,19 @@ def check_property3(
     not true, so for soundness we must check *all* elements, not just
     maximal ones.  We enumerate ``B`` lazily, largest-first, because
     larger ``B`` fail faster in practice.
+
+    P3a and P3b see the pair ``(Q2, Q)`` only through ``Q2 ∩ Q``, so
+    each distinct intersection is checked once; the iteration order is
+    unchanged, hence so is the first witness (an earlier pair with the
+    same failing intersection would have been returned first).
     """
     qc1 = list(qc1)
+    passed = set()
     for q2 in qc2:
         for q in quorums:
             base = q2 & q
+            if base in passed:
+                continue
             if not base:
                 # An empty intersection fails P3a (∅ ∈ B by closure) and
                 # P3b (it meets no class-1 quorum) for B = ∅.
@@ -188,6 +196,7 @@ def check_property3(
                     continue
                 q1_witness = _failing_q1(qc1, q2, q, b)
                 return P3Witness(q1_witness, q2, q, b, base - b)
+            passed.add(base)
     return None
 
 

@@ -17,12 +17,12 @@ returns the *best* (smallest-numbered) class of a quorum.
 from __future__ import annotations
 
 from typing import (
+    Dict,
     FrozenSet,
     Hashable,
     Iterable,
     Iterator,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -31,6 +31,135 @@ from repro.core import properties as props
 from repro.errors import PropertyViolation, QuorumSystemError
 
 Subset = FrozenSet[Hashable]
+
+
+def _minimal_masks(masks: Iterable[int]) -> Tuple[int, ...]:
+    """The distinct, non-empty, inclusion-minimal members of ``masks``.
+
+    "Some member lies inside ``x``" is decided by the minimal members
+    alone, so the intersection tables of :class:`QuorumIndex` are stored
+    as this antichain.
+    """
+    kept: list = []
+    ordered = sorted(
+        set(masks) - {0}, key=lambda mask: (bin(mask).count("1"), mask)
+    )
+    for mask in ordered:
+        if not any(small & mask == small for small in kept):
+            kept.append(mask)
+    return tuple(kept)
+
+
+class QuorumIndex:
+    """Bitmask tables over one (immutable) refined quorum system.
+
+    Server ``i`` of the ``repr``-sorted ground set is bit ``1 << i``; a
+    subset of ``S`` is a Python int.  Built once per system, on first
+    use (:attr:`RefinedQuorumSystem.index`), so the protocol clients
+    answer "does a quorum fit?", "is this set basic?" and the Figure 7
+    best-case-detector intersections with a few integer operations
+    instead of re-scanning frozenset families per ack.
+
+    The tables are deliberately compact — plain ints, distinct and
+    minimal sets only, filled lazily: a finished run keeps its system
+    (and whatever hangs off it) alive until a full garbage collection,
+    and the exhibit grids keep a thousand of them.  Only ``is_basic``
+    is memoised by subset (the adversary's answer is the one costly
+    question, and the reader asks it of holder sets, a handful per
+    read); quorum containment is a scan of ``masks`` and keeps nothing,
+    so enumerating all ``2^|S|`` subsets leaves the index as it was.
+    """
+
+    __slots__ = (
+        "bit", "full", "masks", "class_of", "quorum_at",
+        "_servers", "_adversary", "_basic", "_class1_meets", "_meets",
+    )
+
+    def __init__(self, rqs: "RefinedQuorumSystem"):
+        self._servers = tuple(sorted(rqs.ground_set, key=repr))
+        #: server -> its bit.
+        self.bit: Dict[Hashable, int] = {
+            server: 1 << i for i, server in enumerate(self._servers)
+        }
+        #: The whole ground set.
+        self.full = (1 << len(self._servers)) - 1
+        self._adversary = rqs.adversary
+        #: ``masks[cls]``: one mask per quorum of ``class_quorums(cls)``,
+        #: in the same order.
+        self.masks: Dict[int, Tuple[int, ...]] = {
+            cls: tuple(self.mask(q) for q in rqs.class_quorums(cls))
+            for cls in (1, 2, 3)
+        }
+        #: quorum -> its best (lowest) class.
+        self.class_of: Dict[Subset, int] = {}
+        for cls in (3, 2, 1):
+            for quorum in rqs.class_quorums(cls):
+                self.class_of[quorum] = cls
+        #: quorum mask -> the quorum.
+        self.quorum_at: Dict[int, Subset] = dict(
+            zip(self.masks[3], rqs.quorums)
+        )
+        self._basic: Dict[int, bool] = {}
+        self._class1_meets: Dict[int, Tuple[int, ...]] = {}
+        self._meets: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+
+    def mask(self, servers: Iterable[Hashable]) -> int:
+        """The members of ``servers`` that belong to ``S``, as a mask
+        (processes outside the ground set are ignored)."""
+        bit = self.bit.get
+        mask = 0
+        for server in servers:
+            mask |= bit(server, 0)
+        return mask
+
+    def members(self, mask: int) -> Subset:
+        """The subset of ``S`` a mask stands for."""
+        return frozenset(
+            server for i, server in enumerate(self._servers)
+            if mask >> i & 1
+        )
+
+    def is_basic(self, mask: int) -> bool:
+        """Definition 5 on a mask: the subset is not in ``B``."""
+        basic = self._basic.get(mask)
+        if basic is None:
+            basic = self._basic[mask] = self._adversary.is_basic(
+                self.members(mask)
+            )
+        return basic
+
+    def responding(self, mask: int, cls: int = 3) -> Tuple[int, ...]:
+        """Every class-``cls`` quorum fully inside ``mask``, in
+        ``class_quorums(cls)`` order."""
+        return tuple(q for q in self.masks[cls] if q & mask == q)
+
+    def fits(self, mask: int, cls: int = 3) -> bool:
+        """Is some class-``cls`` quorum fully inside ``mask``?"""
+        for q in self.masks[cls]:
+            if q & mask == q:
+                return True
+        return False
+
+    def meets(self, cls: int, other: int) -> Tuple[int, ...]:
+        """The minimal non-empty ``QR ∩ other`` over ``QR ∈ QC_cls``:
+        some such intersection lies inside ``x`` iff one of these does."""
+        key = (cls, other)
+        meets = self._meets.get(key)
+        if meets is None:
+            meets = self._meets[key] = _minimal_masks(
+                qr & other for qr in self.masks[cls]
+            )
+        return meets
+
+    def class1_meets(self, cls: int) -> Tuple[int, ...]:
+        """The minimal non-empty ``Q1 ∩ QR`` over ``Q1 ∈ QC1`` and
+        ``QR ∈ QC_cls`` (the ``BCD(c, 1, R)`` intersections)."""
+        meets = self._class1_meets.get(cls)
+        if meets is None:
+            meets = self._class1_meets[cls] = _minimal_masks(
+                q1 & qr for q1 in self.masks[1] for qr in self.masks[cls]
+            )
+        return meets
 
 
 class RefinedQuorumSystem:
@@ -70,6 +199,7 @@ class RefinedQuorumSystem:
             self._qc2 = self._qc1
         else:
             self._qc2 = props.normalize_family(qc2)
+        self._index: Optional[QuorumIndex] = None
         self._check_shape()
         if validate:
             violation = self.first_violation()
@@ -129,25 +259,31 @@ class RefinedQuorumSystem:
             return self._quorums
         raise ValueError(f"quorum class must be 1, 2 or 3, got {cls}")
 
+    @property
+    def index(self) -> QuorumIndex:
+        """The system's bitmask tables (built on first use)."""
+        index = self._index
+        if index is None:
+            index = self._index = QuorumIndex(self)
+        return index
+
     def is_quorum(self, candidate: Iterable[Hashable]) -> bool:
-        return as_subset(candidate) in set(self._quorums)
+        return as_subset(candidate) in self.index.class_of
 
     def quorum_class(self, quorum: Iterable[Hashable]) -> int:
         """Best (lowest) class of ``quorum``; raises if it is not a quorum."""
         target = as_subset(quorum)
-        if target in set(self._qc1):
-            return 1
-        if target in set(self._qc2):
-            return 2
-        if target in set(self._quorums):
-            return 3
-        raise QuorumSystemError(f"{set(target)} is not a quorum of this RQS")
+        cls = self.index.class_of.get(target)
+        if cls is None:
+            raise QuorumSystemError(
+                f"{set(target)} is not a quorum of this RQS"
+            )
+        return cls
 
     def quorums_of_exact_class(self, cls: int) -> Tuple[Subset, ...]:
         """Quorums whose *best* class is exactly ``cls``."""
-        return tuple(
-            q for q in self._quorums if self.quorum_class(q) == cls
-        )
+        class_of = self.index.class_of
+        return tuple(q for q in self._quorums if class_of[q] == cls)
 
     # -- predicates re-exported for algorithm code ---------------------------
 
@@ -214,10 +350,20 @@ class RefinedQuorumSystem:
         This is the "did some quorum of class *cls* respond?" test used
         throughout the storage and consensus algorithms.
         """
-        got = as_subset(responders)
+        index = self.index
+        quorum_at = index.quorum_at
         return tuple(
-            q for q in self.class_quorums(cls) if q <= got
+            quorum_at[mask]
+            for mask in index.responding(index.mask(responders), cls)
         )
+
+    def contains_quorum(
+        self, responders: Iterable[Hashable], cls: int = 3
+    ) -> bool:
+        """Is some class-``cls`` quorum fully contained in ``responders``?
+        (Members of ``responders`` outside ``S`` are ignored.)"""
+        index = self.index
+        return index.fits(index.mask(responders), cls)
 
     def some_responding_quorum(
         self, responders: Iterable[Hashable], cls: int = 3

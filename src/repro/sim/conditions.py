@@ -18,8 +18,8 @@ The catalogue, roughly in order of preference:
   :meth:`Counter.at_least` ("``n − t`` replies collected").
 * :class:`AckSet` — a growing responder-id set (a real ``set``
   subclass, so quorum code like ``q <= acks`` keeps working); wait on
-  :meth:`AckSet.at_least` or :meth:`AckSet.includes_any` ("acks from
-  some quorum").
+  :meth:`AckSet.at_least` or :meth:`AckSet.includes_quorum` ("acks
+  from some quorum").
 * :class:`Check` — an arbitrary predicate that the owning process
   signals explicitly from the handlers that mutate its inputs.  The
   migration device for waits too entangled for the shapes above
@@ -43,7 +43,8 @@ in-tree protocol uses one — the ROADMAP's third invariant.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Iterable, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Hashable, List, Optional
 
 
 class Condition:
@@ -217,12 +218,14 @@ class AckSet(set):
         self._derived.append(condition)
         return condition
 
-    def includes_any(
-        self, quorums: Iterable[frozenset], label: str = ""
+    def includes_quorum(
+        self, contains_quorum: Callable[["AckSet"], bool], label: str = ""
     ) -> Condition:
-        """Wait until some quorum is fully contained in the set."""
-        condition = IncludesAny(
-            self, tuple(quorums), label or f"{self.label} quorum"
+        """Wait until some quorum is fully contained in the set, as
+        decided by ``contains_quorum(acks)`` — the quorum system's own
+        containment test (``rqs.contains_quorum``)."""
+        condition = Check(
+            partial(contains_quorum, self), label or f"{self.label} quorum"
         )
         self._derived.append(condition)
         return condition
@@ -248,23 +251,6 @@ class SizeAtLeast(Condition):
 
     def holds(self) -> bool:
         return len(self._acks) >= self._needed
-
-
-class IncludesAny(Condition):
-    """``any(q <= acks for q in quorums)`` (via :meth:`AckSet.includes_any`)."""
-
-    __slots__ = ("_acks", "_quorums")
-
-    def __init__(
-        self, acks: AckSet, quorums: Tuple[frozenset, ...], label: str = ""
-    ):
-        super().__init__(label)
-        self._acks = acks
-        self._quorums = quorums
-
-    def holds(self) -> bool:
-        acks = self._acks
-        return any(q <= acks for q in self._quorums)
 
 
 class ConditionMap:

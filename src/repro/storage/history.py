@@ -16,7 +16,7 @@ strictly newer state — see ``bounded_history`` in
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Hashable, Iterator, NamedTuple, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, NamedTuple, Set, Tuple
 
 QuorumId = FrozenSet[Hashable]
 
@@ -165,14 +165,13 @@ class HistoryView:
     def get(self, ts: int, rnd: int) -> Entry:
         return self._cells.get((ts, rnd), INITIAL_ENTRY)
 
-    def pairs(self) -> Iterator[Pair]:
+    def pairs(self) -> Set[Pair]:
         """All distinct pairs readable in slots 1 and 2 (plus ⟨0, ⊥⟩)."""
-        seen = {INITIAL_PAIR}
-        yield INITIAL_PAIR
+        pairs = {INITIAL_PAIR}
         for (ts, rnd), entry in self._cells.items():
-            if rnd in (1, 2) and entry.pair not in seen:
-                seen.add(entry.pair)
-                yield entry.pair
+            if rnd in (1, 2):
+                pairs.add(entry.pair)
+        return pairs
 
     def max_timestamp(self) -> int:
         """Highest timestamp present in slots 1 or 2 (0 when untouched)."""

@@ -23,6 +23,7 @@ A read has two parts:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.core.rqs import RefinedQuorumSystem
@@ -139,14 +140,9 @@ class StorageReader(Process):
             for server in targets:
                 self.send(server, RD(self.read_no, read_rnd, key))
 
-            rnd = read_rnd
-
-            def round_quorum() -> bool:
-                acked = state.round_responders(rnd)
-                return any(q <= acked for q in self.rqs.quorums)
-
             quorum_cond = state.when(
-                round_quorum, f"read#{self.read_no} round {rnd}"
+                partial(state.round_quorum, read_rnd),
+                f"read#{self.read_no} round {read_rnd}",
             )
             try:
                 yield WaitUntil(quorum_cond)
@@ -215,7 +211,7 @@ class StorageReader(Process):
         for server in targets:
             self.send(server, WR(c.ts, c.val, qc2_ids, rnd, key))
         yield WaitUntil(
-            self._wb(key, c.ts, rnd).includes_any(self.rqs.quorums),
+            self._wb(key, c.ts, rnd).includes_quorum(self.rqs.contains_quorum),
             f"read#{self.read_no} writeback round {rnd}",
         )
 
@@ -271,7 +267,7 @@ class StorageReader(Process):
                 collect = ReadBatch(number, read_rnd, tuple(keys))
                 for server in targets:
                     self.send(server, collect)
-                quorum = acks.includes_any(self.rqs.quorums)
+                quorum = acks.includes_quorum(self.rqs.contains_quorum)
                 collect_cond = (
                     AllOf(
                         self.sim.timer_at(self.sim.now + self.timeout),
@@ -357,4 +353,4 @@ class StorageReader(Process):
         )
         for server in targets:
             self.send(server, writeback)
-        return wb_acks.includes_any(self.rqs.quorums)
+        return wb_acks.includes_quorum(self.rqs.contains_quorum)

@@ -22,6 +22,7 @@ Writes are the unchanged three-round Figure 5 writer.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Hashable
 
 from repro.sim.tasks import WaitUntil
@@ -53,14 +54,9 @@ class RegularReader(StorageReader):
             for server in sorted(self.rqs.ground_set, key=repr):
                 self.send(server, RD(self.read_no, read_rnd, key))
 
-            rnd = read_rnd
-
-            def round_quorum() -> bool:
-                acked = state.round_responders(rnd)
-                return any(q <= acked for q in self.rqs.quorums)
-
             quorum_cond = state.when(
-                round_quorum, f"regular-read#{self.read_no} round {rnd}"
+                partial(state.round_quorum, read_rnd),
+                f"regular-read#{self.read_no} round {read_rnd}",
             )
             try:
                 yield WaitUntil(quorum_cond)

@@ -74,7 +74,7 @@ class DiscoveryInbox:
     reply (deduplicated) into the query's signalling responder
     :class:`~repro.sim.conditions.AckSet` — wait on
     :meth:`responders` ``.at_least(k)`` (count quorums) or
-    ``.includes_any(quorums)`` (identity quorums); :meth:`close`
+    ``.includes_quorum(rqs.contains_quorum)`` (identity quorums); :meth:`close`
     retires the query and hands back the collected replies.
     """
 

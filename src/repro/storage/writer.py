@@ -154,9 +154,7 @@ class StorageWriter(Process):
 
         # Lines 4-5: remember fully-acking class-2 quorums.
         round1 = self.acks(ts, 1, key)
-        qc2_prime = frozenset(
-            q2 for q2 in self.rqs.qc2 if q2 <= round1
-        )
+        qc2_prime = frozenset(self.rqs.responding_quorums(round1, cls=2))
 
         # Round 2 (lines 6-7).
         yield from self._round(ts, value, qc2_prime, 2, key, target)
@@ -194,8 +192,8 @@ class StorageWriter(Process):
         for server in self._targets(target):
             self.send(server, RD(number, 0, key))
         yield WaitUntil(
-            self._discovery.responders(number).includes_any(
-                self.rqs.quorums
+            self._discovery.responders(number).includes_quorum(
+                self.rqs.contains_quorum
             ),
             f"write ts-discovery#{number}",
         )
@@ -216,7 +214,9 @@ class StorageWriter(Process):
         1-2) the 2Δ timer."""
         for server in self._targets(target):
             self.send(server, WR(ts, value, qc2_prime, rnd, key))
-        quorum_acked = self.acks(ts, rnd, key).includes_any(self.rqs.quorums)
+        quorum_acked = self.acks(ts, rnd, key).includes_quorum(
+            self.rqs.contains_quorum
+        )
         label = f"write ts={ts} round {rnd}"
         if rnd < 3:
             timer = self.sim.timer_at(self.sim.now + self.timeout)
@@ -273,7 +273,7 @@ class StorageWriter(Process):
             return self._finish_batch(number, records, 1 + extra_rounds)
 
         # Lines 4-5: the class-2 quorums that fully acked round 1.
-        qc2_prime = frozenset(q2 for q2 in self.rqs.qc2 if q2 <= round1)
+        qc2_prime = frozenset(self.rqs.responding_quorums(round1, cls=2))
 
         # Round 2 (lines 6-7).
         yield from self._batch_round(number, ops, qc2_prime, 2, targets)
@@ -300,8 +300,8 @@ class StorageWriter(Process):
         for server in self._targets(target):
             self.send(server, collect)
         yield WaitUntil(
-            self._discovery.responders(number).includes_any(
-                self.rqs.quorums
+            self._discovery.responders(number).includes_quorum(
+                self.rqs.contains_quorum
             ),
             f"write batch ts-discovery#{number}",
         )
@@ -318,8 +318,8 @@ class StorageWriter(Process):
         message = WriteBatch(number, rnd, "", ops, qc2_prime)
         for server in targets:
             self.send(server, message)
-        quorum_acked = self._batches.responders(number, rnd).includes_any(
-            self.rqs.quorums
+        quorum_acked = self._batches.responders(number, rnd).includes_quorum(
+            self.rqs.contains_quorum
         )
         label = f"write batch#{number} round {rnd}"
         if rnd < 3:

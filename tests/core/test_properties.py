@@ -7,8 +7,10 @@ from repro.core import properties as props
 from repro.core.constructions import (
     example7_adversary,
     example7_named_quorums,
+    subsets_missing_at_most,
     threshold_rqs,
 )
+from repro.core.rqs import RefinedQuorumSystem
 
 SERVERS = tuple(range(1, 9))
 
@@ -108,6 +110,82 @@ class TestProperty3:
         quorums = family({1, 2, 3}, {4, 5, 6})
         witness = props.check_property3(adv, family({1, 2, 3}), quorums, quorums)
         assert witness is not None
+
+
+def _check_property3_per_pair(adversary, qc1, qc2, quorums):
+    """Property 3 checked pair by pair, never skipping a repeated
+    ``Q2 ∩ Q`` — the reference for the first witness."""
+    for q2 in qc2:
+        for q in quorums:
+            base = q2 & q
+            for b in adversary.restricted_to(base).enumerate():
+                if props.p3a(adversary, q2, q, b) or props.p3b(qc1, q2, q, b):
+                    continue
+                return props.P3Witness(
+                    props._failing_q1(qc1, q2, q, b), q2, q, b, base - b
+                )
+    return None
+
+
+class _CountingThreshold(ThresholdAdversary):
+    restrictions = 0
+
+    def restricted_to(self, subset):
+        self.restrictions += 1
+        return super().restricted_to(subset)
+
+
+class TestProperty3FirstWitness:
+    """Each distinct ``Q2 ∩ Q`` is checked once; the witness returned is
+    still the one of the first failing pair."""
+
+    def test_example6_broken_p3_witness(self):
+        # The family experiments/theorem3.py and theorem6.py build on.
+        rqs = threshold_rqs(8, 3, 1, 1, 3, validate=False)
+        assert rqs.first_violation() == ("P3", props.P3Witness(
+            q1=frozenset({2, 3, 4, 5, 6, 7, 8}),
+            q2=frozenset({1, 2, 3, 4, 5}),
+            q=frozenset({1, 2, 6, 7, 8}),
+            b1_prime=frozenset({2}),
+            b2=frozenset({1}),
+        ))
+
+    def test_hand_built_explicit_adversary_witness(self):
+        # Example 7 with s4 dropped from Q1: P1 and P2 still hold, but
+        # Q1 no longer meets Q2 ∩ Q'2 \ {s1,s2} = {s3,s4} ∈ B.
+        q1 = frozenset({"s2", "s5", "s6"})
+        q2 = frozenset({"s1", "s2", "s3", "s4", "s5"})
+        q2_prime = frozenset({"s1", "s2", "s3", "s4", "s6"})
+        rqs = RefinedQuorumSystem(
+            example7_adversary(), (q1, q2, q2_prime),
+            qc1=(q1,), qc2=(q1, q2, q2_prime), validate=False,
+        )
+        assert rqs.violations() == (("P3", props.P3Witness(
+            q1=q1, q2=q2, q=q2_prime,
+            b1_prime=frozenset({"s1", "s2"}),
+            b2=frozenset({"s3", "s4"}),
+        )),)
+
+    def test_same_witness_as_the_per_pair_check(self):
+        # n <= t + r + k + min(k, q): Property 3 fails in each.
+        for params in ((8, 3, 1, 1, 3), (7, 3, 1, 1, 3), (6, 2, 1, 1, 2),
+                       (5, 2, 1, 0, 2), (9, 4, 1, 1, 3)):
+            rqs = threshold_rqs(*params, validate=False)
+            args = (rqs.adversary, rqs.qc1, rqs.qc2, rqs.quorums)
+            expected = _check_property3_per_pair(*args)
+            assert expected is not None
+            assert props.check_property3(*args) == expected
+
+    def test_example6_checks_219_intersections_not_3441_pairs(self):
+        adversary = _CountingThreshold(SERVERS, 1)
+        rqs = RefinedQuorumSystem(
+            adversary,
+            subsets_missing_at_most(SERVERS, 3),
+            qc1=subsets_missing_at_most(SERVERS, 1),
+            qc2=subsets_missing_at_most(SERVERS, 2),
+        )
+        assert len(rqs.qc2) * len(rqs.quorums) == 3441
+        assert adversary.restrictions == 219
 
 
 class TestNormalizeFamily:

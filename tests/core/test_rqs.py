@@ -1,5 +1,7 @@
 """Tests for the RefinedQuorumSystem container."""
 
+from itertools import combinations
+
 import pytest
 
 from repro.core.adversary import ExplicitAdversary, ThresholdAdversary
@@ -126,6 +128,107 @@ class TestSelectionHelpers:
         rqs = example7_rqs()
         assert len(rqs) == 3
         assert set(iter(rqs)) == set(rqs.quorums)
+
+
+class TestQuorumIndex:
+    """The bitmask tables answer exactly what the frozenset scans do."""
+
+    SYSTEMS = (
+        lambda: threshold_rqs(5, 1, 1, 0, 1),
+        lambda: threshold_rqs(6, 2, 0, 1, 2),
+        example7_rqs,
+        figure3_rqs,
+    )
+
+    def subsets(self, rqs):
+        servers = sorted(rqs.ground_set, key=repr)
+        for size in range(len(servers) + 1):
+            for combo in combinations(servers, size):
+                yield frozenset(combo)
+
+    def test_contains_quorum_matches_the_scan_on_every_subset(self):
+        for build in self.SYSTEMS:
+            rqs = build()
+            for subset in self.subsets(rqs):
+                for cls in (1, 2, 3):
+                    family = rqs.class_quorums(cls)
+                    assert rqs.contains_quorum(subset, cls) == any(
+                        q <= subset for q in family
+                    )
+                    assert rqs.responding_quorums(subset, cls) == tuple(
+                        q for q in family if q <= subset
+                    )
+
+    def test_enumerating_subsets_leaves_nothing_on_the_system(self):
+        """Quorum containment is a scan, not a memo: an availability
+        sweep over all ``2^|S|`` alive-sets (``failure_probability``)
+        must not grow what every finished run keeps alive."""
+        from repro.core import metrics
+
+        rqs = threshold_rqs(8, 3, 1, 1, 2)
+        index = rqs.index
+        for cls in (1, 2, 3):
+            metrics.failure_probability(rqs, 0.1, cls)
+        kept = {
+            name: getattr(index, name)
+            for name in index.__slots__
+            if name.startswith("_") and isinstance(getattr(index, name), dict)
+        }
+        assert kept and not any(kept.values()), kept
+
+    def test_processes_outside_the_ground_set_are_ignored(self):
+        rqs = example7_rqs()
+        quorum = set(rqs.quorums[0])
+        assert rqs.contains_quorum(quorum | {"learner", 7})
+        assert not rqs.contains_quorum({"learner", 7})
+
+    def test_masks_round_trip_and_is_basic_agrees(self):
+        for build in self.SYSTEMS:
+            rqs = build()
+            index = rqs.index
+            assert index.members(index.full) == rqs.ground_set
+            for subset in self.subsets(rqs):
+                mask = index.mask(subset)
+                assert index.members(mask) == subset
+                assert index.is_basic(mask) == rqs.is_basic(subset)
+                assert [index.members(q) for q in index.responding(mask)] == [
+                    q for q in rqs.quorums if q <= subset
+                ]
+
+    def test_class_lookups_come_from_the_index(self):
+        rqs = threshold_rqs(8, 3, 1, 1, 2)
+        assert rqs.index is rqs.index
+        for quorum in rqs.quorums:
+            expected = 1 if quorum in rqs.qc1 else 2 if quorum in rqs.qc2 else 3
+            assert rqs.quorum_class(quorum) == expected
+            assert rqs.is_quorum(quorum)
+        assert not rqs.is_quorum({1, 2, 3})
+        assert [len(rqs.quorums_of_exact_class(c)) for c in (1, 2, 3)] == [
+            9, 28, 56
+        ]
+
+    def test_meets_are_the_minimal_distinct_intersections(self):
+        rqs = threshold_rqs(8, 3, 1, 1, 2)
+        index = rqs.index
+
+        def minimal(sets):
+            sets = {s for s in sets if s}
+            return {s for s in sets if not any(t < s for t in sets)}
+
+        for cls in (1, 2, 3):
+            expected = minimal(
+                q1 & qr for q1 in rqs.qc1 for qr in rqs.class_quorums(cls)
+            )
+            got = [index.members(m) for m in index.class1_meets(cls)]
+            assert len(got) == len(set(got)) and set(got) == expected
+            q2 = rqs.qc2[-1]
+            expected = minimal(qr & q2 for qr in rqs.class_quorums(cls))
+            got = [index.members(m) for m in index.meets(cls, index.mask(q2))]
+            assert len(got) == len(set(got)) and set(got) == expected
+        # Example 6: 81 and 837 (Q1, QR) pairs shrink to 28 and 70 sets.
+        assert len(rqs.qc1) ** 2 == 81 and len(index.class1_meets(1)) == 28
+        assert len(rqs.qc1) * len(rqs.quorums) == 837
+        assert len(index.class1_meets(3)) == 70
 
 
 def test_describe_mentions_classes():

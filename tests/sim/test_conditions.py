@@ -76,7 +76,9 @@ class TestPrimitives:
         quorums = (frozenset({1, 2}), frozenset({2, 3}))
 
         def coro():
-            yield WaitUntil(acks.includes_any(quorums))
+            yield WaitUntil(acks.includes_quorum(
+                lambda got: any(q <= got for q in quorums)
+            ))
             return sorted(acks)
 
         task = sim.spawn(coro())
@@ -366,7 +368,9 @@ class TestWakeupModes:
                 log = []
 
                 def worker():
-                    yield WaitUntil(acks.includes_any((frozenset({1, 2}),)))
+                    yield WaitUntil(
+                        acks.includes_quorum(frozenset({1, 2}).issubset)
+                    )
                     log.append(("woke", sim.now))
 
                 sim.spawn(worker())
