@@ -13,7 +13,7 @@ from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set
 
 from repro.core.rqs import RefinedQuorumSystem
 from repro.crypto.signatures import SignatureService, Signed
-from repro.sim.conditions import AckSet, ConditionMap, Event
+from repro.sim.conditions import Event
 from repro.sim.network import Message
 from repro.sim.process import Process
 from repro.consensus.choose import choose as run_choose
@@ -89,11 +89,14 @@ class Acceptor(Process):
         #: Waitable "this acceptor decided" condition (see Learner).
         self.decided_event = Event(f"{pid} decided")
 
-        # update-message sender bookkeeping, (step, value, view) -> a
-        # signalling AckSet (condition-native: waitable, never scanned
-        # by the event loop).
-        self._update_senders = ConditionMap(AckSet, "update{} v={!r} w={}")
+        # Who sent which update statement: sender masks over rqs.index,
+        # kept by the decision tracker (one mask serves the decide
+        # rules and the cascade).
+        self._index = rqs.index
         self._decisions = DecisionTracker(rqs)
+        # (step, value, view) -> the part of that statement's sender
+        # mask whose quorums the cascade has already triggered.
+        self._scanned: Dict[Tuple[int, Any, int], int] = {}
         self._pending_nva: Optional[_PendingNewViewAck] = None
 
         # -- Election-module state (Figure 14) --
@@ -103,7 +106,7 @@ class Acceptor(Process):
         self._timer_armed = False
         self._timer_stopped = False
         self._timer_generation = 0
-        self._decision_senders = ConditionMap(AckSet, "decision v={!r}")
+        self._decision_senders: Dict[Any, int] = {}  # value -> mask
 
     # -- helpers -----------------------------------------------------------------
 
@@ -112,7 +115,7 @@ class Acceptor(Process):
 
     def _broadcast_update(self, update: Update) -> None:
         self.old.add(update_statement(update.step, update.value, update.view))
-        for target in sorted(self.rqs.ground_set, key=repr):
+        for target in self.rqs.servers:
             self.send(target, update)
         for learner in self.learners:
             self.send(learner, update)
@@ -166,7 +169,7 @@ class Acceptor(Process):
         """Re-validate ``vProof`` and check ``v`` against ``choose()``."""
         if prepare.v_proof is None or prepare.quorum is None:
             return False
-        if prepare.quorum not in set(self.rqs.quorums):
+        if not self.rqs.is_quorum(prepare.quorum):
             return False
         v_proof: Dict[AcceptorId, AckData] = {}
         for ack in prepare.v_proof:
@@ -191,43 +194,59 @@ class Acceptor(Process):
         decided = self._decisions.record(src, update)
         if decided is not None:
             self._decide(decided)
-        if update.step not in (1, 2):
+        step, value, view = update.step, update.value, self.view
+        if step not in (1, 2):
             return
-        senders = self._update_senders(update.step, update.value, update.view)
-        senders.add(src)
         if (
-            update.value != self.prep
-            or update.view != self.view
-            or self.view not in self.prep_view
+            value != self.prep
+            or update.view != view
+            or view not in self.prep_view
         ):
             return
-        step, value = update.step, update.value
-        for quorum in self.rqs.quorums:
-            if not quorum <= senders:
-                continue
-            self._trigger_update(step, value, quorum)
-
-    def _trigger_update(self, step: int, value: Any, quorum: QuorumId) -> None:
-        """Lines 34-38 for one triggering quorum ``Q``."""
+        # Lines 34-38 trigger once per quorum Q of senders.  Every
+        # quorum inside ``scanned`` has triggered already, so only the
+        # quorums through a sender that arrived since can be new.
+        key = (step, value, view)
+        mask = self._decisions.senders(step, value, view)
+        new = mask & ~self._scanned.get(key, 0)
+        if not new:
+            return
+        fitting = self._index.newly_responding(mask, new)
+        if not fitting:
+            self._scanned[key] = mask
+            return
+        # The state update is the same for every triggering quorum.
         if self.update[step] == value:
-            self.update_view[step].add(self.view)
+            self.update_view[step].add(view)
         else:
             self.update[step] = value
-            self.update_view[step] = {self.view}
-            for view_key in [k for k in self.update_q if k[0] == step]:
-                del self.update_q[view_key]
-            for view_key in [k for k in self.update_proof if k[0] == step]:
-                del self.update_proof[view_key]
-        stored = self.update_q.setdefault((step, self.view), set())
-        fire = (
-            (step == 1 and quorum not in stored)
-            or (step == 2 and not stored)
-        )
-        if fire:
-            stored.add(quorum)
-            self._broadcast_update(
-                Update(step + 1, value, self.view, quorum)
-            )
+            self.update_view[step] = {view}
+            self._forget_step(step)
+        self._scanned[key] = mask
+        quorum_at = self._index.quorum_at
+        stored = self.update_q.setdefault((step, view), set())
+        if step == 2:
+            # One update3 per view: the first fitting quorum, once.
+            if not stored:
+                self._fire(3, value, quorum_at[fitting[0]], stored)
+            return
+        # One update2 per quorum of update1 senders, in rqs.quorums
+        # order (a newly fitting quorum cannot have been stored yet).
+        for quorum_mask in fitting:
+            self._fire(2, value, quorum_at[quorum_mask], stored)
+
+    def _fire(
+        self, step: int, value: Any, quorum: QuorumId, stored: Set[QuorumId]
+    ) -> None:
+        stored.add(quorum)
+        self._broadcast_update(Update(step, value, self.view, quorum))
+
+    def _forget_step(self, step: int) -> None:
+        """``update[step]`` changed value: the quorums, proofs and scan
+        marks recorded for the old one go."""
+        for table in (self.update_q, self.update_proof, self._scanned):
+            for key in [k for k in table if k[0] == step]:
+                del table[key]
 
     # -- deciding (lines 51-53 + Figure 14 line 7, line 40) ---------------------------------
 
@@ -236,7 +255,7 @@ class Acceptor(Process):
             return
         self.decided = value
         self.decided_event.set()
-        for target in sorted(self.rqs.ground_set, key=repr):
+        for target in self.rqs.servers:
             self.send(target, Decision(value))
         self._record_decision(self.pid, value)
 
@@ -244,10 +263,13 @@ class Acceptor(Process):
         self._record_decision(src, decision.value)
 
     def _record_decision(self, src: Hashable, value: Any) -> None:
-        senders = self._decision_senders(value)
-        senders.add(src)
-        if self.rqs.contains_quorum(senders):
-            self._stop_suspect_timer()
+        bit = self._index.bit.get(src, 0)
+        before = self._decision_senders.get(value, 0)
+        if bit & ~before:
+            senders = self._decision_senders[value] = before | bit
+            # A quorum of deciders can only complete through the new one.
+            if self._index.newly_responding(senders, bit):
+                self._stop_suspect_timer()
 
     def _handle_decision_pull(self, src: Hashable) -> None:
         if self.decided is not None:
@@ -280,12 +302,12 @@ class Acceptor(Process):
             targets = (
                 sorted(next(iter(quorums)), key=repr)
                 if quorums
-                else sorted(self.rqs.ground_set, key=repr)
+                else self.rqs.servers
             )
             for target in targets:
                 self.send(target, SignReq(self.update[step], w, step))
             # An acceptor can sign its own statement immediately.
-            if self.pid in set(targets):
+            if self.pid in targets:
                 self._handle_sign_req(self.pid, SignReq(self.update[step], w, step))
 
     def _handle_sign_req(self, src: Hashable, request: SignReq) -> None:
@@ -304,6 +326,8 @@ class Acceptor(Process):
         signed = ack.signature
         if signed.signer != src or not self.service.verify(signed):
             return
+        if src not in self.rqs.ground_set:
+            return  # only acceptors vouch for an update statement
         content = signed.content
         for step, w in list(pending.needed):
             statement = update_statement(step, self.update[step], w)
@@ -311,7 +335,7 @@ class Acceptor(Process):
                 continue
             bucket = pending.collected[(step, w)]
             bucket[src] = signed
-            if self.rqs.is_basic(set(bucket)):
+            if self._index.is_basic(self._index.mask(bucket)):
                 self.update_proof[(step, w)] = tuple(
                     bucket[s] for s in sorted(bucket, key=repr)
                 )

@@ -11,10 +11,9 @@ receiving
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Hashable, Optional
+from typing import Any, Dict, FrozenSet, Hashable, Optional, Set, Tuple
 
 from repro.core.rqs import RefinedQuorumSystem
-from repro.sim.conditions import AckSet, ConditionMap
 from repro.consensus.messages import Update
 
 AcceptorId = Hashable
@@ -24,43 +23,57 @@ QuorumId = FrozenSet[AcceptorId]
 class DecisionTracker:
     """Accumulates update messages and fires the decide rules.
 
-    Sender sets are signalling :class:`~repro.sim.conditions.AckSet`
-    containers (condition-native consensus internals): tasks and tests
-    can derive indexed wait conditions from them (``includes_quorum``
-    over the system's ``contains_quorum``) instead of polling, and the
-    tracker's own checks keep reading them as plain sets.
+    Who sent a statement is a *sender mask* over ``rqs.index`` (a
+    process outside ``S`` has no bit), so one more update costs a few
+    integer operations: a rule over many quorums (steps 1 and 3) can
+    only start to hold through the sender that just arrived, and holds
+    forever once it does; the step-2 rule names its one quorum, so the
+    tracker keeps the members of it still to be heard from.
     """
 
     def __init__(self, rqs: RefinedQuorumSystem):
         self.rqs = rqs
-        # (step, value, view) -> senders, payload quorum ignored (steps 1, 3)
-        self._senders = ConditionMap(AckSet, "update{} v={!r} w={}")
-        # (value, view, payload quorum) -> senders (step 2 exact-match rule)
-        self._senders2 = ConditionMap(AckSet, "update2 v={!r} w={} q={}")
+        self._index = rqs.index
+        # (step, value, view) -> sender mask, payload quorum ignored
+        self._masks: Dict[Tuple[int, Any, int], int] = {}
+        # the step-1/3 statements whose decide rule holds
+        self._decided: Set[Tuple[int, Any, int]] = set()
+        # (value, view, payload quorum) -> the quorum's members that have
+        # not sent it yet (step 2 exact-match rule); -1, which no sender
+        # clears, when the payload is not a class-2 quorum
+        self._missing: Dict[Tuple[Any, int, QuorumId], int] = {}
 
-    def senders(self, step: int, value: Any, view: int) -> AckSet:
-        """The (signalling) sender set of one update statement."""
-        return self._senders(step, value, view)
+    def senders(self, step: int, value: Any, view: int) -> int:
+        """The sender mask of one update statement."""
+        return self._masks.get((step, value, view), 0)
 
     def record(self, sender: AcceptorId, update: Update) -> Optional[Any]:
         """Feed one update message; return the decided value, if any."""
-        self._senders(update.step, update.value, update.view).add(sender)
-        if update.step == 2 and update.quorum is not None:
-            self._senders2(update.value, update.view, update.quorum).add(
-                sender
-            )
-        return self._check(update)
-
-    def _check(self, update: Update) -> Optional[Any]:
-        senders = self._senders(update.step, update.value, update.view)
-        if update.step == 1:
-            if self.rqs.contains_quorum(senders, cls=1):
-                return update.value
-        elif update.step == 2 and update.quorum is not None:
-            exact = self._senders2(update.value, update.view, update.quorum)
-            if update.quorum in set(self.rqs.qc2) and update.quorum <= exact:
-                return update.value
-        elif update.step == 3:
-            if self.rqs.contains_quorum(senders):
-                return update.value
+        index = self._index
+        bit = index.bit.get(sender, 0)
+        step, value = update.step, update.value
+        key = (step, value, update.view)
+        before = self._masks.get(key, 0)
+        mask = self._masks[key] = before | bit
+        if step == 2:
+            quorum = update.quorum
+            if quorum is None:
+                return None
+            exact = (value, update.view, quorum)
+            missing = self._missing.get(exact)
+            if missing is None:
+                missing = (
+                    index.mask(quorum)
+                    if index.class_of.get(quorum, 4) <= 2 else -1
+                )
+            missing = self._missing[exact] = missing & ~bit
+            return value if missing == 0 else None
+        if step == 1 or step == 3:
+            if key in self._decided:
+                return value
+            if mask != before and index.newly_responding(
+                mask, bit, 1 if step == 1 else 3
+            ):
+                self._decided.add(key)
+                return value
         return None

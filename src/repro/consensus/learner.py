@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Dict, Hashable, Optional, Set
 
 from repro.core.rqs import RefinedQuorumSystem
-from repro.sim.conditions import AckSet, ConditionMap, Event
+from repro.sim.conditions import Event
 from repro.sim.network import Message
 from repro.sim.process import Process
 from repro.sim.trace import OperationRecord, Trace
@@ -40,7 +40,7 @@ class Learner(Process):
         #: ``yield WaitUntil(learner.learned_event)`` instead of polling.
         self.learned_event = Event(f"{pid} learned")
         self._decisions = DecisionTracker(rqs)
-        self._decision_senders = ConditionMap(AckSet, "decision v={!r}")
+        self._decision_senders: Dict[Any, int] = {}  # value -> mask
         self._pull_interval = pull_interval
         self._pulls_left = max_pulls
         self._pull_armed = False
@@ -61,11 +61,14 @@ class Learner(Process):
                     self._learn(decided)
         elif isinstance(payload, Decision):
             self._arm_pulls()
-            if message.src in self.rqs.ground_set:
-                senders = self._decision_senders(payload.value)
-                senders.add(message.src)
-                if self.rqs.is_basic(senders):
-                    self._learn(payload.value)
+            index = self.rqs.index
+            bit = index.bit.get(message.src)
+            if bit is not None:
+                value = payload.value
+                senders = self._decision_senders.get(value, 0) | bit
+                self._decision_senders[value] = senders
+                if index.is_basic(senders):
+                    self._learn(value)
 
     def _learn(self, value: Any) -> None:
         if self.learned is not None:
@@ -88,6 +91,6 @@ class Learner(Process):
         if self.learned is not None or self.crashed or self._pulls_left <= 0:
             return
         self._pulls_left -= 1
-        for acceptor in sorted(self.rqs.ground_set, key=repr):
+        for acceptor in self.rqs.servers:
             self.send(acceptor, DecisionPull())
         self.sim.call_later(self._pull_interval, self._pull)

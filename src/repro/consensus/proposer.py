@@ -155,7 +155,7 @@ class Proposer(Process):
         """Figure 15 lines 101-103: arm acceptor timers and pull decisions."""
         if self.halted or self.crashed:
             return
-        for acceptor in sorted(self.rqs.ground_set, key=repr):
+        for acceptor in self.rqs.servers:
             self.send(acceptor, Sync())
             self.send(acceptor, DecisionPull())
 
@@ -169,7 +169,7 @@ class Proposer(Process):
         view = self.view
         if view != INIT_VIEW:
             # Consult phase (Figure 15 lines 2-8).
-            for acceptor in sorted(self.rqs.ground_set, key=repr):
+            for acceptor in self.rqs.servers:
                 self.send(acceptor, NewView(view, self.view_proof))
             while True:
                 quorum_holder: Dict[str, QuorumId] = {}
@@ -177,12 +177,9 @@ class Proposer(Process):
                 def some_fresh_quorum() -> bool:
                     if self.view != view or self.halted:
                         return True  # abandon: a newer view took over
-                    acks = self._acks.get(view, {})
-                    senders = set(acks)
-                    for candidate in self.rqs.quorums:
-                        if candidate in self._faulty:
-                            continue
-                        if candidate <= senders:
+                    acks = self._acks.get(view, ())
+                    for candidate in self.rqs.responding_quorums(acks):
+                        if candidate not in self._faulty:
                             quorum_holder["q"] = candidate
                             return True
                     return False
@@ -208,13 +205,13 @@ class Proposer(Process):
                     continue
                 chosen = result.value
                 v_proof = tuple(acks[a] for a in sorted(quorum, key=repr))
-                for acceptor in sorted(self.rqs.ground_set, key=repr):
+                for acceptor in self.rqs.servers:
                     self.send(
                         acceptor, Prepare(chosen, view, v_proof, quorum)
                     )
                 return
         # Initial view: no consult phase (Figure 9).
-        for acceptor in sorted(self.rqs.ground_set, key=repr):
+        for acceptor in self.rqs.servers:
             self.send(acceptor, Prepare(self.value, INIT_VIEW, None, None))
 
 
@@ -231,7 +228,7 @@ class EquivocatingProposer(Proposer):
         self.value_b = value_b
 
     def _propose_in_current_view(self):
-        acceptors = sorted(self.rqs.ground_set, key=repr)
+        acceptors = self.rqs.servers
         half = len(acceptors) // 2
         for acceptor in acceptors[:half]:
             self.send(acceptor, Prepare(self.value_a, INIT_VIEW, None, None))

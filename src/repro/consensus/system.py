@@ -77,7 +77,7 @@ class ConsensusSystem:
 
         self.acceptors: Dict[Hashable, Acceptor] = {}
         factories_a = acceptor_factories or {}
-        for aid in sorted(rqs.ground_set, key=repr):
+        for aid in rqs.servers:
             factory = factories_a.get(aid, Acceptor)
             acceptor = factory(
                 aid,

@@ -23,7 +23,7 @@ This module materializes every example of Section 2.2:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import FrozenSet, Hashable, Iterable, List, Sequence, Tuple
+from typing import FrozenSet, Hashable, Iterable, Sequence, Tuple
 
 from repro.core.adversary import (
     Adversary,
@@ -31,6 +31,7 @@ from repro.core.adversary import (
     ThresholdAdversary,
     as_subset,
 )
+from repro.core.properties import NormalizedFamily
 from repro.core.rqs import RefinedQuorumSystem
 from repro.errors import QuorumSystemError
 
@@ -42,8 +43,11 @@ def subsets_missing_at_most(
 ) -> Tuple[Subset, ...]:
     """The family ``Q_i`` = all subsets of ``S`` with ``≥ |S| − i`` elements.
 
-    This is the paper's ``Q_i`` notation (Section 2.2).  For determinism
-    the result is sorted by (size, sorted members).
+    This is the paper's ``Q_i`` notation (Section 2.2).  The result is
+    in normal form — (size, sorted member reprs) — by construction:
+    ``combinations`` over the ``repr``-sorted members enumerates each
+    size in exactly that order, so nothing is sorted (or re-sorted by
+    :class:`RefinedQuorumSystem`) afterwards.
     """
     members = sorted(as_subset(ground), key=repr)
     n = len(members)
@@ -51,10 +55,11 @@ def subsets_missing_at_most(
         raise QuorumSystemError(
             f"missing-count i={i} must satisfy 0 <= i < |S|={n}"
         )
-    family: List[Subset] = []
-    for size in range(n - i, n + 1):
-        family.extend(frozenset(c) for c in combinations(members, size))
-    return tuple(sorted(family, key=lambda s: (len(s), sorted(map(repr, s)))))
+    return NormalizedFamily(
+        frozenset(c)
+        for size in range(n - i, n + 1)
+        for c in combinations(members, size)
+    )
 
 
 def default_servers(n: int) -> Tuple[int, ...]:

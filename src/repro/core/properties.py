@@ -22,7 +22,7 @@ Notation follows Definition 2 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Hashable, Iterable, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Sequence, Tuple
 
 from repro.core.adversary import Adversary, as_subset
 
@@ -237,11 +237,31 @@ def negate_property3(
     return check_property3(adversary, qc1, qc2, quorums)
 
 
+class NormalizedFamily(tuple):
+    """A family in normal form: distinct frozensets ordered by
+    ``(size, sorted member reprs)``.  Only :func:`normalize_family` (and
+    constructions whose enumeration order *is* that order) build one,
+    so normalizing it again is the identity and costs nothing."""
+
+    __slots__ = ()
+
+
 def normalize_family(family: Iterable[Iterable[Hashable]]) -> Tuple[Subset, ...]:
     """Normalize a family of iterables to a deduplicated tuple of frozensets.
 
     Order is made deterministic (sorted by size then repr) so that property
     checking and witness extraction are reproducible.
     """
+    if type(family) is NormalizedFamily:
+        return family
     unique = {as_subset(member) for member in family}
-    return tuple(sorted(unique, key=lambda s: (len(s), sorted(map(repr, s)))))
+    # One repr per server, not one per (member, server) pair.
+    name: Dict[Hashable, str] = {}
+    for member in unique:
+        for server in member:
+            if server not in name:
+                name[server] = repr(server)
+    lookup = name.__getitem__
+    return NormalizedFamily(
+        sorted(unique, key=lambda s: (len(s), sorted(map(lookup, s))))
+    )

@@ -66,23 +66,29 @@ class QuorumIndex:
     and the exhibit grids keep a thousand of them.  Only ``is_basic``
     is memoised by subset (the adversary's answer is the one costly
     question, and the reader asks it of holder sets, a handful per
-    read); quorum containment is a scan of ``masks`` and keeps nothing,
-    so enumerating all ``2^|S|`` subsets leaves the index as it was.
+    read); quorum containment is a scan of ``masks`` — or, when the
+    caller knows which server answered last, of the quorums through
+    that server's bit (``newly_responding``, one tuple per server) —
+    and keeps nothing per subset, so enumerating all ``2^|S|`` subsets
+    leaves the index as it was.
     """
 
     __slots__ = (
-        "bit", "full", "masks", "class_of", "quorum_at",
-        "_servers", "_adversary", "_basic", "_class1_meets", "_meets",
+        "servers", "bit", "full", "masks", "class_of", "quorum_at",
+        "_adversary", "_basic", "_class1_meets", "_meets", "_through",
     )
 
     def __init__(self, rqs: "RefinedQuorumSystem"):
-        self._servers = tuple(sorted(rqs.ground_set, key=repr))
+        #: The ground set in ``repr`` order (bit ``i`` is ``servers[i]``).
+        self.servers: Tuple[Hashable, ...] = tuple(
+            sorted(rqs.ground_set, key=repr)
+        )
         #: server -> its bit.
         self.bit: Dict[Hashable, int] = {
-            server: 1 << i for i, server in enumerate(self._servers)
+            server: 1 << i for i, server in enumerate(self.servers)
         }
         #: The whole ground set.
-        self.full = (1 << len(self._servers)) - 1
+        self.full = (1 << len(self.servers)) - 1
         self._adversary = rqs.adversary
         #: ``masks[cls]``: one mask per quorum of ``class_quorums(cls)``,
         #: in the same order.
@@ -102,6 +108,7 @@ class QuorumIndex:
         self._basic: Dict[int, bool] = {}
         self._class1_meets: Dict[int, Tuple[int, ...]] = {}
         self._meets: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        self._through: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
     def mask(self, servers: Iterable[Hashable]) -> int:
         """The members of ``servers`` that belong to ``S``, as a mask
@@ -115,7 +122,7 @@ class QuorumIndex:
     def members(self, mask: int) -> Subset:
         """The subset of ``S`` a mask stands for."""
         return frozenset(
-            server for i, server in enumerate(self._servers)
+            server for i, server in enumerate(self.servers)
             if mask >> i & 1
         )
 
@@ -139,6 +146,28 @@ class QuorumIndex:
             if q & mask == q:
                 return True
         return False
+
+    def newly_responding(
+        self, mask: int, new: int, cls: int = 3
+    ) -> Tuple[int, ...]:
+        """The class-``cls`` quorums inside ``mask`` that meet ``new``
+        (a non-empty part of ``mask``), in ``class_quorums(cls)`` order.
+
+        With ``new`` the servers heard from since the quorums inside
+        ``mask & ~new`` were last dealt with, these are exactly the
+        quorums that have *become* responding.  The usual case — one
+        new server — scans only the quorums through that server's bit.
+        """
+        if new & (new - 1):
+            return tuple(
+                q for q in self.masks[cls] if q & mask == q and q & new
+            )
+        through = self._through.get((cls, new))
+        if through is None:
+            through = self._through[(cls, new)] = tuple(
+                q for q in self.masks[cls] if q & new
+            )
+        return tuple(q for q in through if q & mask == q)
 
     def meets(self, cls: int, other: int) -> Tuple[int, ...]:
         """The minimal non-empty ``QR ∩ other`` over ``QR ∈ QC_cls``:
@@ -235,6 +264,12 @@ class RefinedQuorumSystem:
     @property
     def ground_set(self) -> Subset:
         return self._adversary.ground_set
+
+    @property
+    def servers(self) -> Tuple[Hashable, ...]:
+        """The ground set as a tuple in ``repr`` order — the order every
+        protocol broadcasts in."""
+        return self.index.servers
 
     @property
     def quorums(self) -> Tuple[Subset, ...]:

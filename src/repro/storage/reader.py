@@ -82,9 +82,6 @@ class StorageReader(Process):
         self._batch_states: Dict[int, Tuple[ReadState, ...]] = {}
         self._batch_acks = ConditionMap(AckSet, "rd batch#{} rnd={}")
         self._batches = BatchAcks("rd-wb batch#{} rnd={}")
-        # The broadcast target list is the same every round — cache the
-        # sorted ground set instead of re-sorting per op (hot path).
-        self._ground = tuple(sorted(rqs.ground_set, key=repr))
 
     # -- network ------------------------------------------------------------------
 
@@ -207,7 +204,7 @@ class StorageReader(Process):
         all servers (or the read's drawn quorum) and await a quorum of
         acks."""
         if targets is None:
-            targets = self._ground
+            targets = self.rqs.servers
         for server in targets:
             self.send(server, WR(c.ts, c.val, qc2_ids, rnd, key))
         yield WaitUntil(
@@ -217,9 +214,9 @@ class StorageReader(Process):
 
     def _targets(self, target):
         """The servers one round contacts: the drawn quorum under a
-        strategy, the (cached) full ground set otherwise."""
+        strategy, the full ground set otherwise."""
         if target is None:
-            return self._ground
+            return self.rqs.servers
         return sorted(target, key=repr)
 
     # -- batched protocol --------------------------------------------------------

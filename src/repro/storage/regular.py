@@ -51,7 +51,7 @@ class RegularReader(StorageReader):
                 if read_rnd == 1
                 else None
             )
-            for server in sorted(self.rqs.ground_set, key=repr):
+            for server in self.rqs.servers:
                 self.send(server, RD(self.read_no, read_rnd, key))
 
             quorum_cond = state.when(

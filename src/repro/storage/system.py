@@ -72,7 +72,7 @@ class StorageSystem(Deployment):
         self.capacity_model = capacity_model
         self._server_factories = server_factories or {}
         super().__init__(
-            sorted(rqs.ground_set, key=repr),
+            rqs.servers,
             n_readers=n_readers, delta=delta, crash_times=crash_times,
             rules=rules, trace_level=trace_level, n_writers=n_writers,
         )

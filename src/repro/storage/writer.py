@@ -83,9 +83,6 @@ class StorageWriter(Process):
         self._acks = ConditionMap(AckSet, "wr key={} ts={} rnd={}")
         self._discovery = DiscoveryInbox("write ts-discovery#{}")
         self._batches = BatchAcks("wr batch#{} rnd={}")
-        # The broadcast target list is the same every round — cache the
-        # sorted ground set instead of re-sorting per op (hot path).
-        self._ground = tuple(sorted(rqs.ground_set, key=repr))
 
     @property
     def writer_id(self) -> Optional[int]:
@@ -180,9 +177,9 @@ class StorageWriter(Process):
 
     def _targets(self, target):
         """The servers one round contacts: the drawn quorum under a
-        strategy, the (cached) full ground set otherwise."""
+        strategy, the full ground set otherwise."""
         if target is None:
-            return self._ground
+            return self.rqs.servers
         return sorted(target, key=repr)
 
     def _discover(self, key: Hashable, target=None):

@@ -1,0 +1,95 @@
+"""Work-count regression for the update cascade — no wall clock.
+
+Handling one ``Update`` used to cost one frozenset test per quorum of
+the system (93 on example6) in the acceptor's cascade, up to as many
+``_trigger_update`` calls, and another walk in the decide rules.  On
+the index it is at most one containment probe for the decide rule and
+one for the cascade, each over the quorums through the sender that just
+arrived — and none at all for a sender already counted.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.consensus.decisions import DecisionTracker
+from repro.core.rqs import QuorumIndex
+from repro.experiments import consensus_latency
+from repro.scenarios import run
+
+PROBES = ("newly_responding", "responding", "fits")
+
+
+def _best_case(quorum_class):
+    grid = consensus_latency.GRID
+    (cell,) = [
+        c for c in grid.cells() if c.point["quorum_class"] == quorum_class
+    ]
+    return grid.spec_for(cell)
+
+
+@pytest.fixture
+def counters(monkeypatch):
+    """Count the index's containment probes (and the quorum masks each
+    one looks at) and the updates handled by acceptors and learners."""
+    calls, examined = Counter(), Counter()
+
+    def counted(name):
+        real = getattr(QuorumIndex, name)
+
+        def probe(index, mask, *args):
+            calls[name] += 1
+            if name == "newly_responding":
+                new, cls = args[0], (args[1] if len(args) > 1 else 3)
+                examined[name] += sum(
+                    1 for q in index.masks[cls]
+                    if q & new or new & (new - 1)
+                )
+            else:
+                examined[name] += len(index.masks[args[0] if args else 3])
+            return real(index, mask, *args)
+
+        return probe
+
+    for name in PROBES:
+        monkeypatch.setattr(QuorumIndex, name, counted(name))
+    real_record = DecisionTracker.record
+
+    def record(tracker, sender, update):
+        calls["updates"] += 1
+        return real_record(tracker, sender, update)
+
+    monkeypatch.setattr(DecisionTracker, "record", record)
+    return calls, examined
+
+
+def test_class3_best_case_probes_per_update(counters):
+    """Three crashes: every update comes from a sender not yet counted,
+    the worst case for the incremental scan."""
+    calls, examined = counters
+    result = run(_best_case(3))
+    assert result.worst_learner_delay == 4.0          # the class-3 path ran
+    assert len(result.system.rqs.quorums) == 93
+    updates = calls["updates"]
+    assert updates > 100
+    # At most one probe for the decide rule and one for the cascade
+    # (decision messages included); the only scans of the whole system
+    # are the proposer's, one per decision it is sent ...
+    assert calls["newly_responding"] <= 2 * updates
+    assert calls["responding"] + calls["fits"] <= 8
+    # ... and each probe looks only at the quorums through one server:
+    # the walk looked at 93 per update in the cascade alone.
+    assert sum(examined.values()) < 64 * updates
+
+
+def test_class1_best_case_duplicate_senders_cost_nothing(counters):
+    """No crash: 8 acceptors x 93 quorums of update2 traffic, almost all
+    of it from senders already counted for their statement."""
+    calls, examined = counters
+    result = run(_best_case(1))
+    assert result.worst_learner_delay == 2.0
+    updates = calls["updates"]
+    assert updates > 8000
+    assert calls["responding"] + calls["fits"] <= 8
+    assert calls["newly_responding"] * 20 < updates
+    assert sum(examined.values()) < 3 * updates       # was > 93 * updates

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import constructions as con
+from repro.core.adversary import ThresholdAdversary
 from repro.errors import QuorumSystemError
 
 
@@ -24,6 +25,70 @@ class TestQiFamilies:
     def test_default_servers_rejects_nonpositive(self):
         with pytest.raises(QuorumSystemError):
             con.default_servers(0)
+
+
+def _old_key_order(family):
+    """The ordering rule as it was written before the families were
+    built in normal form: one ``repr`` per (member, server)."""
+    return tuple(
+        sorted(set(family), key=lambda s: (len(s), sorted(map(repr, s))))
+    )
+
+
+class TestNormalForm:
+    """Family order decides witness order, so it is pinned: building a
+    family in normal form must give the tuple the old sort gave."""
+
+    CONSTRUCTIONS = (
+        lambda: con.majority_quorum_system(5),
+        lambda: con.byzantine_quorum_system(7),
+        lambda: con.fast_consensus_quorum_system(7, 2, 1, 0),
+        lambda: con.threshold_rqs(8, 3, 1, 1, 2),
+        lambda: con.threshold_rqs(12, 3, 1, 1, 2, validate=False),
+        lambda: con.threshold_rqs(5, 2, 0, 2, 2, validate=False),
+        lambda: con.pbft_style_rqs(1),
+        con.figure3_rqs,
+        con.example7_rqs,
+        con.section12_rqs,
+        lambda: con.masking_quorum_system(
+            ThresholdAdversary(range(1, 8), 1),
+            reversed(con.subsets_missing_at_most(range(1, 8), 2)),
+        ),
+        lambda: con.dissemination_quorum_system(
+            con.example7_adversary(), con.example7_named_quorums().values()
+        ),
+    )
+
+    @pytest.mark.parametrize("build", CONSTRUCTIONS)
+    def test_every_construction_keeps_the_old_family_order(self, build):
+        rqs = build()
+        for family in (rqs.quorums, rqs.qc2, rqs.qc1):
+            assert tuple(family) == _old_key_order(family)
+
+    @pytest.mark.parametrize("ground", [
+        range(1, 13),                       # '10' sorts before '2'
+        ("s1", "s2", "s10", "b", "a"),
+        (1, "1", 2.5, ("t", 1), None),      # mixed types, repr order
+    ])
+    def test_subsets_missing_at_most_needs_no_sort(self, ground):
+        for i in range(0, 4):
+            family = con.subsets_missing_at_most(ground, i)
+            assert family == _old_key_order(family)
+            assert len(set(family)) == len(family)
+
+    def test_naive_section12_quorums_order(self):
+        family = con.naive_section12_quorums()
+        assert family == _old_key_order(family)
+
+    def test_a_normalised_family_is_not_sorted_again(self):
+        from repro.core import properties as props
+
+        family = con.subsets_missing_at_most(range(1, 9), 3)
+        assert props.normalize_family(family) is family
+        shuffled = tuple(reversed(family)) + family[:3]
+        again = props.normalize_family(shuffled)
+        assert again == family and again is not shuffled
+        assert props.normalize_family(again) is again
 
 
 class TestClassicalExamples:

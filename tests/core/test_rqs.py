@@ -195,6 +195,40 @@ class TestQuorumIndex:
                     q for q in rqs.quorums if q <= subset
                 ]
 
+    def test_newly_responding_is_the_fitting_quorums_through_new(self):
+        """``newly_responding(mask, new)`` = the quorums inside ``mask``
+        that meet ``new``, in class order — for one new server (the
+        per-bit table) and for several (the class scan)."""
+        for build in self.SYSTEMS:
+            rqs = build()
+            index = rqs.index
+            for subset in self.subsets(rqs):
+                mask = index.mask(subset)
+                members = sorted(subset, key=repr)
+                parts = [frozenset({m}) for m in members]
+                parts += [frozenset(members[:2]), frozenset(members[1:]),
+                          subset]
+                for cls in (1, 2, 3):
+                    for new in filter(None, parts):
+                        got = index.newly_responding(
+                            mask, index.mask(new), cls
+                        )
+                        assert [index.members(q) for q in got] == [
+                            q for q in rqs.class_quorums(cls)
+                            if q <= subset and q & new
+                        ]
+            # One small tuple per (class, server) is all that is kept.
+            assert len(index._through) <= 3 * len(rqs.ground_set)
+
+    def test_servers_is_the_repr_sorted_ground_set(self):
+        for build in self.SYSTEMS:
+            rqs = build()
+            assert rqs.servers == tuple(sorted(rqs.ground_set, key=repr))
+            assert rqs.servers is rqs.servers
+            assert [rqs.index.bit[s] for s in rqs.servers] == [
+                1 << i for i in range(len(rqs.servers))
+            ]
+
     def test_class_lookups_come_from_the_index(self):
         rqs = threshold_rqs(8, 3, 1, 1, 2)
         assert rqs.index is rqs.index
