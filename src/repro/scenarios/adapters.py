@@ -101,9 +101,8 @@ class ProtocolAdapter:
             if partition.until < float("inf"):
                 self.sim.call_at(
                     partition.until,
-                    lambda p=partition: self.network.release_held(
-                        p.crossed_by
-                    ),
+                    self.network.release_held,
+                    partition.crossed_by,
                 )
 
     def schedule(self, spec) -> None:

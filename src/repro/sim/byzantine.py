@@ -78,7 +78,12 @@ class Mimic(ByzantineBehavior):
             if replacement is not None:
                 original_inject(dst, replacement)
 
+        def sending_all(destinations, payload):
+            for dst in destinations:
+                sending(dst, payload)
+
         process.send = sending  # type: ignore[assignment]
+        process.send_all = sending_all  # type: ignore[assignment]
 
     def on_message(self, process: Any, message: Message) -> None:
         self.benign_handler(process, message)

@@ -16,15 +16,18 @@ Held messages are recorded (:attr:`Network.in_transit`) so experiments
 can assert what the adversary withheld, and can later be *released* to
 model "delayed until after round K" schedules.
 
-Two hot-path knobs keep large-``n`` runs fast:
+A delivery is one entry of the simulator's queue: :meth:`Network.send`
+stamps the :class:`Message` record and pushes ``(deliver_time, seq,
+Network._deliver, message)`` itself, and the event loop hands the record
+to the receiver — no closure, no intermediate scheduling call.
 
 * **Rule partitioning** — rule resolution caches, per ``(src, dst)``
   pair, the (ordered) sub-list of rules that could ever match that
   channel, so the per-send scan only evaluates time windows and payload
   predicates of relevant rules.  Rule-free networks skip matching
   entirely.  The cache is invalidated by :meth:`Network.add_rule`.
-* **Trace levels** — :class:`TraceLevel` controls how much message
-  history is retained.  ``FULL`` (the default) keeps the complete
+* **Trace levels** — :class:`TraceLevel` says how much message history
+  is retained.  ``FULL`` (the default) keeps the complete
   :attr:`Network.log` for verdicts, fingerprints and proof replays;
   ``METRICS`` drops delivered/dropped message records once consumed and
   keeps only counters, bounding memory on long workloads.  Held
@@ -34,6 +37,7 @@ Two hot-path knobs keep large-``n`` runs fast:
 from __future__ import annotations
 
 import enum
+from heapq import heappush
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple, Union
 
@@ -114,6 +118,8 @@ class Rule:
 
     ``action`` is a float delay, :data:`HOLD` (in transit forever, until
     released), or :data:`DROP` (lost; consensus-model channels only).
+    A delay must be a number ``>= 0``: it is checked here, where it is
+    declared, so that no ``send`` can fail half-way on a bad rule.
     """
 
     action: Any
@@ -123,6 +129,20 @@ class Rule:
     until: float = float("inf")
     payload_predicate: Optional[Callable[[Any], bool]] = None
     label: str = ""
+
+    def __post_init__(self) -> None:
+        if self.action == HOLD or self.action == DROP:
+            return
+        try:
+            delay = float(self.action)
+        except (TypeError, ValueError):
+            delay = float("nan")
+        if not delay >= 0:  # negative or NaN
+            raise SimulationError(
+                f"rule action must be a delay >= 0, {HOLD!r} or {DROP!r}; "
+                f"got {self.action!r}"
+            )
+        self.action = delay
 
     def matches(self, src: ProcessId, dst: ProcessId, payload: Any, time: float) -> bool:
         if self.src is not None and src not in self.src:
@@ -167,7 +187,7 @@ def delay_rule(
 ) -> Rule:
     """A rule applying a fixed delay to matching messages."""
     return Rule(
-        float(delay),
+        delay,
         src=frozenset(src) if src is not None else None,
         dst=frozenset(dst) if dst is not None else None,
         after=after,
@@ -207,11 +227,15 @@ class Network:
         rules: Optional[List[Rule]] = None,
         trace_level: Union[TraceLevel, str] = TraceLevel.FULL,
     ):
-        if delta <= 0:
+        if not delta > 0:  # also refuses NaN
             raise SimulationError(f"Δ must be positive, got {delta}")
         self.sim = sim
-        self.delta = delta
+        self.delta = float(delta)
         self.trace_level = TraceLevel.of(trace_level)
+        #: ``trace_level >= FULL``, resolved once: whether message
+        #: records outlive their delivery (``log``, ``dropped``, the
+        #: processes' ``delivered`` histories).
+        self.full_trace = self.trace_level >= TraceLevel.FULL
         self._rules: List[Rule] = list(rules or [])
         self._processes: Dict[ProcessId, "object"] = {}
         self.log: List[Message] = []
@@ -271,39 +295,60 @@ class Network:
         """Send ``payload`` from ``src`` to ``dst``; returns the record."""
         if dst not in self._processes:
             raise SimulationError(f"unknown destination {dst!r}")
-        message = Message(src, dst, payload, send_time=self.sim.now)
+        sim = self.sim
+        now = sim.now
+        message = Message(src, dst, payload, now)
         self.sent_count += 1
-        if self.trace_level >= TraceLevel.FULL:
+        if self.full_trace:
             self.log.append(message)
         else:
             key = getattr(payload, "key", None)
             if key is not None:
                 self._sent_by_key[key] = self._sent_by_key.get(key, 0) + 1
-        action = self._resolve(message)
-        if action == HOLD:
-            message.held = True
-            self.held_count += 1
-            self.in_transit.append(message)
-            return message
-        if action == DROP:
-            message.dropped = True
-            self.dropped_count += 1
-            if self.trace_level >= TraceLevel.FULL:
-                self.dropped.append(message)
-            return message
-        self._schedule_delivery(message, float(action))
+        delay = self.delta
+        if self._rules:
+            action = self._resolve(message)
+            if action == HOLD:
+                message.held = True
+                self.held_count += 1
+                self.in_transit.append(message)
+                return message
+            if action == DROP:
+                message.dropped = True
+                self.dropped_count += 1
+                if self.full_trace:
+                    self.dropped.append(message)
+                return message
+            delay = action
+        deliver_time = now + delay
+        if deliver_time < now:
+            # Only a rule whose action was overwritten after its
+            # construction-time check gets here.
+            raise SimulationError(
+                f"cannot schedule in the past: {deliver_time} < now={now}"
+            )
+        message.deliver_time = deliver_time
+        # One queue entry per delivery, in ``Simulator.call_at``'s shape
+        # and numbering.
+        heappush(sim._queue, (deliver_time, sim._seq, self._deliver, message))
+        sim._seq += 1
         return message
 
+    def send_all(self, src: ProcessId, destinations, payload: Any) -> None:
+        """Send one ``payload`` from ``src`` to every destination, in
+        iteration order (a broadcast is that many sends)."""
+        send = self.send
+        for dst in destinations:
+            send(src, dst, payload)
+
     def _resolve(self, message: Message) -> Any:
-        rules = self._rules
-        if not rules:
-            return self.delta
+        """The first matching rule's action, else ``Δ`` (needs rules)."""
         key = (message.src, message.dst)
         candidates = self._rule_index.get(key)
         if candidates is None:
             candidates = tuple(
                 rule
-                for rule in rules
+                for rule in self._rules
                 if (rule.src is None or message.src in rule.src)
                 and (rule.dst is None or message.dst in rule.dst)
             )
@@ -315,18 +360,10 @@ class Network:
                 return rule.action
         return self.delta
 
-    def _schedule_delivery(self, message: Message, delay: float) -> None:
-        message.deliver_time = self.sim.now + delay
-        self.sim.call_at(
-            message.deliver_time, lambda m=message: self._deliver(m)
-        )
-
     def _deliver(self, message: Message) -> None:
-        receiver = self._processes.get(message.dst)
+        # Destinations are checked at send and never unregistered.
         self.delivered_count += 1
-        if receiver is None:
-            return
-        receiver.receive(message)
+        self._processes[message.dst].receive(message)
 
     # -- adversarial schedule control ---------------------------------------------
 
@@ -340,12 +377,16 @@ class Network:
         Returns the number of messages released.  Used by proof replays
         that delay messages "until after round K" and then let them land.
         """
+        if not delay >= 0:  # negative or NaN: refuse before releasing any
+            raise SimulationError(f"release delay must be >= 0, got {delay}")
+        deliver_time = self.sim.now + delay
         released = 0
         remaining: List[Message] = []
         for message in self.in_transit:
             if predicate is None or predicate(message):
                 message.held = False
-                self._schedule_delivery(message, delay)
+                message.deliver_time = deliver_time
+                self.sim.call_at(deliver_time, self._deliver, message)
                 released += 1
             else:
                 remaining.append(message)
@@ -360,7 +401,7 @@ class Network:
         runs still report per-key message volume after the log records
         are gone.
         """
-        if self.trace_level >= TraceLevel.FULL:
+        if self.full_trace:
             counts: Dict[Hashable, int] = {}
             for message in self.log:
                 key = getattr(message.payload, "key", None)
@@ -378,7 +419,7 @@ class Network:
         log is not retained, and silently returning a partial list
         would corrupt whatever assertion the caller is making.
         """
-        if self.trace_level < TraceLevel.FULL:
+        if not self.full_trace:
             raise SimulationError(
                 "messages_between needs the full message log, but this "
                 "network runs at TraceLevel.METRICS (delivered records "

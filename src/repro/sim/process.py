@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Hashable, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.network import Message, Network, TraceLevel
+from repro.sim.network import Message, Network
 
 
 class Process:
@@ -71,8 +71,12 @@ class Process:
         self.network.send(self.pid, dst, payload)
 
     def send_all(self, destinations, payload: Any) -> None:
-        for dst in destinations:
-            self.send(dst, payload)
+        """Broadcast: the crashed/bound checks once, not per destination."""
+        if self.crashed:
+            return
+        if self.network is None:
+            raise SimulationError(f"process {self.pid!r} is not bound")
+        self.network.send_all(self.pid, destinations, payload)
 
     def receive(self, message: Message) -> None:
         """Network entry point; drops deliveries to crashed processes.
@@ -84,7 +88,7 @@ class Process:
         """
         if self.crashed:
             return
-        if self.network.trace_level >= TraceLevel.FULL:
+        if self.network.full_trace:
             self.delivered.append(message)
         self.on_message(message)
 
@@ -124,7 +128,7 @@ class ByzantineProcess(Process):
     def receive(self, message: Message) -> None:
         if self.crashed:
             return
-        if self.network.trace_level >= TraceLevel.FULL:
+        if self.network.full_trace:
             self.delivered.append(message)
         if self.behavior is not None:
             self.behavior.on_message(self, message)

@@ -35,6 +35,10 @@ from repro.errors import DeadlockError, SimulationError
 from repro.sim.conditions import Condition, Event
 from repro.sim.tasks import Effect, Sleep, Task, WaitUntil
 
+#: "No argument": the ``arg`` slot of a queue entry whose action takes
+#: none (``None`` is a legitimate argument, e.g. ``release_held(None)``).
+_NO_ARG = object()
+
 #: Wake-up strategies: "indexed" (condition -> waiters map, the default)
 #: or "scan" (legacy: re-poll every parked task each instant, to a
 #: fixpoint) — kept for golden-trace equivalence testing.
@@ -80,7 +84,10 @@ class Simulator:
                 f"unknown wakeup mode {self.wakeup!r}; "
                 f"valid: {', '.join(WAKEUP_MODES)}"
             )
-        self._queue: List[Tuple[float, int, Callable[[], None]]] = []
+        # Entries are ``(time, seq, fn, arg)``; ``seq`` (insertion order)
+        # breaks ties, so ``fn``/``arg`` are never compared.  ``Network``
+        # pushes its deliveries here directly, in the same shape.
+        self._queue: List[Tuple[float, int, Callable[..., None], Any]] = []
         self._seq = 0
         # Legacy raw-predicate waits (and, in scan mode, all waits):
         # re-polled every instant in park order.
@@ -99,18 +106,24 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
 
-    def call_at(self, time: float, action: Callable[[], None]) -> None:
-        """Run ``action()`` at absolute simulated ``time``."""
+    def call_at(
+        self, time: float, action: Callable[..., None], arg: Any = _NO_ARG
+    ) -> None:
+        """Run ``action()`` — or ``action(arg)`` — at absolute simulated
+        ``time``."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule in the past: {time} < now={self.now}"
             )
-        heapq.heappush(self._queue, (time, self._seq, action))
+        heapq.heappush(self._queue, (time, self._seq, action, arg))
         self._seq += 1
 
-    def call_later(self, delay: float, action: Callable[[], None]) -> None:
-        """Run ``action()`` after ``delay`` simulated time units."""
-        self.call_at(self.now + delay, action)
+    def call_later(
+        self, delay: float, action: Callable[..., None], arg: Any = _NO_ARG
+    ) -> None:
+        """Run ``action()`` — or ``action(arg)`` — after ``delay``
+        simulated time units."""
+        self.call_at(self.now + delay, action, arg)
 
     def timer_at(self, time: float, label: str = "") -> Event:
         """An :class:`Event` that sets itself at absolute ``time``.
@@ -143,9 +156,7 @@ class Simulator:
         effect = task.step(None)
         while effect is not None:
             if isinstance(effect, Sleep):
-                self.call_later(
-                    effect.duration, lambda t=task: self._advance(t)
-                )
+                self.call_later(effect.duration, self._advance, task)
                 return
             if isinstance(effect, WaitUntil):
                 if effect.ready():
@@ -265,25 +276,41 @@ class Simulator:
         When the queue runs dry before ``until``, the clock still advances
         to exactly ``until`` so follow-up scheduling stays consistent.
         """
-        while self._queue:
-            time = self._queue[0][0]
-            if until is not None and time > until:
-                break
-            self.now = time
-            # Process *every* event scheduled at this instant before
-            # waking tasks: this models the paper's atomic receive substep
-            # (a process receives the full set of available messages in
-            # one step), and avoids spurious wake-ups between deliveries
-            # that happen "at the same time".
-            while self._queue and self._queue[0][0] == time:
-                _, _, action = heapq.heappop(self._queue)
-                action()
-                self._events_processed += 1
-                if self._events_processed > max_events:
-                    raise SimulationError(
-                        f"exceeded {max_events} events; livelock suspected"
-                    )
-            self._wake_tasks()
+        queue = self._queue
+        pop = heapq.heappop
+        no_arg = _NO_ARG
+        # The counter lives in a local while the loop runs and is
+        # written back on every way out (a handler that raises, the cap).
+        processed = self._events_processed
+        try:
+            while queue:
+                time = queue[0][0]
+                if until is not None and time > until:
+                    break
+                self.now = time
+                # Process *every* event scheduled at this instant before
+                # waking tasks: this models the paper's atomic receive
+                # substep (a process receives the full set of available
+                # messages in one step), and avoids spurious wake-ups
+                # between deliveries that happen "at the same time".
+                while queue and queue[0][0] == time:
+                    _, _, action, arg = pop(queue)
+                    if arg is no_arg:
+                        action()
+                    else:
+                        action(arg)
+                    processed += 1
+                    if processed > max_events:
+                        raise SimulationError(
+                            f"exceeded {max_events} events; "
+                            "livelock suspected"
+                        )
+                # Nothing signalled and no legacy waiter: the wake pass
+                # would find nothing to re-poll.
+                if self._signalled or self._parked:
+                    self._wake_tasks()
+        finally:
+            self._events_processed = processed
         if until is not None and self.now < until:
             self.now = until
             self._wake_tasks()
@@ -320,4 +347,6 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
+        """Events run so far; brought up to date whenever :meth:`run`
+        returns or raises (the loop counts in a local meanwhile)."""
         return self._events_processed

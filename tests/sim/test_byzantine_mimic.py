@@ -45,3 +45,20 @@ def test_mimic_can_suppress_sends():
     client.send("b", 1)
     sim.run_to_completion()
     assert client.seen == []
+
+
+def test_mimic_transforms_broadcasts_too():
+    sim = Simulator()
+    net = Network(sim, delta=1.0)
+
+    def benign(process, message):
+        process.send_all(["c", "d"], message.payload)
+
+    def corrupt(dst, payload):
+        return None if dst == "d" else payload + 1
+
+    ByzantineProcess("b", Mimic(benign, corrupt)).bind(net)
+    c, d = Collector("c").bind(net), Collector("d").bind(net)
+    c.send("b", 4)
+    sim.run_to_completion()
+    assert (c.seen, d.seen) == ([5], [])

@@ -3,8 +3,12 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.scenarios.faults import Delay
 from repro.sim.network import (
+    DROP,
+    HOLD,
     Network,
+    Rule,
     delay_rule,
     drop_rule,
     hold_rule,
@@ -116,6 +120,60 @@ class TestRules:
         net.send("a", "b", "x")
         sim.run_to_completion()
         assert b.seen == [("x", 2.0)]
+
+
+class TestDelaysAreValidatedWhereDeclared:
+    """A bad delay is refused before it can fail a send half-way."""
+
+    @pytest.mark.parametrize("bad", [-2.0, float("nan"), "later", None])
+    def test_a_negative_or_non_numeric_delay_is_refused_at_the_rule(self, bad):
+        # At the parent delay_rule(-2.0, src=["a"]) was accepted and the
+        # first matching send at now=5 raised after logging the message.
+        with pytest.raises(SimulationError):
+            Rule(bad, src=frozenset("a"))
+        with pytest.raises(SimulationError):
+            Delay(bad).to_rule()                   # the FaultPlan path
+
+    def test_delay_rule_refuses_a_negative_delay(self):
+        with pytest.raises(SimulationError):
+            delay_rule(-2.0, src=["a"])
+
+    def test_rule_accepts_every_declared_action(self):
+        assert Rule(HOLD).action == HOLD and Rule(DROP).action == DROP
+        assert Rule(0).action == 0.0 and isinstance(Rule(2).action, float)
+
+    def test_release_held_refuses_a_negative_delay_before_releasing(self):
+        sim, net, a, b = make_net([hold_rule(dst={"b"})])
+        net.send("a", "b", "one")
+        net.send("a", "b", "two")
+        sim.run(until=5.0)
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(SimulationError):
+                net.release_held(delay=bad)
+        # Nothing was half-released: both are still held, listed once.
+        assert [m.held for m in net.in_transit] == [True, True]
+        assert net.release_held(delay=0.5) == 2 and net.in_transit == []
+        assert net.release_held() == 0
+        sim.run_to_completion()
+        assert b.seen == [("one", 5.5), ("two", 5.5)]
+        assert net.delivered_count == 2
+
+
+class TestBroadcast:
+    def test_send_all_is_that_many_sends_in_order(self):
+        sim, net, a, b = make_net([drop_rule(dst={"a"})])
+        net.send_all("a", ["b", "a", "b"], "hi")
+        assert [(m.src, m.dst, m.dropped) for m in net.log] == [
+            ("a", "b", False), ("a", "a", True), ("a", "b", False),
+        ]
+        sim.run_to_completion()
+        assert b.seen == [("hi", 1.0), ("hi", 1.0)]
+        assert (net.sent_count, net.delivered_count, net.dropped_count) == (3, 2, 1)
+
+    def test_send_all_rejects_an_unknown_destination(self):
+        sim, net, a, b = make_net()
+        with pytest.raises(SimulationError):
+            net.send_all("a", ["b", "ghost"], "hi")
 
 
 class TestRuleIndex:

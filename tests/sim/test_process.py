@@ -66,6 +66,19 @@ class TestCrash:
         lonely = Process("x")
         with pytest.raises(SimulationError):
             lonely.send("y", "msg")
+        with pytest.raises(SimulationError):
+            lonely.send_all(["y"], "msg")
+
+    def test_send_all_broadcasts_unless_crashed(self):
+        sim, net = wired()
+        echo = Echo("e").bind(net)
+        client = Collector("c").bind(net)
+        client.send_all(["e", "e"], "twice")
+        sim.run_to_completion()
+        assert client.seen == [("echo", "twice")] * 2
+        client.crash()
+        client.send_all(["e"], "never")
+        assert net.sent_count == 4
 
 
 class TestByzantine:

@@ -26,6 +26,26 @@ class TestScheduling:
         sim.run_to_completion()
         assert order == ["x", "y", "z"]
 
+    def test_call_at_passes_one_argument(self):
+        sim = Simulator()
+        seen = []
+        sim.call_at(1.0, seen.append, "a")
+        sim.call_later(1.0, seen.append, None)    # None is an argument
+        sim.call_at(1.0, lambda: seen.append("no-arg"))
+        sim.run_to_completion()
+        assert seen == ["a", None, "no-arg"]
+
+    def test_events_processed_survives_a_raising_handler(self):
+        sim = Simulator()
+        sim.call_at(1.0, lambda: None)
+        sim.call_at(1.0, [].pop)                  # raises IndexError
+        sim.call_at(1.0, lambda: None)
+        with pytest.raises(IndexError):
+            sim.run_to_completion()
+        assert (sim.events_processed, sim.pending_events()) == (1, 1)
+        sim.run_to_completion()
+        assert sim.events_processed == 2
+
     def test_cannot_schedule_in_past(self):
         sim = Simulator()
         sim.call_at(1.0, lambda: None)
