@@ -38,7 +38,8 @@ def _minimal_masks(masks: Iterable[int]) -> Tuple[int, ...]:
 
     "Some member lies inside ``x``" is decided by the minimal members
     alone, so the intersection tables of :class:`QuorumIndex` are stored
-    as this antichain.
+    as this antichain — and so is, per class, the quorum family itself
+    (:meth:`QuorumIndex.minimal`).
     """
     kept: list = []
     ordered = sorted(
@@ -70,12 +71,15 @@ class QuorumIndex:
     caller knows which server answered last, of the quorums through
     that server's bit (``newly_responding``, one tuple per server) —
     and keeps nothing per subset, so enumerating all ``2^|S|`` subsets
-    leaves the index as it was.
+    leaves the index as it was.  A test that is monotone in the quorum
+    needs the inclusion-minimal quorums only (``minimal``, one
+    antichain per class).
     """
 
     __slots__ = (
         "servers", "bit", "full", "masks", "class_of", "quorum_at",
         "_adversary", "_basic", "_class1_meets", "_meets", "_through",
+        "_minimal",
     )
 
     def __init__(self, rqs: "RefinedQuorumSystem"):
@@ -109,6 +113,7 @@ class QuorumIndex:
         self._class1_meets: Dict[int, Tuple[int, ...]] = {}
         self._meets: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._through: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        self._minimal: Dict[int, Tuple[int, ...]] = {}
 
     def mask(self, servers: Iterable[Hashable]) -> int:
         """The members of ``servers`` that belong to ``S``, as a mask
@@ -138,7 +143,17 @@ class QuorumIndex:
     def responding(self, mask: int, cls: int = 3) -> Tuple[int, ...]:
         """Every class-``cls`` quorum fully inside ``mask``, in
         ``class_quorums(cls)`` order."""
-        return tuple(q for q in self.masks[cls] if q & mask == q)
+        return tuple([q for q in self.masks[cls] if q & mask == q])
+
+    def minimal(self, cls: int = 3) -> Tuple[int, ...]:
+        """The inclusion-minimal class-``cls`` quorums.  Every quorum
+        contains one of them, so a test that is monotone in the quorum
+        (one a superset quorum passes whenever a subset quorum does)
+        holds on the whole family iff it holds on this antichain."""
+        minimal = self._minimal.get(cls)
+        if minimal is None:
+            minimal = self._minimal[cls] = _minimal_masks(self.masks[cls])
+        return minimal
 
     def fits(self, mask: int, cls: int = 3) -> bool:
         """Is some class-``cls`` quorum fully inside ``mask``?"""

@@ -40,6 +40,11 @@ STRATEGY_NAMES = ("uniform", "optimal")
 # -- named quorum-system constructions ----------------------------------------
 
 _NAMED_RQS: Dict[str, Callable[[], RefinedQuorumSystem]] = {}
+#: The system each registered name resolved to, built (and validated)
+#: once per process.  Bounded by the registry; parameterized strings
+#: such as ``"threshold:8,3,1,1,2"`` are built afresh every time, so a
+#: grid over a thousand of them retains nothing.
+_BUILT_RQS: Dict[str, RefinedQuorumSystem] = {}
 
 
 def register_rqs(name: str, factory: Callable[[], RefinedQuorumSystem]) -> None:
@@ -71,7 +76,9 @@ def resolve_rqs(spec: RqsSpec) -> Optional[RefinedQuorumSystem]:
     Accepts an instance, a planning-level
     :class:`~repro.core.algebra.QuorumSystem` (lifted via its
     :meth:`~repro.core.algebra.QuorumSystem.to_rqs`), ``None`` (for
-    protocols that do not take an RQS), a registered name, or a
+    protocols that do not take an RQS), a registered name — every
+    resolution of one name in a process yields the same instance (a
+    system is immutable apart from its lazily built index) — or a
     parameterized construction string:
 
     * ``"threshold:n,t,k,q,r"`` — Example 6 (append ``,novalidate`` to
@@ -90,7 +97,10 @@ def resolve_rqs(spec: RqsSpec) -> Optional[RefinedQuorumSystem]:
             f"got {spec!r}"
         )
     if spec in _NAMED_RQS:
-        return _NAMED_RQS[spec]()
+        rqs = _BUILT_RQS.get(spec)
+        if rqs is None:
+            rqs = _BUILT_RQS[spec] = _NAMED_RQS[spec]()
+        return rqs
     if ":" in spec:
         kind, _, arg_text = spec.partition(":")
         args = [a.strip() for a in arg_text.split(",") if a.strip()]

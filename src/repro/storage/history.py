@@ -144,7 +144,7 @@ class History:
 
     def overwrite(self, other: "HistoryView") -> None:
         """Replace all cells (Byzantine state forging only)."""
-        self._cells = dict(other._cells)
+        self._cells = dict(other.cells)
 
     def clear(self) -> None:
         """Reset to the initial state σ0 (Byzantine state forging only)."""
@@ -155,20 +155,25 @@ class History:
 
 
 class HistoryView:
-    """An immutable snapshot of a server history (reader-side)."""
+    """An immutable snapshot of a server history (reader-side).
 
-    __slots__ = ("_cells",)
+    ``cells`` maps ``(ts, rnd)`` to the stored :class:`Entry`, in the
+    order the server materialized them; read it, never write it (the
+    reader indexes a snapshot with one walk of this dict).
+    """
+
+    __slots__ = ("cells",)
 
     def __init__(self, cells: Dict[Tuple[int, int], Entry]):
-        self._cells = cells
+        self.cells = cells
 
     def get(self, ts: int, rnd: int) -> Entry:
-        return self._cells.get((ts, rnd), INITIAL_ENTRY)
+        return self.cells.get((ts, rnd), INITIAL_ENTRY)
 
     def pairs(self) -> Set[Pair]:
         """All distinct pairs readable in slots 1 and 2 (plus ⟨0, ⊥⟩)."""
         pairs = {INITIAL_PAIR}
-        for (ts, rnd), entry in self._cells.items():
+        for (ts, rnd), entry in self.cells.items():
             if rnd in (1, 2):
                 pairs.add(entry.pair)
         return pairs
@@ -176,7 +181,7 @@ class HistoryView:
     def max_timestamp(self) -> int:
         """Highest timestamp present in slots 1 or 2 (0 when untouched)."""
         best = 0
-        for (ts, rnd), entry in self._cells.items():
+        for (ts, rnd), entry in self.cells.items():
             if rnd in (1, 2) and entry.pair.ts > best:
                 best = entry.pair.ts
         return best
@@ -184,10 +189,10 @@ class HistoryView:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HistoryView):
             return NotImplemented
-        return self._cells == other._cells
+        return self.cells == other.cells
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"HistoryView({len(self._cells)} cells)"
+        return f"HistoryView({len(self.cells)} cells)"
 
 
 EMPTY_VIEW = HistoryView({})

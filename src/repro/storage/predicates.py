@@ -19,17 +19,35 @@ Predicate catalogue (paper line numbers in brackets):
 * ``BCD(c, 1, R)`` / ``BCD(c, 2, R)`` [1-2] — the best-case detector.
 
 Every predicate asks the same question of the snapshots — *which
-servers report* ``c`` *in slot* ``r`` — so :class:`ReadState` answers
-it once per (candidate, slot) as a bitmask over the system's
-:class:`~repro.core.rqs.QuorumIndex` and the predicates are set algebra
-on those *holder* masks.  The masks are a function of the **current**
-views (a Byzantine server may replace its snapshot, so a holder can
-drop out): every ack discards them.  A server that has not answered
-reports the initial entry, so ``⟨0, ⊥⟩`` is held by every non-responder.
+servers report* ``c`` *in slot* ``r`` — so :class:`ReadState` indexes
+each snapshot **once, when its ack arrives**, into a per-read table and
+the predicates are set algebra on the table's bitmasks (over the
+system's :class:`~repro.core.rqs.QuorumIndex`).  A row, keyed by the
+pair, holds:
+
+* *seen* — the servers whose snapshot carries the pair somewhere in
+  slot 1 or 2 (what makes a pair *observed* and counts toward
+  ``highest_ts``; slot 3 is never read from);
+* *held*, per slot — the servers that file it under its own timestamp,
+  i.e. in cell ``(pair.ts, slot)``: the cell lines 1-9 probe.  A
+  Byzantine server may file ``⟨7, v⟩`` in cell ``(2, 1)``; that pair is
+  seen but held by nobody;
+* *listed*, for slots 1 and 2 — per class-2 quorum id carried by a
+  holder's entry, the holders that list it (other ids, and the ids of
+  slot 3, mean nothing to the predicates).
+
+The table is a function of the **current** views: a server that acks
+again (a later round, a Byzantine overwrite) is first stripped from
+every row, then indexed afresh, so a holder, a listed id or an observed
+pair can disappear.  A server that has not answered reports the initial
+entry, and so does an answer whose cell ``(0, r)`` was never written:
+``⟨0, ⊥⟩`` is held in slot ``r`` by everyone except the responders that
+filed something else there.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.core.rqs import RefinedQuorumSystem
@@ -43,9 +61,10 @@ from repro.storage.history import (
 
 ServerId = Hashable
 QuorumId = FrozenSet[ServerId]
-#: Who reports a pair in one slot: the holder mask and, per listed
-#: class-2 quorum (as a mask), the holders whose entry lists its id.
-_Slot = Tuple[int, Dict[int, int]]
+
+_timestamp = attrgetter("ts")
+
+_SLOTS = (1, 2, 3)
 
 
 class ReadState:
@@ -67,15 +86,19 @@ class ReadState:
         self._watchers: List[Condition] = []
         self._responded = 0                   # mask of ``view``'s servers
         self._round_acks: Dict[int, int] = {}           # rnd -> ack mask
-        # Derived from the current views; dropped by every ack.
-        self._slots: Dict[Tuple[Pair, int], "_Slot"] = {}
-        self._pairs: Optional[List[Pair]] = None
-        self._quorums: Optional[Tuple[int, ...]] = None  # Responded, as masks
+        # The per-ack table, in order of first report.  A row is
+        # ``[seen, held1, held2, held3, listed1, listed2]``: four server
+        # masks, then per slot ``{class-2 quorum id: mask of the holders
+        # listing it}`` (``None`` until some holder lists one).
+        self._rows: Dict[Pair, list] = {}
+        # By slot: the responders whose cell ``(0, slot)`` is written.
+        self._touched0 = [0, 0, 0, 0]
 
     # -- state updates ---------------------------------------------------------
 
     def record_ack(self, server: ServerId, rnd: int, history: HistoryView) -> None:
-        """Apply a ``rd_ack`` (Figure 7, lines 50-53).
+        """Apply a ``rd_ack`` (Figure 7, lines 50-53): one walk of the
+        snapshot's cells files the responder in the table.
 
         Figure 7 collects snapshots of the *servers*: an ack from a
         process outside ``S`` is dropped, so it can neither vouch for a
@@ -84,14 +107,53 @@ class ReadState:
         bit = self._ix.bit.get(server)
         if bit is None:
             return
+        rows = self._rows
+        touched0 = self._touched0
+        if self._responded & bit:
+            self._strip(bit)
         self.view[server] = history
         self._responded |= bit
         self._round_acks[rnd] = self._round_acks.get(rnd, 0) | bit
-        self._slots.clear()
-        self._pairs = None
-        self._quorums = None
+        class_of = self._ix.class_of
+        for (ts, slot), entry in history.cells.items():
+            if slot not in _SLOTS:
+                continue
+            pair = entry.pair
+            row = rows.get(pair)
+            if row is None:
+                row = rows[pair] = [0, 0, 0, 0, None, None]
+            if slot != 3:
+                row[0] |= bit
+            if pair.ts == ts:
+                row[slot] |= bit
+                if entry.sets and slot != 3:
+                    listed = row[slot + 3]
+                    if listed is None:
+                        listed = row[slot + 3] = {}
+                    for quorum_id in entry.sets:
+                        if class_of.get(quorum_id, 3) <= 2:
+                            listed[quorum_id] = listed.get(quorum_id, 0) | bit
+            if not ts:
+                touched0[slot] |= bit
         for condition in self._watchers:
             condition.signal()
+
+    def _strip(self, bit: int) -> None:
+        """Forget everything the server's previous snapshot reported."""
+        keep = ~bit
+        for row in self._rows.values():
+            for column in range(4):
+                row[column] &= keep
+            for listed in row[4:]:
+                if listed:
+                    for quorum_id, listing in list(listed.items()):
+                        if listing == bit:
+                            del listed[quorum_id]   # its last lister
+                        elif listing & bit:
+                            listed[quorum_id] = listing ^ bit
+        touched0 = self._touched0
+        for slot in _SLOTS:
+            touched0[slot] &= keep
 
     def when(self, predicate, label: str = "") -> Condition:
         """An ack-indexed wait on any predicate over this state.
@@ -106,16 +168,12 @@ class ReadState:
     def unwatch(self, condition: Condition) -> None:
         self._watchers.remove(condition)
 
-    def _responded_masks(self) -> Tuple[int, ...]:
-        quorums = self._quorums
-        if quorums is None:
-            quorums = self._quorums = self._ix.responding(self._responded)
-        return quorums
-
     def responded_quorums(self) -> Tuple[QuorumId, ...]:
         """The ``Responded`` set (lines 52-53): fully-answering quorums."""
         quorum_at = self._ix.quorum_at
-        return tuple(quorum_at[mask] for mask in self._responded_masks())
+        return tuple(
+            [quorum_at[mask] for mask in self._ix.responding(self._responded)]
+        )
 
     def round_quorum(self, rnd: int) -> bool:
         """Has some quorum fully answered round ``rnd``?"""
@@ -124,50 +182,44 @@ class ReadState:
     def freeze_round1(self) -> None:
         """End-of-round-1 bookkeeping (lines 27-32): fix ``highest_ts``
         and record the class-2 quorums that responded in round 1."""
-        self.highest_ts = max(
-            (view.max_timestamp() for view in self.view.values()), default=0
-        )
-        round1 = self._ix.members(self._round_acks.get(1, 0))
-        self.qc2_responded = self.rqs.responding_quorums(round1, cls=2)
+        highest = 0
+        for pair, row in self._rows.items():
+            if row[0] and pair.ts > highest:
+                highest = pair.ts
+        self.highest_ts = highest
+        ix = self._ix
+        quorum_at = ix.quorum_at
+        self.qc2_responded = tuple([
+            quorum_at[mask]
+            for mask in ix.responding(self._round_acks.get(1, 0), 2)
+        ])
 
     # -- low-level lookups --------------------------------------------------------
 
     def entry(self, server: ServerId, ts: int, rnd: int):
         return self.view.get(server, EMPTY_VIEW).get(ts, rnd)
 
-    def _slot(self, c: Pair, rnd: int) -> _Slot:
-        """Who reports ``c`` in slot ``rnd`` (ids are carried per entry,
-        so that half stays a per-server scan; only ids of class-2
-        quorums mean anything to the predicates)."""
-        key = (c, rnd)
-        slot = self._slots.get(key)
-        if slot is None:
-            ix = self._ix
-            bits = ix.bit
-            ts = c.ts
-            held = 0
-            # Non-responders report INITIAL_ENTRY: ⟨0, ⊥⟩, no ids.
-            if c == INITIAL_PAIR:
-                held = ix.full & ~self._responded
-            listed: Dict[QuorumId, int] = {}
-            for server, view in self.view.items():
-                entry = view.get(ts, rnd)
-                if entry.pair == c:
-                    bit = bits[server]
-                    held |= bit
-                    for quorum_id in entry.sets:
-                        listed[quorum_id] = listed.get(quorum_id, 0) | bit
-            slot = self._slots[key] = (held, {
-                ix.mask(quorum_id): listing
-                for quorum_id, listing in listed.items()
-                if ix.class_of.get(quorum_id, 3) <= 2
-            })
-        return slot
-
     def holders(self, c: Pair, rnd: int) -> int:
         """The servers whose current snapshot reports ``c`` in slot
-        ``rnd``, as a mask over ``rqs.index``."""
-        return self._slot(c, rnd)[0]
+        ``rnd`` (1, 2 or 3), as a mask over ``rqs.index``."""
+        row = self._rows.get(c)
+        held = row[rnd] if row is not None else 0
+        if c == INITIAL_PAIR:
+            # Non-responders and unwritten cells report INITIAL_ENTRY.
+            held |= self._ix.full & ~self._touched0[rnd]
+        return held
+
+    def _listed(self, c: Pair, rnd: int) -> Dict[int, int]:
+        """Per class-2 quorum (as a mask) listed with ``c`` in slot
+        ``rnd`` (1 or 2): the holders whose entry lists its id."""
+        row = self._rows.get(c)
+        if row is None or not row[rnd + 3]:
+            return {}
+        mask = self._ix.mask
+        return {
+            mask(quorum_id): listing
+            for quorum_id, listing in row[rnd + 3].items()
+        }
 
     def read_pred(self, c: Pair, server: ServerId) -> bool:
         """``read(c, i)`` (line 7): ``c`` in slot 1 or 2 of the snapshot."""
@@ -177,30 +229,30 @@ class ReadState:
         )
 
     def observed_pairs(self) -> List[Pair]:
-        """All candidate pairs: anything readable from any snapshot."""
-        pairs = self._pairs
-        if pairs is None:
-            seen = set()
-            for view in self.view.values():
-                seen.update(view.pairs())
-            pairs = self._pairs = sorted(seen, key=lambda p: p.ts)
+        """All candidate pairs: anything readable (slots 1-2) from any
+        current snapshot.
+
+        The order is defined, not incidental: by timestamp, and among
+        pairs sharing one (a Byzantine server filing ``⟨2, 'a'⟩`` next
+        to the writer's ``⟨2, 'z'⟩``) by **first report** to this read,
+        in any slot — ack arrival order, then cell order within the
+        snapshot.  ``⟨0, ⊥⟩``, which every answer reports before any
+        cell, leads.
+        """
+        if not self._responded:
+            return []
+        pairs = [INITIAL_PAIR]
+        pairs += [
+            pair for pair, row in self._rows.items()
+            if row[0] and pair != INITIAL_PAIR
+        ]
+        pairs.sort(key=_timestamp)
         return pairs
 
     # -- validity predicates ---------------------------------------------------------
 
-    # Lines 3-5 on masks: the quorum and who reports ``c`` (``invalid``
-    # looks the holders up once and walks ``Responded`` with these; the
-    # public predicates are the same tests on a quorum id).
-
-    def _valid1(self, held1: int, quorum: int) -> bool:
-        held = held1 & quorum
-        return bool(held) and self._ix.is_basic(held)
-
-    @staticmethod
-    def _valid2(held2: int, quorum: int) -> bool:
-        return bool(held2 & quorum)
-
     def _valid3(self, listed: Dict[int, int], quorum: int) -> bool:
+        """Line 5 on masks: ``listed`` is :meth:`_listed` of slot 1."""
         ix = self._ix
         qc1 = ix.masks[1]
         if not qc1:
@@ -224,11 +276,12 @@ class ReadState:
         The maximal candidate ``T`` suffices: supersets of basic sets are
         basic (the adversary is subset-closed).
         """
-        return self._valid1(self.holders(c, 1), self._ix.mask(quorum))
+        held = self.holders(c, 1) & self._ix.mask(quorum)
+        return bool(held) and self._ix.is_basic(held)
 
     def valid2(self, c: Pair, quorum: QuorumId) -> bool:
         """Line 4: some server of ``Q`` stores ``c`` in slot 2."""
-        return self._valid2(self.holders(c, 2), self._ix.mask(quorum))
+        return bool(self.holders(c, 2) & self._ix.mask(quorum))
 
     def valid3(self, c: Pair, quorum: QuorumId) -> bool:
         """Line 5: ∃ Q2 ∈ QC2, ∃ B ∈ B with P3b(Q2, Q, B) such that every
@@ -239,21 +292,46 @@ class ReadState:
         it, and P3b is anti-monotone in ``B``), so only that ``B`` needs
         checking.
         """
-        return self._valid3(self._slot(c, 1)[1], self._ix.mask(quorum))
+        return self._valid3(self._listed(c, 1), self._ix.mask(quorum))
 
     def invalid(self, c: Pair) -> bool:
-        """Line 6."""
+        """Line 6: some responded quorum satisfies none of lines 3-5.
+
+        Lines 3 and 4 are monotone in ``Q`` — a superset quorum keeps a
+        basic slot-1 subset and a slot-2 holder — and every responded
+        quorum contains a *minimal* responded one, so if 3-4 hold on
+        those they hold on all of ``Responded`` and ``c`` is not
+        invalid.  Line 5 is not monotone (a larger ``Q`` enlarges
+        ``Q2 ∩ Q``, which can only lose conformity): when a minimal
+        quorum fails 3-4 the whole of ``Responded`` is walked, line 5
+        consulted for the quorums failing 3-4.
+        """
         if c.ts > self.highest_ts:
             return True
-        held1, listed = self._slot(c, 1)
+        ix = self._ix
+        responded = self._responded
+        held1 = self.holders(c, 1)
         held2 = self.holders(c, 2)
-        valid1, valid2, valid3 = self._valid1, self._valid2, self._valid3
-        for quorum in self._responded_masks():
-            if not (
-                valid2(held2, quorum)
-                or valid1(held1, quorum)
-                or valid3(listed, quorum)
-            ):
+        # The memo behind ``ix.is_basic``, read in place: one dict probe
+        # per quorum instead of one call.
+        basic = ix._basic
+        for quorum in ix.minimal():
+            if quorum & responded != quorum or held2 & quorum:
+                continue
+            held = held1 & quorum
+            if held and (basic.get(held) or ix.is_basic(held)):
+                continue
+            break
+        else:
+            return False
+        listed = self._listed(c, 1)
+        for quorum in ix.responding(responded):
+            if held2 & quorum:
+                continue
+            held = held1 & quorum
+            if held and ix.is_basic(held):
+                continue
+            if not self._valid3(listed, quorum):
                 return True
         return False
 
@@ -275,19 +353,34 @@ class ReadState:
         return True
 
     def candidates(self) -> List[Pair]:
-        """Line 33: ``C = {c | safe(c) ∧ highCand(c)}``."""
-        return [
-            c
-            for c in self.observed_pairs()
-            if self.safe(c) and self.high_cand(c)
-        ]
+        """Line 33: ``C = {c | safe(c) ∧ highCand(c)}``, in
+        :meth:`observed_pairs` order.
+
+        ``highCand(c)`` says ``c.ts`` is at least the timestamp of the
+        highest pair that is *not* invalid, so one descent from the top
+        finds that floor — typically at the first pair — and line 6 is
+        never asked about anything below it.
+        """
+        kept: List[Pair] = []
+        floor = None
+        for c in reversed(self.observed_pairs()):
+            if floor is None:
+                if not self.invalid(c):
+                    floor = c.ts
+            elif c.ts < floor:
+                break
+            if self.safe(c):
+                kept.append(c)
+        kept.reverse()
+        return kept
 
     def select(self) -> Optional[Pair]:
-        """Line 35: the candidate with the highest timestamp, or ``None``."""
+        """Line 35: the candidate with the highest timestamp (the first
+        reported of a tie), or ``None``."""
         candidates = self.candidates()
         if not candidates:
             return None
-        return max(candidates, key=lambda p: p.ts)
+        return max(candidates, key=_timestamp)
 
     # -- best-case detector ------------------------------------------------------------
 
@@ -301,13 +394,12 @@ class ReadState:
         paper's single shared ``Set`` is the uncontended special case.)
         """
         ix = self._ix
-        held, listed = self._slot(c, big_r)
         if big_r != 2:
-            missing = ~held
+            missing = ~self.holders(c, big_r)
             return any(
                 not meet & missing for meet in ix.class1_meets(big_r)
             )
-        for qr, listing in listed.items():
+        for qr, listing in self._listed(c, 2).items():
             missing = ~listing
             if any(not meet & missing for meet in ix.meets(1, qr)):
                 return True

@@ -134,8 +134,7 @@ class StorageReader(Process):
                 if read_rnd == 1
                 else None
             )
-            for server in targets:
-                self.send(server, RD(self.read_no, read_rnd, key))
+            self.send_all(targets, RD(self.read_no, read_rnd, key))
 
             quorum_cond = state.when(
                 partial(state.round_quorum, read_rnd),
@@ -205,8 +204,7 @@ class StorageReader(Process):
         acks."""
         if targets is None:
             targets = self.rqs.servers
-        for server in targets:
-            self.send(server, WR(c.ts, c.val, qc2_ids, rnd, key))
+        self.send_all(targets, WR(c.ts, c.val, qc2_ids, rnd, key))
         yield WaitUntil(
             self._wb(key, c.ts, rnd).includes_quorum(self.rqs.contains_quorum),
             f"read#{self.read_no} writeback round {rnd}",
@@ -261,9 +259,9 @@ class StorageReader(Process):
                 # element-wise.
                 read_rnd += 1
                 acks = self._batch_acks(number, read_rnd)
-                collect = ReadBatch(number, read_rnd, tuple(keys))
-                for server in targets:
-                    self.send(server, collect)
+                self.send_all(
+                    targets, ReadBatch(number, read_rnd, tuple(keys))
+                )
                 quorum = acks.includes_quorum(self.rqs.contains_quorum)
                 collect_cond = (
                     AllOf(
@@ -345,9 +343,7 @@ class StorageReader(Process):
         """Send one round of a cohort's batched line 49 write-back and
         return the quorum condition its elements wait on."""
         wb_acks = self._batches.responders(cohort["no"], rnd)
-        writeback = WriteBatch(
+        self.send_all(targets, WriteBatch(
             cohort["no"], rnd, "", cohort["ops"], frozenset()
-        )
-        for server in targets:
-            self.send(server, writeback)
+        ))
         return wb_acks.includes_quorum(self.rqs.contains_quorum)

@@ -51,8 +51,9 @@ class RegularReader(StorageReader):
                 if read_rnd == 1
                 else None
             )
-            for server in self.rqs.servers:
-                self.send(server, RD(self.read_no, read_rnd, key))
+            self.send_all(
+                self.rqs.servers, RD(self.read_no, read_rnd, key)
+            )
 
             quorum_cond = state.when(
                 partial(state.round_quorum, read_rnd),

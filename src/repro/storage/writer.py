@@ -186,8 +186,7 @@ class StorageWriter(Process):
         """MW timestamp discovery: the highest stored timestamp for
         ``key`` at some responding quorum (the ``rnd = 0`` read round)."""
         number = self._discovery.open()
-        for server in self._targets(target):
-            self.send(server, RD(number, 0, key))
+        self.send_all(self._targets(target), RD(number, 0, key))
         yield WaitUntil(
             self._discovery.responders(number).includes_quorum(
                 self.rqs.contains_quorum
@@ -209,8 +208,9 @@ class StorageWriter(Process):
         """``round(i)`` (Figure 5 lines 10-12): send to all servers (or
         the drawn quorum), then wait for a quorum of acks and (rounds
         1-2) the 2Δ timer."""
-        for server in self._targets(target):
-            self.send(server, WR(ts, value, qc2_prime, rnd, key))
+        self.send_all(
+            self._targets(target), WR(ts, value, qc2_prime, rnd, key)
+        )
         quorum_acked = self.acks(ts, rnd, key).includes_quorum(
             self.rqs.contains_quorum
         )
@@ -293,9 +293,7 @@ class StorageWriter(Process):
         """One MW discovery collect over the batch's distinct keys —
         per-key highest stored timestamps at some responding quorum."""
         number = self._discovery.open()
-        collect = ReadBatch(number, 0, keys)
-        for server in self._targets(target):
-            self.send(server, collect)
+        self.send_all(self._targets(target), ReadBatch(number, 0, keys))
         yield WaitUntil(
             self._discovery.responders(number).includes_quorum(
                 self.rqs.contains_quorum
@@ -312,9 +310,7 @@ class StorageWriter(Process):
         }
 
     def _batch_round(self, number, ops, qc2_prime, rnd, targets):
-        message = WriteBatch(number, rnd, "", ops, qc2_prime)
-        for server in targets:
-            self.send(server, message)
+        self.send_all(targets, WriteBatch(number, rnd, "", ops, qc2_prime))
         quorum_acked = self._batches.responders(number, rnd).includes_quorum(
             self.rqs.contains_quorum
         )

@@ -72,6 +72,27 @@ class TestNamedRqs:
         assert resolve_rqs(rqs) is rqs
         assert resolve_rqs(None) is None
 
+    def test_a_name_is_built_and_validated_once_per_process(self):
+        for name in named_rqs():
+            assert resolve_rqs(name) is resolve_rqs(name)
+        spec = ScenarioSpec(protocol="rqs-storage", rqs="example6")
+        assert spec.resolved_rqs() is resolve_rqs("example6")
+
+    def test_the_unvalidated_name_still_reports_its_violation(self):
+        for _ in range(2):
+            rqs = resolve_rqs("example6-broken-p3")
+            assert not rqs.is_valid()
+            assert [name for name, _ in rqs.violations()] == ["P3"]
+
+    def test_construction_strings_are_not_kept(self):
+        """Only registered names are held on to: a grid over a thousand
+        ``threshold:...`` literals must retain nothing."""
+        from repro.scenarios import spec as spec_module
+
+        first = resolve_rqs("threshold:8,3,1,1,2")
+        assert resolve_rqs("threshold:8,3,1,1,2") is not first
+        assert set(spec_module._BUILT_RQS) <= set(named_rqs())
+
     def test_threshold_construction_string(self):
         rqs = resolve_rqs("threshold:8,3,1,1,2")
         assert len(rqs.ground_set) == 8 and rqs.is_valid()

@@ -250,6 +250,32 @@ STRATEGY_GRID = SweepSpec(
 )
 
 
+#: Cells that share two named systems (each built once per process).
+NAMED_RQS_GRID = SweepSpec(
+    name="named-rqs",
+    axes={"rqs": ("example6", "figure3"), "seed": (0, 1, 2)},
+    base=ScenarioSpec(
+        protocol="rqs-storage",
+        readers=2,
+        workload=(RandomMix(4, 6, horizon=25.0),),
+        horizon=60.0,
+    ),
+)
+
+
+class TestNamedSystemReuse:
+    def test_shared_named_systems_serial_vs_mp_byte_identical(self):
+        """Serial cells reuse one instance per name, every worker
+        process builds its own: the aggregated JSON cannot tell."""
+        serial = run_grid(NAMED_RQS_GRID)
+        parallel = run_grid(
+            NAMED_RQS_GRID, executor="multiprocessing", processes=2
+        )
+        assert serial.to_json() == parallel.to_json()
+        assert serial.to_json() == run_grid(NAMED_RQS_GRID).to_json()
+        assert serial.verdict_counts() == {"atomic": 6}
+
+
 class TestStrategySweeps:
     def test_strategy_cells_serial_vs_mp_byte_identical(self):
         serial = run_grid(STRATEGY_GRID)

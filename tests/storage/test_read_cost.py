@@ -1,0 +1,113 @@
+"""Work-count regression for the Figure 7 reader — no wall clock.
+
+A read used to re-walk every collected snapshot three ways per
+evaluation (``pairs()``, ``max_timestamp()``, one ``HistoryView.get``
+per responder per candidate slot) and ``invalid`` tested lines 3-4 on
+all 93 quorums of example6 through two helper calls each.  Now an
+``rd_ack`` is filed with one walk of its snapshot's cells, the
+predicates never go back to a snapshot, and an uncontended ``invalid``
+looks at the minimal quorums only (56 of the 93) and never reaches
+line 5.
+"""
+
+import sys
+from collections import Counter
+
+from repro.core import metrics
+from repro.core.constructions import threshold_rqs
+from repro.core.rqs import QuorumIndex
+from repro.experiments.builders import keyed_mix_spec
+from repro.scenarios import run
+from repro.storage import history, predicates
+from repro.storage.predicates import ReadState
+
+SPEC = keyed_mix_spec(
+    "rqs-storage", 4, writes=80, reads=120, readers=4, seed=3,
+    trace_level="metrics", max_ops=200, params={"bounded_history": True},
+)
+
+
+def test_an_ack_is_walked_once_and_an_uncontended_read_stays_minimal(
+    monkeypatch,
+):
+    calls = Counter()
+    looked_at = Counter()
+    real_minimal = QuorumIndex.minimal
+
+    def minimal(index, cls=3):
+        """The same antichain, counting the masks the caller reaches."""
+        for mask in real_minimal(index, cls):
+            looked_at[cls] += 1
+            yield mask
+
+    monkeypatch.setattr(QuorumIndex, "minimal", minimal)
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call":
+            if code.co_filename == predicates.__file__:
+                calls[code.co_name] += 1
+            elif (code.co_filename == history.__file__
+                  and frame.f_back.f_code.co_filename == predicates.__file__):
+                calls["history." + code.co_name] += 1
+            elif (code.co_name == "responding"
+                  and frame.f_back.f_code.co_name == "invalid"):
+                calls["Responded walks"] += 1
+        elif (event == "c_call" and code.co_filename == predicates.__file__
+              and isinstance(getattr(arg, "__self__", None), dict)
+              and any(view.cells is arg.__self__
+                      for view in frame.f_locals["self"].view.values())):
+            # A dict method on some collected snapshot's cells.
+            calls[f"cells.{arg.__name__} in {code.co_name}"] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run(SPEC)
+    finally:
+        sys.setprofile(None)
+
+    index = result.system.rqs.index
+    assert len(index.masks[3]) == 93 and len(real_minimal(index)) == 56
+    assert result.ops_completed() == 200
+    # Every read's regular part took one round.
+    reads = calls["freeze_round1"]
+    assert reads == calls["candidates"] > 100
+    acks = calls["record_ack"]
+    assert acks == 8 * reads
+    # One walk of the arriving snapshot, nothing else ever touches one.
+    assert calls["cells.items in record_ack"] == acks
+    assert [name for name in calls if name.startswith("cells.")] == [
+        "cells.items in record_ack"
+    ]
+    assert [name for name in calls if name.startswith("history.")] == []
+    # Lines 3-4 are settled on the minimal quorums; line 5 and the walk
+    # of Responded are for contended reads, and there are none here.
+    assert calls["invalid"] >= reads
+    assert 0 < looked_at[3] <= 56 * calls["invalid"]
+    assert calls["_valid3"] == 0 and calls["Responded walks"] == 0
+    assert calls["_strip"] == 0
+
+
+def test_a_reading_system_keeps_nothing_per_subset():
+    """``TestQuorumIndex``'s fact with the reader's tables built: an
+    availability sweep over all 2^8 alive-sets adds no entry — the
+    antichain of minimal quorums is per class, not per subset."""
+    rqs = threshold_rqs(8, 3, 1, 1, 2)
+    index = rqs.index
+    state = ReadState(rqs)
+    for server in rqs.servers:
+        state.record_ack(server, 1, history.History().snapshot())
+    state.freeze_round1()
+    assert state.candidates() == [history.INITIAL_PAIR]
+
+    def entries():
+        return {
+            name: len(getattr(index, name)) for name in index.__slots__
+            if name.startswith("_") and isinstance(getattr(index, name), dict)
+        }
+
+    before = entries()
+    assert before["_minimal"] == 1 and before["_basic"] > 0
+    for cls in (1, 2, 3):
+        metrics.failure_probability(rqs, 0.1, cls)
+    assert entries() == before
