@@ -1,67 +1,38 @@
 """The workload bench: ops/sec and memory of the keyed register space.
 
-Measures the keyed-register workload engine end to end — scenario
-expansion, per-writer/per-reader client tasks, keyed protocol rounds —
-on an ``n_keys × clients`` grid of seeded :class:`RandomMix` cells over
-the ABD baseline (the cheapest atomic protocol, so the bench tracks the
-workload engine rather than RQS predicate evaluation), plus two soak
-sections:
+``BENCH_workload.json`` is five sections of labelled spec literals
+(:data:`SECTIONS`), every row measured by the one :func:`measure`:
 
-* **soak** — the closed-loop ≥10k-operation multi-register mix at
-  ``TraceLevel.METRICS``; its safety verdict now comes from the
-  *windowed online checker* that runs as operations complete (records
-  are streamed, never retained).
-* **stream** — horizon-free open-loop soaks (``max_ops`` stopping rule,
-  up to one million operations) executed in a fresh subprocess each so
-  ``ru_maxrss`` isolates that run's peak memory: the exhibit is peak
-  RSS staying flat (sublinear) while the op count grows 10×.  The rows
-  come in labelled families (:data:`STREAM_FAMILIES`): the ABD
-  single-writer baseline, the paper's RQS protocol with
-  ``bounded_history=True`` (servers GC superseded history cells, so
-  *its* memory is flat too — rows carry the retained/GC'd cell
-  counters), a multi-writer ABD row checked by the stamp-ordered
-  MW online checker (rows carry ``checker_mode``), and the *batched*
-  ABD row (``batch_size=16`` cross-key operation batching) whose
-  ops/sec must beat the unbatched baseline ≥5× (gated in
-  ``tools/check_workload.py``).
-* **sharded** (schema v5) — the batched soak executed through the
-  sharded multi-process engine (``ScenarioSpec.shards``), one row per
-  ``(shards, max_ops)`` point up to 1e7 ops.  Rows record wall ops/sec
-  *and* ``capacity_ops_per_sec`` — the sum over shards of
-  ``completed / cpu_seconds``, which is timesharing-immune, so the
-  near-linear-scaling gate holds on 1-core CI runners where wall-clock
-  speedup physically cannot (``tools/check_workload.py`` requires the
-  ≥4-shard row's capacity ≥3× the shards=1 row's).  Per-shard peak RSS
-  comes from each worker's own ``ru_maxrss``; the flat-memory gate
-  applies per shard.
-* **sharded_zipf** (schema v6) — the same batched soak under a
-  *zipfian* key draw (``skew=1.2``, 64 keys), where a crc32 key→shard
-  rule lands whole hot keys on one worker; the weighted LPT rule in
-  ``repro.scenarios.workloads.shard_assignment`` bin-packs expected
-  key frequencies instead.  Rows are **duration-bounded** (an op
-  budget is split evenly across shards, which would pin the balance
-  figure at 1.0 by fiat) and additionally record ``imbalance`` —
-  max/mean completed ops per shard, from
-  ``ShardedRunResult.imbalance``.  ``tools/check_workload.py`` gates
-  the 4-shard row at imbalance ≤1.3 *and* capacity ≥2.5× the zipfian
-  shards=1 reference.
+* **cases** — an ``n_keys × clients`` grid of seeded closed-loop
+  :class:`RandomMix` cells over ABD (the cheapest atomic protocol, so the
+  bench tracks the workload engine rather than RQS predicate evaluation).
+* **soak** — the closed-loop 10k-operation 16-register mix at
+  ``TraceLevel.METRICS``, verdict from the windowed online checker.
+* **stream** — horizon-free open-loop soaks (``max_ops`` stopping rule)
+  in labelled families: the ABD single-writer baseline, the paper's RQS
+  protocol with ``bounded_history`` (servers GC superseded history cells
+  — rows carry the retained/GC'd counters), multi-writer ABD under the
+  stamp-ordered MW checker, and the ``batch_size=16`` hot path.
+* **sharded** — the batched soak through the multi-process shard engine
+  up to 1e7 ops.  ``capacity_ops_per_sec`` is the sum over shards of
+  ``completed / cpu_seconds`` — CPU time is immune to timesharing, so
+  the figure is about the engine, not the recording host's core count.
+* **sharded_zipf** — the same soak under a zipfian draw (``skew=1.2``,
+  64 keys flatten the head enough that a weighted partition *can*
+  balance it), **duration-bounded**: an op budget is split evenly across
+  shards and would pin ``imbalance`` (max/mean completed ops per shard)
+  at 1.0 by fiat.
 
-Every row records both ``execute_seconds`` (simulator-only, what the
-adapter's execute loop took — throughput is quoted on this) and
-``wall_s`` (the whole ``run()`` including wiring and verdicts), so
-grid cases and stream rows are directly comparable.
+Every row runs in a fresh subprocess (``--probe KEY``) so the monotone
+``ru_maxrss`` is one run's peak; a shard's peak is measured by its own
+worker.  Throughput is quoted on ``execute_seconds`` (the
+adapter's execute loop); ``wall_s`` is the whole ``run()``.  Counts and
+``imbalance`` are exact across machines; what may be claimed from the
+rest is written down in ``tools/check_bench.py``.
 
-Executions are deterministic, so ``operations``/``completed``/``events``
-are exact across machines; only the wall-clock/RSS figures vary.  Emits
-``BENCH_workload.json``; schema/determinism/budget checks live in
-``tools/check_workload.py`` and run in CI's soak-smoke job (which
-regenerates the grid, the closed soak and the 100k stream row — the
-million-op row is recorded from a full local run and schema/ratio
-checked against the committed artifact).
-
-Run directly (``python -m benchmarks.bench_workload``) to regenerate
-the artifact (``--full-stream`` includes the million-op row), or under
-pytest for the determinism smoke.
+``python -m benchmarks.bench_workload`` rewrites the artifact at the
+sizes CI regenerates; ``--full-stream`` also records the 1e6/1e7
+acceptance rows.  Under pytest: the determinism smokes.
 """
 
 import argparse
@@ -78,139 +49,88 @@ from repro.experiments import keyed_mix_spec
 from repro.scenarios import ScenarioSpec, run
 
 SCHEMA_VERSION = 6
+ROOT = Path(__file__).resolve().parent.parent
 
-#: The grid axes: keyspace width × reader-client count.
-N_KEYS_AXIS = (1, 4, 16)
-CLIENTS_AXIS = (2, 8)
+#: The size CI regenerates; larger rows need ``--full-stream``.
+CI_OPS = 100_000
+FULL_OPS = 1_000_000
 
-#: Per-cell operation budget (writes + reads).
-CELL_WRITES = 300
-CELL_READS = 700
+CELL = dict(seed=5, trace_level="metrics")
+#: The mix every soak draws from: 16 registers, 8 reader clients.
+SOAK = dict(writes=4000, reads=6000, readers=8, **CELL)
+BATCHED = dict(batch_size=16, **SOAK)
+ZIPF = dict(horizon=10_000.0, skew=1.2, duration=100_000.0, **BATCHED)
 
-#: The soak rows: >= 10k operations, 16 registers, METRICS tracing.
-SOAK_WRITES = 4000
-SOAK_READS = 6000
-SOAK_KEYS = 16
-SOAK_CLIENTS = 8
 
-#: Open-loop (horizon-free) stream soak sizes.  CI regenerates the
-#: smaller rows; the million-op rows are recorded by full local runs.
-STREAM_OPS_CI = 100_000
-STREAM_OPS_FULL = 1_000_000
-STREAM_SEED = 5
+def stream(label: str, protocol: str, sizes: tuple, **mix) -> list:
+    return [
+        (f"stream/{label}/{size}", {"label": label, "max_ops": size},
+         keyed_mix_spec(protocol, 16, max_ops=size, **SOAK, **mix))
+        for size in sizes
+    ]
 
-#: The labelled stream-row families.  ``sizes`` lists every recorded
-#: size; only :data:`STREAM_OPS_CI` rows are regenerated by CI.  The
-#: rqs-storage family runs with bounded server history (the knob that
-#: makes a million-op RQS soak flat-memory at all); the MW family
-#: exercises the stamp-ordered multi-writer online checker and stays
-#: at the CI size (its verdict machinery, not its scale, is the point).
-STREAM_FAMILIES = {
-    "abd-sw": {
-        "protocol": "abd", "n_writers": 1, "bounded_history": False,
-        "batch_size": 1,
-        "sizes": (STREAM_OPS_CI, STREAM_OPS_FULL),
-    },
-    "rqs-bounded": {
-        "protocol": "rqs-storage", "n_writers": 1,
-        "bounded_history": True, "batch_size": 1,
-        "sizes": (STREAM_OPS_CI, STREAM_OPS_FULL),
-    },
-    "abd-mw": {
-        "protocol": "abd", "n_writers": 4, "bounded_history": False,
-        "batch_size": 1,
-        "sizes": (STREAM_OPS_CI,),
-    },
-    # The batched hot path: same soak as abd-sw with clients coalescing
-    # 16 ops per round-trip — the tentpole ≥5× ops/sec exhibit
-    # (check_workload gates the ratio against abd-sw at equal sizes).
-    "abd-sw-batched": {
-        "protocol": "abd", "n_writers": 1, "bounded_history": False,
-        "batch_size": 16,
-        "sizes": (STREAM_OPS_CI, STREAM_OPS_FULL),
-    },
+
+#: section -> [(probe key, the row's own labels, spec)], in artifact order.
+SECTIONS = {
+    "cases": [
+        (f"cases/{n_keys}x{clients}", {},
+         keyed_mix_spec("abd", n_keys, writes=300, reads=700,
+                        readers=clients, **CELL))
+        for n_keys in (1, 4, 16) for clients in (2, 8)
+    ],
+    "soak": [("soak", {}, keyed_mix_spec("abd", 16, **SOAK))],
+    "stream": [
+        *stream("abd-sw", "abd", (CI_OPS, FULL_OPS)),
+        *stream("rqs-bounded", "rqs-storage", (CI_OPS, FULL_OPS),
+                params={"bounded_history": True}),
+        # Its verdict machinery, not its scale, is the point.
+        *stream("abd-mw", "abd", (CI_OPS,), n_writers=4),
+        *stream("abd-sw-batched", "abd", (CI_OPS, FULL_OPS), batch_size=16),
+    ],
+    # shards=1 is directly the abd-sw-batched workload.
+    "sharded": [
+        (f"sharded/{shards}x{size}", {"shards": shards, "max_ops": size},
+         keyed_mix_spec("abd", 16, max_ops=size, **BATCHED)
+         .with_(shards=shards))
+        for size in (CI_OPS, FULL_OPS, 10 * FULL_OPS) for shards in (1, 4)
+    ],
+    "sharded_zipf": [
+        (f"sharded_zipf/{shards}",
+         {"shards": shards, "duration": ZIPF["duration"]},
+         keyed_mix_spec("abd", 64, **ZIPF).with_(shards=shards))
+        for shards in (1, 4)
+    ],
+}
+ROWS = {
+    key: (section, labels, spec)
+    for section, rows in SECTIONS.items() for key, labels, spec in rows
 }
 
-#: The sharded section's grid: shard fan-outs × op budgets.  CI
-#: regenerates the :data:`STREAM_OPS_CI` rows; full runs record the
-#: 1e6 and 1e7 acceptance rows (the batched engine makes a 1e7-op row
-#: a few minutes of CPU).  All rows ride the batched abd-sw soak so the
-#: shards=1 row is directly the ``abd-sw-batched`` workload.
-SHARDED_SHARDS = (1, 4)
-SHARDED_OPS_FULL = (1_000_000, 10_000_000)
-
-#: The sharded_zipf section (schema v6): the batched soak under a
-#: zipfian draw, duration-bounded so per-shard load can actually
-#: diverge (see module docstring).  64 keys flatten the zipfian head
-#: enough that a weighted partition *can* balance it; CI regenerates
-#: both rows (the ~1e5-op cells take seconds through the batched
-#: engine, so there are no full-run-only sizes here).
-SHARDED_ZIPF_SKEW = 1.2
-SHARDED_ZIPF_KEYS = 64
-SHARDED_ZIPF_DURATION_CI = 100_000.0
-SHARDED_ZIPF_SHARDS = (1, 4)
-
-
-def workload_spec(
-    n_keys: int,
-    clients: int,
-    writes: int = CELL_WRITES,
-    reads: int = CELL_READS,
-) -> ScenarioSpec:
-    """One bench cell: a uniform multi-register mix on ABD."""
-    return keyed_mix_spec(
-        "abd", n_keys, writes=writes, reads=reads, readers=clients,
-        seed=5, trace_level="metrics",
-    )
-
-
-def soak_spec() -> ScenarioSpec:
-    return workload_spec(
-        SOAK_KEYS, SOAK_CLIENTS, writes=SOAK_WRITES, reads=SOAK_READS
-    )
-
-
-def stream_spec(max_ops: int, label: str = "abd-sw") -> ScenarioSpec:
-    """One horizon-free open-loop soak (the E15 cell shape)."""
-    family = STREAM_FAMILIES[label]
-    return keyed_mix_spec(
-        family["protocol"], SOAK_KEYS, writes=SOAK_WRITES,
-        reads=SOAK_READS, readers=SOAK_CLIENTS,
-        n_writers=family["n_writers"], seed=STREAM_SEED,
-        trace_level="metrics", max_ops=max_ops,
-        batch_size=family["batch_size"],
-        params=(
-            {"bounded_history": True} if family["bounded_history"]
-            else None
-        ),
-    )
-
-
-def run_case(spec: ScenarioSpec, rounds: int = 3) -> dict:
-    """Execute one spec; timings are best-of-``rounds`` on the
-    deterministic execution (repeats only shave warm-up noise).
-
-    ``execute_seconds`` is the simulator-only time (what the adapter's
-    execute loop took); ``wall_s`` is the whole ``run()`` including
-    spec expansion, system wiring and verdict plumbing.  Throughput is
-    quoted on ``execute_seconds``, so grid cases and stream rows are
-    finally comparable — the historical discrepancy was cases quoting
-    sim-only time under the ``wall_s`` name."""
-    execute = wall = float("inf")
-    for _ in range(rounds):
-        started = perf_counter()
-        result = run(spec)
-        wall = min(wall, perf_counter() - started)
-        execute = min(execute, result.execute_seconds)
-    completed = result.ops_completed()
-    return {
-        "operations": result.ops_begun(),
-        "completed": completed,
-        "events": result.adapter.sim.events_processed,
-        "execute_seconds": round(execute, 4),
-        "wall_s": round(wall, 4),
-        "ops_per_sec": round(completed / execute, 1),
-    }
+WHO = ("n_keys", "clients")
+TIMED = ("operations", "completed", "events", "execute_seconds", "wall_s",
+         "ops_per_sec")
+SHARD_TIMED = TIMED[:4] + ("cpu_seconds",) + TIMED[4:] + (
+    "capacity_ops_per_sec",)
+ONLINE = ("atomic", "violations", "keys_checked", "checker_max_retained",
+          "checker_mode", "overrun_unchecked")
+SHARD_RSS = ("shard_rss_kb", "max_shard_rss_kb")
+#: The schema: which of :func:`measure`'s figures a section's rows carry.
+FIELDS = {
+    "cases": WHO + TIMED,
+    "soak": WHO + TIMED + ("atomic", "keys_checked", "overrun_unchecked"),
+    "stream": (
+        "label", "protocol", "n_writers", "bounded_history", "batch_size",
+        "max_ops") + WHO + TIMED + ONLINE + (
+        "server_max_retained_cells", "server_gc_removed_cells",
+        "peak_rss_kb"),
+    "sharded": (
+        "shards", "max_ops", "protocol", "batch_size") + WHO + (
+        "workers",) + SHARD_TIMED + ONLINE + SHARD_RSS,
+    "sharded_zipf": (
+        "shards", "duration", "protocol", "distribution", "skew",
+        "batch_size") + WHO + ("workers",) + SHARD_TIMED + (
+        "imbalance",) + ONLINE + SHARD_RSS,
+}
 
 
 def peak_rss_kb() -> int:
@@ -222,343 +142,162 @@ def peak_rss_kb() -> int:
     return peak
 
 
-def stream_probe(max_ops: int, label: str = "abd-sw") -> dict:
-    """Run one open-loop soak in *this* process and report counters,
-    wall clock, the online verdict and peak RSS.  Meant to run in a
-    fresh subprocess per row (see :func:`measure_stream_row`) so the
-    monotone ``ru_maxrss`` measures exactly one run."""
-    family = STREAM_FAMILIES[label]
-    started = perf_counter()
-    result = run(stream_spec(max_ops, label))
-    wall = perf_counter() - started
-    online = result.online
+def measure(section: str, labels: dict, spec: ScenarioSpec) -> dict:
+    """Run ``spec`` in *this* process and return its ``section`` row.
+
+    Grid cases quote best-of-3 timings (the execution is deterministic;
+    repeats only shave warm-up noise).  An unsharded row reports this
+    process's peak RSS and its own CPU time as the one "shard", so a
+    fleet row and its shards=1 reference carry the same kind of number.
+    """
+    execute = wall = float("inf")
+    for _ in range(3 if section == "cases" else 1):
+        started = perf_counter()
+        result = run(spec)
+        wall = min(wall, perf_counter() - started)
+        execute = min(execute, result.execute_seconds)
+    fleet = spec.shards > 1
     completed = result.ops_completed()
-    execute = result.execute_seconds
-    online_metrics = (
-        online.as_metrics() if online is not None
-        else {"atomic": False, "violations": 0, "keys_checked": 0,
-              "checker_max_retained": 0, "checker_mode": "none"}
-    )
+    cpu = (result.cpu_seconds if fleet
+           else result.execute_cpu_seconds or execute)
+    capacity = result.capacity_ops_per_sec if fleet else completed / cpu
+    shard_rss = list(result.shard_rss_kb) if fleet else [peak_rss_kb()]
+    online, mix = result.online, spec.workload[0]
     history = result.server_history or {}
-    return {
-        "label": label,
-        "protocol": family["protocol"],
-        "n_writers": family["n_writers"],
-        "bounded_history": bool(history.get("bounded_history", False)),
-        "batch_size": family["batch_size"],
-        "max_ops": max_ops,
-        "n_keys": SOAK_KEYS,
-        "clients": SOAK_CLIENTS,
+    # No checker wired reads as a refusal, never as a pass.
+    checked = {"atomic": False, "violations": 0, "keys_checked": 0,
+               "checker_max_retained": 0, "checker_mode": "none",
+               "overrun_unchecked": 0}
+    if online is not None:
+        # overrun_unchecked: operations the windowed checker skipped —
+        # "atomic" does not cover them, so the gate requires 0.
+        checked = {**online.as_metrics(),
+                   "overrun_unchecked": online.overrun_unchecked}
+    figures = {
+        **labels,
+        "protocol": spec.protocol,
+        "n_writers": spec.n_writers,
+        "n_keys": spec.n_keys,
+        "clients": spec.readers,
+        "batch_size": mix.batch_size,
+        "distribution": mix.distribution,
+        "skew": mix.skew,
+        "workers": result.worker_processes if fleet else 1,
         "operations": result.ops_begun(),
         "completed": completed,
-        "events": result.adapter.sim.events_processed,
+        "events": result.events_processed,
         "execute_seconds": round(execute, 4),
+        "cpu_seconds": round(cpu, 4),
         "wall_s": round(wall, 4),
         "ops_per_sec": round(completed / execute, 1),
-        **online_metrics,
-        "server_max_retained_cells": history.get(
-            "max_retained_cells", 0
-        ),
+        "capacity_ops_per_sec": round(capacity, 1),
+        "imbalance": round(result.imbalance, 4) if fleet else 1.0,
+        **checked,
+        "bounded_history": bool(history.get("bounded_history", False)),
+        "server_max_retained_cells": history.get("max_retained_cells", 0),
         "server_gc_removed_cells": history.get("gc_removed_cells", 0),
-        "peak_rss_kb": peak_rss_kb(),
+        "peak_rss_kb": shard_rss[0],
+        "shard_rss_kb": shard_rss,
+        "max_shard_rss_kb": max(shard_rss),
     }
+    return {field: figures[field] for field in FIELDS[section]}
 
 
-def _isolated_probe(arguments: list) -> dict:
-    """Run one probe CLI in a fresh subprocess and parse its JSON row
-    (isolation makes the monotone ``ru_maxrss`` measure one run)."""
+def probe(key: str) -> dict:
+    """One row, measured in a fresh subprocess (so the monotone
+    ``ru_maxrss`` is exactly one run's peak)."""
     src = str(Path(repro.__file__).resolve().parent.parent)
-    root = str(Path(__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    probe = subprocess.run(
-        [sys.executable, "-m", "benchmarks.bench_workload", *arguments],
-        capture_output=True, text=True, cwd=root, env=env, check=True,
+    child = subprocess.run(
+        [sys.executable, "-m", "benchmarks.bench_workload", "--probe", key],
+        capture_output=True, text=True, cwd=ROOT, env=env, check=True,
     )
-    return json.loads(probe.stdout)
-
-
-def measure_stream_row(max_ops: int, label: str) -> dict:
-    """One stream row, measured in an isolated subprocess."""
-    return _isolated_probe(
-        ["--stream-probe", str(max_ops), "--stream-label", label]
-    )
-
-
-def sharded_spec(shards: int, max_ops: int) -> ScenarioSpec:
-    """One sharded-section cell: the batched abd-sw soak, sharded."""
-    spec = stream_spec(max_ops, "abd-sw-batched")
-    return spec.with_(shards=shards) if shards > 1 else spec
-
-
-def sharded_probe(shards: int, max_ops: int) -> dict:
-    """Run one sharded (or shards=1 reference) soak in *this* process.
-
-    Per-shard peak RSS is measured by each worker process itself; the
-    shards=1 reference reports this process's peak, so the two are the
-    same kind of number.  ``capacity_ops_per_sec`` sums each shard's
-    ``completed / cpu_seconds`` — CPU time is immune to timesharing,
-    so the scaling gate transfers across host core counts.
-    """
-    started = perf_counter()
-    result = run(sharded_spec(shards, max_ops))
-    wall = perf_counter() - started
-    completed = result.ops_completed()
-    execute = result.execute_seconds
-    online = result.online
-    online_metrics = (
-        online.as_metrics() if online is not None
-        else {"atomic": False, "violations": 0, "keys_checked": 0,
-              "checker_max_retained": 0, "checker_mode": "none"}
-    )
-    if shards > 1:
-        cpu = result.cpu_seconds
-        capacity = result.capacity_ops_per_sec
-        workers = result.worker_processes
-        shard_rss = list(result.shard_rss_kb)
-    else:
-        cpu = result.execute_cpu_seconds or execute
-        capacity = completed / cpu if cpu else 0.0
-        workers = 1
-        shard_rss = [peak_rss_kb()]
-    return {
-        "shards": shards,
-        "max_ops": max_ops,
-        "protocol": "abd",
-        "batch_size": 16,
-        "n_keys": SOAK_KEYS,
-        "clients": SOAK_CLIENTS,
-        "workers": workers,
-        "operations": result.ops_begun(),
-        "completed": completed,
-        "events": result.events_processed,
-        "execute_seconds": round(execute, 4),
-        "cpu_seconds": round(cpu, 4),
-        "wall_s": round(wall, 4),
-        "ops_per_sec": round(completed / execute, 1),
-        "capacity_ops_per_sec": round(capacity, 1),
-        **online_metrics,
-        "shard_rss_kb": shard_rss,
-        "max_shard_rss_kb": max(shard_rss),
-    }
-
-
-def measure_sharded_row(shards: int, max_ops: int) -> dict:
-    """One sharded row, measured in an isolated subprocess tree."""
-    return _isolated_probe(
-        ["--sharded-probe", str(max_ops), "--shards", str(shards)]
-    )
-
-
-def sharded_zipf_spec(
-    shards: int, duration: float = SHARDED_ZIPF_DURATION_CI
-) -> ScenarioSpec:
-    """One sharded_zipf cell: the batched zipfian soak, duration-bounded
-    (the E19 skew-grid cell shape at the bench's seed)."""
-    spec = keyed_mix_spec(
-        "abd", SHARDED_ZIPF_KEYS, writes=SOAK_WRITES, reads=SOAK_READS,
-        readers=SOAK_CLIENTS, horizon=float(SOAK_WRITES + SOAK_READS),
-        skew=SHARDED_ZIPF_SKEW, seed=STREAM_SEED, trace_level="metrics",
-        duration=duration, batch_size=16,
-    )
-    return spec.with_(shards=shards) if shards > 1 else spec
-
-
-def sharded_zipf_probe(
-    shards: int, duration: float = SHARDED_ZIPF_DURATION_CI
-) -> dict:
-    """Run one zipfian sharded (or shards=1 reference) soak in *this*
-    process.  Same capacity/RSS accounting as :func:`sharded_probe`,
-    plus ``imbalance`` — max/mean completed ops per shard (1.0 for the
-    unsharded reference, whose single \"shard\" is trivially even)."""
-    started = perf_counter()
-    result = run(sharded_zipf_spec(shards, duration))
-    wall = perf_counter() - started
-    completed = result.ops_completed()
-    execute = result.execute_seconds
-    online = result.online
-    online_metrics = (
-        online.as_metrics() if online is not None
-        else {"atomic": False, "violations": 0, "keys_checked": 0,
-              "checker_max_retained": 0, "checker_mode": "none"}
-    )
-    if shards > 1:
-        cpu = result.cpu_seconds
-        capacity = result.capacity_ops_per_sec
-        workers = result.worker_processes
-        shard_rss = list(result.shard_rss_kb)
-        imbalance = result.imbalance
-    else:
-        cpu = result.execute_cpu_seconds or execute
-        capacity = completed / cpu if cpu else 0.0
-        workers = 1
-        shard_rss = [peak_rss_kb()]
-        imbalance = 1.0
-    return {
-        "shards": shards,
-        "duration": duration,
-        "protocol": "abd",
-        "distribution": "zipfian",
-        "skew": SHARDED_ZIPF_SKEW,
-        "batch_size": 16,
-        "n_keys": SHARDED_ZIPF_KEYS,
-        "clients": SOAK_CLIENTS,
-        "workers": workers,
-        "operations": result.ops_begun(),
-        "completed": completed,
-        "events": result.events_processed,
-        "execute_seconds": round(execute, 4),
-        "cpu_seconds": round(cpu, 4),
-        "wall_s": round(wall, 4),
-        "ops_per_sec": round(completed / execute, 1),
-        "capacity_ops_per_sec": round(capacity, 1),
-        "imbalance": round(imbalance, 4),
-        **online_metrics,
-        "shard_rss_kb": shard_rss,
-        "max_shard_rss_kb": max(shard_rss),
-    }
-
-
-def measure_sharded_zipf_row(
-    shards: int, duration: float = SHARDED_ZIPF_DURATION_CI
-) -> dict:
-    """One sharded_zipf row, measured in an isolated subprocess tree."""
-    return _isolated_probe(
-        ["--sharded-zipf-probe", str(duration), "--shards", str(shards)]
-    )
-
-
-def collect_sharded_zipf() -> list:
-    """Measure the sharded_zipf section (also on the CI shard-smoke
-    path — both rows are CI-sized)."""
-    return [
-        measure_sharded_zipf_row(shards) for shards in SHARDED_ZIPF_SHARDS
-    ]
-
-
-def sharded_rows(full: bool = False):
-    """The (shards, max_ops) sharded rows to measure."""
-    sizes = (STREAM_OPS_CI,) + (SHARDED_OPS_FULL if full else ())
-    return [
-        (shards, size) for size in sizes for shards in SHARDED_SHARDS
-    ]
-
-
-def collect_sharded(full: bool = False) -> list:
-    """Measure the sharded section alone (the CI shard-smoke path)."""
-    return [
-        measure_sharded_row(shards, size)
-        for shards, size in sharded_rows(full=full)
-    ]
-
-
-def stream_rows(full: bool = False):
-    """The (label, max_ops) stream rows to measure: every family's CI
-    size, plus each family's larger recorded sizes when ``full``."""
-    rows = []
-    for label, family in STREAM_FAMILIES.items():
-        for size in family["sizes"]:
-            if size == STREAM_OPS_CI or full:
-                rows.append((label, size))
-    return rows
+    return json.loads(child.stdout)
 
 
 def collect(full_stream: bool = False) -> dict:
-    """Run the grid + soaks and assemble the artifact payload.
-
-    CI regenerates only the :data:`STREAM_OPS_CI` rows;
-    ``full_stream`` (the CLI's ``--full-stream``) measures every
-    family's recorded sizes including the million-op acceptance rows.
-    """
-    cases = []
-    for n_keys in N_KEYS_AXIS:
-        for clients in CLIENTS_AXIS:
-            outcome = run_case(workload_spec(n_keys, clients))
-            cases.append({"n_keys": n_keys, "clients": clients, **outcome})
-    started = perf_counter()
-    soak_result = run(soak_spec())
-    soak_wall = perf_counter() - started
-    # The online checker runs inline during execution, so
-    # execute_seconds already includes the checking.
-    online = soak_result.online
-    completed = soak_result.ops_completed()
-    soak = {
-        "n_keys": SOAK_KEYS,
-        "clients": SOAK_CLIENTS,
-        "operations": soak_result.ops_begun(),
-        "completed": completed,
-        "events": soak_result.adapter.sim.events_processed,
-        "execute_seconds": round(soak_result.execute_seconds, 4),
-        "wall_s": round(soak_wall, 4),
-        "ops_per_sec": round(
-            completed / soak_result.execute_seconds, 1
-        ),
-        "atomic": online is not None and online.atomic,
-        "keys_checked": 0 if online is None else len(online.keys),
-    }
-    stream = [
-        measure_stream_row(size, label)
-        for label, size in stream_rows(full=full_stream)
-    ]
-    return {
-        "name": "workload",
-        "schema_version": SCHEMA_VERSION,
-        "cases": cases,
-        "soak": soak,
-        "stream": stream,
-        "sharded": collect_sharded(full=full_stream),
-        "sharded_zipf": collect_sharded_zipf(),
-    }
+    """Measure every section and assemble the artifact payload — the
+    rows CI regenerates, or with ``full_stream`` every recorded size."""
+    payload = {"name": "workload", "schema_version": SCHEMA_VERSION}
+    for section, rows in SECTIONS.items():
+        payload[section] = [
+            probe(key) for key, labels, _ in rows
+            if full_stream or labels.get("max_ops", 0) <= CI_OPS
+        ]
+    (payload["soak"],) = payload["soak"]
+    return payload
 
 
-def emit(directory=None, full_stream: bool = False) -> Path:
-    """Regenerate ``BENCH_workload.json`` (repo root by default).
+# -- pytest smoke (determinism only; the gate is tools/check_bench.py) --------
 
-    Defaults to the CI-sized stream rows only, like the CLI; pass
-    ``full_stream=True`` (the CLI's ``--full-stream``) to record the
-    million-op acceptance rows too."""
-    payload = collect(full_stream=full_stream)
-    path = (
-        Path(directory or Path(__file__).resolve().parent.parent)
-        / "BENCH_workload.json"
-    )
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
+def small(key: str, **changes) -> ScenarioSpec:
+    """A table spec cut down to smoke size."""
+    return ROWS[key][2].with_(**changes)
 
 
-# -- pytest smoke (determinism only; wall-clock checks live in CI) ----------
+def test_the_tables_emit_the_committed_rows_field_for_field():
+    committed = json.loads((ROOT / "BENCH_workload.json").read_text())
+    committed["soak"] = [committed["soak"]]
+    for section, rows in SECTIONS.items():
+        extra = set() if section == "cases" else {"overrun_unchecked"}
+        for (_, labels, spec), row in zip(
+            rows, committed[section], strict=True
+        ):
+            mix = spec.workload[0]
+            said = {
+                **labels, "shards": spec.shards, "max_ops": spec.max_ops,
+                "duration": spec.duration, "protocol": spec.protocol,
+                "n_writers": spec.n_writers, "n_keys": spec.n_keys,
+                "clients": spec.readers, "batch_size": mix.batch_size,
+                "distribution": mix.distribution, "skew": mix.skew,
+            }
+            assert {f: v for f, v in said.items() if f in row} == {
+                f: row[f] for f in said if f in row}, labels
+            assert set(FIELDS[section]) == set(row) | extra, section
+
+
+def test_measure_emits_exactly_the_section_fields():
+    labels = {"label": "rqs-bounded", "max_ops": 500}
+    spec = small("stream/rqs-bounded/100000", max_ops=500)
+    row = measure("stream", labels, spec)
+    assert tuple(row) == FIELDS["stream"]
+    assert (row["completed"], row["atomic"], row["overrun_unchecked"]) == (
+        500, True, 0)
+    assert row["bounded_history"] and row["server_gc_removed_cells"] > 0
+    fleet = measure("sharded_zipf", {"shards": 4, "duration": 2000.0},
+                    small("sharded_zipf/4", duration=2000.0))
+    assert tuple(fleet) == FIELDS["sharded_zipf"]
+    assert len(fleet["shard_rss_kb"]) == fleet["workers"] == 4
+
 
 def test_workload_cells_are_deterministic():
-    spec = workload_spec(4, 2, writes=40, reads=60)
-    first, second = run_case(spec, rounds=1), run_case(spec, rounds=1)
+    spec = keyed_mix_spec("abd", 4, writes=40, reads=60, readers=2, **CELL)
+    first, second = measure("cases", {}, spec), measure("cases", {}, spec)
     for field in ("operations", "completed", "events"):
         assert first[field] == second[field] > 0
 
 
 def test_soak_history_is_online_checked_per_key():
-    spec = workload_spec(8, 4, writes=200, reads=300)
-    result = run(spec)
-    online = result.online
+    spec = keyed_mix_spec("abd", 8, writes=200, reads=300, readers=4, **CELL)
+    online = run(spec).online
     assert online is not None and online.atomic
     assert len(online.keys) == 8
     assert online.checked_ops == 500
 
 
 def test_stream_probe_is_deterministic_and_bounded():
-    first = run(stream_spec(2000))
-    second = run(stream_spec(2000))
+    first = run(small("stream/abd-sw/100000", max_ops=2000))
+    second = run(small("stream/abd-sw/100000", max_ops=2000))
     assert first.ops_begun() == second.ops_begun() == 2000
-    assert (
-        first.adapter.sim.events_processed
-        == second.adapter.sim.events_processed
-    )
+    assert first.events_processed == second.events_processed
     assert first.online is not None and first.online.atomic
     # Bounded retained checker state: orders of magnitude below op count.
     assert first.online.max_retained < 100
 
 
 def test_rqs_bounded_stream_family_keeps_server_memory_flat():
-    result = run(stream_spec(2000, "rqs-bounded"))
+    result = run(small("stream/rqs-bounded/100000", max_ops=2000))
     assert result.online is not None and result.online.atomic
     history = result.server_history
     assert history["bounded_history"] is True
@@ -568,61 +307,46 @@ def test_rqs_bounded_stream_family_keeps_server_memory_flat():
 
 
 def test_batched_stream_family_is_lean_and_equivalent():
-    plain = run(stream_spec(4000))
-    batched = run(stream_spec(4000, "abd-sw-batched"))
+    plain = run(small("stream/abd-sw/100000", max_ops=4000))
+    batched = run(small("stream/abd-sw-batched/100000", max_ops=4000))
     assert batched.ops_begun() == plain.ops_begun() == 4000
     assert batched.online is not None and batched.online.atomic
-    # The point of batching: far fewer simulated events per op.  The
-    # event counts are deterministic, so this is a stable proxy for
-    # the wall-clock ratio gated in tools/check_workload.py.
-    assert batched.adapter.sim.events_processed * 5 \
-        <= plain.adapter.sim.events_processed
+    # The point of batching: far fewer simulated events per op — the
+    # deterministic form of the ratio tools/check_bench.py gates.
+    assert batched.events_processed * 5 <= plain.events_processed
 
 
 def test_sharded_rows_match_the_unsharded_reference():
-    plain = run(sharded_spec(1, 2000))
-    sharded = run(sharded_spec(4, 2000))
+    plain = run(small("sharded/1x100000", max_ops=2000))
+    sharded = run(small("sharded/4x100000", max_ops=2000))
     assert sharded.ops_begun() == plain.ops_begun() == 2000
     assert sharded.online is not None and sharded.online.atomic
     assert sharded.online.keys == plain.online.keys
     assert sharded.online.mode == "sw"
     assert len(sharded.shard_rss_kb) == 4
     # Deterministic re-run: counters are exact.
-    again = run(sharded_spec(4, 2000))
+    again = run(small("sharded/4x100000", max_ops=2000))
     assert again.ops_begun() == sharded.ops_begun()
     assert again.events_processed == sharded.events_processed
 
 
 def test_sharded_zipf_rows_balance_the_hot_keys():
-    plain = run(sharded_zipf_spec(1, duration=3000.0))
-    sharded = run(sharded_zipf_spec(4, duration=3000.0))
+    plain = run(small("sharded_zipf/1", duration=3000.0))
+    sharded = run(small("sharded_zipf/4", duration=3000.0))
     assert plain.online is not None and plain.online.atomic
     assert sharded.online is not None and sharded.online.atomic
-    # The weighted LPT partition holds the CI gate's balance budget
-    # even on a small duration slice of the same zipfian draw.
+    # The weighted LPT partition holds the gate's balance budget even
+    # on a small duration slice of the same zipfian draw.
     assert sharded.imbalance <= 1.3
     # Deterministic re-run: duration-bounded counters are exact.
-    again = run(sharded_zipf_spec(4, duration=3000.0))
+    again = run(small("sharded_zipf/4", duration=3000.0))
     assert again.ops_begun() == sharded.ops_begun()
     assert again.events_processed == sharded.events_processed
     assert again.imbalance == sharded.imbalance
 
 
-def test_sharded_zipf_cell_shape():
-    spec = sharded_zipf_spec(4)
-    assert spec.shards == 4
-    assert spec.max_ops is None
-    assert spec.duration == SHARDED_ZIPF_DURATION_CI
-    mix = spec.workload[0]
-    assert mix.distribution == "zipfian"
-    assert mix.skew == SHARDED_ZIPF_SKEW
-    assert mix.batch_size == 16
-    assert sharded_zipf_spec(1) == spec.with_(shards=1)
-
-
 def test_mw_stream_family_uses_the_stamp_ordered_checker():
-    result = run(stream_spec(2000, "abd-mw"))
-    online = result.online
+    online = run(small("stream/abd-mw/100000", max_ops=2000)).online
     assert online is not None and online.atomic
     assert online.mode == "mw"
     assert online.checked_ops == 2000
@@ -630,89 +354,21 @@ def test_mw_stream_family_uses_the_stamp_ordered_checker():
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--stream-probe", type=int, default=None, metavar="MAX_OPS",
-        help="internal: run one open-loop soak in-process and print its "
-             "JSON row (used via subprocess for RSS isolation)",
-    )
-    parser.add_argument(
-        "--stream-label", default="abd-sw",
-        choices=sorted(STREAM_FAMILIES),
-        help="stream family for --stream-probe (default abd-sw)",
+        "--probe", metavar="KEY", choices=sorted(ROWS),
+        help="internal: measure one row in this process and print it as "
+             "JSON (how the bench isolates a row's peak RSS)",
     )
     parser.add_argument(
         "--full-stream", action="store_true",
-        help="measure the million-op stream rows too (slow; used to "
-             "record the committed artifact)",
-    )
-    parser.add_argument(
-        "--sharded-probe", type=int, default=None, metavar="MAX_OPS",
-        help="internal: run one sharded soak in-process and print its "
-             "JSON row (used via subprocess for RSS isolation)",
-    )
-    parser.add_argument(
-        "--sharded-zipf-probe", type=float, default=None,
-        metavar="DURATION",
-        help="internal: run one duration-bounded zipfian sharded soak "
-             "in-process and print its JSON row",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=1,
-        help="shard count for --sharded-probe / --sharded-zipf-probe "
-             "(default 1)",
+        help="also record the 1e6/1e7-op acceptance rows (slow; how the "
+             "committed artifact is made)",
     )
     args = parser.parse_args()
-    if args.stream_probe is not None:
-        print(json.dumps(stream_probe(args.stream_probe,
-                                      args.stream_label)))
+    if args.probe:
+        print(json.dumps(measure(*ROWS[args.probe])))
         sys.exit(0)
-    if args.sharded_probe is not None:
-        print(json.dumps(sharded_probe(args.shards, args.sharded_probe)))
-        sys.exit(0)
-    if args.sharded_zipf_probe is not None:
-        print(json.dumps(
-            sharded_zipf_probe(args.shards, args.sharded_zipf_probe)
-        ))
-        sys.exit(0)
-    path = emit(full_stream=args.full_stream)
-    payload = json.loads(path.read_text())
-    for case in payload["cases"]:
-        print(
-            f"n_keys={case['n_keys']:<3} clients={case['clients']:<2} "
-            f"{case['completed']} ops, {case['wall_s']}s, "
-            f"{case['ops_per_sec']} ops/s"
-        )
-    soak = payload["soak"]
-    print(
-        f"soak: {soak['completed']} ops over {soak['n_keys']} keys in "
-        f"{soak['wall_s']}s ({soak['ops_per_sec']} ops/s), "
-        f"atomic={soak['atomic']} (online-checked {soak['keys_checked']} "
-        f"keys)"
-    )
-    for row in payload["stream"]:
-        print(
-            f"stream[{row['label']}]: {row['completed']}/{row['max_ops']} "
-            f"ops open-loop, {row['wall_s']}s ({row['ops_per_sec']} "
-            f"ops/s), atomic={row['atomic']} ({row['checker_mode']}), "
-            f"peak RSS {row['peak_rss_kb']} KiB, checker "
-            f"retained<={row['checker_max_retained']}, server "
-            f"cells<={row['server_max_retained_cells']}"
-        )
-    for row in payload["sharded"]:
-        print(
-            f"sharded[{row['shards']}x]: {row['completed']}/"
-            f"{row['max_ops']} ops, wall {row['ops_per_sec']} ops/s, "
-            f"capacity {row['capacity_ops_per_sec']} ops/s, "
-            f"atomic={row['atomic']}, shard RSS<="
-            f"{row['max_shard_rss_kb']} KiB"
-        )
-    for row in payload["sharded_zipf"]:
-        print(
-            f"sharded_zipf[{row['shards']}x]: {row['completed']} ops "
-            f"(skew={row['skew']}, duration={row['duration']}), "
-            f"capacity {row['capacity_ops_per_sec']} ops/s, "
-            f"imbalance={row['imbalance']}, atomic={row['atomic']}, "
-            f"shard RSS<={row['max_shard_rss_kb']} KiB"
-        )
+    path = ROOT / "BENCH_workload.json"
+    path.write_text(json.dumps(collect(args.full_stream), indent=2) + "\n")
     print(f"wrote {path}")

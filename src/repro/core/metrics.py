@@ -9,8 +9,7 @@ as an open research direction; these metrics power the ablation bench
   the LP in :mod:`repro.core.strategy` (a :class:`~fractions.Fraction`
   is returned).  For the symmetric threshold systems the optimum equals
   ``(n − i)/n`` for ``Q_i`` families; for irregular explicit families it
-  can undercut the old candidate-strategy heuristic, which is kept as
-  :func:`heuristic_system_load` for the ablation comparison.
+  can undercut the load of the uniform strategy.
 * **Availability** (:func:`failure_probability`): the probability that no
   quorum is fully alive when each element fails independently with
   probability ``p`` — computed exactly by inclusion–exclusion for small
@@ -54,31 +53,13 @@ def strategy_load(quorums: Sequence[Subset], strategy: Dict[Subset, Fraction]):
     return max(per_element.values())
 
 
-def heuristic_system_load(rqs: RefinedQuorumSystem, cls: int = 3):
-    """The pre-LP candidate-strategy bound (kept for regression cover).
-
-    The best of two candidate strategies — uniform over the
-    minimum-cardinality quorums, uniform over the whole family.  For
-    symmetric (threshold) families this is optimal; for irregular
-    explicit families it is only an upper bound on the LP optimum, which
-    is why :func:`system_load` now delegates to the exact solver.
-    """
-    family = rqs.class_quorums(cls)
-    if not family:
-        raise ValueError(f"class {cls} has no quorums")
-    minimal_size = min(len(q) for q in family)
-    minimal = [q for q in family if len(q) == minimal_size]
-    candidates = [uniform_strategy(minimal), uniform_strategy(list(family))]
-    return min(strategy_load(family, s) for s in candidates)
-
-
 def system_load(rqs: RefinedQuorumSystem, cls: int = 3) -> Fraction:
     """The exact load of the class-``cls`` quorum family.
 
     Solved as a linear program over exact rationals by
     :func:`repro.core.strategy.optimal_single_load` — never higher than
-    :func:`heuristic_system_load`, and equal to ``(n − i)/n`` for the
-    threshold constructions.
+    the uniform strategy's :func:`strategy_load`, and equal to
+    ``(n − i)/n`` for the threshold constructions.
     """
     family = rqs.class_quorums(cls)
     if not family:

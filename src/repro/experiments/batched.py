@@ -13,7 +13,7 @@ The exhibits:
 * **ops/sec grows ≈ linearly with batch size** (fewer round-trips,
   fewer simulated events per operation) — the acceptance claim is the
   ``batch_size=16`` ABD cell at ≥5× the unbatched cell, the same ratio
-  ``tools/check_workload.py`` gates on the committed bench artifact;
+  ``tools/check_bench.py`` gates on the committed bench artifact;
 * **events per op collapses** — the deterministic proxy for the
   wall-clock ratio (events are machine-independent);
 * **every cell stays atomic** under its windowed online verdict —

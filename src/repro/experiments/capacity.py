@@ -26,7 +26,7 @@ Per the repository invariant (**new figure = new grid literal**) the
 whole experiment is :data:`GRID`.  Simulated executions are
 machine-independent, so the per-cell ``sim_ops_per_sec``
 (completed / horizon) is exact and byte-stable — the
-``tools/check_quorums.py`` CI gate holds ``BENCH_quorums.json`` to it.
+``tools/check_bench.py`` CI gate holds ``BENCH_quorums.json`` to it.
 
 Run directly: ``PYTHONPATH=src python -m repro.experiments.capacity``
 (add ``--emit`` to rewrite ``BENCH_quorums.json``).

@@ -41,8 +41,8 @@ class RunResult:
     def __init__(self, spec, adapter):
         self.spec = spec
         self.adapter = adapter
-        #: Wall seconds of the execute phase (set by the runner); the
-        #: scheduler-throughput denominator used by ``bench_simcore``.
+        #: Wall seconds of the execute phase (set by the runner); what
+        #: the benches quote throughput on.
         self.execute_seconds: Optional[float] = None
         #: CPU seconds of the execute phase (``time.process_time``) —
         #: immune to timesharing, so the fair capacity denominator when

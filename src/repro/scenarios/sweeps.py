@@ -80,7 +80,6 @@ from repro.scenarios.aggregate import (
 from repro.scenarios.registry import get_protocol
 from repro.scenarios.result import RunResult
 from repro.scenarios.runner import run
-from repro.scenarios.shm import SlotBlock
 from repro.scenarios.spec import ScenarioSpec
 
 #: ScenarioSpec field names the default builder applies from grid points.
@@ -169,13 +168,6 @@ class SweepSpec:
         Analytic hook (point → metrics) for sweeps with no scenario to
         execute (closed-form/metric sweeps); mutually exclusive with
         ``base``/``build``/``measure``.
-    chunk_size:
-        Cells per multiprocessing dispatch chunk.  ``None`` (default)
-        keeps the historical ``max(1, total // (4 * workers))`` rule;
-        set it explicitly for grids whose cell costs are wildly uneven
-        (smaller chunks → better balance, more IPC round-trips).  Chunk
-        size never affects results — cells flatten back into grid
-        order on every setting.
     """
 
     name: str
@@ -184,7 +176,6 @@ class SweepSpec:
     build: Optional[BuildHook] = None
     measure: Optional[MeasureHook] = None
     evaluate: Optional[EvaluateHook] = None
-    chunk_size: Optional[int] = None
 
     def __post_init__(self):
         if not self.name:
@@ -216,13 +207,6 @@ class SweepSpec:
             raise ScenarioError(
                 "evaluate sweeps are analytic: they take no "
                 "base/build/measure hooks"
-            )
-        if self.chunk_size is not None and (
-            not isinstance(self.chunk_size, int) or self.chunk_size < 1
-        ):
-            raise ScenarioError(
-                f"chunk_size must be an int >= 1 (or None for the "
-                f"workers-derived default), got {self.chunk_size!r}"
             )
 
     # -- expansion ------------------------------------------------------------
@@ -452,55 +436,31 @@ def run_serial(
 
 _WORKER_SWEEP: Optional[SweepSpec] = None
 _WORKER_CELLS: Tuple[Cell, ...] = ()
-_WORKER_SLOTS: Optional[SlotBlock] = None
-
-#: Per-chunk result slot on the shared-memory collection path: 256 KiB
-#: comfortably holds a pickled chunk of portable CellResults.
-GRID_SLOT_BYTES = 256 * 1024
 
 
-def _mp_initialize(payload: bytes, shm_name: Optional[str] = None,
-                   slots: int = 0, slot_size: int = 0) -> None:
-    global _WORKER_SWEEP, _WORKER_CELLS, _WORKER_SLOTS
+def _mp_initialize(payload: bytes) -> None:
+    global _WORKER_SWEEP, _WORKER_CELLS
     _WORKER_SWEEP = pickle.loads(payload)
     _WORKER_CELLS = _WORKER_SWEEP.cells()
-    # Fork-started workers inherit the parent's mapped SlotBlock via
-    # this module global; only spawn-started workers attach by name.
-    if _WORKER_SLOTS is None and shm_name is not None:
-        _WORKER_SLOTS = SlotBlock.attach(shm_name, slots, slot_size)
 
 
-def _mp_run_chunk(
-    job: Tuple[int, Tuple[int, ...]],
-) -> Tuple[int, Optional[Tuple[CellResult, ...]]]:
-    """Run one chunk of cells; on the shared-memory path the pickled
-    results land in the chunk's slot and only ``(chunk, None)`` rides
-    the pipe.  Oversized chunks fall back to the pipe untruncated."""
-    chunk, indices = job
-    results = tuple(
+def _mp_run_chunk(indices: Tuple[int, ...]) -> Tuple[CellResult, ...]:
+    return tuple(
         run_cell(_WORKER_SWEEP, _WORKER_CELLS[index]) for index in indices
     )
-    if _WORKER_SLOTS is not None:
-        data = pickle.dumps(results, pickle.HIGHEST_PROTOCOL)
-        if _WORKER_SLOTS.write(chunk, data):
-            return (chunk, None)
-    return (chunk, results)
 
 
-def dispatch_chunks(
-    total: int, workers: int, chunk_size: Optional[int] = None
-) -> Tuple[Tuple[int, ...], ...]:
+def dispatch_chunks(total: int, workers: int) -> Tuple[Tuple[int, ...], ...]:
     """Contiguous cell-index chunks for the multiprocessing backend.
 
-    One IPC round-trip per *chunk* instead of per cell — the default
-    chunk size ``max(1, total // (4 * workers))`` keeps ~4 chunks per
-    worker in flight, enough slack for uneven cell costs while killing
-    the per-cell dispatch overhead that dominated thousand-cell sweeps;
-    ``chunk_size`` (the ``SweepSpec.chunk_size`` knob) overrides it.
+    One IPC round-trip per *chunk* instead of per cell —
+    ``max(1, total // (4 * workers))`` cells keep ~4 chunks per worker
+    in flight, enough slack for uneven cell costs while killing the
+    per-cell dispatch overhead that dominated thousand-cell sweeps.
     Chunks partition ``range(total)`` in grid order, so flattening the
-    chunk results reproduces exact cell order at any chunk size.
+    chunk results reproduces exact cell order.
     """
-    size = chunk_size or max(1, total // (4 * max(1, workers)))
+    size = max(1, total // (4 * max(1, workers)))
     return tuple(
         tuple(range(start, min(start + size, total)))
         for start in range(0, total, size)
@@ -511,7 +471,6 @@ def run_multiprocessing(
     sweep: SweepSpec,
     processes: Optional[int] = None,
     progress: Optional[ProgressHook] = None,
-    collect: str = "pipe",
 ) -> Tuple[CellResult, ...]:
     """Run the grid on a ``multiprocessing`` pool.
 
@@ -521,18 +480,7 @@ def run_multiprocessing(
     aggregated output stays byte-identical to the serial backend.  Live
     ``RunResult`` handles cannot cross process boundaries, so cells
     carry portable metrics only.
-
-    ``collect="sharedmem"`` moves result payloads off the result pipe
-    into per-chunk shared-memory slots (:class:`SlotBlock`) — on
-    thousand-cell grids the pipe serializes every byte through one
-    reader thread, while slots are written concurrently; only a
-    ``(chunk, None)`` token rides the pipe.  Results are byte-identical
-    either way.
     """
-    if collect not in ("pipe", "sharedmem"):
-        raise ScenarioError(
-            f"unknown collect mode {collect!r}; use 'pipe' or 'sharedmem'"
-        )
     try:
         payload = pickle.dumps(sweep)
     except Exception as exc:
@@ -544,7 +492,6 @@ def run_multiprocessing(
         )
     total = sweep.size
     workers = processes or min(multiprocessing.cpu_count(), total) or 1
-    chunks = dispatch_chunks(total, workers, sweep.chunk_size)
     # fork (where available) skips re-importing __main__ — spawn breaks
     # under stdin/-c parents and pays a full interpreter start per worker.
     method = (
@@ -552,39 +499,17 @@ def run_multiprocessing(
         else "spawn"
     )
     context = multiprocessing.get_context(method)
-    global _WORKER_SLOTS
-    block: Optional[SlotBlock] = None
-    initargs: Tuple[Any, ...] = (payload,)
-    if collect == "sharedmem":
-        block = SlotBlock.create(len(chunks), GRID_SLOT_BYTES)
-        # Set before the pool forks so children inherit the mapping.
-        _WORKER_SLOTS = block
-        initargs = (payload, block.shm.name, len(chunks), GRID_SLOT_BYTES)
     out = []
-    try:
-        with context.Pool(
-            workers, initializer=_mp_initialize, initargs=initargs
-        ) as pool:
-            for chunk, inline in pool.imap(
-                _mp_run_chunk, enumerate(chunks)
-            ):
-                results = inline
-                if results is None:
-                    data = block.read(chunk)
-                    if data is None:  # pragma: no cover - worker died
-                        raise ScenarioError(
-                            f"chunk {chunk} reported success but its "
-                            f"result slot is empty"
-                        )
-                    results = pickle.loads(data)
-                for outcome in results:
-                    out.append(outcome)
-                    if progress is not None:
-                        progress(len(out), total, outcome)
-    finally:
-        if block is not None:
-            _WORKER_SLOTS = None
-            block.destroy()
+    with context.Pool(
+        workers, initializer=_mp_initialize, initargs=(payload,)
+    ) as pool:
+        for results in pool.imap(
+            _mp_run_chunk, dispatch_chunks(total, workers)
+        ):
+            for outcome in results:
+                out.append(outcome)
+                if progress is not None:
+                    progress(len(out), total, outcome)
     return tuple(out)
 
 
@@ -600,23 +525,20 @@ def run_grid(
     progress: Optional[ProgressHook] = None,
     keep_results: bool = True,
     metadata: Optional[Mapping[str, Any]] = None,
-    collect: str = "pipe",
 ) -> SweepResult:
     """Expand, execute and aggregate one sweep — the grid entry point.
 
     ``executor`` is ``"serial"`` (default), ``"multiprocessing"`` (alias
     ``"mp"``), or any callable ``(sweep, progress) -> iterable of
     CellResult``.  ``metadata`` is attached verbatim to the result table
-    (keep it backend-independent if you diff exported JSON).  ``collect``
-    picks the multiprocessing result transport (``"pipe"`` or
-    ``"sharedmem"``; see :func:`run_multiprocessing`).
+    (keep it backend-independent if you diff exported JSON).
     """
     if executor in (None, "serial"):
         cells = run_serial(sweep, progress=progress,
                            keep_results=keep_results)
     elif executor in ("multiprocessing", "mp"):
         cells = run_multiprocessing(sweep, processes=processes,
-                                    progress=progress, collect=collect)
+                                    progress=progress)
     elif callable(executor):
         cells = tuple(executor(sweep, progress))
     else:

@@ -16,7 +16,7 @@ from repro.sim.conditions import (
     Counter,
     Event,
 )
-from repro.sim.simulator import Simulator, default_wakeup, wakeup_mode
+from repro.sim.simulator import Simulator
 from repro.sim.tasks import Sleep, Task, WaitUntil
 from repro.sim.network import (
     DROP,
@@ -46,8 +46,6 @@ __all__ = [
     "Task",
     "TraceLevel",
     "WaitUntil",
-    "default_wakeup",
-    "wakeup_mode",
     "Message",
     "Network",
     "Rule",

@@ -34,11 +34,10 @@ A signal is a *hint*, not a wake-up: the simulator re-checks
 missed-signal bugs surface as deterministic deadlocks (never as
 corrupted interleavings).  Conditions whose inputs can only ever be
 mutated from simulator events (message handlers, timers) therefore
-wake tasks exactly when the old full-scan loop would have.
+wake tasks exactly when a loop re-polling every parked task would have.
 
-Raw callables are still accepted by :class:`~repro.sim.tasks.WaitUntil`
-as a legacy path (re-polled every instant, like the old loop), but no
-in-tree protocol uses one — the ROADMAP's third invariant.
+:class:`~repro.sim.tasks.WaitUntil` takes nothing but a condition — the
+ROADMAP's third invariant; a bare callable is refused.
 """
 
 from __future__ import annotations

@@ -5,29 +5,23 @@ index*: a ``condition -> waiters`` map of tasks blocked on indexed
 :class:`~repro.sim.conditions.Condition` objects.  Message handlers and
 timers mutate conditions, conditions *signal* the simulator, and after
 every simulated instant only the tasks whose condition was signalled are
-re-polled — wake-up work proportional to what actually changed, instead
-of the historical re-evaluate-every-parked-predicate fixpoint scan.
+re-polled — wake-up work proportional to what actually changed.
 
 A message delivery that completes an "acks from some quorum" condition
 therefore wakes the corresponding client in the same instant — matching
 the paper's assumption that local computation takes negligible time.
-Raw-predicate waits (the legacy path) still exist and are re-polled
-every instant like the old loop; no in-tree protocol uses one.
 
 Determinism: events at equal times execute in insertion order (a
-monotonic sequence number breaks ties), signalled conditions are
-processed in signal order, waiters of one condition wake in park order,
-and legacy predicates are polled in spawn order.  Given the same
-schedule and seeds, runs are bit-for-bit reproducible.  The pre-index
-semantics are kept available as ``wakeup="scan"`` (every parked task
-re-polled to a fixpoint each instant) so equivalence is *testable*:
-``tests/sim/test_wakeup_equivalence.py`` proves both modes produce
-bit-identical traces for every registered protocol.
+monotonic sequence number breaks ties), and tasks whose conditions were
+signalled in one instant wake in park order, each re-checking
+``holds()`` at its turn.  Given the same schedule and seeds, runs are
+bit-for-bit reproducible.  The wake pass costs at most one ``holds()``
+per event on a workload with 50 parked readers
+(``tests/sim/test_wakeup_cost.py`` pins the count).
 """
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
@@ -39,62 +33,20 @@ from repro.sim.tasks import Effect, Sleep, Task, WaitUntil
 #: none (``None`` is a legitimate argument, e.g. ``release_held(None)``).
 _NO_ARG = object()
 
-#: Wake-up strategies: "indexed" (condition -> waiters map, the default)
-#: or "scan" (legacy: re-poll every parked task each instant, to a
-#: fixpoint) — kept for golden-trace equivalence testing.
-WAKEUP_MODES = ("indexed", "scan")
-
-_DEFAULT_WAKEUP = "indexed"
-
-
-def default_wakeup() -> str:
-    """The wake-up mode new simulators are created with."""
-    return _DEFAULT_WAKEUP
-
-
-@contextlib.contextmanager
-def wakeup_mode(mode: str):
-    """Run a block with a different default wake-up strategy.
-
-    Used by the equivalence suite and the sim-core bench to execute the
-    same scenario under the legacy full-scan loop without threading a
-    knob through every system constructor.
-    """
-    global _DEFAULT_WAKEUP
-    if mode not in WAKEUP_MODES:
-        raise SimulationError(
-            f"unknown wakeup mode {mode!r}; valid: {', '.join(WAKEUP_MODES)}"
-        )
-    previous = _DEFAULT_WAKEUP
-    _DEFAULT_WAKEUP = mode
-    try:
-        yield
-    finally:
-        _DEFAULT_WAKEUP = previous
-
 
 class Simulator:
     """Event loop for simulated distributed executions."""
 
-    def __init__(self, wakeup: Optional[str] = None):
+    def __init__(self):
         self.now: float = 0.0
-        self.wakeup = wakeup or _DEFAULT_WAKEUP
-        if self.wakeup not in WAKEUP_MODES:
-            raise SimulationError(
-                f"unknown wakeup mode {self.wakeup!r}; "
-                f"valid: {', '.join(WAKEUP_MODES)}"
-            )
         # Entries are ``(time, seq, fn, arg)``; ``seq`` (insertion order)
         # breaks ties, so ``fn``/``arg`` are never compared.  ``Network``
         # pushes its deliveries here directly, in the same shape.
         self._queue: List[Tuple[float, int, Callable[..., None], Any]] = []
         self._seq = 0
-        # Legacy raw-predicate waits (and, in scan mode, all waits):
-        # re-polled every instant in park order.
-        self._parked: List[Task] = []
-        # The wait-set index (indexed mode only): condition -> tasks
-        # parked on it, plus the global park-order list that preserves
-        # the legacy loop's wake order across conditions.
+        # The wait-set index: condition -> tasks parked on it, plus the
+        # global park-order list that fixes the wake order across
+        # conditions.
         self._waiters: Dict[Condition, List[Task]] = {}
         self._park_order: List[Task] = []
         # Conditions signalled since the last wake pass, in signal
@@ -162,11 +114,7 @@ class Simulator:
                 if effect.ready():
                     effect = task.step(None)
                     continue
-                condition = effect.condition
-                if condition is not None and self.wakeup == "indexed":
-                    self._park_on(condition, task)
-                else:
-                    self._parked.append(task)
+                self._park_on(effect.condition, task)
                 return
             raise SimulationError(f"unknown effect yielded: {effect!r}")
 
@@ -204,65 +152,42 @@ class Simulator:
     def _wake_tasks(self) -> None:
         """Wake every task whose wait now holds (to fixpoint).
 
-        Indexed waiters are re-polled only when their condition was
-        signalled this instant, but in **park order** — sweeping the
-        park-order list with ``holds()`` re-checked per task at its
-        turn, exactly the order and visibility the legacy scan loop
-        produces (a woken task that consumes a shared condition leaves
-        later waiters parked; a task that re-parks lands at its sweep
-        position).  Untouched tasks cost a pointer comparison, not a
-        predicate call — conditions only change via signalling
-        mutations, so an unsignalled condition cannot have become true.
-        Legacy raw-predicate waiters are re-polled unconditionally, in
-        park order, like the historical loop.  Waking a task may signal
-        more conditions or park new tasks, so the pass repeats until
-        neither queue makes progress.
+        Waiters are re-polled only when their condition was signalled
+        this instant, but in **park order** — sweeping the park-order
+        list with ``holds()`` re-checked per task at its turn (a woken
+        task that consumes a shared condition leaves later waiters
+        parked; a task that re-parks lands at its sweep position).
+        Untouched tasks cost a pointer comparison, not a predicate call
+        — conditions only change via signalling mutations, so an
+        unsignalled condition cannot have become true.  Waking a task
+        may signal more conditions, so the pass repeats until the signal
+        batch stays empty.
         """
-        while True:
-            progressed = False
-            # 1. Indexed wake-ups: drain the signal batch (a wake may
-            #    append to the next batch).
-            while self._signalled:
-                batch = self._signalled
-                self._signalled = []
-                self._signalled_set.clear()
-                touched = set()
-                for condition in batch:
-                    waiters = self._waiters.get(condition)
-                    if waiters is not None:
-                        touched.update(waiters)
-                if not touched:
-                    continue
-                order = self._park_order
-                self._park_order = []
-                for task in order:
-                    effect = task.waiting_on
-                    if (
-                        task in touched
-                        and effect is not None
-                        and effect.condition.holds()
-                    ):
-                        self._unpark(effect.condition, task)
-                        task.waiting_on = None
-                        progressed = True
-                        self._advance(task)  # re-parks append in place
-                    else:
-                        self._park_order.append(task)
-            # 2. Legacy scan: re-poll raw-predicate waiters (all waiters
-            #    in scan mode) in park order.
-            waiting = self._parked
-            self._parked = []
-            for task in waiting:
+        while self._signalled:
+            batch = self._signalled
+            self._signalled = []
+            self._signalled_set.clear()
+            touched = set()
+            for condition in batch:
+                waiters = self._waiters.get(condition)
+                if waiters is not None:
+                    touched.update(waiters)
+            if not touched:
+                continue
+            order = self._park_order
+            self._park_order = []
+            for task in order:
                 effect = task.waiting_on
-                assert isinstance(effect, WaitUntil)
-                if effect.ready():
-                    progressed = True
+                if (
+                    task in touched
+                    and effect is not None
+                    and effect.condition.holds()
+                ):
+                    self._unpark(effect.condition, task)
                     task.waiting_on = None
-                    self._advance(task)  # may re-park into self._parked
+                    self._advance(task)  # re-parks append in place
                 else:
-                    self._parked.append(task)
-            if not progressed and not self._signalled:
-                return
+                    self._park_order.append(task)
 
     # -- running ------------------------------------------------------------------
 
@@ -305,9 +230,9 @@ class Simulator:
                             f"exceeded {max_events} events; "
                             "livelock suspected"
                         )
-                # Nothing signalled and no legacy waiter: the wake pass
-                # would find nothing to re-poll.
-                if self._signalled or self._parked:
+                # Nothing signalled: the wake pass would find nothing
+                # to re-poll.
+                if self._signalled:
                     self._wake_tasks()
         finally:
             self._events_processed = processed
@@ -334,9 +259,8 @@ class Simulator:
     # -- introspection ----------------------------------------------------------
 
     def blocked_tasks(self) -> Tuple[Task, ...]:
-        """Every parked task: legacy waiters first, then the wait-set
-        index in park order."""
-        return tuple(self._parked) + tuple(self._park_order)
+        """Every parked task, in park order."""
+        return tuple(self._park_order)
 
     def waiter_count(self, condition: Condition) -> int:
         """How many tasks are parked on ``condition`` (0 if none)."""

@@ -16,24 +16,20 @@ Supported effects:
 * :class:`Sleep` — resume after a fixed amount of simulated time (used
   for the ``2Δ`` timeouts of the storage algorithm and the exponential
   ``suspectTimeout`` of the election module).
-* :class:`WaitUntil` — park until a condition becomes true.  The
-  preferred argument is an indexed
+* :class:`WaitUntil` — park until an indexed
   :class:`~repro.sim.conditions.Condition` (an ``Event``, ``Counter``
-  threshold, ``AckSet`` quorum, explicit ``Check``, …): the simulator
-  then re-polls the task only when the condition is *signalled*.  A raw
-  zero-argument predicate is still accepted as a legacy path and is
-  re-evaluated after every simulated instant, like the original
-  fixpoint loop — no in-tree protocol uses one (ROADMAP invariant 3).
+  threshold, ``AckSet`` quorum, explicit ``Check``, …) holds: the
+  simulator re-polls the task only when the condition is *signalled*.
 
 A task finishes when its generator returns; the returned value is stored
-in :attr:`Task.result`.  Tasks can wait on each other via
-``WaitUntil(other.done)`` (legacy) or on a shared ``Event``.
+in :attr:`Task.result`.  Tasks wait on each other through a shared
+``Event``.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Any, Callable, Generator, Optional, Union
+from typing import Any, Generator, Optional
 
 from repro.sim.conditions import Condition
 
@@ -57,41 +53,33 @@ class Sleep(Effect):
 
 
 class WaitUntil(Effect):
-    """Park the task until a condition (or legacy predicate) is true.
+    """Park the task until ``condition`` holds.
 
-    ``condition_or_predicate`` is either an indexed
-    :class:`~repro.sim.conditions.Condition` (wake-ups driven by
-    :meth:`~repro.sim.conditions.Condition.signal`) or a zero-argument
-    callable (legacy: cheap, side-effect free, re-evaluated after every
-    simulated instant).
+    ``condition`` is an indexed :class:`~repro.sim.conditions.Condition`;
+    wake-ups are driven by :meth:`~repro.sim.conditions.Condition.signal`,
+    never by polling.  A bare callable is refused: wrap state the
+    simulator cannot see in a :class:`~repro.sim.conditions.Check` and
+    signal it where that state changes.
     """
 
-    __slots__ = ("condition", "predicate", "label")
+    __slots__ = ("condition", "label")
 
-    def __init__(
-        self,
-        condition_or_predicate: Union[Condition, Callable[[], bool]],
-        label: str = "",
-    ):
-        if isinstance(condition_or_predicate, Condition):
-            self.condition: Optional[Condition] = condition_or_predicate
-            self.predicate: Optional[Callable[[], bool]] = None
-            if not label:
-                label = condition_or_predicate.label
-        else:
-            self.condition = None
-            self.predicate = condition_or_predicate
-        self.label = label
+    def __init__(self, condition: Condition, label: str = ""):
+        if not isinstance(condition, Condition):
+            raise TypeError(
+                f"WaitUntil takes a Condition, got {condition!r}; wrap a "
+                f"predicate in repro.sim.conditions.Check and signal() it "
+                f"when its inputs change"
+            )
+        self.condition = condition
+        self.label = label or condition.label
 
     def ready(self) -> bool:
-        """The wait's current truth value, whichever flavour it is."""
-        if self.condition is not None:
-            return self.condition.holds()
-        return self.predicate()
+        """The wait's current truth value."""
+        return self.condition.holds()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        target = self.label or self.condition or self.predicate
-        return f"WaitUntil({target!r})"
+        return f"WaitUntil({self.label or self.condition!r})"
 
 
 def sequential_ops(sim, schedule):
@@ -193,7 +181,7 @@ class Task:
         self.waiting_on: Optional[Effect] = None
 
     def done(self) -> bool:
-        """True when the coroutine has returned (usable as a predicate)."""
+        """True when the coroutine has returned."""
         return self.finished
 
     def step(self, value: Any = None) -> Optional[Effect]:

@@ -40,15 +40,18 @@ class TestLoad:
         weights = metrics.uniform_strategy(rqs.quorums)
         assert sum(weights.values()) == Fraction(1)
 
-    def test_exact_load_never_above_heuristic(self):
-        # The LP optimum is over all strategies, the heuristic is the
-        # uniform one — the optimum can only be lower or equal.
+    def test_exact_load_never_above_uniform(self):
+        # The LP optimum is over all strategies — it can only be lower
+        # than or equal to the uniform strategy's load.
         for args in ((5, 1, 0, 0, 1), (8, 3, 1, 1, 2), (6, 2, 1, 0, 1)):
             rqs = threshold_rqs(*args)
             for cls in (1, 3):
+                family = rqs.class_quorums(cls)
                 assert metrics.system_load(
                     rqs, cls=cls
-                ) <= metrics.heuristic_system_load(rqs, cls=cls)
+                ) <= metrics.strategy_load(
+                    family, metrics.uniform_strategy(family)
+                )
 
     def test_threshold_load_closed_form(self):
         # Symmetric (n-i)-of-n families: the exact load is (n-i)/n.

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.core.algebra import Node, QuorumSystem
 from repro.core.strategy import (
     QuorumSelector,
     Strategy,
@@ -187,3 +188,48 @@ class TestSelector:
         assert all(
             strategy.draw_read(rng) == frozenset("ab") for _ in range(10)
         )
+
+
+class TestQuoracleTutorial:
+    """An oracle from outside the repo: the numbers quoracle's published
+    tutorial prints for the 2×3 grid ``a*b*c + d*e*f`` (SNIPPETS.md,
+    Snippet 2), as the exact rationals they round from.  The capacity
+    gate compares ``predicted_load`` / ``predicted_capacity`` exactly
+    against a committed file; this is what vouches for the engine that
+    wrote it."""
+
+    @staticmethod
+    def grid(read=(1, 1), write=(1, 1)):
+        # The tutorial alternates node capacities: a, c, e / b, d, f.
+        a, b, c, d, e, f = (
+            Node(name, read_capacity=read[i % 2], write_capacity=write[i % 2])
+            for i, name in enumerate("abcdef")
+        )
+        return QuorumSystem(reads=a * b * c + d * e * f)
+
+    def test_load_by_read_fraction(self):
+        grid = self.grid()
+        expected = {                      # the tutorial prints:
+            Fraction(3, 4): Fraction(11, 24),  # 0.458
+            Fraction(0): Fraction(1, 3),       # 0.333
+            Fraction(1, 2): Fraction(5, 12),   # 0.416
+            Fraction(1): Fraction(1, 2),       # 0.5
+            Fraction(1, 4): Fraction(3, 8),    # 0.375
+        }
+        assert {fr: grid.load(fr) for fr in expected} == expected
+
+    def test_resilience(self):
+        grid = self.grid()
+        assert (grid.read_resilience(), grid.write_resilience(),
+                grid.resilience()) == (1, 2, 1)
+
+    def test_capacity_with_read_and_write_capacities(self):
+        grid = self.grid(read=(10_000, 5_000), write=(1_000, 500))
+        assert grid.capacity(Fraction(1)) == 10_000
+        assert grid.capacity(Fraction(1, 2)) == Fraction(90_000, 23)  # 3913
+        assert grid.capacity(Fraction(0)) == 2_000
+
+    def test_capacity_with_one_capacity_per_node(self):
+        grid = self.grid(read=(1_000, 500), write=(1_000, 500))
+        assert grid.load(Fraction(3, 4)) == Fraction(3, 4000)      # 0.00075
+        assert grid.capacity(Fraction(3, 4)) == Fraction(4000, 3)  # 1333

@@ -15,6 +15,7 @@ from repro.errors import ScenarioError
 from repro.scenarios import RandomMix, ScenarioSpec, run
 from repro.scenarios.faults import Crash, Drop, FaultPlan
 from repro.scenarios.workloads import Write
+from repro.sim.conditions import Event
 from repro.sim.tasks import AUTO_BATCH_MAX, _adaptive_batches
 
 STORAGE_PROTOCOLS = ("abd", "fastabd", "naive", "rqs-storage")
@@ -153,16 +154,18 @@ class _FakeSim:
 
     def __init__(self, now=0.0):
         self.now = now
+        self.deadlines = {}
 
     def timer_at(self, time):
-        return ("timer", time)
+        timer = Event(f"t>={time}")
+        self.deadlines[timer] = time
+        return timer
 
 
 def _drain(gen, fake):
     """Run the generator, advancing the fake clock at every wait."""
     for waited in gen:
-        time = waited.predicate[1]
-        fake.now = max(fake.now, time)
+        fake.now = max(fake.now, fake.deadlines[waited.condition])
 
 
 def test_adaptive_batches_respect_cap_and_clock():

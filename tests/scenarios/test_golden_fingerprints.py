@@ -9,7 +9,16 @@ same operation records and message counts — byte-identical traces —
 with the keyed register space in place (`RunResult.fingerprint` keeps
 the historical digest shape for single-key histories, so these compare
 bit-for-bit against the old code's output).
+
+Four more specs (a healed partition and three consensus fault plans) are
+pinned by the sha256 of :func:`execution_digest` — records, blocked
+operations, event and message counts and the full ordered message log.
+They come from the suite that ran every spec here under the indexed
+wake-up loop *and* the re-poll-every-parked-task loop it replaced and
+required identical digests; the old loop is gone, its executions stay.
 """
+
+import hashlib
 
 import pytest
 
@@ -18,12 +27,16 @@ from repro.scenarios import (
     Crash,
     FaultPlan,
     Hold,
+    Partition,
     Propose,
     RandomMix,
     Read,
+    Resync,
     ScenarioSpec,
     Write,
+    available_protocols,
     crashes,
+    lossy_until_gst,
     run,
 )
 
@@ -97,6 +110,72 @@ GOLDEN_FINGERPRINTS = {
     'paxos': (('learn', 'l1', 0.0, 4.0, "'v'", 0), ('learn', 'l2', 0.0, 4.0, "'v'", 0), ('learn', 'l3', 0.0, 4.0, "'v'", 0), ('propose', 'p1', 0.0, 4.0, "'v'", 0), 35),
     'pbft': (('learn', 'l1', 0.0, 5.0, "'v'", 0), ('learn', 'l2', 0.0, 5.0, "'v'", 0), ('learn', 'l3', 0.0, 5.0, "'v'", 0), ('propose', 'client', 0.0, 0.0, "'requested'", 0), 45),
 }
+
+
+DIGEST_SPECS = {
+    "rqs-storage-partition-heal": ScenarioSpec(
+        protocol="rqs-storage", rqs="example6", readers=1,
+        faults=FaultPlan(partitions=(
+            Partition(frozenset({"writer"}),
+                      frozenset(range(1, 8)), until=10.0),)),
+        workload=(Write(0.0, "v"),), horizon=40.0),
+    "rqs-consensus-best-case": ScenarioSpec(
+        protocol="rqs-consensus", rqs="example6",
+        workload=(Propose(0.0, "V"),), horizon=60.0),
+    "rqs-consensus-crashes": ScenarioSpec(
+        protocol="rqs-consensus", rqs="example6",
+        faults=FaultPlan(crashes=crashes({1: 0.0, 2: 0.0})),
+        workload=(Propose(0.0, "V"),), horizon=60.0),
+    "rqs-consensus-lossy-gst": ScenarioSpec(
+        protocol="rqs-consensus", rqs="example6",
+        faults=FaultPlan(asynchrony=(lossy_until_gst(30.0),)),
+        workload=(Propose(0.0, "V"),) + tuple(
+            Resync(float(when)) for when in range(10, 60, 10)),
+        horizon=1500.0, params={"sync_delay": 5.0}),
+}
+
+#: Captured at the parent of the scan loop's removal, under both wake-up
+#: modes and two PYTHONHASHSEEDs (identical four ways) — do not
+#: regenerate.
+GOLDEN_DIGESTS = {
+    "rqs-storage-partition-heal": "7f439ff7d07ce57eb503dba3ac7d36d2d9076165d78a9f0ea0565f587027c736",
+    "rqs-consensus-best-case": "195ba96173fbd2415ef65db8bd6a68073472fb8ddd6862eb16f457de67d8ddfa",
+    "rqs-consensus-crashes": "7bea989bb4ca088f2cb908250203862b6e0a682e76951941ed0a9a8fd530a678",
+    "rqs-consensus-lossy-gst": "036a73c008d75c62a0e5695861e43f683c972180e4428f12da4396fe627cb0dc",
+}
+
+
+def execution_digest(result):
+    """Everything observable about one run, as a comparable value."""
+    network = result.adapter.network
+    return {
+        "records": tuple(
+            (r.op_id, r.kind, r.process, r.invoked_at, r.completed_at,
+             repr(r.result), r.rounds)
+            for r in result.records
+        ),
+        "blocked": result.blocked,
+        "events": result.adapter.sim.events_processed,
+        "sent": network.sent_count,
+        "log": tuple(
+            (m.src, m.dst, repr(m.payload), m.send_time, m.deliver_time,
+             m.held, m.dropped)
+            for m in network.log
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_SPECS))
+def test_execution_digests_match_the_goldens(name):
+    digest = execution_digest(run(DIGEST_SPECS[name]))
+    text = repr(sorted(digest.items()))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[name]
+
+
+def test_every_registered_protocol_is_covered():
+    covered = {spec.protocol for spec in (*SPECS.values(),
+                                          *DIGEST_SPECS.values())}
+    assert set(available_protocols()) <= covered
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))

@@ -147,49 +147,13 @@ class TestExecutors:
         assert serial.to_csv() == parallel.to_csv()
         assert serial.verdict_counts() == {"atomic": 12}
 
-    def test_non_default_chunk_size_stays_byte_identical(self):
-        """Satellite: the chunk_size knob never touches results — a
-        1-cell chunk grid flattens back into the same JSON bytes."""
-        from dataclasses import replace
-
-        chunked = replace(ACCEPTANCE_GRID, chunk_size=1)
-        serial = run_grid(ACCEPTANCE_GRID)
-        parallel = run_grid(chunked, executor="multiprocessing",
-                            processes=2)
-        assert serial.to_json() == parallel.to_json()
-        # 12 cells at chunk_size=5 -> uneven tail chunk; still identical.
-        tail = replace(ACCEPTANCE_GRID, chunk_size=5)
-        assert (
-            run_grid(tail, executor="mp", processes=2).to_json()
-            == serial.to_json()
-        )
-
-    def test_chunk_size_drives_dispatch(self):
-        chunks = sweeps_module.dispatch_chunks(10, 2, chunk_size=4)
-        assert chunks == ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9))
-        default = sweeps_module.dispatch_chunks(10, 2)
-        assert default == sweeps_module.dispatch_chunks(
-            10, 2, chunk_size=None
-        )
-
-    def test_chunk_size_validated(self):
-        for bad in (0, -3, 2.5):
-            with pytest.raises(ScenarioError, match="chunk_size"):
-                SweepSpec(name="bad", axes={"seed": (0,)},
-                          base=BASE, chunk_size=bad)
-
-    def test_sharedmem_collection_byte_identical(self):
-        serial = run_grid(ACCEPTANCE_GRID)
-        shared = run_grid(
-            ACCEPTANCE_GRID, executor="multiprocessing", processes=2,
-            collect="sharedmem",
-        )
-        assert serial.to_json() == shared.to_json()
-        assert sweeps_module._WORKER_SLOTS is None  # cleaned up
-
-    def test_unknown_collect_mode_rejected(self):
-        with pytest.raises(ScenarioError, match="collect"):
-            run_grid(ACCEPTANCE_GRID, executor="mp", collect="socket")
+    def test_dispatch_chunks_partition_the_grid_in_order(self):
+        for total, workers in ((10, 2), (12, 2), (100, 3), (3, 8), (1, 1)):
+            chunks = sweeps_module.dispatch_chunks(total, workers)
+            assert [i for chunk in chunks for i in chunk] == list(range(total))
+        # ~4 chunks per worker, an uneven tail kept.
+        assert sweeps_module.dispatch_chunks(100, 2)[0] == tuple(range(12))
+        assert sweeps_module.dispatch_chunks(100, 2)[-1] == (96, 97, 98, 99)
 
     def test_serial_keeps_live_result_handles(self):
         sweep = run_grid(ACCEPTANCE_GRID.where(seed=0))

@@ -13,7 +13,7 @@ from repro.sim.conditions import (
 )
 from repro.sim.network import Network
 from repro.sim.process import Process
-from repro.sim.simulator import Simulator, wakeup_mode
+from repro.sim.simulator import Simulator
 from repro.sim.tasks import WaitUntil
 
 
@@ -211,29 +211,23 @@ class TestWaitSetIndex:
 
     def test_same_instant_wakes_follow_park_order_not_signal_order(self):
         """Tasks on different conditions signalled in reverse park
-        order within one instant wake in park order — bit-identical to
-        the legacy scan loop."""
+        order within one instant wake in park order."""
+        sim = Simulator()
+        first = Event("first-parked")
+        second = Event("second-parked")
+        order = []
 
-        def run_once(mode):
-            with wakeup_mode(mode):
-                sim = Simulator()
-                first = Event("first-parked")
-                second = Event("second-parked")
-                order = []
+        def waiter(tag, event):
+            yield WaitUntil(event)
+            order.append(tag)
 
-                def waiter(tag, event):
-                    yield WaitUntil(event)
-                    order.append(tag)
-
-                sim.spawn(waiter("t1", first))
-                sim.spawn(waiter("t2", second))
-                # Signals arrive in reverse park order, same instant.
-                sim.call_at(1.0, second.set)
-                sim.call_at(1.0, first.set)
-                sim.run_to_completion()
-                return order
-
-        assert run_once("indexed") == run_once("scan") == ["t1", "t2"]
+        sim.spawn(waiter("t1", first))
+        sim.spawn(waiter("t2", second))
+        # Signals arrive in reverse park order, same instant.
+        sim.call_at(1.0, second.set)
+        sim.call_at(1.0, first.set)
+        sim.run_to_completion()
+        assert order == ["t1", "t2"]
 
     def test_chained_condition_wakeups_same_instant(self):
         """A woken task setting another task's condition resumes it in
@@ -258,46 +252,40 @@ class TestWaitSetIndex:
 
     def test_waiter_consuming_the_condition_reparks_the_rest(self):
         """A woken waiter that invalidates a shared condition must not
-        drag later waiters awake — holds() is re-checked per waiter,
-        exactly like the scan loop."""
+        drag later waiters awake — holds() is re-checked per waiter."""
+        sim = Simulator()
+        pool = []
+        ready = Check(lambda: len(pool) >= 1, "non-empty pool")
+        taken = []
 
-        def run_once(mode):
-            with wakeup_mode(mode):
-                sim = Simulator()
-                pool = []
-                ready = Check(lambda: len(pool) >= 1, "non-empty pool")
-                taken = []
+        def consumer(tag):
+            yield WaitUntil(ready)
+            taken.append((tag, pool.pop()))
 
-                def consumer(tag):
-                    yield WaitUntil(ready)
-                    taken.append((tag, pool.pop()))
+        for tag in ("a", "b"):
+            sim.spawn(consumer(tag))
+        sim.call_at(1.0, lambda: (pool.append("item"), ready.signal()))
+        sim.run_to_completion(strict=False)
+        assert taken == [("a", "item")]
+        assert len(sim.blocked_tasks()) == 1
 
-                for tag in ("a", "b"):
-                    sim.spawn(consumer(tag))
-                sim.call_at(1.0, lambda: (pool.append("item"),
-                                          ready.signal()))
-                sim.run_to_completion(strict=False)
-                return tuple(taken), len(sim.blocked_tasks())
-
-        indexed = run_once("indexed")
-        scan = run_once("scan")
-        assert indexed == scan == ((("a", "item"),), 1)
-
-    def test_mixed_condition_and_legacy_predicate_waiters(self):
+    def test_mixed_event_and_check_waiters(self):
         sim = Simulator()
         event = Event()
         box = {"ready": False}
+        box_ready = Check(lambda: box["ready"], "box")
 
-        def indexed():
+        def on_event():
             yield WaitUntil(event)
             box["ready"] = True
+            box_ready.signal()
 
-        def legacy():
-            yield WaitUntil(lambda: box["ready"], "legacy")
+        def on_check():
+            yield WaitUntil(box_ready)
             return sim.now
 
-        sim.spawn(indexed())
-        task = sim.spawn(legacy())
+        sim.spawn(on_event())
+        task = sim.spawn(on_check())
         sim.call_at(3.0, event.set)
         sim.run_to_completion()
         assert task.result == 3.0
@@ -357,33 +345,3 @@ class TestWaitSetIndex:
         sim.run_to_completion(strict=False)
         assert task.done() and task.result == 10.5
         assert not net.in_transit
-
-
-class TestWakeupModes:
-    def test_scan_mode_matches_indexed_mode(self):
-        def run_once(mode):
-            with wakeup_mode(mode):
-                sim = Simulator()
-                acks = AckSet()
-                log = []
-
-                def worker():
-                    yield WaitUntil(
-                        acks.includes_quorum(frozenset({1, 2}).issubset)
-                    )
-                    log.append(("woke", sim.now))
-
-                sim.spawn(worker())
-                sim.call_at(1.0, lambda: acks.add(1))
-                sim.call_at(2.0, lambda: acks.add(2))
-                sim.run_to_completion()
-                return tuple(log) + (sim.events_processed,)
-
-        assert run_once("indexed") == run_once("scan")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator(wakeup="psychic")
-        with pytest.raises(SimulationError):
-            with wakeup_mode("psychic"):
-                pass

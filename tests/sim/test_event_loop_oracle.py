@@ -457,7 +457,7 @@ def mutated_run(pop=heapq.heappop, wake_every_event=False):
                         )
                     if wake_every_event:
                         self._wake_tasks()
-                if self._signalled or self._parked:
+                if self._signalled:
                     self._wake_tasks()
         finally:
             self._events_processed = processed

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
+from repro.sim.conditions import Check, Event
 from repro.sim.simulator import Simulator
 from repro.sim.tasks import Sleep, WaitUntil
 
@@ -90,43 +91,51 @@ class TestTasks:
 
     def test_wait_until_parks_and_wakes(self):
         sim = Simulator()
-        box = {"ready": False}
+        ready = Event("box")
 
         def coro():
-            yield WaitUntil(lambda: box["ready"], "box")
+            yield WaitUntil(ready)
             return sim.now
 
         task = sim.spawn(coro())
-        sim.call_at(4.0, lambda: box.update(ready=True))
+        sim.call_at(4.0, ready.set)
         sim.run_to_completion()
         assert task.result == 4.0
 
-    def test_immediately_true_predicate_does_not_park(self):
+    def test_immediately_true_condition_does_not_park(self):
         sim = Simulator()
 
         def coro():
-            yield WaitUntil(lambda: True)
+            yield WaitUntil(Check(lambda: True))
             return "fast"
 
         task = sim.spawn(coro())
         assert task.done() and task.result == "fast"
 
+    def test_raw_predicate_is_refused(self):
+        """Nothing would ever re-poll it: the message names the fix."""
+        with pytest.raises(TypeError, match="Check"):
+            WaitUntil(lambda: True)
+
     def test_chained_wakeups_same_instant(self):
         """A task waking can satisfy another parked task immediately."""
         sim = Simulator()
         state = {"a": False, "b": False}
+        a_set = Check(lambda: state["a"], "a")
+        b_set = Check(lambda: state["b"], "b")
 
         def first():
-            yield WaitUntil(lambda: state["a"])
+            yield WaitUntil(a_set)
             state["b"] = True
+            b_set.signal()
 
         def second():
-            yield WaitUntil(lambda: state["b"])
+            yield WaitUntil(b_set)
             return sim.now
 
         sim.spawn(first())
         task = sim.spawn(second())
-        sim.call_at(2.0, lambda: state.update(a=True))
+        sim.call_at(2.0, lambda: (state.update(a=True), a_set.signal()))
         sim.run_to_completion()
         assert task.result == 2.0
 
@@ -135,14 +144,17 @@ class TestTasks:
         (the paper's atomic receive substep)."""
         sim = Simulator()
         inbox = []
+        non_empty = Check(lambda: len(inbox) >= 1, "inbox")
 
         def coro():
-            yield WaitUntil(lambda: len(inbox) >= 1)
+            yield WaitUntil(non_empty)
             return len(inbox)
 
         task = sim.spawn(coro())
         for item in range(5):
-            sim.call_at(1.0, lambda i=item: inbox.append(i))
+            sim.call_at(
+                1.0, lambda i=item: (inbox.append(i), non_empty.signal())
+            )
         sim.run_to_completion()
         assert task.result == 5
 
@@ -162,7 +174,7 @@ class TestTasks:
         sim = Simulator()
 
         def coro():
-            yield WaitUntil(lambda: False, "never")
+            yield WaitUntil(Check(lambda: False, "never"))
 
         sim.spawn(coro())
         with pytest.raises(DeadlockError):
@@ -172,7 +184,7 @@ class TestTasks:
         sim = Simulator()
 
         def coro():
-            yield WaitUntil(lambda: False, "never")
+            yield WaitUntil(Check(lambda: False, "never"))
 
         sim.spawn(coro())
         sim.run_to_completion(strict=False)
