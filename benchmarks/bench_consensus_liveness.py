@@ -1,22 +1,17 @@
 """E9 — Theorem 12: termination under eventual synchrony + contention."""
 
 from benchmarks.conftest import report
-from repro.analysis.consensus_check import check_consensus
-from repro.core.constructions import threshold_rqs
-from repro.consensus.system import ConsensusSystem
 from repro.experiments.stress import consensus_liveness
+from repro.scenarios import Propose, ScenarioSpec, run
 
 
 def contended_run():
-    rqs = threshold_rqs(8, 3, 1, 1, 2)
-    system = ConsensusSystem(rqs, n_proposers=2, n_learners=3)
-    system.propose_at(0.0, "A", proposer_index=0)
-    system.propose_at(0.0, "B", proposer_index=1)
-    system.run(until=600.0)
-    return check_consensus(
-        system.operations(),
-        correct_learners=[l.pid for l in system.learners],
-    )
+    return run(ScenarioSpec(
+        "rqs-consensus", rqs="example6", proposers=2, learners=3,
+        workload=(Propose(0.0, "A", proposer=0),
+                  Propose(0.0, "B", proposer=1)),
+        horizon=600.0,
+    )).consensus
 
 
 def test_consensus_liveness(benchmark):

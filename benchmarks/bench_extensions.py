@@ -13,26 +13,33 @@ section names.  Shapes asserted:
 from benchmarks.conftest import report
 from repro.analysis.regularity import check_swmr_regularity
 from repro.core.asymmetric import threshold_asymmetric, write_read_tradeoff
-from repro.core.constructions import threshold_rqs
-from repro.storage.regular import RegularStorageSystem
-from repro.storage.system import StorageSystem
+from repro.scenarios import (
+    Crash,
+    FaultPlan,
+    Read,
+    ScenarioSpec,
+    Write,
+    run,
+)
 
 
 def regular_vs_atomic():
     rows = []
     for crashes in (0, 2, 3):
-        rqs = threshold_rqs(8, 3, 1, 1, 2)
-        crash_times = {sid: 0.0 for sid in range(1, crashes + 1)}
-        atomic = StorageSystem(rqs, n_readers=1, crash_times=dict(crash_times))
-        atomic.write("v")
-        atomic_read = atomic.read()
-        regular = RegularStorageSystem(
-            rqs, n_readers=1, crash_times=dict(crash_times)
+        atomic, regular = (
+            run(ScenarioSpec(
+                protocol, rqs="example6", readers=1,
+                faults=FaultPlan(crashes=[
+                    Crash(sid, 0.0) for sid in range(1, crashes + 1)
+                ]),
+                workload=(Write(0.0, "v"), Read(10.0)),
+            ))
+            for protocol in ("rqs-storage", "rqs-regular")
         )
-        regular.write("v")
-        regular_read = regular.read()
-        ok = check_swmr_regularity(regular.operations()).regular
-        rows.append((crashes, atomic_read.rounds, regular_read.rounds, ok))
+        ok = check_swmr_regularity(regular.records).regular
+        rows.append(
+            (crashes, atomic.read().rounds, regular.read().rounds, ok)
+        )
     return rows
 
 

@@ -1,26 +1,30 @@
 """E2 — Section 1.2: the 4-of-5 fast-quorum crash algorithm."""
 
 from benchmarks.conftest import report
-from repro.analysis.atomicity import check_swmr_atomicity
-from repro.storage.abd import FASTABD, RegisterSystem
+from repro.scenarios import (
+    FaultPlan,
+    Read,
+    ScenarioSpec,
+    Write,
+    crashes,
+    run,
+)
 
 
 def scenario():
-    rows = []
-    system = RegisterSystem(FASTABD, n_readers=2)
-    write = system.write("a")
-    read = system.read()
-    rows.append(("all up", write.rounds, read.rounds, read.result))
-    degraded = RegisterSystem(
-        FASTABD, n_readers=2, crash_times={4: 0.0, 5: 0.0}
-    )
-    write2 = degraded.write("b")
-    read2 = degraded.read()
-    rows.append(("t=2 crashed", write2.rounds, read2.rounds, read2.result))
-    atomic = (
-        check_swmr_atomicity(system.trace.records).atomic
-        and check_swmr_atomicity(degraded.trace.records).atomic
-    )
+    rows, atomic = [], True
+    for name, value, crashed in (
+        ("all up", "a", {}),
+        ("t=2 crashed", "b", {4: 0.0, 5: 0.0}),
+    ):
+        result = run(ScenarioSpec(
+            "fastabd", readers=2,
+            faults=FaultPlan(crashes=crashes(crashed)),
+            workload=(Write(0.0, value), Read(10.0)),
+        ))
+        write, read = result.write(), result.read()
+        rows.append((name, write.rounds, read.rounds, read.result))
+        atomic = atomic and result.atomicity.atomic
     return rows, atomic
 
 

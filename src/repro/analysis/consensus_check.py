@@ -1,7 +1,7 @@
 """Consensus correctness verdicts over execution traces.
 
 Checks the three properties of Section 4.1 on the operation records
-produced by :class:`repro.consensus.system.ConsensusSystem`:
+produced by the consensus protocols of :mod:`repro.scenarios`:
 
 * **Validity** — if all proposers are benign, every value learned by a
   benign learner was proposed;

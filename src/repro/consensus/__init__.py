@@ -1,5 +1,10 @@
 """The RQS-based Byzantine consensus algorithm (Figures 9-15) plus
-baselines (crash Paxos, PBFT-lite)."""
+baselines (crash Paxos, PBFT-lite).
+
+This package holds processes only — proposers, acceptors, learners and
+their messages.  Deployments are wired from a
+:class:`~repro.scenarios.ScenarioSpec` by the protocol adapters of
+:mod:`repro.scenarios` (``"rqs-consensus"``, ``"paxos"``, ``"pbft"``)."""
 
 from repro.consensus.acceptor import INIT_VIEW, Acceptor
 from repro.consensus.choose import ChooseResult, choose
@@ -19,7 +24,6 @@ from repro.consensus.messages import (
     ViewChange,
 )
 from repro.consensus.proposer import EquivocatingProposer, Proposer
-from repro.consensus.system import ConsensusSystem
 
 __all__ = [
     "INIT_VIEW",
@@ -41,5 +45,4 @@ __all__ = [
     "ViewChange",
     "EquivocatingProposer",
     "Proposer",
-    "ConsensusSystem",
 ]

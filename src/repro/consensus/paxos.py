@@ -12,12 +12,11 @@ row of experiment E12.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, Optional, Set, Tuple
 
 from repro.sim.conditions import AckSet, ConditionMap, Counter
-from repro.sim.network import Message, Network, Rule, TraceLevel
+from repro.sim.network import Message
 from repro.sim.process import Process
-from repro.sim.simulator import Simulator
 from repro.sim.tasks import WaitUntil
 from repro.sim.trace import Trace
 
@@ -160,55 +159,3 @@ class PaxosLearner(Process):
                 self.learned = payload.value
                 self.learned_at = self.sim.now
                 self.trace.complete(self._record, self.sim.now, payload.value)
-
-
-class PaxosSystem:
-    """Wired single-decree Paxos deployment."""
-
-    def __init__(
-        self,
-        n_acceptors: int = 5,
-        n_proposers: int = 2,
-        n_learners: int = 3,
-        delta: float = 1.0,
-        rules: Optional[List[Rule]] = None,
-        trace_level: TraceLevel = TraceLevel.FULL,
-    ):
-        self.sim = Simulator()
-        self.network = Network(
-            self.sim, delta=delta, rules=list(rules or []),
-            trace_level=trace_level,
-        )
-        self.trace = Trace(
-            retain=self.network.trace_level >= TraceLevel.FULL
-        )
-        self.delta = delta
-        acceptor_ids = tuple(range(1, n_acceptors + 1))
-        learner_ids = tuple(f"l{i + 1}" for i in range(n_learners))
-        self.acceptors = {
-            aid: PaxosAcceptor(aid, learner_ids).bind(self.network)
-            for aid in acceptor_ids
-        }
-        self.proposers = [
-            PaxosProposer(
-                f"p{i + 1}", acceptor_ids, self.trace,
-                ballot_base=i, ballot_stride=n_proposers,
-            ).bind(self.network)
-            for i in range(n_proposers)
-        ]
-        self.learners = [
-            PaxosLearner(lid, n_acceptors, self.trace).bind(self.network)
-            for lid in learner_ids
-        ]
-
-    def run_best_case(self, value: Any, horizon: float = 60.0):
-        self.sim.spawn(self.proposers[0].propose(value), "paxos propose")
-        self.sim.run(until=horizon)
-        return {
-            learner.pid: (
-                None
-                if learner.learned_at is None
-                else learner.learned_at / self.delta
-            )
-            for learner in self.learners
-        }

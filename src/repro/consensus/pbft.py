@@ -17,11 +17,10 @@ fault-free fast path of E12).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Any, Dict, Hashable, Optional, Set, Tuple
 
-from repro.sim.network import Message, Network, Rule, TraceLevel
+from repro.sim.network import Message
 from repro.sim.process import Process
-from repro.sim.simulator import Simulator
 from repro.sim.trace import Trace
 
 
@@ -135,53 +134,3 @@ class PbftLearner(Process):
                 self.learned = payload.value
                 self.learned_at = self.sim.now
                 self.trace.complete(self._record, self.sim.now, payload.value)
-
-
-class PbftSystem:
-    """Wired PBFT-lite deployment (fault-free fast path only)."""
-
-    def __init__(
-        self,
-        f: int = 1,
-        n_learners: int = 3,
-        delta: float = 1.0,
-        rules: Optional[List[Rule]] = None,
-        trace_level: TraceLevel = TraceLevel.FULL,
-    ):
-        self.sim = Simulator()
-        self.network = Network(
-            self.sim, delta=delta, rules=list(rules or []),
-            trace_level=trace_level,
-        )
-        self.trace = Trace(
-            retain=self.network.trace_level >= TraceLevel.FULL
-        )
-        self.delta = delta
-        self.f = f
-        n = 3 * f + 1
-        replica_ids = tuple(range(1, n + 1))
-        learner_ids = tuple(f"l{i + 1}" for i in range(n_learners))
-        self.replicas = {
-            rid: PbftReplica(
-                rid, replica_ids, learner_ids, f, primary=replica_ids[0]
-            ).bind(self.network)
-            for rid in replica_ids
-        }
-        self.learners = [
-            PbftLearner(lid, f, self.trace).bind(self.network)
-            for lid in learner_ids
-        ]
-        self.client = Process("client").bind(self.network)
-
-    def run_best_case(self, value: Any, horizon: float = 60.0):
-        """Client sends the request to the primary at t=0."""
-        self.client.send(1, Request(value))
-        self.sim.run(until=horizon)
-        return {
-            learner.pid: (
-                None
-                if learner.learned_at is None
-                else learner.learned_at / self.delta
-            )
-            for learner in self.learners
-        }

@@ -60,7 +60,7 @@ def keyed_mix_spec(
     )
     return ScenarioSpec(
         protocol=protocol,
-        rqs=rqs if protocol == "rqs-storage" else None,
+        rqs=rqs if protocol.startswith("rqs-") else None,
         readers=readers,
         n_writers=n_writers,
         n_keys=n_keys,

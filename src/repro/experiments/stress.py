@@ -210,7 +210,7 @@ def consensus_liveness(gst: float = 40.0, horizon: float = 2000.0) -> LivenessOu
     report = result.consensus
     return LivenessOutcome(
         gst=gst,
-        learned={l.pid: l.learned for l in result.system.learners},
+        learned={l.pid: l.learned for l in result.adapter.learners},
         terminated=not report.unterminated,
         agreement_ok=report.agreement_ok,
     )

@@ -189,7 +189,7 @@ def _end_to_end_spec(point: Mapping) -> ScenarioSpec:
 
 
 def _end_to_end_measure(point: Mapping, result) -> Mapping:
-    learners = result.system.learners
+    learners = result.adapter.learners
     report = result.check_consensus(
         benign_learners=[learner.pid for learner in learners]
     )
@@ -214,7 +214,7 @@ def run_end_to_end() -> Tuple[P3Witness, Dict[object, object], bool]:
     _, witness = _witness_setup()
     cell = run_grid(END_TO_END_GRID).cells[0]
     result = cell.unwrap()
-    learned = {l.pid: l.learned for l in result.system.learners}
+    learned = {l.pid: l.learned for l in result.adapter.learners}
     return witness, learned, cell.verdict == "ok"
 
 

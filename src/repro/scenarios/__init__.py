@@ -6,7 +6,7 @@ executes it and returns a :class:`RunResult` with the trace, latency
 metrics and lazy correctness verdicts.  Every protocol in the repository
 is registered here:
 
-``rqs-storage`` · ``abd`` · ``fastabd`` · ``naive`` ·
+``rqs-storage`` · ``rqs-regular`` · ``abd`` · ``fastabd`` · ``naive`` ·
 ``rqs-consensus`` · ``paxos`` · ``pbft``
 
 Quickstart::
@@ -22,8 +22,13 @@ Quickstart::
     assert result.read().result == "hello"
     assert result.atomicity.atomic
 
-Invariant: all executions go through this layer — experiment drivers and
-examples build a spec instead of wiring Simulator/Network by hand.
+Invariant: all executions go through this layer — experiment drivers,
+examples, benchmarks and tests build a spec instead of wiring
+Simulator/Network by hand.  The protocol adapter *is* the deployment
+(:mod:`repro.scenarios.adapters` is the one module that creates a
+simulator); a run's processes are ``result.adapter.servers`` /
+``.writers`` / ``.readers`` (storage) and ``.proposers`` /
+``.acceptors`` / ``.learners`` (consensus).
 
 Grids of scenarios are sweeps: a :class:`SweepSpec` (axes of protocols ×
 RQS constructions × fault plans × seeds) expands into frozen specs and

@@ -1,27 +1,54 @@
-"""Protocol adapters: the bridge from a declarative spec to a wired system.
+"""Protocol adapters: a declarative spec, wired.
 
-Each registered adapter knows how to build one protocol's deployment
-(reusing the thin system facades in :mod:`repro.storage` and
-:mod:`repro.consensus`), apply a :class:`~repro.scenarios.faults.FaultPlan`
-to it, and schedule a declarative workload on it.  The scenario runner
-only ever talks to the uniform adapter surface:
+An adapter **is** the deployment: constructing one from a
+:class:`~repro.scenarios.spec.ScenarioSpec` creates the simulator, the
+network (with the fault plan's rules) and the trace, then binds the
+protocol's processes straight from the spec and keeps the role lists as
+its own attributes (``servers``/``writers``/``readers`` for storage,
+``proposers``/``acceptors``/``learners`` — ``replicas``/``client`` for
+PBFT — for consensus).  This module is the only place outside
+:mod:`repro.sim` that constructs a ``Simulator`` or a ``Network``
+(``tests/test_invariants.py`` holds that by scanning sources).
+
+**Bind order is part of every pinned execution** — processes that
+schedule events as they are bound (the time-triggered Byzantine servers)
+take their queue position from it, and clients are spawned in role-list
+order — so each family fixes it once:
+
+* storage: servers (``rqs.servers`` / ``1..n`` order) → writers
+  (:func:`~repro.storage.stamping.writer_fleet` names) → readers
+  (``reader1``…);
+* rqs-consensus: proposers → acceptors → learners, over one
+  :class:`~repro.crypto.signatures.SignatureService`;
+* paxos: acceptors → proposers → learners;
+* pbft: replicas → learners → ``client``.
+
+The scenario runner only ever talks to the uniform lifecycle:
 
 * ``build(spec)`` — wire processes, network rules and Byzantine roles;
 * ``apply_faults(spec)`` — schedule every crash (clients included);
-* ``schedule(spec)`` — translate workload literals into client drivers;
+* ``schedule(spec)`` — hand each addressed client its op iterator;
 * ``execute(spec)`` — run to the horizon or to completion.
 
 Crashes are applied before workload operations are scheduled, so a crash
-and an operation at the same simulated instant resolve crash-first —
-matching the hand-driven schedules the experiment modules used to build.
+and an operation at the same simulated instant resolve crash-first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from operator import itemgetter
+from typing import (
+    Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple,
+)
 
-from repro.core.strategy import Strategy, optimal_strategy, uniform_strategy
+from repro.core.strategy import (
+    QuorumSelector,
+    Strategy,
+    optimal_strategy,
+    uniform_strategy,
+)
+from repro.crypto.signatures import SignatureService
 from repro.errors import ScenarioError
 from repro.scenarios.faults import ACCEPTOR, PROPOSER, SERVER, ByzantineRole
 from repro.scenarios.registry import register_protocol
@@ -32,46 +59,55 @@ from repro.scenarios.workloads import (
     Read,
     Resync,
     Write,
-    expand_random_mix,
     open_loop_stream,
 )
+from repro.sim.network import Network, TraceLevel
+from repro.sim.process import Process
+from repro.sim.simulator import Simulator
 from repro.sim.tasks import batched_ops, sequential_ops
-from repro.consensus.proposer import EquivocatingProposer
-from repro.consensus.system import ConsensusSystem
-from repro.consensus.paxos import PaxosSystem
-from repro.consensus.pbft import PbftSystem, Request
-from repro.storage.abd import PROTOCOLS, RegisterSystem
+from repro.sim.trace import Trace
+from repro.consensus.acceptor import Acceptor
+from repro.consensus.learner import Learner
+from repro.consensus.paxos import PaxosAcceptor, PaxosLearner, PaxosProposer
+from repro.consensus.pbft import PbftLearner, PbftReplica, Request
+from repro.consensus.proposer import EquivocatingProposer, Proposer
+from repro.storage.abd import (
+    PROTOCOLS,
+    RegisterReader,
+    RegisterServer,
+    RegisterWriter,
+)
+from repro.storage.reader import StorageReader
+from repro.storage.regular import RegularReader
 from repro.storage.server import (
     FabricatingServer,
     ForgetfulServer,
     QuorumForgettingServer,
+    RateLimitedServer,
     SilentServer,
+    StorageServer,
 )
-from repro.storage.system import StorageSystem
+from repro.storage.stamping import writer_fleet
+from repro.storage.writer import StorageWriter
 
 
 class ProtocolAdapter:
-    """Uniform surface over one wired protocol deployment."""
+    """One wired protocol deployment and the uniform lifecycle over it."""
 
     kind: str = ""            # "storage" | "consensus"
     protocol_id: str = ""     # set by register_protocol
 
-    def __init__(self, system: Any):
-        self.system = system
+    def __init__(self, spec):
+        self.sim = Simulator()
+        self.network = Network(
+            self.sim, delta=spec.delta, rules=spec.faults.rules(),
+            trace_level=spec.trace_level,
+        )
+        self.trace = Trace(
+            retain=self.network.trace_level >= TraceLevel.FULL
+        )
 
     # -- uniform access -------------------------------------------------------
-
-    @property
-    def sim(self):
-        return self.system.sim
-
-    @property
-    def network(self):
-        return self.system.network
-
-    @property
-    def trace(self):
-        return self.system.trace
 
     def learner_pids(self) -> Tuple[Hashable, ...]:
         return ()
@@ -79,11 +115,16 @@ class ProtocolAdapter:
     def correct_learner_pids(self) -> Tuple[Hashable, ...]:
         return self.learner_pids()
 
+    def history_stats(self) -> Optional[Dict[str, Any]]:
+        """Server-side history-matrix accounting; ``None`` for protocols
+        whose servers keep no history matrix."""
+        return None
+
     # -- lifecycle hooks ------------------------------------------------------
 
     @classmethod
     def build(cls, spec) -> "ProtocolAdapter":
-        raise NotImplementedError
+        return cls(spec)
 
     def apply_faults(self, spec) -> None:
         """Schedule every crash in the plan (servers and clients alike)
@@ -141,15 +182,16 @@ class ProtocolAdapter:
                     )
         return budget
 
-    # -- shared helpers -------------------------------------------------------
 
-    def _sequential_ops(
-        self,
-        schedule: List[Tuple[float, Callable[..., Any], tuple]],
-    ):
-        """One client's operations back to back (shared driver; the
-        paper's well-formedness rule)."""
-        return sequential_ops(self.sim, schedule)
+def _addressed(clients: Sequence[Any], index: int, verb: str, noun: str):
+    """The client a workload literal addresses by index — a plain
+    ``0 <= index < count`` check, never Python's negative indexing."""
+    if not 0 <= index < len(clients):
+        raise ScenarioError(
+            f"workload {verb} {index} but the spec only has "
+            f"{len(clients)} {noun}"
+        )
+    return clients[index]
 
 
 def _unsupported_roles(adapter: ProtocolAdapter, spec) -> None:
@@ -248,7 +290,8 @@ def _storage_server_factory(role: ByzantineRole) -> Callable[[Hashable], Any]:
 
 
 class StorageAdapter(ProtocolAdapter):
-    """Shared scheduling for every read/write register protocol.
+    """Shared binding and scheduling for every read/write register
+    protocol.
 
     Workload ops address a keyed register space: each op carries its
     ``key`` and (for writes) its ``writer`` index.  One sequential
@@ -257,16 +300,42 @@ class StorageAdapter(ProtocolAdapter):
     tasks block on indexed Conditions inside the protocol coroutines,
     never on ad-hoc closures.
 
-    Scheduling is **streaming-first**: a pure single-``RandomMix``
-    workload hands each client a lazy iterator over the mix's draw
-    (closed loop, bit-identical to list expansion), and a spec with an
-    open-loop stopping rule (``duration``/``max_ops``) hands each
-    client an unbounded per-client generator — no materialized op
-    lists in either case.  Only workloads mixing explicit literals
-    still expand eagerly.
+    Scheduling is one path: :meth:`_client_ops` picks each addressed
+    client's op iterator — an unbounded per-client generator under an
+    open-loop stopping rule (``duration``/``max_ops``), a lazy view of
+    the seeded draw for a pure single-``RandomMix`` workload, a sorted
+    list only where explicit literals have to be merged in — and
+    :meth:`schedule` spawns one driver per iterator.
     """
 
     kind = "storage"
+
+    servers: Dict[Hashable, Any]
+    writers: List[Any]
+    readers: List[Any]
+
+    def _bind(
+        self,
+        spec,
+        server_ids: Iterable[Hashable],
+        make_server: Callable[[Hashable], Process],
+        make_writer: Callable[[Hashable, Optional[int]], Process],
+        make_reader: Callable[[Hashable], Process],
+    ) -> None:
+        """Bind this deployment's processes in the storage order:
+        servers, then the writer fleet, then ``reader1``…"""
+        network = self.network
+        self.servers = {
+            sid: make_server(sid).bind(network) for sid in server_ids
+        }
+        self.writers = writer_fleet(
+            spec.n_writers,
+            lambda pid, writer_id: make_writer(pid, writer_id).bind(network),
+        )
+        self.readers = [
+            make_reader(f"reader{index + 1}").bind(network)
+            for index in range(spec.readers)
+        ]
 
     @staticmethod
     def _shard_of(spec) -> Optional[Tuple[int, int]]:
@@ -279,20 +348,18 @@ class StorageAdapter(ProtocolAdapter):
         return (int(spec.param("shard_index", 0)), int(count))
 
     def schedule(self, spec) -> None:
-        workload = spec.workload
-        if spec.duration is not None or spec.max_ops is not None:
-            if len(workload) != 1 or not isinstance(workload[0], RandomMix):
-                raise ScenarioError(
-                    "open-loop runs (duration/max_ops) take exactly one "
-                    "RandomMix workload literal, whose counts set the "
-                    f"write:read ratio; got {workload!r}"
-                )
-            self._schedule_open_loop(spec, workload[0])
-            return
-        if len(workload) == 1 and isinstance(workload[0], RandomMix):
-            self._schedule_stream(spec, workload[0])
-            return
-        self._schedule_expanded(spec)
+        writer_ops, reader_ops, batch_size = self._client_ops(spec)
+        for index in sorted(writer_ops):
+            writer = _addressed(
+                self.writers, index,
+                "writes via writer", "writers (n_writers)",
+            )
+            self._spawn_writer(index, writer, batch_size, writer_ops[index])
+        for index in sorted(reader_ops):
+            reader = _addressed(
+                self.readers, index, "reads from reader", "readers"
+            )
+            self._spawn_reader(reader, batch_size, reader_ops[index])
 
     @staticmethod
     def _write_schedule(ops, write):
@@ -321,106 +388,108 @@ class StorageAdapter(ProtocolAdapter):
         for at, key in ops:
             yield (at, key)
 
-    def _spawn_writer(self, index, writer, mix, ops) -> None:
+    def _spawn_writer(self, index, writer, batch_size, ops) -> None:
         """One writer's driver task: unbatched sequential ops, or the
-        batched coalescing driver when ``mix.batch_size != 1`` (a fixed
+        batched coalescing driver when ``batch_size != 1`` (a fixed
         window or the adaptive ``"auto"`` rule)."""
         name = (
             "writer-workload" if index == 0 else f"{writer.pid}-workload"
         )
-        if mix.batch_size != 1:
+        if batch_size != 1:
             coro = batched_ops(
                 self.sim, self._write_batch_schedule(ops),
-                mix.batch_size, writer.write_batch,
+                batch_size, writer.write_batch,
             )
         else:
-            coro = self._sequential_ops(
-                self._write_schedule(ops, writer.write)
+            coro = sequential_ops(
+                self.sim, self._write_schedule(ops, writer.write)
             )
         self.sim.spawn(coro, name)
 
-    def _spawn_reader(self, reader, mix, ops) -> None:
-        if mix.batch_size != 1:
+    def _spawn_reader(self, reader, batch_size, ops) -> None:
+        if batch_size != 1:
             coro = batched_ops(
                 self.sim, self._read_batch_schedule(ops),
-                mix.batch_size, reader.read_batch,
+                batch_size, reader.read_batch,
             )
         else:
-            coro = self._sequential_ops(self._read_schedule(ops, reader.read))
+            coro = sequential_ops(
+                self.sim, self._read_schedule(ops, reader.read)
+            )
         self.sim.spawn(coro, f"{reader.pid}-workload")
 
-    def _schedule_stream(self, spec, mix: RandomMix) -> None:
-        """Closed-loop streaming: per-client lazy views of the seeded
-        draw — the same schedules ``expand_random_mix`` materializes,
-        without building per-client op lists."""
-        if mix.reads > 0 and len(self.system.readers) < 1:
-            raise ScenarioError(
-                f"RandomMix schedules {mix.reads} reads but the scenario "
-                f"has no readers; set readers >= 1 (or reads=0)"
+    def _client_ops(self, spec):
+        """``(writer_ops, reader_ops, batch_size)``: every addressed
+        client's op iterator by client index — ``(at, value, key)``
+        triples for writers, ``(at, key)`` pairs for readers."""
+        workload = spec.workload
+        open_loop = spec.duration is not None or spec.max_ops is not None
+        single_mix = len(workload) == 1 and isinstance(workload[0], RandomMix)
+        if not single_mix:
+            if open_loop:
+                raise ScenarioError(
+                    "open-loop runs (duration/max_ops) take exactly one "
+                    "RandomMix workload literal, whose counts set the "
+                    f"write:read ratio; got {workload!r}"
+                )
+            return (*self._literal_ops(spec), 1)
+        mix = workload[0]
+        n_writers, n_readers = len(self.writers), len(self.readers)
+        shard = self._shard_of(spec)
+        if not open_loop:
+            # Closed loop: per-client lazy views of the one seeded draw.
+            stream = mix.stream(
+                n_readers, spec.seed, n_keys=spec.n_keys,
+                n_writers=n_writers, shard=shard,
             )
-        stream = mix.stream(
-            len(self.system.readers), spec.seed,
-            n_keys=spec.n_keys, n_writers=len(self.system.writers),
-            shard=self._shard_of(spec),
-        )
-        for index in stream.writers_with_ops:
-            self._spawn_writer(
-                index, self.system.writers[index], mix,
-                stream.writer_ops(index),
+            return (
+                {i: stream.writer_ops(i) for i in stream.writers_with_ops},
+                {i: stream.reader_ops(i) for i in stream.readers_with_ops},
+                mix.batch_size,
             )
-        for index in stream.readers_with_ops:
-            self._spawn_reader(
-                self.system.readers[index], mix, stream.reader_ops(index)
-            )
-
-    def _schedule_open_loop(self, spec, mix: RandomMix) -> None:
-        """Horizon-free streaming: every client draws its next op
-        lazily from an independent seeded generator, stopping on the
-        shared op budget or the duration bound."""
-        if mix.reads > 0 and len(self.system.readers) < 1:
+        # Horizon-free: every client draws its next op lazily from an
+        # independent seeded generator, stopping on the shared op budget
+        # or the duration bound.
+        if mix.reads > 0 and n_readers < 1:
             raise ScenarioError(
                 f"RandomMix schedules reads (ratio {mix.writes}:"
                 f"{mix.reads}) but the scenario has no readers; set "
                 f"readers >= 1 (or reads=0)"
             )
         budget = OpBudget(spec.max_ops)
-        shard = self._shard_of(spec)
-        writers = self.system.writers if mix.writes > 0 else []
-        readers = self.system.readers if mix.reads > 0 else []
-        for index, writer in enumerate(writers):
-            ops = open_loop_stream(
-                mix, "writer", index, len(writers), spec.seed, budget,
-                spec.duration, n_keys=spec.n_keys, shard=shard,
-            )
-            self._spawn_writer(index, writer, mix, ops)
-        for index, reader in enumerate(readers):
-            ops = open_loop_stream(
-                mix, "reader", index, len(readers), spec.seed, budget,
-                spec.duration, n_keys=spec.n_keys, shard=shard,
-            )
-            self._spawn_reader(reader, mix, ops)
 
-    def _schedule_expanded(self, spec) -> None:
-        """The materializing path for workloads mixing explicit
-        literals with random mixes."""
-        per_writer: Dict[int, List[Tuple[float, Any, Hashable]]] = {}
-        per_reader: Dict[int, List[Tuple[float, Hashable]]] = {}
+        def clients(role: str, count: int):
+            return {
+                index: open_loop_stream(
+                    mix, role, index, count, spec.seed, budget,
+                    spec.duration, n_keys=spec.n_keys, shard=shard,
+                )
+                for index in range(count)
+            }
+
+        return (
+            clients("writer", n_writers if mix.writes > 0 else 0),
+            clients("reader", n_readers if mix.reads > 0 else 0),
+            mix.batch_size,
+        )
+
+    def _literal_ops(self, spec):
+        """Explicit ``Write``/``Read`` literals, merged with the
+        closed-loop views of any ``RandomMix`` riding along (its write
+        values continue past the literals' integers) and stably sorted
+        by start time per client."""
+        writer_ops: Dict[int, List[Tuple[float, Any, Hashable]]] = {}
+        reader_ops: Dict[int, List[Tuple[float, Hashable]]] = {}
         next_value = 1
         for op in spec.workload:
             if isinstance(op, Write):
-                if not 0 <= op.writer < len(self.system.writers):
-                    raise ScenarioError(
-                        f"workload writes via writer {op.writer} but the "
-                        f"spec only has {len(self.system.writers)} writers "
-                        f"(n_writers)"
-                    )
-                per_writer.setdefault(op.writer, []).append(
+                writer_ops.setdefault(op.writer, []).append(
                     (op.at, op.value, op.key)
                 )
                 if isinstance(op.value, int):
                     next_value = max(next_value, op.value + 1)
             elif isinstance(op, Read):
-                per_reader.setdefault(op.reader, []).append((op.at, op.key))
+                reader_ops.setdefault(op.reader, []).append((op.at, op.key))
             elif isinstance(op, RandomMix):
                 if op.batch_size != 1:
                     raise ScenarioError(
@@ -428,63 +497,49 @@ class StorageAdapter(ProtocolAdapter):
                         "single-RandomMix workload (the streaming paths); "
                         "it cannot ride along in a mixed-literal expansion"
                     )
-                writes, reads = expand_random_mix(
-                    op, len(self.system.readers), spec.seed,
-                    first_value=next_value,
-                    n_keys=spec.n_keys,
-                    n_writers=len(self.system.writers),
+                stream = op.stream(
+                    len(self.readers), spec.seed, first_value=next_value,
+                    n_keys=spec.n_keys, n_writers=len(self.writers),
                 )
                 next_value += op.writes
-                for w in writes:
-                    per_writer.setdefault(w.writer, []).append(
-                        (w.at, w.value, w.key)
+                for index in stream.writers_with_ops:
+                    writer_ops.setdefault(index, []).extend(
+                        stream.writer_ops(index)
                     )
-                for reader, ops in reads.items():
-                    per_reader.setdefault(reader, []).extend(
-                        (r.at, r.key) for r in ops
+                for index in stream.readers_with_ops:
+                    reader_ops.setdefault(index, []).extend(
+                        stream.reader_ops(index)
                     )
             else:
                 raise ScenarioError(
                     f"storage protocol {self.protocol_id!r} cannot run "
                     f"workload op {op!r}"
                 )
-        for index in sorted(per_writer):
-            writer = self.system.writers[index]
-            ops = sorted(per_writer[index], key=lambda item: item[0])
-            self.sim.spawn(
-                self._sequential_ops(
-                    [(at, writer.write, (value, key))
-                     for at, value, key in ops]
-                ),
-                "writer-workload" if index == 0
-                else f"{writer.pid}-workload",
-            )
-        for index in sorted(per_reader):
-            try:
-                reader = self.system.readers[index]
-            except IndexError:
-                raise ScenarioError(
-                    f"workload reads from reader {index} but the spec "
-                    f"only has {len(self.system.readers)} readers"
-                )
-            ops = sorted(per_reader[index], key=lambda item: item[0])
-            self.sim.spawn(
-                self._sequential_ops(
-                    [(at, reader.read, (key,)) for at, key in ops]
-                ),
-                f"{reader.pid}-workload",
-            )
+        for ops in (*writer_ops.values(), *reader_ops.values()):
+            ops.sort(key=itemgetter(0))
+        return writer_ops, reader_ops
 
 
 @register_protocol("rqs-storage")
 class RqsStorageAdapter(StorageAdapter):
-    """The paper's Byzantine atomic storage (Figures 5-7) over any RQS."""
+    """The paper's Byzantine atomic storage (Figures 5-7) over any RQS.
 
-    @classmethod
-    def build(cls, spec) -> "RqsStorageAdapter":
+    ``quorum_strategy`` gives every client a
+    :class:`~repro.core.strategy.QuorumSelector` with its own seeded RNG
+    stream (none exists without a strategy, so broadcast executions stay
+    bit-identical); ``params["capacity_model"]`` deploys
+    :class:`~repro.storage.server.RateLimitedServer` nodes whose service
+    costs are the reciprocals of the RQS's per-node capacities.
+    """
+
+    reader_class = StorageReader
+
+    def __init__(self, spec):
         rqs = spec.resolved_rqs()
         if rqs is None:
-            raise ScenarioError("rqs-storage requires a quorum system")
+            raise ScenarioError(
+                f"{self.protocol_id} requires a quorum system"
+            )
         capacity_model = bool(spec.param("capacity_model", False))
         if capacity_model and not getattr(rqs, "read_capacity", None):
             raise ScenarioError(
@@ -509,45 +564,110 @@ class RqsStorageAdapter(StorageAdapter):
                 f"batch_size={batched[0]!r}: batched messages bypass the "
                 f"Byzantine handlers; use batch_size=1"
             )
-        system = StorageSystem(
-            rqs,
-            n_readers=spec.readers,
-            delta=spec.delta,
-            server_factories=factories,
-            rules=spec.faults.rules(),
-            trace_level=spec.trace_level,
-            n_writers=spec.n_writers,
-            n_keys=spec.n_keys,
-            strategy=_resolve_strategy(spec, rqs),
-            strategy_seed=spec.seed,
-            capacity_model=capacity_model,
-            bounded_history=bool(spec.param("bounded_history", False)),
+        strategy = _resolve_strategy(spec, rqs)
+        super().__init__(spec)
+        self.rqs = rqs
+        self.bounded_history = bool(spec.param("bounded_history", False))
+        read_caps = getattr(rqs, "read_capacity", None) or {}
+        write_caps = getattr(rqs, "write_capacity", None) or {}
+
+        def make_server(sid: Hashable) -> StorageServer:
+            # Explicit per-role factories (Byzantine variants) take
+            # precedence over the benign default.
+            factory = factories.get(sid)
+            if factory is not None:
+                return factory(sid)
+            if capacity_model:
+                return RateLimitedServer(
+                    sid,
+                    read_cost=1.0 / float(read_caps.get(sid, 1)),
+                    write_cost=1.0 / float(write_caps.get(sid, 1)),
+                    bounded_history=self.bounded_history,
+                )
+            return StorageServer(sid, bounded_history=self.bounded_history)
+
+        def selector(pid: Hashable) -> Optional[QuorumSelector]:
+            if strategy is None:
+                return None
+            return QuorumSelector(strategy, spec.seed, pid)
+
+        self._bind(
+            spec, rqs.servers, make_server,
+            lambda pid, writer_id: StorageWriter(
+                pid, rqs, self.trace, delta=spec.delta,
+                writer_id=writer_id, selector=selector(pid),
+            ),
+            lambda pid: self.reader_class(
+                pid, rqs, self.trace, delta=spec.delta,
+                selector=selector(pid),
+            ),
         )
-        return cls(system)
+
+    def history_stats(self) -> Dict[str, Any]:
+        """Aggregate history-matrix accounting over the benign servers.
+
+        ``retained_cells`` is the live cell count, ``max_retained_cells``
+        the sum of per-server high-water marks (an upper bound on
+        co-occurring retention — the flat-RSS gate for bounded soaks),
+        ``gc_removed_cells`` the total cells garbage-collected.
+        Byzantine servers are left out: their state forgeries mutate
+        histories behind the counters.
+        """
+        retained = removed = high_water = 0
+        for server in self.servers.values():
+            if server.benign:
+                retained += server.history_cells
+                removed += server.gc_removed
+                high_water += server.max_history_cells
+        return {
+            "bounded_history": self.bounded_history,
+            "retained_cells": retained,
+            "max_retained_cells": high_water,
+            "gc_removed_cells": removed,
+        }
+
+
+@register_protocol("rqs-regular")
+class RqsRegularAdapter(RqsStorageAdapter):
+    """The Section 6 regular-semantics register: the rqs-storage
+    deployment whose readers are
+    :class:`~repro.storage.regular.RegularReader`\\ s (no write-back).
+    ``RunResult``'s verdicts stay the atomicity ones — a read inversion
+    *is* an atomicity violation; regularity is
+    :func:`repro.analysis.regularity.check_swmr_regularity` over
+    ``result.records``."""
+
+    reader_class = RegularReader
 
 
 class RegisterAdapter(StorageAdapter):
     """The crash-model count-quorum baselines — classic ABD, the
     Section 1.2 fast variant and the broken greedy algorithm of
-    Figure 1 — each one row of :data:`repro.storage.abd.PROTOCOLS`."""
+    Figure 1 — each one row of :data:`repro.storage.abd.PROTOCOLS`:
+    ``params["n"]`` servers (``1..n``), up to ``params["t"]`` crash
+    failures, ``params["fast"]`` acks to exit a write round early.  The
+    defaults are the paper's Section 1.2 instance (``n=5, t=2,
+    fast=4``); rows whose thresholds do not depend on ``t`` or ``fast``
+    ignore them."""
 
-    @classmethod
-    def build(cls, spec) -> "RegisterAdapter":
-        system = RegisterSystem(
-            PROTOCOLS[cls.protocol_id],
-            n=spec.param("n", 5),
-            t=spec.param("t", 2),
-            fast=spec.param("fast", 4),
-            n_readers=spec.readers,
-            delta=spec.delta,
-            rules=spec.faults.rules(),
-            trace_level=spec.trace_level,
-            n_writers=spec.n_writers,
+    def __init__(self, spec):
+        _unsupported_roles(self, spec)
+        _unsupported_strategy(self, spec)
+        super().__init__(spec)
+        protocol = PROTOCOLS[self.protocol_id]
+        server_ids = tuple(range(1, spec.param("n", 5) + 1))
+        t, fast = spec.param("t", 2), spec.param("fast", 4)
+        self._bind(
+            spec, server_ids,
+            lambda sid: RegisterServer(sid, protocol.slots),
+            lambda pid, writer_id: RegisterWriter(
+                pid, server_ids, self.trace, protocol, t, fast,
+                spec.delta, writer_id=writer_id,
+            ),
+            lambda pid: RegisterReader(
+                pid, server_ids, self.trace, protocol, t, spec.delta
+            ),
         )
-        adapter = cls(system)
-        _unsupported_roles(adapter, spec)
-        _unsupported_strategy(adapter, spec)
-        return adapter
 
 
 # One registration per table row (a subclass each, because
@@ -560,13 +680,19 @@ for _protocol_id in PROTOCOLS:
 
 # -- consensus ----------------------------------------------------------------
 
+def _learner_ids(spec) -> Tuple[str, ...]:
+    return tuple(f"l{index + 1}" for index in range(spec.learners))
+
+
 class ConsensusAdapter(ProtocolAdapter):
     """Shared scheduling for proposer/acceptor/learner protocols."""
 
     kind = "consensus"
 
+    learners: List[Any]
+
     def learner_pids(self) -> Tuple[Hashable, ...]:
-        return tuple(learner.pid for learner in self.system.learners)
+        return tuple(learner.pid for learner in self.learners)
 
     def correct_learner_pids(self) -> Tuple[Hashable, ...]:
         crashed = {c.process for c in getattr(self, "_spec_crashes", ())}
@@ -604,13 +730,9 @@ class ConsensusAdapter(ProtocolAdapter):
                 )
 
     def _proposer(self, index: int):
-        try:
-            return self.system.proposers[index]
-        except IndexError:
-            raise ScenarioError(
-                f"workload addresses proposer {index} but the spec only "
-                f"has {len(self.system.proposers)} proposers"
-            )
+        return _addressed(
+            self.proposers, index, "addresses proposer", "proposers"
+        )
 
     def _schedule_propose(self, op: Propose) -> None:
         proposer = self._proposer(op.proposer)
@@ -632,9 +754,8 @@ class ConsensusAdapter(ProtocolAdapter):
 class RqsConsensusAdapter(ConsensusAdapter):
     """The paper's RQS-based Byzantine consensus (Figures 9-15)."""
 
-    @classmethod
-    def build(cls, spec) -> "RqsConsensusAdapter":
-        _unsupported_strategy(cls, spec)
+    def __init__(self, spec):
+        _unsupported_strategy(self, spec)
         rqs = spec.resolved_rqs()
         if rqs is None:
             raise ScenarioError("rqs-consensus requires a quorum system")
@@ -657,73 +778,102 @@ class RqsConsensusAdapter(ConsensusAdapter):
                     f"unknown proposer Byzantine behavior "
                     f"{role.behavior!r}; built-ins: equivocating"
                 )
-        system = ConsensusSystem(
-            rqs,
-            n_proposers=spec.proposers,
-            n_learners=spec.learners,
-            delta=spec.delta,
-            acceptor_factories=acceptor_factories,
-            proposer_factories=proposer_factories,
-            rules=spec.faults.rules(),
-            sync_delay=spec.param("sync_delay", 10.0),
-            trace_level=spec.trace_level,
-        )
+        super().__init__(spec)
+        self.rqs = rqs
+        network, delta = self.network, spec.delta
+        service = SignatureService()
+        proposer_ids = tuple(f"p{i + 1}" for i in range(spec.proposers))
+        learner_ids = _learner_ids(spec)
+        sync_delay = spec.param("sync_delay", 10.0)
+        self.proposers = [
+            proposer_factories.get(index, Proposer)(
+                pid, rqs, proposer_ids, service, self.trace,
+                delta=delta, sync_delay=sync_delay,
+            ).bind(network)
+            for index, pid in enumerate(proposer_ids)
+        ]
+        self.acceptors = {
+            aid: acceptor_factories.get(aid, Acceptor)(
+                aid, rqs, proposer_ids, learner_ids, service, delta=delta
+            ).bind(network)
+            for aid in rqs.servers
+        }
+        self.learners = [
+            Learner(lid, rqs, self.trace, delta=delta).bind(network)
+            for lid in learner_ids
+        ]
         for index, value in dict(
             spec.param("proposer_values", {})
         ).items():
-            system.proposers[index].value = value
-        return cls(system)
+            self.proposers[index].value = value
 
 
 @register_protocol("paxos")
 class PaxosAdapter(ConsensusAdapter):
-    """Single-decree crash Paxos baseline."""
+    """Single-decree crash Paxos baseline (``params["n_acceptors"]``
+    acceptors ``1..n``, default 5)."""
 
-    @classmethod
-    def build(cls, spec) -> "PaxosAdapter":
-        system = PaxosSystem(
-            n_acceptors=spec.param("n_acceptors", 5),
-            n_proposers=spec.proposers,
-            n_learners=spec.learners,
-            delta=spec.delta,
-            rules=spec.faults.rules(),
-            trace_level=spec.trace_level,
-        )
-        adapter = cls(system)
-        _unsupported_roles(adapter, spec)
-        _unsupported_strategy(adapter, spec)
-        return adapter
+    def __init__(self, spec):
+        _unsupported_roles(self, spec)
+        _unsupported_strategy(self, spec)
+        super().__init__(spec)
+        network = self.network
+        n_acceptors = spec.param("n_acceptors", 5)
+        acceptor_ids = tuple(range(1, n_acceptors + 1))
+        learner_ids = _learner_ids(spec)
+        self.acceptors = {
+            aid: PaxosAcceptor(aid, learner_ids).bind(network)
+            for aid in acceptor_ids
+        }
+        self.proposers = [
+            PaxosProposer(
+                f"p{index + 1}", acceptor_ids, self.trace,
+                ballot_base=index, ballot_stride=spec.proposers,
+            ).bind(network)
+            for index in range(spec.proposers)
+        ]
+        self.learners = [
+            PaxosLearner(lid, n_acceptors, self.trace).bind(network)
+            for lid in learner_ids
+        ]
 
 
 @register_protocol("pbft")
 class PbftAdapter(ConsensusAdapter):
-    """PBFT-lite baseline (fault-free normal case, fixed primary)."""
+    """PBFT-lite baseline (fault-free normal case, fixed primary):
+    ``3f + 1`` replicas for ``params["f"]`` (default 1)."""
 
-    @classmethod
-    def build(cls, spec) -> "PbftAdapter":
-        system = PbftSystem(
-            f=spec.param("f", 1),
-            n_learners=spec.learners,
-            delta=spec.delta,
-            rules=spec.faults.rules(),
-            trace_level=spec.trace_level,
-        )
-        adapter = cls(system)
-        _unsupported_roles(adapter, spec)
-        _unsupported_strategy(adapter, spec)
-        return adapter
+    def __init__(self, spec):
+        _unsupported_roles(self, spec)
+        _unsupported_strategy(self, spec)
+        super().__init__(spec)
+        network = self.network
+        f = spec.param("f", 1)
+        replica_ids = tuple(range(1, 3 * f + 2))
+        learner_ids = _learner_ids(spec)
+        self.replicas = {
+            rid: PbftReplica(
+                rid, replica_ids, learner_ids, f, primary=replica_ids[0]
+            ).bind(network)
+            for rid in replica_ids
+        }
+        self.learners = [
+            PbftLearner(lid, f, self.trace).bind(network)
+            for lid in learner_ids
+        ]
+        self.client = Process("client").bind(network)
 
     def _schedule_propose(self, op: Propose) -> None:
         # PBFT has no proposer processes: the client's request to the
         # primary plays the propose role; record it for latency origin.
-        system = self.system
-        primary = min(system.replicas)
+        client = self.client
+        primary = min(self.replicas)
 
         def start() -> None:
             record = self.trace.begin(
-                "propose", system.client.pid, self.sim.now, op.value
+                "propose", client.pid, self.sim.now, op.value
             )
-            system.client.send(primary, Request(op.value))
+            client.send(primary, Request(op.value))
             self.trace.complete(record, self.sim.now, "requested")
 
         self.sim.call_at(op.at, start)

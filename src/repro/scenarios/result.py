@@ -52,11 +52,6 @@ class RunResult:
     # -- raw execution access -------------------------------------------------
 
     @property
-    def system(self):
-        """The wired protocol system (servers, clients, network, sim)."""
-        return self.adapter.system
-
-    @property
     def trace(self):
         return self.adapter.trace
 
@@ -149,12 +144,11 @@ class RunResult:
 
     @property
     def server_history(self) -> Optional[Dict[str, Any]]:
-        """Server-side history-matrix accounting (rqs-storage systems):
-        retained/GC'd cell counters and the ``bounded_history`` flag —
-        the flat-memory exhibit for bounded soaks.  None for protocols
-        without a history matrix."""
-        stats = getattr(self.adapter.system, "history_stats", None)
-        return stats() if callable(stats) else None
+        """Server-side history-matrix accounting (rqs-storage systems,
+        benign servers only): retained/GC'd cell counters and the
+        ``bounded_history`` flag — the flat-memory exhibit for bounded
+        soaks.  None for protocols without a history matrix."""
+        return self.adapter.history_stats()
 
     def _require_records(self, what: str) -> None:
         if self.streamed and self.ops_begun() > len(self._retained()):

@@ -18,14 +18,11 @@ Operations on distinct clients run concurrently.
   spec's ``n_keys`` registers, and writes are spread round-robin over
   the spec's ``n_writers`` writer clients.
 
-A :class:`RandomMix` expands two ways:
-
-* :func:`expand_random_mix` — the historical materializing path: full
-  per-client op lists, used when the workload mixes literals.
-* :meth:`RandomMix.stream` — an :class:`OpStream` of lazy per-client
-  iterators drawing from the *same RNG consumption order*, so every
-  existing seed produces a bit-identical schedule while clients never
-  hold materialized op objects.
+A closed-loop :class:`RandomMix` has one expansion,
+:meth:`RandomMix.stream` — an :class:`OpStream` of lazy per-client
+iterators over one seeded draw, whose RNG consumption order is fixed
+(every existing seed keeps its schedule).  A workload that mixes
+explicit literals with a mix merges the same per-client views in.
 
 Horizon-free runs (``ScenarioSpec.duration`` / ``max_ops``) skip the
 closed-loop draw entirely: :func:`open_loop_stream` gives each client an
@@ -51,7 +48,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Hashable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ScenarioError
 from repro.storage.history import DEFAULT_KEY
@@ -189,7 +186,7 @@ class RandomMix:
     (see :func:`repro.sim.tasks.batched_ops`) — a deterministic rule
     over simulated state, so replays stay bit-identical.  Batching is a
     storage feature: consensus adapters reject mixes carrying it, as
-    does the materializing mixed-literal expansion path.
+    does a workload that mixes explicit literals with the mix.
     """
 
     writes: int
@@ -229,9 +226,9 @@ class RandomMix:
         n_writers: int = 1,
         shard: Optional[Tuple[int, int]] = None,
     ) -> "OpStream":
-        """Lazy per-client schedules, bit-identical to
-        :func:`expand_random_mix` for the same arguments (same RNG
-        consumption order, same round-robin client assignment).
+        """Lazy per-client schedules over one seeded draw (fixed RNG
+        consumption order, round-robin client assignment; write values
+        count up from ``first_value``).
 
         ``shard=(index, count)`` filters the *same* draw down to the
         ops whose key lands in shard ``index`` under :func:`key_shard`
@@ -264,19 +261,13 @@ def _draw_keys(
 def _draw_schedule(
     mix: RandomMix, n_readers: int, seed: int, n_keys: int
 ) -> Tuple[List[float], List[Tuple[int, float]], List[int], List[int]]:
-    """The seeded draw shared by list expansion and streaming.
+    """The seeded closed-loop draw behind :class:`OpStream`.
 
     Returns ``(write_times, read_slots, write_keys, read_keys)`` in the
-    historical ``StorageSystem.random_workload`` consumption order
-    (write times first, then read times, then — only for multi-key
-    expansions — write keys and read keys), so both consumers produce
-    bit-for-bit the same schedules for any seed.
+    historical consumption order (write times first, then read times,
+    then — only for multi-key expansions — write keys and read keys),
+    which every pinned execution depends on.
     """
-    if mix.reads > 0 and n_readers < 1:
-        raise ScenarioError(
-            f"RandomMix schedules {mix.reads} reads but the scenario has "
-            f"no readers; set readers >= 1 (or reads=0)"
-        )
     if n_keys < 1:
         raise ScenarioError(f"n_keys must be >= 1, got {n_keys}")
     rng = random.Random(seed)
@@ -301,43 +292,6 @@ def _draw_schedule(
     return write_times, read_slots, write_keys, read_keys
 
 
-def expand_random_mix(
-    mix: RandomMix,
-    n_readers: int,
-    seed: int,
-    first_value: int = 1,
-    n_keys: int = 1,
-    n_writers: int = 1,
-) -> Tuple[List[Write], Dict[int, List[Read]]]:
-    """Materialize a :class:`RandomMix` into concrete Write/Read ops.
-
-    Writes carry their round-robin ``writer`` index; the returned reads
-    are grouped per reader and sorted by start time.  The draw itself is
-    :func:`_draw_schedule`, shared with :meth:`RandomMix.stream` so the
-    two paths cannot diverge.
-    """
-    if n_writers < 1:
-        raise ScenarioError(f"n_writers must be >= 1, got {n_writers}")
-    write_times, read_slots, write_keys, read_keys = _draw_schedule(
-        mix, n_readers, seed, n_keys
-    )
-    writes = [
-        Write(at=time, value=value, key=write_keys[index],
-              writer=index % n_writers)
-        for index, (value, time) in enumerate(
-            zip(range(first_value, first_value + mix.writes), write_times)
-        )
-    ]
-    per_reader: Dict[int, List[Read]] = {}
-    for index, (reader, time) in enumerate(read_slots):
-        per_reader.setdefault(reader, []).append(
-            Read(at=time, reader=reader, key=read_keys[index])
-        )
-    for reader, ops in per_reader.items():
-        ops.sort(key=lambda op: op.at)
-    return writes, per_reader
-
-
 class OpStream:
     """Lazy per-client views of one closed-loop :class:`RandomMix` draw.
 
@@ -349,8 +303,7 @@ class OpStream:
     ``writer_ops(w)`` yields writer ``w``'s ``(at, value, key)`` triples
     in start-time order (the round-robin subset of the globally
     time-sorted writes); ``reader_ops(r)`` yields reader ``r``'s
-    ``(at, key)`` pairs sorted by start time — both exactly the
-    schedules :func:`expand_random_mix` materializes.
+    ``(at, key)`` pairs sorted by start time.
     """
 
     def __init__(
@@ -365,6 +318,11 @@ class OpStream:
     ):
         if n_writers < 1:
             raise ScenarioError(f"n_writers must be >= 1, got {n_writers}")
+        if mix.reads > 0 and n_readers < 1:
+            raise ScenarioError(
+                f"RandomMix schedules {mix.reads} reads but the scenario has "
+                f"no readers; set readers >= 1 (or reads=0)"
+            )
         self.mix = mix
         self.n_readers = n_readers
         self.seed = seed
@@ -425,16 +383,6 @@ class OpStream:
         ]
         ops.sort(key=lambda item: item[0])
         return iter(ops)
-
-    def ops(self) -> Iterator[Union[Write, Read]]:
-        """Every op as a literal (writes in time order, then each
-        reader's time-sorted reads) — the equivalence-test view."""
-        for writer in self.writers_with_ops:
-            for at, value, key in self.writer_ops(writer):
-                yield Write(at=at, value=value, key=key, writer=writer)
-        for reader in self.readers_with_ops:
-            for at, key in self.reader_ops(reader):
-                yield Read(at=at, reader=reader, key=key)
 
 
 # -- horizon-free (open-loop) streams -----------------------------------------

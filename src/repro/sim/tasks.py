@@ -85,13 +85,11 @@ class WaitUntil(Effect):
 def sequential_ops(sim, schedule):
     """Driver coroutine: run one client's operations back to back.
 
-    ``schedule`` is a list of ``(time, factory, args)`` triples; each
+    ``schedule`` yields ``(time, factory, args)`` triples; each
     operation coroutine ``factory(*args)`` starts no earlier than its
     scheduled time and no earlier than the previous operation's
-    completion — the paper's client well-formedness rule.  Shared by
-    :class:`repro.storage.system.StorageSystem` and the scenario-layer
-    adapters so scripted and spec-driven runs of the same schedule stay
-    identical.
+    completion — the paper's client well-formedness rule.  The storage
+    adapters of :mod:`repro.scenarios` spawn one per unbatched client.
     """
     for time, factory, args in schedule:
         start = time

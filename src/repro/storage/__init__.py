@@ -1,7 +1,13 @@
-"""The RQS-based Byzantine atomic storage algorithm (Figures 5-7)
-plus the count-quorum baseline kernel (:mod:`repro.storage.abd`: ABD,
-the Section 1.2 fast variant and the broken Figure 1 algorithm as
-three rows of one table)."""
+"""The RQS-based Byzantine atomic storage algorithm (Figures 5-7), its
+Section 6 regular-semantics reader, and the count-quorum baseline
+kernel (:mod:`repro.storage.abd`: ABD, the Section 1.2 fast variant and
+the broken Figure 1 algorithm as three rows of one table).
+
+This package holds processes only — servers, writers, readers and their
+messages.  Deployments are wired from a
+:class:`~repro.scenarios.ScenarioSpec` by the protocol adapters of
+:mod:`repro.scenarios` (``"rqs-storage"``, ``"rqs-regular"``, ``"abd"``,
+``"fastabd"``, ``"naive"``)."""
 
 from repro.storage.history import BOTTOM, History, HistoryView, Pair
 from repro.storage.messages import RD, RdAck, WR, WrAck
@@ -13,8 +19,7 @@ from repro.storage.server import (
     SilentServer,
     StorageServer,
 )
-from repro.storage.regular import RegularReader, RegularStorageSystem
-from repro.storage.system import StorageSystem
+from repro.storage.regular import RegularReader
 from repro.storage.writer import StorageWriter
 
 __all__ = [
@@ -33,7 +38,5 @@ __all__ = [
     "FabricatingServer",
     "ForgetfulServer",
     "RegularReader",
-    "RegularStorageSystem",
-    "StorageSystem",
     "StorageWriter",
 ]

@@ -7,9 +7,9 @@ crash-model register algorithm and differ only in how many servers
 must have answered before an operation may skip its second round;
 classic ABD (Attiya–Bar-Noy–Dolev) is the always-two-round-read
 baseline both are measured against (experiment E12).  This module says
-so in code: one message vocabulary, one slotted server, one writer,
-one reader and one deployment, driven by a :class:`RegisterProtocol`
-row.
+so in code: one message vocabulary, one slotted server, one writer and
+one reader, driven by a :class:`RegisterProtocol` row (and wired, one
+registry id per row, by :mod:`repro.scenarios.adapters`).
 
 * :data:`ABD` — majority quorums, one write slot.  Writes take one
   round; reads take two rounds **always** (collect + write-back).  The
@@ -58,7 +58,7 @@ from typing import (
 )
 
 from repro.sim.conditions import AckSet, AllOf, ConditionMap
-from repro.sim.network import Message, Rule, TraceLevel
+from repro.sim.network import Message
 from repro.sim.process import Process
 from repro.sim.tasks import WaitUntil
 from repro.sim.trace import Trace
@@ -70,7 +70,6 @@ from repro.storage.batching import (
     WriteBatch,
     distinct_keys,
 )
-from repro.storage.deployment import Deployment
 from repro.storage.history import DEFAULT_KEY, INITIAL_PAIR, Pair
 from repro.storage.stamping import DiscoveryInbox, StampIssuer
 
@@ -552,50 +551,3 @@ class RegisterReader(_RegisterClient):
             for i in failing:
                 self.trace.complete(records[i], now, cmaxes[i].val, rounds=2)
         return records
-
-
-class RegisterSystem(Deployment):
-    """A wired count-quorum register deployment: ``n`` servers
-    (``1..n``), up to ``t`` crash failures, ``fast`` acks to exit a
-    write round early.  The defaults are the paper's Section 1.2
-    instance (``n=5, t=2, fast=4``); rows whose thresholds do not
-    depend on ``t`` or ``fast`` ignore them."""
-
-    def __init__(
-        self,
-        protocol: RegisterProtocol,
-        n: int = 5,
-        t: int = 2,
-        fast: int = 4,
-        n_readers: int = 2,
-        delta: float = 1.0,
-        crash_times: Optional[Dict[Hashable, float]] = None,
-        rules: Optional[List[Rule]] = None,
-        trace_level: TraceLevel = TraceLevel.FULL,
-        n_writers: int = 1,
-    ):
-        self.protocol = protocol
-        self.t = t
-        self.fast = fast
-        super().__init__(
-            range(1, n + 1), n_readers=n_readers, delta=delta,
-            crash_times=crash_times, rules=rules, trace_level=trace_level,
-            n_writers=n_writers,
-        )
-
-    def make_server(self, sid: Hashable) -> RegisterServer:
-        return RegisterServer(sid, self.protocol.slots)
-
-    def make_writer(
-        self, pid: Hashable, writer_id: Optional[int]
-    ) -> RegisterWriter:
-        return RegisterWriter(
-            pid, self.server_ids, self.trace, self.protocol, self.t,
-            self.fast, self.delta, writer_id=writer_id,
-        )
-
-    def make_reader(self, pid: Hashable) -> RegisterReader:
-        return RegisterReader(
-            pid, self.server_ids, self.trace, self.protocol, self.t,
-            self.delta,
-        )

@@ -124,36 +124,9 @@ class StorageReader(Process):
         state = ReadState(self.rqs)
         self._state = state
 
-        # -- part 1: regular read (lines 20-35) --
-        read_rnd = 0
-        csel: Optional[Pair] = None
-        while True:
-            read_rnd += 1
-            timer = (
-                self.sim.timer_at(self.sim.now + self.timeout)
-                if read_rnd == 1
-                else None
-            )
-            self.send_all(targets, RD(self.read_no, read_rnd, key))
-
-            quorum_cond = state.when(
-                partial(state.round_quorum, read_rnd),
-                f"read#{self.read_no} round {read_rnd}",
-            )
-            try:
-                yield WaitUntil(quorum_cond)
-            finally:
-                state.unwatch(quorum_cond)
-            if read_rnd == 1:
-                yield WaitUntil(timer, f"read#{self.read_no} round-1 timer")
-                state.freeze_round1()
-            candidates = state.candidates()
-            if candidates:
-                csel = max(candidates, key=lambda p: p.ts)
-                break
+        csel, read_rnd = yield from self._regular_part(state, key, targets)
 
         # -- part 2: BCD-orchestrated write-back (lines 40-49) --
-        assert csel is not None
         # Surface the selected timestamp for the stamp-ordered online
         # checker (every completion path below returns csel.val).
         record.meta["ts"] = csel.ts
@@ -190,6 +163,36 @@ class StorageReader(Process):
             record, self.sim.now, csel.val, rounds=read_rnd + 2
         )
         return record
+
+    def _regular_part(self, state: ReadState, key: Hashable, targets):
+        """Part 1 of a read (lines 20-35): rounds of ``rd`` to
+        ``targets`` until the candidate set is non-empty.  Returns
+        ``(csel, read_rnd)`` — the highest-timestamped candidate and the
+        round that produced it."""
+        read_rnd = 0
+        while True:
+            read_rnd += 1
+            timer = (
+                self.sim.timer_at(self.sim.now + self.timeout)
+                if read_rnd == 1
+                else None
+            )
+            self.send_all(targets, RD(self.read_no, read_rnd, key))
+
+            quorum_cond = state.when(
+                partial(state.round_quorum, read_rnd),
+                f"read#{self.read_no} round {read_rnd}",
+            )
+            try:
+                yield WaitUntil(quorum_cond)
+            finally:
+                state.unwatch(quorum_cond)
+            if read_rnd == 1:
+                yield WaitUntil(timer, f"read#{self.read_no} round-1 timer")
+                state.freeze_round1()
+            candidates = state.candidates()
+            if candidates:
+                return max(candidates, key=lambda p: p.ts), read_rnd
 
     def _writeback(
         self,

@@ -17,20 +17,17 @@ candidate set is non-empty.  Consequences, demonstrated by the tests:
   (which :func:`repro.analysis.regularity.check_swmr_regularity`
   accepts and the atomicity checker rejects).
 
-Writes are the unchanged three-round Figure 5 writer.
+Writes are the unchanged three-round Figure 5 writer.  The reader runs
+as the ``"rqs-regular"`` protocol of :mod:`repro.scenarios` (the
+rqs-storage deployment with this class as its reader); batched reads
+take the inherited atomic ``read_batch``, which is regular a fortiori.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Hashable
-
-from repro.sim.tasks import WaitUntil
 from repro.storage.history import DEFAULT_KEY
-from repro.storage.messages import RD
 from repro.storage.predicates import ReadState
 from repro.storage.reader import StorageReader
-from repro.storage.system import StorageSystem
 
 
 class RegularReader(StorageReader):
@@ -38,48 +35,14 @@ class RegularReader(StorageReader):
 
     def read(self, key=DEFAULT_KEY):
         record = self.trace.begin("read", self.pid, self.sim.now, key=key)
+        target = self.selector.next_read() if self.selector else None
         self.read_no += 1
         self._current_read_no = self.read_no
-        state = ReadState(self.rqs)
-        self._state = state
-
-        read_rnd = 0
-        while True:
-            read_rnd += 1
-            timer = (
-                self.sim.timer_at(self.sim.now + self.timeout)
-                if read_rnd == 1
-                else None
-            )
-            self.send_all(
-                self.rqs.servers, RD(self.read_no, read_rnd, key)
-            )
-
-            quorum_cond = state.when(
-                partial(state.round_quorum, read_rnd),
-                f"regular-read#{self.read_no} round {read_rnd}",
-            )
-            try:
-                yield WaitUntil(quorum_cond)
-            finally:
-                state.unwatch(quorum_cond)
-            if read_rnd == 1:
-                yield WaitUntil(
-                    timer, f"regular-read#{self.read_no} round-1 timer"
-                )
-                state.freeze_round1()
-            candidates = state.candidates()
-            if candidates:
-                csel = max(candidates, key=lambda p: p.ts)
-                break
-
+        state = self._state = ReadState(self.rqs)
+        csel, read_rnd = yield from self._regular_part(
+            state, key, self._targets(target)
+        )
         # Regular semantics: no write-back, return immediately.
+        record.meta["ts"] = csel.ts
         self.trace.complete(record, self.sim.now, csel.val, rounds=read_rnd)
         return record
-
-
-class RegularStorageSystem(StorageSystem):
-    """A :class:`StorageSystem` whose readers are regular readers."""
-
-    def make_reader(self, pid: Hashable) -> RegularReader:
-        return RegularReader(pid, self.rqs, self.trace, delta=self.delta)

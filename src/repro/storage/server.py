@@ -77,7 +77,7 @@ class StorageServer(Process):
     candidates at or above what a quorum advertises, so FULL-trace runs
     are bit-identical with the knob on or off (pinned by golden
     fingerprints).  Counters (``history_cells``, ``max_history_cells``,
-    ``gc_removed``) feed ``StorageSystem.history_stats()``.
+    ``gc_removed``) feed ``RunResult.server_history``.
     """
 
     def __init__(self, pid: Hashable, bounded_history: bool = False):

@@ -69,7 +69,7 @@ def test_class3_best_case_probes_per_update(counters):
     calls, examined = counters
     result = run(_best_case(3))
     assert result.worst_learner_delay == 4.0          # the class-3 path ran
-    assert len(result.system.rqs.quorums) == 93
+    assert len(result.adapter.rqs.quorums) == 93
     updates = calls["updates"]
     assert updates > 100
     # At most one probe for the decide rule and one for the cascade

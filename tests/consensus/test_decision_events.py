@@ -1,37 +1,40 @@
 """The decision/learned Events: the delivery path signals waiters."""
 
-from repro.consensus.system import ConsensusSystem
-from repro.core.constructions import threshold_rqs
+from repro.scenarios import Propose, ScenarioSpec, get_protocol, run
 from repro.sim.tasks import WaitUntil
+
+SPEC = ScenarioSpec(
+    "rqs-consensus", rqs="example6", workload=(Propose(0.0, "V"),),
+    horizon=60.0,
+)
 
 
 def test_decision_events_wake_waiters():
-    rqs = threshold_rqs(8, 3, 1, 1, 2)
-    system = ConsensusSystem(rqs)
-    learner = system.learners[0]
+    # The adapter lifecycle by hand, to park a watcher before the run.
+    adapter = get_protocol(SPEC.protocol).build(SPEC)
+    learner = adapter.learners[0]
 
     def watcher():
         yield WaitUntil(learner.learned_event)
-        return (system.sim.now, learner.learned)
+        return (adapter.sim.now, learner.learned)
 
-    task = system.sim.spawn(watcher(), "decision watcher")
-    system.propose_at(0.0, "V", proposer_index=0)
-    system.sim.run(until=60.0)
+    task = adapter.sim.spawn(watcher(), "decision watcher")
+    adapter.schedule(SPEC)
+    adapter.execute(SPEC)
     # The watcher woke in the same instant the learner learned.
     assert task.done() and task.result == (learner.learned_at, "V")
     assert all(
         acceptor.decided_event.is_set
-        for acceptor in system.acceptors.values()
+        for acceptor in adapter.acceptors.values()
     )
 
 
 def test_events_unset_while_undecided():
-    rqs = threshold_rqs(8, 3, 1, 1, 2)
-    system = ConsensusSystem(rqs)
+    adapter = run(SPEC.with_(workload=())).adapter
     assert not any(
-        learner.learned_event.is_set for learner in system.learners
+        learner.learned_event.is_set for learner in adapter.learners
     )
     assert not any(
         acceptor.decided_event.is_set
-        for acceptor in system.acceptors.values()
+        for acceptor in adapter.acceptors.values()
     )

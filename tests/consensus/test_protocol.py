@@ -1,15 +1,19 @@
 """End-to-end tests for the RQS consensus protocol (Figures 9-15)."""
 
-import pytest
-
-from repro.analysis.consensus_check import check_consensus
-from repro.core.constructions import pbft_style_rqs, threshold_rqs
-from repro.sim.network import drop_rule
 from repro.consensus.acceptor import Acceptor
-from repro.consensus.proposer import EquivocatingProposer
-from repro.consensus.system import ConsensusSystem
+from repro.scenarios import (
+    ACCEPTOR,
+    PROPOSER,
+    ByzantineRole,
+    Crash,
+    FaultPlan,
+    Propose,
+    ScenarioSpec,
+    crashes,
+    run,
+)
 
-RQS = threshold_rqs(8, 3, 1, 1, 2)
+CONTENDED = (Propose(0.0, "A", proposer=0), Propose(0.0, "B", proposer=1))
 
 
 class SilentAcceptor(Acceptor):
@@ -19,84 +23,87 @@ class SilentAcceptor(Acceptor):
         return
 
 
+def consensus(*workload, rqs="example6", horizon=600.0, **spec_fields):
+    return run(ScenarioSpec(
+        "rqs-consensus", rqs=rqs, workload=workload, horizon=horizon,
+        **spec_fields,
+    ))
+
+
+def best_case(crashed=(), **spec_fields):
+    """A single correct proposer proposes "V" at t=0."""
+    return consensus(
+        Propose(0.0, "V"), horizon=60.0,
+        faults=FaultPlan(crashes=crashes({aid: 0.0 for aid in crashed})),
+        **spec_fields,
+    )
+
+
 class TestBestCase:
     def test_class1_two_delays(self):
-        system = ConsensusSystem(RQS)
-        delays = system.run_best_case("V")
-        assert all(d == 2.0 for d in delays.values())
-        assert set(system.learned_values().values()) == {"V"}
+        result = best_case()
+        assert all(d == 2.0 for d in result.learner_delays.values())
+        assert set(result.learned.values()) == {"V"}
 
     def test_class2_three_delays(self):
-        system = ConsensusSystem(RQS, crash_times={1: 0.0, 2: 0.0})
-        delays = system.run_best_case("V")
+        delays = best_case(crashed=(1, 2)).learner_delays
         assert all(d == 3.0 for d in delays.values())
 
     def test_class3_four_delays(self):
-        system = ConsensusSystem(RQS, crash_times={1: 0.0, 2: 0.0, 3: 0.0})
-        delays = system.run_best_case("V")
+        delays = best_case(crashed=(1, 2, 3)).learner_delays
         assert all(d == 4.0 for d in delays.values())
 
     def test_pbft_style_instance(self):
-        system = ConsensusSystem(pbft_style_rqs(1))
-        delays = system.run_best_case("V")
+        delays = best_case(rqs="pbft:1").learner_delays
         assert all(d == 2.0 for d in delays.values())
 
     def test_acceptors_decide_too(self):
-        system = ConsensusSystem(RQS)
-        system.run_best_case("V")
-        decided = [a.decided for a in system.acceptors.values()]
-        assert all(value == "V" for value in decided)
+        acceptors = best_case().adapter.acceptors
+        assert len(acceptors) == 8
+        assert all(a.decided == "V" for a in acceptors.values())
 
 
 class TestFaults:
     def test_silent_byzantine_acceptor(self):
-        system = ConsensusSystem(
-            RQS, acceptor_factories={8: SilentAcceptor}
+        result = consensus(
+            Propose(0.0, "V"), horizon=60.0,
+            faults=FaultPlan(byzantine=(
+                ByzantineRole(8, role=ACCEPTOR, factory=SilentAcceptor),
+            )),
         )
-        delays = system.run_best_case("V")
-        assert set(system.learned_values().values()) == {"V"}
-        assert all(d is not None for d in delays.values())
+        assert set(result.learned.values()) == {"V"}
+        assert all(d is not None for d in result.learner_delays.values())
 
     def test_byzantine_equivocating_proposer_recovered(self):
-        system = ConsensusSystem(
-            RQS,
-            n_proposers=2,
-            proposer_factories={0: EquivocatingProposer},
+        result = consensus(
+            Propose(0.0, "EVIL", proposer=0),
+            Propose(1.0, "GOOD", proposer=1),
+            faults=FaultPlan(byzantine=(
+                ByzantineRole(0, "equivocating", role=PROPOSER),
+            )),
         )
-        system.propose_at(0.0, "EVIL", proposer_index=0)
-        system.propose_at(1.0, "GOOD", proposer_index=1)
-        system.run(until=600.0)
-        learned = system.learned_values()
+        learned = result.learned
         assert len(learned) == 3
         assert len(set(learned.values())) == 1
 
     def test_contention_resolved_by_view_change(self):
-        system = ConsensusSystem(RQS, n_proposers=2)
-        system.propose_at(0.0, "A", proposer_index=0)
-        system.propose_at(0.0, "B", proposer_index=1)
-        system.run(until=600.0)
-        report = check_consensus(
-            system.operations(),
-            correct_learners=[l.pid for l in system.learners],
-        )
-        assert report.ok
+        result = consensus(*CONTENDED)
+        assert result.adapter.correct_learner_pids() == ("l1", "l2", "l3")
+        assert result.consensus.ok
 
     def test_crashed_initial_leader_failover(self):
-        system = ConsensusSystem(RQS, n_proposers=2)
-        system.propose_at(0.0, "A", proposer_index=0)
-        system.proposers[1].value = "B"
-        # p1 crashes right after its prepare is sent
-        system.process("p1").schedule_crash(0.5)
-        system.run(until=600.0)
-        learned = system.learned_values()
+        result = consensus(
+            Propose(0.0, "A", proposer=0),
+            params={"proposer_values": {1: "B"}},
+            # p1 crashes right after its prepare is sent
+            faults=FaultPlan(crashes=(Crash("p1", 0.5),)),
+        )
+        learned = result.learned
         assert len(learned) == 3 and len(set(learned.values())) == 1
 
     def test_max_acceptor_crashes_tolerated(self):
-        system = ConsensusSystem(
-            RQS, crash_times={1: 0.0, 2: 0.0, 3: 0.0}
-        )
-        system.run_best_case("V")
-        assert set(system.learned_values().values()) == {"V"}
+        result = best_case(crashed=(1, 2, 3))
+        assert set(result.learned.values()) == {"V"}
 
 
 class TestEventualSynchrony:
@@ -107,9 +114,5 @@ class TestEventualSynchrony:
         assert outcome.terminated and outcome.agreement_ok
 
     def test_validity_under_contention(self):
-        system = ConsensusSystem(RQS, n_proposers=2)
-        system.propose_at(0.0, "A", proposer_index=0)
-        system.propose_at(0.0, "B", proposer_index=1)
-        system.run(until=600.0)
-        values = set(system.learned_values().values())
+        values = set(consensus(*CONTENDED).learned.values())
         assert values and values <= {"A", "B"}

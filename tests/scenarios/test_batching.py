@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import ScenarioError
 from repro.scenarios import RandomMix, ScenarioSpec, run
-from repro.scenarios.faults import Crash, Drop, FaultPlan
+from repro.scenarios.faults import Crash, Drop, FaultPlan, Hold
 from repro.scenarios.workloads import Write
 from repro.sim.conditions import Event
 from repro.sim.tasks import AUTO_BATCH_MAX, _adaptive_batches
@@ -53,7 +53,7 @@ def _final_pairs(result):
     equivalence is on the winning pair per register, not on raw server
     state.
     """
-    servers = list(result.system.servers.values())
+    servers = list(result.adapter.servers.values())
     if result.spec.protocol == "rqs-storage":
         keys = set().union(*(s.histories for s in servers))
         pairs_of = lambda s, k: tuple(
@@ -270,20 +270,20 @@ class TestPerElementCompletion:
         """One element with a contended (partial) pre-write fails the
         fast decision and waits out the write-back; the clean element
         completes two time units earlier at the collect instant."""
-        from repro.storage.abd import FASTABD, RegisterSystem
         from repro.storage.history import Pair
 
-        system = RegisterSystem(FASTABD, n_readers=1)
-        system.write("a0", key="a")
-        system.write("b0", key="b")
-        ts = system.writer.ts
+        adapter = run(ScenarioSpec(
+            "fastabd", readers=1,
+            workload=(Write(0.0, "a0", key="a"), Write(0.0, "b0", key="b")),
+        )).adapter
+        ts = adapter.writers[0].ts
         # Stage a newer pre-write visible at only 2 servers (< slow=3).
-        for sid in list(system.servers)[:2]:
-            system.servers[sid].slots_for("b")["pw"] = Pair(ts + 1, "b1")
-        task = system.sim.spawn(
-            system.readers[0].read_batch(["a", "b"]), "batch read"
+        for sid in list(adapter.servers)[:2]:
+            adapter.servers[sid].slots_for("b")["pw"] = Pair(ts + 1, "b1")
+        task = adapter.sim.spawn(
+            adapter.readers[0].read_batch(["a", "b"]), "batch read"
         )
-        system.sim.run_to_completion(strict=False)
+        adapter.sim.run_to_completion(strict=False)
         clean, contended = task.result
         assert (clean.result, clean.rounds) == ("a0", 1)
         assert (contended.result, contended.rounds) == ("b1", 2)
@@ -296,24 +296,20 @@ class TestPerElementCompletion:
         write-back instant with the unbatched values — here under a
         partial write plus maximal crashes (the Theorem 9 degraded
         class), where the old whole-batch path is at its worst."""
-        from repro.core.constructions import threshold_rqs
-        from repro.sim.network import hold_rule
-        from repro.storage.system import StorageSystem
-
-        rqs = threshold_rqs(8, 3, 1, 1, 2)
-        system = StorageSystem(
-            rqs, n_readers=1,
-            rules=[hold_rule(src={"writer"}, dst={1}, after=5.0)],
+        result = run(ScenarioSpec(
+            "rqs-storage", rqs="example6", readers=1,
+            workload=(Write(0.0, "vb", key="b"), Write(5.0, "va", key="a")),
+            faults=FaultPlan(
+                crashes=[Crash(sid, 10.0) for sid in (2, 3, 4)],
+                asynchrony=(Hold(src=("writer",), dst=(1,), after=5.0),),
+            ),
+        ))
+        assert result.write(1).rounds == 1
+        adapter = result.adapter
+        task = adapter.sim.spawn(
+            adapter.readers[0].read_batch(["b", "a"]), "batch read"
         )
-        system.write("vb", key="b")
-        system.sim.run(until=5.0)
-        assert system.write("va", key="a").rounds == 1
-        for sid in (2, 3, 4):
-            system.servers[sid].crash()
-        task = system.sim.spawn(
-            system.readers[0].read_batch(["b", "a"]), "batch read"
-        )
-        system.sim.run_to_completion(strict=False)
+        adapter.sim.run_to_completion(strict=False)
         first, second = task.result
         assert (first.result, second.result) == ("vb", "va")
         # One cohort: collect plus the two-round line 49 write-back.

@@ -68,6 +68,9 @@ SPECS = {
     "rqs-storage-randommix-seed3": ScenarioSpec(
         protocol="rqs-storage", rqs="example6", readers=2,
         workload=(RandomMix(6, 6, horizon=40.0),), seed=3),
+    "rqs-regular-randommix": ScenarioSpec(
+        protocol="rqs-regular", rqs="threshold:5,1,1,0,1", readers=3,
+        workload=(RandomMix(5, 9, horizon=40.0),), seed=1),
     "abd": ScenarioSpec(
         protocol="abd", readers=2,
         workload=(Write(0.0, "v"), Read(5.0), Read(5.5, reader=1))),
@@ -94,7 +97,9 @@ SPECS = {
 }
 
 #: Captured from the pre-keyed code — do not regenerate from current
-#: code when they disagree; a mismatch IS the regression.
+#: code when they disagree; a mismatch IS the regression.  (The
+#: ``rqs-regular`` row was captured later, from the hand-wired regular
+#: deployment class that registry row replaced.)
 GOLDEN_FINGERPRINTS = {
     'rqs-storage-plain': (('write', 'writer', 0.0, 2.0, "'OK'", 1), ('read', 'reader1', 5.0, 7.0, "'a'", 1), ('write', 'writer', 6.0, 8.0, "'OK'", 1), ('read', 'reader2', 7.0, 9.0, "'b'", 1), 64),
     'rqs-storage-crashes': (('write', 'writer', 0.0, 4.0, "'OK'", 2), ('read', 'reader1', 6.0, 8.0, "'v'", 1), 42),
@@ -102,6 +107,7 @@ GOLDEN_FINGERPRINTS = {
     'rqs-storage-asynchrony': (('write', 'writer', 0.0, 2.0, "'OK'", 1), ('read', 'reader1', 5.0, 9.0, "'v'", 2), 43),
     'rqs-storage-randommix': (('read', 'reader1', 1.874782922099244, 3.874782922099244, '⊥', 1), ('read', 'reader2', 2.8999462387353403, 4.899946238735341, '⊥', 1), ('read', 'reader3', 3.492771178730947, 5.492771178730947, '⊥', 1), ('write', 'writer', 3.621814333377138, 5.621814333377138, "'OK'", 1), ('read', 'reader1', 4.535650667193253, 6.535650667193253, '1', 1), ('write', 'writer', 7.542458696225096, 9.542458696225097, "'OK'", 1), ('write', 'writer', 16.19163824165812, 18.19163824165812, "'OK'", 1), ('read', 'reader1', 18.28444584562928, 20.28444584562928, '3', 1), ('read', 'reader2', 21.225959457125697, 23.225959457125697, '3', 1), ('read', 'reader2', 23.225959457125697, 25.225959457125697, '3', 1), ('read', 'reader3', 25.371786659471013, 27.371786659471013, '3', 1), ('write', 'writer', 26.79410021533446, 28.79410021533446, "'OK'", 1), ('write', 'writer', 32.546723651992686, 34.546723651992686, "'OK'", 1), 203),
     'rqs-storage-randommix-seed3': (('read', 'reader1', 0.5267196621949655, 2.5267196621949655, '⊥', 1), ('write', 'writer', 2.6211543695925243, 4.621154369592524, "'OK'", 1), ('read', 'reader2', 9.373238441867855, 11.373238441867855, '1', 1), ('write', 'writer', 9.518585083675655, 11.518585083675655, "'OK'", 1), ('read', 'reader1', 10.374160573120307, 12.374160573120307, '2', 1), ('write', 'writer', 14.798206661923171, 16.79820666192317, "'OK'", 1), ('read', 'reader2', 18.81054030089792, 20.81054030089792, '3', 1), ('write', 'writer', 21.769169011838073, 23.769169011838073, "'OK'", 1), ('write', 'writer', 24.156801543847777, 26.156801543847777, "'OK'", 1), ('write', 'writer', 26.156801543847777, 28.156801543847777, "'OK'", 1), ('read', 'reader2', 33.4987632838584, 35.4987632838584, '6', 1), ('read', 'reader1', 39.82579342041851, 41.82579342041851, '6', 1), 192),
+    'rqs-regular-randommix': (('read', 'reader3', 0.08424213404442771, 2.0842421340444277, '⊥', 1), ('read', 'reader2', 1.1338990608802524, 3.1338990608802524, '⊥', 1), ('read', 'reader1', 3.7543834709693957, 5.754383470969396, '⊥', 1), ('write', 'writer', 5.374569764496049, 7.374569764496049, "'OK'", 1), ('write', 'writer', 10.202761029576868, 12.202761029576868, "'OK'", 1), ('read', 'reader1', 17.310682716202134, 19.310682716202134, '2', 1), ('read', 'reader1', 19.310682716202134, 21.310682716202134, '2', 1), ('write', 'writer', 19.817403483677637, 21.817403483677637, "'OK'", 1), ('read', 'reader2', 26.063718908910516, 28.063718908910516, '3', 1), ('read', 'reader2', 30.49120329831768, 32.49120329831768, '3', 1), ('write', 'writer', 30.550984759064562, 32.55098475906456, "'OK'", 1), ('read', 'reader3', 31.548934045420527, 33.54893404542052, '4', 1), ('read', 'reader3', 33.54893404542052, 35.54893404542052, '4', 1), ('write', 'writer', 33.89734947748931, 35.89734947748931, "'OK'", 1), 140),
     'abd': (('write', 'writer', 0.0, 2.0, "'OK'", 1), ('read', 'reader1', 5.0, 9.0, "'v'", 2), ('read', 'reader2', 5.5, 9.5, "'v'", 2), 50),
     'abd-randommix': (('read', 'reader1', 5.5398103156462986, 9.5398103156463, '⊥', 2), ('write', 'writer', 13.571386605294558, 15.571386605294558, "'OK'", 1), ('read', 'reader1', 15.235238191868133, 19.235238191868135, '1', 2), ('read', 'reader2', 15.357259171254166, 19.357259171254164, '1', 2), ('write', 'writer', 15.571386605294558, 17.571386605294556, "'OK'", 1), ('write', 'writer', 17.571386605294556, 19.571386605294556, "'OK'", 1), ('read', 'reader1', 19.235238191868135, 23.235238191868135, '3', 2), ('read', 'reader2', 19.357259171254164, 23.357259171254164, '3', 2), ('read', 'reader2', 23.78930617559858, 25.78930617559858, '3', 2), ('write', 'writer', 27.72631752071188, 29.72631752071188, "'OK'", 1), 160),
     'fastabd-crash': (('write', 'writer', 0.0, 2.0, "'OK'", 1), ('read', 'reader1', 6.0, 8.0, "'v'", 1), ('write', 'writer', 8.0, 10.0, "'OK'", 1), ('read', 'reader2', 9.0, 11.0, "'w'", 1), 36),

@@ -18,89 +18,94 @@ from repro.scenarios import (
     Drop,
     FaultPlan,
     Partition,
+    Propose,
     RandomMix,
     Read,
+    Resync,
     ScenarioSpec,
     Write,
     run,
 )
-from repro.scenarios.workloads import expand_random_mix
 from repro.sim.trace import Trace
 from repro.storage.history import DEFAULT_KEY, WRITER_STRIDE, make_stamp, stamp_seq
 
 
-# -- workload expansion --------------------------------------------------------
+# -- the workload draw ----------------------------------------------------------
+
+def _draw(mix, n_readers, seed, **stream_args):
+    """One closed-loop draw, every client's view materialized:
+    ``({writer: [(at, value, key)]}, {reader: [(at, key)]})``."""
+    stream = mix.stream(n_readers, seed, **stream_args)
+    return (
+        {w: list(stream.writer_ops(w)) for w in stream.writers_with_ops},
+        {r: list(stream.reader_ops(r)) for r in stream.readers_with_ops},
+    )
+
 
 class TestExpandRandomMix:
     def test_zero_readers_with_reads_raises(self):
         """Regression: reads used to be silently routed to reader 0."""
         with pytest.raises(ScenarioError, match="no readers"):
-            expand_random_mix(RandomMix(2, 3, horizon=10.0), 0, seed=0)
+            _draw(RandomMix(2, 3, horizon=10.0), 0, seed=0)
 
     def test_zero_readers_without_reads_is_fine(self):
-        writes, per_reader = expand_random_mix(
-            RandomMix(3, 0, horizon=10.0), 0, seed=0
-        )
-        assert len(writes) == 3 and per_reader == {}
+        writes, reads = _draw(RandomMix(3, 0, horizon=10.0), 0, seed=0)
+        assert len(writes[0]) == 3 and reads == {}
 
     def test_single_key_defaults_touch_only_default_register(self):
-        writes, per_reader = expand_random_mix(
-            RandomMix(4, 6, horizon=20.0), 2, seed=1
-        )
-        assert all(w.key == DEFAULT_KEY and w.writer == 0 for w in writes)
+        writes, reads = _draw(RandomMix(4, 6, horizon=20.0), 2, seed=1)
+        assert list(writes) == [0]
+        assert all(key == DEFAULT_KEY for _, _, key in writes[0])
         assert all(
-            r.key == DEFAULT_KEY
-            for ops in per_reader.values() for r in ops
+            key == DEFAULT_KEY for ops in reads.values() for _, key in ops
         )
 
     def test_multi_key_draws_are_deterministic_per_seed(self):
-        first = expand_random_mix(
-            RandomMix(6, 8, horizon=20.0), 2, seed=9, n_keys=4
-        )
-        second = expand_random_mix(
-            RandomMix(6, 8, horizon=20.0), 2, seed=9, n_keys=4
-        )
+        first = _draw(RandomMix(6, 8, horizon=20.0), 2, seed=9, n_keys=4)
+        second = _draw(RandomMix(6, 8, horizon=20.0), 2, seed=9, n_keys=4)
         assert first == second
 
     def test_multi_key_keeps_single_key_times(self):
         """Key draws happen after all time draws, so the schedule's
         times/values are identical whatever the keyspace width."""
-        base_w, base_r = expand_random_mix(
-            RandomMix(5, 7, horizon=30.0), 2, seed=4
-        )
-        keyed_w, keyed_r = expand_random_mix(
+        base_w, base_r = _draw(RandomMix(5, 7, horizon=30.0), 2, seed=4)
+        keyed_w, keyed_r = _draw(
             RandomMix(5, 7, horizon=30.0), 2, seed=4, n_keys=8
         )
-        assert [(w.at, w.value) for w in base_w] == [
-            (w.at, w.value) for w in keyed_w
+        assert [(at, value) for at, value, _ in base_w[0]] == [
+            (at, value) for at, value, _ in keyed_w[0]
         ]
         assert {
-            reader: [r.at for r in ops] for reader, ops in base_r.items()
+            reader: [at for at, _ in ops] for reader, ops in base_r.items()
         } == {
-            reader: [r.at for r in ops] for reader, ops in keyed_r.items()
+            reader: [at for at, _ in ops] for reader, ops in keyed_r.items()
         }
 
     def test_writers_assigned_round_robin(self):
-        writes, _ = expand_random_mix(
+        writes, _ = _draw(
             RandomMix(6, 0, horizon=10.0), 1, seed=0, n_writers=3
         )
-        assert [w.writer for w in writes] == [0, 1, 2, 0, 1, 2]
+        by_start = sorted(
+            (at, writer) for writer, ops in writes.items()
+            for at, _, _ in ops
+        )
+        assert [writer for _, writer in by_start] == [0, 1, 2, 0, 1, 2]
 
     def test_zipfian_skews_toward_low_keys(self):
         mix = RandomMix(200, 0, horizon=100.0, distribution="zipfian",
                         skew=1.5)
-        writes, _ = expand_random_mix(mix, 1, seed=2, n_keys=8)
+        writes, _ = _draw(mix, 1, seed=2, n_keys=8)
         counts = [0] * 8
-        for w in writes:
-            counts[w.key] += 1
+        for _, _, key in writes[0]:
+            counts[key] += 1
         assert counts[0] > counts[7]
         assert counts[0] >= max(counts[1:])
 
     def test_uniform_covers_the_keyspace(self):
-        writes, _ = expand_random_mix(
+        writes, _ = _draw(
             RandomMix(200, 0, horizon=100.0), 1, seed=3, n_keys=4
         )
-        assert {w.key for w in writes} == {0, 1, 2, 3}
+        assert {key for _, _, key in writes[0]} == {0, 1, 2, 3}
 
     def test_unknown_distribution_rejected(self):
         with pytest.raises(ScenarioError, match="distribution"):
@@ -120,6 +125,26 @@ class TestSpecValidation:
             workload=(Write(0.0, "v", writer=2),),
         )
         with pytest.raises(ScenarioError, match="writer 2"):
+            run(spec)
+
+    @pytest.mark.parametrize("spec, complaint", [
+        (ScenarioSpec("rqs-storage", rqs="example6", readers=2,
+                      workload=(Write(0.0, "v"), Read(10.0, reader=-1))),
+         "reader -1 but the spec only has 2 readers"),
+        (ScenarioSpec("rqs-consensus", rqs="example6", proposers=2,
+                      workload=(Propose(0.0, "v", proposer=-1),),
+                      horizon=60.0),
+         "proposer -1 but the spec only has 2 proposers"),
+        (ScenarioSpec("rqs-consensus", rqs="example6", proposers=3,
+                      workload=(Propose(0.0, "v"), Resync(5.0, proposer=-1)),
+                      horizon=60.0),
+         "proposer -1 but the spec only has 3 proposers"),
+    ], ids=["Read", "Propose", "Resync"])
+    def test_negative_client_index_rejected(self, spec, complaint):
+        """Regression: ``-1`` used to address the *last* reader or
+        proposer (Python's negative indexing) while ``writer=-1`` was
+        refused; every client index is ``0 <= index < count``."""
+        with pytest.raises(ScenarioError, match=complaint):
             run(spec)
 
 
@@ -219,7 +244,7 @@ class TestMultiWriter:
             n_writers=2,
         )
         result = run(spec)
-        servers = result.system.servers
+        servers = result.adapter.servers
         stored = {
             ts
             for server in servers.values()

@@ -263,26 +263,65 @@ class TestSchedulePartition:
         assert set(sum(parts, [])) <= set(whole)
 
 
+#: Multi-writer soaks (stamped writers, the ``"mw"`` online checker) on
+#: both storage families, closed loop and under an op budget.
+MW_SOAKS = {
+    f"{loop}-{label}": dict(
+        n_writers=3, n_keys=16, seed=5, max_ops=max_ops, **settings
+    )
+    for loop, max_ops in (("closed", None), ("open", 3000))
+    for label, settings in (
+        ("abd", dict(protocol="abd")),
+        ("rqs-bounded", dict(protocol="rqs-storage",
+                             params={"bounded_history": True})),
+    )
+}
+
+
+def _assert_same_counts_and_verdicts(base, sharded, mode):
+    assert isinstance(sharded, ShardedRunResult)
+    assert sharded.op_kinds() == base.op_kinds()
+    assert base.online is not None and sharded.online is not None
+    assert sharded.ops_begun() == base.ops_begun()
+    assert sharded.ops_completed() == base.ops_completed()
+    assert sharded.online.checked_ops == base.online.checked_ops
+    if base.spec.max_ops is None:
+        # (An op budget is split across the shards up front, so each
+        # shard cuts its own stream: the total is preserved, the
+        # write:read split of the last few ops is not.)
+        for kind in ("write", "read"):
+            assert sharded.ops_begun(kind) == base.ops_begun(kind)
+            assert sharded.ops_completed(kind) == base.ops_completed(kind)
+        assert sharded.online.checked_writes == base.online.checked_writes
+        assert sharded.online.checked_reads == base.online.checked_reads
+    assert sharded.online.keys == base.online.keys
+    assert sharded.online.violation_count == 0
+    assert sharded.online.verdict == base.online.verdict == "atomic"
+    assert sharded.online.mode == base.online.mode == mode
+    assert not sharded.blocked
+
+
 class TestEquivalence:
     """Sharded-vs-unsharded: the streaming surface agrees."""
 
     def test_closed_loop_counts_and_verdicts(self):
         spec = sharded_soak_spec()
+        _assert_same_counts_and_verdicts(
+            run(spec), run(spec.with_(shards=4)), "sw"
+        )
+
+    @pytest.mark.parametrize("name", sorted(MW_SOAKS))
+    def test_multi_writer_counts_and_verdicts(self, name):
+        """``n_writers > 1`` shards like everything else: each shard
+        deploys the whole writer fleet and the merged ``"mw"`` verdict
+        covers exactly the ops the unsharded run checks."""
+        spec = sharded_soak_spec(**MW_SOAKS[name])
         base = run(spec)
-        sharded = run(spec.with_(shards=4))
-        assert isinstance(sharded, ShardedRunResult)
-        assert sharded.op_kinds() == base.op_kinds()
-        for kind in (None, "write", "read"):
-            assert sharded.ops_begun(kind) == base.ops_begun(kind)
-            assert sharded.ops_completed(kind) == base.ops_completed(kind)
-        assert base.online is not None and sharded.online is not None
-        assert sharded.online.keys == base.online.keys
-        assert sharded.online.checked_writes == base.online.checked_writes
-        assert sharded.online.checked_reads == base.online.checked_reads
-        assert sharded.online.violation_count == 0
-        assert sharded.online.verdict == base.online.verdict == "atomic"
-        assert sharded.online.mode == base.online.mode == "sw"
-        assert not sharded.blocked
+        _assert_same_counts_and_verdicts(
+            base, run(spec.with_(shards=2)), "mw"
+        )
+        if spec.max_ops is not None:
+            assert base.ops_completed() == spec.max_ops
 
     def test_sparse_open_loop_latency_is_fraction_exact(self):
         spec = sparse_open_loop_spec()

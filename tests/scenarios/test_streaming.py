@@ -2,11 +2,11 @@
 
 Three contracts pinned here:
 
-1. **Bit-identical schedules** — ``RandomMix.stream()`` yields exactly
-   the ops ``expand_random_mix`` materializes, for every RandomMix spec
-   in the golden-fingerprint suite and for keyed/multi-writer draws
-   (the golden fingerprints themselves run through the streaming
-   scheduler, so the executions are pinned too).
+1. **One draw, partitioned** — the per-client views of
+   ``RandomMix.stream()`` are a deterministic partition of one seeded
+   draw: round-robin clients, each view time-sorted, write values in
+   global start-time order (the executions themselves are pinned by the
+   golden fingerprints, which run through these views).
 2. **Streaming summaries match** — on FULL runs the accumulator-backed
    latency path equals the list-based path exactly.
 3. **Horizon-free runs** — the open-loop stopping rule generates
@@ -25,16 +25,6 @@ from repro.scenarios import (
     Write,
     run,
 )
-from repro.scenarios.workloads import expand_random_mix
-from tests.scenarios.test_golden_fingerprints import SPECS
-
-
-def _mix_specs():
-    return {
-        name: spec for name, spec in SPECS.items()
-        if any(isinstance(op, RandomMix) for op in spec.workload)
-    }
-
 
 MIX_DRAWS = {
     "single-key": dict(mix=RandomMix(5, 8, horizon=50.0), n_readers=3,
@@ -53,58 +43,51 @@ MIX_DRAWS = {
 }
 
 
-class TestStreamMatchesExpansion:
+class TestStreamViews:
     @pytest.mark.parametrize("name", sorted(MIX_DRAWS))
-    def test_stream_yields_exactly_the_expanded_ops(self, name):
-        params = MIX_DRAWS[name]
-        mix = params["mix"]
-        writes, per_reader = expand_random_mix(
-            mix, params["n_readers"], params["seed"],
-            n_keys=params["n_keys"], n_writers=params["n_writers"],
+    def test_client_views_partition_one_draw(self, name):
+        params = dict(MIX_DRAWS[name])
+        mix, n_readers = params.pop("mix"), params.pop("n_readers")
+        seed = params.pop("seed")
+        stream = mix.stream(n_readers, seed, first_value=10, **params)
+        writes = {
+            w: list(stream.writer_ops(w)) for w in stream.writers_with_ops
+        }
+        reads = {
+            r: list(stream.reader_ops(r)) for r in stream.readers_with_ops
+        }
+        # Deterministic: a second stream of the same draw agrees.
+        again = mix.stream(n_readers, seed, first_value=10, **params)
+        assert writes == {w: list(again.writer_ops(w)) for w in writes}
+        assert reads == {r: list(again.reader_ops(r)) for r in reads}
+        # Values count up from first_value in global start-time order,
+        # dealt round-robin over the writers.
+        merged = sorted(
+            (value, at, w) for w, ops in writes.items()
+            for at, value, _ in ops
         )
-        stream = mix.stream(
-            params["n_readers"], params["seed"],
-            n_keys=params["n_keys"], n_writers=params["n_writers"],
+        assert [value for value, _, _ in merged] == list(
+            range(10, 10 + mix.writes)
         )
-        streamed_writes = [
-            op for op in stream.ops() if isinstance(op, Write)
+        assert [at for _, at, _ in merged] == sorted(
+            at for _, at, _ in merged
+        )
+        assert [w for _, _, w in merged] == [
+            index % params["n_writers"] for index in range(mix.writes)
         ]
-        assert sorted(streamed_writes, key=lambda w: w.at) == writes
-        streamed_reads = {
-            reader: list(stream.reader_ops(reader))
-            for reader in stream.readers_with_ops
-        }
-        assert streamed_reads == {
-            reader: [(op.at, op.key) for op in ops]
-            for reader, ops in per_reader.items()
-        }
-
-    @pytest.mark.parametrize("name", sorted(_mix_specs()))
-    def test_golden_mix_specs_stream_identically(self, name):
-        """The golden RandomMix specs run through the streaming
-        scheduler (pure single-mix workloads take that path), and
-        their stream equals their expansion op for op."""
-        spec = SPECS[name]
-        (mix,) = spec.workload
-        readers = spec.readers
-        writes, per_reader = expand_random_mix(
-            mix, readers, spec.seed, n_keys=spec.n_keys,
-            n_writers=spec.n_writers,
-        )
-        stream = mix.stream(
-            readers, spec.seed, n_keys=spec.n_keys,
-            n_writers=spec.n_writers,
-        )
-        for writer in stream.writers_with_ops:
-            expected = [
-                (w.at, w.value, w.key) for w in writes
-                if w.writer == writer
-            ]
-            assert list(stream.writer_ops(writer)) == expected
+        # Reads: round-robin counts, each reader's view time-sorted.
+        assert [len(reads[r]) for r in sorted(reads)] == [
+            len(range(r, mix.reads, n_readers)) for r in sorted(reads)
+        ]
+        for ops in reads.values():
+            assert ops == sorted(ops, key=lambda op: op[0])
+        keys = {key for ops in writes.values() for _, _, key in ops}
+        keys |= {key for ops in reads.values() for _, key in ops}
+        assert keys <= set(range(params["n_keys"]))
 
     def test_stream_requires_readers_for_reads(self):
         with pytest.raises(ScenarioError, match="no readers"):
-            list(RandomMix(1, 2, horizon=5.0).stream(0, 0).ops())
+            list(RandomMix(1, 2, horizon=5.0).stream(0, 0).writer_ops(0))
 
 
 class TestStreamingLatencySummaries:

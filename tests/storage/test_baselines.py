@@ -1,80 +1,89 @@
 """Tests for the ABD, fast-ABD and naive baselines."""
 
-import pytest
+from repro.scenarios import (
+    FaultPlan,
+    Hold,
+    Read,
+    ScenarioSpec,
+    Write,
+    crashes,
+    run,
+)
 
-from repro.analysis.atomicity import check_swmr_atomicity
-from repro.storage.abd import ABD, FASTABD, NAIVE, RegisterSystem
+
+def register(protocol, *workload, readers=1, **spec_fields):
+    return run(ScenarioSpec(
+        protocol, readers=readers, workload=workload, **spec_fields
+    ))
 
 
 class TestAbd:
     def test_reads_always_two_rounds(self):
-        system = RegisterSystem(ABD, n=5, n_readers=1)
-        system.write("a")
-        for _ in range(3):
-            record = system.read()
-            assert record.rounds == 2 and record.result == "a"
+        result = register(
+            "abd", Write(0.0, "a"), *(Read(10.0) for _ in range(3)),
+            params={"n": 5},
+        )
+        assert [(r.rounds, r.result) for r in result.reads] == [(2, "a")] * 3
 
     def test_tolerates_minority_crashes(self):
-        system = RegisterSystem(
-            ABD, n=5, n_readers=1, crash_times={1: 0.0, 2: 0.0}
+        result = register(
+            "abd", Write(0.0, "v"), Read(10.0), params={"n": 5},
+            faults=FaultPlan(crashes=crashes({1: 0.0, 2: 0.0})),
         )
-        system.write("v")
-        assert system.read().result == "v"
+        assert result.read().result == "v"
 
     def test_blocks_on_majority_crash(self):
-        system = RegisterSystem(
-            ABD, n=5, n_readers=1, crash_times={1: 0.0, 2: 0.0, 3: 0.0}
+        result = register(
+            "abd", Write(0.0, "v"), params={"n": 5},
+            faults=FaultPlan(crashes=crashes({1: 0.0, 2: 0.0, 3: 0.0})),
         )
-        with pytest.raises(TimeoutError):
-            system.write("v")
+        assert not result.write().complete
+        assert result.blocked == ("writer-workload",)
 
     def test_atomic_history(self):
-        system = RegisterSystem(ABD, n=5, n_readers=2)
-        system.write("a")
-        system.read(0)
-        system.write("b")
-        system.read(1)
-        assert check_swmr_atomicity(system.trace.records).atomic
+        result = register(
+            "abd", Write(0.0, "a"), Read(10.0, reader=0),
+            Write(20.0, "b"), Read(30.0, reader=1),
+            readers=2, params={"n": 5},
+        )
+        assert [read.result for read in result.reads] == ["a", "b"]
+        assert result.atomicity.atomic
 
 
 class TestFastAbd:
     def test_single_round_best_case(self):
-        system = RegisterSystem(FASTABD, n_readers=1)
-        assert system.write("v").rounds == 1
-        read = system.read()
+        result = register("fastabd", Write(0.0, "v"), Read(10.0))
+        read = result.read()
+        assert result.write().rounds == 1
         assert (read.result, read.rounds) == ("v", 1)
 
     def test_two_round_fallback(self):
-        system = RegisterSystem(
-            FASTABD, n_readers=1, crash_times={4: 0.0, 5: 0.0}
+        result = register(
+            "fastabd", Write(0.0, "v"), Read(10.0),
+            faults=FaultPlan(crashes=crashes({4: 0.0, 5: 0.0})),
         )
-        assert system.write("v").rounds == 2
-        assert system.read().result == "v"
+        assert result.write().rounds == 2
+        assert result.read().result == "v"
 
     def test_atomic_with_incomplete_write(self):
-        from repro.sim.network import hold_rule
-
-        system = RegisterSystem(
-            FASTABD, n_readers=2,
-            rules=[hold_rule(src={"writer"}, dst={1, 2, 4, 5})],
+        result = register(
+            "fastabd", Write(0.0, "v"), Read(0.0), readers=2, horizon=30.0,
+            faults=FaultPlan(asynchrony=(
+                Hold(src=("writer",), dst=(1, 2, 4, 5)),
+            )),
         )
-        system.sim.spawn(system.writer.write("v"), "incomplete write")
-        task = system.sim.spawn(system.readers[0].read(), "r1")
-        system.sim.run(until=30.0)
-        assert task.done()
-        report = check_swmr_atomicity(system.trace.records)
-        assert report.atomic
+        assert not result.write().complete
+        assert result.read().complete
+        assert result.atomicity.atomic
 
 
 class TestNaive:
     def test_works_in_failure_free_runs(self):
-        system = RegisterSystem(NAIVE, n_readers=1)
-        write_task = system.sim.spawn(system.writer.write("v"), "w")
-        system.sim.run(until=5.0)
-        read_task = system.sim.spawn(system.readers[0].read(), "r")
-        system.sim.run(until=10.0)
-        assert write_task.result.rounds == 1
-        assert read_task.result.result == "v"
+        result = register(
+            "naive", Write(0.0, "v"), Read(5.0), horizon=10.0
+        )
+        assert result.write().rounds == 1
+        assert result.read().result == "v"
 
     def test_violates_atomicity_under_figure1_schedule(self):
         from repro.experiments.fig1 import run_naive

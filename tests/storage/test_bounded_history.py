@@ -17,13 +17,17 @@ Three layers:
 
 import pytest
 
-from repro.core.constructions import threshold_rqs
-from repro.scenarios import run
-from repro.scenarios.faults import FaultPlan, Partition
+from repro.scenarios import (
+    ByzantineRole,
+    FaultPlan,
+    Partition,
+    RandomMix,
+    ScenarioSpec,
+    run,
+)
 from repro.storage.history import History, INITIAL_ENTRY, Pair
 from repro.storage.messages import WR, WrAck
 from repro.storage.server import StorageServer
-from repro.storage.system import StorageSystem
 from tests.scenarios.test_golden_fingerprints import (
     GOLDEN_FINGERPRINTS,
     SPECS,
@@ -144,43 +148,39 @@ class TestEvidenceRules:
         assert server.max_history_cells == server.history_cells == 3
 
 
-def _bounded_stats(system):
-    stats = system.history_stats()
-    assert stats["bounded_history"] is True
-    return stats
-
-
 class TestEndToEndInvisibility:
     def test_concurrent_discovery_rounds_stay_bit_identical(self):
         """Multi-writer runs interleave rnd=0 discovery reads with
         write rounds; GC must not disturb either (discovery reads the
         stable timestamp, which GC always keeps)."""
-        rqs = threshold_rqs(8, 3, 1, 1, 2)
-        runs = {}
-        for bounded in (False, True):
-            system = StorageSystem(
-                rqs, n_readers=3, n_writers=3, n_keys=4,
-                bounded_history=bounded,
-            )
-            system.random_workload(24, 30, horizon=120.0, seed=17)
-            system.run_to_completion()
-            runs[bounded] = system
-        plain, bounded = runs[False], runs[True]
+        spec = ScenarioSpec(
+            "rqs-storage", rqs="example6", readers=3, n_writers=3,
+            n_keys=4, workload=(RandomMix(24, 30, horizon=120.0),), seed=17,
+        )
+        plain = run(spec)
+        bounded = run(spec.with_(params={"bounded_history": True}))
+        assert {w.process for w in plain.writes} == {
+            "writer", "writer2", "writer3"
+        }
         assert [
             (r.kind, r.process, r.invoked_at, r.completed_at,
              repr(r.result), r.key)
-            for r in plain.operations()
+            for r in plain.records
         ] == [
             (r.kind, r.process, r.invoked_at, r.completed_at,
              repr(r.result), r.key)
-            for r in bounded.operations()
+            for r in bounded.records
         ]
-        assert plain.network.sent_count == bounded.network.sent_count
-        stats = _bounded_stats(bounded)
+        assert (
+            plain.adapter.network.sent_count
+            == bounded.adapter.network.sent_count
+        )
+        stats = bounded.server_history
+        assert stats["bounded_history"] is True
         assert stats["gc_removed_cells"] > 0
         assert (
             stats["retained_cells"]
-            < plain.history_stats()["retained_cells"]
+            < plain.server_history["retained_cells"]
         )
 
     def test_isolated_server_rejoining_responders(self):
@@ -206,7 +206,7 @@ class TestEndToEndInvisibility:
         assert plain.atomicity.atomic and bounded.atomicity.atomic
         stats = bounded.server_history
         assert stats["gc_removed_cells"] > 0
-        rejoined = bounded.adapter.system.servers[5]
+        rejoined = bounded.adapter.servers[5]
         # The healed server caught up past the pre-partition state and
         # holds no more cells than its own high-water mark.
         assert rejoined.history.snapshot().max_timestamp() > 0
@@ -234,4 +234,31 @@ class TestEndToEndInvisibility:
         assert (
             bounded.server_history["retained_cells"]
             < stats["retained_cells"]
+        )
+
+    def test_byzantine_servers_are_left_out_of_the_accounting(self):
+        """A ``ForgetfulServer`` is built unbounded and rolls its
+        history back behind the counters; the report is the benign
+        servers' view only (14 cells on the seven bounded servers, not
+        14 + the forger's stale 20)."""
+        spec = ScenarioSpec(
+            "rqs-storage", rqs="example6", readers=2,
+            faults=FaultPlan(byzantine=(
+                ByzantineRole(1, "forgetful", at=30.0),
+            )),
+            workload=(RandomMix(20, 20, horizon=60.0),),
+            params={"bounded_history": True},
+        )
+        result = run(spec)
+        servers = result.adapter.servers
+        assert not servers[1].benign and servers[1].history_cells == 20
+        stats = result.server_history
+        assert stats["retained_cells"] == 14 == sum(
+            servers[sid].history_cells for sid in range(2, 9)
+        )
+        # A Byzantine-free run of the same spec counts all eight.
+        honest = run(spec.with_(faults=FaultPlan()))
+        assert honest.server_history["retained_cells"] == sum(
+            server.history_cells
+            for server in honest.adapter.servers.values()
         )

@@ -2,170 +2,166 @@
 
 import pytest
 
-from repro.analysis.atomicity import check_swmr_atomicity
-from repro.core.constructions import (
-    example7_rqs,
-    pbft_style_rqs,
-    threshold_rqs,
+from repro.scenarios import (
+    ByzantineRole,
+    Crash,
+    FaultPlan,
+    Hold,
+    RandomMix,
+    Read,
+    ScenarioSpec,
+    Write,
+    run,
 )
-from repro.sim.network import hold_rule
 from repro.storage.history import BOTTOM
-from repro.storage.server import FabricatingServer, SilentServer
-from repro.storage.system import StorageSystem
+
+EXAMPLE6 = "threshold:8,3,1,1,2"
+FABRICATING = ByzantineRole(
+    4, "fabricating", params={"ts": 999, "value": "EVIL"}
+)
+
+
+def storage(rqs, *workload, readers=1, **spec_fields):
+    return run(ScenarioSpec(
+        "rqs-storage", rqs=rqs, readers=readers, workload=workload,
+        **spec_fields,
+    ))
 
 
 class TestBestCase:
     def test_initial_read_returns_bottom_in_one_round(self):
-        system = StorageSystem(pbft_style_rqs(1), n_readers=1)
-        record = system.read()
+        record = storage("pbft:1", Read(0.0)).read()
         assert record.result is BOTTOM and record.rounds == 1
 
     def test_write_then_read_single_round(self):
-        system = StorageSystem(pbft_style_rqs(1), n_readers=1)
-        write = system.write("hello")
-        read = system.read()
-        assert write.rounds == 1
+        result = storage("pbft:1", Write(0.0, "hello"), Read(10.0))
+        read = result.read()
+        assert result.write().rounds == 1
         assert (read.result, read.rounds) == ("hello", 1)
 
     def test_sequential_writes_monotone_timestamps(self):
-        system = StorageSystem(pbft_style_rqs(1), n_readers=1)
-        for value in ("a", "b", "c"):
-            system.write(value)
-        read = system.read()
-        assert read.result == "c"
+        result = storage(
+            "pbft:1",
+            *(Write(0.0, value) for value in ("a", "b", "c")),
+            Read(20.0),
+        )
+        assert result.read().result == "c"
 
     def test_two_readers_agree(self):
-        system = StorageSystem(pbft_style_rqs(1), n_readers=2)
-        system.write("x")
-        assert system.read(0).result == "x"
-        assert system.read(1).result == "x"
+        result = storage(
+            "pbft:1", Write(0.0, "x"), Read(10.0, reader=0),
+            Read(20.0, reader=1), readers=2,
+        )
+        assert [read.result for read in result.reads] == ["x", "x"]
 
     def test_general_adversary_best_case(self):
-        system = StorageSystem(example7_rqs(), n_readers=1)
-        write = system.write(42)
-        read = system.read()
+        result = storage("example7", Write(0.0, 42), Read(10.0))
+        write, read = result.write(), result.read()
         assert write.rounds == 1 and read.rounds == 1 and read.result == 42
 
 
 class TestGracefulDegradation:
     def test_write_rounds_by_class(self):
-        rqs = threshold_rqs(8, 3, 1, 1, 2)
         for crashes, expected in ((1, 1), (2, 2), (3, 3)):
-            system = StorageSystem(
-                rqs,
-                n_readers=1,
-                crash_times={sid: 0.0 for sid in range(1, crashes + 1)},
+            result = storage(
+                EXAMPLE6, Write(0.0, "v"),
+                faults=FaultPlan(crashes=[
+                    Crash(sid, 0.0) for sid in range(1, crashes + 1)
+                ]),
             )
-            assert system.write("v").rounds == expected
+            assert result.write().rounds == expected
 
     def test_read_rounds_by_class_after_partial_write(self):
-        rqs = threshold_rqs(8, 3, 1, 1, 2)
         for extra_crashes, expected in ((0, 1), (2, 2), (3, 3)):
-            system = StorageSystem(
-                rqs,
-                n_readers=1,
-                rules=[hold_rule(src={"writer"}, dst={1})],
+            result = storage(
+                EXAMPLE6, Write(0.0, "v"), Read(20.0),
+                faults=FaultPlan(
+                    crashes=[
+                        Crash(sid, 10.0)
+                        for sid in range(2, 2 + extra_crashes)
+                    ],
+                    asynchrony=(Hold(src=("writer",), dst=(1,)),),
+                ),
             )
-            assert system.write("v").rounds == 1
-            for sid in range(2, 2 + extra_crashes):
-                system.servers[sid].crash()
-            read = system.read()
+            assert result.write().rounds == 1
+            read = result.read()
             assert (read.result, read.rounds) == ("v", expected)
 
     def test_wait_freedom_with_max_crashes(self):
-        rqs = threshold_rqs(8, 3, 1, 1, 2)
-        system = StorageSystem(
-            rqs, n_readers=1,
-            crash_times={1: 0.0, 2: 0.0, 3: 0.0},
+        result = storage(
+            EXAMPLE6, Write(0.0, "a"), Write(0.0, "b"), Read(30.0),
+            faults=FaultPlan(crashes=[Crash(sid, 0.0) for sid in (1, 2, 3)]),
         )
-        for value in ("a", "b"):
-            assert system.write(value).complete
-        assert system.read().result == "b"
+        assert all(write.complete for write in result.writes)
+        assert result.read().result == "b"
 
     def test_blocks_without_quorum(self):
-        rqs = threshold_rqs(5, 1, 1, 0, 1)
-        system = StorageSystem(
-            rqs, n_readers=1,
-            crash_times={1: 0.0, 2: 0.0},  # > t failures
+        result = storage(
+            "threshold:5,1,1,0,1", Write(0.0, "v"),
+            faults=FaultPlan(                      # > t failures
+                crashes=(Crash(1, 0.0), Crash(2, 0.0))
+            ),
         )
-        with pytest.raises(TimeoutError):
-            system.write("v")
+        assert not result.write().complete
+        assert result.blocked == ("writer-workload",)
 
 
 class TestByzantineResilience:
     def test_fabricating_server_cannot_forge_values(self):
-        rqs = pbft_style_rqs(1)
-        system = StorageSystem(
-            rqs,
-            n_readers=1,
-            server_factories={
-                4: lambda pid: FabricatingServer(pid, 999, "EVIL")
-            },
+        result = storage(
+            "pbft:1", Write(0.0, "good"), Read(10.0),
+            faults=FaultPlan(byzantine=(FABRICATING,)),
         )
-        system.write("good")
-        read = system.read()
-        assert read.result == "good"
+        assert result.read().result == "good"
 
     def test_fabricating_server_initial_read(self):
-        rqs = pbft_style_rqs(1)
-        system = StorageSystem(
-            rqs,
-            n_readers=1,
-            server_factories={
-                4: lambda pid: FabricatingServer(pid, 999, "EVIL")
-            },
+        result = storage(
+            "pbft:1", Read(0.0), faults=FaultPlan(byzantine=(FABRICATING,))
         )
-        assert system.read().result is BOTTOM
+        assert result.read().result is BOTTOM
 
     def test_silent_server_tolerated(self):
-        rqs = pbft_style_rqs(1)
-        system = StorageSystem(
-            rqs,
-            n_readers=1,
-            server_factories={1: SilentServer},
+        result = storage(
+            "pbft:1", Write(0.0, "v"), Read(10.0),
+            faults=FaultPlan(byzantine=(ByzantineRole(1, "silent"),)),
         )
-        write = system.write("v")
-        read = system.read()
+        write, read = result.write(), result.read()
         assert read.result == "v"
         assert write.rounds <= 2 and read.rounds <= 2
 
     def test_history_is_atomic_under_byzantine_server(self):
-        rqs = threshold_rqs(7, 2, 2, 0, 2)
-        system = StorageSystem(
-            rqs,
-            n_readers=2,
-            server_factories={
-                7: lambda pid: FabricatingServer(pid, 50, "EVIL")
-            },
+        result = storage(
+            "threshold:7,2,2,0,2", RandomMix(5, 8, horizon=50.0),
+            readers=2, seed=3,
+            faults=FaultPlan(byzantine=(ByzantineRole(
+                7, "fabricating", params={"ts": 50, "value": "EVIL"}
+            ),)),
         )
-        system.random_workload(5, 8, horizon=50.0, seed=3)
-        system.run_to_completion()
-        assert check_swmr_atomicity(system.operations()).atomic
+        assert result.atomicity.atomic
 
 
 class TestContention:
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_workloads_atomic(self, seed):
-        rqs = threshold_rqs(5, 1, 1, 0, 1)
-        system = StorageSystem(rqs, n_readers=3)
-        system.random_workload(6, 9, horizon=40.0, seed=seed)
-        system.run_to_completion()
-        report = check_swmr_atomicity(system.operations())
+    def test_random_mixes_atomic(self, seed):
+        result = storage(
+            "threshold:5,1,1,0,1", RandomMix(6, 9, horizon=40.0),
+            readers=3, seed=seed,
+        )
+        report = result.atomicity
         assert report.atomic, report.violations
-        assert len(system.completed_operations()) == 15
+        assert len(result.completed) == 15
 
     def test_reader_concurrent_with_write(self):
-        rqs = pbft_style_rqs(1)
-        system = StorageSystem(rqs, n_readers=1)
-        system.write_at(0.0, "v1")
-        system.read_at(1.0)  # overlaps the write
-        system.run_to_completion()
-        report = check_swmr_atomicity(system.operations())
-        assert report.atomic
+        result = storage(
+            "pbft:1", Write(0.0, "v1"), Read(1.0)  # overlaps the write
+        )
+        write, read = result.write(), result.read()
+        assert read.invoked_at < write.completed_at
+        assert result.atomicity.atomic
 
     def test_crash_mid_run_stays_atomic(self):
-        rqs = threshold_rqs(8, 3, 1, 1, 2)
-        system = StorageSystem(rqs, n_readers=2, crash_times={5: 15.0})
-        system.random_workload(5, 6, horizon=40.0, seed=11)
-        system.run_to_completion()
-        assert check_swmr_atomicity(system.operations()).atomic
+        result = storage(
+            EXAMPLE6, RandomMix(5, 6, horizon=40.0), readers=2, seed=11,
+            faults=FaultPlan(crashes=(Crash(5, 15.0),)),
+        )
+        assert result.atomicity.atomic

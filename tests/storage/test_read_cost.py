@@ -66,7 +66,7 @@ def test_an_ack_is_walked_once_and_an_uncontended_read_stays_minimal(
     finally:
         sys.setprofile(None)
 
-    index = result.system.rqs.index
+    index = result.adapter.rqs.index
     assert len(index.masks[3]) == 93 and len(real_minimal(index)) == 56
     assert result.ops_completed() == 200
     # Every read's regular part took one round.

@@ -1,32 +1,39 @@
 """Whole-system determinism: identical configurations yield identical
 executions — the reproducibility guarantee the README promises."""
 
-from repro.core.constructions import threshold_rqs
-from repro.consensus.system import ConsensusSystem
-from repro.storage.system import StorageSystem
+from repro.scenarios import (
+    Crash,
+    FaultPlan,
+    Propose,
+    RandomMix,
+    ScenarioSpec,
+    run,
+)
 
 
 def storage_fingerprint(seed):
-    rqs = threshold_rqs(8, 3, 1, 1, 2)
-    system = StorageSystem(rqs, n_readers=3, crash_times={4: 20.0})
-    system.random_workload(5, 8, horizon=50.0, seed=seed)
-    system.run_to_completion()
+    result = run(ScenarioSpec(
+        "rqs-storage", rqs="example6", readers=3,
+        faults=FaultPlan(crashes=(Crash(4, 20.0),)),
+        workload=(RandomMix(5, 8, horizon=50.0),), seed=seed,
+    ))
     return tuple(
         (r.kind, r.process, r.invoked_at, r.completed_at, repr(r.result), r.rounds)
-        for r in system.operations()
-    ) + (len(system.network.log),)
+        for r in result.records
+    ) + (len(result.adapter.network.log),)
 
 
 def consensus_fingerprint():
-    rqs = threshold_rqs(8, 3, 1, 1, 2)
-    system = ConsensusSystem(rqs, n_proposers=2)
-    system.propose_at(0.0, "A", proposer_index=0)
-    system.propose_at(0.0, "B", proposer_index=1)
-    system.run(until=300.0)
+    result = run(ScenarioSpec(
+        "rqs-consensus", rqs="example6", proposers=2,
+        workload=(Propose(0.0, "A", proposer=0),
+                  Propose(0.0, "B", proposer=1)),
+        horizon=300.0,
+    ))
     return (
-        tuple(sorted(system.learned_values().items())),
-        len(system.network.log),
-        system.sim.events_processed,
+        tuple(sorted(result.learned.items())),
+        len(result.adapter.network.log),
+        result.events_processed,
     )
 
 
