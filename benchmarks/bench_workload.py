@@ -11,8 +11,8 @@
 * **stream** — horizon-free open-loop soaks (``max_ops`` stopping rule)
   in labelled families: the ABD single-writer baseline, the paper's RQS
   protocol with ``bounded_history`` (servers GC superseded history cells
-  — rows carry the retained/GC'd counters), multi-writer ABD under the
-  stamp-ordered MW checker, and the ``batch_size=16`` hot path.
+  — rows carry the retained/GC'd counters), multi-writer ABD (its
+  verdict labelled ``"mw"``), and the ``batch_size=16`` hot path.
 * **sharded** — the batched soak through the multi-process shard engine
   up to 1e7 ops.  ``capacity_ops_per_sec`` is the sum over shards of
   ``completed / cpu_seconds`` — CPU time is immune to timesharing, so
@@ -38,7 +38,6 @@ acceptance rows.  Under pytest: the determinism smokes.
 import argparse
 import json
 import os
-import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -47,6 +46,7 @@ from time import perf_counter
 import repro
 from repro.experiments import keyed_mix_spec
 from repro.scenarios import ScenarioSpec, run
+from repro.scenarios.result import soak_row
 
 SCHEMA_VERSION = 6
 ROOT = Path(__file__).resolve().parent.parent
@@ -133,46 +133,26 @@ FIELDS = {
 }
 
 
-def peak_rss_kb() -> int:
-    """This process's peak resident set in KiB (ru_maxrss is KiB on
-    Linux, bytes on macOS)."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # pragma: no cover - linux CI
-        peak //= 1024
-    return peak
-
-
 def measure(section: str, labels: dict, spec: ScenarioSpec) -> dict:
-    """Run ``spec`` in *this* process and return its ``section`` row.
+    """Run ``spec`` in *this* process and return its ``section`` row:
+    the labels the spec literal carries plus the one soak row
+    (:func:`repro.scenarios.result.soak_row`), projected onto
+    ``FIELDS[section]``.
 
-    Grid cases quote best-of-3 timings (the execution is deterministic;
-    repeats only shave warm-up noise).  An unsharded row reports this
-    process's peak RSS and its own CPU time as the one "shard", so a
-    fleet row and its shards=1 reference carry the same kind of number.
+    Grid cases quote the best of three executions (the execution is
+    deterministic; repeats only shave warm-up noise).  An unsharded
+    result answers as a fleet of one — this process's peak RSS and its
+    own CPU time as the one "shard" — so a fleet row and its shards=1
+    reference carry the same kind of number.
     """
-    execute = wall = float("inf")
+    wall = float("inf")
+    runs = []
     for _ in range(3 if section == "cases" else 1):
         started = perf_counter()
-        result = run(spec)
+        runs.append(run(spec))
         wall = min(wall, perf_counter() - started)
-        execute = min(execute, result.execute_seconds)
-    fleet = spec.shards > 1
-    completed = result.ops_completed()
-    cpu = (result.cpu_seconds if fleet
-           else result.execute_cpu_seconds or execute)
-    capacity = result.capacity_ops_per_sec if fleet else completed / cpu
-    shard_rss = list(result.shard_rss_kb) if fleet else [peak_rss_kb()]
-    online, mix = result.online, spec.workload[0]
-    history = result.server_history or {}
-    # No checker wired reads as a refusal, never as a pass.
-    checked = {"atomic": False, "violations": 0, "keys_checked": 0,
-               "checker_max_retained": 0, "checker_mode": "none",
-               "overrun_unchecked": 0}
-    if online is not None:
-        # overrun_unchecked: operations the windowed checker skipped —
-        # "atomic" does not cover them, so the gate requires 0.
-        checked = {**online.as_metrics(),
-                   "overrun_unchecked": online.overrun_unchecked}
+    row = soak_row(min(runs, key=lambda result: result.execute_seconds))
+    host, mix = row.pop("host"), spec.workload[0]
     figures = {
         **labels,
         "protocol": spec.protocol,
@@ -182,23 +162,10 @@ def measure(section: str, labels: dict, spec: ScenarioSpec) -> dict:
         "batch_size": mix.batch_size,
         "distribution": mix.distribution,
         "skew": mix.skew,
-        "workers": result.worker_processes if fleet else 1,
-        "operations": result.ops_begun(),
-        "completed": completed,
-        "events": result.events_processed,
-        "execute_seconds": round(execute, 4),
-        "cpu_seconds": round(cpu, 4),
+        **row,
+        **host,
         "wall_s": round(wall, 4),
-        "ops_per_sec": round(completed / execute, 1),
-        "capacity_ops_per_sec": round(capacity, 1),
-        "imbalance": round(result.imbalance, 4) if fleet else 1.0,
-        **checked,
-        "bounded_history": bool(history.get("bounded_history", False)),
-        "server_max_retained_cells": history.get("max_retained_cells", 0),
-        "server_gc_removed_cells": history.get("gc_removed_cells", 0),
-        "peak_rss_kb": shard_rss[0],
-        "shard_rss_kb": shard_rss,
-        "max_shard_rss_kb": max(shard_rss),
+        "peak_rss_kb": host["shard_rss_kb"][0],
     }
     return {field: figures[field] for field in FIELDS[section]}
 

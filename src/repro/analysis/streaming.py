@@ -23,29 +23,23 @@ never on nondeterministic shard completion order — counts and the
 rational time sum are commutative (merged means stay Fraction-exact),
 and reservoir merging canonical-sorts candidates before any
 deterministic subsampling.
-* :class:`OnlineChecker` — a *windowed* per-key safety checker for
-  single-writer keyed histories: monotone writer order, no fabrication,
-  no reading the future, no stale reads (read-your-writes against every
-  write that completed before the read started) and no read inversion,
-  all checked as operations complete with bounded retained state.  The
-  window floor is the oldest in-flight invocation; anything older is
-  folded into per-key monotone bounds, so retained state is
-  O(clients + keys) regardless of run length.
-* :class:`MultiWriterOnlineChecker` — the multi-writer mode.  Write
-  values are globally unique but *not* time-ordered across writers, so
-  the SW value order is useless; instead the checker exploits the
-  protocols' totally-ordered stamps ``seq·2²⁰ + writer_id`` (surfaced
-  on ``record.meta["ts"]``) — a Gibbons–Korach-style polynomial check
-  over the total stamp order: per-key monotone stamp bounds replace the
-  value bounds, writes must stamp above everything completed before
-  their invocation, and reads obey fabrication / future-read /
-  stale-read / read-inversion over stamps.  A read returning a value
-  whose write is still in flight is *parked* on that value and judged
-  (claimed stamp vs. actual) when the write completes — the same window
-  floor guarantees the deferred bounds stay exact.
+* :class:`OnlineChecker` — the one *windowed* per-key safety checker,
+  for single- and multi-writer keyed histories alike.  The paper proves
+  its storage atomic by exhibiting the timestamp order as the
+  linearization, and every storage client surfaces that timestamp on
+  ``record.meta["ts"]``, so the checker is a Gibbons–Korach-style
+  polynomial check over the total stamp order (the rules: its class
+  docstring), run as operations complete.  The window floor is the
+  oldest in-flight invocation; anything older is folded into per-key
+  monotone stamp bounds, so retained state is O(clients + keys)
+  regardless of run length.  For a single writer the stamp order *is*
+  the value order (one process draws both in the same sequence), so
+  nothing a value-ordered check would convict is lost —
+  ``tests/analysis/test_checker_oracle.py`` keeps that checker as the
+  reference of a differential.
 
 The online checker is *sound within its window*: every violation it
-reports is a real violation of the SWMR register semantics, and any
+reports is a real violation of the register semantics, and any
 violation involving operations that overlap the retained window is
 caught.  A read returning a value older than the pruned window is
 reported through the monotone bound (as a stale read) rather than by
@@ -54,10 +48,10 @@ FULL-level runs keep the exact post-hoc checkers in
 :mod:`repro.analysis.atomicity`; the windowed checker is what gives
 ``TraceLevel.METRICS`` soaks a real safety verdict without the history.
 
-Values must be totally ordered per key in writer order — true for every
-:class:`~repro.scenarios.workloads.RandomMix` workload (sequential
-integer write values), which is the only workload shape the scenario
-runner wires the checker to.
+Write values must be unique per run and stamped by the protocol — true
+for every :class:`~repro.scenarios.workloads.RandomMix` workload
+(sequential integer write values), which is the only workload shape the
+scenario runner wires the checker to.
 """
 
 from __future__ import annotations
@@ -74,6 +68,9 @@ from repro.storage.history import BOTTOM
 #: Default bounded-sample size of the quantile reservoir.  Runs with at
 #: most this many completions per operation kind get *exact* quantiles.
 RESERVOIR_CAPACITY = 2048
+
+#: Violation examples a report carries (the count is always exact).
+MAX_REPORTED = 20
 
 
 def nearest_rank(sorted_samples, fraction: float) -> Optional[float]:
@@ -322,8 +319,7 @@ class OnlineReport:
     keys: Tuple[Hashable, ...]
     max_retained: int  # high-water mark of retained per-key entries
     overrun_unchecked: int = 0
-    windowed: bool = True
-    mode: str = "sw"  # "sw" (value-ordered) | "mw" (stamp-ordered)
+    mode: str = "sw"  # label: "sw" (one writer) | "mw" (several)
 
     @property
     def atomic(self) -> bool:
@@ -339,9 +335,8 @@ class OnlineReport:
         return self.checked_writes + self.checked_reads
 
     def as_metrics(self) -> Dict[str, Any]:
-        """The portable metrics view of this verdict — the one shape
-        every emitter (sweep measure hooks, the soak experiment, the
-        workload bench) embeds, so artifact fields cannot drift."""
+        """The portable metrics view of this verdict, as embedded in
+        :func:`repro.scenarios.result.soak_row`."""
         return {
             "atomic": self.atomic,
             "violations": self.violation_count,
@@ -368,312 +363,15 @@ class OnlineRefusal:
 
 
 class _KeyState:
-    """Bounded per-register state: windowed writes plus monotone bounds."""
+    """Bounded per-register state: windowed writes plus monotone bounds.
 
-    __slots__ = (
-        "written", "write_times", "write_values",
-        "read_times", "read_values", "base_write_bound", "base_read_bound",
-    )
-
-    def __init__(self):
-        # value -> (invoked_at, completed_at) for writes still in window.
-        self.written: Dict[Any, Tuple[float, float]] = {}
-        # Completed writes, completion-ordered; values are monotone for
-        # a sequential single writer, so these are cummax series.
-        self.write_times: List[float] = []
-        self.write_values: List[Any] = []
-        # Running max of completed read versions, completion-ordered.
-        self.read_times: List[float] = []
-        self.read_values: List[Any] = []
-        # Folded-away window prefix: the newest value guaranteed visible
-        # to (written before) every still-checkable operation.
-        self.base_write_bound: Optional[Any] = None
-        self.base_read_bound: Optional[Any] = None
-
-    def write_bound(self, before: float) -> Optional[Any]:
-        """Newest value whose write completed strictly before ``before``."""
-        index = bisect_left(self.write_times, before)
-        if index:
-            return self.write_values[index - 1]
-        return self.base_write_bound
-
-    def read_bound(self, before: float) -> Optional[Any]:
-        """Newest value returned by a read completed strictly before
-        ``before``."""
-        index = bisect_left(self.read_times, before)
-        if index:
-            return self.read_values[index - 1]
-        return self.base_read_bound
-
-    def prune(self, floor: float) -> None:
-        """Fold state older than the window ``floor`` into the bounds."""
-        index = bisect_left(self.write_times, floor)
-        if index:
-            self.base_write_bound = self.write_values[index - 1]
-            del self.write_times[:index]
-            del self.write_values[:index]
-        index = bisect_left(self.read_times, floor)
-        if index:
-            self.base_read_bound = self.read_values[index - 1]
-            del self.read_times[:index]
-            del self.read_values[:index]
-        if self.base_write_bound is not None and self.written:
-            bound = self.base_write_bound
-            stale = [
-                value
-                for value, (_, completed_at) in self.written.items()
-                if completed_at is not None
-                and completed_at < floor
-                and _ordered_less(value, bound)
-            ]
-            for value in stale:
-                del self.written[value]
-
-    def retained(self) -> int:
-        return (
-            len(self.written) + len(self.write_times) + len(self.read_times)
-        )
-
-
-def _ordered_less(left: Any, right: Any) -> bool:
-    try:
-        return left < right
-    except TypeError:
-        return False
-
-
-class OnlineChecker:
-    """Windowed online safety checking for single-writer keyed histories.
-
-    Subscribe it to a :class:`~repro.sim.trace.Trace`
-    (``trace.subscribe(on_begin=..., on_complete=...)``); it consumes
-    operation records as they begin and complete and never stores the
-    history.  See the module docstring for the invariants and the
-    windowing trade.
-    """
-
-    #: An in-flight op older than this many ops evicts from the window
-    #: (a stuck client must not pin the floor and regrow O(ops) state).
-    OVERRUN_OPS = 5_000
-    #: Completions between global prune/measure sweeps (amortizes the
-    #: O(keys) sweep to O(1) per completion).
-    SWEEP_EVERY = 256
-    #: Report mode token; the MW subclass overrides both of these.
-    mode = "sw"
-    key_state_factory = _KeyState
-
-    def __init__(self, max_reported: int = 20,
-                 overrun_ops: int = OVERRUN_OPS):
-        self.max_reported = max_reported
-        self.overrun_ops = overrun_ops
-        self.checked_writes = 0
-        self.checked_reads = 0
-        self.violation_count = 0
-        self.overrun_unchecked = 0
-        self.violations: List[OnlineViolation] = []
-        self.max_retained = 0
-        self._keys: Dict[Hashable, _KeyState] = {}
-        # op_id -> invoked_at of every in-flight storage operation; its
-        # minimum is the window floor nothing older than which can still
-        # be referenced by a future completion.
-        self._pending: Dict[int, float] = {}
-        # Ops evicted from the window (stuck clients): skipped, never
-        # misjudged, if they eventually complete.  Bounded by the
-        # number of clients that ever stalled past the overrun bound.
-        self._overrun: set = set()
-        self._max_op_id = -1
-        self._floor = float("-inf")
-        self._since_sweep = 0
-
-    # -- trace subscription ---------------------------------------------------
-
-    def on_begin(self, record) -> None:
-        if record.kind in ("write", "read"):
-            self._pending[record.op_id] = record.invoked_at
-            if record.op_id > self._max_op_id:
-                self._max_op_id = record.op_id
-            if record.kind == "write":
-                state = self._state(record.key)
-                state.written[record.value] = (record.invoked_at, None)
-
-    def on_complete(self, record) -> None:
-        if record.kind not in ("write", "read"):
-            return
-        if record.op_id in self._overrun:
-            # The window moved past this op while it was stuck; its
-            # bounds are gone, so judging it now could flag legal
-            # behaviour.  Skip it, visibly.
-            self._overrun.discard(record.op_id)
-            self.overrun_unchecked += 1
-            return
-        if record.kind == "write":
-            self._complete_write(record)
-        else:
-            self._complete_read(record)
-        self._pending.pop(record.op_id, None)
-        # Evict stuck in-flight ops so they cannot pin the floor and
-        # regrow O(ops) retained state (the crashed-reader case).
-        if self._pending:
-            horizon = self._max_op_id - self.overrun_ops
-            stuck = [op for op in self._pending if op < horizon]
-            for op in stuck:
-                del self._pending[op]
-                self._evict(op)
-        self._floor = min(
-            self._pending.values(), default=record.completed_at
-        )
-        self._keys[record.key].prune(self._floor)
-        # Periodic global sweep: prune every key to the shared floor
-        # and sample the total retained state for the high-water mark
-        # (O(keys) amortized over SWEEP_EVERY completions).
-        self._since_sweep += 1
-        if self._since_sweep >= self.SWEEP_EVERY:
-            self._sweep()
-
-    def _evict(self, op_id: int) -> None:
-        """Move one stuck op out of the window (subclass hook)."""
-        self._overrun.add(op_id)
-
-    def _sweep(self) -> None:
-        self._since_sweep = 0
-        retained = len(self._pending) + len(self._overrun)
-        for state in self._keys.values():
-            state.prune(self._floor)
-            retained += state.retained()
-        if retained > self.max_retained:
-            self.max_retained = retained
-
-    # -- the rules ------------------------------------------------------------
-
-    def _state(self, key: Hashable):
-        state = self._keys.get(key)
-        if state is None:
-            state = self._keys[key] = self.key_state_factory()
-        return state
-
-    def _complete_write(self, record) -> None:
-        self.checked_writes += 1
-        state = self._state(record.key)
-        state.written[record.value] = (
-            record.invoked_at, record.completed_at
-        )
-        if state.write_values and not _ordered_less(
-            state.write_values[-1], record.value
-        ):
-            self._flag(
-                "writer-order",
-                record.key,
-                f"write {record.value!r} completed after "
-                f"{state.write_values[-1]!r} but does not supersede it "
-                f"(single-writer per-key values must be monotone)",
-            )
-            return
-        state.write_times.append(record.completed_at)
-        state.write_values.append(record.value)
-
-    def _complete_read(self, record) -> None:
-        self.checked_reads += 1
-        state = self._state(record.key)
-        value = record.result
-        write_bound = state.write_bound(record.invoked_at)
-        read_bound = state.read_bound(record.invoked_at)
-        if value is BOTTOM:
-            if write_bound is not None:
-                self._flag(
-                    "stale-read",
-                    record.key,
-                    f"read by {record.process} returned ⊥ although the "
-                    f"write of {write_bound!r} completed before it started",
-                )
-            elif read_bound is not None:
-                self._flag(
-                    "read-inversion",
-                    record.key,
-                    f"read by {record.process} returned ⊥ although a "
-                    f"preceding read returned {read_bound!r}",
-                )
-            return
-        window = state.written.get(value)
-        if window is None:
-            if write_bound is not None and _ordered_less(value, write_bound):
-                # Older than the retained window: superseded by a write
-                # that completed before this read started.
-                self._flag(
-                    "stale-read",
-                    record.key,
-                    f"read by {record.process} returned {value!r} although "
-                    f"the write of {write_bound!r} completed before it "
-                    f"started",
-                )
-            else:
-                self._flag(
-                    "fabrication",
-                    record.key,
-                    f"read by {record.process} returned {value!r}, which "
-                    f"no write wrote to this register",
-                )
-            return
-        invoked_at, _ = window
-        if invoked_at > record.completed_at:
-            self._flag(
-                "future-read",
-                record.key,
-                f"read by {record.process} returned {value!r}, whose "
-                f"write was invoked only after the read completed",
-            )
-        if write_bound is not None and _ordered_less(value, write_bound):
-            self._flag(
-                "stale-read",
-                record.key,
-                f"read by {record.process} returned {value!r} although "
-                f"the write of {write_bound!r} completed before it started",
-            )
-        if read_bound is not None and _ordered_less(value, read_bound):
-            self._flag(
-                "read-inversion",
-                record.key,
-                f"read by {record.process} returned {value!r} although a "
-                f"preceding read returned {read_bound!r}",
-            )
-        if not state.read_values or _ordered_less(
-            state.read_values[-1], value
-        ):
-            state.read_times.append(record.completed_at)
-            state.read_values.append(value)
-
-    def _flag(self, rule: str, key: Hashable, description: str) -> None:
-        self.violation_count += 1
-        if len(self.violations) < self.max_reported:
-            self.violations.append(OnlineViolation(rule, key, description))
-
-    # -- reporting ------------------------------------------------------------
-
-    def report(self) -> OnlineReport:
-        self._sweep()   # final measurement (runs shorter than a sweep)
-        return OnlineReport(
-            checked_writes=self.checked_writes,
-            checked_reads=self.checked_reads,
-            violation_count=self.violation_count,
-            violations=tuple(self.violations),
-            keys=tuple(sorted(self._keys, key=repr)),
-            max_retained=self.max_retained,
-            overrun_unchecked=self.overrun_unchecked,
-            mode=self.mode,
-        )
-
-
-class _MwKeyState:
-    """Bounded per-register state for the multi-writer checker.
-
-    Mirrors :class:`_KeyState` with the total stamp order in place of
-    the single-writer value order: the window maps *stamps* to their
-    writes, the cummax series carry stamps, and reads whose write is
-    still in flight park on the (globally unique) value until the write
-    completes and reveals its actual stamp.
+    The window maps *stamps* to their writes, the cummax series carry
+    stamps, and reads whose write is still in flight park on the (per
+    run unique) value until the write completes and reveals its stamp.
     """
 
     __slots__ = (
-        "window", "stamp_of", "inflight", "evicted", "parked",
+        "window", "inflight", "evicted", "parked", "writer_stamp",
         "write_times", "write_stamps", "read_times", "read_stamps",
         "base_write_bound", "base_read_bound",
     )
@@ -681,8 +379,6 @@ class _MwKeyState:
     def __init__(self):
         # stamp -> (invoked_at, completed_at, value) for windowed writes.
         self.window: Dict[int, Tuple[float, float, Any]] = {}
-        # value -> stamp for windowed writes (values are unique per key).
-        self.stamp_of: Dict[Any, int] = {}
         # value -> invoked_at of begun-but-incomplete writes.
         self.inflight: Dict[Any, float] = {}
         # Values of writes evicted from the window while in flight:
@@ -691,12 +387,16 @@ class _MwKeyState:
         # value -> [(reader process, claimed stamp), ...] of reads that
         # returned an in-flight write; resolved at write completion.
         self.parked: Dict[Any, List[Tuple[Any, int]]] = {}
+        # writer process -> highest stamp it completed on this register.
+        self.writer_stamp: Dict[Any, int] = {}
         # Cummax series of completed write/read stamps, completion-
         # ordered, bisected by the bound queries below.
         self.write_times: List[float] = []
         self.write_stamps: List[int] = []
         self.read_times: List[float] = []
         self.read_stamps: List[int] = []
+        # Folded-away window prefix: the highest stamp guaranteed
+        # visible to every still-checkable operation.
         self.base_write_bound: Optional[int] = None
         self.base_read_bound: Optional[int] = None
 
@@ -735,11 +435,11 @@ class _MwKeyState:
                 if completed_at < floor and stamp < bound
             ]
             for stamp in stale:
-                value = self.window.pop(stamp)[2]
-                if self.stamp_of.get(value) == stamp:
-                    del self.stamp_of[value]
+                del self.window[stamp]
 
     def retained(self) -> int:
+        """Windowed entries (the bounds and the per-writer stamps are a
+        fixed O(writers) per key, not part of the high-water mark)."""
         return (
             len(self.window)
             + len(self.inflight)
@@ -750,44 +450,79 @@ class _MwKeyState:
         )
 
 
-class MultiWriterOnlineChecker(OnlineChecker):
-    """Windowed online safety checking for *multi-writer* keyed histories.
+class OnlineChecker:
+    """Windowed online safety checking for keyed register histories.
 
-    The polynomial MW mode: all rules run over the protocols' totally
-    ordered stamps ``seq·2²⁰ + writer_id`` (see
-    :func:`repro.storage.history.make_stamp`), which every storage
-    protocol surfaces on ``record.meta["ts"]`` before completing an
-    operation.  Checked per key, as operations complete:
+    Subscribed to a :class:`~repro.sim.trace.Trace` it consumes
+    operation records as they begin and complete and never stores the
+    history.  All rules run over the protocols' totally ordered stamps
+    (bare per-key counters for a single writer, ``seq·2²⁰ + writer_id``
+    — :func:`repro.storage.history.make_stamp` — for several), which
+    every storage client surfaces on ``record.meta["ts"]`` before
+    completing an operation.  Checked per key, as operations complete:
 
+    * **stamp-reuse** — two completed writes must never share a stamp;
+    * **writer-order** — the stamps one writer process completes on a
+      register strictly increase in completion order (each writer
+      issues its own stamps in draw order — also across the elements of
+      a batch, which share one wire interval);
     * **stamp-order** — a write's stamp must exceed the stamp of every
       write that completed before it was invoked (quorum discovery
       guarantees this for intersecting-quorum protocols);
-    * **stamp-reuse** — two completed writes must never share a stamp;
     * **fabrication** — a read's returned (value, stamp) must match a
       write of this register;
     * **future-read** — a read must not return a write invoked only
-      after the read completed;
+      after the read completed, whether that write has completed since
+      or is still in flight;
     * **stale-read** — a read's stamp must not be below the highest
       stamp whose write completed before the read was invoked (and ⊥
       reads must not follow any completed write);
     * **read-inversion** — a read's stamp must not be below the highest
-      stamp returned by a read that completed before this one started.
+      stamp returned by a read that completed before this one started;
+    * **missing-stamp** — an operation completed without a stamp.
 
     A read returning a value whose write is still in flight is legal
     (the write may linearize before the read); the claimed-stamp match
-    is deferred until the write completes.  Soundness under windowing is
-    as in the SW checker: the floor is the oldest in-flight invocation,
-    so every bound consulted for a completing operation is exact.
+    is deferred until the write completes.  The window floor is the
+    oldest in-flight invocation, so every bound consulted for a
+    completing operation is exact.
+
+    ``mode`` is a label copied onto the report (the runner passes
+    ``"mw"`` for multi-writer specs); it selects nothing.
     """
 
-    mode = "mw"
-    key_state_factory = _MwKeyState
+    #: An in-flight op older than this many ops evicts from the window
+    #: (a stuck client must not pin the floor and regrow O(ops) state).
+    OVERRUN_OPS = 5_000
+    #: Completions between global prune/measure sweeps (amortizes the
+    #: O(keys) sweep to O(1) per completion).
+    SWEEP_EVERY = 256
 
-    def __init__(self, max_reported: int = 20,
-                 overrun_ops: int = OnlineChecker.OVERRUN_OPS):
-        super().__init__(max_reported=max_reported, overrun_ops=overrun_ops)
+    def __init__(self, mode: str = "sw", overrun_ops: int = OVERRUN_OPS):
+        self.mode = mode
+        self.overrun_ops = overrun_ops
+        self.checked_writes = 0
+        self.checked_reads = 0
+        self.violation_count = 0
+        self.overrun_unchecked = 0
+        self.violations: List[OnlineViolation] = []
+        self.max_retained = 0
+        self._keys: Dict[Hashable, _KeyState] = {}
+        # op_id -> invoked_at of every in-flight storage operation; its
+        # minimum is the window floor nothing older than which can still
+        # be referenced by a future completion.
+        self._pending: Dict[int, float] = {}
         # op_id -> (key, value) of in-flight writes, for eviction.
         self._pending_writes: Dict[int, Tuple[Hashable, Any]] = {}
+        # Ops evicted from the window (stuck clients): skipped, never
+        # misjudged, if they eventually complete.  Bounded by the
+        # number of clients that ever stalled past the overrun bound.
+        self._overrun: set = set()
+        self._max_op_id = -1
+        self._floor = float("-inf")
+        self._since_sweep = 0
+
+    # -- trace subscription ---------------------------------------------------
 
     def on_begin(self, record) -> None:
         if record.kind in ("write", "read"):
@@ -795,31 +530,76 @@ class MultiWriterOnlineChecker(OnlineChecker):
             if record.op_id > self._max_op_id:
                 self._max_op_id = record.op_id
             if record.kind == "write":
-                self._pending_writes[record.op_id] = (
-                    record.key, record.value
-                )
-                state = self._state(record.key)
-                state.inflight[record.value] = record.invoked_at
+                self._pending_writes[record.op_id] = record.key, record.value
+                inflight = self._state(record.key).inflight
+                inflight[record.value] = record.invoked_at
+
+    def on_complete(self, record) -> None:
+        if record.kind not in ("write", "read"):
+            return
+        if record.op_id in self._overrun:
+            # The window moved past this op while it was stuck; its
+            # bounds are gone, so judging it now could flag legal
+            # behaviour.  Skip it, visibly.
+            self._overrun.discard(record.op_id)
+            self.overrun_unchecked += 1
+            return
+        if record.kind == "write":
+            self._complete_write(record)
+        else:
+            self._complete_read(record)
+        self._pending.pop(record.op_id, None)
+        # Evict stuck in-flight ops so they cannot pin the floor and
+        # regrow O(ops) retained state (the crashed-reader case).
+        if self._pending:
+            horizon = self._max_op_id - self.overrun_ops
+            for op in [op for op in self._pending if op < horizon]:
+                self._evict(op)
+        self._floor = min(self._pending.values(), default=record.completed_at)
+        self._keys[record.key].prune(self._floor)
+        # Periodic global sweep: prune every key to the shared floor
+        # and sample the total retained state for the high-water mark
+        # (O(keys) amortized over SWEEP_EVERY completions).
+        self._since_sweep += 1
+        if self._since_sweep >= self.SWEEP_EVERY:
+            self._sweep()
 
     def _evict(self, op_id: int) -> None:
-        super()._evict(op_id)
+        """Move one stuck op out of the window; reads parked on a stuck
+        write can no longer be resolved and count as skipped."""
+        del self._pending[op_id]
+        self._overrun.add(op_id)
         entry = self._pending_writes.pop(op_id, None)
         if entry is not None:
             key, value = entry
             state = self._state(key)
             state.inflight.pop(value, None)
             state.evicted.add(value)
-            waiting = state.parked.pop(value, None)
-            if waiting:
-                self.overrun_unchecked += len(waiting)
+            self.overrun_unchecked += len(state.parked.pop(value, ()))
+
+    def _sweep(self) -> None:
+        self._since_sweep = 0
+        retained = len(self._pending) + len(self._overrun)
+        for state in self._keys.values():
+            state.prune(self._floor)
+            retained += state.retained()
+        if retained > self.max_retained:
+            self.max_retained = retained
 
     # -- the rules ------------------------------------------------------------
+
+    def _state(self, key: Hashable) -> _KeyState:
+        state = self._keys.get(key)
+        if state is None:
+            state = self._keys[key] = _KeyState()
+        return state
 
     def _complete_write(self, record) -> None:
         self.checked_writes += 1
         self._pending_writes.pop(record.op_id, None)
         state = self._state(record.key)
         state.inflight.pop(record.value, None)
+        waiting = state.parked.pop(record.value, ())
         stamp = record.meta.get("ts")
         if stamp is None:
             self._flag(
@@ -828,18 +608,25 @@ class MultiWriterOnlineChecker(OnlineChecker):
                 f"write {record.value!r} completed without a protocol "
                 f"stamp in record.meta['ts']",
             )
-            waiting = state.parked.pop(record.value, None)
-            if waiting:
-                self.overrun_unchecked += len(waiting)
+            self.overrun_unchecked += len(waiting)
             return
         bound = state.write_bound(record.invoked_at)
+        own = state.writer_stamp.get(record.process)
         if stamp in state.window:
             self._flag(
                 "stamp-reuse",
                 record.key,
                 f"write {record.value!r} completed with stamp {stamp}, "
-                f"already used by write "
-                f"{state.window[stamp][2]!r}",
+                f"already used by write {state.window[stamp][2]!r}",
+            )
+        elif own is not None and stamp <= own:
+            self._flag(
+                "writer-order",
+                record.key,
+                f"write {record.value!r} by {record.process} completed "
+                f"with stamp {stamp} after its own write with stamp "
+                f"{own} (a writer's stamps must increase in completion "
+                f"order)",
             )
         elif bound is not None and stamp <= bound:
             self._flag(
@@ -849,24 +636,23 @@ class MultiWriterOnlineChecker(OnlineChecker):
                 f"write with stamp {bound} completed before it was "
                 f"invoked (stamps must respect real-time order)",
             )
+        if own is None or stamp > own:
+            state.writer_stamp[record.process] = stamp
         state.window[stamp] = (
             record.invoked_at, record.completed_at, record.value
         )
-        state.stamp_of[record.value] = stamp
         if not state.write_stamps or stamp > state.write_stamps[-1]:
             state.write_times.append(record.completed_at)
             state.write_stamps.append(stamp)
-        waiting = state.parked.pop(record.value, None)
-        if waiting:
-            for process, claimed in waiting:
-                if claimed != stamp:
-                    self._flag(
-                        "fabrication",
-                        record.key,
-                        f"read by {process} returned {record.value!r} "
-                        f"with stamp {claimed}, but its write carried "
-                        f"stamp {stamp}",
-                    )
+        for process, claimed in waiting:
+            if claimed != stamp:
+                self._flag(
+                    "fabrication",
+                    record.key,
+                    f"read by {process} returned {record.value!r} "
+                    f"with stamp {claimed}, but its write carried "
+                    f"stamp {stamp}",
+                )
 
     def _complete_read(self, record) -> None:
         self.checked_reads += 1
@@ -929,15 +715,13 @@ class MultiWriterOnlineChecker(OnlineChecker):
                     f"{written_value!r}",
                 )
             elif write_invoked > record.completed_at:
-                self._flag(
-                    "future-read",
-                    record.key,
-                    f"read by {record.process} returned {value!r}, whose "
-                    f"write was invoked only after the read completed",
-                )
+                self._flag_future_read(record)
         elif value in state.inflight:
-            # Legal: the write may linearize before this read.  Defer
-            # the claimed-stamp match to the write's completion.
+            # Legal unless the write began only after the read ended:
+            # it may linearize before this read.  Defer the
+            # claimed-stamp match to the write's completion.
+            if state.inflight[value] > record.completed_at:
+                self._flag_future_read(record)
             state.parked.setdefault(value, []).append(
                 (record.process, stamp)
             )
@@ -946,16 +730,49 @@ class MultiWriterOnlineChecker(OnlineChecker):
             # now.  Skip, visibly, instead of misjudging.
             self.overrun_unchecked += 1
             return
-        elif not stale:
-            # Not a windowed write, not in flight, not superseded by a
-            # newer completed write (which would have been pruned-and-
-            # flagged above): nothing ever wrote this (value, stamp).
-            self._flag(
-                "fabrication",
-                record.key,
-                f"read by {record.process} returned {value!r} with stamp "
-                f"{stamp}, which no write of this register produced",
-            )
+        else:
+            if not stale:
+                # Not a windowed write, not in flight, not superseded
+                # by a newer completed write (folded out of the window,
+                # flagged above): nothing ever wrote this pair.
+                self._flag(
+                    "fabrication",
+                    record.key,
+                    f"read by {record.process} returned {value!r} with "
+                    f"stamp {stamp}, which no write of this register "
+                    f"produced",
+                )
+            # A pair the window cannot vouch for must not become the
+            # bound later reads are held to.
+            return
         if not state.read_stamps or stamp > state.read_stamps[-1]:
             state.read_times.append(record.completed_at)
             state.read_stamps.append(stamp)
+
+    def _flag_future_read(self, record) -> None:
+        self._flag(
+            "future-read",
+            record.key,
+            f"read by {record.process} returned {record.result!r}, whose "
+            f"write was invoked only after the read completed",
+        )
+
+    def _flag(self, rule: str, key: Hashable, description: str) -> None:
+        self.violation_count += 1
+        if len(self.violations) < MAX_REPORTED:
+            self.violations.append(OnlineViolation(rule, key, description))
+
+    # -- reporting ------------------------------------------------------------
+
+    def report(self) -> OnlineReport:
+        self._sweep()   # final measurement (runs shorter than a sweep)
+        return OnlineReport(
+            checked_writes=self.checked_writes,
+            checked_reads=self.checked_reads,
+            violation_count=self.violation_count,
+            violations=tuple(self.violations),
+            keys=tuple(sorted(self._keys, key=repr)),
+            max_retained=self.max_retained,
+            overrun_unchecked=self.overrun_unchecked,
+            mode=self.mode,
+        )

@@ -20,7 +20,9 @@ The exhibits:
   batching is an optimization, not a semantic change.
 
 Per the repository invariant (**new figure = new grid literal**) the
-whole experiment is :data:`GRID`.  Run directly
+whole experiment is :data:`GRID`, measured by the default soak row
+(:func:`repro.scenarios.result.soak_row`: ``events`` / ``completed``,
+``host.ops_per_sec``).  Run directly
 (``python -m repro.experiments.batched``) for the 10k sub-grid;
 ``run_experiment(full=True)`` adds the 100k rows.
 """
@@ -59,26 +61,6 @@ def _batched_build(point: Mapping) -> ScenarioSpec:
     )
 
 
-def _batched_measure(point: Mapping, result) -> Mapping:
-    online = result.online
-    completed = result.ops_completed()
-    metrics = {
-        "verdict": "unchecked" if online is None else online.verdict,
-        "operations": result.ops_begun(),
-        "completed": completed,
-        "events": result.adapter.sim.events_processed,
-        "messages": result.adapter.network.sent_count,
-        "events_per_op": round(
-            result.adapter.sim.events_processed / max(completed, 1), 2
-        ),
-        "wall_s": round(result.execute_seconds, 4),
-    }
-    if online is not None:
-        metrics["violations"] = len(online.violations)
-        metrics["checker_max_retained"] = online.max_retained
-    return metrics
-
-
 #: The E17 grid: protocol × batch size × op budget on the 16-key soak.
 GRID = SweepSpec(
     name="batched",
@@ -89,7 +71,6 @@ GRID = SweepSpec(
         "seed": (5,),
     },
     build=_batched_build,
-    measure=_batched_measure,
 )
 
 
@@ -127,15 +108,16 @@ def run_experiment(
     rows: List[BatchedRow] = []
     for cell in sweep.cells:
         metrics = cell.require().metrics
-        wall = metrics["wall_s"] or 1e-9
         rows.append(
             BatchedRow(
                 protocol=cell.point["protocol"],
                 batch_size=int(cell.point["batch_size"]),
                 max_ops=int(cell.point["max_ops"]),
                 verdict=cell.verdict,
-                ops_per_sec=round(metrics["completed"] / wall, 1),
-                events_per_op=metrics["events_per_op"],
+                ops_per_sec=metrics["host"]["ops_per_sec"],
+                events_per_op=round(
+                    metrics["events"] / max(metrics["completed"], 1), 2
+                ),
             )
         )
     baselines = {

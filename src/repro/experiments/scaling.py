@@ -7,7 +7,9 @@ rule; this experiment measures what that buys: **shards × max_ops up to
 ``1/2/4/8`` ways.  Per the repository invariant the whole experiment is
 :data:`GRID`.
 
-Cells report two throughput numbers.  ``ops_per_sec`` is wall-clock —
+Cells are measured by the default soak row
+(:func:`repro.scenarios.result.soak_row`) and report two throughput
+numbers under its ``"host"`` key.  ``ops_per_sec`` is wall-clock —
 honest but host-dependent (a 1-core CI runner timeshares the shard
 fleet, so wall speedup saturates at 1×).  ``capacity_ops_per_sec`` is
 the sum over shards of ``completed / cpu_seconds`` — CPU time is immune
@@ -24,7 +26,6 @@ sub-grid; ``run_experiment(full=True)`` adds the 1e6 and 1e7 rows.
 
 from __future__ import annotations
 
-import resource
 from dataclasses import dataclass
 from typing import List, Mapping, Optional, Sequence
 
@@ -60,43 +61,6 @@ def _scaling_build(point: Mapping) -> ScenarioSpec:
     return spec.with_(shards=shards) if shards > 1 else spec
 
 
-def _scaling_measure(point: Mapping, result) -> Mapping:
-    completed = result.ops_completed()
-    wall = result.execute_seconds or 1e-9
-    if getattr(result, "n_shards", 0) > 1:
-        cpu = result.cpu_seconds
-        capacity = result.capacity_ops_per_sec
-        workers = result.worker_processes
-        rss = result.max_shard_rss_kb
-    else:
-        cpu = result.execute_cpu_seconds or wall
-        capacity = completed / cpu if cpu else 0.0
-        workers = 1
-        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    metrics = {
-        "verdict": "unchecked",
-        "operations": result.ops_begun(),
-        "completed": completed,
-        "events": result.events_processed,
-        "wall_s": round(wall, 4),
-        "cpu_s": round(cpu, 4),
-        "ops_per_sec": round(completed / wall, 1),
-        "capacity_ops_per_sec": round(capacity, 1),
-        "workers": workers,
-        "max_shard_rss_kb": rss,
-        "keys_checked": 0,
-        "violations": 0,
-        "checker_mode": "none",
-    }
-    online = result.online
-    if online is not None:
-        metrics["verdict"] = online.verdict
-        metrics["keys_checked"] = len(online.keys)
-        metrics["violations"] = online.violation_count
-        metrics["checker_mode"] = online.mode
-    return metrics
-
-
 #: The E18 grid: shard fan-out × op budget (up to 1e7).
 GRID = SweepSpec(
     name="scaling",
@@ -106,7 +70,6 @@ GRID = SweepSpec(
         "seed": (5,),
     },
     build=_scaling_build,
-    measure=_scaling_measure,
 )
 
 
@@ -148,27 +111,27 @@ def run_experiment(
         grid = grid.where(shards=tuple(shards))
     sweep = run_grid(grid, executor=executor)
     cells = [
-        (cell.point, cell.verdict, cell.require().metrics)
+        (cell.point, cell.verdict, cell.require().metrics["host"])
         for cell in sweep.cells
     ]
     baseline = {
-        point["max_ops"]: metrics["capacity_ops_per_sec"]
-        for point, _, metrics in cells
+        point["max_ops"]: host["capacity_ops_per_sec"]
+        for point, _, host in cells
         if point["shards"] == "1"
     }
     rows: List[ScalingRow] = []
-    for point, verdict, metrics in cells:
+    for point, verdict, host in cells:
         base = baseline.get(point["max_ops"]) or 0.0
-        capacity = metrics["capacity_ops_per_sec"]
+        capacity = host["capacity_ops_per_sec"]
         rows.append(
             ScalingRow(
                 shards=int(point["shards"]),
                 max_ops=int(point["max_ops"]),
                 verdict=verdict,
-                ops_per_sec=metrics["ops_per_sec"],
+                ops_per_sec=host["ops_per_sec"],
                 capacity_ops_per_sec=capacity,
                 capacity_ratio=round(capacity / base, 3) if base else 0.0,
-                max_shard_rss_kb=metrics["max_shard_rss_kb"],
+                max_shard_rss_kb=host["max_shard_rss_kb"],
             )
         )
     return rows

@@ -7,8 +7,10 @@ soak.  Uniform sharding is load-balanced by construction; a zipfian key
 draw concentrates mass on the hot keys, and a crc32 key→shard rule then
 lands whole hot keys on one worker.  The weighted LPT rule in
 :func:`repro.scenarios.workloads.shard_assignment` bin-packs the
-*expected* per-key frequencies instead, so the grid measures two things
-per cell: ``capacity_ops_per_sec`` (the near-linear-scaling claim,
+*expected* per-key frequencies instead, so the grid reads two things
+off each cell's default soak row
+(:func:`repro.scenarios.result.soak_row`):
+``host.capacity_ops_per_sec`` (the near-linear-scaling claim,
 CPU-time basis as in E18) and ``imbalance`` (max/mean completed ops per
 shard — 1.0 is perfect balance, and the soak gate requires <= 1.3 at
 skew 1.2).  Cells are **duration-bounded** (not op-budgeted): an op
@@ -37,7 +39,6 @@ Run directly (``python -m repro.experiments.skew_scaling``) for both.
 
 from __future__ import annotations
 
-import resource
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -78,37 +79,6 @@ def _skew_build(point: Mapping) -> ScenarioSpec:
     return spec.with_(shards=shards) if shards > 1 else spec
 
 
-def _skew_measure(point: Mapping, result) -> Mapping:
-    completed = result.ops_completed()
-    wall = result.execute_seconds or 1e-9
-    if getattr(result, "n_shards", 0) > 1:
-        cpu = result.cpu_seconds
-        capacity = result.capacity_ops_per_sec
-        imbalance = result.imbalance
-        rss = result.max_shard_rss_kb
-    else:
-        cpu = result.execute_cpu_seconds or wall
-        capacity = completed / cpu if cpu else 0.0
-        imbalance = 1.0
-        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    metrics = {
-        "verdict": "unchecked",
-        "operations": result.ops_begun(),
-        "completed": completed,
-        "wall_s": round(wall, 4),
-        "cpu_s": round(cpu, 4),
-        "capacity_ops_per_sec": round(capacity, 1),
-        "imbalance": round(imbalance, 4),
-        "max_shard_rss_kb": rss,
-    }
-    online = result.online
-    if online is not None:
-        metrics["verdict"] = online.verdict
-        metrics["keys_checked"] = len(online.keys)
-        metrics["violations"] = online.violation_count
-    return metrics
-
-
 #: The E19 skew grid: zipf exponent × shard fan-out.
 GRID = SweepSpec(
     name="skew_scaling",
@@ -118,7 +88,6 @@ GRID = SweepSpec(
         "seed": (5,),
     },
     build=_skew_build,
-    measure=_skew_measure,
 )
 
 
@@ -160,14 +129,14 @@ def run_experiment(
         for cell in sweep.cells
     ]
     baseline = {
-        point["skew"]: metrics["capacity_ops_per_sec"]
+        point["skew"]: metrics["host"]["capacity_ops_per_sec"]
         for point, _, metrics in cells
         if point["shards"] == "1"
     }
     rows: List[SkewRow] = []
     for point, verdict, metrics in cells:
         base = baseline.get(point["skew"]) or 0.0
-        capacity = metrics["capacity_ops_per_sec"]
+        capacity = metrics["host"]["capacity_ops_per_sec"]
         rows.append(
             SkewRow(
                 skew=float(point["skew"]),

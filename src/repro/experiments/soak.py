@@ -10,10 +10,12 @@ count up to one million**, every cell an open-loop soak stopped by a
 ``max_ops`` budget.
 
 Per the repository invariant (**new figure = new grid literal**) the
-whole experiment is :data:`GRID`.  Cells report throughput, streaming
-latency summaries, the online verdict and the checker's high-water
-retained-state mark — the exhibit is that the mark stays O(clients +
-keys) while op counts grow 100×.
+whole experiment is :data:`GRID`, measured by the default soak row
+(:func:`repro.scenarios.result.soak_row`).  Cells report throughput
+(``host.ops_per_sec``), streaming latency (``read_p99`` …), the online
+verdict and the checker's high-water retained-state mark
+(``checker_max_retained``) — the exhibit is that the mark stays
+O(clients + keys) while op counts grow 100×.
 
 The protocol axis spans the bounded-state baselines (ABD and fast-ABD
 servers keep one/two pairs per key) **and** the paper's RQS protocol
@@ -69,43 +71,6 @@ def _soak_build(point: Mapping) -> ScenarioSpec:
     )
 
 
-def _soak_measure(point: Mapping, result) -> Mapping:
-    online = result.online
-    reads = result.latency_streaming("read")
-    writes = result.latency_streaming("write")
-    metrics = {
-        "verdict": "unchecked",
-        "operations": result.ops_begun(),
-        "completed": result.ops_completed(),
-        "events": result.adapter.sim.events_processed,
-        "messages": result.adapter.network.sent_count,
-        "keys_checked": 0,
-        "violations": 0,
-        "checker_max_retained": 0,
-        "read_p99": reads.p99_time,
-        "write_p99": writes.p99_time,
-        "wall_s": round(result.execute_seconds, 4),
-        "bounded_history": False,
-        "server_retained_cells": 0,
-        "server_max_retained_cells": 0,
-        "server_gc_removed_cells": 0,
-    }
-    if online is not None:
-        online_metrics = online.as_metrics()
-        online_metrics.pop("atomic")
-        metrics["verdict"] = online.verdict
-        metrics.update(online_metrics)
-    history = result.server_history
-    if history is not None:
-        metrics["bounded_history"] = history["bounded_history"]
-        metrics["server_retained_cells"] = history["retained_cells"]
-        metrics["server_max_retained_cells"] = (
-            history["max_retained_cells"]
-        )
-        metrics["server_gc_removed_cells"] = history["gc_removed_cells"]
-    return metrics
-
-
 #: The E15 grid: protocol × keyspace width × op budget (up to 1e6).
 GRID = SweepSpec(
     name="soak",
@@ -116,7 +81,6 @@ GRID = SweepSpec(
         "seed": (5,),
     },
     build=_soak_build,
-    measure=_soak_measure,
 )
 
 
@@ -159,14 +123,13 @@ def run_experiment(
     rows: List[SoakRow] = []
     for cell in sweep.cells:
         metrics = cell.require().metrics
-        wall = metrics["wall_s"] or 1e-9
         rows.append(
             SoakRow(
                 protocol=cell.point["protocol"],
                 n_keys=int(cell.point["n_keys"]),
                 max_ops=int(cell.point["max_ops"]),
                 verdict=cell.verdict,
-                ops_per_sec=round(metrics["completed"] / wall, 1),
+                ops_per_sec=metrics["host"]["ops_per_sec"],
                 checker_max_retained=metrics["checker_max_retained"],
                 read_p99=metrics["read_p99"],
                 server_max_retained=metrics["server_max_retained_cells"],

@@ -47,8 +47,8 @@ the per-register view.
 
 Long runs **stream**: at ``TraceLevel.METRICS`` operation records are
 never retained — counters, online latency accumulators and (for
-single-writer ``RandomMix`` workloads) the windowed online checker
-take over (``RunResult.online``), and the open-loop stopping rule
+``RandomMix`` workloads) the windowed online checker take over
+(``RunResult.online``), and the open-loop stopping rule
 (``ScenarioSpec.duration``/``max_ops``) generates ops lazily per
 client for horizon-free million-op soaks in O(clients + keys) memory.
 
@@ -58,9 +58,7 @@ load-weighted :func:`shard_assignment` rule (crc32 for uniform mixes,
 a greedy LPT bin-pack over the zipfian draw weights for skewed ones —
 independent single-writer registers need no coordination) and merges
 per-shard counters, accumulators and online verdicts into one
-:class:`ShardedRunResult`; :func:`recommend_shards` turns the observed
-per-shard CPU profile into a shard-count recommendation — see
-:mod:`repro.scenarios.sharding`.
+:class:`ShardedRunResult` — see :mod:`repro.scenarios.sharding`.
 
 Quorum systems can be **expression-defined**: a planning-level
 :class:`~repro.core.algebra.QuorumSystem` (``a*b + c*d`` over
@@ -104,11 +102,7 @@ from repro.scenarios.registry import (
 )
 from repro.scenarios.result import RunResult
 from repro.scenarios.runner import run
-from repro.scenarios.sharding import (
-    ShardedRunResult,
-    recommend_shards,
-    run_sharded,
-)
+from repro.scenarios.sharding import ShardedRunResult, run_sharded
 from repro.scenarios.spec import (
     ScenarioSpec,
     named_rqs,
@@ -177,7 +171,6 @@ __all__ = [
     "named_rqs",
     "payload_is",
     "percentile",
-    "recommend_shards",
     "register_protocol",
     "register_rqs",
     "resolve_rqs",

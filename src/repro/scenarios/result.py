@@ -12,12 +12,21 @@ never materialized, so the record-backed verdicts raise with guidance
 and the streaming surface takes over: per-kind begun/completed counts
 (:meth:`ops_begun`/:meth:`ops_completed`), accumulator-backed latency
 summaries (``latency`` falls through to the online path), and the
-windowed online safety verdict (:attr:`online`).  :meth:`summary` is
-the mode-independent portable digest.
+windowed online safety verdict (:attr:`online`).
+
+Every result is a fleet (:class:`ResultSurface`): a plain
+:class:`RunResult` answers the fleet questions as a fleet of one
+(``n_shards == 1``, ``imbalance == 1.0``, its own process's peak RSS),
+:class:`~repro.scenarios.sharding.ShardedRunResult` for its workers.
+:func:`soak_row` is the one flat projection of a streamed result that
+every soak table (the default sweep measure, the E15 / E17 / E18 / E19
+grids, ``benchmarks/bench_workload.py``) is cut from.
 """
 
 from __future__ import annotations
 
+import resource
+import sys
 from functools import cached_property
 from typing import Any, Dict, Hashable, Optional, Tuple
 
@@ -35,7 +44,169 @@ from repro.sim.trace import OperationRecord
 from repro.storage.history import DEFAULT_KEY
 
 
-class RunResult:
+def peak_rss_kb() -> int:
+    """This process's peak resident set in KiB (``ru_maxrss`` is KiB on
+    Linux, bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":  # pragma: no cover - linux CI
+        peak //= 1024
+    return peak
+
+
+class ResultSurface:
+    """What a run reports however many processes executed it.
+
+    Both result classes provide the counters (``ops_begun`` /
+    ``ops_completed`` / ``op_kinds`` / ``blocked`` / ``messages`` /
+    ``events_processed``), the verdict (``online`` / ``online_refusal``
+    / ``streamed``), ``latency_streaming``, ``n_shards``,
+    ``worker_processes``, ``shard_rss_kb`` and :meth:`_loads`; the fleet
+    questions and the digest are answered here, once.
+    """
+
+    def _loads(self) -> Tuple[Tuple[int, float], ...]:
+        """Per shard: ``(completed ops, CPU seconds of its execute
+        phase)``."""
+        raise NotImplementedError
+
+    @property
+    def cpu_seconds(self) -> float:
+        """Total CPU seconds of the execute phase across shards."""
+        return sum(cpu for _, cpu in self._loads())
+
+    @property
+    def capacity_ops_per_sec(self) -> float:
+        """Aggregate capacity: the sum over shards of that shard's
+        completed ops per CPU second.  CPU time is immune to
+        timesharing, so this measures what the fleet sustains with a
+        core per shard even when the host has fewer cores."""
+        return sum(done / cpu for done, cpu in self._loads() if cpu > 0)
+
+    @property
+    def imbalance(self) -> float:
+        """Shard-load imbalance: ``max / mean`` of per-shard completed
+        ops.  ``1.0`` is perfectly balanced (and what one shard reports);
+        ``shards`` is the everything-on-one-shard worst case.
+        Duration-bounded zipfian soaks surface the key→shard rule's
+        quality here (budget-bounded runs split ``max_ops`` evenly by
+        construction)."""
+        counts = [done for done, _ in self._loads()]
+        mean = sum(counts) / len(counts)
+        return max(counts) / mean if mean > 0 else 1.0
+
+    @property
+    def max_shard_rss_kb(self) -> int:
+        return max(self.shard_rss_kb)
+
+    def summary(self) -> Dict[str, Any]:
+        """A portable mode-independent digest of this execution:
+        per-kind op counts and streaming latency summaries, message
+        volume, the ``shards`` block of a fleet of more than one, and
+        whichever safety verdict this mode carries."""
+        out: Dict[str, Any] = {
+            "operations": self.ops_begun(),
+            "completed": self.ops_completed(),
+            "blocked": len(self.blocked),
+            "messages": self.messages,
+            "kinds": {
+                kind: {
+                    "begun": self.ops_begun(kind),
+                    "completed": self.ops_completed(kind),
+                    "latency": self.latency_streaming(kind),
+                }
+                for kind in self.op_kinds()
+            },
+        }
+        if self.n_shards > 1:
+            out["shards"] = {
+                "count": self.n_shards,
+                "workers": self.worker_processes,
+                "cpu_seconds": round(self.cpu_seconds, 6),
+                "capacity_ops_per_sec": round(
+                    self.capacity_ops_per_sec, 2
+                ),
+                "imbalance": round(self.imbalance, 4),
+                "max_shard_rss_kb": self.max_shard_rss_kb,
+            }
+        online = self.online
+        if online is not None:
+            out["verdict"] = online.verdict
+            out["verdict_source"] = "online-windowed"
+            out["checker_mode"] = online.mode
+            out["keys_checked"] = len(online.keys)
+            out["violations"] = online.violation_count
+        elif not self.streamed:
+            out["verdict_source"] = "post-hoc"
+        else:
+            out["verdict_source"] = "unchecked"
+            refusal = self.online_refusal
+            if refusal is not None:
+                out["online_refusal"] = refusal.reason
+        return out
+
+
+#: What a streamed run with no checker wired reports: a refusal, never
+#: a pass.
+UNCHECKED = {
+    "atomic": False, "violations": 0, "keys_checked": 0,
+    "checker_max_retained": 0, "checker_mode": "none",
+    "overrun_unchecked": 0,
+}
+
+
+def soak_row(result: ResultSurface) -> Dict[str, Any]:
+    """The flat row of one streamed run, sharded or not.
+
+    Everything outside ``"host"`` is a pure function of the spec —
+    counts, the verdict (``overrun_unchecked``: operations the windowed
+    checker skipped, which ``atomic`` does not cover), server history
+    cells, per-kind simulated latency, the fleet's shape — so two
+    backends emit it byte for byte.  ``"host"`` holds what depends on
+    the machine and on where the run was dispatched: wall / CPU seconds,
+    the rates quoted on them, how many worker processes the shards got
+    (``0``: serially, inside a pool worker) and their peak RSS.
+    """
+    online = result.online
+    completed = result.ops_completed()
+    history = result.server_history or {}
+    row: Dict[str, Any] = {
+        "verdict": "unchecked" if online is None else online.verdict,
+        "operations": result.ops_begun(),
+        "completed": completed,
+        "blocked": len(result.blocked),
+        "events": result.events_processed,
+        "messages": result.messages,
+        **(UNCHECKED if online is None else {
+            **online.as_metrics(),
+            "overrun_unchecked": online.overrun_unchecked,
+        }),
+        "bounded_history": bool(history.get("bounded_history", False)),
+        "server_retained_cells": history.get("retained_cells", 0),
+        "server_max_retained_cells": history.get("max_retained_cells", 0),
+        "server_gc_removed_cells": history.get("gc_removed_cells", 0),
+        "shards": result.n_shards,
+        "imbalance": round(result.imbalance, 4),
+    }
+    for kind in result.op_kinds():
+        latency = result.latency_streaming(kind)
+        if latency.count:
+            row[f"{kind}_mean"] = latency.mean_time
+            row[f"{kind}_p50"] = latency.p50_time
+            row[f"{kind}_p99"] = latency.p99_time
+            row[f"{kind}_max"] = latency.max_time
+    row["host"] = {
+        "workers": result.worker_processes,
+        "execute_seconds": round(result.execute_seconds, 4),
+        "cpu_seconds": round(result.cpu_seconds, 4),
+        "ops_per_sec": round(completed / result.execute_seconds, 1),
+        "capacity_ops_per_sec": round(result.capacity_ops_per_sec, 1),
+        "shard_rss_kb": list(result.shard_rss_kb),
+        "max_shard_rss_kb": result.max_shard_rss_kb,
+    }
+    return row
+
+
+class RunResult(ResultSurface):
     """Trace + metrics + verdicts for one executed scenario."""
 
     def __init__(self, spec, adapter):
@@ -45,8 +216,8 @@ class RunResult:
         #: the benches quote throughput on.
         self.execute_seconds: Optional[float] = None
         #: CPU seconds of the execute phase (``time.process_time``) —
-        #: immune to timesharing, so the fair capacity denominator when
-        #: comparing against sharded runs on oversubscribed hosts.
+        #: immune to timesharing; what :attr:`cpu_seconds` and
+        #: :attr:`capacity_ops_per_sec` are quoted on.
         self.execute_cpu_seconds: Optional[float] = None
 
     # -- raw execution access -------------------------------------------------
@@ -115,15 +286,31 @@ class RunResult:
         return trace.completed_counts.get(kind, 0)
 
     def op_kinds(self) -> Tuple[str, ...]:
-        """Operation kinds begun during this run, sorted — the
-        result-shape-independent way to enumerate kinds (mirrored by
-        ``ShardedRunResult``)."""
+        """Operation kinds begun during this run, sorted."""
         return tuple(sorted(self.adapter.trace.begun))
 
     @property
     def events_processed(self) -> int:
         """Simulator events consumed by the execute phase."""
         return self.adapter.sim.events_processed
+
+    @property
+    def messages(self) -> int:
+        """Messages the network was handed (delivered or not)."""
+        return self.adapter.network.sent_count
+
+    # -- a fleet of one -------------------------------------------------------
+
+    n_shards = 1
+    worker_processes = 1
+
+    @property
+    def shard_rss_kb(self) -> Tuple[int, ...]:
+        """This process's peak RSS so far, as the one shard's."""
+        return (peak_rss_kb(),)
+
+    def _loads(self) -> Tuple[Tuple[int, float], ...]:
+        return ((self.ops_completed(), self.execute_cpu_seconds or 0.0),)
 
     @property
     def online(self) -> Optional[OnlineReport]:
@@ -246,42 +433,6 @@ class RunResult:
         return LatencySummary.from_accumulator(
             self.adapter.trace.accumulator(kind), kind
         )
-
-    def summary(self) -> Dict[str, Any]:
-        """A portable mode-independent digest of this execution:
-        per-kind op counts and streaming latency summaries, message
-        volume, and whichever safety verdict this mode carries."""
-        trace = self.adapter.trace
-        kinds = sorted(trace.begun)
-        out: Dict[str, Any] = {
-            "operations": self.ops_begun(),
-            "completed": self.ops_completed(),
-            "blocked": len(self.blocked),
-            "messages": self.adapter.network.sent_count,
-            "kinds": {
-                kind: {
-                    "begun": self.ops_begun(kind),
-                    "completed": self.ops_completed(kind),
-                    "latency": self.latency_streaming(kind),
-                }
-                for kind in kinds
-            },
-        }
-        online = self.online
-        if online is not None:
-            out["verdict"] = online.verdict
-            out["verdict_source"] = "online-windowed"
-            out["checker_mode"] = online.mode
-            out["keys_checked"] = len(online.keys)
-            out["violations"] = online.violation_count
-        elif not self.streamed:
-            out["verdict_source"] = "post-hoc"
-        else:
-            out["verdict_source"] = "unchecked"
-            refusal = self.online_refusal
-            if refusal is not None:
-                out["online_refusal"] = refusal.reason
-        return out
 
     @property
     def learned(self) -> Dict[Hashable, Any]:

@@ -8,13 +8,14 @@ schedules the workload and runs to the spec's horizon (or completion).
 Streaming runs (``TraceLevel.METRICS``, where operation records are not
 retained) additionally get the **windowed online checker** subscribed to
 the trace before execution: ``RandomMix`` storage workloads are
-safety-checked as operations complete — the value-ordered SW checker
-for single-writer specs, the stamp-ordered MW checker for multi-writer
-ones — so horizon-free soaks produce a real verdict without ever
-materializing the history; read it via ``RunResult.online``.  Where no
-checker applies, a structured :class:`~repro.analysis.streaming.
-OnlineRefusal` lands on ``RunResult.online_refusal`` instead of a bare
-``None``.  FULL runs keep the exact post-hoc checkers.
+safety-checked as operations complete — one stamp-ordered checker for
+single- and multi-writer specs alike, its report labelled ``"sw"`` /
+``"mw"`` from ``spec.n_writers`` — so horizon-free soaks produce a real
+verdict without ever materializing the history; read it via
+``RunResult.online``.  Where no checker applies, a structured
+:class:`~repro.analysis.streaming.OnlineRefusal` lands on
+``RunResult.online_refusal`` instead of a bare ``None``.  FULL runs keep
+the exact post-hoc checkers.
 
 The execute phase (the event loop proper, excluding wiring and RQS
 construction) is wall-timed onto ``RunResult.execute_seconds`` so perf
@@ -26,11 +27,7 @@ from __future__ import annotations
 
 import time
 
-from repro.analysis.streaming import (
-    MultiWriterOnlineChecker,
-    OnlineChecker,
-    OnlineRefusal,
-)
+from repro.analysis.streaming import OnlineChecker, OnlineRefusal
 from repro.scenarios.registry import get_protocol
 from repro.scenarios.result import RunResult
 from repro.scenarios.spec import ScenarioSpec
@@ -43,13 +40,11 @@ def _wire_online_checker(adapter, spec) -> None:
     Engaged only where its invariants are sound: records are being
     streamed (not retained), the protocol is a storage protocol, and
     the workload is a *single* ``RandomMix`` (sequential integer write
-    values — unique per run, totally ordered per key for a single
-    writer; two mixes interleave their value ranges in time, breaking
-    both).  Single-writer specs get the value-ordered
-    :class:`OnlineChecker`, multi-writer specs the stamp-ordered
-    :class:`MultiWriterOnlineChecker`.  Streamed runs outside this
-    envelope get a structured :class:`OnlineRefusal` on the adapter so
-    ``RunResult`` can explain the missing verdict.
+    values, unique per run; two mixes would reuse them).  The report's
+    ``mode`` says how many writers the spec deployed (``"sw"`` one,
+    ``"mw"`` several); the rules are the same.  Streamed runs outside
+    this envelope get a structured :class:`OnlineRefusal` on the adapter
+    so ``RunResult`` can explain the missing verdict.
     """
     if adapter.trace.retain:
         # FULL traces keep records: the exact post-hoc checkers apply,
@@ -72,10 +67,7 @@ def _wire_online_checker(adapter, spec) -> None:
             "ranges the windowed rules cannot order",
         )
         return
-    if spec.n_writers == 1:
-        checker = OnlineChecker()
-    else:
-        checker = MultiWriterOnlineChecker()
+    checker = OnlineChecker(mode="sw" if spec.n_writers == 1 else "mw")
     adapter.trace.subscribe(
         on_begin=checker.on_begin, on_complete=checker.on_complete
     )

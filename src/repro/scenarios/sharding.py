@@ -1,13 +1,14 @@
 """The sharded multi-process soak engine.
 
 Single-writer registers are independent by construction — the per-key
-verdict partitioning and the windowed online checkers already exploit
+verdict partitioning and the windowed online checker already exploit
 this — so a streamed keyed ``RandomMix`` soak partitions across worker
 processes without coordination.  :func:`run_sharded` splits a spec with
 ``shards > 1`` into per-key-shard sub-specs, runs each shard's
 simulator in its own process, and merges the per-shard streaming
-surfaces into one :class:`ShardedRunResult` shaped like a streamed
-:class:`~repro.scenarios.result.RunResult`.
+surfaces into one :class:`ShardedRunResult` — the same
+:class:`~repro.scenarios.result.ResultSurface` a streamed
+:class:`~repro.scenarios.result.RunResult` presents as a fleet of one.
 
 **The key→shard rule.**
 :func:`~repro.scenarios.workloads.shard_assignment` maps every key of
@@ -26,12 +27,15 @@ yield only in-shard operations, so the union of the shard schedules is
 a fixed partition of the unsharded schedule — the basis of the
 equivalence tests.
 
-**Collection.**  Workers pickle a :class:`ShardOutcome` — per-kind op
-counters, latency accumulators, the shard's online verdict, server
-history stats, CPU seconds, and peak RSS — into a per-shard
-shared-memory slot (:class:`~repro.scenarios.shm.SlotBlock`; one slot
-per shard, single writer, no locking).  Oversized outcomes fall back to
-the multiprocessing result pipe; nothing is truncated.
+**Collection.**  Each shard is one task on a fork-context
+``concurrent.futures.ProcessPoolExecutor`` (one worker per shard); its
+:class:`ShardOutcome` — per-kind op counters, latency accumulators, the
+shard's online verdict, server history stats, CPU seconds, and peak RSS
+— comes home as the task's future.  A worker that dies takes the run
+with it: the executor reports the broken pool, and :func:`run_sharded`
+raises a :class:`~repro.errors.ScenarioError` instead of waiting or
+merging what is left; an exception raised inside a worker reaches the
+caller naming the shard.
 
 **Merge semantics.**  Counters and Fraction-exact latency sums add;
 reservoirs merge order-independently
@@ -43,9 +47,9 @@ if *any* shard ran unchecked.  A sharded soak never passes vacuously.
 
 **Throughput accounting.**  Each worker reports
 ``time.process_time()`` CPU seconds, immune to timesharing, so
-:attr:`ShardedRunResult.capacity_ops_per_sec` (the sum over shards of
-``completed / cpu_seconds``) measures aggregate capacity even on hosts
-with fewer cores than shards; wall-clock ops/sec is reported alongside.
+``capacity_ops_per_sec`` (the sum over shards of ``completed /
+cpu_seconds``) measures aggregate capacity even on hosts with fewer
+cores than shards; wall-clock ops/sec is reported alongside.
 
 Nested multiprocessing is detected (pool workers are daemonic and
 cannot fork): sharded specs inside ``run_grid`` workers fall back to
@@ -55,30 +59,23 @@ serial in-process shard execution with identical results.
 from __future__ import annotations
 
 import multiprocessing
-import pickle
-import resource
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.latency import LatencySummary
 from repro.analysis.streaming import (
+    MAX_REPORTED,
     LatencyAccumulator,
     OnlineRefusal,
     OnlineReport,
 )
 from repro.errors import ScenarioError
 from repro.scenarios.registry import get_protocol
-from repro.scenarios.shm import SlotBlock
+from repro.scenarios.result import ResultSurface
 from repro.scenarios.spec import ScenarioSpec
-
-#: Per-shard result slot: 1 MiB holds a ShardOutcome with full
-#: reservoirs (2 kinds x 2048 floats plus counters) with wide margin.
-SHARD_SLOT_BYTES = 1 << 20
-
-#: Capped violation examples carried through the merge, matching the
-#: online checkers' own ``max_reported``.
-MERGE_MAX_VIOLATIONS = 20
 
 
 def split_max_ops(max_ops: Optional[int], shards: int) -> List[Optional[int]]:
@@ -131,8 +128,15 @@ def _run_shard(spec: ScenarioSpec, index: int) -> ShardOutcome:
     """Execute shard ``index`` of a sharded spec in this process."""
     from repro.scenarios.runner import run
 
-    sub = shard_spec(spec, index)
-    result = run(sub)
+    try:
+        result = run(shard_spec(spec, index))
+    except Exception as exc:
+        # Raised here so the pooled and the serial path name the shard
+        # alike; the executor re-raises it in the parent.
+        raise ScenarioError(
+            f"shard {index} of {spec.shards} failed: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
     trace = result.adapter.trace
     accumulators = {
         kind: acc for kind in trace.completed_counts
@@ -144,45 +148,15 @@ def _run_shard(spec: ScenarioSpec, index: int) -> ShardOutcome:
         completed=dict(trace.completed_counts),
         blocked=result.blocked,
         events=result.events_processed,
-        messages=result.adapter.network.sent_count,
+        messages=result.messages,
         accumulators=accumulators,
         online=result.online,
         online_refusal=result.online_refusal,
         server_history=result.server_history,
         execute_seconds=result.execute_seconds or 0.0,
-        cpu_seconds=result.execute_cpu_seconds or 0.0,
-        peak_rss_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        cpu_seconds=result.cpu_seconds,
+        peak_rss_kb=result.max_shard_rss_kb,
     )
-
-
-# -- worker-process plumbing --------------------------------------------------
-#
-# Fork-started workers inherit these globals (set by the parent before
-# the pool spawns); spawn-started workers rebuild them in the
-# initializer from the pickled payload and the shm name.
-
-_SHARD_SPEC: Optional[ScenarioSpec] = None
-_SHARD_SLOTS: Optional[SlotBlock] = None
-
-
-def _shard_initialize(payload: bytes, shm_name: Optional[str],
-                      slots: int, slot_size: int) -> None:
-    global _SHARD_SPEC, _SHARD_SLOTS
-    if _SHARD_SPEC is None:
-        _SHARD_SPEC = pickle.loads(payload)
-    if _SHARD_SLOTS is None and shm_name is not None:
-        _SHARD_SLOTS = SlotBlock.attach(shm_name, slots, slot_size)
-
-
-def _shard_worker(index: int) -> Tuple[int, Optional[ShardOutcome]]:
-    """Run one shard; land the outcome in its shm slot, falling back to
-    the result pipe when the pickle outgrows the slot."""
-    outcome = _run_shard(_SHARD_SPEC, index)
-    if _SHARD_SLOTS is not None:
-        data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
-        if _SHARD_SLOTS.write(index, data):
-            return (index, None)
-    return (index, outcome)
 
 
 # -- merging ------------------------------------------------------------------
@@ -207,13 +181,6 @@ def _merge_online(
             f"pass vacuously",
         )
     reports = [o.online for o in outcomes]
-    modes = {report.mode for report in reports}
-    if len(modes) != 1:
-        return None, OnlineRefusal(
-            "shard-refused",
-            f"shards disagree on checker mode {sorted(modes)}; merged "
-            f"counts would mix value-ordered and stamp-ordered checks",
-        )
     violations: List[Any] = []
     for report in reports:
         violations.extend(report.violations)
@@ -224,13 +191,13 @@ def _merge_online(
         checked_writes=sum(r.checked_writes for r in reports),
         checked_reads=sum(r.checked_reads for r in reports),
         violation_count=sum(r.violation_count for r in reports),
-        violations=tuple(violations[:MERGE_MAX_VIOLATIONS]),
+        violations=tuple(violations[:MAX_REPORTED]),
         keys=tuple(keys),
         # Shards peak independently, so the sum is an upper bound on
         # simultaneous retention — conservative for the flat-memory gate.
         max_retained=sum(r.max_retained for r in reports),
         overrun_unchecked=sum(r.overrun_unchecked for r in reports),
-        mode=modes.pop(),
+        mode=reports[0].mode,  # every shard ran the same spec
     ), None
 
 
@@ -263,12 +230,12 @@ def _merge_accumulators(
     }
 
 
-class ShardedRunResult:
-    """The merged result of a sharded soak — the streaming surface of
+class ShardedRunResult(ResultSurface):
+    """The merged result of a sharded soak: the streaming surface of
     :class:`~repro.scenarios.result.RunResult` (op counters, online
-    verdict/refusal, accumulator-backed latency, server history,
-    :meth:`summary`) plus the sharded extras: per-shard outcomes,
-    CPU-time capacity, and per-shard peak RSS."""
+    verdict/refusal, accumulator-backed latency, server history) over
+    the per-shard outcomes; the fleet questions and :meth:`summary` are
+    :class:`~repro.scenarios.result.ResultSurface`'s."""
 
     def __init__(self, spec: ScenarioSpec, outcomes: List[ShardOutcome],
                  worker_processes: int):
@@ -337,86 +304,16 @@ class ShardedRunResult:
             self._accumulators.get(kind), kind
         )
 
-    # -- sharded extras -------------------------------------------------------
-
-    @property
-    def cpu_seconds(self) -> float:
-        """Total worker CPU seconds across shards."""
-        return sum(o.cpu_seconds for o in self.outcomes)
-
-    @property
-    def capacity_ops_per_sec(self) -> float:
-        """Aggregate capacity: the sum over shards of that shard's
-        completed ops per CPU second.  CPU time is immune to
-        timesharing, so this measures what the shard fleet sustains
-        with a core per shard even when the host has fewer cores."""
-        return sum(
-            sum(o.completed.values()) / o.cpu_seconds
-            for o in self.outcomes if o.cpu_seconds > 0
-        )
-
-    @property
-    def imbalance(self) -> float:
-        """Shard-load imbalance: ``max / mean`` of per-shard completed
-        ops.  ``1.0`` is perfectly balanced; ``shards`` is the
-        everything-on-one-shard worst case.  Duration-bounded zipfian
-        soaks surface the key→shard rule's quality here (budget-bounded
-        runs split ``max_ops`` evenly by construction)."""
-        counts = [sum(o.completed.values()) for o in self.outcomes]
-        mean = sum(counts) / len(counts)
-        if mean <= 0:
-            return 1.0
-        return max(counts) / mean
-
     @property
     def shard_rss_kb(self) -> Tuple[int, ...]:
         """Per-shard worker peak RSS (``ru_maxrss``, KiB on Linux)."""
         return tuple(o.peak_rss_kb for o in self.outcomes)
 
-    @property
-    def max_shard_rss_kb(self) -> int:
-        return max(self.shard_rss_kb)
-
-    def summary(self) -> Dict[str, Any]:
-        """The portable digest, same shape as ``RunResult.summary()``
-        plus the ``shards`` block."""
-        out: Dict[str, Any] = {
-            "operations": self.ops_begun(),
-            "completed": self.ops_completed(),
-            "blocked": len(self.blocked),
-            "messages": self.messages,
-            "kinds": {
-                kind: {
-                    "begun": self.ops_begun(kind),
-                    "completed": self.ops_completed(kind),
-                    "latency": self.latency_streaming(kind),
-                }
-                for kind in self.op_kinds()
-            },
-            "shards": {
-                "count": self.n_shards,
-                "workers": self.worker_processes,
-                "cpu_seconds": round(self.cpu_seconds, 6),
-                "capacity_ops_per_sec": round(
-                    self.capacity_ops_per_sec, 2
-                ),
-                "imbalance": round(self.imbalance, 4),
-                "max_shard_rss_kb": self.max_shard_rss_kb,
-            },
-        }
-        online = self.online
-        if online is not None:
-            out["verdict"] = online.verdict
-            out["verdict_source"] = "online-windowed"
-            out["checker_mode"] = online.mode
-            out["keys_checked"] = len(online.keys)
-            out["violations"] = online.violation_count
-        else:
-            out["verdict_source"] = "unchecked"
-            refusal = self.online_refusal
-            if refusal is not None:
-                out["online_refusal"] = refusal.reason
-        return out
+    def _loads(self) -> Tuple[Tuple[int, float], ...]:
+        return tuple(
+            (sum(o.completed.values()), o.cpu_seconds)
+            for o in self.outcomes
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -425,35 +322,18 @@ class ShardedRunResult:
         )
 
 
-def recommend_shards(result: ShardedRunResult) -> int:
-    """The shard count this workload's observed CPU profile supports.
-
-    The effective parallelism of the finished run — total worker CPU
-    seconds over the slowest shard's CPU seconds, rounded — is how many
-    evenly-loaded shards the same work would have kept busy.  A
-    balanced fleet returns ``n_shards`` (keep or grow the count); a
-    skewed one returns fewer (the slowest shard is the bottleneck, so
-    extra shards mostly idle).  Pure arithmetic over
-    :attr:`ShardOutcome.cpu_seconds` — no re-execution.
-    """
-    cpu = [o.cpu_seconds for o in result.outcomes]
-    slowest = max(cpu, default=0.0)
-    if slowest <= 0:
-        return max(1, result.n_shards)
-    return max(1, round(sum(cpu) / slowest))
-
-
 # -- the executor -------------------------------------------------------------
 
 
-def run_sharded(spec: ScenarioSpec,
-                processes: Optional[int] = None) -> ShardedRunResult:
-    """Execute a ``shards > 1`` spec across worker processes.
+def run_sharded(spec: ScenarioSpec) -> ShardedRunResult:
+    """Execute a ``shards > 1`` spec across one worker process per shard.
 
     Each shard runs its own simulator over the full seeded draw,
-    filtered to its key shard; outcomes come home over shared-memory
-    slots and merge order-independently.  Inside a daemonic pool worker
-    (nested multiprocessing cannot fork) the shards run serially
+    filtered to its key shard; outcomes come home as the futures of a
+    fork-context process pool and merge order-independently.  A worker
+    that dies (or raises) fails the run with a :class:`ScenarioError`
+    — never a hang, never a partial merge.  Inside a daemonic pool
+    worker (nested multiprocessing cannot fork) the shards run serially
     in-process instead — same outcomes, same merge.
     """
     if spec.shards < 2:
@@ -469,45 +349,22 @@ def run_sharded(spec: ScenarioSpec,
         )
     start = time.perf_counter()
     if multiprocessing.current_process().daemon:
+        workers = 0
         outcomes = [_run_shard(spec, index) for index in range(spec.shards)]
-        result = ShardedRunResult(spec, outcomes, worker_processes=0)
-        result.execute_seconds = time.perf_counter() - start
-        return result
-
-    global _SHARD_SPEC, _SHARD_SLOTS
-    workers = min(processes or spec.shards, spec.shards)
-    block = SlotBlock.create(spec.shards, SHARD_SLOT_BYTES)
-    payload = pickle.dumps(spec, pickle.HIGHEST_PROTOCOL)
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms
-        ctx = multiprocessing.get_context()
-    # Fork-started workers inherit these; the initializer covers spawn.
-    _SHARD_SPEC, _SHARD_SLOTS = spec, block
-    try:
-        with ctx.Pool(
-            processes=workers,
-            initializer=_shard_initialize,
-            initargs=(payload, block.shm.name, spec.shards,
-                      SHARD_SLOT_BYTES),
+    else:
+        workers = spec.shards
+        with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")
         ) as pool:
-            collected: List[ShardOutcome] = []
-            for index, inline in pool.imap_unordered(
-                _shard_worker, range(spec.shards)
-            ):
-                if inline is not None:
-                    collected.append(inline)
-                    continue
-                data = block.read(index)
-                if data is None:  # pragma: no cover - worker died
-                    raise ScenarioError(
-                        f"shard {index} reported success but its result "
-                        f"slot is empty"
-                    )
-                collected.append(pickle.loads(data))
-    finally:
-        _SHARD_SPEC, _SHARD_SLOTS = None, None
-        block.destroy()
-    result = ShardedRunResult(spec, collected, worker_processes=workers)
+            try:
+                outcomes = list(
+                    pool.map(_run_shard, [spec] * workers, range(workers))
+                )
+            except BrokenProcessPool as exc:
+                raise ScenarioError(
+                    f"a shard worker of {spec.protocol!r} x {workers} died "
+                    f"before reporting its outcome; nothing is merged"
+                ) from exc
+    result = ShardedRunResult(spec, outcomes, worker_processes=workers)
     result.execute_seconds = time.perf_counter() - start
     return result

@@ -78,7 +78,7 @@ from repro.scenarios.aggregate import (
     summary_stats,
 )
 from repro.scenarios.registry import get_protocol
-from repro.scenarios.result import RunResult
+from repro.scenarios.result import RunResult, soak_row
 from repro.scenarios.runner import run
 from repro.scenarios.spec import ScenarioSpec
 
@@ -307,14 +307,15 @@ def default_measure(point: Point, result: RunResult) -> Dict[str, Any]:
     consensus checker and record the worst learner delay.  Both record
     operation counts and mean/p50/p99 completion-latency summaries.
 
-    Streamed cells (``TraceLevel.METRICS``) have no retained records:
-    counts come from the trace counters, latency from the streaming
-    accumulators, and the verdict from the windowed online checker
-    (``"unchecked"`` when no checker applied — e.g. multi-writer
-    streams).
+    Streamed cells (``TraceLevel.METRICS``, sharded or not) have no
+    retained records and report the one flat soak row,
+    :func:`repro.scenarios.result.soak_row`: counters, the windowed
+    online checker's verdict (``"unchecked"`` when none applied),
+    accumulator-backed latency, and everything host-dependent under one
+    ``"host"`` key — drop it and two backends agree byte for byte.
     """
     if result.streamed:
-        return _streamed_measure(result)
+        return soak_row(result)
     completed = result.completed
     metrics: Dict[str, Any] = {
         "operations": len(result.records),
@@ -335,43 +336,6 @@ def default_measure(point: Point, result: RunResult) -> Dict[str, Any]:
     rounds = [r.rounds for r in completed if r.rounds]
     if rounds:
         metrics["rounds"] = summary_stats(rounds)
-    return metrics
-
-
-def _streamed_measure(result: RunResult) -> Dict[str, Any]:
-    """Counter/accumulator/online-checker metrics for streamed cells."""
-    metrics: Dict[str, Any] = {
-        "operations": result.ops_begun(),
-        "completed": result.ops_completed(),
-        "blocked": len(result.blocked),
-    }
-    online = result.online
-    if online is not None:
-        online_metrics = online.as_metrics()
-        online_metrics.pop("atomic")
-        metrics["verdict"] = online.verdict
-        metrics.update(online_metrics)
-    else:
-        metrics["verdict"] = "unchecked"
-    if getattr(result, "n_shards", 0) > 1:
-        metrics["shards"] = result.n_shards
-        metrics["capacity_ops_per_sec"] = round(
-            result.capacity_ops_per_sec, 2
-        )
-        metrics["max_shard_rss_kb"] = result.max_shard_rss_kb
-    latency: Dict[str, Any] = {}
-    # op_kinds() is the shape-independent enumeration: plain RunResults
-    # and merged ShardedRunResults both provide it.
-    for kind in result.op_kinds():
-        summary = result.latency_streaming(kind)
-        if summary.count:
-            latency[kind] = {
-                "mean": summary.mean_time,
-                "p50": summary.p50_time,
-                "p99": summary.p99_time,
-                "max": summary.max_time,
-            }
-    metrics["latency"] = latency
     return metrics
 
 

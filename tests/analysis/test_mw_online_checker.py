@@ -1,7 +1,7 @@
 """Adversarial multi-writer traces against the stamp-ordered checker.
 
 Each test hand-builds :class:`~repro.sim.trace.OperationRecord` streams
-and drives them through :class:`MultiWriterOnlineChecker.on_begin` /
+and drives them through :class:`OnlineChecker.on_begin` /
 ``on_complete`` directly — no simulator — so every rule can be hit with
 a history no correct protocol would produce: read inversion across
 writers, stale reads past a newer acked stamp, fabricated stamps,
@@ -12,7 +12,7 @@ pin the complementary soundness half: legal concurrency — including a
 read returning a still-in-flight write — must not be flagged.
 """
 
-from repro.analysis.streaming import MultiWriterOnlineChecker
+from repro.analysis.streaming import OnlineChecker
 from repro.sim.trace import OperationRecord
 from repro.storage.history import BOTTOM, make_stamp
 
@@ -21,7 +21,7 @@ class Driver:
     """Feeds hand-built records to a checker in completion order."""
 
     def __init__(self, checker=None):
-        self.checker = checker or MultiWriterOnlineChecker()
+        self.checker = checker or OnlineChecker(mode="mw")
         self._next_id = 0
 
     def _begin(self, kind, process, at, value=None, key=0):
@@ -166,6 +166,36 @@ class TestAdversarialTraces:
         d.read("r1", 0.0, 5.0, "a", stamp=S(1, 0))
         assert d.rules() == ["future-read"]
 
+    def test_future_read_of_a_write_still_in_flight(self):
+        d = Driver()
+        # The write is registered (invoked at 2.0) but not complete when
+        # a read that already ended at 1.0 returns its value: parked on
+        # the in-flight value, it must still be held to the write's
+        # invocation time.
+        pending = d.begin_write("w0", 2.0, "a")
+        d.read("r1", 0.0, 1.0, "a", stamp=S(1, 0))
+        d.finish_write(pending, 3.0, S(1, 0))
+        assert d.rules() == ["future-read"]
+
+    def test_one_writers_stamps_increase_in_completion_order(self):
+        d = Driver()
+        # Two writes of one writer share an interval (as batch elements
+        # do) and complete in the wrong order.  Nothing completed before
+        # either was invoked, so stamp-order alone sees nothing.
+        first = d.begin_write("w0", 0.0, "a")
+        second = d.begin_write("w0", 0.0, "b")
+        d.finish_write(second, 2.0, S(2, 0))
+        d.finish_write(first, 2.0, S(1, 0))
+        assert d.rules() == ["writer-order"]
+
+    def test_a_forged_pair_does_not_move_the_read_bound(self):
+        d = Driver()
+        d.write("w0", 0.0, 2.0, "a", S(1, 0))
+        d.read("r1", 3.0, 4.0, "zzz", stamp=S(9, 1))
+        # Judged once: the honest read after it is not an inversion.
+        d.read("r2", 5.0, 6.0, "a", stamp=S(1, 0))
+        assert d.rules() == ["fabrication"]
+
     def test_bottom_read_after_completed_write_is_stale(self):
         d = Driver()
         d.write("w0", 0.0, 2.0, "a", S(1, 0))
@@ -217,7 +247,7 @@ class TestWindowFold:
         assert report.max_retained < 50
 
     def test_evicted_in_flight_write_skips_later_reads_visibly(self):
-        checker = MultiWriterOnlineChecker(overrun_ops=2)
+        checker = OnlineChecker(overrun_ops=2)
         d = Driver(checker)
         stuck = d.begin_write("w0", 0.0, "stuck-value")
         for i in range(1, 8):

@@ -194,13 +194,22 @@ def _checker_on(trace: Trace) -> OnlineChecker:
     return checker
 
 
+def _stamped(record, value):
+    """A single writer's values are their own stamps in these histories
+    (integers, written in increasing order per key)."""
+    if value is not BOTTOM:
+        record.meta["ts"] = value
+
+
 def _write(trace, value, start, end, key=0):
     record = trace.begin("write", "writer", start, value, key=key)
+    _stamped(record, value)
     trace.complete(record, end, "OK", rounds=1)
 
 
 def _read(trace, result, start, end, key=0, process="reader"):
     record = trace.begin("read", process, start, key=key)
+    _stamped(record, result)
     trace.complete(record, end, result, rounds=1)
 
 
@@ -249,6 +258,7 @@ class TestOnlineChecker:
         # The write is invoked at 2.0 (registered at begin); a read that
         # completed at 1.0 already returned its value.
         wrecord = trace.begin("write", "writer", 2.0, 1, key=0)
+        _stamped(wrecord, 1)
         _read(trace, 1, 0.0, 1.0)
         trace.complete(wrecord, 3.0, "OK", rounds=1)
         report = checker.report()
@@ -269,6 +279,7 @@ class TestOnlineChecker:
         # Write 2 is still in flight while both reads run: no stale rule
         # applies, but the second read regresses behind the first.
         record = trace.begin("write", "writer", 2.0, 2, key=0)
+        _stamped(record, 2)
         _read(trace, 2, 3.0, 4.0, process="r1")
         _read(trace, 1, 5.0, 6.0, process="r2")
         trace.complete(record, 7.0, "OK", rounds=1)
@@ -333,6 +344,7 @@ class TestOnlineChecker:
         assert report.max_retained < 1200   # bounded despite the stuck op
         # The stuck op finally completes with an ancient view: it is
         # skipped, visibly, instead of being judged on pruned bounds.
+        _stamped(stuck, 1)
         trace.complete(stuck, time, 1, rounds=1)
         report = checker.report()
         assert report.atomic

@@ -12,7 +12,9 @@ vacuously when any shard ran unchecked.
 """
 
 import multiprocessing
-import pickle
+import os
+import signal
+import time
 
 import pytest
 
@@ -24,11 +26,12 @@ from repro.scenarios import (
     ShardedRunResult,
     Write,
     key_shard,
-    recommend_shards,
     run,
     run_sharded,
     shard_assignment,
 )
+from repro.scenarios import sharding
+from repro.scenarios.result import ResultSurface, soak_row
 from repro.scenarios.sharding import (
     ShardOutcome,
     _merge_online,
@@ -36,7 +39,7 @@ from repro.scenarios.sharding import (
     shard_spec,
     split_max_ops,
 )
-from repro.scenarios.shm import SlotBlock
+from repro.scenarios.sweeps import SweepSpec, run_grid
 from repro.scenarios.workloads import OpBudget, OpStream, open_loop_stream
 from repro.experiments.builders import keyed_mix_spec
 
@@ -462,7 +465,7 @@ class TestMergeOnline:
         assert result.summary()["online_refusal"] == "shard-refused"
 
 
-class TestImbalanceAndRecommendation:
+class TestImbalance:
     def _outcome(self, index, completed, cpu_seconds=0.0):
         return ShardOutcome(
             index=index, begun={}, completed=completed, blocked=(),
@@ -486,35 +489,9 @@ class TestImbalanceAndRecommendation:
         result = self._result([self._outcome(0, {}), self._outcome(1, {})])
         assert result.imbalance == 1.0
 
-    def test_recommend_shards_keeps_balanced_fleet(self):
-        result = self._result([
-            self._outcome(index, {"read": 10}, cpu_seconds=2.0)
-            for index in range(4)
-        ])
-        assert recommend_shards(result) == 4
-
-    def test_recommend_shards_shrinks_straggling_fleet(self):
-        # One shard does all the work: the other three buy nothing.
-        result = self._result([
-            self._outcome(0, {"read": 40}, cpu_seconds=4.0),
-            self._outcome(1, {"read": 1}, cpu_seconds=0.1),
-            self._outcome(2, {"read": 1}, cpu_seconds=0.1),
-            self._outcome(3, {"read": 1}, cpu_seconds=0.1),
-        ])
-        assert recommend_shards(result) == 1
-
-    def test_recommend_shards_without_cpu_data(self):
-        result = self._result([
-            self._outcome(0, {}), self._outcome(1, {}),
-        ])
-        assert recommend_shards(result) == 2
-
     def test_live_run_surface(self):
-        """A real sharded run reports imbalance and yields an in-range
-        recommendation (a 12-key crc32 split is lumpy, so shrinking to
-        1 is a legitimate answer for this tiny soak)."""
+        """A real sharded run reports its imbalance."""
         result = run(sharded_soak_spec().with_(shards=2))
-        assert 1 <= recommend_shards(result) <= 2
         summary = result.summary()["shards"]
         assert summary["imbalance"] == pytest.approx(
             result.imbalance, abs=1e-4
@@ -552,53 +529,104 @@ class TestShardedResultSurface:
         assert history["retained_cells"] >= 0
 
 
-class TestSlotBlock:
-    def test_roundtrip_and_empty(self):
-        block = SlotBlock.create(4, 64)
-        try:
-            assert block.read(0) is None
-            assert block.write(0, b"hello")
-            assert block.read(0) == b"hello"
-            assert block.read(1) is None
-        finally:
-            block.destroy()
+def batched_soak_spec(**overrides):
+    """The batched 16-key ``abd`` soak, cut to 2000 operations."""
+    settings = dict(
+        writes=400, reads=600, readers=4, seed=5, trace_level="metrics",
+        max_ops=2000, batch_size=16,
+    )
+    settings.update(overrides)
+    return keyed_mix_spec("abd", 16, **settings)
 
-    def test_overflow_refuses_untruncated(self):
-        block = SlotBlock.create(1, 8)
-        try:
-            assert not block.write(0, b"x" * 9)
-            assert block.read(0) is None
-            assert block.write(0, b"x" * 8)
-            assert block.read(0) == b"x" * 8
-        finally:
-            block.destroy()
 
-    def test_attach_sees_parent_writes(self):
-        block = SlotBlock.create(2, 32)
-        try:
-            block.write(1, pickle.dumps({"a": 1}))
-            view = SlotBlock.attach(block.shm.name, 2, 32)
-            try:
-                assert pickle.loads(view.read(1)) == {"a": 1}
-                assert view.read(0) is None
-            finally:
-                view.close()
-                # attach() unregistered the segment (the spawn-worker
-                # workaround); re-register so the owner's unlink below
-                # finds the tracker entry it made at create time.
-                from multiprocessing import resource_tracker
-                resource_tracker.register(
-                    block.shm._name, "shared_memory"
-                )
-        finally:
-            block.destroy()
+class TestFleetOfOne:
+    """An unsharded result answers the fleet questions as one shard."""
 
-    def test_bad_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            SlotBlock.create(0, 64)
-        block = SlotBlock.create(1, 8)
-        try:
-            with pytest.raises(IndexError):
-                block.read(1)
-        finally:
-            block.destroy()
+    def test_run_result_is_a_fleet_of_one(self):
+        result = run(batched_soak_spec())
+        assert not isinstance(result, ShardedRunResult)
+        assert (result.n_shards, result.worker_processes) == (1, 1)
+        assert result.imbalance == 1.0
+        assert len(result.shard_rss_kb) == 1
+        assert result.max_shard_rss_kb == result.shard_rss_kb[0] > 0
+        assert result.cpu_seconds == result.execute_cpu_seconds > 0
+        assert result.capacity_ops_per_sec == (
+            result.ops_completed() / result.cpu_seconds
+        )
+        assert result.messages == result.adapter.network.sent_count > 0
+
+    def test_one_row_shape_and_one_summary_body(self):
+        spec = batched_soak_spec()
+        plain, fleet = run(spec), run(spec.with_(shards=2))
+        rows = [soak_row(plain), soak_row(fleet)]
+        assert set(rows[0]) == set(rows[1])
+        assert set(rows[0]["host"]) == set(rows[1]["host"])
+        assert [row["shards"] for row in rows] == [1, 2]
+        assert [row["host"]["workers"] for row in rows] == [1, 2]
+        for row in rows:
+            assert (row["completed"], row["verdict"]) == (2000, "atomic")
+            assert row["keys_checked"] == 16 and row["checker_mode"] == "sw"
+            assert row["overrun_unchecked"] == 0
+            assert len(row["host"]["shard_rss_kb"]) == row["shards"]
+        for result in (plain, fleet):
+            assert type(result).summary is ResultSurface.summary
+        assert "shards" not in plain.summary()
+        assert fleet.summary()["shards"]["count"] == 2
+        assert set(fleet.summary()) - {"shards"} == set(plain.summary())
+
+    def test_default_measure_is_backend_independent_without_host(self):
+        """Invariant 2 for streamed cells, a sharded one included (under
+        the multiprocessing backend its shards run serially in the pool
+        worker — ``host.workers == 0``)."""
+        grid = SweepSpec(
+            name="fleet", axes={"shards": (1, 2)}, base=batched_soak_spec()
+        )
+
+        def without_host(sweep):
+            assert sweep.verdict_counts() == {"atomic": 2}
+            hosts = [cell.metrics.pop("host") for cell in sweep.cells]
+            return sweep.to_json(), [host["workers"] for host in hosts]
+
+        serial, serial_workers = without_host(run_grid(grid))
+        pooled, pooled_workers = without_host(
+            run_grid(grid, executor="multiprocessing", processes=2)
+        )
+        assert serial == pooled
+        assert (serial_workers, pooled_workers) == ([1, 2], [1, 0])
+
+
+def _shard_one_is_killed(spec, index):
+    """Module-level so the pool can pickle it (fork)."""
+    if index == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _run_shard(spec, index)
+
+
+@pytest.fixture
+def watchdog():
+    """Turn a hang into a failure: the executor these tests replaced
+    waited forever on a killed worker."""
+    def expired(signum, frame):
+        raise TimeoutError("run(spec) is still waiting on a dead worker")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class TestShardFailure:
+    def test_a_killed_worker_fails_the_run(self, monkeypatch, watchdog):
+        monkeypatch.setattr(sharding, "_run_shard", _shard_one_is_killed)
+        started = time.monotonic()
+        with pytest.raises(ScenarioError, match="shard worker .* died"):
+            run(batched_soak_spec().with_(shards=2))
+        assert time.monotonic() - started < 5.0
+
+    def test_an_exception_in_a_worker_names_the_shard(self, watchdog):
+        spec = batched_soak_spec(params={"max_events": 50}).with_(shards=2)
+        with pytest.raises(
+            ScenarioError, match="shard 0 of 2 failed: SimulationError"
+        ):
+            run(spec)

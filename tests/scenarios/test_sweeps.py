@@ -20,7 +20,13 @@ from repro.scenarios import (
     run_grid,
     write_bench_json,
 )
+from repro.scenarios import sharding
 from repro.scenarios import sweeps as sweeps_module
+
+from tests.scenarios.test_sharding import (
+    _shard_one_is_killed,
+    batched_soak_spec,
+)
 
 #: A picklable base spec shared by the executor-parity tests.
 BASE = ScenarioSpec(
@@ -54,6 +60,19 @@ FAILING_GRID = SweepSpec(
     name="failing",
     axes={"seed": (0, 1, 2)},
     build=_failing_build,
+)
+
+
+def _sharded_build(point):
+    params = {"max_events": point["max_events"]}
+    return batched_soak_spec(params=params).with_(shards=2)
+
+
+#: A sharded soak, and the same soak with an event cap no shard fits in.
+SHARDED_GRID = SweepSpec(
+    name="shard-failure",
+    axes={"max_events": (None, 50)},
+    build=_sharded_build,
 )
 
 
@@ -270,6 +289,18 @@ class TestFailureIsolation:
         sweep = run_grid(FAILING_GRID)
         with pytest.raises(ScenarioError, match="cell sabotage"):
             sweep.failures()[0].unwrap()
+
+    def test_a_failed_shard_is_a_failed_cell_with_its_reason(
+        self, monkeypatch
+    ):
+        fine, capped = run_grid(SHARDED_GRID).cells
+        assert fine.ok and fine.verdict == "atomic"
+        assert not capped.ok
+        assert "shard 0 of 2 failed: SimulationError" in capped.error
+        monkeypatch.setattr(sharding, "_run_shard", _shard_one_is_killed)
+        (killed,) = run_grid(SHARDED_GRID.where(max_events="None")).cells
+        assert not killed.ok
+        assert "ScenarioError: a shard worker" in killed.error
 
 
 class TestAnalyticSweeps:

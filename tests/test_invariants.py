@@ -6,6 +6,13 @@ simulator package wires a deployment — ``repro.scenarios.adapters``,
 whose ``ProtocolAdapter.__init__`` builds the simulator/network/trace
 triple for every protocol.  Anything else constructing a ``Simulator``
 or a ``Network`` is a second way to run an execution.
+
+A streamed run reports itself once (docs/architecture.md, "Sharded soak
+engine"): shard outcomes come home as the futures of the worker pool —
+no second transport — and a result is asked the same questions whatever
+executed it (``RunResult`` answers as a fleet of one), so nothing
+outside ``scenarios/result.py`` and ``scenarios/sharding.py`` looks at
+which class it was handed.
 """
 
 import re
@@ -13,24 +20,40 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WIRING = re.compile(r"\b(?:Simulator|Network)\(")
+SHARED_MEMORY = re.compile(r"\bshared_memory\b")
+SHAPE_PROBE = re.compile(
+    r"""getattr\(\s*\w+,\s*["']n_shards["']"""
+    r"""|isinstance\([^()]*\bShardedRunResult\b"""
+)
+EVERYWHERE = ("src/repro", "benchmarks", "examples")
 
 
-def _wiring_sites(*directories):
+def _sites(pattern, *directories):
     return sorted(
         str(path.relative_to(ROOT))
         for directory in directories
         for path in (ROOT / directory).rglob("*.py")
-        if WIRING.search(path.read_text(encoding="utf-8"))
+        if pattern.search(path.read_text(encoding="utf-8"))
     )
 
 
 def test_only_the_adapters_wire_a_simulator():
     library = [
-        site for site in _wiring_sites("src/repro")
+        site for site in _sites(WIRING, "src/repro")
         if not site.startswith("src/repro/sim/")
     ]
     assert library == ["src/repro/scenarios/adapters.py"]
 
 
 def test_benchmarks_and_examples_wire_nothing():
-    assert _wiring_sites("benchmarks", "examples") == []
+    assert _sites(WIRING, "benchmarks", "examples") == []
+
+
+def test_no_second_way_home_from_a_worker():
+    assert _sites(SHARED_MEMORY, *EVERYWHERE) == []
+
+
+def test_only_the_result_modules_look_at_a_results_shape():
+    assert set(_sites(SHAPE_PROBE, *EVERYWHERE)) <= {
+        "src/repro/scenarios/result.py", "src/repro/scenarios/sharding.py",
+    }

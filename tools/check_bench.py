@@ -96,8 +96,8 @@ CHECKER_MODE = Rule(
     lambda r: r["checker_mode"] == (
         "mw" if r.get("n_writers", 1) > 1 else "sw"
     ),
-    "the checker mode is not the one the writer count demands ('mw' on "
-    "a 1-writer row means the runner lost the cheaper checker)",
+    "the checker's mode label is not the one the row's writer count "
+    "demands",
 )
 ALL_KEYS = Rule(
     "keys_checked == n_keys", lambda r: r["keys_checked"] == r["n_keys"],
