@@ -8,7 +8,9 @@ counterparts consumed as operations *complete*:
 
 * :class:`LatencyAccumulator` — count/mean/min/max plus a fixed-size
   quantile reservoir, fed one completed operation at a time.  Mean
-  accounting is exact (rational running sum), so on FULL runs the
+  accounting is exact (an integer running sum over the samples' common
+  denominator — the number a running ``Fraction`` would hold, exposed
+  as :attr:`LatencyAccumulator.time_sum`), so on FULL runs the
   accumulator-backed :meth:`~repro.analysis.latency.LatencySummary`
   matches the list-based ``summarize_rounds`` path bit for bit.
 * :class:`QuantileReservoir` — a bounded uniform sample of the latency
@@ -20,9 +22,10 @@ Both carry an **order-independent** ``merge`` classmethod: sharded
 soaks (:mod:`repro.scenarios.sharding`) fold per-shard accumulators
 into one aggregate whose value depends only on the multiset of inputs,
 never on nondeterministic shard completion order — counts and the
-rational time sum are commutative (merged means stay Fraction-exact),
+exact time sum are commutative (merged means stay Fraction-exact),
 and reservoir merging canonical-sorts candidates before any
-deterministic subsampling.
+deterministic subsampling.  A merged summary is terminal: ``observe``
+on it raises.
 * :class:`OnlineChecker` — the one *windowed* per-key safety checker,
   for single- and multi-writer keyed histories alike.  The paper proves
   its storage atomic by exhibiting the timestamp order as the
@@ -32,7 +35,12 @@ deterministic subsampling.
   docstring), run as operations complete.  The window floor is the
   oldest in-flight invocation; anything older is folded into per-key
   monotone stamp bounds, so retained state is O(clients + keys)
-  regardless of run length.  For a single writer the stamp order *is*
+  regardless of run length.  The floor is *maintained* — the top of a
+  lazily-deleted heap of invocations — not recomputed, so judging one
+  completion costs O(log in-flight) however many operations are in
+  flight (``tests/analysis/test_completion_oracle.py`` keeps the
+  scanning window, and the ``Fraction``-per-operation accumulator, as
+  the references of a differential).  For a single writer the stamp order *is*
   the value order (one process draws both in the same sequence), so
   nothing a value-ordered check would convict is lost —
   ``tests/analysis/test_checker_oracle.py`` keeps that checker as the
@@ -61,6 +69,8 @@ import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
+from math import lcm
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.storage.history import BOTTOM
@@ -94,13 +104,17 @@ class QuantileReservoir:
     same scenario produce identical estimates.
     """
 
-    __slots__ = ("capacity", "seen", "_samples", "_sorted", "_rng")
+    __slots__ = (
+        "capacity", "seen", "merged", "_samples", "_sorted", "_rng",
+    )
 
     def __init__(self, capacity: int = RESERVOIR_CAPACITY, seed: int = 9973):
         if capacity < 1:
             raise ValueError(f"reservoir capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.seen = 0
+        #: True on the result of :meth:`merge`, which takes no samples.
+        self.merged = False
         self._samples: List[float] = []
         self._sorted: Optional[List[float]] = None
         self._rng = random.Random(seed)
@@ -111,12 +125,25 @@ class QuantileReservoir:
         return self.seen <= self.capacity
 
     def observe(self, sample: float) -> None:
-        self.seen += 1
+        if self.merged:
+            raise ValueError(
+                "a merged summary is terminal: it stands for a weighted "
+                "subsample of its parts, and observing into it would skew "
+                "every later quantile — observe into a part and merge again"
+            )
+        seen = self.seen = self.seen + 1
         self._sorted = None
         if len(self._samples) < self.capacity:
             self._samples.append(sample)
             return
-        slot = self._rng.randrange(self.seen)
+        # ``Random.randrange(seen)`` minus its argument checks: the same
+        # rejection loop over the same ``getrandbits`` draws, so the RNG
+        # stream and the retained samples are what they always were.
+        getrandbits = self._rng.getrandbits
+        bits = seen.bit_length()
+        slot = getrandbits(bits)
+        while slot >= seen:
+            slot = getrandbits(bits)
         if slot < self.capacity:
             self._samples[slot] = sample
 
@@ -149,8 +176,9 @@ class QuantileReservoir:
         While every input is still :attr:`exact` and the union fits,
         the merge holds the exact union — merged quantiles then equal
         the single-stream reservoir's.  Merged reservoirs are terminal
-        summaries: further :meth:`observe` calls would treat the
-        subsample as a plain prefix and are not supported.
+        summaries: a further :meth:`observe` would treat the weighted
+        subsample as a plain prefix and skew every later quantile, so
+        it raises.
         """
         parts = [r for r in reservoirs if r.seen]
         if capacity is None:
@@ -158,6 +186,7 @@ class QuantileReservoir:
                 raise ValueError("merge needs a capacity or a non-empty part")
             capacity = parts[0].capacity
         merged = cls(capacity, seed)
+        merged.merged = True
         merged.seen = sum(part.seen for part in parts)
         candidates: List[Tuple[float, float]] = []
         for part in parts:
@@ -186,14 +215,23 @@ class LatencyAccumulator:
     """Online latency aggregation for one operation kind.
 
     Tracks count, min/max/sum of self-reported round counts, min/max of
-    completion times, an *exact* rational time sum (so means match the
-    post-hoc path to the last bit) and a bounded quantile reservoir.
+    completion times, an *exact* time sum (so means match the post-hoc
+    path to the last bit) and a bounded quantile reservoir.
     O(reservoir capacity) memory however long the run.
+
+    The exact sum is an integer count ``_time_units`` of
+    ``1 / _time_scale``, the scale being the least common denominator
+    of the samples so far.  Every ``float`` is a dyadic rational, so on
+    a simulated run the scale is the largest power of two seen and a
+    sample costs one multiplication and one integer addition — the same
+    number a running ``Fraction`` holds (:attr:`time_sum` builds it),
+    without constructing and normalising two of them per operation.
     """
 
     __slots__ = (
         "kind", "count", "rounds_sum", "min_rounds", "max_rounds",
-        "_time_sum", "min_time", "max_time", "reservoir",
+        "_time_units", "_time_scale",
+        "min_time", "max_time", "reservoir",
     )
 
     def __init__(self, kind: str, capacity: int = RESERVOIR_CAPACITY):
@@ -202,25 +240,42 @@ class LatencyAccumulator:
         self.rounds_sum = 0
         self.min_rounds: Optional[int] = None
         self.max_rounds: Optional[int] = None
-        self._time_sum = Fraction(0)
+        self._time_units = 0
+        self._time_scale = 1
         self.min_time: Optional[float] = None
         self.max_time: Optional[float] = None
         self.reservoir = QuantileReservoir(capacity)
 
     def observe(self, rounds: int, elapsed: float) -> None:
         """Fold one completed operation into the summary."""
+        # First, so that a merged (terminal) summary refuses the sample
+        # before any of it is counted.
+        self.reservoir.observe(elapsed)
         self.count += 1
         self.rounds_sum += rounds
         if self.min_rounds is None or rounds < self.min_rounds:
             self.min_rounds = rounds
         if self.max_rounds is None or rounds > self.max_rounds:
             self.max_rounds = rounds
-        self._time_sum += Fraction(elapsed)
+        units, scale = elapsed.as_integer_ratio()
+        have = self._time_scale
+        if scale != have:
+            if have % scale:
+                # Finer than (or foreign to) every sample so far.
+                finer = lcm(have, scale)
+                self._time_units *= finer // have
+                self._time_scale = have = finer
+            units *= have // scale
+        self._time_units += units
         if self.min_time is None or elapsed < self.min_time:
             self.min_time = elapsed
         if self.max_time is None or elapsed > self.max_time:
             self.max_time = elapsed
-        self.reservoir.observe(elapsed)
+
+    @property
+    def time_sum(self) -> Fraction:
+        """The exact sum of every observed completion time."""
+        return Fraction(self._time_units, self._time_scale)
 
     @property
     def mean_rounds(self) -> Optional[float]:
@@ -232,7 +287,7 @@ class LatencyAccumulator:
     def mean_time(self) -> Optional[float]:
         if not self.count:
             return None
-        return round(float(self._time_sum / self.count), 6)
+        return round(float(self.time_sum / self.count), 6)
 
     def quantile(self, fraction: float) -> Optional[float]:
         return self.reservoir.quantile(fraction)
@@ -250,7 +305,8 @@ class LatencyAccumulator:
         union of shard streams yields the same ``mean_time`` to the
         last bit as a single-process run over the same completions.
         Quantiles delegate to :meth:`QuantileReservoir.merge` (exact
-        while every shard stayed below reservoir capacity).
+        while every shard stayed below reservoir capacity).  Like a
+        merged reservoir the result is terminal: :meth:`observe` raises.
         """
         parts = list(accumulators)
         if not parts:
@@ -266,9 +322,9 @@ class LatencyAccumulator:
         merged = cls(kind, parts[0].reservoir.capacity)
         merged.count = sum(part.count for part in parts)
         merged.rounds_sum = sum(part.rounds_sum for part in parts)
-        merged._time_sum = sum(
-            (part._time_sum for part in parts), Fraction(0)
-        )
+        merged._time_units, merged._time_scale = sum(
+            (part.time_sum for part in parts), Fraction(0)
+        ).as_integer_ratio()
         for name, pick in (
             ("min_rounds", min), ("max_rounds", max),
             ("min_time", min), ("max_time", max),
@@ -373,10 +429,14 @@ class _KeyState:
     __slots__ = (
         "window", "inflight", "evicted", "parked", "writer_stamp",
         "write_times", "write_stamps", "read_times", "read_stamps",
-        "base_write_bound", "base_read_bound",
+        "base_write_bound", "base_read_bound", "pruned_at",
     )
 
     def __init__(self):
+        # The floor of the last prune, while nothing was added to the
+        # window or the series since (None otherwise): pruning to the
+        # same floor again can then fold nothing.
+        self.pruned_at: Optional[float] = None
         # stamp -> (invoked_at, completed_at, value) for windowed writes.
         self.window: Dict[int, Tuple[float, float, Any]] = {}
         # value -> invoked_at of begun-but-incomplete writes.
@@ -417,6 +477,7 @@ class _KeyState:
 
     def prune(self, floor: float) -> None:
         """Fold state older than the window ``floor`` into the bounds."""
+        self.pruned_at = floor
         index = bisect_left(self.write_times, floor)
         if index:
             self.base_write_bound = self.write_stamps[index - 1]
@@ -512,6 +573,15 @@ class OnlineChecker:
         # minimum is the window floor nothing older than which can still
         # be referenced by a future completion.
         self._pending: Dict[int, float] = {}
+        # The same pairs as a min-heap of (invoked_at, op_id), so the
+        # floor is read off the top instead of scanned for.  Entries of
+        # ops that left ``_pending`` stay until they surface (or until
+        # the next ``_evict_overrun`` rebuilds the heap), so its length
+        # is at most in-flight + overrun_ops + 1.
+        self._invocations: List[Tuple[float, int]] = []
+        # No in-flight op has a smaller id: while the overrun horizon
+        # is below it there is nothing to evict and nothing to look at.
+        self._oldest_op_id = -1
         # op_id -> (key, value) of in-flight writes, for eviction.
         self._pending_writes: Dict[int, Tuple[Hashable, Any]] = {}
         # Ops evicted from the window (stuck clients): skipped, never
@@ -525,44 +595,82 @@ class OnlineChecker:
     # -- trace subscription ---------------------------------------------------
 
     def on_begin(self, record) -> None:
-        if record.kind in ("write", "read"):
-            self._pending[record.op_id] = record.invoked_at
-            if record.op_id > self._max_op_id:
-                self._max_op_id = record.op_id
-            if record.kind == "write":
-                self._pending_writes[record.op_id] = record.key, record.value
-                inflight = self._state(record.key).inflight
-                inflight[record.value] = record.invoked_at
+        kind = record.kind
+        if kind == "read" or kind == "write":
+            op_id = record.op_id
+            invoked_at = record.invoked_at
+            self._pending[op_id] = invoked_at
+            # Begin *times* need not increase (a hand-fed trace may
+            # register a write before a read that started earlier), so
+            # the floor is a heap's top, not the first entry.
+            heappush(self._invocations, (invoked_at, op_id))
+            if op_id > self._max_op_id:
+                self._max_op_id = op_id
+            elif op_id < self._oldest_op_id:
+                self._oldest_op_id = op_id
+            if kind == "write":
+                self._pending_writes[op_id] = record.key, record.value
+                self._state(record.key).inflight[record.value] = invoked_at
 
     def on_complete(self, record) -> None:
-        if record.kind not in ("write", "read"):
+        kind = record.kind
+        if kind != "read" and kind != "write":
             return
-        if record.op_id in self._overrun:
+        op_id = record.op_id
+        if op_id in self._overrun:
             # The window moved past this op while it was stuck; its
             # bounds are gone, so judging it now could flag legal
             # behaviour.  Skip it, visibly.
-            self._overrun.discard(record.op_id)
+            self._overrun.discard(op_id)
             self.overrun_unchecked += 1
             return
-        if record.kind == "write":
+        if kind == "write":
             self._complete_write(record)
         else:
             self._complete_read(record)
-        self._pending.pop(record.op_id, None)
+        pending = self._pending
+        pending.pop(op_id, None)
         # Evict stuck in-flight ops so they cannot pin the floor and
         # regrow O(ops) retained state (the crashed-reader case).
-        if self._pending:
-            horizon = self._max_op_id - self.overrun_ops
-            for op in [op for op in self._pending if op < horizon]:
-                self._evict(op)
-        self._floor = min(self._pending.values(), default=record.completed_at)
-        self._keys[record.key].prune(self._floor)
+        if self._max_op_id - self.overrun_ops > self._oldest_op_id:
+            self._evict_overrun()
+        # The floor is the oldest invocation still in flight: drop the
+        # heap entries of ops that completed or were evicted since they
+        # were pushed (each is popped once, so O(log in-flight) an op).
+        invocations = self._invocations
+        while invocations and invocations[0][1] not in pending:
+            heappop(invocations)
+        floor = self._floor = (
+            invocations[0][0] if invocations else record.completed_at
+        )
+        state = self._keys[record.key]
+        if state.pruned_at != floor:
+            state.prune(floor)
         # Periodic global sweep: prune every key to the shared floor
         # and sample the total retained state for the high-water mark
         # (O(keys) amortized over SWEEP_EVERY completions).
         self._since_sweep += 1
         if self._since_sweep >= self.SWEEP_EVERY:
             self._sweep()
+
+    def _evict_overrun(self) -> None:
+        """Evict every in-flight op the overrun horizon has passed.
+
+        The one place the in-flight set is walked: reached only when
+        the horizon passes the oldest op seen by the previous walk,
+        i.e. about once per ``overrun_ops`` begins on a run whose
+        clients all make progress.  The walk leaves the heap holding
+        exactly the in-flight set, which is what bounds its length.
+        """
+        pending = self._pending
+        horizon = self._max_op_id - self.overrun_ops
+        for op_id in [op_id for op_id in pending if op_id < horizon]:
+            self._evict(op_id)
+        self._oldest_op_id = min(pending, default=self._max_op_id + 1)
+        # A sorted list is a heap.
+        self._invocations = sorted(
+            (invoked_at, op_id) for op_id, invoked_at in pending.items()
+        )
 
     def _evict(self, op_id: int) -> None:
         """Move one stuck op out of the window; reads parked on a stuck
@@ -579,9 +687,11 @@ class OnlineChecker:
 
     def _sweep(self) -> None:
         self._since_sweep = 0
+        floor = self._floor
         retained = len(self._pending) + len(self._overrun)
         for state in self._keys.values():
-            state.prune(self._floor)
+            if state.pruned_at != floor:
+                state.prune(floor)
             retained += state.retained()
         if retained > self.max_retained:
             self.max_retained = retained
@@ -597,7 +707,7 @@ class OnlineChecker:
     def _complete_write(self, record) -> None:
         self.checked_writes += 1
         self._pending_writes.pop(record.op_id, None)
-        state = self._state(record.key)
+        state = self._keys.get(record.key) or self._state(record.key)
         state.inflight.pop(record.value, None)
         waiting = state.parked.pop(record.value, ())
         stamp = record.meta.get("ts")
@@ -638,6 +748,7 @@ class OnlineChecker:
             )
         if own is None or stamp > own:
             state.writer_stamp[record.process] = stamp
+        state.pruned_at = None
         state.window[stamp] = (
             record.invoked_at, record.completed_at, record.value
         )
@@ -656,7 +767,7 @@ class OnlineChecker:
 
     def _complete_read(self, record) -> None:
         self.checked_reads += 1
-        state = self._state(record.key)
+        state = self._keys.get(record.key) or self._state(record.key)
         value = record.result
         write_bound = state.write_bound(record.invoked_at)
         read_bound = state.read_bound(record.invoked_at)
@@ -746,6 +857,7 @@ class OnlineChecker:
             # bound later reads are held to.
             return
         if not state.read_stamps or stamp > state.read_stamps[-1]:
+            state.pruned_at = None
             state.read_times.append(record.completed_at)
             state.read_stamps.append(stamp)
 

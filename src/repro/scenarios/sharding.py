@@ -138,18 +138,15 @@ def _run_shard(spec: ScenarioSpec, index: int) -> ShardOutcome:
             f"{type(exc).__name__}: {exc}"
         ) from exc
     trace = result.adapter.trace
-    accumulators = {
-        kind: acc for kind in trace.completed_counts
-        if (acc := trace.accumulator(kind)) is not None
-    }
+    completed = trace.completed_counts
     return ShardOutcome(
         index=index,
         begun=dict(trace.begun),
-        completed=dict(trace.completed_counts),
+        completed=completed,
         blocked=result.blocked,
         events=result.events_processed,
         messages=result.messages,
-        accumulators=accumulators,
+        accumulators={kind: trace.accumulator(kind) for kind in completed},
         online=result.online,
         online_refusal=result.online_refusal,
         server_history=result.server_history,

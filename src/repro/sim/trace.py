@@ -12,14 +12,18 @@ Traces come in two retention modes, mirroring the network's
   post-hoc checkers, fingerprints and per-record test assertions;
 * **streaming** (``retain=False``, METRICS tracing) — records are handed
   to subscribers as operations begin and complete and then dropped.
-  The trace keeps per-kind begun/completed counters and per-kind online
-  :class:`~repro.analysis.streaming.LatencyAccumulator` summaries, so
+  The trace keeps per-kind begun counters and per-kind online
+  :class:`~repro.analysis.streaming.LatencyAccumulator` summaries
+  (whose ``count`` *is* the completed counter of the kind), so
   horizon-free runs report uniform metrics in O(1) memory per kind
   while never materializing the history.
 
 Both modes maintain the counters and accumulators, so streaming
 summaries can be cross-checked against the exact list-based path on
 retained runs (``tests/scenarios/test_streaming.py`` pins the match).
+:meth:`Trace.complete` is paid by every operation of every run: it
+stamps the record, makes one accumulator lookup and one ``observe``,
+and calls the subscribers — nothing else.
 """
 
 from __future__ import annotations
@@ -77,7 +81,6 @@ class Trace:
         self._records: List[OperationRecord] = []
         self._next_id = 0
         self.begun: Dict[str, int] = {}
-        self.completed_counts: Dict[str, int] = {}
         self._accumulators: Dict[str, "LatencyAccumulator"] = {}
         self._on_begin: List[Callable[[OperationRecord], None]] = []
         self._on_complete: List[Callable[[OperationRecord], None]] = []
@@ -132,11 +135,11 @@ class Trace:
         record.completed_at = time
         record.result = result
         record.rounds = rounds
-        self.completed_counts[record.kind] = (
-            self.completed_counts.get(record.kind, 0) + 1
-        )
-        accumulator = self._accumulators.get(record.kind)
-        if accumulator is None:
+        # The accumulator's ``count`` is the completed counter of its
+        # kind: one bump per operation, in ``observe``.
+        try:
+            accumulator = self._accumulators[record.kind]
+        except KeyError:
             accumulator = self._accumulators[record.kind] = (
                 self._accumulator_factory(record.kind)
             )
@@ -151,8 +154,17 @@ class Trace:
         """Operations invoked, at any retention mode."""
         return sum(self.begun.values())
 
+    @property
+    def completed_counts(self) -> Dict[str, int]:
+        """Operations completed, per kind — a view of the per-kind
+        accumulators (there is one from a kind's first completion on)."""
+        return {
+            kind: accumulator.count
+            for kind, accumulator in self._accumulators.items()
+        }
+
     def completed_total(self) -> int:
-        return sum(self.completed_counts.values())
+        return sum(acc.count for acc in self._accumulators.values())
 
     def accumulator(self, kind: str) -> Optional[LatencyAccumulator]:
         """The online latency summary for one kind (None before the

@@ -1,0 +1,152 @@
+"""Work-count regression for the accounting of one completed op — no
+wall clock.
+
+Every completed operation of a streamed run goes through
+``Trace.complete -> LatencyAccumulator.observe ->
+OnlineChecker.on_complete``.  At the parent of this file that path was
+not constant per op: each completion walked the checker's in-flight set
+twice (a comprehension looking for stuck ops, ``min`` over the values
+for the window floor — 2N entries with N ops in flight) and built two
+``Fraction``s for the exact latency sum.  The floor is now the top of a
+heap and the sum an integer, so the in-flight set is not looked at at
+all while nothing is stuck.
+"""
+
+import fractions
+import os
+import sys
+from collections import Counter
+
+import pytest
+
+from repro.analysis import streaming
+from repro.analysis.streaming import OnlineChecker
+from repro.experiments.builders import keyed_mix_spec
+from repro.scenarios import run
+from repro.sim import trace as trace_module
+from repro.sim.trace import Trace
+from repro.storage.history import BOTTOM
+
+
+class CountingDict(dict):
+    """A ``dict`` that counts the entries its iterators hand out — what
+    a comprehension's or ``min``'s inner loop costs, which no call
+    count can see."""
+
+    visited = 0
+
+    def _counted(self, iterator):
+        for item in iterator:
+            self.visited += 1
+            yield item
+
+    def __iter__(self):
+        return self._counted(super().__iter__())
+
+    def keys(self):
+        return self._counted(super().keys())
+
+    def values(self):
+        return self._counted(super().values())
+
+    def items(self):
+        return self._counted(super().items())
+
+
+def entries_visited_by_one_more_op(in_flight):
+    """Hold ``in_flight`` reads open, then begin and complete one more:
+    how many in-flight entries did that one op make the checker visit?"""
+    checker = OnlineChecker()
+    pending = checker._pending = CountingDict()
+    trace = Trace(retain=False)
+    trace.subscribe(
+        on_begin=checker.on_begin, on_complete=checker.on_complete
+    )
+    for n in range(in_flight):
+        trace.begin("read", f"r{n}", float(n), key=n % 4)
+    assert len(pending) == in_flight < checker.overrun_ops
+    pending.visited = 0
+    record = trace.begin("read", "one-more", float(in_flight), key=0)
+    trace.complete(record, in_flight + 1.0, BOTTOM, rounds=1)
+    assert checker._floor == 0.0 and len(pending) == in_flight
+    return pending.visited
+
+
+def test_a_completion_visits_no_more_entries_with_more_ops_in_flight():
+    visited = [entries_visited_by_one_more_op(n) for n in (8, 64, 512)]
+    # The parent visited 2N: [16, 128, 1024].
+    assert visited == [0, 0, 0]
+
+
+def profiled_soak(max_ops):
+    """Run a batched ``abd`` soak counting, per (file, function), the
+    Python-level calls inside ``analysis/streaming.py`` and
+    ``sim/trace.py``, and the ``Fraction``s built while a
+    ``Trace.complete`` frame is on the stack."""
+    spec = keyed_mix_spec(
+        "abd", 16, writes=4000, reads=6000, readers=8, seed=3,
+        trace_level="metrics", batch_size=16, max_ops=max_ops,
+    )
+    files = {
+        module.__file__: os.path.basename(module.__file__)
+        for module in (streaming, trace_module)
+    }
+    complete = Trace.complete.__code__
+    fraction_new = fractions.Fraction.__new__.__code__
+    calls = Counter()
+    completing = 0
+
+    def profile(frame, event, arg):
+        nonlocal completing
+        code = frame.f_code
+        if event == "call":
+            if code is complete:
+                completing += 1
+            elif code is fraction_new and completing:
+                calls["Fraction in Trace.complete"] += 1
+            name = files.get(code.co_filename)
+            if name is not None:
+                calls[name, code.co_name] += 1
+        elif event == "return" and code is complete:
+            completing -= 1
+
+    sys.setprofile(profile)
+    try:
+        result = run(spec)
+    finally:
+        sys.setprofile(None)
+    return calls, result
+
+
+@pytest.fixture(scope="module")
+def soak():
+    return profiled_soak(2000)
+
+
+def test_no_fraction_is_built_while_an_op_completes(soak):
+    calls, result = soak
+    assert result.ops_completed() == 2000 and result.online.atomic
+    assert calls["streaming.py", "observe"] == 2 * 2000   # both observes
+    assert calls["Fraction in Trace.complete"] == 0       # parent: 4002
+
+
+def test_calls_per_completed_op_in_the_accounting_path(soak):
+    calls, result = soak
+    ops = result.ops_completed()
+    # Named functions only: whether a comprehension is a call depends on
+    # the interpreter (inlined from 3.12 on).
+    named = sum(
+        n for key, n in calls.items()
+        if isinstance(key, tuple) and not key[1].startswith("<")
+    )
+    # One begin and one complete in the trace, on_begin, two observes,
+    # on_complete, the rule, its one or two bounds and — unless the floor
+    # stood still and nothing was appended — one prune: 9.97 calls an op
+    # here, sweeps and the end-of-run summary included (10.87 on 3.11,
+    # where prune's comprehension is a call).  The parent made 11.13
+    # (13.14).
+    assert calls["trace.py", "begin"] == calls["trace.py", "complete"] == ops
+    assert calls["streaming.py", "on_complete"] == ops
+    assert calls["streaming.py", "prune"] < ops       # parent: 1.06 an op
+    assert calls["streaming.py", "_state"] < ops / 2  # parent: 1.37 an op
+    assert named <= 10.2 * ops

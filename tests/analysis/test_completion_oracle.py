@@ -1,0 +1,710 @@
+"""Differential oracle for what one completed operation costs.
+
+Every completed operation of a streamed run passes through
+``Trace.complete -> LatencyAccumulator.observe ->
+OnlineChecker.on_complete``.  That path used to *recompute* two things
+per operation — the window floor and the overrun eviction, by walking
+the in-flight set, and the exact latency sum, by building and
+normalising two ``Fraction``s — and now *maintains* them: a
+lazily-deleted heap of invocations, a lower bound on the oldest
+in-flight op id, an integer numerator over the common denominator.  The
+recomputing code lives on *only here*, verbatim from the parent commit:
+
+* :class:`ReferenceScanningChecker` — ``on_begin`` / ``on_complete`` /
+  ``_evict`` / ``_sweep`` and ``_KeyState.prune`` as they were (the
+  rules, ``_complete_write`` / ``_complete_read``, are shared: they did
+  not change);
+* :class:`ReferenceFractionAccumulator` / :class:`ReferenceReservoir` —
+  ``LatencyAccumulator.observe`` and ``QuantileReservoir.observe`` as
+  they were (the sum's slot is spelled ``time_sum`` here, like the
+  public property that replaced the private one).
+
+Reference and shipped checker subscribe to one ``Trace`` and must hold
+*identical state* after **every** begin and **every** completion —
+floor, in-flight set, evicted set, every per-key window / series /
+bound, the sampled ``max_retained`` — and return the same report, on
+the client-consistent histories of ``test_checker_oracle.py`` and on
+free-form feeds a simulator would never produce but a ``Trace`` can:
+begins out of time order, batches of 1–16 operations sharing one
+interval, clients stuck past the overrun bound.  The accumulators must
+agree on ``float`` / ``int`` / ``Fraction`` streams longer than the
+reservoir, down to the RNG state.  Six seeded bugs are each killed by a
+named input.
+"""
+
+import random
+from bisect import bisect_left
+from fractions import Fraction
+from heapq import heapify
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.analysis.latency import LatencySummary
+from repro.analysis.streaming import (
+    LatencyAccumulator,
+    OnlineChecker,
+    QuantileReservoir,
+    _KeyState,
+)
+from repro.sim.trace import Trace
+from repro.storage.history import BOTTOM
+from tests.analysis.test_checker_oracle import (
+    STUCK_OVERRUN,
+    _OverKeyState,
+    build_history,
+    read,
+    shapes,
+    write,
+)
+
+
+# -- the reference checker: the scanning window, verbatim ----------------------
+
+class ReferenceKeyState(_KeyState):
+    __slots__ = ()
+
+    def prune(self, floor: float) -> None:
+        """Fold state older than the window ``floor`` into the bounds."""
+        index = bisect_left(self.write_times, floor)
+        if index:
+            self.base_write_bound = self.write_stamps[index - 1]
+            del self.write_times[:index]
+            del self.write_stamps[:index]
+        index = bisect_left(self.read_times, floor)
+        if index:
+            self.base_read_bound = self.read_stamps[index - 1]
+            del self.read_times[:index]
+            del self.read_stamps[:index]
+        if self.base_write_bound is not None and self.window:
+            bound = self.base_write_bound
+            stale = [
+                stamp
+                for stamp, (_, completed_at, _value) in self.window.items()
+                if completed_at < floor and stamp < bound
+            ]
+            for stamp in stale:
+                del self.window[stamp]
+
+
+class ReferenceScanningChecker(_OverKeyState):
+    """The parent's window: every completion walks the in-flight set
+    twice (the eviction comprehension, ``min`` over the values) and
+    prunes its key unconditionally."""
+
+    key_state = ReferenceKeyState
+
+    def on_begin(self, record) -> None:
+        if record.kind in ("write", "read"):
+            self._pending[record.op_id] = record.invoked_at
+            if record.op_id > self._max_op_id:
+                self._max_op_id = record.op_id
+            if record.kind == "write":
+                self._pending_writes[record.op_id] = record.key, record.value
+                inflight = self._state(record.key).inflight
+                inflight[record.value] = record.invoked_at
+
+    def on_complete(self, record) -> None:
+        if record.kind not in ("write", "read"):
+            return
+        if record.op_id in self._overrun:
+            # The window moved past this op while it was stuck; its
+            # bounds are gone, so judging it now could flag legal
+            # behaviour.  Skip it, visibly.
+            self._overrun.discard(record.op_id)
+            self.overrun_unchecked += 1
+            return
+        if record.kind == "write":
+            self._complete_write(record)
+        else:
+            self._complete_read(record)
+        self._pending.pop(record.op_id, None)
+        # Evict stuck in-flight ops so they cannot pin the floor and
+        # regrow O(ops) retained state (the crashed-reader case).
+        if self._pending:
+            horizon = self._max_op_id - self.overrun_ops
+            for op in [op for op in self._pending if op < horizon]:
+                self._evict(op)
+        self._floor = min(self._pending.values(), default=record.completed_at)
+        self._keys[record.key].prune(self._floor)
+        # Periodic global sweep: prune every key to the shared floor
+        # and sample the total retained state for the high-water mark
+        # (O(keys) amortized over SWEEP_EVERY completions).
+        self._since_sweep += 1
+        if self._since_sweep >= self.SWEEP_EVERY:
+            self._sweep()
+
+    def _evict(self, op_id: int) -> None:
+        """Move one stuck op out of the window; reads parked on a stuck
+        write can no longer be resolved and count as skipped."""
+        del self._pending[op_id]
+        self._overrun.add(op_id)
+        entry = self._pending_writes.pop(op_id, None)
+        if entry is not None:
+            key, value = entry
+            state = self._state(key)
+            state.inflight.pop(value, None)
+            state.evicted.add(value)
+            self.overrun_unchecked += len(state.parked.pop(value, ()))
+
+    def _sweep(self) -> None:
+        self._since_sweep = 0
+        retained = len(self._pending) + len(self._overrun)
+        for state in self._keys.values():
+            state.prune(self._floor)
+            retained += state.retained()
+        if retained > self.max_retained:
+            self.max_retained = retained
+
+
+# -- one feed, both checkers ---------------------------------------------------
+
+#: Everything a key holds except the shipped checker's own bookkeeping.
+KEY_SLOTS = tuple(
+    slot for slot in _KeyState.__slots__ if slot != "pruned_at"
+)
+
+
+def state_of(checker):
+    return {
+        "floor": checker._floor,
+        "pending": dict(checker._pending),
+        "pending_writes": dict(checker._pending_writes),
+        "overrun": set(checker._overrun),
+        "max_op_id": checker._max_op_id,
+        "since_sweep": checker._since_sweep,
+        "max_retained": checker.max_retained,
+        "counts": (checker.checked_writes, checker.checked_reads,
+                   checker.violation_count, checker.overrun_unchecked),
+        "violations": list(checker.violations),
+        "keys": {
+            key: {slot: getattr(state, slot) for slot in KEY_SLOTS}
+            for key, state in checker._keys.items()
+        },
+    }
+
+
+def assert_heap_is_bounded(checker):
+    """What keeps the maintained floor exact and small: every in-flight
+    op has its heap entry, nothing in flight is older than the scan
+    bound, and entries of ops long gone cannot pile up."""
+    pending = checker._pending
+    entries = checker._invocations
+    assert {(at, op) for op, at in pending.items()} <= set(entries)
+    assert all(
+        entries[i] >= entries[(i - 1) // 2] for i in range(1, len(entries))
+    )
+    assert len(entries) <= len(pending) + checker.overrun_ops + 1
+    assert all(op >= checker._oldest_op_id for op in pending)
+
+
+def replay(history, shipped=OnlineChecker, overrun_ops=None, sweep_every=7):
+    """Feed ``history`` (the step format of ``test_checker_oracle``) to
+    the reference and to ``shipped`` through one ``Trace`` and compare
+    their whole state after every begin and every completion, then the
+    reports.  A short sweep period samples ``max_retained`` mid-feed."""
+    options = {} if overrun_ops is None else {"overrun_ops": overrun_ops}
+    reference = ReferenceScanningChecker(**options)
+    candidate = shipped(**options)
+    reference.SWEEP_EVERY = candidate.SWEEP_EVERY = sweep_every
+    trace = Trace(retain=False)
+    for checker in (reference, candidate):
+        trace.subscribe(
+            on_begin=checker.on_begin, on_complete=checker.on_complete
+        )
+    records = {}
+    for step in history:
+        if step[0] == "begin":
+            _, op, kind, process, time, value, key = step
+            records[op] = trace.begin(kind, process, time, value, key=key)
+        else:
+            _, op, time, result, stamp = step
+            record = records.pop(op)
+            if stamp is not None:
+                record.meta["ts"] = stamp
+            trace.complete(record, time, result, rounds=1)
+        assert state_of(candidate) == state_of(reference), step
+        if shipped is OnlineChecker:    # a mutant dies of what it reports
+            assert_heap_is_bounded(candidate)
+    assert candidate.report() == reference.report()
+    assert state_of(candidate) == state_of(reference)
+    return candidate
+
+
+# -- generated feeds ---------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(shapes)
+def test_client_consistent_histories_leave_identical_state(shape):
+    history = build_history(**shape)
+    replay(history, overrun_ops=STUCK_OVERRUN if shape["stuck"] else None)
+
+
+feed_steps = st.tuples(
+    st.sampled_from(("tick", "begin", "begin", "end", "end", "stick")),
+    st.integers(0, 15),
+    st.integers(0, 15),
+    st.integers(0, 15),
+)
+feeds = st.fixed_dictionaries({
+    "n_keys": st.integers(1, 3),
+    "steps": st.lists(feed_steps, min_size=20, max_size=120),
+})
+
+
+def build_feed(n_keys, steps):
+    """Interpret drawn steps as a feed no client would produce but a
+    ``Trace`` accepts.  A *begin* opens a batch of 1–16 reads or writes
+    sharing one invocation time up to two ticks behind or one ahead of
+    the clock (so begin times are not monotone — completions are, like
+    the simulator's); an *end* completes one open batch, forwards or
+    backwards, with results an adversary picks; a *stick* leaves a
+    batch open until the feed ends (or for good)."""
+    history = []
+    begun = 0                        # == the op id the Trace assigns next
+    now = 0.0
+    serial = 0
+    stamp_of = [0] * n_keys
+    done = [[] for _ in range(n_keys)]    # completed (value, stamp) per key
+    open_batches = []                # [[(op, kind, key, value, stamp), ...]]
+    stuck = []
+
+    def finish(batch, choice, backwards):
+        for op, kind, key, value, stamp in (
+            reversed(batch) if backwards else batch
+        ):
+            if kind == "write":
+                # Mostly its own stamp; sometimes none, or a reused one.
+                if choice == 14:
+                    stamp = None
+                elif choice == 15 and done[key]:
+                    stamp = done[key][-1][1]
+                history.append(("end", op, now, "OK", stamp))
+                if stamp is not None:
+                    done[key].append((value, stamp))
+                continue
+            in_flight = [
+                (v, s) for other in open_batches + stuck
+                for _, k, key_, v, s in other if k == "write" and key_ == key
+            ]
+            if choice in (9, 10) and in_flight:
+                result, stamp = in_flight[choice % len(in_flight)]
+            elif choice == 13:
+                result = stamp = 10 ** 6 + op        # nothing wrote it
+            elif choice == 14 and done[key]:
+                result, stamp = done[key][-1][0], None   # no stamp
+            elif choice == 15 or not done[key]:
+                result, stamp = BOTTOM, None
+            elif choice in (11, 12):
+                result, stamp = done[key][(choice * 7 + op) % len(done[key])]
+            else:
+                result, stamp = done[key][-1]
+            history.append(("end", op, now, result, stamp))
+
+    for action, a, b, c in steps:
+        if action == "tick":
+            now += 0.5 * (1 + a % 3)
+        elif action == "begin":
+            kind = "write" if a % 3 == 0 else "read"
+            size = 1 + b if a >= 8 else 1 + b % 3
+            invoked_at = now + 0.5 * (c % 4 - 2)
+            batch = []
+            for offset in range(size):
+                key = (c + offset) % n_keys
+                value = stamp = None
+                if kind == "write":
+                    serial += 1
+                    stamp_of[key] += 1
+                    value, stamp = serial, stamp_of[key]
+                history.append((
+                    "begin", begun, kind, f"client{a % 5}", invoked_at,
+                    value, key,
+                ))
+                batch.append((begun, kind, key, value, stamp))
+                begun += 1
+            open_batches.append(batch)
+        elif not open_batches:
+            continue
+        elif action == "stick":
+            stuck.append(open_batches.pop(a % len(open_batches)))
+        else:
+            finish(open_batches.pop(a % len(open_batches)), c, b % 2 == 1)
+    while open_batches:
+        now += 0.5
+        finish(open_batches.pop(0), 0, False)
+    # Every other stuck batch completes at last, with an ancient view.
+    for batch in stuck[::2]:
+        now += 0.5
+        finish(batch, 12, False)
+    return history
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(feeds, st.sampled_from((None, 40, 12, 5)))
+def test_free_form_feeds_leave_identical_state(feed, overrun_ops):
+    replay(build_feed(**feed), overrun_ops=overrun_ops)
+
+
+def test_the_feed_generator_reaches_what_it_is_for():
+    """Out-of-time-order begins, full batches, evictions and late
+    completions of evicted ops all occur in a fixed sample of feeds."""
+    rng = random.Random(20)
+    seen = set()
+    for _ in range(60):
+        steps = [
+            (rng.choice(("tick", "begin", "begin", "end", "end", "stick")),
+             rng.randrange(16), rng.randrange(16), rng.randrange(16))
+            for _ in range(80)
+        ]
+        history = build_feed(2, steps)
+        begins = [step for step in history if step[0] == "begin"]
+        times = [step[4] for step in begins]
+        if any(later < earlier for earlier, later in zip(times, times[1:])):
+            seen.add("begin-out-of-time-order")
+        if max(times.count(time) for time in times) >= 16:
+            seen.add("batch-of-16")
+        checker = replay(history, overrun_ops=12)
+        if checker.overrun_unchecked:
+            seen.add("evicted-op-completed")
+        if checker._overrun:
+            seen.add("evicted-op-still-open")
+    assert seen == {
+        "begin-out-of-time-order", "batch-of-16", "evicted-op-completed",
+        "evicted-op-still-open",
+    }
+
+
+# -- scripted feeds (each the input that kills a mutant) -----------------------
+
+def churn(count, start, first=1):
+    """``count`` sequential write-then-read pairs from time ``start``."""
+    steps = []
+    for n in range(first, first + count):
+        at = start + 2.0 * n
+        steps += write(f"w{n}", n, at, at + 0.5)
+        steps += read(f"r{n}", n, at + 1.0, at + 1.5)
+    return steps
+
+
+#: name -> (feed, overrun_ops)
+SCRIPTS = {
+    # The write is registered at 2.0, *then* a read that started at 0.0:
+    # the floor is the later begin's earlier time.
+    "a-late-begin-with-an-earlier-time": ([
+        *write("w0", 1, 0.0, 0.25),
+        ("begin", "w", "write", "writer", 2.0, 2, 0),
+        ("begin", "r", "read", "reader", 0.5, None, 0),
+        *read("r2", 1, 0.5, 1.0, process="r2"),
+        ("end", "r", 1.5, 1, 1),
+        ("end", "w", 3.0, "OK", 2),
+    ], None),
+    # The oldest op completes while a younger one is still in flight:
+    # its heap entry is stale and must not stay the floor.
+    "the-oldest-op-completes-first": ([
+        ("begin", "old", "read", "r0", 0.0, None, 0),
+        ("begin", "young", "read", "r1", 1.0, None, 0),
+        *write("w1", 1, 1.5, 2.0),
+        ("end", "old", 2.5, 1, 1),
+        *write("w2", 2, 3.0, 3.5),
+        ("end", "young", 4.0, 2, 2),
+    ], None),
+    # One crashed reader is evicted, the run goes on, a second one
+    # stalls: the eviction walk has to run again.
+    "two-readers-stuck-one-after-the-other": ([
+        ("begin", "stuck1", "read", "crashed1", 0.0, None, 0),
+        *churn(6, start=0.0),
+        ("begin", "stuck2", "read", "crashed2", 20.0, None, 0),
+        *churn(8, start=20.0, first=7),
+        ("end", "stuck1", 60.0, 1, 1),
+        ("end", "stuck2", 61.0, 7, 7),
+    ], 4),
+    # A write pins the floor at 5.0 while reads that began (late) at
+    # earlier times complete below it: the second one is appended to a
+    # key already pruned at this very floor and must be folded too.
+    "appended-below-an-unchanged-floor": ([
+        *write("w1", 1, 0.0, 0.2), *write("w2", 2, 0.3, 0.4),
+        ("begin", "pin", "write", "writer", 5.0, 3, 0),
+        *read("y", 1, 0.5, 0.7, process="r1"),
+        *read("x", 2, 1.0, 2.0, process="r2"),
+        *read("z", 1, 2.5, 3.0, process="r3"),
+        ("end", "pin", 6.0, "OK", 3),
+    ], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_scripted_feeds_leave_identical_state(name):
+    history, overrun_ops = SCRIPTS[name]
+    replay(history, overrun_ops=overrun_ops)
+
+
+def test_a_pinned_heap_stays_within_in_flight_plus_the_overrun_bound():
+    """Begin times that go *down* hand the top of the heap from one
+    stuck op to the next before the first is evicted; only the rebuild
+    in the eviction walk keeps the heap from growing with the run."""
+    history, at = [], 0.0
+    for n in range(40):
+        history.append(
+            ("begin", f"stuck{n}", "read", f"crashed{n}", -1.0 - n, None, 0)
+        )
+        for m in range(6):
+            at += 1.0
+            history += read(f"r{n}.{m}", BOTTOM, at, at + 0.5)
+    checker = replay(history, overrun_ops=8)
+    assert len(checker._invocations) <= len(checker._pending) + 9
+
+
+# -- seeded mutants of the shipped checker -------------------------------------
+
+class FloorIgnoresLateEarlierBegin(OnlineChecker):
+    """Takes begin order for time order: an op is filed no earlier than
+    the newest invocation already in flight (what reading the floor off
+    the first entry of the insertion-ordered ``_pending`` does)."""
+
+    def on_begin(self, record):
+        super().on_begin(record)
+        entries = self._invocations
+        entry, newest = (record.invoked_at, record.op_id), max(entries)
+        if entry < newest:
+            entries.remove(entry)
+            entries.append((newest[0], record.op_id))
+            heapify(entries)
+
+
+class _NothingIsStale(dict):
+    def __contains__(self, op_id):
+        return True
+
+
+class StaleHeapEntryPinsTheFloor(OnlineChecker):
+    """Reads the floor off the top of the heap without dropping the
+    entries of ops that already left the in-flight set."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._pending = _NothingIsStale()
+
+
+class EvictionScanNeverReruns(OnlineChecker):
+    """The first eviction walk is the last: its bound on the oldest
+    in-flight op is never reached again."""
+
+    def _evict_overrun(self):
+        super()._evict_overrun()
+        self._oldest_op_id = float("inf")
+
+
+class PruneSkippedAfterAppend(_OverKeyState):
+    """Skips the per-key prune whenever the floor has not moved since
+    that key's last one — forgetting what was appended in between."""
+
+    class key_state(_KeyState):
+        __slots__ = ("_at",)
+
+        def _get(self):
+            return getattr(self, "_at", None)
+
+        def _set(self, floor):
+            if floor is not None:
+                self._at = floor
+
+        pruned_at = property(_get, _set)
+
+
+#: mutant -> the scripted feed that kills it.
+MUTANTS = {
+    FloorIgnoresLateEarlierBegin: "a-late-begin-with-an-earlier-time",
+    StaleHeapEntryPinsTheFloor: "the-oldest-op-completes-first",
+    EvictionScanNeverReruns: "two-readers-stuck-one-after-the-other",
+    PruneSkippedAfterAppend: "appended-below-an-unchanged-floor",
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS, key=lambda m: m.__name__))
+def test_seeded_checker_mutants_are_killed(mutant):
+    history, overrun_ops = SCRIPTS[MUTANTS[mutant]]
+    with pytest.raises(AssertionError):
+        replay(history, mutant, overrun_ops)
+
+
+# -- the reference accumulator: a Fraction per operation, verbatim -------------
+
+class ReferenceReservoir(QuantileReservoir):
+    __slots__ = ()
+
+    def observe(self, sample: float) -> None:
+        self.seen += 1
+        self._sorted = None
+        if len(self._samples) < self.capacity:
+            self._samples.append(sample)
+            return
+        slot = self._rng.randrange(self.seen)
+        if slot < self.capacity:
+            self._samples[slot] = sample
+
+
+class ReferenceFractionAccumulator(LatencyAccumulator):
+    """The parent's accumulator: ``time_sum`` is a plain attribute, a
+    running ``Fraction`` (everything that reads it — ``mean_time``,
+    ``merge``, ``LatencySummary`` — is inherited and so shared)."""
+
+    time_sum = Fraction(0)     # shadows the property: a per-instance slot
+
+    def __init__(self, kind, capacity):
+        super().__init__(kind, capacity)
+        self.time_sum = Fraction(0)
+        self.reservoir = ReferenceReservoir(capacity)
+
+    def observe(self, rounds: int, elapsed: float) -> None:
+        """Fold one completed operation into the summary."""
+        self.count += 1
+        self.rounds_sum += rounds
+        if self.min_rounds is None or rounds < self.min_rounds:
+            self.min_rounds = rounds
+        if self.max_rounds is None or rounds > self.max_rounds:
+            self.max_rounds = rounds
+        self.time_sum += Fraction(elapsed)
+        if self.min_time is None or elapsed < self.min_time:
+            self.min_time = elapsed
+        if self.max_time is None or elapsed > self.max_time:
+            self.max_time = elapsed
+        self.reservoir.observe(elapsed)
+
+
+def summary_of(accumulator):
+    return {
+        "count": accumulator.count,
+        "rounds": (accumulator.rounds_sum, accumulator.min_rounds,
+                   accumulator.max_rounds, accumulator.mean_rounds),
+        "time_sum": accumulator.time_sum,
+        "mean_time": accumulator.mean_time,
+        "times": (accumulator.min_time, accumulator.max_time),
+        "seen": accumulator.reservoir.seen,
+        "samples": list(accumulator.reservoir._samples),
+        "rng": accumulator.reservoir._rng.getstate(),
+        "summary": LatencySummary.from_accumulator(accumulator),
+    }
+
+
+def observe_all(stream, capacity, shipped=LatencyAccumulator):
+    """Feed ``stream`` of ``(rounds, elapsed)`` to the reference and to
+    ``shipped``, comparing everything after every sample; returns the
+    shipped accumulator."""
+    reference = ReferenceFractionAccumulator("op", capacity)
+    candidate = shipped("op", capacity)
+    for rounds, elapsed in stream:
+        reference.observe(rounds, elapsed)
+        candidate.observe(rounds, elapsed)
+        got, want = summary_of(candidate), summary_of(reference)
+        assert got == want, (rounds, elapsed)
+        # ``==`` would let 1/2 pass for 0.5: the sum is a Fraction.
+        assert type(got["time_sum"]) is Fraction
+    return candidate
+
+
+elapsed_values = st.one_of(
+    st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+    st.floats(min_value=0.0, max_value=8.0, allow_nan=False, width=16),
+    st.integers(0, 1000),
+    st.fractions(min_value=0, max_value=100, max_denominator=60),
+)
+streams = st.lists(
+    st.tuples(st.integers(1, 4), elapsed_values), min_size=1, max_size=70,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(streams, st.sampled_from((1, 4, 16)))
+def test_integer_sum_is_the_fraction_sum(stream, capacity):
+    """Streams several times the reservoir's capacity, mixing the three
+    numeric types ``elapsed`` can arrive as."""
+    observe_all(stream, capacity)
+
+
+@settings(max_examples=200, deadline=None)
+@given(streams, st.lists(st.integers(0, 70), max_size=4), st.randoms())
+def test_merge_of_any_split_is_the_whole(stream, cuts, rng):
+    capacity = 128                    # every part and the union fit
+    whole = observe_all(stream, capacity)
+    bounds = sorted({0, len(stream), *(min(c, len(stream)) for c in cuts)})
+    parts = []
+    for start, end in zip(bounds, bounds[1:]):
+        part = LatencyAccumulator("op", capacity)
+        for rounds, elapsed in stream[start:end]:
+            part.observe(rounds, elapsed)
+        parts.append(part)
+    rng.shuffle(parts)
+    merged = LatencyAccumulator.merge(parts)
+    assert merged.time_sum == whole.time_sum
+    assert type(merged.time_sum) is Fraction
+    assert (
+        LatencySummary.from_accumulator(merged)
+        == LatencySummary.from_accumulator(whole)
+    )
+    assert merged.reservoir._samples == sorted(whole.reservoir._samples)
+    # A merge of merges is still exact.
+    again = LatencyAccumulator.merge([merged, LatencyAccumulator("op", 128)])
+    assert again.time_sum == whole.time_sum
+
+
+# -- seeded mutants of the shipped accumulator ---------------------------------
+
+class SumDropsLowBits(LatencyAccumulator):
+    """Keeps the running sum as a ``float`` (``total += elapsed``)."""
+
+    def observe(self, rounds, elapsed):
+        total = float(self.time_sum)
+        super().observe(rounds, elapsed)
+        self._time_units, self._time_scale = (
+            float(total + elapsed).as_integer_ratio()
+        )
+
+
+class SlotFromRandomRandom(LatencyAccumulator):
+    """Draws the reservoir slot from ``random()`` — as uniform as
+    ``getrandbits`` rejection, but another stream of the RNG."""
+
+    class reservoir_type(QuantileReservoir):
+        __slots__ = ()
+
+        def observe(self, sample):
+            if len(self._samples) < self.capacity:
+                return super().observe(sample)
+            self.seen += 1
+            self._sorted = None
+            slot = int(self._rng.random() * self.seen)
+            if slot < self.capacity:
+                self._samples[slot] = sample
+
+    def __init__(self, kind, capacity):
+        super().__init__(kind, capacity)
+        self.reservoir = self.reservoir_type(capacity)
+
+
+#: name -> (stream, reservoir capacity)
+STREAMS = {
+    # Ten times the double nearest 0.1 is not the double nearest 1.0.
+    "ten-tenths": ([(1, 0.1)] * 10, 16),
+    "twice-the-reservoir": ([(1, float(n)) for n in range(16)], 8),
+}
+
+ACCUMULATOR_MUTANTS = {
+    SumDropsLowBits: "ten-tenths",
+    SlotFromRandomRandom: "twice-the-reservoir",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAMS))
+def test_named_streams_agree(name):
+    observe_all(*STREAMS[name])
+
+
+@pytest.mark.parametrize(
+    "mutant", sorted(ACCUMULATOR_MUTANTS, key=lambda m: m.__name__)
+)
+def test_seeded_accumulator_mutants_are_killed(mutant):
+    stream, capacity = STREAMS[ACCUMULATOR_MUTANTS[mutant]]
+    with pytest.raises(AssertionError):
+        observe_all(stream, capacity, mutant)

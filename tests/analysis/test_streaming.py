@@ -115,7 +115,7 @@ class TestLatencyAccumulatorMerge:
         whole, parts = self._split_streams([40, 25, 35])
         merged = LatencyAccumulator.merge(parts)
         assert merged.count == whole.count
-        assert merged._time_sum == whole._time_sum  # Fraction-exact
+        assert merged.time_sum == whole.time_sum  # Fraction-exact
         assert merged.rounds_sum == whole.rounds_sum
         assert merged.min_time == whole.min_time
         assert merged.max_time == whole.max_time
@@ -131,7 +131,7 @@ class TestLatencyAccumulatorMerge:
             shuffled = parts[:]
             random.Random(attempt).shuffle(shuffled)
             merged = LatencyAccumulator.merge(shuffled)
-            assert merged._time_sum == baseline._time_sum
+            assert merged.time_sum == baseline.time_sum
             assert merged.reservoir._samples == baseline.reservoir._samples
             assert (
                 LatencySummary.from_accumulator(merged)
@@ -158,6 +158,25 @@ class TestLatencyAccumulatorMerge:
     def test_no_parts_rejected(self):
         with pytest.raises(ValueError):
             LatencyAccumulator.merge([])
+
+    def test_merged_summary_refuses_further_samples(self):
+        """A merged reservoir is a weighted subsample, not a prefix of a
+        stream: observing into it used to skew every later quantile
+        silently.  It raises, and leaves the summary as it was."""
+        whole, parts = self._split_streams([3000, 2500])
+        merged = LatencyAccumulator.merge(parts)
+        before = LatencySummary.from_accumulator(merged)
+        with pytest.raises(ValueError, match="terminal"):
+            merged.observe(1, 2.0)
+        with pytest.raises(ValueError, match="terminal"):
+            merged.reservoir.observe(2.0)
+        with pytest.raises(ValueError, match="terminal"):
+            QuantileReservoir.merge([], capacity=8).observe(2.0)
+        assert LatencySummary.from_accumulator(merged) == before
+        assert merged.count == whole.count == 5500
+        # The parts stay live: observe there and merge again.
+        parts[0].observe(1, 2.0)
+        assert LatencyAccumulator.merge(parts).count == 5501
 
 
 class TestLatencyAccumulator:
@@ -333,12 +352,18 @@ class TestOnlineChecker:
             on_begin=checker.on_begin, on_complete=checker.on_complete
         )
         stuck = trace.begin("read", "crashed", 0.0, key=0)
-        time, value = 1.0, 0
+        time, value, heap_high_water = 1.0, 0, 0
         for _ in range(5000):
             value += 1
             _write(trace, value, time, time + 1.0, key=value % 4)
             _read(trace, value, time + 1.5, time + 2.0, key=value % 4)
             time += 2.0
+            heap_high_water = max(heap_high_water, len(checker._invocations))
+        # While the stuck op is the floor the entries of completed ops
+        # queue up behind it in the invocation heap — until it is
+        # evicted, so never more than in-flight + overrun_ops of them.
+        assert 400 < heap_high_water <= 1 + 500 + 1
+        assert len(checker._invocations) == len(checker._pending) == 0
         report = checker.report()
         assert report.atomic
         assert report.max_retained < 1200   # bounded despite the stuck op

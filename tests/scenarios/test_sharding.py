@@ -335,7 +335,7 @@ class TestEquivalence:
             merged_acc = sharded._accumulators[kind]
             # Fraction-exact: the summed time numerators agree, not
             # just their rounded float projections.
-            assert merged_acc._time_sum == base_acc._time_sum
+            assert merged_acc.time_sum == base_acc.time_sum
             assert merged_acc.count == base_acc.count
             # Below reservoir capacity the quantiles are exact too, so
             # the whole summary is equal, not merely close.
@@ -373,7 +373,7 @@ class TestEquivalence:
         for kind in ("write", "read"):
             base_acc = base.adapter.trace.accumulator(kind)
             merged_acc = sharded._accumulators[kind]
-            assert merged_acc._time_sum == base_acc._time_sum
+            assert merged_acc.time_sum == base_acc.time_sum
             assert merged_acc.count == base_acc.count
         assert sharded.ops_begun() == base.ops_begun()
 
