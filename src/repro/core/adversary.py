@@ -8,20 +8,34 @@ that may simultaneously be Byzantine in a single execution.
 Two concrete representations are provided:
 
 * :class:`ThresholdAdversary` — the classical ``B_k`` structure containing
-  every subset of cardinality at most ``k``.  Membership is O(1).
+  every subset of cardinality at most ``k``.  Membership is a popcount.
 * :class:`ExplicitAdversary` — an arbitrary structure represented by its
   *maximal* elements; membership reduces to a subset check against the
   maximal sets.
 
 Both expose the same small interface (:class:`Adversary`), which is all the
-rest of the library relies on.
+rest of the library relies on.  The answers are computed on *masks*: server
+``i`` of the ``repr``-sorted ground set is bit ``1 << i`` (the order
+:class:`repro.core.rqs.QuorumIndex` takes from here), a subset of ``S`` is a
+Python int, "in ``B``" is "inside one maximal mask" and "large" is "not
+inside the union of two".  ``contains`` / ``is_basic`` / ``is_large`` on
+iterables are the public API and convert once.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import combinations
-from typing import AbstractSet, FrozenSet, Hashable, Iterable, Iterator, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    Optional,
+    Tuple,
+)
 
 from repro.errors import AdversaryError
 
@@ -37,24 +51,38 @@ def as_subset(elements: Iterable[Element]) -> Subset:
 class Adversary(ABC):
     """Abstract adversary structure over a ground set ``S``.
 
-    Subclasses must implement :meth:`contains` (membership of a subset in
-    ``B``) and :meth:`maximal_sets` (the antichain of maximal elements).
-    Everything else is derived.
+    Subclasses must implement :meth:`maximal_sets` (the antichain of
+    maximal elements).  Everything else is derived; a subclass with a
+    closed form (:class:`ThresholdAdversary`) overrides the two mask
+    answers :meth:`contains_mask` and :meth:`is_large_mask`.
     """
 
     def __init__(self, ground_set: Iterable[Element]):
         self._ground = as_subset(ground_set)
         if not self._ground:
             raise AdversaryError("ground set must be non-empty")
+        self._servers: Tuple[Element, ...] = tuple(
+            sorted(self._ground, key=repr)
+        )
+        self._bit: Dict[Element, int] = {
+            server: 1 << i for i, server in enumerate(self._servers)
+        }
+        self._maximal_masks: Optional[Tuple[int, ...]] = None
 
     @property
     def ground_set(self) -> Subset:
         """The set ``S`` the structure is defined over."""
         return self._ground
 
-    @abstractmethod
-    def contains(self, subset: Iterable[Element]) -> bool:
-        """Return ``True`` iff ``subset`` is an element of ``B``."""
+    @property
+    def servers(self) -> Tuple[Element, ...]:
+        """``S`` in ``repr`` order (bit ``i`` is ``servers[i]``)."""
+        return self._servers
+
+    @property
+    def bit(self) -> Dict[Element, int]:
+        """server -> its bit."""
+        return self._bit
 
     @abstractmethod
     def maximal_sets(self) -> Tuple[Subset, ...]:
@@ -63,7 +91,67 @@ class Adversary(ABC):
         The empty structure ``B = {∅}`` is represented by ``(frozenset(),)``.
         """
 
-    # -- derived operations -------------------------------------------------
+    # -- the mask view --------------------------------------------------------
+
+    def mask(self, subset: Iterable[Element]) -> Optional[int]:
+        """``subset`` as a mask — ``None`` when it has a member outside
+        ``S``: such a set is not in ``B``, hence basic and large."""
+        try:
+            # Distinct members have distinct bits: their sum is the union.
+            return sum(map(self._bit.__getitem__, frozenset(subset)))
+        except KeyError:
+            return None
+
+    def masks(
+        self, family: Iterable[Iterable[Element]]
+    ) -> Tuple[Optional[int], ...]:
+        """:meth:`mask` of every member of ``family``, in order (one
+        call a family: a system converts its quorums here, once)."""
+        family = tuple(family)
+        bit = self._bit.__getitem__
+        try:
+            return tuple(
+                [sum(map(bit, frozenset(member))) for member in family]
+            )
+        except KeyError:
+            return tuple(map(self.mask, family))
+
+    def members(self, mask: int) -> Subset:
+        """The subset of ``S`` a mask stands for."""
+        return frozenset(
+            server for i, server in enumerate(self._servers)
+            if mask >> i & 1
+        )
+
+    @property
+    def maximal_masks(self) -> Tuple[int, ...]:
+        """:meth:`maximal_sets` as masks, in the same order."""
+        maxima = self._maximal_masks
+        if maxima is None:
+            maxima = self._maximal_masks = self.masks(self.maximal_sets())
+        return maxima
+
+    def contains_mask(self, mask: int) -> bool:
+        """``mask ∈ B``: it lies inside one maximal set."""
+        for maximal in self.maximal_masks:
+            if not mask & ~maximal:
+                return True
+        return False
+
+    def is_large_mask(self, mask: int) -> bool:
+        """``mask`` is not inside the union of two maximal sets."""
+        for b1 in self.maximal_masks:
+            # mask ⊆ b1 ∪ b2  ⇔  (mask \ b1) ⊆ b2 for some b2 ∈ B.
+            if self.contains_mask(mask & ~b1):
+                return False
+        return True
+
+    # -- the public answers, on iterables -------------------------------------
+
+    def contains(self, subset: Iterable[Element]) -> bool:
+        """Return ``True`` iff ``subset`` is an element of ``B``."""
+        mask = self.mask(subset)
+        return mask is not None and self.contains_mask(mask)
 
     def __contains__(self, subset: AbstractSet[Element]) -> bool:
         return self.contains(subset)
@@ -83,21 +171,16 @@ class Adversary(ABC):
         A large subset always contains a basic subset of benign processes
         (Lemma 2 / Lemma 18 of the paper).
         """
-        target = as_subset(subset)
-        maxima = self.maximal_sets()
-        for b1 in maxima:
-            remainder = target - b1
-            # target ⊆ b1 ∪ b2  ⇔  (target \ b1) ⊆ b2 for some b2 ∈ B.
-            if self.contains(remainder):
-                return False
-        return True
+        mask = self.mask(subset)
+        return mask is None or self.is_large_mask(mask)
 
     def enumerate(self) -> Iterator[Subset]:
         """Yield every element of ``B`` (exponential; small sets only)."""
         seen = set()
         for maximal in self.maximal_sets():
-            for size in range(len(maximal) + 1):
-                for combo in combinations(sorted(maximal, key=repr), size):
+            ordered = sorted(maximal, key=repr)
+            for size in range(len(ordered) + 1):
+                for combo in combinations(ordered, size):
                     candidate = frozenset(combo)
                     if candidate not in seen:
                         seen.add(candidate)
@@ -108,10 +191,9 @@ class Adversary(ABC):
         universe = as_subset(subset)
         if not universe <= self._ground:
             raise AdversaryError("restriction target is not a subset of S")
-        maxima = tuple(
-            frozenset(m & universe) for m in self.maximal_sets()
+        return ExplicitAdversary(
+            universe, {m & universe for m in self.maximal_sets()}
         )
-        return ExplicitAdversary(universe, maxima)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         maxima = sorted(tuple(sorted(map(repr, m))) for m in self.maximal_sets())
@@ -140,31 +222,18 @@ class ThresholdAdversary(Adversary):
         """The corruption threshold."""
         return self._k
 
-    def contains(self, subset: Iterable[Element]) -> bool:
-        target = as_subset(subset)
-        if not target <= self._ground:
-            return False
-        return len(target) <= self._k
-
     def maximal_sets(self) -> Tuple[Subset, ...]:
         if self._k == 0:
             return (frozenset(),)
-        ordered = sorted(self._ground, key=repr)
-        return tuple(
-            frozenset(combo) for combo in combinations(ordered, self._k)
-        )
+        return tuple(map(frozenset, combinations(self._servers, self._k)))
 
-    def is_large(self, subset: Iterable[Element]) -> bool:
-        # For B_k, "not covered by a union of two elements" is simply a
-        # cardinality check: |subset| > 2k.
-        target = as_subset(subset)
-        return len(target) > 2 * self._k
+    # For B_k both mask answers are cardinality checks.
 
-    def is_basic(self, subset: Iterable[Element]) -> bool:
-        target = as_subset(subset)
-        if not target <= self._ground:
-            return True
-        return len(target) > self._k
+    def contains_mask(self, mask: int) -> bool:
+        return mask.bit_count() <= self._k
+
+    def is_large_mask(self, mask: int) -> bool:
+        return mask.bit_count() > 2 * self._k
 
 
 class ExplicitAdversary(Adversary):
@@ -190,12 +259,6 @@ class ExplicitAdversary(Adversary):
                 )
         self._maxima = _maximal_antichain(sets)
 
-    def contains(self, subset: Iterable[Element]) -> bool:
-        target = as_subset(subset)
-        if not target <= self._ground:
-            return False
-        return any(target <= maximal for maximal in self._maxima)
-
     def maximal_sets(self) -> Tuple[Subset, ...]:
         return self._maxima
 
@@ -212,9 +275,14 @@ def _maximal_antichain(sets: Iterable[Subset]) -> Tuple[Subset, ...]:
     """Reduce a family of sets to its maximal antichain.
 
     The empty family reduces to ``(frozenset(),)`` so the downward closure
-    is ``{∅}`` rather than the (illegal) empty structure.
+    is ``{∅}`` rather than the (illegal) empty structure.  Largest first,
+    ties by the sorted member reprs (descending): a total order, so the
+    maximal sets — and every witness extracted by walking them — do not
+    depend on the interpreter's hash seed.
     """
-    unique = sorted(set(sets), key=len, reverse=True)
+    unique = sorted(
+        set(sets), key=lambda s: (len(s), sorted(map(repr, s))), reverse=True
+    )
     maxima: list[Subset] = []
     for candidate in unique:
         if not any(candidate < kept or candidate == kept for kept in maxima):

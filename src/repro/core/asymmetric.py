@@ -111,30 +111,22 @@ class AsymmetricRQS:
                         f"AP1 violated: R={set(read)} ∩ W={set(write)} "
                         "is corruptible"
                     )
-        for i, r1 in enumerate(self._qc1):
-            for r1p in self._qc1[i:]:
-                for write in self._writes:
-                    if not self._adversary.is_large(r1 & r1p & write):
-                        return (
-                            f"AP2 violated: R1={set(r1)} ∩ R1'={set(r1p)} "
-                            f"∩ W={set(write)} is not large"
-                        )
-        for r2 in self._qc2:
-            for write in self._writes:
-                base = r2 & write
-                restricted = self._adversary.restricted_to(base) if base else None
-                candidates = (
-                    restricted.enumerate() if restricted else [frozenset()]
-                )
-                for b in candidates:
-                    if props.p3a(self._adversary, r2, write, b):
-                        continue
-                    if props.p3b(self._qc1, r2, write, b):
-                        continue
-                    return (
-                        f"AP3 violated: R2={set(r2)}, W={set(write)}, "
-                        f"B={set(b)}"
-                    )
+        # AP2 and AP3 are Properties 2 and 3 with the write family in
+        # the place of RQS.
+        w2 = props.check_property2(self._adversary, self._qc1, self._writes)
+        if w2 is not None:
+            return (
+                f"AP2 violated: R1={set(w2.q1)} ∩ R1'={set(w2.q1_prime)} "
+                f"∩ W={set(w2.q)} is not large"
+            )
+        w3 = props.check_property3(
+            self._adversary, self._qc1, self._qc2, self._writes
+        )
+        if w3 is not None:
+            return (
+                f"AP3 violated: R2={set(w3.q2)}, W={set(w3.q)}, "
+                f"B={set(w3.b1_prime)}"
+            )
         return None
 
     def is_valid(self) -> bool:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Sequence, Tuple
 
 from repro.core.adversary import Adversary, as_subset
+from repro.errors import QuorumSystemError
 
 Subset = FrozenSet[Hashable]
 
@@ -114,16 +115,26 @@ def p3b(
     return all(q1 & difference for q1 in qc1)
 
 
+def family_masks(
+    adversary: Adversary, family: Iterable[Subset]
+) -> Tuple[int, ...]:
+    """One mask per member of ``family``, in order, over ``adversary``'s
+    bit order.  The properties are stated for subsets of ``S``; a member
+    with an element outside it is refused."""
+    masks = adversary.masks(family)
+    if None in masks:
+        raise QuorumSystemError("quorums must be subsets of S")
+    return masks
+
+
 def check_property1(
     adversary: Adversary, quorums: Sequence[Subset]
 ) -> Optional[P1Witness]:
     """Check Property 1; return a witness of violation or ``None``."""
-    quorums = list(quorums)
-    for i, q in enumerate(quorums):
-        for q_prime in quorums[i:]:
-            if adversary.contains(q & q_prime):
-                return P1Witness(q, q_prime)
-    return None
+    quorums = tuple(quorums)
+    return property1_witness(
+        adversary, quorums, family_masks(adversary, quorums)
+    )
 
 
 def check_property2(
@@ -131,23 +142,13 @@ def check_property2(
     qc1: Sequence[Subset],
     quorums: Sequence[Subset],
 ) -> Optional[P2Witness]:
-    """Check Property 2; return a witness of violation or ``None``.
-
-    "Not a subset of the union of any two elements of B" is exactly
-    ``Adversary.is_large``; a witness needs the explicit covering pair,
-    which we recover from the maximal sets.
-    """
-    qc1 = list(qc1)
-    for i, q1 in enumerate(qc1):
-        for q1_prime in qc1[i:]:
-            pair = q1 & q1_prime
-            for q in quorums:
-                triple = pair & q
-                if adversary.is_large(triple):
-                    continue
-                b1, b2 = _covering_pair(adversary, triple)
-                return P2Witness(q1, q1_prime, q, b1, b2)
-    return None
+    """Check Property 2; return a witness of violation or ``None``."""
+    qc1, quorums = tuple(qc1), tuple(quorums)
+    return property2_witness(
+        adversary,
+        qc1, family_masks(adversary, qc1),
+        quorums, family_masks(adversary, quorums),
+    )
 
 
 def check_property3(
@@ -158,46 +159,151 @@ def check_property3(
 ) -> Optional[P3Witness]:
     """Check Property 3; return a witness of violation or ``None``.
 
-    The quantification over ``B ∈ B`` only needs to range over maximal
-    sets *unioned with nothing*: if P3a and P3b both fail for some ``B``,
-    they also fail for any superset of ``B`` in ``B`` — P3a's difference
-    only shrinks and P3b's intersection only shrinks.  But the converse is
-    not true, so for soundness we must check *all* elements, not just
-    maximal ones.  We enumerate ``B`` lazily, largest-first, because
-    larger ``B`` fail faster in practice.
-
-    P3a and P3b see the pair ``(Q2, Q)`` only through ``Q2 ∩ Q``, so
-    each distinct intersection is checked once; the iteration order is
-    unchanged, hence so is the first witness (an earlier pair with the
-    same failing intersection would have been returned first).
+    Whether a pair ``(Q2, Q)`` fails is decided on the maximal sets of
+    ``B`` alone (:func:`_fails_property3` says why that is sound *and*
+    complete); elements of ``B`` are enumerated only to name the first
+    witness of the one failing pair (:func:`_first_p3_witness`).
     """
-    qc1 = list(qc1)
+    qc1, qc2, quorums = tuple(qc1), tuple(qc2), tuple(quorums)
+    return property3_witness(
+        adversary,
+        qc1, family_masks(adversary, qc1),
+        qc2, family_masks(adversary, qc2),
+        quorums, family_masks(adversary, quorums),
+    )
+
+
+# The checks proper: integer loops over family masks (``*_masks[i]`` is
+# the mask of the family's ``i``-th member).  A system that holds its
+# masks (:class:`repro.core.rqs.RefinedQuorumSystem`) calls these; the
+# ``check_property*`` entry points above convert and delegate.  Each
+# distinct intersection is decided once; the walk is in index order, so
+# the witness is that of the first failing index pair (an earlier pair
+# with the same failing intersection would have been returned first).
+
+
+def property1_witness(
+    adversary: Adversary, quorums: Sequence[Subset], masks: Sequence[int]
+) -> Optional[P1Witness]:
+    corruptible = adversary.contains_mask
     passed = set()
-    for q2 in qc2:
-        for q in quorums:
+    for i, q in enumerate(masks):
+        for j in range(i, len(masks)):
+            meet = q & masks[j]
+            if meet in passed:
+                continue
+            if corruptible(meet):
+                return P1Witness(quorums[i], quorums[j])
+            passed.add(meet)
+    return None
+
+
+def property2_witness(
+    adversary: Adversary,
+    qc1: Sequence[Subset],
+    qc1_masks: Sequence[int],
+    quorums: Sequence[Subset],
+    masks: Sequence[int],
+) -> Optional[P2Witness]:
+    """"Not a subset of the union of any two elements of B" is exactly
+    ``Adversary.is_large_mask``; a witness needs the explicit covering
+    pair, which we recover from the maximal sets."""
+    large = adversary.is_large_mask
+    pairs = set()
+    passed = set()
+    for i, q1 in enumerate(qc1_masks):
+        for j in range(i, len(qc1_masks)):
+            pair = q1 & qc1_masks[j]
+            if pair in pairs:
+                continue
+            pairs.add(pair)
+            for index, q in enumerate(masks):
+                triple = pair & q
+                if triple in passed:
+                    continue
+                if not large(triple):
+                    b1, b2 = _covering_pair(adversary, triple)
+                    return P2Witness(qc1[i], qc1[j], quorums[index], b1, b2)
+                passed.add(triple)
+    return None
+
+
+def property3_witness(
+    adversary: Adversary,
+    qc1: Sequence[Subset],
+    qc1_masks: Sequence[int],
+    qc2: Sequence[Subset],
+    qc2_masks: Sequence[int],
+    quorums: Sequence[Subset],
+    masks: Sequence[int],
+) -> Optional[P3Witness]:
+    """P3a and P3b see the pair ``(Q2, Q)`` only through ``Q2 ∩ Q``:
+    each distinct intersection is *decided* once, on the maximal sets of
+    ``B`` (:func:`_fails_property3`); only the one failing pair is then
+    walked element by element (:func:`_first_p3_witness`)."""
+    passed = set()
+    for i, q2 in enumerate(qc2_masks):
+        for j, q in enumerate(masks):
             base = q2 & q
             if base in passed:
                 continue
-            if not base:
-                # An empty intersection fails P3a (∅ ∈ B by closure) and
-                # P3b (it meets no class-1 quorum) for B = ∅.
-                return P3Witness(
-                    _failing_q1(qc1, q2, q, frozenset()),
-                    q2, q, frozenset(), frozenset(),
-                )
-            # Only elements B that actually intersect Q2∩Q matter: P3a and
-            # P3b depend on B only through B ∩ (Q2∩Q).  Enumerate subsets
-            # of Q2∩Q that lie in B (via restriction) instead of all of B.
-            restricted = adversary.restricted_to(base)
-            for b in restricted.enumerate():
-                if p3a(adversary, q2, q, b):
-                    continue
-                if p3b(qc1, q2, q, b):
-                    continue
-                q1_witness = _failing_q1(qc1, q2, q, b)
-                return P3Witness(q1_witness, q2, q, b, base - b)
+            if _fails_property3(adversary, qc1_masks, base):
+                return _first_p3_witness(adversary, qc1, qc2[i], quorums[j])
             passed.add(base)
     return None
+
+
+def _fails_property3(
+    adversary: Adversary, qc1_masks: Sequence[int], base: int
+) -> bool:
+    """Is there a ``B ∈ B`` for which P3a and P3b both fail on an
+    intersection ``base = Q2 ∩ Q``?
+
+    The quantification over ``B`` needs the maximal sets only: if P3a
+    and P3b both fail for some ``B`` they also fail for every superset
+    of ``B`` in ``B`` — P3a's difference only shrinks (and ``B`` is
+    subset-closed), P3b's intersections only shrink.  So the answer is
+    yes iff for some maximal ``M`` the difference ``d = base \\ M`` is in
+    ``B`` and (``QC1`` is empty or some class-1 quorum misses ``d``).
+    Some ``base \\ M`` is in ``B`` iff ``base`` is not large, which is
+    asked first.
+    """
+    if adversary.is_large_mask(base):
+        return False
+    corruptible = adversary.contains_mask
+    for difference in {base & ~m for m in adversary.maximal_masks}:
+        if corruptible(difference) and not (
+            qc1_masks and all(q1 & difference for q1 in qc1_masks)
+        ):
+            return True
+    return False
+
+
+def _first_p3_witness(
+    adversary: Adversary, qc1: Sequence[Subset], q2: Subset, q: Subset
+) -> P3Witness:
+    """The first ``B`` — in the order of ``Adversary.enumerate`` on the
+    restriction to ``Q2 ∩ Q``, so not necessarily a maximal one — for
+    which P3a and P3b both fail on a pair that :func:`_fails_property3`
+    has decided fails.  Every earlier pair passed, so this is the first
+    witness of the whole check; it is the only place Property 3 still
+    enumerates elements of ``B``."""
+    base = q2 & q
+    if not base:
+        # An empty intersection fails P3a (∅ ∈ B by closure) and P3b
+        # (it meets no class-1 quorum) for B = ∅.
+        return P3Witness(
+            _failing_q1(qc1, q2, q, frozenset()),
+            q2, q, frozenset(), frozenset(),
+        )
+    # P3a and P3b depend on B only through B ∩ (Q2∩Q): enumerate the
+    # subsets of Q2∩Q that lie in B (via restriction), largest maximal
+    # set first, instead of all of B.
+    for b in adversary.restricted_to(base).enumerate():
+        if p3a(adversary, q2, q, b) or p3b(qc1, q2, q, b):
+            continue
+        return P3Witness(_failing_q1(qc1, q2, q, b), q2, q, b, base - b)
+    raise AssertionError("caller promised the pair fails Property 3")
 
 
 def _failing_q1(
@@ -212,14 +318,14 @@ def _failing_q1(
 
 
 def _covering_pair(
-    adversary: Adversary, target: Subset
+    adversary: Adversary, target: int
 ) -> Tuple[Subset, Subset]:
     """Find ``B1, B2 ∈ B`` with ``target ⊆ B1 ∪ B2`` (caller guarantees
     existence, i.e. ``target`` is not large)."""
-    for b1 in adversary.maximal_sets():
-        remainder = target - b1
-        if adversary.contains(remainder):
-            return frozenset(b1 & target), frozenset(remainder)
+    for b1 in adversary.maximal_masks:
+        remainder = target & ~b1
+        if adversary.contains_mask(remainder):
+            return adversary.members(b1 & target), adversary.members(remainder)
     raise AssertionError("caller promised target is not large")
 
 

@@ -54,9 +54,11 @@ def _minimal_masks(masks: Iterable[int]) -> Tuple[int, ...]:
 class QuorumIndex:
     """Bitmask tables over one (immutable) refined quorum system.
 
-    Server ``i`` of the ``repr``-sorted ground set is bit ``1 << i``; a
-    subset of ``S`` is a Python int.  Built once per system, on first
-    use (:attr:`RefinedQuorumSystem.index`), so the protocol clients
+    Server ``i`` of the ``repr``-sorted ground set is bit ``1 << i``
+    (the adversary's bit order, and the family masks the system was
+    validated on); a subset of ``S`` is a Python int.  Built once per
+    system, on first use (:attr:`RefinedQuorumSystem.index`), so the
+    protocol clients
     answer "does a quorum fit?", "is this set basic?" and the Figure 7
     best-case-detector intersections with a few integer operations
     instead of re-scanning frozenset families per ack.
@@ -83,23 +85,16 @@ class QuorumIndex:
     )
 
     def __init__(self, rqs: "RefinedQuorumSystem"):
+        self._adversary = rqs.adversary
         #: The ground set in ``repr`` order (bit ``i`` is ``servers[i]``).
-        self.servers: Tuple[Hashable, ...] = tuple(
-            sorted(rqs.ground_set, key=repr)
-        )
+        self.servers: Tuple[Hashable, ...] = self._adversary.servers
         #: server -> its bit.
-        self.bit: Dict[Hashable, int] = {
-            server: 1 << i for i, server in enumerate(self.servers)
-        }
+        self.bit: Dict[Hashable, int] = self._adversary.bit
         #: The whole ground set.
         self.full = (1 << len(self.servers)) - 1
-        self._adversary = rqs.adversary
         #: ``masks[cls]``: one mask per quorum of ``class_quorums(cls)``,
         #: in the same order.
-        self.masks: Dict[int, Tuple[int, ...]] = {
-            cls: tuple(self.mask(q) for q in rqs.class_quorums(cls))
-            for cls in (1, 2, 3)
-        }
+        self.masks: Dict[int, Tuple[int, ...]] = rqs._masks
         #: quorum -> its best (lowest) class.
         self.class_of: Dict[Subset, int] = {}
         for cls in (3, 2, 1):
@@ -126,17 +121,14 @@ class QuorumIndex:
 
     def members(self, mask: int) -> Subset:
         """The subset of ``S`` a mask stands for."""
-        return frozenset(
-            server for i, server in enumerate(self.servers)
-            if mask >> i & 1
-        )
+        return self._adversary.members(mask)
 
     def is_basic(self, mask: int) -> bool:
         """Definition 5 on a mask: the subset is not in ``B``."""
         basic = self._basic.get(mask)
         if basic is None:
-            basic = self._basic[mask] = self._adversary.is_basic(
-                self.members(mask)
+            basic = self._basic[mask] = not self._adversary.contains_mask(
+                mask
             )
         return basic
 
@@ -244,7 +236,9 @@ class RefinedQuorumSystem:
         else:
             self._qc2 = props.normalize_family(qc2)
         self._index: Optional[QuorumIndex] = None
-        self._check_shape()
+        #: ``_masks[cls]``: the masks of ``class_quorums(cls)``, in order —
+        #: converted once, shared by validation and :attr:`index`.
+        self._masks: Dict[int, Tuple[int, ...]] = self._checked_masks()
         if validate:
             violation = self.first_violation()
             if violation is not None:
@@ -253,22 +247,33 @@ class RefinedQuorumSystem:
 
     # -- construction invariants --------------------------------------------
 
-    def _check_shape(self) -> None:
-        ground = self._adversary.ground_set
+    def _checked_masks(self) -> Dict[int, Tuple[int, ...]]:
+        """Check the shape of the three families and return their masks.
+
+        Each quorum is converted once; ``QC1`` and ``QC2`` find theirs
+        by lookup, which is the sub-family check.
+        """
         if not self._quorums:
             raise QuorumSystemError("RQS must contain at least one quorum")
-        for quorum in self._quorums:
-            if not quorum <= ground:
-                raise QuorumSystemError(
-                    f"quorum {set(quorum)} is not a subset of S"
-                )
-            if not quorum:
-                raise QuorumSystemError("quorums must be non-empty")
-        quorum_set = set(self._quorums)
-        if not set(self._qc2) <= quorum_set:
-            raise QuorumSystemError("QC2 must be a sub-family of RQS")
-        if not set(self._qc1) <= set(self._qc2):
+        masks = self._adversary.masks(self._quorums)
+        if None in masks:
+            outside = self._quorums[masks.index(None)]
+            raise QuorumSystemError(
+                f"quorum {set(outside)} is not a subset of S"
+            )
+        if 0 in masks:
+            raise QuorumSystemError("quorums must be non-empty")
+        mask_of: Dict[Subset, int] = dict(zip(self._quorums, masks))
+        try:
+            qc2 = tuple([mask_of[quorum] for quorum in self._qc2])
+        except KeyError:
+            raise QuorumSystemError(
+                "QC2 must be a sub-family of RQS"
+            ) from None
+        qc1 = tuple([mask_of.get(quorum) for quorum in self._qc1])
+        if not set(qc1) <= set(qc2):
             raise QuorumSystemError("QC1 must be a sub-family of QC2")
+        return {1: qc1, 2: qc2, 3: masks}
 
     # -- basic accessors -----------------------------------------------------
 
@@ -284,7 +289,7 @@ class RefinedQuorumSystem:
     def servers(self) -> Tuple[Hashable, ...]:
         """The ground set as a tuple in ``repr`` order — the order every
         protocol broadcasts in."""
-        return self.index.servers
+        return self._adversary.servers
 
     @property
     def quorums(self) -> Tuple[Subset, ...]:
@@ -353,39 +358,34 @@ class RefinedQuorumSystem:
 
     # -- validation ----------------------------------------------------------
 
+    def _witnesses(self) -> Iterator[Tuple[str, object]]:
+        """``(name, witness)`` of each violated property, checked lazily
+        in the order P1, P2, P3 on the system's own masks."""
+        adversary = self._adversary
+        quorums = (self._quorums, self._masks[3])
+        qc1 = (self._qc1, self._masks[1])
+        qc2 = (self._qc2, self._masks[2])
+        witness = props.property1_witness(adversary, *quorums)
+        if witness is not None:
+            yield ("P1", witness)
+        witness = props.property2_witness(adversary, *qc1, *quorums)
+        if witness is not None:
+            yield ("P2", witness)
+        witness = props.property3_witness(adversary, *qc1, *qc2, *quorums)
+        if witness is not None:
+            yield ("P3", witness)
+
     def first_violation(self):
         """Return ``(name, witness)`` for the first violated property.
 
-        Checks Properties 1, 2, 3 in order; returns ``None`` when all hold.
+        Checks Properties 1, 2, 3 in order (a later one is not checked
+        once an earlier one fails); returns ``None`` when all hold.
         """
-        w1 = props.check_property1(self._adversary, self._quorums)
-        if w1 is not None:
-            return ("P1", w1)
-        w2 = props.check_property2(self._adversary, self._qc1, self._quorums)
-        if w2 is not None:
-            return ("P2", w2)
-        w3 = props.check_property3(
-            self._adversary, self._qc1, self._qc2, self._quorums
-        )
-        if w3 is not None:
-            return ("P3", w3)
-        return None
+        return next(self._witnesses(), None)
 
     def violations(self) -> Tuple[Tuple[str, object], ...]:
         """All violated properties with witnesses (possibly empty)."""
-        found = []
-        w1 = props.check_property1(self._adversary, self._quorums)
-        if w1 is not None:
-            found.append(("P1", w1))
-        w2 = props.check_property2(self._adversary, self._qc1, self._quorums)
-        if w2 is not None:
-            found.append(("P2", w2))
-        w3 = props.check_property3(
-            self._adversary, self._qc1, self._qc2, self._quorums
-        )
-        if w3 is not None:
-            found.append(("P3", w3))
-        return tuple(found)
+        return tuple(self._witnesses())
 
     def is_valid(self) -> bool:
         return self.first_violation() is None

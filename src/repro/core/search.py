@@ -14,7 +14,13 @@ for small universes:
   "live" subsets or a provided family), keep a Property-1-satisfying
   family, classify, and return a validated RQS.
 
-Everything here is exponential in ``|S|`` and intended for ``|S| ≤ ~10``.
+Everything here is exponential in ``|S|`` and intended for ``|S| ≤ ~11``:
+``search_rqs(ThresholdAdversary(range(1, n + 1), k))`` takes 0.06 s for
+``B_1`` over 8 servers, 2.7 s for ``B_1`` over 10, 7 s for ``B_2`` over
+11 and 23 s for ``B_2`` over 12 (timed with ``time.perf_counter`` around
+that call; the greedy classification re-checks Properties 2 and 3 once
+per candidate, each check converting its families to masks — on
+frozenset algebra the same calls took 0.5 s, 17 s and 150 s).
 """
 
 from __future__ import annotations

@@ -62,12 +62,8 @@ def parameter_space(max_n: int) -> Iterator[Tuple[int, int, int, int, int]]:
 def _evaluate_point(point: Mapping) -> Mapping:
     n, t, k, q, r = point["params"]
     rqs = threshold_rqs(n, t, k, q, r, validate=False)
-    violation = rqs.first_violation()
-    actual = (
-        _actual_properties(rqs)
-        if violation is not None
-        else (True, True, True)
-    )
+    violated = {name for name, _ in rqs.violations()}
+    actual = tuple(name not in violated for name in ("P1", "P2", "P3"))
     predicted = threshold_rqs_predicted_properties(n, t, k, q, r)
     match = actual == predicted
     return {
@@ -101,18 +97,6 @@ def run_sweep(max_n: int = 7) -> SweepResult:
     ]
     boundary = sum(1 for cell in sweep.cells if cell.metrics["boundary"])
     return SweepResult(len(sweep.cells), mismatches, boundary)
-
-
-def _actual_properties(rqs) -> Tuple[bool, bool, bool]:
-    from repro.core import properties as props
-
-    p1 = props.check_property1(rqs.adversary, rqs.quorums) is None
-    p2 = props.check_property2(rqs.adversary, rqs.qc1, rqs.quorums) is None
-    p3 = (
-        props.check_property3(rqs.adversary, rqs.qc1, rqs.qc2, rqs.quorums)
-        is None
-    )
-    return (p1, p2, p3)
 
 
 def _on_boundary(n: int, t: int, k: int, q: int, r: int) -> bool:

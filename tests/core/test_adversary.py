@@ -1,5 +1,7 @@
 """Unit and property tests for adversary structures (Definition 1)."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -144,6 +146,34 @@ def test_threshold_matches_explicit_materialization(k, probe):
     assert threshold.is_basic(probe) == explicit.is_basic(probe)
     if probe <= set(SERVERS):
         assert threshold.is_large(probe) == explicit.is_large(probe)
+
+
+def test_a_set_that_leaves_the_ground_set_has_one_answer():
+    """A set with a member outside ``S`` is not in ``B`` — hence basic
+    and large — whichever class answers.  (``B_k`` used to count its
+    members, so ``{1, 'x'}`` was not large for ``k = 1`` while its
+    explicit materialization said it was.)"""
+    assert ThresholdAdversary(SERVERS, 1).is_large({1, "x"})
+    for n in range(1, 6):
+        servers = tuple(range(1, n + 1))
+        universe = servers + ("x",)
+        for k in range(n + 1):
+            threshold = ThresholdAdversary(servers, k)
+            explicit = ExplicitAdversary.from_threshold(servers, k)
+            for size in range(len(universe) + 1):
+                for probe in map(frozenset, combinations(universe, size)):
+                    answers = [
+                        (adv.contains(probe), adv.is_basic(probe),
+                         adv.is_large(probe))
+                        for adv in (threshold, explicit)
+                    ]
+                    assert answers[0] == answers[1]
+                    if "x" in probe:
+                        assert answers[0] == (False, True, True)
+                    else:
+                        assert answers[0] == (
+                            size <= k, size > k, size > 2 * k
+                        )
 
 
 @given(family=family_strategy, probe=subset_strategy)

@@ -1,5 +1,6 @@
 """Tests for the three RQS properties and their negation witnesses."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.adversary import ExplicitAdversary, ThresholdAdversary
@@ -129,10 +130,43 @@ def _check_property3_per_pair(adversary, qc1, qc2, quorums):
 
 class _CountingThreshold(ThresholdAdversary):
     restrictions = 0
+    conversions = 0
 
     def restricted_to(self, subset):
         self.restrictions += 1
         return super().restricted_to(subset)
+
+    def masks(self, family):
+        self.conversions += 1
+        return super().masks(family)
+
+
+@pytest.fixture
+def explicit_built(monkeypatch):
+    """How many ``ExplicitAdversary`` objects have been constructed."""
+    built = []
+    shipped = ExplicitAdversary.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        shipped(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExplicitAdversary, "__init__", counting)
+    return built
+
+
+@pytest.fixture
+def decided(monkeypatch):
+    """The intersections Property 3 was decided on."""
+    asked = []
+    shipped = props._fails_property3
+
+    def counting(adversary, qc1_masks, base):
+        asked.append(base)
+        return shipped(adversary, qc1_masks, base)
+
+    monkeypatch.setattr(props, "_fails_property3", counting)
+    return asked
 
 
 class TestProperty3FirstWitness:
@@ -176,7 +210,15 @@ class TestProperty3FirstWitness:
             assert expected is not None
             assert props.check_property3(*args) == expected
 
-    def test_example6_checks_219_intersections_not_3441_pairs(self):
+    def test_validating_example6_restricts_and_enumerates_nothing(
+        self, explicit_built, decided
+    ):
+        """What validation costs, without a clock: the quorum family is
+        converted to masks once (QC1 and QC2 find theirs by lookup),
+        each of the 219 distinct ``Q2 ∩ Q`` of the 3441 pairs is decided
+        once on those masks (every one is large here, so not even the
+        maximal sets of ``B`` are asked for) — and no induced structure
+        is built, so no element of ``B`` is enumerated."""
         adversary = _CountingThreshold(SERVERS, 1)
         rqs = RefinedQuorumSystem(
             adversary,
@@ -185,7 +227,31 @@ class TestProperty3FirstWitness:
             qc2=subsets_missing_at_most(SERVERS, 2),
         )
         assert len(rqs.qc2) * len(rqs.quorums) == 3441
-        assert adversary.restrictions == 219
+        assert len(decided) == len(set(decided)) == 219
+        assert adversary.restrictions == 0
+        assert explicit_built == []
+        assert adversary.conversions == 1
+        # The index is built on those very masks, not on its own.
+        assert rqs.index.masks[3] is rqs._masks[3]
+        assert adversary.conversions == 1
+
+    def test_a_failing_system_restricts_once(self, explicit_built, decided):
+        """Only the one failing pair is walked element by element."""
+        adversary = _CountingThreshold(SERVERS, 1)
+        rqs = RefinedQuorumSystem(
+            adversary,
+            subsets_missing_at_most(SERVERS, 3),
+            qc1=subsets_missing_at_most(SERVERS, 1),
+            qc2=subsets_missing_at_most(SERVERS, 3),
+            validate=False,
+        )
+        name, witness = rqs.first_violation()
+        assert name == "P3"
+        assert adversary.restrictions == len(explicit_built) == 1
+        assert explicit_built[0].ground_set == witness.q2 & witness.q
+        # Every intersection before the failing one passed, once each.
+        assert len(decided) == len(set(decided))
+        assert adversary.conversions == 2  # RQS, the maximal sets of B
 
 
 class TestNormalizeFamily:
