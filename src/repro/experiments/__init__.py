@@ -26,16 +26,19 @@ module                 exhibit
 ``baselines``          E12 — RQS vs fast-ABD / ABD / Paxos / PBFT
 ``metrics_ablation``   E13 — load/availability ablation
 ``contention``         E14 — keyed-register contention sweep (per-key verdicts)
-``soak``               E15 — horizon-free streaming soaks (online verdicts)
 ``capacity``           E16 — predicted vs measured strategy capacity
-``batched``            E17 — batched hot path: throughput vs batch size
-``scaling``            E18 — sharded soak scaling: shards × op budget
-``skew_scaling``       E19 — skew-balanced sharding + batched tail latency
+``batched``            E17 — batching never inflates the read tail
 =====================  ========================================================
 
+E15 / E18 / E19 and E17's events per op are claims about the simulator's
+own scale and have no driver here: their specs are the labelled rows of
+``benchmarks/bench_workload.py``, gated by ``tools/check_bench.py``
+(``docs/experiments.md`` names the row and rule for each).
+
 Shared helpers: :func:`~repro.experiments.builders.keyed_mix_spec`
-builds the keyed-``RandomMix`` cells used by the contention/soak grids
-and the workload bench, so the spec shape lives in exactly one place.
+builds the keyed-``RandomMix`` cells used by the contention and tail
+grids and the workload bench, so the spec shape lives in exactly one
+place.
 """
 
 from repro.experiments.builders import DEFAULT_RQS, keyed_mix_spec

@@ -1,10 +1,10 @@
 """Shared spec builders for keyed-workload studies.
 
-``benchmarks/bench_workload.py`` and the contention/soak experiment
-grids all build the same shape of scenario — a seeded
-:class:`~repro.scenarios.RandomMix` over ``n_keys`` registers on one of
-the storage protocols — and used to duplicate the spec-assembly
-boilerplate.  :func:`keyed_mix_spec` holds it once: protocol wiring
+``benchmarks/bench_workload.py``, ``perf/workloads.py`` and the
+contention and batched-tail grids all build the same shape of
+scenario — a seeded :class:`~repro.scenarios.RandomMix` over ``n_keys``
+registers on one of the storage protocols.  :func:`keyed_mix_spec`
+holds the spec assembly once: protocol wiring
 (the RQS instance for ``rqs-storage``, parameter-free baselines
 otherwise), the uniform/zipfian keyspace choice, and the optional
 open-loop stopping rule for horizon-free soaks.

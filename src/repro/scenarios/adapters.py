@@ -152,9 +152,8 @@ class ProtocolAdapter:
     def execute(self, spec) -> None:
         max_events = self._event_budget(spec)
         if spec.horizon is None:
-            self.sim.run_to_completion(
-                strict=spec.strict, max_events=max_events
-            )
+            # Forever-blocked ops are reported (``RunResult.blocked``).
+            self.sim.run_to_completion(strict=False, max_events=max_events)
         else:
             self.sim.run(until=spec.horizon, max_events=max_events)
 

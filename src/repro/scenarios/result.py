@@ -19,8 +19,8 @@ Every result is a fleet (:class:`ResultSurface`): a plain
 (``n_shards == 1``, ``imbalance == 1.0``, its own process's peak RSS),
 :class:`~repro.scenarios.sharding.ShardedRunResult` for its workers.
 :func:`soak_row` is the one flat projection of a streamed result that
-every soak table (the default sweep measure, the E15 / E17 / E18 / E19
-grids, ``benchmarks/bench_workload.py``) is cut from.
+every soak table (the default sweep measure, every row of
+``benchmarks/bench_workload.py``) is cut from.
 """
 
 from __future__ import annotations

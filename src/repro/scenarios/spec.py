@@ -178,9 +178,6 @@ class ScenarioSpec:
         ``duration`` simulated time units — whichever comes first.
         In-flight operations still run to completion.  Consensus
         protocols reject both fields.
-    strict:
-        With ``horizon=None``, raise if tasks are still blocked when the
-        event queue drains.
     trace_level:
         How much message history the execution retains — a
         :class:`~repro.sim.network.TraceLevel` or its name
@@ -240,7 +237,6 @@ class ScenarioSpec:
     horizon: Optional[float] = None
     duration: Optional[float] = None
     max_ops: Optional[int] = None
-    strict: bool = False
     trace_level: Union[TraceLevel, str] = TraceLevel.FULL
     quorum_strategy: Union[None, str, Strategy] = None
     params: Mapping[str, Any] = field(default_factory=dict)

@@ -83,3 +83,5 @@ class TestTradeoff:
         avails = [avail for _, _, _, avail in rows]
         assert loads == sorted(loads)
         assert avails == sorted(avails)
+        # The balanced row of that boundary is a valid system.
+        assert threshold_asymmetric(8, 1, write_size=5, read_size=5).is_valid()

@@ -158,6 +158,11 @@ class TestPaperInstances:
         # The paper's remark: cardinality is not class — Q' is bigger
         # than Q1 yet only class 3.
         assert len(named["Q'"]) > len(named["Q1"])
+        # The caption's intersection cardinalities at k = 1:
+        # |Q2∩Q'| = |Q2∩Q1| = 2k+1, |Q2∩Q∩Q1| = k+1.
+        q, qp, q2, q1 = (named[n] for n in ("Q", "Q'", "Q2", "Q1"))
+        assert len(q2 & qp) == len(q2 & q1) == 3
+        assert len(q2 & q & q1) == 2
 
     def test_example7(self):
         rqs = con.example7_rqs()

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.constructions import threshold_rqs
+from repro.core.properties import negate_property3
 from repro.experiments import (
     baselines,
     batched,
@@ -11,9 +13,6 @@ from repro.experiments import (
     fig1,
     fig4,
     metrics_ablation,
-    scaling,
-    skew_scaling,
-    soak,
     storage_latency,
     stress,
     theorem3,
@@ -25,6 +24,9 @@ class TestFig1:
     def test_naive_violates(self):
         outcome = fig1.run_naive()
         assert not outcome.report.atomic
+        assert {v.rule for v in outcome.report.violations} == {
+            "read-inversion"
+        }
         assert outcome.r1_value == "v" and outcome.r1_rounds == 1
 
     def test_fastabd_survives_same_schedule(self):
@@ -61,6 +63,14 @@ class TestTheorem3:
         names = [name for name, _ in rqs.violations()]
         assert names == ["P3"]
 
+    def test_valid_sibling_admits_no_witness(self):
+        """The control: example6, the family the broken one is cut
+        from, has no Property-3 negation witness at all."""
+        control = threshold_rqs(8, 3, 1, 1, 2)
+        assert negate_property3(
+            control.adversary, control.qc1, control.qc2, control.quorums
+        ) is None
+
 
 class TestTheorem6:
     def test_violation_demonstrated(self):
@@ -74,11 +84,13 @@ class TestTheorem6:
 
 class TestBounds:
     def test_sweep_tight_small(self):
-        result = bounds.run_sweep(max_n=6)
+        result = bounds.run_sweep(max_n=7)
         assert result.tight and result.points > 300
 
     def test_minimal_sizes(self):
-        assert bounds.minimal_system_sizes(2) == [(1, 4), (2, 7)]
+        assert bounds.minimal_system_sizes(4) == [
+            (1, 4), (2, 7), (3, 10), (4, 13),
+        ]
 
 
 class TestBaselines:
@@ -88,7 +100,7 @@ class TestBaselines:
 
 
 class TestStress:
-    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("seed", range(6))
     def test_storage_stress(self, seed):
         outcome = stress.storage_stress(seed)
         assert outcome.ok
@@ -129,159 +141,17 @@ class TestContention:
         assert all(row.atomic_cells == row.cells == 2 for row in rows)
 
 
-class TestSoak:
-    def test_grid_reaches_a_million_ops(self):
-        """The E15 literal spans protocols × n_keys × op counts up to
-        1e6 (the acceptance soak runs via the workload bench / CI)."""
-        max_ops = dict(soak.GRID.axes)["max_ops"]
-        assert max(max_ops) == 1_000_000
-        assert set(dict(soak.GRID.axes)["protocol"]) == {
-            "abd", "fastabd", "rqs-storage",
-        }
-
-    def test_rqs_cells_run_with_bounded_history(self):
-        spec = soak.GRID.build({
-            "protocol": "rqs-storage", "n_keys": 4,
-            "max_ops": 10_000, "seed": 5,
-        })
-        assert spec.param("bounded_history", False) is True
-        baseline = soak.GRID.build({
-            "protocol": "abd", "n_keys": 4, "max_ops": 10_000, "seed": 5,
-        })
-        assert baseline.param("bounded_history", False) is False
-
-    def test_small_cells_stream_with_online_verdicts(self):
-        from repro.scenarios import run_grid
-
-        sweep = run_grid(soak.GRID.where(max_ops=10_000, n_keys=4))
-        assert sweep.verdict_counts() == {"atomic": 3}
-        for cell in sweep.cells:
-            assert cell.metrics["completed"] == 10_000
-            assert cell.metrics["violations"] == 0
-            # Bounded retained state — the streaming-pipeline exhibit.
-            assert cell.metrics["checker_max_retained"] < 100
-            if cell.point["protocol"] == "rqs-storage":
-                assert cell.metrics["bounded_history"] is True
-                assert cell.metrics["server_gc_removed_cells"] > 0
-                # Flat server memory: ~O(servers × keys), not O(writes).
-                assert cell.metrics["server_max_retained_cells"] < 2_000
-            else:
-                assert cell.metrics["server_max_retained_cells"] == 0
-
-    def test_rows_fold_the_subgrid(self):
-        rows = soak.run_experiment(sizes=(10_000,))
-        assert len(rows) == 6  # 3 protocols × 2 keyspaces
-        assert all(row.verdict == "atomic" for row in rows)
-        assert all(row.checker_max_retained < 100 for row in rows)
-        rqs_rows = [r for r in rows if r.protocol == "rqs-storage"]
-        assert rqs_rows and all(
-            0 < r.server_max_retained < 2_000 for r in rqs_rows
-        )
-
-
-class TestBatched:
-    def test_grid_shape(self):
-        """The E17 literal sweeps protocol × batch size × op budget on
-        the E15 16-key soak shape."""
-        axes = dict(batched.GRID.axes)
-        assert axes["batch_size"] == (1, 4, 16)
-        assert set(axes["protocol"]) == {"abd", "fastabd", "rqs-storage"}
-        spec = batched.GRID.build({
-            "protocol": "abd", "batch_size": 16,
-            "max_ops": 10_000, "seed": 5,
-        })
-        assert spec.workload[0].batch_size == 16
-        assert spec.n_keys == batched.SOAK_KEYS
-
-    def test_rows_fold_with_speedups(self):
-        rows = batched.run_experiment(sizes=(10_000,))
-        assert len(rows) == 9  # 3 protocols × 3 batch sizes
-        assert all(row.verdict == "atomic" for row in rows)
-        by_cell = {(r.protocol, r.batch_size): r for r in rows}
-        for protocol in ("abd", "fastabd", "rqs-storage"):
-            plain = by_cell[(protocol, 1)]
-            big = by_cell[(protocol, 16)]
-            assert plain.speedup == 1.0
-            # Events per op are deterministic — the machine-independent
-            # form of the ≥5× throughput claim gated in CI.
-            assert big.events_per_op * 5 <= plain.events_per_op
-            assert big.speedup > 1.0
-
-
-class TestScaling:
-    def test_grid_shape(self):
-        """The E18 literal sweeps shard fan-out × op budget on the E17
-        batched 16-key soak shape."""
-        axes = dict(scaling.GRID.axes)
-        assert axes["shards"] == (1, 2, 4, 8)
-        assert scaling.TEN_MILLION in axes["max_ops"]
-        spec = scaling.GRID.build({
-            "shards": 4, "max_ops": 100_000, "seed": 5,
-        })
-        assert spec.shards == 4
-        assert spec.workload[0].batch_size == scaling.BATCH
-        reference = scaling.GRID.build({
-            "shards": 1, "max_ops": 100_000, "seed": 5,
-        })
-        # The shards=1 column is the plain single-process soak, so
-        # every speedup is against the same-budget unsharded baseline.
-        assert reference == spec.with_(shards=1)
-
-    def test_rows_fold_with_capacity_ratios(self):
-        rows = scaling.run_experiment(sizes=(100_000,), shards=(1, 4))
-        assert len(rows) == 2
-        assert all(row.verdict == "atomic" for row in rows)
-        by_shards = {row.shards: row for row in rows}
-        assert by_shards[1].capacity_ratio == 1.0
-        # The CI bench gate requires ≥3×; assert a looser floor here —
-        # the claim under test is that capacity scales with shards.
-        assert by_shards[4].capacity_ratio >= 2.0
-        assert by_shards[4].max_shard_rss_kb > 0
-
-
-class TestSkewScaling:
-    def test_grid_shape(self):
-        """The E19 skew grid sweeps zipf exponent × shard fan-out on
-        duration-bounded batched zipfian soaks (an op budget would pin
-        imbalance at 1.0 by even splitting)."""
-        axes = dict(skew_scaling.GRID.axes)
-        assert axes["skew"] == (0.8, 1.2, 2.0)
-        assert axes["shards"] == (1, 2, 4)
-        spec = skew_scaling.GRID.build({
-            "skew": 1.2, "shards": 4, "seed": 5,
-        })
-        assert spec.shards == 4
-        assert spec.n_keys == skew_scaling.SOAK_KEYS
-        assert spec.max_ops is None
-        assert spec.duration == skew_scaling.DURATION
-        mix = spec.workload[0]
-        assert mix.distribution == "zipfian"
-        assert mix.skew == 1.2
-        assert mix.batch_size == skew_scaling.BATCH
-
-    def test_rows_fold_with_capacity_and_imbalance(self):
-        rows = skew_scaling.run_experiment(skews=(1.2,), shards=(1, 4))
-        assert len(rows) == 2
-        assert all(row.verdict == "atomic" for row in rows)
-        by_shards = {row.shards: row for row in rows}
-        assert by_shards[1].capacity_ratio == 1.0
-        assert by_shards[1].imbalance == 1.0
-        # The CI bench gate requires ≥2.5×; assert a looser floor here.
-        assert by_shards[4].capacity_ratio >= 2.0
-        # The LPT partition holds the gate's balance budget at skew 1.2
-        # (a crc32 partition of this draw sits at ~1.8 expected load).
-        assert by_shards[4].imbalance <= 1.3
-
+class TestBatchedTail:
     def test_tail_grid_shape(self):
-        axes = dict(skew_scaling.TAIL_GRID.axes)
+        axes = dict(batched.TAIL_GRID.axes)
         assert axes["protocol"] == ("fastabd", "rqs-storage")
-        assert axes["batch"] == (1, skew_scaling.TAIL_BATCH)
+        assert axes["batch"] == (1, batched.TAIL_BATCH)
         for protocol in axes["protocol"]:
-            spec = skew_scaling.TAIL_GRID.build({
+            spec = batched.TAIL_GRID.build({
                 "protocol": protocol, "batch": 16,
-                "seed": skew_scaling.TAIL_SEED,
+                "seed": batched.TAIL_SEED,
             })
-            assert spec.faults == skew_scaling.TAIL_PLANS[protocol]
+            assert spec.faults == batched.TAIL_PLANS[protocol]
             assert spec.workload[0].batch_size == 16
 
     def test_tail_p99_contract(self):
@@ -290,7 +160,7 @@ class TestSkewScaling:
         unbatched protocol — and the comparison is non-vacuous (the
         rqs-storage plan degrades unbatched reads to the Theorem 9
         three-round figure)."""
-        rows = skew_scaling.run_tail()
+        rows = batched.run_tail()
         assert len(rows) == 2
         by_protocol = {row.protocol: row for row in rows}
         for row in rows:
@@ -302,10 +172,16 @@ class TestSkewScaling:
 
 class TestMetricsAblation:
     def test_shapes(self):
-        rows = metrics_ablation.sweep((0.0, 0.1, 0.2))
+        rows = metrics_ablation.sweep((0.0, 0.05, 0.1, 0.2, 0.3))
         assert rows[0].expected_latency == pytest.approx(1.0)
         assert rows[-1].avail_class1 < rows[0].avail_class1
+        # Class-1 quorums are bigger: more load, and as p grows they
+        # die first, so the expected best-case latency only degrades.
+        assert rows[0].load_class1 > rows[0].load_class3
+        for earlier, later in zip(rows, rows[1:]):
+            assert later.avail_class1 <= earlier.avail_class1
+            assert later.expected_latency >= earlier.expected_latency
 
     def test_search(self):
-        results = metrics_ablation.search_cost((4, 5))
+        results = metrics_ablation.search_cost((4, 5, 6))
         assert all(quorums >= 1 for _, quorums, _ in results)

@@ -12,6 +12,7 @@ point of batching.)
 import pytest
 
 from repro.errors import ScenarioError
+from repro.experiments import keyed_mix_spec
 from repro.scenarios import RandomMix, ScenarioSpec, run
 from repro.scenarios.faults import Crash, Drop, FaultPlan, Hold
 from repro.scenarios.workloads import Write
@@ -106,6 +107,26 @@ def test_batched_equals_unbatched_mw(protocol, fault_label):
     again = run(_spec(protocol, batch_size=8, n_writers=3, faults=faults))
     assert batched.fingerprint() == again.fingerprint()
     assert _final_pairs(batched) == _final_pairs(again)
+
+
+@pytest.mark.parametrize("protocol", ("abd", "fastabd", "rqs-storage"))
+def test_batching_collapses_events_per_op(protocol):
+    """What batching buys, in its machine-independent form: on the
+    16-key open-loop soak ``batch_size=16`` completes the same ops in
+    >= 5x fewer simulated events, online-atomic either way (the gate
+    holds the same ratio on the 100k ``abd-sw`` rows of
+    ``BENCH_workload.json``)."""
+    plain, batched = (
+        run(keyed_mix_spec(
+            protocol, 16, writes=4000, reads=6000, readers=8, seed=5,
+            trace_level="metrics", max_ops=1000, batch_size=batch_size,
+            params={"bounded_history": protocol == "rqs-storage"},
+        ))
+        for batch_size in (1, 16)
+    )
+    assert batched.ops_completed() == plain.ops_completed() == 1000
+    assert plain.online.atomic and batched.online.atomic
+    assert batched.events_processed * 5 <= plain.events_processed
 
 
 def test_batch_size_one_is_byte_identical_to_default():

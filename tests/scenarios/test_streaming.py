@@ -211,13 +211,27 @@ class TestOpenLoop:
             == second.adapter.network.sent_count
         )
 
-    def test_online_verdict_covers_the_whole_run(self):
-        result = run(self._spec())
+    @pytest.mark.parametrize("protocol", ("abd", "fastabd", "rqs-storage"))
+    def test_online_verdict_covers_the_whole_run(self, protocol):
+        changes = {}
+        if protocol == "rqs-storage":
+            # Unbounded, the RQS servers keep O(writes) history cells.
+            changes = dict(rqs="example6", params={"bounded_history": True})
+        result = run(self._spec(protocol=protocol, **changes))
         online = result.online
         assert online is not None and online.atomic
-        assert online.checked_ops == 1500
+        assert online.violations == ()
+        assert online.checked_ops == result.ops_completed() == 1500
         assert len(online.keys) == 8
         assert online.max_retained < 100
+        history = result.server_history
+        if protocol == "rqs-storage":
+            assert history["bounded_history"] is True
+            assert history["gc_removed_cells"] > 0
+            # O(servers x keys) cells, not O(writes).
+            assert history["max_retained_cells"] < 2_000
+        else:
+            assert history is None
 
     def test_duration_stops_generation(self):
         result = run(self._spec(max_ops=None, duration=200.0))

@@ -56,14 +56,17 @@ class TestFastAbd:
         read = result.read()
         assert result.write().rounds == 1
         assert (read.result, read.rounds) == ("v", 1)
+        assert result.atomicity.atomic
 
     def test_two_round_fallback(self):
         result = register(
             "fastabd", Write(0.0, "v"), Read(10.0),
             faults=FaultPlan(crashes=crashes({4: 0.0, 5: 0.0})),
         )
+        read = result.read()
         assert result.write().rounds == 2
-        assert result.read().result == "v"
+        assert read.result == "v" and read.rounds <= 2
+        assert result.atomicity.atomic
 
     def test_atomic_with_incomplete_write(self):
         result = register(

@@ -42,16 +42,19 @@ def regular(rqs, *workload, readers=1, **spec_fields):
 class TestRegularReads:
     def test_single_round_even_on_class3_quorum(self):
         """Without the atomicity write-back, uncontended synchronous
-        reads are single-round regardless of the quorum class."""
-        result = regular(
-            "example6", Write(0.0, "v"), Read(10.0),
-            faults=FaultPlan(                        # class-3 only
-                crashes=[Crash(sid, 0.0) for sid in (1, 2, 3)]
-            ),
-        )
-        read = result.read()
-        assert result.write().rounds == 3
-        assert (read.result, read.rounds) == ("v", 1)
+        reads are single-round regardless of the quorum class — the
+        write pays the 1/2/3 staircase, the regular read never does."""
+        for crashed in (0, 2, 3):                    # class 1 / 2 / 3
+            result = regular(
+                "example6", Write(0.0, "v"), Read(10.0),
+                faults=FaultPlan(crashes=[
+                    Crash(sid, 0.0) for sid in range(1, crashed + 1)
+                ]),
+            )
+            read = result.read()
+            assert result.write().rounds == max(1, crashed)
+            assert (read.result, read.rounds) == ("v", 1)
+            assert check_swmr_regularity(result.records).regular
 
     def test_initial_read(self):
         record = regular("threshold:5,1,1,0,1", Read(0.0)).read()

@@ -13,6 +13,12 @@ no second transport — and a result is asked the same questions whatever
 executed it (``RunResult`` answers as a fleet of one), so nothing
 outside ``scenarios/result.py`` and ``scenarios/sharding.py`` looks at
 which class it was handed.
+
+Speed is measured in one place (ROADMAP north-star aim 1: ``perf/`` for
+wall-clock, a committed ``BENCH_*.json`` row with a
+``tools/check_bench.py`` rule for same-run ratios).  A test that takes
+the pytest benchmark plugin's fixture times something into a number
+stored nowhere — a third timing system — so nothing asks for it.
 """
 
 import re
@@ -24,6 +30,9 @@ SHARED_MEMORY = re.compile(r"\bshared_memory\b")
 SHAPE_PROBE = re.compile(
     r"""getattr\(\s*\w+,\s*["']n_shards["']"""
     r"""|isinstance\([^()]*\bShardedRunResult\b"""
+)
+BENCHMARK_PLUGIN = re.compile(
+    r"pytest[-_]benchmark|def \w+\([^)]*\bbenchmark\b"
 )
 EVERYWHERE = ("src/repro", "benchmarks", "examples")
 
@@ -57,3 +66,8 @@ def test_only_the_result_modules_look_at_a_results_shape():
     assert set(_sites(SHAPE_PROBE, *EVERYWHERE)) <= {
         "src/repro/scenarios/result.py", "src/repro/scenarios/sharding.py",
     }
+
+
+def test_nothing_asks_for_the_benchmark_plugin():
+    assert _sites(BENCHMARK_PLUGIN, "src", "benchmarks", "tests") == []
+    assert not BENCHMARK_PLUGIN.search((ROOT / "pyproject.toml").read_text())
