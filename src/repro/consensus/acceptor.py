@@ -73,6 +73,8 @@ class Acceptor(Process):
         self.rqs = rqs
         self.proposers = tuple(proposers)
         self.learners = tuple(learners)
+        #: Who an update goes to, in broadcast order.
+        self._update_targets = (*rqs.servers, *self.learners)
         self.service = service
         self.delta = delta
 
@@ -115,10 +117,7 @@ class Acceptor(Process):
 
     def _broadcast_update(self, update: Update) -> None:
         self.old.add(update_statement(update.step, update.value, update.view))
-        for target in self.rqs.servers:
-            self.send(target, update)
-        for learner in self.learners:
-            self.send(learner, update)
+        self.send_all(self._update_targets, update)
         # The paper's model delivers a process's broadcast to itself too.
         self._handle_update(self.pid, update)
 
@@ -255,8 +254,7 @@ class Acceptor(Process):
             return
         self.decided = value
         self.decided_event.set()
-        for target in self.rqs.servers:
-            self.send(target, Decision(value))
+        self.send_all(self.rqs.servers, Decision(value))
         self._record_decision(self.pid, value)
 
     def _handle_decision(self, src: Hashable, decision: Decision) -> None:

@@ -91,6 +91,5 @@ class Learner(Process):
         if self.learned is not None or self.crashed or self._pulls_left <= 0:
             return
         self._pulls_left -= 1
-        for acceptor in self.rqs.servers:
-            self.send(acceptor, DecisionPull())
+        self.send_all(self.rqs.servers, DecisionPull())
         self.sim.call_later(self._pull_interval, self._pull)

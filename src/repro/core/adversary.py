@@ -105,8 +105,18 @@ class Adversary(ABC):
     def masks(
         self, family: Iterable[Iterable[Element]]
     ) -> Tuple[Optional[int], ...]:
-        """:meth:`mask` of every member of ``family``, in order (one
-        call a family: a system converts its quorums here, once)."""
+        """:meth:`mask` of every member of ``family``, in order.
+
+        A family enumerated together with its masks over this very bit
+        order (``NormalizedFamily.over`` — the threshold constructions)
+        gets those back; any other family is converted here, once per
+        call.  The test is on the ``servers`` tuple's value, so a family
+        over another ground set, or over the same one in another order,
+        is converted like any iterable.
+        """
+        carried = getattr(family, "masks", None)
+        if carried is not None and family.servers == self._servers:
+            return carried
         family = tuple(family)
         bit = self._bit.__getitem__
         try:

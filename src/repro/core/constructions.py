@@ -22,6 +22,7 @@ This module materializes every example of Section 2.2:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import FrozenSet, Hashable, Iterable, Sequence, Tuple
@@ -41,40 +42,69 @@ Subset = FrozenSet[Hashable]
 
 def subsets_missing_at_most(
     ground: Iterable[Hashable], i: int
-) -> Tuple[Subset, ...]:
+) -> NormalizedFamily:
     """The family ``Q_i`` = all subsets of ``S`` with ``≥ |S| − i`` elements.
 
     This is the paper's ``Q_i`` notation (Section 2.2).  The result is
     in normal form — (size, sorted member reprs) — by construction:
     ``combinations`` over the ``repr``-sorted members enumerates each
     size in exactly that order, so nothing is sorted (or re-sorted by
-    :class:`RefinedQuorumSystem`) afterwards.
+    :class:`RefinedQuorumSystem`) afterwards.  It carries its masks over
+    that ``repr`` order (bit ``j`` is the ``j``-th member of the sorted
+    ground set — the order every :class:`Adversary` over ``S`` uses),
+    and one enumeration serves every caller that asks for the same
+    ``(S, i)`` (:func:`_enumerate_missing_at_most`).
     """
-    members = sorted(as_subset(ground), key=repr)
-    n = len(members)
+    servers = tuple(sorted(as_subset(ground), key=repr))
+    n = len(servers)
     if i < 0 or i >= n:
         raise QuorumSystemError(
             f"missing-count i={i} must satisfy 0 <= i < |S|={n}"
         )
-    family: list = []
+    return _enumerate_missing_at_most(servers, i)
+
+
+@lru_cache(maxsize=32)
+def _enumerate_missing_at_most(
+    servers: Tuple[Hashable, ...], i: int
+) -> NormalizedFamily:
+    """``Q_i`` over ``servers`` (already in ``repr`` order), members and
+    masks enumerated side by side: ``combinations`` walks the servers
+    and their bits in the same positions, and distinct bits sum to
+    their union.
+
+    Shared per ``(servers, i)``, least recently used of 32 dropped: a
+    grid over a thousand threshold *systems* (E11) asks for twenty
+    families, and a large one-off family (``n = 16``: 6 885 quorums) is
+    held no longer than 31 other requests.  The key is the ground set's
+    value, so nothing outlives or aliases a caller's objects.
+    """
+    n = len(servers)
+    bits = [1 << j for j in range(n)]
+    members: list = []
+    masks: list = []
     for size in range(n - i, n + 1):
-        family.extend(map(frozenset, combinations(members, size)))
-    return NormalizedFamily(family)
+        members.extend(map(frozenset, combinations(servers, size)))
+        masks.extend(map(sum, combinations(bits, size)))
+    return NormalizedFamily.over(servers, members, tuple(masks))
 
 
-def _tail_missing_at_most(
-    family: Tuple[Subset, ...], n: int, i: int
-) -> Tuple[Subset, ...]:
-    """``Q_i`` cut out of an enumerated ``Q_j`` (``i ≤ j``, ``n`` servers).
+def _tail_missing_at_most(family: NormalizedFamily, i: int) -> NormalizedFamily:
+    """``Q_i`` cut out of an enumerated ``Q_j`` (``i ≤ j``).
 
     :func:`subsets_missing_at_most` enumerates sizes in ascending order,
     so the subsets with ``≥ n − i`` elements are the last
     ``Σ_{s ≥ n−i} C(n, s)`` of it — the nested ``Q_q ⊆ Q_r ⊆ Q_t`` of a
     threshold system are tails of one enumeration, the same frozenset
-    objects, still in normal form.
+    objects and the same masks, still in normal form.
     """
-    count = sum(comb(n, size) for size in range(n - i, n + 1))
-    return NormalizedFamily(family[len(family) - count:])
+    n = len(family.servers)
+    start = len(family) - sum(comb(n, size) for size in range(n - i, n + 1))
+    if not start:
+        return family
+    return NormalizedFamily.over(
+        family.servers, family[start:], family.masks[start:]
+    )
 
 
 def default_servers(n: int) -> Tuple[int, ...]:
@@ -144,7 +174,7 @@ def fast_consensus_quorum_system(
     servers = default_servers(n)
     adversary = ThresholdAdversary(servers, k)
     quorums = subsets_missing_at_most(servers, t)
-    fast = _tail_missing_at_most(quorums, n, q)
+    fast = _tail_missing_at_most(quorums, q)
     return RefinedQuorumSystem(adversary, quorums, qc1=fast, qc2=fast)
 
 
@@ -160,7 +190,7 @@ def threshold_rqs(
     ``0 ≤ q ≤ r ≤ t < n`` is required.  With ``validate=True`` the result
     is checked against Properties 1–3 — quadratic in the number of
     quorums, which is exponential in ``n``: 4 ms for ``(10, 3, 1, 1, 3)``
-    (176 quorums), 0.26 s for ``(14, 4, 2, 1, 4)`` (1 471), 6 s for
+    (176 quorums), 0.18 s for ``(14, 4, 2, 1, 4)`` (1 471), 5.4 s for
     ``(16, 5, 2, 1, 5)`` (6 885), so keep ``n ≤ ~16``.  (Measured with
     ``python -c "import time; from repro.core.constructions import
     threshold_rqs as f; s = time.perf_counter(); f(14, 4, 2, 1, 4);
@@ -175,8 +205,8 @@ def threshold_rqs(
     servers = default_servers(n)
     adversary = ThresholdAdversary(servers, k)
     quorums = subsets_missing_at_most(servers, t)
-    qc2 = _tail_missing_at_most(quorums, n, r)
-    qc1 = _tail_missing_at_most(qc2, n, q)
+    qc2 = _tail_missing_at_most(quorums, r)
+    qc1 = _tail_missing_at_most(qc2, q)
     return RefinedQuorumSystem(
         adversary, quorums, qc1=qc1, qc2=qc2, validate=validate
     )
@@ -313,7 +343,7 @@ def section12_rqs() -> RefinedQuorumSystem:
     return threshold_rqs(n=5, t=2, k=0, q=1, r=2)
 
 
-def naive_section12_quorums() -> Tuple[Subset, ...]:
+def naive_section12_quorums() -> NormalizedFamily:
     """The *broken* fast-quorum choice of Figure 1: fast = any 3 servers.
 
     Used by the Figure 1 counterexample; note ``threshold_rqs(5,2,0,2,2)``

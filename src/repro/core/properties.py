@@ -117,24 +117,24 @@ def p3b(
 
 def family_masks(
     adversary: Adversary, family: Iterable[Subset]
-) -> Tuple[int, ...]:
-    """One mask per member of ``family``, in order, over ``adversary``'s
-    bit order.  The properties are stated for subsets of ``S``; a member
-    with an element outside it is refused."""
+) -> Tuple[Tuple[Subset, ...], Tuple[int, ...]]:
+    """``family`` as a tuple, and one mask per member in the same order
+    over ``adversary``'s bit order (a family that carries its masks is
+    handed through, not copied).  The properties are stated for subsets
+    of ``S``; a member with an element outside it is refused."""
+    if not isinstance(family, tuple):
+        family = tuple(family)
     masks = adversary.masks(family)
     if None in masks:
         raise QuorumSystemError("quorums must be subsets of S")
-    return masks
+    return family, masks
 
 
 def check_property1(
     adversary: Adversary, quorums: Sequence[Subset]
 ) -> Optional[P1Witness]:
     """Check Property 1; return a witness of violation or ``None``."""
-    quorums = tuple(quorums)
-    return property1_witness(
-        adversary, quorums, family_masks(adversary, quorums)
-    )
+    return property1_witness(adversary, *family_masks(adversary, quorums))
 
 
 def check_property2(
@@ -143,11 +143,10 @@ def check_property2(
     quorums: Sequence[Subset],
 ) -> Optional[P2Witness]:
     """Check Property 2; return a witness of violation or ``None``."""
-    qc1, quorums = tuple(qc1), tuple(quorums)
     return property2_witness(
         adversary,
-        qc1, family_masks(adversary, qc1),
-        quorums, family_masks(adversary, quorums),
+        *family_masks(adversary, qc1),
+        *family_masks(adversary, quorums),
     )
 
 
@@ -164,12 +163,11 @@ def check_property3(
     complete); elements of ``B`` are enumerated only to name the first
     witness of the one failing pair (:func:`_first_p3_witness`).
     """
-    qc1, qc2, quorums = tuple(qc1), tuple(qc2), tuple(quorums)
     return property3_witness(
         adversary,
-        qc1, family_masks(adversary, qc1),
-        qc2, family_masks(adversary, qc2),
-        quorums, family_masks(adversary, quorums),
+        *family_masks(adversary, qc1),
+        *family_masks(adversary, qc2),
+        *family_masks(adversary, quorums),
     )
 
 
@@ -347,9 +345,33 @@ class NormalizedFamily(tuple):
     """A family in normal form: distinct frozensets ordered by
     ``(size, sorted member reprs)``.  Only :func:`normalize_family` (and
     constructions whose enumeration order *is* that order) build one,
-    so normalizing it again is the identity and costs nothing."""
+    so normalizing it again is the identity and costs nothing.
 
-    __slots__ = ()
+    An enumeration that knows its members' positions in the
+    ``repr``-ordered ground set carries the masks it enumerated them
+    with (:meth:`over`): ``masks[j]`` is member ``j`` with bit ``i`` for
+    ``servers[i]``.  The family owns them — ``Adversary.masks`` hands
+    them back to any adversary whose ``servers`` is that very tuple, so
+    a construction-born family is never converted.  A family sorted
+    into normal form carries none (``servers is None``).
+    """
+
+    servers: Optional[Tuple[Hashable, ...]] = None
+    masks: Optional[Tuple[int, ...]] = None
+
+    @classmethod
+    def over(
+        cls,
+        servers: Tuple[Hashable, ...],
+        members: Iterable[Subset],
+        masks: Tuple[int, ...],
+    ) -> "NormalizedFamily":
+        """``members`` (already in normal form) with their ``masks``
+        over the bit order ``servers``."""
+        family = cls(members)
+        family.servers = servers
+        family.masks = masks
+        return family
 
 
 def normalize_family(family: Iterable[Iterable[Hashable]]) -> Tuple[Subset, ...]:

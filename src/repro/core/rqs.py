@@ -250,12 +250,14 @@ class RefinedQuorumSystem:
     def _checked_masks(self) -> Dict[int, Tuple[int, ...]]:
         """Check the shape of the three families and return their masks.
 
-        Each quorum is converted once; ``QC1`` and ``QC2`` find theirs
-        by lookup, which is the sub-family check.
+        Each family is converted once — or not at all, when it carries
+        its masks (``Adversary.masks``).  Distinct subsets of ``S`` have
+        distinct masks, so ``QC1 ⊆ QC2 ⊆ RQS`` is decided on the ints.
         """
         if not self._quorums:
             raise QuorumSystemError("RQS must contain at least one quorum")
-        masks = self._adversary.masks(self._quorums)
+        convert = self._adversary.masks
+        masks = convert(self._quorums)
         if None in masks:
             outside = self._quorums[masks.index(None)]
             raise QuorumSystemError(
@@ -263,14 +265,10 @@ class RefinedQuorumSystem:
             )
         if 0 in masks:
             raise QuorumSystemError("quorums must be non-empty")
-        mask_of: Dict[Subset, int] = dict(zip(self._quorums, masks))
-        try:
-            qc2 = tuple([mask_of[quorum] for quorum in self._qc2])
-        except KeyError:
-            raise QuorumSystemError(
-                "QC2 must be a sub-family of RQS"
-            ) from None
-        qc1 = tuple([mask_of.get(quorum) for quorum in self._qc1])
+        qc2 = convert(self._qc2)
+        if not set(qc2) <= set(masks):
+            raise QuorumSystemError("QC2 must be a sub-family of RQS")
+        qc1 = convert(self._qc1)
         if not set(qc1) <= set(qc2):
             raise QuorumSystemError("QC1 must be a sub-family of QC2")
         return {1: qc1, 2: qc2, 3: masks}

@@ -55,8 +55,19 @@ class SignatureService:
         return Signed(signer, content)
 
     def verify(self, signature: Signed) -> bool:
-        """True iff the signature was genuinely produced in this execution."""
-        return (signature.signer, _freeze(signature.content)) in self._genuine
+        """True iff the signature was genuinely produced in this execution.
+
+        Hashable content is its own canonical form (``_freeze`` rebuilds
+        nested tuples and frozensets into equal ones and leaves every
+        other hashable as it is), so it is looked up as it stands; only
+        content holding a list, set or dict is frozen first.
+        """
+        try:
+            return (signature.signer, signature.content) in self._genuine
+        except TypeError:
+            return (
+                signature.signer, _freeze(signature.content)
+            ) in self._genuine
 
     def verify_all(self, signatures: Iterable[Signed]) -> bool:
         return all(self.verify(s) for s in signatures)

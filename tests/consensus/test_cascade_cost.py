@@ -93,3 +93,40 @@ def test_class1_best_case_duplicate_senders_cost_nothing(counters):
     assert calls["responding"] + calls["fits"] <= 8
     assert calls["newly_responding"] * 20 < updates
     assert sum(examined.values()) < 3 * updates       # was > 93 * updates
+
+
+def test_a_broadcast_is_one_send_all(monkeypatch):
+    """An acceptor's update / decision and a learner's pull are
+    broadcasts: one crashed-and-bound check each (``Process.send_all``),
+    not one per target — ``Process.send`` is left with the
+    point-to-point replies."""
+    from repro.consensus.messages import Decision, DecisionPull, Update
+    from repro.sim.process import Process
+
+    single, broadcast = Counter(), Counter()
+    send, send_all = Process.send, Process.send_all
+
+    def counting_send(self, dst, payload):
+        single[type(payload)] += 1
+        return send(self, dst, payload)
+
+    def counting_send_all(self, destinations, payload):
+        broadcast[type(payload)] += len(destinations)
+        return send_all(self, destinations, payload)
+
+    monkeypatch.setattr(Process, "send", counting_send)
+    monkeypatch.setattr(Process, "send_all", counting_send_all)
+    result = run(_best_case(3))
+    adapter = result.adapter
+    targets = len(adapter.rqs.servers) + len(adapter.learners)
+    assert single[Update] == 0 and broadcast[Update] >= 15 * targets
+    assert broadcast[Update] % targets == 0
+    assert broadcast[Decision] % len(adapter.rqs.servers) == 0
+    assert broadcast[Decision] > 0
+    # Every message of the run is accounted for by the two counters.
+    sent = Counter(type(m.payload) for m in adapter.network.log)
+    assert sent[Update] == broadcast[Update]
+    assert sent[Decision] == broadcast[Decision] + single[Decision]
+    # The pulls sent one by one are the proposer's (interleaved with its
+    # syncs); a learner's would be a broadcast.
+    assert single[DecisionPull] == len(adapter.rqs.servers)

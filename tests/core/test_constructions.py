@@ -1,5 +1,10 @@
 """Tests for the canonical constructions (Section 2.2 examples)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -89,6 +94,149 @@ class TestNormalForm:
         again = props.normalize_family(shuffled)
         assert again == family and again is not shuffled
         assert props.normalize_family(again) is again
+
+
+def _enumerated_families():
+    """``Q_i`` families and tails over awkward ground sets, each with an
+    adversary over the same ground set."""
+    from repro.core.adversary import ExplicitAdversary
+
+    for ground in (range(1, 13), ("s1", "s2", "s10", "b", "a"),
+                   (1, "1", 2.5, ("t", 1), None)):
+        for i in range(0, 4):
+            family = con.subsets_missing_at_most(ground, i)
+            yield ExplicitAdversary(ground), family
+            yield ExplicitAdversary(ground), con._tail_missing_at_most(
+                family, i // 2
+            )
+    yield ExplicitAdversary(range(1, 6)), con.naive_section12_quorums()
+
+
+def _families_with_masks():
+    """Every family a construction returns, with its adversary."""
+    yield from _enumerated_families()
+    for build in TestNormalForm.CONSTRUCTIONS:
+        rqs = build()
+        for family in (rqs.quorums, rqs.qc2, rqs.qc1):
+            yield rqs.adversary, family
+
+
+class TestCarriedMasks:
+    """A threshold family is enumerated together with its masks, once
+    per ground set and missing-count, and no adversary over that ground
+    set converts it again."""
+
+    def test_carried_masks_are_the_adversarys_own(self):
+        carried = 0
+        for adversary, family in _families_with_masks():
+            if family.masks is None:
+                continue
+            carried += 1
+            assert family.servers == adversary.servers
+            assert family.masks == tuple(map(adversary.mask, family))
+            assert adversary.masks(family) is family.masks
+        assert carried > 40
+
+    def test_another_bit_order_converts(self):
+        """The masks belong to one ``servers`` tuple: an adversary over
+        a larger (or other) ground set converts as it always did."""
+        family = con.subsets_missing_at_most(range(2, 7), 1)
+        wider = ThresholdAdversary(range(1, 8), 1)
+        assert family.servers != wider.servers
+        masks = wider.masks(family)
+        assert masks == tuple(map(wider.mask, family)) != family.masks
+        stranger = ThresholdAdversary("abcde", 1)
+        assert stranger.masks(family) == (None,) * len(family)
+
+    def test_sorting_into_normal_form_carries_nothing(self):
+        from repro.core import properties as props
+
+        family = props.normalize_family(
+            reversed(con.subsets_missing_at_most(range(1, 6), 2))
+        )
+        assert family.masks is None and family.servers is None
+
+    def test_a_family_survives_pickling_and_copying(self):
+        import copy
+        import pickle
+
+        family = con.subsets_missing_at_most(range(1, 6), 2)
+        for twin in (pickle.loads(pickle.dumps(family)), copy.copy(family)):
+            assert type(twin) is type(family) and twin == family
+            assert (twin.servers, twin.masks) == (family.servers, family.masks)
+
+    def test_the_e11_grid_enumerates_once_per_n_and_t(self, monkeypatch):
+        """953 systems over five ground sets: twenty enumerations (one
+        per ``(n, t)``; it was one per system), and not one server of
+        one quorum looked up to convert a family."""
+        from repro.core.adversary import Adversary
+        from repro.core.properties import NormalizedFamily
+        from repro.experiments import bounds
+
+        enumerated = []
+        shipped = con.combinations
+
+        def counting(pool, size):
+            enumerated.append((tuple(pool), size))
+            return shipped(pool, size)
+
+        converted = []
+        convert = Adversary.masks
+
+        def counting_masks(self, family):
+            masks = convert(self, family)
+            if isinstance(family, NormalizedFamily):
+                converted.append(masks is not family.masks)
+            return masks
+
+        monkeypatch.setattr(con, "combinations", counting)
+        monkeypatch.setattr(Adversary, "masks", counting_masks)
+        con._enumerate_missing_at_most.cache_clear()
+        result = bounds.run_sweep(7)
+        assert result.points == 953 and result.tight
+        info = con._enumerate_missing_at_most.cache_info()
+        assert (info.misses, info.hits) == (20, 933)
+        # Two walks (servers, bits) per size of each enumeration.
+        assert len(enumerated) == 2 * sum(
+            t + 1 for n in range(3, 8) for t in range(1, n)
+        )
+        # RQS, QC2 and QC1 of each system: handed back, never converted.
+        assert len(converted) == 3 * 953 and not any(converted)
+
+    def test_the_shared_enumerations_are_bounded(self):
+        con._enumerate_missing_at_most.cache_clear()
+        for n in range(3, 60):
+            con.subsets_missing_at_most(range(n), 1)
+        info = con._enumerate_missing_at_most.cache_info()
+        assert info.currsize == info.maxsize == 32
+
+
+_HASH_SEED_SCRIPT = """
+from tests.core.test_constructions import _enumerated_families
+
+for adversary, family in _enumerated_families():
+    assert family.masks == tuple(map(adversary.mask, family))
+    print(family.servers, family.masks)
+"""
+
+
+def test_carried_masks_do_not_depend_on_the_hash_seed():
+    """String ids hash differently in every interpreter run; the
+    enumeration walks the ``repr``-sorted ground set, so the carried
+    masks are the same bytes — and the adversary's own — under any
+    seed."""
+    root = Path(__file__).resolve().parents[2]
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT],
+            env={**os.environ, "PYTHONHASHSEED": seed,
+                 "PYTHONPATH": os.pathsep.join((str(root / "src"), str(root)))},
+            capture_output=True, check=True, timeout=60,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 25
 
 
 class TestClassicalExamples:

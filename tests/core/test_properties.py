@@ -128,17 +128,31 @@ def _check_property3_per_pair(adversary, qc1, qc2, quorums):
     return None
 
 
+class _CountingBits(dict):
+    """server -> bit, counting the look-ups: one per server of each
+    member that is really converted to a mask."""
+
+    lookups = 0
+
+    def __getitem__(self, server):
+        self.lookups += 1
+        return super().__getitem__(server)
+
+
 class _CountingThreshold(ThresholdAdversary):
     restrictions = 0
-    conversions = 0
+
+    def __init__(self, ground_set, k):
+        super().__init__(ground_set, k)
+        self._bit = _CountingBits(self._bit)
+
+    @property
+    def converted_servers(self):
+        return self._bit.lookups
 
     def restricted_to(self, subset):
         self.restrictions += 1
         return super().restricted_to(subset)
-
-    def masks(self, family):
-        self.conversions += 1
-        return super().masks(family)
 
 
 @pytest.fixture
@@ -213,12 +227,13 @@ class TestProperty3FirstWitness:
     def test_validating_example6_restricts_and_enumerates_nothing(
         self, explicit_built, decided
     ):
-        """What validation costs, without a clock: the quorum family is
-        converted to masks once (QC1 and QC2 find theirs by lookup),
-        each of the 219 distinct ``Q2 ∩ Q`` of the 3441 pairs is decided
-        once on those masks (every one is large here, so not even the
-        maximal sets of ``B`` are asked for) — and no induced structure
-        is built, so no element of ``B`` is enumerated."""
+        """What validation costs, without a clock: the three families
+        come with the masks they were enumerated with, so not one
+        server of one quorum is looked up; each of the 219 distinct
+        ``Q2 ∩ Q`` of the 3441 pairs is decided once on those masks
+        (every one is large here, so not even the maximal sets of ``B``
+        are asked for) — and no induced structure is built, so no
+        element of ``B`` is enumerated."""
         adversary = _CountingThreshold(SERVERS, 1)
         rqs = RefinedQuorumSystem(
             adversary,
@@ -230,10 +245,11 @@ class TestProperty3FirstWitness:
         assert len(decided) == len(set(decided)) == 219
         assert adversary.restrictions == 0
         assert explicit_built == []
-        assert adversary.conversions == 1
+        assert adversary.converted_servers == 0
         # The index is built on those very masks, not on its own.
         assert rqs.index.masks[3] is rqs._masks[3]
-        assert adversary.conversions == 1
+        assert rqs._masks[3] is rqs.quorums.masks
+        assert adversary.converted_servers == 0
 
     def test_a_failing_system_restricts_once(self, explicit_built, decided):
         """Only the one failing pair is walked element by element."""
@@ -245,13 +261,17 @@ class TestProperty3FirstWitness:
             qc2=subsets_missing_at_most(SERVERS, 3),
             validate=False,
         )
+        assert adversary.converted_servers == 0
         name, witness = rqs.first_violation()
         assert name == "P3"
         assert adversary.restrictions == len(explicit_built) == 1
         assert explicit_built[0].ground_set == witness.q2 & witness.q
         # Every intersection before the failing one passed, once each.
         assert len(decided) == len(set(decided))
-        assert adversary.conversions == 2  # RQS, the maximal sets of B
+        # No quorum is converted: the eight singleton maximal sets of B
+        # are, and the differences of the one pair walked for its
+        # witness (three servers in all).
+        assert adversary.converted_servers == 8 + 3
 
 
 class TestNormalizeFamily:

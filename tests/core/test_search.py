@@ -64,11 +64,3 @@ class TestSearchRqs:
                 adv,
                 candidates=[{1, 2}, {2, 3}, {1, 3}],
             )
-
-    def test_count_valid_rqs(self):
-        adv = ThresholdAdversary(range(1, 5), 0)
-        families = [
-            (frozenset({1, 2, 3}), frozenset({2, 3, 4})),
-            (frozenset({1, 2}), frozenset({3, 4})),  # P1 fails
-        ]
-        assert search.count_valid_rqs(adv, families) == 1

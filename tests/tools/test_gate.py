@@ -27,12 +27,14 @@ CI, FULL, FULL_SHARDED = 100_000, 1_000_000, 10_000_000
 
 
 def committed(name):
-    return json.loads((ROOT / f"BENCH_{name}.json").read_text())
+    return copy.deepcopy(check_bench.committed(check_bench.ARTIFACTS[name]))
 
 
 def regenerated(payload):
     """A regeneration that reproduces ``payload`` exactly."""
     fresh = copy.deepcopy(payload)
+    for row in fresh.get("searches", ()):
+        row["wall_s"] = 0.2
     for section in ("stream", "sharded", "sharded_zipf"):
         for row in fresh.get(section, ()):
             row["overrun_unchecked"] = 0
@@ -168,6 +170,16 @@ def contradicted_prediction(base, fresh):
         cell["sim_ops_per_sec"] = twin["sim_ops_per_sec"] - 0.5
 
 
+def search_relapses_to_the_full_check(base, fresh):
+    # What B_2 over 12 servers took when every candidate re-checked the
+    # whole class it would join.
+    pick(fresh, "searches", adversary="B_2/12")["wall_s"] = 23.0
+
+
+def search_admits_one_more_class2_quorum(base, fresh):
+    pick(fresh, "searches", adversary="B_2/11")["qc2"] += 1
+
+
 # The three this gate was written for (the parent exits 0 on each).
 
 def rqs_bounded_family_not_regenerated(base, fresh):
@@ -223,6 +235,10 @@ MUTANTS = [
     ("quorums", optimal_never_beats_uniform,
      r"the load-optimal strategy never beats uniform"),
     ("quorums", contradicted_prediction, r"the prediction is contradicted"),
+    ("search", search_relapses_to_the_full_check,
+     r"fresh searches row B_2/12 blew its wall budget: 23.0s > 6.0s"),
+    ("search", search_admits_one_more_class2_quorum,
+     r"searches row B_2/11: qc2 changed 232 -> 233"),
     ("workload", rqs_bounded_family_not_regenerated,
      r"stream row rqs-bounded/100000 was not regenerated"),
     ("workload", sharded_rows_rekeyed,

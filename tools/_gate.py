@@ -30,7 +30,7 @@ table can say:
 from __future__ import annotations
 
 from typing import (
-    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple,
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union,
 )
 
 Row = Dict[str, Any]
@@ -77,7 +77,12 @@ class Artifact(NamedTuple):
     name: str  # BENCH_<name>.json, and the payload's "name"
     top: Tuple[str, ...]  # top-level keys beside "name" and the sections
     sections: Tuple[Section, ...]
-    collector: str  # the module whose ``collect()`` regenerates it
+    #: What regenerates it: a module with a ``collect()``, by name (it
+    #: is imported only when asked to), or the function itself.
+    collector: Union[str, Callable[[], dict]]
+    #: The committed side when it is not a ``BENCH_<name>.json``: facts
+    #: small enough to be written down next to their table.
+    baseline: Optional[dict] = None
 
 
 def show(key: Key) -> str:

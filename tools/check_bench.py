@@ -5,9 +5,10 @@ Run from the repository root (CI's ``gates`` job does)::
     PYTHONPATH=src python tools/check_bench.py            # every artifact
     PYTHONPATH=src python tools/check_bench.py workload --fresh run.json
 
-Each artifact (``BENCH_workload.json``, ``BENCH_quorums.json``) is
-regenerated — or read from ``--fresh`` — and held against the committed
-file by the tables below; ``tools/_gate.py`` interprets them and
+Each artifact (``BENCH_workload.json``, ``BENCH_quorums.json``, and the
+``search`` facts written down in this file) is regenerated — or read
+from ``--fresh`` — and held against the committed side by the tables
+below; ``tools/_gate.py`` interprets them and
 documents the table kinds.  Exact fields repeat bit for bit on any
 machine (a seeded execution *is* its schedule); ratios compare figures
 of one full run on one unloaded box only with each other; budgets are
@@ -342,13 +343,79 @@ QUORUM_CELLS = Section(
 )
 
 
+# -- the RQS search: deterministic counts and a timeout ----------------------
+
+#: ``search_rqs(ThresholdAdversary(range(1, n + 1), k))`` at the sizes
+#: ``core/search.py`` quotes.  A timeout, not a speed claim: the greedy
+#: classification decides a candidate on what it adds (0.2 s for B_2
+#: over 12 servers on the reference box); re-checking the whole class
+#: per candidate took 23 s there and blows this on any runner.
+SEARCH_BUDGET = 6.0
+SEARCH_FACTS = {
+    "name": "search",
+    "searches": [
+        {"adversary": "B_1/10", "quorums": 386, "qc2": 176, "qc1": 14},
+        {"adversary": "B_2/11", "quorums": 562, "qc2": 232, "qc1": 12},
+        {"adversary": "B_2/12", "quorums": 920, "qc2": 299, "qc1": 13},
+    ],
+}
+SEARCHES = Section(
+    name="searches",
+    key=("adversary",),
+    required=("adversary", "quorums", "qc2", "qc1"),
+    fresh_only=("wall_s",),
+    exact=("quorums", "qc2", "qc1"),
+    budget=lambda row: SEARCH_BUDGET,
+)
+
+
+def collect_searches() -> dict:
+    """Run the searches of ``SEARCH_FACTS``, timing each."""
+    import time
+
+    from repro.core.adversary import ThresholdAdversary
+    from repro.core.search import search_rqs
+
+    rows = []
+    for fact in SEARCH_FACTS["searches"]:
+        k, n = map(int, fact["adversary"][2:].split("/"))
+        start = time.perf_counter()
+        rqs = search_rqs(ThresholdAdversary(range(1, n + 1), k))
+        rows.append({
+            "adversary": fact["adversary"],
+            "quorums": len(rqs.quorums),
+            "qc2": len(rqs.qc2),
+            "qc1": len(rqs.qc1),
+            "wall_s": round(time.perf_counter() - start, 3),
+        })
+        print(f"search_rqs({fact['adversary']}): {rows[-1]['wall_s']} s "
+              f"(timeout {SEARCH_BUDGET} s)")
+    return {"name": "search", "searches": rows}
+
+
 ARTIFACTS = {artifact.name: artifact for artifact in (
     Artifact("workload", ("schema_version",),
              (CASES, SOAK, STREAM, SHARDED, SHARDED_ZIPF),
              "benchmarks.bench_workload"),
     Artifact("quorums", ("schema_version", "horizon"),
              (QUORUM_CELLS,), "repro.experiments.capacity"),
+    Artifact("search", (), (SEARCHES,), collect_searches,
+             baseline=SEARCH_FACTS),
 )}
+
+
+def committed(artifact: Artifact) -> dict:
+    """The side a regeneration is held against."""
+    if artifact.baseline is not None:
+        return artifact.baseline
+    return json.loads((ROOT / f"BENCH_{artifact.name}.json").read_text())
+
+
+def regenerate(artifact: Artifact) -> dict:
+    collect = artifact.collector
+    if isinstance(collect, str):
+        collect = importlib.import_module(collect).collect
+    return collect()
 
 
 def main(argv=None) -> int:
@@ -372,20 +439,22 @@ def main(argv=None) -> int:
     status = 0
     for name in [args.artifact] if args.artifact else sorted(ARTIFACTS):
         artifact = ARTIFACTS[name]
-        baseline = json.loads((ROOT / f"BENCH_{name}.json").read_text())
         fresh = (
             json.loads(Path(args.fresh).read_text()) if args.fresh
-            else importlib.import_module(artifact.collector).collect()
+            else regenerate(artifact)
         )
-        problems = check(artifact, baseline, fresh)
+        problems = check(artifact, committed(artifact), fresh)
         rows = 0 if problems else sum(
             len(rows_of(section, fresh)) for section in artifact.sections
         )
+        held_to = (
+            f"BENCH_{name}.json" if artifact.baseline is None
+            else "the facts in tools/check_bench.py"
+        )
         status |= finish(
             problems,
-            f"ok: {name}: {rows} fresh rows exact against "
-            f"BENCH_{name}.json; every invariant, ratio gate, acceptance "
-            f"row and budget holds",
+            f"ok: {name}: {rows} fresh rows exact against {held_to}; "
+            f"every invariant, ratio gate, acceptance row and budget holds",
         )
     return status
 
