@@ -71,6 +71,9 @@ class Acceptor(Process):
     ):
         super().__init__(pid)
         self.rqs = rqs
+        #: ``S``, looked up once: every update asks whether its sender
+        #: is an acceptor.
+        self._acceptors = rqs.ground_set
         self.proposers = tuple(proposers)
         self.learners = tuple(learners)
         #: Who an update goes to, in broadcast order.
@@ -188,7 +191,7 @@ class Acceptor(Process):
     # -- update cascade (lines 34-38) -----------------------------------------------------
 
     def _handle_update(self, src: AcceptorId, update: Update) -> None:
-        if src not in self.rqs.ground_set:
+        if src not in self._acceptors:
             return
         decided = self._decisions.record(src, update)
         if decided is not None:
@@ -302,11 +305,11 @@ class Acceptor(Process):
                 if quorums
                 else self.rqs.servers
             )
-            for target in targets:
-                self.send(target, SignReq(self.update[step], w, step))
+            request = SignReq(self.update[step], w, step)
+            self.send_all(targets, request)
             # An acceptor can sign its own statement immediately.
             if self.pid in targets:
-                self._handle_sign_req(self.pid, SignReq(self.update[step], w, step))
+                self._handle_sign_req(self.pid, request)
 
     def _handle_sign_req(self, src: Hashable, request: SignReq) -> None:
         statement = update_statement(request.step, request.value, request.view)
@@ -324,7 +327,7 @@ class Acceptor(Process):
         signed = ack.signature
         if signed.signer != src or not self.service.verify(signed):
             return
-        if src not in self.rqs.ground_set:
+        if src not in self._acceptors:
             return  # only acceptors vouch for an update statement
         content = signed.content
         for step, w in list(pending.needed):

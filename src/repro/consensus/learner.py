@@ -33,6 +33,7 @@ class Learner(Process):
     ):
         super().__init__(pid)
         self.rqs = rqs
+        self._acceptors = rqs.ground_set
         self.trace = trace
         self.learned: Optional[Any] = None
         self.learned_at: Optional[float] = None
@@ -55,7 +56,7 @@ class Learner(Process):
         payload = message.payload
         if isinstance(payload, Update):
             self._arm_pulls()
-            if message.src in self.rqs.ground_set:
+            if message.src in self._acceptors:
                 decided = self._decisions.record(message.src, payload)
                 if decided is not None:
                     self._learn(decided)

@@ -73,8 +73,7 @@ class PaxosAcceptor(Process):
                 self.accepted_value = payload.value
                 accepted = PaxAccepted(payload.ballot, payload.value)
                 self.send(message.src, accepted)
-                for learner in self.learners:
-                    self.send(learner, accepted)
+                self.send_all(self.learners, accepted)
 
 
 class PaxosProposer(Process):
@@ -111,8 +110,7 @@ class PaxosProposer(Process):
         while True:
             self.ballot += self.stride
             ballot = self.ballot
-            for acceptor in self.acceptors:
-                self.send(acceptor, PaxPrepare(ballot))
+            self.send_all(self.acceptors, PaxPrepare(ballot))
             yield WaitUntil(
                 self._promise_counts(ballot).at_least(self.majority),
                 f"paxos phase1 b={ballot}",
@@ -124,8 +122,7 @@ class PaxosProposer(Process):
                 if prior.accepted_ballot >= 0
                 else value
             )
-            for acceptor in self.acceptors:
-                self.send(acceptor, PaxAccept(ballot, chosen))
+            self.send_all(self.acceptors, PaxAccept(ballot, chosen))
             yield WaitUntil(
                 self._accepted(ballot).at_least(self.majority),
                 f"paxos phase2 b={ballot}",

@@ -78,13 +78,11 @@ class PbftReplica(Process):
         if isinstance(payload, Request) and self.pid == self.primary:
             if self.pre_prepared is None:
                 self.pre_prepared = payload.value
-                for replica in self.replicas:
-                    self.send(replica, PrePrepare(0, payload.value))
+                self.send_all(self.replicas, PrePrepare(0, payload.value))
         elif isinstance(payload, PrePrepare):
             if message.src == self.primary and self.pre_prepared is None:
                 self.pre_prepared = payload.value
-                for replica in self.replicas:
-                    self.send(replica, BftPrepare(0, payload.value))
+                self.send_all(self.replicas, BftPrepare(0, payload.value))
         elif isinstance(payload, BftPrepare):
             senders = self._prepares.setdefault(payload.value, set())
             senders.add(message.src)
@@ -95,8 +93,7 @@ class PbftReplica(Process):
                 and len(senders) >= 2 * self.f
             ):
                 self.prepared = True
-                for replica in self.replicas:
-                    self.send(replica, Commit(0, payload.value))
+                self.send_all(self.replicas, Commit(0, payload.value))
         elif isinstance(payload, Commit):
             senders = self._commits.setdefault(payload.value, set())
             senders.add(message.src)
@@ -106,8 +103,7 @@ class PbftReplica(Process):
                 and len(senders) >= 2 * self.f + 1
             ):
                 self.committed_local = True
-                for learner in self.learners:
-                    self.send(learner, Committed(0, payload.value))
+                self.send_all(self.learners, Committed(0, payload.value))
 
 
 class PbftLearner(Process):

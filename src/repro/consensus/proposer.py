@@ -55,6 +55,7 @@ class Proposer(Process):
     ):
         super().__init__(pid)
         self.rqs = rqs
+        self._acceptors = rqs.ground_set
         self.proposers = tuple(proposers)
         self.service = service
         self.trace = trace
@@ -102,7 +103,7 @@ class Proposer(Process):
         self._signal_consult()
 
     def _handle_view_change(self, src: AcceptorId, message: ViewChange) -> None:
-        if self.halted or src not in self.rqs.ground_set:
+        if self.halted or src not in self._acceptors:
             return
         signed = message.signature
         if signed.signer != src or not self.service.verify(signed):
@@ -169,8 +170,7 @@ class Proposer(Process):
         view = self.view
         if view != INIT_VIEW:
             # Consult phase (Figure 15 lines 2-8).
-            for acceptor in self.rqs.servers:
-                self.send(acceptor, NewView(view, self.view_proof))
+            self.send_all(self.rqs.servers, NewView(view, self.view_proof))
             while True:
                 quorum_holder: Dict[str, QuorumId] = {}
 
@@ -205,14 +205,14 @@ class Proposer(Process):
                     continue
                 chosen = result.value
                 v_proof = tuple(acks[a] for a in sorted(quorum, key=repr))
-                for acceptor in self.rqs.servers:
-                    self.send(
-                        acceptor, Prepare(chosen, view, v_proof, quorum)
-                    )
+                self.send_all(
+                    self.rqs.servers, Prepare(chosen, view, v_proof, quorum)
+                )
                 return
         # Initial view: no consult phase (Figure 9).
-        for acceptor in self.rqs.servers:
-            self.send(acceptor, Prepare(self.value, INIT_VIEW, None, None))
+        self.send_all(
+            self.rqs.servers, Prepare(self.value, INIT_VIEW, None, None)
+        )
 
 
 class EquivocatingProposer(Proposer):
@@ -230,9 +230,11 @@ class EquivocatingProposer(Proposer):
     def _propose_in_current_view(self):
         acceptors = self.rqs.servers
         half = len(acceptors) // 2
-        for acceptor in acceptors[:half]:
-            self.send(acceptor, Prepare(self.value_a, INIT_VIEW, None, None))
-        for acceptor in acceptors[half:]:
-            self.send(acceptor, Prepare(self.value_b, INIT_VIEW, None, None))
+        self.send_all(
+            acceptors[:half], Prepare(self.value_a, INIT_VIEW, None, None)
+        )
+        self.send_all(
+            acceptors[half:], Prepare(self.value_b, INIT_VIEW, None, None)
+        )
         return
         yield  # pragma: no cover - makes this a generator

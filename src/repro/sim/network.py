@@ -16,10 +16,22 @@ Held messages are recorded (:attr:`Network.in_transit`) so experiments
 can assert what the adversary withheld, and can later be *released* to
 model "delayed until after round K" schedules.
 
-A delivery is one entry of the simulator's queue: :meth:`Network.send`
-stamps the :class:`Message` record and pushes ``(deliver_time, seq,
-Network._deliver, message)`` itself, and the event loop hands the record
-to the receiver — no closure, no intermediate scheduling call.
+The broadcast is the transport's primitive — every step of the paper's
+pseudocode is "send to all servers / acceptors / learners".
+:meth:`Network.send_all` stamps and logs one :class:`Message` per
+destination and resolves its rules, once each and in iteration order,
+and pushes **one queue entry per distinct delivery instant**:
+``(deliver_time, seq, Network._deliver_block, Block)``, the block
+holding the records due then (a held or dropped destination is in none,
+one a rule delays is in its own instant's).  The entry takes the ``seq``
+of its first member and the simulator's counter moves on by one per
+queued record, exactly as far as one entry each would move it; the
+members of a broadcast are consecutive in ``seq``, so no other entry can
+tie *between* two of them and every tie resolves as before.  The event
+loop counts a block as one event per member (``Simulator.run``).
+:meth:`Network.send` is the single-destination primitive (replies):
+``(deliver_time, seq, Network._deliver, message)``.  Neither builds a
+closure or goes through ``call_at``.
 
 * **Rule partitioning** — rule resolution caches, per ``(src, dst)``
   pair, the (ordered) sub-list of rules that could ever match that
@@ -42,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple, Union
 
 from repro.errors import SimulationError
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import Block, Simulator
 
 ProcessId = Hashable
 
@@ -308,16 +320,8 @@ class Network:
         delay = self.delta
         if self._rules:
             action = self._resolve(message)
-            if action == HOLD:
-                message.held = True
-                self.held_count += 1
-                self.in_transit.append(message)
-                return message
-            if action == DROP:
-                message.dropped = True
-                self.dropped_count += 1
-                if self.full_trace:
-                    self.dropped.append(message)
+            if action == HOLD or action == DROP:
+                self._withhold(message, action)
                 return message
             delay = action
         deliver_time = now + delay
@@ -336,34 +340,112 @@ class Network:
 
     def send_all(self, src: ProcessId, destinations, payload: Any) -> None:
         """Send one ``payload`` from ``src`` to every destination, in
-        iteration order (a broadcast is that many sends)."""
-        send = self.send
-        for dst in destinations:
-            send(src, dst, payload)
+        iteration order: for each destination what :meth:`send` does,
+        for each delivery instant one queue entry (module docstring)."""
+        sim = self.sim
+        now = sim.now
+        processes = self._processes
+        full_trace = self.full_trace
+        log = self.log
+        rules = self._rules
+        deliver = self._deliver_block
+        default_time = now + self.delta
+        seq = sim._seq
+        sent = 0
+        entries: Dict[float, tuple] = {}
+        try:
+            for dst in destinations:
+                if dst not in processes:
+                    raise SimulationError(f"unknown destination {dst!r}")
+                message = Message(src, dst, payload, now)
+                sent += 1
+                if full_trace:
+                    log.append(message)
+                deliver_time = default_time
+                if rules:
+                    action = self._resolve(message)
+                    if action == HOLD or action == DROP:
+                        self._withhold(message, action)
+                        continue
+                    deliver_time = now + action
+                    if deliver_time < now:
+                        # See ``send``.
+                        raise SimulationError(
+                            f"cannot schedule in the past: "
+                            f"{deliver_time} < now={now}"
+                        )
+                message.deliver_time = deliver_time
+                entry = entries.get(deliver_time)
+                if entry is None:
+                    entry = (deliver_time, seq, deliver, Block())
+                    entries[deliver_time] = entry
+                entry[3].append(message)
+                seq += 1
+        finally:
+            # Also when a destination is refused: what was sent before
+            # it stays sent, as after that many ``send`` calls.
+            self.sent_count += sent
+            if sent and not full_trace:
+                key = getattr(payload, "key", None)
+                if key is not None:
+                    tally = self._sent_by_key
+                    tally[key] = tally.get(key, 0) + sent
+            queue = sim._queue
+            for entry in entries.values():
+                entry[3].reverse()  # a stack: the first to run is last
+                heappush(queue, entry)
+            sim._seq = seq
 
     def _resolve(self, message: Message) -> Any:
         """The first matching rule's action, else ``Δ`` (needs rules)."""
-        key = (message.src, message.dst)
-        candidates = self._rule_index.get(key)
+        src = message.src
+        dst = message.dst
+        candidates = self._rule_index.get((src, dst))
         if candidates is None:
             candidates = tuple(
                 rule
                 for rule in self._rules
-                if (rule.src is None or message.src in rule.src)
-                and (rule.dst is None or message.dst in rule.dst)
+                if (rule.src is None or src in rule.src)
+                and (rule.dst is None or dst in rule.dst)
             )
-            self._rule_index[key] = candidates
+            self._rule_index[src, dst] = candidates
+        # The index has matched the channel; what is left of
+        # ``Rule.matches`` is the send-time window and the predicate.
+        time = message.send_time
         for rule in candidates:
-            if rule.matches(
-                message.src, message.dst, message.payload, message.send_time
+            if rule.after <= time < rule.until and (
+                rule.payload_predicate is None
+                or rule.payload_predicate(message.payload)
             ):
                 return rule.action
         return self.delta
+
+    def _withhold(self, message: Message, action: str) -> None:
+        """Book a message a rule holds in transit or drops."""
+        if action == HOLD:
+            message.held = True
+            self.held_count += 1
+            self.in_transit.append(message)
+        else:
+            message.dropped = True
+            self.dropped_count += 1
+            if self.full_trace:
+                self.dropped.append(message)
 
     def _deliver(self, message: Message) -> None:
         # Destinations are checked at send and never unregistered.
         self.delivered_count += 1
         self._processes[message.dst].receive(message)
+
+    def _deliver_block(self, block: Block, room: int) -> None:
+        """:meth:`_deliver` for up to ``room`` members of a block, each
+        popped before it is handed over (see :class:`Block`)."""
+        processes = self._processes
+        take = block.pop
+        for _ in range(min(len(block), room)):
+            message = take()
+            self.delivered_count += 1
+            processes[message.dst].receive(message)
 
     # -- adversarial schedule control ---------------------------------------------
 

@@ -11,6 +11,14 @@ A message delivery that completes an "acks from some quorum" condition
 therefore wakes the corresponding client in the same instant — matching
 the paper's assumption that local computation takes negligible time.
 
+A queue entry is ``(time, seq, fn, arg)``.  Most stand for one event,
+``fn(arg)`` (``fn()`` without an argument); an entry whose ``arg`` is a
+:class:`Block` stands for one event *per member* — a broadcast's
+deliveries due at one instant, pushed by ``Network.send_all`` — and
+``run`` counts, caps and resumes it message by message, so
+``events_processed``, ``max_events`` and :meth:`Simulator.pending_events`
+cannot tell it from that many entries.
+
 Determinism: events at equal times execute in insertion order (a
 monotonic sequence number breaks ties), and tasks whose conditions were
 signalled in one instant wake in park order, each re-checking
@@ -34,6 +42,25 @@ from repro.sim.tasks import Effect, Sleep, Task, WaitUntil
 _NO_ARG = object()
 
 
+class Block(list):
+    """Several events of one instant in one queue entry: the entry's
+    ``arg``, a stack of members (the next one to run is the last).
+
+    The entry's action is called as ``action(block, room)`` and runs at
+    most ``room`` members, popping each off *before* it runs it — so
+    whichever way the call ends, what is left in the block is what has
+    not run.  Every member popped is one event.
+    """
+
+    __slots__ = ()
+
+
+def _livelock(max_events: int) -> SimulationError:
+    return SimulationError(
+        f"exceeded {max_events} events; livelock suspected"
+    )
+
+
 class Simulator:
     """Event loop for simulated distributed executions."""
 
@@ -41,7 +68,8 @@ class Simulator:
         self.now: float = 0.0
         # Entries are ``(time, seq, fn, arg)``; ``seq`` (insertion order)
         # breaks ties, so ``fn``/``arg`` are never compared.  ``Network``
-        # pushes its deliveries here directly, in the same shape.
+        # pushes its deliveries here directly, in the same shape (a
+        # broadcast's as ``Block``s).
         self._queue: List[Tuple[float, int, Callable[..., None], Any]] = []
         self._seq = 0
         # The wait-set index: condition -> tasks parked on it, plus the
@@ -63,9 +91,9 @@ class Simulator:
     ) -> None:
         """Run ``action()`` — or ``action(arg)`` — at absolute simulated
         ``time``."""
-        if time < self.now:
+        if not time >= self.now:  # in the past, or NaN (never due)
             raise SimulationError(
-                f"cannot schedule in the past: {time} < now={self.now}"
+                f"cannot schedule at {time}: not a time >= now={self.now}"
             )
         heapq.heappush(self._queue, (time, self._seq, action, arg))
         self._seq += 1
@@ -203,6 +231,7 @@ class Simulator:
         """
         queue = self._queue
         pop = heapq.heappop
+        push = heapq.heappush
         no_arg = _NO_ARG
         # The counter lives in a local while the loop runs and is
         # written back on every way out (a handler that raises, the cap).
@@ -219,17 +248,35 @@ class Simulator:
                 # messages in one step), and avoids spurious wake-ups
                 # between deliveries that happen "at the same time".
                 while queue and queue[0][0] == time:
-                    _, _, action, arg = pop(queue)
+                    _, seq, action, arg = pop(queue)
+                    if type(arg) is Block:
+                        # One event per member popped.  ``room`` lets
+                        # the cap trip on the message it would trip on
+                        # with one entry each; a member that raises is
+                        # consumed and uncounted, like any event that
+                        # raises; what is left goes back under the
+                        # block's own ``seq`` (nothing else of this
+                        # instant can lie between two members).
+                        size = len(arg)
+                        try:
+                            action(arg, max(max_events - processed + 1, 1))
+                        except BaseException:
+                            processed -= 1
+                            raise
+                        finally:
+                            processed += size - len(arg)
+                            if arg:
+                                push(queue, (time, seq, action, arg))
+                        if processed > max_events:
+                            raise _livelock(max_events)
+                        continue
                     if arg is no_arg:
                         action()
                     else:
                         action(arg)
                     processed += 1
                     if processed > max_events:
-                        raise SimulationError(
-                            f"exceeded {max_events} events; "
-                            "livelock suspected"
-                        )
+                        raise _livelock(max_events)
                 # Nothing signalled: the wake pass would find nothing
                 # to re-poll.
                 if self._signalled:
@@ -267,7 +314,11 @@ class Simulator:
         return len(self._waiters.get(condition, ()))
 
     def pending_events(self) -> int:
-        return len(self._queue)
+        """Events still queued — a :class:`Block` counts once per member."""
+        return sum(
+            len(arg) if type(arg) is Block else 1
+            for _, _, _, arg in self._queue
+        )
 
     @property
     def events_processed(self) -> int:

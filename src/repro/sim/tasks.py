@@ -44,7 +44,7 @@ class Sleep(Effect):
     __slots__ = ("duration",)
 
     def __init__(self, duration: float):
-        if duration < 0:
+        if not duration >= 0:  # negative or NaN
             raise ValueError(f"sleep duration must be >= 0, got {duration}")
         self.duration = duration
 
@@ -93,7 +93,7 @@ def sequential_ops(sim, schedule):
     """
     for time, factory, args in schedule:
         start = time
-        if sim.now < start:
+        if not start <= sim.now:  # later — or NaN, which timer_at refuses
             yield WaitUntil(sim.timer_at(start), f"start@{start}")
         yield from factory(*args)
 
@@ -132,7 +132,7 @@ def batched_ops(sim, schedule, size, run_batch):
         if not chunk:
             return
         start = chunk[0][0]
-        if sim.now < start:
+        if not start <= sim.now:  # later — or NaN, which timer_at refuses
             yield WaitUntil(sim.timer_at(start), f"start@{start}")
         yield from run_batch([elem for _, elem in chunk])
 
@@ -147,7 +147,7 @@ def _adaptive_batches(sim, iterator, run_batch):
     pending = next(iterator, None)
     while pending is not None:
         start = pending[0]
-        if sim.now < start:
+        if not start <= sim.now:  # later — or NaN, which timer_at refuses
             yield WaitUntil(sim.timer_at(start), f"start@{start}")
         horizon = sim.now
         chunk = [pending]

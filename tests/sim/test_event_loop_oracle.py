@@ -1,24 +1,28 @@
-"""Differential oracle for the flattened message path.
+"""Differential oracle for the block message path.
 
-A delivery is one ``(time, seq, fn, arg)`` entry that ``Network.send``
-pushes onto the simulator's queue itself, and ``Simulator.run`` keeps
-its queue and event counter in locals.  The event loop it replaced —
-``send -> _resolve -> _schedule_delivery -> call_at`` building a closure
-per message, ``run`` popping ``(time, seq, action)`` and calling
-``_wake_tasks`` after every instant — lives on *only here*, verbatim, as
-:class:`ReferenceSimulator` / :class:`ReferenceNetwork` /
-:class:`ReferenceProcess`.  Both worlds execute the same script (timers,
-sends and broadcasts under delay/hold/drop rules with time windows,
-``release_held`` into the current instant, crashes between send and
-delivery, a handler that raises, ``max_events`` caps that trip
-mid-instant) and must agree on the ordered ``(time, handler, src, dst,
-payload)`` log, on every counter and on ``events_processed`` after every
-``run`` call — also the ones that ended in an exception.  Seeded bugs in
-the new loop must each be caught by the same comparison.
+A broadcast is one queue entry per delivery instant: ``Network.send_all``
+pushes ``(deliver_time, seq, _deliver, Block([...]))`` and
+``Simulator.run`` walks the block inside the instant, one event per
+member.  The path it replaced — ``send_all`` a loop over ``send``, one
+``(time, seq, fn, message)`` entry per destination, ``run`` popping one
+entry per event, ``pending_events()`` the length of the heap — lives on
+*only here*, verbatim, as :class:`ReferenceSimulator` /
+:class:`ReferenceNetwork`.  Both worlds execute the same script (timers,
+singles and broadcasts under delay/hold/drop rules that split a
+broadcast, two senders broadcasting into one instant, zero-delay sends
+and ``release_held`` landing on a block's instant, receivers crashed
+between send and delivery or by an earlier member of the same block,
+handlers that raise mid-block, ``max_events`` caps and ``until=`` bounds
+that fall inside or on a block) and must agree on the ordered ``(time,
+handler, src, dst, payload)`` log, on every counter, on
+``events_processed`` and on ``pending_events()`` after every ``run``
+call — also the ones that ended in an exception.  Seeded bugs in the new
+path must each be caught by the same comparison.
 """
 
 import heapq
 from collections import namedtuple
+from heapq import heappush
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -27,7 +31,7 @@ from repro.errors import SimulationError
 from repro.sim.conditions import Counter
 from repro.sim.network import DROP, HOLD, Message, Network, Rule, TraceLevel
 from repro.sim.process import Process
-from repro.sim.simulator import _NO_ARG, Simulator
+from repro.sim.simulator import _NO_ARG, Block, Simulator
 from repro.sim.tasks import Sleep, WaitUntil
 
 PIDS = ("a", "b", "c", "d")
@@ -35,81 +39,98 @@ Payload = namedtuple("Payload", "kind key")
 
 
 class Boom(Exception):
-    """What the script's raising handler raises."""
+    """What the script's raising handlers raise."""
 
 
-# -- the reference: the event loop before the flattening, verbatim ------------
+# -- the reference: one queue entry per message, verbatim -----------------------
 
 class ReferenceSimulator(Simulator):
-    def call_at(self, time, action, arg=_NO_ARG):
-        if arg is not _NO_ARG:
-            # The one-argument closure the parent's callers wrote by
-            # hand (``lambda t=task: self._advance(t)``).
-            action = lambda f=action, a=arg: f(a)  # noqa: E731
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule in the past: {time} < now={self.now}"
-            )
-        heapq.heappush(self._queue, (time, self._seq, action))
-        self._seq += 1
-
     def run(self, until=None, max_events=1_000_000):
-        while self._queue:
-            time = self._queue[0][0]
-            if until is not None and time > until:
-                break
-            self.now = time
-            while self._queue and self._queue[0][0] == time:
-                _, _, action = heapq.heappop(self._queue)
-                action()
-                self._events_processed += 1
-                if self._events_processed > max_events:
-                    raise SimulationError(
-                        f"exceeded {max_events} events; livelock suspected"
-                    )
-            self._wake_tasks()
+        queue = self._queue
+        pop = heapq.heappop
+        no_arg = _NO_ARG
+        processed = self._events_processed
+        try:
+            while queue:
+                time = queue[0][0]
+                if until is not None and time > until:
+                    break
+                self.now = time
+                while queue and queue[0][0] == time:
+                    _, _, action, arg = pop(queue)
+                    if arg is no_arg:
+                        action()
+                    else:
+                        action(arg)
+                    processed += 1
+                    if processed > max_events:
+                        raise SimulationError(
+                            f"exceeded {max_events} events; "
+                            "livelock suspected"
+                        )
+                if self._signalled:
+                    self._wake_tasks()
+        finally:
+            self._events_processed = processed
         if until is not None and self.now < until:
             self.now = until
             self._wake_tasks()
+
+    def pending_events(self):
+        return len(self._queue)
 
 
 class ReferenceNetwork(Network):
     def send(self, src, dst, payload):
         if dst not in self._processes:
             raise SimulationError(f"unknown destination {dst!r}")
-        message = Message(src, dst, payload, send_time=self.sim.now)
+        sim = self.sim
+        now = sim.now
+        message = Message(src, dst, payload, now)
         self.sent_count += 1
-        if self.trace_level >= TraceLevel.FULL:
+        if self.full_trace:
             self.log.append(message)
         else:
             key = getattr(payload, "key", None)
             if key is not None:
                 self._sent_by_key[key] = self._sent_by_key.get(key, 0) + 1
-        action = self._resolve(message)
-        if action == HOLD:
-            message.held = True
-            self.held_count += 1
-            self.in_transit.append(message)
-            return message
-        if action == DROP:
-            message.dropped = True
-            self.dropped_count += 1
-            if self.trace_level >= TraceLevel.FULL:
-                self.dropped.append(message)
-            return message
-        self._schedule_delivery(message, float(action))
+        delay = self.delta
+        if self._rules:
+            action = self._resolve(message)
+            if action == HOLD:
+                message.held = True
+                self.held_count += 1
+                self.in_transit.append(message)
+                return message
+            if action == DROP:
+                message.dropped = True
+                self.dropped_count += 1
+                if self.full_trace:
+                    self.dropped.append(message)
+                return message
+            delay = action
+        deliver_time = now + delay
+        if deliver_time < now:
+            raise SimulationError(
+                f"cannot schedule in the past: {deliver_time} < now={now}"
+            )
+        message.deliver_time = deliver_time
+        heappush(sim._queue, (deliver_time, sim._seq, self._deliver, message))
+        sim._seq += 1
         return message
 
+    def send_all(self, src, destinations, payload):
+        send = self.send
+        for dst in destinations:
+            send(src, dst, payload)
+
     def _resolve(self, message):
-        rules = self._rules
-        if not rules:
-            return self.delta
         key = (message.src, message.dst)
         candidates = self._rule_index.get(key)
         if candidates is None:
             candidates = tuple(
                 rule
-                for rule in rules
+                for rule in self._rules
                 if (rule.src is None or message.src in rule.src)
                 and (rule.dst is None or message.dst in rule.dst)
             )
@@ -121,81 +142,40 @@ class ReferenceNetwork(Network):
                 return rule.action
         return self.delta
 
-    def _schedule_delivery(self, message, delay):
-        message.deliver_time = self.sim.now + delay
-        self.sim.call_at(
-            message.deliver_time, lambda m=message: self._deliver(m)
-        )
-
-    def _deliver(self, message):
-        receiver = self._processes.get(message.dst)
-        self.delivered_count += 1
-        if receiver is None:
-            return
-        receiver.receive(message)
-
-    def release_held(self, predicate=None, delay=0.0):
-        released = 0
-        remaining = []
-        for message in self.in_transit:
-            if predicate is None or predicate(message):
-                message.held = False
-                self._schedule_delivery(message, delay)
-                released += 1
-            else:
-                remaining.append(message)
-        self.in_transit = remaining
-        return released
-
-
-class ReferenceProcess(Process):
-    def send(self, dst, payload):
-        if self.crashed:
-            return
-        if self.network is None:
-            raise SimulationError(f"process {self.pid!r} is not bound")
-        self.network.send(self.pid, dst, payload)
-
-    def send_all(self, destinations, payload):
-        for dst in destinations:
-            self.send(dst, payload)
-
-    def receive(self, message):
-        if self.crashed:
-            return
-        if self.network.trace_level >= TraceLevel.FULL:
-            self.delivered.append(message)
-        self.on_message(message)
-
 
 # -- one world: a simulator, a network, four echoing processes ---------------
 
-def echoing(base):
-    class Echo(base):
-        """Logs every delivery, counts it on a condition and answers a
-        ``req`` — so traffic is also sent from inside handlers."""
+class Echo(Process):
+    """Logs every delivery, counts it on a condition and reacts to its
+    kind — so traffic is also sent, receivers crashed and exceptions
+    raised from inside handlers."""
 
-        def __init__(self, pid, log):
-            super().__init__(pid)
-            self.log = log
-            self.got = Counter(f"got@{pid}")
+    def __init__(self, pid, log):
+        super().__init__(pid)
+        self.log = log
+        self.got = Counter(f"got@{pid}")
 
-        def on_message(self, message):
-            self.log.append((
-                self.sim.now, "deliver", message.src, message.dst,
-                message.payload,
-            ))
-            self.got.add()
-            if message.payload.kind == "req":
-                self.send(message.src, Payload("ack", message.payload.key))
-            elif message.payload.kind == "fan":
-                self.send_all(PIDS, Payload("ack", message.payload.key))
-
-    return Echo
+    def on_message(self, message):
+        kind, key = message.payload
+        self.log.append((
+            self.sim.now, "deliver", message.src, message.dst, message.payload,
+        ))
+        self.got.add()
+        if kind == "req":
+            self.send(message.src, Payload("ack", key))
+        elif kind == "fan":
+            self.send_all(PIDS, Payload("ack", key))
+        elif kind == "kill":
+            # Crashes the next process: under a broadcast that is a
+            # later member of the block being delivered.
+            after = PIDS[(PIDS.index(self.pid) + 1) % len(PIDS)]
+            self.network.process(after).crash()
+        elif kind == "boom" and self.pid == PIDS[key]:
+            raise Boom()      # one receiver of a broadcast, not all
 
 
 class World:
-    def __init__(self, sim_cls, net_cls, proc_base, script, trace_level):
+    def __init__(self, sim_cls, net_cls, script, trace_level):
         self.log = []
         self.sim = sim_cls()
         self.net = net_cls(
@@ -203,8 +183,7 @@ class World:
             rules=[Rule(*spec) for spec in script["rules"]],
             trace_level=trace_level,
         )
-        echo = echoing(proc_base)
-        self.procs = {pid: echo(pid, self.log).bind(self.net) for pid in PIDS}
+        self.procs = {pid: Echo(pid, self.log).bind(self.net) for pid in PIDS}
         for pid in PIDS:
             self.sim.spawn(self.waiter(pid), name=f"waiter@{pid}")
         for step in script["steps"]:
@@ -232,8 +211,10 @@ class World:
     def do_send(self, src, dst, kind, key):
         return lambda: self.procs[src].send(dst, Payload(kind, key))
 
-    def do_broadcast(self, src, kind, key):
-        return lambda: self.procs[src].send_all(PIDS, Payload(kind, key))
+    def do_broadcast(self, src, kind, key, destinations=PIDS):
+        return lambda: self.procs[src].send_all(
+            destinations, Payload(kind, key)
+        )
 
     def do_release(self, delay):
         return lambda: self.mark(
@@ -275,6 +256,7 @@ class World:
             "net_log": [self.record(m) for m in net.log],
             "net_dropped": [self.record(m) for m in net.dropped],
             "sent_by_key": net.sent_by_key(),
+            "crashed": [pid for pid, proc in self.procs.items() if proc.crashed],
             "delivered": {
                 pid: [self.record(m) for m in proc.delivered]
                 for pid, proc in self.procs.items()
@@ -288,22 +270,24 @@ class World:
                 message.deliver_time, message.held, message.dropped)
 
     def run(self, phases):
-        """One ``run`` call per phase, then drain; the world's state
+        """One ``run`` call per phase, then drain (a raising handler
+        ends a call, so draining may take many); the world's state
         after every call, with how the call ended."""
         seen = []
-        for until, max_events in list(phases) + [(None, 10_000)] * 8:
+        calls = list(phases)
+        while calls or (self.sim.pending_events() and len(seen) < 120):
+            until, max_events = calls.pop(0) if calls else (None, 10_000)
             try:
                 self.sim.run(until=until, max_events=max_events)
                 ended = "returned"
             except (Boom, SimulationError) as exc:
                 ended = f"{type(exc).__name__}: {exc}"
             seen.append((ended, self.snapshot()))
-        assert self.sim.pending_events() == 0
         return seen
 
 
-REFERENCE = (ReferenceSimulator, ReferenceNetwork, ReferenceProcess)
-CURRENT = (Simulator, Network, Process)
+REFERENCE = (ReferenceSimulator, ReferenceNetwork)
+CURRENT = (Simulator, Network)
 
 
 def differential(script, current=CURRENT):
@@ -312,6 +296,8 @@ def differential(script, current=CURRENT):
         actual = World(*current, script, trace_level).run(script["phases"])
         for step, (want, got) in enumerate(zip(expected, actual)):
             assert got == want, f"run call {step} at {trace_level.name}"
+        assert len(actual) == len(expected), trace_level.name
+        assert expected[-1][1]["pending"] == 0, "script does not drain"
 
 
 # -- generated scripts -----------------------------------------------------
@@ -320,17 +306,23 @@ times = st.integers(0, 10).map(lambda half: half * 0.5)   # many equal times
 pids = st.sampled_from(PIDS)
 pid_sets = st.none() | st.frozensets(pids, min_size=1, max_size=3)
 keys = st.integers(0, 2)
-kinds = st.sampled_from(("req", "req", "note", "fan"))
+kinds = st.sampled_from(("req", "req", "note", "note", "fan", "kill", "boom"))
 rule_specs = st.tuples(
     st.sampled_from((0.0, 0.0, 0.5, 1, 2.5, HOLD, DROP)),
     pid_sets, pid_sets,
     st.sampled_from((float("-inf"), 1.0, 2.5)),
     st.sampled_from((float("inf"), 2.0, 4.0)),
 )
+broadcasts = st.tuples(
+    st.just("broadcast"), times, pids, kinds, keys,
+    # Mostly everybody; also subsets, repeats and nobody.
+    st.just(PIDS) | st.just(PIDS) | st.lists(pids, max_size=5).map(tuple),
+)
 steps = st.one_of(
     st.tuples(st.just("timer"), times, st.integers(0, 9)),
     st.tuples(st.just("send"), times, pids, pids, kinds, keys),
-    st.tuples(st.just("broadcast"), times, pids, kinds, keys),
+    broadcasts,
+    broadcasts,
     st.tuples(st.just("release"), times, st.sampled_from((0, 0.0, 0.5, 3.0))),
     st.tuples(st.just("crash"), times, pids),
     st.tuples(st.just("add_rule"), times, rule_specs).map(
@@ -349,16 +341,17 @@ scripts = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=200, deadline=None,
+@settings(max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(scripts)
-def test_flattened_message_path_matches_the_parent_event_loop(script):
+def test_block_message_path_matches_the_per_message_event_loop(script):
     differential(script)
 
 
 # -- scripted flows (each also the script that kills a mutant) -----------------
 
 INF = float("inf")
+NEG_INF = float("-inf")
 SCRIPTS = {
     # Two timers, two unicasts and a broadcast all land at t=1.0 and at
     # t=2.0; the acks they trigger tie again.
@@ -386,8 +379,8 @@ SCRIPTS = {
         "delta": 1.0, "phases": [],
         "rules": [
             (DROP, frozenset("a"), None, 1.0, 2.0),
-            (HOLD, None, frozenset("c"), float("-inf"), 1.5),
-            (0.0, frozenset("d"), frozenset("a"), float("-inf"), INF),
+            (HOLD, None, frozenset("c"), NEG_INF, 1.5),
+            (0.0, frozenset("d"), frozenset("a"), NEG_INF, INF),
         ],
         "steps": [
             ("send", 0.0, "b", "c", "req", 0), ("broadcast", 1.0, "a", "req", 1),
@@ -406,6 +399,63 @@ SCRIPTS = {
             ("sleeper", 1.0, 0.0), ("broadcast", 2.0, "c", "note", 2),
         ],
     },
+    # One broadcast, four fates: b slow (lands at 3.0), c held, d dropped,
+    # a on time.  a's second broadcast (sent at 1.0, no rule left in its
+    # window) and the released c all land at 2.0, b's slow copy after them.
+    "split-broadcast": {
+        "delta": 1.0, "phases": [],
+        "rules": [
+            (3.0, frozenset("a"), frozenset("b"), NEG_INF, 0.5),
+            (HOLD, frozenset("a"), frozenset("c"), NEG_INF, 0.5),
+            (DROP, frozenset("a"), frozenset("d"), NEG_INF, 0.5),
+        ],
+        "steps": [
+            ("broadcast", 0.0, "a", "req", 0), ("broadcast", 1.0, "a", "note", 1),
+            ("release", 1.0, 1.0), ("timer", 2.0, 5),
+        ],
+    },
+    # Two senders broadcast into t=1.0 around a single and two timers; a
+    # zero-delay link sends into the instant while its blocks are being
+    # walked, and the cap of the first call trips one member into the
+    # first block.  The second call's cap is already exceeded when it
+    # starts: it runs one event all the same, the next member.
+    "two-senders": {
+        "delta": 1.0, "phases": [(None, 5), (None, 2), (1.0, 50)],
+        "rules": [(0.0, frozenset("b"), frozenset("a"), NEG_INF, INF)],
+        "steps": [
+            ("broadcast", 0.0, "a", "req", 0), ("send", 0.0, "c", "b", "note", 1),
+            ("timer", 1.0, 1), ("broadcast", 0.0, "d", "req", 2),
+            ("timer", 1.0, 2),
+        ],
+    },
+    # The second member of a block raises: the first call ends there, the
+    # second (``until`` on the block's own instant) delivers the rest and
+    # not the raiser again.
+    "boom-mid-block": {
+        "delta": 1.0, "rules": [], "phases": [(None, 100), (1.0, 100)],
+        "steps": [
+            ("broadcast", 0.0, "a", "boom", 1, ("c", "b", "d")),
+            ("timer", 1.0, 1), ("broadcast", 0.0, "b", "note", 1),
+        ],
+    },
+    # Every member of the block crashes the next process: b and d are up
+    # at send time and when the block is popped, and down at their turn —
+    # and for the block behind it.
+    "killed-by-its-block": {
+        "delta": 1.0, "rules": [], "phases": [(1.0, 100)],
+        "steps": [
+            ("broadcast", 0.0, "a", "kill", 0), ("broadcast", 0.0, "c", "note", 1),
+        ],
+    },
+    # A destination nobody registered, third of four: the first two are
+    # sent, the call raises, the fourth is never looked at.
+    "refused-destination": {
+        "delta": 1.0, "rules": [], "phases": [],
+        "steps": [
+            ("broadcast", 0.0, "a", "req", 0, ("b", "c", "nobody", "d")),
+            ("timer", 1.0, 1),
+        ],
+    },
 }
 
 
@@ -414,25 +464,76 @@ def test_scripted_flows_agree(name):
     differential(SCRIPTS[name])
 
 
+def run_script(name, trace_level=TraceLevel.FULL):
+    world = World(*CURRENT, SCRIPTS[name], trace_level)
+    return world, world.run(SCRIPTS[name]["phases"])
+
+
 def test_scripted_flows_exercise_what_they_claim():
-    world = World(*CURRENT, SCRIPTS["rules"], TraceLevel.FULL)
-    world.run([])
+    world, _ = run_script("rules")
     assert world.net.dropped_count and world.net.held_count
     assert any(m.deliver_time == m.send_time for m in world.net.log)
     released = [entry for entry in world.log if entry[1] == "release"]
     assert released and released[0][-1] > 0
-    world = World(*CURRENT, SCRIPTS["interrupted"], TraceLevel.FULL)
-    ends = [ended for ended, _ in world.run(SCRIPTS["interrupted"]["phases"])]
+
+    world, seen = run_script("interrupted")
+    ends = [ended for ended, _ in seen]
     assert ends[0].startswith("SimulationError: exceeded 4 events")
     assert ends[1].startswith("Boom") and ends[-1] == "returned"
     assert world.procs["b"].delivered == []           # crashed before t=1
 
+    world, _ = run_script("split-broadcast")
+    first = [m for m in world.net.log if m.payload == Payload("req", 0)]
+    assert [(m.dst, m.deliver_time, m.dropped) for m in first] == [
+        ("a", 1.0, False), ("b", 3.0, False), ("c", 2.0, False),
+        ("d", None, True),
+    ]
+    at_two = [e[3] for e in world.log if e[:2] == (2.0, "deliver")]
+    assert at_two[:5] == ["a", "b", "c", "d", "c"]    # the block, then c's release
 
-# -- seeded mutants of the new loop -----------------------------------------
+    world, seen = run_script("two-senders")
+    ended, state = seen[0]
+    assert ended.startswith("SimulationError: exceeded 5 events")
+    # Three steps, two timers and one delivery in: three members of a's
+    # block, c's single, d's block and one ack are pending — in four
+    # queue entries.
+    assert (state["events_processed"], state["counters"][1]) == (6, 1)
+    assert state["pending"] == 3 + 1 + 4 + 1
+    ended, state = seen[1]
+    assert ended.startswith("SimulationError: exceeded 2 events")
+    assert (state["events_processed"], state["counters"][1]) == (7, 2)
 
-def mutated_run(pop=heapq.heappop, wake_every_event=False):
-    """``Simulator.run`` as shipped, with a replaceable pop and an
-    optional wake pass after every event."""
+    world, seen = run_script("boom-mid-block")
+    assert [ended for ended, _ in seen] == ["Boom: ", "returned", "returned"]
+    booms = [e[3] for e in world.log if e[4] == Payload("boom", 1)]
+    assert booms == ["c", "b", "d"]                   # once each, in order
+    ended, state = seen[0]
+    # Two steps, the timer and c; b raised: delivered, not counted as an
+    # event, not pending; d and the block of four are.
+    assert (state["events_processed"], state["counters"][1]) == (4, 2)
+    assert state["pending"] == 1 + 4 and seen[1][1]["now"] == 1.0
+
+    world, seen = run_script("killed-by-its-block")
+    ended, state = seen[0]
+    assert [e[3] for e in state["log"] if e[1] == "deliver"] == ["a", "c"] * 2
+    assert state["crashed"] == ["b", "d"]
+    # Crashed receivers are deliveries and events all the same.
+    assert (state["events_processed"], state["counters"][1]) == (2 + 8, 8)
+
+    world, seen = run_script("refused-destination")
+    ended, state = seen[0]
+    assert ended == "SimulationError: unknown destination 'nobody'"
+    assert state["counters"][0] == 2 and state["pending"] == 2 + 1
+
+
+# -- seeded mutants of the new path -----------------------------------------
+
+def mutated_run(pop=heapq.heappop, wake_every_event=False,
+                a_block_is_one_event=False, requeue=True, least_room=1):
+    """``Simulator.run`` as shipped, with a replaceable pop, an optional
+    wake pass after every entry, a per-block count, the choice of
+    dropping what a mid-block exit leaves, and no room at all for a
+    block under a cap already exceeded."""
 
     def run(self, until=None, max_events=1_000_000):
         queue = self._queue
@@ -444,7 +545,30 @@ def mutated_run(pop=heapq.heappop, wake_every_event=False):
                     break
                 self.now = time
                 while queue and queue[0][0] == time:
-                    _, _, action, arg = pop(queue)
+                    _, seq, action, arg = pop(queue)
+                    if type(arg) is Block:
+                        size = len(arg)
+                        try:
+                            action(arg, max(max_events - processed + 1,
+                                            least_room))
+                        except BaseException:
+                            processed -= 1
+                            raise
+                        finally:
+                            if a_block_is_one_event:
+                                processed += 1
+                            else:
+                                processed += size - len(arg)
+                            if arg and requeue:
+                                heappush(queue, (time, seq, action, arg))
+                        if processed > max_events:
+                            raise SimulationError(
+                                f"exceeded {max_events} events; "
+                                "livelock suspected"
+                            )
+                        if wake_every_event:
+                            self._wake_tasks()
+                        continue
                     if arg is _NO_ARG:
                         action()
                     else:
@@ -471,15 +595,104 @@ def mutated_run(pop=heapq.heappop, wake_every_event=False):
 def pop_newest(queue):
     """The newest entry of the earliest instant (a LIFO tie-break)."""
     time = queue[0][0]
-    entry = max(e for e in queue if e[0] == time)
+    entry = max((e for e in queue if e[0] == time), key=lambda e: e[:2])
     queue.remove(entry)
     heapq.heapify(queue)
     return entry
 
 
+def mutated_send_all(one_block=False, held_and_dropped_ride_along=False):
+    """``Network.send_all`` as shipped, optionally with one block per
+    broadcast whatever the delays, or with held / dropped destinations
+    left in the block of the on-time ones."""
+
+    def send_all(self, src, destinations, payload):
+        sim = self.sim
+        now = sim.now
+        processes = self._processes
+        full_trace = self.full_trace
+        log = self.log
+        rules = self._rules
+        deliver = self._deliver_block
+        default_time = now + self.delta
+        seq = sim._seq
+        sent = 0
+        entries = {}
+        try:
+            for dst in destinations:
+                if dst not in processes:
+                    raise SimulationError(f"unknown destination {dst!r}")
+                message = Message(src, dst, payload, now)
+                sent += 1
+                if full_trace:
+                    log.append(message)
+                deliver_time = default_time
+                if rules:
+                    action = self._resolve(message)
+                    if action == HOLD or action == DROP:
+                        self._withhold(message, action)
+                        if not held_and_dropped_ride_along:
+                            continue
+                    else:
+                        deliver_time = now + action
+                        if deliver_time < now:
+                            raise SimulationError(
+                                f"cannot schedule in the past: "
+                                f"{deliver_time} < now={now}"
+                            )
+                message.deliver_time = deliver_time
+                key_time = "any" if one_block else deliver_time
+                entry = entries.get(key_time)
+                if entry is None:
+                    entry = (deliver_time, seq, deliver, Block())
+                    entries[key_time] = entry
+                entry[3].append(message)
+                seq += 1
+        finally:
+            self.sent_count += sent
+            if sent and not full_trace:
+                key = getattr(payload, "key", None)
+                if key is not None:
+                    tally = self._sent_by_key
+                    tally[key] = tally.get(key, 0) + sent
+            queue = sim._queue
+            for entry in entries.values():
+                entry[3].reverse()
+                heappush(queue, entry)
+            sim._seq = seq
+
+    return send_all
+
+
+def mutated_deliver_block(honour_room=True, pop_first=True,
+                          count_members=True):
+    """``Network._deliver_block`` as shipped, optionally deaf to
+    ``room``, popping a member only after it ran, or counting a call
+    as one delivery."""
+
+    def _deliver_block(self, block, room):
+        processes = self._processes
+        if not count_members:
+            self.delivered_count += 1
+        for _ in range(min(len(block), room) if honour_room else len(block)):
+            message = block.pop() if pop_first else block[-1]
+            if count_members:
+                self.delivered_count += 1
+            processes[message.dst].receive(message)
+            if not pop_first:
+                block.pop()
+
+    return _deliver_block
+
+
 class FaithfulCopy(Simulator):
     """No mutation: the harness the mutants are built from is the loop."""
     run = mutated_run()
+
+
+class FaithfulNetworkCopy(Network):
+    send_all = mutated_send_all()
+    _deliver_block = mutated_deliver_block()
 
 
 class LifoTieBreak(Simulator):
@@ -488,6 +701,23 @@ class LifoTieBreak(Simulator):
 
 class WakesBetweenEvents(Simulator):
     run = mutated_run(wake_every_event=True)
+
+
+class BlockCountedAsOneEvent(Simulator):
+    run = mutated_run(a_block_is_one_event=True)
+
+
+class RestOfBlockLostAfterRaise(Simulator):
+    run = mutated_run(requeue=False)
+
+
+class NoRoomUnderAnExceededCap(Simulator):
+    run = mutated_run(least_room=0)
+
+
+class PendingCountsEntries(Simulator):
+    def pending_events(self):
+        return len(self._queue)
 
 
 class SkippedSeq(Network):
@@ -508,19 +738,51 @@ class DroppedCountsAsDelivered(Network):
         return message
 
 
+class DelaysShareABlock(Network):
+    send_all = mutated_send_all(one_block=True)
+
+
+class HeldAndDroppedRideAlong(Network):
+    send_all = mutated_send_all(held_and_dropped_ride_along=True)
+
+
+class DeliveredCountedPerBlock(Network):
+    _deliver_block = mutated_deliver_block(count_members=False)
+
+
+class RaiserRedelivered(Network):
+    _deliver_block = mutated_deliver_block(pop_first=False)
+
+
+class CapIgnoredInsideABlock(Network):
+    _deliver_block = mutated_deliver_block(honour_room=False)
+
+
 MUTANTS = {
-    LifoTieBreak: ((LifoTieBreak, Network, Process), "ties"),
-    WakesBetweenEvents: ((WakesBetweenEvents, Network, Process),
-                         "same-instant-wake"),
-    SkippedSeq: ((Simulator, SkippedSeq, Process), "ties"),
-    DroppedCountsAsDelivered: ((Simulator, DroppedCountsAsDelivered, Process),
-                               "rules"),
+    LifoTieBreak: ((LifoTieBreak, Network), "ties"),
+    WakesBetweenEvents: ((WakesBetweenEvents, Network), "same-instant-wake"),
+    BlockCountedAsOneEvent: ((BlockCountedAsOneEvent, Network), "two-senders"),
+    RestOfBlockLostAfterRaise: ((RestOfBlockLostAfterRaise, Network),
+                                "boom-mid-block"),
+    RaiserRedelivered: ((Simulator, RaiserRedelivered), "boom-mid-block"),
+    CapIgnoredInsideABlock: ((Simulator, CapIgnoredInsideABlock),
+                             "two-senders"),
+    NoRoomUnderAnExceededCap: ((NoRoomUnderAnExceededCap, Network),
+                               "two-senders"),
+    PendingCountsEntries: ((PendingCountsEntries, Network), "two-senders"),
+    SkippedSeq: ((Simulator, SkippedSeq), "ties"),
+    DroppedCountsAsDelivered: ((Simulator, DroppedCountsAsDelivered), "rules"),
+    DelaysShareABlock: ((Simulator, DelaysShareABlock), "split-broadcast"),
+    HeldAndDroppedRideAlong: ((Simulator, HeldAndDroppedRideAlong),
+                              "split-broadcast"),
+    DeliveredCountedPerBlock: ((Simulator, DeliveredCountedPerBlock),
+                               "killed-by-its-block"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SCRIPTS))
-def test_the_mutant_harness_is_the_shipped_loop(name):
-    differential(SCRIPTS[name], (FaithfulCopy, Network, Process))
+def test_the_mutant_harness_is_the_shipped_path(name):
+    differential(SCRIPTS[name], (FaithfulCopy, FaithfulNetworkCopy))
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS, key=lambda m: m.__name__))

@@ -1,8 +1,13 @@
 """Tests for the discrete-event simulator kernel."""
 
+import signal
+
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
+from repro.scenarios import (
+    Crash, FaultPlan, Propose, RandomMix, Read, ScenarioSpec, Write, run,
+)
 from repro.sim.conditions import Check, Event
 from repro.sim.simulator import Simulator
 from repro.sim.tasks import Sleep, WaitUntil
@@ -208,6 +213,65 @@ class TestTasks:
 
         with pytest.raises(SimulationError):
             sim.spawn(coro())
+
+
+NAN = float("nan")
+
+
+class TestNaNTimes:
+    """A NaN time is never due: queued, it made ``run`` spin without
+    processing an event (``max_events`` never tripped).  Every way in
+    refuses it when it is scheduled."""
+
+    @pytest.fixture(autouse=True)
+    def fail_instead_of_hanging(self):
+        def hung(signum, frame):
+            raise AssertionError("the event loop is spinning on a NaN time")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_call_at_and_call_later(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="nan"):
+            sim.call_at(NAN, lambda: None)
+        with pytest.raises(SimulationError, match="nan"):
+            sim.call_later(NAN, lambda: None)
+        sim.run(max_events=10)
+        assert sim.pending_events() == 0
+
+    def test_timer_at(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="nan"):
+            sim.timer_at(NAN)
+        sim.run(max_events=10)
+
+    def test_sleep(self):
+        with pytest.raises(ValueError, match="nan"):
+            Sleep(NAN)
+
+    @pytest.mark.parametrize("spec", [
+        ScenarioSpec("abd", workload=(Write(0.0, "v"), Read(5.0)),
+                     faults=FaultPlan(crashes=(Crash(1, NAN),))),
+        ScenarioSpec("abd", workload=(Write(NAN, "v"), Read(5.0))),
+        ScenarioSpec("abd", workload=(Write(0.0, "v"), Read(NAN))),
+        ScenarioSpec("abd", workload=(Write(0.0, "v"), Write(NAN, "w"))),
+        ScenarioSpec("rqs-consensus", rqs="example6", horizon=60.0,
+                     workload=(Propose(NAN, "V"),)),
+        ScenarioSpec("abd", workload=(
+            RandomMix(3, 3, horizon=10.0, start=NAN, batch_size=4),)),
+        ScenarioSpec("abd", workload=(
+            RandomMix(3, 3, horizon=10.0, start=NAN, batch_size="auto"),)),
+    ], ids=["crash", "write", "read", "second-write", "propose",
+            "batched-mix", "auto-batched-mix"])
+    def test_a_spec_with_a_nan_time_is_refused(self, spec):
+        with pytest.raises(SimulationError, match="nan"):
+            run(spec)
 
 
 def test_determinism_identical_runs():

@@ -19,6 +19,12 @@ wall-clock, a committed ``BENCH_*.json`` row with a
 ``tools/check_bench.py`` rule for same-run ratios).  A test that takes
 the pytest benchmark plugin's fixture times something into a number
 stored nowhere — a third timing system — so nothing asks for it.
+
+The broadcast is the transport's primitive (docs/architecture.md, "The
+message path"): ``send_all`` queues one entry per delivery instant, a
+loop of ``send`` one per destination.  The only loop left is the
+proposer's interleaved ``Sync`` / ``DecisionPull`` (two payloads per
+target, order-sensitive).
 """
 
 import re
@@ -34,6 +40,7 @@ SHAPE_PROBE = re.compile(
 BENCHMARK_PLUGIN = re.compile(
     r"pytest[-_]benchmark|def \w+\([^)]*\bbenchmark\b"
 )
+SEND_LOOP = re.compile(r"^ *for .* in .*:\s*\n *self\.send\(", re.MULTILINE)
 EVERYWHERE = ("src/repro", "benchmarks", "examples")
 
 
@@ -71,3 +78,9 @@ def test_only_the_result_modules_look_at_a_results_shape():
 def test_nothing_asks_for_the_benchmark_plugin():
     assert _sites(BENCHMARK_PLUGIN, "src", "benchmarks", "tests") == []
     assert not BENCHMARK_PLUGIN.search((ROOT / "pyproject.toml").read_text())
+
+
+def test_a_fan_out_is_a_send_all():
+    assert _sites(SEND_LOOP, "src/repro") == ["src/repro/consensus/proposer.py"]
+    proposer = (ROOT / "src/repro/consensus/proposer.py").read_text()
+    assert len(SEND_LOOP.findall(proposer)) == 1
