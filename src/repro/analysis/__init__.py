@@ -3,37 +3,21 @@
 from repro.analysis.atomicity import (
     AtomicityReport,
     Violation,
-    assert_atomic,
     check_swmr_atomicity,
 )
-from repro.analysis.consensus_check import (
-    ConsensusReport,
-    assert_consensus,
-    check_consensus,
-)
-from repro.analysis.latency import (
-    LatencySummary,
-    learner_delays,
-    message_delays,
-    summarize_rounds,
-    worst_learner_delay,
-)
+from repro.analysis.consensus_check import ConsensusReport, check_consensus
+from repro.analysis.latency import LatencySummary, summarize_rounds
 from repro.analysis.linearizability import is_linearizable
 from repro.analysis.regularity import RegularityReport, check_swmr_regularity
 
 __all__ = [
     "AtomicityReport",
     "Violation",
-    "assert_atomic",
     "check_swmr_atomicity",
     "ConsensusReport",
-    "assert_consensus",
     "check_consensus",
     "LatencySummary",
-    "learner_delays",
-    "message_delays",
     "summarize_rounds",
-    "worst_learner_delay",
     "is_linearizable",
     "RegularityReport",
     "check_swmr_regularity",

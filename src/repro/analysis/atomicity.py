@@ -250,15 +250,6 @@ def _check_register(records: Sequence[OperationRecord]) -> AtomicityReport:
     return AtomicityReport(tuple(violations), read_versions)
 
 
-def assert_atomic(records: Iterable[OperationRecord]) -> AtomicityReport:
-    """Raise :class:`~repro.errors.CheckerError` unless atomic."""
-    report = check_swmr_atomicity(records)
-    if not report.atomic:
-        lines = "\n".join(str(v) for v in report.violations)
-        raise CheckerError(f"history is not atomic:\n{lines}")
-    return report
-
-
 def _has_concurrent_writers(writes: Sequence[OperationRecord]) -> bool:
     """True when writes of *distinct* writers overlap in real time
     (a genuine multi-writer register).  Overlapping writes by a single

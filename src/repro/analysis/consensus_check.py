@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import AgreementViolation, ValidityViolation
 from repro.sim.trace import OperationRecord
 
 
@@ -105,20 +104,3 @@ def check_consensus(
         problems=tuple(problems),
     )
 
-
-def assert_consensus(
-    records: Iterable[OperationRecord],
-    benign_learners: Optional[Iterable[Hashable]] = None,
-    correct_learners: Optional[Iterable[Hashable]] = None,
-) -> ConsensusReport:
-    """Raise on any violated property."""
-    report = check_consensus(
-        records, benign_learners, correct_learners
-    )
-    if not report.agreement_ok:
-        raise AgreementViolation("; ".join(report.problems))
-    if not report.validity_ok:
-        raise ValidityViolation("; ".join(report.problems))
-    if report.unterminated:
-        raise AssertionError("; ".join(report.problems))
-    return report

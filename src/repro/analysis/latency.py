@@ -1,10 +1,12 @@
-"""Latency accounting: rounds (storage) and message delays (consensus).
+"""Latency accounting: per-kind round and completion-time summaries.
 
 Storage operations self-report their round count (the protocol counts
-rounds as it runs).  For consensus, message-delay latency is derived from
-wall-clock simulated time under a uniform per-hop delay ``Δ``:
-``delays = (t_learn − t_propose) / Δ`` — exact when every link has the
-same latency, which is how the best-case benches are configured.
+rounds as it runs).  Consensus latency in message delays is read off a
+run, not summarized here:
+:attr:`repro.scenarios.result.RunResult.learner_delays` derives it from
+simulated time under a uniform per-hop delay ``Δ`` —
+``delays = (t_learn − t_first_propose) / Δ``, exact when every link has
+the same latency, which is how the best-case benches are configured.
 
 Summaries have two equivalent producers: the list-based
 :func:`summarize_rounds` over retained records (FULL traces), and the
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import mean
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional
 
 from repro.analysis.streaming import LatencyAccumulator, nearest_rank
 from repro.sim.trace import OperationRecord
@@ -106,33 +108,3 @@ def summarize_rounds(
         p99_time=nearest_rank(times, 0.99),
     )
 
-
-def message_delays(
-    learn_record: OperationRecord, propose_time: float, delta: float
-) -> float:
-    """Message-delay latency of one learn event under uniform ``Δ``."""
-    if not learn_record.complete:
-        raise ValueError("learner has not learned")
-    return (learn_record.completed_at - propose_time) / delta
-
-
-def learner_delays(
-    records: Iterable[OperationRecord],
-    propose_time: float,
-    delta: float,
-) -> Dict[Hashable, float]:
-    """Message delays for every completed learn record in a trace."""
-    out: Dict[Hashable, float] = {}
-    for record in records:
-        if record.kind == "learn" and record.complete:
-            out[record.process] = message_delays(record, propose_time, delta)
-    return out
-
-
-def worst_learner_delay(
-    records: Iterable[OperationRecord],
-    propose_time: float,
-    delta: float,
-) -> Optional[float]:
-    delays = learner_delays(records, propose_time, delta)
-    return max(delays.values()) if delays else None

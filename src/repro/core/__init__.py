@@ -9,7 +9,8 @@ Public surface:
   validation and witness extraction.
 * :mod:`~repro.core.constructions` — every example of Section 2.2.
 * :mod:`~repro.core.search` — RQS discovery for a given adversary.
-* :mod:`~repro.core.metrics` — load/availability (Section 6 directions).
+* :mod:`~repro.core.metrics` — load/availability (Section 6 directions),
+  the load solved by the exact strategy LP of :mod:`~repro.core.strategy`.
 """
 
 from repro.core.adversary import (
@@ -18,7 +19,6 @@ from repro.core.adversary import (
     ThresholdAdversary,
     as_subset,
 )
-from repro.core.asymmetric import AsymmetricRQS, threshold_asymmetric
 from repro.core.rqs import RefinedQuorumSystem, describe
 from repro.core.properties import (
     P1Witness,
@@ -36,8 +36,6 @@ __all__ = [
     "Adversary",
     "ExplicitAdversary",
     "ThresholdAdversary",
-    "AsymmetricRQS",
-    "threshold_asymmetric",
     "RefinedQuorumSystem",
     "describe",
     "as_subset",

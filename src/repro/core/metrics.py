@@ -9,48 +9,22 @@ as an open research direction; these metrics power the ablation bench
   the LP in :mod:`repro.core.strategy` (a :class:`~fractions.Fraction`
   is returned).  For the symmetric threshold systems the optimum equals
   ``(n − i)/n`` for ``Q_i`` families; for irregular explicit families it
-  can undercut the load of the uniform strategy.
+  can undercut the load of the uniform strategy
+  (:func:`repro.core.strategy.uniform_strategy`).
 * **Availability** (:func:`failure_probability`): the probability that no
   quorum is fully alive when each element fails independently with
-  probability ``p`` — computed exactly by inclusion–exclusion for small
-  families, or by enumeration over the ``2^n`` failure patterns when the
-  family is large but the universe is small.
+  probability ``p`` — computed exactly by enumerating the ``2^n``
+  alive-sets over the union of the family, so it suits small universes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, FrozenSet, Hashable, Sequence, Tuple
+from typing import Tuple
 
-from repro.core.adversary import as_subset
 from repro.core.rqs import RefinedQuorumSystem
 from repro.core.strategy import optimal_single_load
-
-Subset = FrozenSet[Hashable]
-
-
-def uniform_strategy(quorums: Sequence[Subset]) -> Dict[Subset, Fraction]:
-    """The uniform access strategy over a quorum family — exact
-    :class:`~fractions.Fraction` weights that sum to exactly 1."""
-    if not quorums:
-        raise ValueError("need at least one quorum")
-    weight = Fraction(1, len(quorums))
-    return {q: weight for q in quorums}
-
-
-def strategy_load(quorums: Sequence[Subset], strategy: Dict[Subset, Fraction]):
-    """The load induced by ``strategy``: max over elements of the summed
-    probability of quorums containing that element.  Exact when the
-    weights are Fractions (sums stay in ℚ); floats pass through."""
-    ground = set()
-    for quorum in quorums:
-        ground |= quorum
-    per_element = {e: 0 for e in ground}
-    for quorum, weight in strategy.items():
-        for element in quorum:
-            per_element[element] += weight
-    return max(per_element.values())
 
 
 def system_load(rqs: RefinedQuorumSystem, cls: int = 3) -> Fraction:
@@ -58,8 +32,8 @@ def system_load(rqs: RefinedQuorumSystem, cls: int = 3) -> Fraction:
 
     Solved as a linear program over exact rationals by
     :func:`repro.core.strategy.optimal_single_load` — never higher than
-    the uniform strategy's :func:`strategy_load`, and equal to
-    ``(n − i)/n`` for the threshold constructions.
+    the uniform strategy's load, and equal to ``(n − i)/n`` for the
+    threshold constructions.
     """
     family = rqs.class_quorums(cls)
     if not family:
@@ -121,8 +95,3 @@ def best_case_latency_profile(
     p2 = max(a2 - a1, 0.0)
     p3 = max(a3 - a2, 0.0)
     return (p1 * l1 + p2 * l2 + p3 * l3) / a3
-
-
-def as_quorum_family(quorums: Sequence) -> Tuple[Subset, ...]:
-    """Convenience normalizer used by benches."""
-    return tuple(as_subset(q) for q in quorums)

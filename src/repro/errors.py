@@ -62,21 +62,3 @@ class UnknownProtocolError(ScenarioError):
 class CheckerError(ReproError):
     """A correctness checker was fed a malformed history."""
 
-
-class AtomicityViolation(CheckerError):
-    """An operation history is not atomic (not linearizable).
-
-    Carries the offending operations so experiments can report them.
-    """
-
-    def __init__(self, message: str, operations: tuple = ()):
-        self.operations = operations
-        super().__init__(message)
-
-
-class AgreementViolation(CheckerError):
-    """Two benign learners learned different values."""
-
-
-class ValidityViolation(CheckerError):
-    """A learned value was never proposed although all proposers are benign."""

@@ -209,6 +209,21 @@ def _unsupported_strategy(adapter: ProtocolAdapter, spec) -> None:
         )
 
 
+def _require_range(
+    adapter: ProtocolAdapter, name: str, value: Any, low: int,
+    high: Optional[int] = None,
+) -> None:
+    """Refuse ``params[name]`` unless it is an int in ``low..high``."""
+    if not isinstance(value, int) or not (
+        low <= value and (high is None or value <= high)
+    ):
+        bound = f"{low} <= {name}" + ("" if high is None else f" <= {high}")
+        raise ScenarioError(
+            f"protocol {adapter.protocol_id!r}: params[{name!r}]={value!r}"
+            f" is out of range; need {bound}"
+        )
+
+
 def _workload_read_fraction(spec) -> Fraction:
     """The spec's read mix as an exact fraction (for ``"optimal"``).
 
@@ -646,16 +661,21 @@ class RegisterAdapter(StorageAdapter):
     ``params["n"]`` servers (``1..n``), up to ``params["t"]`` crash
     failures, ``params["fast"]`` acks to exit a write round early.  The
     defaults are the paper's Section 1.2 instance (``n=5, t=2,
-    fast=4``); rows whose thresholds do not depend on ``t`` or ``fast``
-    ignore them."""
+    fast=4``); every row refuses ``n < 1``, ``t`` outside ``0..n-1`` and
+    ``fast`` outside ``1..n``, even the rows whose thresholds do not
+    depend on ``t`` or ``fast``."""
 
     def __init__(self, spec):
         _unsupported_roles(self, spec)
         _unsupported_strategy(self, spec)
+        n, t = spec.param("n", 5), spec.param("t", 2)
+        fast = spec.param("fast", 4)
+        _require_range(self, "n", n, 1)
+        _require_range(self, "t", t, 0, n - 1)
+        _require_range(self, "fast", fast, 1, n)
         super().__init__(spec)
         protocol = PROTOCOLS[self.protocol_id]
-        server_ids = tuple(range(1, spec.param("n", 5) + 1))
-        t, fast = spec.param("t", 2), spec.param("fast", 4)
+        server_ids = tuple(range(1, n + 1))
         self._bind(
             spec, server_ids,
             lambda sid: RegisterServer(sid, protocol.slots),

@@ -36,6 +36,7 @@ from typing import (
     Union,
 )
 
+from repro.analysis.streaming import nearest_rank
 from repro.errors import ScenarioError
 
 #: Column names a sweep axis may not use (they anchor the CSV layout).
@@ -70,12 +71,11 @@ def jsonable(value: Any) -> Any:
 
 
 def percentile(values: Sequence[float], p: float) -> float:
-    """Nearest-rank percentile of ``values`` (``p`` in [0, 100])."""
+    """Nearest-rank percentile of ``values`` (``p`` in [0, 100]) — the
+    rank rule of :func:`repro.analysis.streaming.nearest_rank`."""
     if not values:
         raise ScenarioError("percentile of an empty sequence")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
+    return nearest_rank(sorted(values), p / 100)
 
 
 def summary_stats(values: Sequence[float]) -> Dict[str, float]:
@@ -134,13 +134,13 @@ class CellResult:
 
         Raises when the cell failed (propagating its captured error) or
         when the cell ran out-of-process and carries portable metrics
-        only (multiprocessing backend, or ``keep_results=False``).
+        only (multiprocessing backend).
         """
         self.require()
         if self.result is None:
             raise ScenarioError(
                 f"cell {self.index} {dict(self.point)} has no live result "
-                f"handle; run the sweep serially with keep_results=True"
+                f"handle; run the sweep on the serial executor"
             )
         return self.result
 

@@ -267,15 +267,6 @@ class ScenarioSpec:
             raise ScenarioError(
                 f"max_ops must be >= 1, got {self.max_ops}"
             )
-        for op in self.workload:
-            batch = getattr(op, "batch_size", 1)
-            if batch != "auto" and (
-                not isinstance(batch, int) or batch < 1
-            ):
-                raise ScenarioError(
-                    f"batch_size must be an int >= 1 or 'auto', got "
-                    f"{batch!r}"
-                )
         try:
             object.__setattr__(
                 self, "trace_level", TraceLevel.of(self.trace_level)

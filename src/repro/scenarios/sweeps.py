@@ -57,16 +57,7 @@ import multiprocessing
 import pickle
 import zlib
 from dataclasses import dataclass, fields, replace
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Mapping,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ScenarioError
 from repro.scenarios.aggregate import (
@@ -89,7 +80,6 @@ Point = Mapping[str, Any]
 BuildHook = Callable[[Point], ScenarioSpec]
 MeasureHook = Callable[[Point, RunResult], Mapping[str, Any]]
 EvaluateHook = Callable[[Point], Mapping[str, Any]]
-ProgressHook = Callable[[int, int, CellResult], None]
 
 
 # -- axis values ---------------------------------------------------------------
@@ -377,25 +367,16 @@ def run_cell(
 
 # -- executors -----------------------------------------------------------------
 
-def run_serial(
-    sweep: SweepSpec,
-    progress: Optional[ProgressHook] = None,
-    keep_results: bool = True,
-) -> Tuple[CellResult, ...]:
+def run_serial(sweep: SweepSpec) -> Tuple[CellResult, ...]:
     """Run every cell in-process, in grid order.
 
-    With ``keep_results`` each cell result retains its live
-    :class:`RunResult` handle (``cell.result``) for rich post-hoc
-    inspection — reports, traces, custom checkers.
+    Each cell result retains its live :class:`RunResult` handle
+    (``cell.result``) for rich post-hoc inspection — reports, traces,
+    custom checkers.
     """
-    cells = sweep.cells()
-    out = []
-    for cell in cells:
-        outcome = run_cell(sweep, cell, keep_result=keep_results)
-        out.append(outcome)
-        if progress is not None:
-            progress(len(out), len(cells), outcome)
-    return tuple(out)
+    return tuple(
+        run_cell(sweep, cell, keep_result=True) for cell in sweep.cells()
+    )
 
 
 _WORKER_SWEEP: Optional[SweepSpec] = None
@@ -432,9 +413,7 @@ def dispatch_chunks(total: int, workers: int) -> Tuple[Tuple[int, ...], ...]:
 
 
 def run_multiprocessing(
-    sweep: SweepSpec,
-    processes: Optional[int] = None,
-    progress: Optional[ProgressHook] = None,
+    sweep: SweepSpec, processes: Optional[int] = None
 ) -> Tuple[CellResult, ...]:
     """Run the grid on a ``multiprocessing`` pool.
 
@@ -463,52 +442,32 @@ def run_multiprocessing(
         else "spawn"
     )
     context = multiprocessing.get_context(method)
-    out = []
     with context.Pool(
         workers, initializer=_mp_initialize, initargs=(payload,)
     ) as pool:
-        for results in pool.imap(
-            _mp_run_chunk, dispatch_chunks(total, workers)
-        ):
-            for outcome in results:
-                out.append(outcome)
-                if progress is not None:
-                    progress(len(out), total, outcome)
-    return tuple(out)
-
-
-Executor = Union[
-    str, Callable[..., Iterable[CellResult]], None
-]
+        chunks = pool.imap(_mp_run_chunk, dispatch_chunks(total, workers))
+        return tuple(outcome for results in chunks for outcome in results)
 
 
 def run_grid(
     sweep: SweepSpec,
-    executor: Executor = "serial",
+    executor: str = "serial",
     processes: Optional[int] = None,
-    progress: Optional[ProgressHook] = None,
-    keep_results: bool = True,
-    metadata: Optional[Mapping[str, Any]] = None,
 ) -> SweepResult:
     """Expand, execute and aggregate one sweep — the grid entry point.
 
-    ``executor`` is ``"serial"`` (default), ``"multiprocessing"`` (alias
-    ``"mp"``), or any callable ``(sweep, progress) -> iterable of
-    CellResult``.  ``metadata`` is attached verbatim to the result table
-    (keep it backend-independent if you diff exported JSON).
+    ``executor`` is ``"serial"`` (default; cells keep their live
+    ``RunResult``) or ``"multiprocessing"`` (alias ``"mp"``; ``processes``
+    workers, default one per core up to the cell count).
     """
-    if executor in (None, "serial"):
-        cells = run_serial(sweep, progress=progress,
-                           keep_results=keep_results)
+    if executor == "serial":
+        cells = run_serial(sweep)
     elif executor in ("multiprocessing", "mp"):
-        cells = run_multiprocessing(sweep, processes=processes,
-                                    progress=progress)
-    elif callable(executor):
-        cells = tuple(executor(sweep, progress))
+        cells = run_multiprocessing(sweep, processes=processes)
     else:
         raise ScenarioError(
-            f"unknown executor {executor!r}; use 'serial', "
-            f"'multiprocessing', or a callable"
+            f"unknown executor {executor!r}; use 'serial' or "
+            f"'multiprocessing'"
         )
     return SweepResult(
         name=sweep.name,
@@ -517,5 +476,4 @@ def run_grid(
             for name, values in sweep.axes
         ),
         cells=cells,
-        metadata=dict(metadata or {}),
     )

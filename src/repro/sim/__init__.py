@@ -29,7 +29,7 @@ from repro.sim.network import (
     drop_rule,
     hold_rule,
 )
-from repro.sim.process import ByzantineProcess, Process
+from repro.sim.process import Process
 from repro.sim.trace import OperationRecord, Trace
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "delay_rule",
     "drop_rule",
     "hold_rule",
-    "ByzantineProcess",
     "Process",
     "OperationRecord",
     "Trace",

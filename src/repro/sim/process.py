@@ -1,12 +1,15 @@
-"""Process base classes: benign, crash-faulty and Byzantine processes.
+"""The process base class: benign, crash-faulty and Byzantine processes.
 
 Processes follow the paper's model (Section 3.1):
 
 * a **benign** process follows its automaton; it may *crash* and then
   takes no further steps (neither receives nor sends);
-* a **Byzantine** process can deviate arbitrarily — modelled by a
-  :class:`~repro.sim.byzantine.ByzantineBehavior` strategy that
-  intercepts deliveries and may inject arbitrary messages.
+* a **Byzantine** process can deviate arbitrarily — it is a protocol
+  subclass that overrides the handlers it lies in and sets
+  ``benign = False`` (``repro.storage.server.FabricatingServer``,
+  ``repro.consensus.proposer.EquivocatingProposer``, …), installed by a
+  :class:`~repro.scenarios.faults.ByzantineRole` of the run's
+  ``FaultPlan``.
 
 A process is bound to a :class:`~repro.sim.network.Network` before the
 simulation starts; sending before binding is a configuration error.
@@ -57,7 +60,8 @@ class Process:
 
     @property
     def benign(self) -> bool:
-        """Correct or crash-faulty (never Byzantine). Overridden below."""
+        """Correct or crash-faulty (never Byzantine); a Byzantine
+        subclass sets ``benign = False``."""
         return True
 
     # -- messaging -----------------------------------------------------------------
@@ -98,43 +102,3 @@ class Process:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "crashed" if self.crashed else "up"
         return f"{type(self).__name__}({self.pid!r}, {state})"
-
-
-class ByzantineProcess(Process):
-    """A process controlled by a Byzantine behaviour strategy.
-
-    The strategy receives every delivery and full control of the outgoing
-    interface; by default (no strategy) the process is *silent* —
-    indistinguishable from a crash at time 0, which is the weakest
-    Byzantine behaviour and a useful default for resilience tests.
-    """
-
-    def __init__(self, pid: Hashable, behavior: Optional[Any] = None):
-        super().__init__(pid)
-        self.behavior = behavior
-        if behavior is not None:
-            behavior.attach(self)
-
-    def bind(self, network: Network) -> "Process":
-        bound = super().bind(network)
-        if self.behavior is not None:
-            self.behavior.on_bind(self)
-        return bound
-
-    @property
-    def benign(self) -> bool:
-        return False
-
-    def receive(self, message: Message) -> None:
-        if self.crashed:
-            return
-        if self.network.full_trace:
-            self.delivered.append(message)
-        if self.behavior is not None:
-            self.behavior.on_message(self, message)
-
-    def inject(self, dst: Hashable, payload: Any) -> None:
-        """Send an arbitrary (possibly forged) message."""
-        if self.network is None:
-            raise SimulationError(f"process {self.pid!r} is not bound")
-        self.network.send(self.pid, dst, payload)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.atomicity import assert_atomic, check_swmr_atomicity
+from repro.analysis.atomicity import check_swmr_atomicity
 from repro.errors import CheckerError
 from repro.sim.trace import Trace
 from repro.storage.history import BOTTOM
@@ -29,7 +29,8 @@ class TestCleanHistories:
             ("write", "w", 4, 5, "b", "OK"),
             ("read", "r", 6, 7, None, "b"),
         )
-        report = assert_atomic(records)
+        report = check_swmr_atomicity(records)
+        assert report.atomic and report.violations == ()
         assert report.versions == {1: 1, 3: 2}
 
     def test_initial_bottom_read(self):
@@ -99,11 +100,6 @@ class TestViolations:
             ("read", "r2", 2, 4, None, BOTTOM),   # overlaps r1
         )
         assert check_swmr_atomicity(records).atomic
-
-    def test_assert_atomic_raises(self):
-        records = make_history(("read", "r", 0, 1, None, "ghost"))
-        with pytest.raises(CheckerError):
-            assert_atomic(records)
 
 
 class TestMalformedHistories:

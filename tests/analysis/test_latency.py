@@ -1,13 +1,7 @@
 """Tests for latency accounting."""
 
-import pytest
-
-from repro.analysis.latency import (
-    learner_delays,
-    message_delays,
-    summarize_rounds,
-    worst_learner_delay,
-)
+from repro.analysis.latency import summarize_rounds
+from repro.scenarios import Crash, FaultPlan, Propose, ScenarioSpec, run
 from repro.sim.trace import Trace
 
 
@@ -28,22 +22,15 @@ def test_summarize_empty_kind():
     assert summary.count == 0 and summary.mean_rounds is None
 
 
-def test_message_delays():
-    trace = Trace()
-    record = trace.begin("learn", "l1", 0.0)
-    trace.complete(record, 6.0, "v")
-    assert message_delays(record, propose_time=0.0, delta=2.0) == 3.0
-    pending = trace.begin("learn", "l2", 0.0)
-    with pytest.raises(ValueError):
-        message_delays(pending, 0.0, 1.0)
-
-
-def test_learner_delays_and_worst():
-    trace = Trace()
-    for learner, done in (("l1", 2.0), ("l2", 4.0)):
-        record = trace.begin("learn", learner, 0.0)
-        trace.complete(record, done, "v")
-    delays = learner_delays(trace.records, 0.0, 1.0)
-    assert delays == {"l1": 2.0, "l2": 4.0}
-    assert worst_learner_delay(trace.records, 0.0, 1.0) == 4.0
-    assert worst_learner_delay([], 0.0, 1.0) is None
+def test_learner_delays_with_a_crashed_learner():
+    """Delays are simulated time over Δ (here 2.0: learned at t=4.0 is
+    two message delays); a learner that never learned maps to ``None``,
+    and then so does the worst delay."""
+    result = run(ScenarioSpec(
+        "rqs-consensus", rqs="example6", workload=(Propose(0.0, "V"),),
+        horizon=60.0, delta=2.0,
+        faults=FaultPlan(crashes=(Crash("l1", 0.0),)),
+    ))
+    assert result.learner_delays == {"l1": None, "l2": 2.0, "l3": 2.0}
+    assert result.worst_learner_delay is None
+    assert result.consensus.ok and result.learned == {"l2": "V", "l3": "V"}

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.constructions import threshold_rqs
 from repro.core import metrics
+from repro.core.strategy import peak_load, uniform_distribution, uniform_strategy
 
 
 class TestLoad:
@@ -30,15 +31,17 @@ class TestLoad:
         with pytest.raises(ValueError):
             metrics.system_load(flat, cls=1)
 
-    def test_strategy_load_counts_per_element_mass(self):
+    def test_uniform_load_counts_per_element_mass(self):
         quorums = (frozenset({1, 2}), frozenset({2, 3}))
-        strategy = metrics.uniform_strategy(list(quorums))
-        assert metrics.strategy_load(quorums, strategy) == pytest.approx(1.0)
+        weights = uniform_distribution(quorums)
+        assert peak_load(weights, weights, Fraction(1, 2)) == 1
+        assert uniform_strategy(quorums).load == 1
 
-    def test_uniform_strategy_weights_sum_exactly_one(self):
+    def test_uniform_weights_are_exact_and_sum_to_one(self):
         rqs = threshold_rqs(8, 3, 1, 1, 2)
-        weights = metrics.uniform_strategy(rqs.quorums)
-        assert sum(weights.values()) == Fraction(1)
+        weights = uniform_strategy(rqs.quorums).read_weights
+        assert all(isinstance(w, Fraction) for _, w in weights)
+        assert sum(w for _, w in weights) == Fraction(1)
 
     def test_exact_load_never_above_uniform(self):
         # The LP optimum is over all strategies — it can only be lower
@@ -47,10 +50,8 @@ class TestLoad:
             rqs = threshold_rqs(*args)
             for cls in (1, 3):
                 family = rqs.class_quorums(cls)
-                assert metrics.system_load(
-                    rqs, cls=cls
-                ) <= metrics.strategy_load(
-                    family, metrics.uniform_strategy(family)
+                assert metrics.system_load(rqs, cls=cls) <= (
+                    uniform_strategy(family).load
                 )
 
     def test_threshold_load_closed_form(self):

@@ -198,16 +198,20 @@ class TestExecutors:
             run_grid(grid, executor="multiprocessing")
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match="unknown executor"):
             run_grid(ANALYTIC_GRID, executor="threads")
+        with pytest.raises(ScenarioError, match="unknown executor"):
+            run_grid(ANALYTIC_GRID, executor=sweeps_module.run_serial)
 
-    def test_progress_callback_sees_every_cell(self):
-        seen = []
-        run_grid(
-            ANALYTIC_GRID,
-            progress=lambda done, total, cell: seen.append((done, total)),
-        )
-        assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
+    def test_only_executor_and_processes_are_settable(self):
+        import inspect
+
+        parameters = list(inspect.signature(run_grid).parameters)
+        assert parameters == ["sweep", "executor", "processes"]
+        for knob in ("progress", "keep_results", "metadata"):
+            with pytest.raises(TypeError):
+                run_grid(ANALYTIC_GRID, **{knob: None})
+        assert run_grid(ANALYTIC_GRID).metadata == {}
 
 
 #: Strategy-parameterized cells: the knob is a spec field, so the
@@ -377,6 +381,20 @@ class TestAggregation:
         assert percentile([7], 1) == 7
         with pytest.raises(ScenarioError):
             percentile([], 50)
+
+    def test_percentile_is_the_streaming_nearest_rank(self):
+        import math
+
+        from repro.analysis.streaming import nearest_rank
+
+        for values in ([3.0], [4, 1, 3, 2], [2.5, 0.5, 2.5, 9.0, 1.0, 7.25]):
+            ordered = sorted(values)
+            for p in range(101):
+                # The ceil(p/100 · n) rank, clamped to 1..n.
+                rank = min(max(1, math.ceil(p / 100 * len(ordered))),
+                           len(ordered))
+                assert percentile(values, p) == ordered[rank - 1]
+                assert percentile(values, p) == nearest_rank(ordered, p / 100)
 
     def test_table_renders_every_cell(self):
         sweep = run_grid(ANALYTIC_GRID)

@@ -1,11 +1,10 @@
-"""Tests for process semantics: crash and Byzantine behaviour."""
+"""Tests for process semantics: crashes and broadcasts."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.byzantine import Silent, SilentAfter, StateForger
 from repro.sim.network import Network
-from repro.sim.process import ByzantineProcess, Process
+from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 
 
@@ -80,50 +79,3 @@ class TestCrash:
         client.send_all(["e"], "never")
         assert net.sent_count == 4
 
-
-class TestByzantine:
-    def test_default_byzantine_is_silent(self):
-        sim, net = wired()
-        byz = ByzantineProcess("b").bind(net)
-        client = Collector("c").bind(net)
-        client.send("b", "ping")
-        sim.run_to_completion()
-        assert client.seen == [] and not byz.benign
-
-    def test_silent_after_behaves_then_stops(self):
-        sim, net = wired()
-
-        def benign(process, message):
-            process.inject(message.src, ("ok", message.payload))
-
-        byz = ByzantineProcess("b", SilentAfter(benign, 5.0)).bind(net)
-        client = Collector("c").bind(net)
-        client.send("b", 1)
-        sim.run(until=6.0)
-        client.send("b", 2)  # delivered at 7.0, after the trigger
-        sim.run_to_completion()
-        assert client.seen == [("ok", 1)]
-
-    def test_state_forger_mutates_at_trigger(self):
-        sim, net = wired()
-
-        def benign(process, message):
-            process.inject(message.src, process.value)
-
-        def forge(process):
-            process.value = "forged"
-
-        byz = ByzantineProcess("b", StateForger(benign, forge, 2.0)).bind(net)
-        byz.value = "honest"
-        client = Collector("c").bind(net)
-        client.send("b", "q1")
-        sim.run(until=1.5)
-        sim.run(until=3.0)
-        client.send("b", "q2")
-        sim.run_to_completion()
-        assert client.seen == ["honest", "forged"]
-
-    def test_inject_bypasses_crash_check_but_not_binding(self):
-        byz = ByzantineProcess("b", Silent())
-        with pytest.raises(SimulationError):
-            byz.inject("x", "forged")

@@ -1,5 +1,8 @@
 """Tests for the ABD, fast-ABD and naive baselines."""
 
+import pytest
+
+from repro.errors import ScenarioError
 from repro.scenarios import (
     FaultPlan,
     Hold,
@@ -93,3 +96,45 @@ class TestNaive:
 
         outcome = run_naive()
         assert not outcome.report.atomic
+
+
+#: Ill-formed count-quorum deployments: each used to raise a bare
+#: ``ValueError`` from deep in the client, or to block every op while
+#: the run still reported ``atomic``.
+BAD_PARAMS = (
+    ({"t": 5}, "t", "0 <= t <= 4"),          # quorum n - t = 0
+    ({"n": 0}, "n", "1 <= n"),
+    ({"t": -1}, "t", "0 <= t <= 4"),         # needs n + 1 of n acks
+    ({"fast": 0}, "fast", "1 <= fast <= 5"),
+    ({"fast": 6}, "fast", "1 <= fast <= 5"),  # fast = n + 1
+)
+
+
+@pytest.mark.parametrize("protocol", ("abd", "fastabd", "naive"))
+@pytest.mark.parametrize("params, name, bound", BAD_PARAMS)
+def test_ill_formed_params_are_refused(protocol, params, name, bound):
+    with pytest.raises(ScenarioError) as refused:
+        register(protocol, Write(0.0, "v"), Read(5.0), params=params)
+    message = str(refused.value)
+    assert f"params[{name!r}]" in message and bound in message
+    assert repr(protocol) in message
+
+
+#: The edges of the accepted ranges: a single server, and the largest
+#: ``t`` and ``fast`` the five-server deployment admits.
+EDGE_PARAMS = (
+    {"n": 1, "t": 0, "fast": 1},
+    {"n": 5, "t": 4, "fast": 5},
+)
+
+
+@pytest.mark.parametrize("protocol", ("abd", "fastabd", "naive"))
+@pytest.mark.parametrize("params", EDGE_PARAMS)
+def test_edge_params_are_accepted(protocol, params):
+    result = register(
+        protocol, Write(0.0, "v"), Read(5.0), params=params, horizon=20.0
+    )
+    assert result.write().complete
+    assert result.read().result == "v"
+    assert result.blocked == ()
+    assert result.atomicity.atomic

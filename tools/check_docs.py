@@ -15,7 +15,11 @@ and, in those files and in every module docstring under ``src/repro/``:
 
 * a backticked repository path to a Python file under ``tests/``,
   ``benchmarks/``, ``src/`` or ``tools/`` (with or without a ``::test``
-  suffix) names a file that exists.
+  suffix) names a file that exists;
+* a dotted name ``repro.<module>[.<attribute>…]`` resolves: the longest
+  prefix that imports is a module, and the rest is an attribute chain
+  on it (the package under ``src/`` is imported, so a deleted module or
+  function leaves no citation behind).
 
 Exits non-zero listing every broken link (problem reporting shared with
 the other gates via ``tools/_gate.py``).
@@ -24,6 +28,7 @@ the other gates via ``tools/_gate.py``).
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -36,6 +41,7 @@ CODE_FENCE = re.compile(r"```.*?```", re.DOTALL)
 REPO_PATH = re.compile(
     r"`((?:tests|benchmarks|src|tools)/[\w/.-]+\.py)(?:::[^`\s]+)?`"
 )
+DOTTED = re.compile(r"\brepro(?:\.\w+)+")
 
 
 def github_slug(heading: str) -> str:
@@ -50,17 +56,40 @@ def anchors_of(text: str) -> set:
     return {github_slug(h) for h in HEADING.findall(CODE_FENCE.sub("", text))}
 
 
-def dangling_paths(path: Path, text: str, root: Path) -> list:
+def resolves(name: str) -> bool:
+    """Whether ``repro.a.b.c`` names an importable module or an
+    attribute chain on the longest importable prefix."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+def dangling(path: Path, text: str, root: Path) -> list:
+    """Cited repository paths that are not files, and dotted ``repro``
+    names that do not resolve."""
     return [
         f"{path}: names a file that does not exist -> {cited}"
         for cited in sorted(set(REPO_PATH.findall(text)))
         if not (root / cited).is_file()
+    ] + [
+        f"{path}: names something that does not exist -> {cited}"
+        for cited in sorted(set(DOTTED.findall(text)))
+        if not resolves(cited)
     ]
 
 
 def check_file(path: Path, root: Path) -> list:
     text = path.read_text()
-    problems = dangling_paths(path, text, root)
+    problems = dangling(path, text, root)
     own_anchors = anchors_of(text)
     for target in LINK.findall(CODE_FENCE.sub("", text)):
         if target.startswith(("http://", "https://", "mailto:")):
@@ -82,25 +111,28 @@ def check_file(path: Path, root: Path) -> list:
     return problems
 
 
-def main() -> int:
-    root = Path.cwd()
+def check_tree(root: Path) -> list:
+    """Every problem in ``root``'s docs and module docstrings."""
     files = sorted((root / "docs").glob("*.md")) + [root / "README.md"]
-    missing = [f for f in files if not f.exists()]
-    problems = [f"missing file: {f}" for f in missing]
+    problems = [f"missing file: {f}" for f in files if not f.exists()]
     for path in files:
         if path.exists():
             problems.extend(check_file(path, root))
-    modules = sorted((root / "src" / "repro").rglob("*.py"))
-    for path in modules:
+    for path in sorted((root / "src" / "repro").rglob("*.py")):
         docstring = ast.get_docstring(ast.parse(path.read_text()))
-        problems.extend(dangling_paths(path, docstring or "", root))
-    return finish(
-        problems,
-        f"docs ok: {len(files)} files, all links and anchors resolve; "
-        f"every repository path they and {len(modules)} module "
-        f"docstrings name exists",
-    )
+        problems.extend(dangling(path, docstring or "", root))
+    return problems
 
+
+def main() -> int:
+    root = Path.cwd()
+    sys.path.insert(0, str(root / "src"))
+    return finish(
+        check_tree(root),
+        "docs ok: the links and anchors of docs/*.md and README.md "
+        "resolve, and every repository path and repro.* name they and "
+        "the module docstrings under src/repro/ cite exists",
+    )
 
 if __name__ == "__main__":
     sys.exit(main())
