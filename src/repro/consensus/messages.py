@@ -12,11 +12,13 @@ from dataclasses import dataclass
 from typing import Any, FrozenSet, Hashable, Optional, Tuple
 
 from repro.crypto.signatures import Signed
+from repro.sim.wire import wire_payload
 
 QuorumId = FrozenSet[Hashable]
 
 
-@dataclass(frozen=True)
+@wire_payload
+@dataclass(frozen=True, slots=True)
 class Prepare:
     """``prepare⟨v, view, vProof, Q⟩`` (Figure 15 line 9)."""
 
@@ -26,7 +28,8 @@ class Prepare:
     quorum: Optional[QuorumId]              # the quorum vProof came from
 
 
-@dataclass(frozen=True)
+@wire_payload
+@dataclass(frozen=True, slots=True)
 class Update:
     """``update_step⟨v, view, Q⟩`` (Figure 15 lines 33/38).
 
@@ -46,7 +49,8 @@ def update_statement(step: int, value: Any, view: int) -> Tuple:
     return ("update", step, value, view)
 
 
-@dataclass(frozen=True)
+@wire_payload
+@dataclass(frozen=True, slots=True)
 class NewView:
     """``new_view⟨view, viewProof⟩`` (Figure 15 line 2)."""
 
@@ -54,7 +58,8 @@ class NewView:
     view_proof: Optional[Tuple[Signed, ...]]  # signed view_change messages
 
 
-@dataclass(frozen=True, eq=False)
+@wire_payload
+@dataclass(frozen=True, slots=True, eq=False)
 class AckData:
     """The unsigned body of a ``new_view_ack`` (Figure 15 line 28).
 
@@ -97,7 +102,8 @@ class AckData:
         )
 
 
-@dataclass(frozen=True)
+@wire_payload
+@dataclass(frozen=True, slots=True)
 class NewViewAck:
     """A signed ``new_view_ack``: the body plus the acceptor signature."""
 
@@ -105,7 +111,8 @@ class NewViewAck:
     signature: Signed
 
 
-@dataclass(frozen=True)
+@wire_payload
+@dataclass(frozen=True, slots=True)
 class SignReq:
     """``sign_req⟨v, w, step⟩`` (Figure 15 line 24)."""
 
@@ -114,14 +121,16 @@ class SignReq:
     step: int
 
 
-@dataclass(frozen=True)
+@wire_payload
+@dataclass(frozen=True, slots=True)
 class SignAck:
     """``sign_ack⟨m⟩σ`` (Figure 15 line 29): a signed update statement."""
 
     signature: Signed
 
 
-@dataclass(frozen=True)
+@wire_payload
+@dataclass(frozen=True, slots=True)
 class ViewChange:
     """``view_change⟨nextView⟩σ`` (Figure 14 line 4)."""
 
@@ -129,18 +138,21 @@ class ViewChange:
     signature: Signed
 
 
-@dataclass(frozen=True)
+@wire_payload
+@dataclass(frozen=True, slots=True)
 class Decision:
     """``decision⟨v⟩`` (Figure 14 line 7 / Figure 15 line 40)."""
 
     value: Any
 
 
-@dataclass(frozen=True)
+@wire_payload
+@dataclass(frozen=True, slots=True)
 class DecisionPull:
     """``⟨decision_pull⟩`` (Figure 15 line 103)."""
 
 
-@dataclass(frozen=True)
+@wire_payload
+@dataclass(frozen=True, slots=True)
 class Sync:
     """``sync`` (Figure 15 line 102): arms acceptor suspect timers."""

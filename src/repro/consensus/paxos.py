@@ -112,8 +112,7 @@ class PaxosProposer(Process):
             ballot = self.ballot
             self.send_all(self.acceptors, PaxPrepare(ballot))
             yield WaitUntil(
-                self._promise_counts(ballot).at_least(self.majority),
-                f"paxos phase1 b={ballot}",
+                self._promise_counts(ballot).at_least(self.majority)
             )
             promises = self._promises[ballot].values()
             prior = max(promises, key=lambda p: p.accepted_ballot)
@@ -123,10 +122,7 @@ class PaxosProposer(Process):
                 else value
             )
             self.send_all(self.acceptors, PaxAccept(ballot, chosen))
-            yield WaitUntil(
-                self._accepted(ballot).at_least(self.majority),
-                f"paxos phase2 b={ballot}",
-            )
+            yield WaitUntil(self._accepted(ballot).at_least(self.majority))
             self.trace.complete(record, self.sim.now, chosen)
             return record
 

@@ -11,9 +11,9 @@ whose condition was actually touched this instant (see
 
 The catalogue, roughly in order of preference:
 
-* :class:`Event` — a one-way boolean flag ("decision learned",
-  "timer expired").  :meth:`Simulator.timer_at` hands these out for
-  deadlines.
+* :class:`Event` — a one-way boolean flag ("decision learned").
+  :meth:`Simulator.timer_at` hands out :class:`Timer` events for
+  deadlines ("timer expired").
 * :class:`Counter` — a monotonically increasing count; wait on
   :meth:`Counter.at_least` ("``n − t`` replies collected").
 * :class:`AckSet` — a growing responder-id set (a real ``set``
@@ -36,6 +36,19 @@ corrupted interleavings).  Conditions whose inputs can only ever be
 mutated from simulator events (message handlers, timers) therefore
 wake tasks exactly when a loop re-polling every parked task would have.
 
+A count threshold (:meth:`Counter.at_least`, :meth:`AckSet.at_least`)
+signals once, when the count *crosses* it: a count only grows, so
+before the crossing the threshold is false and after it stays true —
+a signal anywhere else would re-poll a task only to leave it as it was.
+A container holds one threshold condition per ``needed`` (asking again
+returns the same object), so a responder set reused across rounds stays
+as small as its distinct thresholds.  :meth:`AckSet.includes_quorum`
+waits (a :class:`Check`) and composites keep signalling on every change.
+
+Labels are for people: a container's, a threshold's, a timer's and a
+composite's are formatted only when read (a ``repr``, a debugger), never
+on the simulated path.
+
 :class:`~repro.sim.tasks.WaitUntil` takes nothing but a condition — the
 ROADMAP's third invariant; a bare callable is refused.
 """
@@ -43,7 +56,9 @@ ROADMAP's third invariant; a bare callable is refused.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Hashable, List, Optional
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+
+_set_add = set.add
 
 
 class Condition:
@@ -56,12 +71,20 @@ class Condition:
     propagation.
     """
 
-    __slots__ = ("label", "_sim", "_parents")
+    __slots__ = ("_label", "_sim", "_parents")
 
+    # The conditions a protocol makes per round (thresholds, quorum
+    # checks, timers) set these three slots in their own __init__ rather
+    # than call this one: one call per condition, not two or three.
     def __init__(self, label: str = ""):
-        self.label = label
+        self._label = label
         self._sim = None          # set by the simulator while waited on
         self._parents: Optional[List["Condition"]] = None
+
+    @property
+    def label(self) -> str:
+        """What the condition waits for (formatted when read)."""
+        return self._label
 
     # -- protocol ----------------------------------------------------------
 
@@ -117,6 +140,24 @@ class Event(Condition):
         return self._set
 
 
+class Timer(Event):
+    """An :class:`Event` that is set at simulated ``time`` (handed out
+    by :meth:`Simulator.timer_at`)."""
+
+    __slots__ = ("time",)
+
+    def __init__(self, time: float):
+        self._label = ""
+        self._sim = None
+        self._parents = None
+        self._set = False
+        self.time = time
+
+    @property
+    def label(self) -> str:
+        return f"t>={self.time}"
+
+
 class Check(Condition):
     """An explicitly-signalled arbitrary predicate.
 
@@ -136,117 +177,177 @@ class Check(Condition):
         return self._predicate()
 
 
+class IncludesQuorum(Check):
+    """``contains_quorum(acks)`` (created via
+    :meth:`AckSet.includes_quorum`): signalled on every new member."""
+
+    __slots__ = ("_acks",)
+
+    def __init__(
+        self, acks: "AckSet", contains_quorum: Callable[["AckSet"], bool]
+    ):
+        self._label = ""
+        self._sim = None
+        self._parents = None
+        self._predicate = partial(contains_quorum, acks)
+        self._acks = acks
+
+    @property
+    def label(self) -> str:
+        return f"{self._acks.label} quorum"
+
+
 class Threshold(Condition):
-    """``counter.value >= needed`` (created via :meth:`Counter.at_least`)."""
+    """``counter.value >= needed`` (created via :meth:`Counter.at_least`;
+    signalled when the count crosses ``needed``)."""
 
     __slots__ = ("_counter", "_needed")
 
-    def __init__(self, counter: "Counter", needed: int, label: str = ""):
-        super().__init__(label)
+    def __init__(self, counter: "Counter", needed: int):
+        self._label = ""
+        self._sim = None
+        self._parents = None
         self._counter = counter
         self._needed = needed
+
+    @property
+    def label(self) -> str:
+        return f"{self._counter.label}>={self._needed}"
 
     def holds(self) -> bool:
         return self._counter.value >= self._needed
 
 
+def _format(template: str, key: Optional[Tuple]) -> str:
+    """A container's label: ``template`` as given, or filled with the
+    :class:`ConditionMap` key it was made for."""
+    return template if key is None else template.format(*key)
+
+
 class Counter:
-    """A monotonically increasing count with derived wait conditions."""
+    """A monotonically increasing count with threshold conditions."""
 
-    __slots__ = ("label", "value", "_derived")
+    __slots__ = ("_label", "_key", "value", "_thresholds")
 
-    def __init__(self, label: str = ""):
-        self.label = label
+    def __init__(self, label: str = "", key: Optional[Tuple] = None):
+        self._label = label
+        self._key = key
         self.value = 0
-        self._derived: List[Condition] = []
+        self._thresholds: Dict[int, Threshold] = {}
+
+    @property
+    def label(self) -> str:
+        return _format(self._label, self._key)
 
     def add(self, amount: int = 1) -> None:
         if amount < 0:
             raise ValueError(f"counters only grow, got {amount}")
-        self.value += amount
-        for condition in self._derived:
-            condition.signal()
+        old = self.value
+        self.value = new = old + amount
+        for needed, threshold in self._thresholds.items():
+            if old < needed <= new:
+                threshold.signal()
 
-    def at_least(self, needed: int, label: str = "") -> Threshold:
-        condition = Threshold(
-            self, needed, label or f"{self.label}>={needed}"
-        )
-        self._derived.append(condition)
-        return condition
+    def at_least(self, needed: int) -> Threshold:
+        """Wait for the count to reach ``needed`` (one condition per
+        ``needed``, signalled at the crossing)."""
+        threshold = self._thresholds.get(needed)
+        if threshold is None:
+            threshold = self._thresholds[needed] = Threshold(self, needed)
+        return threshold
 
-    def reset(self, label: str = "") -> None:
+    def reset(self, label: str = "", key: Optional[Tuple] = None) -> None:
         """Return the counter to its freshly-constructed state so a
-        :class:`ConditionMap` can recycle it for a new key.  Derived
+        :class:`ConditionMap` can recycle it for a new key.  Threshold
         conditions are orphaned — their waiters must all have resumed
         before the owning key is discarded (the pooling contract)."""
-        self.label = label
+        self._label = label
+        self._key = key
         self.value = 0
-        self._derived.clear()
+        self._thresholds.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.label or ''}={self.value})"
+        return f"Counter({self.label}={self.value})"
 
 
 class AckSet(set):
-    """A growing responder-id set that signals derived conditions.
+    """A growing responder-id set that signals its wait conditions.
 
     A real ``set`` subclass, so existing quorum idioms — ``q <= acks``,
     ``len(acks) >= k``, comprehension membership — keep working on it
     unchanged.  Only :meth:`add` is instrumented; protocol responder
-    sets are append-only.
+    sets are append-only.  A new member signals every
+    :meth:`includes_quorum` wait, and the :meth:`at_least` threshold the
+    new size reaches, if there is one.
     """
 
-    __slots__ = ("label", "_derived")
+    __slots__ = ("_label", "_key", "_checks", "_thresholds")
 
-    def __init__(self, label: str = ""):
+    def __init__(self, label: str = "", key: Optional[Tuple] = None):
         super().__init__()
-        self.label = label
-        self._derived: List[Condition] = []
+        self._label = label
+        self._key = key
+        self._checks: List[Condition] = []
+        self._thresholds: Dict[int, SizeAtLeast] = {}
+
+    @property
+    def label(self) -> str:
+        return _format(self._label, self._key)
 
     def add(self, member: Hashable) -> None:
         if member not in self:
-            super().add(member)
-            for condition in self._derived:
-                condition.signal()
+            _set_add(self, member)
+            for check in self._checks:
+                check.signal()
+            threshold = self._thresholds.get(len(self))
+            if threshold is not None:
+                threshold.signal()
 
-    def at_least(self, needed: int, label: str = "") -> Condition:
-        """Wait for the set to reach ``needed`` members."""
-        condition = SizeAtLeast(
-            self, needed, label or f"{self.label}>={needed}"
-        )
-        self._derived.append(condition)
-        return condition
+    def at_least(self, needed: int) -> "SizeAtLeast":
+        """Wait for the set to reach ``needed`` members (one condition
+        per ``needed``, signalled at the crossing)."""
+        threshold = self._thresholds.get(needed)
+        if threshold is None:
+            threshold = self._thresholds[needed] = SizeAtLeast(self, needed)
+        return threshold
 
     def includes_quorum(
-        self, contains_quorum: Callable[["AckSet"], bool], label: str = ""
-    ) -> Condition:
+        self, contains_quorum: Callable[["AckSet"], bool]
+    ) -> IncludesQuorum:
         """Wait until some quorum is fully contained in the set, as
         decided by ``contains_quorum(acks)`` — the quorum system's own
         containment test (``rqs.contains_quorum``)."""
-        condition = Check(
-            partial(contains_quorum, self), label or f"{self.label} quorum"
-        )
-        self._derived.append(condition)
+        condition = IncludesQuorum(self, contains_quorum)
+        self._checks.append(condition)
         return condition
 
-    def reset(self, label: str = "") -> None:
+    def reset(self, label: str = "", key: Optional[Tuple] = None) -> None:
         """Return the set to its freshly-constructed state so a
         :class:`ConditionMap` can recycle it (see :meth:`Counter.reset`
         for the pooling contract)."""
         self.clear()
-        self.label = label
-        self._derived.clear()
+        self._label = label
+        self._key = key
+        self._checks.clear()
+        self._thresholds.clear()
 
 
 class SizeAtLeast(Condition):
-    """``len(acks) >= needed`` (created via :meth:`AckSet.at_least`)."""
+    """``len(acks) >= needed`` (created via :meth:`AckSet.at_least`;
+    signalled when the set reaches ``needed`` members)."""
 
     __slots__ = ("_acks", "_needed")
 
-    def __init__(self, acks: AckSet, needed: int, label: str = ""):
-        super().__init__(label)
+    def __init__(self, acks: AckSet, needed: int):
+        self._label = ""
+        self._sim = None
+        self._parents = None
         self._acks = acks
         self._needed = needed
+
+    @property
+    def label(self) -> str:
+        return f"{self._acks.label}>={self._needed}"
 
     def holds(self) -> bool:
         return len(self._acks) >= self._needed
@@ -257,7 +358,8 @@ class ConditionMap:
 
     Protocols keep one :class:`AckSet`/:class:`Counter` per logical key
     (a timestamp, a round, a ballot); this wraps the get-or-create
-    boilerplate and the label formatting in one place::
+    boilerplate in one place, and the container keeps the label
+    template with its key (formatted only when read)::
 
         self._acks = ConditionMap(AckSet, "wr ts={} rnd={}")
         ...
@@ -274,7 +376,9 @@ class ConditionMap:
     #: Recycled containers retained per map; past this they are freed.
     _POOL_LIMIT = 16
 
-    def __init__(self, factory: Callable[[str], Any], label: str = ""):
+    def __init__(
+        self, factory: Callable[[str, Tuple], Any], label: str = ""
+    ):
         self._factory = factory
         self._label = label
         self._items: dict = {}
@@ -283,12 +387,11 @@ class ConditionMap:
     def __call__(self, *key: Hashable) -> Any:
         item = self._items.get(key)
         if item is None:
-            label = self._label.format(*key) if self._label else ""
             if self._pool:
                 item = self._pool.pop()
-                item.reset(label)
+                item.reset(self._label, key)
             else:
-                item = self._factory(label)
+                item = self._factory(self._label, key)
             self._items[key] = item
         return item
 
@@ -326,17 +429,27 @@ class ConditionMap:
 class _Composite(Condition):
     __slots__ = ("children",)
 
+    #: Joins the children's labels into the composite's.
+    _JOIN = ""
+
     def __init__(self, *children: Condition, label: str = ""):
         super().__init__(label)
         self.children = children
         for child in children:
             child._watch(self)
 
+    @property
+    def label(self) -> str:
+        return self._label or self._JOIN.join(
+            child.label for child in self.children
+        )
+
 
 class AllOf(_Composite):
     """Conjunction: holds when every child holds (e.g. timer AND quorum)."""
 
     __slots__ = ()
+    _JOIN = " & "
 
     def holds(self) -> bool:
         return all(child.holds() for child in self.children)
@@ -346,6 +459,7 @@ class AnyOf(_Composite):
     """Disjunction: holds when some child holds."""
 
     __slots__ = ()
+    _JOIN = " | "
 
     def holds(self) -> bool:
         return any(child.holds() for child in self.children)

@@ -34,7 +34,7 @@ import heapq
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.conditions import Condition, Event
+from repro.sim.conditions import Condition, Timer
 from repro.sim.tasks import Effect, Sleep, Task, WaitUntil
 
 #: "No argument": the ``arg`` slot of a queue entry whose action takes
@@ -105,15 +105,15 @@ class Simulator:
         simulated time units."""
         self.call_at(self.now + delay, action, arg)
 
-    def timer_at(self, time: float, label: str = "") -> Event:
-        """An :class:`Event` that sets itself at absolute ``time``.
+    def timer_at(self, time: float) -> Timer:
+        """A :class:`Timer` event that sets itself at absolute ``time``.
 
         The condition-flavoured deadline: protocols wait on the returned
         event (possibly inside an ``AllOf`` with a quorum condition)
         instead of scheduling a no-op callback and polling ``sim.now``.
         Already-elapsed times return an already-set event.
         """
-        event = Event(label or f"t>={time}")
+        event = Timer(time)
         if time <= self.now:
             event.set()
         else:

@@ -62,7 +62,7 @@ class WaitUntil(Effect):
     signal it where that state changes.
     """
 
-    __slots__ = ("condition", "label")
+    __slots__ = ("condition", "_label")
 
     def __init__(self, condition: Condition, label: str = ""):
         if not isinstance(condition, Condition):
@@ -72,7 +72,12 @@ class WaitUntil(Effect):
                 f"when its inputs change"
             )
         self.condition = condition
-        self.label = label or condition.label
+        self._label = label
+
+    @property
+    def label(self) -> str:
+        """The wait's own label, else its condition's (read lazily)."""
+        return self._label or self.condition.label
 
     def ready(self) -> bool:
         """The wait's current truth value."""
@@ -94,7 +99,7 @@ def sequential_ops(sim, schedule):
     for time, factory, args in schedule:
         start = time
         if not start <= sim.now:  # later — or NaN, which timer_at refuses
-            yield WaitUntil(sim.timer_at(start), f"start@{start}")
+            yield WaitUntil(sim.timer_at(start))
         yield from factory(*args)
 
 
@@ -133,7 +138,7 @@ def batched_ops(sim, schedule, size, run_batch):
             return
         start = chunk[0][0]
         if not start <= sim.now:  # later — or NaN, which timer_at refuses
-            yield WaitUntil(sim.timer_at(start), f"start@{start}")
+            yield WaitUntil(sim.timer_at(start))
         yield from run_batch([elem for _, elem in chunk])
 
 
@@ -148,7 +153,7 @@ def _adaptive_batches(sim, iterator, run_batch):
     while pending is not None:
         start = pending[0]
         if not start <= sim.now:  # later — or NaN, which timer_at refuses
-            yield WaitUntil(sim.timer_at(start), f"start@{start}")
+            yield WaitUntil(sim.timer_at(start))
         horizon = sim.now
         chunk = [pending]
         pending = None

@@ -62,6 +62,7 @@ from repro.sim.network import Message
 from repro.sim.process import Process
 from repro.sim.tasks import WaitUntil
 from repro.sim.trace import Trace
+from repro.sim.wire import wire_payload
 from repro.storage.batching import (
     BatchAck,
     BatchAcks,
@@ -81,6 +82,7 @@ SlotPairs = Tuple[Pair, ...]
 
 # -- wire vocabulary ----------------------------------------------------------
 
+@wire_payload
 @dataclass(frozen=True, slots=True)
 class SlotWrite:
     """Store ``⟨ts, value⟩`` in ``slot`` of register ``key`` (under the
@@ -92,6 +94,7 @@ class SlotWrite:
     key: Hashable = DEFAULT_KEY
 
 
+@wire_payload
 @dataclass(frozen=True, slots=True)
 class SlotWriteAck:
     ts: int
@@ -99,12 +102,14 @@ class SlotWriteAck:
     key: Hashable = DEFAULT_KEY
 
 
+@wire_payload
 @dataclass(frozen=True, slots=True)
 class SlotRead:
     read_no: int
     key: Hashable = DEFAULT_KEY
 
 
+@wire_payload
 @dataclass(frozen=True, slots=True)
 class SlotReadAck:
     read_no: int
@@ -333,10 +338,7 @@ class _RegisterClient(Process):
         number = self._queries.open()
         responders = self._queries.responders(number)
         self.send_all(self.servers, message_for(number))
-        yield WaitUntil(
-            self._quorum_of(responders, wait_out),
-            f"{self.name} query#{number}",
-        )
+        yield WaitUntil(self._quorum_of(responders, wait_out))
         return self._queries.close(number)
 
 
@@ -382,10 +384,7 @@ class RegisterWriter(_RegisterClient):
         for rnd, (slot, wait_out, exit_at) in enumerate(self.rounds, 1):
             acks = self._acks(key, ts, slot)
             self.send_all(self.servers, SlotWrite(ts, value, slot, key))
-            yield WaitUntil(
-                self._quorum_of(acks, wait_out),
-                f"{self.name} write ts={ts} round {rnd}",
-            )
+            yield WaitUntil(self._quorum_of(acks, wait_out))
             if len(acks) >= exit_at:
                 break
         for slot, _, _ in self.rounds:
@@ -439,10 +438,7 @@ class RegisterWriter(_RegisterClient):
             self.send_all(
                 self.servers, WriteBatch(number, rnd, slot, ops, frozenset())
             )
-            yield WaitUntil(
-                self._quorum_of(acks, wait_out),
-                f"{self.name} write batch#{number} round {rnd}",
-            )
+            yield WaitUntil(self._quorum_of(acks, wait_out))
             if len(acks) >= exit_at:
                 break
         self._batches.close(number, *range(1, rnd + 1))
@@ -492,10 +488,7 @@ class RegisterReader(_RegisterClient):
             self.send_all(
                 self.servers, SlotWrite(cmax.ts, cmax.val, self.wb_slot, key)
             )
-            yield WaitUntil(
-                wb_acks.at_least(self.quorum),
-                f"{self.name} read writeback key={key} ts={cmax.ts}",
-            )
+            yield WaitUntil(wb_acks.at_least(self.quorum))
             rounds = 2
         self.trace.complete(record, self.sim.now, cmax.val, rounds=rounds)
         return record
@@ -542,10 +535,7 @@ class RegisterReader(_RegisterClient):
                 tuple((cmaxes[i].ts, cmaxes[i].val, keys[i]) for i in failing),
                 frozenset(),
             ))
-            yield WaitUntil(
-                wb_acks.at_least(self.quorum),
-                f"{self.name} read writeback batch#{wb_no}",
-            )
+            yield WaitUntil(wb_acks.at_least(self.quorum))
             self._batches.close(wb_no, 2)
             now = self.sim.now
             for i in failing:

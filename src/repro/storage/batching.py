@@ -55,6 +55,7 @@ from dataclasses import dataclass
 from typing import Any, FrozenSet, Hashable, Tuple
 
 from repro.sim.conditions import AckSet, ConditionMap
+from repro.sim.wire import wire_payload
 
 __all__ = [
     "WriteBatch",
@@ -66,6 +67,7 @@ __all__ = [
 ]
 
 
+@wire_payload
 @dataclass(frozen=True, slots=True)
 class WriteBatch:
     """Up to ``batch_size`` write applications in one message.
@@ -85,6 +87,7 @@ class WriteBatch:
     sets: FrozenSet
 
 
+@wire_payload
 @dataclass(frozen=True, slots=True)
 class BatchAck:
     """One server's acknowledgement of a whole :class:`WriteBatch`."""
@@ -93,6 +96,7 @@ class BatchAck:
     rnd: int
 
 
+@wire_payload
 @dataclass(frozen=True, slots=True)
 class ReadBatch:
     """One collect round-trip covering ``keys`` (in batch order).
@@ -106,6 +110,7 @@ class ReadBatch:
     keys: Tuple[Hashable, ...]
 
 
+@wire_payload
 @dataclass(frozen=True, slots=True)
 class ReadBatchAck:
     """Per-key replies, positionally aligned with the batch's keys."""

@@ -209,8 +209,7 @@ class StorageReader(Process):
             targets = self.rqs.servers
         self.send_all(targets, WR(c.ts, c.val, qc2_ids, rnd, key))
         yield WaitUntil(
-            self._wb(key, c.ts, rnd).includes_quorum(self.rqs.contains_quorum),
-            f"read#{self.read_no} writeback round {rnd}",
+            self._wb(key, c.ts, rnd).includes_quorum(self.rqs.contains_quorum)
         )
 
     def _targets(self, target):
@@ -268,9 +267,7 @@ class StorageReader(Process):
                 quorum = acks.includes_quorum(self.rqs.contains_quorum)
                 collect_cond = (
                     AllOf(
-                        self.sim.timer_at(self.sim.now + self.timeout),
-                        quorum,
-                        label=f"read batch#{number} round-1 timer+quorum",
+                        self.sim.timer_at(self.sim.now + self.timeout), quorum
                     )
                     if read_rnd == 1
                     else quorum
@@ -279,9 +276,7 @@ class StorageReader(Process):
             if collect_cond is not None:
                 waits.append(collect_cond)
             yield WaitUntil(
-                waits[0] if len(waits) == 1 else AnyOf(
-                    *waits, label=f"read batch#{number} progress"
-                ),
+                waits[0] if len(waits) == 1 else AnyOf(*waits),
                 f"read batch#{number} round {read_rnd}",
             )
             # -- advance the in-flight cohort write-backs --

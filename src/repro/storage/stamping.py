@@ -25,7 +25,7 @@ shape ends the wait.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Optional
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.sim.conditions import AckSet, ConditionMap
 from repro.storage.history import DEFAULT_KEY, make_stamp, stamp_seq
@@ -75,32 +75,36 @@ class DiscoveryInbox:
     :class:`~repro.sim.conditions.AckSet` — wait on
     :meth:`responders` ``.at_least(k)`` (count quorums) or
     ``.includes_quorum(rqs.contains_quorum)`` (identity quorums); :meth:`close`
-    retires the query and hands back the collected replies.
+    retires the query and hands back the collected replies.  Each open
+    query keeps its responder set beside its replies, so a reply costs
+    one dict probe and one ``add``.
     """
 
     __slots__ = ("_next", "_pending", "_acks")
 
     def __init__(self, label: str = "ts-discovery#{}"):
         self._next = 0
-        self._pending: Dict[int, Dict[Hashable, Any]] = {}
+        self._pending: Dict[int, Tuple[Dict[Hashable, Any], AckSet]] = {}
         self._acks = ConditionMap(AckSet, label)
 
     def open(self) -> int:
         self._next += 1
-        self._pending[self._next] = {}
+        self._pending[self._next] = ({}, self._acks(self._next))
         return self._next
 
     def record(self, number: int, sender: Hashable, reply: Any) -> None:
         """File ``reply`` for query ``number`` (no-op if the query is
         closed or the sender already answered)."""
-        replies = self._pending.get(number)
-        if replies is not None and sender not in replies:
-            replies[sender] = reply
-            self._acks(number).add(sender)
+        pending = self._pending.get(number)
+        if pending is not None:
+            replies, acks = pending
+            if sender not in replies:
+                replies[sender] = reply
+                acks.add(sender)
 
     def responders(self, number: int) -> AckSet:
         """The query's signalling responder set (for wait conditions)."""
-        return self._acks(number)
+        return self._pending[number][1]
 
     def close(self, number: int) -> Dict[Hashable, Any]:
         """Retire the query and return sender → reply.
@@ -109,7 +113,7 @@ class DiscoveryInbox:
         keep O(in-flight) discovery state (late replies to a closed
         query are already no-ops in :meth:`record`)."""
         self._acks.discard(number)
-        return self._pending.pop(number)
+        return self._pending.pop(number)[0]
 
 
 def writer_fleet(

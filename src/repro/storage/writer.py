@@ -190,8 +190,7 @@ class StorageWriter(Process):
         yield WaitUntil(
             self._discovery.responders(number).includes_quorum(
                 self.rqs.contains_quorum
-            ),
-            f"write ts-discovery#{number}",
+            )
         )
         views = self._discovery.close(number)
         return max(view.max_timestamp() for view in views.values())
@@ -214,12 +213,11 @@ class StorageWriter(Process):
         quorum_acked = self.acks(ts, rnd, key).includes_quorum(
             self.rqs.contains_quorum
         )
-        label = f"write ts={ts} round {rnd}"
         if rnd < 3:
             timer = self.sim.timer_at(self.sim.now + self.timeout)
-            yield WaitUntil(AllOf(timer, quorum_acked), label)
+            yield WaitUntil(AllOf(timer, quorum_acked))
         else:
-            yield WaitUntil(quorum_acked, label)
+            yield WaitUntil(quorum_acked)
 
     def _acked_quorum(
         self, ts: int, rnd: int, cls: int, key: Hashable = DEFAULT_KEY
@@ -297,8 +295,7 @@ class StorageWriter(Process):
         yield WaitUntil(
             self._discovery.responders(number).includes_quorum(
                 self.rqs.contains_quorum
-            ),
-            f"write batch ts-discovery#{number}",
+            )
         )
         views = self._discovery.close(number)
         return {
@@ -314,9 +311,8 @@ class StorageWriter(Process):
         quorum_acked = self._batches.responders(number, rnd).includes_quorum(
             self.rqs.contains_quorum
         )
-        label = f"write batch#{number} round {rnd}"
         if rnd < 3:
             timer = self.sim.timer_at(self.sim.now + self.timeout)
-            yield WaitUntil(AllOf(timer, quorum_acked), label)
+            yield WaitUntil(AllOf(timer, quorum_acked))
         else:
-            yield WaitUntil(quorum_acked, label)
+            yield WaitUntil(quorum_acked)

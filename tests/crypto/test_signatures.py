@@ -1,5 +1,7 @@
 """Tests for the simulated signature oracle."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -138,10 +140,9 @@ def test_verifying_a_new_view_ack_freezes_nothing(monkeypatch):
     assert not validate_new_view_ack(
         service, rqs, 4, NewViewAck(body, Signed(4, body.canonical())), 1
     )
-    forged = AckData(**{
-        **vars(body),
-        "update_proof": {(1, 0): (proof[0], Signed(5, proof[1].content))},
-    })
+    forged = replace(
+        body, update_proof={(1, 0): (proof[0], Signed(5, proof[1].content))}
+    )
     assert not validate_new_view_ack(
         service, rqs, 3, NewViewAck(forged, service.sign(3, forged.canonical())), 1
     )

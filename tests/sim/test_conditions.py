@@ -8,6 +8,7 @@ from repro.sim.conditions import (
     AllOf,
     AnyOf,
     Check,
+    ConditionMap,
     Counter,
     Event,
 )
@@ -158,6 +159,16 @@ class TestPrimitives:
         sim.call_at(5.0, lambda: None)
         sim.run_to_completion()
         assert sim.timer_at(3.0).is_set
+
+    def test_labels_are_derived_when_read(self):
+        sim = Simulator()
+        acks = ConditionMap(AckSet, "acks {}")(7)
+        either = AnyOf(acks.includes_quorum(bool), Event("e"))
+        assert either.label == "acks 7 quorum | e"
+        wait = WaitUntil(AllOf(sim.timer_at(2.0), acks.at_least(3)))
+        assert wait.label == "t>=2.0 & acks 7>=3"
+        assert WaitUntil(either, "own").label == "own"
+        assert ConditionMap(Counter, "n={}")(1).at_least(2).label == "n=1>=2"
 
 
 class TestWaitSetIndex:

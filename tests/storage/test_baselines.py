@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ScenarioError
+from repro.experiments import keyed_mix_spec
 from repro.scenarios import (
     FaultPlan,
     Hold,
@@ -51,6 +52,20 @@ class TestAbd:
         )
         assert [read.result for read in result.reads] == ["a", "b"]
         assert result.atomicity.atomic
+
+    def test_repeat_write_backs_keep_one_threshold(self):
+        """Every read after the one write writes the same stamp back, so
+        the reader keeps one responder set for all of them (the
+        same-stamp fast path).  Its quorum wait is one condition however
+        often it is asked for — one per read made the set signal 3 569
+        conditions per ack by the end of this run."""
+        result = run(keyed_mix_spec(
+            "abd", 1, writes=1, reads=16_000, readers=1, seed=3,
+            trace_level="metrics", max_ops=16_001,
+        ))
+        assert result.ops_completed() == 16_001
+        (retained,) = result.adapter.readers[0]._acks._items.values()
+        assert len(retained._thresholds) + len(retained._checks) <= 1
 
 
 class TestFastAbd:

@@ -25,10 +25,24 @@ message path"): ``send_all`` queues one entry per delivery instant, a
 loop of ``send`` one per destination.  The only loop left is the
 proposer's interleaved ``Sync`` / ``DecisionPull`` (two payloads per
 target, order-sensitive).
+
+A wire payload — every frozen dataclass under ``storage/`` and every
+dataclass in ``consensus/messages.py`` — is built the way one message is
+(docs/architecture.md, "Wire payloads"): ``@wire_payload`` on top of
+``@dataclass(frozen=True, slots=True)``, and otherwise the dataclass's
+own — frozen, with the ``==``, ``hash``, ``repr``, ``fields``,
+``replace`` and pickling of a plain frozen twin.
 """
 
+import dataclasses
+import importlib
+import pickle
 import re
 from pathlib import Path
+
+import pytest
+
+from repro.sim.wire import wire_payload
 
 ROOT = Path(__file__).resolve().parent.parent
 WIRING = re.compile(r"\b(?:Simulator|Network)\(")
@@ -41,6 +55,11 @@ BENCHMARK_PLUGIN = re.compile(
     r"pytest[-_]benchmark|def \w+\([^)]*\bbenchmark\b"
 )
 SEND_LOOP = re.compile(r"^ *for .* in .*:\s*\n *self\.send\(", re.MULTILINE)
+DATACLASS = re.compile(r"^((?:@.*\n)*)@dataclass\((.*)\)\nclass (\w+)", re.MULTILINE)
+PAYLOAD_FILES = sorted(
+    [*(ROOT / "src/repro/storage").glob("*.py"),
+     ROOT / "src/repro/consensus/messages.py"]
+)
 EVERYWHERE = ("src/repro", "benchmarks", "examples")
 
 
@@ -84,3 +103,108 @@ def test_a_fan_out_is_a_send_all():
     assert _sites(SEND_LOOP, "src/repro") == ["src/repro/consensus/proposer.py"]
     proposer = (ROOT / "src/repro/consensus/proposer.py").read_text()
     assert len(SEND_LOOP.findall(proposer)) == 1
+
+
+def _payload_classes():
+    """``(module, class name, decorators above @dataclass, its
+    arguments)`` of every wire payload class."""
+    found = []
+    for path in PAYLOAD_FILES:
+        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+        for above, args, name in DATACLASS.findall(path.read_text()):
+            if "frozen=True" in args and (
+                "slots=True" in args or path.name == "messages.py"
+            ):
+                found.append((module, name, above, args))
+    return found
+
+
+PAYLOADS = [
+    getattr(importlib.import_module(module), name)
+    for module, name, _, _ in _payload_classes()
+]
+
+
+def test_every_wire_payload_is_built_by_its_slots():
+    found = _payload_classes()
+    assert len(found) == 23
+    for module, name, above, args in found:
+        assert above == "@wire_payload\n", f"{module}.{name}"
+        assert "slots=True" in args, f"{module}.{name}"
+    consensus = (ROOT / "src/repro/consensus/messages.py").read_text()
+    assert consensus.count("@dataclass(") == 11
+
+
+def _twin(cls):
+    """A plain frozen dataclass with ``cls``'s fields, name and
+    parameters."""
+    params = cls.__dataclass_params__
+    twin = dataclasses.make_dataclass(
+        cls.__name__,
+        [(f.name, f.type, dataclasses.field(default=f.default))
+         for f in dataclasses.fields(cls)],
+        frozen=True, slots=True, eq=params.eq,
+    )
+    twin.__qualname__ = cls.__qualname__
+    return twin
+
+
+@pytest.mark.parametrize("cls", PAYLOADS, ids=lambda cls: cls.__name__)
+def test_a_wire_payload_is_its_frozen_dataclass(cls):
+    twin = _twin(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = [(cls.__name__, name) for name in names]
+    payload, plain = cls(*values), twin(*values)
+    assert "__setattr__" not in cls.__init__.__code__.co_names
+    assert repr(payload) == repr(plain)
+    assert [(f.name, f.default) for f in dataclasses.fields(payload)] == [
+        (f.name, f.default) for f in dataclasses.fields(plain)
+    ]
+    assert (payload == cls(*values)) == (plain == twin(*values))
+    if cls.__dataclass_params__.eq:
+        assert hash(payload) == hash(plain)
+    else:
+        assert type(payload).__hash__ is type(plain).__hash__ is object.__hash__
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(payload, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(payload, name)
+    if names:
+        changed = {names[0]: "changed"}
+        assert repr(dataclasses.replace(payload, **changed)) == repr(
+            dataclasses.replace(plain, **changed)
+        )
+        assert repr(cls(**dict(zip(names, values)))) == repr(plain)
+    copy = pickle.loads(pickle.dumps(payload))
+    assert type(copy) is cls and repr(copy) == repr(payload)
+    assert copy.__getstate__() == plain.__getstate__()
+
+
+def _dataclass(**params):
+    def build(body):
+        return dataclasses.dataclass(frozen=True, slots=True, **params)(body)
+
+    return build
+
+
+@pytest.mark.parametrize("build, why", [
+    (lambda: _dataclass()(type("Hook", (), {
+        "__annotations__": {"x": int},
+        "__post_init__": lambda self: None,
+    })), "__post_init__"),
+    (lambda: _dataclass()(type("Factory", (), {
+        "__annotations__": {"x": list},
+        "x": dataclasses.field(default_factory=list),
+    })), "default_factory"),
+    (lambda: _dataclass()(type("Hidden", (), {
+        "__annotations__": {"x": int},
+        "x": dataclasses.field(default=0, init=False),
+    })), "not a positional"),
+    (lambda: dataclasses.dataclass(frozen=True)(type("NoSlots", (), {
+        "__annotations__": {"x": int},
+    })), "frozen=True, slots=True"),
+])
+def test_wire_payload_refuses_what_would_diverge(build, why):
+    with pytest.raises(TypeError, match=re.escape(why)):
+        wire_payload(build())
