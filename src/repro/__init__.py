@@ -11,8 +11,8 @@ The library provides:
   Byzantine atomic storage algorithm (Figures 5–7) plus baselines.
 * :mod:`repro.consensus` — the RQS-based Byzantine consensus algorithm
   (Figures 9–15) plus baselines.
-* :mod:`repro.analysis` — atomicity/linearizability/consensus checkers
-  and latency accounting.
+* :mod:`repro.analysis` — the register checker (atomic / regular,
+  stamp-ordered), the consensus checker and latency accounting.
 * :mod:`repro.scenarios` — the unified declarative scenario layer: a
   :class:`~repro.scenarios.ScenarioSpec` plus ``run(spec)`` is the
   public way to execute any protocol under any fault schedule, and a

@@ -52,14 +52,16 @@ violation involving operations that overlap the retained window is
 caught.  A read returning a value older than the pruned window is
 reported through the monotone bound (as a stale read) rather than by
 exact version lookup — the inherent trade of bounded-memory checking.
-FULL-level runs keep the exact post-hoc checkers in
-:mod:`repro.analysis.atomicity`; the windowed checker is what gives
-``TraceLevel.METRICS`` soaks a real safety verdict without the history.
+It is also the one register checker of FULL-level runs:
+:func:`check_history` replays a retained history through a fresh
+checker whose window never evicts, which makes the same rules an exact
+post-hoc check (``RunResult.atomicity``).
 
-Write values must be unique per run and stamped by the protocol — true
-for every :class:`~repro.scenarios.workloads.RandomMix` workload
+Write values must be unique per register and stamped by the protocol —
+true for every :class:`~repro.scenarios.workloads.RandomMix` workload
 (sequential integer write values), which is the only workload shape the
-scenario runner wires the checker to.
+scenario runner wires the live checker to; :func:`check_history`
+refuses a history that breaks it.
 """
 
 from __future__ import annotations
@@ -67,12 +69,14 @@ from __future__ import annotations
 import random
 import zlib
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
+from operator import itemgetter
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
+from repro.errors import CheckerError
 from repro.storage.history import BOTTOM
 
 #: Default bounded-sample size of the quantile reservoir.  Runs with at
@@ -357,7 +361,8 @@ class OnlineViolation:
 
 @dataclass
 class OnlineReport:
-    """The windowed checker's verdict for one streamed execution.
+    """The register checker's verdict for one execution, streamed or
+    replayed (:func:`check_history`).
 
     ``max_retained`` is the (periodically sampled) high-water mark of
     everything the checker holds across all keys — the bounded-memory
@@ -365,7 +370,10 @@ class OnlineReport:
     outlived the window (a stuck client's op completing after the
     window moved past its invocation): they are skipped rather than
     misjudged against bounds newer than their invocation, so the
-    verdict stays sound.
+    verdict stays sound.  ``claim`` is the semantics judged: an
+    ``"atomic"`` report ran every rule, a ``"regular"`` one ran all but
+    ``read-inversion``, so it can say :attr:`regular` but never
+    :attr:`atomic`.
     """
 
     checked_writes: int
@@ -376,15 +384,23 @@ class OnlineReport:
     max_retained: int  # high-water mark of retained per-key entries
     overrun_unchecked: int = 0
     mode: str = "sw"  # label: "sw" (one writer) | "mw" (several)
+    #: Exact violation count per key (keys without one are absent).
+    key_violations: Dict[Hashable, int] = field(default_factory=dict)
+    claim: str = "atomic"  # "atomic" | "regular"
 
     @property
     def atomic(self) -> bool:
+        return self.claim == "atomic" and self.violation_count == 0
+
+    @property
+    def regular(self) -> bool:
         return self.violation_count == 0
 
     @property
     def verdict(self) -> str:
-        """The sweep-table verdict string (``"atomic"``/``"violation"``)."""
-        return "atomic" if self.atomic else "violation"
+        """The sweep-table verdict string: the claim (``"atomic"`` /
+        ``"regular"``) when it held, else ``"violation"``."""
+        return "violation" if self.violation_count else self.claim
 
     @property
     def checked_ops(self) -> int:
@@ -548,8 +564,11 @@ class OnlineChecker:
     oldest in-flight invocation, so every bound consulted for a
     completing operation is exact.
 
-    ``mode`` is a label copied onto the report (the runner passes
-    ``"mw"`` for multi-writer specs); it selects nothing.
+    ``mode`` is a label copied onto the report (``"mw"`` for
+    multi-writer specs); it selects nothing.  ``claim`` is the
+    semantics the protocol claims, declared by its adapter:
+    ``"atomic"`` runs every rule, ``"regular"`` (Lamport's regular
+    register, Section 6's reader) every rule but ``read-inversion``.
     """
 
     #: An in-flight op older than this many ops evicts from the window
@@ -559,12 +578,23 @@ class OnlineChecker:
     #: O(keys) sweep to O(1) per completion).
     SWEEP_EVERY = 256
 
-    def __init__(self, mode: str = "sw", overrun_ops: int = OVERRUN_OPS):
+    def __init__(
+        self, mode: str = "sw", overrun_ops: int = OVERRUN_OPS,
+        claim: str = "atomic",
+    ):
+        if claim not in ("atomic", "regular"):
+            raise ValueError(
+                f"the register checker judges 'atomic' or 'regular', "
+                f"not {claim!r}"
+            )
         self.mode = mode
         self.overrun_ops = overrun_ops
+        self.claim = claim
+        self._inversions = claim == "atomic"
         self.checked_writes = 0
         self.checked_reads = 0
         self.violation_count = 0
+        self.key_violations: Dict[Hashable, int] = {}
         self.overrun_unchecked = 0
         self.violations: List[OnlineViolation] = []
         self.max_retained = 0
@@ -770,7 +800,9 @@ class OnlineChecker:
         state = self._keys.get(record.key) or self._state(record.key)
         value = record.result
         write_bound = state.write_bound(record.invoked_at)
-        read_bound = state.read_bound(record.invoked_at)
+        read_bound = (
+            state.read_bound(record.invoked_at) if self._inversions else None
+        )
         if value is BOTTOM:
             if write_bound is not None:
                 self._flag(
@@ -871,6 +903,7 @@ class OnlineChecker:
 
     def _flag(self, rule: str, key: Hashable, description: str) -> None:
         self.violation_count += 1
+        self.key_violations[key] = self.key_violations.get(key, 0) + 1
         if len(self.violations) < MAX_REPORTED:
             self.violations.append(OnlineViolation(rule, key, description))
 
@@ -887,4 +920,52 @@ class OnlineChecker:
             max_retained=self.max_retained,
             overrun_unchecked=self.overrun_unchecked,
             mode=self.mode,
+            key_violations=dict(self.key_violations),
+            claim=self.claim,
         )
+
+
+def check_history(
+    records: Iterable, mode: str = "sw", claim: str = "atomic"
+) -> OnlineReport:
+    """Judge a retained history with a fresh :class:`OnlineChecker`.
+
+    The storage records are replayed in time order — at one instant
+    every begin before any completion (operations touching at an
+    instant are concurrent), completions by ``op_id`` — and the window
+    evicts nothing (``overrun_ops`` above every op id), so
+    ``overrun_unchecked`` is 0 and the verdict is the exact one over
+    the whole history: the protocol's stamp order, checked as the
+    linearization.  Other kinds (propose / learn) carry no register
+    semantics and are skipped.
+
+    Raises :class:`~repro.errors.CheckerError` when a key has a value
+    written twice or ⊥ written: reads are matched to writes by value.
+    """
+    ops = [r for r in records if r.kind == "read" or r.kind == "write"]
+    written = set()
+    for record in ops:
+        if record.kind != "write":
+            continue
+        if record.value is BOTTOM:
+            raise CheckerError("⊥ is outside the write domain")
+        if (record.key, record.value) in written:
+            raise CheckerError(
+                f"duplicate written value {record.value!r} on key "
+                f"{record.key!r}; the checker requires distinct write "
+                f"values per register"
+            )
+        written.add((record.key, record.value))
+    events = [(r.invoked_at, 0, r.op_id, r) for r in ops]
+    events += [(r.completed_at, 1, r.op_id, r) for r in ops if r.complete]
+    events.sort(key=itemgetter(0, 1, 2))
+    checker = OnlineChecker(
+        mode, overrun_ops=max((r.op_id for r in ops), default=0) + 1,
+        claim=claim,
+    )
+    for _, completion, _, record in events:
+        if completion:
+            checker.on_complete(record)
+        else:
+            checker.on_begin(record)
+    return checker.report()

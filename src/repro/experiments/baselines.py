@@ -83,7 +83,7 @@ def _storage_measure(point: Mapping, result) -> Mapping:
     return {
         "write_rounds": result.write().rounds,
         "read_rounds": result.read().rounds,
-        "verdict": "atomic" if result.atomicity.atomic else "violation",
+        "verdict": result.atomicity.verdict,
     }
 
 

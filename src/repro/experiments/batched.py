@@ -80,7 +80,7 @@ def _tail_build(point: Mapping) -> ScenarioSpec:
 def _tail_measure(point: Mapping, result) -> Mapping:
     latency = result.latency("read")
     return {
-        "verdict": "atomic" if result.atomicity.atomic else "violation",
+        "verdict": result.atomicity.verdict,
         "completed": result.ops_completed(),
         "reads": latency.count,
         "read_p50": latency.p50_time,

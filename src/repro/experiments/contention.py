@@ -48,13 +48,12 @@ def _contention_build(point: Mapping) -> ScenarioSpec:
 
 
 def _contention_measure(point: Mapping, result) -> Mapping:
-    report = result.atomicity
     per_key = {
         str(key): "atomic" if atomic else "violation"
         for key, atomic in result.key_verdicts.items()
     }
     return {
-        "verdict": "atomic" if report.atomic else "violation",
+        "verdict": result.atomicity.verdict,
         "per_key": per_key,
         "keys_touched": len(per_key),
         "operations": len(result.records),

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Tuple
 
-from repro.analysis.atomicity import AtomicityReport
+from repro.analysis.streaming import OnlineReport
 from repro.scenarios import (
     Crash,
     FaultPlan,
@@ -56,7 +56,7 @@ class Fig1Outcome:
     r1_rounds: int
     r2_value: object
     r2_rounds: int
-    report: AtomicityReport
+    report: OnlineReport
 
     def row(self) -> str:
         status = "ATOMIC" if self.report.atomic else "VIOLATION"
@@ -102,9 +102,8 @@ def _build(point: Mapping) -> ScenarioSpec:
 
 def _measure(point: Mapping, result) -> Mapping:
     r1, r2 = result.reads[0], result.reads[1]
-    report = result.atomicity
     return {
-        "verdict": "atomic" if report.atomic else "violation",
+        "verdict": result.atomicity.verdict,
         "r1_value": repr(r1.result),
         "r1_rounds": r1.rounds,
         "r2_value": repr(r2.result),

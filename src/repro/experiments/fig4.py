@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Tuple
 
-from repro.analysis.atomicity import AtomicityReport
+from repro.analysis.streaming import OnlineReport
 from repro.scenarios import (
     ByzantineRole,
     Crash,
@@ -51,7 +51,7 @@ class Fig4Outcome:
     ex3_read_rounds: int
     ex4_read_value: object
     ex4_read_rounds: int
-    report: AtomicityReport
+    report: OnlineReport
 
     def rows(self) -> Tuple[str, ...]:
         return (
@@ -113,8 +113,7 @@ def _build(point: Mapping) -> ScenarioSpec:
 
 
 def _measure(point: Mapping, result) -> Mapping:
-    report = result.atomicity
-    metrics = {"verdict": "atomic" if report.atomic else "violation"}
+    metrics = {"verdict": result.atomicity.verdict}
     if point["stage"] == "ex1":
         metrics["write_rounds"] = result.write().rounds
     else:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence
 
-from repro.analysis.atomicity import AtomicityReport
+from repro.analysis.streaming import OnlineReport
 from repro.scenarios import (
     ByzantineRole,
     Crash,
@@ -40,7 +40,7 @@ class StressOutcome:
     seed: int
     operations: int
     completed: int
-    report: AtomicityReport
+    report: OnlineReport
 
     @property
     def ok(self) -> bool:

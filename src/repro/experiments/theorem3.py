@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Tuple
 
-from repro.analysis.atomicity import AtomicityReport
+from repro.analysis.streaming import OnlineReport
 from repro.core.properties import P3Witness, negate_property3
 from repro.core.rqs import RefinedQuorumSystem
 from repro.scenarios import (
@@ -89,7 +89,7 @@ class Theorem3Outcome:
     ex4_r2_value: object
     ex5_r2_value: object
     indistinguishable: bool
-    report: AtomicityReport
+    report: OnlineReport
 
     def rows(self) -> Tuple[str, ...]:
         rules = ",".join(sorted({v.rule for v in self.report.violations}))
@@ -173,8 +173,7 @@ def _build(point: Mapping) -> ScenarioSpec:
 
 
 def _measure(point: Mapping, result) -> Mapping:
-    report = result.atomicity
-    metrics = {"verdict": "atomic" if report.atomic else "violation"}
+    metrics = {"verdict": result.atomicity.verdict}
     if point["execution"]:
         r1, r2 = result.reads[0], result.reads[1]
         metrics.update(

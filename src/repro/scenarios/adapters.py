@@ -42,6 +42,7 @@ from typing import (
     Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple,
 )
 
+from repro.analysis.streaming import OnlineRefusal
 from repro.core.strategy import (
     QuorumSelector,
     Strategy,
@@ -72,6 +73,7 @@ from repro.consensus.paxos import PaxosAcceptor, PaxosLearner, PaxosProposer
 from repro.consensus.pbft import PbftLearner, PbftReplica, Request
 from repro.consensus.proposer import EquivocatingProposer, Proposer
 from repro.storage.abd import (
+    NAIVE,
     PROTOCOLS,
     RegisterReader,
     RegisterServer,
@@ -119,6 +121,16 @@ class ProtocolAdapter:
         """Server-side history-matrix accounting; ``None`` for protocols
         whose servers keep no history matrix."""
         return None
+
+    def register_refusal(self, spec) -> Optional[OnlineRefusal]:
+        """Why the register checker must not judge this run — at either
+        trace level — or None when it may."""
+        return OnlineRefusal(
+            "not-storage",
+            f"protocol {spec.protocol!r} has no register semantics to "
+            f"check; its verdict is RunResult.consensus, which needs "
+            f"retained records",
+        )
 
     # -- lifecycle hooks ------------------------------------------------------
 
@@ -323,10 +335,30 @@ class StorageAdapter(ProtocolAdapter):
     """
 
     kind = "storage"
+    #: The register semantics the protocol claims, hence what the
+    #: register checker judges (``RunResult.atomicity``): ``"atomic"``,
+    #: or ``"regular"`` (every rule but read-inversion).
+    claim = "atomic"
+    #: Whether several writers' stamps order the history the way the
+    #: register checker reads them (as the linearization).
+    multi_writer_stamps = True
 
     servers: Dict[Hashable, Any]
     writers: List[Any]
     readers: List[Any]
+
+    def register_refusal(self, spec) -> Optional[OnlineRefusal]:
+        if spec.n_writers > 1 and not self.multi_writer_stamps:
+            return OnlineRefusal(
+                "unsound-stamps",
+                f"protocol {spec.protocol!r} with {spec.n_writers} "
+                f"writers: its reads return a stamp without writing it "
+                f"back, so a later writer's discovery can stamp below a "
+                f"value already read — its stamp order is no "
+                f"linearization, and judging by it would convict or "
+                f"pass the wrong history",
+            )
+        return None
 
     def _bind(
         self,
@@ -646,12 +678,12 @@ class RqsRegularAdapter(RqsStorageAdapter):
     """The Section 6 regular-semantics register: the rqs-storage
     deployment whose readers are
     :class:`~repro.storage.regular.RegularReader`\\ s (no write-back).
-    ``RunResult``'s verdicts stay the atomicity ones — a read inversion
-    *is* an atomicity violation; regularity is
-    :func:`repro.analysis.regularity.check_swmr_regularity` over
-    ``result.records``."""
+    It claims regularity, not atomicity, so the register checker runs
+    without its read-inversion rule: ``RunResult.atomicity.regular`` is
+    the verdict (``.atomic`` is never claimed, hence False)."""
 
     reader_class = RegularReader
+    claim = "regular"
 
 
 class RegisterAdapter(StorageAdapter):
@@ -690,11 +722,13 @@ class RegisterAdapter(StorageAdapter):
 
 
 # One registration per table row (a subclass each, because
-# ``register_protocol`` stamps the id on the class it registers).
-for _protocol_id in PROTOCOLS:
-    register_protocol(_protocol_id)(
-        type(f"RegisterAdapter[{_protocol_id}]", (RegisterAdapter,), {})
-    )
+# ``register_protocol`` stamps the id on the class it registers).  The
+# naive row never writes back, so its multi-writer stamps order nothing.
+for _protocol_id, _row in PROTOCOLS.items():
+    register_protocol(_protocol_id)(type(
+        f"RegisterAdapter[{_protocol_id}]", (RegisterAdapter,),
+        {"multi_writer_stamps": _row is not NAIVE},
+    ))
 
 
 # -- consensus ----------------------------------------------------------------

@@ -1,13 +1,15 @@
 """The result of running one scenario.
 
 :class:`RunResult` bundles the execution trace with latency metrics and
-correctness verdicts.  Checkers are *lazy* — an atomicity or
-linearizability check only runs when its property is first read, so
-cheap smoke runs pay nothing for verdicts they never look at.
+correctness verdicts.  Checkers are *lazy* — the register or consensus
+check only runs when its property is first read, so cheap smoke runs
+pay nothing for verdicts they never look at.
 
 Results report uniformly across retention modes.  On FULL runs the
 record-backed surface (``records``/``atomicity``/``latency``) is exact
-and post-hoc; on streaming runs (``TraceLevel.METRICS``) the history was
+and post-hoc — ``atomicity`` is the streaming register checker replayed
+over the records, so both modes carry one report type, judged by one
+set of rules; on streaming runs (``TraceLevel.METRICS``) the history was
 never materialized, so the record-backed verdicts raise with guidance
 and the streaming surface takes over: per-kind begun/completed counts
 (:meth:`ops_begun`/:meth:`ops_completed`), accumulator-backed latency
@@ -30,15 +32,13 @@ import sys
 from functools import cached_property
 from typing import Any, Dict, Hashable, Optional, Tuple
 
-from repro.analysis.atomicity import (
-    AtomicityReport,
-    check_swmr_atomicity,
-    partition_by_key,
-)
 from repro.analysis.consensus_check import ConsensusReport, check_consensus
 from repro.analysis.latency import LatencySummary, summarize_rounds
-from repro.analysis.linearizability import is_linearizable
-from repro.analysis.streaming import OnlineRefusal, OnlineReport
+from repro.analysis.streaming import (
+    OnlineRefusal,
+    OnlineReport,
+    check_history,
+)
 from repro.errors import CheckerError
 from repro.sim.trace import OperationRecord
 from repro.storage.history import DEFAULT_KEY
@@ -324,7 +324,8 @@ class RunResult(ResultSurface):
     def online_refusal(self) -> Optional[OnlineRefusal]:
         """Why this run carries no online verdict (streamed runs the
         runner declined to wire a checker to); None when a checker ran
-        or when records were retained for the post-hoc checkers."""
+        or when records were retained (:attr:`atomicity` replays them,
+        and raises for the refusals this would name)."""
         if getattr(self.adapter, "online_checker", None) is not None:
             return None
         return getattr(self.adapter, "online_refusal", None)
@@ -354,52 +355,53 @@ class RunResult(ResultSurface):
     # -- verdicts (lazy) ------------------------------------------------------
 
     @cached_property
-    def atomicity(self) -> AtomicityReport:
-        """Aggregate atomicity verdict over the keyed storage history.
+    def atomicity(self) -> OnlineReport:
+        """The register checker's verdict over the retained history.
 
-        Registers are checked independently per key (the sum of per-key
-        checks); this is the aggregate report — per-register reports
-        hang off :attr:`atomicity_by_key`.  Requires retained records
-        (FULL tracing); streamed runs use :attr:`online`.
+        The streaming checker replayed over the records
+        (:func:`~repro.analysis.streaming.check_history`), judging the
+        semantics the adapter claims (``"atomic"``, or ``"regular"``
+        for ``rqs-regular``); per-register verdicts are
+        :attr:`key_verdicts`.  Requires retained records (FULL tracing;
+        streamed runs use :attr:`online`) and raises
+        :class:`~repro.errors.CheckerError` wherever the adapter refuses
+        the checker — consensus rows, unsound multi-writer stamps —
+        rather than pass an empty or misordered history.
         """
-        self._require_records("the post-hoc atomicity checker")
-        return check_swmr_atomicity(self.records)
-
-    @property
-    def atomicity_by_key(self) -> Dict[Hashable, AtomicityReport]:
-        """Per-register atomicity reports, key → report."""
-        report = self.atomicity
-        if report.by_key:
-            return dict(report.by_key)
-        keys = self.keys
-        return {keys[0] if keys else DEFAULT_KEY: report}
+        self._require_records("the register checker")
+        refusal = self.adapter.register_refusal(self.spec)
+        if refusal is not None:
+            raise CheckerError(
+                f"the register checker refuses this run "
+                f"({refusal.reason}): {refusal.detail}"
+            )
+        return check_history(
+            self.records,
+            mode="sw" if self.spec.n_writers == 1 else "mw",
+            claim=self.adapter.claim,
+        )
 
     @property
     def key_verdicts(self) -> Dict[Hashable, bool]:
-        """Per-register ``atomic`` booleans (the sweep-friendly view)."""
-        return {
-            key: rep.atomic for key, rep in self.atomicity_by_key.items()
-        }
+        """Per-register verdicts of :attr:`atomicity` — key → whether
+        the claimed semantics held on it (the sweep-friendly view)."""
+        violations = self.atomicity.key_violations
+        return {key: key not in violations for key in self.keys}
 
     @property
     def keys(self) -> Tuple[Hashable, ...]:
         """Register keys addressed by this execution (repr-sorted)."""
-        return tuple(partition_by_key(self.records))
+        return tuple(sorted(
+            {r.key for r in self.records if r.kind in ("write", "read")},
+            key=repr,
+        ))
 
     def of_key(self, key: Hashable) -> Tuple[OperationRecord, ...]:
         """This execution's operations on one register."""
         return tuple(
             r for r in self.records
-            if r.kind in ("write", "read")
-            and getattr(r, "key", DEFAULT_KEY) == key
+            if r.kind in ("write", "read") and r.key == key
         )
-
-    @cached_property
-    def linearizable(self) -> bool:
-        """Wing–Gong linearizability of the register history (small runs);
-        keyed histories are decided register-by-register (locality)."""
-        self._require_records("the Wing–Gong linearizability checker")
-        return is_linearizable(self.records)
 
     @cached_property
     def consensus(self) -> ConsensusReport:

@@ -14,8 +14,10 @@ single- and multi-writer specs alike, its report labelled ``"sw"`` /
 verdict without ever materializing the history; read it via
 ``RunResult.online``.  Where no checker applies, a structured
 :class:`~repro.analysis.streaming.OnlineRefusal` lands on
-``RunResult.online_refusal`` instead of a bare ``None``.  FULL runs keep
-the exact post-hoc checkers.
+``RunResult.online_refusal`` instead of a bare ``None``.  FULL runs are
+judged by the same checker, replayed over the retained records when
+``RunResult.atomicity`` is first read — and refused for the same
+reasons.
 
 The execute phase (the event loop proper, excluding wiring and RQS
 construction) is wall-timed onto ``RunResult.execute_seconds`` so perf
@@ -38,36 +40,35 @@ def _wire_online_checker(adapter, spec) -> None:
     """Subscribe the windowed checker to streaming storage runs.
 
     Engaged only where its invariants are sound: records are being
-    streamed (not retained), the protocol is a storage protocol, and
-    the workload is a *single* ``RandomMix`` (sequential integer write
-    values, unique per run; two mixes would reuse them).  The report's
-    ``mode`` says how many writers the spec deployed (``"sw"`` one,
-    ``"mw"`` several); the rules are the same.  Streamed runs outside
-    this envelope get a structured :class:`OnlineRefusal` on the adapter
-    so ``RunResult`` can explain the missing verdict.
+    streamed (not retained), the adapter does not refuse the register
+    checker (:meth:`~repro.scenarios.adapters.ProtocolAdapter.register_refusal`:
+    consensus rows, unsound multi-writer stamps), and the workload is a
+    *single* ``RandomMix`` (sequential integer write values, unique per
+    run; two mixes would reuse them).  The report's ``mode`` says how
+    many writers the spec deployed (``"sw"`` one, ``"mw"`` several) and
+    its ``claim`` is the adapter's.  Streamed runs outside this envelope
+    get a structured :class:`OnlineRefusal` on the adapter so
+    ``RunResult`` can explain the missing verdict.
     """
     if adapter.trace.retain:
-        # FULL traces keep records: the exact post-hoc checkers apply,
-        # so there is nothing to refuse.
+        # FULL traces keep records: RunResult.atomicity replays them.
         return
-    if getattr(adapter, "kind", "") != "storage":
-        adapter.online_refusal = OnlineRefusal(
-            "not-storage",
-            f"protocol {spec.protocol!r} has no register semantics to "
-            f"check online; consensus verdicts need retained records",
-        )
-        return
-    if len(spec.workload) != 1 or not isinstance(
-        spec.workload[0], RandomMix
+    refusal = adapter.register_refusal(spec)
+    if refusal is None and (
+        len(spec.workload) != 1 or not isinstance(spec.workload[0], RandomMix)
     ):
-        adapter.online_refusal = OnlineRefusal(
+        refusal = OnlineRefusal(
             "workload-shape",
             "the online checker requires a single RandomMix workload: "
             "scripted operations and multi-mix specs interleave value "
             "ranges the windowed rules cannot order",
         )
+    if refusal is not None:
+        adapter.online_refusal = refusal
         return
-    checker = OnlineChecker(mode="sw" if spec.n_writers == 1 else "mw")
+    checker = OnlineChecker(
+        mode="sw" if spec.n_writers == 1 else "mw", claim=adapter.claim
+    )
     adapter.trace.subscribe(
         on_begin=checker.on_begin, on_complete=checker.on_complete
     )

@@ -40,8 +40,8 @@ caller naming the shard.
 **Merge semantics.**  Counters and Fraction-exact latency sums add;
 reservoirs merge order-independently
 (:meth:`~repro.analysis.streaming.QuantileReservoir.merge`); the merged
-online verdict sums checked/violation counts over the repr-sorted key
-union, and REFUSES — ``online is None`` with a structured
+online verdict sums checked/violation counts (per key too) over the
+repr-sorted key union, and REFUSES — ``online is None`` with a structured
 ``shard-refused`` :class:`~repro.analysis.streaming.OnlineRefusal` —
 if *any* shard ran unchecked.  A sharded soak never passes vacuously.
 
@@ -179,8 +179,11 @@ def _merge_online(
         )
     reports = [o.online for o in outcomes]
     violations: List[Any] = []
+    key_violations: Dict[Any, int] = {}
     for report in reports:
         violations.extend(report.violations)
+        for key, count in report.key_violations.items():
+            key_violations[key] = key_violations.get(key, 0) + count
     keys = sorted(
         {key for report in reports for key in report.keys}, key=repr
     )
@@ -194,7 +197,10 @@ def _merge_online(
         # simultaneous retention — conservative for the flat-memory gate.
         max_retained=sum(r.max_retained for r in reports),
         overrun_unchecked=sum(r.overrun_unchecked for r in reports),
-        mode=reports[0].mode,  # every shard ran the same spec
+        # Every shard ran the same spec.
+        mode=reports[0].mode,
+        key_violations=key_violations,
+        claim=reports[0].claim,
     ), None
 
 

@@ -293,8 +293,10 @@ def default_build(base: Optional[ScenarioSpec], point: Point) -> ScenarioSpec:
 def default_measure(point: Point, result: RunResult) -> Dict[str, Any]:
     """Protocol-aware default metrics for one executed cell.
 
-    Storage cells verdict on atomicity; consensus cells verdict on the
-    consensus checker and record the worst learner delay.  Both record
+    Storage cells verdict on the register checker (the claimed
+    semantics, ``"atomic"`` / ``"regular"``, or ``"violation"``);
+    consensus cells verdict on the consensus checker and record the
+    worst learner delay.  Both record
     operation counts and mean/p50/p99 completion-latency summaries.
 
     Streamed cells (``TraceLevel.METRICS``, sharded or not) have no
@@ -318,9 +320,7 @@ def default_measure(point: Point, result: RunResult) -> Dict[str, Any]:
         metrics["verdict"] = "ok" if report.ok else "violation"
         metrics["worst_learner_delay"] = result.worst_learner_delay
     else:
-        metrics["verdict"] = (
-            "atomic" if result.atomicity.atomic else "violation"
-        )
+        metrics["verdict"] = result.atomicity.verdict
     durations = [r.completed_at - r.invoked_at for r in completed]
     metrics["latency"] = summary_stats(durations)
     rounds = [r.rounds for r in completed if r.rounds]

@@ -13,14 +13,17 @@ candidate set is non-empty.  Consequences, demonstrated by the tests:
 
 * synchronous uncontended reads are **always single-round** — even when
   only a class-3 quorum is correct (faster than the atomic reader);
-* the resulting histories are regular but can exhibit read inversion
-  (which :func:`repro.analysis.regularity.check_swmr_regularity`
-  accepts and the atomicity checker rejects).
+* the resulting histories are regular but can exhibit read inversion.
 
 Writes are the unchanged three-round Figure 5 writer.  The reader runs
 as the ``"rqs-regular"`` protocol of :mod:`repro.scenarios` (the
-rqs-storage deployment with this class as its reader); batched reads
-take the inherited atomic ``read_batch``, which is regular a fortiori.
+rqs-storage deployment with this class as its reader), whose adapter
+claims ``"regular"``: its runs are judged by the register checker
+without the read-inversion rule
+(:class:`~repro.analysis.streaming.OnlineChecker`), which an
+inversion therefore passes and an ``"atomic"`` claim would convict.
+Batched reads take the inherited atomic ``read_batch``, which is
+regular a fortiori.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from repro.analysis.streaming import (
     LatencyAccumulator,
     OnlineChecker,
     QuantileReservoir,
+    check_history,
     nearest_rank,
 )
 from repro.sim.trace import Trace
@@ -374,6 +375,32 @@ class TestOnlineChecker:
         report = checker.report()
         assert report.atomic
         assert report.overrun_unchecked == 1
+
+    def test_replay_judges_what_the_live_window_skips(self):
+        """The same stuck-op history, retained and replayed: the replay
+        evicts nothing, so the op a live window skipped is judged and
+        nothing is left unchecked."""
+        trace = Trace()
+        stuck = trace.begin("read", "crashed", 0.0, key=0)
+        time, value = 1.0, 0
+        for _ in range(OnlineChecker.OVERRUN_OPS):
+            value += 1
+            _write(trace, value, time, time + 1.0, key=value % 4)
+            _read(trace, value, time + 1.5, time + 2.0, key=value % 4)
+            time += 2.0
+        # Value 4 is key 0's first write, concurrent with the stuck read.
+        _stamped(stuck, 4)
+        trace.complete(stuck, time, 4, rounds=1)
+        live = OnlineChecker()
+        for record in trace.records:
+            live.on_begin(record)
+            if record is not stuck:
+                live.on_complete(record)
+        live.on_complete(stuck)
+        assert live.report().overrun_unchecked == 1
+        report = check_history(trace.records)
+        assert report.atomic and report.overrun_unchecked == 0
+        assert report.checked_ops == len(trace.records)
 
     def test_old_value_beyond_window_is_still_caught(self):
         trace = Trace(retain=False)

@@ -11,7 +11,7 @@ point of batching.)
 
 import pytest
 
-from repro.errors import ScenarioError
+from repro.errors import CheckerError, ScenarioError
 from repro.experiments import keyed_mix_spec
 from repro.scenarios import RandomMix, ScenarioSpec, run
 from repro.scenarios.faults import Crash, Drop, FaultPlan, Hold
@@ -94,7 +94,8 @@ def test_batched_equals_unbatched_mw(protocol, fault_label):
     """Multi-writer: stamps come from timestamp discovery, so which of
     two *concurrent* writes wins a key is interleaving-dependent and
     batching legitimately changes the interleaving.  The MW contract is
-    therefore: same operation counts, same verdict, and a fully
+    therefore: same operation counts, same verdict (naive's: the same
+    refusal — its multi-writer stamps order nothing), and a fully
     deterministic batched execution (same spec → byte-identical run)."""
     faults = FAULT_PLANS[fault_label]
     plain = run(_spec(protocol, batch_size=1, n_writers=3, faults=faults))
@@ -102,7 +103,12 @@ def test_batched_equals_unbatched_mw(protocol, fault_label):
 
     assert plain.summary()["operations"] == batched.summary()["operations"]
     assert plain.summary()["completed"] == batched.summary()["completed"]
-    assert plain.atomicity.atomic == batched.atomicity.atomic
+    if protocol == "naive":
+        for result in (plain, batched):
+            with pytest.raises(CheckerError, match="unsound-stamps"):
+                result.atomicity
+    else:
+        assert plain.atomicity.atomic == batched.atomicity.atomic
 
     again = run(_spec(protocol, batch_size=8, n_writers=3, faults=faults))
     assert batched.fingerprint() == again.fingerprint()

@@ -10,9 +10,7 @@ key's verdict, registers are checked independently).
 
 import pytest
 
-from repro.analysis.atomicity import check_swmr_atomicity, partition_by_key
-from repro.analysis.linearizability import is_linearizable
-from repro.analysis.regularity import check_swmr_regularity
+from repro.analysis.streaming import check_history
 from repro.errors import ScenarioError
 from repro.scenarios import (
     Drop,
@@ -28,6 +26,7 @@ from repro.scenarios import (
 )
 from repro.sim.trace import Trace
 from repro.storage.history import DEFAULT_KEY, WRITER_STRIDE, make_stamp, stamp_seq
+from tests.analysis.test_register_checker_oracle import is_linearizable, stamped
 
 
 # -- the workload draw ----------------------------------------------------------
@@ -199,7 +198,7 @@ class TestMultiWriter:
         result = run(spec)
         assert len(result.completed) == 6
         assert result.atomicity.atomic
-        assert result.linearizable
+        assert is_linearizable(result.records)
         assert result.read(0).result == "a2"
         assert result.read(1).result == "b2"
 
@@ -253,10 +252,10 @@ class TestMultiWriter:
         assert all(ts >= WRITER_STRIDE for ts in stored)
         assert stamp_seq(max(stored)) == 2  # discovery saw write 1
 
-    def test_concurrent_same_key_writes_fall_back_to_wing_gong(self):
-        """Truly concurrent writes on one register leave the SWMR
-        characterization; the per-key checker hands the key to the
-        Wing-Gong search (and these histories do linearize)."""
+    def test_concurrent_same_key_writes_are_judged_by_stamp_order(self):
+        """Truly concurrent writes on one register: the protocol's
+        stamps order them, and that order is a linearization (Wing–Gong
+        agrees)."""
         spec = _mw_spec(
             "abd",
             (
@@ -269,6 +268,7 @@ class TestMultiWriter:
         )
         result = run(spec)
         assert result.atomicity.atomic
+        assert is_linearizable(result.records)
         assert result.read().result in ("w0", "w1")
 
 
@@ -276,7 +276,7 @@ class TestMultiWriter:
 
 def _synthetic_two_key_history():
     """Key "good" is clean; key "bad" has a stale read (version 1 read
-    after write #2 completed)."""
+    after write #2 completed).  Stamped as its single writer would."""
     trace = Trace()
 
     def op(kind, process, start, end, value=None, result=None, key=0):
@@ -289,33 +289,25 @@ def _synthetic_two_key_history():
     op("write", "w", 0.0, 1.0, value="b1", key="bad")
     op("write", "w", 2.0, 3.0, value="b2", key="bad")
     op("read", "r2", 4.0, 5.0, result="b1", key="bad")   # stale!
-    return trace.records
+    return stamped(trace.records)
 
 
 class TestPerKeyVerdicts:
     def test_violation_on_one_key_flips_only_that_key(self):
-        report = check_swmr_atomicity(_synthetic_two_key_history())
+        report = check_history(_synthetic_two_key_history())
         assert not report.atomic
-        assert report.by_key["bad"].atomic is False
-        assert report.by_key["good"].atomic is True
+        assert report.key_violations == {"bad": 1}
         assert [v.rule for v in report.violations] == ["stale-read"]
-        assert report.verdicts() == {"bad": False, "good": True}
+        assert report.keys == ("bad", "good")
 
-    def test_report_for_falls_back_to_self_when_unpartitioned(self):
-        records = [
-            r for r in _synthetic_two_key_history() if r.key == "good"
-        ]
-        report = check_swmr_atomicity(records)
-        assert report.by_key == {}
-        assert report.report_for("good") is report
-
-    def test_partition_drops_consensus_kinds(self):
+    def test_consensus_kinds_are_not_registers(self):
         trace = Trace()
         trace.begin("propose", "p", 0.0)
         record = trace.begin("write", "w", 0.0, value="v", key="k")
+        record.meta["ts"] = 1
         trace.complete(record, 1.0, "OK")
-        groups = partition_by_key(trace.records)
-        assert list(groups) == ["k"]
+        report = check_history(trace.records)
+        assert report.keys == ("k",) and report.checked_ops == 1
 
     def test_linearizability_partitions_by_key(self):
         assert not is_linearizable(_synthetic_two_key_history())
@@ -325,10 +317,11 @@ class TestPerKeyVerdicts:
         assert is_linearizable(good_only)
 
     def test_regularity_partitions_by_key(self):
-        report = check_swmr_regularity(_synthetic_two_key_history())
+        report = check_history(
+            _synthetic_two_key_history(), claim="regular"
+        )
         assert not report.regular
-        assert report.by_key["good"].regular
-        assert not report.by_key["bad"].regular
+        assert report.key_violations == {"bad": 1}
 
     def test_end_to_end_per_key_reports(self):
         spec = ScenarioSpec(
@@ -345,7 +338,6 @@ class TestPerKeyVerdicts:
         result = run(spec)
         assert result.keys == (0, 1, 2)
         assert result.key_verdicts == {0: True, 1: True, 2: True}
-        assert set(result.atomicity_by_key) == {0, 1, 2}
         assert len(result.of_key(1)) == 2
         assert result.fingerprint()[0][-1] == 0  # keyed digest carries keys
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import CheckerError
 from repro.scenarios import (
     ByzantineRole,
     Crash,
@@ -18,6 +19,8 @@ from repro.scenarios import (
     lossy_until_gst,
     run,
 )
+from repro.storage.history import BOTTOM
+from tests.analysis.test_register_checker_oracle import is_linearizable
 
 
 class TestStorageRoundTrip:
@@ -31,7 +34,7 @@ class TestStorageRoundTrip:
         assert result.write().rounds == 1
         assert result.read().result == "hello"
         assert result.atomicity.atomic
-        assert result.linearizable
+        assert is_linearizable(result.records)
 
     def test_every_storage_protocol_runs(self):
         for protocol, write_rounds, read_rounds in (
@@ -257,3 +260,49 @@ class TestRunResultSurface:
         ))
         summary = result.latency("read")
         assert summary.count == 1 and summary.max_rounds == 2
+
+
+class TestRegisterCheckerRefusals:
+    """The register checker refuses what it cannot judge — at both
+    trace levels, never an empty or misordered pass."""
+
+    def test_consensus_rows_have_no_register_verdict(self):
+        for protocol in ("paxos", "rqs-consensus", "pbft"):
+            result = run(ScenarioSpec(
+                protocol=protocol,
+                rqs="example6" if protocol == "rqs-consensus" else None,
+                workload=(Propose(0.0, "v"),),
+                horizon=60.0,
+            ))
+            assert result.consensus.ok, protocol
+            with pytest.raises(CheckerError, match=rf"not-storage.*{protocol}"):
+                result.atomicity
+
+    def test_naive_multi_writer_stamps_are_refused(self):
+        spec = ScenarioSpec(
+            protocol="naive", readers=2, n_writers=2,
+            workload=(RandomMix(6, 6, horizon=30.0),), seed=2,
+        )
+        with pytest.raises(CheckerError, match="unsound-stamps.*naive"):
+            run(spec).atomicity
+        streamed = run(spec.with_(trace_level="metrics"))
+        assert streamed.online is None
+        assert streamed.online_refusal.reason == "unsound-stamps"
+        # One writer's stamps are its own draw order: judged as ever.
+        assert run(spec.with_(n_writers=1)).atomicity.atomic
+
+    def test_value_written_twice_to_one_key_is_refused(self):
+        result = run(ScenarioSpec(
+            protocol="abd", readers=1,
+            workload=(Write(0.0, "v"), Write(5.0, "v"), Read(10.0)),
+        ))
+        with pytest.raises(CheckerError, match="duplicate written value"):
+            result.atomicity
+
+    def test_bottom_written_is_refused(self):
+        result = run(ScenarioSpec(
+            protocol="abd", readers=1,
+            workload=(Write(0.0, BOTTOM), Read(5.0)),
+        ))
+        with pytest.raises(CheckerError, match="outside the write domain"):
+            result.atomicity

@@ -136,7 +136,7 @@ class TestStreamedVerdicts:
         with pytest.raises(CheckerError, match="RunResult.online"):
             result.atomicity
         with pytest.raises(CheckerError, match="streamed"):
-            result.linearizable
+            result.fingerprint()
 
     def test_multi_mix_workloads_are_unchecked(self):
         """Two mixes interleave their value ranges in time, breaking

@@ -4,8 +4,7 @@ import hashlib
 
 import pytest
 
-from repro.analysis.atomicity import check_swmr_atomicity
-from repro.analysis.regularity import check_swmr_regularity
+from repro.analysis.streaming import check_history
 from repro.scenarios import (
     Crash,
     FaultPlan,
@@ -17,6 +16,7 @@ from repro.scenarios import (
     run,
 )
 from repro.storage.history import BOTTOM
+from tests.analysis.test_register_checker_oracle import check_swmr_atomicity
 
 #: sha256 of ``repr(fingerprint)`` — every record field plus the message
 #: count — of the random workload below (5 writes, 9 reads, horizon 40,
@@ -54,7 +54,7 @@ class TestRegularReads:
             read = result.read()
             assert result.write().rounds == max(1, crashed)
             assert (read.result, read.rounds) == ("v", 1)
-            assert check_swmr_regularity(result.records).regular
+            assert result.atomicity.regular
 
     def test_initial_read(self):
         record = regular("threshold:5,1,1,0,1", Read(0.0)).read()
@@ -68,8 +68,8 @@ class TestRegularReads:
             readers=2,
         )
         assert [read.result for read in result.reads] == ["a", "b"]
-        assert check_swmr_regularity(result.records).regular
-        assert result.atomicity.atomic
+        assert result.atomicity.verdict == "regular"
+        assert check_swmr_atomicity(result.records).atomic
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_mixes_regular(self, seed):
@@ -77,7 +77,7 @@ class TestRegularReads:
             "threshold:5,1,1,0,1", RandomMix(5, 9, horizon=40.0),
             readers=3, seed=seed,
         )
-        report = check_swmr_regularity(result.records)
+        report = result.atomicity
         assert report.regular, report.violations
         digest = hashlib.sha256(repr(result.fingerprint()).encode())
         assert digest.hexdigest() == FACADE_EXECUTIONS[seed]
@@ -106,42 +106,12 @@ class TestRegularReads:
         r1, r2 = result.reads
         assert r1.complete and r1.completed_at <= 10.0 and r1.result == "v"
         assert r2.complete
-        assert check_swmr_regularity(result.records).regular
+        assert result.atomicity.regular
         if r2.result is BOTTOM:
             # inversion realized: atomicity must reject what
             # regularity accepts
-            assert not result.atomicity.atomic
+            assert not check_swmr_atomicity(result.records).atomic
+            assert [v.rule for v in check_history(result.records).violations] == [
+                "read-inversion"
+            ]
 
-
-class TestRegularityChecker:
-    def test_rejects_fabrication(self):
-        from repro.sim.trace import Trace
-
-        trace = Trace()
-        record = trace.begin("read", "r", 0.0)
-        trace.complete(record, 1.0, "ghost")
-        report = check_swmr_regularity(trace.records)
-        assert not report.regular
-
-    def test_rejects_stale_read(self):
-        from repro.sim.trace import Trace
-
-        trace = Trace()
-        w = trace.begin("write", "w", 0.0, "a")
-        trace.complete(w, 1.0, "OK")
-        r = trace.begin("read", "r", 2.0)
-        trace.complete(r, 3.0, BOTTOM)
-        assert not check_swmr_regularity(trace.records).regular
-
-    def test_accepts_read_inversion(self):
-        from repro.sim.trace import Trace
-
-        trace = Trace()
-        w = trace.begin("write", "w", 0.0, "a")
-        trace.complete(w, 100.0, "OK")          # concurrent with both
-        r1 = trace.begin("read", "r1", 1.0)
-        trace.complete(r1, 2.0, "a")
-        r2 = trace.begin("read", "r2", 3.0)
-        trace.complete(r2, 4.0, BOTTOM)
-        assert check_swmr_regularity(trace.records).regular
-        assert not check_swmr_atomicity(trace.records).atomic

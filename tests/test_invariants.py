@@ -32,6 +32,14 @@ dataclass in ``consensus/messages.py`` — is built the way one message is
 ``@dataclass(frozen=True, slots=True)``, and otherwise the dataclass's
 own — frozen, with the ``==``, ``hash``, ``repr``, ``fields``,
 ``replace`` and pickling of a plain frozen twin.
+
+A register history has one checker (docs/architecture.md, "Streaming
+pipeline & online checking"): the stamp-ordered ``OnlineChecker``,
+live on streamed runs and replayed over the records of FULL runs.  The
+SWMR-rule, Wing–Gong and regularity checkers it replaced are test
+oracles only (``tests/analysis/test_register_checker_oracle.py``):
+their modules do not import, ``RunResult`` carries no second register
+verdict, and nothing shipped imports from ``tests`` or names one.
 """
 
 import dataclasses
@@ -61,6 +69,16 @@ PAYLOAD_FILES = sorted(
      ROOT / "src/repro/consensus/messages.py"]
 )
 EVERYWHERE = ("src/repro", "benchmarks", "examples")
+ORACLE_USE = re.compile(
+    r"^\s*(?:from|import)\s+tests\b|\bReference[A-Z]\w*"
+    r"|\b(?:check_swmr_atomicity|check_swmr_regularity|is_linearizable)\b",
+    re.MULTILINE,
+)
+RETIRED_CHECKERS = (
+    "repro.analysis.atomicity",
+    "repro.analysis.linearizability",
+    "repro.analysis.regularity",
+)
 
 
 def _sites(pattern, *directories):
@@ -97,6 +115,23 @@ def test_only_the_result_modules_look_at_a_results_shape():
 def test_nothing_asks_for_the_benchmark_plugin():
     assert _sites(BENCHMARK_PLUGIN, "src", "benchmarks", "tests") == []
     assert not BENCHMARK_PLUGIN.search((ROOT / "pyproject.toml").read_text())
+
+
+@pytest.mark.parametrize("module", RETIRED_CHECKERS)
+def test_a_retired_register_checker_does_not_import(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
+
+
+def test_a_run_has_one_register_verdict():
+    from repro.scenarios import RunResult
+
+    for retired in ("linearizable", "atomicity_by_key"):
+        assert not hasattr(RunResult, retired), retired
+
+
+def test_nothing_shipped_runs_a_test_oracle():
+    assert _sites(ORACLE_USE, *EVERYWHERE) == []
 
 
 def test_a_fan_out_is_a_send_all():
