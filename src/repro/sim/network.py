@@ -31,13 +31,19 @@ tie *between* two of them and every tie resolves as before.  The event
 loop counts a block as one event per member (``Simulator.run``).
 :meth:`Network.send` is the single-destination primitive (replies):
 ``(deliver_time, seq, Network._deliver, message)``.  Neither builds a
-closure or goes through ``call_at``.
+closure or goes through ``call_at``.  ``_deliver`` / ``_deliver_block``
+call the receiver's ``on_message`` themselves: a crashed receiver's
+message is dropped there (it still counts as delivered), and at
+``FULL`` the record joins the receiver's ``delivered`` history.
 
 * **Rule partitioning** — rule resolution caches, per ``(src, dst)``
   pair, the (ordered) sub-list of rules that could ever match that
   channel, so the per-send scan only evaluates time windows and payload
-  predicates of relevant rules.  Rule-free networks skip matching
-  entirely.  The cache is invalidated by :meth:`Network.add_rule`.
+  predicates of relevant rules.  ``send`` / ``send_all`` look the
+  channel up themselves and skip ``_resolve`` when it has no candidate
+  (``_resolve`` builds the entry the first time it meets a channel);
+  rule-free networks skip matching entirely.  The cache is invalidated
+  by :meth:`Network.add_rule`.
 * **Trace levels** — :class:`TraceLevel` says how much message history
   is retained.  ``FULL`` (the default) keeps the complete
   :attr:`Network.log` for verdicts, fingerprints and proof replays;
@@ -273,7 +279,9 @@ class Network:
     # -- wiring ---------------------------------------------------------------
 
     def register(self, process: Any) -> None:
-        """Attach a process (anything with ``.pid`` and ``.receive``)."""
+        """Attach a process (a :class:`~repro.sim.process.Process`: the
+        network reads its ``pid``, ``crashed`` and ``delivered`` and calls
+        its ``on_message``)."""
         pid = process.pid
         if pid in self._processes:
             raise SimulationError(f"duplicate process id {pid!r}")
@@ -318,7 +326,8 @@ class Network:
             if key is not None:
                 self._sent_by_key[key] = self._sent_by_key.get(key, 0) + 1
         delay = self.delta
-        if self._rules:
+        # ``_resolve`` only for a channel that has (or may have) rules.
+        if self._rules and self._rule_index.get((src, dst)) != ():
             action = self._resolve(message)
             if action == HOLD or action == DROP:
                 self._withhold(message, action)
@@ -347,7 +356,10 @@ class Network:
         processes = self._processes
         full_trace = self.full_trace
         log = self.log
-        rules = self._rules
+        # The channels' rule candidates — ``None`` when no rule exists
+        # (then no channel has one); ``_resolve`` is skipped for a
+        # channel whose entry is empty.
+        rule_index = self._rule_index if self._rules else None
         deliver = self._deliver_block
         default_time = now + self.delta
         seq = sim._seq
@@ -362,7 +374,9 @@ class Network:
                 if full_trace:
                     log.append(message)
                 deliver_time = default_time
-                if rules:
+                if rule_index is not None and (
+                    rule_index.get((src, dst)) != ()
+                ):
                     action = self._resolve(message)
                     if action == HOLD or action == DROP:
                         self._withhold(message, action)
@@ -397,7 +411,8 @@ class Network:
             sim._seq = seq
 
     def _resolve(self, message: Message) -> Any:
-        """The first matching rule's action, else ``Δ`` (needs rules)."""
+        """The first matching rule's action, else ``Δ`` (needs rules;
+        builds the channel's candidate entry on first sight)."""
         src = message.src
         dst = message.dst
         candidates = self._rule_index.get((src, dst))
@@ -433,19 +448,34 @@ class Network:
                 self.dropped.append(message)
 
     def _deliver(self, message: Message) -> None:
+        """Hand ``message`` to its receiver's ``on_message`` — unless the
+        receiver has crashed (it takes no steps; the delivery still
+        counts).  At ``FULL`` the receiver's ``delivered`` history keeps
+        the record."""
         # Destinations are checked at send and never unregistered.
         self.delivered_count += 1
-        self._processes[message.dst].receive(message)
+        process = self._processes[message.dst]
+        if process.crashed:
+            return
+        if self.full_trace:
+            process.delivered.append(message)
+        process.on_message(message)
 
     def _deliver_block(self, block: Block, room: int) -> None:
         """:meth:`_deliver` for up to ``room`` members of a block, each
         popped before it is handed over (see :class:`Block`)."""
         processes = self._processes
+        full_trace = self.full_trace
         take = block.pop
         for _ in range(min(len(block), room)):
             message = take()
             self.delivered_count += 1
-            processes[message.dst].receive(message)
+            process = processes[message.dst]
+            if process.crashed:
+                continue
+            if full_trace:
+                process.delivered.append(message)
+            process.on_message(message)
 
     # -- adversarial schedule control ---------------------------------------------
 

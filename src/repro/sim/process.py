@@ -12,7 +12,12 @@ Processes follow the paper's model (Section 3.1):
   ``FaultPlan``.
 
 A process is bound to a :class:`~repro.sim.network.Network` before the
-simulation starts; sending before binding is a configuration error.
+simulation starts; ``bind`` sets ``network`` and ``sim``, and sending or
+reading the simulator before binding is a configuration error.  The
+network hands a message straight to :meth:`Process.on_message`
+(``Network._deliver``): it drops what reaches a crashed process and, at
+``TraceLevel.FULL``, appends the record to the receiver's ``delivered``
+history.
 """
 
 from __future__ import annotations
@@ -23,28 +28,38 @@ from repro.errors import SimulationError
 from repro.sim.network import Message, Network
 
 
+class _Unbound(tuple):
+    """``Process.sim`` until ``bind``: the ``(pid,)`` of the process, off
+    which reading any simulator attribute raises.  (A tuple, so making
+    one per process costs no Python call.)"""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        raise SimulationError(f"process {self[0]!r} is not bound")
+
+
 class Process:
     """A deterministic automaton attached to the network."""
 
     def __init__(self, pid: Hashable):
         self.pid = pid
         self.network: Optional[Network] = None
+        self.sim = _Unbound((pid,))
         self.crashed = False
         self.crash_time: Optional[float] = None
+        #: Messages handed to this process (kept at ``TraceLevel.FULL``
+        #: only — at ``METRICS`` the record would be the last reference
+        #: keeping every consumed message alive).
         self.delivered: List[Message] = []
 
     # -- wiring ---------------------------------------------------------------
 
     def bind(self, network: Network) -> "Process":
         self.network = network
+        self.sim = network.sim
         network.register(self)
         return self
-
-    @property
-    def sim(self):
-        if self.network is None:
-            raise SimulationError(f"process {self.pid!r} is not bound")
-        return self.network.sim
 
     # -- fault injection --------------------------------------------------------
 
@@ -82,22 +97,9 @@ class Process:
             raise SimulationError(f"process {self.pid!r} is not bound")
         self.network.send_all(self.pid, destinations, payload)
 
-    def receive(self, message: Message) -> None:
-        """Network entry point; drops deliveries to crashed processes.
-
-        Under :class:`~repro.sim.network.TraceLevel` ``METRICS`` the
-        per-process ``delivered`` history is not retained (the record
-        would be the last reference keeping every consumed message
-        alive).
-        """
-        if self.crashed:
-            return
-        if self.network.full_trace:
-            self.delivered.append(message)
-        self.on_message(message)
-
     def on_message(self, message: Message) -> None:
-        """Protocol handler; subclasses override."""
+        """Protocol handler; subclasses override.  Called by the network
+        for every message delivered while the process is up."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "crashed" if self.crashed else "up"

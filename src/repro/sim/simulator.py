@@ -23,15 +23,18 @@ Determinism: events at equal times execute in insertion order (a
 monotonic sequence number breaks ties), and tasks whose conditions were
 signalled in one instant wake in park order, each re-checking
 ``holds()`` at its turn.  Given the same schedule and seeds, runs are
-bit-for-bit reproducible.  The wake pass costs at most one ``holds()``
-per event on a workload with 50 parked readers
-(``tests/sim/test_wakeup_cost.py`` pins the count).
+bit-for-bit reproducible.  Every parked task carries a park number, and
+a wake pass sorts only the waiters of the signalled conditions by it: a
+parked task whose condition was not signalled costs nothing.  The pass
+makes at most one ``holds()`` per event on a workload with 50 parked
+readers and visits exactly the signalled waiters
+(``tests/sim/test_wakeup_cost.py`` pins both).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.conditions import Condition, Timer
@@ -72,15 +75,20 @@ class Simulator:
         # broadcast's as ``Block``s).
         self._queue: List[Tuple[float, int, Callable[..., None], Any]] = []
         self._seq = 0
-        # The wait-set index: condition -> tasks parked on it, plus the
-        # global park-order list that fixes the wake order across
-        # conditions.
+        # The wait-set index: condition -> tasks parked on it, plus each
+        # parked task's park number, which fixes the wake order across
+        # conditions (sorting by it gives the park order).
         self._waiters: Dict[Condition, List[Task]] = {}
-        self._park_order: List[Task] = []
-        # Conditions signalled since the last wake pass, in signal
-        # order (deduplicated).
-        self._signalled: List[Condition] = []
-        self._signalled_set: set = set()
+        self._parked: Dict[Task, int] = {}
+        self._parks = 0           # the next fresh park number
+        # While a woken task advances, what parks takes its place in the
+        # park order: the first park takes its number (``_slot``), a
+        # later one the place right behind the one before (``_slot_tail``).
+        self._slot: Optional[int] = None
+        self._slot_tail: Optional[Task] = None
+        # Conditions signalled since the last wake pass (their order is
+        # irrelevant: the pass orders their waiters by park number).
+        self._signalled: Set[Condition] = set()
         self._tasks: List[Task] = []
         self._events_processed = 0
 
@@ -153,17 +161,27 @@ class Simulator:
             condition._sim = self
         else:
             waiters.append(task)
-        self._park_order.append(task)
+        slot = self._slot
+        if slot is None:
+            self._parked[task] = self._parks
+            self._parks += 1
+        elif self._slot_tail is None:
+            self._parked[task] = slot
+            self._slot_tail = task
+        else:
+            self._park_behind(self._slot_tail, task)
+            self._slot_tail = task
 
-    def _unpark(self, condition: Condition, task: Task) -> None:
-        """Drop one waiter from the index (the park-order list is
-        rebuilt by the caller's sweep)."""
-        waiters = self._waiters.get(condition)
-        if waiters is not None:
-            waiters.remove(task)
-            if not waiters:
-                del self._waiters[condition]
-                condition._sim = None
+    def _park_behind(self, tail: Task, task: Task) -> None:
+        """Renumber the parked tasks so that ``task`` comes right behind
+        ``tail`` — a woken task parked more than one task (it spawned
+        one that parked), and they share its place in the park order."""
+        parked = self._parked
+        order = sorted(parked, key=parked.__getitem__)
+        order.insert(order.index(tail) + 1, task)
+        for number, each in enumerate(order):
+            parked[each] = number
+        self._parks = len(order)
 
     # -- signals ------------------------------------------------------------
 
@@ -173,49 +191,57 @@ class Simulator:
         Called by :meth:`Condition.signal`; deduplicated per pass and
         ignored for conditions nobody waits on.
         """
-        if condition in self._waiters and condition not in self._signalled_set:
-            self._signalled_set.add(condition)
-            self._signalled.append(condition)
+        if condition in self._waiters:
+            self._signalled.add(condition)
 
     def _wake_tasks(self) -> None:
         """Wake every task whose wait now holds (to fixpoint).
 
-        Waiters are re-polled only when their condition was signalled
-        this instant, but in **park order** — sweeping the park-order
-        list with ``holds()`` re-checked per task at its turn (a woken
+        A pass takes the waiters of the conditions signalled since the
+        last one and visits them in **park order** (sorted by park
+        number), re-checking ``holds()`` per task at its turn: a woken
         task that consumes a shared condition leaves later waiters
-        parked; a task that re-parks lands at its sweep position).
-        Untouched tasks cost a pointer comparison, not a predicate call
-        — conditions only change via signalling mutations, so an
-        unsignalled condition cannot have become true.  Waking a task
-        may signal more conditions, so the pass repeats until the signal
-        batch stays empty.
+        parked, and what a woken task parks — itself again, tasks it
+        spawned — takes its place in the park order.  Any other parked
+        task costs nothing: conditions only change via signalling
+        mutations, so an unsignalled condition cannot have become true.
+        Waking a task may signal more conditions, so passes repeat until
+        no signal is left.  If a woken task raises, the conditions of
+        the waiters the pass did not reach stay signalled for the next.
         """
+        parked = self._parked
+        waiters_of = self._waiters
         while self._signalled:
             batch = self._signalled
-            self._signalled = []
-            self._signalled_set.clear()
-            touched = set()
+            self._signalled = set()
+            touched: List[Task] = []
             for condition in batch:
-                waiters = self._waiters.get(condition)
+                waiters = waiters_of.get(condition)
                 if waiters is not None:
-                    touched.update(waiters)
-            if not touched:
-                continue
-            order = self._park_order
-            self._park_order = []
-            for task in order:
-                effect = task.waiting_on
-                if (
-                    task in touched
-                    and effect is not None
-                    and effect.condition.holds()
-                ):
-                    self._unpark(effect.condition, task)
+                    touched += waiters
+            # A stack: the first to visit is last.
+            touched.sort(key=parked.__getitem__, reverse=True)
+            try:
+                while touched:
+                    task = touched.pop()
+                    condition = task.waiting_on.condition
+                    if not condition.holds():
+                        continue
+                    waiters = waiters_of[condition]
+                    waiters.remove(task)
+                    if not waiters:
+                        del waiters_of[condition]
+                        condition._sim = None
                     task.waiting_on = None
-                    self._advance(task)  # re-parks append in place
-                else:
-                    self._park_order.append(task)
+                    self._slot = parked.pop(task)
+                    self._slot_tail = None
+                    self._advance(task)
+                    self._slot = None
+            except BaseException:
+                self._slot = None
+                for task in touched:
+                    self._signal(task.waiting_on.condition)
+                raise
 
     # -- running ------------------------------------------------------------------
 
@@ -307,7 +333,8 @@ class Simulator:
 
     def blocked_tasks(self) -> Tuple[Task, ...]:
         """Every parked task, in park order."""
-        return tuple(self._park_order)
+        parked = self._parked
+        return tuple(sorted(parked, key=parked.__getitem__))
 
     def waiter_count(self, condition: Condition) -> int:
         """How many tasks are parked on ``condition`` (0 if none)."""

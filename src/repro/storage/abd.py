@@ -229,7 +229,9 @@ class RegisterServer(Process):
         self.slots: Dict[Hashable, Dict[str, Pair]] = {}
 
     def slots_for(self, key: Hashable) -> Dict[str, Pair]:
-        """Register ``key``'s slot → pair mapping (created on first use)."""
+        """Register ``key``'s slot → pair mapping, created on first use
+        (the handlers look a key up in ``slots`` first and call this only
+        when it is missing)."""
         slots = self.slots.get(key)
         if slots is None:
             slots = self.slots[key] = dict(self._initial)
@@ -237,21 +239,24 @@ class RegisterServer(Process):
 
     def on_message(self, message: Message) -> None:
         payload = message.payload
+        known = self.slots
         if isinstance(payload, SlotWrite):
-            slots = self.slots_for(payload.key)
+            key = payload.key
+            slots = known.get(key) or self.slots_for(key)
             if payload.ts > slots[payload.slot].ts:
                 slots[payload.slot] = Pair(payload.ts, payload.value)
             self.send(
                 message.src,
-                SlotWriteAck(payload.ts, payload.slot, payload.key),
+                SlotWriteAck(payload.ts, payload.slot, key),
             )
         elif isinstance(payload, SlotRead):
+            key = payload.key
             self.send(
                 message.src,
                 SlotReadAck(
                     payload.read_no,
-                    tuple(self.slots_for(payload.key).values()),
-                    payload.key,
+                    tuple((known.get(key) or self.slots_for(key)).values()),
+                    key,
                 ),
             )
         elif isinstance(payload, WriteBatch):
@@ -259,7 +264,7 @@ class RegisterServer(Process):
             # batch (draw) order; one ack for all.
             slot = payload.slot
             for ts, value, key in payload.ops:
-                slots = self.slots_for(key)
+                slots = known.get(key) or self.slots_for(key)
                 if ts > slots[slot].ts:
                     slots[slot] = Pair(ts, value)
             self.send(message.src, BatchAck(payload.batch_no, payload.rnd))
@@ -270,7 +275,7 @@ class RegisterServer(Process):
                     payload.read_no,
                     payload.rnd,
                     tuple(
-                        tuple(self.slots_for(key).values())
+                        tuple((known.get(key) or self.slots_for(key)).values())
                         for key in payload.keys
                     ),
                 ),

@@ -99,12 +99,17 @@ def test_a_broadcast_is_one_send_all(monkeypatch):
     """An acceptor's update / decision and a learner's pull are
     broadcasts: one crashed-and-bound check each (``Process.send_all``),
     not one per target — ``Process.send`` is left with the
-    point-to-point replies."""
+    point-to-point replies.  On the way in, a broadcast's members reach
+    their handlers through ``Network._deliver_block``, a reply through
+    ``Network._deliver``, and nothing else stands between."""
     from repro.consensus.messages import Decision, DecisionPull, Update
+    from repro.sim.network import Network
     from repro.sim.process import Process
 
     single, broadcast = Counter(), Counter()
     send, send_all = Process.send, Process.send_all
+    unicast, block = Counter(), Counter()
+    deliver, deliver_block = Network._deliver, Network._deliver_block
 
     def counting_send(self, dst, payload):
         single[type(payload)] += 1
@@ -114,8 +119,18 @@ def test_a_broadcast_is_one_send_all(monkeypatch):
         broadcast[type(payload)] += len(destinations)
         return send_all(self, destinations, payload)
 
+    def counting_deliver(self, message):
+        unicast[type(message.payload)] += 1
+        return deliver(self, message)
+
+    def counting_deliver_block(self, members, room):
+        block.update(type(m.payload) for m in members[-room:])
+        return deliver_block(self, members, room)
+
     monkeypatch.setattr(Process, "send", counting_send)
     monkeypatch.setattr(Process, "send_all", counting_send_all)
+    monkeypatch.setattr(Network, "_deliver", counting_deliver)
+    monkeypatch.setattr(Network, "_deliver_block", counting_deliver_block)
     result = run(_best_case(3))
     adapter = result.adapter
     targets = len(adapter.rqs.servers) + len(adapter.learners)
@@ -130,3 +145,9 @@ def test_a_broadcast_is_one_send_all(monkeypatch):
     # The pulls sent one by one are the proposer's (interleaved with its
     # syncs); a learner's would be a broadcast.
     assert single[DecisionPull] == len(adapter.rqs.servers)
+    # Every update sent was delivered as a member of a block (those to
+    # the three crashed acceptors too: dropped by the hop, not by a rule).
+    assert block[Update] == broadcast[Update] and unicast[Update] == 0
+    assert sum(unicast.values()) + sum(block.values()) == (
+        adapter.network.delivered_count
+    )

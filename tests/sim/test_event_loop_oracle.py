@@ -1,23 +1,39 @@
-"""Differential oracle for the block message path.
+"""Differential oracle for the message path and the wake pass.
 
 A broadcast is one queue entry per delivery instant: ``Network.send_all``
-pushes ``(deliver_time, seq, _deliver, Block([...]))`` and
+pushes ``(deliver_time, seq, _deliver_block, Block([...]))`` and
 ``Simulator.run`` walks the block inside the instant, one event per
-member.  The path it replaced — ``send_all`` a loop over ``send``, one
-``(time, seq, fn, message)`` entry per destination, ``run`` popping one
-entry per event, ``pending_events()`` the length of the heap — lives on
-*only here*, verbatim, as :class:`ReferenceSimulator` /
-:class:`ReferenceNetwork`.  Both worlds execute the same script (timers,
-singles and broadcasts under delay/hold/drop rules that split a
-broadcast, two senders broadcasting into one instant, zero-delay sends
-and ``release_held`` landing on a block's instant, receivers crashed
-between send and delivery or by an earlier member of the same block,
-handlers that raise mid-block, ``max_events`` caps and ``until=`` bounds
-that fall inside or on a block) and must agree on the ordered ``(time,
-handler, src, dst, payload)`` log, on every counter, on
-``events_processed`` and on ``pending_events()`` after every ``run``
-call — also the ones that ended in an exception.  Seeded bugs in the new
-path must each be caught by the same comparison.
+member.  ``_deliver`` / ``_deliver_block`` hand each message straight to
+the receiver's ``on_message`` — dropping it for a crashed receiver,
+recording it in the receiver's ``delivered`` at FULL — and ``send`` /
+``send_all`` skip ``_resolve`` on a channel no rule can match.  A wake
+pass visits only the waiters of the signalled conditions, sorted by park
+number.
+
+The paths these replaced live on *only here*, verbatim, as
+:class:`ReferenceSimulator` / :class:`ReferenceNetwork`: ``send_all`` a
+loop over ``send``, one ``(time, seq, fn, message)`` entry per
+destination, ``_resolve`` on every send of a network with rules, ``run``
+popping one entry per event, ``pending_events()`` the length of the
+heap, ``_deliver`` handing the message to ``Process.receive`` (the crash
+drop and the FULL record there), and the wake pass sweeping the whole
+park-order list.  Both worlds execute the same script (timers, singles
+and broadcasts under delay/hold/drop rules that split a broadcast, two
+senders broadcasting into one instant, zero-delay sends and
+``release_held`` landing on a block's instant, receivers crashed between
+send and delivery or by an earlier member of the same block, handlers
+that raise mid-block, ``max_events`` caps and ``until=`` bounds that fall
+inside or on a block — and up to ~20 tasks parked on shared conditions
+that wake, consume, re-park, spawn parking tasks, crash processes and
+send during a wake pass) and must agree on the ordered log of
+deliveries and wake-ups, on ``blocked_tasks()``, on every counter, on
+``events_processed``, on the delivered records and on
+``pending_events()`` after every ``run`` call — also the ones that ended
+in an exception — and, for the task scripts, after every instant.  A
+task never raises inside a wake pass here: the reference loses every
+task parked behind one that does (``tests/sim/test_simulator.py`` pins
+the fix).  Seeded bugs in the new paths must each be caught by the same
+comparison.
 """
 
 import heapq
@@ -28,13 +44,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.conditions import Counter
+from repro.sim.conditions import Check, Counter
 from repro.sim.network import DROP, HOLD, Message, Network, Rule, TraceLevel
 from repro.sim.process import Process
 from repro.sim.simulator import _NO_ARG, Block, Simulator
 from repro.sim.tasks import Sleep, WaitUntil
 
 PIDS = ("a", "b", "c", "d")
+GATES = 3
 Payload = namedtuple("Payload", "kind key")
 
 
@@ -45,6 +62,12 @@ class Boom(Exception):
 # -- the reference: one queue entry per message, verbatim -----------------------
 
 class ReferenceSimulator(Simulator):
+    def __init__(self):
+        super().__init__()
+        self._park_order = []
+        self._signalled = []
+        self._signalled_set = set()
+
     def run(self, until=None, max_events=1_000_000):
         queue = self._queue
         pop = heapq.heappop
@@ -78,6 +101,69 @@ class ReferenceSimulator(Simulator):
 
     def pending_events(self):
         return len(self._queue)
+
+    # The park-order sweep.
+
+    def _park_on(self, condition, task):
+        waiters = self._waiters.get(condition)
+        if waiters is None:
+            self._waiters[condition] = [task]
+            condition._sim = self
+        else:
+            waiters.append(task)
+        self._park_order.append(task)
+
+    def _unpark(self, condition, task):
+        waiters = self._waiters.get(condition)
+        if waiters is not None:
+            waiters.remove(task)
+            if not waiters:
+                del self._waiters[condition]
+                condition._sim = None
+
+    def _signal(self, condition):
+        if condition in self._waiters and condition not in self._signalled_set:
+            self._signalled_set.add(condition)
+            self._signalled.append(condition)
+
+    def _wake_tasks(self):
+        while self._signalled:
+            batch = self._signalled
+            self._signalled = []
+            self._signalled_set.clear()
+            touched = set()
+            for condition in batch:
+                waiters = self._waiters.get(condition)
+                if waiters is not None:
+                    touched.update(waiters)
+            if not touched:
+                continue
+            order = self._park_order
+            self._park_order = []
+            for task in order:
+                effect = task.waiting_on
+                if (
+                    task in touched
+                    and effect is not None
+                    and effect.condition.holds()
+                ):
+                    self._unpark(effect.condition, task)
+                    task.waiting_on = None
+                    self._advance(task)  # re-parks append in place
+                else:
+                    self._park_order.append(task)
+
+    def blocked_tasks(self):
+        return tuple(self._park_order)
+
+
+def receive(process, message):
+    """``Process.receive``: the network's entry point into a process."""
+    if process.crashed:
+        return
+    if process.network.full_trace:
+        process.delivered.append(message)
+    process.on_message(message)
 
 
 class ReferenceNetwork(Network):
@@ -142,6 +228,10 @@ class ReferenceNetwork(Network):
                 return rule.action
         return self.delta
 
+    def _deliver(self, message):
+        self.delivered_count += 1
+        receive(self._processes[message.dst], message)
+
 
 # -- one world: a simulator, a network, four echoing processes ---------------
 
@@ -184,6 +274,15 @@ class World:
             trace_level=trace_level,
         )
         self.procs = {pid: Echo(pid, self.log).bind(self.net) for pid in PIDS}
+        # Shared conditions for the scripted tasks: gate ``g`` holds
+        # while it has a token; a task that takes one may leave the
+        # waiters behind it parked.
+        self.tokens = [0] * GATES
+        self.gates = [
+            Check(lambda g=g: self.tokens[g] > 0, f"gate{g}")
+            for g in range(GATES)
+        ]
+        self.made = 0
         for pid in PIDS:
             self.sim.spawn(self.waiter(pid), name=f"waiter@{pid}")
         for step in script["steps"]:
@@ -199,6 +298,33 @@ class World:
             yield WaitUntil(process.got.at_least(seen))
             self.log.append((self.sim.now, "wake", pid, None, process.got.value))
             process.send(PIDS[0], Payload("woke", seen))
+
+    def programmed(self, name, stages):
+        """A task that waits on one gate per stage and, woken, does the
+        stage's action — inside the wake pass — before it re-parks on
+        the next stage's gate."""
+        for number, (gate, action) in enumerate(stages):
+            yield WaitUntil(self.gates[gate])
+            self.log.append(
+                (self.sim.now, "woke", name, number, tuple(self.tokens))
+            )
+            other = (gate + 1) % GATES
+            if action == "take":
+                self.tokens[gate] -= 1
+            elif action == "give":
+                self.tokens[other] += 1
+                self.gates[other].signal()
+            elif action == "spawn":
+                child = f"{name}.{number}"
+                self.sim.spawn(
+                    self.programmed(child, ((other, "take"),)), name=child
+                )
+            elif action == "crash":
+                self.procs[PIDS[gate]].crash()
+            elif action == "send":
+                self.procs[PIDS[gate]].send(PIDS[other], Payload("req", gate))
+            elif action == "sleep":
+                yield Sleep(0.5)
 
     def mark(self, handler, *rest):
         self.log.append((self.sim.now, handler) + rest)
@@ -241,6 +367,18 @@ class World:
 
         return boom
 
+    def do_task(self, stages):
+        name = f"task{self.made}"
+        self.made += 1
+        return lambda: self.sim.spawn(self.programmed(name, stages), name=name)
+
+    def do_grant(self, gate, tokens):
+        def grant():
+            self.tokens[gate] += tokens
+            self.gates[gate].signal()
+
+        return grant
+
     # -- running and observing ----------------------------------------------
 
     def snapshot(self):
@@ -261,6 +399,7 @@ class World:
                 pid: [self.record(m) for m in proc.delivered]
                 for pid, proc in self.procs.items()
             },
+            "tokens": list(self.tokens),
             "log": list(self.log),
         }
 
@@ -268,6 +407,15 @@ class World:
     def record(message):
         return (message.src, message.dst, message.payload, message.send_time,
                 message.deliver_time, message.held, message.dropped)
+
+    def call(self, until, max_events):
+        """One ``run`` call: how it ended, and the world's state after."""
+        try:
+            self.sim.run(until=until, max_events=max_events)
+            ended = "returned"
+        except (Boom, SimulationError) as exc:
+            ended = f"{type(exc).__name__}: {exc}"
+        return ended, self.snapshot()
 
     def run(self, phases):
         """One ``run`` call per phase, then drain (a raising handler
@@ -277,12 +425,19 @@ class World:
         calls = list(phases)
         while calls or (self.sim.pending_events() and len(seen) < 120):
             until, max_events = calls.pop(0) if calls else (None, 10_000)
-            try:
-                self.sim.run(until=until, max_events=max_events)
-                ended = "returned"
-            except (Boom, SimulationError) as exc:
-                ended = f"{type(exc).__name__}: {exc}"
-            seen.append((ended, self.snapshot()))
+            seen.append(self.call(until, max_events))
+        return seen
+
+    def run_by_instant(self, last):
+        """``run(until=t)`` for every instant ``t`` of the half-unit grid
+        up to ``last`` (again while a raise cuts one short), then drain:
+        the world's state after every instant."""
+        seen = []
+        for until in [half * 0.5 for half in range(int(2 * last) + 1)] + [None]:
+            for _ in range(20):
+                seen.append(self.call(until, 10_000))
+                if seen[-1][0] == "returned":
+                    break
         return seen
 
 
@@ -290,10 +445,17 @@ REFERENCE = (ReferenceSimulator, ReferenceNetwork)
 CURRENT = (Simulator, Network)
 
 
+def execute(world_classes, script, trace_level):
+    world = World(*world_classes, script, trace_level)
+    if "last" in script:
+        return world.run_by_instant(script["last"])
+    return world.run(script["phases"])
+
+
 def differential(script, current=CURRENT):
     for trace_level in (TraceLevel.FULL, TraceLevel.METRICS):
-        expected = World(*REFERENCE, script, trace_level).run(script["phases"])
-        actual = World(*current, script, trace_level).run(script["phases"])
+        expected = execute(REFERENCE, script, trace_level)
+        actual = execute(current, script, trace_level)
         for step, (want, got) in enumerate(zip(expected, actual)):
             assert got == want, f"run call {step} at {trace_level.name}"
         assert len(actual) == len(expected), trace_level.name
@@ -345,6 +507,34 @@ scripts = st.fixed_dictionaries({
           suppress_health_check=[HealthCheck.too_slow])
 @given(scripts)
 def test_block_message_path_matches_the_per_message_event_loop(script):
+    differential(script)
+
+
+gates = st.integers(0, GATES - 1)
+actions = st.sampled_from(
+    ("log", "take", "take", "give", "spawn", "crash", "send", "sleep")
+)
+tasks = st.tuples(
+    st.just("task"), times,
+    st.lists(st.tuples(gates, actions), min_size=1, max_size=4).map(tuple),
+)
+grants = st.tuples(st.just("grant"), times, gates, st.integers(1, 4))
+task_scripts = st.fixed_dictionaries({
+    "delta": st.sampled_from((1.0, 0.5)),
+    "rules": st.lists(rule_specs, max_size=2),
+    "steps": st.tuples(
+        st.lists(tasks, min_size=1, max_size=16),
+        st.lists(grants, min_size=1, max_size=12),
+        st.lists(steps, max_size=6),
+    ).map(lambda parts: parts[0] + parts[1] + parts[2]),
+    "last": st.just(8.0),
+})
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(task_scripts)
+def test_the_wake_pass_matches_the_park_order_sweep(script):
     differential(script)
 
 
@@ -456,6 +646,42 @@ SCRIPTS = {
             ("timer", 1.0, 1),
         ],
     },
+    # task0 parks before task1; at t=1 task1's gate is signalled first.
+    "signal-order": {
+        "delta": 1.0, "rules": [], "last": 2.0,
+        "steps": [
+            ("task", 0.0, ((0, "log"),)), ("task", 0.0, ((1, "log"),)),
+            ("grant", 1.0, 1, 1), ("grant", 1.0, 0, 1),
+        ],
+    },
+    # Woken at t=1, task0 spawns a child that parks on gate 1, then
+    # re-parks on gate 1 itself: both take task0's place, ahead of task1,
+    # child first.  Three tokens at t=2 wake them in that order.
+    "spawn-in-pass": {
+        "delta": 1.0, "rules": [], "last": 3.0,
+        "steps": [
+            ("task", 0.0, ((0, "spawn"), (1, "log"))),
+            ("task", 0.0, ((1, "log"),)),
+            ("grant", 1.0, 0, 1), ("grant", 2.0, 1, 3),
+        ],
+    },
+    # Five tasks share gate 0 and take its tokens in park order, the
+    # rest staying parked.  At t=3 task4 takes the last token, finds
+    # gate 1 open and gives gate 2 a token: task0 wakes in the next pass
+    # of the same instant, crashes c under a request in flight and
+    # re-parks in its own place, ahead of task5.
+    "consumed": {
+        "delta": 1.0, "rules": [], "last": 4.0,
+        "steps": [
+            ("task", 0.0, ((2, "crash"), (0, "log"))),
+            *[("task", 0.0, ((0, "take"),)) for _ in range(3)],
+            ("task", 0.5, ((0, "take"), (1, "give"))),
+            ("task", 0.5, ((0, "take"),)),
+            ("grant", 1.0, 0, 2), ("grant", 2.0, 0, 1),
+            ("send", 3.0, "a", "c", "req", 0),
+            ("grant", 3.0, 0, 1), ("grant", 3.0, 1, 1),
+        ],
+    },
 }
 
 
@@ -466,7 +692,14 @@ def test_scripted_flows_agree(name):
 
 def run_script(name, trace_level=TraceLevel.FULL):
     world = World(*CURRENT, SCRIPTS[name], trace_level)
-    return world, world.run(SCRIPTS[name]["phases"])
+    script = SCRIPTS[name]
+    if "last" in script:
+        return world, world.run_by_instant(script["last"])
+    return world, world.run(script["phases"])
+
+
+def woken(state):
+    return [entry[2] for entry in state["log"] if entry[1] == "woke"]
 
 
 def test_scripted_flows_exercise_what_they_claim():
@@ -525,8 +758,32 @@ def test_scripted_flows_exercise_what_they_claim():
     assert ended == "SimulationError: unknown destination 'nobody'"
     assert state["counters"][0] == 2 and state["pending"] == 2 + 1
 
+    _, seen = run_script("signal-order")
+    assert woken(seen[-1][1]) == ["task0", "task1"]
 
-# -- seeded mutants of the new path -----------------------------------------
+    _, seen = run_script("spawn-in-pass")
+    at_one = [state for _, state in seen if state["now"] == 1.0][-1]
+    assert at_one["blocked"][-3:] == ["task0.0", "task0", "task1"]
+    assert woken(seen[-1][1]) == ["task0", "task0.0", "task0", "task1"]
+
+    world, seen = run_script("consumed")
+    at_one = [state for _, state in seen if state["now"] == 1.0][-1]
+    # task1 and task2 took gate 0's two tokens; task3, task4 and task5
+    # were polled too and stay parked, in park order.
+    assert woken(at_one) == ["task1", "task2"]
+    assert at_one["blocked"][-4:] == ["task0", "task3", "task4", "task5"]
+    state = seen[-1][1]
+    assert woken(state) == [
+        "task1", "task2", "task3", "task4", "task4", "task0",
+    ]
+    assert state["blocked"][-2:] == ["task0", "task5"]
+    # The request is delivered (counted) to a crashed c, which drops it:
+    # no ack.
+    assert state["crashed"] == ["c"] and world.procs["c"].delivered == []
+    assert state["counters"][:2] == (1, 1)
+
+
+# -- seeded mutants of the new paths -----------------------------------------
 
 def mutated_run(pop=heapq.heappop, wake_every_event=False,
                 a_block_is_one_event=False, requeue=True, least_room=1):
@@ -601,10 +858,132 @@ def pop_newest(queue):
     return entry
 
 
-def mutated_send_all(one_block=False, held_and_dropped_ride_along=False):
+def mutated_park_on(slot=True, woken_keeps_its_number=False):
+    """``Simulator._park_on`` as shipped, optionally numbering every park
+    afresh (what a woken task parks goes to the back) or giving the
+    woken task its own old number back whatever parked before it."""
+
+    def _park_on(self, condition, task):
+        waiters = self._waiters.get(condition)
+        if waiters is None:
+            self._waiters[condition] = [task]
+            condition._sim = self
+        else:
+            waiters.append(task)
+        if woken_keeps_its_number and self._slot is not None:
+            if task is self._woken:
+                self._parked[task] = self._slot
+            else:
+                self._parked[task] = self._parks
+                self._parks += 1
+            return
+        current = self._slot if slot else None
+        if current is None:
+            self._parked[task] = self._parks
+            self._parks += 1
+        elif self._slot_tail is None:
+            self._parked[task] = current
+            self._slot_tail = task
+        else:
+            self._park_behind(self._slot_tail, task)
+            self._slot_tail = task
+
+    return _park_on
+
+
+def mutated_wake_tasks(in_signal_order=False):
+    """``Simulator._wake_tasks`` as shipped (it also notes which task is
+    advancing, for :func:`mutated_park_on`), optionally visiting the
+    signalled waiters in signal order rather than park order."""
+
+    def _wake_tasks(self):
+        parked = self._parked
+        waiters_of = self._waiters
+        while self._signalled:
+            batch = self._signalled
+            self._signalled = [] if in_signal_order else set()
+            touched = []
+            for condition in batch:
+                waiters = waiters_of.get(condition)
+                if waiters is not None:
+                    touched += waiters
+            if in_signal_order:
+                touched.reverse()
+            else:
+                touched.sort(key=parked.__getitem__, reverse=True)
+            try:
+                while touched:
+                    task = touched.pop()
+                    condition = task.waiting_on.condition
+                    if not condition.holds():
+                        continue
+                    waiters = waiters_of[condition]
+                    waiters.remove(task)
+                    if not waiters:
+                        del waiters_of[condition]
+                        condition._sim = None
+                    task.waiting_on = None
+                    self._slot = parked.pop(task)
+                    self._slot_tail = None
+                    self._woken = task
+                    self._advance(task)
+                    self._slot = None
+            except BaseException:
+                self._slot = None
+                for task in touched:
+                    self._signal(task.waiting_on.condition)
+                raise
+
+    return _wake_tasks
+
+
+def mutated_send(resolve_unseen_channels=True):
+    """``Network.send`` as shipped, optionally skipping ``_resolve`` for
+    a channel it has not indexed yet — so the index is never built and
+    no channel's rules ever apply."""
+
+    def send(self, src, dst, payload):
+        if dst not in self._processes:
+            raise SimulationError(f"unknown destination {dst!r}")
+        sim = self.sim
+        now = sim.now
+        message = Message(src, dst, payload, now)
+        self.sent_count += 1
+        if self.full_trace:
+            self.log.append(message)
+        else:
+            key = getattr(payload, "key", None)
+            if key is not None:
+                self._sent_by_key[key] = self._sent_by_key.get(key, 0) + 1
+        delay = self.delta
+        candidates = self._rule_index.get((src, dst))
+        if self._rules and (
+            candidates != () if resolve_unseen_channels else candidates
+        ):
+            action = self._resolve(message)
+            if action == HOLD or action == DROP:
+                self._withhold(message, action)
+                return message
+            delay = action
+        deliver_time = now + delay
+        if deliver_time < now:
+            raise SimulationError(
+                f"cannot schedule in the past: {deliver_time} < now={now}"
+            )
+        message.deliver_time = deliver_time
+        heappush(sim._queue, (deliver_time, sim._seq, self._deliver, message))
+        sim._seq += 1
+        return message
+
+    return send
+
+
+def mutated_send_all(one_block=False, held_and_dropped_ride_along=False,
+                     resolve_unseen_channels=True):
     """``Network.send_all`` as shipped, optionally with one block per
-    broadcast whatever the delays, or with held / dropped destinations
-    left in the block of the on-time ones."""
+    broadcast whatever the delays, with held / dropped destinations
+    left in the block of the on-time ones, or skipping ``_resolve`` for
+    a channel not indexed yet."""
 
     def send_all(self, src, destinations, payload):
         sim = self.sim
@@ -612,7 +991,7 @@ def mutated_send_all(one_block=False, held_and_dropped_ride_along=False):
         processes = self._processes
         full_trace = self.full_trace
         log = self.log
-        rules = self._rules
+        rule_index = self._rule_index if self._rules else None
         deliver = self._deliver_block
         default_time = now + self.delta
         seq = sim._seq
@@ -627,7 +1006,11 @@ def mutated_send_all(one_block=False, held_and_dropped_ride_along=False):
                 if full_trace:
                     log.append(message)
                 deliver_time = default_time
-                if rules:
+                if rule_index is not None and (
+                    rule_index.get((src, dst)) != ()
+                    if resolve_unseen_channels
+                    else rule_index.get((src, dst))
+                ):
                     action = self._resolve(message)
                     if action == HOLD or action == DROP:
                         self._withhold(message, action)
@@ -664,21 +1047,44 @@ def mutated_send_all(one_block=False, held_and_dropped_ride_along=False):
     return send_all
 
 
+def mutated_deliver(serve_crashed=False, record=True):
+    """``Network._deliver`` as shipped, optionally handing a crashed
+    receiver its message or keeping no FULL ``delivered`` record."""
+
+    def _deliver(self, message):
+        self.delivered_count += 1
+        process = self._processes[message.dst]
+        if process.crashed and not serve_crashed:
+            return
+        if self.full_trace and record:
+            process.delivered.append(message)
+        process.on_message(message)
+
+    return _deliver
+
+
 def mutated_deliver_block(honour_room=True, pop_first=True,
-                          count_members=True):
+                          count_members=True, serve_crashed=False,
+                          record=True):
     """``Network._deliver_block`` as shipped, optionally deaf to
-    ``room``, popping a member only after it ran, or counting a call
-    as one delivery."""
+    ``room``, popping a member only after it ran, counting a call as one
+    delivery, handing crashed receivers their messages or keeping no
+    FULL ``delivered`` record."""
 
     def _deliver_block(self, block, room):
         processes = self._processes
+        full_trace = self.full_trace
         if not count_members:
             self.delivered_count += 1
         for _ in range(min(len(block), room) if honour_room else len(block)):
             message = block.pop() if pop_first else block[-1]
             if count_members:
                 self.delivered_count += 1
-            processes[message.dst].receive(message)
+            process = processes[message.dst]
+            if not process.crashed or serve_crashed:
+                if full_trace and record:
+                    process.delivered.append(message)
+                process.on_message(message)
             if not pop_first:
                 block.pop()
 
@@ -686,12 +1092,17 @@ def mutated_deliver_block(honour_room=True, pop_first=True,
 
 
 class FaithfulCopy(Simulator):
-    """No mutation: the harness the mutants are built from is the loop."""
+    """No mutation: the harness the mutants are built from is the loop
+    and the wake pass."""
     run = mutated_run()
+    _park_on = mutated_park_on()
+    _wake_tasks = mutated_wake_tasks()
 
 
 class FaithfulNetworkCopy(Network):
+    send = mutated_send()
     send_all = mutated_send_all()
+    _deliver = mutated_deliver()
     _deliver_block = mutated_deliver_block()
 
 
@@ -718,6 +1129,27 @@ class NoRoomUnderAnExceededCap(Simulator):
 class PendingCountsEntries(Simulator):
     def pending_events(self):
         return len(self._queue)
+
+
+class WakesInSignalOrder(Simulator):
+    def __init__(self):
+        super().__init__()
+        self._signalled = []
+
+    def _signal(self, condition):
+        if condition in self._waiters and condition not in self._signalled:
+            self._signalled.append(condition)
+
+    _wake_tasks = mutated_wake_tasks(in_signal_order=True)
+
+
+class ReparkKeepsItsNumber(Simulator):
+    _park_on = mutated_park_on(woken_keeps_its_number=True)
+    _wake_tasks = mutated_wake_tasks()
+
+
+class ReparkGoesToTheBack(Simulator):
+    _park_on = mutated_park_on(slot=False)
 
 
 class SkippedSeq(Network):
@@ -758,6 +1190,21 @@ class CapIgnoredInsideABlock(Network):
     _deliver_block = mutated_deliver_block(honour_room=False)
 
 
+class CrashedReceiverServed(Network):
+    _deliver = mutated_deliver(serve_crashed=True)
+    _deliver_block = mutated_deliver_block(serve_crashed=True)
+
+
+class FullDeliveredNotRecorded(Network):
+    _deliver = mutated_deliver(record=False)
+    _deliver_block = mutated_deliver_block(record=False)
+
+
+class RuledChannelsSkipResolve(Network):
+    send = mutated_send(resolve_unseen_channels=False)
+    send_all = mutated_send_all(resolve_unseen_channels=False)
+
+
 MUTANTS = {
     LifoTieBreak: ((LifoTieBreak, Network), "ties"),
     WakesBetweenEvents: ((WakesBetweenEvents, Network), "same-instant-wake"),
@@ -777,6 +1224,12 @@ MUTANTS = {
                               "split-broadcast"),
     DeliveredCountedPerBlock: ((Simulator, DeliveredCountedPerBlock),
                                "killed-by-its-block"),
+    WakesInSignalOrder: ((WakesInSignalOrder, Network), "signal-order"),
+    ReparkKeepsItsNumber: ((ReparkKeepsItsNumber, Network), "spawn-in-pass"),
+    ReparkGoesToTheBack: ((ReparkGoesToTheBack, Network), "spawn-in-pass"),
+    CrashedReceiverServed: ((Simulator, CrashedReceiverServed), "interrupted"),
+    FullDeliveredNotRecorded: ((Simulator, FullDeliveredNotRecorded), "ties"),
+    RuledChannelsSkipResolve: ((Simulator, RuledChannelsSkipResolve), "rules"),
 }
 
 

@@ -68,6 +68,15 @@ class TestCrash:
         with pytest.raises(SimulationError):
             lonely.send_all(["y"], "msg")
 
+    def test_unbound_process_has_no_simulator(self):
+        lonely = Process("x")
+        with pytest.raises(SimulationError, match="'x' is not bound"):
+            lonely.sim.now
+        with pytest.raises(SimulationError, match="'x' is not bound"):
+            lonely.schedule_crash(1.0)
+        sim, net = wired()
+        assert lonely.bind(net).sim is sim
+
     def test_send_all_broadcasts_unless_crashed(self):
         sim, net = wired()
         echo = Echo("e").bind(net)

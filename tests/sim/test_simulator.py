@@ -195,6 +195,36 @@ class TestTasks:
         sim.run_to_completion(strict=False)
         assert len(sim.blocked_tasks()) == 1
 
+    def test_a_task_raising_in_the_wake_pass_loses_no_parked_task(self):
+        """``boom`` and ``w1`` wait on one event, ``w2`` on another;
+        ``boom`` raises when it wakes.  The tasks the interrupted pass
+        had not reached stay parked, in park order, and the signal it
+        had not delivered to ``w1`` is kept for the next pass."""
+        sim = Simulator()
+        first, second = Event("first"), Event("second")
+        woke = []
+
+        def boom():
+            yield WaitUntil(first)
+            raise RuntimeError("boom")
+
+        def waiter(name, event):
+            yield WaitUntil(event)
+            woke.append((sim.now, name))
+
+        sim.spawn(boom(), "boom")
+        sim.spawn(waiter("w1", first), "w1")
+        sim.spawn(waiter("w2", second), "w2")
+        sim.call_at(1.0, first.set)
+        sim.call_at(2.0, second.set)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert [task.name for task in sim.blocked_tasks()] == ["w1", "w2"]
+        assert woke == []
+        sim.run()
+        assert woke == [(2.0, "w1"), (2.0, "w2")]
+        assert sim.blocked_tasks() == ()
+
     def test_max_events_guard(self):
         sim = Simulator()
 

@@ -24,7 +24,9 @@ The broadcast is the transport's primitive (docs/architecture.md, "The
 message path"): ``send_all`` queues one entry per delivery instant, a
 loop of ``send`` one per destination.  The only loop left is the
 proposer's interleaved ``Sync`` / ``DecisionPull`` (two payloads per
-target, order-sensitive).
+target, order-sensitive).  The network hands a message straight to the
+receiver's ``on_message`` (no ``Process.receive``), and a wake pass
+visits only the signalled waiters (no park-order list to sweep).
 
 A wire payload — every frozen dataclass under ``storage/`` and every
 dataclass in ``consensus/messages.py`` — is built the way one message is
@@ -132,6 +134,16 @@ def test_a_run_has_one_register_verdict():
 
 def test_nothing_shipped_runs_a_test_oracle():
     assert _sites(ORACLE_USE, *EVERYWHERE) == []
+
+
+def test_a_message_goes_straight_to_its_handler():
+    """No ``Process.receive`` hop between the network and
+    ``on_message``, and no park-order list for a wake pass to sweep."""
+    from repro.sim.process import Process
+    from repro.sim.simulator import Simulator
+
+    assert not hasattr(Process, "receive")
+    assert not hasattr(Simulator(), "_park_order")
 
 
 def test_a_fan_out_is_a_send_all():
