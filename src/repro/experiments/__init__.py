@@ -3,9 +3,11 @@
 Each module regenerates one exhibit of the paper (see
 ``docs/experiments.md`` for the full index): it declares a
 :class:`~repro.scenarios.SweepSpec` grid literal — protocols × fault
-plans × seeds, or an analytic parameter axis — plus build/measure hooks,
-runs it through :func:`~repro.scenarios.run_grid`, and reshapes the
-resulting cells into the paper's table or exhibit.
+plans × seeds, or an analytic parameter axis — plus build/measure hooks
+whose cells carry the verdict and the numbers the paper states.  An
+exhibit is its grid: :func:`~repro.scenarios.run_grid` runs it, and
+``tests/experiments/test_experiments.py`` asserts the paper's claim on
+the cells.
 
 The two layer invariants both bite here: every execution goes through
 ``repro.scenarios`` (drivers build specs, never wire simulators by

@@ -33,8 +33,7 @@ labeled values *are* the scenario spec literals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Mapping
 
 from repro.scenarios import (
     FaultPlan,
@@ -45,30 +44,7 @@ from repro.scenarios import (
     Write,
     crashes,
     labeled,
-    run_grid,
 )
-
-
-@dataclass
-class StorageRow:
-    algorithm: str
-    write_rounds: int
-    read_rounds: int
-
-    def row(self) -> str:
-        return (
-            f"{self.algorithm:<24} write={self.write_rounds} "
-            f"read={self.read_rounds}"
-        )
-
-
-@dataclass
-class ConsensusRow:
-    algorithm: str
-    learn_delays: Optional[float]
-
-    def row(self) -> str:
-        return f"{self.algorithm:<24} learn={self.learn_delays} delays"
 
 
 _STORAGE_WORKLOAD = (Write(0.0, "v"), Read(10.0))
@@ -152,45 +128,3 @@ CONSENSUS_GRID = SweepSpec(
     build=_spec_of,
     measure=_consensus_measure,
 )
-
-
-def storage_rows() -> List[StorageRow]:
-    sweep = run_grid(STORAGE_GRID)
-    return [
-        StorageRow(
-            algorithm=cell.require().point["algorithm"],
-            write_rounds=cell.metrics["write_rounds"],
-            read_rounds=cell.metrics["read_rounds"],
-        )
-        for cell in sweep.cells
-    ]
-
-
-def consensus_rows() -> List[ConsensusRow]:
-    sweep = run_grid(CONSENSUS_GRID)
-    return [
-        ConsensusRow(
-            algorithm=cell.require().point["algorithm"],
-            learn_delays=cell.metrics["learn_delays"],
-        )
-        for cell in sweep.cells
-    ]
-
-
-def run_experiment() -> Dict[str, list]:
-    return {"storage": storage_rows(), "consensus": consensus_rows()}
-
-
-def matches_paper(results: Dict[str, list]) -> bool:
-    storage = {r.algorithm: (r.write_rounds, r.read_rounds) for r in results["storage"]}
-    consensus = {r.algorithm: r.learn_delays for r in results["consensus"]}
-    return (
-        storage["RQS storage (class 1)"] == (1, 1)
-        and storage["section-1.2 fast-ABD"] == (1, 1)
-        and storage["ABD"] == (1, 2)
-        and consensus["RQS consensus (class 1)"] == 2.0
-        and consensus["RQS consensus (class 2)"] == 3.0
-        and consensus["RQS consensus (class 3)"] == 4.0
-        and consensus["crash Paxos"] >= 4.0
-        and consensus["PBFT-lite"] >= 4.0
-    )

@@ -19,13 +19,13 @@ crashed servers plus a lossy one degrade the responded-quorum class, so
 unbatched reads hit the Theorem 9 three-round ceiling; fast-ABD: a lossy
 server plus a slowed writer leg widen the pre-write race window).
 
-Run directly (``python -m repro.experiments.batched``) for the table.
+Run directly (``python -m repro.experiments.batched``) for the grid's
+table, one line per cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping
+from typing import Dict, Mapping
 
 from repro.experiments.builders import keyed_mix_spec
 from repro.scenarios import ScenarioSpec, SweepSpec, run_grid
@@ -102,50 +102,5 @@ TAIL_GRID = SweepSpec(
 )
 
 
-@dataclass
-class TailRow:
-    protocol: str
-    verdict: str
-    unbatched_p99: float
-    batched_p99: float
-    #: batched p99 / unbatched p99 — the <= 1.5 contract figure.
-    p99_ratio: float
-
-    def row(self) -> str:
-        return (
-            f"{self.protocol:<12} {self.verdict:<9} "
-            f"p99 unbatched={self.unbatched_p99:>5.1f} "
-            f"batched={self.batched_p99:>5.1f} "
-            f"ratio={self.p99_ratio:.2f}"
-        )
-
-
-def run_tail(executor: str = "serial") -> List[TailRow]:
-    """Run the tail grid into one batched/unbatched ratio row per
-    protocol."""
-    sweep = run_grid(TAIL_GRID, executor=executor)
-    rows: List[TailRow] = []
-    for protocol in dict(TAIL_GRID.axes)["protocol"]:
-        pair = [
-            sweep.cell(protocol=protocol, batch=batch).require()
-            for batch in (1, TAIL_BATCH)
-        ]
-        unbatched, batched = (cell.metrics["read_p99"] for cell in pair)
-        verdicts = [str(c.verdict) for c in pair if c.verdict != "atomic"]
-        rows.append(
-            TailRow(
-                protocol=protocol,
-                verdict=verdicts[0] if verdicts else "atomic",
-                unbatched_p99=unbatched,
-                batched_p99=batched,
-                p99_ratio=(
-                    round(batched / unbatched, 3) if unbatched else 0.0
-                ),
-            )
-        )
-    return rows
-
-
 if __name__ == "__main__":
-    for tail_row in run_tail():
-        print(tail_row.row())
+    print("\n".join(run_grid(TAIL_GRID).table()))

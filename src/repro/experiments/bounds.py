@@ -19,35 +19,13 @@ closed form — no scenario execution involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Mapping, Tuple
+from typing import Iterator, Mapping, Tuple
 
 from repro.core.constructions import (
     threshold_rqs,
     threshold_rqs_predicted_properties,
-    threshold_rqs_predicted_valid,
 )
-from repro.scenarios import SweepSpec, labeled, run_grid
-
-
-@dataclass
-class SweepResult:
-    """The E11 verdict (kept distinct from the generic sweep table)."""
-
-    points: int
-    mismatches: List[Tuple[int, int, int, int, int]]
-    boundary_points: int  # points exactly at a validity boundary
-
-    @property
-    def tight(self) -> bool:
-        return not self.mismatches
-
-    def row(self) -> str:
-        return (
-            f"swept {self.points} parameter points, "
-            f"{self.boundary_points} on the boundary, "
-            f"{len(self.mismatches)} formula mismatches"
-        )
+from repro.scenarios import SweepSpec, labeled
 
 
 def parameter_space(max_n: int) -> Iterator[Tuple[int, int, int, int, int]]:
@@ -88,17 +66,6 @@ def bounds_grid(max_n: int = 7) -> SweepSpec:
     )
 
 
-def run_sweep(max_n: int = 7) -> SweepResult:
-    sweep = run_grid(bounds_grid(max_n))
-    mismatches = [
-        tuple(cell.metrics["params"])
-        for cell in sweep.cells
-        if not cell.require().metrics["match"]
-    ]
-    boundary = sum(1 for cell in sweep.cells if cell.metrics["boundary"])
-    return SweepResult(len(sweep.cells), mismatches, boundary)
-
-
 def _on_boundary(n: int, t: int, k: int, q: int, r: int) -> bool:
     """Exactly one short of validity on at least one property — the
     points that prove necessity."""
@@ -107,14 +74,3 @@ def _on_boundary(n: int, t: int, k: int, q: int, r: int) -> bool:
         or n == t + 2 * k + 2 * q + 1
         or n == t + r + k + min(k, q) + 1
     )
-
-
-def minimal_system_sizes(max_t: int = 4) -> List[Tuple[int, int]]:
-    """The PBFT-style instantiation sizes: smallest n for q=0, r=k=t."""
-    rows = []
-    for t in range(1, max_t + 1):
-        n = 3 * t + 1
-        assert threshold_rqs_predicted_valid(n, t, t, 0, t)
-        assert not threshold_rqs_predicted_valid(n - 1, t, t, 0, t)
-        rows.append((t, n))
-    return rows

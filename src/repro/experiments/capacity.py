@@ -35,10 +35,9 @@ Run directly: ``PYTHONPATH=src python -m repro.experiments.capacity``
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Mapping
+from typing import Mapping
 
 from repro.core.strategy import optimal_strategy, uniform_strategy
 from repro.scenarios import (
@@ -147,48 +146,6 @@ GRID = SweepSpec(
 )
 
 
-@dataclass
-class CapacityRow:
-    system: str
-    strategy: str
-    mix: str
-    fault: str
-    predicted_capacity: float
-    completed: int
-    sim_ops_per_sec: float
-    atomic: bool
-
-    def row(self) -> str:
-        return (
-            f"{self.system:<12} {self.strategy:<8} {self.mix:<9} "
-            f"{self.fault:<11} predicted={self.predicted_capacity:>6.2f} "
-            f"measured={self.sim_ops_per_sec:>6.3f} ops/s "
-            f"({self.completed:>3} ops) "
-            f"{'atomic' if self.atomic else 'VIOLATION'}"
-        )
-
-
-def run_experiment(executor: str = "serial") -> List[CapacityRow]:
-    """Run :data:`GRID` and fold the cells into display rows."""
-    sweep = run_grid(GRID, executor=executor)
-    rows: List[CapacityRow] = []
-    for cell in sweep.cells:
-        metrics = cell.require().metrics
-        rows.append(
-            CapacityRow(
-                system=cell.point["system"],
-                strategy=cell.point["strategy"],
-                mix=cell.point["mix"],
-                fault=cell.point["faults"],
-                predicted_capacity=metrics["predicted_capacity"],
-                completed=metrics["completed"],
-                sim_ops_per_sec=metrics["sim_ops_per_sec"],
-                atomic=metrics["atomic"],
-            )
-        )
-    return rows
-
-
 def collect(executor: str = "serial") -> dict:
     """Run the grid and assemble the ``BENCH_quorums.json`` payload."""
     sweep = run_grid(GRID, executor=executor)
@@ -226,5 +183,4 @@ if __name__ == "__main__":
     if "--emit" in sys.argv:
         print(f"wrote {emit()}")
     else:
-        for row in run_experiment():
-            print(row.row())
+        print("\n".join(run_grid(GRID).table()))

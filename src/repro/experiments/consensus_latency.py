@@ -22,8 +22,7 @@ quorum class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Mapping
 
 from repro.scenarios import (
     FaultPlan,
@@ -31,31 +30,11 @@ from repro.scenarios import (
     ScenarioSpec,
     SweepSpec,
     crashes,
-    run_grid,
 )
 
 DEFAULT_RQS = "example6"
 
 _CRASHES = {1: 0, 2: 2, 3: 3}
-
-
-@dataclass
-class ConsensusLatencyRow:
-    quorum_class: int
-    delays: Dict[object, Optional[float]]
-    agreed: bool
-
-    @property
-    def worst_delay(self) -> Optional[float]:
-        values = [d for d in self.delays.values() if d is not None]
-        return max(values) if len(values) == len(self.delays) else None
-
-    def row(self) -> str:
-        return (
-            f"class {self.quorum_class}: learners learn in "
-            f"{self.worst_delay} message delays "
-            f"({'agreement ok' if self.agreed else 'DISAGREEMENT'})"
-        )
 
 
 def _build(point: Mapping) -> ScenarioSpec:
@@ -94,27 +73,6 @@ GRID = SweepSpec(
     measure=_measure,
 )
 
-
-def run_experiment() -> List[ConsensusLatencyRow]:
-    sweep = run_grid(GRID)
-    rows: List[ConsensusLatencyRow] = []
-    for cls in (1, 2, 3):
-        cell = sweep.cell(quorum_class=cls).require()
-        rows.append(
-            ConsensusLatencyRow(
-                quorum_class=cls,
-                delays=dict(cell.metrics["delays"]),
-                agreed=cell.verdict == "ok",
-            )
-        )
-    return rows
-
-
+#: The paper's table: worst learner delay (message delays) by available
+#: quorum class.
 PAPER_CLAIM = {1: 2.0, 2: 3.0, 3: 4.0}
-
-
-def matches_paper(rows: Sequence[ConsensusLatencyRow]) -> bool:
-    return all(
-        row.worst_delay == PAPER_CLAIM[row.quorum_class] and row.agreed
-        for row in rows
-    )

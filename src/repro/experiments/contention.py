@@ -21,8 +21,7 @@ work shrinks while message volume per operation stays protocol-constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping
+from typing import Mapping
 
 from repro.experiments.builders import keyed_mix_spec
 from repro.scenarios import ScenarioSpec, SweepSpec, run_grid
@@ -76,65 +75,5 @@ GRID = SweepSpec(
 )
 
 
-@dataclass
-class ContentionRow:
-    protocol: str
-    n_keys: int
-    skew: float
-    atomic_cells: int
-    cells: int
-    keys_touched: float
-
-    def row(self) -> str:
-        return (
-            f"{self.protocol:>11} keys={self.n_keys:<2} "
-            f"skew={self.skew}: {self.atomic_cells}/{self.cells} atomic, "
-            f"mean keys touched {self.keys_touched:.1f}"
-        )
-
-
-def run_experiment(executor: str = "serial") -> List[ContentionRow]:
-    """Run the grid and fold seeds into per-configuration rows."""
-    sweep = run_grid(GRID, executor=executor)
-    rows: List[ContentionRow] = []
-    for protocol in ("rqs-storage", "abd", "fastabd"):
-        for n_keys in (1, 2, 8):
-            for skew in (0.0, 1.2):
-                cells = [
-                    c for c in sweep.cells
-                    if c.point["protocol"] == protocol
-                    and c.point["n_keys"] == str(n_keys)
-                    and c.point["skew"] == str(skew)
-                ]
-                rows.append(
-                    ContentionRow(
-                        protocol=protocol,
-                        n_keys=n_keys,
-                        skew=skew,
-                        atomic_cells=sum(
-                            1 for c in cells if c.verdict == "atomic"
-                        ),
-                        cells=len(cells),
-                        keys_touched=sum(
-                            c.metrics["keys_touched"] for c in cells
-                        ) / max(len(cells), 1),
-                    )
-                )
-    return rows
-
-
-def zipfian_key_verdicts(n_keys: int = 8, seed: int = 0) -> Dict[str, str]:
-    """The per-key verdict partition of one zipfian 8-key cell (the
-    acceptance exhibit: every register independently atomic)."""
-    sweep = run_grid(
-        GRID.where(protocol="rqs-storage", n_keys=n_keys, skew=1.2,
-                   seed=seed)
-    )
-    (cell,) = sweep.cells
-    return dict(cell.metrics["per_key"])
-
-
 if __name__ == "__main__":
-    for row in run_experiment():
-        print(row.row())
-    print("zipfian 8-key per-key verdicts:", zipfian_key_verdicts())
+    print("\n".join(run_grid(GRID).table()))

@@ -25,10 +25,8 @@ the delay rule matches the same read message).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Tuple
+from typing import Mapping
 
-from repro.analysis.streaming import OnlineReport
 from repro.scenarios import (
     Crash,
     FaultPlan,
@@ -39,33 +37,11 @@ from repro.scenarios import (
     Write,
     labeled,
     payload_is,
-    run_grid,
 )
 from repro.storage.abd import SlotRead
 
 NAIVE = "naive (3-of-5 fast)"
 FASTABD = "section-1.2 (4-of-5)"
-
-
-@dataclass
-class Fig1Outcome:
-    """What each algorithm did under the Figure 1 schedule."""
-
-    algorithm: str
-    r1_value: object
-    r1_rounds: int
-    r2_value: object
-    r2_rounds: int
-    report: OnlineReport
-
-    def row(self) -> str:
-        status = "ATOMIC" if self.report.atomic else "VIOLATION"
-        rules = ",".join(sorted({v.rule for v in self.report.violations}))
-        return (
-            f"{self.algorithm:<22} r1→{self.r1_value!r:<6} "
-            f"r2→{self.r2_value!r:<6} {status}"
-            + (f" ({rules})" if rules else "")
-        )
 
 
 def _schedule(protocol: str, horizon: float) -> ScenarioSpec:
@@ -123,36 +99,3 @@ GRID = SweepSpec(
     build=_build,
     measure=_measure,
 )
-
-
-def _outcome(label: str, result) -> Fig1Outcome:
-    r1, r2 = result.reads[0], result.reads[1]
-    assert r1.complete, "r1 should complete from {3,4,5}"
-    assert r2.complete, "r2 should complete from {1,2,4}"
-    return Fig1Outcome(
-        label, r1.result, r1.rounds, r2.result, r2.rounds, result.atomicity
-    )
-
-
-def _run_one(label: str) -> Fig1Outcome:
-    cell = run_grid(GRID.where(algorithm=label)).cells[0]
-    return _outcome(label, cell.unwrap())
-
-
-def run_naive() -> Fig1Outcome:
-    """The greedy 3-of-5 algorithm under the Figure 1 schedule."""
-    return _run_one(NAIVE)
-
-
-def run_fastabd() -> Fig1Outcome:
-    """The Section 1.2 algorithm (4-of-5 fast) under the same schedule."""
-    return _run_one(FASTABD)
-
-
-def run_experiment() -> Tuple[Fig1Outcome, Fig1Outcome]:
-    """Both rows of the E1 exhibit: (naive violates, fast-ABD doesn't)."""
-    sweep = run_grid(GRID)
-    return tuple(
-        _outcome(cell.point["algorithm"], cell.unwrap())
-        for cell in sweep.cells
-    )

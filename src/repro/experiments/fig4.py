@@ -19,16 +19,15 @@ figure's executions against the real RQS storage algorithm:
   witness ``s2 ∈ Q1 ∩ Q2 ∩ Q'2 \\ B34`` pins the value.
 
 Both stages are cells of the sweep :data:`GRID` (one ``stage`` axis over
-the RQS name ``"example7"``); the reporting hook asserts the figure's
-outcomes and that the composed history is atomic.
+the RQS name ``"example7"``); the measure hook records each read's value
+and rounds, and the claim — the figure's outcomes, both histories
+atomic — is asserted on those cells.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Tuple
+from typing import Mapping
 
-from repro.analysis.streaming import OnlineReport
 from repro.scenarios import (
     ByzantineRole,
     Crash,
@@ -38,30 +37,9 @@ from repro.scenarios import (
     ScenarioSpec,
     SweepSpec,
     Write,
-    run_grid,
 )
 
 _FORGERY_TIME = 12.0
-
-
-@dataclass
-class Fig4Outcome:
-    ex1_write_rounds: int
-    ex3_read_value: object
-    ex3_read_rounds: int
-    ex4_read_value: object
-    ex4_read_rounds: int
-    report: OnlineReport
-
-    def rows(self) -> Tuple[str, ...]:
-        return (
-            f"ex1: synchronous write via Q1 -> {self.ex1_write_rounds} round(s)",
-            f"ex3: rd via Q2 -> {self.ex3_read_value!r} in "
-            f"{self.ex3_read_rounds} round(s)",
-            f"ex4: rd' via Q'2 (s5 down, {{s1,s2}} Byzantine) -> "
-            f"{self.ex4_read_value!r} in {self.ex4_read_rounds} round(s)",
-            f"history: {'atomic' if self.report.atomic else 'VIOLATION'}",
-        )
 
 
 def _ex1_spec() -> ScenarioSpec:
@@ -132,30 +110,3 @@ GRID = SweepSpec(
     build=_build,
     measure=_measure,
 )
-
-
-def run_experiment() -> Fig4Outcome:
-    sweep = run_grid(GRID)
-    ex1 = sweep.cell(stage="ex1").unwrap()
-    composed = sweep.cell(stage="ex3+ex4").unwrap()
-    r1, r2 = composed.reads[0], composed.reads[1]
-    assert r1.complete, "rd must complete through Q2"
-    assert r2.complete, "rd' must complete through Q'2"
-    return Fig4Outcome(
-        ex1_write_rounds=ex1.write().rounds,
-        ex3_read_value=r1.result,
-        ex3_read_rounds=r1.rounds,
-        ex4_read_value=r2.result,
-        ex4_read_rounds=r2.rounds,
-        report=composed.atomicity,
-    )
-
-
-def matches_paper(outcome: Fig4Outcome) -> bool:
-    return (
-        outcome.ex1_write_rounds == 1
-        and outcome.ex3_read_value == 1
-        and outcome.ex3_read_rounds == 2
-        and outcome.ex4_read_value == 1
-        and outcome.report.atomic
-    )

@@ -14,8 +14,7 @@ sizes for general-adversary RQS discovery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Mapping, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 from repro.core.adversary import ExplicitAdversary
 from repro.core.constructions import threshold_rqs
@@ -26,27 +25,7 @@ from repro.core.metrics import (
 )
 from repro.core.rqs import RefinedQuorumSystem
 from repro.core.search import search_rqs
-from repro.scenarios import SweepSpec, labeled, run_grid
-
-
-@dataclass
-class MetricsRow:
-    p: float
-    load_class1: float
-    load_class3: float
-    avail_class1: float
-    avail_class2: float
-    avail_class3: float
-    expected_latency: float
-
-    def row(self) -> str:
-        return (
-            f"p={self.p:.2f}  load(QC1)={self.load_class1:.3f} "
-            f"load(RQS)={self.load_class3:.3f}  "
-            f"avail 1/2/3={self.avail_class1:.3f}/"
-            f"{self.avail_class2:.3f}/{self.avail_class3:.3f}  "
-            f"E[rounds]={self.expected_latency:.3f}"
-        )
+from repro.scenarios import SweepSpec, labeled
 
 
 def default_rqs() -> RefinedQuorumSystem:
@@ -84,17 +63,6 @@ def ablation_grid(
     )
 
 
-def sweep(
-    probabilities: Sequence[float] = (0.0, 0.05, 0.1, 0.2, 0.3),
-    latencies: Tuple[int, int, int] = (1, 2, 3),
-) -> List[MetricsRow]:
-    result = run_grid(ablation_grid(probabilities, latencies))
-    return [
-        MetricsRow(p=p, **cell.require().metrics)
-        for p, cell in zip(probabilities, result.cells)
-    ]
-
-
 def _search_cell(point: Mapping) -> Mapping:
     n = point["n"]
     servers = tuple(range(1, n + 1))
@@ -113,13 +81,3 @@ def search_grid(sizes: Sequence[int]) -> SweepSpec:
         axes={"n": tuple(sizes)},
         evaluate=_search_cell,
     )
-
-
-def search_cost(sizes: Sequence[int] = (4, 5, 6)) -> List[Tuple[int, int, int]]:
-    """RQS discovery for general adversaries: (``|S|``, quorums found,
-    class-1 quorums found) per universe size."""
-    result = run_grid(search_grid(sizes))
-    return [
-        (n, cell.require().metrics["quorums"], cell.metrics["class1"])
-        for n, cell in zip(sizes, result.cells)
-    ]

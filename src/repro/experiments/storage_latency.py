@@ -24,14 +24,13 @@ The default system is the Example 6 instance ``n=8, t=3, k=1, q=1, r=2``
 (the scenario RQS name ``"example6"``).
 
 The whole experiment is the sweep :data:`GRID` — an ``op`` ×
-``quorum_class`` grid, each cell one scenario, run by
-:func:`repro.scenarios.run_grid`.
+``quorum_class`` grid, each cell one scenario whose ``rounds`` metric
+is the table entry (:data:`PAPER_CLAIM`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence
+from typing import Mapping
 
 from repro.scenarios import (
     Crash,
@@ -42,7 +41,6 @@ from repro.scenarios import (
     SweepSpec,
     Write,
     crashes,
-    run_grid,
 )
 
 DEFAULT_RQS = "example6"
@@ -57,21 +55,6 @@ _WRITE_CRASHES = {1: 1, 2: 2, 3: 3}
 #: makes the best *responding* quorum class 2 (resp. 3) while defeating
 #: the class-1 fast path (fewer than n-2q=6 holders).
 _READ_CRASHES = {1: 0, 2: 2, 3: 3}
-
-
-@dataclass
-class LatencyRow:
-    quorum_class: int
-    write_rounds: Optional[int]
-    read_rounds: Optional[int]
-    atomic: bool
-
-    def row(self) -> str:
-        return (
-            f"class {self.quorum_class}: write={self.write_rounds} rounds, "
-            f"read={self.read_rounds} rounds, "
-            f"{'atomic' if self.atomic else 'VIOLATION'}"
-        )
 
 
 def _write_spec(crash_count: int) -> ScenarioSpec:
@@ -142,35 +125,5 @@ GRID = SweepSpec(
     measure=_measure,
 )
 
-
-def run_experiment() -> List[LatencyRow]:
-    sweep = run_grid(GRID)
-    rows: List[LatencyRow] = []
-    for cls in (1, 2, 3):
-        write_cell = sweep.cell(op="write", quorum_class=cls).require()
-        read_cell = sweep.cell(op="read", quorum_class=cls).require()
-        rows.append(
-            LatencyRow(
-                quorum_class=cls,
-                write_rounds=write_cell.metrics.get("rounds"),
-                read_rounds=read_cell.metrics.get("rounds"),
-                atomic=(
-                    write_cell.verdict == "atomic"
-                    and read_cell.verdict == "atomic"
-                ),
-            )
-        )
-    return rows
-
-
+#: The paper's table: (write, read) rounds by available quorum class.
 PAPER_CLAIM = {1: (1, 1), 2: (2, 2), 3: (3, 3)}
-
-
-def matches_paper(rows: Sequence[LatencyRow]) -> bool:
-    """The measured shape must not exceed the paper's claimed bounds and
-    must hit them exactly for this scenario family."""
-    return all(
-        (row.write_rounds, row.read_rounds) == PAPER_CLAIM[row.quorum_class]
-        and row.atomic
-        for row in rows
-    )

@@ -1,12 +1,12 @@
 """Experiments E6/E9 — correctness under adversity.
 
-* :func:`storage_stress` / :func:`run_storage_stress` (E6, Theorems
-  7/8): randomized contended workloads with crashes and Byzantine
-  servers; every completed history must be atomic and — while a correct
-  quorum exists — every operation must complete (wait-freedom).
-* :func:`consensus_liveness` (E9, Theorem 12): eventual synchrony — the
-  network drops everything until GST, after which view changes elect a
-  correct leader and every correct learner learns.
+* E6 (Theorems 7/8): randomized contended workloads with crashes and
+  Byzantine servers; every completed history must be atomic and — while
+  a correct quorum exists — every operation must complete
+  (wait-freedom).
+* E9 (Theorem 12): eventual synchrony — the network drops everything
+  until GST, after which view changes elect a correct leader and every
+  correct learner learns.
 
 Both are sweeps over single scenario specs: the multi-seed stress study
 is :func:`storage_stress_grid` (a ``seed`` axis over a seeded
@@ -17,10 +17,8 @@ schedule parameterized by a ``gst`` axis).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from repro.analysis.streaming import OnlineReport
 from repro.scenarios import (
     ByzantineRole,
     Crash,
@@ -31,26 +29,7 @@ from repro.scenarios import (
     ScenarioSpec,
     SweepSpec,
     lossy_until_gst,
-    run_grid,
 )
-
-
-@dataclass
-class StressOutcome:
-    seed: int
-    operations: int
-    completed: int
-    report: OnlineReport
-
-    @property
-    def ok(self) -> bool:
-        return self.report.atomic and self.completed == self.operations
-
-    def row(self) -> str:
-        return (
-            f"seed={self.seed}: {self.completed}/{self.operations} ops, "
-            f"{'atomic' if self.report.atomic else 'VIOLATION'}"
-        )
 
 
 def _stress_build(point: Mapping) -> ScenarioSpec:
@@ -110,51 +89,18 @@ def storage_stress_grid(
     )
 
 
-def _stress_outcome(cell) -> StressOutcome:
-    result = cell.unwrap()
-    return StressOutcome(
-        seed=int(cell.point["seed"]),
-        operations=len(result.records),
-        completed=len(result.completed),
-        report=result.atomicity,
-    )
-
-
-def storage_stress(
-    seed: int,
-    n_writes: int = 8,
-    n_reads: int = 12,
-    byzantine: bool = True,
-    crash: bool = True,
-) -> StressOutcome:
-    """One randomized contended run with failures (a single-cell grid)."""
-    grid = storage_stress_grid(
-        (seed,), n_writes=n_writes, n_reads=n_reads,
-        byzantine=byzantine, crash=crash,
-    )
-    return _stress_outcome(run_grid(grid).cells[0])
-
-
-def run_storage_stress(seeds: Sequence[int] = range(10)) -> List[StressOutcome]:
-    sweep = run_grid(storage_stress_grid(tuple(seeds)))
-    return [_stress_outcome(cell) for cell in sweep.cells]
-
-
-@dataclass
-class LivenessOutcome:
-    gst: float
-    learned: Dict[object, object]
-    terminated: bool
-    agreement_ok: bool
-
-    def row(self) -> str:
-        return (
-            f"GST={self.gst}: learned={self.learned} "
-            f"({'terminated' if self.terminated else 'NOT terminated'})"
-        )
-
-
 def _liveness_build(point: Mapping) -> ScenarioSpec:
+    """Messages are lost until GST; the algorithm must still terminate.
+
+    Before GST every message is dropped (the paper's model: pre-GST
+    messages are received by GST or lost — we realize the "lost" case).
+    The proposal itself is re-driven by the election module: after GST
+    suspect timers fire, a view change elects a leader whose consult
+    phase completes, and every correct learner learns.  The initial
+    prepare is lost pre-GST, and a real deployment's clients would
+    retransmit; the Sync message of lines 101-103 plays that role but is
+    also dropped pre-GST, so the workload re-sends it periodically.
+    """
     gst = point["gst"]
     return ScenarioSpec(
         protocol="rqs-consensus",
@@ -190,27 +136,4 @@ def liveness_grid(gst: float, horizon: float) -> SweepSpec:
         axes={"gst": (gst,), "horizon": (horizon,)},
         build=_liveness_build,
         measure=_liveness_measure,
-    )
-
-
-def consensus_liveness(gst: float = 40.0, horizon: float = 2000.0) -> LivenessOutcome:
-    """Messages are lost until GST; the algorithm must still terminate.
-
-    Before GST every message is dropped (the paper's model: pre-GST
-    messages are received by GST or lost — we realize the "lost" case).
-    The proposal itself is re-driven by the election module: after GST
-    suspect timers fire, a view change elects a leader whose consult
-    phase completes, and every correct learner learns.  The initial
-    prepare is lost pre-GST, and a real deployment's clients would
-    retransmit; the Sync message of lines 101-103 plays that role but is
-    also dropped pre-GST, so the workload re-sends it periodically.
-    """
-    cell = run_grid(liveness_grid(gst, horizon)).cells[0]
-    result = cell.unwrap()
-    report = result.consensus
-    return LivenessOutcome(
-        gst=gst,
-        learned={l.pid: l.learned for l in result.adapter.learners},
-        terminated=not report.unterminated,
-        agreement_ok=report.agreement_ok,
     )

@@ -21,18 +21,16 @@ From a concrete negation witness ``(Q1, Q2, Q, B'1, B2)`` with
   ``r1``'s read in ex4.
 
 The driver is the two-cell sweep :data:`GRID` — ex''2+ex4 *and* ex5, two
-scenario specs differing only in workload and forged state — and the
-reporting hook asserts the two runs are indistinguishable to ``r2``
-(same output) and reports the atomicity violation the checker finds.
+scenario specs differing only in workload and forged state.  The claim
+is asserted on its cells: the two runs are indistinguishable to ``r2``
+(same output), and the checker finds the atomicity violation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Tuple
 
-from repro.analysis.streaming import OnlineReport
 from repro.core.properties import P3Witness, negate_property3
 from repro.core.rqs import RefinedQuorumSystem
 from repro.scenarios import (
@@ -46,7 +44,6 @@ from repro.scenarios import (
     Write,
     labeled,
     resolve_rqs,
-    run_grid,
 )
 from repro.storage.history import History
 from repro.storage.messages import WR
@@ -74,34 +71,12 @@ def find_witness(rqs: RefinedQuorumSystem) -> P3Witness:
 
 
 @lru_cache(maxsize=1)
-def _witness_setup() -> Tuple[RefinedQuorumSystem, P3Witness]:
+def witness_setup() -> Tuple[RefinedQuorumSystem, P3Witness]:
     """The broken family and its witness, computed once per process —
-    both cells and the reporting code must see the same witness."""
+    every cell of this module and of :mod:`repro.experiments.theorem6`
+    stages on the same witness."""
     rqs = broken_rqs()
     return rqs, find_witness(rqs)
-
-
-@dataclass
-class Theorem3Outcome:
-    witness: P3Witness
-    r1_value: object
-    r1_rounds: int
-    ex4_r2_value: object
-    ex5_r2_value: object
-    indistinguishable: bool
-    report: OnlineReport
-
-    def rows(self) -> Tuple[str, ...]:
-        rules = ",".join(sorted({v.rule for v in self.report.violations}))
-        return (
-            f"witness: {self.witness.describe()}",
-            f"ex''2: rd1 -> {self.r1_value!r} in {self.r1_rounds} round(s)",
-            f"ex4:   rd2 -> {self.ex4_r2_value!r}",
-            f"ex5:   rd2 -> {self.ex5_r2_value!r} "
-            f"(indistinguishable: {self.indistinguishable})",
-            f"checker: "
-            f"{'VIOLATION (' + rules + ')' if not self.report.atomic else 'atomic?!'}",
-        )
 
 
 def _round2(payload) -> bool:
@@ -151,7 +126,7 @@ def _staged_faults(rqs, witness: P3Witness, with_write: bool) -> FaultPlan:
 
 
 def _build(point: Mapping) -> ScenarioSpec:
-    rqs, witness = _witness_setup()
+    rqs, witness = witness_setup()
     with_write = point["execution"]
     if with_write:
         workload = (
@@ -197,38 +172,3 @@ GRID = SweepSpec(
     build=_build,
     measure=_measure,
 )
-
-
-def run_experiment() -> Theorem3Outcome:
-    _, witness = _witness_setup()
-    sweep = run_grid(GRID)
-    ex4 = sweep.cell(execution=WITH_WRITE).unwrap()
-    ex5 = sweep.cell(execution=WITHOUT_WRITE).unwrap()
-    r1, ex4_r2 = ex4.reads[0], ex4.reads[1]
-    assert r1.complete, "rd1 must be fast through Q1"
-    assert ex4_r2.complete, "rd2 must complete through Q"
-    ex5_r2 = ex5.reads[0]
-    assert ex5_r2.complete, "rd2 must complete through Q"
-    return Theorem3Outcome(
-        witness=witness,
-        r1_value=r1.result,
-        r1_rounds=r1.rounds,
-        ex4_r2_value=ex4_r2.result,
-        ex5_r2_value=ex5_r2.result,
-        indistinguishable=(ex4_r2.result == ex5_r2.result),
-        report=ex4.atomicity,
-    )
-
-
-def violation_demonstrated(outcome: Theorem3Outcome) -> bool:
-    """The construction succeeds iff r1 was fast and atomicity broke.
-
-    Whatever rd2 returns, one execution is wrong: ``v1`` fabricates in
-    ex5, ⊥ inverts rd1 in ex4; the checker catches the realized one.
-    """
-    return (
-        outcome.r1_rounds == 1
-        and outcome.r1_value == "v1"
-        and outcome.indistinguishable
-        and not outcome.report.atomic
-    )

@@ -31,11 +31,8 @@ Theorem 6: no ``(Q(3), B)``-consensus can be both ``(1, Q(1))``-fast and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, FrozenSet, Mapping, Tuple
+from typing import Dict, FrozenSet, Mapping
 
-from repro.core.properties import P3Witness, negate_property3
 from repro.core.rqs import RefinedQuorumSystem
 from repro.scenarios import (
     ACCEPTOR,
@@ -46,35 +43,15 @@ from repro.scenarios import (
     ScenarioSpec,
     SweepSpec,
     resolve_rqs,
-    run_grid,
 )
 from repro.consensus.acceptor import Acceptor
 from repro.consensus.choose import choose
 from repro.consensus.messages import AckData, Decision, NewViewAck, Update
-
-
-def broken_rqs() -> RefinedQuorumSystem:
-    """P1 and P2 hold, P3 fails (``n = t + r + k + min(k, q)``)."""
-    return resolve_rqs("example6-broken-p3")
+from repro.experiments.theorem3 import witness_setup
 
 
 def valid_rqs() -> RefinedQuorumSystem:
     return resolve_rqs("example6")
-
-
-def find_witness(rqs: RefinedQuorumSystem) -> P3Witness:
-    witness = negate_property3(rqs.adversary, rqs.qc1, rqs.qc2, rqs.quorums)
-    if witness is None:
-        raise AssertionError("expected a P3 violation witness")
-    return witness
-
-
-@lru_cache(maxsize=1)
-def _witness_setup() -> Tuple[RefinedQuorumSystem, P3Witness]:
-    """The broken family and its witness, computed once per process —
-    the staged schedule and the reporting code must agree on it."""
-    rqs = broken_rqs()
-    return rqs, find_witness(rqs)
 
 
 class LyingAcceptor(Acceptor):
@@ -102,26 +79,6 @@ class LyingAcceptor(Acceptor):
         self.send(pending.proposer, NewViewAck(body, signature))
 
 
-@dataclass
-class Theorem6Outcome:
-    witness: P3Witness
-    learned: Dict[object, object]
-    agreement_ok: bool
-    choose_broken_value: object
-    choose_valid_value: object
-
-    def rows(self) -> Tuple[str, ...]:
-        return (
-            f"witness: {self.witness.describe()}",
-            f"end-to-end learned: {self.learned} -> "
-            f"{'agreement ok?!' if self.agreement_ok else 'AGREEMENT VIOLATION'}",
-            f"choose() under broken RQS returns {self.choose_broken_value!r} "
-            f"(the decided value 1 is lost)",
-            f"choose() under valid RQS returns {self.choose_valid_value!r} "
-            f"(P3b pins the decided value)",
-        )
-
-
 # -- exhibit 1: the end-to-end schedule ----------------------------------------
 
 def _view0_contagion(payload) -> bool:
@@ -143,7 +100,7 @@ def _new_view_ack(payload) -> bool:
 
 
 def _end_to_end_spec(point: Mapping) -> ScenarioSpec:
-    rqs, witness = _witness_setup()
+    rqs, witness = witness_setup()
     servers = rqs.ground_set
     q2, q = witness.q2, witness.q
     b1, b2 = witness.b1, witness.b2
@@ -210,25 +167,15 @@ END_TO_END_GRID = SweepSpec(
 )
 
 
-def run_end_to_end() -> Tuple[P3Witness, Dict[object, object], bool]:
-    _, witness = _witness_setup()
-    cell = run_grid(END_TO_END_GRID).cells[0]
-    result = cell.unwrap()
-    learned = {l.pid: l.learned for l in result.adapter.learners}
-    return witness, learned, cell.verdict == "ok"
-
-
 # -- exhibit 2: choose() on the staged consult state ---------------------------
 
 def _staged_vproof(
-    rqs: RefinedQuorumSystem, witness: P3Witness
-) -> Tuple[Dict, FrozenSet]:
+    q2: FrozenSet, quorum: FrozenSet, liars: FrozenSet
+) -> Dict:
     """The proof's ex4 consult state, synthesized directly: value 1 was
-    Decided-3 in view 0 through ``Q2``; the consult quorum is ``Q``;
-    ``B1`` lies (σ0), ``B2`` honestly reports its 1-update, everyone
-    else is fresh."""
-    q2, q = witness.q2, witness.q
-    b1 = witness.b1
+    Decided-3 in view 0 through the class-2 quorum ``q2``; the consult
+    quorum is ``quorum``; ``liars`` report σ0, the rest of ``q2``
+    honestly reports its 1-update, everyone else is fresh."""
 
     def fresh() -> AckData:
         return AckData(
@@ -252,60 +199,34 @@ def _staged_vproof(
             update_proof={},
         )
 
-    v_proof: Dict = {}
-    for acceptor in q:
-        if acceptor in b1:
-            v_proof[acceptor] = fresh()       # Byzantine lie
-        elif acceptor in q2:
-            v_proof[acceptor] = honest_q2_member()
-        else:
-            v_proof[acceptor] = fresh()       # genuinely fresh
-    return v_proof, q
+    return {
+        acceptor: (
+            honest_q2_member()
+            if acceptor in q2 and acceptor not in liars
+            else fresh()      # a Byzantine lie, or genuinely fresh
+        )
+        for acceptor in quorum
+    }
 
 
 def _choose_cell(point: Mapping) -> Mapping:
     """``choose()`` on the staged ex4 state for one quorum family."""
     if point["family"] == "broken":
-        broken, witness = _witness_setup()
-        v_proof, quorum = _staged_vproof(broken, witness)
-        return {"value": choose(broken, 0, v_proof, quorum).value}
-
-    # Under the valid family the same witness shape cannot exist; stage
-    # the analogous state on its own quorums: Q2v is a class-2 quorum, the
-    # consult quorum shares with it acceptors B1v ∪ B2v where B1v lies.
-    valid = valid_rqs()
-    q2v = next(iter(valid.qc2))
-    others = sorted(valid.ground_set - q2v, key=repr)
-    overlap_needed = 5 - len(others)
-    overlap = sorted(q2v, key=repr)[:overlap_needed]
-    quorum_v = frozenset(others) | frozenset(overlap)
-    liar = frozenset(overlap[:1])
-
-    def fresh() -> AckData:
-        return AckData(
-            view=1, prep=None, prep_view=frozenset(),
-            update={1: None, 2: None},
-            update_view={1: frozenset(), 2: frozenset()},
-            update_q={}, update_proof={},
-        )
-
-    def honest() -> AckData:
-        return AckData(
-            view=1, prep=1, prep_view=frozenset({0}),
-            update={1: 1, 2: None},
-            update_view={1: frozenset({0}), 2: frozenset()},
-            update_q={(1, 0): (q2v,)}, update_proof={},
-        )
-
-    v_proof_v = {}
-    for acceptor in quorum_v:
-        if acceptor in liar:
-            v_proof_v[acceptor] = fresh()
-        elif acceptor in q2v:
-            v_proof_v[acceptor] = honest()
-        else:
-            v_proof_v[acceptor] = fresh()
-    return {"value": choose(valid, 0, v_proof_v, quorum_v).value}
+        rqs, witness = witness_setup()
+        q2, quorum, liars = witness.q2, witness.q, witness.b1
+    else:
+        # Under the valid family the same witness shape cannot exist;
+        # stage the analogous state on its own quorums: q2 is a class-2
+        # quorum, the consult quorum shares some of it, one of which
+        # lies.
+        rqs = valid_rqs()
+        q2 = next(iter(rqs.qc2))
+        others = sorted(rqs.ground_set - q2, key=repr)
+        overlap = sorted(q2, key=repr)[:5 - len(others)]
+        quorum = frozenset(others) | frozenset(overlap)
+        liars = frozenset(overlap[:1])
+    v_proof = _staged_vproof(q2, quorum, liars)
+    return {"value": choose(rqs, 0, v_proof, quorum).value}
 
 
 #: The E10 choose-level grid: one analytic cell per quorum family.
@@ -314,34 +235,3 @@ CHOOSE_GRID = SweepSpec(
     axes={"family": ("broken", "valid")},
     evaluate=_choose_cell,
 )
-
-
-def run_choose_exhibit() -> Tuple[object, object]:
-    """``choose()`` on the staged ex4 state: broken vs valid family."""
-    sweep = run_grid(CHOOSE_GRID)
-    return (
-        sweep.cell(family="broken").require().metrics["value"],
-        sweep.cell(family="valid").require().metrics["value"],
-    )
-
-
-def run_experiment() -> Theorem6Outcome:
-    witness, learned, agreement_ok = run_end_to_end()
-    broken_value, valid_value = run_choose_exhibit()
-    return Theorem6Outcome(
-        witness=witness,
-        learned=learned,
-        agreement_ok=agreement_ok,
-        choose_broken_value=broken_value,
-        choose_valid_value=valid_value,
-    )
-
-
-def violation_demonstrated(outcome: Theorem6Outcome) -> bool:
-    values = set(outcome.learned.values()) - {None}
-    return (
-        not outcome.agreement_ok
-        and len(values) == 2
-        and outcome.choose_broken_value == 0
-        and outcome.choose_valid_value == 1
-    )

@@ -72,9 +72,11 @@ see :mod:`repro.core.algebra` and :mod:`repro.core.strategy`.
 
 from repro.core.strategy import Strategy
 from repro.scenarios.aggregate import (
+    AxisValue,
     CellResult,
     SweepResult,
     jsonable,
+    labeled,
     percentile,
     summary_stats,
     write_bench_json,
@@ -110,11 +112,9 @@ from repro.scenarios.spec import (
     resolve_rqs,
 )
 from repro.scenarios.sweeps import (
-    AxisValue,
     SweepSpec,
     default_measure,
     derive_seed,
-    labeled,
     run_grid,
 )
 from repro.scenarios.workloads import (

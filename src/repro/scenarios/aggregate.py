@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import (
     Any,
     Dict,
+    FrozenSet,
     List,
     Mapping,
     Optional,
@@ -202,18 +203,14 @@ class SweepResult:
     # -- queries --------------------------------------------------------------
 
     def select(self, **filters: Any) -> Tuple[CellResult, ...]:
-        """Cells whose axis labels match every filter (values are
-        compared by their string label, so ``seed=3`` matches ``"3"``)."""
-        unknown = set(filters) - set(self.axis_names)
-        if unknown:
-            raise ScenarioError(
-                f"unknown axes {sorted(unknown)}; "
-                f"sweep {self.name!r} has {list(self.axis_names)}"
-            )
-        wanted = {k: plain_label(v) for k, v in filters.items()}
+        """Cells whose axis labels match every filter, read as
+        :meth:`SweepSpec.where <repro.scenarios.sweeps.SweepSpec.where>`
+        reads them (:func:`filter_labels`): a label the sweep does not
+        have raises instead of matching nothing."""
+        wanted = filter_labels(self.name, self.axes, filters)
         return tuple(
             c for c in self.cells
-            if all(c.point.get(k) == v for k, v in wanted.items())
+            if all(c.point.get(k) in v for k, v in wanted.items())
         )
 
     def cell(self, **filters: Any) -> CellResult:
@@ -379,18 +376,70 @@ class SweepResult:
         return tuple(cells)
 
 
-def plain_label(value: Any) -> str:
-    """The portable string label of a plain (unlabeled) axis value.
+@dataclass(frozen=True)
+class AxisValue:
+    """An axis value with an explicit human-readable label.
 
-    Shared by grid expansion (:func:`repro.scenarios.sweeps.axis_label`)
-    and result filtering (:meth:`SweepResult.select`) so the two always
-    agree on coordinates.
+    Use :func:`labeled` for axis entries whose ``repr`` would be noisy
+    as a table coordinate (fault plans, whole spec literals, tuples).
     """
+
+    label: str
+    value: Any
+
+
+def labeled(label: str, value: Any) -> AxisValue:
+    """``AxisValue(label, value)`` — the readable-coordinates helper."""
+    return AxisValue(label, value)
+
+
+def axis_label(value: Any) -> str:
+    """The portable string coordinate of one axis value — shared by
+    grid expansion and every filter, so the two always agree."""
+    if isinstance(value, AxisValue):
+        return value.label
     if isinstance(value, str):
         return value
     if isinstance(value, (bool, int, float)):
         return str(value)
     return repr(value)
+
+
+def filter_labels(
+    name: str,
+    axes: Sequence[Tuple[str, Sequence[str]]],
+    filters: Mapping[str, Any],
+) -> Dict[str, FrozenSet[str]]:
+    """``filters`` as ``{axis: the labels it keeps}``, for sweep
+    ``name`` whose ``axes`` are ``(axis, labels)`` pairs.
+
+    A filter value is one axis value or a list / tuple / set of them,
+    each compared by :func:`axis_label` (``seed=3`` keeps ``"3"``, a
+    :func:`labeled` value its label).  An unknown axis, or a label its
+    axis does not have, raises: a query that can match nothing is a
+    typo, not an empty answer.
+    """
+    known = dict(axes)
+    unknown = set(filters) - set(known)
+    if unknown:
+        raise ScenarioError(
+            f"unknown axes {sorted(unknown)}; sweep {name!r} has {list(known)}"
+        )
+    wanted: Dict[str, FrozenSet[str]] = {}
+    for axis, value in filters.items():
+        values = (
+            value if isinstance(value, (list, tuple, set, frozenset))
+            else (value,)
+        )
+        labels = frozenset(axis_label(v) for v in values)
+        missing = labels.difference(known[axis])
+        if missing or not labels:
+            raise ScenarioError(
+                f"axis {axis!r} has no value matching {sorted(missing)}; "
+                f"values: {', '.join(known[axis])}"
+            )
+        wanted[axis] = labels
+    return wanted
 
 
 # -- BENCH_*.json emission -----------------------------------------------------

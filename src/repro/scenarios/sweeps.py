@@ -62,10 +62,12 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 from repro.errors import ScenarioError
 from repro.scenarios.aggregate import (
     RESERVED_COLUMNS,
+    AxisValue,
     CellResult,
     SweepResult,
+    axis_label,
+    filter_labels,
     jsonable,
-    plain_label,
     summary_stats,
 )
 from repro.scenarios.registry import get_protocol
@@ -83,30 +85,6 @@ EvaluateHook = Callable[[Point], Mapping[str, Any]]
 
 
 # -- axis values ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AxisValue:
-    """An axis value with an explicit human-readable label.
-
-    Use :func:`labeled` for axis entries whose ``repr`` would be noisy
-    as a table coordinate (fault plans, whole spec literals, tuples).
-    """
-
-    label: str
-    value: Any
-
-
-def labeled(label: str, value: Any) -> AxisValue:
-    """``AxisValue(label, value)`` — the readable-coordinates helper."""
-    return AxisValue(label, value)
-
-
-def axis_label(value: Any) -> str:
-    """The portable string coordinate of one axis value."""
-    if isinstance(value, AxisValue):
-        return value.label
-    return plain_label(value)
-
 
 def axis_value(value: Any) -> Any:
     return value.value if isinstance(value, AxisValue) else value
@@ -245,33 +223,23 @@ class SweepSpec:
         """A sub-grid keeping only matching axis values.
 
         Filters compare by label (``seed=3`` keeps the value labelled
-        ``"3"``); a value, or a list/tuple/set of values, is accepted.
+        ``"3"``); a value, or a list/tuple/set of values, is accepted,
+        and a label the axis does not have raises
+        (:func:`~repro.scenarios.aggregate.filter_labels`).
         """
-        remaining = dict(filters)
-        new_axes = []
-        for name, values in self.axes:
-            if name not in remaining:
-                new_axes.append((name, values))
-                continue
-            wanted = remaining.pop(name)
-            if isinstance(wanted, (list, tuple, set, frozenset)):
-                labels = {axis_label(w) for w in wanted}
-            else:
-                labels = {axis_label(wanted)}
-            keep = tuple(v for v in values if axis_label(v) in labels)
-            if not keep:
-                known = ", ".join(axis_label(v) for v in values)
-                raise ScenarioError(
-                    f"axis {name!r} has no value matching {sorted(labels)}; "
-                    f"values: {known}"
-                )
-            new_axes.append((name, keep))
-        if remaining:
-            raise ScenarioError(
-                f"unknown axes {sorted(remaining)}; "
-                f"sweep {self.name!r} has {list(self.axis_names)}"
-            )
-        return replace(self, axes=tuple(new_axes))
+        wanted = filter_labels(self.name, self.labels(), filters)
+        return replace(self, axes=tuple(
+            (name, tuple(v for v in values if axis_label(v) in wanted[name])
+             if name in wanted else values)
+            for name, values in self.axes
+        ))
+
+    def labels(self) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
+        """``(axis, its value labels)`` pairs — a result's ``axes``."""
+        return tuple(
+            (name, tuple(axis_label(v) for v in values))
+            for name, values in self.axes
+        )
 
 
 def default_build(base: Optional[ScenarioSpec], point: Point) -> ScenarioSpec:
@@ -469,11 +437,4 @@ def run_grid(
             f"unknown executor {executor!r}; use 'serial' or "
             f"'multiprocessing'"
         )
-    return SweepResult(
-        name=sweep.name,
-        axes=tuple(
-            (name, tuple(axis_label(v) for v in values))
-            for name, values in sweep.axes
-        ),
-        cells=cells,
-    )
+    return SweepResult(name=sweep.name, axes=sweep.labels(), cells=cells)

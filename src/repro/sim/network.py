@@ -266,12 +266,6 @@ class Network:
         self.delivered_count = 0
         self.dropped_count = 0
         self.held_count = 0
-        # Per-register traffic tally, maintained on the send path only
-        # under METRICS (where the log records that would carry the
-        # keys are discarded); at FULL the same numbers are derived
-        # from the retained log on demand, keeping the hot path free of
-        # per-message bookkeeping.  Read via :meth:`sent_by_key`.
-        self._sent_by_key: Dict[Hashable, int] = {}
         # Rule resolution fast path: per-(src, dst) ordered sub-list of
         # rules that could match that channel; invalidated by add_rule.
         self._rule_index: Dict[Tuple[ProcessId, ProcessId], Tuple[Rule, ...]] = {}
@@ -321,10 +315,6 @@ class Network:
         self.sent_count += 1
         if self.full_trace:
             self.log.append(message)
-        else:
-            key = getattr(payload, "key", None)
-            if key is not None:
-                self._sent_by_key[key] = self._sent_by_key.get(key, 0) + 1
         delay = self.delta
         # ``_resolve`` only for a channel that has (or may have) rules.
         if self._rules and self._rule_index.get((src, dst)) != ():
@@ -399,11 +389,6 @@ class Network:
             # Also when a destination is refused: what was sent before
             # it stays sent, as after that many ``send`` calls.
             self.sent_count += sent
-            if sent and not full_trace:
-                key = getattr(payload, "key", None)
-                if key is not None:
-                    tally = self._sent_by_key
-                    tally[key] = tally.get(key, 0) + sent
             queue = sim._queue
             for entry in entries.values():
                 entry[3].reverse()  # a stack: the first to run is last
@@ -504,23 +489,6 @@ class Network:
                 remaining.append(message)
         self.in_transit = remaining
         return released
-
-    def sent_by_key(self) -> Dict[Hashable, int]:
-        """Per-register sent-message counts (payloads carrying ``key``).
-
-        Available at *both* trace levels: derived from the retained log
-        at ``FULL``, from the send-path tally at ``METRICS`` — so soak
-        runs still report per-key message volume after the log records
-        are gone.
-        """
-        if self.full_trace:
-            counts: Dict[Hashable, int] = {}
-            for message in self.log:
-                key = getattr(message.payload, "key", None)
-                if key is not None:
-                    counts[key] = counts.get(key, 0) + 1
-            return counts
-        return dict(self._sent_by_key)
 
     def messages_between(
         self, src: ProcessId, dst: ProcessId

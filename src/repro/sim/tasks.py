@@ -13,13 +13,16 @@ read like the paper's pseudocode::
 
 Supported effects:
 
-* :class:`Sleep` — resume after a fixed amount of simulated time (used
-  for the ``2Δ`` timeouts of the storage algorithm and the exponential
-  ``suspectTimeout`` of the election module).
+* :class:`Sleep` — resume after a fixed amount of simulated time (no
+  protocol yields it: the storage algorithm's ``2Δ`` timeouts are
+  :meth:`~repro.sim.simulator.Simulator.timer_at` conditions inside a
+  ``WaitUntil``, and the election module's ``suspectTimeout`` is a
+  :meth:`~repro.sim.simulator.Simulator.call_later` callback).
 * :class:`WaitUntil` — park until an indexed
   :class:`~repro.sim.conditions.Condition` (an ``Event``, ``Counter``
-  threshold, ``AckSet`` quorum, explicit ``Check``, …) holds: the
-  simulator re-polls the task only when the condition is *signalled*.
+  threshold, ``AckSet`` quorum, ``Timer``, explicit ``Check``, …)
+  holds: the simulator re-polls the task only when the condition is
+  *signalled*.
 
 A task finishes when its generator returns; the returned value is stored
 in :attr:`Task.result`.  Tasks wait on each other through a shared

@@ -107,12 +107,6 @@ class TestFaults:
 
 
 class TestEventualSynchrony:
-    def test_termination_after_gst(self):
-        from repro.experiments.stress import consensus_liveness
-
-        outcome = consensus_liveness(gst=30.0, horizon=1500.0)
-        assert outcome.terminated and outcome.agreement_ok
-
     def test_validity_under_contention(self):
         values = set(consensus(*CONTENDED).learned.values())
         assert values and values <= {"A", "B"}

@@ -172,6 +172,7 @@ class TestCarriedMasks:
         from repro.core.adversary import Adversary
         from repro.core.properties import NormalizedFamily
         from repro.experiments import bounds
+        from repro.scenarios import run_grid
 
         enumerated = []
         shipped = con.combinations
@@ -192,8 +193,8 @@ class TestCarriedMasks:
         monkeypatch.setattr(con, "combinations", counting)
         monkeypatch.setattr(Adversary, "masks", counting_masks)
         con._enumerate_missing_at_most.cache_clear()
-        result = bounds.run_sweep(7)
-        assert result.points == 953 and result.tight
+        sweep = run_grid(bounds.bounds_grid(7))
+        assert sweep.verdict_counts() == {"match": 953}
         info = con._enumerate_missing_at_most.cache_info()
         assert (info.misses, info.hits) == (20, 933)
         # Two walks (servers, bits) per size of each enumeration.

@@ -1,8 +1,18 @@
-"""Tests asserting every experiment driver reproduces its paper claim."""
+"""Every paper claim, asserted on the cells of its exhibit's grid.
+
+An exhibit is its grid (``repro.experiments``): each cell's measure hook
+records the verdict and the numbers the paper states, and each test
+below reads them off ``run_grid(GRID)`` with the expected value next to
+it — through ``cell.unwrap()`` where a fact is not a metric (the rule a
+checker names, the values two executions returned).
+"""
 
 import pytest
 
-from repro.core.constructions import threshold_rqs
+from repro.core.constructions import (
+    threshold_rqs,
+    threshold_rqs_predicted_valid,
+)
 from repro.core.properties import negate_property3
 from repro.experiments import (
     baselines,
@@ -18,45 +28,86 @@ from repro.experiments import (
     theorem3,
     theorem6,
 )
+from repro.scenarios import run_grid
+
+
+def _sweep(grid):
+    """A class-scoped fixture running ``grid`` once for its tests."""
+    return pytest.fixture(scope="class")(lambda self: run_grid(grid))
 
 
 class TestFig1:
-    def test_naive_violates(self):
-        outcome = fig1.run_naive()
-        assert not outcome.report.atomic
-        assert {v.rule for v in outcome.report.violations} == {
+    sweep = _sweep(fig1.GRID)
+
+    def test_naive_violates(self, sweep):
+        cell = sweep.cell(algorithm=fig1.NAIVE)
+        result = cell.unwrap()
+        assert all(read.complete for read in result.reads)
+        assert cell.verdict == "violation"
+        assert {v.rule for v in result.atomicity.violations} == {
             "read-inversion"
         }
-        assert outcome.r1_value == "v" and outcome.r1_rounds == 1
+        assert cell.metrics["r1_value"] == repr("v")
+        assert cell.metrics["r1_rounds"] == 1
+        assert cell.metrics["r2_value"] == "⊥"
 
-    def test_fastabd_survives_same_schedule(self):
-        outcome = fig1.run_fastabd()
-        assert outcome.report.atomic
-        assert outcome.r2_value == "v"
+    def test_fastabd_survives_same_schedule(self, sweep):
+        cell = sweep.cell(algorithm=fig1.FASTABD)
+        assert all(read.complete for read in cell.unwrap().reads)
+        assert cell.verdict == "atomic"
+        assert cell.metrics["r2_value"] == repr("v")
 
 
 class TestFig4:
-    def test_matches_paper(self):
-        outcome = fig4.run_experiment()
-        assert fig4.matches_paper(outcome)
+    sweep = _sweep(fig4.GRID)
+
+    def test_matches_paper(self, sweep):
+        assert sweep.verdict_counts() == {"atomic": 2}
+        assert sweep.cell(stage="ex1").metrics["write_rounds"] == 1
+        composed = sweep.cell(stage="ex3+ex4")
+        assert all(read.complete for read in composed.unwrap().reads)
+        assert composed.metrics["ex3_value"] == repr(1)
+        assert composed.metrics["ex3_rounds"] == 2
+        assert composed.metrics["ex4_value"] == repr(1)
 
 
 class TestStorageLatency:
     def test_table_matches(self):
-        rows = storage_latency.run_experiment()
-        assert storage_latency.matches_paper(rows)
+        sweep = run_grid(storage_latency.GRID)
+        assert sweep.verdict_counts() == {"atomic": 6}
+        for cls, rounds in storage_latency.PAPER_CLAIM.items():
+            for op, expected in zip(("write", "read"), rounds):
+                cell = sweep.cell(op=op, quorum_class=cls)
+                assert cell.metrics["rounds"] == expected, (op, cls)
 
 
 class TestConsensusLatency:
     def test_table_matches(self):
-        rows = consensus_latency.run_experiment()
-        assert consensus_latency.matches_paper(rows)
+        sweep = run_grid(consensus_latency.GRID)
+        assert sweep.verdict_counts() == {"ok": 3}
+        for cls, delay in consensus_latency.PAPER_CLAIM.items():
+            metrics = sweep.cell(quorum_class=cls).metrics
+            assert metrics["worst_delay"] == delay, cls
+            # Every learner learned, none later than the claim.
+            assert max(metrics["delays"].values()) == delay, cls
 
 
 class TestTheorem3:
-    def test_violation_demonstrated(self):
-        outcome = theorem3.run_experiment()
-        assert theorem3.violation_demonstrated(outcome)
+    sweep = _sweep(theorem3.GRID)
+
+    def test_violation_demonstrated(self, sweep):
+        """rd1 is fast and returns v1, rd2 cannot tell ex4 from ex5, and
+        the checker catches the execution that was realized: whatever
+        rd2 returns, one of the two is wrong."""
+        ex4 = sweep.cell(execution=theorem3.WITH_WRITE)
+        ex5 = sweep.cell(execution=theorem3.WITHOUT_WRITE)
+        ex4_r1, ex4_r2 = ex4.unwrap().reads
+        (ex5_r2,) = ex5.unwrap().reads
+        assert ex4_r1.complete and ex4_r2.complete and ex5_r2.complete
+        assert ex4.metrics["r1_rounds"] == 1
+        assert ex4.metrics["r1_value"] == repr("v1")
+        assert ex4_r2.result == ex5_r2.result
+        assert ex4.verdict == "violation"
 
     def test_broken_rqs_fails_only_p3(self):
         rqs = theorem3.broken_rqs()
@@ -74,71 +125,105 @@ class TestTheorem3:
 
 class TestTheorem6:
     def test_violation_demonstrated(self):
-        outcome = theorem6.run_experiment()
-        assert theorem6.violation_demonstrated(outcome)
+        (cell,) = run_grid(theorem6.END_TO_END_GRID).cells
+        assert cell.verdict == "violation"
+        learned = cell.metrics["learned"]
+        assert set(learned.values()) == {0, 1}
+        assert learned["l1"] == 1
 
     def test_choose_exhibit(self):
-        broken_value, valid_value = theorem6.run_choose_exhibit()
-        assert broken_value == 0 and valid_value == 1
+        sweep = run_grid(theorem6.CHOOSE_GRID)
+        assert sweep.cell(family="broken").metrics["value"] == 0
+        assert sweep.cell(family="valid").metrics["value"] == 1
 
 
 class TestBounds:
     def test_sweep_tight_small(self):
-        result = bounds.run_sweep(max_n=7)
-        assert result.tight and result.points > 300
+        sweep = run_grid(bounds.bounds_grid(7))
+        assert len(sweep.cells) > 300
+        assert sweep.verdict_counts() == {"match": len(sweep.cells)}
+        # Necessity is exercised: some points sit one short of validity.
+        assert any(cell.metrics["boundary"] for cell in sweep.cells)
 
     def test_minimal_sizes(self):
-        assert bounds.minimal_system_sizes(4) == [
-            (1, 4), (2, 7), (3, 10), (4, 13),
-        ]
+        """The PBFT-style instantiation (q=0, r=k=t): the smallest n."""
+        for t, n in ((1, 4), (2, 7), (3, 10), (4, 13)):
+            assert threshold_rqs_predicted_valid(n, t, t, 0, t)
+            assert not threshold_rqs_predicted_valid(n - 1, t, t, 0, t)
 
 
 class TestBaselines:
     def test_comparison_matches(self):
-        results = baselines.run_experiment()
-        assert baselines.matches_paper(results)
+        storage = run_grid(baselines.STORAGE_GRID)
+        rounds = {
+            cell.point["algorithm"]: (
+                cell.metrics["write_rounds"], cell.metrics["read_rounds"]
+            )
+            for cell in storage.cells
+        }
+        assert rounds == {
+            "RQS storage (class 1)": (1, 1),
+            "section-1.2 fast-ABD": (1, 1),
+            "ABD": (1, 2),
+        }
+        consensus = run_grid(baselines.CONSENSUS_GRID)
+        delay = {
+            cell.point["algorithm"]: cell.metrics["learn_delays"]
+            for cell in consensus.cells
+        }
+        for cls, claim in consensus_latency.PAPER_CLAIM.items():
+            assert delay[f"RQS consensus (class {cls})"] == claim
+        assert delay["crash Paxos"] >= 4.0
+        assert delay["PBFT-lite"] >= 4.0
 
 
 class TestStress:
+    sweep = _sweep(stress.storage_stress_grid(range(6)))
+
     @pytest.mark.parametrize("seed", range(6))
-    def test_storage_stress(self, seed):
-        outcome = stress.storage_stress(seed)
-        assert outcome.ok
+    def test_storage_stress(self, sweep, seed):
+        cell = sweep.cell(seed=seed)
+        assert cell.verdict == "wait-free atomic"
+        assert cell.metrics["completed"] == cell.metrics["operations"]
 
     def test_consensus_liveness(self):
-        outcome = stress.consensus_liveness(gst=30.0, horizon=1500.0)
-        assert outcome.terminated and outcome.agreement_ok
+        (cell,) = run_grid(stress.liveness_grid(30.0, 1500.0)).cells
+        assert cell.verdict == "live"
+        assert cell.metrics["terminated"] and cell.metrics["agreement_ok"]
 
 
 class TestContention:
-    def test_every_cell_atomic_with_per_key_verdicts(self):
-        from repro.scenarios import run_grid
+    sweep = _sweep(contention.GRID)
 
-        sweep = run_grid(contention.GRID.where(protocol="abd", seed=0))
-        assert sweep.verdict_counts() == {"atomic": len(sweep.cells)}
+    def test_every_cell_atomic_with_per_key_verdicts(self, sweep):
+        """Every register a cell touched is atomic on its own."""
         for cell in sweep.cells:
             per_key = cell.metrics["per_key"]
             assert per_key and all(
                 verdict == "atomic" for verdict in per_key.values()
             )
 
-    def test_zipfian_8key_per_key_verdicts(self):
-        verdicts = contention.zipfian_key_verdicts(n_keys=8, seed=0)
+    def test_zipfian_8key_per_key_verdicts(self, sweep):
+        cell = sweep.cell(protocol="rqs-storage", n_keys=8, skew=1.2, seed=0)
+        verdicts = cell.metrics["per_key"]
         assert len(verdicts) > 1
         assert all(v == "atomic" for v in verdicts.values())
 
     def test_serial_and_mp_backends_agree(self):
-        from repro.scenarios import run_grid
-
         grid = contention.GRID.where(protocol="fastabd", n_keys=8)
         serial = run_grid(grid)
         parallel = run_grid(grid, executor="multiprocessing", processes=2)
         assert serial.to_json() == parallel.to_json()
 
-    def test_rows_fold_the_full_grid(self):
-        rows = contention.run_experiment()
-        assert len(rows) == 18
-        assert all(row.atomic_cells == row.cells == 2 for row in rows)
+    def test_rows_fold_the_full_grid(self, sweep):
+        """18 configurations × 2 seeds, all 36 cells atomic."""
+        assert sweep.verdict_counts() == {"atomic": 36}
+        for protocol in ("rqs-storage", "abd", "fastabd"):
+            for n_keys in (1, 2, 8):
+                for skew in (0.0, 1.2):
+                    assert len(sweep.select(
+                        protocol=protocol, n_keys=n_keys, skew=skew
+                    )) == 2
 
 
 class TestBatchedTail:
@@ -160,28 +245,35 @@ class TestBatchedTail:
         unbatched protocol — and the comparison is non-vacuous (the
         rqs-storage plan degrades unbatched reads to the Theorem 9
         three-round figure)."""
-        rows = batched.run_tail()
-        assert len(rows) == 2
-        by_protocol = {row.protocol: row for row in rows}
-        for row in rows:
-            assert row.verdict == "atomic"
-            assert row.unbatched_p99 > 0
-            assert row.batched_p99 <= 1.5 * row.unbatched_p99
-        assert by_protocol["rqs-storage"].unbatched_p99 >= 6.0
+        sweep = run_grid(batched.TAIL_GRID)
+        assert sweep.verdict_counts() == {"atomic": 4}
+        for protocol in ("fastabd", "rqs-storage"):
+            unbatched, batched_p99 = (
+                sweep.cell(protocol=protocol, batch=batch).metrics["read_p99"]
+                for batch in (1, batched.TAIL_BATCH)
+            )
+            assert unbatched > 0
+            assert batched_p99 <= 1.5 * unbatched, protocol
+        rqs = sweep.cell(protocol="rqs-storage", batch=1)
+        assert rqs.metrics["read_p99"] >= 6.0
 
 
 class TestMetricsAblation:
     def test_shapes(self):
-        rows = metrics_ablation.sweep((0.0, 0.05, 0.1, 0.2, 0.3))
-        assert rows[0].expected_latency == pytest.approx(1.0)
-        assert rows[-1].avail_class1 < rows[0].avail_class1
+        sweep = run_grid(
+            metrics_ablation.ablation_grid((0.0, 0.05, 0.1, 0.2, 0.3))
+        )
+        rows = [cell.metrics for cell in sweep.cells]
+        assert rows[0]["expected_latency"] == pytest.approx(1.0)
+        assert rows[-1]["avail_class1"] < rows[0]["avail_class1"]
         # Class-1 quorums are bigger: more load, and as p grows they
         # die first, so the expected best-case latency only degrades.
-        assert rows[0].load_class1 > rows[0].load_class3
+        assert rows[0]["load_class1"] > rows[0]["load_class3"]
         for earlier, later in zip(rows, rows[1:]):
-            assert later.avail_class1 <= earlier.avail_class1
-            assert later.expected_latency >= earlier.expected_latency
+            assert later["avail_class1"] <= earlier["avail_class1"]
+            assert later["expected_latency"] >= earlier["expected_latency"]
 
     def test_search(self):
-        results = metrics_ablation.search_cost((4, 5, 6))
-        assert all(quorums >= 1 for _, quorums, _ in results)
+        sweep = run_grid(metrics_ablation.search_grid((4, 5, 6)))
+        assert len(sweep.cells) == 3
+        assert all(q >= 1 for q in sweep.metric_values("quorums"))

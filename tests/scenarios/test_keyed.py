@@ -13,9 +13,6 @@ import pytest
 from repro.analysis.streaming import check_history
 from repro.errors import ScenarioError
 from repro.scenarios import (
-    Drop,
-    FaultPlan,
-    Partition,
     Propose,
     RandomMix,
     Read,
@@ -340,71 +337,6 @@ class TestPerKeyVerdicts:
         assert result.key_verdicts == {0: True, 1: True, 2: True}
         assert len(result.of_key(1)) == 2
         assert result.fingerprint()[0][-1] == 0  # keyed digest carries keys
-
-    def test_per_key_message_counters_survive_metrics_level(self):
-        workload = (
-            Write(0.0, "a", key=0),
-            Write(4.0, "b", key=1),
-            Read(8.0, key=1),
-        )
-        spec = ScenarioSpec(
-            protocol="abd", readers=1, n_keys=2, workload=workload,
-            trace_level="metrics",
-        )
-        result = run(spec)
-        by_key = result.adapter.network.sent_by_key()
-        assert set(by_key) == {0, 1}
-        assert by_key[1] > by_key[0]  # key 1 got the write AND the read
-        # ...and FULL tracing derives the identical counts from the log.
-        full = run(spec.with_(trace_level="full"))
-        assert full.adapter.network.sent_by_key() == by_key
-
-    def test_per_key_counters_agree_across_levels_on_lossy_runs(self):
-        """Dropped messages are *sent* messages: the METRICS send-path
-        tally and the FULL log derivation must agree even when a lossy
-        fault plan discards deliveries."""
-        spec = ScenarioSpec(
-            protocol="abd", readers=2, n_keys=4,
-            faults=FaultPlan(asynchrony=(
-                Drop(src=(1, 2), until=15.0, label="lossy pre-GST"),
-            )),
-            workload=(RandomMix(6, 8, horizon=40.0),),
-            seed=17,
-            trace_level="metrics",
-        )
-        result = run(spec)
-        by_key = result.adapter.network.sent_by_key()
-        assert result.adapter.network.dropped_count > 0
-        full = run(spec.with_(trace_level="full"))
-        assert full.adapter.network.dropped_count > 0
-        assert full.adapter.network.sent_by_key() == by_key
-        assert sum(by_key.values()) > 0
-
-    def test_per_key_counters_agree_across_levels_under_partition(self):
-        """A healing partition (messages held, then released) keeps the
-        per-register tallies identical at both trace levels, and held
-        messages count as sent on both."""
-        spec = ScenarioSpec(
-            protocol="abd", readers=2, n_keys=3,
-            faults=FaultPlan(partitions=(
-                # Cut two servers off from the writer and one reader
-                # until 12.0 (a majority stays reachable, so ops keep
-                # completing; held messages land when the cut heals).
-                Partition(left=("writer", "reader1"), right=(1, 2),
-                          until=12.0),
-            )),
-            workload=(RandomMix(5, 6, horizon=30.0),),
-            seed=8,
-            trace_level="metrics",
-        )
-        result = run(spec)
-        by_key = result.adapter.network.sent_by_key()
-        assert result.adapter.network.held_count > 0
-        full = run(spec.with_(trace_level="full"))
-        assert full.adapter.network.held_count > 0
-        assert full.adapter.network.sent_by_key() == by_key
-        # Every addressed register shows traffic despite the partition.
-        assert set(by_key) == set(full.adapter.network.sent_by_key())
 
 
 # -- seeded multi-register scenario end to end ---------------------------------

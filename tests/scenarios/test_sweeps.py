@@ -351,6 +351,25 @@ class TestAggregation:
         with pytest.raises(ScenarioError):
             sweep.cell(protocol="abd")  # ambiguous: six cells
 
+    def test_a_query_that_can_match_nothing_raises(self):
+        """A result reads a filter as ``where`` does — a list keeps its
+        labels, a labeled value its label — and a label its axis does
+        not have raises instead of selecting nothing, so a claim
+        asserted over the selection cannot pass vacuously."""
+        sweep = run_grid(ACCEPTANCE_GRID)
+        assert len(sweep.select(protocol="abd", seed=[0, 2])) == 4
+        crash = dict(ACCEPTANCE_GRID.axes)["faults"][1]
+        assert sweep.select(faults=crash) == sweep.select(faults="one-crash")
+        assert sweep.cell(protocol="abd", faults=crash, seed=0).ok
+        for filters in ({"seed": 7}, {"seed": [0, 7]}, {"protocol": "paxos"},
+                        {"seed": []}):
+            with pytest.raises(ScenarioError, match="no value matching"):
+                sweep.select(**filters)
+            with pytest.raises(ScenarioError, match="no value matching"):
+                ACCEPTANCE_GRID.where(**filters)
+        with pytest.raises(ScenarioError, match="values: 0, 1, 2"):
+            sweep.metric_values("latency.p99", seed=[7, 8])
+
     def test_non_finite_floats_export_as_strict_json(self):
         import json
 

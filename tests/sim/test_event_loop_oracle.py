@@ -167,6 +167,11 @@ def receive(process, message):
 
 
 class ReferenceNetwork(Network):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # The METRICS per-register send tally the parent kept.
+        self._sent_by_key = {}
+
     def send(self, src, dst, payload):
         if dst not in self._processes:
             raise SimulationError(f"unknown destination {dst!r}")
@@ -393,7 +398,6 @@ class World:
             "in_transit": [self.record(m) for m in net.in_transit],
             "net_log": [self.record(m) for m in net.log],
             "net_dropped": [self.record(m) for m in net.dropped],
-            "sent_by_key": net.sent_by_key(),
             "crashed": [pid for pid, proc in self.procs.items() if proc.crashed],
             "delivered": {
                 pid: [self.record(m) for m in proc.delivered]
@@ -951,10 +955,6 @@ def mutated_send(resolve_unseen_channels=True):
         self.sent_count += 1
         if self.full_trace:
             self.log.append(message)
-        else:
-            key = getattr(payload, "key", None)
-            if key is not None:
-                self._sent_by_key[key] = self._sent_by_key.get(key, 0) + 1
         delay = self.delta
         candidates = self._rule_index.get((src, dst))
         if self._rules and (
@@ -1033,11 +1033,6 @@ def mutated_send_all(one_block=False, held_and_dropped_ride_along=False,
                 seq += 1
         finally:
             self.sent_count += sent
-            if sent and not full_trace:
-                key = getattr(payload, "key", None)
-                if key is not None:
-                    tally = self._sent_by_key
-                    tally[key] = tally.get(key, 0) + sent
             queue = sim._queue
             for entry in entries.values():
                 entry[3].reverse()

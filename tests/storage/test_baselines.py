@@ -106,12 +106,6 @@ class TestNaive:
         assert result.write().rounds == 1
         assert result.read().result == "v"
 
-    def test_violates_atomicity_under_figure1_schedule(self):
-        from repro.experiments.fig1 import run_naive
-
-        outcome = run_naive()
-        assert not outcome.report.atomic
-
 
 #: Ill-formed count-quorum deployments: each used to raise a bare
 #: ``ValueError`` from deep in the client, or to block every op while

@@ -42,8 +42,17 @@ SWMR-rule, Wing–Gong and regularity checkers it replaced are test
 oracles only (``tests/analysis/test_register_checker_oracle.py``):
 their modules do not import, ``RunResult`` carries no second register
 verdict, and nothing shipped imports from ``tests`` or names one.
+
+An exhibit is its grid (ROADMAP invariant 2, docs/architecture.md "How
+to add a sweep / experiment"): an experiment module declares a
+``SweepSpec`` and its hooks, and its claim is a test on the grid's
+cells.  It keeps no second representation of them — no dataclass — and
+runs no grid to fill one: only ``capacity.collect`` (the
+``BENCH_quorums.json`` payload) and the ``__main__`` tables call
+``run_grid``.
 """
 
+import ast
 import dataclasses
 import importlib
 import pickle
@@ -76,6 +85,7 @@ ORACLE_USE = re.compile(
     r"|\b(?:check_swmr_atomicity|check_swmr_regularity|is_linearizable)\b",
     re.MULTILINE,
 )
+EXPERIMENTS = sorted((ROOT / "src/repro/experiments").glob("*.py"))
 RETIRED_CHECKERS = (
     "repro.analysis.atomicity",
     "repro.analysis.linearizability",
@@ -134,6 +144,43 @@ def test_a_run_has_one_register_verdict():
 
 def test_nothing_shipped_runs_a_test_oracle():
     assert _sites(ORACLE_USE, *EVERYWHERE) == []
+
+
+def _grid_runs(node, function=None):
+    """The functions that call ``run_grid`` under ``node`` (``None`` at
+    module level), outside ``if __name__ == "__main__":`` blocks."""
+    if isinstance(node, ast.If) and (
+        ast.unparse(node.test) == "__name__ == '__main__'"
+    ):
+        return []
+    if isinstance(node, ast.FunctionDef):
+        function = node.name
+    found = []
+    if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(
+        "run_grid"
+    ):
+        found.append(function)
+    for child in ast.iter_child_nodes(node):
+        found += _grid_runs(child, function)
+    return found
+
+
+@pytest.mark.parametrize("path", EXPERIMENTS, ids=lambda path: path.stem)
+def test_an_exhibit_is_its_grid(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    } | {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    }
+    assert "dataclasses" not in imported  # no dataclass can be declared
+    expected = ["collect"] if path.name == "capacity.py" else []
+    assert _grid_runs(tree) == expected
 
 
 def test_a_message_goes_straight_to_its_handler():
