@@ -14,6 +14,7 @@ learners) under three regimes, each a declarative scenario spec:
 Run:  python examples/byzantine_consensus.py
 """
 
+from repro.consensus.proposer import EquivocatingProposer
 from repro.scenarios import (
     PROPOSER,
     ByzantineRole,
@@ -60,7 +61,9 @@ def regime_byzantine_proposer() -> None:
         protocol="rqs-consensus",
         rqs="example6",
         faults=FaultPlan(
-            byzantine=(ByzantineRole(0, "equivocating", role=PROPOSER),),
+            byzantine=(
+                ByzantineRole(0, EquivocatingProposer, role=PROPOSER),
+            ),
         ),
         workload=(
             Propose(0.0, "EVIL", proposer=0),

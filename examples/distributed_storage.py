@@ -18,6 +18,8 @@ Demonstrates:
 Run:  python examples/distributed_storage.py
 """
 
+from functools import partial
+
 from repro.scenarios import (
     ByzantineRole,
     Crash,
@@ -28,6 +30,7 @@ from repro.scenarios import (
     Write,
     run,
 )
+from repro.storage.server import FabricatingServer
 
 
 def main() -> None:
@@ -43,8 +46,10 @@ def main() -> None:
             # disk 8 lies about its contents: it advertises a bogus
             # record with an absurdly high version number on every read.
             byzantine=(
-                ByzantineRole(8, "fabricating",
-                              params={"ts": 10_000, "value": "CORRUPT"}),
+                ByzantineRole(8, partial(
+                    FabricatingServer, forged_ts=10_000,
+                    forged_value="CORRUPT",
+                )),
             ),
         ),
         workload=(

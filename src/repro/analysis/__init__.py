@@ -1,7 +1,7 @@
 """Correctness checkers and latency accounting."""
 
 from repro.analysis.consensus_check import ConsensusReport, check_consensus
-from repro.analysis.latency import LatencySummary, summarize_rounds
+from repro.analysis.latency import LatencySummary
 from repro.analysis.streaming import (
     OnlineChecker,
     OnlineReport,
@@ -13,7 +13,6 @@ __all__ = [
     "ConsensusReport",
     "check_consensus",
     "LatencySummary",
-    "summarize_rounds",
     "OnlineChecker",
     "OnlineReport",
     "OnlineViolation",

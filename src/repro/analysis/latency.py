@@ -8,23 +8,22 @@ simulated time under a uniform per-hop delay ``Δ`` —
 ``delays = (t_learn − t_first_propose) / Δ``, exact when every link has
 the same latency, which is how the best-case benches are configured.
 
-Summaries have two equivalent producers: the list-based
-:func:`summarize_rounds` over retained records (FULL traces), and the
-streaming :meth:`LatencySummary.from_accumulator` over an online
-:class:`~repro.analysis.streaming.LatencyAccumulator` (METRICS traces,
-where the history is never materialized).  Whenever the accumulator's
-quantile reservoir still holds the full stream the two paths agree
-exactly — pinned by ``tests/scenarios/test_streaming.py``.
+Summaries have one producer, an online
+:class:`~repro.analysis.streaming.LatencyAccumulator`
+(:meth:`LatencySummary.from_accumulator`): the live one a streamed run
+(METRICS trace) fed as operations completed, or — on a FULL run — a
+fresh one the retained records are replayed through, its reservoir
+sized to hold them all so the quantiles are exact
+(:meth:`LatencySummary.from_records`).  The list-based summary it
+replaced is the reference of ``tests/analysis/test_streaming.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from statistics import mean
 from typing import Iterable, Optional
 
-from repro.analysis.streaming import LatencyAccumulator, nearest_rank
+from repro.analysis.streaming import LatencyAccumulator
 from repro.sim.trace import OperationRecord
 
 
@@ -82,29 +81,17 @@ class LatencySummary:
             p99_time=accumulator.quantile(0.99),
         )
 
-
-def summarize_rounds(
-    records: Iterable[OperationRecord], kind: str
-) -> LatencySummary:
-    """Aggregate the self-reported round counts of completed operations."""
-    done = [r for r in records if r.kind == kind and r.complete]
-    if not done:
-        return LatencySummary(kind, 0, None, None, None, None, None)
-    rounds = [r.rounds for r in done]
-    times = sorted(r.completed_at - r.invoked_at for r in done)
-    # Exact rational mean, like the streaming accumulator's running sum,
-    # so the two paths cannot drift by float-summation order.
-    mean_time = float(sum(map(Fraction, times)) / len(times))
-    return LatencySummary(
-        kind=kind,
-        count=len(done),
-        min_rounds=min(rounds),
-        max_rounds=max(rounds),
-        mean_rounds=round(mean(rounds), 3),
-        min_time=times[0],
-        max_time=times[-1],
-        mean_time=round(mean_time, 6),
-        p50_time=nearest_rank(times, 0.50),
-        p99_time=nearest_rank(times, 0.99),
-    )
-
+    @classmethod
+    def from_records(
+        cls, records: Iterable[OperationRecord], kind: str
+    ) -> "LatencySummary":
+        """The summary of a retained history's completed ``kind``
+        operations: replayed through a fresh accumulator whose reservoir
+        holds every one of them (exact quantiles)."""
+        done = [r for r in records if r.kind == kind and r.complete]
+        accumulator = LatencyAccumulator(kind, capacity=max(len(done), 1))
+        for record in done:
+            accumulator.observe(
+                record.rounds, record.completed_at - record.invoked_at
+            )
+        return cls.from_accumulator(accumulator, kind)

@@ -10,9 +10,9 @@ counterparts consumed as operations *complete*:
   quantile reservoir, fed one completed operation at a time.  Mean
   accounting is exact (an integer running sum over the samples' common
   denominator — the number a running ``Fraction`` would hold, exposed
-  as :attr:`LatencyAccumulator.time_sum`), so on FULL runs the
-  accumulator-backed :meth:`~repro.analysis.latency.LatencySummary`
-  matches the list-based ``summarize_rounds`` path bit for bit.
+  as :attr:`LatencyAccumulator.time_sum`).  It is the one latency
+  summary: FULL runs replay their records through a fresh one
+  (:meth:`~repro.analysis.latency.LatencySummary.from_records`).
 * :class:`QuantileReservoir` — a bounded uniform sample of the latency
   stream (deterministically seeded).  Below capacity it holds every
   sample, so small-run quantiles are exact; above capacity it degrades
@@ -90,9 +90,8 @@ MAX_REPORTED = 20
 def nearest_rank(sorted_samples, fraction: float) -> Optional[float]:
     """The nearest-rank percentile of an ascending sample list.
 
-    Shared by the streaming reservoir and the list-based
-    ``summarize_rounds`` so the two paths agree exactly whenever the
-    reservoir holds the full stream.
+    A reservoir that still holds the full stream gives the exact
+    percentile.
     """
     if not sorted_samples:
         return None

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Set, Tuple
 
-from repro.sim.conditions import AckSet, ConditionMap, Counter
+from repro.sim.conditions import AckSet, ConditionMap
 from repro.sim.network import Message
 from repro.sim.process import Process
 from repro.sim.tasks import WaitUntil
@@ -92,7 +92,7 @@ class PaxosProposer(Process):
         self.ballot = ballot_base
         self.stride = ballot_stride
         self._promises: Dict[int, Dict[Hashable, PaxPromise]] = {}
-        self._promise_counts = ConditionMap(Counter, "paxos promises b={}")
+        self._promised = ConditionMap(AckSet, "paxos promises b={}")
         self._accepted = ConditionMap(AckSet, "paxos accepted b={}")
 
     def on_message(self, message: Message) -> None:
@@ -101,7 +101,7 @@ class PaxosProposer(Process):
             promises = self._promises.setdefault(payload.ballot, {})
             if message.src not in promises:
                 promises[message.src] = payload
-                self._promise_counts(payload.ballot).add()
+                self._promised(payload.ballot).add(message.src)
         elif isinstance(payload, PaxAccepted):
             self._accepted(payload.ballot).add(message.src)
 
@@ -111,9 +111,7 @@ class PaxosProposer(Process):
             self.ballot += self.stride
             ballot = self.ballot
             self.send_all(self.acceptors, PaxPrepare(ballot))
-            yield WaitUntil(
-                self._promise_counts(ballot).at_least(self.majority)
-            )
+            yield WaitUntil(self._promised(ballot).at_least(self.majority))
             promises = self._promises[ballot].values()
             prior = max(promises, key=lambda p: p.accepted_ballot)
             chosen = (

@@ -27,7 +27,6 @@ from repro.core.properties import (
     check_property1,
     check_property2,
     check_property3,
-    negate_property3,
     p3a,
     p3b,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "check_property1",
     "check_property2",
     "check_property3",
-    "negate_property3",
     "p3a",
     "p3b",
 ]

@@ -272,14 +272,6 @@ class ExplicitAdversary(Adversary):
     def maximal_sets(self) -> Tuple[Subset, ...]:
         return self._maxima
 
-    @classmethod
-    def from_threshold(
-        cls, ground_set: Iterable[Element], k: int
-    ) -> "ExplicitAdversary":
-        """Materialize ``B_k`` explicitly (useful for cross-checking)."""
-        threshold = ThresholdAdversary(ground_set, k)
-        return cls(threshold.ground_set, threshold.maximal_sets())
-
 
 def _maximal_antichain(sets: Iterable[Subset]) -> Tuple[Subset, ...]:
     """Reduce a family of sets to its maximal antichain.

@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import FrozenSet, Hashable, Iterable, Sequence, Tuple
+from typing import FrozenSet, Hashable, Iterable, Tuple
 
 from repro.core.adversary import (
     Adversary,
@@ -274,16 +274,6 @@ def figure3_rqs() -> RefinedQuorumSystem:
     )
 
 
-def figure3_named_quorums() -> dict:
-    """The Figure 3 quorums by the paper's names (for tests/benches)."""
-    return {
-        "Q": frozenset({3, 4, 5, 6, 7}),
-        "Q'": frozenset({1, 2, 3, 4, 7, 8}),
-        "Q2": frozenset({1, 2, 3, 5, 6}),
-        "Q1": frozenset({2, 5, 6, 7, 8}),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Example 7 / Figure 4
 # ---------------------------------------------------------------------------
@@ -341,13 +331,3 @@ def section12_rqs() -> RefinedQuorumSystem:
     two-round variant.  ``k = 0`` (crash-only).
     """
     return threshold_rqs(n=5, t=2, k=0, q=1, r=2)
-
-
-def naive_section12_quorums() -> NormalizedFamily:
-    """The *broken* fast-quorum choice of Figure 1: fast = any 3 servers.
-
-    Used by the Figure 1 counterexample; note ``threshold_rqs(5,2,0,2,2)``
-    would reject this via Property 2 (``n = 5 ≤ t + 2k + 2q = 6``), which
-    is exactly the paper's point.
-    """
-    return subsets_missing_at_most(default_servers(5), 2)

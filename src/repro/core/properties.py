@@ -327,20 +327,6 @@ def _covering_pair(
     raise AssertionError("caller promised target is not large")
 
 
-def negate_property3(
-    adversary: Adversary,
-    qc1: Sequence[Subset],
-    qc2: Sequence[Subset],
-    quorums: Sequence[Subset],
-) -> Optional[P3Witness]:
-    """Public alias used by the Theorem 3/6 experiment drivers.
-
-    Returns the first P3 negation witness (with its ``b0``/``b1`` derived
-    sets) or ``None`` when Property 3 holds.
-    """
-    return check_property3(adversary, qc1, qc2, quorums)
-
-
 class NormalizedFamily(tuple):
     """A family in normal form: distinct frozensets ordered by
     ``(size, sorted member reprs)``.  Only :func:`normalize_family` (and

@@ -420,16 +420,6 @@ class RefinedQuorumSystem:
         candidates = self.responding_quorums(responders, cls)
         return candidates[0] if candidates else None
 
-    def correct_quorum(
-        self, faulty: Iterable[Hashable], cls: int = 3
-    ) -> Optional[Subset]:
-        """A class-``cls`` quorum avoiding every process in ``faulty``."""
-        bad = as_subset(faulty)
-        for quorum in self.class_quorums(cls):
-            if not (quorum & bad):
-                return quorum
-        return None
-
     def __iter__(self) -> Iterator[Subset]:
         return iter(self._quorums)
 

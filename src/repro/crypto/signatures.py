@@ -19,7 +19,7 @@ message payloads and be stored in ``Updateproof`` sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Hashable, Iterable, Set, Tuple
+from typing import Any, Hashable, Set, Tuple
 
 from repro.errors import ProtocolError
 
@@ -68,9 +68,6 @@ class SignatureService:
             return (
                 signature.signer, _freeze(signature.content)
             ) in self._genuine
-
-    def verify_all(self, signatures: Iterable[Signed]) -> bool:
-        return all(self.verify(s) for s in signatures)
 
     def require(self, signature: Signed) -> None:
         if not self.verify(signature):

@@ -26,6 +26,7 @@ atomic — is asserted on those cells.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Mapping
 
 from repro.scenarios import (
@@ -38,6 +39,7 @@ from repro.scenarios import (
     SweepSpec,
     Write,
 )
+from repro.storage.server import QuorumForgettingServer
 
 _FORGERY_TIME = 12.0
 
@@ -66,9 +68,11 @@ def _ex3_ex4_spec() -> ScenarioSpec:
                 # ex4: s5 crashes once r1's read has completed.
                 Crash("s5", _FORGERY_TIME),
             ),
-            byzantine=(
-                ByzantineRole("s1", "forget-qc2-ids", at=_FORGERY_TIME),
-                ByzantineRole("s2", "forget-qc2-ids", at=_FORGERY_TIME),
+            byzantine=tuple(
+                ByzantineRole(sid, partial(
+                    QuorumForgettingServer, trigger_time=_FORGERY_TIME
+                ))
+                for sid in ("s1", "s2")
             ),
             asynchrony=(
                 # The slow write never reaches s6 (ex3).

@@ -17,6 +17,7 @@ schedule parameterized by a ``gst`` axis).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Mapping, Sequence
 
 from repro.scenarios import (
@@ -29,6 +30,14 @@ from repro.scenarios import (
     ScenarioSpec,
     SweepSpec,
     lossy_until_gst,
+)
+from repro.storage.server import FabricatingServer
+
+#: The E6 cells' fixed shape: a contended 8-write / 12-read mix with one
+#: fabricating Byzantine server and one mid-run crash.
+_WRITES, _READS = 8, 12
+_FABRICATOR = ByzantineRole(
+    7, partial(FabricatingServer, forged_ts=999, forged_value="EVIL")
 )
 
 
@@ -43,15 +52,8 @@ def _stress_build(point: Mapping) -> ScenarioSpec:
         protocol="rqs-storage",
         rqs="threshold:7,2,2,0,2",
         readers=3,
-        faults=FaultPlan(
-            crashes=(Crash(6, 25.0),) if point["crash"] else (),
-            byzantine=(
-                (ByzantineRole(7, "fabricating",
-                               params={"ts": 999, "value": "EVIL"}),)
-                if point["byzantine"] else ()
-            ),
-        ),
-        workload=(RandomMix(point["writes"], point["reads"], horizon=60.0),),
+        faults=FaultPlan(crashes=(Crash(6, 25.0),), byzantine=(_FABRICATOR,)),
+        workload=(RandomMix(_WRITES, _READS, horizon=60.0),),
         seed=point["seed"],
     )
 
@@ -67,22 +69,17 @@ def _stress_measure(point: Mapping, result) -> Mapping:
     }
 
 
-def storage_stress_grid(
-    seeds: Sequence[int],
-    n_writes: int = 8,
-    n_reads: int = 12,
-    byzantine: bool = True,
-    crash: bool = True,
-) -> SweepSpec:
-    """The E6 grid: one randomized contended cell per seed."""
+def storage_stress_grid(seeds: Sequence[int]) -> SweepSpec:
+    """The E6 grid: one randomized contended cell per seed (the
+    one-value axes label each cell with the fixed shape)."""
     return SweepSpec(
         name="storage-stress",
         axes={
             "seed": tuple(seeds),
-            "writes": (n_writes,),
-            "reads": (n_reads,),
-            "byzantine": (byzantine,),
-            "crash": (crash,),
+            "writes": (_WRITES,),
+            "reads": (_READS,),
+            "byzantine": (True,),
+            "crash": (True,),
         },
         build=_stress_build,
         measure=_stress_measure,

@@ -28,10 +28,10 @@ is asserted on its cells: the two runs are indistinguishable to ``r2``
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Mapping, Tuple
 
-from repro.core.properties import P3Witness, negate_property3
+from repro.core.properties import P3Witness, check_property3
 from repro.core.rqs import RefinedQuorumSystem
 from repro.scenarios import (
     ByzantineRole,
@@ -47,6 +47,7 @@ from repro.scenarios import (
 )
 from repro.storage.history import History
 from repro.storage.messages import WR
+from repro.storage.server import ForgetfulServer
 
 BROKEN_RQS = "example6-broken-p3"
 
@@ -62,7 +63,7 @@ def broken_rqs() -> RefinedQuorumSystem:
 
 
 def find_witness(rqs: RefinedQuorumSystem) -> P3Witness:
-    witness = negate_property3(
+    witness = check_property3(
         rqs.adversary, rqs.qc1, rqs.qc2, rqs.quorums
     )
     if witness is None:
@@ -103,23 +104,20 @@ def _staged_faults(rqs, witness: P3Witness, with_write: bool) -> FaultPlan:
     )
     if with_write:
         # ex4: B1 forges σ0 (forgets everything) before rd2.
-        byzantine = tuple(
-            ByzantineRole(sid, "forgetful", at=FORGE_TIME,
-                          params={"state": None})
-            for sid in sorted(b1, key=repr)
-        )
+        forged_state, liars = None, b1
         crashes = (Crash("writer", 2.5),)  # after round-2 sends at 2Δ
     else:
         # ex5: B2 forges σ1 (pretends wr1's round 1 reached it).
         sigma1 = History()
         sigma1.store(1, 1, "v1", frozenset())
-        view = sigma1.snapshot()
-        byzantine = tuple(
-            ByzantineRole(sid, "forgetful", at=FORGE_TIME,
-                          params={"state": view})
-            for sid in sorted(b2, key=repr)
-        )
+        forged_state, liars = sigma1.snapshot(), b2
         crashes = ()
+    forger = partial(
+        ForgetfulServer, trigger_time=FORGE_TIME, forged_state=forged_state
+    )
+    byzantine = tuple(
+        ByzantineRole(sid, forger) for sid in sorted(liars, key=repr)
+    )
     return FaultPlan(
         crashes=crashes, byzantine=byzantine, asynchrony=asynchrony
     )

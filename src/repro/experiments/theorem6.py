@@ -133,7 +133,7 @@ def _end_to_end_spec(point: Mapping) -> ScenarioSpec:
         learners=3,
         faults=FaultPlan(
             byzantine=tuple(
-                ByzantineRole(sid, role=ACCEPTOR, factory=LyingAcceptor)
+                ByzantineRole(sid, LyingAcceptor, role=ACCEPTOR)
                 for sid in sorted(b1, key=repr)
             ),
             asynchrony=asynchrony,

@@ -51,7 +51,7 @@ from repro.core.strategy import (
 )
 from repro.crypto.signatures import SignatureService
 from repro.errors import ScenarioError
-from repro.scenarios.faults import ACCEPTOR, PROPOSER, SERVER, ByzantineRole
+from repro.scenarios.faults import ACCEPTOR, PROPOSER, SERVER
 from repro.scenarios.registry import register_protocol
 from repro.scenarios.workloads import (
     OpBudget,
@@ -71,7 +71,7 @@ from repro.consensus.acceptor import Acceptor
 from repro.consensus.learner import Learner
 from repro.consensus.paxos import PaxosAcceptor, PaxosLearner, PaxosProposer
 from repro.consensus.pbft import PbftLearner, PbftReplica, Request
-from repro.consensus.proposer import EquivocatingProposer, Proposer
+from repro.consensus.proposer import Proposer
 from repro.storage.abd import (
     NAIVE,
     PROTOCOLS,
@@ -81,14 +81,7 @@ from repro.storage.abd import (
 )
 from repro.storage.reader import StorageReader
 from repro.storage.regular import RegularReader
-from repro.storage.server import (
-    FabricatingServer,
-    ForgetfulServer,
-    QuorumForgettingServer,
-    RateLimitedServer,
-    SilentServer,
-    StorageServer,
-)
+from repro.storage.server import RateLimitedServer, StorageServer
 from repro.storage.stamping import writer_fleet
 from repro.storage.writer import StorageWriter
 
@@ -286,34 +279,6 @@ def _resolve_strategy(spec, rqs) -> Optional[Strategy]:
 
 
 # -- storage ------------------------------------------------------------------
-
-_STORAGE_BEHAVIORS = ("silent", "fabricating", "forgetful", "forget-qc2-ids")
-
-
-def _storage_server_factory(role: ByzantineRole) -> Callable[[Hashable], Any]:
-    if role.factory is not None:
-        return role.factory
-    if role.behavior == "silent":
-        return SilentServer
-    if role.behavior == "fabricating":
-        try:
-            ts, value = role.params["ts"], role.params["value"]
-        except KeyError as missing:
-            raise ScenarioError(
-                f"fabricating role for {role.process!r} needs "
-                f"params={{'ts': ..., 'value': ...}}; missing {missing}"
-            )
-        return lambda pid: FabricatingServer(pid, ts, value)
-    if role.behavior == "forgetful":
-        state = role.params.get("state")
-        return lambda pid, at=role.at: ForgetfulServer(pid, at, state)
-    if role.behavior == "forget-qc2-ids":
-        return lambda pid, at=role.at: QuorumForgettingServer(pid, at)
-    raise ScenarioError(
-        f"unknown storage Byzantine behavior {role.behavior!r}; "
-        f"built-ins: {', '.join(_STORAGE_BEHAVIORS)} (or pass factory=...)"
-    )
-
 
 class StorageAdapter(ProtocolAdapter):
     """Shared binding and scheduling for every read/write register
@@ -593,7 +558,7 @@ class RqsStorageAdapter(StorageAdapter):
                 "(lift one from a quorum expression, e.g. rqs='grid-hetero')"
             )
         factories = {
-            role.process: _storage_server_factory(role)
+            role.process: role.factory
             for role in spec.faults.byzantine_for(SERVER)
         }
         batched = [
@@ -812,25 +777,14 @@ class RqsConsensusAdapter(ConsensusAdapter):
         rqs = spec.resolved_rqs()
         if rqs is None:
             raise ScenarioError("rqs-consensus requires a quorum system")
-        acceptor_factories: Dict[Hashable, Any] = {}
-        for role in spec.faults.byzantine_for(ACCEPTOR):
-            if role.factory is None:
-                raise ScenarioError(
-                    f"acceptor Byzantine role {role.behavior!r} has no "
-                    f"built-in; pass factory=... (an Acceptor subclass)"
-                )
-            acceptor_factories[role.process] = role.factory
-        proposer_factories: Dict[int, Any] = {}
-        for role in spec.faults.byzantine_for(PROPOSER):
-            if role.factory is not None:
-                proposer_factories[role.process] = role.factory
-            elif role.behavior == "equivocating":
-                proposer_factories[role.process] = EquivocatingProposer
-            else:
-                raise ScenarioError(
-                    f"unknown proposer Byzantine behavior "
-                    f"{role.behavior!r}; built-ins: equivocating"
-                )
+        acceptor_factories = {
+            role.process: role.factory
+            for role in spec.faults.byzantine_for(ACCEPTOR)
+        }
+        proposer_factories = {
+            role.process: role.factory
+            for role in spec.faults.byzantine_for(PROPOSER)
+        }
         super().__init__(spec)
         self.rqs = rqs
         network, delta = self.network, spec.delta

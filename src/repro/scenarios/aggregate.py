@@ -6,10 +6,10 @@ A grid run (:func:`repro.scenarios.sweeps.run_grid`) produces one
 ``"violation"``, …) and a flat JSON-safe ``metrics`` mapping — and
 bundles them into a :class:`SweepResult`.
 
-The bundle is deliberately *portable*: every exported field survives a
-JSON or CSV round-trip bit-for-bit, and the canonical JSON rendering is
-byte-identical no matter which executor produced it (serial or
-multiprocessing), which is what makes sweep outputs diffable artifacts.
+The bundle is deliberately *portable*: every metric is a JSON-safe
+value, and the canonical JSON rendering is byte-identical no matter
+which executor produced it (serial or multiprocessing), which is what
+makes sweep outputs diffable artifacts.
 ``BENCH_*.json`` perf-trajectory files are written with
 :func:`write_bench_json`.
 
@@ -155,17 +155,6 @@ class CellResult:
             "error": self.error,
         }
 
-    @classmethod
-    def from_jsonable(cls, payload: Mapping[str, Any]) -> "CellResult":
-        return cls(
-            index=int(payload["index"]),
-            point=dict(payload["point"]),
-            ok=bool(payload["ok"]),
-            verdict=payload.get("verdict"),
-            metrics=dict(payload.get("metrics", {})),
-            error=payload.get("error"),
-        )
-
 
 # -- the aggregated table ------------------------------------------------------
 
@@ -175,8 +164,7 @@ class SweepResult:
 
     The table is queryable (:meth:`select`, :meth:`cell`,
     :meth:`verdict_counts`, :meth:`summarize`) and exportable
-    (:meth:`to_json` / :meth:`to_csv`), with lossless round-trips via
-    :meth:`from_json` and :meth:`cells_from_csv`.
+    (:meth:`to_json` / :meth:`to_csv`).
     """
 
     name: str
@@ -290,23 +278,6 @@ class SweepResult:
         """Canonical JSON — byte-identical across executor backends."""
         return json.dumps(self.to_jsonable(), indent=2, sort_keys=True) + "\n"
 
-    @classmethod
-    def from_jsonable(cls, payload: Mapping[str, Any]) -> "SweepResult":
-        return cls(
-            name=payload["sweep"],
-            axes=tuple(
-                (name, tuple(labels)) for name, labels in payload["axes"]
-            ),
-            cells=tuple(
-                CellResult.from_jsonable(c) for c in payload["cells"]
-            ),
-            metadata=dict(payload.get("metadata", {})),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SweepResult":
-        return cls.from_jsonable(json.loads(text))
-
     # -- CSV ------------------------------------------------------------------
 
     def metric_columns(self) -> Tuple[str, ...]:
@@ -342,38 +313,6 @@ class SweepResult:
                 ]
             )
         return buffer.getvalue()
-
-    @classmethod
-    def cells_from_csv(cls, text: str) -> Tuple[CellResult, ...]:
-        """Invert :meth:`to_csv` (cells only; the sweep name and axis
-        label inventory are not part of the CSV)."""
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        try:
-            ok_at = header.index("ok")
-            error_at = header.index("error")
-        except ValueError:
-            raise ScenarioError("not a sweep CSV: missing ok/error columns")
-        axis_names = header[1:ok_at]
-        metric_keys = header[error_at + 1:]
-        cells = []
-        for row in reader:
-            metrics = {
-                key: json.loads(cell)
-                for key, cell in zip(metric_keys, row[error_at + 1:])
-                if cell != ""
-            }
-            cells.append(
-                CellResult(
-                    index=int(row[0]),
-                    point=dict(zip(axis_names, row[1:ok_at])),
-                    ok=row[ok_at] == "true",
-                    verdict=row[ok_at + 1] or None,
-                    metrics=metrics,
-                    error=row[ok_at + 2] or None,
-                )
-            )
-        return tuple(cells)
 
 
 @dataclass(frozen=True)

@@ -7,30 +7,20 @@ the pre-GST lossy-channel regime of the consensus model).  Each
 ingredient is a small frozen dataclass, so plans compose by tuple
 concatenation and print as readable literals.
 
-The plan is purely declarative: adapters in
-:mod:`repro.scenarios.adapters` translate it into network
-:class:`~repro.sim.network.Rule` objects, ``schedule_crash`` calls and
-Byzantine process factories when the system is wired.
+The plan is purely declarative.  Its delivery rules —
+:class:`~repro.sim.network.Hold`, :class:`~repro.sim.network.Drop` and
+:class:`~repro.sim.network.Delay` — are the network's own rule type, and
+:meth:`FaultPlan.rules` hands them to it as written; a
+:class:`ByzantineRole` carries the process factory the adapter binds in
+place of the benign one; crashes become ``schedule_crash`` calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-    Union,
-)
+from dataclasses import dataclass
+from typing import Any, Callable, FrozenSet, Hashable, List, Mapping, Tuple, Union
 
-from repro.sim.network import Rule, delay_rule, drop_rule, hold_rule
+from repro.sim.network import Delay, Drop, Hold
 
 ProcessId = Hashable
 
@@ -56,26 +46,24 @@ PROPOSER = "proposer"
 
 @dataclass(frozen=True)
 class ByzantineRole:
-    """Assign a Byzantine behaviour to one process.
+    """Run one process as a Byzantine one.
 
-    ``behavior`` names a built-in strategy (resolved by the protocol
-    adapter; storage servers support ``"silent"``, ``"fabricating"``,
-    ``"forgetful"`` and ``"forget-qc2-ids"``, consensus proposers support
-    ``"equivocating"``) or a custom ``factory`` may be given — a callable
-    with the same signature as the protocol's benign process factory.
-    ``at`` is the trigger time for time-activated behaviours; ``params``
-    carries behaviour-specific arguments (e.g. the fabricated timestamp).
-    ``role`` disambiguates targets whose id spaces overlap: storage
-    servers (default), consensus acceptors, or consensus proposers
-    (addressed by index).
+    ``factory`` builds the process in place of the benign one, called
+    with the benign constructor's arguments: a protocol subclass, or a
+    ``functools.partial`` of one that fixes its own arguments —
+    ``SilentServer``,
+    ``partial(FabricatingServer, forged_ts=…, forged_value=…)``,
+    ``partial(ForgetfulServer, trigger_time=…, forged_state=…)``,
+    ``partial(QuorumForgettingServer, trigger_time=…)`` (all in
+    :mod:`repro.storage.server`) or ``EquivocatingProposer``.  ``role``
+    disambiguates targets whose id spaces overlap: storage servers
+    (default), consensus acceptors, or consensus proposers (addressed by
+    index).
     """
 
     process: ProcessId
-    behavior: str = ""
+    factory: Callable[..., Any]
     role: str = SERVER
-    at: float = 0.0
-    factory: Optional[Callable[..., Any]] = None
-    params: Mapping[str, Any] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -92,15 +80,6 @@ class Partition:
     until: float = float("inf")
     label: str = "partition"
 
-    def to_rules(self) -> List[Rule]:
-        left, right = frozenset(self.left), frozenset(self.right)
-        return [
-            hold_rule(src=left, dst=right, after=self.after,
-                      until=self.until, label=self.label),
-            hold_rule(src=right, dst=left, after=self.after,
-                      until=self.until, label=self.label),
-        ]
-
     def crossed_by(self, message: Any) -> bool:
         """Whether ``message`` was held by this partition (for healing:
         messages sent during the window are delivered when it ends,
@@ -110,62 +89,6 @@ class Partition:
             or (message.src in self.right and message.dst in self.left)
         )
         return crosses and self.after <= message.send_time < self.until
-
-
-@dataclass(frozen=True)
-class Hold:
-    """Keep matching messages in transit forever (asynchrony device)."""
-
-    src: Optional[Tuple[ProcessId, ...]] = None
-    dst: Optional[Tuple[ProcessId, ...]] = None
-    after: float = float("-inf")
-    until: float = float("inf")
-    payload: Optional[Callable[[Any], bool]] = None
-    label: str = ""
-
-    def to_rule(self) -> Rule:
-        return hold_rule(
-            src=self.src, dst=self.dst, after=self.after, until=self.until,
-            payload_predicate=self.payload, label=self.label,
-        )
-
-
-@dataclass(frozen=True)
-class Drop:
-    """Lose matching messages (the consensus model's lossy channels)."""
-
-    src: Optional[Tuple[ProcessId, ...]] = None
-    dst: Optional[Tuple[ProcessId, ...]] = None
-    after: float = float("-inf")
-    until: float = float("inf")
-    payload: Optional[Callable[[Any], bool]] = None
-    label: str = ""
-
-    def to_rule(self) -> Rule:
-        return drop_rule(
-            src=self.src, dst=self.dst, after=self.after, until=self.until,
-            payload_predicate=self.payload, label=self.label,
-        )
-
-
-@dataclass(frozen=True)
-class Delay:
-    """Deliver matching messages after a fixed ``delay`` instead of Δ."""
-
-    delay: float
-    src: Optional[Tuple[ProcessId, ...]] = None
-    dst: Optional[Tuple[ProcessId, ...]] = None
-    after: float = float("-inf")
-    until: float = float("inf")
-    payload: Optional[Callable[[Any], bool]] = None
-    label: str = ""
-
-    def to_rule(self) -> Rule:
-        return delay_rule(
-            self.delay,
-            src=self.src, dst=self.dst, after=self.after, until=self.until,
-            payload_predicate=self.payload, label=self.label,
-        )
 
 
 AsynchronyRule = Union[Hold, Drop, Delay]
@@ -220,27 +143,18 @@ class FaultPlan:
         object.__setattr__(self, "partitions", tuple(self.partitions))
         object.__setattr__(self, "asynchrony", tuple(self.asynchrony))
 
-    def rules(self) -> List[Rule]:
-        """The network rules realizing partitions and asynchrony."""
-        rules: List[Rule] = []
-        for partition in self.partitions:
-            rules.extend(partition.to_rules())
-        for schedule in self.asynchrony:
-            rules.append(schedule.to_rule())
+    def rules(self) -> List[AsynchronyRule]:
+        """The network's rules: each partition as a pair of holds (one
+        per direction), then the asynchrony rules as written."""
+        rules: List[AsynchronyRule] = []
+        for p in self.partitions:
+            left, right = frozenset(p.left), frozenset(p.right)
+            rules.append(Hold(src=left, dst=right, after=p.after,
+                              until=p.until, label=p.label))
+            rules.append(Hold(src=right, dst=left, after=p.after,
+                              until=p.until, label=p.label))
+        rules.extend(self.asynchrony)
         return rules
 
     def byzantine_for(self, role: str) -> Tuple[ByzantineRole, ...]:
         return tuple(b for b in self.byzantine if b.role == role)
-
-    @property
-    def byzantine_ids(self) -> FrozenSet[ProcessId]:
-        return frozenset(b.process for b in self.byzantine)
-
-    def merged(self, other: "FaultPlan") -> "FaultPlan":
-        """A plan combining this plan's faults with ``other``'s."""
-        return FaultPlan(
-            crashes=self.crashes + other.crashes,
-            byzantine=self.byzantine + other.byzantine,
-            partitions=self.partitions + other.partitions,
-            asynchrony=self.asynchrony + other.asynchrony,
-        )

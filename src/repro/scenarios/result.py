@@ -33,7 +33,7 @@ from functools import cached_property
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.analysis.consensus_check import ConsensusReport, check_consensus
-from repro.analysis.latency import LatencySummary, summarize_rounds
+from repro.analysis.latency import LatencySummary
 from repro.analysis.streaming import (
     OnlineRefusal,
     OnlineReport,
@@ -396,13 +396,6 @@ class RunResult(ResultSurface):
             key=repr,
         ))
 
-    def of_key(self, key: Hashable) -> Tuple[OperationRecord, ...]:
-        """This execution's operations on one register."""
-        return tuple(
-            r for r in self.records
-            if r.kind in ("write", "read") and r.key == key
-        )
-
     @cached_property
     def consensus(self) -> ConsensusReport:
         """Consensus verdict; Termination is checked against every
@@ -421,14 +414,15 @@ class RunResult(ResultSurface):
     def latency(self, kind: str) -> LatencySummary:
         """The latency summary for one operation kind.
 
-        Record-backed (exact quantiles) on FULL runs; falls through to
-        the streaming accumulator on streamed runs — the two paths
-        agree exactly whenever the accumulator's reservoir holds the
-        full stream.
+        On FULL runs the records are replayed through a fresh
+        accumulator that keeps them all (exact quantiles,
+        :meth:`LatencySummary.from_records`); streamed runs read the live
+        accumulator — the two agree exactly whenever its reservoir holds
+        the full stream.
         """
         if self.streamed:
             return self.latency_streaming(kind)
-        return summarize_rounds(self.records, kind)
+        return LatencySummary.from_records(self.records, kind)
 
     def latency_streaming(self, kind: str) -> LatencySummary:
         """The accumulator-backed summary (available at every mode)."""

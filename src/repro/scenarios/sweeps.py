@@ -18,8 +18,8 @@ Guarantees:
   :class:`~repro.scenarios.aggregate.CellResult` (``ok=False`` with the
   exception summarized) and every other cell still runs.
 * **Portability** — cell metrics are canonicalized to JSON-safe values
-  at measurement time, so results survive process boundaries and
-  JSON/CSV round-trips losslessly.
+  at measurement time, so results cross process boundaries and export
+  to JSON/CSV unchanged.
 
 Three hooks cover every experiment shape: ``build`` (grid point →
 ``ScenarioSpec``; defaults to applying spec-field axes onto ``base``),

@@ -13,21 +13,19 @@ from repro.sim.conditions import (
     Check,
     Condition,
     ConditionMap,
-    Counter,
     Event,
 )
 from repro.sim.simulator import Simulator
-from repro.sim.tasks import Sleep, Task, WaitUntil
+from repro.sim.tasks import Task, WaitUntil
 from repro.sim.network import (
     DROP,
     HOLD,
+    Delay,
+    Drop,
+    Hold,
     Message,
     Network,
-    Rule,
     TraceLevel,
-    delay_rule,
-    drop_rule,
-    hold_rule,
 )
 from repro.sim.process import Process
 from repro.sim.trace import OperationRecord, Trace
@@ -39,21 +37,18 @@ __all__ = [
     "Check",
     "Condition",
     "ConditionMap",
-    "Counter",
     "Event",
     "Simulator",
-    "Sleep",
     "Task",
     "TraceLevel",
     "WaitUntil",
     "Message",
     "Network",
-    "Rule",
+    "Hold",
+    "Drop",
+    "Delay",
     "HOLD",
     "DROP",
-    "delay_rule",
-    "drop_rule",
-    "hold_rule",
     "Process",
     "OperationRecord",
     "Trace",

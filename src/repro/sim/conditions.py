@@ -14,12 +14,10 @@ The catalogue, roughly in order of preference:
 * :class:`Event` — a one-way boolean flag ("decision learned").
   :meth:`Simulator.timer_at` hands out :class:`Timer` events for
   deadlines ("timer expired").
-* :class:`Counter` — a monotonically increasing count; wait on
-  :meth:`Counter.at_least` ("``n − t`` replies collected").
 * :class:`AckSet` — a growing responder-id set (a real ``set``
   subclass, so quorum code like ``q <= acks`` keeps working); wait on
-  :meth:`AckSet.at_least` or :meth:`AckSet.includes_quorum` ("acks
-  from some quorum").
+  :meth:`AckSet.at_least` ("``n − t`` replies collected") or
+  :meth:`AckSet.includes_quorum` ("acks from some quorum").
 * :class:`Check` — an arbitrary predicate that the owning process
   signals explicitly from the handlers that mutate its inputs.  The
   migration device for waits too entangled for the shapes above
@@ -36,16 +34,15 @@ corrupted interleavings).  Conditions whose inputs can only ever be
 mutated from simulator events (message handlers, timers) therefore
 wake tasks exactly when a loop re-polling every parked task would have.
 
-A count threshold (:meth:`Counter.at_least`, :meth:`AckSet.at_least`)
-signals once, when the count *crosses* it: a count only grows, so
-before the crossing the threshold is false and after it stays true —
-a signal anywhere else would re-poll a task only to leave it as it was.
-A container holds one threshold condition per ``needed`` (asking again
-returns the same object), so a responder set reused across rounds stays
-as small as its distinct thresholds.  :meth:`AckSet.includes_quorum`
+A count threshold (:meth:`AckSet.at_least`) signals once, when the set
+*reaches* it: a set only grows, so before then the threshold is false
+and after it stays true — a signal anywhere else would re-poll a task
+only to leave it as it was.  A set holds one threshold condition per
+``needed`` (asking again returns the same object), so a responder set
+reused across rounds stays as small as its distinct thresholds.  :meth:`AckSet.includes_quorum`
 waits (a :class:`Check`) and composites keep signalling on every change.
 
-Labels are for people: a container's, a threshold's, a timer's and a
+Labels are for people: a set's, a threshold's, a timer's and a
 composite's are formatted only when read (a ``repr``, a debugger), never
 on the simulated path.
 
@@ -127,10 +124,6 @@ class Event(Condition):
         super().__init__(label)
         self._set = False
 
-    @property
-    def is_set(self) -> bool:
-        return self._set
-
     def set(self) -> None:
         if not self._set:
             self._set = True
@@ -197,77 +190,10 @@ class IncludesQuorum(Check):
         return f"{self._acks.label} quorum"
 
 
-class Threshold(Condition):
-    """``counter.value >= needed`` (created via :meth:`Counter.at_least`;
-    signalled when the count crosses ``needed``)."""
-
-    __slots__ = ("_counter", "_needed")
-
-    def __init__(self, counter: "Counter", needed: int):
-        self._label = ""
-        self._sim = None
-        self._parents = None
-        self._counter = counter
-        self._needed = needed
-
-    @property
-    def label(self) -> str:
-        return f"{self._counter.label}>={self._needed}"
-
-    def holds(self) -> bool:
-        return self._counter.value >= self._needed
-
-
 def _format(template: str, key: Optional[Tuple]) -> str:
     """A container's label: ``template`` as given, or filled with the
     :class:`ConditionMap` key it was made for."""
     return template if key is None else template.format(*key)
-
-
-class Counter:
-    """A monotonically increasing count with threshold conditions."""
-
-    __slots__ = ("_label", "_key", "value", "_thresholds")
-
-    def __init__(self, label: str = "", key: Optional[Tuple] = None):
-        self._label = label
-        self._key = key
-        self.value = 0
-        self._thresholds: Dict[int, Threshold] = {}
-
-    @property
-    def label(self) -> str:
-        return _format(self._label, self._key)
-
-    def add(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counters only grow, got {amount}")
-        old = self.value
-        self.value = new = old + amount
-        for needed, threshold in self._thresholds.items():
-            if old < needed <= new:
-                threshold.signal()
-
-    def at_least(self, needed: int) -> Threshold:
-        """Wait for the count to reach ``needed`` (one condition per
-        ``needed``, signalled at the crossing)."""
-        threshold = self._thresholds.get(needed)
-        if threshold is None:
-            threshold = self._thresholds[needed] = Threshold(self, needed)
-        return threshold
-
-    def reset(self, label: str = "", key: Optional[Tuple] = None) -> None:
-        """Return the counter to its freshly-constructed state so a
-        :class:`ConditionMap` can recycle it for a new key.  Threshold
-        conditions are orphaned — their waiters must all have resumed
-        before the owning key is discarded (the pooling contract)."""
-        self._label = label
-        self._key = key
-        self.value = 0
-        self._thresholds.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Counter({self.label}={self.value})"
 
 
 class AckSet(set):
@@ -323,8 +249,10 @@ class AckSet(set):
 
     def reset(self, label: str = "", key: Optional[Tuple] = None) -> None:
         """Return the set to its freshly-constructed state so a
-        :class:`ConditionMap` can recycle it (see :meth:`Counter.reset`
-        for the pooling contract)."""
+        :class:`ConditionMap` can recycle it for a new key.  Threshold
+        and quorum conditions are orphaned — their waiters must all have
+        resumed before the owning key is discarded (the pooling
+        contract)."""
         self.clear()
         self._label = label
         self._key = key
@@ -356,7 +284,7 @@ class SizeAtLeast(Condition):
 class ConditionMap:
     """Lazy keyed factory for signalling containers.
 
-    Protocols keep one :class:`AckSet`/:class:`Counter` per logical key
+    Protocols keep one :class:`AckSet` per logical key
     (a timestamp, a round, a ballot); this wraps the get-or-create
     boilerplate in one place, and the container keeps the label
     template with its key (formatted only when read)::
@@ -365,8 +293,8 @@ class ConditionMap:
         ...
         self._acks(ts, rnd).add(src)
 
-    Discarded containers that expose a ``reset`` method (both built-in
-    factories do) are parked on a small free list and recycled by the
+    Discarded containers that expose a ``reset`` method (an
+    :class:`AckSet` does) are parked on a small free list and recycled by the
     next :meth:`__call__`, so a streaming client allocates O(pool) ack
     sets over a million-op run instead of one per operation.
     """

@@ -6,11 +6,14 @@ messages between correct processes delivered within ``Δ``), and — for
 consensus — lossy channels with eventual synchrony after ``GST``.
 
 This module models all of that with a single mechanism: a network holds a
-*default* latency and an ordered list of :class:`Rule` overrides.  Each
-rule matches messages by sender/receiver/payload/send-time and either
-delays them by a fixed amount, holds them **in transit forever** (the
-asynchrony device used by every indistinguishability proof), or drops
-them (lossy channels before GST).  The first matching rule wins.
+*default* latency and an ordered tuple of rules, fixed when it is built.
+Each rule matches messages by sender/receiver/payload/send-time and
+either delays them by a fixed amount (:class:`Delay`), holds them **in
+transit forever** (:class:`Hold`, the asynchrony device used by every
+indistinguishability proof), or drops them (:class:`Drop`, lossy
+channels before GST).  The first matching rule wins.  The three are the
+very literals a :class:`~repro.scenarios.faults.FaultPlan` is written
+with: the network matches on them as they are.
 
 Held messages are recorded (:attr:`Network.in_transit`) so experiments
 can assert what the adversary withheld, and can later be *released* to
@@ -42,8 +45,8 @@ message is dropped there (it still counts as delivered), and at
   predicates of relevant rules.  ``send`` / ``send_all`` look the
   channel up themselves and skip ``_resolve`` when it has no candidate
   (``_resolve`` builds the entry the first time it meets a channel);
-  rule-free networks skip matching entirely.  The cache is invalidated
-  by :meth:`Network.add_rule`.
+  rule-free networks skip matching entirely.  Rules are fixed at
+  construction, so an entry is never invalidated.
 * **Trace levels** — :class:`TraceLevel` says how much message history
   is retained.  ``FULL`` (the default) keeps the complete
   :attr:`Network.log` for verdicts, fingerprints and proof replays;
@@ -56,8 +59,11 @@ from __future__ import annotations
 
 import enum
 from heapq import heappush
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Hashable, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import (
+    Any, Callable, ClassVar, Collection, Dict, Hashable, List, Optional,
+    Sequence, Tuple, Union,
+)
 
 from repro.errors import SimulationError
 from repro.sim.simulator import Block, Simulator
@@ -119,120 +125,88 @@ class Message:
         return f"Message({self.src}->{self.dst}, {self.payload!r}, {state})"
 
 
-#: Sentinel outcomes for rules.
+#: The action of a :class:`Hold` and of a :class:`Drop` (a
+#: :class:`Delay`'s is its delay).
 HOLD = "hold"
 DROP = "drop"
 
 
-@dataclass
-class Rule:
-    """A latency override.
+class _Channels:
+    """What the three rules share.  A rule matches a message whose
+    sender is in ``src``, receiver in ``dst``, send time in ``[after,
+    until)`` and payload satisfies ``payload`` (each ``None`` = any).
+    ``src`` / ``dst`` are collections of process ids, never a bare
+    string — ``"writer"`` would be matched letter by letter, and the rule
+    would hold nothing."""
 
-    Matches when every provided criterion holds:
+    __slots__ = ()
 
-    * ``src`` / ``dst`` — sets of process ids (``None`` = any),
-    * ``after`` / ``until`` — send-time window ``[after, until)``,
-    * ``payload_predicate`` — arbitrary predicate on the payload.
+    def __post_init__(self) -> None:
+        for end in (self.src, self.dst):
+            if isinstance(end, str):
+                raise SimulationError(
+                    f"{type(self).__name__}: src/dst is a collection of "
+                    f"process ids, not the bare string {end!r}; write "
+                    f"({end!r},)"
+                )
 
-    ``action`` is a float delay, :data:`HOLD` (in transit forever, until
-    released), or :data:`DROP` (lost; consensus-model channels only).
-    A delay must be a number ``>= 0``: it is checked here, where it is
-    declared, so that no ``send`` can fail half-way on a bad rule.
-    """
 
-    action: Any
-    src: Optional[FrozenSet[ProcessId]] = None
-    dst: Optional[FrozenSet[ProcessId]] = None
+@dataclass(frozen=True)
+class Hold(_Channels):
+    """Keep matching messages in transit forever (asynchrony device)."""
+
+    action: ClassVar[str] = HOLD
+
+    src: Optional[Collection[ProcessId]] = None
+    dst: Optional[Collection[ProcessId]] = None
     after: float = float("-inf")
     until: float = float("inf")
-    payload_predicate: Optional[Callable[[Any], bool]] = None
+    payload: Optional[Callable[[Any], bool]] = None
+    label: str = ""
+
+
+@dataclass(frozen=True)
+class Drop(_Channels):
+    """Lose matching messages (the consensus model's lossy channels)."""
+
+    action: ClassVar[str] = DROP
+
+    src: Optional[Collection[ProcessId]] = None
+    dst: Optional[Collection[ProcessId]] = None
+    after: float = float("-inf")
+    until: float = float("inf")
+    payload: Optional[Callable[[Any], bool]] = None
+    label: str = ""
+
+
+@dataclass(frozen=True)
+class Delay(_Channels):
+    """Deliver matching messages after a fixed ``delay`` instead of Δ.
+
+    The delay must be a number ``>= 0``: it is checked here, where it is
+    written, so that no ``send`` can fail half-way on a bad rule; its
+    ``action`` is the delay as a float.
+    """
+
+    delay: float
+    src: Optional[Collection[ProcessId]] = None
+    dst: Optional[Collection[ProcessId]] = None
+    after: float = float("-inf")
+    until: float = float("inf")
+    payload: Optional[Callable[[Any], bool]] = None
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.action == HOLD or self.action == DROP:
-            return
+        super().__post_init__()
         try:
-            delay = float(self.action)
+            delay = float(self.delay)
         except (TypeError, ValueError):
             delay = float("nan")
         if not delay >= 0:  # negative or NaN
             raise SimulationError(
-                f"rule action must be a delay >= 0, {HOLD!r} or {DROP!r}; "
-                f"got {self.action!r}"
+                f"Delay must be a delay >= 0; got {self.delay!r}"
             )
-        self.action = delay
-
-    def matches(self, src: ProcessId, dst: ProcessId, payload: Any, time: float) -> bool:
-        if self.src is not None and src not in self.src:
-            return False
-        if self.dst is not None and dst not in self.dst:
-            return False
-        if not (self.after <= time < self.until):
-            return False
-        if self.payload_predicate is not None and not self.payload_predicate(payload):
-            return False
-        return True
-
-
-def hold_rule(
-    src: Optional[Any] = None,
-    dst: Optional[Any] = None,
-    after: float = float("-inf"),
-    until: float = float("inf"),
-    payload_predicate: Optional[Callable[[Any], bool]] = None,
-    label: str = "",
-) -> Rule:
-    """A rule keeping matching messages in transit (asynchrony device)."""
-    return Rule(
-        HOLD,
-        src=frozenset(src) if src is not None else None,
-        dst=frozenset(dst) if dst is not None else None,
-        after=after,
-        until=until,
-        payload_predicate=payload_predicate,
-        label=label,
-    )
-
-
-def delay_rule(
-    delay: float,
-    src: Optional[Any] = None,
-    dst: Optional[Any] = None,
-    after: float = float("-inf"),
-    until: float = float("inf"),
-    payload_predicate: Optional[Callable[[Any], bool]] = None,
-    label: str = "",
-) -> Rule:
-    """A rule applying a fixed delay to matching messages."""
-    return Rule(
-        delay,
-        src=frozenset(src) if src is not None else None,
-        dst=frozenset(dst) if dst is not None else None,
-        after=after,
-        until=until,
-        payload_predicate=payload_predicate,
-        label=label,
-    )
-
-
-def drop_rule(
-    src: Optional[Any] = None,
-    dst: Optional[Any] = None,
-    after: float = float("-inf"),
-    until: float = float("inf"),
-    payload_predicate: Optional[Callable[[Any], bool]] = None,
-    label: str = "",
-) -> Rule:
-    """A rule losing matching messages (consensus lossy-channel model)."""
-    return Rule(
-        DROP,
-        src=frozenset(src) if src is not None else None,
-        dst=frozenset(dst) if dst is not None else None,
-        after=after,
-        until=until,
-        payload_predicate=payload_predicate,
-        label=label,
-    )
+        object.__setattr__(self, "action", delay)
 
 
 class Network:
@@ -242,7 +216,7 @@ class Network:
         self,
         sim: Simulator,
         delta: float = 1.0,
-        rules: Optional[List[Rule]] = None,
+        rules: Sequence[Union[Hold, Drop, Delay]] = (),
         trace_level: Union[TraceLevel, str] = TraceLevel.FULL,
     ):
         if not delta > 0:  # also refuses NaN
@@ -254,7 +228,8 @@ class Network:
         #: records outlive their delivery (``log``, ``dropped``, the
         #: processes' ``delivered`` histories).
         self.full_trace = self.trace_level >= TraceLevel.FULL
-        self._rules: List[Rule] = list(rules or [])
+        #: The delivery rules, first match wins; fixed for the run.
+        self._rules = tuple(rules)
         self._processes: Dict[ProcessId, "object"] = {}
         self.log: List[Message] = []
         self.in_transit: List[Message] = []
@@ -267,8 +242,8 @@ class Network:
         self.dropped_count = 0
         self.held_count = 0
         # Rule resolution fast path: per-(src, dst) ordered sub-list of
-        # rules that could match that channel; invalidated by add_rule.
-        self._rule_index: Dict[Tuple[ProcessId, ProcessId], Tuple[Rule, ...]] = {}
+        # the rules that could match that channel.
+        self._rule_index: Dict[Tuple[ProcessId, ProcessId], tuple] = {}
 
     # -- wiring ---------------------------------------------------------------
 
@@ -283,25 +258,6 @@ class Network:
 
     def process(self, pid: ProcessId) -> Any:
         return self._processes[pid]
-
-    @property
-    def process_ids(self):
-        return tuple(self._processes)
-
-    @property
-    def rules(self) -> Tuple[Rule, ...]:
-        """The delivery rules, first-match-wins.
-
-        Read-only: rule resolution caches per-``(src, dst)`` candidate
-        lists, so all mutation must go through :meth:`add_rule` (which
-        invalidates the cache).
-        """
-        return tuple(self._rules)
-
-    def add_rule(self, rule: Rule) -> None:
-        """Prepend a rule (later-added rules take precedence)."""
-        self._rules.insert(0, rule)
-        self._rule_index.clear()
 
     # -- transport --------------------------------------------------------------
 
@@ -324,12 +280,6 @@ class Network:
                 return message
             delay = action
         deliver_time = now + delay
-        if deliver_time < now:
-            # Only a rule whose action was overwritten after its
-            # construction-time check gets here.
-            raise SimulationError(
-                f"cannot schedule in the past: {deliver_time} < now={now}"
-            )
         message.deliver_time = deliver_time
         # One queue entry per delivery, in ``Simulator.call_at``'s shape
         # and numbering.
@@ -372,12 +322,6 @@ class Network:
                         self._withhold(message, action)
                         continue
                     deliver_time = now + action
-                    if deliver_time < now:
-                        # See ``send``.
-                        raise SimulationError(
-                            f"cannot schedule in the past: "
-                            f"{deliver_time} < now={now}"
-                        )
                 message.deliver_time = deliver_time
                 entry = entries.get(deliver_time)
                 if entry is None:
@@ -409,13 +353,12 @@ class Network:
                 and (rule.dst is None or dst in rule.dst)
             )
             self._rule_index[src, dst] = candidates
-        # The index has matched the channel; what is left of
-        # ``Rule.matches`` is the send-time window and the predicate.
+        # The index has matched the channel; what is left to match is
+        # the send-time window and the payload predicate.
         time = message.send_time
         for rule in candidates:
             if rule.after <= time < rule.until and (
-                rule.payload_predicate is None
-                or rule.payload_predicate(message.payload)
+                rule.payload is None or rule.payload(message.payload)
             ):
                 return rule.action
         return self.delta

@@ -38,7 +38,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.conditions import Condition, Timer
-from repro.sim.tasks import Effect, Sleep, Task, WaitUntil
+from repro.sim.tasks import Effect, Task, WaitUntil
 
 #: "No argument": the ``arg`` slot of a queue entry whose action takes
 #: none (``None`` is a legitimate argument, e.g. ``release_held(None)``).
@@ -140,12 +140,10 @@ class Simulator:
         return task
 
     def _advance(self, task: Task) -> None:
-        """Step ``task`` until it blocks (Sleep/WaitUntil) or finishes."""
+        """Step ``task`` until it blocks (a ``WaitUntil`` whose condition
+        does not hold) or finishes."""
         effect = task.step(None)
         while effect is not None:
-            if isinstance(effect, Sleep):
-                self.call_later(effect.duration, self._advance, task)
-                return
             if isinstance(effect, WaitUntil):
                 if effect.ready():
                     effect = task.step(None)
@@ -335,10 +333,6 @@ class Simulator:
         """Every parked task, in park order."""
         parked = self._parked
         return tuple(sorted(parked, key=parked.__getitem__))
-
-    def waiter_count(self, condition: Condition) -> int:
-        """How many tasks are parked on ``condition`` (0 if none)."""
-        return len(self._waiters.get(condition, ()))
 
     def pending_events(self) -> int:
         """Events still queued — a :class:`Block` counts once per member."""

@@ -11,18 +11,15 @@ read like the paper's pseudocode::
             return "OK"
         ...
 
-Supported effects:
-
-* :class:`Sleep` — resume after a fixed amount of simulated time (no
-  protocol yields it: the storage algorithm's ``2Δ`` timeouts are
-  :meth:`~repro.sim.simulator.Simulator.timer_at` conditions inside a
-  ``WaitUntil``, and the election module's ``suspectTimeout`` is a
-  :meth:`~repro.sim.simulator.Simulator.call_later` callback).
-* :class:`WaitUntil` — park until an indexed
-  :class:`~repro.sim.conditions.Condition` (an ``Event``, ``Counter``
-  threshold, ``AckSet`` quorum, ``Timer``, explicit ``Check``, …)
-  holds: the simulator re-polls the task only when the condition is
-  *signalled*.
+The one effect is :class:`WaitUntil`: park until an indexed
+:class:`~repro.sim.conditions.Condition` (an ``Event``, an ``AckSet``
+threshold or quorum, a ``Timer``, an explicit ``Check``, …) holds; the
+simulator re-polls the task only when the condition is *signalled*.  A
+deadline is a condition too: the storage algorithm's ``2Δ`` timeouts
+wait on :meth:`~repro.sim.simulator.Simulator.timer_at` (inside an
+``AllOf`` with the quorum), a client's next start time on a bare one,
+and the election module's ``suspectTimeout`` is a
+:meth:`~repro.sim.simulator.Simulator.call_later` callback.
 
 A task finishes when its generator returns; the returned value is stored
 in :attr:`Task.result`.  Tasks wait on each other through a shared
@@ -39,20 +36,6 @@ from repro.sim.conditions import Condition
 
 class Effect:
     """Base class for objects protocol coroutines may ``yield``."""
-
-
-class Sleep(Effect):
-    """Resume the task after ``duration`` simulated time units."""
-
-    __slots__ = ("duration",)
-
-    def __init__(self, duration: float):
-        if not duration >= 0:  # negative or NaN
-            raise ValueError(f"sleep duration must be >= 0, got {duration}")
-        self.duration = duration
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Sleep({self.duration})"
 
 
 class WaitUntil(Effect):

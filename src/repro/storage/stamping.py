@@ -13,7 +13,7 @@ cannot drift:
   single-writer/multi-writer timestamp encoding choice.
 * :class:`DiscoveryInbox` — numbered pending-query bookkeeping for the
   discovery round's replies (dedup per sender, a signalling
-  :class:`~repro.sim.conditions.Counter` per query).
+  :class:`~repro.sim.conditions.AckSet` per query).
 * :func:`writer_fleet` — the writer-client naming/indexing convention
   (``writer``, ``writer2``, …; ``writer_id=None`` when the fleet is a
   single SWMR writer).

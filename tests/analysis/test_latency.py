@@ -1,6 +1,6 @@
 """Tests for latency accounting."""
 
-from repro.analysis.latency import summarize_rounds
+from repro.analysis.latency import LatencySummary
 from repro.scenarios import Crash, FaultPlan, Propose, ScenarioSpec, run
 from repro.sim.trace import Trace
 
@@ -10,7 +10,7 @@ def test_summarize_rounds():
     for rounds, duration in ((1, 2.0), (2, 4.0), (3, 6.0)):
         record = trace.begin("write", "w", 0.0, rounds)
         trace.complete(record, duration, "OK", rounds=rounds)
-    summary = summarize_rounds(trace.records, "write")
+    summary = LatencySummary.from_records(trace.records, "write")
     assert summary.count == 3
     assert (summary.min_rounds, summary.max_rounds) == (1, 3)
     assert summary.mean_rounds == 2.0
@@ -18,7 +18,7 @@ def test_summarize_rounds():
 
 
 def test_summarize_empty_kind():
-    summary = summarize_rounds([], "read")
+    summary = LatencySummary.from_records([], "read")
     assert summary.count == 0 and summary.mean_rounds is None
 
 

@@ -2,19 +2,52 @@
 and the windowed online checker."""
 
 import random
+from fractions import Fraction
+from statistics import mean
+from typing import Iterable
 
 import pytest
 
-from repro.analysis.latency import LatencySummary, summarize_rounds
+from repro.analysis.latency import LatencySummary
 from repro.analysis.streaming import (
+    RESERVOIR_CAPACITY,
     LatencyAccumulator,
     OnlineChecker,
     QuantileReservoir,
     check_history,
     nearest_rank,
 )
-from repro.sim.trace import Trace
+from repro.sim.trace import OperationRecord, Trace
 from repro.storage.history import BOTTOM
+
+
+# The list-based summary FULL runs used before they replayed their
+# records through an accumulator — verbatim, the reference of the
+# equality pins below.
+def summarize_rounds(
+    records: Iterable[OperationRecord], kind: str
+) -> LatencySummary:
+    """Aggregate the self-reported round counts of completed operations."""
+    done = [r for r in records if r.kind == kind and r.complete]
+    if not done:
+        return LatencySummary(kind, 0, None, None, None, None, None)
+    rounds = [r.rounds for r in done]
+    times = sorted(r.completed_at - r.invoked_at for r in done)
+    # Exact rational mean, like the streaming accumulator's running sum,
+    # so the two paths cannot drift by float-summation order.
+    mean_time = float(sum(map(Fraction, times)) / len(times))
+    return LatencySummary(
+        kind=kind,
+        count=len(done),
+        min_rounds=min(rounds),
+        max_rounds=max(rounds),
+        mean_rounds=round(mean(rounds), 3),
+        min_time=times[0],
+        max_time=times[-1],
+        mean_time=round(mean_time, 6),
+        p50_time=nearest_rank(times, 0.50),
+        p99_time=nearest_rank(times, 0.99),
+    )
 
 
 # -- quantiles & accumulators --------------------------------------------------
@@ -200,7 +233,27 @@ class TestLatencyAccumulator:
     def test_empty_matches_empty(self):
         assert (
             LatencySummary.from_accumulator(None, "write")
+            == LatencySummary.from_records([], "write")
             == summarize_rounds([], "write")
+        )
+
+    def test_replayed_records_match_the_list_based_summary(self):
+        """A FULL run's summary replays its records through a fresh
+        accumulator that holds them all: exact past the default
+        reservoir capacity, where a live accumulator would sample."""
+        trace = Trace()
+        rng = random.Random(5)
+        for index in range(RESERVOIR_CAPACITY + 500):
+            invoked = rng.uniform(0.0, 500.0)
+            record = trace.begin("write", "w", invoked)
+            trace.complete(
+                record, invoked + rng.uniform(0.5, 9.0), "OK",
+                rounds=rng.randint(1, 3),
+            )
+        trace.begin("write", "w", 600.0)       # incomplete: left out
+        assert (
+            LatencySummary.from_records(trace.records, "write")
+            == summarize_rounds(trace.records, "write")
         )
 
 

@@ -20,6 +20,7 @@ import hashlib
 import pytest
 
 from repro.consensus.messages import Prepare
+from repro.consensus.proposer import EquivocatingProposer
 from repro.experiments import baselines, consensus_latency, stress, theorem6
 from repro.scenarios import (
     PROPOSER,
@@ -54,7 +55,9 @@ SPECS = {
     "equivocating-proposer": ScenarioSpec(
         protocol="rqs-consensus", rqs="example6", proposers=2,
         faults=FaultPlan(
-            byzantine=(ByzantineRole(0, "equivocating", role=PROPOSER),)
+            byzantine=(
+                ByzantineRole(0, EquivocatingProposer, role=PROPOSER),
+            )
         ),
         workload=(Propose(0.0, "EVIL", proposer=0),
                   Propose(1.0, "GOOD", proposer=1)),

@@ -24,7 +24,7 @@ def test_decision_events_wake_waiters():
     # The watcher woke in the same instant the learner learned.
     assert task.done() and task.result == (learner.learned_at, "V")
     assert all(
-        acceptor.decided_event.is_set
+        acceptor.decided_event.holds()
         for acceptor in adapter.acceptors.values()
     )
 
@@ -32,9 +32,9 @@ def test_decision_events_wake_waiters():
 def test_events_unset_while_undecided():
     adapter = run(SPEC.with_(workload=())).adapter
     assert not any(
-        learner.learned_event.is_set for learner in adapter.learners
+        learner.learned_event.holds() for learner in adapter.learners
     )
     assert not any(
-        acceptor.decided_event.is_set
+        acceptor.decided_event.holds()
         for acceptor in adapter.acceptors.values()
     )

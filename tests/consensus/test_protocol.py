@@ -1,6 +1,7 @@
 """End-to-end tests for the RQS consensus protocol (Figures 9-15)."""
 
 from repro.consensus.acceptor import Acceptor
+from repro.consensus.proposer import EquivocatingProposer
 from repro.scenarios import (
     ACCEPTOR,
     PROPOSER,
@@ -68,7 +69,7 @@ class TestFaults:
         result = consensus(
             Propose(0.0, "V"), horizon=60.0,
             faults=FaultPlan(byzantine=(
-                ByzantineRole(8, role=ACCEPTOR, factory=SilentAcceptor),
+                ByzantineRole(8, SilentAcceptor, role=ACCEPTOR),
             )),
         )
         assert set(result.learned.values()) == {"V"}
@@ -79,7 +80,7 @@ class TestFaults:
             Propose(0.0, "EVIL", proposer=0),
             Propose(1.0, "GOOD", proposer=1),
             faults=FaultPlan(byzantine=(
-                ByzantineRole(0, "equivocating", role=PROPOSER),
+                ByzantineRole(0, EquivocatingProposer, role=PROPOSER),
             )),
         )
         learned = result.learned

@@ -137,11 +137,17 @@ def test_large_implies_basic(family, probe):
         assert adv.is_basic(probe)
 
 
+def explicit_threshold(ground_set, k):
+    """``B_k`` materialized explicitly, for cross-checking."""
+    threshold = ThresholdAdversary(ground_set, k)
+    return ExplicitAdversary(threshold.ground_set, threshold.maximal_sets())
+
+
 @given(k=st.integers(0, 4), probe=subset_strategy)
 @settings(max_examples=100, deadline=None)
 def test_threshold_matches_explicit_materialization(k, probe):
     threshold = ThresholdAdversary(SERVERS, k)
-    explicit = ExplicitAdversary.from_threshold(SERVERS, k)
+    explicit = explicit_threshold(SERVERS, k)
     assert threshold.contains(probe) == explicit.contains(probe)
     assert threshold.is_basic(probe) == explicit.is_basic(probe)
     if probe <= set(SERVERS):
@@ -159,7 +165,7 @@ def test_a_set_that_leaves_the_ground_set_has_one_answer():
         universe = servers + ("x",)
         for k in range(n + 1):
             threshold = ThresholdAdversary(servers, k)
-            explicit = ExplicitAdversary.from_threshold(servers, k)
+            explicit = explicit_threshold(servers, k)
             for size in range(len(universe) + 1):
                 for probe in map(frozenset, combinations(universe, size)):
                     answers = [

@@ -13,6 +13,25 @@ from repro.core.adversary import ThresholdAdversary
 from repro.errors import QuorumSystemError
 
 
+def naive_section12_quorums():
+    """The *broken* fast-quorum choice of Figure 1: fast = any 3 servers.
+
+    ``threshold_rqs(5,2,0,2,2)`` would reject this via Property 2
+    (``n = 5 ≤ t + 2k + 2q = 6``), which is exactly the paper's point.
+    """
+    return con.subsets_missing_at_most(con.default_servers(5), 2)
+
+
+def figure3_named_quorums() -> dict:
+    """The Figure 3 quorums by the paper's names."""
+    return {
+        "Q": frozenset({3, 4, 5, 6, 7}),
+        "Q'": frozenset({1, 2, 3, 4, 7, 8}),
+        "Q2": frozenset({1, 2, 3, 5, 6}),
+        "Q1": frozenset({2, 5, 6, 7, 8}),
+    }
+
+
 class TestQiFamilies:
     def test_subsets_missing_at_most(self):
         family = con.subsets_missing_at_most(range(1, 5), 1)
@@ -82,7 +101,7 @@ class TestNormalForm:
             assert len(set(family)) == len(family)
 
     def test_naive_section12_quorums_order(self):
-        family = con.naive_section12_quorums()
+        family = naive_section12_quorums()
         assert family == _old_key_order(family)
 
     def test_a_normalised_family_is_not_sorted_again(self):
@@ -109,7 +128,7 @@ def _enumerated_families():
             yield ExplicitAdversary(ground), con._tail_missing_at_most(
                 family, i // 2
             )
-    yield ExplicitAdversary(range(1, 6)), con.naive_section12_quorums()
+    yield ExplicitAdversary(range(1, 6)), naive_section12_quorums()
 
 
 def _families_with_masks():
@@ -298,7 +317,7 @@ class TestExample6:
 class TestPaperInstances:
     def test_figure3(self):
         rqs = con.figure3_rqs()
-        named = con.figure3_named_quorums()
+        named = figure3_named_quorums()
         assert rqs.is_valid()
         assert rqs.quorum_class(named["Q1"]) == 1
         assert rqs.quorum_class(named["Q2"]) == 2
@@ -334,7 +353,7 @@ class TestPaperInstances:
         from repro.core.adversary import ExplicitAdversary
 
         adv = ExplicitAdversary(con.default_servers(5))
-        quorums = con.naive_section12_quorums()
+        quorums = naive_section12_quorums()
         rqs = RefinedQuorumSystem(
             adv, quorums, qc1=quorums, qc2=quorums, validate=False
         )

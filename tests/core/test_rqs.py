@@ -118,12 +118,6 @@ class TestSelectionHelpers:
         second = rqs.some_responding_quorum(responders)
         assert first == second
 
-    def test_correct_quorum_avoids_faulty(self):
-        rqs = threshold_rqs(5, 1, 1, 0, 1)
-        quorum = rqs.correct_quorum({1})
-        assert quorum is not None and 1 not in quorum
-        assert rqs.correct_quorum({1, 2, 3}) is None
-
     def test_iteration_and_len(self):
         rqs = example7_rqs()
         assert len(rqs) == 3

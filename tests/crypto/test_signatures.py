@@ -45,12 +45,13 @@ def test_unhashable_content_is_canonicalized():
     assert same
 
 
-def test_verify_all_and_require():
+def test_verify_and_require():
     service = SignatureService()
     good = service.sign("a", 1)
     bad = Signed("b", 2)
-    assert service.verify_all([good])
-    assert not service.verify_all([good, bad])
+    assert service.verify(good)
+    assert not service.verify(bad)
+    service.require(good)
     with pytest.raises(ProtocolError):
         service.require(bad)
 

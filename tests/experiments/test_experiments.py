@@ -13,7 +13,7 @@ from repro.core.constructions import (
     threshold_rqs,
     threshold_rqs_predicted_valid,
 )
-from repro.core.properties import negate_property3
+from repro.core.properties import check_property3
 from repro.experiments import (
     baselines,
     batched,
@@ -118,7 +118,7 @@ class TestTheorem3:
         """The control: example6, the family the broken one is cut
         from, has no Property-3 negation witness at all."""
         control = threshold_rqs(8, 3, 1, 1, 2)
-        assert negate_property3(
+        assert check_property3(
             control.adversary, control.qc1, control.qc2, control.quorums
         ) is None
 

@@ -9,6 +9,8 @@ plans.  (Message counts and latencies legitimately differ — that is the
 point of batching.)
 """
 
+from functools import partial
+
 import pytest
 
 from repro.errors import CheckerError, ScenarioError
@@ -256,14 +258,14 @@ def test_byzantine_servers_reject_batching(batch_size):
     so a batched run would answer every ``ReadBatch`` honestly and the
     role would pass vacuously — refuse, naming both knobs."""
     from repro.scenarios.faults import ByzantineRole
+    from repro.storage.server import FabricatingServer
 
     spec = ScenarioSpec(
         protocol="rqs-storage",
         rqs="example6",
-        faults=FaultPlan(byzantine=(
-            ByzantineRole(8, "fabricating",
-                          params={"ts": 999, "value": "EVIL"}),
-        )),
+        faults=FaultPlan(byzantine=(ByzantineRole(8, partial(
+            FabricatingServer, forged_ts=999, forged_value="EVIL"
+        )),)),
         workload=(RandomMix(3, 3, horizon=10.0, batch_size=batch_size),),
         seed=1,
     )

@@ -19,6 +19,7 @@ required identical digests; the old loop is gone, its executions stay.
 """
 
 import hashlib
+from functools import partial
 
 import pytest
 
@@ -39,6 +40,7 @@ from repro.scenarios import (
     lossy_until_gst,
     run,
 )
+from repro.storage.server import FabricatingServer
 
 SPECS = {
     "rqs-storage-plain": ScenarioSpec(
@@ -52,8 +54,8 @@ SPECS = {
     "rqs-storage-byzantine": ScenarioSpec(
         protocol="rqs-storage", rqs="example6", readers=1,
         faults=FaultPlan(byzantine=(
-            ByzantineRole(8, "fabricating",
-                          params={"ts": 999, "value": "EVIL"}),)),
+            ByzantineRole(8, partial(
+                FabricatingServer, forged_ts=999, forged_value="EVIL")),)),
         workload=(Write(0.0, "good"), Read(5.0))),
     "rqs-storage-asynchrony": ScenarioSpec(
         protocol="rqs-storage", rqs="example6", readers=1,

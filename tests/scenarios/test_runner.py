@@ -1,7 +1,10 @@
 """Spec → run → verdict round-trips across protocols and fault plans."""
 
+from functools import partial
+
 import pytest
 
+from repro.consensus.proposer import EquivocatingProposer
 from repro.errors import CheckerError
 from repro.scenarios import (
     ByzantineRole,
@@ -20,6 +23,7 @@ from repro.scenarios import (
     run,
 )
 from repro.storage.history import BOTTOM
+from repro.storage.server import FabricatingServer
 from tests.analysis.test_register_checker_oracle import is_linearizable
 
 
@@ -69,10 +73,9 @@ class TestStorageRoundTrip:
             protocol="rqs-storage",
             rqs="example6",
             readers=1,
-            faults=FaultPlan(byzantine=(
-                ByzantineRole(8, "fabricating",
-                              params={"ts": 999, "value": "EVIL"}),
-            )),
+            faults=FaultPlan(byzantine=(ByzantineRole(8, partial(
+                FabricatingServer, forged_ts=999, forged_value="EVIL"
+            )),)),
             workload=(Write(0.0, "good"), Read(5.0)),
         ))
         assert result.read().result == "good"
@@ -156,7 +159,7 @@ class TestConsensusRoundTrip:
             protocol="rqs-consensus",
             rqs="example6",
             faults=FaultPlan(byzantine=(
-                ByzantineRole(0, "equivocating", role=PROPOSER),
+                ByzantineRole(0, EquivocatingProposer, role=PROPOSER),
             )),
             workload=(
                 Propose(0.0, "EVIL", proposer=0),

@@ -1,6 +1,9 @@
 """Tests for the spec-grid sweep engine (expansion, executors, export)."""
 
+import csv
 import doctest
+import io
+import json
 
 import pytest
 
@@ -11,7 +14,6 @@ from repro.scenarios import (
     RandomMix,
     Read,
     ScenarioSpec,
-    SweepResult,
     SweepSpec,
     Write,
     derive_seed,
@@ -316,21 +318,37 @@ class TestAnalyticSweeps:
 
 
 class TestAggregation:
-    def test_json_round_trip_is_lossless(self):
+    def test_json_carries_every_cell(self):
         sweep = run_grid(ACCEPTANCE_GRID)
-        restored = SweepResult.from_json(sweep.to_json())
-        assert restored == sweep
-        assert restored.to_json() == sweep.to_json()
+        payload = json.loads(sweep.to_json())
+        assert payload["cells"] == [
+            json.loads(json.dumps(cell.to_jsonable())) for cell in sweep.cells
+        ]
+        assert payload["verdicts"] == sweep.verdict_counts()
 
-    def test_csv_round_trip_is_lossless(self):
-        sweep = run_grid(ACCEPTANCE_GRID)
-        cells = SweepResult.cells_from_csv(sweep.to_csv())
-        assert cells == sweep.cells
+    @staticmethod
+    def _csv_rows(sweep):
+        rows = list(csv.DictReader(io.StringIO(sweep.to_csv())))
+        assert len(rows) == len(sweep.cells)
+        for row, cell in zip(rows, sweep.cells):
+            assert int(row["index"]) == cell.index
+            assert {a: row[a] for a in sweep.axis_names} == dict(cell.point)
+            assert (row["ok"] == "true") == cell.ok
+            assert (row["verdict"] or None, row["error"] or None) == (
+                cell.verdict, cell.error
+            )
+            assert {
+                key: json.loads(row[key])
+                for key in sweep.metric_columns() if row[key] != ""
+            } == dict(cell.metrics)
+        return rows
 
-    def test_csv_round_trips_failures_too(self):
-        sweep = run_grid(FAILING_GRID)
-        cells = SweepResult.cells_from_csv(sweep.to_csv())
-        assert cells == sweep.cells
+    def test_csv_carries_every_cell(self):
+        assert self._csv_rows(run_grid(ACCEPTANCE_GRID))
+
+    def test_csv_carries_failures_too(self):
+        rows = self._csv_rows(run_grid(FAILING_GRID))
+        assert any(row["ok"] == "false" and row["error"] for row in rows)
 
     def test_summarize_mean_p50_p99(self):
         sweep = run_grid(ANALYTIC_GRID)
@@ -424,7 +442,7 @@ class TestAggregation:
         sweep = run_grid(ANALYTIC_GRID)
         path = write_bench_json(sweep, tmp_path)
         assert path.name == "BENCH_analytic.json"
-        assert SweepResult.from_json(path.read_text()) == sweep
+        assert path.read_text() == sweep.to_json()
 
 
 class TestDocs:

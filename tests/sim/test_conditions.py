@@ -9,7 +9,6 @@ from repro.sim.conditions import (
     AnyOf,
     Check,
     ConditionMap,
-    Counter,
     Event,
 )
 from repro.sim.network import Network
@@ -44,23 +43,24 @@ class TestPrimitives:
         task = sim.spawn(coro())
         assert task.done() and task.result == "fast"
 
-    def test_counter_threshold(self):
+    def test_count_threshold(self):
         sim = Simulator()
-        counter = Counter("acks")
+        acks = AckSet("acks")
 
         def coro():
-            yield WaitUntil(counter.at_least(3))
-            return (sim.now, counter.value)
+            yield WaitUntil(acks.at_least(3))
+            return (sim.now, len(acks))
 
         task = sim.spawn(coro())
         for time in (1.0, 2.0, 5.0, 6.0):
-            sim.call_at(time, counter.add)
+            sim.call_at(time, acks.add, time)
         sim.run_to_completion()
         assert task.result == (5.0, 3)
 
-    def test_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter().add(-1)
+    def test_one_threshold_condition_per_needed(self):
+        acks = AckSet()
+        assert acks.at_least(2) is acks.at_least(2)
+        assert acks.at_least(2) is not acks.at_least(3)
 
     def test_ackset_is_a_real_set(self):
         acks = AckSet("r1")
@@ -127,16 +127,16 @@ class TestPrimitives:
 
     def test_allof_combinator(self):
         sim = Simulator()
-        counter = Counter()
+        acks = AckSet()
         timer_done = []
 
         def coro():
             timer = sim.timer_at(5.0)
-            yield WaitUntil(AllOf(timer, counter.at_least(1)), "both")
+            yield WaitUntil(AllOf(timer, acks.at_least(1)), "both")
             timer_done.append(sim.now)
 
         sim.spawn(coro())
-        sim.call_at(1.0, counter.add)  # quorum early, timer late
+        sim.call_at(1.0, acks.add, "a")  # quorum early, timer late
         sim.run_to_completion()
         assert timer_done == [5.0]
 
@@ -158,7 +158,7 @@ class TestPrimitives:
         sim = Simulator()
         sim.call_at(5.0, lambda: None)
         sim.run_to_completion()
-        assert sim.timer_at(3.0).is_set
+        assert sim.timer_at(3.0).holds()
 
     def test_labels_are_derived_when_read(self):
         sim = Simulator()
@@ -168,20 +168,21 @@ class TestPrimitives:
         wait = WaitUntil(AllOf(sim.timer_at(2.0), acks.at_least(3)))
         assert wait.label == "t>=2.0 & acks 7>=3"
         assert WaitUntil(either, "own").label == "own"
-        assert ConditionMap(Counter, "n={}")(1).at_least(2).label == "n=1>=2"
+        assert ConditionMap(AckSet, "n={}")(1).at_least(2).label == "n=1>=2"
 
 
 class TestWaitSetIndex:
     def test_spurious_signal_leaves_task_parked(self):
         sim = Simulator()
-        counter = Counter()
+        acks = AckSet()
+        quorum = acks.includes_quorum(lambda got: len(got) >= 2)
 
         def coro():
-            yield WaitUntil(counter.at_least(2))
+            yield WaitUntil(quorum)
             return sim.now
 
         task = sim.spawn(coro())
-        sim.call_at(1.0, counter.add)  # signal fires, holds() is false
+        sim.call_at(1.0, acks.add, "a")  # signal fires, holds() is false
         sim.run_to_completion(strict=False)
         assert not task.done()
         assert len(sim.blocked_tasks()) == 1
@@ -191,14 +192,14 @@ class TestWaitSetIndex:
         deadlock a task that parks on it later in that instant — parking
         re-checks holds() before indexing the waiter."""
         sim = Simulator()
-        counter = Counter()
+        acks = AckSet()
         results = []
 
         def waiter():
-            yield WaitUntil(counter.at_least(1))
+            yield WaitUntil(acks.at_least(1))
             results.append(sim.now)
 
-        sim.call_at(2.0, counter.add)                      # seq 0 at t=2
+        sim.call_at(2.0, acks.add, "a")                    # seq 0 at t=2
         sim.call_at(2.0, lambda: sim.spawn(waiter()))      # seq 1 at t=2
         sim.run_to_completion()
         assert results == [2.0]
@@ -214,11 +215,11 @@ class TestWaitSetIndex:
 
         for tag in ("a", "b", "c"):
             sim.spawn(waiter(tag))
-        assert sim.waiter_count(event) == 3
+        assert len(sim.blocked_tasks()) == 3
         sim.call_at(1.0, event.set)
         sim.run_to_completion()
         assert order == ["a", "b", "c"]
-        assert sim.waiter_count(event) == 0
+        assert sim.blocked_tasks() == ()
 
     def test_same_instant_wakes_follow_park_order_not_signal_order(self):
         """Tasks on different conditions signalled in reverse park
@@ -331,10 +332,10 @@ class TestWaitSetIndex:
 
     def test_release_held_into_signalled_condition(self):
         """Messages released from in-transit wake an AckSet waiter."""
-        from repro.sim.network import hold_rule
+        from repro.sim.network import Hold
 
         sim = Simulator()
-        net = Network(sim, delta=1.0, rules=[hold_rule(dst=("c",))])
+        net = Network(sim, delta=1.0, rules=[Hold(dst=("c",))])
         acks = AckSet()
 
         class Client(Process):

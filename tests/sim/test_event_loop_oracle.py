@@ -16,8 +16,10 @@ loop over ``send``, one ``(time, seq, fn, message)`` entry per
 destination, ``_resolve`` on every send of a network with rules, ``run``
 popping one entry per event, ``pending_events()`` the length of the
 heap, ``_deliver`` handing the message to ``Process.receive`` (the crash
-drop and the FULL record there), and the wake pass sweeping the whole
-park-order list.  Both worlds execute the same script (timers, singles
+drop and the FULL record there), the wake pass sweeping the whole
+park-order list — and the network's rules the mutable ``Rule`` records
+the fault plan's ``Hold`` / ``Drop`` / ``Delay`` literals used to be
+converted into, matched by ``Rule.matches``.  Both worlds execute the same script (timers, singles
 and broadcasts under delay/hold/drop rules that split a broadcast, two
 senders broadcasting into one instant, zero-delay sends and
 ``release_held`` landing on a block's instant, receivers crashed between
@@ -38,17 +40,23 @@ comparison.
 
 import heapq
 from collections import namedtuple
+from dataclasses import dataclass
 from heapq import heappush
+from typing import Any, Callable, FrozenSet, Hashable, Optional
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.conditions import Check, Counter
-from repro.sim.network import DROP, HOLD, Message, Network, Rule, TraceLevel
+from repro.sim.conditions import AckSet, Check
+from repro.sim.network import (
+    DROP, HOLD, Delay, Drop, Hold, Message, Network, TraceLevel,
+)
 from repro.sim.process import Process
 from repro.sim.simulator import _NO_ARG, Block, Simulator
-from repro.sim.tasks import Sleep, WaitUntil
+from repro.sim.tasks import WaitUntil
+
+ProcessId = Hashable
 
 PIDS = ("a", "b", "c", "d")
 GATES = 3
@@ -157,6 +165,56 @@ class ReferenceSimulator(Simulator):
         return tuple(self._park_order)
 
 
+@dataclass
+class Rule:
+    """A latency override.
+
+    Matches when every provided criterion holds:
+
+    * ``src`` / ``dst`` — sets of process ids (``None`` = any),
+    * ``after`` / ``until`` — send-time window ``[after, until)``,
+    * ``payload_predicate`` — arbitrary predicate on the payload.
+
+    ``action`` is a float delay, :data:`HOLD` (in transit forever, until
+    released), or :data:`DROP` (lost; consensus-model channels only).
+    A delay must be a number ``>= 0``: it is checked here, where it is
+    declared, so that no ``send`` can fail half-way on a bad rule.
+    """
+
+    action: Any
+    src: Optional[FrozenSet[ProcessId]] = None
+    dst: Optional[FrozenSet[ProcessId]] = None
+    after: float = float("-inf")
+    until: float = float("inf")
+    payload_predicate: Optional[Callable[[Any], bool]] = None
+    label: str = ""
+
+    def __post_init__(self) -> None:
+        if self.action == HOLD or self.action == DROP:
+            return
+        try:
+            delay = float(self.action)
+        except (TypeError, ValueError):
+            delay = float("nan")
+        if not delay >= 0:  # negative or NaN
+            raise SimulationError(
+                f"rule action must be a delay >= 0, {HOLD!r} or {DROP!r}; "
+                f"got {self.action!r}"
+            )
+        self.action = delay
+
+    def matches(self, src: ProcessId, dst: ProcessId, payload: Any, time: float) -> bool:
+        if self.src is not None and src not in self.src:
+            return False
+        if self.dst is not None and dst not in self.dst:
+            return False
+        if not (self.after <= time < self.until):
+            return False
+        if self.payload_predicate is not None and not self.payload_predicate(payload):
+            return False
+        return True
+
+
 def receive(process, message):
     """``Process.receive``: the network's entry point into a process."""
     if process.crashed:
@@ -248,14 +306,14 @@ class Echo(Process):
     def __init__(self, pid, log):
         super().__init__(pid)
         self.log = log
-        self.got = Counter(f"got@{pid}")
+        self.got = AckSet(f"got@{pid}")      # one member per delivery
 
     def on_message(self, message):
         kind, key = message.payload
         self.log.append((
             self.sim.now, "deliver", message.src, message.dst, message.payload,
         ))
-        self.got.add()
+        self.got.add(len(self.got))
         if kind == "req":
             self.send(message.src, Payload("ack", key))
         elif kind == "fan":
@@ -273,9 +331,12 @@ class World:
     def __init__(self, sim_cls, net_cls, script, trace_level):
         self.log = []
         self.sim = sim_cls()
+        # The reference converts each spec to a Rule; the network under
+        # test takes the fault plan's own literal.
+        make = Rule if issubclass(net_cls, ReferenceNetwork) else literal
         self.net = net_cls(
             self.sim, delta=script["delta"],
-            rules=[Rule(*spec) for spec in script["rules"]],
+            rules=[make(*spec) for spec in script["rules"]],
             trace_level=trace_level,
         )
         self.procs = {pid: Echo(pid, self.log).bind(self.net) for pid in PIDS}
@@ -301,7 +362,7 @@ class World:
         while True:
             seen += 2
             yield WaitUntil(process.got.at_least(seen))
-            self.log.append((self.sim.now, "wake", pid, None, process.got.value))
+            self.log.append((self.sim.now, "wake", pid, None, len(process.got)))
             process.send(PIDS[0], Payload("woke", seen))
 
     def programmed(self, name, stages):
@@ -329,7 +390,7 @@ class World:
             elif action == "send":
                 self.procs[PIDS[gate]].send(PIDS[other], Payload("req", gate))
             elif action == "sleep":
-                yield Sleep(0.5)
+                yield WaitUntil(self.sim.timer_at(self.sim.now + 0.5))
 
     def mark(self, handler, *rest):
         self.log.append((self.sim.now, handler) + rest)
@@ -355,15 +416,12 @@ class World:
     def do_crash(self, pid):
         return self.procs[pid].crash
 
-    def do_add_rule(self, *spec):
-        return lambda: self.net.add_rule(Rule(*spec))
-
     def do_sleeper(self, duration):
         def nap():
-            yield Sleep(duration)
+            yield WaitUntil(self.sim.timer_at(self.sim.now + duration))
             self.mark("slept", duration, None, None)
 
-        return lambda: self.sim.spawn(nap())
+        return lambda: self.sim.spawn(nap(), name=f"sleeper({duration})")
 
     def do_boom(self):
         def boom():
@@ -445,6 +503,17 @@ class World:
         return seen
 
 
+def literal(action, src=None, dst=None, after=float("-inf"),
+            until=float("inf")):
+    """The fault-plan literal a rule spec ``(action, src, dst, after,
+    until)`` is written as."""
+    if action == HOLD:
+        return Hold(src, dst, after, until)
+    if action == DROP:
+        return Drop(src, dst, after, until)
+    return Delay(action, src, dst, after, until)
+
+
 REFERENCE = (ReferenceSimulator, ReferenceNetwork)
 CURRENT = (Simulator, Network)
 
@@ -491,9 +560,6 @@ steps = st.one_of(
     broadcasts,
     st.tuples(st.just("release"), times, st.sampled_from((0, 0.0, 0.5, 3.0))),
     st.tuples(st.just("crash"), times, pids),
-    st.tuples(st.just("add_rule"), times, rule_specs).map(
-        lambda step: step[:2] + step[2]
-    ),
     st.tuples(st.just("sleeper"), times, st.sampled_from((0.0, 0.5, 2.0))),
     st.tuples(st.just("boom"), times),
 )
@@ -966,10 +1032,6 @@ def mutated_send(resolve_unseen_channels=True):
                 return message
             delay = action
         deliver_time = now + delay
-        if deliver_time < now:
-            raise SimulationError(
-                f"cannot schedule in the past: {deliver_time} < now={now}"
-            )
         message.deliver_time = deliver_time
         heappush(sim._queue, (deliver_time, sim._seq, self._deliver, message))
         sim._seq += 1
@@ -1018,11 +1080,6 @@ def mutated_send_all(one_block=False, held_and_dropped_ride_along=False,
                             continue
                     else:
                         deliver_time = now + action
-                        if deliver_time < now:
-                            raise SimulationError(
-                                f"cannot schedule in the past: "
-                                f"{deliver_time} < now={now}"
-                            )
                 message.deliver_time = deliver_time
                 key_time = "any" if one_block else deliver_time
                 entry = entries.get(key_time)

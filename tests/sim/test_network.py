@@ -1,18 +1,12 @@
 """Tests for the network transport and rule engine."""
 
+from functools import partial
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.scenarios.faults import Delay
-from repro.sim.network import (
-    DROP,
-    HOLD,
-    Network,
-    Rule,
-    delay_rule,
-    drop_rule,
-    hold_rule,
-)
+from repro.scenarios import FaultPlan
+from repro.sim.network import DROP, HOLD, Delay, Drop, Hold, Network
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 
@@ -26,7 +20,7 @@ class Sink(Process):
         self.seen.append((message.payload, self.sim.now))
 
 
-def make_net(rules=None, delta=1.0):
+def make_net(rules=(), delta=1.0):
     sim = Simulator()
     net = Network(sim, delta=delta, rules=rules)
     a = Sink("a").bind(net)
@@ -65,20 +59,20 @@ class TestTransport:
 
 class TestRules:
     def test_delay_rule(self):
-        sim, net, a, b = make_net([delay_rule(5.0, src={"a"})])
+        sim, net, a, b = make_net([Delay(5.0, src=("a",))])
         net.send("a", "b", "slow")
         sim.run_to_completion()
         assert b.seen == [("slow", 5.0)]
 
     def test_drop_rule(self):
-        sim, net, a, b = make_net([drop_rule(dst={"b"})])
+        sim, net, a, b = make_net([Drop(dst=("b",))])
         message = net.send("a", "b", "lost")
         sim.run_to_completion()
         assert message.dropped and b.seen == []
         assert net.dropped == [message]
 
     def test_hold_and_release(self):
-        sim, net, a, b = make_net([hold_rule(dst={"b"})])
+        sim, net, a, b = make_net([Hold(dst=("b",))])
         message = net.send("a", "b", "held")
         sim.run_to_completion()
         assert message.held and b.seen == []
@@ -88,7 +82,7 @@ class TestRules:
         assert b.seen == [("held", 0.0)]
 
     def test_release_with_predicate(self):
-        sim, net, a, b = make_net([hold_rule(dst={"b"})])
+        sim, net, a, b = make_net([Hold(dst=("b",))])
         net.send("a", "b", "one")
         net.send("a", "b", "two")
         released = net.release_held(lambda m: m.payload == "two")
@@ -98,7 +92,7 @@ class TestRules:
         assert len(net.in_transit) == 1
 
     def test_time_window_rules(self):
-        sim, net, a, b = make_net([drop_rule(after=0.0, until=5.0)])
+        sim, net, a, b = make_net([Drop(after=0.0, until=5.0)])
         net.send("a", "b", "early")
         sim.run(until=6.0)
         net.send("a", "b", "late")
@@ -107,16 +101,15 @@ class TestRules:
 
     def test_payload_predicate(self):
         sim, net, a, b = make_net(
-            [hold_rule(payload_predicate=lambda p: p == "secret")]
+            [Hold(payload=lambda p: p == "secret")]
         )
         net.send("a", "b", "secret")
         net.send("a", "b", "public")
         sim.run_to_completion()
         assert [p for p, _ in b.seen] == ["public"]
 
-    def test_later_rules_take_precedence(self):
-        sim, net, a, b = make_net([delay_rule(5.0)])
-        net.add_rule(delay_rule(2.0))
+    def test_first_matching_rule_wins(self):
+        sim, net, a, b = make_net([Delay(2.0), Delay(5.0)])
         net.send("a", "b", "x")
         sim.run_to_completion()
         assert b.seen == [("x", 2.0)]
@@ -127,23 +120,23 @@ class TestDelaysAreValidatedWhereDeclared:
 
     @pytest.mark.parametrize("bad", [-2.0, float("nan"), "later", None])
     def test_a_negative_or_non_numeric_delay_is_refused_at_the_rule(self, bad):
-        # At the parent delay_rule(-2.0, src=["a"]) was accepted and the
-        # first matching send at now=5 raised after logging the message.
+        # The literal itself raises where it is written, not when an
+        # adapter builds the network or a matching send runs.
         with pytest.raises(SimulationError):
-            Rule(bad, src=frozenset("a"))
-        with pytest.raises(SimulationError):
-            Delay(bad).to_rule()                   # the FaultPlan path
+            Delay(bad, src=("a",))
 
     def test_delay_rule_refuses_a_negative_delay(self):
         with pytest.raises(SimulationError):
-            delay_rule(-2.0, src=["a"])
+            Delay(-2.0, src=["a"])
 
     def test_rule_accepts_every_declared_action(self):
-        assert Rule(HOLD).action == HOLD and Rule(DROP).action == DROP
-        assert Rule(0).action == 0.0 and isinstance(Rule(2).action, float)
+        assert Hold().action == HOLD and Drop().action == DROP
+        assert Delay(0).action == 0.0 and isinstance(Delay(2).action, float)
+        # The literal keeps what was written; the action is the float.
+        assert Delay(2).delay == 2 and repr(Delay(2)).startswith("Delay(delay=2,")
 
     def test_release_held_refuses_a_negative_delay_before_releasing(self):
-        sim, net, a, b = make_net([hold_rule(dst={"b"})])
+        sim, net, a, b = make_net([Hold(dst=("b",))])
         net.send("a", "b", "one")
         net.send("a", "b", "two")
         sim.run(until=5.0)
@@ -161,7 +154,7 @@ class TestDelaysAreValidatedWhereDeclared:
 
 class TestBroadcast:
     def test_send_all_is_that_many_sends_in_order(self):
-        sim, net, a, b = make_net([drop_rule(dst={"a"})])
+        sim, net, a, b = make_net([Drop(dst=("a",))])
         net.send_all("a", ["b", "a", "b"], "hi")
         assert [(m.src, m.dst, m.dropped) for m in net.log] == [
             ("a", "b", False), ("a", "a", True), ("a", "b", False),
@@ -176,20 +169,44 @@ class TestBroadcast:
             net.send_all("a", ["b", "ghost"], "hi")
 
 
+class TestChannelsAreCollections:
+    """``src`` / ``dst`` name processes by collection: a bare string
+    would be matched letter by letter and the rule would hold nothing."""
+
+    @pytest.mark.parametrize(
+        "rule", [Hold, Drop, partial(Delay, 1.0)], ids=["Hold", "Drop", "Delay"]
+    )
+    @pytest.mark.parametrize("end", ["src", "dst"])
+    def test_a_bare_string_end_is_refused(self, rule, end):
+        with pytest.raises(SimulationError, match=r"\('writer',\)"):
+            rule(**{end: "writer"})
+
+    def test_a_plan_holding_the_writer_by_name_is_refused(self):
+        # The vacuous adversary: this plan used to hold nothing, since
+        # "writer" matched as the set of its letters.
+        from repro.scenarios import Hold as PlanHold
+        with pytest.raises(SimulationError):
+            FaultPlan(asynchrony=(PlanHold(src="writer"),))
+
+    def test_the_plan_hands_its_own_literals_to_the_network(self):
+        held, slow = Hold(src=("writer",)), Delay(3.0, dst=(4,))
+        rules = FaultPlan(asynchrony=(held, slow)).rules()
+        assert rules[0] is held and rules[1] is slow
+
+
 class TestRuleIndex:
-    """The per-(src, dst) rule-resolution cache and its invalidation."""
+    """The per-(src, dst) rule-resolution cache."""
 
-    def test_add_rule_invalidates_cached_channels(self):
-        sim, net, a, b = make_net()
-        net.send("a", "b", "before")          # populates the (a, b) cache
+    def test_rules_are_fixed_at_construction(self):
+        declared = [Delay(2.0)]
+        sim, net, a, b = make_net(rules=declared)
+        declared.append(Drop())                 # no effect on the network
+        net.send("a", "b", "x")
         sim.run_to_completion()
-        net.add_rule(drop_rule(src=("a",)))
-        message = net.send("a", "b", "after")
-        assert message.dropped
-        assert net.dropped_count == 1
+        assert b.seen == [("x", 2.0)] and net.dropped_count == 0
 
-    def test_rules_attribute_is_read_only(self):
-        sim, net, a, b = make_net(rules=[delay_rule(2.0)])
-        assert len(net.rules) == 1
-        with pytest.raises(AttributeError):
-            net.rules = []
+    def test_a_channel_is_indexed_once(self):
+        sim, net, a, b = make_net([Drop(src=("b",)), Delay(2.0, dst=("b",))])
+        for _ in range(3):
+            net.send("a", "b", "x")
+        assert net._rule_index == {("a", "b"): (Delay(2.0, dst=("b",)),)}

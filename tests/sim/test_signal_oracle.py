@@ -1,18 +1,17 @@
 """Differential oracle for threshold signals.
 
-A count threshold (``AckSet.at_least``, ``Counter.at_least``) signals its
-waiters once, when the count crosses ``needed``, and a container keeps
-one threshold condition per ``needed``; ``includes_quorum`` waits and
-the ``AllOf`` / ``AnyOf`` composites above them keep signalling on every
-change, and a discovery query keeps its responder set beside its
-replies.  The containers that signalled every derived condition on every
-change — and made a new one per ``at_least`` call — live on *only here*,
-verbatim, as the ``Reference*`` classes below.  Both worlds run the same
-script (adds and duplicate adds, counter jumps over a threshold, several
-thresholds on one set, thresholds asked for twice, composites over
-timers, quorum checks, discovery queries and their late replies, keys
-discarded into the pool and recycled, tasks left parked) on one
-simulator each, and must agree after every simulated instant on the
+A count threshold (``AckSet.at_least``) signals its waiters once, when
+the set reaches ``needed`` members, and a set keeps one threshold
+condition per ``needed``; ``includes_quorum`` waits and the ``AllOf`` /
+``AnyOf`` composites above them keep signalling on every change, and a
+discovery query keeps its responder set beside its replies.  The
+containers that signalled every derived condition on every change — and
+made a new one per ``at_least`` call — live on *only here*, verbatim,
+as the ``Reference*`` classes below.  Both worlds run the same script
+(adds and duplicate adds, several thresholds on one set, thresholds
+asked for twice, composites over timers, quorum checks, discovery
+queries and their late replies, keys discarded into the pool and
+recycled, tasks left parked) on one simulator each, and must agree after every simulated instant on the
 order tasks woke in, on ``holds()`` of every condition a task waited on,
 on task results and on the distinct thresholds each live container
 holds.  Seeded bugs in the new containers must each be caught by the
@@ -33,7 +32,6 @@ from repro.sim.conditions import (
     Check,
     Condition,
     ConditionMap,
-    Counter,
     SizeAtLeast,
 )
 from repro.sim.simulator import Simulator
@@ -42,57 +40,6 @@ from repro.storage.stamping import DiscoveryInbox
 
 
 # -- the reference: a signal per change, a condition per call, verbatim -----
-
-class ReferenceThreshold(Condition):
-    """``counter.value >= needed`` (created via :meth:`ReferenceCounter.at_least`)."""
-
-    __slots__ = ("_counter", "_needed")
-
-    def __init__(self, counter: "ReferenceCounter", needed: int, label: str = ""):
-        super().__init__(label)
-        self._counter = counter
-        self._needed = needed
-
-    def holds(self) -> bool:
-        return self._counter.value >= self._needed
-
-
-class ReferenceCounter:
-    """A monotonically increasing count with derived wait conditions."""
-
-    __slots__ = ("label", "value", "_derived")
-
-    def __init__(self, label: str = ""):
-        self.label = label
-        self.value = 0
-        self._derived: List[Condition] = []
-
-    def add(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counters only grow, got {amount}")
-        self.value += amount
-        for condition in self._derived:
-            condition.signal()
-
-    def at_least(self, needed: int, label: str = "") -> ReferenceThreshold:
-        condition = ReferenceThreshold(
-            self, needed, label or f"{self.label}>={needed}"
-        )
-        self._derived.append(condition)
-        return condition
-
-    def reset(self, label: str = "") -> None:
-        """Return the counter to its freshly-constructed state so a
-        :class:`ReferenceConditionMap` can recycle it for a new key.  Derived
-        conditions are orphaned — their waiters must all have resumed
-        before the owning key is discarded (the pooling contract)."""
-        self.label = label
-        self.value = 0
-        self._derived.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ReferenceCounter({self.label or ''}={self.value})"
-
 
 class ReferenceAckSet(set):
     """A growing responder-id set that signals derived conditions.
@@ -138,8 +85,10 @@ class ReferenceAckSet(set):
 
     def reset(self, label: str = "") -> None:
         """Return the set to its freshly-constructed state so a
-        :class:`ReferenceConditionMap` can recycle it (see :meth:`ReferenceCounter.reset`
-        for the pooling contract)."""
+        :class:`ReferenceConditionMap` can recycle it for a new key.
+        Derived conditions are orphaned — their waiters must all have
+        resumed before the owning key is discarded (the pooling
+        contract)."""
         self.clear()
         self.label = label
         self._derived.clear()
@@ -162,7 +111,7 @@ class ReferenceSizeAtLeast(Condition):
 class ReferenceConditionMap:
     """Lazy keyed factory for signalling containers.
 
-    Protocols keep one :class:`ReferenceAckSet`/:class:`ReferenceCounter` per logical key
+    Protocols keep one :class:`ReferenceAckSet` per logical key
     (a timestamp, a round, a ballot); this wraps the get-or-create
     boilerplate and the label formatting in one place::
 
@@ -298,10 +247,10 @@ def current_derived(container):
     return sorted(container._thresholds), len(getattr(container, "_checks", ()))
 
 
-Impl = namedtuple("Impl", "ack_set counter condition_map inbox derived")
-REFERENCE = Impl(ReferenceAckSet, ReferenceCounter, ReferenceConditionMap,
+Impl = namedtuple("Impl", "ack_set condition_map inbox derived")
+REFERENCE = Impl(ReferenceAckSet, ReferenceConditionMap,
                  ReferenceDiscoveryInbox, reference_derived)
-CURRENT = Impl(AckSet, Counter, ConditionMap, DiscoveryInbox, current_derived)
+CURRENT = Impl(AckSet, ConditionMap, DiscoveryInbox, current_derived)
 
 
 class World:
@@ -312,7 +261,6 @@ class World:
         self.impl = impl
         self.sim = Simulator()
         self.acks = impl.condition_map(impl.ack_set, "acks {}")
-        self.counts = impl.condition_map(impl.counter, "count {}")
         self.inbox = impl.inbox("query#{}")
         self.log = []
         self.waited = []       # every condition a client waited on
@@ -324,15 +272,13 @@ class World:
     def condition(self, wait, key, k):
         if wait == "size":
             return self.acks(key).at_least(k)
-        if wait == "count":
-            return self.counts(key).at_least(k)
         if wait == "quorum":
             return self.acks(key).includes_quorum(contains_quorum)
         if wait == "timer":
             return AllOf(self.sim.timer_at(self.sim.now + k),
                          self.acks(key).at_least(2))
         assert wait == "either"
-        return AnyOf(self.counts(key).at_least(k),
+        return AnyOf(self.acks(key).at_least(k),
                      self.acks(key).includes_quorum(contains_quorum))
 
     def client(self, name, plan):
@@ -352,7 +298,7 @@ class World:
                 replies = self.inbox.close(number)
                 self.log.append((self.sim.now, name, sorted(replies.items())))
             elif retire:
-                (self.counts if wait == "count" else self.acks).discard(key)
+                self.acks.discard(key)
         return woke
 
     # Script steps: each returns the zero-argument action run at its time.
@@ -360,11 +306,8 @@ class World:
     def do_add(self, key, member):
         return lambda: self.acks(key).add(member)
 
-    def do_bump(self, key, amount):
-        return lambda: self.counts(key).add(amount)
-
-    def do_discard(self, which, key):
-        return lambda: getattr(self, which).discard(key)
+    def do_discard(self, key):
+        return lambda: self.acks.discard(key)
 
     def do_reply(self, number, sender):
         return lambda: self.inbox.record(number, sender, f"from {sender}")
@@ -383,8 +326,7 @@ class World:
 
     def containers(self, keyed):
         return [
-            (key, sorted(item) if isinstance(item, set) else item.value,
-             self.impl.derived(item))
+            (key, sorted(item), self.impl.derived(item))
             for key, item in sorted(keyed._items.items())
         ]
 
@@ -398,8 +340,7 @@ class World:
             "results": [(task.done(), task.result) for task in self.tasks
                         if task is not None],
             "acks": self.containers(self.acks),
-            "counts": self.containers(self.counts),
-            "pools": (len(self.acks._pool), len(self.counts._pool)),
+            "pool": len(self.acks._pool),
             "queries": sorted(self.inbox._pending),
         }
 
@@ -428,16 +369,14 @@ def differential(script, current=CURRENT):
 times = st.integers(0, 6)
 keys = st.integers(0, 1)
 waits = st.tuples(
-    st.sampled_from(("size", "size", "count", "quorum", "quorum", "timer",
+    st.sampled_from(("size", "size", "quorum", "quorum", "timer",
                      "either", "query")),
     keys, st.integers(0, 4), st.booleans(),
 )
 adds = st.tuples(st.just("add"), times, keys, st.integers(0, 3))
 events = st.one_of(
     adds, adds, adds,
-    st.tuples(st.just("bump"), times, keys, st.integers(0, 3)),
-    st.tuples(st.just("discard"), times, st.sampled_from(("acks", "counts")),
-              keys),
+    st.tuples(st.just("discard"), times, keys),
     st.tuples(st.just("reply"), times, st.integers(1, 2),
               st.sampled_from("abc")),
 )
@@ -465,12 +404,6 @@ SCRIPTS = {
         ("add", 1, 0, 0), ("add", 2, 0, 1), ("add", 3, 0, 1), ("add", 4, 0, 2),
         ("add", 5, 0, 3),
     ],
-    # 1 -> 3 jumps over 2 in one add; a zero add changes nothing.
-    "jump": [
-        ("spawn", 0, [("count", 0, 2, False), ("count", 0, 5, False)]),
-        ("bump", 1, 0, 1), ("bump", 2, 0, 0), ("bump", 3, 0, 2),
-        ("bump", 4, 0, 3),
-    ],
     # {1, 2, 3} is a quorum only once 1 arrives — the set's third member,
     # past every threshold but none reached exactly then.
     "quorum": [
@@ -486,7 +419,8 @@ SCRIPTS = {
         ("spawn", 1, [("either", 1, 3, False)]),
         ("spawn", 1, [("size", 0, 9, False)]),
         ("add", 2, 0, 0), ("add", 3, 0, 1), ("add", 3, 0, 4), ("add", 6, 0, 2),
-        ("bump", 7, 1, 3),
+        # Three members on key 1 at 7, none of them a quorum.
+        ("add", 7, 1, 3), ("add", 7, 1, 2), ("add", 7, 1, 0),
     ],
     # A retired set is recycled for the next key: it starts empty and with
     # none of its thresholds.
@@ -514,9 +448,6 @@ def test_scripted_flows_agree(name):
 def test_scripted_flows_exercise_what_they_claim():
     world, seen = observe(CURRENT, SCRIPTS["crossing"])
     assert world.log == [(4.0, "client0", "size", 0, 3)]
-
-    world, _ = observe(CURRENT, SCRIPTS["jump"])
-    assert [entry[0] for entry in world.log] == [3.0, 4.0]
 
     world, seen = observe(CURRENT, SCRIPTS["thresholds"])
     wakes = [(time, name) for time, name, *_ in world.log]
@@ -552,17 +483,6 @@ class SignalsOneEarly(AckSet):
             threshold = self._thresholds.get(len(self) + 1)
             if threshold is not None:
                 threshold.signal()
-
-
-class JumpNotSignalled(Counter):
-    """Signals only a threshold the count lands on exactly."""
-    __slots__ = ()
-
-    def add(self, amount=1):
-        self.value += amount
-        threshold = self._thresholds.get(self.value)
-        if threshold is not None:
-            threshold.signal()
 
 
 class ChecksSilenced(AckSet):
@@ -604,8 +524,6 @@ def with_ack_set(cls):
 
 MUTANTS = {
     "signal at needed - 1": (with_ack_set(SignalsOneEarly), "crossing"),
-    "jump over needed not signalled": (
-        CURRENT._replace(counter=JumpNotSignalled), "jump"),
     "Check-derived signals suppressed": (with_ack_set(ChecksSilenced),
                                         "quorum"),
     "one memo shared across k": (with_ack_set(OneMemoForAllK), "thresholds"),

@@ -10,7 +10,7 @@ from repro.scenarios import (
 )
 from repro.sim.conditions import Check, Event
 from repro.sim.simulator import Simulator
-from repro.sim.tasks import Sleep, WaitUntil
+from repro.sim.tasks import WaitUntil
 
 
 class TestScheduling:
@@ -75,13 +75,13 @@ class TestScheduling:
 
 
 class TestTasks:
-    def test_sleep_advances_time(self):
+    def test_waiting_on_a_timer_advances_time(self):
         sim = Simulator()
         times = []
 
         def coro():
             times.append(sim.now)
-            yield Sleep(3.0)
+            yield WaitUntil(sim.timer_at(sim.now + 3.0))
             times.append(sim.now)
             return "done"
 
@@ -89,10 +89,6 @@ class TestTasks:
         sim.run_to_completion()
         assert task.done() and task.result == "done"
         assert times == [0.0, 3.0]
-
-    def test_negative_sleep_rejected(self):
-        with pytest.raises(ValueError):
-            Sleep(-1.0)
 
     def test_wait_until_parks_and_wakes(self):
         sim = Simulator()
@@ -167,7 +163,7 @@ class TestTasks:
         sim = Simulator()
 
         def coro():
-            yield Sleep(1.0)
+            yield WaitUntil(sim.timer_at(1.0))
             raise RuntimeError("boom")
 
         task = sim.spawn(coro())
@@ -281,10 +277,6 @@ class TestNaNTimes:
             sim.timer_at(NAN)
         sim.run(max_events=10)
 
-    def test_sleep(self):
-        with pytest.raises(ValueError, match="nan"):
-            Sleep(NAN)
-
     @pytest.mark.parametrize("spec", [
         ScenarioSpec("abd", workload=(Write(0.0, "v"), Read(5.0)),
                      faults=FaultPlan(crashes=(Crash(1, NAN),))),
@@ -312,9 +304,9 @@ def test_determinism_identical_runs():
         log = []
 
         def worker(name, delay):
-            yield Sleep(delay)
+            yield WaitUntil(sim.timer_at(sim.now + delay))
             log.append((name, sim.now))
-            yield Sleep(delay)
+            yield WaitUntil(sim.timer_at(sim.now + delay))
             log.append((name, sim.now))
 
         sim.spawn(worker("a", 1.5))

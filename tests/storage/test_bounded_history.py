@@ -15,6 +15,8 @@ Three layers:
   retaining strictly fewer history cells.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.scenarios import (
@@ -27,7 +29,7 @@ from repro.scenarios import (
 )
 from repro.storage.history import History, INITIAL_ENTRY, Pair
 from repro.storage.messages import WR, WrAck
-from repro.storage.server import StorageServer
+from repro.storage.server import ForgetfulServer, StorageServer
 from tests.scenarios.test_golden_fingerprints import (
     GOLDEN_FINGERPRINTS,
     SPECS,
@@ -244,7 +246,7 @@ class TestEndToEndInvisibility:
         spec = ScenarioSpec(
             "rqs-storage", rqs="example6", readers=2,
             faults=FaultPlan(byzantine=(
-                ByzantineRole(1, "forgetful", at=30.0),
+                ByzantineRole(1, partial(ForgetfulServer, trigger_time=30.0)),
             )),
             workload=(RandomMix(20, 20, horizon=60.0),),
             params={"bounded_history": True},

@@ -1,5 +1,7 @@
 """End-to-end tests for the RQS storage protocol (Figures 5-7)."""
 
+from functools import partial
+
 import pytest
 
 from repro.scenarios import (
@@ -14,10 +16,11 @@ from repro.scenarios import (
     run,
 )
 from repro.storage.history import BOTTOM
+from repro.storage.server import FabricatingServer, SilentServer
 
 EXAMPLE6 = "threshold:8,3,1,1,2"
 FABRICATING = ByzantineRole(
-    4, "fabricating", params={"ts": 999, "value": "EVIL"}
+    4, partial(FabricatingServer, forged_ts=999, forged_value="EVIL")
 )
 
 
@@ -123,7 +126,7 @@ class TestByzantineResilience:
     def test_silent_server_tolerated(self):
         result = storage(
             "pbft:1", Write(0.0, "v"), Read(10.0),
-            faults=FaultPlan(byzantine=(ByzantineRole(1, "silent"),)),
+            faults=FaultPlan(byzantine=(ByzantineRole(1, SilentServer),)),
         )
         write, read = result.write(), result.read()
         assert read.result == "v"
@@ -134,7 +137,7 @@ class TestByzantineResilience:
             "threshold:7,2,2,0,2", RandomMix(5, 8, horizon=50.0),
             readers=2, seed=3,
             faults=FaultPlan(byzantine=(ByzantineRole(
-                7, "fabricating", params={"ts": 50, "value": "EVIL"}
+                7, partial(FabricatingServer, forged_ts=50, forged_value="EVIL")
             ),)),
         )
         assert result.atomicity.atomic

@@ -50,6 +50,14 @@ cells.  It keeps no second representation of them — no dataclass — and
 runs no grid to fill one: only ``capacity.collect`` (the
 ``BENCH_quorums.json`` payload) and the ``__main__`` tables call
 ``run_grid``.
+
+The adversary is written once (ROADMAP invariant 1): the network
+matches on a ``FaultPlan``'s own ``Hold`` / ``Drop`` / ``Delay``
+literals — no second rule type, no factory converting them, no rule
+added after construction — and a ``ByzantineRole`` is a process and
+the factory that builds it (no behaviour names, no untyped params).  A
+count waits on an ``AckSet`` and a deadline on ``Simulator.timer_at``:
+``repro.sim`` exports no ``Counter`` and no ``Sleep`` effect.
 """
 
 import ast
@@ -191,6 +199,33 @@ def test_a_message_goes_straight_to_its_handler():
 
     assert not hasattr(Process, "receive")
     assert not hasattr(Simulator(), "_park_order")
+
+
+def test_the_fault_plans_rules_are_the_networks():
+    import repro.scenarios
+    from repro.sim import network
+
+    for retired in ("Rule", "hold_rule", "delay_rule", "drop_rule"):
+        assert not hasattr(network, retired), retired
+    assert not hasattr(network.Network, "add_rule")
+    for name in ("Hold", "Drop", "Delay"):
+        assert getattr(repro.scenarios, name) is getattr(network, name)
+
+
+def test_a_byzantine_role_is_a_process_factory():
+    from repro.scenarios import ByzantineRole
+
+    assert [field.name for field in dataclasses.fields(ByzantineRole)] == [
+        "process", "factory", "role",
+    ]
+
+
+def test_one_count_primitive_and_one_deadline():
+    import repro.sim
+
+    for retired in ("Sleep", "Counter"):
+        assert not hasattr(repro.sim, retired), retired
+        assert retired not in repro.sim.__all__
 
 
 def test_a_fan_out_is_a_send_all():
