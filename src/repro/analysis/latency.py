@@ -92,6 +92,6 @@ class LatencySummary:
         accumulator = LatencyAccumulator(kind, capacity=max(len(done), 1))
         for record in done:
             accumulator.observe(
-                record.rounds, record.completed_at - record.invoked_at
+                record.rounds, record.completed_at - record.invoked_at, 1
             )
         return cls.from_accumulator(accumulator, kind)

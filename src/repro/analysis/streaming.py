@@ -1,66 +1,45 @@
 """Online (streaming) analysis: latency accumulators and windowed checking.
 
-Long horizon-free runs cannot afford the "materialize everything, check
-at the end" pipeline — a million-operation soak would retain a million
-:class:`~repro.sim.trace.OperationRecord` objects plus a million latency
-samples before any checker even starts.  This module holds the streaming
-counterparts consumed as operations *complete*:
+A million-operation soak cannot retain a million
+:class:`~repro.sim.trace.OperationRecord` objects and latency samples
+for a checker that runs at the end.  This module holds the streaming
+counterparts, fed as operations begin and complete — one *wave* a call,
+the records one client begins or completes at one instant
+(:mod:`repro.sim.trace`):
 
 * :class:`LatencyAccumulator` — count/mean/min/max plus a fixed-size
-  quantile reservoir, fed one completed operation at a time.  Mean
-  accounting is exact (an integer running sum over the samples' common
-  denominator — the number a running ``Fraction`` would hold, exposed
-  as :attr:`LatencyAccumulator.time_sum`).  It is the one latency
-  summary: FULL runs replay their records through a fresh one
-  (:meth:`~repro.analysis.latency.LatencySummary.from_records`).
-* :class:`QuantileReservoir` — a bounded uniform sample of the latency
-  stream (deterministically seeded).  Below capacity it holds every
-  sample, so small-run quantiles are exact; above capacity it degrades
-  to a classic reservoir estimate with O(capacity) memory.
+  :class:`QuantileReservoir` (Vitter's algorithm R, seeded: exact below
+  capacity), taking a wave's identical samples in one call.  The mean
+  is exact: an integer running sum over the samples' common denominator
+  (:attr:`LatencyAccumulator.time_sum`).  FULL runs replay their
+  records through a fresh one
+  (:meth:`~repro.analysis.latency.LatencySummary.from_records`).  Both
+  carry an order-independent ``merge`` for sharded soaks
+  (:mod:`repro.scenarios.sharding`): the result depends only on the
+  multiset of parts, and is terminal (``observe`` on it raises).
+* :class:`OnlineChecker` — the one windowed per-key register checker,
+  single- and multi-writer alike.  The paper proves its storage atomic
+  by exhibiting the timestamp order as the linearization, and every
+  storage client surfaces that timestamp on ``record.meta["ts"]``, so
+  the checker is a Gibbons–Korach-style check over the total stamp
+  order (the rules: its class docstring).  The window floor is the
+  oldest in-flight invocation, the top of a lazily-deleted heap;
+  anything older folds into per-key monotone bounds, so retained state
+  is O(clients + keys) however long the run.  It is sound within its
+  window: every violation it reports is real, one involving operations
+  that overlap the window is caught, and a read older than the window
+  is convicted through the monotone bound (as a stale read).
+  :func:`check_history` replays a retained history through a fresh
+  checker whose window never evicts: the exact post-hoc check of FULL
+  runs (``RunResult.atomicity``).
 
-Both carry an **order-independent** ``merge`` classmethod: sharded
-soaks (:mod:`repro.scenarios.sharding`) fold per-shard accumulators
-into one aggregate whose value depends only on the multiset of inputs,
-never on nondeterministic shard completion order — counts and the
-exact time sum are commutative (merged means stay Fraction-exact),
-and reservoir merging canonical-sorts candidates before any
-deterministic subsampling.  A merged summary is terminal: ``observe``
-on it raises.
-* :class:`OnlineChecker` — the one *windowed* per-key safety checker,
-  for single- and multi-writer keyed histories alike.  The paper proves
-  its storage atomic by exhibiting the timestamp order as the
-  linearization, and every storage client surfaces that timestamp on
-  ``record.meta["ts"]``, so the checker is a Gibbons–Korach-style
-  polynomial check over the total stamp order (the rules: its class
-  docstring), run as operations complete.  The window floor is the
-  oldest in-flight invocation; anything older is folded into per-key
-  monotone stamp bounds, so retained state is O(clients + keys)
-  regardless of run length.  The floor is *maintained* — the top of a
-  lazily-deleted heap of invocations — not recomputed, so judging one
-  completion costs O(log in-flight) however many operations are in
-  flight (``tests/analysis/test_completion_oracle.py`` keeps the
-  scanning window, and the ``Fraction``-per-operation accumulator, as
-  the references of a differential).  For a single writer the stamp order *is*
-  the value order (one process draws both in the same sequence), so
-  nothing a value-ordered check would convict is lost —
-  ``tests/analysis/test_checker_oracle.py`` keeps that checker as the
-  reference of a differential.
-
-The online checker is *sound within its window*: every violation it
-reports is a real violation of the register semantics, and any
-violation involving operations that overlap the retained window is
-caught.  A read returning a value older than the pruned window is
-reported through the monotone bound (as a stale read) rather than by
-exact version lookup — the inherent trade of bounded-memory checking.
-It is also the one register checker of FULL-level runs:
-:func:`check_history` replays a retained history through a fresh
-checker whose window never evicts, which makes the same rules an exact
-post-hoc check (``RunResult.atomicity``).
-
-Write values must be unique per register and stamped by the protocol —
-true for every :class:`~repro.scenarios.workloads.RandomMix` workload
-(sequential integer write values), which is the only workload shape the
-scenario runner wires the live checker to; :func:`check_history`
+The previous implementations are the references of differentials:
+the scanning window and the ``Fraction``-per-operation accumulator in
+``tests/analysis/test_completion_oracle.py``, the value-ordered
+checker in ``tests/analysis/test_checker_oracle.py``.  Write values
+must be unique per register — true of every
+:class:`~repro.scenarios.workloads.RandomMix` workload, the only shape
+the scenario runner wires the live checker to; :func:`check_history`
 refuses a history that breaks it.
 """
 
@@ -127,28 +106,34 @@ class QuantileReservoir:
         """True while the reservoir still holds every observed sample."""
         return self.seen <= self.capacity
 
-    def observe(self, sample: float) -> None:
+    def observe(self, sample: float, count: int) -> None:
+        """Take ``count`` copies of ``sample``, one after the other."""
         if self.merged:
             raise ValueError(
                 "a merged summary is terminal: it stands for a weighted "
                 "subsample of its parts, and observing into it would skew "
                 "every later quantile — observe into a part and merge again"
             )
-        seen = self.seen = self.seen + 1
         self._sorted = None
-        if len(self._samples) < self.capacity:
-            self._samples.append(sample)
-            return
-        # ``Random.randrange(seen)`` minus its argument checks: the same
-        # rejection loop over the same ``getrandbits`` draws, so the RNG
-        # stream and the retained samples are what they always were.
-        getrandbits = self._rng.getrandbits
-        bits = seen.bit_length()
-        slot = getrandbits(bits)
-        while slot >= seen:
+        seen = self.seen
+        end = self.seen = seen + count
+        samples = self._samples
+        while seen < end:
+            seen += 1
+            if seen <= self.capacity:
+                samples.append(sample)
+                continue
+            # Past capacity, ``Random.randrange(seen)`` minus its argument
+            # checks: the same rejection loop over the same
+            # ``getrandbits`` draws, so the RNG stream and the retained
+            # samples are what they always were.
+            getrandbits = self._rng.getrandbits
+            bits = seen.bit_length()
             slot = getrandbits(bits)
-        if slot < self.capacity:
-            self._samples[slot] = sample
+            while slot >= seen:
+                slot = getrandbits(bits)
+            if slot < self.capacity:
+                samples[slot] = sample
 
     def quantile(self, fraction: float) -> Optional[float]:
         if self._sorted is None:
@@ -164,24 +149,16 @@ class QuantileReservoir:
     ) -> "QuantileReservoir":
         """Merge independent reservoirs into one, **order-independently**.
 
-        The merged reservoir depends only on the *multiset* of input
-        reservoirs, never on their iteration order (shard completion
-        order is nondeterministic under multiprocessing).  Achieved by
-        canonicalizing before any randomness: all candidate samples are
-        sorted by ``(value, weight)``, and — only when they overflow
-        ``capacity`` — an Efraimidis–Spirakis weighted subsample (each
-        sample weighted by the share of its source stream it
-        represents, ``seen / len(samples)``) is drawn with an RNG
-        seeded purely from the merged totals.  Two candidates tied on
-        ``(value, weight)`` are interchangeable, so the selected sample
-        multiset is permutation-invariant.
-
-        While every input is still :attr:`exact` and the union fits,
-        the merge holds the exact union — merged quantiles then equal
-        the single-stream reservoir's.  Merged reservoirs are terminal
-        summaries: a further :meth:`observe` would treat the weighted
-        subsample as a plain prefix and skew every later quantile, so
-        it raises.
+        The result depends only on the *multiset* of inputs (shard
+        completion order is nondeterministic): every candidate sample
+        is sorted by ``(value, weight)`` before any randomness, and
+        only when they overflow ``capacity`` is an Efraimidis–Spirakis
+        weighted subsample drawn (weight: the share of its stream a
+        sample stands for, ``seen / len(samples)``) with an RNG seeded
+        from the merged totals.  While the union fits it *is* the
+        merge, so merged quantiles equal the single-stream ones.  The
+        result is terminal: a further :meth:`observe` would treat the
+        weighted subsample as a prefix, so it raises.
         """
         parts = [r for r in reservoirs if r.seen]
         if capacity is None:
@@ -215,20 +192,16 @@ class QuantileReservoir:
 
 
 class LatencyAccumulator:
-    """Online latency aggregation for one operation kind.
+    """Online latency aggregation for one operation kind: count,
+    min/max/sum of round counts, min/max and the *exact* sum of
+    completion times, and a bounded quantile reservoir — O(reservoir
+    capacity) memory however long the run.
 
-    Tracks count, min/max/sum of self-reported round counts, min/max of
-    completion times, an *exact* time sum (so means match the post-hoc
-    path to the last bit) and a bounded quantile reservoir.
-    O(reservoir capacity) memory however long the run.
-
-    The exact sum is an integer count ``_time_units`` of
-    ``1 / _time_scale``, the scale being the least common denominator
-    of the samples so far.  Every ``float`` is a dyadic rational, so on
-    a simulated run the scale is the largest power of two seen and a
-    sample costs one multiplication and one integer addition — the same
-    number a running ``Fraction`` holds (:attr:`time_sum` builds it),
-    without constructing and normalising two of them per operation.
+    The exact sum is an integer count ``_time_units`` of ``1 /
+    _time_scale``, the least common denominator of the samples so far
+    (on a simulated run, the largest power of two seen: every ``float``
+    is dyadic) — the number a running ``Fraction`` holds
+    (:attr:`time_sum` builds it) at an integer multiply-add a wave.
     """
 
     __slots__ = (
@@ -249,13 +222,14 @@ class LatencyAccumulator:
         self.max_time: Optional[float] = None
         self.reservoir = QuantileReservoir(capacity)
 
-    def observe(self, rounds: int, elapsed: float) -> None:
-        """Fold one completed operation into the summary."""
+    def observe(self, rounds: int, elapsed: float, count: int) -> None:
+        """Fold ``count`` completed operations with the same ``rounds``
+        and ``elapsed`` (one wave) into the summary."""
         # First, so that a merged (terminal) summary refuses the sample
         # before any of it is counted.
-        self.reservoir.observe(elapsed)
-        self.count += 1
-        self.rounds_sum += rounds
+        self.reservoir.observe(elapsed, count)
+        self.count += count
+        self.rounds_sum += rounds * count
         if self.min_rounds is None or rounds < self.min_rounds:
             self.min_rounds = rounds
         if self.max_rounds is None or rounds > self.max_rounds:
@@ -269,7 +243,7 @@ class LatencyAccumulator:
                 self._time_units *= finer // have
                 self._time_scale = have = finer
             units *= have // scale
-        self._time_units += units
+        self._time_units += units * count
         if self.min_time is None or elapsed < self.min_time:
             self.min_time = elapsed
         if self.max_time is None or elapsed > self.max_time:
@@ -363,15 +337,12 @@ class OnlineReport:
     """The register checker's verdict for one execution, streamed or
     replayed (:func:`check_history`).
 
-    ``max_retained`` is the (periodically sampled) high-water mark of
-    everything the checker holds across all keys — the bounded-memory
-    exhibit CI gates on.  ``overrun_unchecked`` counts operations that
-    outlived the window (a stuck client's op completing after the
-    window moved past its invocation): they are skipped rather than
-    misjudged against bounds newer than their invocation, so the
-    verdict stays sound.  ``claim`` is the semantics judged: an
-    ``"atomic"`` report ran every rule, a ``"regular"`` one ran all but
-    ``read-inversion``, so it can say :attr:`regular` but never
+    ``max_retained`` is the sampled high-water mark of everything the
+    checker holds — the bounded-memory exhibit CI gates on.
+    ``overrun_unchecked`` counts operations that outlived the window (a
+    stuck client's): skipped, never misjudged against newer bounds.
+    ``claim`` is the semantics judged: ``"regular"`` ran every rule but
+    ``read-inversion``, so it can say :attr:`regular`, never
     :attr:`atomic`.
     """
 
@@ -448,9 +419,10 @@ class _KeyState:
     )
 
     def __init__(self):
-        # The floor of the last prune, while nothing was added to the
-        # window or the series since (None otherwise): pruning to the
-        # same floor again can then fold nothing.
+        # The floor of the last prune, while nothing was added *below
+        # it* to the window or the series since (None otherwise):
+        # pruning to the same floor again can then fold nothing — an
+        # entry at or above the floor is one that prune keeps.
         self.pruned_at: Optional[float] = None
         # stamp -> (invoked_at, completed_at, value) for windowed writes.
         self.window: Dict[int, Tuple[float, float, Any]] = {}
@@ -599,14 +571,12 @@ class OnlineChecker:
         self.max_retained = 0
         self._keys: Dict[Hashable, _KeyState] = {}
         # op_id -> invoked_at of every in-flight storage operation; its
-        # minimum is the window floor nothing older than which can still
-        # be referenced by a future completion.
+        # minimum is the window floor.
         self._pending: Dict[int, float] = {}
-        # The same pairs as a min-heap of (invoked_at, op_id), so the
-        # floor is read off the top instead of scanned for.  Entries of
-        # ops that left ``_pending`` stay until they surface (or until
-        # the next ``_evict_overrun`` rebuilds the heap), so its length
-        # is at most in-flight + overrun_ops + 1.
+        # The same pairs as a min-heap of (invoked_at, op_id): the floor
+        # is its top.  Entries of ops that left ``_pending`` stay until
+        # they surface or ``_evict_overrun`` rebuilds the heap, so it
+        # holds at most in-flight + overrun_ops + 1.
         self._invocations: List[Tuple[float, int]] = []
         # No in-flight op has a smaller id: while the overrun horizon
         # is below it there is nothing to evict and nothing to look at.
@@ -614,8 +584,7 @@ class OnlineChecker:
         # op_id -> (key, value) of in-flight writes, for eviction.
         self._pending_writes: Dict[int, Tuple[Hashable, Any]] = {}
         # Ops evicted from the window (stuck clients): skipped, never
-        # misjudged, if they eventually complete.  Bounded by the
-        # number of clients that ever stalled past the overrun bound.
+        # misjudged, if they eventually complete.
         self._overrun: set = set()
         self._max_op_id = -1
         self._floor = float("-inf")
@@ -623,9 +592,12 @@ class OnlineChecker:
 
     # -- trace subscription ---------------------------------------------------
 
-    def on_begin(self, record) -> None:
-        kind = record.kind
-        if kind == "read" or kind == "write":
+    def on_begin(self, records) -> None:
+        """Open one wave's storage operations, in element order."""
+        for record in records:
+            kind = record.kind
+            if kind != "read" and kind != "write":
+                continue
             op_id = record.op_id
             invoked_at = record.invoked_at
             self._pending[op_id] = invoked_at
@@ -638,49 +610,55 @@ class OnlineChecker:
             elif op_id < self._oldest_op_id:
                 self._oldest_op_id = op_id
             if kind == "write":
-                self._pending_writes[op_id] = record.key, record.value
-                self._state(record.key).inflight[record.value] = invoked_at
+                key = record.key
+                self._pending_writes[op_id] = key, record.value
+                state = self._keys.get(key) or self._state(key)
+                state.inflight[record.value] = invoked_at
 
-    def on_complete(self, record) -> None:
-        kind = record.kind
-        if kind != "read" and kind != "write":
-            return
-        op_id = record.op_id
-        if op_id in self._overrun:
-            # The window moved past this op while it was stuck; its
-            # bounds are gone, so judging it now could flag legal
-            # behaviour.  Skip it, visibly.
-            self._overrun.discard(op_id)
-            self.overrun_unchecked += 1
-            return
-        if kind == "write":
-            self._complete_write(record)
-        else:
-            self._complete_read(record)
+    def on_complete(self, records) -> None:
+        """Judge one wave's storage operations, in element order.
+
+        Everything after the rule — the eviction check, the floor, the
+        prune, the sweep count — runs after *each* element, so a wave
+        leaves exactly the state its elements one by one would."""
         pending = self._pending
-        pending.pop(op_id, None)
-        # Evict stuck in-flight ops so they cannot pin the floor and
-        # regrow O(ops) retained state (the crashed-reader case).
-        if self._max_op_id - self.overrun_ops > self._oldest_op_id:
-            self._evict_overrun()
-        # The floor is the oldest invocation still in flight: drop the
-        # heap entries of ops that completed or were evicted since they
-        # were pushed (each is popped once, so O(log in-flight) an op).
-        invocations = self._invocations
-        while invocations and invocations[0][1] not in pending:
-            heappop(invocations)
-        floor = self._floor = (
-            invocations[0][0] if invocations else record.completed_at
-        )
-        state = self._keys[record.key]
-        if state.pruned_at != floor:
-            state.prune(floor)
-        # Periodic global sweep: prune every key to the shared floor
-        # and sample the total retained state for the high-water mark
-        # (O(keys) amortized over SWEEP_EVERY completions).
-        self._since_sweep += 1
-        if self._since_sweep >= self.SWEEP_EVERY:
-            self._sweep()
+        for record in records:
+            kind = record.kind
+            if kind != "read" and kind != "write":
+                continue
+            op_id = record.op_id
+            if op_id in self._overrun:
+                # The window moved past this stuck op and its bounds are
+                # gone: judging it could flag legal behaviour.  Skip it,
+                # visibly.
+                self._overrun.discard(op_id)
+                self.overrun_unchecked += 1
+                continue
+            if kind == "write":
+                self._complete_write(record)
+            else:
+                self._complete_read(record)
+            pending.pop(op_id, None)
+            # Evict stuck in-flight ops so they cannot pin the floor and
+            # regrow O(ops) retained state (the crashed-reader case).
+            if self._max_op_id - self.overrun_ops > self._oldest_op_id:
+                self._evict_overrun()
+            # The floor is the oldest invocation still in flight: drop
+            # the heap entries of ops gone since (each popped once).
+            invocations = self._invocations
+            while invocations and invocations[0][1] not in pending:
+                heappop(invocations)
+            floor = self._floor = (
+                invocations[0][0] if invocations else record.completed_at
+            )
+            state = self._keys[record.key]
+            if state.pruned_at != floor:
+                state.prune(floor)
+            # Periodic global sweep: prune every key to the floor and
+            # sample the retained state (O(keys) every SWEEP_EVERY).
+            self._since_sweep += 1
+            if self._since_sweep >= self.SWEEP_EVERY:
+                self._sweep()
 
     def _evict_overrun(self) -> None:
         """Evict every in-flight op the overrun horizon has passed.
@@ -777,7 +755,9 @@ class OnlineChecker:
             )
         if own is None or stamp > own:
             state.writer_stamp[record.process] = stamp
-        state.pruned_at = None
+        pruned_at = state.pruned_at
+        if pruned_at is not None and record.completed_at < pruned_at:
+            state.pruned_at = None
         state.window[stamp] = (
             record.invoked_at, record.completed_at, record.value
         )
@@ -888,7 +868,9 @@ class OnlineChecker:
             # bound later reads are held to.
             return
         if not state.read_stamps or stamp > state.read_stamps[-1]:
-            state.pruned_at = None
+            pruned_at = state.pruned_at
+            if pruned_at is not None and record.completed_at < pruned_at:
+                state.pruned_at = None
             state.read_times.append(record.completed_at)
             state.read_stamps.append(stamp)
 
@@ -964,7 +946,7 @@ def check_history(
     )
     for _, completion, _, record in events:
         if completion:
-            checker.on_complete(record)
+            checker.on_complete((record,))
         else:
-            checker.on_begin(record)
+            checker.on_begin((record,))
     return checker.report()

@@ -49,7 +49,9 @@ class Learner(Process):
 
     def bind(self, network):  # type: ignore[override]
         bound = super().bind(network)
-        self._record = self.trace.begin("learn", self.pid, self.sim.now)
+        self._record, = self.trace.begin(
+            "learn", self.pid, self.sim.now, ((None, 0),)
+        )
         return bound
 
     def on_message(self, message: Message) -> None:
@@ -77,7 +79,7 @@ class Learner(Process):
         self.learned = value
         self.learned_at = self.sim.now
         if self._record is not None:
-            self.trace.complete(self._record, self.sim.now, value)
+            self.trace.complete((self._record,), self.sim.now, (value,), 0)
         self.learned_event.set()
 
     # -- decision pulling (lines 102-103; bounded for simulation) -------------

@@ -106,7 +106,9 @@ class PaxosProposer(Process):
             self._accepted(payload.ballot).add(message.src)
 
     def propose(self, value: Any):
-        record = self.trace.begin("propose", self.pid, self.sim.now, value)
+        record, = self.trace.begin(
+            "propose", self.pid, self.sim.now, ((value, 0),)
+        )
         while True:
             self.ballot += self.stride
             ballot = self.ballot
@@ -121,7 +123,7 @@ class PaxosProposer(Process):
             )
             self.send_all(self.acceptors, PaxAccept(ballot, chosen))
             yield WaitUntil(self._accepted(ballot).at_least(self.majority))
-            self.trace.complete(record, self.sim.now, chosen)
+            self.trace.complete((record,), self.sim.now, (chosen,), 0)
             return record
 
 
@@ -137,7 +139,9 @@ class PaxosLearner(Process):
 
     def bind(self, network):  # type: ignore[override]
         bound = super().bind(network)
-        self._record = self.trace.begin("learn", self.pid, self.sim.now)
+        self._record, = self.trace.begin(
+            "learn", self.pid, self.sim.now, ((None, 0),)
+        )
         return bound
 
     def on_message(self, message: Message) -> None:
@@ -149,4 +153,6 @@ class PaxosLearner(Process):
             if len(senders) >= self.majority:
                 self.learned = payload.value
                 self.learned_at = self.sim.now
-                self.trace.complete(self._record, self.sim.now, payload.value)
+                self.trace.complete(
+                    (self._record,), self.sim.now, (payload.value,), 0
+                )

@@ -118,7 +118,9 @@ class PbftLearner(Process):
 
     def bind(self, network):  # type: ignore[override]
         bound = super().bind(network)
-        self._record = self.trace.begin("learn", self.pid, self.sim.now)
+        self._record, = self.trace.begin(
+            "learn", self.pid, self.sim.now, ((None, 0),)
+        )
         return bound
 
     def on_message(self, message: Message) -> None:
@@ -129,4 +131,6 @@ class PbftLearner(Process):
             if len(senders) >= self.f + 1:
                 self.learned = payload.value
                 self.learned_at = self.sim.now
-                self.trace.complete(self._record, self.sim.now, payload.value)
+                self.trace.complete(
+                    (self._record,), self.sim.now, (payload.value,), 0
+                )

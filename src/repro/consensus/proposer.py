@@ -143,13 +143,15 @@ class Proposer(Process):
 
     def propose(self, value: Any):
         """Coroutine: propose ``value`` (spawn on the simulator)."""
-        record = self.trace.begin("propose", self.pid, self.sim.now, value)
+        record, = self.trace.begin(
+            "propose", self.pid, self.sim.now, ((value, 0),)
+        )
         self.value = value
         if not self._proposed_once:
             self._proposed_once = True
             self.sim.call_later(self.sync_delay, self._post_propose_sync)
         yield from self._propose_in_current_view()
-        self.trace.complete(record, self.sim.now, "proposed")
+        self.trace.complete((record,), self.sim.now, ("proposed",), 0)
         return record
 
     def _post_propose_sync(self) -> None:

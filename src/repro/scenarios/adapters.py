@@ -877,11 +877,11 @@ class PbftAdapter(ConsensusAdapter):
         primary = min(self.replicas)
 
         def start() -> None:
-            record = self.trace.begin(
-                "propose", client.pid, self.sim.now, op.value
+            record, = self.trace.begin(
+                "propose", client.pid, self.sim.now, ((op.value, 0),)
             )
             client.send(primary, Request(op.value))
-            self.trace.complete(record, self.sim.now, "requested")
+            self.trace.complete((record,), self.sim.now, ("requested",), 0)
 
         self.sim.call_at(op.at, start)
 

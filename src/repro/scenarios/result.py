@@ -57,11 +57,12 @@ class ResultSurface:
     """What a run reports however many processes executed it.
 
     Both result classes provide the counters (``ops_begun`` /
-    ``ops_completed`` / ``op_kinds`` / ``blocked`` / ``messages`` /
-    ``events_processed``), the verdict (``online`` / ``online_refusal``
-    / ``streamed``), ``latency_streaming``, ``n_shards``,
-    ``worker_processes``, ``shard_rss_kb`` and :meth:`_loads`; the fleet
-    questions and the digest are answered here, once.
+    ``ops_completed`` / ``op_kinds`` / ``waves`` / ``blocked`` /
+    ``messages`` / ``events_processed``), the verdict (``online`` /
+    ``online_refusal`` / ``streamed``), ``latency_streaming``,
+    ``n_shards``, ``worker_processes``, ``shard_rss_kb`` and
+    :meth:`_loads`; the fleet questions and the digest are answered
+    here, once.
     """
 
     def _loads(self) -> Tuple[Tuple[int, float], ...]:
@@ -100,7 +101,8 @@ class ResultSurface:
 
     def summary(self) -> Dict[str, Any]:
         """A portable mode-independent digest of this execution:
-        per-kind op counts and streaming latency summaries, message
+        per-kind op counts, completion waves by size (``{size:
+        count}``) and streaming latency summaries, message
         volume, the ``shards`` block of a fleet of more than one, and
         whichever safety verdict this mode carries."""
         out: Dict[str, Any] = {
@@ -112,6 +114,7 @@ class ResultSurface:
                 kind: {
                     "begun": self.ops_begun(kind),
                     "completed": self.ops_completed(kind),
+                    "waves": self.waves(kind),
                     "latency": self.latency_streaming(kind),
                 }
                 for kind in self.op_kinds()
@@ -288,6 +291,10 @@ class RunResult(ResultSurface):
     def op_kinds(self) -> Tuple[str, ...]:
         """Operation kinds begun during this run, sorted."""
         return tuple(sorted(self.adapter.trace.begun))
+
+    def waves(self, kind: str) -> Dict[int, int]:
+        """Completion waves of one kind by size (``Trace.waves``)."""
+        return self.adapter.trace.waves(kind)
 
     @property
     def events_processed(self) -> int:

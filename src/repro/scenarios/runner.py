@@ -8,7 +8,8 @@ schedules the workload and runs to the spec's horizon (or completion).
 Streaming runs (``TraceLevel.METRICS``, where operation records are not
 retained) additionally get the **windowed online checker** subscribed to
 the trace before execution: ``RandomMix`` storage workloads are
-safety-checked as operations complete — one stamp-ordered checker for
+safety-checked as operations complete, a wave (the records one client
+completes at one instant) a call — one stamp-ordered checker for
 single- and multi-writer specs alike, its report labelled ``"sw"`` /
 ``"mw"`` from ``spec.n_writers`` — so horizon-free soaks produce a real
 verdict without ever materializing the history; read it via

@@ -62,7 +62,7 @@ import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.latency import LatencySummary
@@ -119,6 +119,7 @@ class ShardOutcome:
     online: Optional[OnlineReport]
     online_refusal: Optional[OnlineRefusal]
     server_history: Optional[Dict[str, Any]] = None
+    waves: Dict[str, Dict[int, int]] = field(default_factory=dict)
     execute_seconds: float = 0.0
     cpu_seconds: float = 0.0
     peak_rss_kb: int = 0
@@ -150,6 +151,7 @@ def _run_shard(spec: ScenarioSpec, index: int) -> ShardOutcome:
         online=result.online,
         online_refusal=result.online_refusal,
         server_history=result.server_history,
+        waves={kind: trace.waves(kind) for kind in completed},
         execute_seconds=result.execute_seconds or 0.0,
         cpu_seconds=result.cpu_seconds,
         peak_rss_kb=result.max_shard_rss_kb,
@@ -271,6 +273,14 @@ class ShardedRunResult(ResultSurface):
         if kind is None:
             return sum(sum(o.completed.values()) for o in self.outcomes)
         return sum(o.completed.get(kind, 0) for o in self.outcomes)
+
+    def waves(self, kind: str) -> Dict[int, int]:
+        """The shards' completion waves of one kind, summed by size."""
+        total: Dict[int, int] = {}
+        for outcome in self.outcomes:
+            for size, count in outcome.waves.get(kind, {}).items():
+                total[size] = total.get(size, 0) + count
+        return dict(sorted(total.items()))
 
     @property
     def online(self) -> Optional[OnlineReport]:

@@ -1,35 +1,31 @@
 """Execution traces: operation records and latency accounting inputs.
 
 Protocols append :class:`OperationRecord` entries to a shared
-:class:`Trace` as operations are invoked and complete.  The analysis
-package consumes these records to check atomicity/agreement and to count
-rounds / message delays.
+:class:`Trace`; the analysis package checks atomicity / agreement and
+counts rounds and message delays on them.  Records enter and leave in
+**waves** — the records one client begins, or completes, at one
+instant, in element order: a batch, or the part of one that completes
+together; any other operation is a wave of one.  :meth:`Trace.begin`
+and :meth:`Trace.complete` are the only entry points and observers take
+whole waves, so a 16-element batch costs each layer one call.
 
-Traces come in two retention modes, mirroring the network's
-:class:`~repro.sim.network.TraceLevel`:
-
-* **retaining** (the default, FULL tracing) — every record is kept for
-  post-hoc checkers, fingerprints and per-record test assertions;
-* **streaming** (``retain=False``, METRICS tracing) — records are handed
-  to subscribers as operations begin and complete and then dropped.
-  The trace keeps per-kind begun counters and per-kind online
-  :class:`~repro.analysis.streaming.LatencyAccumulator` summaries
-  (whose ``count`` *is* the completed counter of the kind), so
-  horizon-free runs report uniform metrics in O(1) memory per kind
-  while never materializing the history.
-
-Both modes maintain the counters and accumulators, so streaming
-summaries can be cross-checked against the exact list-based path on
-retained runs (``tests/scenarios/test_streaming.py`` pins the match).
-:meth:`Trace.complete` is paid by every operation of every run: it
-stamps the record, makes one accumulator lookup and one ``observe``,
-and calls the subscribers — nothing else.
+``retain=True`` (FULL tracing) keeps every record for post-hoc
+checkers, fingerprints and test assertions; ``retain=False`` (METRICS)
+hands records to subscribers and drops them.  Both keep per-kind begun
+counters, completion waves by size and an online
+:class:`~repro.analysis.streaming.LatencyAccumulator` per kind (its
+``count`` *is* the kind's completed counter), so a horizon-free run
+reports in O(1) memory per kind, and the streaming summaries can be
+held to the list-based ones on retained runs
+(``tests/scenarios/test_streaming.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple,
+)
 
 
 @dataclass(slots=True)
@@ -51,24 +47,18 @@ class OperationRecord:
     def complete(self) -> bool:
         return self.completed_at is not None
 
-    def overlaps(self, other: "OperationRecord") -> bool:
-        """Real-time concurrency (operation intervals intersect)."""
-        self_end = self.completed_at if self.complete else float("inf")
-        other_end = other.completed_at if other.complete else float("inf")
-        return self.invoked_at <= other_end and other.invoked_at <= self_end
-
     def precedes(self, other: "OperationRecord") -> bool:
         """Definition of precedence: completes before the other is invoked."""
         return self.complete and self.completed_at < other.invoked_at
 
 
-class Trace:
-    """Log of operation records for one execution.
+#: A trace subscriber: called with each wave of records.
+Observer = Callable[[List[OperationRecord]], None]
 
-    ``retain=False`` is the streaming mode: records are not kept after
-    completion (``records`` stays empty); counters, accumulators and
-    subscribers observe them instead.
-    """
+
+class Trace:
+    """Log of operation records for one execution (``retain=False``:
+    none kept — counters, accumulators and subscribers see them)."""
 
     def __init__(self, retain: bool = True):
         # Deferred import: repro.sim sits below repro.analysis in the
@@ -81,20 +71,22 @@ class Trace:
         self._records: List[OperationRecord] = []
         self._next_id = 0
         self.begun: Dict[str, int] = {}
-        self._accumulators: Dict[str, "LatencyAccumulator"] = {}
-        self._on_begin: List[Callable[[OperationRecord], None]] = []
-        self._on_complete: List[Callable[[OperationRecord], None]] = []
+        # kind -> its online latency summary and its completion waves
+        # by size (one lookup a wave finds both).
+        self._kinds: Dict[str, Tuple[LatencyAccumulator, Dict[int, int]]] = {}
+        self._on_begin: List[Observer] = []
+        self._on_complete: List[Observer] = []
 
     def subscribe(
         self,
-        on_begin: Optional[Callable[[OperationRecord], None]] = None,
-        on_complete: Optional[Callable[[OperationRecord], None]] = None,
+        on_begin: Optional[Observer] = None,
+        on_complete: Optional[Observer] = None,
     ) -> None:
         """Attach streaming observers (e.g. the windowed online checker).
 
-        ``on_begin`` fires when an operation is invoked, ``on_complete``
-        when it completes — in simulated-event order, at every retention
-        mode.
+        ``on_begin`` is called with each wave of records as it is
+        invoked, ``on_complete`` with each wave as it completes — in
+        simulated-event order, at every retention mode.
         """
         if on_begin is not None:
             self._on_begin.append(on_begin)
@@ -106,47 +98,57 @@ class Trace:
         kind: str,
         process: Hashable,
         time: float,
-        value: Any = None,
-        key: Hashable = 0,
-    ) -> OperationRecord:
-        record = OperationRecord(
-            op_id=self._next_id,
-            kind=kind,
-            process=process,
-            invoked_at=time,
-            value=value,
-            key=key,
-        )
-        self._next_id += 1
-        self.begun[kind] = self.begun.get(kind, 0) + 1
+        elems: Sequence[Tuple[Any, Hashable]],
+    ) -> List[OperationRecord]:
+        """Invoke one wave: a ``kind`` record per ``(value, key)`` of
+        ``elems``, in element order, all by ``process`` at ``time``
+        (``value`` is ``None`` for reads and learns, ``key`` 0 outside
+        the keyed register space)."""
+        first = op_id = self._next_id
+        records = []
+        for value, key in elems:
+            records.append(
+                OperationRecord(op_id, kind, process, time, value, key=key)
+            )
+            op_id += 1
+        self._next_id = op_id
+        self.begun[kind] = self.begun.get(kind, 0) + op_id - first
         if self.retain:
-            self._records.append(record)
+            self._records.extend(records)
         for observer in self._on_begin:
-            observer(record)
-        return record
+            observer(records)
+        return records
 
     def complete(
         self,
-        record: OperationRecord,
+        records: Sequence[OperationRecord],
         time: float,
-        result: Any = None,
-        rounds: int = 0,
-    ) -> OperationRecord:
-        record.completed_at = time
-        record.result = result
-        record.rounds = rounds
-        # The accumulator's ``count`` is the completed counter of its
-        # kind: one bump per operation, in ``observe``.
+        results: Sequence[Any],
+        rounds: int,
+    ) -> None:
+        """Complete one wave: ``records`` — of one kind, begun together
+        (so one elapsed time) — finish at ``time`` after ``rounds``
+        round-trips, returning ``results`` (element-wise)."""
+        # ``size`` indexes the results as it counts the wave: a ``zip``
+        # costs more than the rest of this loop on a wave of one — the
+        # wave almost every op is.
+        size = 0
+        for record in records:
+            record.completed_at = time
+            record.result = results[size]
+            record.rounds = rounds
+            size += 1
+        kind = record.kind
         try:
-            accumulator = self._accumulators[record.kind]
+            accumulator, waves = self._kinds[kind]
         except KeyError:
-            accumulator = self._accumulators[record.kind] = (
-                self._accumulator_factory(record.kind)
+            accumulator, waves = self._kinds[kind] = (
+                self._accumulator_factory(kind), {}
             )
-        accumulator.observe(rounds, time - record.invoked_at)
+        accumulator.observe(rounds, time - record.invoked_at, size)
+        waves[size] = waves.get(size, 0) + 1
         for observer in self._on_complete:
-            observer(record)
-        return record
+            observer(records)
 
     # -- counters & streaming summaries ---------------------------------------
 
@@ -160,16 +162,24 @@ class Trace:
         accumulators (there is one from a kind's first completion on)."""
         return {
             kind: accumulator.count
-            for kind, accumulator in self._accumulators.items()
+            for kind, (accumulator, _) in self._kinds.items()
         }
 
     def completed_total(self) -> int:
-        return sum(acc.count for acc in self._accumulators.values())
+        return sum(acc.count for acc, _ in self._kinds.values())
 
     def accumulator(self, kind: str) -> Optional[LatencyAccumulator]:
         """The online latency summary for one kind (None before the
         first completion of that kind)."""
-        return self._accumulators.get(kind)
+        entry = self._kinds.get(kind)
+        return entry[0] if entry else None
+
+    def waves(self, kind: str) -> Dict[int, int]:
+        """The completion waves of one kind by size, ``{size: count}``
+        in ascending size; the sizes weighted by the counts sum to the
+        kind's completed operations."""
+        entry = self._kinds.get(kind)
+        return dict(sorted(entry[1].items())) if entry else {}
 
     # -- retained records ------------------------------------------------------
 
@@ -182,6 +192,3 @@ class Trace:
 
     def completed(self) -> Tuple[OperationRecord, ...]:
         return tuple(r for r in self._records if r.complete)
-
-    def __len__(self) -> int:
-        return self.begun_total()

@@ -373,8 +373,9 @@ class RegisterWriter(_RegisterClient):
         return self.stamps.seq()
 
     def write(self, value: Any, key: Hashable = DEFAULT_KEY):
-        record = self.trace.begin("write", self.pid, self.sim.now, value,
-                                  key=key)
+        record, = self.trace.begin(
+            "write", self.pid, self.sim.now, ((value, key),)
+        )
         if not self.stamps.multi_writer:
             ts, discovery_rounds = self.stamps.bare(key), 0
         else:
@@ -394,8 +395,9 @@ class RegisterWriter(_RegisterClient):
                 break
         for slot, _, _ in self.rounds:
             self._acks.discard(key, ts, slot)
-        self.trace.complete(record, self.sim.now, "OK",
-                            rounds=rnd + discovery_rounds)
+        self.trace.complete(
+            (record,), self.sim.now, ("OK",), rnd + discovery_rounds
+        )
         return record
 
     def write_batch(self, elems: List[Tuple[Any, Hashable]]):
@@ -405,14 +407,9 @@ class RegisterWriter(_RegisterClient):
         batches amortize one discovery collect over the batch's
         distinct keys.  The shared responder set makes every round's
         exit decision hold per element exactly as unbatched.  All
-        elements complete together at batch end, in element order (the
-        online checkers' ordering contract).
+        elements complete together at batch end: one wave.
         """
-        now = self.sim.now
-        records = [
-            self.trace.begin("write", self.pid, now, value, key=key)
-            for value, key in elems
-        ]
+        records = self.trace.begin("write", self.pid, self.sim.now, elems)
         if not self.stamps.multi_writer:
             stamps = [self.stamps.bare(key) for _, key in elems]
             discovery_rounds = 0
@@ -447,10 +444,10 @@ class RegisterWriter(_RegisterClient):
             if len(acks) >= exit_at:
                 break
         self._batches.close(number, *range(1, rnd + 1))
-        now = self.sim.now
-        for record in records:
-            self.trace.complete(record, now, "OK",
-                                rounds=rnd + discovery_rounds)
+        self.trace.complete(
+            records, self.sim.now, ("OK",) * len(records),
+            rnd + discovery_rounds,
+        )
         return records
 
 
@@ -477,7 +474,9 @@ class RegisterReader(_RegisterClient):
         self._wb_ts: Dict[Hashable, int] = {}
 
     def read(self, key: Hashable = DEFAULT_KEY):
-        record = self.trace.begin("read", self.pid, self.sim.now, key=key)
+        record, = self.trace.begin(
+            "read", self.pid, self.sim.now, ((None, key),)
+        )
         replies = yield from self._query(
             lambda number: SlotRead(number, key), self.collect_waits
         )
@@ -495,7 +494,7 @@ class RegisterReader(_RegisterClient):
             )
             yield WaitUntil(wb_acks.at_least(self.quorum))
             rounds = 2
-        self.trace.complete(record, self.sim.now, cmax.val, rounds=rounds)
+        self.trace.complete((record,), self.sim.now, (cmax.val,), rounds)
         return record
 
     def read_batch(self, keys: List[Hashable]):
@@ -510,39 +509,40 @@ class RegisterReader(_RegisterClient):
         ``never`` the contract degenerates — acks are batch-granular,
         so every element's quorum fills at the same instant (the
         write-back ack, resp. the collect) and all complete there, in
-        element order.
+        one wave.  Otherwise the batch completes in two waves: the
+        elements that need no write-back, then the rest.
         """
-        now = self.sim.now
-        records = [
-            self.trace.begin("read", self.pid, now, key=key) for key in keys
-        ]
+        records = self.trace.begin(
+            "read", self.pid, self.sim.now, [(None, key) for key in keys]
+        )
         data = yield from self._query(
             lambda number: ReadBatch(number, 1, tuple(keys)),
             self.collect_waits,
         )
-        now = self.sim.now
-        cmaxes: List[Pair] = []
-        failing: List[int] = []
+        # The two waves' records and results, and the write-back's
+        # ``(ts, value, key)`` elements.
+        done, done_values = [], []
+        failing, failing_values, write_backs = [], [], []
         for i, record in enumerate(records):
             replies = [per_key[i] for per_key in data.values()]
             cmax = max(chain.from_iterable(replies), key=_TS)
-            cmaxes.append(cmax)
             record.meta["ts"] = cmax.ts
             if self.needs_write_back(cmax, replies, self.quorum):
-                failing.append(i)
+                failing.append(record)
+                failing_values.append(cmax.val)
+                write_backs.append((cmax.ts, cmax.val, keys[i]))
             else:
-                self.trace.complete(record, now, cmax.val, rounds=1)
+                done.append(record)
+                done_values.append(cmax.val)
+        if done:
+            self.trace.complete(done, self.sim.now, done_values, 1)
         if failing:
             wb_no = self._batches.open()
             wb_acks = self._batches.responders(wb_no, 2)
             self.send_all(self.servers, WriteBatch(
-                wb_no, 2, self.wb_slot,
-                tuple((cmaxes[i].ts, cmaxes[i].val, keys[i]) for i in failing),
-                frozenset(),
+                wb_no, 2, self.wb_slot, tuple(write_backs), frozenset(),
             ))
             yield WaitUntil(wb_acks.at_least(self.quorum))
             self._batches.close(wb_no, 2)
-            now = self.sim.now
-            for i in failing:
-                self.trace.complete(records[i], now, cmaxes[i].val, rounds=2)
+            self.trace.complete(failing, self.sim.now, failing_values, 2)
         return records

@@ -28,9 +28,9 @@ RQS reader resolves elements in per-round *cohorts*, each launching its
 own batched line 49 write-back concurrently with further collect rounds
 (see each reader's ``read_batch``).  A lossy or contended quorum thus
 caps one element's tail latency, not the batch's.  Stamps are still
-issued per element in the client's draw order, and the checker feed
-(``trace.begin`` / ``trace.complete``) keeps element order within any
-one completion instant.
+issued per element in the client's draw order, and the elements that
+complete at one instant reach the trace (and the checker) as one wave:
+a wave is in element order.
 
 The message vocabulary is protocol-agnostic; each server class
 interprets the payloads its own way:

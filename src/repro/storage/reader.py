@@ -113,7 +113,9 @@ class StorageReader(Process):
 
         Returns the operation's record; ``record.result`` is the value.
         """
-        record = self.trace.begin("read", self.pid, self.sim.now, key=key)
+        record, = self.trace.begin(
+            "read", self.pid, self.sim.now, ((None, key),)
+        )
         # One strategy draw per operation: every round and write-back of
         # this read targets the same drawn quorum.
         target = self.selector.next_read() if self.selector else None
@@ -131,7 +133,7 @@ class StorageReader(Process):
         # checker (every completion path below returns csel.val).
         record.meta["ts"] = csel.ts
         if read_rnd == 1 and any(state.bcd1(csel, r) for r in (1, 2, 3)):
-            self.trace.complete(record, self.sim.now, csel.val, rounds=1)
+            self.trace.complete((record,), self.sim.now, (csel.val,), 1)
             return record
 
         x1 = state.bcd2(csel, 1)
@@ -141,7 +143,7 @@ class StorageReader(Process):
                 # Line 42: the writer already stored csel at a full quorum;
                 # one round-2 write-back finishes the read in 2 rounds.
                 yield from self._writeback(2, csel, frozenset(), key, targets)
-                self.trace.complete(record, self.sim.now, csel.val, rounds=2)
+                self.trace.complete((record,), self.sim.now, (csel.val,), 2)
                 return record
             # Lines 43-47: round-1 write-back carrying the confirmed
             # class-2 quorum ids, with a 2Δ window to finish fast.
@@ -150,17 +152,17 @@ class StorageReader(Process):
             yield WaitUntil(wb_timer, f"read#{self.read_no} writeback timer")
             acked = self._wb(key, csel.ts, 1)
             if any(q2 <= acked for q2 in x1):
-                self.trace.complete(record, self.sim.now, csel.val, rounds=2)
+                self.trace.complete((record,), self.sim.now, (csel.val,), 2)
                 return record
             yield from self._writeback(2, csel, frozenset(), key, targets)
-            self.trace.complete(record, self.sim.now, csel.val, rounds=3)
+            self.trace.complete((record,), self.sim.now, (csel.val,), 3)
             return record
 
         # Line 49: full two-round write-back.
         yield from self._writeback(1, csel, frozenset(), key, targets)
         yield from self._writeback(2, csel, frozenset(), key, targets)
         self.trace.complete(
-            record, self.sim.now, csel.val, rounds=read_rnd + 2
+            (record,), self.sim.now, (csel.val,), read_rnd + 2
         )
         return record
 
@@ -235,10 +237,9 @@ class StorageReader(Process):
         fast paths are per-element race detections and are skipped —
         always-safe, at worst two extra batch round-trips that unbatched
         BCD would have avoided."""
-        now = self.sim.now
-        records = [
-            self.trace.begin("read", self.pid, now, key=key) for key in keys
-        ]
+        records = self.trace.begin(
+            "read", self.pid, self.sim.now, [(None, key) for key in keys]
+        )
         target = self.selector.next_read() if self.selector else None
         targets = self._targets(target)
         self.read_no += 1
@@ -248,7 +249,6 @@ class StorageReader(Process):
 
         unresolved = set(range(len(keys)))
         csels: List[Optional[Pair]] = [None] * len(keys)
-        resolved_rnd = [0] * len(keys)
         cohorts: List[dict] = []
         read_rnd = 0
         collect_cond = None
@@ -292,13 +292,14 @@ class StorageReader(Process):
                     )
                     cohorts.append(cohort)
                 else:
+                    # A cohort resolved in one collect round: one wave.
                     self._batches.close(cohort["no"], 1, 2)
-                    now = self.sim.now
-                    for i in cohort["members"]:
-                        self.trace.complete(
-                            records[i], now, csels[i].val,
-                            rounds=resolved_rnd[i] + 2,
-                        )
+                    wave = cohort["members"]
+                    self.trace.complete(
+                        [records[i] for i in wave], self.sim.now,
+                        [csels[i].val for i in wave],
+                        cohort["read_rnd"] + 2,
+                    )
             # -- harvest the collect round, if it resolved --
             if collect_cond is None or not collect_cond.holds():
                 continue
@@ -311,7 +312,6 @@ class StorageReader(Process):
                 candidates = states[i].candidates()
                 if candidates:
                     csels[i] = max(candidates, key=lambda p: p.ts)
-                    resolved_rnd[i] = read_rnd
                     records[i].meta["ts"] = csels[i].ts
                     members.append(i)
             if not members:
@@ -328,6 +328,7 @@ class StorageReader(Process):
             cohort = {
                 "no": self._batches.open(),
                 "rnd": 1,
+                "read_rnd": read_rnd,
                 "members": tuple(members),
                 "ops": tuple(
                     (csels[i].ts, csels[i].val, keys[i]) for i in members

@@ -37,7 +37,9 @@ class RegularReader(StorageReader):
     """A reader providing regular (not atomic) semantics."""
 
     def read(self, key=DEFAULT_KEY):
-        record = self.trace.begin("read", self.pid, self.sim.now, key=key)
+        record, = self.trace.begin(
+            "read", self.pid, self.sim.now, ((None, key),)
+        )
         target = self.selector.next_read() if self.selector else None
         self.read_no += 1
         self._current_read_no = self.read_no
@@ -47,5 +49,5 @@ class RegularReader(StorageReader):
         )
         # Regular semantics: no write-back, return immediately.
         record.meta["ts"] = csel.ts
-        self.trace.complete(record, self.sim.now, csel.val, rounds=read_rnd)
+        self.trace.complete((record,), self.sim.now, (csel.val,), read_rnd)
         return record

@@ -127,8 +127,9 @@ class StorageWriter(Process):
         MW-mode writes spend one extra round trip on timestamp
         discovery, counted in the record's ``rounds``.
         """
-        record = self.trace.begin("write", self.pid, self.sim.now, value,
-                                  key=key)
+        record, = self.trace.begin(
+            "write", self.pid, self.sim.now, ((value, key),)
+        )
         # One strategy draw per operation: discovery and all rounds of
         # this write target the same drawn quorum.
         target = self.selector.next_write() if self.selector else None
@@ -145,8 +146,9 @@ class StorageWriter(Process):
         yield from self._round(ts, value, frozenset(), 1, key, target)
         if self._acked_quorum(ts, 1, cls=1, key=key) is not None:
             self._retire(ts, key)
-            self.trace.complete(record, self.sim.now, "OK",
-                                rounds=1 + extra_rounds)
+            self.trace.complete(
+                (record,), self.sim.now, ("OK",), 1 + extra_rounds
+            )
             return record
 
         # Lines 4-5: remember fully-acking class-2 quorums.
@@ -158,15 +160,17 @@ class StorageWriter(Process):
         round2 = self.acks(ts, 2, key)
         if any(q2 <= round2 for q2 in qc2_prime):
             self._retire(ts, key)
-            self.trace.complete(record, self.sim.now, "OK",
-                                rounds=2 + extra_rounds)
+            self.trace.complete(
+                (record,), self.sim.now, ("OK",), 2 + extra_rounds
+            )
             return record
 
         # Round 3 (lines 8-9).
         yield from self._round(ts, value, frozenset(), 3, key, target)
         self._retire(ts, key)
-        self.trace.complete(record, self.sim.now, "OK",
-                            rounds=3 + extra_rounds)
+        self.trace.complete(
+            (record,), self.sim.now, ("OK",), 3 + extra_rounds
+        )
         return record
 
     def _retire(self, ts: int, key: Hashable) -> None:
@@ -235,12 +239,9 @@ class StorageWriter(Process):
         single ack, the batch-level class-1 / QC'2 / round-2 decisions
         coincide exactly with each element's unbatched decisions over
         the same responder set.  Under a strategy, one quorum draw
-        covers the whole batch."""
-        now = self.sim.now
-        records = [
-            self.trace.begin("write", self.pid, now, value, key=key)
-            for value, key in elems
-        ]
+        covers the whole batch.  The batch begins and completes as one
+        wave."""
+        records = self.trace.begin("write", self.pid, self.sim.now, elems)
         target = self.selector.next_write() if self.selector else None
         if not self.stamps.multi_writer:
             stamps = [self.stamps.bare(key) for _, key in elems]
@@ -282,9 +283,9 @@ class StorageWriter(Process):
 
     def _finish_batch(self, number: int, records, rounds: int):
         self._batches.close(number, 1, 2, 3)
-        now = self.sim.now
-        for record in records:
-            self.trace.complete(record, now, "OK", rounds=rounds)
+        self.trace.complete(
+            records, self.sim.now, ("OK",) * len(records), rounds
+        )
         return records
 
     def _discover_batch(self, keys: Tuple[Hashable, ...], target=None):

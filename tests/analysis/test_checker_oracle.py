@@ -383,25 +383,41 @@ def recording(cls):
     return Recording
 
 
-def feed(history, *checkers):
-    """Play ``history`` into one streaming ``Trace`` the ``checkers``
-    subscribe to, yielding each record once it has completed."""
+def one_at_a_time(method):
+    """A ``Trace`` observer handing each record of a wave, in order, to
+    a reference that takes one record a call."""
+
+    def observe(wave):
+        for record in wave:
+            method(record)
+
+    return observe
+
+
+def feed(history, reference, shipped):
+    """Play ``history`` into one streaming ``Trace`` the ``reference``
+    (a record at a time) and the ``shipped`` checker (a wave of one a
+    step) subscribe to, yielding each record once it has completed."""
     trace = Trace(retain=False)
-    for checker in checkers:
-        trace.subscribe(
-            on_begin=checker.on_begin, on_complete=checker.on_complete
-        )
+    trace.subscribe(
+        on_begin=one_at_a_time(reference.on_begin),
+        on_complete=one_at_a_time(reference.on_complete),
+    )
+    trace.subscribe(
+        on_begin=shipped.on_begin, on_complete=shipped.on_complete
+    )
     records = {}
     for step in history:
         if step[0] == "begin":
             _, op, kind, process, time, value, key = step
-            records[op] = trace.begin(kind, process, time, value, key=key)
+            records[op], = trace.begin(kind, process, time, ((value, key),))
             continue
         _, op, time, result, stamp = step
         record = records.pop(op)
         if stamp is not None:
             record.meta["ts"] = stamp
-        yield trace.complete(record, time, result, rounds=1)
+        trace.complete((record,), time, (result,), 1)
+        yield record
 
 
 def replay(history, shipped=OnlineChecker, overrun_ops=None):
@@ -704,9 +720,10 @@ class ReadBoundNeverAdvances(OnlineChecker):
 
 
 class EvictedOpIsJudged(OnlineChecker):
-    def on_complete(self, record):
-        self._overrun.discard(record.op_id)
-        super().on_complete(record)
+    def on_complete(self, records):
+        for record in records:
+            self._overrun.discard(record.op_id)
+        super().on_complete(records)
 
 
 class BottomAfterWriteAccepted(OnlineChecker):

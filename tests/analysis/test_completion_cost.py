@@ -1,15 +1,17 @@
-"""Work-count regression for the accounting of one completed op — no
+"""Work-count regression for the accounting of completed ops — no
 wall clock.
 
 Every completed operation of a streamed run goes through
 ``Trace.complete -> LatencyAccumulator.observe ->
-OnlineChecker.on_complete``.  At the parent of this file that path was
-not constant per op: each completion walked the checker's in-flight set
-twice (a comprehension looking for stuck ops, ``min`` over the values
-for the window floor — 2N entries with N ops in flight) and built two
+OnlineChecker.on_complete``.  That path was once not constant per op:
+each completion walked the checker's in-flight set twice (a
+comprehension looking for stuck ops, ``min`` over the values for the
+window floor — 2N entries with N ops in flight) and built two
 ``Fraction``s for the exact latency sum.  The floor is now the top of a
 heap and the sum an integer, so the in-flight set is not looked at at
-all while nothing is stuck.
+all while nothing is stuck.  And the path is paid per *wave* — the
+records one client completes at one instant — not per op: a batch of 16
+is one call of each of its entry points.
 """
 
 import fractions
@@ -63,11 +65,11 @@ def entries_visited_by_one_more_op(in_flight):
         on_begin=checker.on_begin, on_complete=checker.on_complete
     )
     for n in range(in_flight):
-        trace.begin("read", f"r{n}", float(n), key=n % 4)
+        trace.begin("read", f"r{n}", float(n), ((None, n % 4),))
     assert len(pending) == in_flight < checker.overrun_ops
     pending.visited = 0
-    record = trace.begin("read", "one-more", float(in_flight), key=0)
-    trace.complete(record, in_flight + 1.0, BOTTOM, rounds=1)
+    record, = trace.begin("read", "one-more", float(in_flight), ((None, 0),))
+    trace.complete((record,), in_flight + 1.0, (BOTTOM,), 1)
     assert checker._floor == 0.0 and len(pending) == in_flight
     return pending.visited
 
@@ -126,8 +128,22 @@ def soak():
 def test_no_fraction_is_built_while_an_op_completes(soak):
     calls, result = soak
     assert result.ops_completed() == 2000 and result.online.atomic
-    assert calls["streaming.py", "observe"] == 2 * 2000   # both observes
-    assert calls["Fraction in Trace.complete"] == 0       # parent: 4002
+    assert calls["Fraction in Trace.complete"] == 0   # once 4002
+
+
+def test_the_entry_points_are_called_once_per_wave(soak):
+    calls, result = soak
+    waves = sum(
+        count for kind in ("read", "write")
+        for count in result.waves(kind).values()
+    )
+    assert waves == 2000 // 16       # every wave is a whole batch here
+    assert calls["trace.py", "begin"] == calls["trace.py", "complete"] == waves
+    assert calls["streaming.py", "on_begin"] == waves
+    assert calls["streaming.py", "on_complete"] == waves
+    # The accumulator's and its reservoir's: one each a wave (one each
+    # an op, before waves).
+    assert calls["streaming.py", "observe"] == 2 * waves
 
 
 def test_calls_per_completed_op_in_the_accounting_path(soak):
@@ -139,14 +155,15 @@ def test_calls_per_completed_op_in_the_accounting_path(soak):
         n for key, n in calls.items()
         if isinstance(key, tuple) and not key[1].startswith("<")
     )
-    # One begin and one complete in the trace, on_begin, two observes,
-    # on_complete, the rule, its one or two bounds and — unless the floor
-    # stood still and nothing was appended — one prune: 9.97 calls an op
-    # here, sweeps and the end-of-run summary included (10.87 on 3.11,
-    # where prune's comprehension is a call).  The parent made 11.13
-    # (13.14).
-    assert calls["trace.py", "begin"] == calls["trace.py", "complete"] == ops
-    assert calls["streaming.py", "on_complete"] == ops
-    assert calls["streaming.py", "prune"] < ops       # parent: 1.06 an op
-    assert calls["streaming.py", "_state"] < ops / 2  # parent: 1.37 an op
-    assert named <= 10.2 * ops
+    # Per op: the rule and its one or two bounds, and — unless the floor
+    # stood still and nothing landed below it — one prune; per wave of
+    # 16: the trace's begin and complete, on_begin, on_complete and two
+    # observes.  3.78 calls an op here (CPython 3.11), sweeps and the
+    # end-of-run summary included; 9.97 when each of the six was called
+    # per op.
+    # 0.69 prunes an op (0.89 while every append cleared ``pruned_at``),
+    # and ``_state`` only for new keys (0.37 an op when every write's
+    # begin called it).
+    assert calls["streaming.py", "prune"] < 0.75 * ops
+    assert calls["streaming.py", "_state"] < ops / 50
+    assert named <= 4.5 * ops

@@ -1,4 +1,4 @@
-"""Differential oracle for what one completed operation costs.
+"""Differential oracle for what completed operations cost.
 
 Every completed operation of a streamed run passes through
 ``Trace.complete -> LatencyAccumulator.observe ->
@@ -7,29 +7,34 @@ per operation — the window floor and the overrun eviction, by walking
 the in-flight set, and the exact latency sum, by building and
 normalising two ``Fraction``s — and now *maintains* them: a
 lazily-deleted heap of invocations, a lower bound on the oldest
-in-flight op id, an integer numerator over the common denominator.  The
-recomputing code lives on *only here*, verbatim from the parent commit:
+in-flight op id, an integer numerator over the common denominator.  It
+is also paid per *wave* — the records one client begins or completes at
+one instant — not per record.  The recomputing, record-at-a-time code
+lives on *only here*, verbatim:
 
 * :class:`ReferenceScanningChecker` — ``on_begin`` / ``on_complete`` /
   ``_evict`` / ``_sweep`` and ``_KeyState.prune`` as they were (the
-  rules, ``_complete_write`` / ``_complete_read``, are shared: they did
-  not change);
+  rules, ``_complete_write`` / ``_complete_read``, are shared; the
+  ``pruned_at`` bookkeeping in them is inert in a reference that
+  prunes unconditionally);
 * :class:`ReferenceFractionAccumulator` / :class:`ReferenceReservoir` —
   ``LatencyAccumulator.observe`` and ``QuantileReservoir.observe`` as
   they were (the sum's slot is spelled ``time_sum`` here, like the
   public property that replaced the private one).
 
-Reference and shipped checker subscribe to one ``Trace`` and must hold
-*identical state* after **every** begin and **every** completion —
-floor, in-flight set, evicted set, every per-key window / series /
-bound, the sampled ``max_retained`` — and return the same report, on
-the client-consistent histories of ``test_checker_oracle.py`` and on
+The reference takes a history a record at a time and the shipped
+checker the same steps cut into waves (of one, or of 1–16 drawn), and
+the two must hold *identical state* after **every** wave — floor,
+in-flight set, evicted set, every per-key window / series / bound, the
+sampled ``max_retained`` — and return the same report, on the
+client-consistent histories of ``test_checker_oracle.py`` and on
 free-form feeds a simulator would never produce but a ``Trace`` can:
 begins out of time order, batches of 1–16 operations sharing one
-interval, clients stuck past the overrun bound.  The accumulators must
-agree on ``float`` / ``int`` / ``Fraction`` streams longer than the
-reservoir, down to the RNG state.  Six seeded bugs are each killed by a
-named input.
+interval, clients stuck past the overrun bound, waves straddling a
+sweep or an eviction.  The accumulators must agree on ``float`` /
+``int`` / ``Fraction`` streams fed in waves of identical samples past
+the reservoir's capacity, down to the RNG state.  Ten seeded bugs are
+each killed by a named input.
 """
 
 import random
@@ -47,7 +52,7 @@ from repro.analysis.streaming import (
     QuantileReservoir,
     _KeyState,
 )
-from repro.sim.trace import Trace
+from repro.sim.trace import OperationRecord
 from repro.storage.history import BOTTOM
 from tests.analysis.test_checker_oracle import (
     STUCK_OVERRUN,
@@ -198,32 +203,65 @@ def assert_heap_is_bounded(checker):
     assert all(op >= checker._oldest_op_id for op in pending)
 
 
-def replay(history, shipped=OnlineChecker, overrun_ops=None, sweep_every=7):
-    """Feed ``history`` (the step format of ``test_checker_oracle``) to
-    the reference and to ``shipped`` through one ``Trace`` and compare
-    their whole state after every begin and every completion, then the
-    reports.  A short sweep period samples ``max_retained`` mid-feed."""
+def waves(history, wave):
+    """Cut ``history`` into waves: runs of begins or of completions, cut
+    every ``wave`` steps — or, ``wave`` a ``Random``, every 1–16 steps
+    it draws."""
+    cut = []
+    for step in history:
+        if cut and (step[0] != cut[0][0] or len(cut) == size):
+            yield cut
+            cut = []
+        if not cut:
+            size = wave if isinstance(wave, int) else wave.randint(1, 16)
+        cut.append(step)
+    if cut:
+        yield cut
+
+
+def replay(history, shipped=OnlineChecker, overrun_ops=None, sweep_every=7,
+           wave=1, seen=None):
+    """Feed ``history`` (the step format of ``test_checker_oracle``),
+    cut into :func:`waves`, to ``shipped`` a wave a call and to the
+    reference a record a call, and compare their whole state after
+    every wave, then the reports.  A short sweep period samples
+    ``max_retained`` mid-feed.  ``seen`` collects what the waves
+    straddled: a sweep, or an overrun eviction, before their last
+    element."""
     options = {} if overrun_ops is None else {"overrun_ops": overrun_ops}
     reference = ReferenceScanningChecker(**options)
     candidate = shipped(**options)
     reference.SWEEP_EVERY = candidate.SWEEP_EVERY = sweep_every
-    trace = Trace(retain=False)
-    for checker in (reference, candidate):
-        trace.subscribe(
-            on_begin=checker.on_begin, on_complete=checker.on_complete
-        )
-    records = {}
-    for step in history:
-        if step[0] == "begin":
-            _, op, kind, process, time, value, key = step
-            records[op] = trace.begin(kind, process, time, value, key=key)
+    records, begun = {}, 0
+    for cut in waves(history, wave):
+        fed = []
+        for step in cut:
+            if step[0] == "begin":
+                _, op, kind, process, time, value, key = step
+                record = records[op] = OperationRecord(
+                    begun, kind, process, time, value, key=key
+                )
+                begun += 1
+                reference.on_begin(record)
+            else:
+                _, op, time, result, stamp = step
+                record = records.pop(op)
+                record.completed_at, record.result = time, result
+                if stamp is not None:
+                    record.meta["ts"] = stamp
+                evicted = len(reference._overrun)
+                reference.on_complete(record)
+                if seen is not None and len(fed) < len(cut) - 1:
+                    if reference._since_sweep == 0:
+                        seen.add("sweep-inside-a-wave")
+                    if len(reference._overrun) > evicted:
+                        seen.add("eviction-inside-a-wave")
+            fed.append(record)
+        if cut[0][0] == "begin":
+            candidate.on_begin(fed)
         else:
-            _, op, time, result, stamp = step
-            record = records.pop(op)
-            if stamp is not None:
-                record.meta["ts"] = stamp
-            trace.complete(record, time, result, rounds=1)
-        assert state_of(candidate) == state_of(reference), step
+            candidate.on_complete(fed)
+        assert state_of(candidate) == state_of(reference), cut
         if shipped is OnlineChecker:    # a mutant dies of what it reports
             assert_heap_is_bounded(candidate)
     assert candidate.report() == reference.report()
@@ -235,10 +273,11 @@ def replay(history, shipped=OnlineChecker, overrun_ops=None, sweep_every=7):
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(shapes)
-def test_client_consistent_histories_leave_identical_state(shape):
+@given(shapes, st.randoms(use_true_random=False))
+def test_client_consistent_histories_leave_identical_state(shape, rng):
     history = build_history(**shape)
-    replay(history, overrun_ops=STUCK_OVERRUN if shape["stuck"] else None)
+    replay(history, overrun_ops=STUCK_OVERRUN if shape["stuck"] else None,
+           wave=rng)
 
 
 feed_steps = st.tuples(
@@ -342,14 +381,16 @@ def build_feed(n_keys, steps):
 
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(feeds, st.sampled_from((None, 40, 12, 5)))
-def test_free_form_feeds_leave_identical_state(feed, overrun_ops):
-    replay(build_feed(**feed), overrun_ops=overrun_ops)
+@given(feeds, st.sampled_from((None, 40, 12, 5)),
+       st.randoms(use_true_random=False))
+def test_free_form_feeds_leave_identical_state(feed, overrun_ops, rng):
+    replay(build_feed(**feed), overrun_ops=overrun_ops, wave=rng)
 
 
 def test_the_feed_generator_reaches_what_it_is_for():
-    """Out-of-time-order begins, full batches, evictions and late
-    completions of evicted ops all occur in a fixed sample of feeds."""
+    """Out-of-time-order begins, full batches, evictions, late
+    completions of evicted ops, and waves with a sweep or an eviction
+    before their last element all occur in a fixed sample of feeds."""
     rng = random.Random(20)
     seen = set()
     for _ in range(60):
@@ -365,14 +406,15 @@ def test_the_feed_generator_reaches_what_it_is_for():
             seen.add("begin-out-of-time-order")
         if max(times.count(time) for time in times) >= 16:
             seen.add("batch-of-16")
-        checker = replay(history, overrun_ops=12)
+        checker = replay(history, overrun_ops=12, wave=rng, seen=seen)
         if checker.overrun_unchecked:
             seen.add("evicted-op-completed")
         if checker._overrun:
             seen.add("evicted-op-still-open")
     assert seen == {
         "begin-out-of-time-order", "batch-of-16", "evicted-op-completed",
-        "evicted-op-still-open",
+        "evicted-op-still-open", "sweep-inside-a-wave",
+        "eviction-inside-a-wave",
     }
 
 
@@ -388,7 +430,7 @@ def churn(count, start, first=1):
     return steps
 
 
-#: name -> (feed, overrun_ops)
+#: name -> (feed, overrun_ops, wave size)
 SCRIPTS = {
     # The write is registered at 2.0, *then* a read that started at 0.0:
     # the floor is the later begin's earlier time.
@@ -399,7 +441,7 @@ SCRIPTS = {
         *read("r2", 1, 0.5, 1.0, process="r2"),
         ("end", "r", 1.5, 1, 1),
         ("end", "w", 3.0, "OK", 2),
-    ], None),
+    ], None, 1),
     # The oldest op completes while a younger one is still in flight:
     # its heap entry is stale and must not stay the floor.
     "the-oldest-op-completes-first": ([
@@ -409,7 +451,7 @@ SCRIPTS = {
         ("end", "old", 2.5, 1, 1),
         *write("w2", 2, 3.0, 3.5),
         ("end", "young", 4.0, 2, 2),
-    ], None),
+    ], None, 1),
     # One crashed reader is evicted, the run goes on, a second one
     # stalls: the eviction walk has to run again.
     "two-readers-stuck-one-after-the-other": ([
@@ -419,7 +461,7 @@ SCRIPTS = {
         *churn(8, start=20.0, first=7),
         ("end", "stuck1", 60.0, 1, 1),
         ("end", "stuck2", 61.0, 7, 7),
-    ], 4),
+    ], 4, 1),
     # A write pins the floor at 5.0 while reads that began (late) at
     # earlier times complete below it: the second one is appended to a
     # key already pruned at this very floor and must be folded too.
@@ -430,14 +472,30 @@ SCRIPTS = {
         *read("x", 2, 1.0, 2.0, process="r2"),
         *read("z", 1, 2.5, 3.0, process="r3"),
         ("end", "pin", 6.0, "OK", 3),
-    ], None),
+    ], None, 1),
+    # Ten reads begin as one wave and complete as one: the sweep is due
+    # after the seventh element, not after the wave.
+    "a-wave-straddles-a-sweep": ([
+        *(("begin", n, "read", f"r{n}", 0.0, None, 0) for n in range(10)),
+        *(("end", n, 1.0, BOTTOM, None) for n in range(10)),
+    ], None, 10),
+    # One wave completes w, a and b: after a the floor is 2.0, past
+    # the write at 1.2, which key 0 must fold before b completes.
+    "the-floor-moves-inside-a-wave": ([
+        ("begin", "w", "write", "writer", 0.0, 1, 0),
+        ("begin", "a", "read", "ra", 1.0, None, 0),
+        ("begin", "b", "read", "rb", 2.0, None, 1),
+        ("end", "w", 1.2, "OK", 1),
+        ("end", "a", 2.5, 1, 1),
+        ("end", "b", 2.5, BOTTOM, None),
+    ], None, 3),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SCRIPTS))
 def test_scripted_feeds_leave_identical_state(name):
-    history, overrun_ops = SCRIPTS[name]
-    replay(history, overrun_ops=overrun_ops)
+    history, overrun_ops, wave = SCRIPTS[name]
+    replay(history, overrun_ops=overrun_ops, wave=wave)
 
 
 def test_a_pinned_heap_stays_within_in_flight_plus_the_overrun_bound():
@@ -463,14 +521,15 @@ class FloorIgnoresLateEarlierBegin(OnlineChecker):
     the newest invocation already in flight (what reading the floor off
     the first entry of the insertion-ordered ``_pending`` does)."""
 
-    def on_begin(self, record):
-        super().on_begin(record)
-        entries = self._invocations
-        entry, newest = (record.invoked_at, record.op_id), max(entries)
-        if entry < newest:
-            entries.remove(entry)
-            entries.append((newest[0], record.op_id))
-            heapify(entries)
+    def on_begin(self, records):
+        for record in records:
+            super().on_begin((record,))
+            entries = self._invocations
+            entry, newest = (record.invoked_at, record.op_id), max(entries)
+            if entry < newest:
+                entries.remove(entry)
+                entries.append((newest[0], record.op_id))
+                heapify(entries)
 
 
 class _NothingIsStale(dict):
@@ -497,8 +556,9 @@ class EvictionScanNeverReruns(OnlineChecker):
 
 
 class PruneSkippedAfterAppend(_OverKeyState):
-    """Skips the per-key prune whenever the floor has not moved since
-    that key's last one — forgetting what was appended in between."""
+    """Keeps ``pruned_at`` when an entry lands below it: skips the
+    per-key prune whenever the floor has not moved since that key's
+    last one — forgetting what was appended under it in between."""
 
     class key_state(_KeyState):
         __slots__ = ("_at",)
@@ -513,20 +573,61 @@ class PruneSkippedAfterAppend(_OverKeyState):
         pruned_at = property(_get, _set)
 
 
+class SweepAtWaveEnd(OnlineChecker):
+    """Counts a wave's completions toward the sweep but sweeps only
+    after its last element."""
+
+    def on_complete(self, records):
+        self.SWEEP_EVERY, every = float("inf"), self.SWEEP_EVERY
+        try:
+            super().on_complete(records)
+        finally:
+            self.SWEEP_EVERY = every
+        if self._since_sweep >= every:
+            self._sweep()
+
+
+class _InFlightWhileFrozen(dict):
+    frozen = False
+
+    def __contains__(self, op_id):
+        return self.frozen or super().__contains__(op_id)
+
+
+class FloorAndPruneOncePerWave(OnlineChecker):
+    """Moves the window floor — and prunes to it — once per wave, after
+    its last element: the elements before it see the floor the wave
+    started with."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._pending = _InFlightWhileFrozen()
+
+    def on_complete(self, records):
+        self._pending.frozen = True
+        try:
+            super().on_complete(records[:-1])
+        finally:
+            self._pending.frozen = False
+        super().on_complete(records[-1:])
+
+
 #: mutant -> the scripted feed that kills it.
 MUTANTS = {
     FloorIgnoresLateEarlierBegin: "a-late-begin-with-an-earlier-time",
     StaleHeapEntryPinsTheFloor: "the-oldest-op-completes-first",
     EvictionScanNeverReruns: "two-readers-stuck-one-after-the-other",
     PruneSkippedAfterAppend: "appended-below-an-unchanged-floor",
+    SweepAtWaveEnd: "a-wave-straddles-a-sweep",
+    FloorAndPruneOncePerWave: "the-floor-moves-inside-a-wave",
 }
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS, key=lambda m: m.__name__))
 def test_seeded_checker_mutants_are_killed(mutant):
-    history, overrun_ops = SCRIPTS[MUTANTS[mutant]]
+    history, overrun_ops, wave = SCRIPTS[MUTANTS[mutant]]
     with pytest.raises(AssertionError):
-        replay(history, mutant, overrun_ops)
+        replay(history, mutant, overrun_ops, wave=wave)
 
 
 # -- the reference accumulator: a Fraction per operation, verbatim -------------
@@ -589,16 +690,18 @@ def summary_of(accumulator):
 
 
 def observe_all(stream, capacity, shipped=LatencyAccumulator):
-    """Feed ``stream`` of ``(rounds, elapsed)`` to the reference and to
-    ``shipped``, comparing everything after every sample; returns the
-    shipped accumulator."""
+    """Feed ``stream`` of ``(rounds, elapsed, count)`` waves to
+    ``shipped`` a wave a call and to the reference a sample a call,
+    comparing everything after every wave; returns the shipped
+    accumulator."""
     reference = ReferenceFractionAccumulator("op", capacity)
     candidate = shipped("op", capacity)
-    for rounds, elapsed in stream:
-        reference.observe(rounds, elapsed)
-        candidate.observe(rounds, elapsed)
+    for rounds, elapsed, count in stream:
+        for _ in range(count):
+            reference.observe(rounds, elapsed)
+        candidate.observe(rounds, elapsed, count)
         got, want = summary_of(candidate), summary_of(reference)
-        assert got == want, (rounds, elapsed)
+        assert got == want, (rounds, elapsed, count)
         # ``==`` would let 1/2 pass for 0.5: the sum is a Fraction.
         assert type(got["time_sum"]) is Fraction
     return candidate
@@ -610,30 +713,37 @@ elapsed_values = st.one_of(
     st.integers(0, 1000),
     st.fractions(min_value=0, max_value=100, max_denominator=60),
 )
+#: Waves of one, mostly, and of up to 16 identical samples.
 streams = st.lists(
-    st.tuples(st.integers(1, 4), elapsed_values), min_size=1, max_size=70,
+    st.tuples(
+        st.integers(1, 4), elapsed_values,
+        st.one_of(st.just(1), st.integers(1, 16)),
+    ),
+    min_size=1, max_size=70,
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(streams, st.sampled_from((1, 4, 16)))
 def test_integer_sum_is_the_fraction_sum(stream, capacity):
-    """Streams several times the reservoir's capacity, mixing the three
-    numeric types ``elapsed`` can arrive as."""
+    """Streams several times the reservoir's capacity, in waves that
+    fill it and run past it, mixing the three numeric types
+    ``elapsed`` can arrive as."""
     observe_all(stream, capacity)
 
 
 @settings(max_examples=200, deadline=None)
 @given(streams, st.lists(st.integers(0, 70), max_size=4), st.randoms())
 def test_merge_of_any_split_is_the_whole(stream, cuts, rng):
-    capacity = 128                    # every part and the union fit
+    # Every part and the union fit.
+    capacity = max(128, sum(count for _, _, count in stream))
     whole = observe_all(stream, capacity)
     bounds = sorted({0, len(stream), *(min(c, len(stream)) for c in cuts)})
     parts = []
     for start, end in zip(bounds, bounds[1:]):
         part = LatencyAccumulator("op", capacity)
-        for rounds, elapsed in stream[start:end]:
-            part.observe(rounds, elapsed)
+        for rounds, elapsed, count in stream[start:end]:
+            part.observe(rounds, elapsed, count)
         parts.append(part)
     rng.shuffle(parts)
     merged = LatencyAccumulator.merge(parts)
@@ -645,7 +755,9 @@ def test_merge_of_any_split_is_the_whole(stream, cuts, rng):
     )
     assert merged.reservoir._samples == sorted(whole.reservoir._samples)
     # A merge of merges is still exact.
-    again = LatencyAccumulator.merge([merged, LatencyAccumulator("op", 128)])
+    again = LatencyAccumulator.merge(
+        [merged, LatencyAccumulator("op", capacity)]
+    )
     assert again.time_sum == whole.time_sum
 
 
@@ -654,12 +766,23 @@ def test_merge_of_any_split_is_the_whole(stream, cuts, rng):
 class SumDropsLowBits(LatencyAccumulator):
     """Keeps the running sum as a ``float`` (``total += elapsed``)."""
 
-    def observe(self, rounds, elapsed):
+    def observe(self, rounds, elapsed, count):
         total = float(self.time_sum)
-        super().observe(rounds, elapsed)
+        super().observe(rounds, elapsed, count)
         self._time_units, self._time_scale = (
-            float(total + elapsed).as_integer_ratio()
+            float(total + elapsed * count).as_integer_ratio()
         )
+
+
+class TimeSumOncePerWave(LatencyAccumulator):
+    """Adds a wave's elapsed time to the exact sum once, not once per
+    sample."""
+
+    def observe(self, rounds, elapsed, count):
+        super().observe(rounds, elapsed, count)
+        self._time_units, self._time_scale = (
+            self.time_sum - Fraction(elapsed) * (count - 1)
+        ).as_integer_ratio()
 
 
 class SlotFromRandomRandom(LatencyAccumulator):
@@ -669,30 +792,52 @@ class SlotFromRandomRandom(LatencyAccumulator):
     class reservoir_type(QuantileReservoir):
         __slots__ = ()
 
-        def observe(self, sample):
-            if len(self._samples) < self.capacity:
-                return super().observe(sample)
-            self.seen += 1
-            self._sorted = None
-            slot = int(self._rng.random() * self.seen)
-            if slot < self.capacity:
-                self._samples[slot] = sample
+        def observe(self, sample, count):
+            for _ in range(count):
+                if len(self._samples) < self.capacity:
+                    super().observe(sample, 1)
+                    continue
+                self.seen += 1
+                self._sorted = None
+                slot = int(self._rng.random() * self.seen)
+                if slot < self.capacity:
+                    self._samples[slot] = sample
 
     def __init__(self, kind, capacity):
         super().__init__(kind, capacity)
         self.reservoir = self.reservoir_type(capacity)
 
 
-#: name -> (stream, reservoir capacity)
+class ReservoirDrawsOncePerWave(SlotFromRandomRandom):
+    """Fills the reservoir sample by sample, but past capacity draws
+    one slot for a whole wave."""
+
+    class reservoir_type(QuantileReservoir):
+        __slots__ = ()
+
+        def observe(self, sample, count):
+            fill = max(0, min(count, self.capacity - self.seen))
+            if fill:
+                super().observe(sample, fill)
+            if count > fill:
+                super().observe(sample, 1)
+                self.seen += count - fill - 1
+
+
+#: name -> (stream of (rounds, elapsed, count) waves, reservoir capacity)
 STREAMS = {
     # Ten times the double nearest 0.1 is not the double nearest 1.0.
-    "ten-tenths": ([(1, 0.1)] * 10, 16),
-    "twice-the-reservoir": ([(1, float(n)) for n in range(16)], 8),
+    "ten-tenths": ([(1, 0.1, 1)] * 10, 16),
+    "twice-the-reservoir": ([(1, float(n), 1) for n in range(16)], 8),
+    "one-wave-of-four": ([(2, 0.5, 4)], 16),
+    "waves-past-the-reservoir": ([(1, float(n), 4) for n in range(6)], 8),
 }
 
 ACCUMULATOR_MUTANTS = {
     SumDropsLowBits: "ten-tenths",
     SlotFromRandomRandom: "twice-the-reservoir",
+    TimeSumOncePerWave: "one-wave-of-four",
+    ReservoirDrawsOncePerWave: "waves-past-the-reservoir",
 }
 
 

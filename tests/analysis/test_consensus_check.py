@@ -7,11 +7,11 @@ from repro.sim.trace import Trace
 def make_trace(proposals, learns):
     trace = Trace()
     for value in proposals:
-        record = trace.begin("propose", "p", 0.0, value)
-        trace.complete(record, 1.0, "proposed")
+        record, = trace.begin("propose", "p", 0.0, ((value, 0),))
+        trace.complete((record,), 1.0, ("proposed",), 0)
     for learner, value in learns:
-        record = trace.begin("learn", learner, 0.0)
-        trace.complete(record, 2.0, value)
+        record, = trace.begin("learn", learner, 0.0, ((None, 0),))
+        trace.complete((record,), 2.0, (value,), 0)
     return trace.records
 
 

@@ -8,8 +8,8 @@ from repro.sim.trace import Trace
 def test_summarize_rounds():
     trace = Trace()
     for rounds, duration in ((1, 2.0), (2, 4.0), (3, 6.0)):
-        record = trace.begin("write", "w", 0.0, rounds)
-        trace.complete(record, duration, "OK", rounds=rounds)
+        record, = trace.begin("write", "w", 0.0, ((rounds, 0),))
+        trace.complete((record,), duration, ("OK",), rounds)
     summary = LatencySummary.from_records(trace.records, "write")
     assert summary.count == 3
     assert (summary.min_rounds, summary.max_rounds) == (1, 3)

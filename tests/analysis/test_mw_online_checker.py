@@ -30,7 +30,7 @@ class Driver:
             invoked_at=at, value=value, key=key,
         )
         self._next_id += 1
-        self.checker.on_begin(record)
+        self.checker.on_begin((record,))
         return record
 
     def begin_write(self, process, at, value, key=0):
@@ -44,14 +44,14 @@ class Driver:
         record.result = "OK"
         if stamp is not None:
             record.meta["ts"] = stamp
-        self.checker.on_complete(record)
+        self.checker.on_complete((record,))
 
     def finish_read(self, record, at, result, stamp=None):
         record.completed_at = at
         record.result = result
         if stamp is not None:
             record.meta["ts"] = stamp
-        self.checker.on_complete(record)
+        self.checker.on_complete((record,))
 
     def write(self, process, invoked, completed, value, stamp, key=0):
         record = self.begin_write(process, invoked, value, key=key)

@@ -528,9 +528,9 @@ def make_history(*ops):
     """ops: (kind, process, t_inv, t_resp_or_None, value, result)."""
     trace = Trace()
     for kind, process, invoked, completed, value, result in ops:
-        record = trace.begin(kind, process, invoked, value)
+        record, = trace.begin(kind, process, invoked, ((value, 0),))
         if completed is not None:
-            trace.complete(record, completed, result)
+            trace.complete((record,), completed, (result,), 0)
     return trace.records
 
 
@@ -716,27 +716,27 @@ def test_inversion_not_linearizable():
 class TestRegularityChecker:
     def test_rejects_fabrication(self):
         trace = Trace()
-        record = trace.begin("read", "r", 0.0)
-        trace.complete(record, 1.0, "ghost")
+        record, = trace.begin("read", "r", 0.0, ((None, 0),))
+        trace.complete((record,), 1.0, ("ghost",), 0)
         report = check_swmr_regularity(trace.records)
         assert not report.regular
 
     def test_rejects_stale_read(self):
         trace = Trace()
-        w = trace.begin("write", "w", 0.0, "a")
-        trace.complete(w, 1.0, "OK")
-        r = trace.begin("read", "r", 2.0)
-        trace.complete(r, 3.0, BOTTOM)
+        w, = trace.begin("write", "w", 0.0, (("a", 0),))
+        trace.complete((w,), 1.0, ("OK",), 0)
+        r, = trace.begin("read", "r", 2.0, ((None, 0),))
+        trace.complete((r,), 3.0, (BOTTOM,), 0)
         assert not check_swmr_regularity(trace.records).regular
 
     def test_accepts_read_inversion(self):
         trace = Trace()
-        w = trace.begin("write", "w", 0.0, "a")
-        trace.complete(w, 100.0, "OK")          # concurrent with both
-        r1 = trace.begin("read", "r1", 1.0)
-        trace.complete(r1, 2.0, "a")
-        r2 = trace.begin("read", "r2", 3.0)
-        trace.complete(r2, 4.0, BOTTOM)
+        w, = trace.begin("write", "w", 0.0, (("a", 0),))
+        trace.complete((w,), 100.0, ("OK",), 0)    # concurrent with both
+        r1, = trace.begin("read", "r1", 1.0, ((None, 0),))
+        trace.complete((r1,), 2.0, ("a",), 0)
+        r2, = trace.begin("read", "r2", 3.0, ((None, 0),))
+        trace.complete((r2,), 4.0, (BOTTOM,), 0)
         assert check_swmr_regularity(trace.records).regular
         assert not check_swmr_atomicity(trace.records).atomic
 
@@ -776,16 +776,16 @@ def test_replay_agrees_with_the_references(ops):
             write_count += 1
             value = f"v{write_count}"
             values.append(value)
-            record = trace.begin("write", "w", invoked, value)
-            trace.complete(record, completed, "OK")
+            record, = trace.begin("write", "w", invoked, ((value, 0),))
+            trace.complete((record,), completed, ("OK",), 0)
         else:
             result = (
                 BOTTOM
                 if selector == 0 or not values
                 else values[min(selector, len(values)) - 1]
             )
-            record = trace.begin("read", f"r{start}", start)
-            trace.complete(record, start + duration, result)
+            record, = trace.begin("read", f"r{start}", start, ((None, 0),))
+            trace.complete((record,), start + duration, (result,), 0)
     records = stamped(trace.records)
     report = check_swmr_atomicity(records)
     assert report.atomic == is_linearizable(records)

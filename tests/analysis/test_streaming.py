@@ -56,7 +56,7 @@ class TestQuantileReservoir:
     def test_exact_below_capacity(self):
         reservoir = QuantileReservoir(capacity=16)
         for sample in (5.0, 1.0, 3.0, 2.0, 4.0):
-            reservoir.observe(sample)
+            reservoir.observe(sample, 1)
         assert reservoir.exact
         assert reservoir.quantile(0.5) == 3.0
         assert reservoir.quantile(0.99) == 5.0
@@ -66,7 +66,7 @@ class TestQuantileReservoir:
             reservoir = QuantileReservoir(capacity=64)
             rng = random.Random(3)
             for _ in range(5000):
-                reservoir.observe(rng.uniform(0.0, 100.0))
+                reservoir.observe(rng.uniform(0.0, 100.0), 1)
             return reservoir
 
         first, second = fill(), fill()
@@ -89,7 +89,7 @@ class TestQuantileReservoirMerge:
         for size in sizes:
             reservoir = QuantileReservoir(capacity=capacity)
             for _ in range(size):
-                reservoir.observe(rng.uniform(0.0, 100.0))
+                reservoir.observe(rng.uniform(0.0, 100.0), 1)
             parts.append(reservoir)
         return parts
 
@@ -140,8 +140,8 @@ class TestLatencyAccumulatorMerge:
             for _ in range(size):
                 rounds = rng.randint(1, 4)
                 elapsed = rng.uniform(0.25, 8.0)
-                whole.observe(rounds, elapsed)
-                part.observe(rounds, elapsed)
+                whole.observe(rounds, elapsed, 1)
+                part.observe(rounds, elapsed, 1)
             parts.append(part)
         return whole, parts
 
@@ -201,15 +201,15 @@ class TestLatencyAccumulatorMerge:
         merged = LatencyAccumulator.merge(parts)
         before = LatencySummary.from_accumulator(merged)
         with pytest.raises(ValueError, match="terminal"):
-            merged.observe(1, 2.0)
+            merged.observe(1, 2.0, 1)
         with pytest.raises(ValueError, match="terminal"):
-            merged.reservoir.observe(2.0)
+            merged.reservoir.observe(2.0, 1)
         with pytest.raises(ValueError, match="terminal"):
-            QuantileReservoir.merge([], capacity=8).observe(2.0)
+            QuantileReservoir.merge([], capacity=8).observe(2.0, 1)
         assert LatencySummary.from_accumulator(merged) == before
         assert merged.count == whole.count == 5500
         # The parts stay live: observe there and merge again.
-        parts[0].observe(1, 2.0)
+        parts[0].observe(1, 2.0, 1)
         assert LatencyAccumulator.merge(parts).count == 5501
 
 
@@ -222,9 +222,9 @@ class TestLatencyAccumulator:
             invoked = rng.uniform(0.0, 500.0)
             elapsed = rng.uniform(0.5, 9.0)
             rounds = rng.randint(1, 3)
-            record = trace.begin("read", "r", invoked)
-            trace.complete(record, invoked + elapsed, "v", rounds=rounds)
-            accumulator.observe(rounds, (invoked + elapsed) - invoked)
+            record, = trace.begin("read", "r", invoked, ((None, 0),))
+            trace.complete((record,), invoked + elapsed, ("v",), rounds)
+            accumulator.observe(rounds, (invoked + elapsed) - invoked, 1)
         assert (
             LatencySummary.from_accumulator(accumulator)
             == summarize_rounds(trace.records, "read")
@@ -245,12 +245,12 @@ class TestLatencyAccumulator:
         rng = random.Random(5)
         for index in range(RESERVOIR_CAPACITY + 500):
             invoked = rng.uniform(0.0, 500.0)
-            record = trace.begin("write", "w", invoked)
+            record, = trace.begin("write", "w", invoked, ((None, 0),))
             trace.complete(
-                record, invoked + rng.uniform(0.5, 9.0), "OK",
-                rounds=rng.randint(1, 3),
+                (record,), invoked + rng.uniform(0.5, 9.0), ("OK",),
+                rng.randint(1, 3),
             )
-        trace.begin("write", "w", 600.0)       # incomplete: left out
+        trace.begin("write", "w", 600.0, ((None, 0),))   # incomplete
         assert (
             LatencySummary.from_records(trace.records, "write")
             == summarize_rounds(trace.records, "write")
@@ -275,15 +275,15 @@ def _stamped(record, value):
 
 
 def _write(trace, value, start, end, key=0):
-    record = trace.begin("write", "writer", start, value, key=key)
+    record, = trace.begin("write", "writer", start, ((value, key),))
     _stamped(record, value)
-    trace.complete(record, end, "OK", rounds=1)
+    trace.complete((record,), end, ("OK",), 1)
 
 
 def _read(trace, result, start, end, key=0, process="reader"):
-    record = trace.begin("read", process, start, key=key)
+    record, = trace.begin("read", process, start, ((None, key),))
     _stamped(record, result)
-    trace.complete(record, end, result, rounds=1)
+    trace.complete((record,), end, (result,), 1)
 
 
 class TestOnlineChecker:
@@ -330,10 +330,10 @@ class TestOnlineChecker:
         checker = _checker_on(trace)
         # The write is invoked at 2.0 (registered at begin); a read that
         # completed at 1.0 already returned its value.
-        wrecord = trace.begin("write", "writer", 2.0, 1, key=0)
+        wrecord, = trace.begin("write", "writer", 2.0, ((1, 0),))
         _stamped(wrecord, 1)
         _read(trace, 1, 0.0, 1.0)
-        trace.complete(wrecord, 3.0, "OK", rounds=1)
+        trace.complete((wrecord,), 3.0, ("OK",), 1)
         report = checker.report()
         assert "future-read" in {v.rule for v in report.violations}
 
@@ -351,11 +351,11 @@ class TestOnlineChecker:
         _write(trace, 1, 0.0, 1.0)
         # Write 2 is still in flight while both reads run: no stale rule
         # applies, but the second read regresses behind the first.
-        record = trace.begin("write", "writer", 2.0, 2, key=0)
+        record, = trace.begin("write", "writer", 2.0, ((2, 0),))
         _stamped(record, 2)
         _read(trace, 2, 3.0, 4.0, process="r1")
         _read(trace, 1, 5.0, 6.0, process="r2")
-        trace.complete(record, 7.0, "OK", rounds=1)
+        trace.complete((record,), 7.0, ("OK",), 1)
         report = checker.report()
         assert "read-inversion" in {v.rule for v in report.violations}
 
@@ -405,7 +405,7 @@ class TestOnlineChecker:
         trace.subscribe(
             on_begin=checker.on_begin, on_complete=checker.on_complete
         )
-        stuck = trace.begin("read", "crashed", 0.0, key=0)
+        stuck, = trace.begin("read", "crashed", 0.0, ((None, 0),))
         time, value, heap_high_water = 1.0, 0, 0
         for _ in range(5000):
             value += 1
@@ -424,7 +424,7 @@ class TestOnlineChecker:
         # The stuck op finally completes with an ancient view: it is
         # skipped, visibly, instead of being judged on pruned bounds.
         _stamped(stuck, 1)
-        trace.complete(stuck, time, 1, rounds=1)
+        trace.complete((stuck,), time, (1,), 1)
         report = checker.report()
         assert report.atomic
         assert report.overrun_unchecked == 1
@@ -434,7 +434,7 @@ class TestOnlineChecker:
         evicts nothing, so the op a live window skipped is judged and
         nothing is left unchecked."""
         trace = Trace()
-        stuck = trace.begin("read", "crashed", 0.0, key=0)
+        stuck, = trace.begin("read", "crashed", 0.0, ((None, 0),))
         time, value = 1.0, 0
         for _ in range(OnlineChecker.OVERRUN_OPS):
             value += 1
@@ -443,13 +443,13 @@ class TestOnlineChecker:
             time += 2.0
         # Value 4 is key 0's first write, concurrent with the stuck read.
         _stamped(stuck, 4)
-        trace.complete(stuck, time, 4, rounds=1)
+        trace.complete((stuck,), time, (4,), 1)
         live = OnlineChecker()
         for record in trace.records:
-            live.on_begin(record)
+            live.on_begin((record,))
             if record is not stuck:
-                live.on_complete(record)
-        live.on_complete(stuck)
+                live.on_complete((record,))
+        live.on_complete((stuck,))
         assert live.report().overrun_unchecked == 1
         report = check_history(trace.records)
         assert report.atomic and report.overrun_unchecked == 0

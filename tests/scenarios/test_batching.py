@@ -9,6 +9,7 @@ plans.  (Message counts and latencies legitimately differ — that is the
 point of batching.)
 """
 
+from collections import Counter, defaultdict
 from functools import partial
 
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from repro.errors import CheckerError, ScenarioError
 from repro.experiments import keyed_mix_spec
 from repro.scenarios import RandomMix, ScenarioSpec, run
-from repro.scenarios.faults import Crash, Drop, FaultPlan, Hold
+from repro.scenarios.faults import Crash, Delay, Drop, FaultPlan, Hold
 from repro.scenarios.workloads import Write
 from repro.sim.conditions import Event
 from repro.sim.tasks import AUTO_BATCH_MAX, _adaptive_batches
@@ -318,6 +319,8 @@ class TestPerElementCompletion:
         assert (contended.result, contended.rounds) == ("b1", 2)
         assert clean.invoked_at == contended.invoked_at
         assert clean.completed_at < contended.completed_at
+        # The batch completed as two waves of one: collect, write-back.
+        assert adapter.trace.waves("read") == {1: 2}
 
     def test_rqs_cohort_completes_under_degraded_quorums(self):
         """Both elements of a batch resolved in the same collect round
@@ -345,3 +348,83 @@ class TestPerElementCompletion:
         assert first.rounds == second.rounds == 3
         assert first.completed_at == second.completed_at
         assert first.completed_at == first.invoked_at + 6.0
+
+
+def _waves_of(records, kind):
+    """The completion waves the retained ``kind`` records show, per
+    client in completion order: ``{process: [size, ...]}``."""
+    waves = defaultdict(Counter)
+    for record in records:
+        if record.kind == kind and record.complete:
+            waves[record.process][
+                record.invoked_at, record.completed_at
+            ] += 1
+    return {
+        process: [size for _, size in sorted(sizes.items(),
+                                             key=lambda item: item[0][::-1])]
+        for process, sizes in waves.items()
+    }
+
+
+class TestCompletionWaves:
+    """``RunResult.summary()["kinds"][kind]["waves"]``: how many records
+    each ``Trace.complete`` carried, by size."""
+
+    @pytest.mark.parametrize("protocol", STORAGE_PROTOCOLS)
+    def test_unbatched_ops_complete_in_waves_of_one(self, protocol):
+        result = run(_spec(protocol))
+        for kind in ("write", "read"):
+            completed = result.ops_completed(kind)
+            assert completed > 0
+            assert result.summary()["kinds"][kind]["waves"] == {1: completed}
+
+    def test_a_batch_of_16_fills_every_wave_but_each_clients_last(self):
+        result = run(_spec("abd", batch_size=16))
+        for kind in ("write", "read"):
+            per_client = _waves_of(result.records, kind)
+            for sizes in per_client.values():
+                assert set(sizes[:-1]) <= {16} and 1 <= sizes[-1] <= 16
+            assert result.waves(kind) == dict(sorted(Counter(
+                size for sizes in per_client.values() for size in sizes
+            ).items()))
+
+    @pytest.mark.parametrize("protocol", STORAGE_PROTOCOLS)
+    def test_auto_waves_stay_under_the_cap(self, protocol):
+        result = run(_spec(protocol, batch_size="auto"))
+        sizes = {}
+        for kind in ("write", "read"):
+            sizes.update(waves := result.waves(kind))
+            assert max(waves) <= AUTO_BATCH_MAX
+            assert sum(size * n for size, n in waves.items()) == (
+                result.ops_completed(kind)
+            )
+        assert max(sizes) > 1        # "auto" did coalesce something
+
+    def test_a_fastabd_batch_completes_in_a_collect_and_a_write_back_wave(
+        self,
+    ):
+        """A slowed writer leg leaves pre-writes at too few servers: the
+        elements reading one wait out a write-back, the rest of their
+        batch completes at the collect."""
+        result = run(ScenarioSpec(
+            "fastabd", readers=4, n_keys=4, seed=0,
+            workload=(RandomMix(60, 120, horizon=80.0, batch_size=4),),
+            faults=FaultPlan(asynchrony=(
+                Delay(3.0, src=("writer",), dst=(1, 2, 3)),
+            )),
+        ))
+        batches = defaultdict(list)
+        for record in result.reads:
+            batches[record.process, record.invoked_at].append(record)
+        split = 0
+        for batch in batches.values():
+            waves = sorted({(r.completed_at, r.rounds) for r in batch})
+            assert len(waves) <= 2
+            if len(waves) == 2:
+                split += 1
+                assert [rounds for _, rounds in waves] == [1, 2]
+        assert split >= 3
+        assert result.waves("read") == dict(sorted(Counter(
+            size for sizes in _waves_of(result.records, "read").values()
+            for size in sizes
+        ).items()))

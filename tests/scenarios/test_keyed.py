@@ -277,8 +277,8 @@ def _synthetic_two_key_history():
     trace = Trace()
 
     def op(kind, process, start, end, value=None, result=None, key=0):
-        record = trace.begin(kind, process, start, value=value, key=key)
-        trace.complete(record, end, result)
+        record, = trace.begin(kind, process, start, ((value, key),))
+        trace.complete((record,), end, (result,), 0)
         return record
 
     op("write", "w", 0.0, 1.0, value="g1", key="good")
@@ -299,10 +299,10 @@ class TestPerKeyVerdicts:
 
     def test_consensus_kinds_are_not_registers(self):
         trace = Trace()
-        trace.begin("propose", "p", 0.0)
-        record = trace.begin("write", "w", 0.0, value="v", key="k")
+        trace.begin("propose", "p", 0.0, ((None, 0),))
+        record, = trace.begin("write", "w", 0.0, (("v", "k"),))
         record.meta["ts"] = 1
-        trace.complete(record, 1.0, "OK")
+        trace.complete((record,), 1.0, ("OK",), 0)
         report = check_history(trace.records)
         assert report.keys == ("k",) and report.checked_ops == 1
 

@@ -15,6 +15,7 @@ import multiprocessing
 import os
 import signal
 import time
+from collections import Counter
 
 import pytest
 
@@ -500,6 +501,20 @@ class TestImbalance:
 
 
 class TestShardedResultSurface:
+    def test_a_fleets_waves_are_its_shards_summed(self):
+        result = run(sharded_soak_spec(batch_size=16).with_(shards=2))
+        assert len(result.outcomes) == 2
+        for kind in ("write", "read"):
+            summed = Counter()
+            for outcome in result.outcomes:
+                assert outcome.waves[kind]
+                summed.update(outcome.waves[kind])
+            waves = result.summary()["kinds"][kind]["waves"]
+            assert waves == dict(sorted(summed.items()))
+            assert sum(size * n for size, n in waves.items()) == (
+                result.ops_completed(kind)
+            )
+
     def test_summary_shape_and_extras(self):
         spec = sharded_soak_spec().with_(shards=4)
         result = run(spec)

@@ -13,12 +13,19 @@ Three contracts pinned here:
    deterministic runs in bounded memory with a real online verdict,
    and the record-backed verdicts refuse (with guidance) on streamed
    runs instead of silently reporting on an empty history.
+4. **Live == replayed** — on every storage row the register checker
+   judges, batched or not, the verdict the live checker reaches from
+   the waves a METRICS run feeds it is the one ``check_history``
+   reaches from the FULL run's records, one at a time.
 """
 
 import pytest
 
 from repro.errors import CheckerError, ScenarioError
 from repro.scenarios import (
+    Delay,
+    Drop,
+    FaultPlan,
     Propose,
     RandomMix,
     ScenarioSpec,
@@ -266,3 +273,51 @@ class TestOpenLoop:
             self._spec(duration=-1.0)
         with pytest.raises(ScenarioError, match="max_ops"):
             self._spec(max_ops=0)
+
+
+#: Every storage row the register checker judges (``naive`` with several
+#: writers is refused: ``unsound-stamps``), at each batch size.
+LIVE_ROWS = [
+    (protocol, batch_size, n_writers)
+    for protocol in ("abd", "fastabd", "naive", "rqs-storage")
+    for batch_size in (1, 16, "auto")
+    for n_writers in (1, 2)
+    if not (protocol == "naive" and n_writers > 1)
+]
+
+#: A slow link into server 2 and a lossy window out of server 1, both
+#: inside every row's tolerance.
+LIVE_PLAN = FaultPlan(asynchrony=(
+    Delay(3.0, dst=(2,), after=10.0, until=100.0),
+    Drop(src=(1,), after=20.0, until=60.0),
+))
+
+
+def _verdict(report):
+    return (
+        report.verdict, report.checked_writes, report.checked_reads,
+        report.violation_count, [v.rule for v in report.violations],
+        report.key_violations,
+    )
+
+
+@pytest.mark.parametrize(
+    "protocol, batch_size, n_writers", LIVE_ROWS,
+    ids=[f"{p}-batch{b}-{'sw' if w == 1 else 'mw'}" for p, b, w in LIVE_ROWS],
+)
+def test_the_live_verdict_is_the_replayed_verdict(
+    protocol, batch_size, n_writers,
+):
+    rqs = protocol == "rqs-storage"
+    spec = ScenarioSpec(
+        protocol=protocol, rqs="example6" if rqs else None,
+        params={"bounded_history": True} if rqs else {},
+        readers=3, n_keys=4, n_writers=n_writers, seed=11,
+        workload=(RandomMix(120, 180, horizon=150.0,
+                            batch_size=batch_size),),
+        faults=LIVE_PLAN,
+    )
+    full = run(spec)
+    live = run(spec.with_(trace_level="metrics"))
+    assert live.ops_completed() == full.ops_completed() == 300
+    assert _verdict(live.online) == _verdict(full.atomicity)

@@ -58,11 +58,18 @@ added after construction — and a ``ByzantineRole`` is a process and
 the factory that builds it (no behaviour names, no untyped params).  A
 count waits on an ``AckSet`` and a deadline on ``Simulator.timer_at``:
 ``repro.sim`` exports no ``Counter`` and no ``Sleep`` effect.
+
+A completion costs a wave, not an op (docs/architecture.md, "What one
+wave costs"): records enter and leave a ``Trace`` through one
+``begin`` and one ``complete``, each taking a wave, and the register
+checker's rules are fed only by its one ``on_begin`` / ``on_complete``
+pair — no single-record method beside them.
 """
 
 import ast
 import dataclasses
 import importlib
+import inspect
 import pickle
 import re
 from pathlib import Path
@@ -226,6 +233,43 @@ def test_one_count_primitive_and_one_deadline():
     for retired in ("Sleep", "Counter"):
         assert not hasattr(repro.sim, retired), retired
         assert retired not in repro.sim.__all__
+
+
+def _functions_naming(path, names):
+    """The functions of ``path`` that mention any of ``names`` (as an
+    attribute or a bare name)."""
+    tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+    return sorted(
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        and any(
+            getattr(node, "attr", getattr(node, "id", None)) in names
+            for node in ast.walk(function)
+        )
+    )
+
+
+def test_a_wave_has_one_way_in_and_one_way_out():
+    from repro.analysis.streaming import OnlineChecker
+    from repro.sim.trace import Trace
+
+    assert list(inspect.signature(Trace.begin).parameters) == [
+        "self", "kind", "process", "time", "elems",
+    ]
+    assert list(inspect.signature(Trace.complete).parameters) == [
+        "self", "records", "time", "results", "rounds",
+    ]
+    assert _functions_naming(
+        "src/repro/sim/trace.py", {"_on_begin", "_on_complete"}
+    ) == ["__init__", "begin", "complete", "subscribe"]
+    assert [name for name in vars(OnlineChecker) if "begin" in name] == [
+        "on_begin",
+    ]
+    assert _functions_naming(
+        "src/repro/analysis/streaming.py",
+        {"_complete_write", "_complete_read"},
+    ) == ["on_complete"]
 
 
 def test_a_fan_out_is_a_send_all():

@@ -49,3 +49,34 @@ def test_a_dangling_citation_is_convicted(tmp_path, cited):
     [problem] = check_docs.check_tree(root)
     assert problem.endswith(f"does not exist -> {cited}")
     assert "mutant.py" in problem
+
+
+ROADMAP = """# ROADMAP
+
+## Open items
+
+- **1 — The first open item.** Its text.
+- **7 — Refresh the ruler once.** Its text.
+
+## Recent
+
+- **3 — A finished item.** Done.
+"""
+
+
+@pytest.mark.parametrize("pointer, convicted", (
+    ("ROADMAP item 7", False),
+    ("ROADMAP item\n7", False),           # wrapped across lines
+    ("ROADMAP item 3(B)", True),          # finished: not an open item
+    ("ROADMAP item 12", True),            # no such item
+))
+def test_a_roadmap_pointer_names_an_open_item(tmp_path, pointer, convicted):
+    root = mutant_tree(tmp_path, f"Carried: see {pointer}.")
+    (root / "ROADMAP.md").write_text(ROADMAP)
+    problems = check_docs.check_tree(root)
+    if not convicted:
+        assert problems == []
+    else:
+        [problem] = problems
+        assert "points at no open ROADMAP item" in problem
+        assert "mutant.py" in problem

@@ -19,7 +19,10 @@ and, in those files and in every module docstring under ``src/repro/``:
 * a dotted name ``repro.<module>[.<attribute>…]`` resolves: the longest
   prefix that imports is a module, and the rest is an attribute chain
   on it (the package under ``src/`` is imported, so a deleted module or
-  function leaves no citation behind).
+  function leaves no citation behind);
+* a ``ROADMAP item N`` pointer names an open item of ``ROADMAP.md`` (a
+  ``- **N — …`` entry of its "Open items" section), so a finished,
+  renumbered or struck item leaves no pointer behind.
 
 Exits non-zero listing every broken link (problem reporting shared with
 the other gates via ``tools/_gate.py``).
@@ -42,6 +45,8 @@ REPO_PATH = re.compile(
     r"`((?:tests|benchmarks|src|tools)/[\w/.-]+\.py)(?:::[^`\s]+)?`"
 )
 DOTTED = re.compile(r"\brepro(?:\.\w+)+")
+ROADMAP_POINTER = re.compile(r"\bROADMAP\s+item\s+(\d+)")
+OPEN_ITEM = re.compile(r"^- \*\*(\d+) —", re.MULTILINE)
 
 
 def github_slug(heading: str) -> str:
@@ -73,9 +78,18 @@ def resolves(name: str) -> bool:
     return False
 
 
+def open_items(root: Path) -> set:
+    """The numbers of the open items of ``root``'s ``ROADMAP.md``."""
+    roadmap = root / "ROADMAP.md"
+    text = roadmap.read_text() if roadmap.exists() else ""
+    section = text.partition("\n## Open items")[2].split("\n## ", 1)[0]
+    return {int(number) for number in OPEN_ITEM.findall(section)}
+
+
 def dangling(path: Path, text: str, root: Path) -> list:
-    """Cited repository paths that are not files, and dotted ``repro``
-    names that do not resolve."""
+    """Cited repository paths that are not files, dotted ``repro``
+    names that do not resolve, and ROADMAP items that are not open."""
+    items = open_items(root)
     return [
         f"{path}: names a file that does not exist -> {cited}"
         for cited in sorted(set(REPO_PATH.findall(text)))
@@ -84,6 +98,10 @@ def dangling(path: Path, text: str, root: Path) -> list:
         f"{path}: names something that does not exist -> {cited}"
         for cited in sorted(set(DOTTED.findall(text)))
         if not resolves(cited)
+    ] + [
+        f"{path}: points at no open ROADMAP item -> item {number}"
+        for number in sorted(set(ROADMAP_POINTER.findall(text)), key=int)
+        if int(number) not in items
     ]
 
 
@@ -130,8 +148,9 @@ def main() -> int:
     return finish(
         check_tree(root),
         "docs ok: the links and anchors of docs/*.md and README.md "
-        "resolve, and every repository path and repro.* name they and "
-        "the module docstrings under src/repro/ cite exists",
+        "resolve, and every repository path, repro.* name and ROADMAP "
+        "item they and the module docstrings under src/repro/ cite "
+        "exists",
     )
 
 if __name__ == "__main__":
