@@ -75,13 +75,17 @@ class QuorumIndex:
     and keeps nothing per subset, so enumerating all ``2^|S|`` subsets
     leaves the index as it was.  A test that is monotone in the quorum
     needs the inclusion-minimal quorums only (``minimal``, one
-    antichain per class).
+    antichain per class).  The two facts of monotonicity that a fast
+    path reads are kept once per system, never per subset: per class,
+    the size of its smallest quorum (no mask with fewer members
+    ``fits``), and whether every minimal quorum is basic
+    (``all_basic``).
     """
 
     __slots__ = (
         "servers", "bit", "full", "masks", "class_of", "quorum_at",
         "_adversary", "_basic", "_class1_meets", "_meets", "_through",
-        "_minimal",
+        "_minimal", "_floor", "_all_basic",
     )
 
     def __init__(self, rqs: "RefinedQuorumSystem"):
@@ -109,6 +113,15 @@ class QuorumIndex:
         self._meets: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._through: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._minimal: Dict[int, Tuple[int, ...]] = {}
+        # ``_floor[cls]``: how many members the smallest class-``cls``
+        # quorum has (``|S| + 1`` for an empty class).
+        empty = len(self.servers) + 1
+        self._floor: Tuple[int, ...] = (
+            0,
+            *[min(map(int.bit_count, self.masks[cls]), default=empty)
+              for cls in (1, 2, 3)],
+        )
+        self._all_basic: Optional[bool] = None
 
     def mask(self, servers: Iterable[Hashable]) -> int:
         """The members of ``servers`` that belong to ``S``, as a mask
@@ -147,8 +160,26 @@ class QuorumIndex:
             minimal = self._minimal[cls] = _minimal_masks(self.masks[cls])
         return minimal
 
+    @property
+    def all_basic(self) -> bool:
+        """Is every quorum basic?  Property 1 with ``Q = Q'`` — true on
+        every validated system, possibly false on a ``validate=False``
+        one.  Decided once, on the minimal quorums (a superset of a
+        basic set is basic), without filling the ``is_basic`` memo."""
+        all_basic = self._all_basic
+        if all_basic is None:
+            contains = self._adversary.contains_mask
+            all_basic = self._all_basic = not any(
+                contains(q) for q in self.minimal()
+            )
+        return all_basic
+
     def fits(self, mask: int, cls: int = 3) -> bool:
-        """Is some class-``cls`` quorum fully inside ``mask``?"""
+        """Is some class-``cls`` quorum fully inside ``mask``?  A mask
+        with fewer members than the class's smallest quorum holds
+        none, and is answered without a scan."""
+        if mask.bit_count() < self._floor[cls]:
+            return False
         for q in self.masks[cls]:
             if q & mask == q:
                 return True
@@ -412,13 +443,6 @@ class RefinedQuorumSystem:
         (Members of ``responders`` outside ``S`` are ignored.)"""
         index = self.index
         return index.fits(index.mask(responders), cls)
-
-    def some_responding_quorum(
-        self, responders: Iterable[Hashable], cls: int = 3
-    ) -> Optional[Subset]:
-        """An arbitrary (deterministic) responding class-``cls`` quorum."""
-        candidates = self.responding_quorums(responders, cls)
-        return candidates[0] if candidates else None
 
     def __iter__(self) -> Iterator[Subset]:
         return iter(self._quorums)

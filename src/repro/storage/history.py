@@ -91,10 +91,18 @@ class History:
     Cells default to :data:`INITIAL_ENTRY`; only written cells are
     materialized.  Snapshots are cheap immutable dicts suitable for
     shipping inside ``rd_ack`` messages.
+
+    Beside the cells sits the garbage-collection evidence a
+    bounded-history server infers for this register (see
+    :class:`~repro.storage.server.StorageServer`): ``stable_ts``, below
+    which every cell is superseded, and ``last_wr``, each client's last
+    ``(ts, rnd)``.  Neither is part of a snapshot.
     """
 
     def __init__(self):
         self._cells: Dict[Tuple[int, int], Entry] = {}
+        self.stable_ts = 0
+        self.last_wr: Dict[Hashable, Tuple[int, int]] = {}
 
     def get(self, ts: int, rnd: int) -> Entry:
         return self._cells.get((ts, rnd), INITIAL_ENTRY)

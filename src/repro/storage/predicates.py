@@ -81,8 +81,11 @@ class ReadState:
         self.rqs = rqs
         self._ix = rqs.index
         self.view: Dict[ServerId, HistoryView] = {}
-        self.qc2_responded: Tuple[QuorumId, ...] = ()   # QC'2 (line 30-31)
         self.highest_ts: int = 0                        # (line 29)
+        # The round-1 ack mask ``freeze_round1`` fixed, and ``QC'2``
+        # listed from it on first use (lines 30-31).
+        self._round1 = 0
+        self._qc2_responded: Optional[Tuple[QuorumId, ...]] = None
         self._watchers: List[Condition] = []
         self._responded = 0                   # mask of ``view``'s servers
         self._round_acks: Dict[int, int] = {}           # rnd -> ack mask
@@ -181,18 +184,30 @@ class ReadState:
 
     def freeze_round1(self) -> None:
         """End-of-round-1 bookkeeping (lines 27-32): fix ``highest_ts``
-        and record the class-2 quorums that responded in round 1."""
+        and the servers that answered round 1, whose class-2 quorums
+        are :attr:`qc2_responded`."""
         highest = 0
         for pair, row in self._rows.items():
             if row[0] and pair.ts > highest:
                 highest = pair.ts
         self.highest_ts = highest
-        ix = self._ix
-        quorum_at = ix.quorum_at
-        self.qc2_responded = tuple([
-            quorum_at[mask]
-            for mask in ix.responding(self._round_acks.get(1, 0), 2)
-        ])
+        self._round1 = self._round_acks.get(1, 0)
+        self._qc2_responded = None
+
+    @property
+    def qc2_responded(self) -> Tuple[QuorumId, ...]:
+        """``QC'2`` (lines 30-31): the class-2 quorums that fully
+        answered round 1 as :meth:`freeze_round1` fixed it — listed on
+        first use, since only ``BCD(c, 2, R)`` reads them and a read the
+        class-1 detector completes never does."""
+        qc2 = self._qc2_responded
+        if qc2 is None:
+            ix = self._ix
+            quorum_at = ix.quorum_at
+            qc2 = self._qc2_responded = tuple([
+                quorum_at[mask] for mask in ix.responding(self._round1, 2)
+            ])
+        return qc2
 
     # -- low-level lookups --------------------------------------------------------
 
@@ -305,12 +320,18 @@ class ReadState:
         ``Q2 ∩ Q``, which can only lose conformity): when a minimal
         quorum fails 3-4 the whole of ``Responded`` is walked, line 5
         consulted for the quorums failing 3-4.
+
+        When every responder holds ``c`` in slot 1 and every quorum is
+        basic (``index.all_basic``), each responded quorum is its own
+        basic slot-1 subset: line 3 holds on all of them at once.
         """
         if c.ts > self.highest_ts:
             return True
         ix = self._ix
         responded = self._responded
         held1 = self.holders(c, 1)
+        if not responded & ~held1 and ix.all_basic:
+            return False
         held2 = self.holders(c, 2)
         # The memo behind ``ix.is_basic``, read in place: one dict probe
         # per quorum instead of one call.

@@ -86,8 +86,6 @@ class StorageServer(Process):
         self.history_cells = 0
         self.max_history_cells = 0
         self.gc_removed = 0
-        self._stable_ts: Dict[Hashable, int] = {}
-        self._last_wr: Dict[Tuple[Hashable, Hashable], Tuple[int, int]] = {}
         self.histories: Dict[Hashable, History] = {}
         self.history = self.history_for(DEFAULT_KEY)
 
@@ -116,22 +114,26 @@ class StorageServer(Process):
     # the rqs-storage adapter refuses that combination.)
 
     def handle_write(self, client: Hashable, wr: WR) -> None:
-        history = self.history_for(wr.key)
+        history = self.histories.get(wr.key)
+        if history is None:
+            history = self.history_for(wr.key)
         self.history_cells += history.store(wr.ts, wr.rnd, wr.value,
                                             wr.qc2_ids)
         if self.bounded_history:
-            self._collect(client, wr.key, wr.ts, wr.rnd)
+            self._collect(client, history, wr.ts, wr.rnd)
         if self.history_cells > self.max_history_cells:
             self.max_history_cells = self.history_cells
         self.send(client, WrAck(wr.ts, wr.rnd, wr.key))
 
     def _collect(
-        self, client: Hashable, key: Hashable, ts: int, rnd: int
+        self, client: Hashable, history: History, ts: int, rnd: int
     ) -> None:
-        """Advance ``key``'s stable timestamp and GC below it.
+        """Advance one register's stable timestamp and GC below it.
 
         See the class docstring for the quorum-ack evidence rules:
-        ``(ts, rnd)`` is what ``client``'s message stored for ``key``.
+        ``(ts, rnd)`` is what ``client``'s message stored in
+        ``history``, which keeps the register's evidence beside its
+        cells (``History.stable_ts`` / ``History.last_wr``).
         A late-arriving ``wr`` below the stable mark is stored (the ack
         must not depend on GC state) and collected again immediately,
         so superseded cells never re-materialize.
@@ -146,17 +148,17 @@ class StorageServer(Process):
         last ``(ts, rnd)`` differs from the previous message's proves
         the previous round was quorum-acked.
         """
-        history = self.history_for(key)
-        stable = self._stable_ts.get(key, 0)
+        stable = history.stable_ts
         advanced = stable
         if rnd >= 2 and ts > advanced:
             advanced = ts
-        prev = self._last_wr.get((key, client))
+        last_wr = history.last_wr
+        prev = last_wr.get(client)
         if prev is not None and prev != (ts, rnd) and prev[0] > advanced:
             advanced = prev[0]
-        self._last_wr[(key, client)] = (ts, rnd)
+        last_wr[client] = (ts, rnd)
         if advanced > stable:
-            self._stable_ts[key] = advanced
+            history.stable_ts = advanced
             removed = history.gc_below(advanced)
         elif ts < stable:
             removed = history.gc_below(stable)
@@ -167,10 +169,11 @@ class StorageServer(Process):
             self.history_cells -= removed
 
     def handle_read(self, client: Hashable, rd: RD) -> None:
+        history = self.histories.get(rd.key)
+        if history is None:
+            history = self.history_for(rd.key)
         self.send(
-            client,
-            RdAck(rd.read_no, rd.rnd, self.history_for(rd.key).snapshot(),
-                  rd.key),
+            client, RdAck(rd.read_no, rd.rnd, history.snapshot(), rd.key)
         )
 
     def handle_write_batch(self, client: Hashable, wb: WriteBatch) -> None:
@@ -182,14 +185,14 @@ class StorageServer(Process):
         responder, which is what keeps batch-level quorum decisions
         equal to per-element ones.
         """
-        touched: Dict[Hashable, int] = {}
+        touched: Dict[Hashable, Tuple[History, int]] = {}
         for ts, value, key in wb.ops:
             history = self.history_for(key)
             self.history_cells += history.store(ts, wb.rnd, value, wb.sets)
-            touched[key] = ts
+            touched[key] = (history, ts)
         if self.bounded_history:
-            for key, last_ts in touched.items():
-                self._collect(client, key, last_ts, wb.rnd)
+            for history, last_ts in touched.values():
+                self._collect(client, history, last_ts, wb.rnd)
         if self.history_cells > self.max_history_cells:
             self.max_history_cells = self.history_cells
         self.send(client, BatchAck(wb.batch_no, wb.rnd))

@@ -144,7 +144,8 @@ class StorageWriter(Process):
 
         # Round 1 (Figure 5 lines 2-3).
         yield from self._round(ts, value, frozenset(), 1, key, target)
-        if self._acked_quorum(ts, 1, cls=1, key=key) is not None:
+        round1 = self.acks(ts, 1, key)
+        if self.rqs.contains_quorum(round1, cls=1):
             self._retire(ts, key)
             self.trace.complete(
                 (record,), self.sim.now, ("OK",), 1 + extra_rounds
@@ -152,7 +153,6 @@ class StorageWriter(Process):
             return record
 
         # Lines 4-5: remember fully-acking class-2 quorums.
-        round1 = self.acks(ts, 1, key)
         qc2_prime = frozenset(self.rqs.responding_quorums(round1, cls=2))
 
         # Round 2 (lines 6-7).
@@ -223,12 +223,6 @@ class StorageWriter(Process):
         else:
             yield WaitUntil(quorum_acked)
 
-    def _acked_quorum(
-        self, ts: int, rnd: int, cls: int, key: Hashable = DEFAULT_KEY
-    ):
-        acked = self.acks(ts, rnd, key)
-        return self.rqs.some_responding_quorum(acked, cls=cls)
-
     # -- batched protocol --------------------------------------------------------
 
     def write_batch(self, elems: List[Tuple[Any, Hashable]]):
@@ -265,7 +259,7 @@ class StorageWriter(Process):
         # Round 1 (Figure 5 lines 2-3, batch-wide).
         yield from self._batch_round(number, ops, frozenset(), 1, targets)
         round1 = self._batches.responders(number, 1)
-        if self.rqs.some_responding_quorum(round1, cls=1) is not None:
+        if self.rqs.contains_quorum(round1, cls=1):
             return self._finish_batch(number, records, 1 + extra_rounds)
 
         # Lines 4-5: the class-2 quorums that fully acked round 1.

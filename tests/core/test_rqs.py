@@ -111,13 +111,6 @@ class TestSelectionHelpers:
         assert rqs.responding_quorums(responders, cls=2)
         assert not rqs.responding_quorums({"s1", "s2"}, cls=3)
 
-    def test_some_responding_quorum_deterministic(self):
-        rqs = example7_rqs()
-        responders = rqs.ground_set
-        first = rqs.some_responding_quorum(responders)
-        second = rqs.some_responding_quorum(responders)
-        assert first == second
-
     def test_iteration_and_len(self):
         rqs = example7_rqs()
         assert len(rqs) == 3
@@ -152,6 +145,44 @@ class TestQuorumIndex:
                     assert rqs.responding_quorums(subset, cls) == tuple(
                         q for q in family if q <= subset
                     )
+
+    def test_fits_matches_the_brute_force_scan_on_every_mask(self):
+        """The size floor never answers for the scan: on every mask of
+        ``2^|S|``, for every class — an empty one included (the
+        unvalidated family below has no class-1 or class-2 quorum) —
+        ``fits`` is "some mask of ``masks[cls]`` lies inside"."""
+        unvalidated = RefinedQuorumSystem(
+            ThresholdAdversary(SERVERS, 1), [{1, 2, 3}, {3, 4, 5}, {2, 5}],
+            validate=False,
+        )
+        assert not unvalidated.is_valid()
+        assert unvalidated.qc1 == unvalidated.qc2 == ()
+        floored = 0
+        for build in self.SYSTEMS + (lambda: unvalidated,):
+            index = build().index
+            for mask in range(index.full + 1):
+                for cls in (1, 2, 3):
+                    quorums = index.masks[cls]
+                    assert index.fits(mask, cls) == any(
+                        q & mask == q for q in quorums
+                    ), (mask, cls)
+                    floored += mask.bit_count() < min(
+                        (q.bit_count() for q in quorums), default=99
+                    )
+        assert floored > 0
+
+    def test_all_basic_is_property1_with_q_equal_to_q_prime(self):
+        """Every validated system has only basic quorums; an unvalidated
+        family whose smallest quorums fit in ``B`` has not — and the
+        flag leaves the ``is_basic`` memo as it was."""
+        unsound = threshold_rqs(5, 3, 2, 0, 1, validate=False)
+        for build in self.SYSTEMS + (lambda: unsound,):
+            rqs = build()
+            index = rqs.index
+            expected = all(rqs.is_basic(q) for q in rqs.quorums)
+            assert index.all_basic == expected
+            assert index._basic == {}
+        assert not unsound.index.all_basic
 
     def test_enumerating_subsets_leaves_nothing_on_the_system(self):
         """Quorum containment is a scan, not a memo: an availability

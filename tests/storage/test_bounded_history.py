@@ -107,10 +107,10 @@ class TestEvidenceRules:
         not advance the stable mark past its own cells."""
         server = _SinkServer(1)
         server.handle_write("reader1", _wr(4, 2, "v"))
-        assert server._stable_ts[0] == 4          # rule (i)
+        assert server.histories[0].stable_ts == 4          # rule (i)
         cells_after_first = server.history_cells
         server.handle_write("reader1", _wr(4, 2, "v"))
-        assert server._stable_ts[0] == 4
+        assert server.histories[0].stable_ts == 4
         assert server.history_cells == cells_after_first
         assert server.history.get(4, 2).pair == Pair(4, "v")
         # Both write-backs were acked regardless.
@@ -123,7 +123,7 @@ class TestEvidenceRules:
         superseded cells never creep back."""
         server = _SinkServer(1)
         server.handle_write("w2", _wr(5, 2, "new"))
-        assert server._stable_ts[0] == 5
+        assert server.histories[0].stable_ts == 5
         cells = server.history_cells
         server.handle_write("w1", _wr(3, 1, "old"))
         assert server.history.get(3, 1) == INITIAL_ENTRY

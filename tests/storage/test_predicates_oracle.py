@@ -16,8 +16,9 @@ generated scripts — random per-server histories, servers that never
 answer, forged quorum-id sets, cells filed under a foreign timestamp,
 re-acks with a *smaller* snapshot (a holder, a listed id, an observed
 pair disappear), timestamps above ``highest_ts`` — on sound systems and
-on one whose quorums are not all basic.  Seeded mutants of the table
-and of the minimal-quorum pass are each killed by a named script.
+on one whose quorums are not all basic.  Seeded mutants of the table,
+of the minimal-quorum pass, of the line-6 short-cut and of the frozen
+``QC'2`` are each killed by a named script.
 """
 
 import os
@@ -1082,6 +1083,31 @@ class MinimalPassIgnoresResponded(_MinimalPassMutant):
     ignores_responded = True
 
 
+class Line6FastPathUnguarded(ReadState):
+    """Answers "not invalid" whenever every responder holds ``c`` in
+    slot 1, without asking whether every quorum is basic."""
+
+    def invalid(self, c):
+        if c.ts <= self.highest_ts and not (
+            self._responded & ~self.holders(c, 1)
+        ):
+            return False
+        return super().invalid(c)
+
+
+class Qc2FromLiveAcks(ReadState):
+    """Lists ``QC'2`` from the round-1 acks as they stand, not as
+    ``freeze_round1`` fixed them."""
+
+    @property
+    def qc2_responded(self):
+        ix = self._ix
+        return tuple(
+            ix.quorum_at[mask]
+            for mask in ix.responding(self._round_acks.get(1, 0), 2)
+        )
+
+
 #: mutant -> (system, script, freeze after this many acks) that kills it.
 MUTANTS = {
     # Server 2 re-acks having forgotten ⟨1, v⟩: one holder fewer.
@@ -1113,6 +1139,16 @@ MUTANTS = {
         (1, 1, snapshot_with(1, 1, "v")), (2, 1, snapshot_with(1, 1, "v")),
         (3, 1, History().snapshot()), (4, 1, History().snapshot()),
     ], 2),
+    # {1, 2} answered and both hold ⟨1, v⟩ in slot 1, but that quorum
+    # lies in B: it vouches for nothing, so ⟨1, v⟩ is invalid.
+    Line6FastPathUnguarded: (UNSOUND, [
+        (1, 1, snapshot_with(1, 1, "v")), (2, 1, snapshot_with(1, 1, "v")),
+    ], 2),
+    # Server 4's round-1 ack lands after the freeze and completes the
+    # class-2 quorum {1, 2, 3, 4}, which must stay out of QC'2.
+    Qc2FromLiveAcks: (N5, [
+        (server, 1, History().snapshot()) for server in (1, 2, 3, 4)
+    ], 3),
 }
 
 

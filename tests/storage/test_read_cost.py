@@ -6,8 +6,10 @@ per responder per candidate slot) and ``invalid`` tested lines 3-4 on
 all 93 quorums of example6 through two helper calls each.  Now an
 ``rd_ack`` is filed with one walk of its snapshot's cells, the
 predicates never go back to a snapshot, and an uncontended ``invalid``
-looks at the minimal quorums only (56 of the 93) and never reaches
-line 5.
+is one mask test: every responder holds the pair in slot 1 and every
+quorum is basic (a flag the index computes once, over the 56 minimal
+quorums of the 93), so no quorum is looked at per call, line 5 is never
+reached and ``QC'2`` is never listed.
 """
 
 import sys
@@ -35,10 +37,15 @@ def test_an_ack_is_walked_once_and_an_uncontended_read_stays_minimal(
     real_minimal = QuorumIndex.minimal
 
     def minimal(index, cls=3):
-        """The same antichain, counting the masks the caller reaches."""
-        for mask in real_minimal(index, cls):
-            looked_at[cls] += 1
-            yield mask
+        """The same antichain, counting the masks each caller reaches."""
+        caller = sys._getframe(1).f_code.co_name
+
+        def walk():
+            for mask in real_minimal(index, cls):
+                looked_at[caller, cls] += 1
+                yield mask
+
+        return walk()
 
     monkeypatch.setattr(QuorumIndex, "minimal", minimal)
 
@@ -50,9 +57,8 @@ def test_an_ack_is_walked_once_and_an_uncontended_read_stays_minimal(
             elif (code.co_filename == history.__file__
                   and frame.f_back.f_code.co_filename == predicates.__file__):
                 calls["history." + code.co_name] += 1
-            elif (code.co_name == "responding"
-                  and frame.f_back.f_code.co_name == "invalid"):
-                calls["Responded walks"] += 1
+            elif code.co_name == "responding":
+                calls["responding from " + frame.f_back.f_code.co_name] += 1
         elif (event == "c_call" and code.co_filename == predicates.__file__
               and isinstance(getattr(arg, "__self__", None), dict)
               and any(view.cells is arg.__self__
@@ -80,11 +86,17 @@ def test_an_ack_is_walked_once_and_an_uncontended_read_stays_minimal(
         "cells.items in record_ack"
     ]
     assert [name for name in calls if name.startswith("history.")] == []
-    # Lines 3-4 are settled on the minimal quorums; line 5 and the walk
-    # of Responded are for contended reads, and there are none here.
+    # Every responder holds the pair in slot 1 and every quorum is
+    # basic, so line 6 is one mask test: the minimal quorums are walked
+    # at most once per system, for its flag (not at all when the shared
+    # example6 computed it earlier), and line 5, the walk of Responded
+    # and the listing of QC'2 are for contended reads — none here.
     assert calls["invalid"] >= reads
-    assert 0 < looked_at[3] <= 56 * calls["invalid"]
-    assert calls["_valid3"] == 0 and calls["Responded walks"] == 0
+    assert set(looked_at) <= {("all_basic", 3)}
+    assert looked_at["all_basic", 3] in (0, 56)
+    assert calls["_valid3"] == 0 and calls["responding from invalid"] == 0
+    assert calls["qc2_responded"] == 0
+    assert [name for name in calls if name.startswith("responding")] == []
     assert calls["_strip"] == 0
 
 
