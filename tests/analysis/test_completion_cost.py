@@ -16,8 +16,6 @@ is one call of each of its entry points.
 
 import fractions
 import os
-import sys
-from collections import Counter
 
 import pytest
 
@@ -28,6 +26,7 @@ from repro.scenarios import run
 from repro.sim import trace as trace_module
 from repro.sim.trace import Trace
 from repro.storage.history import BOTTOM
+from tests.counting import profiled
 
 
 class CountingDict(dict):
@@ -95,28 +94,23 @@ def profiled_soak(max_ops):
     }
     complete = Trace.complete.__code__
     fraction_new = fractions.Fraction.__new__.__code__
-    calls = Counter()
     completing = 0
 
-    def profile(frame, event, arg):
+    def count(frame, event, arg):
         nonlocal completing
         code = frame.f_code
         if event == "call":
             if code is complete:
                 completing += 1
             elif code is fraction_new and completing:
-                calls["Fraction in Trace.complete"] += 1
+                return "Fraction in Trace.complete"
             name = files.get(code.co_filename)
             if name is not None:
-                calls[name, code.co_name] += 1
+                return name, code.co_name
         elif event == "return" and code is complete:
             completing -= 1
 
-    sys.setprofile(profile)
-    try:
-        result = run(spec)
-    finally:
-        sys.setprofile(None)
+    result, calls = profiled(lambda: run(spec), count)
     return calls, result
 
 

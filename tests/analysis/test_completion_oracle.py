@@ -40,6 +40,7 @@ each killed by a named input.
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from functools import partial
 from heapq import heapify
 
 import pytest
@@ -58,10 +59,13 @@ from tests.analysis.test_checker_oracle import (
     STUCK_OVERRUN,
     _OverKeyState,
     build_history,
+    churn,
     read,
+    replay as value_ordered_replay,
     shapes,
     write,
 )
+from tests.differential import DIFFERENTIAL, agree, assert_killed, each_mutant
 
 
 # -- the reference checker: the scanning window, verbatim ----------------------
@@ -232,8 +236,20 @@ def replay(history, shipped=OnlineChecker, overrun_ops=None, sweep_every=7,
     reference = ReferenceScanningChecker(**options)
     candidate = shipped(**options)
     reference.SWEEP_EVERY = candidate.SWEEP_EVERY = sweep_every
-    records, begun = {}, 0
-    for cut in waves(history, wave):
+    records, begun, fed = {}, 0, []
+
+    def play(checker, cut):
+        """The reference first: it makes the wave's records, which the
+        shipped checker then takes in one call."""
+        nonlocal begun, fed
+        if checker is candidate:
+            if cut[0][0] == "begin":
+                candidate.on_begin(fed)
+            else:
+                candidate.on_complete(fed)
+            if shipped is OnlineChecker:    # a mutant dies of what it reports
+                assert_heap_is_bounded(candidate)
+            return
         fed = []
         for step in cut:
             if step[0] == "begin":
@@ -257,27 +273,26 @@ def replay(history, shipped=OnlineChecker, overrun_ops=None, sweep_every=7,
                     if len(reference._overrun) > evicted:
                         seen.add("eviction-inside-a-wave")
             fed.append(record)
-        if cut[0][0] == "begin":
-            candidate.on_begin(fed)
-        else:
-            candidate.on_complete(fed)
-        assert state_of(candidate) == state_of(reference), cut
-        if shipped is OnlineChecker:    # a mutant dies of what it reports
-            assert_heap_is_bounded(candidate)
-    assert candidate.report() == reference.report()
-    assert state_of(candidate) == state_of(reference)
+
+    agree(reference, candidate, waves(history, wave), play, state_of)
+    agree(reference, candidate, ["report"],
+          lambda checker, _: {"report": checker.report(), **state_of(checker)})
     return candidate
 
 
 # -- generated feeds ---------------------------------------------------------------
 
-@settings(max_examples=300, deadline=None,
+@settings(DIFFERENTIAL, max_examples=400,
           suppress_health_check=[HealthCheck.too_slow])
 @given(shapes, st.randoms(use_true_random=False))
-def test_client_consistent_histories_leave_identical_state(shape, rng):
+def test_client_consistent_histories_agree_with_both_references(shape, rng):
+    """One drawn history, to both of the checker's references: the
+    value-ordered checker after every completion, the scanning window
+    after every wave."""
     history = build_history(**shape)
-    replay(history, overrun_ops=STUCK_OVERRUN if shape["stuck"] else None,
-           wave=rng)
+    overrun_ops = STUCK_OVERRUN if shape["stuck"] else None
+    value_ordered_replay(history, overrun_ops=overrun_ops)
+    replay(history, overrun_ops=overrun_ops, wave=rng)
 
 
 feed_steps = st.tuples(
@@ -379,7 +394,7 @@ def build_feed(n_keys, steps):
     return history
 
 
-@settings(max_examples=400, deadline=None,
+@settings(DIFFERENTIAL, max_examples=400,
           suppress_health_check=[HealthCheck.too_slow])
 @given(feeds, st.sampled_from((None, 40, 12, 5)),
        st.randoms(use_true_random=False))
@@ -419,16 +434,6 @@ def test_the_feed_generator_reaches_what_it_is_for():
 
 
 # -- scripted feeds (each the input that kills a mutant) -----------------------
-
-def churn(count, start, first=1):
-    """``count`` sequential write-then-read pairs from time ``start``."""
-    steps = []
-    for n in range(first, first + count):
-        at = start + 2.0 * n
-        steps += write(f"w{n}", n, at, at + 0.5)
-        steps += read(f"r{n}", n, at + 1.0, at + 1.5)
-    return steps
-
 
 #: name -> (feed, overrun_ops, wave size)
 SCRIPTS = {
@@ -623,11 +628,13 @@ MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("mutant", sorted(MUTANTS, key=lambda m: m.__name__))
+@each_mutant(MUTANTS)
 def test_seeded_checker_mutants_are_killed(mutant):
     history, overrun_ops, wave = SCRIPTS[MUTANTS[mutant]]
-    with pytest.raises(AssertionError):
-        replay(history, mutant, overrun_ops, wave=wave)
+    assert_killed(
+        lambda shipped: replay(history, shipped, overrun_ops, wave=wave),
+        OnlineChecker, mutant,
+    )
 
 
 # -- the reference accumulator: a Fraction per operation, verbatim -------------
@@ -694,17 +701,21 @@ def observe_all(stream, capacity, shipped=LatencyAccumulator):
     ``shipped`` a wave a call and to the reference a sample a call,
     comparing everything after every wave; returns the shipped
     accumulator."""
-    reference = ReferenceFractionAccumulator("op", capacity)
-    candidate = shipped("op", capacity)
-    for rounds, elapsed, count in stream:
-        for _ in range(count):
-            reference.observe(rounds, elapsed)
-        candidate.observe(rounds, elapsed, count)
-        got, want = summary_of(candidate), summary_of(reference)
-        assert got == want, (rounds, elapsed, count)
+    def observe(accumulator, wave):
+        rounds, elapsed, count = wave
+        if isinstance(accumulator, ReferenceFractionAccumulator):
+            for _ in range(count):
+                accumulator.observe(rounds, elapsed)
+        else:
+            accumulator.observe(rounds, elapsed, count)
+
+    def summary(accumulator):
         # ``==`` would let 1/2 pass for 0.5: the sum is a Fraction.
-        assert type(got["time_sum"]) is Fraction
-    return candidate
+        return {**summary_of(accumulator),
+                "time_sum type": type(accumulator.time_sum)}
+
+    return agree(ReferenceFractionAccumulator("op", capacity),
+                 shipped("op", capacity), stream, observe, summary)[1]
 
 
 elapsed_values = st.one_of(
@@ -723,7 +734,7 @@ streams = st.lists(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(DIFFERENTIAL, max_examples=300)
 @given(streams, st.sampled_from((1, 4, 16)))
 def test_integer_sum_is_the_fraction_sum(stream, capacity):
     """Streams several times the reservoir's capacity, in waves that
@@ -732,7 +743,7 @@ def test_integer_sum_is_the_fraction_sum(stream, capacity):
     observe_all(stream, capacity)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(DIFFERENTIAL, max_examples=200)
 @given(streams, st.lists(st.integers(0, 70), max_size=4), st.randoms())
 def test_merge_of_any_split_is_the_whole(stream, cuts, rng):
     # Every part and the union fit.
@@ -846,10 +857,8 @@ def test_named_streams_agree(name):
     observe_all(*STREAMS[name])
 
 
-@pytest.mark.parametrize(
-    "mutant", sorted(ACCUMULATOR_MUTANTS, key=lambda m: m.__name__)
-)
+@each_mutant(ACCUMULATOR_MUTANTS)
 def test_seeded_accumulator_mutants_are_killed(mutant):
     stream, capacity = STREAMS[ACCUMULATOR_MUTANTS[mutant]]
-    with pytest.raises(AssertionError):
-        observe_all(stream, capacity, mutant)
+    assert_killed(partial(observe_all, stream, capacity),
+                  LatencyAccumulator, mutant)

@@ -49,6 +49,7 @@ from repro.errors import CheckerError
 from repro.scenarios import run_grid
 from repro.sim.trace import OperationRecord, Trace
 from repro.storage.history import BOTTOM, DEFAULT_KEY
+from tests.differential import DIFFERENTIAL, agree
 
 
 # -- reference 1: Wing–Gong (analysis/linearizability.py) ------------------
@@ -743,6 +744,10 @@ class TestRegularityChecker:
 
 # -- the shipped checker against the references ---------------------------------
 
+def judge(checker, history):
+    return checker(history)
+
+
 op_strategy = st.lists(
     st.tuples(
         st.sampled_from(["read"] * 2 + ["write"]),
@@ -756,7 +761,7 @@ op_strategy = st.lists(
 
 
 @given(ops=op_strategy)
-@settings(max_examples=150, deadline=None)
+@settings(DIFFERENTIAL, max_examples=150)
 def test_replay_agrees_with_the_references(ops):
     """On complete SWMR histories with distinct write values the SWMR
     rules and Wing–Gong agree, and so does the replayed stamp-order
@@ -787,12 +792,17 @@ def test_replay_agrees_with_the_references(ops):
             record, = trace.begin("read", f"r{start}", start, ((None, 0),))
             trace.complete((record,), start + duration, (result,), 0)
     records = stamped(trace.records)
-    report = check_swmr_atomicity(records)
-    assert report.atomic == is_linearizable(records)
-    assert check_history(records).atomic == report.atomic
-    assert (
-        check_history(records, claim="regular").regular
-        == check_swmr_regularity(records).regular
+    assert check_swmr_atomicity(records).atomic == is_linearizable(records)
+    agree(
+        lambda records: {
+            "atomic": check_swmr_atomicity(records).atomic,
+            "regular": check_swmr_regularity(records).regular,
+        },
+        lambda records: {
+            "atomic": check_history(records).atomic,
+            "regular": check_history(records, claim="regular").regular,
+        },
+        [records], judge,
     )
 
 
@@ -820,12 +830,16 @@ def test_exhibit_cells_match_the_reference(name):
     are the SWMR rules' (Wing–Gong on concurrently-written keys) on the
     same records — E1's and E7's read inversions included."""
     grid = importlib.import_module(f"repro.experiments.{name}").GRID
-    for cell in run_grid(grid).cells:
-        result = cell.unwrap()
-        report = result.atomicity
-        reference = check_swmr_atomicity(result.records)
-        assert cell.verdict == report.verdict, cell.point
-        assert report.atomic == reference.atomic, cell.point
-        assert {v.rule for v in report.violations} == {
-            v.rule for v in reference.violations
-        }, cell.point
+    cells = run_grid(grid).cells
+    for cell in cells:
+        assert cell.verdict == cell.unwrap().atomicity.verdict, cell.point
+
+    def verdict(report):
+        return {"atomic": report.atomic,
+                "rules": {v.rule for v in report.violations}}
+
+    agree(
+        lambda cell: verdict(check_swmr_atomicity(cell.unwrap().records)),
+        lambda cell: verdict(cell.unwrap().atomicity),
+        cells, judge,
+    )

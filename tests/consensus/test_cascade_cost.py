@@ -16,6 +16,7 @@ from repro.consensus.decisions import DecisionTracker
 from repro.core.rqs import QuorumIndex
 from repro.experiments import consensus_latency
 from repro.scenarios import run
+from tests.counting import counted
 
 PROBES = ("newly_responding", "responding", "fits")
 
@@ -34,32 +35,26 @@ def counters(monkeypatch):
     one looks at) and the updates handled by acceptors and learners."""
     calls, examined = Counter(), Counter()
 
-    def counted(name):
-        real = getattr(QuorumIndex, name)
-
-        def probe(index, mask, *args):
-            calls[name] += 1
+    def looked_at(name):
+        def tally(index, mask, *args):
             if name == "newly_responding":
                 new, cls = args[0], (args[1] if len(args) > 1 else 3)
-                examined[name] += sum(
-                    1 for q in index.masks[cls]
-                    if q & new or new & (new - 1)
-                )
-            else:
-                examined[name] += len(index.masks[args[0] if args else 3])
-            return real(index, mask, *args)
+                return {name: sum(1 for q in index.masks[cls]
+                                  if q & new or new & (new - 1))}
+            return {name: len(index.masks[args[0] if args else 3])}
 
-        return probe
+        return tally
 
     for name in PROBES:
-        monkeypatch.setattr(QuorumIndex, name, counted(name))
-    real_record = DecisionTracker.record
-
-    def record(tracker, sender, update):
-        calls["updates"] += 1
-        return real_record(tracker, sender, update)
-
-    monkeypatch.setattr(DecisionTracker, "record", record)
+        monkeypatch.setattr(QuorumIndex, name, counted(
+            QuorumIndex, name, calls
+        ))
+        monkeypatch.setattr(QuorumIndex, name, counted(
+            QuorumIndex, name, examined, looked_at(name)
+        ))
+    monkeypatch.setattr(DecisionTracker, "record", counted(
+        DecisionTracker, "record", calls, lambda *args: ["updates"]
+    ))
     return calls, examined
 
 
@@ -107,30 +102,20 @@ def test_a_broadcast_is_one_send_all(monkeypatch):
     from repro.sim.process import Process
 
     single, broadcast = Counter(), Counter()
-    send, send_all = Process.send, Process.send_all
     unicast, block = Counter(), Counter()
-    deliver, deliver_block = Network._deliver, Network._deliver_block
-
-    def counting_send(self, dst, payload):
-        single[type(payload)] += 1
-        return send(self, dst, payload)
-
-    def counting_send_all(self, destinations, payload):
-        broadcast[type(payload)] += len(destinations)
-        return send_all(self, destinations, payload)
-
-    def counting_deliver(self, message):
-        unicast[type(message.payload)] += 1
-        return deliver(self, message)
-
-    def counting_deliver_block(self, members, room):
-        block.update(type(m.payload) for m in members[-room:])
-        return deliver_block(self, members, room)
-
-    monkeypatch.setattr(Process, "send", counting_send)
-    monkeypatch.setattr(Process, "send_all", counting_send_all)
-    monkeypatch.setattr(Network, "_deliver", counting_deliver)
-    monkeypatch.setattr(Network, "_deliver_block", counting_deliver_block)
+    for owner, name, counter, tally in (
+        (Process, "send", single, lambda self, dst, payload: [type(payload)]),
+        (Process, "send_all", broadcast,
+         lambda self, destinations, payload: {
+             type(payload): len(destinations)
+         }),
+        (Network, "_deliver", unicast,
+         lambda self, message: [type(message.payload)]),
+        (Network, "_deliver_block", block,
+         lambda self, members, room: [type(m.payload)
+                                      for m in members[-room:]]),
+    ):
+        monkeypatch.setattr(owner, name, counted(owner, name, counter, tally))
     result = run(_best_case(3))
     adapter = result.adapter
     targets = len(adapter.rqs.servers) + len(adapter.learners)

@@ -14,6 +14,8 @@ caught by the same comparison — an oracle never seen to fail proves
 little.
 """
 
+from functools import partial
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -25,6 +27,7 @@ from repro.crypto.signatures import SignatureService
 from repro.sim.network import Message, Network
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
+from tests.differential import DIFFERENTIAL, agree, assert_killed, each_mutant
 
 SYSTEMS = (
     threshold_rqs(8, 3, 1, 1, 2),       # example6: 93 quorums
@@ -190,21 +193,22 @@ class World:
         return [(m.dst, m.payload) for m in self.network.log]
 
 
+def observed(world):
+    # update_q also picks SignReq targets and the AckData tuple order by
+    # iteration: same members inserted in the same order.
+    order = {key: list(q) for key, q in world.acceptor.update_q.items()}
+    return {**world.state(), "sent": world.sent(), "update_q order": order}
+
+
 def differential(rqs, ops, acceptor_cls=IndexedAcceptor):
     """Feed ``ops`` to the reference and to ``acceptor_cls``; they must
     agree after every op."""
-    reference = World(rqs, ReferenceAcceptor)
-    candidate = World(rqs, acceptor_cls)
-    for position, op in enumerate(ops):
-        reference.apply(op)
-        candidate.apply(op)
-        assert candidate.state() == reference.state(), (position, op)
-        assert candidate.sent() == reference.sent(), (position, op)
-    # update_q also picks SignReq targets and the AckData tuple order by
-    # iteration: same members inserted in the same order.
-    for key, quorums in reference.acceptor.update_q.items():
-        assert list(candidate.acceptor.update_q[key]) == list(quorums)
-    return reference, candidate
+    return agree(World(rqs, ReferenceAcceptor), World(rqs, acceptor_cls),
+                 ops, World.apply, observed)
+
+
+def record(tracker, delivery):
+    return tracker.record(*delivery)
 
 
 # -- generated deliveries ---------------------------------------------------------
@@ -265,24 +269,17 @@ def prepare(value, view=0):
     return ("deliver", PROPOSERS[view % 2], Prepare(value, view, None, None))
 
 
-@settings(max_examples=300, deadline=None,
+@settings(DIFFERENTIAL, max_examples=300,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cases())
-def test_indexed_acceptor_matches_the_per_quorum_reference(case):
-    differential(*case)
-
-
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(cases())
-def test_decision_tracker_matches_the_set_based_rules(case):
+def test_the_acceptor_and_the_tracker_match_their_references(case):
+    """The drawn deliveries, to the per-quorum acceptor and, their
+    updates alone, to the set-based decide rules."""
     rqs, ops = case
-    reference, indexed = ReferenceTracker(rqs), DecisionTracker(rqs)
-    for op in ops:
-        if op[0] == "deliver" and isinstance(op[2], Update):
-            assert indexed.record(op[1], op[2]) == reference.record(
-                op[1], op[2]
-            ), op
+    differential(rqs, ops)
+    updates = [op[1:] for op in ops
+               if op[0] == "deliver" and isinstance(op[2], Update)]
+    agree(ReferenceTracker(rqs), DecisionTracker(rqs), updates, record)
 
 
 # -- scripted flows ---------------------------------------------------------------
@@ -439,10 +436,10 @@ MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("mutant", sorted(MUTANTS, key=lambda m: m.__name__))
+@each_mutant(MUTANTS)
 def test_seeded_mutants_are_killed(mutant):
-    with pytest.raises(AssertionError):
-        differential(EXAMPLE6, SCRIPTS[MUTANTS[mutant]], mutant)
+    assert_killed(partial(differential, EXAMPLE6, SCRIPTS[MUTANTS[mutant]]),
+                  IndexedAcceptor, mutant)
 
 
 class ForgetfulTracker(DecisionTracker):
@@ -459,12 +456,11 @@ def test_seeded_tracker_mutant_is_killed():
     q1 = rqs.qc1[0]
     outsider = next(s for s in rqs.servers if s not in q1)
     assert not any(q <= q1 | {outsider} and outsider in q for q in rqs.qc1)
-    feed = sorted(q1) + [outsider]
-
-    def answers(tracker):
-        return [tracker.record(s, Update(1, "v", 0, None)) for s in feed]
-
-    expected = answers(ReferenceTracker(rqs))
-    assert expected[-2:] == ["v", "v"]
-    assert answers(DecisionTracker(rqs)) == expected
-    assert answers(ForgetfulTracker(rqs)) != expected
+    feed = [(s, Update(1, "v", 0, None)) for s in sorted(q1) + [outsider]]
+    reference = ReferenceTracker(rqs)
+    assert [record(reference, d) for d in feed][-2:] == ["v", "v"]
+    assert_killed(
+        lambda tracker: agree(ReferenceTracker(rqs), tracker(rqs), feed,
+                              record),
+        DecisionTracker, ForgetfulTracker,
+    )

@@ -58,6 +58,7 @@ from repro.core.constructions import (
 from repro.core.properties import P1Witness, P2Witness, P3Witness
 from repro.core.rqs import RefinedQuorumSystem
 from repro.errors import AdversaryError
+from tests.differential import DIFFERENTIAL, agree, assert_killed, each_mutant
 
 
 # -- the parent's adversary, verbatim ---------------------------------------------
@@ -264,30 +265,34 @@ def assert_same_witnesses(adversary, classifications):
     after the other on the *same* adversary objects, the way
     ``search.classify_quorums`` grows a classification.
     """
-    reference = reference_of(adversary)
-    assert adversary.maximal_sets() == reference.maximal_sets()
-    for qc1, qc2, quorums in classifications:
-        expected = reference_answers(reference, qc1, qc2, quorums)
-        assert (
-            props.check_property1(adversary, quorums),
-            props.check_property2(adversary, qc1, quorums),
-            props.check_property3(adversary, qc1, qc2, quorums),
-        ) == expected
+    def witnesses(side, families):
+        qc1, qc2, quorums = families
         # ... and through a system, which normalises the families and
         # checks them on the masks it holds.
         rqs = RefinedQuorumSystem(
             adversary, quorums, qc1=qc1, qc2=qc2, validate=False
         )
+        if side is adversary:
+            checks = (
+                props.check_property1(adversary, quorums),
+                props.check_property2(adversary, qc1, quorums),
+                props.check_property3(adversary, qc1, qc2, quorums),
+            )
+            system = (rqs.violations(), rqs.first_violation(), rqs.is_valid())
+            return {"checks": checks, "system": system,
+                    "maximal_sets": adversary.maximal_sets()}
         named = tuple(
             (name, witness)
             for name, witness in zip(("P1", "P2", "P3"), reference_answers(
-                reference, rqs.qc1, rqs.qc2, rqs.quorums
+                side, rqs.qc1, rqs.qc2, rqs.quorums
             ))
             if witness is not None
         )
-        assert rqs.violations() == named
-        assert rqs.first_violation() == (named[0] if named else None)
-        assert rqs.is_valid() == (not named)
+        return {"checks": reference_answers(side, qc1, qc2, quorums),
+                "system": (named, named[0] if named else None, not named),
+                "maximal_sets": side.maximal_sets()}
+
+    agree(reference_of(adversary), adversary, classifications, witnesses)
 
 
 def servers_of(kind, n):
@@ -334,14 +339,14 @@ def systems(draw):
     return adversary, classifications
 
 
-@settings(max_examples=250, deadline=None,
+@settings(DIFFERENTIAL, max_examples=250,
           suppress_health_check=[HealthCheck.too_slow])
 @given(systems())
 def test_random_systems_return_equal_witnesses(system):
     assert_same_witnesses(*system)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(DIFFERENTIAL, max_examples=150)
 @given(st.data())
 def test_adversary_answers_agree(data):
     adversary = data.draw(adversaries())
@@ -512,13 +517,16 @@ MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+@each_mutant(MUTANTS)
 def test_named_inputs_agree_and_kill_their_mutant(mutant, monkeypatch):
     target, name, replace, system = MUTANTS[mutant]
-    assert_same_witnesses(*system)
-    monkeypatch.setattr(target, name, replace(getattr(target, name)))
-    with pytest.raises(AssertionError):
+    shipped = getattr(target, name)
+
+    def run(variant):
+        monkeypatch.setattr(target, name, variant)
         assert_same_witnesses(*system)
+
+    assert_killed(run, shipped, replace(shipped))
 
 
 # -- the tie order -------------------------------------------------------------------

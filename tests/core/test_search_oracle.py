@@ -22,6 +22,8 @@ bugs are each killed by a named input, and a count pin says what a
 Property 3 candidate may cost.
 """
 
+from collections import Counter
+from types import SimpleNamespace
 from typing import List
 
 import pytest
@@ -33,7 +35,9 @@ from repro.core.adversary import ExplicitAdversary, ThresholdAdversary
 from repro.core.constructions import example7_adversary
 from repro.core.rqs import RefinedQuorumSystem
 from repro.errors import QuorumSystemError
-from tests.core.test_properties_oracle import adversaries
+from tests.core.test_properties_oracle import F, adversaries
+from tests.counting import counted
+from tests.differential import DIFFERENTIAL, agree, assert_killed, each_mutant
 
 
 # -- the parent's search, verbatim ------------------------------------------------
@@ -101,22 +105,28 @@ def searched(search_rqs, adversary, **kwargs):
     return rqs.quorums, rqs.qc2, rqs.qc1
 
 
+#: The reference's entry points under the shipped module's names.
+REFERENCE = SimpleNamespace(
+    property1_family=reference_property1_family,
+    classify_quorums=reference_classify_quorums,
+    search_rqs=reference_search_rqs,
+)
+
+
 def assert_same_search(adversary, pool):
     """Every entry point on one adversary and one candidate pool (which
     may repeat a candidate and need not satisfy Property 1)."""
     family = reference_property1_family(adversary, pool)
-    assert search.property1_family(adversary, pool) == family
+    distinct = tuple(dict.fromkeys(pool))
     # The classification of the Property-1 family the search goes on
     # with, and of the raw pool: `classify_quorums` is public and does
     # not require Property 1 of what it is given.
-    for quorums in (family, tuple(pool)):
-        assert search.classify_quorums(
-            adversary, quorums
-        ) == reference_classify_quorums(adversary, quorums)
-    distinct = tuple(dict.fromkeys(pool))
-    assert searched(
-        search.search_rqs, adversary, candidates=distinct
-    ) == searched(reference_search_rqs, adversary, candidates=distinct)
+    agree(REFERENCE, search, (
+        lambda side: side.property1_family(adversary, pool),
+        lambda side: side.classify_quorums(adversary, family),
+        lambda side: side.classify_quorums(adversary, tuple(pool)),
+        lambda side: searched(side.search_rqs, adversary, candidates=distinct),
+    ), lambda side, entry: entry(side))
 
 
 @st.composite
@@ -143,14 +153,14 @@ def pools(draw):
     return adversary, pool
 
 
-@settings(max_examples=250, deadline=None, derandomize=True,
+@settings(DIFFERENTIAL, max_examples=250, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(pools())
 def test_random_pools_return_equal_families(pool):
     assert_same_search(*pool)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(DIFFERENTIAL, max_examples=100, derandomize=True)
 @given(pools(), st.data())
 def test_a_class_holding_property2_holds_property3_as_its_own_qc2(pool, data):
     """The base of the Property 3 induction, on classes that were not
@@ -175,16 +185,13 @@ def test_the_systems_the_examples_search_for():
         ))
     for n, k in ((5, 1), (6, 1), (7, 1), (7, 2), (8, 2)):
         cases.append((ThresholdAdversary(range(1, n + 1), k), 1))
-    refusals = 0
-    for adversary, min_size in cases:
-        found = searched(
-            search.search_rqs, adversary, min_quorum_size=min_size
-        )
-        assert found == searched(
-            reference_search_rqs, adversary, min_quorum_size=min_size
-        )
-        refusals += type(found) is str
-    assert refusals == 0
+
+    def search_for(side, case):
+        found = searched(side.search_rqs, case[0], min_quorum_size=case[1])
+        assert type(found) is not str, found      # none of them is refused
+        return found
+
+    agree(REFERENCE, search, cases, search_for)
 
 
 def test_a_candidate_outside_the_ground_set_is_refused():
@@ -230,10 +237,6 @@ def property3_without_the_loop_over_q(adversary, candidate, qc1_masks,
     return not props._fails_property3(adversary, qc1_masks, candidate)
 
 
-def F(*sets):
-    return [frozenset(s) for s in sets]
-
-
 #: mutant -> (the function it replaces, the replacement, the killing input).
 MUTANTS = {
     "Property2OnTheCandidateAlone": (
@@ -261,13 +264,15 @@ MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+@each_mutant(MUTANTS)
 def test_named_inputs_agree_and_kill_their_mutant(mutant, monkeypatch):
     name, replacement, system = MUTANTS[mutant]
-    assert_same_search(*system)
-    monkeypatch.setattr(search, name, replacement)
-    with pytest.raises(AssertionError):
+
+    def run(variant):
+        monkeypatch.setattr(search, name, variant)
         assert_same_search(*system)
+
+    assert_killed(run, getattr(search, name), replacement)
 
 
 # -- what a candidate costs, without a clock ---------------------------------------
@@ -286,38 +291,33 @@ def test_a_property3_candidate_decides_at_most_one_intersection_a_quorum(
     )
     assert len(family) == 93
 
-    asked: List[list] = []
-    decide = props._fails_property3
-    keeps = search._keeps_property3
-    conversions = []
-    convert = adversary.masks
-
-    def counting_decide(adversary, qc1_masks, base):
-        asked[-1].append(base)
-        return decide(adversary, qc1_masks, base)
-
-    def counting_keeps(*args):
-        asked.append([])
-        return keeps(*args)
-
-    def counting_convert(family):
-        conversions.append(len(family))
-        return convert(family)
-
-    monkeypatch.setattr(props, "_fails_property3", counting_decide)
-    monkeypatch.setattr(search, "_keeps_property3", counting_keeps)
-    monkeypatch.setattr(adversary, "masks", counting_convert)
+    asked, decided, conversions = Counter(), Counter(), Counter()
+    monkeypatch.setattr(
+        props, "_fails_property3",
+        counted(props, "_fails_property3", decided,
+                lambda adversary, qc1_masks, base: [(len(asked), base)]),
+    )
+    monkeypatch.setattr(
+        search, "_keeps_property3",
+        counted(search, "_keeps_property3", asked, lambda *args: [len(asked)]),
+    )
+    monkeypatch.setattr(
+        adversary, "masks",
+        counted(adversary, "masks", conversions, lambda family: [len(family)]),
+    )
     qc1, qc2 = search.classify_quorums(adversary, family)
     monkeypatch.undo()
 
     assert (len(qc1), len(qc2)) == (9, 37)
-    assert conversions == [93, 8]  # the family; the maximal sets of B
+    # The family; the maximal sets of B.
+    assert list(conversions.items()) == [(93, 1), (8, 1)]
     assert len(asked) == 93 - len(qc1)  # one pass per candidate
-    assert max(map(len, asked)) <= 93
-    decided = [base for candidate in asked for base in candidate]
+    per_candidate = Counter(candidate for candidate, _ in decided.elements())
+    assert max(per_candidate.values()) <= 93
     # The per-candidate full check decided 18 344 intersections here
     # (every pair of each trial class, afresh).
-    assert len(decided) == 266
+    assert decided.total() == 266
     rejected = len(asked) - (len(qc2) - len(qc1))
-    assert len(decided) - len(set(decided)) <= rejected
+    distinct = {base for _, base in decided}
+    assert decided.total() - len(distinct) <= rejected
     assert (qc1, qc2) == reference_classify_quorums(adversary, family)

@@ -41,6 +41,7 @@ comparison.
 import heapq
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappush
 from typing import Any, Callable, FrozenSet, Hashable, Optional
 
@@ -55,6 +56,9 @@ from repro.sim.network import (
 from repro.sim.process import Process
 from repro.sim.simulator import _NO_ARG, Block, Simulator
 from repro.sim.tasks import WaitUntil
+from tests.differential import (
+    DIFFERENTIAL, Divergence, agree, assert_killed, each_mutant,
+)
 
 ProcessId = Hashable
 
@@ -474,33 +478,30 @@ class World:
         """One ``run`` call: how it ended, and the world's state after."""
         try:
             self.sim.run(until=until, max_events=max_events)
-            ended = "returned"
+            self.ended = "returned"
         except (Boom, SimulationError) as exc:
-            ended = f"{type(exc).__name__}: {exc}"
-        return ended, self.snapshot()
+            self.ended = f"{type(exc).__name__}: {exc}"
+        return self.ended, self.snapshot()
 
-    def run(self, phases):
-        """One ``run`` call per phase, then drain (a raising handler
-        ends a call, so draining may take many); the world's state
-        after every call, with how the call ended."""
-        seen = []
-        calls = list(phases)
-        while calls or (self.sim.pending_events() and len(seen) < 120):
-            until, max_events = calls.pop(0) if calls else (None, 10_000)
-            seen.append(self.call(until, max_events))
-        return seen
-
-    def run_by_instant(self, last):
-        """``run(until=t)`` for every instant ``t`` of the half-unit grid
-        up to ``last`` (again while a raise cuts one short), then drain:
-        the world's state after every instant."""
-        seen = []
+    def calls(self, script):
+        """A script's ``run`` calls as ``(until, max_events)``: one per
+        phase, then drain (a raising handler ends a call, so draining
+        may take many) — or, with a ``last`` instant, ``run(until=t)``
+        for every instant ``t`` of the half-unit grid up to it (again
+        while a raise cuts one short), then drain."""
+        if "last" not in script:
+            yield from script["phases"]
+            made = len(script["phases"])
+            while self.sim.pending_events() and made < 120:
+                yield None, 10_000
+                made += 1
+            return
+        last = script["last"]
         for until in [half * 0.5 for half in range(int(2 * last) + 1)] + [None]:
             for _ in range(20):
-                seen.append(self.call(until, 10_000))
-                if seen[-1][0] == "returned":
+                yield until, 10_000
+                if self.ended == "returned":
                     break
-        return seen
 
 
 def literal(action, src=None, dst=None, after=float("-inf"),
@@ -518,21 +519,17 @@ REFERENCE = (ReferenceSimulator, ReferenceNetwork)
 CURRENT = (Simulator, Network)
 
 
-def execute(world_classes, script, trace_level):
-    world = World(*world_classes, script, trace_level)
-    if "last" in script:
-        return world.run_by_instant(script["last"])
-    return world.run(script["phases"])
+def run_call(world, call):
+    ended, state = world.call(*call)
+    return {"ended": ended, **state}
 
 
 def differential(script, current=CURRENT):
     for trace_level in (TraceLevel.FULL, TraceLevel.METRICS):
-        expected = execute(REFERENCE, script, trace_level)
-        actual = execute(current, script, trace_level)
-        for step, (want, got) in enumerate(zip(expected, actual)):
-            assert got == want, f"run call {step} at {trace_level.name}"
-        assert len(actual) == len(expected), trace_level.name
-        assert expected[-1][1]["pending"] == 0, "script does not drain"
+        reference = World(*REFERENCE, script, trace_level)
+        agree(reference, World(*current, script, trace_level),
+              reference.calls(script), run_call)
+        assert reference.sim.pending_events() == 0, "script does not drain"
 
 
 # -- generated scripts -----------------------------------------------------
@@ -573,7 +570,7 @@ scripts = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=250, deadline=None,
+@settings(DIFFERENTIAL, max_examples=250,
           suppress_health_check=[HealthCheck.too_slow])
 @given(scripts)
 def test_block_message_path_matches_the_per_message_event_loop(script):
@@ -601,7 +598,7 @@ task_scripts = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=120, deadline=None,
+@settings(DIFFERENTIAL, max_examples=120,
           suppress_health_check=[HealthCheck.too_slow])
 @given(task_scripts)
 def test_the_wake_pass_matches_the_park_order_sweep(script):
@@ -761,11 +758,10 @@ def test_scripted_flows_agree(name):
 
 
 def run_script(name, trace_level=TraceLevel.FULL):
+    """The world after script ``name``, and its state after every run
+    call."""
     world = World(*CURRENT, SCRIPTS[name], trace_level)
-    script = SCRIPTS[name]
-    if "last" in script:
-        return world, world.run_by_instant(script["last"])
-    return world, world.run(script["phases"])
+    return world, [world.call(*call) for call in world.calls(SCRIPTS[name])]
 
 
 def woken(state):
@@ -1290,10 +1286,10 @@ def test_the_mutant_harness_is_the_shipped_path(name):
     differential(SCRIPTS[name], (FaithfulCopy, FaithfulNetworkCopy))
 
 
-@pytest.mark.parametrize("mutant", sorted(MUTANTS, key=lambda m: m.__name__))
+@each_mutant(MUTANTS)
 def test_seeded_mutants_are_killed(mutant):
     world, script = MUTANTS[mutant]
     # A reused sequence number either reorders a tie or makes the heap
     # compare two handlers (TypeError): both are a kill.
-    with pytest.raises((AssertionError, TypeError)):
-        differential(SCRIPTS[script], world)
+    assert_killed(partial(differential, SCRIPTS[script]), CURRENT, world,
+                  dies_of=TypeError if mutant is SkippedSeq else Divergence)

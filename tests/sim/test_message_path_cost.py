@@ -20,12 +20,11 @@ this spec before, 214 now), and no label is formatted on the way (150
 
 import heapq
 import os
-import sys
-from collections import Counter
 
 from repro.experiments.builders import keyed_mix_spec
 from repro.scenarios import Delay, FaultPlan, Propose, ScenarioSpec, run
 from repro.sim import conditions, network, process, simulator, tasks
+from tests.counting import profiled
 
 MESSAGE_PATH = {
     module.__file__: os.path.basename(module.__file__)
@@ -44,28 +43,15 @@ def small_abd(**faults):
     return spec.with_(faults=FaultPlan(**faults)) if faults else spec
 
 
-def profiled(spec):
-    """``(file, function) -> Python-level calls`` inside the three
-    message-path files while ``spec`` runs — their queue pushes as
-    ``(file, "heappush")`` — and the run's result."""
-    calls = Counter()
-
-    def profile(frame, event, arg):
+def message_path(frame, event, arg):
+    """``(file, function)`` of a Python-level call inside the three
+    message-path files — a queue push there as ``(file, "heappush")``."""
+    name = MESSAGE_PATH.get(frame.f_code.co_filename)
+    if name is not None:
         if event == "call":
-            name = MESSAGE_PATH.get(frame.f_code.co_filename)
-            if name is not None:
-                calls[name, frame.f_code.co_name] += 1
-        elif event == "c_call" and arg is heapq.heappush:
-            name = MESSAGE_PATH.get(frame.f_code.co_filename)
-            if name is not None:
-                calls[name, "heappush"] += 1
-
-    sys.setprofile(profile)
-    try:
-        result = run(spec)
-    finally:
-        sys.setprofile(None)
-    return calls, result
+            return name, frame.f_code.co_name
+        if event == "c_call" and arg is heapq.heappush:
+            return name, "heappush"
 
 
 def path_calls(calls):
@@ -76,7 +62,7 @@ def path_calls(calls):
 
 
 def test_a_broadcast_is_one_queue_entry():
-    calls, result = profiled(small_abd())
+    result, calls = profiled(lambda: run(small_abd()), message_path)
     net = result.adapter.network
     assert net.delivered_count == net.sent_count > 1000
     # Half of this spec's messages are members of broadcasts of five:
@@ -107,10 +93,10 @@ def test_a_broadcast_is_one_queue_entry():
 def test_the_update_flood_is_a_tenth_of_an_entry_per_message():
     # rqs-consensus, best case: every update goes to 8 acceptors and 3
     # learners at once.
-    calls, result = profiled(ScenarioSpec(
+    result, calls = profiled(lambda: run(ScenarioSpec(
         "rqs-consensus", rqs="example6", workload=(Propose(0.0, "V"),),
         horizon=60.0,
-    ))
+    )), message_path)
     net = result.adapter.network
     assert net.sent_count > 5000
     assert calls["network.py", "heappush"] <= 0.2 * net.sent_count
@@ -122,9 +108,9 @@ def test_the_update_flood_is_a_tenth_of_an_entry_per_message():
 
 def test_rules_are_resolved_exactly_once_per_send():
     # At FULL, so the log says which channel every message took.
-    calls, result = profiled(small_abd(asynchrony=(
+    result, calls = profiled(lambda: run(small_abd(asynchrony=(
         Delay(2.0, src=(1,)), Delay(0.5, dst=(2,), after=10.0, until=60.0),
-    )).with_(trace_level="full"))
+    )).with_(trace_level="full")), message_path)
     net = result.adapter.network
     assert net.sent_count > 1000
     # Once per message on a channel some rule could match, and once per
@@ -149,21 +135,19 @@ def test_rules_are_resolved_exactly_once_per_send():
 
 def test_a_quorum_round_signals_once_and_formats_no_label():
     files = {module.__file__ for module in (conditions, simulator, tasks)}
-    calls = Counter()
 
-    def profile(frame, event, arg):
+    def count(frame, event, arg):
         if frame.f_code.co_filename in files:
             if event == "call":
-                calls[frame.f_code.co_name] += 1
-            elif event == "c_call" and getattr(arg, "__name__", "") == "format":
-                calls["format"] += 1
+                return frame.f_code.co_name
+            if event == "c_call" and getattr(arg, "__name__", "") == "format":
+                return "format"
 
-    sys.setprofile(profile)
-    try:
+    def probed():
         result = run(small_abd())
-        probe = repr(result.adapter.readers[0]._acks(0, 0, "w").at_least(3))
-    finally:
-        sys.setprofile(None)
+        return result, repr(result.adapter.readers[0]._acks(0, 0, "w").at_least(3))
+
+    (result, probe), calls = profiled(probed, count)
     rounds = sum(
         result.trace.accumulator(kind).rounds_sum for kind in result.op_kinds()
     )

@@ -37,6 +37,7 @@ from repro.sim.conditions import (
 from repro.sim.simulator import Simulator
 from repro.sim.tasks import WaitUntil
 from repro.storage.stamping import DiscoveryInbox
+from tests.differential import DIFFERENTIAL, agree, assert_killed, each_mutant
 
 
 # -- the reference: a signal per change, a condition per call, verbatim -----
@@ -345,23 +346,26 @@ class World:
         }
 
 
+#: ``run(until=t)`` for every instant up to 9, then drain (``None``).
+INSTANTS = tuple(range(10)) + (None,)
+
+
+def advance(world, until):
+    if until is None:
+        world.sim.run_to_completion(strict=False)
+    else:
+        world.sim.run(until=float(until))
+    return world.snapshot()
+
+
 def observe(impl, script):
     """The world's state after every instant up to 9, then drained."""
     world = World(impl, script)
-    seen = []
-    for until in range(10):
-        world.sim.run(until=float(until))
-        seen.append(world.snapshot())
-    world.sim.run_to_completion(strict=False)
-    seen.append(world.snapshot())
-    return world, seen
+    return world, [advance(world, until) for until in INSTANTS]
 
 
 def differential(script, current=CURRENT):
-    _, expected = observe(REFERENCE, script)
-    _, actual = observe(current, script)
-    for instant, (want, got) in enumerate(zip(expected, actual)):
-        assert got == want, f"after instant {instant}"
+    agree(World(REFERENCE, script), World(current, script), INSTANTS, advance)
 
 
 # -- generated scripts -----------------------------------------------------
@@ -388,7 +392,7 @@ scripts = st.tuples(
 ).map(lambda parts: parts[0] + parts[1])
 
 
-@settings(max_examples=200, deadline=None, derandomize=True,
+@settings(DIFFERENTIAL, max_examples=200, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(scripts)
 def test_threshold_signals_match_signalling_every_change(script):
@@ -532,8 +536,7 @@ MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(MUTANTS))
-def test_seeded_mutants_are_killed(name):
-    impl, script = MUTANTS[name]
-    with pytest.raises(AssertionError):
-        differential(SCRIPTS[script], impl)
+@each_mutant(MUTANTS)
+def test_seeded_mutants_are_killed(mutant):
+    impl, script = MUTANTS[mutant]
+    assert_killed(partial(differential, SCRIPTS[script]), CURRENT, impl)

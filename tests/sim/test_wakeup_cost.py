@@ -22,9 +22,6 @@ The other deterministic facts that bench recorded (event and blocked
 counts of its storage / consensus / micro rows) are pinned as literals.
 """
 
-import sys
-from collections import Counter
-
 import pytest
 
 from repro.experiments import keyed_mix_spec
@@ -39,6 +36,7 @@ from repro.scenarios import (
     run,
 )
 from repro.sim import conditions, simulator, tasks
+from tests.counting import profiled
 
 SERVERS = range(1, 9)  # example6 is an 8-server RQS
 POLL_FILES = (conditions.__file__, tasks.__file__)
@@ -96,18 +94,11 @@ def micro_spec() -> ScenarioSpec:
 
 
 def test_parked_readers_are_not_polled():
-    polls = Counter()
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in POLL_FILES:
+            return frame.f_code.co_name
 
-    def profile(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and code.co_filename in POLL_FILES:
-            polls[code.co_name] += 1
-
-    sys.setprofile(profile)
-    try:
-        result = run(storage_spec(50))
-    finally:
-        sys.setprofile(None)
+    result, polls = profiled(lambda: run(storage_spec(50)), count)
     events = result.events_processed
     assert (events, len(result.blocked)) == (3945, 51)
     assert 0 < polls["holds"] + polls["ready"] <= events
@@ -130,21 +121,15 @@ def test_a_wake_pass_visits_only_the_signalled_waiters(monkeypatch):
     monkeypatch.setattr(simulator, "Task", VisitedTask)
     wake_pass = simulator.Simulator._wake_tasks.__code__
     look = VisitedTask.waiting_on.fget.__code__
-    seen = Counter()
 
-    def profile(frame, event, arg):
+    def count(frame, event, arg):
         if event == "call" and frame.f_back.f_code is wake_pass:
-            code = frame.f_code
-            if code is look:
-                seen["visits"] += 1
-            elif code.co_name == "holds":
-                seen["polls"] += 1
+            if frame.f_code is look:
+                return "visits"
+            if frame.f_code.co_name == "holds":
+                return "polls"
 
-    sys.setprofile(profile)
-    try:
-        result = run(storage_spec(50))
-    finally:
-        sys.setprofile(None)
+    result, seen = profiled(lambda: run(storage_spec(50)), count)
     assert result.events_processed == 3945
     # Every task the pass looks at is a signalled condition's waiter,
     # polled once; the parked readers cost nothing.  The park-order

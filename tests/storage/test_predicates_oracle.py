@@ -24,6 +24,7 @@ of the minimal-quorum pass, of the line-6 short-cut and of the frozen
 import os
 import subprocess
 import sys
+from collections import Counter
 from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 import pytest
@@ -46,6 +47,8 @@ from repro.storage.history import (
 )
 from repro.storage.predicates import ReadState
 from repro.storage.reader import StorageReader
+from tests.counting import counted
+from tests.differential import DIFFERENTIAL, agree, assert_killed, each_mutant
 
 ServerId = Hashable
 QuorumId = FrozenSet[ServerId]
@@ -505,11 +508,8 @@ class WalkCounter:
 
     def __init__(self, index):
         self._index = index
-        self.walks = 0
-
-    def responding(self, mask, cls=3):
-        self.walks += 1
-        return self._index.responding(mask, cls)
+        self.walks = Counter()
+        self.responding = counted(index, "responding", self.walks)
 
     def __getattr__(self, name):
         return getattr(self._index, name)
@@ -526,94 +526,97 @@ def feed(states, ack):
         state.record_ack(*ack)
 
 
-def freeze(states):
-    for state in states:
-        state.freeze_round1()
-    state, reference, naive = states
-    assert state.highest_ts == reference.highest_ts == naive.highest_ts
-    assert state.qc2_responded == reference.qc2_responded
-    assert state.qc2_responded == naive.qc2_responded
+def answers(state):
+    """Every predicate of Figure 7, on every pair worth asking about, as
+    ``state`` answers it — and whether ``invalid`` walked ``Responded``:
+    counted on a :func:`trio`'s subject; on the naive state, whether it
+    must (the minimal quorums could not settle lines 3-4)."""
+    rqs = state.rqs
+    naive = isinstance(state, NaiveReadState)
+    walks = Counter() if naive else getattr(state._ix, "walks", Counter())
+    observed = state.observed_pairs()
+    found = {
+        "observed_pairs": observed,
+        "highest_ts": state.highest_ts,
+        "qc2_responded": state.qc2_responded,
+        "responded_quorums": state.responded_quorums(),
+        "round_quorum": [state.round_quorum(rnd) for rnd in (1, 2)],
+    }
+    # Every quorum of a small system; a fixed spread of a large one
+    # (``invalid`` still walks all the responded ones).
+    quorums = rqs.quorums[::max(1, len(rqs.quorums) // 12)]
+    for c in dict.fromkeys(observed + list(EXTRA_PROBES)):
+        held = [state.holders(c, rnd) for rnd in (1, 2, 3)]
+        found["holders", c] = [rqs.index.mask(h) for h in held] if naive else held
+        found["safe", c] = state.safe(c)
+        walked = walks["responding"]
+        found["invalid", c] = state.invalid(c)
+        found["walked", c] = (
+            c.ts <= state.highest_ts and state.fails_lines_3_and_4(c)
+        ) if naive else walks["responding"] > walked
+        found["high_cand", c] = state.high_cand(c)
+        found["read_pred", c] = [state.read_pred(c, s) for s in rqs.ground_set]
+        found["bcd", c] = [(state.bcd1(c, r), state.bcd2(c, r)) for r in (1, 2, 3)]
+        found["valid", c] = [
+            (state.valid1(c, q), state.valid2(c, q), state.valid3(c, q))
+            for q in quorums
+        ]
+    found["candidates"] = state.candidates()
+    found["select"] = state.select()
+    return found
 
 
-def same_up_to_ties(listed, defined):
+def up_to_ties(found):
     """The reference sorts a *set* by timestamp, so pairs sharing one
-    come out in hash order: same pairs, same timestamps, no more."""
-    assert [p.ts for p in listed] == [p.ts for p in defined]
-    assert len(set(listed)) == len(listed) and set(listed) == set(defined)
+    come out in hash order: same pairs, same timestamps, no more — and
+    it counts no walks."""
+    def pairs(listed):
+        return [p.ts for p in listed], set(listed), len(set(listed))
+
+    kept = {field: answer for field, answer in found.items()
+            if field[0] != "walked"}
+    kept["observed_pairs"] = pairs(found["observed_pairs"])
+    kept["candidates"] = pairs(found["candidates"])
+    kept["select"] = found["select"] and found["select"].ts
+    return kept
+
+
+def play(states, step):
+    for state in states:
+        if step[0] == "ack":
+            state.record_ack(*step[1])
+        elif step[0] == "freeze":
+            state.freeze_round1()
+        elif step[0] == "ceiling":
+            state.highest_ts = step[1]
+
+
+def observed(states):
+    """What the naive state answers — which the previous ``ReadState``
+    matches up to ties."""
+    found = answers(states[0])
+    for twin in states[1:]:
+        assert up_to_ties(answers(twin)) == up_to_ties(found)
+    return found
 
 
 def assert_same_answers(states):
-    """Every predicate of Figure 7, on every pair worth asking about."""
     state, reference, naive = states
-    rqs = naive.rqs
-    index = rqs.index
-    observed = naive.observed_pairs()
-    assert state.observed_pairs() == observed
-    same_up_to_ties(reference.observed_pairs(), observed)
-    assert (state.responded_quorums() == reference.responded_quorums()
-            == naive.responded_quorums())
-    for rnd in (1, 2):
-        assert (state.round_quorum(rnd) == reference.round_quorum(rnd)
-                == naive.round_quorum(rnd))
-    # Every quorum of a small system; a fixed spread of a large one
-    # (``invalid`` still walks all the responded ones).
-    step = max(1, len(rqs.quorums) // 12)
-    quorums = rqs.quorums[::step]
-    for c in dict.fromkeys(observed + list(EXTRA_PROBES)):
-        for rnd in (1, 2, 3):
-            held = index.mask(naive.holders(c, rnd))
-            assert state.holders(c, rnd) == reference.holders(c, rnd) == held
-        assert state.safe(c) == reference.safe(c) == naive.safe(c), c
-        walks = state._ix.walks
-        invalid = naive.invalid(c)
-        assert state.invalid(c) == reference.invalid(c) == invalid, c
-        # ``Responded`` is walked exactly when the minimal quorums could
-        # not settle lines 3-4.
-        assert (state._ix.walks > walks) == (
-            c.ts <= naive.highest_ts and naive.fails_lines_3_and_4(c)
-        ), c
-        assert (state.high_cand(c) == reference.high_cand(c)
-                == naive.high_cand(c)), c
-        for server in rqs.ground_set:
-            assert (state.read_pred(c, server)
-                    == reference.read_pred(c, server)
-                    == naive.read_pred(c, server))
-        for big_r in (1, 2, 3):
-            assert (state.bcd1(c, big_r) == reference.bcd1(c, big_r)
-                    == naive.bcd1(c, big_r)), (c, big_r)
-            assert (state.bcd2(c, big_r) == reference.bcd2(c, big_r)
-                    == naive.bcd2(c, big_r)), (c, big_r)
-        for quorum in quorums:
-            assert (state.valid1(c, quorum) == reference.valid1(c, quorum)
-                    == naive.valid1(c, quorum))
-            assert (state.valid2(c, quorum) == reference.valid2(c, quorum)
-                    == naive.valid2(c, quorum))
-            assert (state.valid3(c, quorum) == reference.valid3(c, quorum)
-                    == naive.valid3(c, quorum))
-    candidates = naive.candidates()
-    assert state.candidates() == candidates
-    same_up_to_ties(reference.candidates(), candidates)
-    selected = naive.select()
-    assert state.select() == selected
-    if selected is None:
-        assert reference.select() is None
-    else:
-        assert reference.select().ts == selected.ts
+    agree((naive, reference), (state,), [("ask",)], play, observed)
 
 
 def run_script(rqs, acks, cls=ReadState, freeze_after=None, ceiling=None):
-    """Feed ``acks`` to all three states, comparing after every one."""
-    states = trio(rqs, cls)
-    assert_same_answers(states)
-    for i, ack in enumerate(acks, 1):
-        feed(states, ack)
-        if i == freeze_after:
-            freeze(states)
-            if ceiling is not None:
-                # Candidates above the ceiling must turn invalid.
-                for state in states:
-                    state.highest_ts = ceiling
-        assert_same_answers(states)
+    """Feed ``acks`` to all three states, comparing before the first and
+    after every one — and after the round-1 freeze that follows the
+    ``freeze_after``-th, and the ceiling put over it (candidates above
+    it must turn invalid)."""
+    steps = [("ask",)] + [("ack", ack) for ack in acks]
+    if freeze_after:
+        steps[freeze_after + 1:freeze_after + 1] = [("freeze",)] + (
+            [] if ceiling is None else [("ceiling", ceiling)]
+        )
+    state, reference, naive = states = trio(rqs, cls)
+    agree((naive, reference), (state,), steps, play, observed)
     return states
 
 
@@ -715,7 +718,7 @@ def ack_sequences(draw, rqs):
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 @given(data=st.data())
-@settings(max_examples=30, deadline=None)
+@settings(DIFFERENTIAL, max_examples=30)
 def test_indexed_predicates_match_per_server_oracle(name, data):
     rqs = SYSTEMS[name]
     acks = data.draw(ack_sequences(rqs))
@@ -755,7 +758,7 @@ def test_oracle_is_not_vacuous():
     states = trio(rqs)
     for server in rqs.ground_set:
         feed(states, (server, 1, history.snapshot()))
-    freeze(states)
+    play(states, ("freeze",))
     naive = states[2]
     assert naive.safe(c) and not naive.invalid(c) and naive.high_cand(c)
     assert naive.valid1(c, qr) and naive.valid2(c, qr) and naive.valid3(c, qr)
@@ -821,7 +824,7 @@ def test_acks_from_outside_the_ground_set_are_dropped():
     for server in (1, 2, 3, 4):
         feed(states, (server, 1, snapshot_with(1, 1, "a")))
     intrude()
-    freeze(states)
+    play(states, ("freeze",))
     assert state.highest_ts == 1
     assert sorted(state.view) == [1, 2, 3, 4]
     assert state.invalid(Pair(7, "forged"))
@@ -874,7 +877,7 @@ class TestMemoInvalidation:
             self.ack(server, 1, snapshot_with(1, 1, "v"))
         for server in (3, 4):
             self.ack(server, 1, History().snapshot())
-        freeze(self.states)
+        play(self.states, ("freeze",))
         bits = self.rqs.index.bit
         assert self.state.holders(self.c, 1) == bits[1] | bits[2]
         assert self.state.safe(self.c)
@@ -898,7 +901,7 @@ class TestMemoInvalidation:
         ]
         self.ack(2, 2, History().snapshot())
         assert self.state.observed_pairs() == [INITIAL_PAIR, self.c]
-        freeze(self.states)
+        play(self.states, ("freeze",))
         assert self.state.highest_ts == 1
         assert_same_answers(self.states)
 
@@ -1152,9 +1155,10 @@ MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("mutant", sorted(MUTANTS, key=lambda m: m.__name__))
+@each_mutant(MUTANTS)
 def test_seeded_mutants_are_killed(mutant):
     rqs, script, freeze_after = MUTANTS[mutant]
-    run_script(rqs, script, freeze_after=freeze_after)       # the real one
-    with pytest.raises(AssertionError):
-        run_script(rqs, script, mutant, freeze_after=freeze_after)
+    assert_killed(
+        lambda cls: run_script(rqs, script, cls, freeze_after=freeze_after),
+        ReadState, mutant,
+    )

@@ -22,6 +22,7 @@ from repro.experiments.builders import keyed_mix_spec
 from repro.scenarios import run
 from repro.storage import history, predicates
 from repro.storage.predicates import ReadState
+from tests.counting import counted, profiled
 
 SPEC = keyed_mix_spec(
     "rqs-storage", 4, writes=80, reads=120, readers=4, seed=3,
@@ -32,45 +33,34 @@ SPEC = keyed_mix_spec(
 def test_an_ack_is_walked_once_and_an_uncontended_read_stays_minimal(
     monkeypatch,
 ):
-    calls = Counter()
     looked_at = Counter()
     real_minimal = QuorumIndex.minimal
+    monkeypatch.setattr(QuorumIndex, "minimal", counted(
+        QuorumIndex, "minimal", looked_at,
+        # The same antichain, counting the masks each caller is handed.
+        lambda index, cls=3: {
+            (sys._getframe(2).f_code.co_name, cls): len(real_minimal(index, cls))
+        },
+    ))
 
-    def minimal(index, cls=3):
-        """The same antichain, counting the masks each caller reaches."""
-        caller = sys._getframe(1).f_code.co_name
-
-        def walk():
-            for mask in real_minimal(index, cls):
-                looked_at[caller, cls] += 1
-                yield mask
-
-        return walk()
-
-    monkeypatch.setattr(QuorumIndex, "minimal", minimal)
-
-    def profile(frame, event, arg):
+    def count(frame, event, arg):
         code = frame.f_code
         if event == "call":
             if code.co_filename == predicates.__file__:
-                calls[code.co_name] += 1
-            elif (code.co_filename == history.__file__
-                  and frame.f_back.f_code.co_filename == predicates.__file__):
-                calls["history." + code.co_name] += 1
-            elif code.co_name == "responding":
-                calls["responding from " + frame.f_back.f_code.co_name] += 1
+                return code.co_name
+            if (code.co_filename == history.__file__
+                    and frame.f_back.f_code.co_filename == predicates.__file__):
+                return "history." + code.co_name
+            if code.co_name == "responding":
+                return "responding from " + frame.f_back.f_code.co_name
         elif (event == "c_call" and code.co_filename == predicates.__file__
               and isinstance(getattr(arg, "__self__", None), dict)
               and any(view.cells is arg.__self__
                       for view in frame.f_locals["self"].view.values())):
             # A dict method on some collected snapshot's cells.
-            calls[f"cells.{arg.__name__} in {code.co_name}"] += 1
+            return f"cells.{arg.__name__} in {code.co_name}"
 
-    sys.setprofile(profile)
-    try:
-        result = run(SPEC)
-    finally:
-        sys.setprofile(None)
+    result, calls = profiled(lambda: run(SPEC), count)
 
     index = result.adapter.rqs.index
     assert len(index.masks[3]) == 93 and len(real_minimal(index)) == 56

@@ -59,6 +59,12 @@ the factory that builds it (no behaviour names, no untyped params).  A
 count waits on an ``AckSet`` and a deadline on ``Simulator.timer_at``:
 ``repro.sim`` exports no ``Counter`` and no ``Sleep`` effect.
 
+The differential method is written once (ROADMAP invariant 8): every
+``test_*_oracle.py`` drives its reference through ``tests/differential.py``
+— where a mutant is killed by a ``Divergence``, never by any
+``AssertionError`` — and only ``tests/counting.py`` installs a profile
+hook for the cost pins.
+
 A completion costs a wave, not an op (docs/architecture.md, "What one
 wave costs"): records enter and leave a ``Trace`` through one
 ``begin`` and one ``complete``, each taking a wave, and the register
@@ -101,6 +107,12 @@ ORACLE_USE = re.compile(
     re.MULTILINE,
 )
 EXPERIMENTS = sorted((ROOT / "src/repro/experiments").glob("*.py"))
+PROFILE_HOOK = re.compile(r"\bsys\.setprofile\(")
+HARNESS = re.compile(
+    r"^(?:from tests\.differential import|import tests\.differential)",
+    re.MULTILINE,
+)
+ANY_ASSERTION_KILLS = re.compile(r"pytest\.raises\(\s*\(?\s*AssertionError\b")
 RETIRED_CHECKERS = (
     "repro.analysis.atomicity",
     "repro.analysis.linearizability",
@@ -381,3 +393,17 @@ def _dataclass(**params):
 def test_wire_payload_refuses_what_would_diverge(build, why):
     with pytest.raises(TypeError, match=re.escape(why)):
         wire_payload(build())
+
+
+def test_the_cost_pins_share_one_profile_hook():
+    assert _sites(PROFILE_HOOK, "tests") == ["tests/counting.py"]
+
+
+def test_every_oracle_runs_the_one_differential():
+    oracles = {
+        str(path.relative_to(ROOT))
+        for path in (ROOT / "tests").rglob("test_*_oracle.py")
+    }
+    assert len(oracles) >= 9
+    assert oracles <= set(_sites(HARNESS, "tests"))
+    assert oracles.isdisjoint(_sites(ANY_ASSERTION_KILLS, "tests"))
