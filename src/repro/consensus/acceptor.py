@@ -128,10 +128,10 @@ class Acceptor(Process):
 
     def on_message(self, message: Message) -> None:
         payload = message.payload
-        if isinstance(payload, Prepare):
-            self._handle_prepare(message.src, payload)
-        elif isinstance(payload, Update):
+        if isinstance(payload, Update):
             self._handle_update(message.src, payload)
+        elif isinstance(payload, Prepare):
+            self._handle_prepare(message.src, payload)
         elif isinstance(payload, NewView):
             self._handle_new_view(message.src, payload)
         elif isinstance(payload, SignReq):
@@ -168,9 +168,20 @@ class Acceptor(Process):
         self._broadcast_update(Update(1, value, self.view, None))
 
     def _prepare_proof_ok(self, prepare: Prepare) -> bool:
-        """Re-validate ``vProof`` and check ``v`` against ``choose()``."""
+        """Re-validate ``vProof`` and check ``v`` against ``choose()``.
+
+        The verdict depends on the system, the genuine signatures and
+        the payload alone, and the receivers of one broadcast share the
+        payload, so a Prepare is judged once per run: the run's
+        signature service keeps the ones accepted.  A refusal is judged
+        again, since a signature missing now may be made later.
+        """
         if prepare.v_proof is None or prepare.quorum is None:
             return False
+        accepted = self.service.accepted
+        key = (self.rqs, prepare)
+        if key in accepted:
+            return True
         if not self.rqs.is_quorum(prepare.quorum):
             return False
         v_proof: Dict[AcceptorId, AckData] = {}
@@ -186,14 +197,21 @@ class Acceptor(Process):
         result = run_choose(
             self.rqs, prepare.value, v_proof, prepare.quorum
         )
-        return (not result.abort) and result.value == prepare.value
+        if result.abort or result.value != prepare.value:
+            return False
+        accepted.add(key)
+        return True
 
     # -- update cascade (lines 34-38) -----------------------------------------------------
 
     def _handle_update(self, src: AcceptorId, update: Update) -> None:
         if src not in self._acceptors:
             return
-        decided = self._decisions.record(src, update)
+        decisions = self._decisions
+        decided = decisions.record(src, update)
+        # This statement's sender mask, kept before the cascade's own
+        # broadcasts feed the tracker the next step's statement.
+        mask = decisions.mask
         if decided is not None:
             self._decide(decided)
         step, value, view = update.step, update.value, self.view
@@ -209,7 +227,6 @@ class Acceptor(Process):
         # quorum inside ``scanned`` has triggered already, so only the
         # quorums through a sender that arrived since can be new.
         key = (step, value, view)
-        mask = self._decisions.senders(step, value, view)
         new = mask & ~self._scanned.get(key, 0)
         if not new:
             return
@@ -364,7 +381,7 @@ class Acceptor(Process):
             },
             update_proof=dict(self.update_proof),
         )
-        signature = self.service.sign(self.pid, body.canonical())
+        signature = self.service.sign(self.pid, self.service.canonical(body))
         self.send(pending.proposer, NewViewAck(body, signature))
 
     # -- election module (Figure 14, acceptor side) -------------------------------------------

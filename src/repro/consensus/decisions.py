@@ -38,14 +38,13 @@ class DecisionTracker:
         self._masks: Dict[Tuple[int, Any, int], int] = {}
         # the step-1/3 statements whose decide rule holds
         self._decided: Set[Tuple[int, Any, int]] = set()
-        # (value, view, payload quorum) -> the quorum's members that have
-        # not sent it yet (step 2 exact-match rule); -1, which no sender
-        # clears, when the payload is not a class-2 quorum
+        # (value, view, class-2 payload quorum) -> the quorum's members
+        # that have not sent it yet (step 2 exact-match rule)
         self._missing: Dict[Tuple[Any, int, QuorumId], int] = {}
-
-    def senders(self, step: int, value: Any, view: int) -> int:
-        """The sender mask of one update statement."""
-        return self._masks.get((step, value, view), 0)
+        #: The sender mask of the statement :meth:`record` was last fed
+        #: (that sender included): the acceptor's cascade reads it
+        #: instead of looking the statement up again.
+        self.mask = 0
 
     def record(self, sender: AcceptorId, update: Update) -> Optional[Any]:
         """Feed one update message; return the decided value, if any."""
@@ -54,18 +53,17 @@ class DecisionTracker:
         step, value = update.step, update.value
         key = (step, value, update.view)
         before = self._masks.get(key, 0)
-        mask = self._masks[key] = before | bit
+        mask = self.mask = self._masks[key] = before | bit
         if step == 2:
+            # Only a class-1 or class-2 payload quorum can decide; no
+            # payload quorum, or one that is not a quorum, is class 4.
             quorum = update.quorum
-            if quorum is None:
+            if index.class_of.get(quorum, 4) > 2:
                 return None
             exact = (value, update.view, quorum)
             missing = self._missing.get(exact)
             if missing is None:
-                missing = (
-                    index.mask(quorum)
-                    if index.class_of.get(quorum, 4) <= 2 else -1
-                )
+                missing = index.mask(quorum)
             missing = self._missing[exact] = missing & ~bit
             return value if missing == 0 else None
         if step == 1 or step == 3:

@@ -57,7 +57,8 @@ class Learner(Process):
     def on_message(self, message: Message) -> None:
         payload = message.payload
         if isinstance(payload, Update):
-            self._arm_pulls()
+            if not self._pull_armed:
+                self._arm_pulls()
             if message.src in self._acceptors:
                 decided = self._decisions.record(message.src, payload)
                 if decided is not None:

@@ -43,7 +43,7 @@ def validate_new_view_ack(
     signature = ack.signature
     if signature.signer != sender:
         return False
-    if signature.content != body.canonical():
+    if signature.content != service.canonical(body):
         return False
     if not service.verify(signature):
         return False

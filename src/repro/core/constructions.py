@@ -89,6 +89,20 @@ def _enumerate_missing_at_most(
     return NormalizedFamily.over(servers, members, tuple(masks))
 
 
+@lru_cache(maxsize=32)
+def _threshold_adversary(
+    servers: Tuple[Hashable, ...], k: int
+) -> ThresholdAdversary:
+    """``B_k`` over ``servers``, shared per ``(servers, k)`` like the
+    families of :func:`_enumerate_missing_at_most`: the E11 grid's 953
+    threshold systems stand on 25 adversaries.  An adversary's only
+    lazy state (``maximal_masks``) is a function of ``(S, k)``, so
+    every system over the same pair may hold the same one; never
+    mutate an adversary a construction returned.
+    """
+    return ThresholdAdversary(servers, k)
+
+
 def _tail_missing_at_most(family: NormalizedFamily, i: int) -> NormalizedFamily:
     """``Q_i`` cut out of an enumerated ``Q_j`` (``i ≤ j``).
 
@@ -134,7 +148,7 @@ def byzantine_quorum_system(n: int) -> RefinedQuorumSystem:
     """Example 3: two-thirds quorums under ``B_⌊(n−1)/3⌋``, ``QC1=QC2=∅``."""
     servers = default_servers(n)
     k = (n - 1) // 3
-    adversary = ThresholdAdversary(servers, k)
+    adversary = _threshold_adversary(servers, k)
     quorums = subsets_missing_at_most(servers, k)
     return RefinedQuorumSystem(adversary, quorums)
 
@@ -172,7 +186,7 @@ def fast_consensus_quorum_system(
     if not 0 <= q <= t:
         raise QuorumSystemError(f"need 0 <= q <= t, got q={q}, t={t}")
     servers = default_servers(n)
-    adversary = ThresholdAdversary(servers, k)
+    adversary = _threshold_adversary(servers, k)
     quorums = subsets_missing_at_most(servers, t)
     fast = _tail_missing_at_most(quorums, q)
     return RefinedQuorumSystem(adversary, quorums, qc1=fast, qc2=fast)
@@ -203,7 +217,7 @@ def threshold_rqs(
             f"need 0 <= q <= r <= t < n, got q={q}, r={r}, t={t}, n={n}"
         )
     servers = default_servers(n)
-    adversary = ThresholdAdversary(servers, k)
+    adversary = _threshold_adversary(servers, k)
     quorums = subsets_missing_at_most(servers, t)
     qc2 = _tail_missing_at_most(quorums, r)
     qc1 = _tail_missing_at_most(qc2, q)
@@ -261,7 +275,7 @@ def figure3_rqs() -> RefinedQuorumSystem:
     least ``2k+1`` elements.
     """
     servers = default_servers(8)
-    adversary = ThresholdAdversary(servers, 1)
+    adversary = _threshold_adversary(servers, 1)
     q = frozenset({3, 4, 5, 6, 7})
     q_prime = frozenset({1, 2, 3, 4, 7, 8})
     q2 = frozenset({1, 2, 3, 5, 6})

@@ -14,12 +14,17 @@ service never recorded it.
 
 ``Signed`` values are immutable and hashable so they can travel inside
 message payloads and be stored in ``Updateproof`` sets.
+
+The receivers of one broadcast share its payload objects, so the service
+of an execution is also where that execution remembers what it derived
+from signed content: the signable form of each body, and the proofs it
+has accepted.  Each is derived once per run instead of once per receiver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Set, Tuple
+from typing import Any, Dict, Hashable, Set, Tuple
 
 from repro.errors import ProtocolError
 
@@ -40,6 +45,29 @@ class SignatureService:
 
     def __init__(self):
         self._genuine: Set[Tuple[Hashable, Any]] = set()
+        # body -> body.canonical(), for this execution (see canonical())
+        self._forms: Dict[Any, Any] = {}
+        #: Proofs this execution has accepted, as the checker keys them
+        #: (``consensus.acceptor``: the system and the ``Prepare``).
+        #: Only acceptances are kept: the genuine record only grows, so
+        #: a proof that held keeps holding, while one refused for a
+        #: signature not yet made may hold once its signer signs.
+        self.accepted: Set[Hashable] = set()
+
+    def canonical(self, body: Any) -> Any:
+        """``body.canonical()`` — the content a signature over ``body``
+        binds — computed once per body in this execution.
+
+        Sound because a body does not change once built: it is a frozen
+        payload whose mappings no code path writes.  An edited body is
+        a new object (``dataclasses.replace``), canonicalised afresh, so
+        a genuine signature over the original does not match it.
+        """
+        forms = self._forms
+        form = forms.get(body)
+        if form is None:
+            form = forms[body] = body.canonical()
+        return form
 
     def sign(self, signer: Hashable, content: Any) -> Signed:
         """Produce a genuine signature (only the signer itself may call).
@@ -48,10 +76,13 @@ class SignatureService:
         the service cannot tell callers apart (that is the processes'
         contract), but Byzantine *forgery* — building a ``Signed`` for a
         benign signer without calling ``sign`` as it — is detected by
-        :meth:`verify`.
+        :meth:`verify`.  Content is recorded as :meth:`verify` looks it
+        up: as it stands when hashable, frozen otherwise.
         """
-        record = (signer, _freeze(content))
-        self._genuine.add(record)
+        try:
+            self._genuine.add((signer, content))
+        except TypeError:
+            self._genuine.add((signer, _freeze(content)))
         return Signed(signer, content)
 
     def verify(self, signature: Signed) -> bool:
@@ -59,8 +90,9 @@ class SignatureService:
 
         Hashable content is its own canonical form (``_freeze`` rebuilds
         nested tuples and frozensets into equal ones and leaves every
-        other hashable as it is), so it is looked up as it stands; only
-        content holding a list, set or dict is frozen first.
+        other hashable as it is), so :meth:`sign` records it and this
+        looks it up as it stands; only content holding a list, set or
+        dict is frozen first, on both sides.
         """
         try:
             return (signature.signer, signature.content) in self._genuine

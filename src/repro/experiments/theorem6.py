@@ -75,7 +75,7 @@ class LyingAcceptor(Acceptor):
             update_q={},
             update_proof={},
         )
-        signature = self.service.sign(self.pid, body.canonical())
+        signature = self.service.sign(self.pid, self.service.canonical(body))
         self.send(pending.proposer, NewViewAck(body, signature))
 
 

@@ -17,7 +17,7 @@ little.
 from functools import partial
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.consensus.acceptor import Acceptor
 from repro.consensus.decisions import DecisionTracker
@@ -464,3 +464,35 @@ def test_seeded_tracker_mutant_is_killed():
                               record),
         DecisionTracker, ForgetfulTracker,
     )
+
+
+class SkipsClassTwo(DecisionTracker):
+    """The exact-match rule consulted for class-1 payload quorums only:
+    a class-2 one is passed over like a class-3 one."""
+
+    def record(self, sender, update):
+        decided = super().record(sender, update)
+        if update.step == 2 and self._index.class_of.get(update.quorum) == 2:
+            return None
+        return decided
+
+
+def _the_draw(tracker_cls):
+    """The drawn deliveries' updates, to the set-based decide rules and
+    to ``tracker_cls``."""
+
+    @settings(DIFFERENTIAL, max_examples=100, derandomize=True,
+              database=None, phases=(Phase.generate,),
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(cases())
+    def feed(case):
+        rqs, ops = case
+        updates = [op[1:] for op in ops
+                   if op[0] == "deliver" and isinstance(op[2], Update)]
+        agree(ReferenceTracker(rqs), tracker_cls(rqs), updates, record)
+
+    feed()
+
+
+def test_the_draw_kills_a_tracker_that_skips_class_two_quorums():
+    assert_killed(_the_draw, DecisionTracker, SkipsClassTwo)

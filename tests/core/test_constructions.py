@@ -231,6 +231,40 @@ class TestCarriedMasks:
         assert info.currsize == info.maxsize == 32
 
 
+class TestSharedAdversaries:
+    """``B_k`` is built once per ``(S, k)`` and shared, like ``Q_i``."""
+
+    def test_systems_over_one_ground_set_and_k_share_b_k(self):
+        con._threshold_adversary.cache_clear()
+        a = con.threshold_rqs(7, 2, 1, 1, 2)
+        assert con.threshold_rqs(7, 1, 1, 0, 1).adversary is a.adversary
+        assert con.fast_consensus_quorum_system(7, 2, 1, 1).adversary is (
+            a.adversary
+        )
+        other = con.threshold_rqs(7, 2, 0, 1, 2).adversary
+        assert other is not a.adversary and other.k == 0
+        assert con.threshold_rqs(8, 2, 1, 1, 2).adversary is not a.adversary
+        info = con._threshold_adversary.cache_info()
+        assert (info.misses, info.hits) == (3, 2)
+
+    def test_a_shared_adversary_answers_as_a_fresh_one(self):
+        shared = con.threshold_rqs(8, 3, 1, 1, 2).adversary
+        fresh = ThresholdAdversary(range(1, 9), 1)
+        assert shared.maximal_masks == fresh.maximal_masks
+        assert all(
+            shared.contains_mask(m) == fresh.contains_mask(m)
+            and shared.is_large_mask(m) == fresh.is_large_mask(m)
+            for m in range(1 << 8)
+        )
+
+    def test_the_shared_adversaries_are_bounded(self):
+        con._threshold_adversary.cache_clear()
+        for n in range(3, 60):
+            con._threshold_adversary(con.default_servers(n), 1)
+        info = con._threshold_adversary.cache_info()
+        assert info.currsize == info.maxsize == 32
+
+
 _HASH_SEED_SCRIPT = """
 from tests.core.test_constructions import _enumerated_families
 

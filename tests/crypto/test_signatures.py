@@ -102,9 +102,10 @@ def test_a_list_signed_verifies_as_its_tuple_and_back():
 
 def test_verifying_a_new_view_ack_freezes_nothing(monkeypatch):
     """The authenticated path of a view change: a ``new_view_ack`` with
-    an update proof is validated — ack signature plus every proof
-    signature — without one ``_freeze`` call (``sign`` still
-    canonicalises: 1 call per signature at the top, recursing)."""
+    an update proof is signed and validated — ack signature plus every
+    proof signature — without one ``_freeze`` call: ``sign`` records
+    hashable content as it stands, as ``verify`` looks it up, and
+    freezes only content holding a list, set or dict."""
     from repro.consensus.messages import AckData, NewViewAck, update_statement
     from repro.consensus.validate import validate_new_view_ack
     from repro.core.constructions import threshold_rqs
@@ -132,11 +133,12 @@ def test_verifying_a_new_view_ack_freezes_nothing(monkeypatch):
         update_proof={(1, 0): proof},
     )
     ack = NewViewAck(body, service.sign(3, body.canonical()))
-    signed = len(calls)
-    assert signed > 3  # three top-level calls, recursing
+    assert calls == []
 
     assert validate_new_view_ack(service, rqs, 3, ack, expected_view=1)
-    assert len(calls) == signed
+    assert calls == []
+    service.sign(3, ["update", 1, ["v"], 0])   # unhashable: frozen
+    assert calls[0] == ["update", 1, ["v"], 0]  # at the top, recursing
     # A fabricated ack (never signed by 4) and a forged proof still fail.
     assert not validate_new_view_ack(
         service, rqs, 4, NewViewAck(body, Signed(4, body.canonical())), 1
