@@ -14,7 +14,6 @@ from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set
 from repro.core.rqs import RefinedQuorumSystem
 from repro.crypto.signatures import SignatureService, Signed
 from repro.sim.conditions import Event
-from repro.sim.network import Message
 from repro.sim.process import Process
 from repro.consensus.choose import choose as run_choose
 from repro.consensus.decisions import DecisionTracker
@@ -126,22 +125,21 @@ class Acceptor(Process):
 
     # -- dispatch -------------------------------------------------------------------
 
-    def on_message(self, message: Message) -> None:
-        payload = message.payload
+    def on_message(self, src: Hashable, payload: Any) -> None:
         if isinstance(payload, Update):
-            self._handle_update(message.src, payload)
+            self._handle_update(src, payload)
         elif isinstance(payload, Prepare):
-            self._handle_prepare(message.src, payload)
+            self._handle_prepare(src, payload)
         elif isinstance(payload, NewView):
-            self._handle_new_view(message.src, payload)
+            self._handle_new_view(src, payload)
         elif isinstance(payload, SignReq):
-            self._handle_sign_req(message.src, payload)
+            self._handle_sign_req(src, payload)
         elif isinstance(payload, SignAck):
-            self._handle_sign_ack(message.src, payload)
+            self._handle_sign_ack(src, payload)
         elif isinstance(payload, Decision):
-            self._handle_decision(message.src, payload)
+            self._handle_decision(src, payload)
         elif isinstance(payload, DecisionPull):
-            self._handle_decision_pull(message.src)
+            self._handle_decision_pull(src)
         elif isinstance(payload, Sync):
             self._arm_suspect_timer()
 

@@ -12,7 +12,6 @@ from typing import Any, Dict, Hashable, Optional, Set
 
 from repro.core.rqs import RefinedQuorumSystem
 from repro.sim.conditions import Event
-from repro.sim.network import Message
 from repro.sim.process import Process
 from repro.sim.trace import OperationRecord, Trace
 from repro.consensus.decisions import DecisionTracker
@@ -54,19 +53,18 @@ class Learner(Process):
         )
         return bound
 
-    def on_message(self, message: Message) -> None:
-        payload = message.payload
+    def on_message(self, src: Hashable, payload: Any) -> None:
         if isinstance(payload, Update):
             if not self._pull_armed:
                 self._arm_pulls()
-            if message.src in self._acceptors:
-                decided = self._decisions.record(message.src, payload)
+            if src in self._acceptors:
+                decided = self._decisions.record(src, payload)
                 if decided is not None:
                     self._learn(decided)
         elif isinstance(payload, Decision):
             self._arm_pulls()
             index = self.rqs.index
-            bit = index.bit.get(message.src)
+            bit = index.bit.get(src)
             if bit is not None:
                 value = payload.value
                 senders = self._decision_senders.get(value, 0) | bit

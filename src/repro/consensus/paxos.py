@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Set, Tuple
 
 from repro.sim.conditions import AckSet, ConditionMap
-from repro.sim.network import Message
 from repro.sim.process import Process
 from repro.sim.tasks import WaitUntil
 from repro.sim.trace import Trace
@@ -53,13 +52,12 @@ class PaxosAcceptor(Process):
         self.accepted_ballot = -1
         self.accepted_value: Any = None
 
-    def on_message(self, message: Message) -> None:
-        payload = message.payload
+    def on_message(self, src: Hashable, payload: Any) -> None:
         if isinstance(payload, PaxPrepare):
             if payload.ballot > self.promised:
                 self.promised = payload.ballot
                 self.send(
-                    message.src,
+                    src,
                     PaxPromise(
                         payload.ballot,
                         self.accepted_ballot,
@@ -72,7 +70,7 @@ class PaxosAcceptor(Process):
                 self.accepted_ballot = payload.ballot
                 self.accepted_value = payload.value
                 accepted = PaxAccepted(payload.ballot, payload.value)
-                self.send(message.src, accepted)
+                self.send(src, accepted)
                 self.send_all(self.learners, accepted)
 
 
@@ -95,15 +93,14 @@ class PaxosProposer(Process):
         self._promised = ConditionMap(AckSet, "paxos promises b={}")
         self._accepted = ConditionMap(AckSet, "paxos accepted b={}")
 
-    def on_message(self, message: Message) -> None:
-        payload = message.payload
+    def on_message(self, src: Hashable, payload: Any) -> None:
         if isinstance(payload, PaxPromise):
             promises = self._promises.setdefault(payload.ballot, {})
-            if message.src not in promises:
-                promises[message.src] = payload
-                self._promised(payload.ballot).add(message.src)
+            if src not in promises:
+                promises[src] = payload
+                self._promised(payload.ballot).add(src)
         elif isinstance(payload, PaxAccepted):
-            self._accepted(payload.ballot).add(message.src)
+            self._accepted(payload.ballot).add(src)
 
     def propose(self, value: Any):
         record, = self.trace.begin(
@@ -144,12 +141,11 @@ class PaxosLearner(Process):
         )
         return bound
 
-    def on_message(self, message: Message) -> None:
-        payload = message.payload
+    def on_message(self, src: Hashable, payload: Any) -> None:
         if isinstance(payload, PaxAccepted) and self.learned is None:
             key = (payload.ballot, payload.value)
             senders = self._accepted.setdefault(key, set())
-            senders.add(message.src)
+            senders.add(src)
             if len(senders) >= self.majority:
                 self.learned = payload.value
                 self.learned_at = self.sim.now

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Set, Tuple
 
-from repro.sim.network import Message
 from repro.sim.process import Process
 from repro.sim.trace import Trace
 
@@ -73,19 +72,18 @@ class PbftReplica(Process):
         self._prepares: Dict[Any, Set[Hashable]] = {}
         self._commits: Dict[Any, Set[Hashable]] = {}
 
-    def on_message(self, message: Message) -> None:
-        payload = message.payload
+    def on_message(self, src: Hashable, payload: Any) -> None:
         if isinstance(payload, Request) and self.pid == self.primary:
             if self.pre_prepared is None:
                 self.pre_prepared = payload.value
                 self.send_all(self.replicas, PrePrepare(0, payload.value))
         elif isinstance(payload, PrePrepare):
-            if message.src == self.primary and self.pre_prepared is None:
+            if src == self.primary and self.pre_prepared is None:
                 self.pre_prepared = payload.value
                 self.send_all(self.replicas, BftPrepare(0, payload.value))
         elif isinstance(payload, BftPrepare):
             senders = self._prepares.setdefault(payload.value, set())
-            senders.add(message.src)
+            senders.add(src)
             # prepared: pre-prepare + 2f matching prepares
             if (
                 not self.prepared
@@ -96,7 +94,7 @@ class PbftReplica(Process):
                 self.send_all(self.replicas, Commit(0, payload.value))
         elif isinstance(payload, Commit):
             senders = self._commits.setdefault(payload.value, set())
-            senders.add(message.src)
+            senders.add(src)
             # committed-local: 2f + 1 matching commits
             if (
                 not self.committed_local
@@ -123,11 +121,10 @@ class PbftLearner(Process):
         )
         return bound
 
-    def on_message(self, message: Message) -> None:
-        payload = message.payload
+    def on_message(self, src: Hashable, payload: Any) -> None:
         if isinstance(payload, Committed) and self.learned is None:
             senders = self._committed.setdefault(payload.value, set())
-            senders.add(message.src)
+            senders.add(src)
             if len(senders) >= self.f + 1:
                 self.learned = payload.value
                 self.learned_at = self.sim.now

@@ -16,7 +16,6 @@ from typing import Any, Dict, FrozenSet, Hashable, Optional, Sequence, Set, Tupl
 from repro.core.rqs import RefinedQuorumSystem
 from repro.crypto.signatures import SignatureService
 from repro.sim.conditions import Check
-from repro.sim.network import Message
 from repro.sim.process import Process
 from repro.sim.tasks import WaitUntil
 from repro.sim.trace import Trace
@@ -86,14 +85,13 @@ class Proposer(Process):
 
     # -- message handling -----------------------------------------------------
 
-    def on_message(self, message: Message) -> None:
-        payload = message.payload
+    def on_message(self, src: Hashable, payload: Any) -> None:
         if isinstance(payload, NewViewAck):
-            self._handle_new_view_ack(message.src, payload)
+            self._handle_new_view_ack(src, payload)
         elif isinstance(payload, ViewChange):
-            self._handle_view_change(message.src, payload)
+            self._handle_view_change(src, payload)
         elif isinstance(payload, Decision):
-            self._handle_decision(message.src, payload)
+            self._handle_decision(src, payload)
 
     def _handle_new_view_ack(self, src: AcceptorId, ack: NewViewAck) -> None:
         view = ack.body.view

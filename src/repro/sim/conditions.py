@@ -24,8 +24,13 @@ The catalogue, roughly in order of preference:
   (the RQS reader's candidate-set predicates, the proposer's consult
   quorum).
 * :class:`AllOf` / :class:`AnyOf` — conjunction/disjunction
-  combinators; a child's signal propagates to the composite ("a quorum
-  of acks **and** the 2Δ timer").
+  combinators; a child's signal propagates to the composite (the
+  batched reader waits on "its first collect round's 2Δ timer **and**
+  quorum, **or** a cohort's write-back").  A composite and its children
+  reference each other, a cycle only the cyclic collector frees, so a
+  protocol waits one condition at a time where it can: a write round
+  waits on its ``2Δ`` timer and then on its quorum, which ends in the
+  same wake pass as a wait on the two's ``AllOf``.
 
 A signal is a *hint*, not a wake-up: the simulator re-checks
 ``holds()`` before resuming waiters, so spurious signals are cheap and

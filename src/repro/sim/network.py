@@ -21,23 +21,30 @@ model "delayed until after round K" schedules.
 
 The broadcast is the transport's primitive — every step of the paper's
 pseudocode is "send to all servers / acceptors / learners".
-:meth:`Network.send_all` stamps and logs one :class:`Message` per
-destination and resolves its rules, once each and in iteration order,
-and pushes **one queue entry per distinct delivery instant**:
-``(deliver_time, seq, Network._deliver_block, Block)``, the block
-holding the records due then (a held or dropped destination is in none,
-one a rule delays is in its own instant's).  The entry takes the ``seq``
-of its first member and the simulator's counter moves on by one per
-queued record, exactly as far as one entry each would move it; the
-members of a broadcast are consecutive in ``seq``, so no other entry can
-tie *between* two of them and every tie resolves as before.  The event
-loop counts a block as one event per member (``Simulator.run``).
-:meth:`Network.send` is the single-destination primitive (replies):
-``(deliver_time, seq, Network._deliver, message)``.  Neither builds a
-closure or goes through ``call_at``.  ``_deliver`` / ``_deliver_block``
-call the receiver's ``on_message`` themselves: a crashed receiver's
-message is dropped there (it still counts as delivered), and at
-``FULL`` the record joins the receiver's ``delivered`` history.
+:meth:`Network.send_all` stamps one delivery per destination and
+resolves its rules, once each and in iteration order, and pushes **one
+queue entry per distinct delivery instant**: ``(deliver_time, seq,
+Network._deliver_block, Block)``, the block holding the deliveries due
+then (a held or dropped destination is in none, one a rule delays is in
+its own instant's).  The entry takes the ``seq`` of its first member and
+the simulator's counter moves on by one per queued delivery, exactly as
+far as one entry each would move it; the members of a broadcast are
+consecutive in ``seq``, so no other entry can tie *between* two of them
+and every tie resolves as before.  The event loop counts a block as one
+event per member (``Simulator.run``).  :meth:`Network.send` is the
+single-destination primitive (replies): ``(deliver_time, seq,
+Network._deliver, delivery)``.  Neither builds a closure or goes through
+``call_at``.
+
+A delivery costs what the run keeps of it.  At ``FULL`` it is the
+:class:`Message` record the log keeps and the receiver's ``delivered``
+history will keep; at ``METRICS`` it is the bare ``(src, dst, payload)``
+tuple, and a :class:`Message` is built only for a message a rule holds
+(it must stay releasable in :attr:`Network.in_transit`) or drops.
+``_deliver`` / ``_deliver_block`` call the receiver's
+``on_message(src, payload)`` themselves: a crashed receiver's message is
+dropped there (it still counts as delivered), and at ``FULL`` the record
+joins the receiver's ``delivered`` history.
 
 * **Rule partitioning** — rule resolution caches, per ``(src, dst)``
   pair, the (ordered) sub-list of rules that could ever match that
@@ -50,9 +57,10 @@ message is dropped there (it still counts as delivered), and at
 * **Trace levels** — :class:`TraceLevel` says how much message history
   is retained.  ``FULL`` (the default) keeps the complete
   :attr:`Network.log` for verdicts, fingerprints and proof replays;
-  ``METRICS`` drops delivered/dropped message records once consumed and
-  keeps only counters, bounding memory on long workloads.  Held
-  messages are always tracked — they must remain releasable.
+  ``METRICS`` builds no record for a delivered message and keeps none
+  for a dropped one — only counters, bounding memory on long
+  workloads.  Held messages are always recorded and tracked — they
+  must remain releasable.
 """
 
 from __future__ import annotations
@@ -75,10 +83,11 @@ class TraceLevel(enum.IntEnum):
     """How much message history a network retains.
 
     ``METRICS``
-        Counters only: delivered and dropped message records are
-        discarded after the receiver consumes them.  ``Network.log``
-        stays empty and :meth:`Network.messages_between` raises instead
-        of silently returning partial data.  Use for big sweeps and
+        Counters only: a delivered message has no record at all (the
+        receiver is handed its sender and payload), a dropped one's is
+        not kept.  ``Network.log`` stays empty and
+        :meth:`Network.messages_between` raises instead of silently
+        returning partial data.  Use for big sweeps and
         benchmarks where only metrics/verdict-free results matter.
     ``FULL``
         Keep every :class:`Message` record (the historical behaviour).
@@ -261,29 +270,41 @@ class Network:
 
     # -- transport --------------------------------------------------------------
 
-    def send(self, src: ProcessId, dst: ProcessId, payload: Any) -> Message:
-        """Send ``payload`` from ``src`` to ``dst``; returns the record."""
+    def send(
+        self, src: ProcessId, dst: ProcessId, payload: Any
+    ) -> Optional[Message]:
+        """Send ``payload`` from ``src`` to ``dst``; returns the record —
+        ``None`` at ``METRICS`` for a message no rule held or dropped,
+        which has none."""
         if dst not in self._processes:
             raise SimulationError(f"unknown destination {dst!r}")
         sim = self.sim
         now = sim.now
-        message = Message(src, dst, payload, now)
-        self.sent_count += 1
-        if self.full_trace:
+        full_trace = self.full_trace
+        message = None
+        if full_trace:
+            message = Message(src, dst, payload, now)
             self.log.append(message)
+        self.sent_count += 1
         delay = self.delta
         # ``_resolve`` only for a channel that has (or may have) rules.
         if self._rules and self._rule_index.get((src, dst)) != ():
-            action = self._resolve(message)
+            action = self._resolve(src, dst, payload, now)
             if action == HOLD or action == DROP:
+                if message is None:
+                    message = Message(src, dst, payload, now)
                 self._withhold(message, action)
                 return message
             delay = action
         deliver_time = now + delay
-        message.deliver_time = deliver_time
+        if full_trace:
+            message.deliver_time = deliver_time
+            delivery = message
+        else:
+            delivery = (src, dst, payload)
         # One queue entry per delivery, in ``Simulator.call_at``'s shape
         # and numbering.
-        heappush(sim._queue, (deliver_time, sim._seq, self._deliver, message))
+        heappush(sim._queue, (deliver_time, sim._seq, self._deliver, delivery))
         sim._seq += 1
         return message
 
@@ -309,25 +330,32 @@ class Network:
             for dst in destinations:
                 if dst not in processes:
                     raise SimulationError(f"unknown destination {dst!r}")
-                message = Message(src, dst, payload, now)
                 sent += 1
                 if full_trace:
-                    log.append(message)
+                    delivery = Message(src, dst, payload, now)
+                    log.append(delivery)
+                else:
+                    delivery = (src, dst, payload)
                 deliver_time = default_time
                 if rule_index is not None and (
                     rule_index.get((src, dst)) != ()
                 ):
-                    action = self._resolve(message)
+                    action = self._resolve(src, dst, payload, now)
                     if action == HOLD or action == DROP:
-                        self._withhold(message, action)
+                        self._withhold(
+                            delivery if full_trace
+                            else Message(src, dst, payload, now),
+                            action,
+                        )
                         continue
                     deliver_time = now + action
-                message.deliver_time = deliver_time
+                if full_trace:
+                    delivery.deliver_time = deliver_time
                 entry = entries.get(deliver_time)
                 if entry is None:
                     entry = (deliver_time, seq, deliver, Block())
                     entries[deliver_time] = entry
-                entry[3].append(message)
+                entry[3].append(delivery)
                 seq += 1
         finally:
             # Also when a destination is refused: what was sent before
@@ -339,11 +367,12 @@ class Network:
                 heappush(queue, entry)
             sim._seq = seq
 
-    def _resolve(self, message: Message) -> Any:
-        """The first matching rule's action, else ``Δ`` (needs rules;
-        builds the channel's candidate entry on first sight)."""
-        src = message.src
-        dst = message.dst
+    def _resolve(
+        self, src: ProcessId, dst: ProcessId, payload: Any, time: float
+    ) -> Any:
+        """The first matching rule's action for ``payload`` sent from
+        ``src`` to ``dst`` at ``time``, else ``Δ`` (needs rules; builds
+        the channel's candidate entry on first sight)."""
         candidates = self._rule_index.get((src, dst))
         if candidates is None:
             candidates = tuple(
@@ -355,10 +384,9 @@ class Network:
             self._rule_index[src, dst] = candidates
         # The index has matched the channel; what is left to match is
         # the send-time window and the payload predicate.
-        time = message.send_time
         for rule in candidates:
             if rule.after <= time < rule.until and (
-                rule.payload is None or rule.payload(message.payload)
+                rule.payload is None or rule.payload(payload)
             ):
                 return rule.action
         return self.delta
@@ -375,35 +403,49 @@ class Network:
             if self.full_trace:
                 self.dropped.append(message)
 
-    def _deliver(self, message: Message) -> None:
-        """Hand ``message`` to its receiver's ``on_message`` — unless the
+    def _deliver(self, delivery) -> None:
+        """Hand a delivery to its receiver's ``on_message`` — unless the
         receiver has crashed (it takes no steps; the delivery still
-        counts).  At ``FULL`` the receiver's ``delivered`` history keeps
-        the record."""
+        counts).  At ``FULL`` the delivery is the logged record, which
+        the receiver's ``delivered`` history keeps; at ``METRICS`` it is
+        ``(src, dst, payload)``."""
         # Destinations are checked at send and never unregistered.
         self.delivered_count += 1
-        process = self._processes[message.dst]
-        if process.crashed:
-            return
         if self.full_trace:
-            process.delivered.append(message)
-        process.on_message(message)
+            process = self._processes[delivery.dst]
+            if process.crashed:
+                return
+            process.delivered.append(delivery)
+            process.on_message(delivery.src, delivery.payload)
+        else:
+            src, dst, payload = delivery
+            process = self._processes[dst]
+            if process.crashed:
+                return
+            process.on_message(src, payload)
 
     def _deliver_block(self, block: Block, room: int) -> None:
         """:meth:`_deliver` for up to ``room`` members of a block, each
         popped before it is handed over (see :class:`Block`)."""
         processes = self._processes
-        full_trace = self.full_trace
         take = block.pop
-        for _ in range(min(len(block), room)):
-            message = take()
-            self.delivered_count += 1
-            process = processes[message.dst]
-            if process.crashed:
-                continue
-            if full_trace:
+        if self.full_trace:
+            for _ in range(min(len(block), room)):
+                message = take()
+                self.delivered_count += 1
+                process = processes[message.dst]
+                if process.crashed:
+                    continue
                 process.delivered.append(message)
-            process.on_message(message)
+                process.on_message(message.src, message.payload)
+        else:
+            for _ in range(min(len(block), room)):
+                src, dst, payload = take()
+                self.delivered_count += 1
+                process = processes[dst]
+                if process.crashed:
+                    continue
+                process.on_message(src, payload)
 
     # -- adversarial schedule control ---------------------------------------------
 
@@ -426,7 +468,11 @@ class Network:
             if predicate is None or predicate(message):
                 message.held = False
                 message.deliver_time = deliver_time
-                self.sim.call_at(deliver_time, self._deliver, message)
+                self.sim.call_at(
+                    deliver_time, self._deliver,
+                    message if self.full_trace
+                    else (message.src, message.dst, message.payload),
+                )
                 released += 1
             else:
                 remaining.append(message)

@@ -14,10 +14,11 @@ Processes follow the paper's model (Section 3.1):
 A process is bound to a :class:`~repro.sim.network.Network` before the
 simulation starts; ``bind`` sets ``network`` and ``sim``, and sending or
 reading the simulator before binding is a configuration error.  The
-network hands a message straight to :meth:`Process.on_message`
-(``Network._deliver``): it drops what reaches a crashed process and, at
-``TraceLevel.FULL``, appends the record to the receiver's ``delivered``
-history.
+network (``Network._deliver``) calls :meth:`Process.on_message` itself,
+with the delivery's sender and payload: ``on_message(src, payload)``,
+no envelope.  It drops what reaches a crashed process and, at
+``TraceLevel.FULL``, appends the logged record to the receiver's
+``delivered`` history.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ class Process:
         self.sim = _Unbound((pid,))
         self.crashed = False
         self.crash_time: Optional[float] = None
-        #: Messages handed to this process (kept at ``TraceLevel.FULL``
-        #: only — at ``METRICS`` the record would be the last reference
-        #: keeping every consumed message alive).
+        #: The logged records of the messages handed to this process
+        #: (``TraceLevel.FULL`` only — at ``METRICS`` a delivered message
+        #: has no record).
         self.delivered: List[Message] = []
 
     # -- wiring ---------------------------------------------------------------
@@ -97,9 +98,10 @@ class Process:
             raise SimulationError(f"process {self.pid!r} is not bound")
         self.network.send_all(self.pid, destinations, payload)
 
-    def on_message(self, message: Message) -> None:
+    def on_message(self, src: Hashable, payload: Any) -> None:
         """Protocol handler; subclasses override.  Called by the network
-        for every message delivered while the process is up."""
+        with the sender and payload of every message delivered while the
+        process is up."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "crashed" if self.crashed else "up"

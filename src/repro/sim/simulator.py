@@ -117,7 +117,7 @@ class Simulator:
         """A :class:`Timer` event that sets itself at absolute ``time``.
 
         The condition-flavoured deadline: protocols wait on the returned
-        event (possibly inside an ``AllOf`` with a quorum condition)
+        event (a write round waits on it, then on its quorum condition)
         instead of scheduling a no-op callback and polling ``sim.now``.
         Already-elapsed times return an already-set event.
         """

@@ -15,10 +15,12 @@ The one effect is :class:`WaitUntil`: park until an indexed
 :class:`~repro.sim.conditions.Condition` (an ``Event``, an ``AckSet``
 threshold or quorum, a ``Timer``, an explicit ``Check``, …) holds; the
 simulator re-polls the task only when the condition is *signalled*.  A
-deadline is a condition too: the storage algorithm's ``2Δ`` timeouts
-wait on :meth:`~repro.sim.simulator.Simulator.timer_at` (inside an
-``AllOf`` with the quorum), a client's next start time on a bare one,
-and the election module's ``suspectTimeout`` is a
+deadline is a condition too.  A storage round waits out its ``2Δ`` on a
+:meth:`~repro.sim.simulator.Simulator.timer_at` timer and then waits for
+its quorum, one condition at a time: both waits end in the wake pass of
+the later one's instant, since a task that re-parks while it is woken
+keeps its place in the park order.  A client's next start time is a bare
+timer, and the election module's ``suspectTimeout`` is a
 :meth:`~repro.sim.simulator.Simulator.call_later` callback.
 
 A task finishes when its generator returns; the returned value is stored

@@ -57,8 +57,7 @@ from typing import (
     Tuple,
 )
 
-from repro.sim.conditions import AckSet, AllOf, ConditionMap
-from repro.sim.network import Message
+from repro.sim.conditions import AckSet, ConditionMap
 from repro.sim.process import Process
 from repro.sim.tasks import WaitUntil
 from repro.sim.trace import Trace
@@ -71,7 +70,7 @@ from repro.storage.batching import (
     WriteBatch,
     distinct_keys,
 )
-from repro.storage.history import DEFAULT_KEY, INITIAL_PAIR, Pair
+from repro.storage.history import DEFAULT_KEY, INITIAL_PAIR, Pair, new_cell
 from repro.storage.stamping import DiscoveryInbox, StampIssuer
 
 _TS = attrgetter("ts")
@@ -237,22 +236,20 @@ class RegisterServer(Process):
             slots = self.slots[key] = dict(self._initial)
         return slots
 
-    def on_message(self, message: Message) -> None:
-        payload = message.payload
+    def on_message(self, src: Hashable, payload: Any) -> None:
         known = self.slots
         if isinstance(payload, SlotWrite):
             key = payload.key
             slots = known.get(key) or self.slots_for(key)
             if payload.ts > slots[payload.slot].ts:
-                slots[payload.slot] = Pair(payload.ts, payload.value)
-            self.send(
-                message.src,
-                SlotWriteAck(payload.ts, payload.slot, key),
-            )
+                slots[payload.slot] = new_cell(
+                    Pair, (payload.ts, payload.value)
+                )
+            self.send(src, SlotWriteAck(payload.ts, payload.slot, key))
         elif isinstance(payload, SlotRead):
             key = payload.key
             self.send(
-                message.src,
+                src,
                 SlotReadAck(
                     payload.read_no,
                     tuple((known.get(key) or self.slots_for(key)).values()),
@@ -266,11 +263,11 @@ class RegisterServer(Process):
             for ts, value, key in payload.ops:
                 slots = known.get(key) or self.slots_for(key)
                 if ts > slots[slot].ts:
-                    slots[slot] = Pair(ts, value)
-            self.send(message.src, BatchAck(payload.batch_no, payload.rnd))
+                    slots[slot] = new_cell(Pair, (ts, value))
+            self.send(src, BatchAck(payload.batch_no, payload.rnd))
         elif isinstance(payload, ReadBatch):
             self.send(
-                message.src,
+                src,
                 ReadBatchAck(
                     payload.read_no,
                     payload.rnd,
@@ -308,32 +305,30 @@ class _RegisterClient(Process):
         self._queries = DiscoveryInbox(self.name + " query#{}")
         self._batches = BatchAcks(self.name + " batch#{} rnd={}")
 
-    def on_message(self, message: Message) -> None:
-        payload = message.payload
+    def on_message(self, src: Hashable, payload: Any) -> None:
         if isinstance(payload, SlotWriteAck):
             # peek, not create: acks straggling in after the operation
             # retired its responder set must not resurrect it (the
             # bounded-memory contract of streaming soaks).
             acks = self._acks.peek(payload.key, payload.ts, payload.slot)
             if acks is not None:
-                acks.add(message.src)
+                acks.add(src)
         elif isinstance(payload, SlotReadAck):
-            self._queries.record(payload.read_no, message.src, payload.pairs)
+            self._queries.record(payload.read_no, src, payload.pairs)
         elif isinstance(payload, BatchAck):
-            self._batches.record(payload.batch_no, payload.rnd, message.src)
+            self._batches.record(payload.batch_no, payload.rnd, src)
         elif isinstance(payload, ReadBatchAck):
             # Batched query replies: per key, the slot pairs.
-            self._queries.record(payload.read_no, message.src,
-                                 payload.replies)
+            self._queries.record(payload.read_no, src, payload.replies)
 
     def _quorum_of(self, acks: AckSet, wait_out: bool):
-        """The round's wait: a quorum of ``acks`` — and the ``2Δ``
-        timer too when the round waits out stragglers."""
+        """The round's wait: a quorum of ``acks`` — after the ``2Δ``
+        timer when the round waits out stragglers (one condition at a
+        time, as the RQS writer's rounds wait)."""
         enough = acks.at_least(self.quorum)
         if wait_out:
-            timer = self.sim.timer_at(self.sim.now + self.timeout)
-            return AllOf(timer, enough)
-        return enough
+            yield WaitUntil(self.sim.timer_at(self.sim.now + self.timeout))
+        yield WaitUntil(enough)
 
     def _query(self, message_for: Callable[[int], Any], wait_out: bool):
         """One query round: broadcast ``message_for(number)`` and return
@@ -343,7 +338,7 @@ class _RegisterClient(Process):
         number = self._queries.open()
         responders = self._queries.responders(number)
         self.send_all(self.servers, message_for(number))
-        yield WaitUntil(self._quorum_of(responders, wait_out))
+        yield from self._quorum_of(responders, wait_out)
         return self._queries.close(number)
 
 
@@ -390,7 +385,7 @@ class RegisterWriter(_RegisterClient):
         for rnd, (slot, wait_out, exit_at) in enumerate(self.rounds, 1):
             acks = self._acks(key, ts, slot)
             self.send_all(self.servers, SlotWrite(ts, value, slot, key))
-            yield WaitUntil(self._quorum_of(acks, wait_out))
+            yield from self._quorum_of(acks, wait_out)
             if len(acks) >= exit_at:
                 break
         for slot, _, _ in self.rounds:
@@ -440,7 +435,7 @@ class RegisterWriter(_RegisterClient):
             self.send_all(
                 self.servers, WriteBatch(number, rnd, slot, ops, frozenset())
             )
-            yield WaitUntil(self._quorum_of(acks, wait_out))
+            yield from self._quorum_of(acks, wait_out)
             if len(acks) >= exit_at:
                 break
         self._batches.close(number, *range(1, rnd + 1))

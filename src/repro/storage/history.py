@@ -84,6 +84,12 @@ class Entry(NamedTuple):
 
 INITIAL_ENTRY = Entry(INITIAL_PAIR, frozenset())
 
+#: ``new_cell(Pair, (ts, val))`` is ``Pair(ts, val)`` — the same type and
+#: value — built in C, without the Python frame a ``NamedTuple`` call
+#: runs its ``__new__`` in.  The writes a server makes per message
+#: (:meth:`History.store`, the register servers' slot writes) use it.
+new_cell = tuple.__new__
+
 
 class History:
     """The mutable server-side history matrix.
@@ -115,18 +121,20 @@ class History:
         union in the received quorum-id set.  Returns the number of
         newly materialized cells (for retained-cell accounting).
         """
-        pair = Pair(ts, value)
+        pair = new_cell(Pair, (ts, value))
         created = 0
         for m in range(1, rnd + 1):
             key = (ts, m)
             current = self._cells.get(key)
             if current is None:
                 new_sets = sets if m == rnd else frozenset()
-                self._cells[key] = Entry(pair, new_sets)
+                self._cells[key] = new_cell(Entry, (pair, new_sets))
                 created += 1
             elif current.pair == pair:
                 if m == rnd:
-                    self._cells[key] = Entry(pair, current.sets | sets)
+                    self._cells[key] = new_cell(
+                        Entry, (pair, current.sets | sets)
+                    )
         # Per Figure 6 a server acks regardless of whether the condition
         # in line 4 let it update; the caller sends the ack.
         return created

@@ -24,11 +24,10 @@ A read has two parts:
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.core.rqs import RefinedQuorumSystem
 from repro.sim.conditions import AckSet, AllOf, AnyOf, ConditionMap
-from repro.sim.network import Message
 from repro.sim.process import Process
 from repro.sim.tasks import WaitUntil
 from repro.sim.trace import Trace
@@ -85,13 +84,12 @@ class StorageReader(Process):
 
     # -- network ------------------------------------------------------------------
 
-    def on_message(self, message: Message) -> None:
-        payload = message.payload
+    def on_message(self, src: Hashable, payload: Any) -> None:
         if isinstance(payload, RdAck):
             if payload.read_no == self._current_read_no and self._state is not None:
-                self._state.record_ack(message.src, payload.rnd, payload.history)
+                self._state.record_ack(src, payload.rnd, payload.history)
         elif isinstance(payload, WrAck):
-            self._wb(payload.key, payload.ts, payload.rnd).add(message.src)
+            self._wb(payload.key, payload.ts, payload.rnd).add(src)
         elif isinstance(payload, ReadBatchAck):
             states = self._batch_states.get(payload.read_no)
             acks = self._batch_acks.peek(payload.read_no, payload.rnd)
@@ -100,10 +98,10 @@ class StorageReader(Process):
                 # batch-level condition, so a woken waiter sees all of
                 # this responder's snapshots.
                 for state, snapshot in zip(states, payload.replies):
-                    state.record_ack(message.src, payload.rnd, snapshot)
-                acks.add(message.src)
+                    state.record_ack(src, payload.rnd, snapshot)
+                acks.add(src)
         elif isinstance(payload, BatchAck):
-            self._batches.record(payload.batch_no, payload.rnd, message.src)
+            self._batches.record(payload.batch_no, payload.rnd, src)
 
     # -- protocol -------------------------------------------------------------------
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Hashable, Optional, Tuple
 
-from repro.sim.network import Message
 from repro.sim.process import Process
 from repro.storage.history import (
     DEFAULT_KEY,
@@ -96,16 +95,15 @@ class StorageServer(Process):
             history = self.histories[key] = History()
         return history
 
-    def on_message(self, message: Message) -> None:
-        payload = message.payload
+    def on_message(self, src: Hashable, payload: Any) -> None:
         if isinstance(payload, WR):
-            self.handle_write(message.src, payload)
+            self.handle_write(src, payload)
         elif isinstance(payload, RD):
-            self.handle_read(message.src, payload)
+            self.handle_read(src, payload)
         elif isinstance(payload, WriteBatch):
-            self.handle_write_batch(message.src, payload)
+            self.handle_write_batch(src, payload)
         elif isinstance(payload, ReadBatch):
-            self.handle_read_batch(message.src, payload)
+            self.handle_read_batch(src, payload)
 
     # Handlers are separate methods so Byzantine variants can reuse or
     # selectively override them.  (The batched handlers below sit on
@@ -235,21 +233,20 @@ class RateLimitedServer(StorageServer):
         self.write_cost = float(write_cost)
         self.busy_until = 0.0
 
-    def on_message(self, message: Message) -> None:
-        payload = message.payload
+    def on_message(self, src: Hashable, payload: Any) -> None:
         if isinstance(payload, WR):
-            self._serve(message.src, payload, self.handle_write,
+            self._serve(src, payload, self.handle_write,
                         self.write_cost)
         elif isinstance(payload, RD):
-            self._serve(message.src, payload, self.handle_read,
+            self._serve(src, payload, self.handle_read,
                         self.read_cost)
         elif isinstance(payload, WriteBatch):
             # A batch still costs one service unit per element — the
             # capacity model charges work, not messages.
-            self._serve(message.src, payload, self.handle_write_batch,
+            self._serve(src, payload, self.handle_write_batch,
                         self.write_cost * len(payload.ops))
         elif isinstance(payload, ReadBatch):
-            self._serve(message.src, payload, self.handle_read_batch,
+            self._serve(src, payload, self.handle_read_batch,
                         self.read_cost * len(payload.keys))
 
     def _serve(self, client: Hashable, payload, handler, cost: float) -> None:
@@ -268,7 +265,7 @@ class SilentServer(StorageServer):
 
     benign = False
 
-    def on_message(self, message: Message) -> None:
+    def on_message(self, src: Hashable, payload: Any) -> None:
         return
 
 

@@ -2,9 +2,12 @@
 
 A write takes at most three rounds:
 
-1. Round 1 writes ``⟨ts, v⟩`` to slot 1 of all servers and waits for both
-   a quorum of acks **and** the ``2Δ`` timer — the extra wait lets a
+1. Round 1 writes ``⟨ts, v⟩`` to slot 1 of all servers and waits out the
+   ``2Δ`` timer, then for a quorum of acks — the extra wait lets a
    class-1 quorum assemble, in which case the write returns immediately.
+   The two waits are one condition at a time, timer first: both end in
+   the wake pass of the later one's instant, as a wait on their
+   conjunction would.
 2. Otherwise the class-2 quorums that fully acked round 1 are remembered
    in ``QC'2`` and round 2 writes to slot 2 carrying those quorum ids.
    If some quorum of ``QC'2`` acks round 2, the write returns.
@@ -38,8 +41,7 @@ from __future__ import annotations
 from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.core.rqs import RefinedQuorumSystem
-from repro.sim.conditions import AckSet, AllOf, ConditionMap
-from repro.sim.network import Message
+from repro.sim.conditions import AckSet, ConditionMap
 from repro.sim.process import Process
 from repro.sim.tasks import WaitUntil
 from repro.sim.trace import Trace
@@ -95,23 +97,20 @@ class StorageWriter(Process):
 
     # -- network ---------------------------------------------------------------
 
-    def on_message(self, message: Message) -> None:
-        payload = message.payload
+    def on_message(self, src: Hashable, payload: Any) -> None:
         if isinstance(payload, WrAck):
             # peek, not create: a straggler ack for a completed write
             # must not resurrect its pruned responder set (bounded
             # memory on streaming soaks).
             acks = self._acks.peek(payload.key, payload.ts, payload.rnd)
             if acks is not None:
-                acks.add(message.src)
+                acks.add(src)
         elif isinstance(payload, RdAck) and payload.rnd == 0:
-            self._discovery.record(payload.read_no, message.src,
-                                   payload.history)
+            self._discovery.record(payload.read_no, src, payload.history)
         elif isinstance(payload, BatchAck):
-            self._batches.record(payload.batch_no, payload.rnd, message.src)
+            self._batches.record(payload.batch_no, payload.rnd, src)
         elif isinstance(payload, ReadBatchAck) and payload.rnd == 0:
-            self._discovery.record(payload.read_no, message.src,
-                                   payload.replies)
+            self._discovery.record(payload.read_no, src, payload.replies)
 
     def acks(self, ts: int, rnd: int, key: Hashable = DEFAULT_KEY) -> AckSet:
         """The responder set for one round (a signalling ``set``)."""
@@ -209,8 +208,8 @@ class StorageWriter(Process):
         target=None,
     ):
         """``round(i)`` (Figure 5 lines 10-12): send to all servers (or
-        the drawn quorum), then wait for a quorum of acks and (rounds
-        1-2) the 2Δ timer."""
+        the drawn quorum), then (rounds 1-2) wait out the 2Δ timer and
+        wait for a quorum of acks."""
         self.send_all(
             self._targets(target), WR(ts, value, qc2_prime, rnd, key)
         )
@@ -218,10 +217,8 @@ class StorageWriter(Process):
             self.rqs.contains_quorum
         )
         if rnd < 3:
-            timer = self.sim.timer_at(self.sim.now + self.timeout)
-            yield WaitUntil(AllOf(timer, quorum_acked))
-        else:
-            yield WaitUntil(quorum_acked)
+            yield WaitUntil(self.sim.timer_at(self.sim.now + self.timeout))
+        yield WaitUntil(quorum_acked)
 
     # -- batched protocol --------------------------------------------------------
 
@@ -307,7 +304,5 @@ class StorageWriter(Process):
             self.rqs.contains_quorum
         )
         if rnd < 3:
-            timer = self.sim.timer_at(self.sim.now + self.timeout)
-            yield WaitUntil(AllOf(timer, quorum_acked))
-        else:
-            yield WaitUntil(quorum_acked)
+            yield WaitUntil(self.sim.timer_at(self.sim.now + self.timeout))
+        yield WaitUntil(quorum_acked)

@@ -14,8 +14,8 @@ class Probe(Process):
         super().__init__(pid)
         self.got = []
 
-    def on_message(self, message):
-        self.got.append(message.payload)
+    def on_message(self, src, payload):
+        self.got.append(payload)
 
 
 def wire(n=8):

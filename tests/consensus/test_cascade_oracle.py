@@ -24,7 +24,7 @@ from repro.consensus.decisions import DecisionTracker
 from repro.consensus.messages import Decision, Prepare, Update
 from repro.core.constructions import example7_rqs, figure3_rqs, threshold_rqs
 from repro.crypto.signatures import SignatureService
-from repro.sim.network import Message, Network
+from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 from tests.differential import DIFFERENTIAL, agree, assert_killed, each_mutant
@@ -161,7 +161,7 @@ class World:
             Process(pid).bind(self.network)
 
     def deliver(self, src, payload):
-        self.acceptor.on_message(Message(src, self.me, payload, 0.0))
+        self.acceptor.on_message(src, payload)
 
     def apply(self, op):
         kind = op[0]

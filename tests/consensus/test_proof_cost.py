@@ -54,7 +54,7 @@ def exhibit_pass():
         ))
         patch.setattr(Learner, "on_message", counted(
             Learner, "on_message", calls,
-            lambda self, message: [type(message.payload).__name__],
+            lambda self, src, payload: [type(payload).__name__],
         ))
         constructions._threshold_adversary.cache_clear()
         for grid in paper_exhibits(5, 0.1):

@@ -27,7 +27,7 @@ from repro.consensus.messages import (
 from repro.core.constructions import threshold_rqs
 from repro.crypto.signatures import SignatureService, Signed
 from repro.scenarios import Crash, FaultPlan, Hold, Propose, ScenarioSpec, run
-from repro.sim.network import Message, Network
+from repro.sim.network import Network
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 from tests.counting import counted
@@ -120,9 +120,7 @@ class World:
         if kind == "sign":                        # ``who`` signs a body
             self.service.sign(who, what.canonical())
         else:                                     # the leader's Prepare
-            self.acceptors[who].on_message(
-                Message(LEADER, who, what, 0.0)
-            )
+            self.acceptors[who].on_message(LEADER, what)
 
     def observed(self):
         return {

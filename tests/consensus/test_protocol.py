@@ -20,7 +20,7 @@ CONTENDED = (Propose(0.0, "A", proposer=0), Propose(0.0, "B", proposer=1))
 class SilentAcceptor(Acceptor):
     benign = False
 
-    def on_message(self, message):
+    def on_message(self, src, payload):
         return
 
 

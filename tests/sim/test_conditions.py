@@ -339,8 +339,8 @@ class TestWaitSetIndex:
         acks = AckSet()
 
         class Client(Process):
-            def on_message(self, message):
-                acks.add(message.payload)
+            def on_message(self, src, payload):
+                acks.add(payload)
 
         client = Client("c").bind(net)
         Process("s").bind(net)

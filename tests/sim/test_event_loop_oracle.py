@@ -3,20 +3,25 @@
 A broadcast is one queue entry per delivery instant: ``Network.send_all``
 pushes ``(deliver_time, seq, _deliver_block, Block([...]))`` and
 ``Simulator.run`` walks the block inside the instant, one event per
-member.  ``_deliver`` / ``_deliver_block`` hand each message straight to
-the receiver's ``on_message`` — dropping it for a crashed receiver,
-recording it in the receiver's ``delivered`` at FULL — and ``send`` /
-``send_all`` skip ``_resolve`` on a channel no rule can match.  A wake
-pass visits only the waiters of the signalled conditions, sorted by park
-number.
+member.  A queued delivery is the logged ``Message`` at FULL and a bare
+``(src, dst, payload)`` at METRICS, where only a held or dropped message
+gets a record.  ``_deliver`` / ``_deliver_block`` hand each delivery
+straight to the receiver's ``on_message(src, payload)`` — dropping it
+for a crashed receiver, recording the logged record in the receiver's
+``delivered`` at FULL — and ``send`` / ``send_all`` skip ``_resolve`` on
+a channel no rule can match.  A wake pass visits only the waiters of the
+signalled conditions, sorted by park number.
 
 The paths these replaced live on *only here*, verbatim, as
 :class:`ReferenceSimulator` / :class:`ReferenceNetwork`: ``send_all`` a
 loop over ``send``, one ``(time, seq, fn, message)`` entry per
 destination, ``_resolve`` on every send of a network with rules, ``run``
 popping one entry per event, ``pending_events()`` the length of the
-heap, ``_deliver`` handing the message to ``Process.receive`` (the crash
-drop and the FULL record there), the wake pass sweeping the whole
+heap, a ``Message`` built for every send, ``release_held`` queueing the
+held record, ``_deliver`` handing the message to ``Process.receive``
+(the crash drop and the FULL record there; the handler is called as
+``on_message(src, payload)``, the one line of the reference that is not
+the parent's), the wake pass sweeping the whole
 park-order list — and the network's rules the mutable ``Rule`` records
 the fault plan's ``Hold`` / ``Drop`` / ``Delay`` literals used to be
 converted into, matched by ``Rule.matches``.  Both worlds execute the same script (timers, singles
@@ -29,8 +34,8 @@ inside or on a block — and up to ~20 tasks parked on shared conditions
 that wake, consume, re-park, spawn parking tasks, crash processes and
 send during a wake pass) and must agree on the ordered log of
 deliveries and wake-ups, on ``blocked_tasks()``, on every counter, on
-``events_processed``, on the delivered records and on
-``pending_events()`` after every ``run`` call — also the ones that ended
+``events_processed``, on the delivered records — at FULL, which logged
+record each one is — and on ``pending_events()`` after every ``run`` call — also the ones that ended
 in an exception — and, for the task scripts, after every instant.  A
 task never raises inside a wake pass here: the reference loses every
 task parked behind one that does (``tests/sim/test_simulator.py`` pins
@@ -225,7 +230,7 @@ def receive(process, message):
         return
     if process.network.full_trace:
         process.delivered.append(message)
-    process.on_message(message)
+    process.on_message(message.src, message.payload)
 
 
 class ReferenceNetwork(Network):
@@ -299,6 +304,23 @@ class ReferenceNetwork(Network):
         self.delivered_count += 1
         receive(self._processes[message.dst], message)
 
+    def release_held(self, predicate=None, delay=0.0):
+        if not delay >= 0:  # negative or NaN: refuse before releasing any
+            raise SimulationError(f"release delay must be >= 0, got {delay}")
+        deliver_time = self.sim.now + delay
+        released = 0
+        remaining = []
+        for message in self.in_transit:
+            if predicate is None or predicate(message):
+                message.held = False
+                message.deliver_time = deliver_time
+                self.sim.call_at(deliver_time, self._deliver, message)
+                released += 1
+            else:
+                remaining.append(message)
+        self.in_transit = remaining
+        return released
+
 
 # -- one world: a simulator, a network, four echoing processes ---------------
 
@@ -312,14 +334,12 @@ class Echo(Process):
         self.log = log
         self.got = AckSet(f"got@{pid}")      # one member per delivery
 
-    def on_message(self, message):
-        kind, key = message.payload
-        self.log.append((
-            self.sim.now, "deliver", message.src, message.dst, message.payload,
-        ))
+    def on_message(self, src, payload):
+        kind, key = payload
+        self.log.append((self.sim.now, "deliver", src, self.pid, payload))
         self.got.add(len(self.got))
         if kind == "req":
-            self.send(message.src, Payload("ack", key))
+            self.send(src, Payload("ack", key))
         elif kind == "fan":
             self.send_all(PIDS, Payload("ack", key))
         elif kind == "kill":
@@ -450,6 +470,8 @@ class World:
 
     def snapshot(self):
         sim, net = self.sim, self.net
+        # At FULL a delivered record is a logged one: which one it is.
+        logged = {id(message): at for at, message in enumerate(net.log)}
         return {
             "now": sim.now,
             "events_processed": sim.events_processed,
@@ -462,7 +484,8 @@ class World:
             "net_dropped": [self.record(m) for m in net.dropped],
             "crashed": [pid for pid, proc in self.procs.items() if proc.crashed],
             "delivered": {
-                pid: [self.record(m) for m in proc.delivered]
+                pid: [(self.record(m), logged.get(id(m)))
+                      for m in proc.delivered]
                 for pid, proc in self.procs.items()
             },
             "tokens": list(self.tokens),
@@ -1003,33 +1026,45 @@ def mutated_wake_tasks(in_signal_order=False):
     return _wake_tasks
 
 
-def mutated_send(resolve_unseen_channels=True):
+def mutated_send(resolve_unseen_channels=True, record_held=True):
     """``Network.send`` as shipped, optionally skipping ``_resolve`` for
     a channel it has not indexed yet — so the index is never built and
-    no channel's rules ever apply."""
+    no channel's rules ever apply — or, at METRICS, counting a held
+    message without building its record, so ``in_transit`` loses it."""
 
     def send(self, src, dst, payload):
         if dst not in self._processes:
             raise SimulationError(f"unknown destination {dst!r}")
         sim = self.sim
         now = sim.now
-        message = Message(src, dst, payload, now)
-        self.sent_count += 1
-        if self.full_trace:
+        full_trace = self.full_trace
+        message = None
+        if full_trace:
+            message = Message(src, dst, payload, now)
             self.log.append(message)
+        self.sent_count += 1
         delay = self.delta
         candidates = self._rule_index.get((src, dst))
         if self._rules and (
             candidates != () if resolve_unseen_channels else candidates
         ):
-            action = self._resolve(message)
+            action = self._resolve(src, dst, payload, now)
             if action == HOLD or action == DROP:
+                if message is None:
+                    if action == HOLD and not record_held:
+                        self.held_count += 1
+                        return None
+                    message = Message(src, dst, payload, now)
                 self._withhold(message, action)
                 return message
             delay = action
         deliver_time = now + delay
-        message.deliver_time = deliver_time
-        heappush(sim._queue, (deliver_time, sim._seq, self._deliver, message))
+        if full_trace:
+            message.deliver_time = deliver_time
+            delivery = message
+        else:
+            delivery = (src, dst, payload)
+        heappush(sim._queue, (deliver_time, sim._seq, self._deliver, delivery))
         sim._seq += 1
         return message
 
@@ -1037,11 +1072,12 @@ def mutated_send(resolve_unseen_channels=True):
 
 
 def mutated_send_all(one_block=False, held_and_dropped_ride_along=False,
-                     resolve_unseen_channels=True):
+                     resolve_unseen_channels=True, record_held=True):
     """``Network.send_all`` as shipped, optionally with one block per
     broadcast whatever the delays, with held / dropped destinations
-    left in the block of the on-time ones, or skipping ``_resolve`` for
-    a channel not indexed yet."""
+    left in the block of the on-time ones, skipping ``_resolve`` for a
+    channel not indexed yet, or, at METRICS, counting a held message
+    without building its record."""
 
     def send_all(self, src, destinations, payload):
         sim = self.sim
@@ -1059,30 +1095,41 @@ def mutated_send_all(one_block=False, held_and_dropped_ride_along=False,
             for dst in destinations:
                 if dst not in processes:
                     raise SimulationError(f"unknown destination {dst!r}")
-                message = Message(src, dst, payload, now)
                 sent += 1
                 if full_trace:
-                    log.append(message)
+                    delivery = Message(src, dst, payload, now)
+                    log.append(delivery)
+                else:
+                    delivery = (src, dst, payload)
                 deliver_time = default_time
                 if rule_index is not None and (
                     rule_index.get((src, dst)) != ()
                     if resolve_unseen_channels
                     else rule_index.get((src, dst))
                 ):
-                    action = self._resolve(message)
+                    action = self._resolve(src, dst, payload, now)
                     if action == HOLD or action == DROP:
-                        self._withhold(message, action)
+                        if (action == HOLD and not full_trace
+                                and not record_held):
+                            self.held_count += 1
+                        else:
+                            self._withhold(
+                                delivery if full_trace
+                                else Message(src, dst, payload, now),
+                                action,
+                            )
                         if not held_and_dropped_ride_along:
                             continue
                     else:
                         deliver_time = now + action
-                message.deliver_time = deliver_time
+                if full_trace:
+                    delivery.deliver_time = deliver_time
                 key_time = "any" if one_block else deliver_time
                 entry = entries.get(key_time)
                 if entry is None:
                     entry = (deliver_time, seq, deliver, Block())
                     entries[key_time] = entry
-                entry[3].append(message)
+                entry[3].append(delivery)
                 seq += 1
         finally:
             self.sent_count += sent
@@ -1095,29 +1142,54 @@ def mutated_send_all(one_block=False, held_and_dropped_ride_along=False,
     return send_all
 
 
-def mutated_deliver(serve_crashed=False, record=True):
-    """``Network._deliver`` as shipped, optionally handing a crashed
-    receiver its message or keeping no FULL ``delivered`` record."""
+#: What a FULL delivery hands ``delivered`` in place of the logged
+#: record under :func:`mutated_deliver`'s ``fresh_record``: a new tuple
+#: with the record's fields.
+Fresh = namedtuple(
+    "Fresh", "src dst payload send_time deliver_time held dropped"
+)
 
-    def _deliver(self, message):
+
+def fresh(message):
+    return Fresh(*World.record(message))
+
+
+def mutated_deliver(serve_crashed=False, record=True, src_is_dst=False,
+                    fresh_record=False):
+    """``Network._deliver`` as shipped, optionally handing a crashed
+    receiver its message, keeping no FULL ``delivered`` record, keeping
+    a fresh tuple there in place of the logged record, or handing the
+    handler the receiver as the sender at METRICS."""
+
+    def _deliver(self, delivery):
         self.delivered_count += 1
-        process = self._processes[message.dst]
-        if process.crashed and not serve_crashed:
-            return
-        if self.full_trace and record:
-            process.delivered.append(message)
-        process.on_message(message)
+        if self.full_trace:
+            process = self._processes[delivery.dst]
+            if process.crashed and not serve_crashed:
+                return
+            if record:
+                process.delivered.append(
+                    fresh(delivery) if fresh_record else delivery
+                )
+            process.on_message(delivery.src, delivery.payload)
+        else:
+            src, dst, payload = delivery
+            process = self._processes[dst]
+            if process.crashed and not serve_crashed:
+                return
+            process.on_message(dst if src_is_dst else src, payload)
 
     return _deliver
 
 
 def mutated_deliver_block(honour_room=True, pop_first=True,
                           count_members=True, serve_crashed=False,
-                          record=True):
+                          record=True, src_is_dst=False, fresh_record=False):
     """``Network._deliver_block`` as shipped, optionally deaf to
     ``room``, popping a member only after it ran, counting a call as one
-    delivery, handing crashed receivers their messages or keeping no
-    FULL ``delivered`` record."""
+    delivery, handing crashed receivers their messages, keeping no FULL
+    ``delivered`` record or a fresh tuple in place of the logged one, or
+    handing the handler the receiver as the sender at METRICS."""
 
     def _deliver_block(self, block, room):
         processes = self._processes
@@ -1125,14 +1197,23 @@ def mutated_deliver_block(honour_room=True, pop_first=True,
         if not count_members:
             self.delivered_count += 1
         for _ in range(min(len(block), room) if honour_room else len(block)):
-            message = block.pop() if pop_first else block[-1]
+            delivery = block.pop() if pop_first else block[-1]
             if count_members:
                 self.delivered_count += 1
-            process = processes[message.dst]
+            if full_trace:
+                src, dst = delivery.src, delivery.dst
+                payload = delivery.payload
+            else:
+                src, dst, payload = delivery
+                if src_is_dst:
+                    src = dst
+            process = processes[dst]
             if not process.crashed or serve_crashed:
                 if full_trace and record:
-                    process.delivered.append(message)
-                process.on_message(message)
+                    process.delivered.append(
+                        fresh(delivery) if fresh_record else delivery
+                    )
+                process.on_message(src, payload)
             if not pop_first:
                 block.pop()
 
@@ -1205,7 +1286,9 @@ class SkippedSeq(Network):
 
     def send(self, src, dst, payload):
         message = super().send(src, dst, payload)
-        if message.deliver_time is not None and self.sent_count % 2:
+        # No record (METRICS) or one with a delivery time: queued.
+        queued = message is None or message.deliver_time is not None
+        if queued and self.sent_count % 2:
             self.sim._seq -= 1
         return message
 
@@ -1213,7 +1296,7 @@ class SkippedSeq(Network):
 class DroppedCountsAsDelivered(Network):
     def send(self, src, dst, payload):
         message = super().send(src, dst, payload)
-        if message.dropped:
+        if message is not None and message.dropped:
             self.delivered_count += 1
         return message
 
@@ -1253,6 +1336,21 @@ class RuledChannelsSkipResolve(Network):
     send_all = mutated_send_all(resolve_unseen_channels=False)
 
 
+class MetricsHandsTheReceiverAsSender(Network):
+    _deliver = mutated_deliver(src_is_dst=True)
+    _deliver_block = mutated_deliver_block(src_is_dst=True)
+
+
+class MetricsHeldWithoutARecord(Network):
+    send = mutated_send(record_held=False)
+    send_all = mutated_send_all(record_held=False)
+
+
+class FullDeliveredAFreshTuple(Network):
+    _deliver = mutated_deliver(fresh_record=True)
+    _deliver_block = mutated_deliver_block(fresh_record=True)
+
+
 MUTANTS = {
     LifoTieBreak: ((LifoTieBreak, Network), "ties"),
     WakesBetweenEvents: ((WakesBetweenEvents, Network), "same-instant-wake"),
@@ -1278,6 +1376,11 @@ MUTANTS = {
     CrashedReceiverServed: ((Simulator, CrashedReceiverServed), "interrupted"),
     FullDeliveredNotRecorded: ((Simulator, FullDeliveredNotRecorded), "ties"),
     RuledChannelsSkipResolve: ((Simulator, RuledChannelsSkipResolve), "rules"),
+    MetricsHandsTheReceiverAsSender: (
+        (Simulator, MetricsHandsTheReceiverAsSender), "ties"),
+    MetricsHeldWithoutARecord: ((Simulator, MetricsHeldWithoutARecord),
+                                "rules"),
+    FullDeliveredAFreshTuple: ((Simulator, FullDeliveredAFreshTuple), "ties"),
 }
 
 

@@ -16,14 +16,26 @@ A reply costs the client one ``AckSet.add``: the round's threshold
 signals when the quorum is reached, not on every ack (814 signals on
 this spec before, 214 now), and no label is formatted on the way (150
 ``str.format`` calls before).
+
+A delivery costs what the run keeps of it: at METRICS no ``Message`` is
+built for a message that is delivered (the receiver is handed
+``(src, payload)``), only for one a rule holds or drops; at FULL one per
+send, the record the log keeps.  A write round waits on its ``2Δ``
+timer and then on its quorum, so it builds no ``AllOf`` and leaves no
+timer in a reference cycle for the cyclic collector.
 """
 
+import gc
 import heapq
 import os
 
 from repro.experiments.builders import keyed_mix_spec
-from repro.scenarios import Delay, FaultPlan, Propose, ScenarioSpec, run
+from repro.scenarios import (
+    Crash, Delay, Drop, FaultPlan, Hold, Propose, ScenarioSpec, run,
+)
 from repro.sim import conditions, network, process, simulator, tasks
+from repro.sim.conditions import AllOf, Timer
+from repro.sim.network import Message
 from tests.counting import profiled
 
 MESSAGE_PATH = {
@@ -159,3 +171,88 @@ def test_a_quorum_round_signals_once_and_formats_no_label():
     # the threshold's and its set's.
     assert probe == "SizeAtLeast(abd key=0 ts=0 w>=3)"
     assert calls["label"] == 2 and calls["format"] == 1
+
+
+def constructions(*classes):
+    """Count every Python-level ``__init__`` of ``classes``, by the
+    ``__init__``'s qualified name (``AllOf`` and ``AnyOf`` share
+    ``_Composite.__init__``)."""
+    codes = {cls.__init__.__code__: cls.__init__.__qualname__
+             for cls in classes}
+
+    def count(frame, event, arg):
+        if event == "call":
+            return codes.get(frame.f_code)
+
+    return count
+
+
+def staircase_writes():
+    """Unbatched rqs-storage writes paying the 1/2/3-round staircase:
+    one server down from the start, two more crashing mid-run."""
+    return keyed_mix_spec(
+        "rqs-storage", 4, writes=45, reads=15, readers=2, seed=3,
+        trace_level="metrics", max_ops=60,
+    ).with_(faults=FaultPlan(crashes=(
+        Crash(1, 0.0), Crash(2, 20.0), Crash(3, 40.0),
+    )))
+
+
+def test_a_metrics_delivery_builds_no_message():
+    result, calls = profiled(lambda: run(small_abd()), constructions(Message))
+    net = result.adapter.network
+    assert net.delivered_count == net.sent_count > 1000
+    assert net.held_count + net.dropped_count == 0
+    assert calls["Message.__init__"] == 0
+
+
+def test_a_metrics_message_a_rule_withholds_has_a_record():
+    result, calls = profiled(lambda: run(small_abd(asynchrony=(
+        Hold(dst=(2,), after=20.0, until=30.0),
+        Drop(dst=(3,), after=40.0, until=50.0),
+    ))), constructions(Message))
+    net = result.adapter.network
+    assert net.held_count > 0 and net.dropped_count > 0
+    assert calls["Message.__init__"] == net.held_count + net.dropped_count
+    # The held ones stay releasable; the dropped ones are not kept.
+    assert len(net.in_transit) == net.held_count and net.dropped == []
+
+
+def test_a_full_send_builds_the_one_record_the_log_keeps():
+    result, calls = profiled(
+        lambda: run(small_abd().with_(trace_level="full")),
+        constructions(Message),
+    )
+    net = result.adapter.network
+    assert calls["Message.__init__"] == net.sent_count == len(net.log) > 1000
+
+
+def test_a_write_round_builds_no_allof():
+    result, calls = profiled(
+        lambda: run(staircase_writes()), constructions(AllOf, Timer)
+    )
+    write = result.summary()["kinds"]["write"]["latency"]
+    assert (write.min_rounds, write.max_rounds) == (1, 3)
+    # Every round 1 and 2 armed its 2Δ timer, and no round waited on a
+    # conjunction (the unbatched reader builds none either).
+    assert calls["Timer.__init__"] > write.count
+    assert calls["_Composite.__init__"] == 0
+
+
+def test_a_write_round_leaves_no_timer_to_the_cyclic_collector():
+    gc.collect()
+    debug = gc.get_debug()
+    gc.garbage.clear()
+    gc.set_debug(debug | gc.DEBUG_SAVEALL)
+    try:
+        result = run(staircase_writes())
+        gc.collect()
+        # What the collector found unreachable during and after the run
+        # (``result`` keeps the run's own world reachable).
+        cyclic = [type(garbage).__name__ for garbage in gc.garbage
+                  if isinstance(garbage, (Timer, AllOf))]
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+    assert result.summary()["kinds"]["write"]["latency"].max_rounds == 3
+    assert cyclic == []

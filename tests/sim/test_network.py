@@ -16,8 +16,8 @@ class Sink(Process):
         super().__init__(pid)
         self.seen = []
 
-    def on_message(self, message):
-        self.seen.append((message.payload, self.sim.now))
+    def on_message(self, src, payload):
+        self.seen.append((payload, self.sim.now))
 
 
 def make_net(rules=(), delta=1.0):

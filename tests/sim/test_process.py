@@ -9,8 +9,8 @@ from repro.sim.simulator import Simulator
 
 
 class Echo(Process):
-    def on_message(self, message):
-        self.send(message.src, ("echo", message.payload))
+    def on_message(self, src, payload):
+        self.send(src, ("echo", payload))
 
 
 class Collector(Process):
@@ -18,8 +18,8 @@ class Collector(Process):
         super().__init__(pid)
         self.seen = []
 
-    def on_message(self, message):
-        self.seen.append(message.payload)
+    def on_message(self, src, payload):
+        self.seen.append(payload)
 
 
 def wired():

@@ -34,7 +34,6 @@ from repro.core.constructions import threshold_rqs
 from repro.core.rqs import RefinedQuorumSystem
 from repro.scenarios import resolve_rqs
 from repro.sim.conditions import Check, Condition
-from repro.sim.network import Message
 from repro.storage.batching import ReadBatchAck
 from repro.storage.history import (
     BOTTOM,
@@ -924,9 +923,7 @@ class TestMemoInvalidation:
         reader._batch_acks(7, 1)
 
         def deliver(server, replies):
-            reader.on_message(Message(
-                server, "reader", ReadBatchAck(7, 1, replies), 0.0
-            ))
+            reader.on_message(server, ReadBatchAck(7, 1, replies))
             for states, snapshot in zip(elements, replies):
                 feed(states[1:], (server, 1, snapshot))
 

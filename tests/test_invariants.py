@@ -25,8 +25,10 @@ message path"): ``send_all`` queues one entry per delivery instant, a
 loop of ``send`` one per destination.  The only loop left is the
 proposer's interleaved ``Sync`` / ``DecisionPull`` (two payloads per
 target, order-sensitive).  The network hands a message straight to the
-receiver's ``on_message`` (no ``Process.receive``), and a wake pass
-visits only the signalled waiters (no park-order list to sweep).
+receiver's ``on_message`` (no ``Process.receive``) as its sender and
+payload — every handler is ``on_message(self, src, payload)`` — and a
+wake pass visits only the signalled waiters (no park-order list to
+sweep).
 
 A wire payload — every frozen dataclass under ``storage/`` and every
 dataclass in ``consensus/messages.py`` — is built the way one message is
@@ -212,12 +214,22 @@ def test_an_exhibit_is_its_grid(path):
 
 def test_a_message_goes_straight_to_its_handler():
     """No ``Process.receive`` hop between the network and
-    ``on_message``, and no park-order list for a wake pass to sweep."""
+    ``on_message``, every handler takes the delivery's sender and
+    payload, and no park-order list for a wake pass to sweep."""
     from repro.sim.process import Process
     from repro.sim.simulator import Simulator
 
     assert not hasattr(Process, "receive")
     assert not hasattr(Simulator(), "_park_order")
+    handlers = [
+        (str(path.relative_to(ROOT)), node.lineno,
+         [arg.arg for arg in node.args.args])
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "on_message"
+    ]
+    assert len(handlers) >= 16
+    assert [h for h in handlers if h[2] != ["self", "src", "payload"]] == []
 
 
 def test_the_fault_plans_rules_are_the_networks():
