@@ -20,7 +20,7 @@ the records one client begins or completes at one instant
 * :class:`OnlineChecker` — the one windowed per-key register checker,
   single- and multi-writer alike.  The paper proves its storage atomic
   by exhibiting the timestamp order as the linearization, and every
-  storage client surfaces that timestamp on ``record.meta["ts"]``, so
+  storage client surfaces that timestamp on ``record.ts``, so
   the checker is a Gibbons–Korach-style check over the total stamp
   order (the rules: its class docstring).  The window floor is the
   oldest in-flight invocation, the top of a lazily-deleted heap;
@@ -506,7 +506,7 @@ class OnlineChecker:
     history.  All rules run over the protocols' totally ordered stamps
     (bare per-key counters for a single writer, ``seq·2²⁰ + writer_id``
     — :func:`repro.storage.history.make_stamp` — for several), which
-    every storage client surfaces on ``record.meta["ts"]`` before
+    every storage client surfaces on ``record.ts`` before
     completing an operation.  Checked per key, as operations complete:
 
     * **stamp-reuse** — two completed writes must never share a stamp;
@@ -717,13 +717,13 @@ class OnlineChecker:
         state = self._keys.get(record.key) or self._state(record.key)
         state.inflight.pop(record.value, None)
         waiting = state.parked.pop(record.value, ())
-        stamp = record.meta.get("ts")
+        stamp = record.ts
         if stamp is None:
             self._flag(
                 "missing-stamp",
                 record.key,
                 f"write {record.value!r} completed without a protocol "
-                f"stamp in record.meta['ts']",
+                "stamp in record.ts",
             )
             self.overrun_unchecked += len(waiting)
             return
@@ -799,13 +799,13 @@ class OnlineChecker:
                     f"preceding read returned stamp {read_bound}",
                 )
             return
-        stamp = record.meta.get("ts")
+        stamp = record.ts
         if stamp is None:
             self._flag(
                 "missing-stamp",
                 record.key,
                 f"read by {record.process} returned {value!r} without a "
-                f"protocol stamp in record.meta['ts']",
+                "protocol stamp in record.ts",
             )
             return
         stale = write_bound is not None and stamp < write_bound

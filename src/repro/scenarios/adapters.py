@@ -394,11 +394,6 @@ class StorageAdapter(ProtocolAdapter):
         for at, value, key in ops:
             yield (at, (value, key))
 
-    @staticmethod
-    def _read_batch_schedule(ops):
-        for at, key in ops:
-            yield (at, key)
-
     def _spawn_writer(self, index, writer, batch_size, ops) -> None:
         """One writer's driver task: unbatched sequential ops, or the
         batched coalescing driver when ``batch_size != 1`` (a fixed
@@ -419,10 +414,8 @@ class StorageAdapter(ProtocolAdapter):
 
     def _spawn_reader(self, reader, batch_size, ops) -> None:
         if batch_size != 1:
-            coro = batched_ops(
-                self.sim, self._read_batch_schedule(ops),
-                batch_size, reader.read_batch,
-            )
+            # A reader's ``(at, key)`` pairs already are batch elements.
+            coro = batched_ops(self.sim, ops, batch_size, reader.read_batch)
         else:
             coro = sequential_ops(
                 self.sim, self._read_schedule(ops, reader.read)

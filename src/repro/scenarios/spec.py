@@ -179,12 +179,16 @@ class ScenarioSpec:
         In-flight operations still run to completion.  Consensus
         protocols reject both fields.
     trace_level:
-        How much message history the execution retains — a
+        How much history the execution retains — a
         :class:`~repro.sim.network.TraceLevel` or its name
-        (``"full"``/``"metrics"``).  ``FULL`` (default) keeps the
-        complete message log for verdicts and proof replays;
-        ``METRICS`` keeps counters only, bounding memory on big
-        sweeps/benchmarks (``messages_between`` then raises).
+        (``"full"``/``"metrics"``).  ``FULL`` (default) keeps every
+        operation record (the post-hoc verdicts and ``fingerprint()``
+        read them) and the message log (read only by tests, through
+        ``messages_between`` and the receivers' ``delivered``);
+        ``METRICS`` keeps counters, latency accumulators and the online
+        verdict only, bounding memory on big sweeps/benchmarks
+        (``messages_between`` then raises).  Held messages stay
+        releasable at both levels.
     quorum_strategy:
         How storage clients pick the quorum each operation contacts.
         ``None`` (default) is the paper's model — broadcast to the

@@ -418,20 +418,34 @@ def client_seed(seed: int, role: str, index: int) -> int:
 
 
 class _KeyDrawer:
-    """Per-client register draws from the mix's keyspace distribution."""
+    """Per-client register draws from the mix's keyspace distribution.
+
+    A draw calls the generator's primitives itself, as the
+    :class:`random.Random` wrappers would: a uniform key is
+    ``randrange(n_keys)``'s own rejection loop (``n_keys.bit_length()``
+    bits, drawn again while they read ``>= n_keys``), a zipfian key one
+    ``random()`` scaled onto the cumulative weights — the same values
+    and the same generator state after every draw, one Python frame
+    (``tests/scenarios/test_draw_oracle.py`` holds it to the wrappers).
+    """
 
     def __init__(self, mix: RandomMix, n_keys: int):
         self.n_keys = n_keys
+        self.bits = n_keys.bit_length()
         self.cumulative: Optional[List[float]] = None
         if n_keys > 1 and mix.distribution == "zipfian":
             weights = [1.0 / (k + 1) ** mix.skew for k in range(n_keys)]
             self.cumulative = list(accumulate(weights))
 
     def draw(self, rng: random.Random) -> Hashable:
-        if self.n_keys <= 1:
+        n_keys = self.n_keys
+        if n_keys <= 1:
             return DEFAULT_KEY
         if self.cumulative is None:
-            return rng.randrange(self.n_keys)
+            key = rng.getrandbits(self.bits)
+            while key >= n_keys:
+                key = rng.getrandbits(self.bits)
+            return key
         return bisect_right(
             self.cumulative, rng.random() * self.cumulative[-1]
         )
@@ -484,12 +498,14 @@ def open_loop_stream(
         table = shard_assignment(
             n_keys, shard[1], seed, mix.distribution, mix.skew
         )
-    # Mean gap that reproduces the closed-loop op density per client.
-    period = mix.horizon * count / per_role_ops
+    # Mean gap that reproduces the closed-loop op density per client;
+    # ``span * random()`` is ``uniform(0.0, span)`` bit for bit.
+    span = 2.0 * (mix.horizon * count / per_role_ops)
+    gap = rng.random
     at = mix.start
     serial = 0
     while True:
-        at += rng.uniform(0.0, 2.0 * period)
+        at += span * gap()
         if duration is not None and at >= duration:
             return
         if shard is None:

@@ -56,11 +56,14 @@ joins the receiver's ``delivered`` history.
   construction, so an entry is never invalidated.
 * **Trace levels** — :class:`TraceLevel` says how much message history
   is retained.  ``FULL`` (the default) keeps the complete
-  :attr:`Network.log` for verdicts, fingerprints and proof replays;
-  ``METRICS`` builds no record for a delivered message and keeps none
-  for a dropped one — only counters, bounding memory on long
-  workloads.  Held messages are always recorded and tracked — they
-  must remain releasable.
+  :attr:`Network.log`; ``METRICS`` builds no record for a delivered
+  message and keeps none for a dropped one — only counters, bounding
+  memory on long workloads.  Nothing under ``repro`` reads the log:
+  verdicts and fingerprints read operation records
+  (:mod:`repro.sim.trace`), and a replay of held messages reads
+  :attr:`Network.in_transit` — held messages are always recorded and
+  tracked, at every level, since they must remain releasable.  The
+  log is for tests (``messages_between``, per-message inspection).
 """
 
 from __future__ import annotations
@@ -90,9 +93,11 @@ class TraceLevel(enum.IntEnum):
         returning partial data.  Use for big sweeps and
         benchmarks where only metrics/verdict-free results matter.
     ``FULL``
-        Keep every :class:`Message` record (the historical behaviour).
-        Required by proof replays, ``messages_between`` assertions and
-        per-message test inspection.
+        Keep every :class:`Message` record (the historical behaviour)
+        in ``Network.log``.  Only ``messages_between`` assertions and
+        per-message test inspection read it; no verdict, fingerprint
+        or replay does (held messages are kept in ``in_transit`` at
+        every level).
     """
 
     METRICS = 1

@@ -22,10 +22,12 @@ held to the list-based ones on retained runs
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple,
 )
+
+from repro.errors import SimulationError
 
 
 @dataclass(slots=True)
@@ -41,7 +43,7 @@ class OperationRecord:
     result: Any = None             # read result / decision
     rounds: int = 0                # communication round-trips used
     key: Hashable = 0              # addressed register (storage kinds)
-    meta: Dict[str, Any] = field(default_factory=dict)
+    ts: Optional[int] = None       # protocol stamp (storage kinds)
 
     @property
     def complete(self) -> bool:
@@ -103,14 +105,22 @@ class Trace:
         """Invoke one wave: a ``kind`` record per ``(value, key)`` of
         ``elems``, in element order, all by ``process`` at ``time``
         (``value`` is ``None`` for reads and learns, ``key`` 0 outside
-        the keyed register space)."""
+        the keyed register space).  An empty wave is a
+        :class:`~repro.errors.SimulationError`: it would book a kind
+        that never ran."""
         first = op_id = self._next_id
         records = []
+        # A plain loop with positional arguments (``completed_at``,
+        # ``result`` and ``rounds`` at their defaults, then ``key``): a
+        # comprehension costs a frame on the wave of one almost every op
+        # is, and a keyword argument slows the generated ``__init__``.
         for value, key in elems:
-            records.append(
-                OperationRecord(op_id, kind, process, time, value, key=key)
-            )
+            records.append(OperationRecord(
+                op_id, kind, process, time, value, None, None, 0, key
+            ))
             op_id += 1
+        if op_id == first:
+            raise SimulationError(f"an empty {kind!r} wave begins nothing")
         self._next_id = op_id
         self.begun[kind] = self.begun.get(kind, 0) + op_id - first
         if self.retain:
@@ -128,7 +138,8 @@ class Trace:
     ) -> None:
         """Complete one wave: ``records`` — of one kind, begun together
         (so one elapsed time) — finish at ``time`` after ``rounds``
-        round-trips, returning ``results`` (element-wise)."""
+        round-trips, returning ``results`` (element-wise).  An empty
+        wave is a :class:`~repro.errors.SimulationError`."""
         # ``size`` indexes the results as it counts the wave: a ``zip``
         # costs more than the rest of this loop on a wave of one — the
         # wave almost every op is.
@@ -138,6 +149,8 @@ class Trace:
             record.result = results[size]
             record.rounds = rounds
             size += 1
+        if not size:
+            raise SimulationError("an empty wave completes nothing")
         kind = record.kind
         try:
             accumulator, waves = self._kinds[kind]

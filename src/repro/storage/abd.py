@@ -266,15 +266,17 @@ class RegisterServer(Process):
                     slots[slot] = new_cell(Pair, (ts, value))
             self.send(src, BatchAck(payload.batch_no, payload.rnd))
         elif isinstance(payload, ReadBatch):
+            # Per key, its slots' pairs — from a list comprehension: one
+            # frame per message, where a generator resumes once per key.
             self.send(
                 src,
                 ReadBatchAck(
                     payload.read_no,
                     payload.rnd,
-                    tuple(
+                    tuple([
                         tuple((known.get(key) or self.slots_for(key)).values())
                         for key in payload.keys
-                    ),
+                    ]),
                 ),
             )
 
@@ -381,7 +383,7 @@ class RegisterWriter(_RegisterClient):
             observed = max(map(_TS, chain.from_iterable(replies.values())))
             ts, discovery_rounds = self.stamps.stamped(key, observed), 1
         # Surface the timestamp for the stamp-ordered online checker.
-        record.meta["ts"] = ts
+        record.ts = ts
         for rnd, (slot, wait_out, exit_at) in enumerate(self.rounds, 1):
             acks = self._acks(key, ts, slot)
             self.send_all(self.servers, SlotWrite(ts, value, slot, key))
@@ -414,21 +416,18 @@ class RegisterWriter(_RegisterClient):
                 lambda number: ReadBatch(number, 0, keys), False
             )
             observed = {
-                key: max(
-                    pair.ts for per_key in replies.values()
-                    for pair in per_key[i]
-                )
-                for i, key in enumerate(keys)
+                key: max(map(_TS, chain.from_iterable(column)))
+                for key, column in zip(keys, zip(*replies.values()))
             }
             stamps = [
                 self.stamps.stamped(key, observed[key]) for _, key in elems
             ]
             discovery_rounds = 1
         for record, ts in zip(records, stamps):
-            record.meta["ts"] = ts
-        ops = tuple(
+            record.ts = ts
+        ops = tuple([
             (ts, value, key) for ts, (value, key) in zip(stamps, elems)
-        )
+        ])
         number = self._batches.open()
         for rnd, (slot, wait_out, exit_at) in enumerate(self.rounds, 1):
             acks = self._batches.responders(number, rnd)
@@ -476,7 +475,7 @@ class RegisterReader(_RegisterClient):
             lambda number: SlotRead(number, key), self.collect_waits
         )
         cmax = max(chain.from_iterable(replies.values()), key=_TS)
-        record.meta["ts"] = cmax.ts
+        record.ts = cmax.ts
         rounds = 1
         if self.needs_write_back(cmax, replies.values(), self.quorum):
             previous = self._wb_ts.get(key)
@@ -515,17 +514,18 @@ class RegisterReader(_RegisterClient):
             self.collect_waits,
         )
         # The two waves' records and results, and the write-back's
-        # ``(ts, value, key)`` elements.
+        # ``(ts, value, key)`` elements.  An element's replies are its
+        # column of the per-responder reply tuples, in responder order.
         done, done_values = [], []
         failing, failing_values, write_backs = [], [], []
-        for i, record in enumerate(records):
-            replies = [per_key[i] for per_key in data.values()]
+        needs_write_back, quorum = self.needs_write_back, self.quorum
+        for record, key, replies in zip(records, keys, zip(*data.values())):
             cmax = max(chain.from_iterable(replies), key=_TS)
-            record.meta["ts"] = cmax.ts
-            if self.needs_write_back(cmax, replies, self.quorum):
+            record.ts = cmax.ts
+            if needs_write_back(cmax, replies, quorum):
                 failing.append(record)
                 failing_values.append(cmax.val)
-                write_backs.append((cmax.ts, cmax.val, keys[i]))
+                write_backs.append((cmax.ts, cmax.val, key))
             else:
                 done.append(record)
                 done_values.append(cmax.val)

@@ -129,7 +129,7 @@ class StorageReader(Process):
         # -- part 2: BCD-orchestrated write-back (lines 40-49) --
         # Surface the selected timestamp for the stamp-ordered online
         # checker (every completion path below returns csel.val).
-        record.meta["ts"] = csel.ts
+        record.ts = csel.ts
         if read_rnd == 1 and any(state.bcd1(csel, r) for r in (1, 2, 3)):
             self.trace.complete((record,), self.sim.now, (csel.val,), 1)
             return record
@@ -310,7 +310,7 @@ class StorageReader(Process):
                 candidates = states[i].candidates()
                 if candidates:
                     csels[i] = max(candidates, key=lambda p: p.ts)
-                    records[i].meta["ts"] = csels[i].ts
+                    records[i].ts = csels[i].ts
                     members.append(i)
             if not members:
                 continue

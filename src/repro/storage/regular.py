@@ -48,6 +48,6 @@ class RegularReader(StorageReader):
             state, key, self._targets(target)
         )
         # Regular semantics: no write-back, return immediately.
-        record.meta["ts"] = csel.ts
+        record.ts = csel.ts
         self.trace.complete((record,), self.sim.now, (csel.val,), read_rnd)
         return record

@@ -201,9 +201,9 @@ class StorageServer(Process):
             ReadBatchAck(
                 rb.read_no,
                 rb.rnd,
-                tuple(
+                tuple([
                     self.history_for(key).snapshot() for key in rb.keys
-                ),
+                ]),
             ),
         )
 

@@ -139,7 +139,7 @@ class StorageWriter(Process):
             ts, extra_rounds = self.stamps.stamped(key, observed), 1
         # Surface the timestamp for the stamp-ordered online checker
         # (set before completion so trace observers see it).
-        record.meta["ts"] = ts
+        record.ts = ts
 
         # Round 1 (Figure 5 lines 2-3).
         yield from self._round(ts, value, frozenset(), 1, key, target)
@@ -246,7 +246,7 @@ class StorageWriter(Process):
             ]
             extra_rounds = 1
         for record, ts in zip(records, stamps):
-            record.meta["ts"] = ts
+            record.ts = ts
         ops = tuple(
             (ts, value, key) for ts, (value, key) in zip(stamps, elems)
         )

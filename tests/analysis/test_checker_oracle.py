@@ -363,7 +363,7 @@ class ReferenceValueOrderedChecker:
 #
 # A history is a list of steps in the order the simulator would emit them:
 #   ("begin", op, kind, process, time, value, key)
-#   ("end", op, time, result, stamp)          # stamp: record.meta["ts"]
+#   ("end", op, time, result, stamp)          # stamp: record.ts
 
 def recording(cls):
     """``cls`` keeping every ``(rule, key)`` it flags (reports cap the
@@ -441,7 +441,7 @@ class Fed:
             _, op, time, result, stamp = step
             record = self.records.pop(op)
             if stamp is not None:
-                record.meta["ts"] = stamp
+                record.ts = stamp
             self.trace.complete((record,), time, (result,), 1)
         c = self.checker
         return {

@@ -264,7 +264,7 @@ def replay(history, shipped=OnlineChecker, overrun_ops=None, sweep_every=7,
                 record = records.pop(op)
                 record.completed_at, record.result = time, result
                 if stamp is not None:
-                    record.meta["ts"] = stamp
+                    record.ts = stamp
                 evicted = len(reference._overrun)
                 reference.on_complete(record)
                 if seen is not None and len(fed) < len(cut) - 1:

@@ -43,14 +43,14 @@ class Driver:
         record.completed_at = at
         record.result = "OK"
         if stamp is not None:
-            record.meta["ts"] = stamp
+            record.ts = stamp
         self.checker.on_complete((record,))
 
     def finish_read(self, record, at, result, stamp=None):
         record.completed_at = at
         record.result = result
         if stamp is not None:
-            record.meta["ts"] = stamp
+            record.ts = stamp
         self.checker.on_complete((record,))
 
     def write(self, process, invoked, completed, value, stamp, key=0):

@@ -396,8 +396,8 @@ def _require_sequential_writer(writes: Sequence[OperationRecord]) -> None:
             # interval but are logically sequential; their strictly
             # increasing stamps certify the program order the version
             # map below relies on.
-            earlier_ts = earlier.meta.get("ts")
-            later_ts = later.meta.get("ts")
+            earlier_ts = earlier.ts
+            later_ts = later.ts
             if (
                 earlier.process == later.process
                 and earlier_ts is not None
@@ -548,9 +548,9 @@ def stamped(records):
         if not record.complete:
             continue
         if record.kind == "write":
-            record.meta["ts"] = stamps[record.key, record.value]
+            record.ts = stamps[record.key, record.value]
         elif record.result is not BOTTOM:
-            record.meta["ts"] = stamps.get(
+            record.ts = stamps.get(
                 (record.key, record.result), UNWRITTEN
             )
     return records

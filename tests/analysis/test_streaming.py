@@ -271,7 +271,7 @@ def _stamped(record, value):
     """A single writer's values are their own stamps in these histories
     (integers, written in increasing order per key)."""
     if value is not BOTTOM:
-        record.meta["ts"] = value
+        record.ts = value
 
 
 def _write(trace, value, start, end, key=0):

@@ -301,7 +301,7 @@ class TestPerKeyVerdicts:
         trace = Trace()
         trace.begin("propose", "p", 0.0, ((None, 0),))
         record, = trace.begin("write", "w", 0.0, (("v", "k"),))
-        record.meta["ts"] = 1
+        record.ts = 1
         trace.complete((record,), 1.0, ("OK",), 0)
         report = check_history(trace.records)
         assert report.keys == ("k",) and report.checked_ops == 1

@@ -1,5 +1,8 @@
 """Tests for operation traces."""
 
+import pytest
+
+from repro.errors import SimulationError
 from repro.sim.trace import Trace
 
 
@@ -66,3 +69,22 @@ def test_of_kind_filter():
     assert len(trace.of_kind("write")) == 1
     assert trace.begun_total() == 2
     assert all(r.kind == "read" for r in trace.of_kind("read"))
+
+
+def test_an_empty_wave_begins_nothing_and_books_no_kind():
+    trace = Trace()
+    with pytest.raises(SimulationError, match="'read'"):
+        trace.begin("read", "r", 0.0, [])
+    assert trace.begun == {} and trace.begun_total() == 0
+    # The next wave still starts at op id 0.
+    record, = trace.begin("write", "w", 1.0, (("v", 0),))
+    assert record.op_id == 0 and trace.begun == {"write": 1}
+
+
+def test_an_empty_wave_completes_nothing():
+    trace = Trace()
+    trace.begin("write", "w", 0.0, (("v", 0),))
+    with pytest.raises(SimulationError, match="empty wave"):
+        trace.complete([], 1.0, [], 1)
+    assert trace.completed_counts == {} and trace.waves("write") == {}
+

@@ -60,7 +60,7 @@ def test_round1_and_round3_carry_no_quorum_ids():
 def test_timestamps_strictly_increase_across_writes():
     rqs = threshold_rqs(5, 1, 1, 0, 1)
     result = write_only(rqs, "a", "b", "c")
-    assert [write.meta["ts"] for write in result.writes] == [1, 2, 3]
+    assert [write.ts for write in result.writes] == [1, 2, 3]
     assert result.adapter.writers[0].ts == 3
 
 

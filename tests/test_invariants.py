@@ -416,6 +416,6 @@ def test_every_oracle_runs_the_one_differential():
         str(path.relative_to(ROOT))
         for path in (ROOT / "tests").rglob("test_*_oracle.py")
     }
-    assert len(oracles) >= 9
+    assert len(oracles) >= 10
     assert oracles <= set(_sites(HARNESS, "tests"))
     assert oracles.isdisjoint(_sites(ANY_ASSERTION_KILLS, "tests"))
