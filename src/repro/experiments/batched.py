@@ -7,17 +7,22 @@ buys in speed is a number about the simulator (the ``stream`` rows of
 rule, ``perf/``'s ``abd-batched-soak``); this module holds the batching
 claim about the *protocols*, in simulated time.
 
-Batched readers complete **per element**: before that, one straggling
+Batched readers complete **per element**, and each element takes the
+decision its unbatched read takes over the same replies: one straggling
 element (a quorum short a lossy server's replies, or a degraded BCD
-class) stalled its whole batch.  The contract is
-``p99(batched) <= 1.5 x p99(unbatched)`` read latency per protocol —
-asserted in ``tests/experiments/test_experiments.py`` — on
-:data:`TAIL_GRID`: the two per-element protocols × batch on/off under
-lossy-until-GST fault plans (:data:`TAIL_PLANS`).  The plans
-deliberately make the unbatched tail non-trivial (rqs-storage: two
-crashed servers plus a lossy one degrade the responded-quorum class, so
-unbatched reads hit the Theorem 9 three-round ceiling; fast-ABD: a lossy
-server plus a slowed writer leg widen the pre-write race window).
+class) never stalls its whole batch, and a batched RQS read keeps the
+paper's one-round read when a class-1 quorum answers consistently.  The
+contract is ``p99(batched) <= 1.5 x p99(unbatched)`` read latency per
+protocol and plan — asserted in ``tests/experiments/test_experiments.py``
+— on :data:`TAIL_GRID`: the two per-element protocols × batch on/off ×
+two plans.  ``plan="tail"`` is the lossy-until-GST fault plan of
+:data:`TAIL_PLANS`, which deliberately makes the unbatched tail
+non-trivial (rqs-storage: two crashed servers plus a lossy one degrade
+the responded-quorum class, so unbatched reads hit the Theorem 9
+three-round ceiling; fast-ABD: a lossy server plus a slowed writer leg
+to two servers widen the pre-write race window, so some unbatched reads
+write back).  ``plan="none"`` is the fault-free run, where every read
+of either protocol, batched or not, takes one round.
 
 Run directly (``python -m repro.experiments.batched``) for the grid's
 table, one line per cell.
@@ -46,6 +51,7 @@ TAIL_SEED = 11
 #: Per-protocol lossy-until-GST plans tuned so the *unbatched* read
 #: tail is the protocol's honest degraded-mode figure (see module
 #: docstring) — the 1.5x assertion is vacuous against an all-fast tail.
+#: The fault-free cells (``plan="none"``) hold the other end.
 TAIL_PLANS: Dict[str, FaultPlan] = {
     "rqs-storage": FaultPlan(
         crashes=(Crash(6, 0.0), Crash(7, 0.0)),
@@ -54,7 +60,7 @@ TAIL_PLANS: Dict[str, FaultPlan] = {
     "fastabd": FaultPlan(
         asynchrony=(
             Drop(src=(2,), until=GST, label="lossy server 2"),
-            Delay(3.0, src=("writer",), dst=(0, 1), until=GST,
+            Delay(3.0, src=("writer",), dst=(1, 3), until=GST,
                   label="slow writer leg"),
         ),
     ),
@@ -74,7 +80,8 @@ def _tail_build(point: Mapping) -> ScenarioSpec:
         seed=point["seed"],
         trace_level="full",
         batch_size=int(point["batch"]),
-    ).with_(faults=TAIL_PLANS[protocol])
+    ).with_(faults=TAIL_PLANS[protocol] if point["plan"] == "tail"
+            else FaultPlan())
 
 
 def _tail_measure(point: Mapping, result) -> Mapping:
@@ -89,12 +96,14 @@ def _tail_measure(point: Mapping, result) -> Mapping:
     }
 
 
-#: The E17 tail grid: per-element protocols × batch on/off.
+#: The E17 tail grid: per-element protocols × batch on/off × the tail
+#: plan or none.
 TAIL_GRID = SweepSpec(
     name="batched_tail",
     axes={
         "protocol": ("fastabd", "rqs-storage"),
         "batch": (1, TAIL_BATCH),
+        "plan": ("tail", "none"),
         "seed": (TAIL_SEED,),
     },
     build=_tail_build,

@@ -12,7 +12,7 @@ open-loop stopping rule for horizon-free soaks.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping, Optional
 
 from repro.scenarios import RandomMix, ScenarioSpec
 
@@ -35,7 +35,7 @@ def keyed_mix_spec(
     max_ops: Optional[int] = None,
     rqs: str = DEFAULT_RQS,
     params: Optional[Mapping[str, Any]] = None,
-    batch_size: Union[int, str] = 1,
+    batch_size: int = 1,
 ) -> ScenarioSpec:
     """One keyed-``RandomMix`` scenario on a storage protocol.
 
@@ -47,8 +47,7 @@ def keyed_mix_spec(
     horizon-free streaming soak.  ``params`` carries protocol knobs
     (e.g. ``{"bounded_history": True}`` for rqs-storage soaks).
     ``batch_size > 1`` turns on cross-key operation batching (clients
-    coalesce up to that many ops per round-trip); ``"auto"`` sizes the
-    window adaptively from the client's pending queue.
+    coalesce up to that many ops per round-trip).
     """
     mix = RandomMix(
         writes,

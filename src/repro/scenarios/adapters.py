@@ -396,8 +396,7 @@ class StorageAdapter(ProtocolAdapter):
 
     def _spawn_writer(self, index, writer, batch_size, ops) -> None:
         """One writer's driver task: unbatched sequential ops, or the
-        batched coalescing driver when ``batch_size != 1`` (a fixed
-        window or the adaptive ``"auto"`` rule)."""
+        batched coalescing driver when ``batch_size != 1``."""
         name = (
             "writer-workload" if index == 0 else f"{writer.pid}-workload"
         )

@@ -181,12 +181,9 @@ class RandomMix:
     pending operations into one batched round-trip (stamps still issued
     per batch element in the historical draw order); the default of 1
     is today's one-op-per-round-trip behavior, bit-identical to every
-    existing seed.  ``batch_size="auto"`` sizes each client's window
-    adaptively from its observed pending-op queue between round-trips
-    (see :func:`repro.sim.tasks.batched_ops`) — a deterministic rule
-    over simulated state, so replays stay bit-identical.  Batching is a
-    storage feature: consensus adapters reject mixes carrying it, as
-    does a workload that mixes explicit literals with the mix.
+    existing seed.  Batching is a storage feature: consensus adapters
+    reject mixes carrying it, as does a workload that mixes explicit
+    literals with the mix.
     """
 
     writes: int
@@ -195,7 +192,7 @@ class RandomMix:
     start: float = 0.0
     distribution: str = "uniform"
     skew: float = 1.0
-    batch_size: Union[int, str] = 1
+    batch_size: int = 1
 
     def __post_init__(self):
         if self.distribution not in KEY_DISTRIBUTIONS:
@@ -203,11 +200,9 @@ class RandomMix:
                 f"unknown RandomMix distribution {self.distribution!r}; "
                 f"valid: {', '.join(KEY_DISTRIBUTIONS)}"
             )
-        if self.batch_size != "auto" and (
-            not isinstance(self.batch_size, int) or self.batch_size < 1
-        ):
+        if not isinstance(self.batch_size, int) or self.batch_size < 1:
             raise ScenarioError(
-                f"RandomMix.batch_size must be an int >= 1 or 'auto', got "
+                f"RandomMix.batch_size must be an int >= 1, got "
                 f"{self.batch_size!r} (1 = unbatched round-trips)"
             )
         if self.skew < 0:

@@ -8,7 +8,6 @@ failures.
 
 from repro.sim.conditions import (
     AckSet,
-    AllOf,
     AnyOf,
     Check,
     Condition,
@@ -32,7 +31,6 @@ from repro.sim.trace import OperationRecord, Trace
 
 __all__ = [
     "AckSet",
-    "AllOf",
     "AnyOf",
     "Check",
     "Condition",

@@ -23,14 +23,15 @@ The catalogue, roughly in order of preference:
   migration device for waits too entangled for the shapes above
   (the RQS reader's candidate-set predicates, the proposer's consult
   quorum).
-* :class:`AllOf` / :class:`AnyOf` — conjunction/disjunction
-  combinators; a child's signal propagates to the composite (the
-  batched reader waits on "its first collect round's 2Δ timer **and**
-  quorum, **or** a cohort's write-back").  A composite and its children
-  reference each other, a cycle only the cyclic collector frees, so a
-  protocol waits one condition at a time where it can: a write round
-  waits on its ``2Δ`` timer and then on its quorum, which ends in the
-  same wake pass as a wait on the two's ``AllOf``.
+* :class:`AnyOf` — a disjunction; a child's signal propagates to the
+  composite (:func:`~repro.sim.tasks.run_branches` parks a batched
+  read's one task on "its collect round's quorum **or** a write-back
+  group's").  A composite and its children reference each other, a
+  cycle only the cyclic collector frees, so a protocol waits one
+  condition at a time where it can: a round waits on its ``2Δ`` timer
+  and then on its quorum, which ends in the same wake pass as a wait on
+  the two together would.  There is no conjunction: a sequence of
+  waits is one.
 
 A signal is a *hint*, not a wake-up: the simulator re-checks
 ``holds()`` before resuming waiters, so spurious signals are cheap and
@@ -376,16 +377,6 @@ class _Composite(Condition):
         return self._label or self._JOIN.join(
             child.label for child in self.children
         )
-
-
-class AllOf(_Composite):
-    """Conjunction: holds when every child holds (e.g. timer AND quorum)."""
-
-    __slots__ = ()
-    _JOIN = " & "
-
-    def holds(self) -> bool:
-        return all(child.holds() for child in self.children)
 
 
 class AnyOf(_Composite):

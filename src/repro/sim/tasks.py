@@ -21,7 +21,9 @@ its quorum, one condition at a time: both waits end in the wake pass of
 the later one's instant, since a task that re-parks while it is woken
 keeps its place in the park order.  A client's next start time is a bare
 timer, and the election module's ``suspectTimeout`` is a
-:meth:`~repro.sim.simulator.Simulator.call_later` callback.
+:meth:`~repro.sim.simulator.Simulator.call_later` callback.  A batched
+RQS read runs its collect rounds and its write-back groups as generator
+branches of one task (:func:`run_branches`).
 
 A task finishes when its generator returns; the returned value is stored
 in :attr:`Task.result`.  Tasks wait on each other through a shared
@@ -33,7 +35,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Any, Generator, Optional
 
-from repro.sim.conditions import Condition
+from repro.sim.conditions import AnyOf, Condition
 
 
 class Effect:
@@ -91,10 +93,6 @@ def sequential_ops(sim, schedule):
         yield from factory(*args)
 
 
-#: Ceiling of the adaptive (``batch_size="auto"``) coalescing window.
-AUTO_BATCH_MAX = 32
-
-
 def batched_ops(sim, schedule, size, run_batch):
     """Driver coroutine: one client's operations, coalesced ``size`` at
     a time into batched round-trips.
@@ -105,21 +103,8 @@ def batched_ops(sim, schedule, size, run_batch):
     batching rule — later elements ride along, their own times are
     subsumed) and no earlier than the previous batch's completion.
     ``run_batch(elements)`` is the protocol's batched coroutine.
-
-    ``size="auto"`` sizes each window from the client's observed
-    pending queue instead of a fixed count: after waiting for the head
-    element's start time, the batch takes every element whose scheduled
-    time has already passed (capped at :data:`AUTO_BATCH_MAX`).  The
-    window therefore grows while round-trips run slow — lossy pre-GST
-    traffic backs operations up, and the backlog coalesces — and
-    shrinks back toward 1 when the client keeps up with its arrival
-    rate.  The rule reads only the simulated clock and the draw, so
-    replays of the same spec are bit-identical.
     """
     iterator = iter(schedule)
-    if size == "auto":
-        yield from _adaptive_batches(sim, iterator, run_batch)
-        return
     while True:
         chunk = list(islice(iterator, size))
         if not chunk:
@@ -130,30 +115,29 @@ def batched_ops(sim, schedule, size, run_batch):
         yield from run_batch([elem for _, elem in chunk])
 
 
-def _adaptive_batches(sim, iterator, run_batch):
-    """The ``"auto"`` window rule of :func:`batched_ops`.
+def run_branches(branches):
+    """Driver coroutine: run the generators of ``branches`` as branches
+    of one task, each yielding :class:`WaitUntil` effects as a task does.
 
-    Keeps a one-element pushback buffer (``pending``): the first
-    element whose scheduled time is still in the future ends the
-    current window and becomes the next window's head.
+    Each pass starts every branch not started yet and resumes, in list
+    order, every branch whose condition holds; then the driver parks on
+    the pending conditions — their :class:`AnyOf`, or the bare
+    condition when one branch is left.  A branch may append branches to
+    the list while it runs: they start in the same pass.  Returns when
+    every branch has.  (Branches, not a task each: the simulator keeps
+    every task it spawns for the rest of the run.)
     """
-    pending = next(iterator, None)
-    while pending is not None:
-        start = pending[0]
-        if not start <= sim.now:  # later — or NaN, which timer_at refuses
-            yield WaitUntil(sim.timer_at(start))
-        horizon = sim.now
-        chunk = [pending]
-        pending = None
-        for item in iterator:
-            if item[0] <= horizon and len(chunk) < AUTO_BATCH_MAX:
-                chunk.append(item)
-            else:
-                pending = item
-                break
-        yield from run_batch([elem for _, elem in chunk])
-        if pending is None:
-            pending = next(iterator, None)
+    waits = []
+    while True:
+        for index, branch in enumerate(branches):
+            if index == len(waits):
+                waits.append(next(branch, None))
+            elif waits[index] is not None and waits[index].ready():
+                waits[index] = next(branch, None)
+        pending = [wait.condition for wait in waits if wait is not None]
+        if not pending:
+            return
+        yield WaitUntil(pending[0] if len(pending) == 1 else AnyOf(*pending))
 
 
 class Task:

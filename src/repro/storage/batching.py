@@ -17,20 +17,22 @@ per-element protocol instances that happen to share identical responder
 sets.
 
 **Per-element completion contract.**  Batched *reads* complete
-element-wise: each element returns as soon as its own quorum decisions
-are in, never waiting on the batch's slowest element.  Where later
-protocol phases are already batch-granular (a kernel row that always
-or never writes back: ABD, naive) the contract degenerates to the whole
-batch completing at one instant; where elements genuinely diverge it
-bites — fast-ABD's confirmed elements complete at the collect instant
-while only the unconfirmed ones wait out the pre-write write-back, and the
-RQS reader resolves elements in per-round *cohorts*, each launching its
-own batched line 49 write-back concurrently with further collect rounds
-(see each reader's ``read_batch``).  A lossy or contended quorum thus
-caps one element's tail latency, not the batch's.  Stamps are still
-issued per element in the client's draw order, and the elements that
-complete at one instant reach the trace (and the checker) as one wave:
-a wave is in element order.
+element-wise, and each element takes the decision its unbatched read
+takes over the same replies: it returns as soon as its own quorum
+decisions are in, never waiting on the batch's slowest element.  Where
+later protocol phases are already batch-granular (a kernel row that
+always or never writes back: ABD, naive) the contract degenerates to
+the whole batch completing at one instant; where elements genuinely
+diverge it bites — fast-ABD's confirmed elements complete at the
+collect instant while only the unconfirmed ones wait out the pre-write
+write-back, and the RQS reader hands each element it resolves the
+Figure 7 write-back plan its unbatched read would take (none when
+``BCD₁`` holds), the elements of one plan writing back as one group
+concurrently with further collect rounds (see each reader's
+``read_batch``).  A lossy or contended quorum thus caps one element's
+tail latency, not the batch's.  Stamps are still issued per element in
+the client's draw order, and each wave — the elements that complete
+together — reaches the trace (and the checker) in element order.
 
 The message vocabulary is protocol-agnostic; each server class
 interprets the payloads its own way:
@@ -38,9 +40,10 @@ interprets the payloads its own way:
 * the count-quorum kernel (:mod:`repro.storage.abd`) — ``slot`` names
   the server slot every element is applied to under the ``ts >`` rule;
   read replies are, per key, the slots' ``Pair``s in slot order.
-* RQS — ``sets`` carries the batch's shared QC'2 quorum-id set and
-  ``rnd`` the Figure 5 round; read replies are per-key history
-  snapshots (``HistoryView``).
+* RQS — ``sets`` carries the batch's shared QC'2 quorum-id set (a
+  write) or its group's x1 set (a read write-back) and ``rnd`` the
+  Figure 5 round; read replies are per-key history snapshots
+  (``HistoryView``).
 
 Byzantine server subclasses override the *unbatched* handlers
 (``handle_write`` / ``handle_read``); batching targets the crash/lossy
@@ -77,7 +80,8 @@ class WriteBatch:
     (kernel: the write's round number, read write-backs: 2; RQS:
     Figure 5 rounds 1–3) and ``slot`` the kernel server slot the
     elements target (``""`` for RQS).  ``sets`` is the RQS batch's
-    shared QC'2 quorum-id set (empty frozenset elsewhere).
+    shared QC'2 set or its read write-back group's x1 set (empty
+    frozenset elsewhere).
     """
 
     batch_no: int

@@ -24,16 +24,15 @@ A read has two parts:
 from __future__ import annotations
 
 from functools import partial
+from operator import attrgetter
 from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.core.rqs import RefinedQuorumSystem
-from repro.sim.conditions import AckSet, AllOf, AnyOf, ConditionMap
-from repro.sim.process import Process
-from repro.sim.tasks import WaitUntil
+from repro.sim.conditions import AckSet, ConditionMap
+from repro.sim.tasks import WaitUntil, run_branches
 from repro.sim.trace import Trace
 from repro.storage.batching import (
     BatchAck,
-    BatchAcks,
     ReadBatch,
     ReadBatchAck,
     WriteBatch,
@@ -41,11 +40,22 @@ from repro.storage.batching import (
 from repro.storage.history import DEFAULT_KEY, Pair
 from repro.storage.messages import RD, RdAck, WR, WrAck
 from repro.storage.predicates import ReadState
+from repro.storage.writer import StorageClient
 
 QuorumId = FrozenSet[Hashable]
+#: A write-back plan (see :meth:`StorageReader._plan`): the round the
+#: write-back starts at and the class-2 quorum ids its first round
+#: carries — or ``None``, no write-back.
+Plan = Optional[Tuple[int, FrozenSet[QuorumId]]]
+
+_TS = attrgetter("ts")
+#: Line 42: one round-2 write-back.
+_ROUND2 = (2, frozenset())
+#: Line 49: the full two-round write-back.
+_TWO_ROUNDS = (1, frozenset())
 
 
-class StorageReader(Process):
+class StorageReader(StorageClient):
     """A reader client (any number of them may exist).
 
     Reads address one register of the keyed space; all predicate state
@@ -61,15 +71,7 @@ class StorageReader(Process):
         delta: float = 1.0,
         selector=None,
     ):
-        super().__init__(pid)
-        self.rqs = rqs
-        self.trace = trace if trace is not None else Trace()
-        self.timeout = 2.0 * delta
-        #: Optional :class:`~repro.core.strategy.QuorumSelector`.  When
-        #: set, each read draws one quorum from the strategy and sends
-        #: only to its members (all rounds and write-backs of that read
-        #: share the draw); ``None`` keeps the paper's broadcast model.
-        self.selector = selector
+        super().__init__(pid, rqs, trace, delta, selector)
         self.read_no = 0
         self._state: Optional[ReadState] = None
         self._current_read_no = -1
@@ -77,10 +79,10 @@ class StorageReader(Process):
         self._wb = ConditionMap(AckSet, "wb key={} ts={} rnd={}")
         # Batched-read state: per-element ReadStates (fed positionally
         # from each ReadBatchAck) plus one batch-level responder set per
-        # round, and batch write-back acks.
+        # collect round; the write-back groups count theirs in
+        # ``_batches``.
         self._batch_states: Dict[int, Tuple[ReadState, ...]] = {}
         self._batch_acks = ConditionMap(AckSet, "rd batch#{} rnd={}")
-        self._batches = BatchAcks("rd-wb batch#{} rnd={}")
 
     # -- network ------------------------------------------------------------------
 
@@ -124,44 +126,18 @@ class StorageReader(Process):
         state = ReadState(self.rqs)
         self._state = state
 
-        csel, read_rnd = yield from self._regular_part(state, key, targets)
-
-        # -- part 2: BCD-orchestrated write-back (lines 40-49) --
+        csel, rounds = yield from self._regular_part(state, key, targets)
         # Surface the selected timestamp for the stamp-ordered online
-        # checker (every completion path below returns csel.val).
+        # checker (every completion path returns csel.val).
         record.ts = csel.ts
-        if read_rnd == 1 and any(state.bcd1(csel, r) for r in (1, 2, 3)):
-            self.trace.complete((record,), self.sim.now, (csel.val,), 1)
-            return record
+        plan = self._plan(state, csel, rounds)
+        if plan is not None:
+            def send_round(rnd, sets):
+                self.send_all(targets, WR(csel.ts, csel.val, sets, rnd, key))
+                return self._wb(key, csel.ts, rnd)
 
-        x1 = state.bcd2(csel, 1)
-        x23 = state.bcd2(csel, 2) + state.bcd2(csel, 3)
-        if read_rnd == 1 and (x1 or x23):
-            if x23:
-                # Line 42: the writer already stored csel at a full quorum;
-                # one round-2 write-back finishes the read in 2 rounds.
-                yield from self._writeback(2, csel, frozenset(), key, targets)
-                self.trace.complete((record,), self.sim.now, (csel.val,), 2)
-                return record
-            # Lines 43-47: round-1 write-back carrying the confirmed
-            # class-2 quorum ids, with a 2Δ window to finish fast.
-            wb_timer = self.sim.timer_at(self.sim.now + self.timeout)
-            yield from self._writeback(1, csel, frozenset(x1), key, targets)
-            yield WaitUntil(wb_timer, f"read#{self.read_no} writeback timer")
-            acked = self._wb(key, csel.ts, 1)
-            if any(q2 <= acked for q2 in x1):
-                self.trace.complete((record,), self.sim.now, (csel.val,), 2)
-                return record
-            yield from self._writeback(2, csel, frozenset(), key, targets)
-            self.trace.complete((record,), self.sim.now, (csel.val,), 3)
-            return record
-
-        # Line 49: full two-round write-back.
-        yield from self._writeback(1, csel, frozenset(), key, targets)
-        yield from self._writeback(2, csel, frozenset(), key, targets)
-        self.trace.complete(
-            (record,), self.sim.now, (csel.val,), read_rnd + 2
-        )
+            rounds += yield from self._atomicity_part(plan, send_round)
+        self.trace.complete((record,), self.sim.now, (csel.val,), rounds)
         return record
 
     def _regular_part(self, state: ReadState, key: Hashable, targets):
@@ -192,32 +168,62 @@ class StorageReader(Process):
                 state.freeze_round1()
             candidates = state.candidates()
             if candidates:
-                return max(candidates, key=lambda p: p.ts), read_rnd
+                return max(candidates, key=_TS), read_rnd
 
-    def _writeback(
-        self,
-        rnd: int,
-        c: Pair,
-        qc2_ids: FrozenSet[QuorumId],
-        key: Hashable = DEFAULT_KEY,
-        targets=None,
-    ):
-        """``writeback(round, c, Set)`` (lines 60-62): write ``c`` back to
-        all servers (or the read's drawn quorum) and await a quorum of
-        acks."""
-        if targets is None:
-            targets = self.rqs.servers
-        self.send_all(targets, WR(c.ts, c.val, qc2_ids, rnd, key))
-        yield WaitUntil(
-            self._wb(key, c.ts, rnd).includes_quorum(self.rqs.contains_quorum)
-        )
+    def _plan(self, state: ReadState, csel: Pair, read_rnd: int) -> Plan:
+        """The atomicity part ``csel`` needs (lines 40-49), decided by
+        the best-case detector over the replies ``state`` holds:
 
-    def _targets(self, target):
-        """The servers one round contacts: the drawn quorum under a
-        strategy, the full ground set otherwise."""
-        if target is None:
-            return self.rqs.servers
-        return sorted(target, key=repr)
+        * ``None`` — ``BCD(csel, 1, ·)`` holds in round 1: return now;
+        * :data:`_ROUND2` — ``BCD(csel, 2, R)`` is non-empty for some
+          ``R ∈ {2, 3}``: one round-2 write-back;
+        * ``(1, x1)`` — ``x1 = BCD(csel, 2, 1)`` is non-empty: a round-1
+          write-back carrying ``x1``, then round 2 unless some quorum of
+          ``x1`` acked it within ``2Δ``;
+        * :data:`_TWO_ROUNDS` — otherwise, line 49.
+        """
+        if read_rnd == 1:
+            if any(state.bcd1(csel, r) for r in (1, 2, 3)):
+                return None
+            if state.bcd2(csel, 2) or state.bcd2(csel, 3):
+                return _ROUND2
+            x1 = state.bcd2(csel, 1)
+            if x1:
+                return (1, frozenset(x1))
+        return _TWO_ROUNDS
+
+    def _atomicity_part(self, plan: Plan, send_round):
+        """Run a write-back ``plan``: ``send_round(rnd, sets)`` writes
+        ``csel`` back in round ``rnd`` (one ``WR``, or one
+        :class:`WriteBatch` for a group of elements) and returns the
+        responder set that counts its acks.  Returns the rounds the
+        write-back took."""
+        first, x1 = plan
+        if first == 2:
+            # Line 42: the writer already stored csel at a full quorum;
+            # one round-2 write-back finishes the read.
+            yield from self._writeback(send_round, 2, frozenset())
+            return 1
+        if x1:
+            # Lines 43-47: round-1 write-back carrying the confirmed
+            # class-2 quorum ids, with a 2Δ window to finish fast.
+            timer = self.sim.timer_at(self.sim.now + self.timeout)
+            acked = yield from self._writeback(send_round, 1, x1)
+            yield WaitUntil(timer)
+            if any(q2 <= acked for q2 in x1):
+                return 1
+        else:
+            # Line 49: full two-round write-back.
+            yield from self._writeback(send_round, 1, frozenset())
+        yield from self._writeback(send_round, 2, frozenset())
+        return 2
+
+    def _writeback(self, send_round, rnd: int, sets: FrozenSet[QuorumId]):
+        """``writeback(round, c, Set)`` (lines 60-62): send one round and
+        await a quorum of acks.  Returns the round's responders."""
+        acks = send_round(rnd, sets)
+        yield WaitUntil(acks.includes_quorum(self.rqs.contains_quorum))
+        return acks
 
     # -- batched protocol --------------------------------------------------------
 
@@ -225,122 +231,99 @@ class StorageReader(Process):
         """Up to ``batch_size`` reads through one Figure 7 regular part:
         per-element :class:`ReadState`s fed positionally from shared
         :class:`ReadBatchAck` replies, one batch-level responder set per
-        round.  **Completion is per element**: the elements whose
-        candidate sets resolve in collect round ``r`` form a *cohort*
-        that immediately launches its own batched line 49 two-round
-        write-back — concurrently with further collect rounds for the
-        still-unresolved elements — and they complete when that
-        write-back quorum-acks.  A contended or lossy element therefore
-        caps its *own* tail latency, never the whole batch's.  The BCD
-        fast paths are per-element race detections and are skipped —
-        always-safe, at worst two extra batch round-trips that unbatched
-        BCD would have avoided."""
+        round.  A batch shares its responders, so each element takes
+        the decision its unbatched read takes over the same replies:
+        each collect round hands every element it resolves the
+        :meth:`_plan` :meth:`read` uses.  Elements whose plan is "no
+        write-back" complete at once; the others harvested at one
+        instant with the same plan form a group that writes back
+        through one :class:`WriteBatch` per round, concurrently with
+        further collect rounds — all of them branches of this one task
+        (:func:`~repro.sim.tasks.run_branches`)."""
         records = self.trace.begin(
             "read", self.pid, self.sim.now, [(None, key) for key in keys]
         )
         target = self.selector.next_read() if self.selector else None
-        targets = self._targets(target)
         self.read_no += 1
-        number = self.read_no
+        branches = []
+        branches.append(self._collect(
+            self.read_no, keys, records, self._targets(target),
+            branches.append,
+        ))
+        yield from run_branches(branches)
+        return records
+
+    def _collect(self, number, keys, records, targets, launch):
+        """The batch's regular part (lines 20-35): collect rounds over
+        every key until each element has its ``csel``; ``launch`` starts
+        each write-back group as a branch."""
         states = tuple(ReadState(self.rqs) for _ in keys)
         self._batch_states[number] = states
-
-        unresolved = set(range(len(keys)))
-        csels: List[Optional[Pair]] = [None] * len(keys)
-        cohorts: List[dict] = []
+        unresolved = range(len(keys))
         read_rnd = 0
-        collect_cond = None
-        while unresolved or cohorts:
-            if unresolved and collect_cond is None:
-                # -- regular part (lines 20-35): next batch-wide round.
-                # Every round keeps carrying the full key tuple so the
-                # positional on_message feed (and the servers' reply
-                # shape) never changes; only the harvest below is
-                # element-wise.
-                read_rnd += 1
-                acks = self._batch_acks(number, read_rnd)
-                self.send_all(
-                    targets, ReadBatch(number, read_rnd, tuple(keys))
-                )
-                quorum = acks.includes_quorum(self.rqs.contains_quorum)
-                collect_cond = (
-                    AllOf(
-                        self.sim.timer_at(self.sim.now + self.timeout), quorum
-                    )
-                    if read_rnd == 1
-                    else quorum
-                )
-            waits = [cohort["cond"] for cohort in cohorts]
-            if collect_cond is not None:
-                waits.append(collect_cond)
-            yield WaitUntil(
-                waits[0] if len(waits) == 1 else AnyOf(*waits),
-                f"read batch#{number} round {read_rnd}",
+        while unresolved:
+            # Every round carries the full key tuple, so the positional
+            # on_message feed (and the servers' reply shape) never
+            # changes; only the harvest below is element-wise.
+            read_rnd += 1
+            timer = (
+                self.sim.timer_at(self.sim.now + self.timeout)
+                if read_rnd == 1
+                else None
             )
-            # -- advance the in-flight cohort write-backs --
-            advancing = cohorts
-            cohorts = []
-            for cohort in advancing:
-                if not cohort["cond"].holds():
-                    cohorts.append(cohort)
-                elif cohort["rnd"] == 1:
-                    cohort["rnd"] = 2
-                    cohort["cond"] = self._cohort_writeback(
-                        cohort, 2, targets
-                    )
-                    cohorts.append(cohort)
-                else:
-                    # A cohort resolved in one collect round: one wave.
-                    self._batches.close(cohort["no"], 1, 2)
-                    wave = cohort["members"]
-                    self.trace.complete(
-                        [records[i] for i in wave], self.sim.now,
-                        [csels[i].val for i in wave],
-                        cohort["read_rnd"] + 2,
-                    )
-            # -- harvest the collect round, if it resolved --
-            if collect_cond is None or not collect_cond.holds():
-                continue
-            collect_cond = None
+            acks = self._batch_acks(number, read_rnd)
+            self.send_all(targets, ReadBatch(number, read_rnd, tuple(keys)))
+            quorum = acks.includes_quorum(self.rqs.contains_quorum)
+            if timer is not None:
+                yield WaitUntil(timer)
+            yield WaitUntil(quorum)
             if read_rnd == 1:
                 for state in states:
                     state.freeze_round1()
-            members = []
-            for i in sorted(unresolved):
+            groups: Dict[Plan, list] = {}
+            pending = []
+            for i in unresolved:
                 candidates = states[i].candidates()
-                if candidates:
-                    csels[i] = max(candidates, key=lambda p: p.ts)
-                    records[i].ts = csels[i].ts
-                    members.append(i)
-            if not members:
-                continue
-            unresolved.difference_update(members)
+                if not candidates:
+                    pending.append(i)
+                    continue
+                csel = max(candidates, key=_TS)
+                records[i].ts = csel.ts
+                plan = self._plan(states[i], csel, read_rnd)
+                groups.setdefault(plan, []).append((records[i], csel, keys[i]))
+            unresolved = pending
             if not unresolved:
                 # Regular part done for every element: straggler acks
-                # can no longer matter, release the batch state (the
-                # cohort write-backs track their own responder sets).
+                # can no longer matter, release the batch state.
                 self._batch_states.pop(number, None)
                 for rnd in range(1, read_rnd + 1):
                     self._batch_acks.discard(number, rnd)
-            # -- atomicity part for this cohort (line 49), launched now --
-            cohort = {
-                "no": self._batches.open(),
-                "rnd": 1,
-                "read_rnd": read_rnd,
-                "members": tuple(members),
-                "ops": tuple(
-                    (csels[i].ts, csels[i].val, keys[i]) for i in members
-                ),
-            }
-            cohort["cond"] = self._cohort_writeback(cohort, 1, targets)
-            cohorts.append(cohort)
-        return records
+            for plan, members in groups.items():
+                if plan is None:
+                    self._complete(members, read_rnd)
+                else:
+                    launch(self._write_back_group(
+                        plan, members, read_rnd, targets
+                    ))
 
-    def _cohort_writeback(self, cohort: dict, rnd: int, targets):
-        """Send one round of a cohort's batched line 49 write-back and
-        return the quorum condition its elements wait on."""
-        wb_acks = self._batches.responders(cohort["no"], rnd)
-        self.send_all(targets, WriteBatch(
-            cohort["no"], rnd, "", cohort["ops"], frozenset()
-        ))
-        return wb_acks.includes_quorum(self.rqs.contains_quorum)
+    def _write_back_group(self, plan, members, read_rnd, targets):
+        """The atomicity part of the elements harvested at one instant
+        with one ``plan``: one :class:`WriteBatch` per round stores every
+        member as its unbatched ``WR`` would."""
+        group = self._batches.open()
+        ops = tuple((csel.ts, csel.val, key) for _, csel, key in members)
+
+        def send_round(rnd, sets):
+            self.send_all(targets, WriteBatch(group, rnd, "", ops, sets))
+            return self._batches.responders(group, rnd)
+
+        rounds = yield from self._atomicity_part(plan, send_round)
+        self._batches.close(group, 1, 2)
+        self._complete(members, read_rnd + rounds)
+
+    def _complete(self, members, rounds: int) -> None:
+        """Complete one wave of batch elements (in element order)."""
+        self.trace.complete(
+            [record for record, _, _ in members], self.sim.now,
+            [csel.val for _, csel, _ in members], rounds,
+        )

@@ -38,7 +38,7 @@ Writers come in two modes:
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import Any, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.core.rqs import RefinedQuorumSystem
 from repro.sim.conditions import AckSet, ConditionMap
@@ -60,7 +60,41 @@ from repro.storage.stamping import DiscoveryInbox, StampIssuer
 QuorumId = FrozenSet[Hashable]
 
 
-class StorageWriter(Process):
+class StorageClient(Process):
+    """What the RQS writer and reader share, as
+    :class:`~repro.storage.abd._RegisterClient` is for the count-quorum
+    kernel: the trace, the ``2Δ`` timeout, the optional quorum selector,
+    the servers one round contacts and the batch-ack bookkeeping."""
+
+    def __init__(
+        self,
+        pid: Hashable,
+        rqs: RefinedQuorumSystem,
+        trace: Optional[Trace],
+        delta: float,
+        selector,
+    ):
+        super().__init__(pid)
+        self.rqs = rqs
+        self.trace = trace if trace is not None else Trace()
+        self.timeout = 2.0 * delta
+        #: Optional :class:`~repro.core.strategy.QuorumSelector`.  When
+        #: set, each operation draws one quorum from the strategy and
+        #: sends only to its members (every round of that operation
+        #: shares the draw); when ``None`` (the default and the paper's
+        #: model) every round broadcasts to the ground set.
+        self.selector = selector
+        self._batches = BatchAcks()
+
+    def _targets(self, target):
+        """The servers one round contacts: the drawn quorum under a
+        strategy, the full ground set otherwise."""
+        if target is None:
+            return self.rqs.servers
+        return sorted(target, key=repr)
+
+
+class StorageWriter(StorageClient):
     """A writer client (unique in SWMR mode, indexed in MW mode)."""
 
     def __init__(
@@ -72,19 +106,10 @@ class StorageWriter(Process):
         writer_id: Optional[int] = None,
         selector=None,
     ):
-        super().__init__(pid)
-        self.rqs = rqs
-        self.trace = trace if trace is not None else Trace()
-        self.timeout = 2.0 * delta
+        super().__init__(pid, rqs, trace, delta, selector)
         self.stamps = StampIssuer(writer_id)
-        #: Optional :class:`~repro.core.strategy.QuorumSelector`.  When
-        #: set, each write draws one quorum from the strategy and sends
-        #: only to its members; when ``None`` (the default and the
-        #: paper's model) every round broadcasts to the ground set.
-        self.selector = selector
         self._acks = ConditionMap(AckSet, "wr key={} ts={} rnd={}")
         self._discovery = DiscoveryInbox("write ts-discovery#{}")
-        self._batches = BatchAcks("wr batch#{} rnd={}")
 
     @property
     def writer_id(self) -> Optional[int]:
@@ -112,10 +137,6 @@ class StorageWriter(Process):
         elif isinstance(payload, ReadBatchAck) and payload.rnd == 0:
             self._discovery.record(payload.read_no, src, payload.replies)
 
-    def acks(self, ts: int, rnd: int, key: Hashable = DEFAULT_KEY) -> AckSet:
-        """The responder set for one round (a signalling ``set``)."""
-        return self._acks(key, ts, rnd)
-
     # -- protocol ----------------------------------------------------------------
 
     def write(self, value: Any, key: Hashable = DEFAULT_KEY):
@@ -140,50 +161,54 @@ class StorageWriter(Process):
         # Surface the timestamp for the stamp-ordered online checker
         # (set before completion so trace observers see it).
         record.ts = ts
+        targets = self._targets(target)
 
-        # Round 1 (Figure 5 lines 2-3).
-        yield from self._round(ts, value, frozenset(), 1, key, target)
-        round1 = self.acks(ts, 1, key)
+        def send_round(rnd, qc2_prime):
+            self.send_all(targets, WR(ts, value, qc2_prime, rnd, key))
+            return self._acks(key, ts, rnd)
+
+        rounds = yield from self._figure5(send_round)
+        # Drop the round responder sets: writer state stays
+        # O(in-flight writes) on streaming runs.
+        for rnd in (1, 2, 3):
+            self._acks.discard(key, ts, rnd)
+        self.trace.complete(
+            (record,), self.sim.now, ("OK",), rounds + extra_rounds
+        )
+        return record
+
+    def _figure5(self, send_round):
+        """Rounds 1-3 of Figure 5, for one write or one batch:
+        ``send_round(rnd, qc2_prime)`` sends round ``rnd`` and returns
+        the responder set that counts its acks.  Returns the round the
+        write completed in."""
+        # Round 1 (lines 2-3).
+        round1 = yield from self._round(send_round, 1, frozenset())
         if self.rqs.contains_quorum(round1, cls=1):
-            self._retire(ts, key)
-            self.trace.complete(
-                (record,), self.sim.now, ("OK",), 1 + extra_rounds
-            )
-            return record
+            return 1
 
         # Lines 4-5: remember fully-acking class-2 quorums.
         qc2_prime = frozenset(self.rqs.responding_quorums(round1, cls=2))
 
         # Round 2 (lines 6-7).
-        yield from self._round(ts, value, qc2_prime, 2, key, target)
-        round2 = self.acks(ts, 2, key)
+        round2 = yield from self._round(send_round, 2, qc2_prime)
         if any(q2 <= round2 for q2 in qc2_prime):
-            self._retire(ts, key)
-            self.trace.complete(
-                (record,), self.sim.now, ("OK",), 2 + extra_rounds
-            )
-            return record
+            return 2
 
         # Round 3 (lines 8-9).
-        yield from self._round(ts, value, frozenset(), 3, key, target)
-        self._retire(ts, key)
-        self.trace.complete(
-            (record,), self.sim.now, ("OK",), 3 + extra_rounds
-        )
-        return record
+        yield from self._round(send_round, 3, frozenset())
+        return 3
 
-    def _retire(self, ts: int, key: Hashable) -> None:
-        """Drop the completed write's per-round responder sets, keeping
-        writer state O(in-flight writes) on streaming runs."""
-        for rnd in (1, 2, 3):
-            self._acks.discard(key, ts, rnd)
-
-    def _targets(self, target):
-        """The servers one round contacts: the drawn quorum under a
-        strategy, the full ground set otherwise."""
-        if target is None:
-            return self.rqs.servers
-        return sorted(target, key=repr)
+    def _round(self, send_round, rnd: int, qc2_prime: FrozenSet[QuorumId]):
+        """``round(i)`` (Figure 5 lines 10-12): send to all servers (or
+        the drawn quorum), then (rounds 1-2) wait out the 2Δ timer and
+        wait for a quorum of acks.  Returns the round's responders."""
+        acks = send_round(rnd, qc2_prime)
+        quorum_acked = acks.includes_quorum(self.rqs.contains_quorum)
+        if rnd < 3:
+            yield WaitUntil(self.sim.timer_at(self.sim.now + self.timeout))
+        yield WaitUntil(quorum_acked)
+        return acks
 
     def _discover(self, key: Hashable, target=None):
         """MW timestamp discovery: the highest stored timestamp for
@@ -198,28 +223,6 @@ class StorageWriter(Process):
         views = self._discovery.close(number)
         return max(view.max_timestamp() for view in views.values())
 
-    def _round(
-        self,
-        ts: int,
-        value: Any,
-        qc2_prime: FrozenSet[QuorumId],
-        rnd: int,
-        key: Hashable,
-        target=None,
-    ):
-        """``round(i)`` (Figure 5 lines 10-12): send to all servers (or
-        the drawn quorum), then (rounds 1-2) wait out the 2Δ timer and
-        wait for a quorum of acks."""
-        self.send_all(
-            self._targets(target), WR(ts, value, qc2_prime, rnd, key)
-        )
-        quorum_acked = self.acks(ts, rnd, key).includes_quorum(
-            self.rqs.contains_quorum
-        )
-        if rnd < 3:
-            yield WaitUntil(self.sim.timer_at(self.sim.now + self.timeout))
-        yield WaitUntil(quorum_acked)
-
     # -- batched protocol --------------------------------------------------------
 
     def write_batch(self, elems: List[Tuple[Any, Hashable]]):
@@ -229,9 +232,9 @@ class StorageWriter(Process):
         round.  Because every server applies all elements before its
         single ack, the batch-level class-1 / QC'2 / round-2 decisions
         coincide exactly with each element's unbatched decisions over
-        the same responder set.  Under a strategy, one quorum draw
-        covers the whole batch.  The batch begins and completes as one
-        wave."""
+        the same responder set — :meth:`_figure5` takes them for both.
+        Under a strategy, one quorum draw covers the whole batch.  The
+        batch begins and completes as one wave."""
         records = self.trace.begin("write", self.pid, self.sim.now, elems)
         target = self.selector.next_write() if self.selector else None
         if not self.stamps.multi_writer:
@@ -253,29 +256,15 @@ class StorageWriter(Process):
         number = self._batches.open()
         targets = self._targets(target)
 
-        # Round 1 (Figure 5 lines 2-3, batch-wide).
-        yield from self._batch_round(number, ops, frozenset(), 1, targets)
-        round1 = self._batches.responders(number, 1)
-        if self.rqs.contains_quorum(round1, cls=1):
-            return self._finish_batch(number, records, 1 + extra_rounds)
+        def send_round(rnd, qc2_prime):
+            self.send_all(targets, WriteBatch(number, rnd, "", ops, qc2_prime))
+            return self._batches.responders(number, rnd)
 
-        # Lines 4-5: the class-2 quorums that fully acked round 1.
-        qc2_prime = frozenset(self.rqs.responding_quorums(round1, cls=2))
-
-        # Round 2 (lines 6-7).
-        yield from self._batch_round(number, ops, qc2_prime, 2, targets)
-        round2 = self._batches.responders(number, 2)
-        if any(q2 <= round2 for q2 in qc2_prime):
-            return self._finish_batch(number, records, 2 + extra_rounds)
-
-        # Round 3 (lines 8-9).
-        yield from self._batch_round(number, ops, frozenset(), 3, targets)
-        return self._finish_batch(number, records, 3 + extra_rounds)
-
-    def _finish_batch(self, number: int, records, rounds: int):
+        rounds = yield from self._figure5(send_round)
         self._batches.close(number, 1, 2, 3)
         self.trace.complete(
-            records, self.sim.now, ("OK",) * len(records), rounds
+            records, self.sim.now, ("OK",) * len(records),
+            rounds + extra_rounds,
         )
         return records
 
@@ -297,12 +286,3 @@ class StorageWriter(Process):
             )
             for i, key in enumerate(keys)
         }
-
-    def _batch_round(self, number, ops, qc2_prime, rnd, targets):
-        self.send_all(targets, WriteBatch(number, rnd, "", ops, qc2_prime))
-        quorum_acked = self._batches.responders(number, rnd).includes_quorum(
-            self.rqs.contains_quorum
-        )
-        if rnd < 3:
-            yield WaitUntil(self.sim.timer_at(self.sim.now + self.timeout))
-        yield WaitUntil(quorum_acked)

@@ -17,8 +17,8 @@ small specs (1–4 keys, 2–4 writers, a handful of ops) and perturbs ~60%
 of them with in-tolerance faults — a single server crash, or a lossy
 window dropping messages to or from one server.  The plain cells cover
 every storage row unbatched (7 × 75 = 525 histories); the knob cells
-cover the fast paths: ``batch_size`` 4 and ``"auto"`` on every row that
-can run them, ``bounded_history`` and a strategy-drawn quorum
+cover the fast paths: ``batch_size`` 4 on every row that can run it,
+``bounded_history`` and a strategy-drawn quorum
 (``quorum_strategy="optimal"`` on the capacitated ``grid-hetero``).
 
 Why ``naive`` only appears in SW cells: naive's reads return a stamp
@@ -49,7 +49,7 @@ class Cell(NamedTuple):
     protocol: str
     mode: str  # "sw" | "mw"
     runs: int
-    batch_size: object = 1
+    batch_size: int = 1
     bounded_history: bool = False
     rqs: object = None
     quorum_strategy: object = None
@@ -80,12 +80,11 @@ PLAIN = tuple(
 KNOB_RUNS = 25
 KNOBS = (
     *(
-        Cell(protocol, mode, KNOB_RUNS, batch_size=batch_size)
-        for batch_size in (4, "auto")
+        Cell(protocol, mode, KNOB_RUNS, batch_size=4)
         for protocol in ("rqs-storage", "abd", "fastabd")
         for mode in ("sw", "mw")
     ),
-    *(Cell("naive", "sw", KNOB_RUNS, batch_size=b) for b in (4, "auto")),
+    Cell("naive", "sw", KNOB_RUNS, batch_size=4),
     *(
         Cell("rqs-storage", mode, KNOB_RUNS, bounded_history=True)
         for mode in ("sw", "mw")

@@ -3,7 +3,7 @@
 The batched hot path must be an *optimization*, not a semantic change:
 the same closed-loop spec run with ``batch_size=N`` must complete the
 same operations, reach the same per-key final state, and carry the same
-atomicity verdict as the ``batch_size=1`` run — across all four storage
+atomicity verdict as the ``batch_size=1`` run — across all five storage
 protocols, single- and multi-writer stamping, and crash/lossy fault
 plans.  (Message counts and latencies legitimately differ — that is the
 point of batching.)
@@ -19,10 +19,9 @@ from repro.experiments import keyed_mix_spec
 from repro.scenarios import RandomMix, ScenarioSpec, run
 from repro.scenarios.faults import Crash, Delay, Drop, FaultPlan, Hold
 from repro.scenarios.workloads import Write
-from repro.sim.conditions import Event
-from repro.sim.tasks import AUTO_BATCH_MAX, _adaptive_batches
 
-STORAGE_PROTOCOLS = ("abd", "fastabd", "naive", "rqs-storage")
+STORAGE_PROTOCOLS = ("abd", "fastabd", "naive", "rqs-storage", "rqs-regular")
+RQS_PROTOCOLS = ("rqs-storage", "rqs-regular")
 
 FAULT_PLANS = {
     "fault-free": FaultPlan(),
@@ -39,7 +38,7 @@ def _spec(protocol, *, batch_size=1, n_writers=1, faults=FaultPlan(),
           seed=11):
     return ScenarioSpec(
         protocol=protocol,
-        rqs="example6" if protocol == "rqs-storage" else None,
+        rqs="example6" if protocol in RQS_PROTOCOLS else None,
         readers=3,
         n_writers=n_writers,
         n_keys=4,
@@ -52,13 +51,12 @@ def _spec(protocol, *, batch_size=1, n_writers=1, faults=FaultPlan(),
 def _final_pairs(result):
     """Per-key highest stored ``(ts, value)`` across all servers.
 
-    Batched runs may park *more* low-timestamp state (e.g. the RQS
-    batched read skips the BCD fast paths and always writes back), so
-    equivalence is on the winning pair per register, not on raw server
-    state.
+    Batching moves which reads overlap which writes, so the lower cells
+    a write-back parks differ between the runs: equivalence is on the
+    winning pair per register, not on raw server state.
     """
     servers = list(result.adapter.servers.values())
-    if result.spec.protocol == "rqs-storage":
+    if result.spec.protocol in RQS_PROTOCOLS:
         keys = set().union(*(s.histories for s in servers))
         pairs_of = lambda s, k: tuple(
             s.history_for(k).snapshot().pairs()
@@ -88,7 +86,7 @@ def test_batched_equals_unbatched_sw(protocol, fault_label):
     assert plain.summary()["operations"] == batched.summary()["operations"]
     assert plain.summary()["completed"] == batched.summary()["completed"]
     assert _final_pairs(plain) == _final_pairs(batched)
-    assert plain.atomicity.atomic == batched.atomicity.atomic
+    assert plain.atomicity.verdict == batched.atomicity.verdict
 
 
 @pytest.mark.parametrize("fault_label", sorted(FAULT_PLANS))
@@ -111,7 +109,7 @@ def test_batched_equals_unbatched_mw(protocol, fault_label):
             with pytest.raises(CheckerError, match="unsound-stamps"):
                 result.atomicity
     else:
-        assert plain.atomicity.atomic == batched.atomicity.atomic
+        assert plain.atomicity.verdict == batched.atomicity.verdict
 
     again = run(_spec(protocol, batch_size=8, n_writers=3, faults=faults))
     assert batched.fingerprint() == again.fingerprint()
@@ -147,89 +145,6 @@ def test_batch_size_one_is_byte_identical_to_default():
         assert default.fingerprint() == explicit.fingerprint()
 
 
-@pytest.mark.parametrize("fault_label", sorted(FAULT_PLANS))
-@pytest.mark.parametrize("protocol", STORAGE_PROTOCOLS)
-def test_adaptive_equals_unbatched_sw(protocol, fault_label):
-    """``batch_size="auto"`` is an optimization with the same contract
-    as a fixed batch: single-writer final state and verdict match the
-    unbatched run under every fault plan."""
-    faults = FAULT_PLANS[fault_label]
-    plain = run(_spec(protocol, batch_size=1, faults=faults))
-    adaptive = run(_spec(protocol, batch_size="auto", faults=faults))
-
-    assert plain.summary()["operations"] == adaptive.summary()["operations"]
-    assert plain.summary()["completed"] == adaptive.summary()["completed"]
-    assert _final_pairs(plain) == _final_pairs(adaptive)
-    assert plain.atomicity.atomic == adaptive.atomicity.atomic
-
-
-@pytest.mark.parametrize("fault_label", ("crash", "lossy"))
-@pytest.mark.parametrize("protocol", ("abd", "rqs-storage"))
-def test_adaptive_replay_is_deterministic(protocol, fault_label):
-    """The queue-depth feedback loop must be a pure function of the
-    spec: replaying the same adaptive spec under faults is
-    byte-identical."""
-    faults = FAULT_PLANS[fault_label]
-    first = run(_spec(protocol, batch_size="auto", n_writers=2,
-                      faults=faults))
-    again = run(_spec(protocol, batch_size="auto", n_writers=2,
-                      faults=faults))
-    assert first.fingerprint() == again.fingerprint()
-    assert _final_pairs(first) == _final_pairs(again)
-    assert first.atomicity.atomic == again.atomicity.atomic
-
-
-class _FakeSim:
-    """Just enough simulator surface to drive ``_adaptive_batches``."""
-
-    def __init__(self, now=0.0):
-        self.now = now
-        self.deadlines = {}
-
-    def timer_at(self, time):
-        timer = Event(f"t>={time}")
-        self.deadlines[timer] = time
-        return timer
-
-
-def _drain(gen, fake):
-    """Run the generator, advancing the fake clock at every wait."""
-    for waited in gen:
-        fake.now = max(fake.now, fake.deadlines[waited.condition])
-
-
-def test_adaptive_batches_respect_cap_and_clock():
-    # 80 ops already due: chunks of the cap, then the remainder.
-    sizes = []
-
-    def run_batch(elems):
-        sizes.append(len(elems))
-        return iter(())
-
-    fake = _FakeSim()
-    _drain(_adaptive_batches(
-        fake, iter([(0.0, i) for i in range(80)]), run_batch
-    ), fake)
-    assert sizes == [AUTO_BATCH_MAX, AUTO_BATCH_MAX, 80 - 2 * AUTO_BATCH_MAX]
-
-    # A sparse schedule never coalesces: one future op per batch.
-    sizes.clear()
-    fake = _FakeSim()
-    _drain(_adaptive_batches(
-        fake, iter([(10.0, "a"), (20.0, "b")]), run_batch
-    ), fake)
-    assert sizes == [1, 1]
-    assert fake.now == 20.0
-
-    # A backlog behind a due head drains together.
-    sizes.clear()
-    fake = _FakeSim(now=15.0)
-    _drain(_adaptive_batches(
-        fake, iter([(10.0, "a"), (12.0, "b"), (20.0, "c")]), run_batch
-    ), fake)
-    assert sizes == [2, 1]
-
-
 def test_batch_size_must_be_positive_int():
     with pytest.raises(ScenarioError, match="batch_size"):
         RandomMix(5, 5, horizon=10.0, batch_size=0)
@@ -237,6 +152,19 @@ def test_batch_size_must_be_positive_int():
         RandomMix(5, 5, horizon=10.0, batch_size=-3)
     with pytest.raises(ScenarioError, match="batch_size"):
         RandomMix(5, 5, horizon=10.0, batch_size="2")
+
+
+def test_batch_size_auto_is_refused():
+    """The adaptive window rule is gone (it had no experiment and no
+    gate); the word that turned it on is refused like any non-int."""
+    with pytest.raises(ScenarioError, match="batch_size must be an int"):
+        RandomMix(5, 5, horizon=10.0, batch_size="auto")
+
+
+@pytest.mark.parametrize("batch_size", (2.0, None), ids=("float", "none"))
+def test_a_batch_size_that_is_not_an_int_is_refused(batch_size):
+    with pytest.raises(ScenarioError, match="batch_size must be an int"):
+        RandomMix(5, 5, horizon=10.0, batch_size=batch_size)
 
 
 @pytest.mark.parametrize("protocol", ("paxos", "pbft", "rqs-consensus"))
@@ -253,8 +181,7 @@ def test_consensus_adapters_reject_batching(protocol):
         run(spec)
 
 
-@pytest.mark.parametrize("batch_size", (4, "auto"))
-def test_byzantine_servers_reject_batching(batch_size):
+def test_byzantine_servers_reject_batching():
     """Byzantine server variants override the unbatched handlers only,
     so a batched run would answer every ``ReadBatch`` honestly and the
     role would pass vacuously — refuse, naming both knobs."""
@@ -267,12 +194,10 @@ def test_byzantine_servers_reject_batching(batch_size):
         faults=FaultPlan(byzantine=(ByzantineRole(8, partial(
             FabricatingServer, forged_ts=999, forged_value="EVIL"
         )),)),
-        workload=(RandomMix(3, 3, horizon=10.0, batch_size=batch_size),),
+        workload=(RandomMix(3, 3, horizon=10.0, batch_size=4),),
         seed=1,
     )
-    with pytest.raises(
-        ScenarioError, match=rf"byzantine.*batch_size={batch_size!r}"
-    ):
+    with pytest.raises(ScenarioError, match=r"byzantine.*batch_size=4"):
         run(spec)
     # The same role unbatched is the supported combination.
     unbatched = spec.with_(workload=(RandomMix(3, 3, horizon=10.0),))
@@ -322,32 +247,60 @@ class TestPerElementCompletion:
         # The batch completed as two waves of one: collect, write-back.
         assert adapter.trace.waves("read") == {1: 2}
 
-    def test_rqs_cohort_completes_under_degraded_quorums(self):
-        """Both elements of a batch resolved in the same collect round
-        form one cohort: they complete together at the cohort's
-        write-back instant with the unbatched values — here under a
-        partial write plus maximal crashes (the Theorem 9 degraded
-        class), where the old whole-batch path is at its worst."""
-        result = run(ScenarioSpec(
-            "rqs-storage", rqs="example6", readers=1,
+    @pytest.mark.parametrize("protocol", RQS_PROTOCOLS)
+    def test_rqs_elements_take_their_unbatched_rounds(self, protocol):
+        """Under a partial write plus maximal crashes (the Theorem 9
+        degraded class) each element of a batch completes in the rounds,
+        at the instant and with the value its own unbatched read has on
+        the same execution."""
+        spec = ScenarioSpec(
+            protocol, rqs="example6", readers=1,
             workload=(Write(0.0, "vb", key="b"), Write(5.0, "va", key="a")),
             faults=FaultPlan(
                 crashes=[Crash(sid, 10.0) for sid in (2, 3, 4)],
                 asynchrony=(Hold(src=("writer",), dst=(1,), after=5.0),),
             ),
-        ))
-        assert result.write(1).rounds == 1
-        adapter = result.adapter
-        task = adapter.sim.spawn(
-            adapter.readers[0].read_batch(["b", "a"]), "batch read"
         )
-        adapter.sim.run_to_completion(strict=False)
-        first, second = task.result
-        assert (first.result, second.result) == ("vb", "va")
-        # One cohort: collect plus the two-round line 49 write-back.
-        assert first.rounds == second.rounds == 3
-        assert first.completed_at == second.completed_at
-        assert first.completed_at == first.invoked_at + 6.0
+
+        def read(op, *args):
+            result = run(spec)
+            assert result.write(1).rounds == 1
+            adapter = result.adapter
+            task = adapter.sim.spawn(op(adapter.readers[0])(*args))
+            adapter.sim.run_to_completion(strict=False)
+            return task.result
+
+        def seen(record):
+            return (record.result, record.ts, record.rounds,
+                    record.completed_at - record.invoked_at)
+
+        batch = read(lambda reader: reader.read_batch, ["b", "a"])
+        alone = [read(lambda reader: reader.read, key) for key in "ba"]
+        assert [seen(r) for r in batch] == [seen(r) for r in alone]
+        assert [r.result for r in batch] == ["vb", "va"]
+
+
+@pytest.mark.parametrize("batch_size", (1, 2, 16))
+@pytest.mark.parametrize("protocol", RQS_PROTOCOLS)
+def test_a_batched_read_with_no_write_in_flight_takes_one_round(
+    protocol, batch_size,
+):
+    """With no write in flight a class-1 quorum answers consistently, so
+    every read returns in one round — batched or not, atomic or regular
+    — and a batch costs one ``ReadBatch`` round to the eight servers
+    and their eight replies, with no write-back."""
+    result = run(keyed_mix_spec(
+        protocol, 4, writes=0, reads=400, readers=2, seed=5,
+        horizon=4000.0, trace_level="full", batch_size=batch_size,
+    ))
+    reads = result.reads
+    assert len(reads) == result.ops_completed("read") == 400
+    assert {record.rounds for record in reads} == {1}
+    assert result.latency("read").p99_time == 2.0
+    batches = {(record.process, record.invoked_at) for record in reads}
+    assert result.adapter.network.sent_count == 2 * 8 * len(batches)
+    per_reader = Counter(process for process, _ in batches)
+    assert max(per_reader.values()) == -(-200 // batch_size)
 
 
 def _waves_of(records, kind):
@@ -387,18 +340,6 @@ class TestCompletionWaves:
             assert result.waves(kind) == dict(sorted(Counter(
                 size for sizes in per_client.values() for size in sizes
             ).items()))
-
-    @pytest.mark.parametrize("protocol", STORAGE_PROTOCOLS)
-    def test_auto_waves_stay_under_the_cap(self, protocol):
-        result = run(_spec(protocol, batch_size="auto"))
-        sizes = {}
-        for kind in ("write", "read"):
-            sizes.update(waves := result.waves(kind))
-            assert max(waves) <= AUTO_BATCH_MAX
-            assert sum(size * n for size, n in waves.items()) == (
-                result.ops_completed(kind)
-            )
-        assert max(sizes) > 1        # "auto" did coalesce something
 
     def test_a_fastabd_batch_completes_in_a_collect_and_a_write_back_wave(
         self,

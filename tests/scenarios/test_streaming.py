@@ -279,8 +279,8 @@ class TestOpenLoop:
 #: writers is refused: ``unsound-stamps``), at each batch size.
 LIVE_ROWS = [
     (protocol, batch_size, n_writers)
-    for protocol in ("abd", "fastabd", "naive", "rqs-storage")
-    for batch_size in (1, 16, "auto")
+    for protocol in ("abd", "fastabd", "naive", "rqs-storage", "rqs-regular")
+    for batch_size in (1, 16)
     for n_writers in (1, 2)
     if not (protocol == "naive" and n_writers > 1)
 ]
@@ -308,7 +308,7 @@ def _verdict(report):
 def test_the_live_verdict_is_the_replayed_verdict(
     protocol, batch_size, n_writers,
 ):
-    rqs = protocol == "rqs-storage"
+    rqs = protocol in ("rqs-storage", "rqs-regular")
     spec = ScenarioSpec(
         protocol=protocol, rqs="example6" if rqs else None,
         params={"bounded_history": True} if rqs else {},

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.conditions import (
     AckSet,
-    AllOf,
     AnyOf,
     Check,
     ConditionMap,
@@ -125,21 +124,6 @@ class TestPrimitives:
         # signals, not polling, drive indexed wake-ups.
         assert task.result == 2.0
 
-    def test_allof_combinator(self):
-        sim = Simulator()
-        acks = AckSet()
-        timer_done = []
-
-        def coro():
-            timer = sim.timer_at(5.0)
-            yield WaitUntil(AllOf(timer, acks.at_least(1)), "both")
-            timer_done.append(sim.now)
-
-        sim.spawn(coro())
-        sim.call_at(1.0, acks.add, "a")  # quorum early, timer late
-        sim.run_to_completion()
-        assert timer_done == [5.0]
-
     def test_anyof_combinator(self):
         sim = Simulator()
         first = Event("a")
@@ -161,12 +145,9 @@ class TestPrimitives:
         assert sim.timer_at(3.0).holds()
 
     def test_labels_are_derived_when_read(self):
-        sim = Simulator()
         acks = ConditionMap(AckSet, "acks {}")(7)
         either = AnyOf(acks.includes_quorum(bool), Event("e"))
         assert either.label == "acks 7 quorum | e"
-        wait = WaitUntil(AllOf(sim.timer_at(2.0), acks.at_least(3)))
-        assert wait.label == "t>=2.0 & acks 7>=3"
         assert WaitUntil(either, "own").label == "own"
         assert ConditionMap(AckSet, "n={}")(1).at_least(2).label == "n=1>=2"
 

@@ -2,14 +2,14 @@
 
 A count threshold (``AckSet.at_least``) signals its waiters once, when
 the set reaches ``needed`` members, and a set keeps one threshold
-condition per ``needed``; ``includes_quorum`` waits and the ``AllOf`` /
-``AnyOf`` composites above them keep signalling on every change, and a
+condition per ``needed``; ``includes_quorum`` waits and the ``AnyOf``
+composites above them keep signalling on every change, and a
 discovery query keeps its responder set beside its replies.  The
 containers that signalled every derived condition on every change — and
 made a new one per ``at_least`` call — live on *only here*, verbatim,
 as the ``Reference*`` classes below.  Both worlds run the same script
 (adds and duplicate adds, several thresholds on one set, thresholds
-asked for twice, composites over timers, quorum checks, discovery
+asked for twice, a timer then a threshold, quorum checks, discovery
 queries and their late replies, keys discarded into the pool and
 recycled, tasks left parked) on one simulator each, and must agree after every simulated instant on the
 order tasks woke in, on ``holds()`` of every condition a task waited on,
@@ -27,12 +27,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.sim.conditions import (
     AckSet,
-    AllOf,
     AnyOf,
     Check,
     Condition,
     ConditionMap,
     SizeAtLeast,
+    Timer,
 )
 from repro.sim.simulator import Simulator
 from repro.sim.tasks import WaitUntil
@@ -270,29 +270,31 @@ class World:
         for step in script:
             self.sim.call_at(float(step[1]), getattr(self, "do_" + step[0])(*step[2:]))
 
-    def condition(self, wait, key, k):
+    def conditions(self, wait, key, k):
+        """What one plan step waits on, one condition after another."""
         if wait == "size":
-            return self.acks(key).at_least(k)
+            return (self.acks(key).at_least(k),)
         if wait == "quorum":
-            return self.acks(key).includes_quorum(contains_quorum)
+            return (self.acks(key).includes_quorum(contains_quorum),)
         if wait == "timer":
-            return AllOf(self.sim.timer_at(self.sim.now + k),
-                         self.acks(key).at_least(2))
+            return (self.sim.timer_at(self.sim.now + k),
+                    self.acks(key).at_least(2))
         assert wait == "either"
-        return AnyOf(self.acks(key).at_least(k),
-                     self.acks(key).includes_quorum(contains_quorum))
+        return (AnyOf(self.acks(key).at_least(k),
+                      self.acks(key).includes_quorum(contains_quorum)),)
 
     def client(self, name, plan):
         woke = []
         for wait, key, k, retire in plan:
             if wait == "query":
                 number = self.inbox.open()
-                condition = self.inbox.responders(number).at_least(k)
+                conditions = (self.inbox.responders(number).at_least(k),)
             else:
-                condition = self.condition(wait, key, k)
-            self.waited.append(condition)
-            self.labels.append(condition.label)
-            yield WaitUntil(condition)
+                conditions = self.conditions(wait, key, k)
+            for condition in conditions:
+                self.waited.append(condition)
+                self.labels.append(condition.label)
+                yield WaitUntil(condition)
             woke.append(self.sim.now)
             self.log.append((self.sim.now, name, wait, key, k))
             if wait == "query":
@@ -415,7 +417,7 @@ SCRIPTS = {
         ("add", 1, 1, 2), ("add", 2, 1, 3), ("add", 3, 1, 1),
     ],
     # Thresholds 2 and 4 on one set, 2 asked for twice (one condition),
-    # a composite over a timer, and a wait past anything that arrives.
+    # a timer then a threshold, and a wait past anything that arrives.
     "thresholds": [
         ("spawn", 0, [("size", 0, 4, False)]),
         ("spawn", 0, [("size", 0, 2, False), ("size", 0, 2, False)]),
@@ -458,8 +460,9 @@ def test_scripted_flows_exercise_what_they_claim():
     assert wakes == [(3.0, "client1"), (3.0, "client1"), (5.0, "client2"),
                      (6.0, "client0"), (7.0, "client3")]
     two = world.acks(0).at_least(2)       # asked for three times, made once
-    assert [c is two for c in world.waited].count(True) == 2
-    assert world.waited[2].children[1] is two
+    assert [c is two for c in world.waited].count(True) == 3
+    # ... the third time by client2, once its timer was set at 5.
+    assert [type(c) for c in world.waited].count(Timer) == 1
     assert seen[-1]["blocked"] == ["client4"]
     assert seen[-1]["acks"][0] == ((0,), [0, 1, 2, 4], ([2, 4, 9], 0))
 

@@ -287,10 +287,8 @@ class TestNaNTimes:
                      workload=(Propose(NAN, "V"),)),
         ScenarioSpec("abd", workload=(
             RandomMix(3, 3, horizon=10.0, start=NAN, batch_size=4),)),
-        ScenarioSpec("abd", workload=(
-            RandomMix(3, 3, horizon=10.0, start=NAN, batch_size="auto"),)),
     ], ids=["crash", "write", "read", "second-write", "propose",
-            "batched-mix", "auto-batched-mix"])
+            "batched-mix"])
     def test_a_spec_with_a_nan_time_is_refused(self, spec):
         with pytest.raises(SimulationError, match="nan"):
             run(spec)

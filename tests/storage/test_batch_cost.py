@@ -12,18 +12,42 @@ per drawn op, which the benchmark's draw ledger counts), a batched reply
 is one comprehension per message, the read decision walks the reply
 columns, the reader's ``(at, key)`` stream feeds the batch driver as it
 is, and a record's stamp is its ``ts`` slot.
+
+A batched RQS read used to pay Figure 7's line 49 write-back on every
+element — three rounds for a read its unbatched twin returns in one —
+and a batched regular read wrote back although the regular reader never
+does.  Now a batch of one costs exactly what the unbatched read costs
+(rounds, messages, simulated events) on every staged case of
+``test_batched_read_oracle.py``, a batched ``rqs-regular`` reader sends
+no ``WriteBatch``, and the one composite condition a run builds is the
+``AnyOf`` a batched read's branches park on.  A batched write runs the
+unbatched write's Figure 5 ladder, so a batch of one write costs what
+the unbatched write costs at each of the ladder's three exits, and a
+batched regular read costs what the unbatched regular read costs.
 """
 
 import dataclasses
 import random
 from collections import Counter
 
+import pytest
+
+from repro.experiments import batched as batched_tail
+from repro.core.constructions import threshold_rqs
 from repro.experiments.builders import keyed_mix_spec
-from repro.scenarios import adapters, run, workloads
+from repro.scenarios import (
+    Crash, FaultPlan, ScenarioSpec, Write, adapters, get_protocol, run,
+    workloads,
+)
+from repro.sim.conditions import _Composite
 from repro.sim.trace import OperationRecord
 from repro.storage import abd
 from repro.storage.batching import ReadBatch, WriteBatch
+from repro.storage.messages import WR
 from tests.counting import profiled
+from tests.storage.test_batched_read_oracle import (
+    HORIZON, SCRIPTS, batched, deploy,
+)
 
 OPS = 320
 SPEC = keyed_mix_spec(
@@ -100,3 +124,119 @@ def test_a_batched_op_pays_only_for_its_protocol_decision():
         field.name for field in dataclasses.fields(OperationRecord)
     }
     assert "ts" in OperationRecord.__slots__
+
+
+def _one_read(case, key, batch, protocol="rqs-storage"):
+    """Rounds, messages and simulated events of one read of ``key`` on
+    ``case``'s staged deployment: a batch of one, or unbatched."""
+    adapter = deploy(case, protocol)
+    reader = adapter.readers[0]
+    adapter.sim.spawn(reader.read_batch([key]) if batch else reader.read(key))
+    adapter.sim.run(until=HORIZON)
+    record, = adapter.trace.records
+    return (record.rounds, adapter.network.sent_count,
+            adapter.sim.events_processed)
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_a_batch_of_one_costs_an_unbatched_read(name):
+    case = SCRIPTS[name]
+    for key in dict.fromkeys(case.keys):
+        assert _one_read(case, key, True) == _one_read(case, key, False)
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_a_batch_of_one_costs_an_unbatched_regular_read(name):
+    case = SCRIPTS[name]
+    for key in dict.fromkeys(case.keys):
+        batch = _one_read(case, key, True, "rqs-regular")
+        assert batch == _one_read(case, key, False, "rqs-regular")
+        # The regular reader stops after its collect rounds.
+        assert batch[0] <= _one_read(case, key, False)[0]
+
+
+#: A threshold RQS of eight servers in which two crashes cost a write
+#: its class-1 exit and three its round-2 exit.
+WRITE_RQS = threshold_rqs(8, 3, 1, 1, 2)
+#: The servers down from the start, per exit of the Figure 5 ladder.
+WRITE_EXITS = {"class-1": (), "class-2": (1, 2), "round-3": (1, 2, 3)}
+
+
+def _one_write(crashed, n_writers, batch):
+    """What one write of key ``k`` by writer 0 showed and cost: a batch
+    of one, or unbatched — its rounds and timestamp, messages, simulated
+    events, the ``(rnd, QC'2)`` each write message carried, and the
+    servers' histories of ``k`` after it."""
+    spec = ScenarioSpec(
+        "rqs-storage", rqs=WRITE_RQS, readers=0, n_writers=n_writers,
+        workload=(Write(0.0, "v"),), trace_level="full",
+        faults=FaultPlan(crashes=tuple(Crash(sid, 0.0) for sid in crashed)),
+    )
+    adapter = get_protocol("rqs-storage").build(spec)
+    adapter.apply_faults(spec)
+    writer = adapter.writers[0]
+    adapter.sim.spawn(
+        writer.write_batch([("v", "k")]) if batch else writer.write("v", "k")
+    )
+    adapter.sim.run(until=HORIZON)
+    record, = adapter.trace.records
+    carried = [
+        (payload.rnd, payload.sets if batch else payload.qc2_ids)
+        for payload in (message.payload for message in adapter.network.log)
+        if isinstance(payload, WriteBatch if batch else WR)
+    ]
+    histories = tuple(
+        server.history_for("k").snapshot()
+        for server in adapter.servers.values()
+    )
+    return (record.rounds, record.ts, adapter.network.sent_count,
+            adapter.sim.events_processed, carried, histories)
+
+
+@pytest.mark.parametrize("n_writers", (1, 2), ids=("sw", "mw"))
+@pytest.mark.parametrize("ladder_exit", sorted(WRITE_EXITS))
+def test_a_batch_of_one_costs_an_unbatched_write(ladder_exit, n_writers):
+    crashed = WRITE_EXITS[ladder_exit]
+    batch = _one_write(crashed, n_writers, True)
+    assert batch == _one_write(crashed, n_writers, False)
+    # Discovery is one more round for a multi-writer.
+    rounds = {"class-1": 1, "class-2": 2, "round-3": 3}[ladder_exit]
+    assert batch[0] == rounds + (n_writers > 1)
+
+
+def test_a_batched_regular_reader_never_writes_back():
+    # E17's batched rqs-storage tail cell: its atomic reads write back.
+    spec = batched_tail.TAIL_GRID.build({
+        "protocol": "rqs-storage", "batch": batched_tail.TAIL_BATCH,
+        "plan": "tail", "seed": batched_tail.TAIL_SEED,
+    })
+
+    def reader_write_backs(protocol):
+        result = run(spec.with_(protocol=protocol))
+        assert result.ops_completed("read") == batched_tail.TAIL_READS
+        readers = {reader.pid for reader in result.adapter.readers}
+        return sum(
+            isinstance(message.payload, WriteBatch)
+            for message in result.adapter.network.log
+            if message.src in readers
+        )
+
+    assert reader_write_backs("rqs-storage") > 0
+    assert reader_write_backs("rqs-regular") == 0
+
+
+def test_the_one_composite_built_is_the_batched_reads_anyof():
+    composite = _Composite.__init__.__code__
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is composite:
+            return type(frame.f_locals["self"]).__name__
+        return None
+
+    # One element collects a second round while the other's write-back
+    # group runs: the batch's task parks on the two branches' AnyOf.
+    elements, calls = profiled(
+        lambda: batched(SCRIPTS["second-round"]), count
+    )
+    assert [element["rounds"] for element in elements] == [4, 3]
+    assert set(calls) == {"AnyOf"}
