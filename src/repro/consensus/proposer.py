@@ -185,7 +185,7 @@ class Proposer(Process):
                     return False
 
                 condition = Check(
-                    some_fresh_quorum, f"{self.pid} consult view {view}"
+                    some_fresh_quorum, "{} consult view {}", (self.pid, view)
                 )
                 self._consult_watches.append(condition)
                 try:

@@ -175,14 +175,20 @@ def check_property3(
 # the mask of the family's ``i``-th member).  A system that holds its
 # masks (:class:`repro.core.rqs.RefinedQuorumSystem`) calls these; the
 # ``check_property*`` entry points above convert and delegate.  Each
-# distinct intersection is decided once; the walk is in index order, so
-# the witness is that of the first failing index pair (an earlier pair
-# with the same failing intersection would have been returned first).
+# property is *decided* by a ``property*_failing`` search, which returns
+# the indices of the first failing instance (or ``None``) and builds
+# nothing; its ``property*_witness`` names that instance's witness.
+# Each distinct intersection is decided once; the walk is in index
+# order, so the witness is that of the first failing index pair (an
+# earlier pair with the same failing intersection would have been
+# returned first).
 
 
-def property1_witness(
-    adversary: Adversary, quorums: Sequence[Subset], masks: Sequence[int]
-) -> Optional[P1Witness]:
+def property1_failing(
+    adversary: Adversary, masks: Sequence[int]
+) -> Optional[Tuple[int, int]]:
+    """``(i, j)``, ``i <= j``, of the first two quorums whose
+    intersection is in ``B``."""
     corruptible = adversary.contains_mask
     passed = set()
     for i, q in enumerate(masks):
@@ -191,8 +197,43 @@ def property1_witness(
             if meet in passed:
                 continue
             if corruptible(meet):
-                return P1Witness(quorums[i], quorums[j])
+                return i, j
             passed.add(meet)
+    return None
+
+
+def property1_witness(
+    adversary: Adversary, quorums: Sequence[Subset], masks: Sequence[int]
+) -> Optional[P1Witness]:
+    failing = property1_failing(adversary, masks)
+    if failing is None:
+        return None
+    i, j = failing
+    return P1Witness(quorums[i], quorums[j])
+
+
+def property2_failing(
+    adversary: Adversary, qc1_masks: Sequence[int], masks: Sequence[int]
+) -> Optional[Tuple[int, int, int]]:
+    """``(i, j, k)`` of the first ``QC1[i] ∩ QC1[j] ∩ RQS[k]`` that is
+    not large — "not a subset of the union of any two elements of B" is
+    exactly ``Adversary.is_large_mask``."""
+    large = adversary.is_large_mask
+    pairs = set()
+    passed = set()
+    for i, q1 in enumerate(qc1_masks):
+        for j in range(i, len(qc1_masks)):
+            pair = q1 & qc1_masks[j]
+            if pair in pairs:
+                continue
+            pairs.add(pair)
+            for k, q in enumerate(masks):
+                triple = pair & q
+                if triple in passed:
+                    continue
+                if not large(triple):
+                    return i, j, k
+                passed.add(triple)
     return None
 
 
@@ -203,26 +244,38 @@ def property2_witness(
     quorums: Sequence[Subset],
     masks: Sequence[int],
 ) -> Optional[P2Witness]:
-    """"Not a subset of the union of any two elements of B" is exactly
-    ``Adversary.is_large_mask``; a witness needs the explicit covering
-    pair, which we recover from the maximal sets."""
-    large = adversary.is_large_mask
-    pairs = set()
+    """The first failing triple, with the explicit covering pair
+    recovered from the maximal sets."""
+    failing = property2_failing(adversary, qc1_masks, masks)
+    if failing is None:
+        return None
+    i, j, k = failing
+    b1, b2 = _covering_pair(
+        adversary, qc1_masks[i] & qc1_masks[j] & masks[k]
+    )
+    return P2Witness(qc1[i], qc1[j], quorums[k], b1, b2)
+
+
+def property3_failing(
+    adversary: Adversary,
+    qc1_masks: Sequence[int],
+    qc2_masks: Sequence[int],
+    masks: Sequence[int],
+) -> Optional[Tuple[int, int]]:
+    """``(i, j)`` of the first pair ``(QC2[i], RQS[j])`` that fails
+    Property 3, with no element of ``B`` enumerated.  P3a and P3b see
+    the pair only through ``Q2 ∩ Q``, so each distinct intersection is
+    decided once, on the maximal sets of ``B``
+    (:func:`_fails_property3`)."""
     passed = set()
-    for i, q1 in enumerate(qc1_masks):
-        for j in range(i, len(qc1_masks)):
-            pair = q1 & qc1_masks[j]
-            if pair in pairs:
+    for i, q2 in enumerate(qc2_masks):
+        for j, q in enumerate(masks):
+            base = q2 & q
+            if base in passed:
                 continue
-            pairs.add(pair)
-            for index, q in enumerate(masks):
-                triple = pair & q
-                if triple in passed:
-                    continue
-                if not large(triple):
-                    b1, b2 = _covering_pair(adversary, triple)
-                    return P2Witness(qc1[i], qc1[j], quorums[index], b1, b2)
-                passed.add(triple)
+            if _fails_property3(adversary, qc1_masks, base):
+                return i, j
+            passed.add(base)
     return None
 
 
@@ -235,20 +288,13 @@ def property3_witness(
     quorums: Sequence[Subset],
     masks: Sequence[int],
 ) -> Optional[P3Witness]:
-    """P3a and P3b see the pair ``(Q2, Q)`` only through ``Q2 ∩ Q``:
-    each distinct intersection is *decided* once, on the maximal sets of
-    ``B`` (:func:`_fails_property3`); only the one failing pair is then
-    walked element by element (:func:`_first_p3_witness`)."""
-    passed = set()
-    for i, q2 in enumerate(qc2_masks):
-        for j, q in enumerate(masks):
-            base = q2 & q
-            if base in passed:
-                continue
-            if _fails_property3(adversary, qc1_masks, base):
-                return _first_p3_witness(adversary, qc1, qc2[i], quorums[j])
-            passed.add(base)
-    return None
+    """The first failing pair, walked element by element for its
+    witness (:func:`_first_p3_witness`)."""
+    failing = property3_failing(adversary, qc1_masks, qc2_masks, masks)
+    if failing is None:
+        return None
+    i, j = failing
+    return _first_p3_witness(adversary, qc1, qc2[i], quorums[j])
 
 
 def _fails_property3(
@@ -283,9 +329,9 @@ def _first_p3_witness(
     """The first ``B`` — in the order of ``Adversary.enumerate`` on the
     restriction to ``Q2 ∩ Q``, so not necessarily a maximal one — for
     which P3a and P3b both fail on a pair that :func:`_fails_property3`
-    has decided fails.  Every earlier pair passed, so this is the first
-    witness of the whole check; it is the only place Property 3 still
-    enumerates elements of ``B``."""
+    has decided fails (:func:`property3_failing`).  Every earlier
+    pair passed, so this is the first witness of the whole check; it is
+    the only place Property 3 enumerates elements of ``B``."""
     base = q2 & q
     if not base:
         # An empty intersection fails P3a (∅ ∈ B by closure) and P3b

@@ -43,7 +43,7 @@ def _minimal_masks(masks: Iterable[int]) -> Tuple[int, ...]:
     """
     kept: list = []
     ordered = sorted(
-        set(masks) - {0}, key=lambda mask: (bin(mask).count("1"), mask)
+        set(masks) - {0}, key=lambda mask: (mask.bit_count(), mask)
     )
     for mask in ordered:
         if not any(small & mask == small for small in kept):
@@ -64,9 +64,11 @@ class QuorumIndex:
     instead of re-scanning frozenset families per ack.
 
     The tables are deliberately compact — plain ints, distinct and
-    minimal sets only, filled lazily: a finished run keeps its system
-    (and whatever hangs off it) alive until a full garbage collection,
-    and the exhibit grids keep a thousand of them.  Only ``is_basic``
+    minimal sets only, filled lazily: a system is shared by every run
+    that resolves its name or construction string (the resolver keeps
+    the registered names and the last eight strings,
+    :func:`repro.scenarios.resolve_rqs`), and a finished run keeps its
+    own system alive until a full garbage collection.  Only ``is_basic``
     is memoised by subset (the adversary's answer is the one costly
     question, and the reader asks it of holder sets, a handful per
     read); quorum containment is a scan of ``masks`` — or, when the
@@ -416,8 +418,27 @@ class RefinedQuorumSystem:
         """All violated properties with witnesses (possibly empty)."""
         return tuple(self._witnesses())
 
+    def violated(self) -> Tuple[str, ...]:
+        """The names of the violated properties, in the order P1, P2,
+        P3 — what :meth:`violations` names, decided without building a
+        witness (the ``property*_failing`` searches of
+        :mod:`repro.core.properties`), so ``B`` is never walked to name
+        one."""
+        adversary = self._adversary
+        masks = self._masks
+        failing = (
+            props.property1_failing(adversary, masks[3]),
+            props.property2_failing(adversary, masks[1], masks[3]),
+            props.property3_failing(adversary, masks[1], masks[2], masks[3]),
+        )
+        return tuple([
+            name for name, found in zip(("P1", "P2", "P3"), failing)
+            if found is not None
+        ])
+
     def is_valid(self) -> bool:
-        return self.first_violation() is None
+        """Do Properties 1–3 hold (:meth:`violated` names none)?"""
+        return not self.violated()
 
     # -- quorum selection helpers (used by protocol clients) -----------------
 

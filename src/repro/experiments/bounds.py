@@ -14,7 +14,11 @@ sufficient, i.e. tight).
 
 It is an *analytic* sweep: :func:`bounds_grid` enumerates the parameter
 space as one labeled axis and the ``evaluate`` hook checks each point in
-closed form — no scenario execution involved.
+closed form — no scenario execution involved.  The exhibit decides, it
+does not explain: a point asks only which properties fail
+(:meth:`~repro.core.rqs.RefinedQuorumSystem.violated`), so no witness of
+a violation is built; ``violations()`` names one for a reader who wants
+to see why.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ def parameter_space(max_n: int) -> Iterator[Tuple[int, int, int, int, int]]:
 def _evaluate_point(point: Mapping) -> Mapping:
     n, t, k, q, r = point["params"]
     rqs = threshold_rqs(n, t, k, q, r, validate=False)
-    violated = {name for name, _ in rqs.violations()}
+    violated = rqs.violated()
     actual = tuple(name not in violated for name in ("P1", "P2", "P3"))
     predicted = threshold_rqs_predicted_properties(n, t, k, q, r)
     match = actual == predicted

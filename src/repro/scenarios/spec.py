@@ -12,6 +12,7 @@ checked :class:`~repro.scenarios.result.RunResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
@@ -41,10 +42,13 @@ STRATEGY_NAMES = ("uniform", "optimal")
 
 _NAMED_RQS: Dict[str, Callable[[], RefinedQuorumSystem]] = {}
 #: The system each registered name resolved to, built (and validated)
-#: once per process.  Bounded by the registry; parameterized strings
-#: such as ``"threshold:8,3,1,1,2"`` are built afresh every time, so a
-#: grid over a thousand of them retains nothing.
+#: once per process and never evicted: the registry bounds it.
+#: Construction strings such as ``"threshold:8,3,1,1,2"`` are kept by
+#: :func:`_construct`, a bounded cache instead.
 _BUILT_RQS: Dict[str, RefinedQuorumSystem] = {}
+
+#: The construction-string kinds :func:`_construct` builds.
+_CONSTRUCTIONS = ("threshold", "majority", "byzantine", "pbft")
 
 
 def register_rqs(name: str, factory: Callable[[], RefinedQuorumSystem]) -> None:
@@ -76,9 +80,7 @@ def resolve_rqs(spec: RqsSpec) -> Optional[RefinedQuorumSystem]:
     Accepts an instance, a planning-level
     :class:`~repro.core.algebra.QuorumSystem` (lifted via its
     :meth:`~repro.core.algebra.QuorumSystem.to_rqs`), ``None`` (for
-    protocols that do not take an RQS), a registered name — every
-    resolution of one name in a process yields the same instance (a
-    system is immutable apart from its lazily built index) — or a
+    protocols that do not take an RQS), a registered name or a
     parameterized construction string:
 
     * ``"threshold:n,t,k,q,r"`` — Example 6 (append ``,novalidate`` to
@@ -86,6 +88,13 @@ def resolve_rqs(spec: RqsSpec) -> Optional[RefinedQuorumSystem]:
     * ``"majority:n"`` — Example 2,
     * ``"byzantine:n"`` — Example 3,
     * ``"pbft:t"`` — the ``n = 3t + 1`` instantiation.
+
+    A system is immutable apart from its lazily built index, so one
+    built from a string is shared, like a registered one: every
+    resolution of one name in a process yields the same instance, and
+    so does every resolution of one construction string while it is
+    among the last eight built (:func:`_construct`).  A grid over a
+    thousand distinct strings therefore keeps at most eight systems.
     """
     if spec is None or isinstance(spec, RefinedQuorumSystem):
         return spec
@@ -101,32 +110,39 @@ def resolve_rqs(spec: RqsSpec) -> Optional[RefinedQuorumSystem]:
         if rqs is None:
             rqs = _BUILT_RQS[spec] = _NAMED_RQS[spec]()
         return rqs
-    if ":" in spec:
-        kind, _, arg_text = spec.partition(":")
-        args = [a.strip() for a in arg_text.split(",") if a.strip()]
-        try:
-            if kind == "threshold":
-                validate = True
-                if args and args[-1] == "novalidate":
-                    validate = False
-                    args = args[:-1]
-                n, t, k, q, r = (int(a) for a in args)
-                return threshold_rqs(n, t, k, q, r, validate=validate)
-            if kind == "majority":
-                (n,) = (int(a) for a in args)
-                return majority_quorum_system(n)
-            if kind == "byzantine":
-                (n,) = (int(a) for a in args)
-                return byzantine_quorum_system(n)
-            if kind == "pbft":
-                (t,) = (int(a) for a in args)
-                return pbft_style_rqs(t)
-        except ValueError as exc:
-            raise ScenarioError(f"bad RQS construction {spec!r}: {exc}")
+    kind, colon, _ = spec.partition(":")
+    if colon and kind in _CONSTRUCTIONS:
+        return _construct(spec)
     raise ScenarioError(
         f"unknown RQS name {spec!r}; known names: {', '.join(named_rqs())} "
         f"or threshold:n,t,k,q,r / majority:n / byzantine:n / pbft:t"
     )
+
+
+@lru_cache(maxsize=8)
+def _construct(spec: str) -> RefinedQuorumSystem:
+    """Parse and build a construction string (its kind is one of
+    :data:`_CONSTRUCTIONS`) — validated, unless it says
+    ``novalidate``, once per string while it stays cached.  A string
+    that fails to parse or to validate raises, and nothing is kept."""
+    kind, _, arg_text = spec.partition(":")
+    args = [a.strip() for a in arg_text.split(",") if a.strip()]
+    try:
+        if kind == "threshold":
+            validate = True
+            if args and args[-1] == "novalidate":
+                validate = False
+                args = args[:-1]
+            n, t, k, q, r = (int(a) for a in args)
+            return threshold_rqs(n, t, k, q, r, validate=validate)
+        (size,) = (int(a) for a in args)
+        if kind == "majority":
+            return majority_quorum_system(size)
+        if kind == "byzantine":
+            return byzantine_quorum_system(size)
+        return pbft_style_rqs(size)
+    except ValueError as exc:
+        raise ScenarioError(f"bad RQS construction {spec!r}: {exc}")
 
 
 # -- the spec itself -----------------------------------------------------------

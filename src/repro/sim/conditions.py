@@ -48,9 +48,9 @@ only to leave it as it was.  A set holds one threshold condition per
 reused across rounds stays as small as its distinct thresholds.  :meth:`AckSet.includes_quorum`
 waits (a :class:`Check`) and composites keep signalling on every change.
 
-Labels are for people: a set's, a threshold's, a timer's and a
-composite's are formatted only when read (a ``repr``, a debugger), never
-on the simulated path.
+Labels are for people: a set's, a threshold's, a check's, a timer's
+and a composite's are formatted only when read (a ``repr``, a
+debugger), never on the simulated path.
 
 :class:`~repro.sim.tasks.WaitUntil` takes nothing but a condition — the
 ROADMAP's third invariant; a bare callable is refused.
@@ -157,20 +157,39 @@ class Timer(Event):
         return f"t>={self.time}"
 
 
+def _format(template: str, key: Optional[Tuple]) -> str:
+    """A container's or a check's label: ``template`` as given, or
+    filled with the key — the :class:`ConditionMap` key a container was
+    made for, the one a :class:`Check` was given."""
+    return template if key is None else template.format(*key)
+
+
 class Check(Condition):
     """An explicitly-signalled arbitrary predicate.
 
     The owning process calls :meth:`signal` from every handler that
     mutates the predicate's inputs.  This keeps complicated waits (the
     RQS reader's candidate predicates, the consult-phase quorum search)
-    verbatim while still indexing their wake-ups.
+    verbatim while still indexing their wake-ups.  Its label is a
+    template and the ``key`` that fills it, as an :class:`AckSet`'s is
+    (formatted when read).
     """
 
-    __slots__ = ("_predicate",)
+    __slots__ = ("_predicate", "_key")
 
-    def __init__(self, predicate: Callable[[], bool], label: str = ""):
+    def __init__(
+        self,
+        predicate: Callable[[], bool],
+        label: str = "",
+        key: Optional[Tuple] = None,
+    ):
         super().__init__(label)
         self._predicate = predicate
+        self._key = key
+
+    @property
+    def label(self) -> str:
+        return _format(self._label, self._key)
 
     def holds(self) -> bool:
         return self._predicate()
@@ -186,6 +205,7 @@ class IncludesQuorum(Check):
         self, acks: "AckSet", contains_quorum: Callable[["AckSet"], bool]
     ):
         self._label = ""
+        self._key = None
         self._sim = None
         self._parents = None
         self._predicate = partial(contains_quorum, acks)
@@ -194,12 +214,6 @@ class IncludesQuorum(Check):
     @property
     def label(self) -> str:
         return f"{self._acks.label} quorum"
-
-
-def _format(template: str, key: Optional[Tuple]) -> str:
-    """A container's label: ``template`` as given, or filled with the
-    :class:`ConditionMap` key it was made for."""
-    return template if key is None else template.format(*key)
 
 
 class AckSet(set):

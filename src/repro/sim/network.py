@@ -52,8 +52,10 @@ joins the receiver's ``delivered`` history.
   predicates of relevant rules.  ``send`` / ``send_all`` look the
   channel up themselves and skip ``_resolve`` when it has no candidate
   (``_resolve`` builds the entry the first time it meets a channel);
-  rule-free networks skip matching entirely.  Rules are fixed at
-  construction, so an entry is never invalidated.
+  rule-free networks skip matching entirely, and so does a network
+  once the last rule window has closed (a ``lossy_until_gst`` run after
+  GST): a rule matches a send time before its ``until`` only.  Rules
+  are fixed at construction, so an entry is never invalidated.
 * **Trace levels** — :class:`TraceLevel` says how much message history
   is retained.  ``FULL`` (the default) keeps the complete
   :attr:`Network.log`; ``METRICS`` builds no record for a delivered
@@ -244,6 +246,13 @@ class Network:
         self.full_trace = self.trace_level >= TraceLevel.FULL
         #: The delivery rules, first match wins; fixed for the run.
         self._rules = tuple(rules)
+        #: When the last rule window closes: a message sent from then on
+        #: matches no rule (``-inf`` without rules; a NaN ``until``
+        #: matches nothing, so it closes nothing).
+        self._rules_until = max(
+            (rule.until for rule in self._rules if rule.until == rule.until),
+            default=float("-inf"),
+        )
         self._processes: Dict[ProcessId, "object"] = {}
         self.log: List[Message] = []
         self.in_transit: List[Message] = []
@@ -292,8 +301,9 @@ class Network:
             self.log.append(message)
         self.sent_count += 1
         delay = self.delta
-        # ``_resolve`` only for a channel that has (or may have) rules.
-        if self._rules and self._rule_index.get((src, dst)) != ():
+        # ``_resolve`` only for a channel that has (or may have) rules,
+        # while some rule's window is open.
+        if now < self._rules_until and self._rule_index.get((src, dst)) != ():
             action = self._resolve(src, dst, payload, now)
             if action == HOLD or action == DROP:
                 if message is None:
@@ -322,10 +332,10 @@ class Network:
         processes = self._processes
         full_trace = self.full_trace
         log = self.log
-        # The channels' rule candidates — ``None`` when no rule exists
-        # (then no channel has one); ``_resolve`` is skipped for a
-        # channel whose entry is empty.
-        rule_index = self._rule_index if self._rules else None
+        # The channels' rule candidates — ``None`` when no rule can
+        # match any more (none exists, or every window has closed);
+        # ``_resolve`` is skipped for a channel whose entry is empty.
+        rule_index = self._rule_index if now < self._rules_until else None
         deliver = self._deliver_block
         default_time = now + self.delta
         seq = sim._seq

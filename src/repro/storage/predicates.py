@@ -83,9 +83,10 @@ class ReadState:
         self.view: Dict[ServerId, HistoryView] = {}
         self.highest_ts: int = 0                        # (line 29)
         # The round-1 ack mask ``freeze_round1`` fixed, and ``QC'2``
-        # listed from it on first use (lines 30-31).
+        # (lines 30-31) as the masks of its class-2 quorums, listed from
+        # it on first use.
         self._round1 = 0
-        self._qc2_responded: Optional[Tuple[QuorumId, ...]] = None
+        self._qc2: Optional[Tuple[int, ...]] = None
         self._watchers: List[Condition] = []
         self._responded = 0                   # mask of ``view``'s servers
         self._round_acks: Dict[int, int] = {}           # rnd -> ack mask
@@ -158,13 +159,17 @@ class ReadState:
         for slot in _SLOTS:
             touched0[slot] &= keep
 
-    def when(self, predicate, label: str = "") -> Condition:
-        """An ack-indexed wait on any predicate over this state.
+    def when(
+        self, predicate, label: str = "", key: Optional[Tuple] = None
+    ) -> Condition:
+        """An ack-indexed wait on any predicate over this state
+        (``label`` a template ``key`` fills, when read — as
+        :class:`~repro.sim.conditions.Check` takes them).
 
         Pair with :meth:`unwatch` once the wait resumes, so completed
         rounds stop fanning signals out to dead conditions.
         """
-        condition = Check(predicate, label)
+        condition = Check(predicate, label, key)
         self._watchers.append(condition)
         return condition
 
@@ -192,22 +197,23 @@ class ReadState:
                 highest = pair.ts
         self.highest_ts = highest
         self._round1 = self._round_acks.get(1, 0)
-        self._qc2_responded = None
+        self._qc2 = None
+
+    def _qc2_masks(self) -> Tuple[int, ...]:
+        """``QC'2`` (lines 30-31) as masks: the class-2 quorums that
+        fully answered round 1 as :meth:`freeze_round1` fixed it —
+        listed on first use, since only ``BCD(c, 2, R)`` reads them and
+        a read the class-1 detector completes never does."""
+        qc2 = self._qc2
+        if qc2 is None:
+            qc2 = self._qc2 = self._ix.responding(self._round1, 2)
+        return qc2
 
     @property
     def qc2_responded(self) -> Tuple[QuorumId, ...]:
-        """``QC'2`` (lines 30-31): the class-2 quorums that fully
-        answered round 1 as :meth:`freeze_round1` fixed it — listed on
-        first use, since only ``BCD(c, 2, R)`` reads them and a read the
-        class-1 detector completes never does."""
-        qc2 = self._qc2_responded
-        if qc2 is None:
-            ix = self._ix
-            quorum_at = ix.quorum_at
-            qc2 = self._qc2_responded = tuple([
-                quorum_at[mask] for mask in ix.responding(self._round1, 2)
-            ])
-        return qc2
+        """``QC'2`` (lines 30-31) as quorum ids."""
+        quorum_at = self._ix.quorum_at
+        return tuple([quorum_at[mask] for mask in self._qc2_masks()])
 
     # -- low-level lookups --------------------------------------------------------
 
@@ -428,13 +434,15 @@ class ReadState:
 
     def bcd2(self, c: Pair, big_r: int) -> Tuple[QuorumId, ...]:
         """``BCD(c, 2, R)`` (line 2): the class-2 quorums of ``QC'2`` that
-        are "confirmed" through some class-``R`` quorum."""
+        are "confirmed" through some class-``R`` quorum.  ``QC'2`` is
+        walked as masks; only a confirmed one is turned back into its
+        quorum id."""
         ix = self._ix
+        meets = ix.meets
         missing = ~self.holders(c, big_r)
-        return tuple(
-            q2
-            for q2 in self.qc2_responded
-            if any(
-                not meet & missing for meet in ix.meets(big_r, ix.mask(q2))
-            )
-        )
+        quorum_at = ix.quorum_at
+        return tuple([
+            quorum_at[q2]
+            for q2 in self._qc2_masks()
+            if any(not meet & missing for meet in meets(big_r, q2))
+        ])

@@ -157,14 +157,14 @@ class StorageReader(StorageClient):
 
             quorum_cond = state.when(
                 partial(state.round_quorum, read_rnd),
-                f"read#{self.read_no} round {read_rnd}",
+                "read#{} round {}", (self.read_no, read_rnd),
             )
             try:
                 yield WaitUntil(quorum_cond)
             finally:
                 state.unwatch(quorum_cond)
             if read_rnd == 1:
-                yield WaitUntil(timer, f"read#{self.read_no} round-1 timer")
+                yield WaitUntil(timer)
                 state.freeze_round1()
             candidates = state.candidates()
             if candidates:

@@ -278,7 +278,8 @@ def assert_same_witnesses(adversary, classifications):
                 props.check_property2(adversary, qc1, quorums),
                 props.check_property3(adversary, qc1, qc2, quorums),
             )
-            system = (rqs.violations(), rqs.first_violation(), rqs.is_valid())
+            system = (rqs.violations(), rqs.first_violation(),
+                      rqs.is_valid(), rqs.violated())
             return {"checks": checks, "system": system,
                     "maximal_sets": adversary.maximal_sets()}
         named = tuple(
@@ -289,7 +290,8 @@ def assert_same_witnesses(adversary, classifications):
             if witness is not None
         )
         return {"checks": reference_answers(side, qc1, qc2, quorums),
-                "system": (named, named[0] if named else None, not named),
+                "system": (named, named[0] if named else None, not named,
+                           tuple(name for name, _ in named)),
                 "maximal_sets": side.maximal_sets()}
 
     agree(reference_of(adversary), adversary, classifications, witnesses)

@@ -7,8 +7,11 @@ it — through ``cell.unwrap()`` where a fact is not a metric (the rule a
 checker names, the values two executions returned).
 """
 
+from collections import Counter
+
 import pytest
 
+from repro.core import properties
 from repro.core.constructions import (
     threshold_rqs,
     threshold_rqs_predicted_valid,
@@ -29,6 +32,7 @@ from repro.experiments import (
     theorem6,
 )
 from repro.scenarios import FaultPlan, run_grid
+from tests.counting import counted
 
 
 def _sweep(grid):
@@ -144,6 +148,27 @@ class TestBounds:
         assert sweep.verdict_counts() == {"match": len(sweep.cells)}
         # Necessity is exercised: some points sit one short of validity.
         assert any(cell.metrics["boundary"] for cell in sweep.cells)
+
+    def test_the_decision_names_what_the_witnesses_name(self):
+        """The exhibit asks ``violated()``, so it no longer cross-checks
+        the witness builder: here it is, on every point of the grid."""
+        points = list(bounds.parameter_space(7))
+        assert len(points) == 953
+        for params in points:
+            rqs = threshold_rqs(*params, validate=False)
+            assert rqs.violated() == tuple(
+                name for name, _ in rqs.violations()
+            ), params
+
+    def test_the_grid_builds_no_witness(self, monkeypatch):
+        built = Counter()
+        for witness in ("_first_p3_witness", "_covering_pair"):
+            monkeypatch.setattr(properties, witness, counted(
+                properties, witness, built
+            ))
+        sweep = run_grid(bounds.bounds_grid(7))
+        assert sweep.verdict_counts() == {"match": 953}
+        assert built == {}
 
     def test_minimal_sizes(self):
         """The PBFT-style instantiation (q=0, r=k=t): the smallest n."""

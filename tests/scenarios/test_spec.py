@@ -1,11 +1,17 @@
 """Spec construction, named RQS resolution and registry error cases."""
 
 import dataclasses
+import gc
+import weakref
+from collections import Counter
 
 import pytest
 
+from repro.core import rqs as rqs_module
 from repro.core.rqs import RefinedQuorumSystem
-from repro.errors import ScenarioError, UnknownProtocolError
+from repro.errors import PropertyViolation, ScenarioError, UnknownProtocolError
+from repro.experiments import stress
+from repro.scenarios import spec as spec_module
 from repro.scenarios import (
     FaultPlan,
     RandomMix,
@@ -16,7 +22,9 @@ from repro.scenarios import (
     named_rqs,
     resolve_rqs,
     run,
+    run_grid,
 )
+from tests.counting import counted
 
 
 class TestScenarioSpec:
@@ -84,15 +92,6 @@ class TestNamedRqs:
             assert not rqs.is_valid()
             assert [name for name, _ in rqs.violations()] == ["P3"]
 
-    def test_construction_strings_are_not_kept(self):
-        """Only registered names are held on to: a grid over a thousand
-        ``threshold:...`` literals must retain nothing."""
-        from repro.scenarios import spec as spec_module
-
-        first = resolve_rqs("threshold:8,3,1,1,2")
-        assert resolve_rqs("threshold:8,3,1,1,2") is not first
-        assert set(spec_module._BUILT_RQS) <= set(named_rqs())
-
     def test_threshold_construction_string(self):
         rqs = resolve_rqs("threshold:8,3,1,1,2")
         assert len(rqs.ground_set) == 8 and rqs.is_valid()
@@ -113,6 +112,81 @@ class TestNamedRqs:
     def test_bad_construction_string_raises(self):
         with pytest.raises(ScenarioError):
             resolve_rqs("threshold:8,oops")
+
+
+def distinct_literals(count):
+    """``count`` distinct construction strings, each the small valid
+    ``threshold:4,1,0,0,0`` (an empty argument is skipped)."""
+    return [f"threshold:4,1,0,0,0{',' * extra}" for extra in range(count)]
+
+
+class TestSharedConstructions:
+    """A construction string resolves to one shared system while it is
+    among the last eight built; registered names are kept for good."""
+
+    def test_one_string_is_one_instance_while_cached(self):
+        spec_module._construct.cache_clear()
+        for text in ("threshold:8,3,1,1,2", "threshold:8,3,1,1,3,novalidate",
+                     "majority:5", "byzantine:7", "pbft:1"):
+            rqs = resolve_rqs(text)
+            assert resolve_rqs(text) is rqs
+            assert ScenarioSpec("rqs-storage", rqs=text).resolved_rqs() is rqs
+
+    def test_a_thousand_literals_leave_at_most_eight_cached(self):
+        first = weakref.ref(resolve_rqs("threshold: 4,1,0,0,0"))
+        for text in distinct_literals(1000):
+            resolve_rqs(text)
+        info = spec_module._construct.cache_info()
+        assert info.maxsize == 8 and info.currsize <= 8
+        gc.collect()
+        assert first() is None
+        assert set(spec_module._BUILT_RQS) <= set(named_rqs())
+
+    def test_registered_names_are_never_evicted(self):
+        named = {name: resolve_rqs(name) for name in named_rqs()}
+        for text in distinct_literals(3 * 8):
+            resolve_rqs(text)
+        for name, rqs in named.items():
+            assert resolve_rqs(name) is rqs
+
+    def test_a_refused_string_is_not_kept(self):
+        spec_module._construct.cache_clear()
+        with pytest.raises(PropertyViolation):
+            resolve_rqs("threshold:8,3,1,1,3")
+        with pytest.raises(ScenarioError):
+            resolve_rqs("majority:five")
+        assert spec_module._construct.cache_info().currsize == 0
+
+    def test_serial_and_multiprocessing_stress_grids_are_byte_identical(self):
+        grid = stress.storage_stress_grid(range(5000, 5004))
+        serial = run_grid(grid).to_json()
+        assert serial == run_grid(
+            grid, executor="multiprocessing", processes=2
+        ).to_json()
+
+    def test_the_stress_cells_build_validate_and_index_one_system(
+        self, monkeypatch
+    ):
+        """E6's eight cells name one construction string: the first
+        builds (and validates) the system and fills the index tables
+        its reads ask for, the other seven find both done."""
+        spec_module._construct.cache_clear()
+        calls = Counter()
+        monkeypatch.setattr(RefinedQuorumSystem, "__init__", counted(
+            RefinedQuorumSystem, "__init__", calls
+        ))
+        monkeypatch.setattr(rqs_module, "_minimal_masks", counted(
+            rqs_module, "_minimal_masks", calls
+        ))
+        seeds = range(5000, 5008)
+        first = run_grid(stress.storage_stress_grid(seeds[:1]))
+        assert calls["__init__"] == 1 and calls["_minimal_masks"] > 0
+        calls.clear()
+        rest = run_grid(stress.storage_stress_grid(seeds[1:]))
+        assert calls == {}
+        assert (first.verdict_counts(), rest.verdict_counts()) == (
+            {"wait-free atomic": 1}, {"wait-free atomic": 7}
+        )
 
 
 class TestRegistry:

@@ -150,6 +150,13 @@ class TestPrimitives:
         assert either.label == "acks 7 quorum | e"
         assert WaitUntil(either, "own").label == "own"
         assert ConditionMap(AckSet, "n={}")(1).at_least(2).label == "n=1>=2"
+        # A check's label is a template and its key, as a set's is.
+        check = Check(bool, "read#{} round {}", (1, 1))
+        assert check.label == "read#1 round 1"
+        assert WaitUntil(check).label == "read#1 round 1"
+        assert Check(bool, "as {} given").label == "as {} given"
+        timer = Simulator().timer_at(3.0)
+        assert WaitUntil(timer).label == "t>=3.0"
 
 
 class TestWaitSetIndex:

@@ -22,16 +22,19 @@ built for a message that is delivered (the receiver is handed
 ``(src, payload)``), only for one a rule holds or drops; at FULL one per
 send, the record the log keeps.  A write round waits on its ``2Δ``
 timer and then on its quorum, so it builds no composite condition and
-leaves no timer in a reference cycle for the cyclic collector.
+leaves no timer in a reference cycle for the cyclic collector.  Once the
+last rule window has closed (GST, for a lossy-until-GST run), a send
+resolves no rule.
 """
 
 import gc
 import heapq
 import os
 
+from repro.experiments import stress
 from repro.experiments.builders import keyed_mix_spec
 from repro.scenarios import (
-    Crash, Delay, Drop, FaultPlan, Hold, Propose, ScenarioSpec, run,
+    Crash, Delay, Drop, FaultPlan, Hold, Propose, ScenarioSpec, run, run_grid,
 )
 from repro.sim import conditions, network, process, simulator, tasks
 from repro.sim.conditions import Timer, _Composite
@@ -143,6 +146,27 @@ def test_rules_are_resolved_exactly_once_per_send():
             == calls["network.py", "send"]
             + calls["network.py", "_deliver_block"])
     assert [key for key in calls if key[1] == "<lambda>"] == []
+
+
+def test_no_rule_is_resolved_once_the_last_window_closes():
+    """E9's eventual-synchrony cell drops every message sent before GST
+    (40): the 72 sends before it are resolved, the 8 512 after it take
+    the rule-free path (each called ``_resolve`` before)."""
+    def count(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_name == "_resolve"
+                and code.co_filename == network.__file__):
+            return "after GST" if frame.f_locals["time"] >= 40.0 else "before"
+
+    sweep, calls = profiled(
+        lambda: run_grid(stress.liveness_grid(40.0, 2000.0)), count
+    )
+    cell, = sweep.cells
+    net = cell.result.adapter.network
+    assert sweep.verdict_counts() == {"live": 1}
+    assert (net.sent_count, net.delivered_count, net.dropped_count,
+            net.held_count) == (8584, 8512, 72, 0)
+    assert calls == {"before": 72}
 
 
 def test_a_quorum_round_signals_once_and_formats_no_label():

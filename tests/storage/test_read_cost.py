@@ -16,10 +16,12 @@ import sys
 from collections import Counter
 
 from repro.core import metrics
+from repro.core import rqs as rqs_module
 from repro.core.constructions import threshold_rqs
 from repro.core.rqs import QuorumIndex
+from repro.experiments import stress
 from repro.experiments.builders import keyed_mix_spec
-from repro.scenarios import run
+from repro.scenarios import run, run_grid
 from repro.storage import history, predicates
 from repro.storage.predicates import ReadState
 from tests.counting import counted, profiled
@@ -85,7 +87,7 @@ def test_an_ack_is_walked_once_and_an_uncontended_read_stays_minimal(
     assert set(looked_at) <= {("all_basic", 3)}
     assert looked_at["all_basic", 3] in (0, 56)
     assert calls["_valid3"] == 0 and calls["responding from invalid"] == 0
-    assert calls["qc2_responded"] == 0
+    assert calls["qc2_responded"] == calls["_qc2_masks"] == 0
     assert [name for name in calls if name.startswith("responding")] == []
     assert calls["_strip"] == 0
 
@@ -113,3 +115,29 @@ def test_a_reading_system_keeps_nothing_per_subset():
     for cls in (1, 2, 3):
         metrics.failure_probability(rqs, 0.1, cls)
     assert entries() == before
+
+
+def test_bcd2_walks_qc2_as_masks():
+    """A contended read whose plan reaches ``BCD(c, 2, R)`` (an E6
+    stress cell: a fabricating server and a crash) walks ``QC'2`` as
+    the masks round 1 left: no quorum id is turned back into a mask
+    inside ``bcd2`` (150 ``QuorumIndex.mask`` calls on this cell
+    before)."""
+    def count(frame, event, arg):
+        if event != "call":
+            return None
+        code = frame.f_code
+        if code.co_filename == predicates.__file__ and code.co_name == "bcd2":
+            return "bcd2"
+        if code.co_filename == rqs_module.__file__ and code.co_name == "mask":
+            caller = frame.f_back
+            while caller.f_code.co_name.startswith("<"):   # comprehensions
+                caller = caller.f_back
+            return "mask in " + caller.f_code.co_name
+
+    sweep, calls = profiled(
+        lambda: run_grid(stress.storage_stress_grid([5000])), count
+    )
+    assert sweep.verdict_counts() == {"wait-free atomic": 1}
+    assert calls["bcd2"] > 0
+    assert calls["mask in bcd2"] == 0
