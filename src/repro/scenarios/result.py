@@ -264,7 +264,8 @@ class RunResult(ResultSurface):
 
     @property
     def blocked(self) -> Tuple[str, ...]:
-        """Names of operations still blocked when the run stopped."""
+        """Names of the tasks still parked when the run stopped: client
+        workloads, and a batched RQS read's stuck write-back groups."""
         return tuple(t.name for t in self.adapter.sim.blocked_tasks())
 
     # -- streaming surface (valid at every retention mode) --------------------

@@ -8,7 +8,6 @@ failures.
 
 from repro.sim.conditions import (
     AckSet,
-    AnyOf,
     Check,
     Condition,
     ConditionMap,
@@ -31,7 +30,6 @@ from repro.sim.trace import OperationRecord, Trace
 
 __all__ = [
     "AckSet",
-    "AnyOf",
     "Check",
     "Condition",
     "ConditionMap",

@@ -23,15 +23,12 @@ The catalogue, roughly in order of preference:
   migration device for waits too entangled for the shapes above
   (the RQS reader's candidate-set predicates, the proposer's consult
   quorum).
-* :class:`AnyOf` — a disjunction; a child's signal propagates to the
-  composite (:func:`~repro.sim.tasks.run_branches` parks a batched
-  read's one task on "its collect round's quorum **or** a write-back
-  group's").  A composite and its children reference each other, a
-  cycle only the cyclic collector frees, so a protocol waits one
-  condition at a time where it can: a round waits on its ``2Δ`` timer
-  and then on its quorum, which ends in the same wake pass as a wait on
-  the two together would.  There is no conjunction: a sequence of
-  waits is one.
+
+There are no composite conditions.  A sequence of waits is a
+conjunction: a storage round waits on its ``2Δ`` timer and then on its
+quorum, which ends in the same wake pass as a wait on the two together
+would.  The concurrent parts of one operation — a batched RQS read's
+write-back groups — are tasks of their own, each on its own condition.
 
 A signal is a *hint*, not a wake-up: the simulator re-checks
 ``holds()`` before resuming waiters, so spurious signals are cheap and
@@ -45,12 +42,13 @@ A count threshold (:meth:`AckSet.at_least`) signals once, when the set
 and after it stays true — a signal anywhere else would re-poll a task
 only to leave it as it was.  A set holds one threshold condition per
 ``needed`` (asking again returns the same object), so a responder set
-reused across rounds stays as small as its distinct thresholds.  :meth:`AckSet.includes_quorum`
-waits (a :class:`Check`) and composites keep signalling on every change.
+reused across rounds stays as small as its distinct thresholds.
+:meth:`AckSet.includes_quorum` waits (a :class:`Check`) keep signalling
+on every change.
 
-Labels are for people: a set's, a threshold's, a check's, a timer's
-and a composite's are formatted only when read (a ``repr``, a
-debugger), never on the simulated path.
+Labels are for people: a set's, a threshold's, a check's and a timer's
+are formatted only when read (a ``repr``, a debugger), never on the
+simulated path.
 
 :class:`~repro.sim.tasks.WaitUntil` takes nothing but a condition — the
 ROADMAP's third invariant; a bare callable is refused.
@@ -70,19 +68,17 @@ class Condition:
     Subclasses implement :meth:`holds` (the current truth value) and
     call :meth:`signal` from every mutation that may flip it.  The
     simulator attaches itself while tasks are parked on the condition;
-    signalling an un-waited condition is a no-op beyond parent
-    propagation.
+    signalling an un-waited condition is a no-op.
     """
 
-    __slots__ = ("_label", "_sim", "_parents")
+    __slots__ = ("_label", "_sim")
 
     # The conditions a protocol makes per round (thresholds, quorum
-    # checks, timers) set these three slots in their own __init__ rather
-    # than call this one: one call per condition, not two or three.
+    # checks, timers) set these slots in their own __init__ rather than
+    # call this one: one call per condition, not two or three.
     def __init__(self, label: str = ""):
         self._label = label
         self._sim = None          # set by the simulator while waited on
-        self._parents: Optional[List["Condition"]] = None
 
     @property
     def label(self) -> str:
@@ -106,16 +102,6 @@ class Condition:
         sim = self._sim
         if sim is not None:
             sim._signal(self)
-        parents = self._parents
-        if parents:
-            for parent in parents:
-                parent.signal()
-
-    def _watch(self, parent: "Condition") -> None:
-        """Register a composite to be signalled when this one is."""
-        if self._parents is None:
-            self._parents = []
-        self._parents.append(parent)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.label or hex(id(self))})"
@@ -148,7 +134,6 @@ class Timer(Event):
     def __init__(self, time: float):
         self._label = ""
         self._sim = None
-        self._parents = None
         self._set = False
         self.time = time
 
@@ -207,7 +192,6 @@ class IncludesQuorum(Check):
         self._label = ""
         self._key = None
         self._sim = None
-        self._parents = None
         self._predicate = partial(contains_quorum, acks)
         self._acks = acks
 
@@ -289,7 +273,6 @@ class SizeAtLeast(Condition):
     def __init__(self, acks: AckSet, needed: int):
         self._label = ""
         self._sim = None
-        self._parents = None
         self._acks = acks
         self._needed = needed
 
@@ -373,31 +356,3 @@ class ConditionMap:
     def __len__(self) -> int:
         return len(self._items)
 
-
-class _Composite(Condition):
-    __slots__ = ("children",)
-
-    #: Joins the children's labels into the composite's.
-    _JOIN = ""
-
-    def __init__(self, *children: Condition, label: str = ""):
-        super().__init__(label)
-        self.children = children
-        for child in children:
-            child._watch(self)
-
-    @property
-    def label(self) -> str:
-        return self._label or self._JOIN.join(
-            child.label for child in self.children
-        )
-
-
-class AnyOf(_Composite):
-    """Disjunction: holds when some child holds."""
-
-    __slots__ = ()
-    _JOIN = " | "
-
-    def holds(self) -> bool:
-        return any(child.holds() for child in self.children)

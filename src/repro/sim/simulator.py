@@ -89,7 +89,6 @@ class Simulator:
         # Conditions signalled since the last wake pass (their order is
         # irrelevant: the pass orders their waiters by park number).
         self._signalled: Set[Condition] = set()
-        self._tasks: List[Task] = []
         self._events_processed = 0
 
     # -- scheduling ----------------------------------------------------------
@@ -133,9 +132,9 @@ class Simulator:
     def spawn(
         self, coro: Generator[Effect, Any, Any], name: str = ""
     ) -> Task:
-        """Start a protocol coroutine; it runs until its first block."""
+        """Start a protocol coroutine; it runs until its first block.
+        The simulator keeps the task only while it is parked."""
         task = Task(coro, name=name)
-        self._tasks.append(task)
         self._advance(task)
         return task
 

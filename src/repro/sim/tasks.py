@@ -21,13 +21,12 @@ its quorum, one condition at a time: both waits end in the wake pass of
 the later one's instant, since a task that re-parks while it is woken
 keeps its place in the park order.  A client's next start time is a bare
 timer, and the election module's ``suspectTimeout`` is a
-:meth:`~repro.sim.simulator.Simulator.call_later` callback.  A batched
-RQS read runs its collect rounds and its write-back groups as generator
-branches of one task (:func:`run_branches`).
+:meth:`~repro.sim.simulator.Simulator.call_later` callback.
 
 A task finishes when its generator returns; the returned value is stored
 in :attr:`Task.result`.  Tasks wait on each other through a shared
-``Event``.
+``Event``: a batched RQS read spawns each write-back group as a task of
+its own and waits on the groups' completion events before it returns.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Any, Generator, Optional
 
-from repro.sim.conditions import AnyOf, Condition
+from repro.sim.conditions import Condition
 
 
 class Effect:
@@ -52,9 +51,9 @@ class WaitUntil(Effect):
     signal it where that state changes.
     """
 
-    __slots__ = ("condition", "_label")
+    __slots__ = ("condition",)
 
-    def __init__(self, condition: Condition, label: str = ""):
+    def __init__(self, condition: Condition):
         if not isinstance(condition, Condition):
             raise TypeError(
                 f"WaitUntil takes a Condition, got {condition!r}; wrap a "
@@ -62,12 +61,11 @@ class WaitUntil(Effect):
                 f"when its inputs change"
             )
         self.condition = condition
-        self._label = label
 
     @property
     def label(self) -> str:
-        """The wait's own label, else its condition's (read lazily)."""
-        return self._label or self.condition.label
+        """The condition's label (read lazily)."""
+        return self.condition.label
 
     def ready(self) -> bool:
         """The wait's current truth value."""
@@ -113,31 +111,6 @@ def batched_ops(sim, schedule, size, run_batch):
         if not start <= sim.now:  # later — or NaN, which timer_at refuses
             yield WaitUntil(sim.timer_at(start))
         yield from run_batch([elem for _, elem in chunk])
-
-
-def run_branches(branches):
-    """Driver coroutine: run the generators of ``branches`` as branches
-    of one task, each yielding :class:`WaitUntil` effects as a task does.
-
-    Each pass starts every branch not started yet and resumes, in list
-    order, every branch whose condition holds; then the driver parks on
-    the pending conditions — their :class:`AnyOf`, or the bare
-    condition when one branch is left.  A branch may append branches to
-    the list while it runs: they start in the same pass.  Returns when
-    every branch has.  (Branches, not a task each: the simulator keeps
-    every task it spawns for the rest of the run.)
-    """
-    waits = []
-    while True:
-        for index, branch in enumerate(branches):
-            if index == len(waits):
-                waits.append(next(branch, None))
-            elif waits[index] is not None and waits[index].ready():
-                waits[index] = next(branch, None)
-        pending = [wait.condition for wait in waits if wait is not None]
-        if not pending:
-            return
-        yield WaitUntil(pending[0] if len(pending) == 1 else AnyOf(*pending))
 
 
 class Task:

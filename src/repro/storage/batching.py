@@ -27,9 +27,9 @@ diverge it bites — fast-ABD's confirmed elements complete at the
 collect instant while only the unconfirmed ones wait out the pre-write
 write-back, and the RQS reader hands each element it resolves the
 Figure 7 write-back plan its unbatched read would take (none when
-``BCD₁`` holds), the elements of one plan writing back as one group
-concurrently with further collect rounds (see each reader's
-``read_batch``).  A lossy or contended quorum thus caps one element's
+``BCD₁`` holds), the elements of one plan writing back as one group —
+a task of its own — concurrently with further collect rounds (see each
+reader's ``read_batch``).  A lossy or contended quorum thus caps one element's
 tail latency, not the batch's.  Stamps are still issued per element in
 the client's draw order, and each wave — the elements that complete
 together — reaches the trace (and the checker) in element order.

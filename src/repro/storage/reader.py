@@ -28,8 +28,8 @@ from operator import attrgetter
 from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.core.rqs import RefinedQuorumSystem
-from repro.sim.conditions import AckSet, ConditionMap
-from repro.sim.tasks import WaitUntil, run_branches
+from repro.sim.conditions import AckSet, ConditionMap, Event
+from repro.sim.tasks import WaitUntil
 from repro.sim.trace import Trace
 from repro.storage.batching import (
     BatchAck,
@@ -238,28 +238,19 @@ class StorageReader(StorageClient):
         write-back" complete at once; the others harvested at one
         instant with the same plan form a group that writes back
         through one :class:`WriteBatch` per round, concurrently with
-        further collect rounds — all of them branches of this one task
-        (:func:`~repro.sim.tasks.run_branches`)."""
+        further collect rounds — each group a task of its own, whose
+        completion the batch waits for before it returns."""
         records = self.trace.begin(
             "read", self.pid, self.sim.now, [(None, key) for key in keys]
         )
         target = self.selector.next_read() if self.selector else None
+        targets = self._targets(target)
         self.read_no += 1
-        branches = []
-        branches.append(self._collect(
-            self.read_no, keys, records, self._targets(target),
-            branches.append,
-        ))
-        yield from run_branches(branches)
-        return records
-
-    def _collect(self, number, keys, records, targets, launch):
-        """The batch's regular part (lines 20-35): collect rounds over
-        every key until each element has its ``csel``; ``launch`` starts
-        each write-back group as a branch."""
+        number = self.read_no
         states = tuple(ReadState(self.rqs) for _ in keys)
         self._batch_states[number] = states
         unresolved = range(len(keys))
+        written_back = []
         read_rnd = 0
         while unresolved:
             # Every round carries the full key tuple, so the positional
@@ -301,16 +292,22 @@ class StorageReader(StorageClient):
             for plan, members in groups.items():
                 if plan is None:
                     self._complete(members, read_rnd)
-                else:
-                    launch(self._write_back_group(
-                        plan, members, read_rnd, targets
-                    ))
+                    continue
+                group = self._batches.open()
+                done = Event()
+                written_back.append(done)
+                self.sim.spawn(self._write_back_group(
+                    group, plan, members, read_rnd, targets, done,
+                ), f"{self.pid} write-back#{group}")
+        for done in written_back:
+            yield WaitUntil(done)
+        return records
 
-    def _write_back_group(self, plan, members, read_rnd, targets):
+    def _write_back_group(self, group, plan, members, read_rnd, targets, done):
         """The atomicity part of the elements harvested at one instant
-        with one ``plan``: one :class:`WriteBatch` per round stores every
-        member as its unbatched ``WR`` would."""
-        group = self._batches.open()
+        with one ``plan``, as write-back ``group``: one
+        :class:`WriteBatch` per round stores every member as its
+        unbatched ``WR`` would; sets ``done`` at the end."""
         ops = tuple((csel.ts, csel.val, key) for _, csel, key in members)
 
         def send_round(rnd, sets):
@@ -320,6 +317,7 @@ class StorageReader(StorageClient):
         rounds = yield from self._atomicity_part(plan, send_round)
         self._batches.close(group, 1, 2)
         self._complete(members, read_rnd + rounds)
+        done.set()
 
     def _complete(self, members, rounds: int) -> None:
         """Complete one wave of batch elements (in element order)."""

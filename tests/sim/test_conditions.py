@@ -5,7 +5,6 @@ import pytest
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.conditions import (
     AckSet,
-    AnyOf,
     Check,
     ConditionMap,
     Event,
@@ -124,20 +123,6 @@ class TestPrimitives:
         # signals, not polling, drive indexed wake-ups.
         assert task.result == 2.0
 
-    def test_anyof_combinator(self):
-        sim = Simulator()
-        first = Event("a")
-        second = Event("b")
-
-        def coro():
-            yield WaitUntil(AnyOf(first, second))
-            return sim.now
-
-        task = sim.spawn(coro())
-        sim.call_at(7.0, second.set)
-        sim.run_to_completion()
-        assert task.result == 7.0
-
     def test_timer_at_past_time_is_set(self):
         sim = Simulator()
         sim.call_at(5.0, lambda: None)
@@ -146,9 +131,7 @@ class TestPrimitives:
 
     def test_labels_are_derived_when_read(self):
         acks = ConditionMap(AckSet, "acks {}")(7)
-        either = AnyOf(acks.includes_quorum(bool), Event("e"))
-        assert either.label == "acks 7 quorum | e"
-        assert WaitUntil(either, "own").label == "own"
+        assert WaitUntil(acks.includes_quorum(bool)).label == "acks 7 quorum"
         assert ConditionMap(AckSet, "n={}")(1).at_least(2).label == "n=1>=2"
         # A check's label is a template and its key, as a set's is.
         check = Check(bool, "read#{} round {}", (1, 1))
@@ -334,7 +317,7 @@ class TestWaitSetIndex:
         Process("s").bind(net)
 
         def coro():
-            yield WaitUntil(acks.at_least(2), "two releases")
+            yield WaitUntil(acks.at_least(2))
             return sim.now
 
         task = sim.spawn(coro())

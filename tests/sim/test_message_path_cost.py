@@ -21,8 +21,8 @@ A delivery costs what the run keeps of it: at METRICS no ``Message`` is
 built for a message that is delivered (the receiver is handed
 ``(src, payload)``), only for one a rule holds or drops; at FULL one per
 send, the record the log keeps.  A write round waits on its ``2Δ``
-timer and then on its quorum, so it builds no composite condition and
-leaves no timer in a reference cycle for the cyclic collector.  Once the
+timer and then on its quorum, and leaves no timer in a reference cycle
+for the cyclic collector.  Once the
 last rule window has closed (GST, for a lossy-until-GST run), a send
 resolves no rule.
 """
@@ -37,7 +37,7 @@ from repro.scenarios import (
     Crash, Delay, Drop, FaultPlan, Hold, Propose, ScenarioSpec, run, run_grid,
 )
 from repro.sim import conditions, network, process, simulator, tasks
-from repro.sim.conditions import Timer, _Composite
+from repro.sim.conditions import Timer
 from repro.sim.network import Message
 from tests.counting import profiled
 
@@ -199,8 +199,7 @@ def test_a_quorum_round_signals_once_and_formats_no_label():
 
 def constructions(*classes):
     """Count every Python-level ``__init__`` of ``classes``, by the
-    ``__init__``'s qualified name (a composite condition's is
-    ``_Composite.__init__``)."""
+    ``__init__``'s qualified name."""
     codes = {cls.__init__.__code__: cls.__init__.__qualname__
              for cls in classes}
 
@@ -251,16 +250,14 @@ def test_a_full_send_builds_the_one_record_the_log_keeps():
     assert calls["Message.__init__"] == net.sent_count == len(net.log) > 1000
 
 
-def test_a_write_round_builds_no_composite():
+def test_every_write_round_waits_its_own_timer():
     result, calls = profiled(
-        lambda: run(staircase_writes()), constructions(_Composite, Timer)
+        lambda: run(staircase_writes()), constructions(Timer)
     )
     write = result.summary()["kinds"]["write"]["latency"]
     assert (write.min_rounds, write.max_rounds) == (1, 3)
-    # Every round 1 and 2 armed its 2Δ timer, and no round waited on a
-    # composite (the unbatched reader builds none either).
+    # Every round 1 and 2 armed its 2Δ timer.
     assert calls["Timer.__init__"] > write.count
-    assert calls["_Composite.__init__"] == 0
 
 
 def test_a_write_round_leaves_no_timer_to_the_cyclic_collector():
@@ -274,7 +271,7 @@ def test_a_write_round_leaves_no_timer_to_the_cyclic_collector():
         # What the collector found unreachable during and after the run
         # (``result`` keeps the run's own world reachable).
         cyclic = [type(garbage).__name__ for garbage in gc.garbage
-                  if isinstance(garbage, (Timer, _Composite))]
+                  if isinstance(garbage, Timer)]
     finally:
         gc.set_debug(debug)
         gc.garbage.clear()

@@ -1,6 +1,7 @@
 """Tests for the discrete-event simulator kernel."""
 
 import signal
+import weakref
 
 import pytest
 
@@ -190,6 +191,20 @@ class TestTasks:
         sim.spawn(coro())
         sim.run_to_completion(strict=False)
         assert len(sim.blocked_tasks()) == 1
+
+    def test_a_finished_task_is_freed(self):
+        """The simulator keeps a task only while it is parked."""
+        sim = Simulator()
+
+        def coro():
+            yield WaitUntil(sim.timer_at(1.0))
+
+        generator = coro()
+        freed = weakref.ref(generator)
+        sim.spawn(generator, "once")
+        del generator
+        sim.run_to_completion()
+        assert freed() is None
 
     def test_a_task_raising_in_the_wake_pass_loses_no_parked_task(self):
         """``boom`` and ``w1`` wait on one event, ``w2`` on another;

@@ -19,8 +19,8 @@ and a batched regular read wrote back although the regular reader never
 does.  Now a batch of one costs exactly what the unbatched read costs
 (rounds, messages, simulated events) on every staged case of
 ``test_batched_read_oracle.py``, a batched ``rqs-regular`` reader sends
-no ``WriteBatch``, and the one composite condition a run builds is the
-``AnyOf`` a batched read's branches park on.  A batched write runs the
+no ``WriteBatch``, and each write-back group is one named task.  A
+batched write runs the
 unbatched write's Figure 5 ladder, so a batch of one write costs what
 the unbatched write costs at each of the ladder's three exits, and a
 batched regular read costs what the unbatched regular read costs.
@@ -39,7 +39,7 @@ from repro.scenarios import (
     Crash, FaultPlan, ScenarioSpec, Write, adapters, get_protocol, run,
     workloads,
 )
-from repro.sim.conditions import _Composite
+from repro.sim.simulator import Simulator
 from repro.sim.trace import OperationRecord
 from repro.storage import abd
 from repro.storage.batching import ReadBatch, WriteBatch
@@ -225,18 +225,21 @@ def test_a_batched_regular_reader_never_writes_back():
     assert reader_write_backs("rqs-regular") == 0
 
 
-def test_the_one_composite_built_is_the_batched_reads_anyof():
-    composite = _Composite.__init__.__code__
+def test_each_write_back_group_is_one_named_task():
+    spawn = Simulator.spawn.__code__
 
     def count(frame, event, arg):
-        if event == "call" and frame.f_code is composite:
-            return type(frame.f_locals["self"]).__name__
+        if event == "call" and frame.f_code is spawn:
+            return frame.f_locals["name"]
         return None
 
     # One element collects a second round while the other's write-back
-    # group runs: the batch's task parks on the two branches' AnyOf.
+    # group runs; the first element's group follows: two groups, each
+    # spawned once, besides the batch's own (unnamed) task.
     elements, calls = profiled(
         lambda: batched(SCRIPTS["second-round"]), count
     )
     assert [element["rounds"] for element in elements] == [4, 3]
-    assert set(calls) == {"AnyOf"}
+    assert calls == Counter({
+        "": 1, "reader1 write-back#1": 1, "reader1 write-back#2": 1,
+    })

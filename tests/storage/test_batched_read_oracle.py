@@ -6,7 +6,8 @@ element's unbatched read decides.
 the BCD fast paths were skipped, so a fault-free batched read took three
 rounds where its unbatched read took one.  That path lives on *only
 here*, verbatim, as :class:`ReferenceCohortReader` (with the
-:class:`ReferenceAllOf` its first collect round waited on).  Now each
+composite conditions it waited on, :class:`ReferenceAllOf` and
+:class:`ReferenceAnyOf`, which the simulator no longer has).  Now each
 element gets the write-back plan :meth:`StorageReader._plan` gives the
 unbatched read, and the elements of one plan write back as one group.
 
@@ -34,7 +35,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.scenarios import (
     Crash, FaultPlan, Hold, Read, ScenarioSpec, get_protocol, resolve_rqs,
 )
-from repro.sim.conditions import AnyOf, _Composite
+from repro.sim.conditions import Condition, Timer
 from repro.sim.tasks import WaitUntil
 from repro.storage.batching import ReadBatch, WriteBatch
 from repro.storage.predicates import ReadState
@@ -54,7 +55,41 @@ HORIZON = 200.0
 
 # -- the reference: per-round cohorts, always two write-back rounds ----------
 
-class ReferenceAllOf(_Composite):
+class ReferenceComposite(Condition):
+    """A condition over ``children``, signalled whenever one of its
+    leaves may have changed: it joins each quorum check's responder set
+    as one more check, and has the simulator signal it when a timer
+    that has not fired yet comes due."""
+
+    __slots__ = ("children",)
+
+    #: Joins the children's labels into the composite's.
+    _JOIN = ""
+
+    def __init__(self, sim, *children: Condition, label: str = ""):
+        super().__init__(label)
+        self.children = children
+        for child in children:
+            self._signalled_by(sim, child)
+
+    def _signalled_by(self, sim, child: Condition) -> None:
+        if isinstance(child, ReferenceComposite):
+            for grandchild in child.children:
+                self._signalled_by(sim, grandchild)
+        elif isinstance(child, Timer):
+            if not child.holds():
+                sim.call_at(child.time, self.signal)
+        else:
+            child._acks._checks.append(self)
+
+    @property
+    def label(self) -> str:
+        return self._label or self._JOIN.join(
+            child.label for child in self.children
+        )
+
+
+class ReferenceAllOf(ReferenceComposite):
     """Conjunction: holds when every child holds (e.g. timer AND quorum)."""
 
     __slots__ = ()
@@ -62,6 +97,16 @@ class ReferenceAllOf(_Composite):
 
     def holds(self) -> bool:
         return all(child.holds() for child in self.children)
+
+
+class ReferenceAnyOf(ReferenceComposite):
+    """Disjunction: holds when some child holds."""
+
+    __slots__ = ()
+    _JOIN = " | "
+
+    def holds(self) -> bool:
+        return any(child.holds() for child in self.children)
 
 
 class ReferenceCohortReader(StorageReader):
@@ -111,7 +156,8 @@ class ReferenceCohortReader(StorageReader):
                 quorum = acks.includes_quorum(self.rqs.contains_quorum)
                 collect_cond = (
                     ReferenceAllOf(
-                        self.sim.timer_at(self.sim.now + self.timeout), quorum
+                        self.sim,
+                        self.sim.timer_at(self.sim.now + self.timeout), quorum,
                     )
                     if read_rnd == 1
                     else quorum
@@ -120,8 +166,8 @@ class ReferenceCohortReader(StorageReader):
             if collect_cond is not None:
                 waits.append(collect_cond)
             yield WaitUntil(
-                waits[0] if len(waits) == 1 else AnyOf(*waits),
-                f"read batch#{number} round {read_rnd}",
+                waits[0] if len(waits) == 1
+                else ReferenceAnyOf(self.sim, *waits)
             )
             # -- advance the in-flight cohort write-backs --
             advancing = cohorts
@@ -487,11 +533,11 @@ class SendsAnotherGroupsX1(StorageReader):
     """A write-back group's round-1 ``WriteBatch`` carries the x1 set of
     the group launched before it."""
 
-    def _write_back_group(self, plan, members, read_rnd, targets):
+    def _write_back_group(self, group, plan, members, read_rnd, targets,
+                          done):
         previous = getattr(self, "_previous_x1", None)
         self._previous_x1 = plan[1]
         wrong = previous or plan[1]
-        group = self._batches.open()
         ops = tuple((csel.ts, csel.val, key) for _, csel, key in members)
 
         def send_round(rnd, sets):
@@ -502,6 +548,7 @@ class SendsAnotherGroupsX1(StorageReader):
         rounds = yield from self._atomicity_part(plan, send_round)
         self._batches.close(group, 1, 2)
         self._complete(members, read_rnd + rounds)
+        done.set()
 
 
 MUTANTS = {
