@@ -199,12 +199,11 @@ class ScenarioSpec:
         :class:`~repro.sim.network.TraceLevel` or its name
         (``"full"``/``"metrics"``).  ``FULL`` (default) keeps every
         operation record (the post-hoc verdicts and ``fingerprint()``
-        read them) and the message log (read only by tests, through
-        ``messages_between`` and the receivers' ``delivered``);
-        ``METRICS`` keeps counters, latency accumulators and the online
-        verdict only, bounding memory on big sweeps/benchmarks
-        (``messages_between`` then raises).  Held messages stay
-        releasable at both levels.
+        read them) and the message log (``Network.log``, read only by
+        tests); ``METRICS`` keeps counters, latency accumulators and the
+        online verdict only, bounding memory on big sweeps/benchmarks
+        (the log is then empty).  Held messages stay releasable at both
+        levels.
     quorum_strategy:
         How storage clients pick the quorum each operation contacts.
         ``None`` (default) is the paper's model — broadcast to the

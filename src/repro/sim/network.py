@@ -36,15 +36,22 @@ single-destination primitive (replies): ``(deliver_time, seq,
 Network._deliver, delivery)``.  Neither builds a closure or goes through
 ``call_at``.
 
-A delivery costs what the run keeps of it.  At ``FULL`` it is the
-:class:`Message` record the log keeps and the receiver's ``delivered``
-history will keep; at ``METRICS`` it is the bare ``(src, dst, payload)``
-tuple, and a :class:`Message` is built only for a message a rule holds
-(it must stay releasable in :attr:`Network.in_transit`) or drops.
+A queued delivery is the bare ``(src, dst, payload)`` tuple at every
+level: a :class:`Message` is built only for a message a rule holds (it
+must stay releasable in :attr:`Network.in_transit`) or drops.
 ``_deliver`` / ``_deliver_block`` call the receiver's
-``on_message(src, payload)`` themselves: a crashed receiver's message is
-dropped there (it still counts as delivered), and at ``FULL`` the record
-joins the receiver's ``delivered`` history.
+``on_message(src, payload)`` themselves; a crashed receiver's message is
+dropped there (it still counts as delivered).
+
+What a ``FULL`` run keeps of its messages is one entry per ``send`` /
+``send_all`` call, not a record per delivery: ``(src, destinations,
+payload, send_time, deliver_time, exceptions)``, ``destinations`` the
+caller's tuple (anything else snapshotted with ``tuple()``; the sent
+prefix if a destination is refused mid-broadcast) and ``exceptions``
+``None`` unless a rule touched a member — then it maps the member's
+index to the live held or dropped :class:`Message`, or to the delayed
+delivery time.  :attr:`Network.log` builds the :class:`Message` list
+from those entries when it is read.
 
 * **Rule partitioning** — rule resolution caches, per ``(src, dst)``
   pair, the (ordered) sub-list of rules that could ever match that
@@ -57,15 +64,14 @@ joins the receiver's ``delivered`` history.
   GST): a rule matches a send time before its ``until`` only.  Rules
   are fixed at construction, so an entry is never invalidated.
 * **Trace levels** — :class:`TraceLevel` says how much message history
-  is retained.  ``FULL`` (the default) keeps the complete
-  :attr:`Network.log`; ``METRICS`` builds no record for a delivered
-  message and keeps none for a dropped one — only counters, bounding
-  memory on long workloads.  Nothing under ``repro`` reads the log:
-  verdicts and fingerprints read operation records
-  (:mod:`repro.sim.trace`), and a replay of held messages reads
-  :attr:`Network.in_transit` — held messages are always recorded and
-  tracked, at every level, since they must remain releasable.  The
-  log is for tests (``messages_between``, per-message inspection).
+  is retained.  ``FULL`` (the default) keeps the send entries
+  :attr:`Network.log` is built from; ``METRICS`` keeps no entry and no
+  dropped record — only counters, bounding memory on long workloads.
+  Nothing under ``repro`` reads the log: verdicts and fingerprints read
+  operation records (:mod:`repro.sim.trace`), and a replay of held
+  messages reads :attr:`Network.in_transit` — held messages are always
+  recorded and tracked, at every level, since they must remain
+  releasable.  The log is for per-message inspection in tests.
 """
 
 from __future__ import annotations
@@ -88,18 +94,15 @@ class TraceLevel(enum.IntEnum):
     """How much message history a network retains.
 
     ``METRICS``
-        Counters only: a delivered message has no record at all (the
-        receiver is handed its sender and payload), a dropped one's is
-        not kept.  ``Network.log`` stays empty and
-        :meth:`Network.messages_between` raises instead of silently
-        returning partial data.  Use for big sweeps and
-        benchmarks where only metrics/verdict-free results matter.
+        Counters only: no send is logged and a dropped message's record
+        is not kept, so ``Network.log`` is empty.  Use for big sweeps
+        and benchmarks where only metrics/verdict-free results matter.
     ``FULL``
-        Keep every :class:`Message` record (the historical behaviour)
-        in ``Network.log``.  Only ``messages_between`` assertions and
-        per-message test inspection read it; no verdict, fingerprint
-        or replay does (held messages are kept in ``in_transit`` at
-        every level).
+        Log every send, one entry per ``send`` / ``send_all`` call, and
+        keep the dropped records: ``Network.log`` is every message as a
+        :class:`Message`.  Only per-message test inspection reads it; no
+        verdict, fingerprint or replay does (held messages are kept in
+        ``in_transit`` at every level).
     """
 
     METRICS = 1
@@ -240,9 +243,8 @@ class Network:
         self.sim = sim
         self.delta = float(delta)
         self.trace_level = TraceLevel.of(trace_level)
-        #: ``trace_level >= FULL``, resolved once: whether message
-        #: records outlive their delivery (``log``, ``dropped``, the
-        #: processes' ``delivered`` histories).
+        #: ``trace_level >= FULL``, resolved once: whether sends are
+        #: logged (``log``) and dropped records kept (``dropped``).
         self.full_trace = self.trace_level >= TraceLevel.FULL
         #: The delivery rules, first match wins; fixed for the run.
         self._rules = tuple(rules)
@@ -254,7 +256,9 @@ class Network:
             default=float("-inf"),
         )
         self._processes: Dict[ProcessId, "object"] = {}
-        self.log: List[Message] = []
+        #: One entry per logged ``send`` / ``send_all`` call (module
+        #: docstring); :attr:`log` reads them.
+        self._sends: List[tuple] = []
         self.in_transit: List[Message] = []
         self.dropped: List[Message] = []
         # Monotone counters, maintained at every trace level — the
@@ -268,12 +272,32 @@ class Network:
         # the rules that could match that channel.
         self._rule_index: Dict[Tuple[ProcessId, ProcessId], tuple] = {}
 
+    @property
+    def log(self) -> List[Message]:
+        """Every message sent, in send order (empty at ``METRICS``),
+        built on each read: a delivered message gets a fresh record, a
+        held or dropped one is its live record — a later
+        :meth:`release_held` shows."""
+        log = []
+        for entry in self._sends:
+            src, destinations, payload, send_time, deliver_time, exceptions = (
+                entry
+            )
+            for index, dst in enumerate(destinations):
+                fate = (exceptions.get(index, deliver_time) if exceptions
+                        else deliver_time)
+                log.append(
+                    fate if isinstance(fate, Message)
+                    else Message(src, dst, payload, send_time, fate)
+                )
+        return log
+
     # -- wiring ---------------------------------------------------------------
 
     def register(self, process: Any) -> None:
         """Attach a process (a :class:`~repro.sim.process.Process`: the
-        network reads its ``pid``, ``crashed`` and ``delivered`` and calls
-        its ``on_message``)."""
+        network reads its ``pid`` and ``crashed`` and calls its
+        ``on_message``)."""
         pid = process.pid
         if pid in self._processes:
             raise SimulationError(f"duplicate process id {pid!r}")
@@ -287,40 +311,33 @@ class Network:
     def send(
         self, src: ProcessId, dst: ProcessId, payload: Any
     ) -> Optional[Message]:
-        """Send ``payload`` from ``src`` to ``dst``; returns the record —
-        ``None`` at ``METRICS`` for a message no rule held or dropped,
-        which has none."""
+        """Send ``payload`` from ``src`` to ``dst``; returns the record of
+        a message a rule held or dropped, ``None`` for one it queued."""
         if dst not in self._processes:
             raise SimulationError(f"unknown destination {dst!r}")
         sim = self.sim
         now = sim.now
-        full_trace = self.full_trace
+        deliver_time = now + self.delta
         message = None
-        if full_trace:
-            message = Message(src, dst, payload, now)
-            self.log.append(message)
-        self.sent_count += 1
-        delay = self.delta
         # ``_resolve`` only for a channel that has (or may have) rules,
         # while some rule's window is open.
         if now < self._rules_until and self._rule_index.get((src, dst)) != ():
             action = self._resolve(src, dst, payload, now)
             if action == HOLD or action == DROP:
-                if message is None:
-                    message = Message(src, dst, payload, now)
+                message = Message(src, dst, payload, now)
                 self._withhold(message, action)
-                return message
-            delay = action
-        deliver_time = now + delay
-        if full_trace:
-            message.deliver_time = deliver_time
-            delivery = message
-        else:
-            delivery = (src, dst, payload)
-        # One queue entry per delivery, in ``Simulator.call_at``'s shape
-        # and numbering.
-        heappush(sim._queue, (deliver_time, sim._seq, self._deliver, delivery))
-        sim._seq += 1
+            else:
+                deliver_time = now + action
+        self.sent_count += 1
+        if self.full_trace:
+            self._sends.append((src, (dst,), payload, now, deliver_time,
+                                None if message is None else {0: message}))
+        if message is None:
+            # One queue entry per delivery, in ``Simulator.call_at``'s
+            # shape and numbering.
+            heappush(sim._queue, (deliver_time, sim._seq, self._deliver,
+                                  (src, dst, payload)))
+            sim._seq += 1
         return message
 
     def send_all(self, src: ProcessId, destinations, payload: Any) -> None:
@@ -331,7 +348,8 @@ class Network:
         now = sim.now
         processes = self._processes
         full_trace = self.full_trace
-        log = self.log
+        if full_trace and type(destinations) is not tuple:
+            destinations = tuple(destinations)  # the log keeps it
         # The channels' rule candidates — ``None`` when no rule can
         # match any more (none exists, or every window has closed);
         # ``_resolve`` is skipped for a channel whose entry is empty.
@@ -341,41 +359,44 @@ class Network:
         seq = sim._seq
         sent = 0
         entries: Dict[float, tuple] = {}
+        # Member index -> held / dropped record, or a rule's other
+        # delivery time: what the log entry needs beyond ``default_time``.
+        exceptions: Dict[int, Any] = {}
         try:
             for dst in destinations:
                 if dst not in processes:
                     raise SimulationError(f"unknown destination {dst!r}")
-                sent += 1
-                if full_trace:
-                    delivery = Message(src, dst, payload, now)
-                    log.append(delivery)
-                else:
-                    delivery = (src, dst, payload)
                 deliver_time = default_time
                 if rule_index is not None and (
                     rule_index.get((src, dst)) != ()
                 ):
                     action = self._resolve(src, dst, payload, now)
                     if action == HOLD or action == DROP:
-                        self._withhold(
-                            delivery if full_trace
-                            else Message(src, dst, payload, now),
-                            action,
-                        )
+                        message = Message(src, dst, payload, now)
+                        self._withhold(message, action)
+                        exceptions[sent] = message
+                        sent += 1
                         continue
                     deliver_time = now + action
-                if full_trace:
-                    delivery.deliver_time = deliver_time
+                    if deliver_time != default_time:
+                        exceptions[sent] = deliver_time
+                sent += 1
                 entry = entries.get(deliver_time)
                 if entry is None:
                     entry = (deliver_time, seq, deliver, Block())
                     entries[deliver_time] = entry
-                entry[3].append(delivery)
+                entry[3].append((src, dst, payload))
                 seq += 1
         finally:
             # Also when a destination is refused: what was sent before
-            # it stays sent, as after that many ``send`` calls.
+            # it stays sent (and logged), as after that many ``send``
+            # calls.
             self.sent_count += sent
+            if full_trace and sent:
+                if sent < len(destinations):
+                    destinations = destinations[:sent]
+                self._sends.append((src, destinations, payload, now,
+                                    default_time, exceptions or None))
             queue = sim._queue
             for entry in entries.values():
                 entry[3].reverse()  # a stack: the first to run is last
@@ -418,49 +439,30 @@ class Network:
             if self.full_trace:
                 self.dropped.append(message)
 
-    def _deliver(self, delivery) -> None:
-        """Hand a delivery to its receiver's ``on_message`` — unless the
-        receiver has crashed (it takes no steps; the delivery still
-        counts).  At ``FULL`` the delivery is the logged record, which
-        the receiver's ``delivered`` history keeps; at ``METRICS`` it is
-        ``(src, dst, payload)``."""
+    def _deliver(self, delivery: Tuple[ProcessId, ProcessId, Any]) -> None:
+        """Hand a ``(src, dst, payload)`` delivery to its receiver's
+        ``on_message`` — unless the receiver has crashed (it takes no
+        steps; the delivery still counts)."""
         # Destinations are checked at send and never unregistered.
         self.delivered_count += 1
-        if self.full_trace:
-            process = self._processes[delivery.dst]
-            if process.crashed:
-                return
-            process.delivered.append(delivery)
-            process.on_message(delivery.src, delivery.payload)
-        else:
-            src, dst, payload = delivery
-            process = self._processes[dst]
-            if process.crashed:
-                return
-            process.on_message(src, payload)
+        src, dst, payload = delivery
+        process = self._processes[dst]
+        if process.crashed:
+            return
+        process.on_message(src, payload)
 
     def _deliver_block(self, block: Block, room: int) -> None:
         """:meth:`_deliver` for up to ``room`` members of a block, each
         popped before it is handed over (see :class:`Block`)."""
         processes = self._processes
         take = block.pop
-        if self.full_trace:
-            for _ in range(min(len(block), room)):
-                message = take()
-                self.delivered_count += 1
-                process = processes[message.dst]
-                if process.crashed:
-                    continue
-                process.delivered.append(message)
-                process.on_message(message.src, message.payload)
-        else:
-            for _ in range(min(len(block), room)):
-                src, dst, payload = take()
-                self.delivered_count += 1
-                process = processes[dst]
-                if process.crashed:
-                    continue
-                process.on_message(src, payload)
+        for _ in range(min(len(block), room)):
+            src, dst, payload = take()
+            self.delivered_count += 1
+            process = processes[dst]
+            if process.crashed:
+                continue
+            process.on_message(src, payload)
 
     # -- adversarial schedule control ---------------------------------------------
 
@@ -485,29 +487,10 @@ class Network:
                 message.deliver_time = deliver_time
                 self.sim.call_at(
                     deliver_time, self._deliver,
-                    message if self.full_trace
-                    else (message.src, message.dst, message.payload),
+                    (message.src, message.dst, message.payload),
                 )
                 released += 1
             else:
                 remaining.append(message)
         self.in_transit = remaining
         return released
-
-    def messages_between(
-        self, src: ProcessId, dst: ProcessId
-    ) -> List[Message]:
-        """All logged messages from ``src`` to ``dst`` (any state).
-
-        Requires :attr:`trace_level` ``FULL`` — under ``METRICS`` the
-        log is not retained, and silently returning a partial list
-        would corrupt whatever assertion the caller is making.
-        """
-        if not self.full_trace:
-            raise SimulationError(
-                "messages_between needs the full message log, but this "
-                "network runs at TraceLevel.METRICS (delivered records "
-                "are dropped once consumed); build it with "
-                "trace_level=TraceLevel.FULL"
-            )
-        return [m for m in self.log if m.src == src and m.dst == dst]

@@ -16,17 +16,17 @@ simulation starts; ``bind`` sets ``network`` and ``sim``, and sending or
 reading the simulator before binding is a configuration error.  The
 network (``Network._deliver``) calls :meth:`Process.on_message` itself,
 with the delivery's sender and payload: ``on_message(src, payload)``,
-no envelope.  It drops what reaches a crashed process and, at
-``TraceLevel.FULL``, appends the logged record to the receiver's
-``delivered`` history.
+no envelope, and drops what reaches a crashed process.  A process keeps
+no history of what it received: at ``TraceLevel.FULL`` the network's
+:attr:`~repro.sim.network.Network.log` has every message.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable, List, Optional
+from typing import Any, Hashable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.network import Message, Network
+from repro.sim.network import Network
 
 
 class _Unbound(tuple):
@@ -49,10 +49,6 @@ class Process:
         self.sim = _Unbound((pid,))
         self.crashed = False
         self.crash_time: Optional[float] = None
-        #: The logged records of the messages handed to this process
-        #: (``TraceLevel.FULL`` only — at ``METRICS`` a delivered message
-        #: has no record).
-        self.delivered: List[Message] = []
 
     # -- wiring ---------------------------------------------------------------
 

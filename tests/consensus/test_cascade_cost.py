@@ -110,10 +110,10 @@ def test_a_broadcast_is_one_send_all(monkeypatch):
              type(payload): len(destinations)
          }),
         (Network, "_deliver", unicast,
-         lambda self, message: [type(message.payload)]),
+         lambda self, delivery: [type(delivery[2])]),
         (Network, "_deliver_block", block,
-         lambda self, members, room: [type(m.payload)
-                                      for m in members[-room:]]),
+         lambda self, members, room: [type(payload)
+                                      for _, _, payload in members[-room:]]),
     ):
         monkeypatch.setattr(owner, name, counted(owner, name, counter, tally))
     result = run(_best_case(3))

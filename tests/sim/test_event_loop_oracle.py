@@ -3,23 +3,26 @@
 A broadcast is one queue entry per delivery instant: ``Network.send_all``
 pushes ``(deliver_time, seq, _deliver_block, Block([...]))`` and
 ``Simulator.run`` walks the block inside the instant, one event per
-member.  A queued delivery is the logged ``Message`` at FULL and a bare
-``(src, dst, payload)`` at METRICS, where only a held or dropped message
-gets a record.  ``_deliver`` / ``_deliver_block`` hand each delivery
-straight to the receiver's ``on_message(src, payload)`` — dropping it
-for a crashed receiver, recording the logged record in the receiver's
-``delivered`` at FULL — and ``send`` / ``send_all`` skip ``_resolve`` on
-a channel no rule can match.  A wake pass visits only the waiters of the
-signalled conditions, sorted by park number.
+member.  A queued delivery is a bare ``(src, dst, payload)`` at every
+level: only a held or dropped message gets a ``Message``.  ``_deliver``
+/ ``_deliver_block`` hand each delivery straight to the receiver's
+``on_message(src, payload)`` — dropping it for a crashed receiver — and
+``send`` / ``send_all`` skip ``_resolve`` on a channel no rule can
+match.  At FULL a send is logged as one entry per ``send`` /
+``send_all`` call, which ``Network.log`` turns into ``Message`` records
+when it is read (the live record of a held or dropped member).  A wake
+pass visits only the waiters of the signalled conditions, sorted by park
+number.
 
 The paths these replaced live on *only here*, verbatim, as
 :class:`ReferenceSimulator` / :class:`ReferenceNetwork`: ``send_all`` a
 loop over ``send``, one ``(time, seq, fn, message)`` entry per
 destination, ``_resolve`` on every send of a network with rules, ``run``
 popping one entry per event, ``pending_events()`` the length of the
-heap, a ``Message`` built for every send, ``release_held`` queueing the
-held record, ``_deliver`` handing the message to ``Process.receive``
-(the crash drop and the FULL record there; the handler is called as
+heap, a ``Message`` built for every send and appended to a log list at
+FULL, ``release_held`` queueing the held record, ``_deliver`` handing the
+message to ``Process.receive`` (the crash drop and the FULL record in
+the receiver's ``delivered`` there; the handler is called as
 ``on_message(src, payload)``, the one line of the reference that is not
 the parent's), the wake pass sweeping the whole
 park-order list — and the network's rules the mutable ``Rule`` records
@@ -34,8 +37,10 @@ inside or on a block — and up to ~20 tasks parked on shared conditions
 that wake, consume, re-park, spawn parking tasks, crash processes and
 send during a wake pass) and must agree on the ordered log of
 deliveries and wake-ups, on ``blocked_tasks()``, on every counter, on
-``events_processed``, on the delivered records — at FULL, which logged
-record each one is — and on ``pending_events()`` after every ``run`` call — also the ones that ended
+``events_processed``, on the message log record for record at FULL (the
+Echo log pins the delivery order, so the reference's ``delivered``
+histories are not compared) and on ``pending_events()`` after every
+``run`` call — also the ones that ended
 in an exception — and, for the task scripts, after every instant.  A
 task never raises inside a wake pass here: the reference loses every
 task parked behind one that does (``tests/sim/test_simulator.py`` pins
@@ -45,7 +50,7 @@ comparison.
 
 import heapq
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from heapq import heappush
 from typing import Any, Callable, FrozenSet, Hashable, Optional
@@ -234,8 +239,13 @@ def receive(process, message):
 
 
 class ReferenceNetwork(Network):
+    #: Shadows the shipped network's ``log`` property: here the log is
+    #: the list every send appends its record to.
+    log = None
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self.log = []
         # The METRICS per-register send tally the parent kept.
         self._sent_by_key = {}
 
@@ -333,6 +343,9 @@ class Echo(Process):
         super().__init__(pid)
         self.log = log
         self.got = AckSet(f"got@{pid}")      # one member per delivery
+        # What the reference's ``receive`` records at FULL; the shipped
+        # network keeps no per-process history.
+        self.delivered = []
 
     def on_message(self, src, payload):
         kind, key = payload
@@ -470,8 +483,6 @@ class World:
 
     def snapshot(self):
         sim, net = self.sim, self.net
-        # At FULL a delivered record is a logged one: which one it is.
-        logged = {id(message): at for at, message in enumerate(net.log)}
         return {
             "now": sim.now,
             "events_processed": sim.events_processed,
@@ -483,11 +494,6 @@ class World:
             "net_log": [self.record(m) for m in net.log],
             "net_dropped": [self.record(m) for m in net.dropped],
             "crashed": [pid for pid, proc in self.procs.items() if proc.crashed],
-            "delivered": {
-                pid: [(self.record(m), logged.get(id(m)))
-                      for m in proc.delivered]
-                for pid, proc in self.procs.items()
-            },
             "tokens": list(self.tokens),
             "log": list(self.log),
         }
@@ -634,12 +640,14 @@ INF = float("inf")
 NEG_INF = float("-inf")
 SCRIPTS = {
     # Two timers, two unicasts and a broadcast all land at t=1.0 and at
-    # t=2.0; the acks they trigger tie again.
+    # t=2.0; the acks they trigger tie again.  The second unicast's
+    # delivery ``(src, dst, payload)`` sorts before the first's, so a
+    # tie the heap broke on the delivery would reorder them.
     "ties": {
         "delta": 1.0, "rules": [], "phases": [],
         "steps": [
-            ("timer", 1.0, 1), ("send", 0.0, "a", "b", "req", 0),
-            ("send", 0.0, "c", "b", "req", 1), ("timer", 1.0, 2),
+            ("timer", 1.0, 1), ("send", 0.0, "c", "b", "req", 1),
+            ("send", 0.0, "a", "b", "req", 0), ("timer", 1.0, 2),
             ("broadcast", 0.0, "d", "note", 2), ("timer", 2.0, 3),
         ],
     },
@@ -791,6 +799,11 @@ def woken(state):
     return [entry[2] for entry in state["log"] if entry[1] == "woke"]
 
 
+def delivered_to(world):
+    """The receivers whose handler ran, in delivery order."""
+    return [entry[3] for entry in world.log if entry[1] == "deliver"]
+
+
 def test_scripted_flows_exercise_what_they_claim():
     world, _ = run_script("rules")
     assert world.net.dropped_count and world.net.held_count
@@ -802,7 +815,7 @@ def test_scripted_flows_exercise_what_they_claim():
     ends = [ended for ended, _ in seen]
     assert ends[0].startswith("SimulationError: exceeded 4 events")
     assert ends[1].startswith("Boom") and ends[-1] == "returned"
-    assert world.procs["b"].delivered == []           # crashed before t=1
+    assert "b" not in delivered_to(world)             # crashed before t=1
 
     world, _ = run_script("split-broadcast")
     first = [m for m in world.net.log if m.payload == Payload("req", 0)]
@@ -868,7 +881,7 @@ def test_scripted_flows_exercise_what_they_claim():
     assert state["blocked"][-2:] == ["task0", "task5"]
     # The request is delivered (counted) to a crashed c, which drops it:
     # no ack.
-    assert state["crashed"] == ["c"] and world.procs["c"].delivered == []
+    assert state["crashed"] == ["c"] and "c" not in delivered_to(world)
     assert state["counters"][:2] == (1, 1)
 
 
@@ -1026,81 +1039,77 @@ def mutated_wake_tasks(in_signal_order=False):
     return _wake_tasks
 
 
-def mutated_send(resolve_unseen_channels=True, record_held=True):
+def mutated_send(resolve_unseen_channels=True, record_held=True,
+                 copy_held=False):
     """``Network.send`` as shipped, optionally skipping ``_resolve`` for
     a channel it has not indexed yet — so the index is never built and
-    no channel's rules ever apply — or, at METRICS, counting a held
-    message without building its record, so ``in_transit`` loses it."""
+    no channel's rules ever apply —, counting a held message without
+    building its record, so ``in_transit`` loses it, or logging a copy
+    of a held record, so a later release does not show in the log."""
 
     def send(self, src, dst, payload):
         if dst not in self._processes:
             raise SimulationError(f"unknown destination {dst!r}")
         sim = self.sim
         now = sim.now
-        full_trace = self.full_trace
+        deliver_time = now + self.delta
         message = None
-        if full_trace:
-            message = Message(src, dst, payload, now)
-            self.log.append(message)
-        self.sent_count += 1
-        delay = self.delta
         candidates = self._rule_index.get((src, dst))
-        if self._rules and (
+        if now < self._rules_until and (
             candidates != () if resolve_unseen_channels else candidates
         ):
             action = self._resolve(src, dst, payload, now)
+            if action == HOLD and not record_held:
+                self.sent_count += 1
+                self.held_count += 1
+                return None
             if action == HOLD or action == DROP:
-                if message is None:
-                    if action == HOLD and not record_held:
-                        self.held_count += 1
-                        return None
-                    message = Message(src, dst, payload, now)
+                message = Message(src, dst, payload, now)
                 self._withhold(message, action)
-                return message
-            delay = action
-        deliver_time = now + delay
-        if full_trace:
-            message.deliver_time = deliver_time
-            delivery = message
-        else:
-            delivery = (src, dst, payload)
-        heappush(sim._queue, (deliver_time, sim._seq, self._deliver, delivery))
-        sim._seq += 1
+            else:
+                deliver_time = now + action
+        self.sent_count += 1
+        if self.full_trace:
+            logged = replace(message) if copy_held and message else message
+            self._sends.append((src, (dst,), payload, now, deliver_time,
+                                None if message is None else {0: logged}))
+        if message is None:
+            heappush(sim._queue, (deliver_time, sim._seq, self._deliver,
+                                  (src, dst, payload)))
+            sim._seq += 1
         return message
 
     return send
 
 
 def mutated_send_all(one_block=False, held_and_dropped_ride_along=False,
-                     resolve_unseen_channels=True, record_held=True):
+                     resolve_unseen_channels=True, record_held=True,
+                     log_delays=True, copy_held=False, log_refused=False):
     """``Network.send_all`` as shipped, optionally with one block per
     broadcast whatever the delays, with held / dropped destinations
     left in the block of the on-time ones, skipping ``_resolve`` for a
-    channel not indexed yet, or, at METRICS, counting a held message
-    without building its record."""
+    channel not indexed yet, counting a held message without building
+    its record — or, in the log, with a delayed member at the default
+    time, a copy of a held record, or a refused broadcast whole."""
 
     def send_all(self, src, destinations, payload):
         sim = self.sim
         now = sim.now
         processes = self._processes
         full_trace = self.full_trace
-        log = self.log
-        rule_index = self._rule_index if self._rules else None
+        if full_trace and type(destinations) is not tuple:
+            destinations = tuple(destinations)
+        rule_index = self._rule_index if now < self._rules_until else None
         deliver = self._deliver_block
         default_time = now + self.delta
         seq = sim._seq
         sent = 0
         entries = {}
+        exceptions = {}
         try:
             for dst in destinations:
                 if dst not in processes:
                     raise SimulationError(f"unknown destination {dst!r}")
-                sent += 1
-                if full_trace:
-                    delivery = Message(src, dst, payload, now)
-                    log.append(delivery)
-                else:
-                    delivery = (src, dst, payload)
                 deliver_time = default_time
                 if rule_index is not None and (
                     rule_index.get((src, dst)) != ()
@@ -1109,30 +1118,36 @@ def mutated_send_all(one_block=False, held_and_dropped_ride_along=False,
                 ):
                     action = self._resolve(src, dst, payload, now)
                     if action == HOLD or action == DROP:
-                        if (action == HOLD and not full_trace
-                                and not record_held):
+                        if action == HOLD and not record_held:
                             self.held_count += 1
                         else:
-                            self._withhold(
-                                delivery if full_trace
-                                else Message(src, dst, payload, now),
-                                action,
+                            message = Message(src, dst, payload, now)
+                            self._withhold(message, action)
+                            exceptions[sent] = (
+                                replace(message) if copy_held else message
                             )
                         if not held_and_dropped_ride_along:
+                            sent += 1
                             continue
                     else:
                         deliver_time = now + action
-                if full_trace:
-                    delivery.deliver_time = deliver_time
+                        if deliver_time != default_time and log_delays:
+                            exceptions[sent] = deliver_time
+                sent += 1
                 key_time = "any" if one_block else deliver_time
                 entry = entries.get(key_time)
                 if entry is None:
                     entry = (deliver_time, seq, deliver, Block())
                     entries[key_time] = entry
-                entry[3].append(delivery)
+                entry[3].append((src, dst, payload))
                 seq += 1
         finally:
             self.sent_count += sent
+            if full_trace and sent:
+                if sent < len(destinations) and not log_refused:
+                    destinations = destinations[:sent]
+                self._sends.append((src, destinations, payload, now,
+                                    default_time, exceptions or None))
             queue = sim._queue
             for entry in entries.values():
                 entry[3].reverse()
@@ -1142,78 +1157,41 @@ def mutated_send_all(one_block=False, held_and_dropped_ride_along=False,
     return send_all
 
 
-#: What a FULL delivery hands ``delivered`` in place of the logged
-#: record under :func:`mutated_deliver`'s ``fresh_record``: a new tuple
-#: with the record's fields.
-Fresh = namedtuple(
-    "Fresh", "src dst payload send_time deliver_time held dropped"
-)
-
-
-def fresh(message):
-    return Fresh(*World.record(message))
-
-
-def mutated_deliver(serve_crashed=False, record=True, src_is_dst=False,
-                    fresh_record=False):
+def mutated_deliver(serve_crashed=False, src_is_dst=False):
     """``Network._deliver`` as shipped, optionally handing a crashed
-    receiver its message, keeping no FULL ``delivered`` record, keeping
-    a fresh tuple there in place of the logged record, or handing the
-    handler the receiver as the sender at METRICS."""
+    receiver its message or handing the handler the receiver as the
+    sender."""
 
     def _deliver(self, delivery):
         self.delivered_count += 1
-        if self.full_trace:
-            process = self._processes[delivery.dst]
-            if process.crashed and not serve_crashed:
-                return
-            if record:
-                process.delivered.append(
-                    fresh(delivery) if fresh_record else delivery
-                )
-            process.on_message(delivery.src, delivery.payload)
-        else:
-            src, dst, payload = delivery
-            process = self._processes[dst]
-            if process.crashed and not serve_crashed:
-                return
-            process.on_message(dst if src_is_dst else src, payload)
+        src, dst, payload = delivery
+        process = self._processes[dst]
+        if process.crashed and not serve_crashed:
+            return
+        process.on_message(dst if src_is_dst else src, payload)
 
     return _deliver
 
 
 def mutated_deliver_block(honour_room=True, pop_first=True,
                           count_members=True, serve_crashed=False,
-                          record=True, src_is_dst=False, fresh_record=False):
+                          src_is_dst=False):
     """``Network._deliver_block`` as shipped, optionally deaf to
     ``room``, popping a member only after it ran, counting a call as one
-    delivery, handing crashed receivers their messages, keeping no FULL
-    ``delivered`` record or a fresh tuple in place of the logged one, or
-    handing the handler the receiver as the sender at METRICS."""
+    delivery, handing crashed receivers their messages, or handing the
+    handler the receiver as the sender."""
 
     def _deliver_block(self, block, room):
         processes = self._processes
-        full_trace = self.full_trace
         if not count_members:
             self.delivered_count += 1
         for _ in range(min(len(block), room) if honour_room else len(block)):
-            delivery = block.pop() if pop_first else block[-1]
+            src, dst, payload = block.pop() if pop_first else block[-1]
             if count_members:
                 self.delivered_count += 1
-            if full_trace:
-                src, dst = delivery.src, delivery.dst
-                payload = delivery.payload
-            else:
-                src, dst, payload = delivery
-                if src_is_dst:
-                    src = dst
             process = processes[dst]
             if not process.crashed or serve_crashed:
-                if full_trace and record:
-                    process.delivered.append(
-                        fresh(delivery) if fresh_record else delivery
-                    )
-                process.on_message(src, payload)
+                process.on_message(dst if src_is_dst else src, payload)
             if not pop_first:
                 block.pop()
 
@@ -1286,8 +1264,7 @@ class SkippedSeq(Network):
 
     def send(self, src, dst, payload):
         message = super().send(src, dst, payload)
-        # No record (METRICS) or one with a delivery time: queued.
-        queued = message is None or message.deliver_time is not None
+        queued = message is None            # a withheld message has a record
         if queued and self.sent_count % 2:
             self.sim._seq -= 1
         return message
@@ -1326,29 +1303,32 @@ class CrashedReceiverServed(Network):
     _deliver_block = mutated_deliver_block(serve_crashed=True)
 
 
-class FullDeliveredNotRecorded(Network):
-    _deliver = mutated_deliver(record=False)
-    _deliver_block = mutated_deliver_block(record=False)
-
-
 class RuledChannelsSkipResolve(Network):
     send = mutated_send(resolve_unseen_channels=False)
     send_all = mutated_send_all(resolve_unseen_channels=False)
 
 
-class MetricsHandsTheReceiverAsSender(Network):
+class HandsTheReceiverAsSender(Network):
     _deliver = mutated_deliver(src_is_dst=True)
     _deliver_block = mutated_deliver_block(src_is_dst=True)
 
 
-class MetricsHeldWithoutARecord(Network):
+class HeldWithoutARecord(Network):
     send = mutated_send(record_held=False)
     send_all = mutated_send_all(record_held=False)
 
 
-class FullDeliveredAFreshTuple(Network):
-    _deliver = mutated_deliver(fresh_record=True)
-    _deliver_block = mutated_deliver_block(fresh_record=True)
+class DelayLoggedAtTheDefaultTime(Network):
+    send_all = mutated_send_all(log_delays=False)
+
+
+class LogCopiesAHeldRecord(Network):
+    send = mutated_send(copy_held=True)
+    send_all = mutated_send_all(copy_held=True)
+
+
+class RefusedBroadcastLoggedWhole(Network):
+    send_all = mutated_send_all(log_refused=True)
 
 
 MUTANTS = {
@@ -1374,13 +1354,15 @@ MUTANTS = {
     ReparkKeepsItsNumber: ((ReparkKeepsItsNumber, Network), "spawn-in-pass"),
     ReparkGoesToTheBack: ((ReparkGoesToTheBack, Network), "spawn-in-pass"),
     CrashedReceiverServed: ((Simulator, CrashedReceiverServed), "interrupted"),
-    FullDeliveredNotRecorded: ((Simulator, FullDeliveredNotRecorded), "ties"),
     RuledChannelsSkipResolve: ((Simulator, RuledChannelsSkipResolve), "rules"),
-    MetricsHandsTheReceiverAsSender: (
-        (Simulator, MetricsHandsTheReceiverAsSender), "ties"),
-    MetricsHeldWithoutARecord: ((Simulator, MetricsHeldWithoutARecord),
-                                "rules"),
-    FullDeliveredAFreshTuple: ((Simulator, FullDeliveredAFreshTuple), "ties"),
+    HandsTheReceiverAsSender: ((Simulator, HandsTheReceiverAsSender), "ties"),
+    HeldWithoutARecord: ((Simulator, HeldWithoutARecord), "rules"),
+    DelayLoggedAtTheDefaultTime: ((Simulator, DelayLoggedAtTheDefaultTime),
+                                  "split-broadcast"),
+    LogCopiesAHeldRecord: ((Simulator, LogCopiesAHeldRecord),
+                           "split-broadcast"),
+    RefusedBroadcastLoggedWhole: ((Simulator, RefusedBroadcastLoggedWhole),
+                                  "refused-destination"),
 }
 
 

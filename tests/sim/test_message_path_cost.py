@@ -17,10 +17,11 @@ signals when the quorum is reached, not on every ack (814 signals on
 this spec before, 214 now), and no label is formatted on the way (150
 ``str.format`` calls before).
 
-A delivery costs what the run keeps of it: at METRICS no ``Message`` is
-built for a message that is delivered (the receiver is handed
-``(src, payload)``), only for one a rule holds or drops; at FULL one per
-send, the record the log keeps.  A write round waits on its ``2Δ``
+A delivery costs what the run keeps of it: at either level no
+``Message`` is built for a message that is delivered (the receiver is
+handed ``(src, payload)``), only for one a rule holds or drops; FULL
+logs one entry per send call and builds the records when the log is
+read.  A write round waits on its ``2Δ``
 timer and then on its quorum, and leaves no timer in a reference cycle
 for the cyclic collector.  Once the
 last rule window has closed (GST, for a lossy-until-GST run), a send
@@ -30,6 +31,8 @@ resolves no rule.
 import gc
 import heapq
 import os
+
+import pytest
 
 from repro.experiments import stress
 from repro.experiments.builders import keyed_mix_spec
@@ -229,11 +232,16 @@ def test_a_metrics_delivery_builds_no_message():
     assert calls["Message.__init__"] == 0
 
 
+WITHHELD = (
+    Hold(dst=(2,), after=20.0, until=30.0),
+    Drop(dst=(3,), after=40.0, until=50.0),
+)
+
+
 def test_a_metrics_message_a_rule_withholds_has_a_record():
-    result, calls = profiled(lambda: run(small_abd(asynchrony=(
-        Hold(dst=(2,), after=20.0, until=30.0),
-        Drop(dst=(3,), after=40.0, until=50.0),
-    ))), constructions(Message))
+    result, calls = profiled(
+        lambda: run(small_abd(asynchrony=WITHHELD)), constructions(Message)
+    )
     net = result.adapter.network
     assert net.held_count > 0 and net.dropped_count > 0
     assert calls["Message.__init__"] == net.held_count + net.dropped_count
@@ -241,13 +249,19 @@ def test_a_metrics_message_a_rule_withholds_has_a_record():
     assert len(net.in_transit) == net.held_count and net.dropped == []
 
 
-def test_a_full_send_builds_the_one_record_the_log_keeps():
+@pytest.mark.parametrize("rules", [(), WITHHELD], ids=["rule-free", "ruled"])
+def test_a_full_run_builds_a_record_only_for_what_a_rule_withholds(rules):
     result, calls = profiled(
-        lambda: run(small_abd().with_(trace_level="full")),
+        lambda: run(small_abd(asynchrony=rules).with_(trace_level="full")),
         constructions(Message),
     )
     net = result.adapter.network
-    assert calls["Message.__init__"] == net.sent_count == len(net.log) > 1000
+    withheld = net.held_count + net.dropped_count
+    assert (net.held_count > 0 and net.dropped_count > 0) == bool(rules)
+    # During the run only the held and dropped messages get a record;
+    # the log builds the others when it is read.
+    assert calls["Message.__init__"] == withheld
+    assert len(net.log) == net.sent_count > 1000
 
 
 def test_every_write_round_waits_its_own_timer():

@@ -54,7 +54,16 @@ class TestTransport:
         net.send("a", "b", 1)
         net.send("b", "a", 2)
         net.send("a", "b", 3)
-        assert [m.payload for m in net.messages_between("a", "b")] == [1, 3]
+        assert [m.payload for m in net.log
+                if (m.src, m.dst) == ("a", "b")] == [1, 3]
+
+    def test_a_metrics_network_logs_nothing(self):
+        sim = Simulator()
+        net = Network(sim, trace_level="metrics")
+        Sink("a").bind(net)
+        net.send("a", "a", 1)
+        net.send_all("a", ["a"], 2)
+        assert net.log == [] and net.sent_count == 2
 
 
 class TestRules:
@@ -167,6 +176,35 @@ class TestBroadcast:
         sim, net, a, b = make_net()
         with pytest.raises(SimulationError):
             net.send_all("a", ["b", "ghost"], "hi")
+        # What was sent before the refusal is logged, and only that.
+        assert [(m.dst, m.deliver_time) for m in net.log] == [("b", 1.0)]
+
+    def test_the_log_keeps_the_destinations_as_they_were_sent(self):
+        sim, net, a, b = make_net()
+        destinations = ["a", "b"]
+        net.send_all("a", destinations, "hi")
+        destinations[:] = ["b", "b", "b"]
+        assert [m.dst for m in net.log] == ["a", "b"]
+        net.send_all("b", iter(["b"]), "once")     # any iterable
+        assert [(m.src, m.dst) for m in net.log][2:] == [("b", "b")]
+
+    def test_the_log_shows_each_member_its_fate(self):
+        sim, net, a, b = make_net([
+            Delay(3.0, dst=("a",)), Hold(dst=("b",), until=1.0),
+        ])
+        net.send_all("a", ("a", "b"), "x")
+        held = net.send("a", "b", "y")
+        assert net.send("b", "a", "z") is None      # queued: no record
+        fates = [(m.dst, m.payload, m.deliver_time, m.held) for m in net.log]
+        assert fates == [
+            ("a", "x", 3.0, False), ("b", "x", None, True),
+            ("b", "y", None, True), ("a", "z", 3.0, False),
+        ]
+        # A held member is its live record: the release shows in the log.
+        assert net.log[2] is held and net.release_held(delay=0.5) == 2
+        assert [m.deliver_time for m in net.log] == [3.0, 0.5, 0.5, 3.0]
+        sim.run_to_completion()
+        assert b.seen == [("x", 0.5), ("y", 0.5)]
 
 
 class TestChannelsAreCollections:
