@@ -1,13 +1,19 @@
 """Correctness checkers and latency accounting."""
 
-from repro.analysis.consensus_check import ConsensusReport, check_consensus
-from repro.analysis.latency import LatencySummary
-from repro.analysis.streaming import (
-    OnlineChecker,
-    OnlineReport,
-    OnlineViolation,
-    check_history,
-)
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy(globals(), {
+    **dict.fromkeys(
+        ("ConsensusReport", "check_consensus"),
+        "repro.analysis.consensus_check",
+    ),
+    "LatencySummary": "repro.analysis.latency",
+    **dict.fromkeys(
+        ("OnlineChecker", "OnlineReport", "OnlineViolation",
+         "check_history"),
+        "repro.analysis.streaming",
+    ),
+})
 
 __all__ = [
     "ConsensusReport",

@@ -13,23 +13,21 @@ Public surface:
   the load solved by the exact strategy LP of :mod:`~repro.core.strategy`.
 """
 
-from repro.core.adversary import (
-    Adversary,
-    ExplicitAdversary,
-    ThresholdAdversary,
-    as_subset,
-)
-from repro.core.rqs import RefinedQuorumSystem, describe
-from repro.core.properties import (
-    P1Witness,
-    P2Witness,
-    P3Witness,
-    check_property1,
-    check_property2,
-    check_property3,
-    p3a,
-    p3b,
-)
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy(globals(), {
+    **dict.fromkeys(
+        ("Adversary", "ExplicitAdversary", "ThresholdAdversary",
+         "as_subset"),
+        "repro.core.adversary",
+    ),
+    **dict.fromkeys(("RefinedQuorumSystem", "describe"), "repro.core.rqs"),
+    **dict.fromkeys(
+        ("P1Witness", "P2Witness", "P3Witness", "check_property1",
+         "check_property2", "check_property3", "p3a", "p3b"),
+        "repro.core.properties",
+    ),
+})
 
 __all__ = [
     "Adversary",

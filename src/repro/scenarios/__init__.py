@@ -30,6 +30,17 @@ simulator); a run's processes are ``result.adapter.servers`` /
 ``.writers`` / ``.readers`` (storage) and ``.proposers`` /
 ``.acceptors`` / ``.learners`` (consensus).
 
+Each built-in id's registry row lives in its family's module
+(:mod:`~repro.scenarios.abd_adapters`,
+:mod:`~repro.scenarios.rqs_adapters`,
+:mod:`~repro.scenarios.consensus_adapters`), which the registry imports
+on the first lookup of one of its ids — and a :class:`ScenarioSpec`
+looks its protocol up when it is built.  Importing this package
+therefore registers nothing and loads no protocol: the spec literal
+does, in a soak's or an exhibit's set-up rather than inside a timed
+``run``, and an ``abd`` run never compiles the RQS stack or the
+consensus half.
+
 Grids of scenarios are sweeps: a :class:`SweepSpec` (axes of protocols ×
 RQS constructions × fault plans × seeds) expands into frozen specs and
 :func:`run_grid` executes them on a serial or multiprocessing backend,
@@ -70,7 +81,7 @@ operation's quorum from a seeded distribution instead of broadcasting —
 see :mod:`repro.core.algebra` and :mod:`repro.core.strategy`.
 """
 
-from repro.core.strategy import Strategy
+from repro import _lazy
 from repro.scenarios.aggregate import (
     AxisValue,
     CellResult,
@@ -129,8 +140,8 @@ from repro.scenarios.workloads import (
 from repro.sim.network import TraceLevel
 from repro.storage.history import DEFAULT_KEY
 
-# Importing the adapters registers every built-in protocol.
-from repro.scenarios import adapters as _adapters  # noqa: F401
+# The strategy engine is the quorum algebra's: it loads when named.
+__getattr__, __dir__ = _lazy(globals(), {"Strategy": "repro.core.strategy"})
 
 __all__ = [
     "ACCEPTOR",

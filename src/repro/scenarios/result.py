@@ -30,10 +30,8 @@ from __future__ import annotations
 import resource
 import sys
 from functools import cached_property
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Hashable, Optional, Tuple
 
-from repro.analysis.consensus_check import ConsensusReport, check_consensus
-from repro.analysis.latency import LatencySummary
 from repro.analysis.streaming import (
     OnlineRefusal,
     OnlineReport,
@@ -42,6 +40,10 @@ from repro.analysis.streaming import (
 from repro.errors import CheckerError
 from repro.sim.trace import OperationRecord
 from repro.storage.history import DEFAULT_KEY
+
+if TYPE_CHECKING:
+    from repro.analysis.consensus_check import ConsensusReport
+    from repro.analysis.latency import LatencySummary
 
 
 def peak_rss_kb() -> int:
@@ -414,8 +416,10 @@ class RunResult(ResultSurface):
         )
 
     def check_consensus(self, **kwargs: Any) -> ConsensusReport:
+        """The consensus checker with custom benign/correct sets; a
+        storage run refuses (``CheckerError``)."""
         self._require_records("the consensus checker")
-        return check_consensus(self.records, **kwargs)
+        return self.adapter.check_consensus(self.records, **kwargs)
 
     # -- latency metrics ------------------------------------------------------
 
@@ -428,12 +432,16 @@ class RunResult(ResultSurface):
         accumulator — the two agree exactly whenever its reservoir holds
         the full stream.
         """
+        from repro.analysis.latency import LatencySummary
+
         if self.streamed:
             return self.latency_streaming(kind)
         return LatencySummary.from_records(self.records, kind)
 
     def latency_streaming(self, kind: str) -> LatencySummary:
         """The accumulator-backed summary (available at every mode)."""
+        from repro.analysis.latency import LatencySummary
+
         return LatencySummary.from_accumulator(
             self.adapter.trace.accumulator(kind), kind
         )

@@ -63,9 +63,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.analysis.latency import LatencySummary
 from repro.analysis.streaming import (
     MAX_REPORTED,
     LatencyAccumulator,
@@ -76,6 +75,9 @@ from repro.errors import ScenarioError
 from repro.scenarios.registry import get_protocol
 from repro.scenarios.result import ResultSurface
 from repro.scenarios.spec import ScenarioSpec
+
+if TYPE_CHECKING:
+    from repro.analysis.latency import LatencySummary
 
 
 def split_max_ops(max_ops: Optional[int], shards: int) -> List[Optional[int]]:
@@ -313,6 +315,8 @@ class ShardedRunResult(ResultSurface):
         return self.latency_streaming(kind)
 
     def latency_streaming(self, kind: str) -> LatencySummary:
+        from repro.analysis.latency import LatencySummary
+
         return LatencySummary.from_accumulator(
             self._accumulators.get(kind), kind
         )

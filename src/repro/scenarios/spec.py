@@ -13,27 +13,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from importlib import import_module
 from types import MappingProxyType
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
-
-from repro.core.algebra import QuorumSystem, demo_grid_rqs
-from repro.core.constructions import (
-    byzantine_quorum_system,
-    example7_rqs,
-    figure3_rqs,
-    majority_quorum_system,
-    pbft_style_rqs,
-    section12_rqs,
-    threshold_rqs,
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple, Union,
 )
-from repro.core.rqs import RefinedQuorumSystem
-from repro.core.strategy import Strategy
+
 from repro.errors import ScenarioError, SimulationError
 from repro.scenarios.faults import FaultPlan
+from repro.scenarios.registry import get_protocol
 from repro.scenarios.workloads import RandomMix, Workload, WorkloadOp
 from repro.sim.network import TraceLevel
 
-RqsSpec = Union[RefinedQuorumSystem, QuorumSystem, str, None]
+if TYPE_CHECKING:
+    from repro.core.algebra import QuorumSystem
+    from repro.core.rqs import RefinedQuorumSystem
+    from repro.core.strategy import Strategy
+
+RqsSpec = Union["RefinedQuorumSystem", "QuorumSystem", str, None]
 
 #: Legal string values of ``ScenarioSpec.quorum_strategy``.
 STRATEGY_NAMES = ("uniform", "optimal")
@@ -62,16 +59,34 @@ def named_rqs() -> Tuple[str, ...]:
     return tuple(sorted(_NAMED_RQS))
 
 
-register_rqs("example6", lambda: threshold_rqs(8, 3, 1, 1, 2))
+def _deferred(module: str, function: str, *args: Any,
+              **kwargs: Any) -> Callable[[], RefinedQuorumSystem]:
+    """A factory calling ``module.function(*args, **kwargs)``: the
+    module is imported when the name is first resolved, not when it is
+    registered."""
+
+    def build() -> RefinedQuorumSystem:
+        return getattr(import_module(module), function)(*args, **kwargs)
+
+    return build
+
+
+_BUILDERS = "repro.core.constructions"
+
+register_rqs("example6", _deferred(_BUILDERS, "threshold_rqs",
+                                   8, 3, 1, 1, 2))
 register_rqs("example6-broken-p3",
-             lambda: threshold_rqs(8, 3, 1, 1, 3, validate=False))
-register_rqs("example7", example7_rqs)
-register_rqs("figure3", figure3_rqs)
-register_rqs("section12", section12_rqs)
+             _deferred(_BUILDERS, "threshold_rqs",
+                       8, 3, 1, 1, 3, validate=False))
+register_rqs("example7", _deferred(_BUILDERS, "example7_rqs"))
+register_rqs("figure3", _deferred(_BUILDERS, "figure3_rqs"))
+register_rqs("section12", _deferred(_BUILDERS, "section12_rqs"))
 # Expression-defined systems (the quorum algebra lift): the 2×3 grid
 # ``a*b*c + d*e*f`` with heterogeneous / homogeneous node capacities.
-register_rqs("grid-hetero", lambda: demo_grid_rqs(heterogeneous=True))
-register_rqs("grid-homog", lambda: demo_grid_rqs(heterogeneous=False))
+register_rqs("grid-hetero", _deferred("repro.core.algebra", "demo_grid_rqs",
+                                      heterogeneous=True))
+register_rqs("grid-homog", _deferred("repro.core.algebra", "demo_grid_rqs",
+                                     heterogeneous=False))
 
 
 def resolve_rqs(spec: RqsSpec) -> Optional[RefinedQuorumSystem]:
@@ -96,11 +111,17 @@ def resolve_rqs(spec: RqsSpec) -> Optional[RefinedQuorumSystem]:
     among the last eight built (:func:`_construct`).  A grid over a
     thousand distinct strings therefore keeps at most eight systems.
     """
-    if spec is None or isinstance(spec, RefinedQuorumSystem):
-        return spec
-    if isinstance(spec, QuorumSystem):
-        return spec.to_rqs()
+    if spec is None:
+        return None
     if not isinstance(spec, str):
+        from repro.core.rqs import RefinedQuorumSystem
+
+        if isinstance(spec, RefinedQuorumSystem):
+            return spec
+        from repro.core.algebra import QuorumSystem
+
+        if isinstance(spec, QuorumSystem):
+            return spec.to_rqs()
         raise ScenarioError(
             f"rqs must be a RefinedQuorumSystem, a name, or None; "
             f"got {spec!r}"
@@ -125,6 +146,13 @@ def _construct(spec: str) -> RefinedQuorumSystem:
     :data:`_CONSTRUCTIONS`) — validated, unless it says
     ``novalidate``, once per string while it stays cached.  A string
     that fails to parse or to validate raises, and nothing is kept."""
+    from repro.core.constructions import (
+        byzantine_quorum_system,
+        majority_quorum_system,
+        pbft_style_rqs,
+        threshold_rqs,
+    )
+
     kind, _, arg_text = spec.partition(":")
     args = [a.strip() for a in arg_text.split(",") if a.strip()]
     try:
@@ -155,7 +183,10 @@ class ScenarioSpec:
     ----------
     protocol:
         A registered protocol id (see
-        :func:`repro.scenarios.registry.available_protocols`).
+        :func:`repro.scenarios.registry.available_protocols`), resolved
+        when the spec is built: the registry imports the id's family
+        module then, and an unknown id raises
+        :class:`~repro.errors.UnknownProtocolError` there.
     rqs:
         The refined quorum system (instance or name); ``None`` for
         baselines parameterized by counts instead (ABD, Paxos, PBFT).
@@ -257,21 +288,24 @@ class ScenarioSpec:
     duration: Optional[float] = None
     max_ops: Optional[int] = None
     trace_level: Union[TraceLevel, str] = TraceLevel.FULL
-    quorum_strategy: Union[None, str, Strategy] = None
+    quorum_strategy: Union[None, str, "Strategy"] = None
     params: Mapping[str, Any] = field(default_factory=dict)
     shards: int = 1
 
     def __post_init__(self):
+        # Resolving the id imports its family's module here, where the
+        # spec literal is built, never inside a timed ``run``.
+        get_protocol(self.protocol)
         object.__setattr__(self, "workload", tuple(self.workload))
-        if self.quorum_strategy is not None and not (
-            isinstance(self.quorum_strategy, Strategy)
-            or self.quorum_strategy in STRATEGY_NAMES
-        ):
-            raise ScenarioError(
-                f"quorum_strategy must be None, one of "
-                f"{'/'.join(STRATEGY_NAMES)}, or a Strategy instance; "
-                f"got {self.quorum_strategy!r}"
-            )
+        if self.quorum_strategy not in (None, *STRATEGY_NAMES):
+            from repro.core.strategy import Strategy
+
+            if not isinstance(self.quorum_strategy, Strategy):
+                raise ScenarioError(
+                    f"quorum_strategy must be None, one of "
+                    f"{'/'.join(STRATEGY_NAMES)}, or a Strategy instance; "
+                    f"got {self.quorum_strategy!r}"
+                )
         if self.n_writers < 1:
             raise ScenarioError(
                 f"n_writers must be >= 1, got {self.n_writers}"

@@ -121,7 +121,10 @@ class SweepSpec:
     axes:
         Ordered mapping (or sequence of pairs) ``axis name -> values``.
         Values may be plain objects or :func:`labeled` pairs; the cross
-        product expands in row-major order (last axis fastest).
+        product expands in row-major order (last axis fastest).  The
+        ids on a ``protocol`` axis are resolved when the grid is built,
+        as a spec's are: an unknown one raises
+        :class:`~repro.errors.UnknownProtocolError` here.
     base:
         Template spec for the default builder; axes named after
         ``ScenarioSpec`` fields (``protocol``, ``rqs``, ``seed``,
@@ -167,6 +170,12 @@ class SweepSpec:
         if not normalized:
             raise ScenarioError(f"sweep {self.name!r} has no axes")
         object.__setattr__(self, "axes", tuple(normalized))
+        # As a spec does: the protocols a grid names are imported (and
+        # an unknown id raises) where the grid literal is built.
+        for name, values in normalized:
+            if name == "protocol":
+                for value in values:
+                    get_protocol(axis_value(value))
         if self.evaluate is not None and (
             self.base is not None
             or self.build is not None

@@ -65,8 +65,9 @@ from those entries when it is read.
   are fixed at construction, so an entry is never invalidated.
 * **Trace levels** — :class:`TraceLevel` says how much message history
   is retained.  ``FULL`` (the default) keeps the send entries
-  :attr:`Network.log` is built from; ``METRICS`` keeps no entry and no
-  dropped record — only counters, bounding memory on long workloads.
+  :attr:`Network.log` is built from (a dropped message is the entry of
+  its log whose ``dropped`` is set); ``METRICS`` keeps no entry — only
+  counters, bounding memory on long workloads.
   Nothing under ``repro`` reads the log: verdicts and fingerprints read
   operation records (:mod:`repro.sim.trace`), and a replay of held
   messages reads :attr:`Network.in_transit` — held messages are always
@@ -94,13 +95,13 @@ class TraceLevel(enum.IntEnum):
     """How much message history a network retains.
 
     ``METRICS``
-        Counters only: no send is logged and a dropped message's record
-        is not kept, so ``Network.log`` is empty.  Use for big sweeps
+        Counters only: no send is logged, so ``Network.log`` is empty
+        and a dropped message's record is not kept.  Use for big sweeps
         and benchmarks where only metrics/verdict-free results matter.
     ``FULL``
-        Log every send, one entry per ``send`` / ``send_all`` call, and
-        keep the dropped records: ``Network.log`` is every message as a
-        :class:`Message`.  Only per-message test inspection reads it; no
+        Log every send, one entry per ``send`` / ``send_all`` call:
+        ``Network.log`` is every message as a :class:`Message`, the
+        dropped ones with ``dropped`` set.  Only per-message test inspection reads it; no
         verdict, fingerprint or replay does (held messages are kept in
         ``in_transit`` at every level).
     """
@@ -244,7 +245,7 @@ class Network:
         self.delta = float(delta)
         self.trace_level = TraceLevel.of(trace_level)
         #: ``trace_level >= FULL``, resolved once: whether sends are
-        #: logged (``log``) and dropped records kept (``dropped``).
+        #: logged (``log``).
         self.full_trace = self.trace_level >= TraceLevel.FULL
         #: The delivery rules, first match wins; fixed for the run.
         self._rules = tuple(rules)
@@ -260,9 +261,8 @@ class Network:
         #: docstring); :attr:`log` reads them.
         self._sends: List[tuple] = []
         self.in_transit: List[Message] = []
-        self.dropped: List[Message] = []
         # Monotone counters, maintained at every trace level — the
-        # portable replacement for len(log)/len(dropped) in fingerprints
+        # portable replacement for len(log) in fingerprints
         # and metrics.
         self.sent_count = 0
         self.delivered_count = 0
@@ -436,8 +436,6 @@ class Network:
         else:
             message.dropped = True
             self.dropped_count += 1
-            if self.full_trace:
-                self.dropped.append(message)
 
     def _deliver(self, delivery: Tuple[ProcessId, ProcessId, Any]) -> None:
         """Hand a ``(src, dst, payload)`` delivery to its receiver's

@@ -9,18 +9,23 @@ messages.  Deployments are wired from a
 :mod:`repro.scenarios` (``"rqs-storage"``, ``"rqs-regular"``, ``"abd"``,
 ``"fastabd"``, ``"naive"``)."""
 
-from repro.storage.history import BOTTOM, History, HistoryView, Pair
-from repro.storage.messages import RD, RdAck, WR, WrAck
-from repro.storage.predicates import ReadState
-from repro.storage.reader import StorageReader
-from repro.storage.server import (
-    FabricatingServer,
-    ForgetfulServer,
-    SilentServer,
-    StorageServer,
-)
-from repro.storage.regular import RegularReader
-from repro.storage.writer import StorageWriter
+from repro import _lazy
+
+__getattr__, __dir__ = _lazy(globals(), {
+    **dict.fromkeys(
+        ("BOTTOM", "History", "HistoryView", "Pair"), "repro.storage.history"
+    ),
+    **dict.fromkeys(("RD", "RdAck", "WR", "WrAck"), "repro.storage.messages"),
+    "ReadState": "repro.storage.predicates",
+    "StorageReader": "repro.storage.reader",
+    **dict.fromkeys(
+        ("StorageServer", "SilentServer", "FabricatingServer",
+         "ForgetfulServer"),
+        "repro.storage.server",
+    ),
+    "RegularReader": "repro.storage.regular",
+    "StorageWriter": "repro.storage.writer",
+})
 
 __all__ = [
     "BOTTOM",

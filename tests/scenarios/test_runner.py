@@ -281,6 +281,19 @@ class TestRegisterCheckerRefusals:
             with pytest.raises(CheckerError, match=rf"not-storage.*{protocol}"):
                 result.atomicity
 
+    def test_storage_rows_have_no_consensus_verdict(self):
+        for protocol in ("abd", "rqs-storage"):
+            result = run(ScenarioSpec(
+                protocol=protocol,
+                rqs="example6" if protocol == "rqs-storage" else None,
+                workload=(Write(0.0, "v"), Read(10.0)),
+            ))
+            assert result.atomicity.atomic, protocol
+            with pytest.raises(
+                CheckerError, match=rf"consensus checker refuses.*{protocol}"
+            ):
+                result.consensus
+
     def test_naive_multi_writer_stamps_are_refused(self):
         spec = ScenarioSpec(
             protocol="naive", readers=2, n_writers=2,

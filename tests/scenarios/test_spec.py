@@ -204,6 +204,13 @@ class TestRegistry:
         with pytest.raises(UnknownProtocolError):
             run(ScenarioSpec(protocol="raft"))
 
+    def test_an_unknown_protocol_raises_where_the_spec_is_built(self):
+        spec = ScenarioSpec(protocol="abd")
+        with pytest.raises(UnknownProtocolError, match="raft"):
+            ScenarioSpec(protocol="raft")
+        with pytest.raises(UnknownProtocolError, match="raft"):
+            spec.with_(protocol="raft")
+
     def test_storage_protocol_requires_rqs(self):
         with pytest.raises(ScenarioError, match="requires a quorum"):
             run(ScenarioSpec(protocol="rqs-storage"))

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.errors import ScenarioError
+from repro.errors import ScenarioError, UnknownProtocolError
 from repro.scenarios import (
     Crash,
     FaultPlan,
@@ -137,6 +137,15 @@ class TestExpansion:
         grid = SweepSpec(name="bad", axes={"seed": (0,)})
         with pytest.raises(ScenarioError):
             grid.specs()
+
+    def test_unknown_protocol_on_the_axis_raises_where_the_grid_is_built(
+        self,
+    ):
+        with pytest.raises(UnknownProtocolError, match="raft"):
+            SweepSpec(
+                name="bad",
+                axes={"protocol": ("abd", labeled("raft", "raft"))},
+            )
 
     def test_evaluate_excludes_scenario_hooks(self):
         with pytest.raises(ScenarioError):

@@ -246,6 +246,9 @@ class ReferenceNetwork(Network):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.log = []
+        # The dropped records the parent kept beside its log (the
+        # shipped network's are the log entries with ``dropped`` set).
+        self.dropped = []
         # The METRICS per-register send tally the parent kept.
         self._sent_by_key = {}
 
@@ -492,7 +495,12 @@ class World:
                          net.dropped_count, net.held_count),
             "in_transit": [self.record(m) for m in net.in_transit],
             "net_log": [self.record(m) for m in net.log],
-            "net_dropped": [self.record(m) for m in net.dropped],
+            "net_dropped": [
+                self.record(m) for m in (
+                    net.dropped if isinstance(net, ReferenceNetwork)
+                    else [m for m in net.log if m.dropped]
+                )
+            ],
             "crashed": [pid for pid, proc in self.procs.items() if proc.crashed],
             "tokens": list(self.tokens),
             "log": list(self.log),

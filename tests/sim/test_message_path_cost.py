@@ -246,7 +246,7 @@ def test_a_metrics_message_a_rule_withholds_has_a_record():
     assert net.held_count > 0 and net.dropped_count > 0
     assert calls["Message.__init__"] == net.held_count + net.dropped_count
     # The held ones stay releasable; the dropped ones are not kept.
-    assert len(net.in_transit) == net.held_count and net.dropped == []
+    assert len(net.in_transit) == net.held_count and net.log == []
 
 
 @pytest.mark.parametrize("rules", [(), WITHHELD], ids=["rule-free", "ruled"])

@@ -78,7 +78,8 @@ class TestRules:
         message = net.send("a", "b", "lost")
         sim.run_to_completion()
         assert message.dropped and b.seen == []
-        assert net.dropped == [message]
+        assert [m for m in net.log if m.dropped] == [message]
+        assert net.dropped_count == 1
 
     def test_hold_and_release(self):
         sim, net, a, b = make_net([Hold(dst=("b",))])
