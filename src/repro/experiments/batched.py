@@ -23,6 +23,8 @@ three-round ceiling; fast-ABD: a lossy server plus a slowed writer leg
 to two servers widen the pre-write race window, so some unbatched reads
 write back).  ``plan="none"`` is the fault-free run, where every read
 of either protocol, batched or not, takes one round.
+:data:`FABRICATOR_GRID` holds the same contract for rqs-storage with a
+fabricating server, which lies to a batched read as to an unbatched one.
 
 Run directly (``python -m repro.experiments.batched``) for the grid's
 table, one line per cell.
@@ -30,11 +32,13 @@ table, one line per cell.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Mapping
 
 from repro.experiments.builders import keyed_mix_spec
 from repro.scenarios import ScenarioSpec, SweepSpec, run_grid
-from repro.scenarios.faults import Crash, Delay, Drop, FaultPlan
+from repro.scenarios.faults import ByzantineRole, Crash, Delay, Drop, FaultPlan
+from repro.storage.server import FabricatingServer
 
 #: Global stabilization time for the tail plans: both lossy regimes
 #: heal at GST, well inside the cells' horizon.
@@ -67,8 +71,17 @@ TAIL_PLANS: Dict[str, FaultPlan] = {
 }
 
 
+#: ``plan="fabricator"``: server 8 answers every read, batched or not,
+#: with a pair stamped above anything the workload writes.
+FABRICATOR_PLAN = FaultPlan(byzantine=(ByzantineRole(8, partial(
+    FabricatingServer, forged_ts=999, forged_value="EVIL"
+)),))
+
+
 def _tail_build(point: Mapping) -> ScenarioSpec:
     protocol = str(point["protocol"])
+    plans = {"tail": TAIL_PLANS[protocol], "none": FaultPlan(),
+             "fabricator": FABRICATOR_PLAN}
     return keyed_mix_spec(
         protocol,
         TAIL_KEYS,
@@ -80,8 +93,7 @@ def _tail_build(point: Mapping) -> ScenarioSpec:
         seed=point["seed"],
         trace_level="full",
         batch_size=int(point["batch"]),
-    ).with_(faults=TAIL_PLANS[protocol] if point["plan"] == "tail"
-            else FaultPlan())
+    ).with_(faults=plans[str(point["plan"])])
 
 
 def _tail_measure(point: Mapping, result) -> Mapping:
@@ -111,5 +123,22 @@ TAIL_GRID = SweepSpec(
 )
 
 
+def _fabricator_measure(point: Mapping, result) -> Mapping:
+    forged = sum(read.result == "EVIL" for read in result.reads)
+    return {**_tail_measure(point, result), "forged_reads": forged}
+
+
+#: The E17 fabricator cells: rqs-storage only, as the fast-ABD
+#: count-quorum kernel takes no Byzantine role.
+FABRICATOR_GRID = SweepSpec(
+    name="batched_fabricator",
+    axes={"protocol": ("rqs-storage",), "batch": (1, TAIL_BATCH),
+          "plan": ("fabricator",), "seed": (TAIL_SEED,)},
+    build=_tail_build,
+    measure=_fabricator_measure,
+)
+
+
 if __name__ == "__main__":
-    print("\n".join(run_grid(TAIL_GRID).table()))
+    for grid in (TAIL_GRID, FABRICATOR_GRID):
+        print("\n".join(run_grid(grid).table()))

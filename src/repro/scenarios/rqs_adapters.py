@@ -109,20 +109,6 @@ class RqsStorageAdapter(StorageAdapter):
             role.process: role.factory
             for role in spec.faults.byzantine_for(SERVER)
         }
-        batched = [
-            op.batch_size for op in spec.workload
-            if isinstance(op, RandomMix) and op.batch_size != 1
-        ]
-        if factories and batched:
-            # Byzantine servers override the unbatched handlers only;
-            # batched traffic would reach the benign base-class
-            # handlers and the role would silently run honest.
-            raise ScenarioError(
-                f"Byzantine server roles (faults.byzantine, servers "
-                f"{sorted(factories, key=repr)}) cannot be combined with "
-                f"batch_size={batched[0]!r}: batched messages bypass the "
-                f"Byzantine handlers; use batch_size=1"
-            )
         strategy = _resolve_strategy(spec, rqs)
         super().__init__(spec)
         self.rqs = rqs

@@ -43,13 +43,9 @@ interprets the payloads its own way:
 * RQS — ``sets`` carries the batch's shared QC'2 quorum-id set (a
   write) or its group's x1 set (a read write-back) and ``rnd`` the
   Figure 5 round; read replies are per-key history snapshots
-  (``HistoryView``).
-
-Byzantine server subclasses override the *unbatched* handlers
-(``handle_write`` / ``handle_read``); batching targets the crash/lossy
-fault hot path and batched traffic would bypass those overrides, so the
-``rqs-storage`` adapter refuses specs that combine Byzantine server
-roles with ``batch_size != 1``.
+  (``HistoryView``), each built by ``StorageServer.reply`` — the one
+  seam a lying server overrides, so a batched read meets the lie an
+  unbatched read meets.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ Byzantine variants used by tests and proof replays:
   advertising an arbitrary high-timestamp value (the fabrication attack
   that the reader's ``safe`` predicate must defeat).
 * :class:`ForgetfulServer` — behaves correctly but "forgets": at a
-  trigger time its history is rolled back to a given snapshot (used for
-  the σ0/σ1 forgeries of Figure 4 and the Theorem 3 proof replay).
+  trigger time every register is rolled back to a given snapshot (used
+  for the σ0/σ1 forgeries of Figure 4 and the Theorem 3 proof replay).
 * :class:`QuorumForgettingServer` — erases the class-2 quorum ids stored
   by read write-backs while keeping the pairs ("forgets round 2 of rd",
   the ex4 behaviour of Figure 4).
@@ -33,13 +33,7 @@ from __future__ import annotations
 from typing import Any, Dict, Hashable, Optional, Tuple
 
 from repro.sim.process import Process
-from repro.storage.history import (
-    DEFAULT_KEY,
-    Entry,
-    History,
-    HistoryView,
-    Pair,
-)
+from repro.storage.history import Entry, History, HistoryView
 from repro.storage.batching import (
     BatchAck,
     ReadBatch,
@@ -53,10 +47,10 @@ class StorageServer(Process):
     """A benign storage server.
 
     The server keeps one independent :class:`History` matrix per
-    register key (the keyed-register-space lift); ``self.history`` stays
-    an alias for the default register's matrix, which is what the
-    Byzantine forgery variants below roll back — forgeries target the
-    default register, matching every scripted proof replay.
+    register key (the keyed-register-space lift), created on the first
+    message that names the key.  Every read reply, batched or not, is
+    built by :meth:`reply`, and the Byzantine forgeries below act on
+    every register in ``histories``.
 
     With ``bounded_history=True`` the server garbage-collects
     superseded history cells.  Servers never see acks, so the evidence
@@ -86,7 +80,6 @@ class StorageServer(Process):
         self.max_history_cells = 0
         self.gc_removed = 0
         self.histories: Dict[Hashable, History] = {}
-        self.history = self.history_for(DEFAULT_KEY)
 
     def history_for(self, key: Hashable) -> History:
         """The (lazily created) history matrix of one register."""
@@ -106,10 +99,8 @@ class StorageServer(Process):
             self.handle_read_batch(src, payload)
 
     # Handlers are separate methods so Byzantine variants can reuse or
-    # selectively override them.  (The batched handlers below sit on
-    # the base class only: batching targets the crash/lossy fault hot
-    # path, batched traffic would bypass the Byzantine overrides, and
-    # the rqs-storage adapter refuses that combination.)
+    # selectively override them; a lying read reply overrides ``reply``,
+    # which both read handlers answer from.
 
     def handle_write(self, client: Hashable, wr: WR) -> None:
         history = self.histories.get(wr.key)
@@ -166,12 +157,16 @@ class StorageServer(Process):
             self.gc_removed += removed
             self.history_cells -= removed
 
-    def handle_read(self, client: Hashable, rd: RD) -> None:
-        history = self.histories.get(rd.key)
+    def reply(self, key: Hashable) -> HistoryView:
+        """What this server answers a read of register ``key`` with."""
+        history = self.histories.get(key)
         if history is None:
-            history = self.history_for(rd.key)
+            history = self.history_for(key)
+        return history.snapshot()
+
+    def handle_read(self, client: Hashable, rd: RD) -> None:
         self.send(
-            client, RdAck(rd.read_no, rd.rnd, history.snapshot(), rd.key)
+            client, RdAck(rd.read_no, rd.rnd, self.reply(rd.key), rd.key)
         )
 
     def handle_write_batch(self, client: Hashable, wb: WriteBatch) -> None:
@@ -196,16 +191,10 @@ class StorageServer(Process):
         self.send(client, BatchAck(wb.batch_no, wb.rnd))
 
     def handle_read_batch(self, client: Hashable, rb: ReadBatch) -> None:
-        self.send(
-            client,
-            ReadBatchAck(
-                rb.read_no,
-                rb.rnd,
-                tuple([
-                    self.history_for(key).snapshot() for key in rb.keys
-                ]),
-            ),
-        )
+        reply = self.reply
+        self.send(client, ReadBatchAck(
+            rb.read_no, rb.rnd, tuple([reply(key) for key in rb.keys])
+        ))
 
 
 class RateLimitedServer(StorageServer):
@@ -273,31 +262,31 @@ class FabricatingServer(StorageServer):
     """Byzantine: advertises a fabricated pair in every read reply.
 
     The forged history claims ``⟨forged_ts, forged_value⟩`` was stored in
-    slots 1 and 2.  A single such server must never cause a reader to
-    return the fabricated value (``safe`` requires a basic subset of
-    confirmations).
+    slots 1 and 2 of whatever register is read.  A single such server
+    must never cause a reader to return the fabricated value (``safe``
+    requires a basic subset of confirmations).
     """
 
     benign = False
 
     def __init__(self, pid: Hashable, forged_ts: int, forged_value: Any):
         super().__init__(pid)
-        self.forged_ts = forged_ts
-        self.forged_value = forged_value
-
-    def handle_read(self, client: Hashable, rd: RD) -> None:
         forged = History()
-        forged.store(self.forged_ts, 2, self.forged_value, frozenset())
-        self.send(
-            client, RdAck(rd.read_no, rd.rnd, forged.snapshot(), rd.key)
-        )
+        forged.store(forged_ts, 2, forged_value, frozenset())
+        self._forged = forged.snapshot()
+
+    def reply(self, key: Hashable) -> HistoryView:
+        return self._forged
 
 
 class ForgetfulServer(StorageServer):
-    """Byzantine: rolls its state back to ``forged_state`` at a set time.
+    """Byzantine: rolls every register back to ``forged_state`` at a set
+    time.
 
     Before the trigger it is indistinguishable from a benign server.
-    ``forged_state=None`` rolls back to the initial state σ0.
+    ``forged_state=None`` rolls back to the initial state σ0.  A register
+    first named after the trigger starts out forged too, so the lie
+    covers the whole register space, held or not.
     """
 
     benign = False
@@ -311,42 +300,39 @@ class ForgetfulServer(StorageServer):
         super().__init__(pid)
         self.trigger_time = trigger_time
         self.forged_state = forged_state
-        self._armed = False
+        self.forged = False
 
     def bind(self, network):  # type: ignore[override]
         bound = super().bind(network)
-        if not self._armed:
-            self._armed = True
-            self.sim.call_at(self.trigger_time, self._forge)
+        self.sim.call_at(self.trigger_time, self._trigger)
         return bound
 
-    def _forge(self) -> None:
+    def _trigger(self) -> None:
+        self.forged = True
+        for history in self.histories.values():
+            self._forge(history)
+
+    def history_for(self, key: Hashable) -> History:
+        history = self.histories.get(key)
+        if history is None:
+            history = super().history_for(key)
+            if self.forged:
+                self._forge(history)
+        return history
+
+    def _forge(self, history: History) -> None:
+        """Roll one register back to the forged state."""
         if self.forged_state is None:
-            self.history.clear()
+            history.clear()
         else:
-            self.history.overwrite(self.forged_state)
+            history.overwrite(self.forged_state)
 
 
-class QuorumForgettingServer(StorageServer):
+class QuorumForgettingServer(ForgetfulServer):
     """Byzantine: at ``trigger_time``, erases the class-2 quorum ids
-    stored in its history while keeping the timestamp/value pairs — it
-    "forgets round 2 of rd" (Figure 4 ex4)."""
+    stored in every register while keeping the timestamp/value pairs —
+    it "forgets round 2 of rd" (Figure 4 ex4)."""
 
-    benign = False
-
-    def __init__(self, pid: Hashable, trigger_time: float):
-        super().__init__(pid)
-        self.trigger_time = trigger_time
-        self._armed = False
-
-    def bind(self, network):  # type: ignore[override]
-        bound = super().bind(network)
-        if not self._armed:
-            self._armed = True
-            self.sim.call_at(self.trigger_time, self._forget_sets)
-        return bound
-
-    def _forget_sets(self) -> None:
-        cells = self.history._cells
-        for key, entry in list(cells.items()):
-            cells[key] = Entry(entry.pair, frozenset())
+    def _forge(self, history: History) -> None:
+        for cell, entry in history._cells.items():
+            history._cells[cell] = Entry(entry.pair, frozenset())

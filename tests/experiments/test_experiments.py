@@ -113,6 +113,25 @@ class TestTheorem3:
         assert ex4_r2.result == ex5_r2.result
         assert ex4.verdict == "violation"
 
+    def test_rd2_reads_the_same_replies_in_both(self, sweep):
+        """The indistinguishability itself: rd2 gets the same replies
+        in ex4 and ex5 — in ex5 from a forger whose σ1 covers a register
+        no message had named before its trigger."""
+        from repro.storage.messages import RdAck
+
+        def replies(label):
+            log = sweep.cell(execution=label).unwrap().adapter.network.log
+            return sorted(
+                (m.src, m.payload.rnd, tuple(m.payload.history.cells.items()))
+                for m in log
+                if m.dst == "reader2" and isinstance(m.payload, RdAck)
+                and not m.held
+            )
+
+        ex4 = replies(theorem3.WITH_WRITE)
+        assert ex4 == replies(theorem3.WITHOUT_WRITE)
+        assert any(cells for _, _, cells in ex4)
+
     def test_broken_rqs_fails_only_p3(self):
         rqs = theorem3.broken_rqs()
         names = [name for name, _ in rqs.violations()]
@@ -295,6 +314,24 @@ class TestBatchedTail:
                           plan="tail").metrics["read_p99"] >= 6.0
         assert sweep.cell(protocol="fastabd", batch=1,
                           plan="tail").metrics["read_p99"] > 2.0
+
+    def test_fabricator_cells(self):
+        """A fabricating server lies to batched reads as to unbatched
+        ones: both cells atomic, every read completed, none of them the
+        forged value, and the batched tail within 1.5x the unbatched."""
+        axes = dict(batched.FABRICATOR_GRID.axes)
+        assert axes["protocol"] == ("rqs-storage",)
+        assert axes["batch"] == (1, batched.TAIL_BATCH)
+        sweep = run_grid(batched.FABRICATOR_GRID)
+        assert sweep.verdict_counts() == {"atomic": 2}
+        unbatched, batched_cell = (
+            sweep.cell(batch=batch).metrics
+            for batch in (1, batched.TAIL_BATCH)
+        )
+        for metrics in (unbatched, batched_cell):
+            assert metrics["reads"] == batched.TAIL_READS
+            assert metrics["forged_reads"] == 0
+        assert batched_cell["read_p99"] <= 1.5 * unbatched["read_p99"]
 
 
 class TestMetricsAblation:

@@ -181,14 +181,16 @@ def test_consensus_adapters_reject_batching(protocol):
         run(spec)
 
 
-def test_byzantine_servers_reject_batching():
-    """Byzantine server variants override the unbatched handlers only,
-    so a batched run would answer every ``ReadBatch`` honestly and the
-    role would pass vacuously — refuse, naming both knobs."""
+def test_byzantine_servers_lie_on_batched_reads():
+    """The spec once refused as vacuous — server 8 fabricating under
+    ``batch_size=4`` — runs atomic, and the lie is on the wire: server
+    8's ``ReadBatchAck`` columns carry the forged timestamp, and no read
+    returns the forged value."""
     from repro.scenarios.faults import ByzantineRole
+    from repro.storage.batching import ReadBatchAck
     from repro.storage.server import FabricatingServer
 
-    spec = ScenarioSpec(
+    result = run(ScenarioSpec(
         protocol="rqs-storage",
         rqs="example6",
         faults=FaultPlan(byzantine=(ByzantineRole(8, partial(
@@ -196,12 +198,41 @@ def test_byzantine_servers_reject_batching():
         )),)),
         workload=(RandomMix(3, 3, horizon=10.0, batch_size=4),),
         seed=1,
-    )
-    with pytest.raises(ScenarioError, match=r"byzantine.*batch_size=4"):
-        run(spec)
-    # The same role unbatched is the supported combination.
-    unbatched = spec.with_(workload=(RandomMix(3, 3, horizon=10.0),))
-    assert run(unbatched).atomicity.atomic
+        trace_level="full",
+    ))
+    assert result.atomicity.atomic
+    forged = [
+        column
+        for message in result.adapter.network.log
+        if message.src == 8 and isinstance(message.payload, ReadBatchAck)
+        for column in message.payload.replies
+        if column.max_timestamp() == 999
+    ]
+    assert forged
+    assert result.reads
+    assert "EVIL" not in [read.result for read in result.reads]
+
+
+def test_a_forgetful_server_wipes_every_register():
+    """A forgery acts on every register the server holds, not one: in a
+    batched 4-key run the forger's four registers are empty after its
+    trigger, where an honest server's four are not."""
+    from repro.scenarios.faults import ByzantineRole
+    from repro.storage.server import ForgetfulServer
+
+    result = run(ScenarioSpec(
+        "rqs-storage", rqs="example6", readers=2, n_keys=4,
+        faults=FaultPlan(byzantine=(ByzantineRole(1, partial(
+            ForgetfulServer, trigger_time=100.0
+        )),)),
+        workload=(RandomMix(20, 20, horizon=40.0, batch_size=4),),
+        seed=3,
+    ))
+    assert result.atomicity.atomic
+    forger, honest = result.adapter.servers[1], result.adapter.servers[2]
+    assert sorted(forger.histories) == sorted(honest.histories) == [0, 1, 2, 3]
+    assert all(len(history) == 0 for history in forger.histories.values())
+    assert all(len(history) > 0 for history in honest.histories.values())
 
 
 def test_mixed_literal_expansion_rejects_batching():

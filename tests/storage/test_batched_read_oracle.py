@@ -25,22 +25,36 @@ way, and moves no server history.  Seeded
 mutants of the batch — BCD skipped for one element, a class-2 element
 completed at the collect, a group's ``WriteBatch`` carrying another
 group's x1 set — must each die on their named script.
+
+With a Byzantine server in the deployment (``Case.liar``: silent,
+fabricating, forgetful with its trigger inside the read, or
+quorum-forgetting) each batched element is held to its unbatched twin
+the same way, for the atomic and the regular reader.  A scripted liar
+must change what some read shows, and two seeded server mutants — a
+fabricator that answers ``ReadBatch`` from its real histories, a forger
+that rolls back register 0 alone — must each die on their named script.
 """
 
-from typing import NamedTuple, Tuple
+from functools import partial
+from typing import Any, NamedTuple, Optional, Tuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.scenarios import (
-    Crash, FaultPlan, Hold, Read, ScenarioSpec, get_protocol, resolve_rqs,
+    ByzantineRole, Crash, FaultPlan, Hold, Read, ScenarioSpec, get_protocol,
+    resolve_rqs,
 )
 from repro.sim.conditions import Condition, Timer
 from repro.sim.tasks import WaitUntil
-from repro.storage.batching import ReadBatch, WriteBatch
+from repro.storage.batching import ReadBatch, ReadBatchAck, WriteBatch
+from repro.storage.history import History
 from repro.storage.predicates import ReadState
 from repro.storage.reader import StorageReader
 from repro.storage.regular import RegularReader
+from repro.storage.server import (
+    FabricatingServer, ForgetfulServer, QuorumForgettingServer, SilentServer,
+)
 from tests.differential import (
     DIFFERENTIAL, agree, assert_killed, each_mutant,
 )
@@ -249,11 +263,24 @@ class Write(NamedTuple):
     reached: Tuple[frozenset, ...]
 
 
+class Liar(NamedTuple):
+    """One Byzantine server: ``sid`` runs as ``kind(sid, **options)``."""
+
+    sid: int
+    kind: type
+    options: Tuple[Tuple[str, Any], ...] = ()
+
+    def role(self) -> ByzantineRole:
+        return ByzantineRole(self.sid,
+                             partial(self.kind, **dict(self.options)))
+
+
 class Case(NamedTuple):
     keys: Tuple[str, ...]
     writes: Tuple[Tuple[str, Tuple[Write, ...]], ...]
     crashes: Tuple[Tuple[int, float], ...] = ()
     holds: Tuple[Hold, ...] = ()
+    liar: Optional[Liar] = None
 
 
 SPEC = ScenarioSpec(
@@ -268,6 +295,7 @@ def deploy(case: Case, protocol: str = "rqs-storage"):
     spec = SPEC.with_(protocol=protocol, faults=FaultPlan(
         crashes=tuple(Crash(sid, at) for sid, at in case.crashes),
         asynchrony=case.holds,
+        byzantine=(case.liar.role(),) if case.liar else (),
     ))
     adapter = get_protocol(protocol).build(spec)
     adapter.apply_faults(spec)
@@ -377,6 +405,7 @@ cases = st.builds(
         min_size=n, max_size=n, unique_by=lambda crash: crash[0],
     )).map(tuple),
     holds=st.lists(holds, max_size=3).map(tuple),
+    liar=st.none(),
 )
 
 
@@ -501,6 +530,113 @@ def test_a_batched_regular_read_takes_its_unbatched_decision(name):
     regular_differential(SCRIPTS[name])
 
 
+# -- Byzantine servers -----------------------------------------------------------
+#
+# A Byzantine server answers a ``ReadBatch`` element with the reply it
+# gives that key's ``RD`` (one ``StorageServer.reply`` seam), and its
+# forgeries act on every register it holds: per element, a batch shows
+# what its unbatched read shows with the same liar in place.
+
+class LiedAboutNothing(AssertionError):
+    """A Byzantine script read exactly what it reads with an honest
+    server in the liar's place: its lie never reached a read."""
+
+
+def lying_differential(case: Case):
+    """Batch against unbatched with ``case.liar`` in place, for the
+    atomic and the regular reader alike; returns the atomic reads."""
+    alone = differential(case)
+    agree(unbatched(case, "rqs-regular"),
+          batched(case, RegularReader, "rqs-regular"),
+          range(len(case.keys)), lambda side, i: side[i])
+    return alone
+
+
+def lies(case: Case):
+    """:func:`lying_differential`, and the liar changed what some read
+    showed — value, timestamp, rounds, latency or a history."""
+    if lying_differential(case) == unbatched(case._replace(liar=None)):
+        raise LiedAboutNothing(case.liar)
+
+
+def _forged_sigma():
+    sigma = History()
+    sigma.store(9, 1, "forged", frozenset())
+    return sigma.snapshot()
+
+
+FORGERY = (("forged_ts", 999), ("forged_value", "EVIL"))
+liars = st.one_of(
+    st.sampled_from(SERVERS).map(lambda sid: Liar(sid, SilentServer)),
+    st.sampled_from(SERVERS).map(
+        lambda sid: Liar(sid, FabricatingServer, FORGERY)
+    ),
+    st.builds(
+        lambda sid, at, state: Liar(sid, ForgetfulServer, (
+            ("trigger_time", at), ("forged_state", state),
+        )),
+        st.sampled_from(SERVERS), st.sampled_from((0.5, 1.5, 2.5, 4.5)),
+        st.sampled_from((None, _forged_sigma())),
+    ),
+    st.builds(
+        lambda sid, at: Liar(sid, QuorumForgettingServer,
+                             (("trigger_time", at),)),
+        st.sampled_from(SERVERS), st.sampled_from((0.5, 1.5, 2.5, 4.5)),
+    ),
+)
+
+
+@settings(DIFFERENTIAL, max_examples=120, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cases, liars)
+def test_a_liar_tells_each_element_what_it_tells_its_read(case, liar):
+    lying_differential(case._replace(liar=liar))
+
+
+#: A write whose rounds 1 and 2 both reached all but server 8: with 2
+#: and 3 down, its QC'2 ids make BCD(csel, 2, 2) hold at the collect.
+WRITTEN_AT_2 = Write((_servers((8,)), _servers((8,))))
+
+#: Each liar on a script where its lie shows: the rounds (and, for the
+#: fabricator, the values) the unbatched reads take with it in place.
+LIARS = {
+    # One round short of answers: class-2 takes line 49.
+    "silent": (SCRIPTS["class-2"]._replace(liar=Liar(1, SilentServer)),
+               [3, 3], ["a1", "b1"]),
+    # Server 6, a2's only holder, shows its forged pair instead: a1.
+    "fabricating": (
+        SCRIPTS["second-round"]._replace(
+            liar=Liar(6, FabricatingServer, FORGERY)
+        ),
+        [4, 3], ["a1", "b1"],
+    ),
+    # Server 1 forgets both registers before the reads reach it.
+    "forgetful": (
+        SCRIPTS["class-2"]._replace(
+            liar=Liar(1, ForgetfulServer, (("trigger_time", 0.5),))
+        ),
+        [3, 3], ["a1", "b1"],
+    ),
+    # Server 1 forgets both registers' QC'2 ids: no BCD(csel, 2, 2).
+    "quorum-forgetting": (
+        Case(keys=("a", "b"),
+             writes=(("a", (WRITTEN_AT_2,)), ("b", (WRITTEN_AT_2,))),
+             crashes=((2, 0.0), (3, 0.0)),
+             liar=Liar(1, QuorumForgettingServer, (("trigger_time", 0.5),))),
+        [2, 2], ["a1", "b1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIARS))
+def test_a_batch_reads_what_each_liar_tells_its_reads(name):
+    case, rounds, values = LIARS[name]
+    lies(case)
+    alone = unbatched(case)
+    assert [e["rounds"] for e in alone] == rounds
+    assert [e["value"] for e in alone] == values
+
+
 # -- seeded mutants ----------------------------------------------------------------
 
 class SkipsBCDForOneElement(StorageReader):
@@ -564,4 +700,37 @@ def test_seeded_mutants_are_caught(mutant):
         lambda reader_class: differential(SCRIPTS[MUTANTS[mutant]],
                                           reader_class),
         StorageReader, mutant,
+    )
+
+
+class AnswersBatchesHonestly(FabricatingServer):
+    """A fabricator whose ``ReadBatch`` replies are its real histories —
+    the batched handler that bypassed the lie."""
+
+    def handle_read_batch(self, client, rb):
+        self.send(client, ReadBatchAck(rb.read_no, rb.rnd, tuple([
+            self.history_for(key).snapshot() for key in rb.keys
+        ])))
+
+
+class ForgetsRegisterZeroOnly(ForgetfulServer):
+    """A forger that rolls back register 0 alone: the harness's keys are
+    strings, so it lies about nothing."""
+
+    def _trigger(self):
+        self._forge(self.history_for(0))
+
+
+LIAR_MUTANTS = {
+    AnswersBatchesHonestly: "fabricating",
+    ForgetsRegisterZeroOnly: "forgetful",
+}
+
+
+@each_mutant(LIAR_MUTANTS)
+def test_seeded_liar_mutants_are_caught(mutant):
+    case = LIARS[LIAR_MUTANTS[mutant]][0]
+    assert_killed(
+        lambda kind: lies(case._replace(liar=case.liar._replace(kind=kind))),
+        case.liar.kind, mutant, dies_of=LiedAboutNothing,
     )

@@ -81,10 +81,10 @@ class TestEvidenceRules:
         server.handle_write("w2", _wr(2, 1, "b"))
         assert server.gc_removed == 0
         server.handle_write("w2", _wr(2, 2, "b"))
-        assert server.history.get(1, 1) == INITIAL_ENTRY
-        assert server.history.get(2, 1).pair == Pair(2, "b")
+        assert server.histories[0].get(1, 1) == INITIAL_ENTRY
+        assert server.histories[0].get(2, 1).pair == Pair(2, "b")
         assert server.gc_removed == 1
-        assert server.history_cells == len(server.history._cells)
+        assert server.history_cells == len(server.histories[0]._cells)
 
     def test_sequential_client_moving_on_proves_previous_round(self):
         """Rule (ii): clients block on quorum acks between rounds, so a
@@ -96,9 +96,9 @@ class TestEvidenceRules:
         server.handle_write("w", _wr(3, 1, "c"))   # proves ts=2 acked
         # Stable mark is 2: ts=1 is superseded and dropped; ts=2 (the
         # newest *proven* state) and ts=3 are retained.
-        assert server.history.get(1, 1) == INITIAL_ENTRY
-        assert server.history.get(2, 1).pair == Pair(2, "b")
-        assert server.history.get(3, 1).pair == Pair(3, "c")
+        assert server.histories[0].get(1, 1) == INITIAL_ENTRY
+        assert server.histories[0].get(2, 1).pair == Pair(2, "b")
+        assert server.histories[0].get(3, 1).pair == Pair(3, "c")
         assert server.gc_removed == 1
 
     def test_same_ts_writeback_reuse_is_not_evidence(self):
@@ -112,7 +112,7 @@ class TestEvidenceRules:
         server.handle_write("reader1", _wr(4, 2, "v"))
         assert server.histories[0].stable_ts == 4
         assert server.history_cells == cells_after_first
-        assert server.history.get(4, 2).pair == Pair(4, "v")
+        assert server.histories[0].get(4, 2).pair == Pair(4, "v")
         # Both write-backs were acked regardless.
         acks = [p for _, p in server.outbox if isinstance(p, WrAck)]
         assert len(acks) == 2
@@ -126,7 +126,7 @@ class TestEvidenceRules:
         assert server.histories[0].stable_ts == 5
         cells = server.history_cells
         server.handle_write("w1", _wr(3, 1, "old"))
-        assert server.history.get(3, 1) == INITIAL_ENTRY
+        assert server.histories[0].get(3, 1) == INITIAL_ENTRY
         assert server.history_cells == cells
         assert server.gc_removed == 1             # the late cell itself
         assert any(
@@ -146,7 +146,7 @@ class TestEvidenceRules:
         server.handle_write("w", _wr(1, 1, "a"))
         server.handle_write("w", _wr(2, 2, "b"))
         assert server.gc_removed == 0
-        assert server.history.get(1, 1).pair == Pair(1, "a")
+        assert server.histories[0].get(1, 1).pair == Pair(1, "a")
         assert server.max_history_cells == server.history_cells == 3
 
 
@@ -211,7 +211,7 @@ class TestEndToEndInvisibility:
         rejoined = bounded.adapter.servers[5]
         # The healed server caught up past the pre-partition state and
         # holds no more cells than its own high-water mark.
-        assert rejoined.history.snapshot().max_timestamp() > 0
+        assert rejoined.histories[0].snapshot().max_timestamp() > 0
         assert rejoined.history_cells <= rejoined.max_history_cells
 
     @pytest.mark.parametrize("name", sorted(
