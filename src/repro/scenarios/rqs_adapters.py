@@ -4,21 +4,18 @@ The paper's Byzantine atomic storage (Figures 5–7) over any refined
 quorum system, and its Section 6 regular-semantics twin.  The registry
 imports this module on the first lookup of either id; it brings the
 RQS stack (:mod:`repro.storage.reader` / ``writer`` / ``server`` /
-``predicates``, :mod:`repro.core.rqs`) and the quorum strategies of
-:mod:`repro.core.strategy`, and nothing of the consensus half.
+``predicates``, :mod:`repro.core.rqs`) and nothing of the consensus
+half.  The quorum-strategy solver, :mod:`repro.core.strategy`, is
+imported only where a spec's ``quorum_strategy`` is read — a spec
+that sets one loads it when it is built — so a broadcast run never
+compiles it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Dict, Hashable, Optional
+from typing import TYPE_CHECKING, Any, Dict, Hashable, Optional
 
-from repro.core.strategy import (
-    QuorumSelector,
-    Strategy,
-    optimal_strategy,
-    uniform_strategy,
-)
 from repro.errors import ScenarioError
 from repro.scenarios.adapters import StorageAdapter
 from repro.scenarios.faults import SERVER
@@ -28,6 +25,9 @@ from repro.storage.reader import StorageReader
 from repro.storage.regular import RegularReader
 from repro.storage.server import RateLimitedServer, StorageServer
 from repro.storage.writer import StorageWriter
+
+if TYPE_CHECKING:
+    from repro.core.strategy import QuorumSelector, Strategy
 
 
 def _workload_read_fraction(spec) -> Fraction:
@@ -61,6 +61,12 @@ def _resolve_strategy(spec, rqs) -> Optional[Strategy]:
     choice = spec.quorum_strategy
     if choice is None:
         return None
+    from repro.core.strategy import (
+        Strategy,
+        optimal_strategy,
+        uniform_strategy,
+    )
+
     family = rqs.quorums
     if isinstance(choice, Strategy):
         stray = [q for q in choice.quorums() if q not in family]
@@ -134,6 +140,8 @@ class RqsStorageAdapter(StorageAdapter):
         def selector(pid: Hashable) -> Optional[QuorumSelector]:
             if strategy is None:
                 return None
+            from repro.core.strategy import QuorumSelector
+
             return QuorumSelector(strategy, spec.seed, pid)
 
         self._bind(

@@ -35,7 +35,11 @@ shard's online verdict, server history stats, CPU seconds, and peak RSS
 with it: the executor reports the broken pool, and :func:`run_sharded`
 raises a :class:`~repro.errors.ScenarioError` instead of waiting or
 merging what is left; an exception raised inside a worker reaches the
-caller naming the shard.
+caller naming the shard.  The pool stack (``multiprocessing``,
+``concurrent.futures``) is imported by :func:`run_sharded`, not by this
+module; a ``shards > 1`` :class:`~repro.scenarios.spec.ScenarioSpec`
+loads it when it is built, so a sharded run pays the import in its
+set-up and every other run never pays it.
 
 **Merge semantics.**  Counters and Fraction-exact latency sums add;
 reservoirs merge order-independently
@@ -58,10 +62,7 @@ serial in-process shard execution with identical results.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -364,6 +365,10 @@ def run_sharded(spec: ScenarioSpec) -> ShardedRunResult:
             f"sharded execution partitions independent registers; "
             f"protocol {spec.protocol!r} is not a storage protocol"
         )
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     start = time.perf_counter()
     if multiprocessing.current_process().daemon:
         workers = 0

@@ -190,6 +190,9 @@ class ScenarioSpec:
     rqs:
         The refined quorum system (instance or name); ``None`` for
         baselines parameterized by counts instead (ABD, Paxos, PBFT).
+        A name or construction string is resolved (:func:`resolve_rqs`)
+        when the spec is built, so the system is built in set-up and an
+        unknown name raises :class:`~repro.errors.ScenarioError` there.
     readers / proposers / learners:
         Client counts; each adapter uses the ones its protocol has.
     n_writers:
@@ -248,7 +251,8 @@ class ScenarioSpec:
         :class:`~repro.core.strategy.Strategy` instance is used as
         given.  Strategy draws consume a dedicated per-client RNG
         stream, never the workload RNGs.  Only the ``rqs-storage``
-        protocol supports the knob.
+        protocol supports the knob.  A spec that sets it imports the
+        solver, :mod:`repro.core.strategy`, when it is built.
     params:
         Protocol-specific extras (e.g. ``n``/``t`` for ABD-family
         baselines, ``f`` for PBFT, ``sync_delay`` or ``proposer_values``
@@ -270,7 +274,9 @@ class ScenarioSpec:
         per-shard streams into one aggregate
         :class:`~repro.scenarios.sharding.ShardedRunResult`.  Requires
         a storage protocol, a single-``RandomMix`` workload at
-        ``TraceLevel.METRICS``, and ``n_keys >= shards``.
+        ``TraceLevel.METRICS``, and ``n_keys >= shards``.  Such a spec
+        imports the process-pool stack (``concurrent.futures.process``)
+        when it is built; no other spec loads it.
     """
 
     protocol: str
@@ -294,13 +300,19 @@ class ScenarioSpec:
 
     def __post_init__(self):
         # Resolving the id imports its family's module here, where the
-        # spec literal is built, never inside a timed ``run``.
+        # spec literal is built, never inside a timed ``run``; so does
+        # resolving an RQS name (an unknown one raises here), and so
+        # do the strategy solver and a sharded run's pool stack below.
         get_protocol(self.protocol)
+        if isinstance(self.rqs, str):
+            resolve_rqs(self.rqs)
         object.__setattr__(self, "workload", tuple(self.workload))
-        if self.quorum_strategy not in (None, *STRATEGY_NAMES):
+        if self.quorum_strategy is not None:
             from repro.core.strategy import Strategy
 
-            if not isinstance(self.quorum_strategy, Strategy):
+            if self.quorum_strategy not in STRATEGY_NAMES and not isinstance(
+                self.quorum_strategy, Strategy
+            ):
                 raise ScenarioError(
                     f"quorum_strategy must be None, one of "
                     f"{'/'.join(STRATEGY_NAMES)}, or a Strategy instance; "
@@ -357,6 +369,7 @@ class ScenarioSpec:
                     f"{self.shards} shards (each shard needs an op budget "
                     f">= 1)"
                 )
+            import concurrent.futures.process  # noqa: F401
         object.__setattr__(
             self, "params", MappingProxyType(dict(self.params))
         )

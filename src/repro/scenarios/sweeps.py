@@ -53,8 +53,6 @@ Doctest — a 2-protocol × 2-seed grid in four lines::
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import pickle
 import zlib
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
@@ -362,6 +360,8 @@ _WORKER_CELLS: Tuple[Cell, ...] = ()
 
 def _mp_initialize(payload: bytes) -> None:
     global _WORKER_SWEEP, _WORKER_CELLS
+    import pickle
+
     _WORKER_SWEEP = pickle.loads(payload)
     _WORKER_CELLS = _WORKER_SWEEP.cells()
 
@@ -400,7 +400,14 @@ def run_multiprocessing(
     aggregated output stays byte-identical to the serial backend.  Live
     ``RunResult`` handles cannot cross process boundaries, so cells
     carry portable metrics only.
+
+    ``multiprocessing`` and ``pickle`` are imported here, on the first
+    call, not with the module: the serial backend never loads them,
+    and this call forks a pool anyway.
     """
+    import multiprocessing
+    import pickle
+
     try:
         payload = pickle.dumps(sweep)
     except Exception as exc:

@@ -113,6 +113,13 @@ class TestNamedRqs:
         with pytest.raises(ScenarioError):
             resolve_rqs("threshold:8,oops")
 
+    def test_an_unknown_name_raises_where_the_spec_is_built(self):
+        with pytest.raises(ScenarioError, match="unknown RQS name"):
+            ScenarioSpec(protocol="rqs-storage", rqs="no-such-system")
+        spec = ScenarioSpec(protocol="rqs-storage", rqs="example6")
+        with pytest.raises(ScenarioError, match="unknown RQS name"):
+            spec.with_(rqs="no-such-system")
+
 
 def distinct_literals(count):
     """``count`` distinct construction strings, each the small valid
