@@ -101,11 +101,6 @@ class QuantileReservoir:
         self._sorted: Optional[List[float]] = None
         self._rng = random.Random(seed)
 
-    @property
-    def exact(self) -> bool:
-        """True while the reservoir still holds every observed sample."""
-        return self.seen <= self.capacity
-
     def observe(self, sample: float, count: int) -> None:
         """Take ``count`` copies of ``sample``, one after the other."""
         if self.merged:

@@ -366,20 +366,11 @@ class RefinedQuorumSystem:
             )
         return cls
 
-    def quorums_of_exact_class(self, cls: int) -> Tuple[Subset, ...]:
-        """Quorums whose *best* class is exactly ``cls``."""
-        class_of = self.index.class_of
-        return tuple(q for q in self._quorums if class_of[q] == cls)
-
     # -- predicates re-exported for algorithm code ---------------------------
 
     def is_basic(self, subset: Iterable[Hashable]) -> bool:
         """Definition 5: ``subset ∉ B``."""
         return self._adversary.is_basic(subset)
-
-    def is_large(self, subset: Iterable[Hashable]) -> bool:
-        """Definition 5: ``subset`` not covered by a union of two B-sets."""
-        return self._adversary.is_large(subset)
 
     def p3a(self, q2: Subset, q: Subset, b: Subset) -> bool:
         return props.p3a(self._adversary, q2, q, b)
@@ -464,12 +455,6 @@ class RefinedQuorumSystem:
         (Members of ``responders`` outside ``S`` are ignored.)"""
         index = self.index
         return index.fits(index.mask(responders), cls)
-
-    def __iter__(self) -> Iterator[Subset]:
-        return iter(self._quorums)
-
-    def __len__(self) -> int:
-        return len(self._quorums)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -362,40 +362,6 @@ class Strategy:
         return quorums[min(bisect_right(edges, rng.random()),
                            len(quorums) - 1)]
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> dict:
-        """A JSON-safe dict that :meth:`from_json` restores exactly."""
-        def dump(weights: Weights):
-            return [
-                {"quorum": sorted(q, key=repr), "weight": str(w)}
-                for q, w in weights
-            ]
-
-        return {
-            "read_weights": dump(self.read_weights),
-            "write_weights": dump(self.write_weights),
-            "read_fraction": str(self.read_fraction),
-            "load": None if self.load is None else str(self.load),
-        }
-
-    @classmethod
-    def from_json(cls, payload: Mapping) -> "Strategy":
-        def load_weights(rows):
-            return tuple(
-                (frozenset(row["quorum"]), Fraction(row["weight"]))
-                for row in rows
-            )
-
-        raw_load = payload.get("load")
-        return cls(
-            read_weights=load_weights(payload["read_weights"]),
-            write_weights=load_weights(payload["write_weights"]),
-            read_fraction=Fraction(payload["read_fraction"]),
-            load=None if raw_load is None else Fraction(raw_load),
-        )
-
-
 # -- strategy construction -----------------------------------------------------
 
 def uniform_strategy(

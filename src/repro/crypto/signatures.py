@@ -26,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Set, Tuple
 
-from repro.errors import ProtocolError
-
 
 @dataclass(frozen=True)
 class Signed:
@@ -100,10 +98,6 @@ class SignatureService:
             return (
                 signature.signer, _freeze(signature.content)
             ) in self._genuine
-
-    def require(self, signature: Signed) -> None:
-        if not self.verify(signature):
-            raise ProtocolError(f"forged signature detected: {signature!r}")
 
 
 def _freeze(content: Any) -> Any:

@@ -19,7 +19,6 @@ Summary statistics use nearest-rank percentiles (:func:`percentile`) so
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -290,6 +289,8 @@ class SweepResult:
         """One row per cell: ``index``, one column per axis, ``ok``,
         ``verdict``, ``error``, then one JSON-encoded column per metric
         key (JSON-encoding keeps numeric/str/nested values lossless)."""
+        import csv  # only an export pays for it
+
         buffer = io.StringIO()
         metric_keys = self.metric_columns()
         writer = csv.writer(buffer, lineterminator="\n")

@@ -128,10 +128,6 @@ class Task:
         self.error: Optional[BaseException] = None
         self.waiting_on: Optional[Effect] = None
 
-    def done(self) -> bool:
-        """True when the coroutine has returned."""
-        return self.finished
-
     def step(self, value: Any = None) -> Optional[Effect]:
         """Advance the coroutine; return the next effect or ``None`` if done.
 

@@ -365,10 +365,6 @@ class RegisterWriter(_RegisterClient):
         )
         self.stamps = StampIssuer(writer_id)
 
-    @property
-    def ts(self) -> int:
-        return self.stamps.seq()
-
     def write(self, value: Any, key: Hashable = DEFAULT_KEY):
         record, = self.trace.begin(
             "write", self.pid, self.sim.now, ((value, key),)

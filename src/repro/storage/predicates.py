@@ -6,17 +6,24 @@ set of servers that answered at least one ``rd`` message (from which the
 that state, bundled in :class:`ReadState` so the reader coroutine stays
 close to the paper's pseudocode.
 
-Predicate catalogue (paper line numbers in brackets):
+Figure 7's lines, as :class:`ReadState` answers them (paper line
+numbers in brackets).  Lines 3-5 are the three ways a quorum ``Q`` can
+vouch for a pair ``c``; they are asked only inside line 6, on masks:
 
-* ``valid1(c, Q)`` [3] — a basic subset of ``Q`` reports ``c`` in slot 1.
-* ``valid2(c, Q)`` [4] — some server of ``Q`` reports ``c`` in slot 2.
-* ``valid3(c, Q)`` [5] — some class-2 quorum ``Q2`` and ``B ∈ B`` with
-  ``P3b(Q2, Q, B)`` such that every server in ``Q2 ∩ Q \\ B`` reports
-  ``c`` in slot 1 *with quorum id* ``Q2``.
-* ``invalid(c)`` [6] — some responded quorum satisfies none of the
-  above, or ``c.ts`` exceeds ``highest_ts``.
-* ``read(c, i)`` [7], ``safe(c)`` [8], ``highCand(c)`` [9].
-* ``BCD(c, 1, R)`` / ``BCD(c, 2, R)`` [1-2] — the best-case detector.
+* [3] a basic subset of ``Q`` reports ``c`` in slot 1;
+* [4] some server of ``Q`` reports ``c`` in slot 2;
+* [5] some class-2 quorum ``Q2`` and ``B ∈ B`` with ``P3b(Q2, Q, B)``
+  such that every server in ``Q2 ∩ Q \\ B`` reports ``c`` in slot 1
+  *with quorum id* ``Q2``;
+* [6] :meth:`~ReadState.invalid` — some responded quorum satisfies none
+  of lines 3-5, or ``c.ts`` exceeds ``highest_ts``;
+* [7-8] :meth:`~ReadState.safe` — the responders that read ``c`` in
+  slot 1 or 2 (line 7's ``read(c, i)``) form a basic set;
+* [9, 33] :meth:`~ReadState.candidates` — the safe pairs above which
+  every readable pair is invalid (line 9's ``highCand(c)``).  The
+  reader takes line 35, the highest candidate, itself;
+* [1-2] :meth:`~ReadState.bcd1` / :meth:`~ReadState.bcd2` — the
+  best-case detector ``BCD(c, 1, R)`` / ``BCD(c, 2, R)``.
 
 Every predicate asks the same question of the snapshots — *which
 servers report* ``c`` *in slot* ``r`` — so :class:`ReadState` indexes
@@ -53,7 +60,6 @@ from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
 from repro.core.rqs import RefinedQuorumSystem
 from repro.sim.conditions import Check, Condition
 from repro.storage.history import (
-    EMPTY_VIEW,
     INITIAL_PAIR,
     HistoryView,
     Pair,
@@ -176,13 +182,6 @@ class ReadState:
     def unwatch(self, condition: Condition) -> None:
         self._watchers.remove(condition)
 
-    def responded_quorums(self) -> Tuple[QuorumId, ...]:
-        """The ``Responded`` set (lines 52-53): fully-answering quorums."""
-        quorum_at = self._ix.quorum_at
-        return tuple(
-            [quorum_at[mask] for mask in self._ix.responding(self._responded)]
-        )
-
     def round_quorum(self, rnd: int) -> bool:
         """Has some quorum fully answered round ``rnd``?"""
         return self._ix.fits(self._round_acks.get(rnd, 0))
@@ -190,7 +189,7 @@ class ReadState:
     def freeze_round1(self) -> None:
         """End-of-round-1 bookkeeping (lines 27-32): fix ``highest_ts``
         and the servers that answered round 1, whose class-2 quorums
-        are :attr:`qc2_responded`."""
+        are ``QC'2`` (:meth:`_qc2_masks`)."""
         highest = 0
         for pair, row in self._rows.items():
             if row[0] and pair.ts > highest:
@@ -209,16 +208,7 @@ class ReadState:
             qc2 = self._qc2 = self._ix.responding(self._round1, 2)
         return qc2
 
-    @property
-    def qc2_responded(self) -> Tuple[QuorumId, ...]:
-        """``QC'2`` (lines 30-31) as quorum ids."""
-        quorum_at = self._ix.quorum_at
-        return tuple([quorum_at[mask] for mask in self._qc2_masks()])
-
     # -- low-level lookups --------------------------------------------------------
-
-    def entry(self, server: ServerId, ts: int, rnd: int):
-        return self.view.get(server, EMPTY_VIEW).get(ts, rnd)
 
     def holders(self, c: Pair, rnd: int) -> int:
         """The servers whose current snapshot reports ``c`` in slot
@@ -241,13 +231,6 @@ class ReadState:
             mask(quorum_id): listing
             for quorum_id, listing in row[rnd + 3].items()
         }
-
-    def read_pred(self, c: Pair, server: ServerId) -> bool:
-        """``read(c, i)`` (line 7): ``c`` in slot 1 or 2 of the snapshot."""
-        return bool(
-            (self.holders(c, 1) | self.holders(c, 2))
-            & self._ix.bit.get(server, 0)
-        )
 
     def observed_pairs(self) -> List[Pair]:
         """All candidate pairs: anything readable (slots 1-2) from any
@@ -273,7 +256,13 @@ class ReadState:
     # -- validity predicates ---------------------------------------------------------
 
     def _valid3(self, listed: Dict[int, int], quorum: int) -> bool:
-        """Line 5 on masks: ``listed`` is :meth:`_listed` of slot 1."""
+        """Line 5 on masks: ``listed`` is :meth:`_listed` of slot 1.
+
+        For a fixed ``Q2`` the minimal witness ``B`` is the set of
+        non-conforming servers of ``Q2 ∩ Q`` (any valid ``B`` must cover
+        it, and P3b is anti-monotone in ``B``), so only that ``B`` needs
+        checking.
+        """
         ix = self._ix
         qc1 = ix.masks[1]
         if not qc1:
@@ -290,30 +279,6 @@ class ReadState:
             if all(q1 & conforming for q1 in qc1):
                 return True
         return False
-
-    def valid1(self, c: Pair, quorum: QuorumId) -> bool:
-        """Line 3: a basic ``T ⊆ Q`` stores ``c`` in slot 1.
-
-        The maximal candidate ``T`` suffices: supersets of basic sets are
-        basic (the adversary is subset-closed).
-        """
-        held = self.holders(c, 1) & self._ix.mask(quorum)
-        return bool(held) and self._ix.is_basic(held)
-
-    def valid2(self, c: Pair, quorum: QuorumId) -> bool:
-        """Line 4: some server of ``Q`` stores ``c`` in slot 2."""
-        return bool(self.holders(c, 2) & self._ix.mask(quorum))
-
-    def valid3(self, c: Pair, quorum: QuorumId) -> bool:
-        """Line 5: ∃ Q2 ∈ QC2, ∃ B ∈ B with P3b(Q2, Q, B) such that every
-        server of ``Q2 ∩ Q \\ B`` stores ``c`` in slot 1 with id ``Q2``.
-
-        For a fixed ``Q2`` the minimal witness ``B`` is the set of
-        non-conforming servers of ``Q2 ∩ Q`` (any valid ``B`` must cover
-        it, and P3b is anti-monotone in ``B``), so only that ``B`` needs
-        checking.
-        """
-        return self._valid3(self._listed(c, 1), self._ix.mask(quorum))
 
     def invalid(self, c: Pair) -> bool:
         """Line 6: some responded quorum satisfies none of lines 3-5.
@@ -372,13 +337,6 @@ class ReadState:
         readers = (self.holders(c, 1) | self.holders(c, 2)) & self._responded
         return bool(readers) and self._ix.is_basic(readers)
 
-    def high_cand(self, c: Pair) -> bool:
-        """Line 9: every readable pair with a higher timestamp is invalid."""
-        for candidate in self.observed_pairs():
-            if candidate.ts > c.ts and not self.invalid(candidate):
-                return False
-        return True
-
     def candidates(self) -> List[Pair]:
         """Line 33: ``C = {c | safe(c) ∧ highCand(c)}``, in
         :meth:`observed_pairs` order.
@@ -400,14 +358,6 @@ class ReadState:
                 kept.append(c)
         kept.reverse()
         return kept
-
-    def select(self) -> Optional[Pair]:
-        """Line 35: the candidate with the highest timestamp (the first
-        reported of a tie), or ``None``."""
-        candidates = self.candidates()
-        if not candidates:
-            return None
-        return max(candidates, key=_timestamp)
 
     # -- best-case detector ------------------------------------------------------------
 

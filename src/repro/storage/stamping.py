@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.sim.conditions import AckSet, ConditionMap
-from repro.storage.history import DEFAULT_KEY, make_stamp, stamp_seq
+from repro.storage.history import make_stamp, stamp_seq
 
 
 class StampIssuer:
@@ -49,10 +49,6 @@ class StampIssuer:
     @property
     def multi_writer(self) -> bool:
         return self.writer_id is not None
-
-    def seq(self, key: Hashable = DEFAULT_KEY) -> int:
-        """The latest sequence number issued for ``key`` (0 initially)."""
-        return self._seq.get(key, 0)
 
     def bare(self, key: Hashable) -> int:
         """Next SWMR timestamp: the bare per-key counter."""

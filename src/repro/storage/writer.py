@@ -111,15 +111,6 @@ class StorageWriter(StorageClient):
         self._acks = ConditionMap(AckSet, "wr key={} ts={} rnd={}")
         self._discovery = DiscoveryInbox("write ts-discovery#{}")
 
-    @property
-    def writer_id(self) -> Optional[int]:
-        return self.stamps.writer_id
-
-    @property
-    def ts(self) -> int:
-        """The default register's latest sequence number (SWMR compat)."""
-        return self.stamps.seq()
-
     # -- network ---------------------------------------------------------------
 
     def on_message(self, src: Hashable, payload: Any) -> None:

@@ -22,7 +22,7 @@ def test_decision_events_wake_waiters():
     adapter.schedule(SPEC)
     adapter.execute(SPEC)
     # The watcher woke in the same instant the learner learned.
-    assert task.done() and task.result == (learner.learned_at, "V")
+    assert task.finished and task.result == (learner.learned_at, "V")
     assert all(
         acceptor.decided_event.holds()
         for acceptor in adapter.acceptors.values()

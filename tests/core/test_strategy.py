@@ -95,17 +95,6 @@ class TestDistributions:
                 write_weights=((frozenset("a"), Fraction(1)),),
             )
 
-    def test_json_round_trip_exact(self):
-        strategy = optimal_strategy(
-            GRID_READS,
-            read_fraction=Fraction(1, 3),
-            read_capacity={"a": 10, "d": Fraction(1, 2)},
-        )
-        restored = Strategy.from_json(strategy.to_json())
-        assert restored == strategy
-        assert restored.load == strategy.load
-        assert restored.read_fraction == Fraction(1, 3)
-
 
 class TestOptimalStrategy:
     def test_majority_load_is_two_thirds(self):

@@ -2,11 +2,9 @@
 
 from dataclasses import replace
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.signatures import SignatureService, Signed, _freeze
-from repro.errors import ProtocolError
 
 
 def test_sign_then_verify():
@@ -43,17 +41,6 @@ def test_unhashable_content_is_canonicalized():
     assert service.verify(signature)
     same = service.verify(Signed("alice", {"values": [1, 2, {3}], "view": 1}))
     assert same
-
-
-def test_verify_and_require():
-    service = SignatureService()
-    good = service.sign("a", 1)
-    bad = Signed("b", 2)
-    assert service.verify(good)
-    assert not service.verify(bad)
-    service.require(good)
-    with pytest.raises(ProtocolError):
-        service.require(bad)
 
 
 # -- verification does not re-freeze hashable content ------------------------------

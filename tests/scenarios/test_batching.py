@@ -258,11 +258,12 @@ class TestPerElementCompletion:
         completes two time units earlier at the collect instant."""
         from repro.storage.history import Pair
 
-        adapter = run(ScenarioSpec(
+        result = run(ScenarioSpec(
             "fastabd", readers=1,
             workload=(Write(0.0, "a0", key="a"), Write(0.0, "b0", key="b")),
-        )).adapter
-        ts = adapter.writers[0].ts
+        ))
+        adapter = result.adapter
+        (ts,) = [write.ts for write in result.writes if write.key == "b"]
         # Stage a newer pre-write visible at only 2 servers (< slow=3).
         for sid in list(adapter.servers)[:2]:
             adapter.servers[sid].slots_for("b")["pw"] = Pair(ts + 1, "b1")

@@ -39,7 +39,7 @@ class TestPrimitives:
             return "fast"
 
         task = sim.spawn(coro())
-        assert task.done() and task.result == "fast"
+        assert task.finished and task.result == "fast"
 
     def test_count_threshold(self):
         sim = Simulator()
@@ -85,7 +85,7 @@ class TestPrimitives:
         sim.call_at(2.0, lambda: acks.add(3))
         sim.call_at(4.0, lambda: acks.add(2))
         sim.run_to_completion()
-        assert task.done() and task.result == [1, 2, 3]
+        assert task.finished and task.result == [1, 2, 3]
 
     def test_ackset_at_least(self):
         sim = Simulator()
@@ -155,7 +155,7 @@ class TestWaitSetIndex:
         task = sim.spawn(coro())
         sim.call_at(1.0, acks.add, "a")  # signal fires, holds() is false
         sim.run_to_completion(strict=False)
-        assert not task.done()
+        assert not task.finished
         assert len(sim.blocked_tasks()) == 1
 
     def test_same_instant_signal_then_park(self):
@@ -326,5 +326,5 @@ class TestWaitSetIndex:
         assert len(net.in_transit) == 2
         sim.call_at(10.0, lambda: net.release_held(delay=0.5))
         sim.run_to_completion(strict=False)
-        assert task.done() and task.result == 10.5
+        assert task.finished and task.result == 10.5
         assert not net.in_transit

@@ -338,7 +338,7 @@ class World:
             "holds": [condition.holds() for condition in self.waited],
             "labels": list(self.labels),
             "blocked": [task.name for task in self.sim.blocked_tasks()],
-            "results": [(task.done(), task.result) for task in self.tasks
+            "results": [(task.finished, task.result) for task in self.tasks
                         if task is not None],
             "acks": self.containers(self.acks),
             "pool": len(self.acks._pool),

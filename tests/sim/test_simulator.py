@@ -88,7 +88,7 @@ class TestTasks:
 
         task = sim.spawn(coro())
         sim.run_to_completion()
-        assert task.done() and task.result == "done"
+        assert task.finished and task.result == "done"
         assert times == [0.0, 3.0]
 
     def test_wait_until_parks_and_wakes(self):
@@ -112,7 +112,7 @@ class TestTasks:
             return "fast"
 
         task = sim.spawn(coro())
-        assert task.done() and task.result == "fast"
+        assert task.finished and task.result == "fast"
 
     def test_raw_predicate_is_refused(self):
         """Nothing would ever re-poll it: the message names the fix."""

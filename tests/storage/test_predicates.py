@@ -1,7 +1,7 @@
 """Tests for the reader-side predicates (Figure 7 lines 1-9)."""
 
 from repro.core.constructions import example7_rqs, threshold_rqs
-from repro.storage.history import History, Pair
+from repro.storage.history import INITIAL_PAIR, History, Pair
 from repro.storage.predicates import ReadState
 
 
@@ -15,59 +15,86 @@ def empty_snapshot():
     return History().snapshot()
 
 
+def frozen(state, acks):
+    """Feed ``(server, snapshot)`` round-1 acks, then end round 1."""
+    for server, snapshot in acks:
+        state.record_ack(server, 1, snapshot)
+    state.freeze_round1()
+    return state
+
+
+# Lines 3-5 decide only inside line 6: each state below is staged so
+# that the named line alone can vouch for ``c`` on the responded quorums.
+
+
 class TestValid1:
+    """Line 3: a basic subset of the quorum holds ``c`` in slot 1."""
+
     def test_holds_with_basic_holder_set(self):
         rqs = threshold_rqs(5, 1, 1, 0, 1)
-        state = ReadState(rqs)
         c = Pair(1, "v")
-        for server in (1, 2):
-            state.record_ack(server, 1, snapshot_with(1, 1, "v"))
-        quorum = frozenset({1, 2, 3, 4})
-        assert state.valid1(c, quorum)
+        state = frozen(ReadState(rqs), [
+            (1, snapshot_with(1, 1, "v")), (2, snapshot_with(1, 1, "v")),
+            (3, empty_snapshot()), (4, empty_snapshot()),
+        ])
+        assert state.holders(c, 2) == 0
+        assert not state.invalid(c)
 
     def test_fails_with_corruptible_holder_set(self):
         rqs = threshold_rqs(5, 1, 1, 0, 1)
-        state = ReadState(rqs)
         c = Pair(1, "v")
-        state.record_ack(1, 1, snapshot_with(1, 1, "v"))  # one holder ∈ B1
-        assert not state.valid1(c, frozenset({1, 2, 3, 4}))
+        state = frozen(ReadState(rqs), [
+            (1, snapshot_with(1, 1, "v")),  # one holder ∈ B1
+            (2, empty_snapshot()), (3, empty_snapshot()),
+            (4, empty_snapshot()),
+        ])
+        assert state.holders(c, 1) == rqs.index.bit[1]
+        assert state.invalid(c)
 
 
 class TestValid2:
+    """Line 4: one slot-2 holder in the quorum suffices."""
+
     def test_single_slot2_holder_suffices(self):
         rqs = threshold_rqs(5, 1, 1, 0, 1)
-        state = ReadState(rqs)
-        state.record_ack(3, 1, snapshot_with(1, 2, "v"))
-        assert state.valid2(Pair(1, "v"), frozenset({3, 4, 5}))
-        assert not state.valid2(Pair(1, "v"), frozenset({4, 5}))
+        c = Pair(1, "v")
+        state = frozen(ReadState(rqs), [
+            (3, snapshot_with(1, 2, "v")), (2, empty_snapshot()),
+            (4, empty_snapshot()), (5, empty_snapshot()),
+        ])
+        # Server 3 alone holds c, in slots 1 and 2: {3} ∈ B1, so line 3
+        # vouches nowhere.
+        assert state.holders(c, 1) == state.holders(c, 2) == rqs.index.bit[3]
+        assert not state.invalid(c)  # {2, 3, 4, 5} holds server 3
+        state.record_ack(1, 2, empty_snapshot())
+        assert state.invalid(c)  # {1, 2, 4, 5} does not
 
 
 class TestValid3:
-    def test_example7_p3b_scenario(self):
-        """The Figure 4 ex5 situation: {s3,s4} hold c with Q2's id,
-        {s1,s2} lie; P3b makes it valid."""
+    """Line 5: the Figure 4 ex5 situation — {s3, s4} hold ``c`` with
+    Q2's id, {s1, s2} lie; P3b makes ``c`` valid on Q2'."""
+
+    Q2 = frozenset({"s1", "s2", "s3", "s4", "s5"})
+
+    def staged(self, ids):
         rqs = example7_rqs()
-        q2 = frozenset({"s1", "s2", "s3", "s4", "s5"})
-        q2p = frozenset({"s1", "s2", "s3", "s4", "s6"})
-        state = ReadState(rqs)
+        state = frozen(ReadState(rqs), [
+            (s, snapshot_with(1, 1, 1, ids)) for s in ("s3", "s4")
+        ] + [(s, empty_snapshot()) for s in ("s1", "s2", "s6")])
+        # Q2' = {s1, s2, s3, s4, s6} is the one responded quorum, and
+        # lines 3-4 cannot vouch on it: {s3, s4} is not basic.
         c = Pair(1, 1)
-        for server in ("s3", "s4"):
-            state.record_ack(
-                server, 1, snapshot_with(1, 1, 1, frozenset({q2}))
-            )
-        for server in ("s1", "s2", "s6"):
-            state.record_ack(server, 1, empty_snapshot())
-        assert state.valid3(c, q2p)
+        assert state.holders(c, 2) == 0
+        assert not rqs.index.is_basic(state.holders(c, 1))
+        return state, c
+
+    def test_example7_p3b_scenario(self):
+        state, c = self.staged(frozenset({self.Q2}))
+        assert not state.invalid(c)
 
     def test_fails_without_quorum_ids(self):
-        rqs = example7_rqs()
-        q2p = frozenset({"s1", "s2", "s3", "s4", "s6"})
-        state = ReadState(rqs)
-        for server in ("s3", "s4"):
-            state.record_ack(server, 1, snapshot_with(1, 1, 1))  # no ids
-        for server in ("s1", "s2", "s6"):
-            state.record_ack(server, 1, empty_snapshot())
-        assert not state.valid3(Pair(1, 1), q2p)
+        state, c = self.staged(frozenset())
+        assert state.invalid(c)
 
 
 class TestSafetyPredicates:
@@ -84,7 +111,7 @@ class TestSafetyPredicates:
         state = ReadState(rqs)
         for server in (1, 2):
             state.record_ack(server, 1, empty_snapshot())
-        assert state.safe(Pair(0, state.entry(1, 0, 1).pair.val))
+        assert state.safe(INITIAL_PAIR)
 
     def test_invalid_by_highest_ts(self):
         rqs = threshold_rqs(5, 1, 1, 0, 1)
@@ -104,7 +131,8 @@ class TestSafetyPredicates:
             history.store(2, 2, "new", frozenset())
             state.record_ack(server, 1, history.snapshot())
         state.freeze_round1()
-        assert state.select() == Pair(2, "new")
+        assert not state.invalid(Pair(1, "old"))
+        assert state.candidates() == [Pair(2, "new")]
 
 
 class TestBcd:

@@ -537,13 +537,8 @@ def answers(state):
     found = {
         "observed_pairs": observed,
         "highest_ts": state.highest_ts,
-        "qc2_responded": state.qc2_responded,
-        "responded_quorums": state.responded_quorums(),
         "round_quorum": [state.round_quorum(rnd) for rnd in (1, 2)],
     }
-    # Every quorum of a small system; a fixed spread of a large one
-    # (``invalid`` still walks all the responded ones).
-    quorums = rqs.quorums[::max(1, len(rqs.quorums) // 12)]
     for c in dict.fromkeys(observed + list(EXTRA_PROBES)):
         held = [state.holders(c, rnd) for rnd in (1, 2, 3)]
         found["holders", c] = [rqs.index.mask(h) for h in held] if naive else held
@@ -553,15 +548,8 @@ def answers(state):
         found["walked", c] = (
             c.ts <= state.highest_ts and state.fails_lines_3_and_4(c)
         ) if naive else walks["responding"] > walked
-        found["high_cand", c] = state.high_cand(c)
-        found["read_pred", c] = [state.read_pred(c, s) for s in rqs.ground_set]
         found["bcd", c] = [(state.bcd1(c, r), state.bcd2(c, r)) for r in (1, 2, 3)]
-        found["valid", c] = [
-            (state.valid1(c, q), state.valid2(c, q), state.valid3(c, q))
-            for q in quorums
-        ]
     found["candidates"] = state.candidates()
-    found["select"] = state.select()
     return found
 
 
@@ -576,7 +564,6 @@ def up_to_ties(found):
             if field[0] != "walked"}
     kept["observed_pairs"] = pairs(found["observed_pairs"])
     kept["candidates"] = pairs(found["candidates"])
-    kept["select"] = found["select"] and found["select"].ts
     return kept
 
 
@@ -830,7 +817,6 @@ def test_acks_from_outside_the_ground_set_are_dropped():
     assert not state.safe(Pair(7, "forged"))
     for intruder in intruders:
         for c in (Pair(7, "forged"), Pair(1, "a")):
-            assert not state.read_pred(c, intruder)
             assert not naive.read_pred(c, intruder)
     assert state.candidates() == naive.candidates() == [Pair(1, "a")]
     assert_same_answers(states)
@@ -854,15 +840,15 @@ class TestMemoInvalidation:
         feed(self.states, (server, rnd, snapshot))
 
     def test_ack_from_a_new_server(self):
-        quorum = frozenset({1, 2, 3, 4})
+        bits = self.rqs.index.bit
         self.ack(1, 1, snapshot_with(1, 1, "v"))
         assert not self.state.safe(self.c)
-        assert not self.state.valid1(self.c, quorum)
+        assert self.state.holders(self.c, 1) == bits[1]
         assert self.state.observed_pairs() == [INITIAL_PAIR, self.c]
         assert_same_answers(self.states)
         self.ack(2, 1, snapshot_with(1, 1, "v"))
         assert self.state.safe(self.c)
-        assert self.state.valid1(self.c, quorum)
+        assert self.state.holders(self.c, 1) == bits[1] | bits[2]
         assert_same_answers(self.states)
         self.ack(3, 1, snapshot_with(2, 1, "w"))
         assert self.state.observed_pairs() == [
@@ -871,7 +857,6 @@ class TestMemoInvalidation:
         assert_same_answers(self.states)
 
     def test_byzantine_overwrite_drops_a_holder(self):
-        quorum = frozenset({1, 2, 3, 4})
         for server in (1, 2):
             self.ack(server, 1, snapshot_with(1, 1, "v"))
         for server in (3, 4):
@@ -880,14 +865,12 @@ class TestMemoInvalidation:
         bits = self.rqs.index.bit
         assert self.state.holders(self.c, 1) == bits[1] | bits[2]
         assert self.state.safe(self.c)
-        assert self.state.valid1(self.c, quorum)
         assert not self.state.invalid(self.c)
         assert_same_answers(self.states)
         # Server 2 answers round 2 with a snapshot that forgot ⟨1, v⟩.
         self.ack(2, 2, History().snapshot())
         assert self.state.holders(self.c, 1) == bits[1]
         assert not self.state.safe(self.c)
-        assert not self.state.valid1(self.c, quorum)
         assert self.state.invalid(self.c)
         assert self.state.candidates() == [INITIAL_PAIR]
         assert_same_answers(self.states)
@@ -905,14 +888,13 @@ class TestMemoInvalidation:
         assert_same_answers(self.states)
 
     def test_overwrite_drops_a_listed_quorum_id(self):
-        states = run_script(EXAMPLE7, LINE5_SCRIPT)
+        states = run_script(EXAMPLE7, LINE5_SCRIPT, freeze_after=2)
         state = states[0]
-        q2_prime = frozenset({"s1", "s2", "s3", "s4", "s6"})
         c = Pair(1, 1)
-        assert state.valid3(c, q2_prime)
+        assert not state.invalid(c)  # line 5 vouches on Q2'
         # s4 keeps the pair but no longer lists Q2's id.
         feed(states, ("s4", 2, snapshot_with(1, 1, 1)))
-        assert not state.valid3(c, q2_prime)
+        assert state.invalid(c)
         assert_same_answers(states)
 
     def test_read_batch_ack_feeds_every_element_state(self):
@@ -966,7 +948,7 @@ for server, values in (
 state.freeze_round1()
 print([str(p.val) for p in state.observed_pairs()])
 print([str(p.val) for p in state.candidates()])
-print(state.select().val)
+print(max(state.candidates(), key=lambda pair: pair.ts).val)
 '''
 
 
@@ -1099,13 +1081,8 @@ class Qc2FromLiveAcks(ReadState):
     """Lists ``QC'2`` from the round-1 acks as they stand, not as
     ``freeze_round1`` fixed them."""
 
-    @property
-    def qc2_responded(self):
-        ix = self._ix
-        return tuple(
-            ix.quorum_at[mask]
-            for mask in ix.responding(self._round_acks.get(1, 0), 2)
-        )
+    def _qc2_masks(self):
+        return self._ix.responding(self._round_acks.get(1, 0), 2)
 
 
 #: mutant -> (system, script, freeze after this many acks) that kills it.

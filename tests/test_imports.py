@@ -13,7 +13,8 @@ The same holds for the stdlib's process-pool stack and for the
 quorum-strategy solver: only a sharded spec loads the pool (when it is
 built), only the multiprocessing grid backend loads it on its first
 call, and only a spec that sets ``quorum_strategy`` loads
-:mod:`repro.core.strategy` (when it is built).
+:mod:`repro.core.strategy` (when it is built).  ``csv`` loads only for
+``SweepResult.to_csv``, which no soak calls.
 
 Each pin runs in a fresh interpreter and compares ``sys.modules``; no
 wall clock is read.
@@ -39,6 +40,10 @@ POOL = (
     "pickle",
 )
 
+#: What the probe reports: ``repro``'s modules, :data:`POOL`, and the
+#: CSV writer that only ``SweepResult.to_csv`` imports.
+PROBED = POOL + ("csv",)
+
 _PROBE = """
 import json, sys
 
@@ -55,9 +60,9 @@ print(json.dumps([sorted(built), sorted(loaded() - built)]))
 
 def imports(build: str, use: str = ""):
     """``(modules after build, modules use imported on top)`` — the
-    ``repro`` and :data:`POOL` modules a fresh interpreter holds after
+    :data:`PROBED` modules a fresh interpreter holds after
     running ``build``, and the ones running ``use`` afterwards added."""
-    code = _PROBE % (POOL, textwrap.dedent(build), textwrap.dedent(use))
+    code = _PROBE % (PROBED, textwrap.dedent(build), textwrap.dedent(use))
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
@@ -109,7 +114,7 @@ def test_an_abd_soak_imports_the_abd_kernel_only():
                   "repro.analysis.consensus_check",
                   "repro.analysis.latency", *RQS_STORAGE) == []
     assert "repro.scenarios.abd_adapters" in built
-    assert within(built, *POOL) == []
+    assert within(built, *POOL, "csv") == []
     assert len(within(built, "repro")) <= 31, sorted(built)
 
 
@@ -122,7 +127,7 @@ def test_an_rqs_storage_soak_imports_no_consensus_and_no_abd():
                   "repro.storage.abd",
                   "repro.scenarios.abd_adapters",
                   "repro.scenarios.consensus_adapters",
-                  "repro.core.strategy", *POOL) == []
+                  "repro.core.strategy", *POOL, "csv") == []
     assert set(RQS_STORAGE) <= built
     assert "repro.core.constructions" in built
 
