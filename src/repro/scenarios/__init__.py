@@ -125,7 +125,6 @@ from repro.scenarios.spec import (
 from repro.scenarios.sweeps import (
     SweepSpec,
     default_measure,
-    derive_seed,
     run_grid,
 )
 from repro.scenarios.workloads import (
@@ -173,7 +172,6 @@ __all__ = [
     "available_protocols",
     "crashes",
     "default_measure",
-    "derive_seed",
     "get_protocol",
     "jsonable",
     "key_shard",

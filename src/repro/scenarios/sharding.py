@@ -27,18 +27,15 @@ yield only in-shard operations, so the union of the shard schedules is
 a fixed partition of the unsharded schedule — the basis of the
 equivalence tests.
 
-**Collection.**  Each shard is one task on a fork-context
-``concurrent.futures.ProcessPoolExecutor`` (one worker per shard); its
+**Collection.**  Each shard is one item of :func:`map_in_pool`, the
+package's one process pool (one worker per shard); its
 :class:`ShardOutcome` — per-kind op counters, latency accumulators, the
 shard's online verdict, server history stats, CPU seconds, and peak RSS
-— comes home as the task's future.  A worker that dies takes the run
-with it: the executor reports the broken pool, and :func:`run_sharded`
-raises a :class:`~repro.errors.ScenarioError` instead of waiting or
-merging what is left; an exception raised inside a worker reaches the
-caller naming the shard.  The pool stack (``multiprocessing``,
-``concurrent.futures``) is imported by :func:`run_sharded`, not by this
-module; a ``shards > 1`` :class:`~repro.scenarios.spec.ScenarioSpec`
-loads it when it is built, so a sharded run pays the import in its
+— comes home in shard order.  A worker that dies fails the run with a
+:class:`~repro.errors.ScenarioError` and nothing is merged; an
+exception raised inside a worker reaches the caller naming the shard.
+A ``shards > 1`` :class:`~repro.scenarios.spec.ScenarioSpec` loads the
+pool stack when it is built, so a sharded run pays the import in its
 set-up and every other run never pays it.
 
 **Merge semantics.**  Counters and Fraction-exact latency sums add;
@@ -55,16 +52,18 @@ if *any* shard ran unchecked.  A sharded soak never passes vacuously.
 cpu_seconds``) measures aggregate capacity even on hosts with fewer
 cores than shards; wall-clock ops/sec is reported alongside.
 
-Nested multiprocessing is detected (pool workers are daemonic and
-cannot fork): sharded specs inside ``run_grid`` workers fall back to
-serial in-process shard execution with identical results.
+A daemonic process (a worker of the stdlib's ``Pool``) cannot fork, so
+there the shards run serially in-process with identical results; a
+multiprocessing ``run_grid`` worker is not daemonic and forks them.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+                    Optional, Tuple)
 
 from repro.analysis.streaming import (
     MAX_REPORTED,
@@ -250,8 +249,8 @@ class ShardedRunResult(ResultSurface):
         self.spec = spec
         self.outcomes = sorted(outcomes, key=lambda o: o.index)
         self.n_shards = len(self.outcomes)
-        #: Worker processes actually used (0 = serial in-process
-        #: fallback under nested multiprocessing).
+        #: Worker processes actually used (0 = the shards ran serially
+        #: in-process, as a daemonic caller cannot fork).
         self.worker_processes = worker_processes
         #: Parent wall seconds for the whole sharded execute phase.
         self.execute_seconds: Optional[float] = None
@@ -343,16 +342,50 @@ class ShardedRunResult(ResultSurface):
 # -- the executor -------------------------------------------------------------
 
 
+def map_in_pool(
+    fn: Callable, items: Iterable, workers: int, lost: str,
+    initializer: Optional[Callable] = None, initargs: Tuple = (),
+    chunksize: int = 1,
+) -> Tuple[Tuple[Any, ...], int]:
+    """``tuple(map(fn, items))`` on ``workers`` processes (each
+    runs ``initializer(*initargs)`` once; items go in contiguous runs of
+    ``chunksize``), and the number of processes used.
+
+    The package's one process pool: a fork-context
+    ``ProcessPoolExecutor`` (a worker inherits the parent's imports; a
+    ``-c`` or stdin parent has no ``__main__`` to re-import).  A worker
+    that dies raises a :class:`~repro.errors.ScenarioError` reading
+    ``lost`` — never a hang, never a partial list.  A daemonic caller
+    cannot fork: it maps in-process and reports 0 processes.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    if multiprocessing.current_process().daemon:
+        if initializer is not None:
+            initializer(*initargs)
+        return tuple(map(fn, items)), 0
+    with ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=initializer, initargs=initargs,
+    ) as pool:
+        try:
+            return tuple(pool.map(fn, items, chunksize=chunksize)), workers
+        except BrokenProcessPool as exc:
+            raise ScenarioError(lost) from exc
+
+
 def run_sharded(spec: ScenarioSpec) -> ShardedRunResult:
     """Execute a ``shards > 1`` spec across one worker process per shard.
 
     Each shard runs its own simulator over the full seeded draw,
-    filtered to its key shard; outcomes come home as the futures of a
-    fork-context process pool and merge order-independently.  A worker
-    that dies (or raises) fails the run with a :class:`ScenarioError`
-    — never a hang, never a partial merge.  Inside a daemonic pool
-    worker (nested multiprocessing cannot fork) the shards run serially
-    in-process instead — same outcomes, same merge.
+    filtered to its key shard; outcomes come home from
+    :func:`map_in_pool` in shard order and merge order-independently.
+    A worker that dies (or raises) fails the run with a
+    :class:`ScenarioError` — never a hang, never a partial merge.
+    Inside a daemonic process (which cannot fork) the shards run
+    serially in-process instead — same outcomes, same merge.
     """
     if spec.shards < 2:
         raise ScenarioError(
@@ -365,28 +398,12 @@ def run_sharded(spec: ScenarioSpec) -> ShardedRunResult:
             f"sharded execution partitions independent registers; "
             f"protocol {spec.protocol!r} is not a storage protocol"
         )
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
     start = time.perf_counter()
-    if multiprocessing.current_process().daemon:
-        workers = 0
-        outcomes = [_run_shard(spec, index) for index in range(spec.shards)]
-    else:
-        workers = spec.shards
-        with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")
-        ) as pool:
-            try:
-                outcomes = list(
-                    pool.map(_run_shard, [spec] * workers, range(workers))
-                )
-            except BrokenProcessPool as exc:
-                raise ScenarioError(
-                    f"a shard worker of {spec.protocol!r} x {workers} died "
-                    f"before reporting its outcome; nothing is merged"
-                ) from exc
+    outcomes, workers = map_in_pool(
+        partial(_run_shard, spec), range(spec.shards), spec.shards,
+        lost=f"a shard worker of {spec.protocol!r} x {spec.shards} died "
+        f"before reporting its outcome; nothing is merged",
+    )
     result = ShardedRunResult(spec, outcomes, worker_processes=workers)
     result.execute_seconds = time.perf_counter() - start
     return result

@@ -53,7 +53,7 @@ Doctest — a 2-protocol × 2-seed grid in four lines::
 from __future__ import annotations
 
 import itertools
-import zlib
+import os
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
@@ -88,14 +88,6 @@ def axis_value(value: Any) -> Any:
     return value.value if isinstance(value, AxisValue) else value
 
 
-def derive_seed(name: str, index: int, base: int = 0) -> int:
-    """A deterministic per-cell seed: a pure function of the sweep name,
-    the cell index and an optional base — stable across processes,
-    Python versions and executor backends (crc32, not ``hash``)."""
-    text = f"{name}:{index}:{base}".encode()
-    return zlib.crc32(text) & 0x7FFFFFFF
-
-
 # -- the grid ------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -115,7 +107,7 @@ class SweepSpec:
     ----------
     name:
         The sweep's identity — names exported artifacts
-        (``BENCH_<name>.json``) and salts :func:`derive_seed`.
+        (``BENCH_<name>.json``).
     axes:
         Ordered mapping (or sequence of pairs) ``axis name -> values``.
         Values may be plain objects or :func:`labeled` pairs; the cross
@@ -220,9 +212,6 @@ class SweepSpec:
         if self.build is not None:
             return self.build(cell.point)
         return default_build(self.base, cell.point)
-
-    def specs(self) -> Tuple[Optional[ScenarioSpec], ...]:
-        return tuple(self.spec_for(cell) for cell in self.cells())
 
     # -- slicing --------------------------------------------------------------
 
@@ -366,47 +355,27 @@ def _mp_initialize(payload: bytes) -> None:
     _WORKER_CELLS = _WORKER_SWEEP.cells()
 
 
-def _mp_run_chunk(indices: Tuple[int, ...]) -> Tuple[CellResult, ...]:
-    return tuple(
-        run_cell(_WORKER_SWEEP, _WORKER_CELLS[index]) for index in indices
-    )
-
-
-def dispatch_chunks(total: int, workers: int) -> Tuple[Tuple[int, ...], ...]:
-    """Contiguous cell-index chunks for the multiprocessing backend.
-
-    One IPC round-trip per *chunk* instead of per cell —
-    ``max(1, total // (4 * workers))`` cells keep ~4 chunks per worker
-    in flight, enough slack for uneven cell costs while killing the
-    per-cell dispatch overhead that dominated thousand-cell sweeps.
-    Chunks partition ``range(total)`` in grid order, so flattening the
-    chunk results reproduces exact cell order.
-    """
-    size = max(1, total // (4 * max(1, workers)))
-    return tuple(
-        tuple(range(start, min(start + size, total)))
-        for start in range(0, total, size)
-    )
+def _mp_run_cell(index: int) -> CellResult:
+    return run_cell(_WORKER_SWEEP, _WORKER_CELLS[index])
 
 
 def run_multiprocessing(
     sweep: SweepSpec, processes: Optional[int] = None
 ) -> Tuple[CellResult, ...]:
-    """Run the grid on a ``multiprocessing`` pool.
+    """Run the grid on :func:`~repro.scenarios.sharding.map_in_pool`.
 
-    The sweep is pickled once into each worker and cells are dispatched
-    as contiguous index *chunks* (see :func:`dispatch_chunks`); chunk
-    results are collected in submission order and flattened, so the
-    aggregated output stays byte-identical to the serial backend.  Live
-    ``RunResult`` handles cannot cross process boundaries, so cells
-    carry portable metrics only.
-
-    ``multiprocessing`` and ``pickle`` are imported here, on the first
-    call, not with the module: the serial backend never loads them,
-    and this call forks a pool anyway.
+    The sweep is pickled once into each worker; cell indices go out in
+    contiguous runs, ~4 per worker (slack for uneven cell costs, one
+    round-trip per run, not per cell), and results come back in grid
+    order, byte-identical to the serial backend's.  Live ``RunResult``
+    handles cannot cross processes: cells carry portable metrics only.
+    A worker that dies raises :class:`~repro.errors.ScenarioError`.
+    ``pickle`` and the pool stack load on the first call, never with
+    the serial backend.
     """
-    import multiprocessing
     import pickle
+
+    from repro.scenarios.sharding import map_in_pool
 
     try:
         payload = pickle.dumps(sweep)
@@ -418,19 +387,14 @@ def run_multiprocessing(
             f"the serial executor"
         )
     total = sweep.size
-    workers = processes or min(multiprocessing.cpu_count(), total) or 1
-    # fork (where available) skips re-importing __main__ — spawn breaks
-    # under stdin/-c parents and pays a full interpreter start per worker.
-    method = (
-        "fork" if "fork" in multiprocessing.get_all_start_methods()
-        else "spawn"
-    )
-    context = multiprocessing.get_context(method)
-    with context.Pool(
-        workers, initializer=_mp_initialize, initargs=(payload,)
-    ) as pool:
-        chunks = pool.imap(_mp_run_chunk, dispatch_chunks(total, workers))
-        return tuple(outcome for results in chunks for outcome in results)
+    workers = processes or min(os.cpu_count() or 1, total)
+    return map_in_pool(
+        _mp_run_cell, range(total), workers,
+        lost=f"a sweep worker of {sweep.name!r} x {workers} died before "
+        f"reporting its cells; nothing is aggregated",
+        initializer=_mp_initialize, initargs=(payload,),
+        chunksize=max(1, total // (4 * workers)),
+    )[0]
 
 
 def run_grid(
@@ -441,12 +405,12 @@ def run_grid(
     """Expand, execute and aggregate one sweep — the grid entry point.
 
     ``executor`` is ``"serial"`` (default; cells keep their live
-    ``RunResult``) or ``"multiprocessing"`` (alias ``"mp"``; ``processes``
-    workers, default one per core up to the cell count).
+    ``RunResult``) or ``"multiprocessing"`` (``processes`` workers,
+    default one per core up to the cell count).
     """
     if executor == "serial":
         cells = run_serial(sweep)
-    elif executor in ("multiprocessing", "mp"):
+    elif executor == "multiprocessing":
         cells = run_multiprocessing(sweep, processes=processes)
     else:
         raise ScenarioError(

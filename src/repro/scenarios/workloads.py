@@ -407,8 +407,7 @@ class OpBudget:
 def client_seed(seed: int, role: str, index: int) -> int:
     """A deterministic per-client RNG seed for open-loop streams —
     a pure crc32 function of the scenario seed and the client identity
-    (stable across Python versions and processes, like
-    :func:`repro.scenarios.sweeps.derive_seed`)."""
+    (stable across Python versions and processes)."""
     return zlib.crc32(f"stream:{seed}:{role}:{index}".encode()) & 0x7FFFFFFF
 
 

@@ -591,8 +591,8 @@ class TestFleetOfOne:
 
     def test_default_measure_is_backend_independent_without_host(self):
         """Invariant 2 for streamed cells, a sharded one included (under
-        the multiprocessing backend its shards run serially in the pool
-        worker — ``host.workers == 0``)."""
+        the multiprocessing backend its pool worker is not daemonic, so
+        it forks the cell's two shards — ``host.workers == 2``)."""
         grid = SweepSpec(
             name="fleet", axes={"shards": (1, 2)}, base=batched_soak_spec()
         )
@@ -607,7 +607,7 @@ class TestFleetOfOne:
             run_grid(grid, executor="multiprocessing", processes=2)
         )
         assert serial == pooled
-        assert (serial_workers, pooled_workers) == ([1, 2], [1, 0])
+        assert (serial_workers, pooled_workers) == ([1, 2], [1, 2])
 
 
 def _shard_one_is_killed(spec, index):
@@ -615,20 +615,6 @@ def _shard_one_is_killed(spec, index):
     if index == 1:
         os.kill(os.getpid(), signal.SIGKILL)
     return _run_shard(spec, index)
-
-
-@pytest.fixture
-def watchdog():
-    """Turn a hang into a failure: the executor these tests replaced
-    waited forever on a killed worker."""
-    def expired(signum, frame):
-        raise TimeoutError("run(spec) is still waiting on a dead worker")
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.alarm(20)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 class TestShardFailure:

@@ -4,6 +4,8 @@ import csv
 import doctest
 import io
 import json
+import os
+import time
 
 import pytest
 
@@ -16,7 +18,6 @@ from repro.scenarios import (
     ScenarioSpec,
     SweepSpec,
     Write,
-    derive_seed,
     labeled,
     percentile,
     run_grid,
@@ -49,6 +50,19 @@ ACCEPTANCE_GRID = SweepSpec(
         "seed": (0, 1, 2),
     },
     base=BASE,
+)
+
+
+def _dying_build(point):
+    """Module-level so the pool can pickle it: the worker that builds
+    seed 2 exits without a word."""
+    if point["seed"] == 2:
+        os._exit(1)
+    return BASE.with_(seed=point["seed"])
+
+
+DYING_GRID = SweepSpec(
+    name="dying", axes={"seed": (0, 1, 2, 3)}, build=_dying_build
 )
 
 
@@ -101,7 +115,8 @@ class TestExpansion:
         assert cells[3].labels["faults"] == "one-crash"
 
     def test_default_builder_applies_spec_fields(self):
-        specs = ACCEPTANCE_GRID.specs()
+        grid = ACCEPTANCE_GRID
+        specs = [grid.spec_for(cell) for cell in grid.cells()]
         assert specs[0].protocol == "abd" and specs[0].seed == 0
         assert specs[-1].protocol == "fastabd" and specs[-1].seed == 2
         assert specs[-1].faults.crashes == (Crash(1, 0.0),)
@@ -136,7 +151,7 @@ class TestExpansion:
     def test_default_builder_needs_protocol(self):
         grid = SweepSpec(name="bad", axes={"seed": (0,)})
         with pytest.raises(ScenarioError):
-            grid.specs()
+            grid.spec_for(grid.cells()[0])
 
     def test_unknown_protocol_on_the_axis_raises_where_the_grid_is_built(
         self,
@@ -156,14 +171,12 @@ class TestExpansion:
 
 
 class TestSeeding:
-    def test_derive_seed_is_stable(self):
-        assert derive_seed("sweep", 0) == derive_seed("sweep", 0)
-        assert derive_seed("sweep", 0) != derive_seed("sweep", 1)
-        assert derive_seed("sweep", 0) != derive_seed("other", 0)
-
     def test_seed_axis_is_pure_function_of_grid(self):
-        first = [s.seed for s in ACCEPTANCE_GRID.specs()]
-        second = [s.seed for s in ACCEPTANCE_GRID.specs()]
+        def seeds():
+            return [ACCEPTANCE_GRID.spec_for(c).seed
+                    for c in ACCEPTANCE_GRID.cells()]
+
+        first, second = seeds(), seeds()
         assert first == second == [0, 1, 2] * 4
 
 
@@ -176,14 +189,6 @@ class TestExecutors:
         assert serial.to_json() == parallel.to_json()
         assert serial.to_csv() == parallel.to_csv()
         assert serial.verdict_counts() == {"atomic": 12}
-
-    def test_dispatch_chunks_partition_the_grid_in_order(self):
-        for total, workers in ((10, 2), (12, 2), (100, 3), (3, 8), (1, 1)):
-            chunks = sweeps_module.dispatch_chunks(total, workers)
-            assert [i for chunk in chunks for i in chunk] == list(range(total))
-        # ~4 chunks per worker, an uneven tail kept.
-        assert sweeps_module.dispatch_chunks(100, 2)[0] == tuple(range(12))
-        assert sweeps_module.dispatch_chunks(100, 2)[-1] == (96, 97, 98, 99)
 
     def test_serial_keeps_live_result_handles(self):
         sweep = run_grid(ACCEPTANCE_GRID.where(seed=0))
@@ -207,6 +212,16 @@ class TestExecutors:
         )
         with pytest.raises(ScenarioError, match="not picklable"):
             run_grid(grid, executor="multiprocessing")
+
+    def test_a_dead_worker_fails_the_grid(self, watchdog):
+        """A worker that exits mid-grid raises, naming the sweep — it
+        neither hangs nor returns the cells that survived."""
+        started = time.monotonic()
+        with pytest.raises(
+            ScenarioError, match="sweep worker of 'dying' x 2 died"
+        ):
+            run_grid(DYING_GRID, executor="multiprocessing", processes=2)
+        assert time.monotonic() - started < 5.0
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ScenarioError, match="unknown executor"):
@@ -297,7 +312,7 @@ class TestFailureIsolation:
 
     def test_isolation_matches_across_backends(self):
         serial = run_grid(FAILING_GRID)
-        parallel = run_grid(FAILING_GRID, executor="mp")
+        parallel = run_grid(FAILING_GRID, executor="multiprocessing")
         assert serial.to_json() == parallel.to_json()
 
     def test_unwrap_failed_cell_raises_with_error(self):

@@ -33,10 +33,10 @@ The surface is what a reader reproducing the paper runs:
 
 Everything runs in this one process.  A sharded spec runs its shards
 in-process: while it runs, this process counts as daemonic, which sends
-``run_sharded`` down its serial branch.  What a forked pool child runs
-(the multiprocessing grid backend of ``examples/parameter_sweep.py``) is
-not seen, so its entry points are allowlisted.  Takes about 30-40 s on
-a 2-core host.
+``sharding.map_in_pool`` down its in-process branch.  What a forked pool
+child runs (the multiprocessing grid backend of
+``examples/parameter_sweep.py``) is not seen, so its entry points are
+allowlisted.  Takes about 30-40 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def check(root: Path, surface: Callable[[], None],
 
 @contextlib.contextmanager
 def daemonic():
-    """Run sharded specs serially in-process (``run_sharded`` forks no
+    """Run sharded specs serially in-process (``map_in_pool`` forks no
     pool from a daemonic process)."""
     config = multiprocessing.current_process()._config
     config["daemon"] = True
