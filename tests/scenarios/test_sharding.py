@@ -12,6 +12,7 @@ vacuously when any shard ran unchecked.
 """
 
 import multiprocessing
+import operator
 import os
 import signal
 import time
@@ -419,6 +420,37 @@ class TestNestedMultiprocessing:
         assert workers == 0  # serial in-process fallback
         assert begun == direct.ops_begun()
         assert verdict == direct.online.verdict
+
+
+class TestMapInPool:
+    def test_results_keep_item_order_over_uneven_chunks(self, watchdog):
+        """Contiguous chunks come home in item order, an uneven tail
+        included, whatever the chunk size."""
+        for total, workers, chunksize in (
+            (10, 2, 1), (12, 2, 3), (13, 3, 4), (3, 2, 8), (1, 1, 1),
+        ):
+            results, used = sharding.map_in_pool(
+                operator.neg, range(total), workers, lost="lost",
+                chunksize=chunksize,
+            )
+            assert results == tuple(-i for i in range(total))
+            assert used == workers
+
+    def test_a_daemonic_caller_initializes_and_maps_in_process(
+        self, monkeypatch
+    ):
+        """The in-process branch runs the initializer once, before the
+        first item, and reports no worker processes."""
+        monkeypatch.setitem(
+            multiprocessing.current_process()._config, "daemon", True
+        )
+        calls = []
+        results, used = sharding.map_in_pool(
+            calls.append, ("a", "b"), 4, lost="lost",
+            initializer=calls.append, initargs=("init",),
+        )
+        assert calls == ["init", "a", "b"]
+        assert (results, used) == ((None, None), 0)
 
 
 class TestMergeOnline:
