@@ -250,7 +250,7 @@ def test_soak_history_is_online_checked_per_key():
     online = run(spec).online
     assert online is not None and online.atomic
     assert len(online.keys) == 8
-    assert online.checked_ops == 500
+    assert online.checked_writes + online.checked_reads == 500
 
 
 def test_stream_probe_is_deterministic_and_bounded():
@@ -316,7 +316,7 @@ def test_mw_stream_family_uses_the_stamp_ordered_checker():
     online = run(small("stream/abd-mw/100000", max_ops=2000)).online
     assert online is not None and online.atomic
     assert online.mode == "mw"
-    assert online.checked_ops == 2000
+    assert online.checked_writes + online.checked_reads == 2000
     assert online.max_retained < 200
 
 

@@ -337,8 +337,8 @@ class OnlineReport:
     ``overrun_unchecked`` counts operations that outlived the window (a
     stuck client's): skipped, never misjudged against newer bounds.
     ``claim`` is the semantics judged: ``"regular"`` ran every rule but
-    ``read-inversion``, so it can say :attr:`regular`, never
-    :attr:`atomic`.
+    ``read-inversion``, so its :attr:`verdict` reads ``"regular"`` when
+    no rule fired, and :attr:`atomic` is never true.
     """
 
     checked_writes: int
@@ -358,18 +358,10 @@ class OnlineReport:
         return self.claim == "atomic" and self.violation_count == 0
 
     @property
-    def regular(self) -> bool:
-        return self.violation_count == 0
-
-    @property
     def verdict(self) -> str:
         """The sweep-table verdict string: the claim (``"atomic"`` /
         ``"regular"``) when it held, else ``"violation"``."""
         return "violation" if self.violation_count else self.claim
-
-    @property
-    def checked_ops(self) -> int:
-        return self.checked_writes + self.checked_reads
 
     def as_metrics(self) -> Dict[str, Any]:
         """The portable metrics view of this verdict, as embedded in

@@ -23,8 +23,8 @@ __getattr__, __dir__ = _lazy(globals(), {
     ),
     **dict.fromkeys(("RefinedQuorumSystem", "describe"), "repro.core.rqs"),
     **dict.fromkeys(
-        ("P1Witness", "P2Witness", "P3Witness", "check_property1",
-         "check_property2", "check_property3", "p3a", "p3b"),
+        ("P1Witness", "P2Witness", "P3Witness", "check_property3", "p3a",
+         "p3b"),
         "repro.core.properties",
     ),
 })
@@ -39,8 +39,6 @@ __all__ = [
     "P1Witness",
     "P2Witness",
     "P3Witness",
-    "check_property1",
-    "check_property2",
     "check_property3",
     "p3a",
     "p3b",

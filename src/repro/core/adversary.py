@@ -18,8 +18,10 @@ rest of the library relies on.  The answers are computed on *masks*: server
 ``i`` of the ``repr``-sorted ground set is bit ``1 << i`` (the order
 :class:`repro.core.rqs.QuorumIndex` takes from here), a subset of ``S`` is a
 Python int, "in ``B``" is "inside one maximal mask" and "large" is "not
-inside the union of two".  ``contains`` / ``is_basic`` / ``is_large`` on
-iterables are the public API and convert once.
+inside the union of two".  ``contains`` / ``is_basic`` on iterables are
+the public API and convert once; *large* (Definition 5: not covered by
+the union of two elements of ``B``) is asked on a mask,
+``is_large_mask(mask(subset))``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from itertools import combinations
 from typing import (
-    AbstractSet,
     Dict,
     FrozenSet,
     Hashable,
@@ -149,7 +150,9 @@ class Adversary(ABC):
         return False
 
     def is_large_mask(self, mask: int) -> bool:
-        """``mask`` is not inside the union of two maximal sets."""
+        """Definition 5: ``mask`` is *large* — not inside the union of two
+        maximal sets.  A large set always contains a basic subset of
+        benign processes (Lemma 2 / Lemma 18 of the paper)."""
         for b1 in self.maximal_masks:
             # mask ⊆ b1 ∪ b2  ⇔  (mask \ b1) ⊆ b2 for some b2 ∈ B.
             if self.contains_mask(mask & ~b1):
@@ -163,9 +166,6 @@ class Adversary(ABC):
         mask = self.mask(subset)
         return mask is not None and self.contains_mask(mask)
 
-    def __contains__(self, subset: AbstractSet[Element]) -> bool:
-        return self.contains(subset)
-
     def is_basic(self, subset: Iterable[Element]) -> bool:
         """Definition 5: ``subset`` is *basic* iff it is **not** in ``B``.
 
@@ -173,16 +173,6 @@ class Adversary(ABC):
         execution (Lemma 1 / Lemma 17 of the paper).
         """
         return not self.contains(subset)
-
-    def is_large(self, subset: Iterable[Element]) -> bool:
-        """Definition 5: ``subset`` is *large* iff it is not covered by the
-        union of any two elements of ``B``.
-
-        A large subset always contains a basic subset of benign processes
-        (Lemma 2 / Lemma 18 of the paper).
-        """
-        mask = self.mask(subset)
-        return mask is None or self.is_large_mask(mask)
 
     def enumerate(self) -> Iterator[Subset]:
         """Yield every element of ``B`` (exponential; small sets only)."""
@@ -226,11 +216,6 @@ class ThresholdAdversary(Adversary):
                 f"threshold k={k} exceeds |S|={len(self._ground)}"
             )
         self._k = k
-
-    @property
-    def k(self) -> int:
-        """The corruption threshold."""
-        return self._k
 
     def maximal_sets(self) -> Tuple[Subset, ...]:
         if self._k == 0:

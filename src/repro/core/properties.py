@@ -69,8 +69,8 @@ class P3Witness:
     ``q2 ∩ q \\ b1_prime = b2 ∈ B`` (P3a fails) and
     ``q1 ∩ q2 ∩ q \\ b1_prime = ∅`` (P3b fails for ``q1``).
 
-    The derived sets ``b0 = Q1∩Q2∩Q`` and ``b1 = Q2∩Q∩B'1`` are exposed
-    because the proof constructions manipulate them directly.
+    The derived set ``b1 = Q2∩Q∩B'1`` is exposed because the proof
+    constructions manipulate it directly.
     """
 
     q1: Optional[Subset]
@@ -78,12 +78,6 @@ class P3Witness:
     q: Subset
     b1_prime: Subset
     b2: Subset
-
-    @property
-    def b0(self) -> Subset:
-        if self.q1 is None:
-            return frozenset()
-        return self.q1 & self.q2 & self.q
 
     @property
     def b1(self) -> Subset:
@@ -130,26 +124,6 @@ def family_masks(
     return family, masks
 
 
-def check_property1(
-    adversary: Adversary, quorums: Sequence[Subset]
-) -> Optional[P1Witness]:
-    """Check Property 1; return a witness of violation or ``None``."""
-    return property1_witness(adversary, *family_masks(adversary, quorums))
-
-
-def check_property2(
-    adversary: Adversary,
-    qc1: Sequence[Subset],
-    quorums: Sequence[Subset],
-) -> Optional[P2Witness]:
-    """Check Property 2; return a witness of violation or ``None``."""
-    return property2_witness(
-        adversary,
-        *family_masks(adversary, qc1),
-        *family_masks(adversary, quorums),
-    )
-
-
 def check_property3(
     adversary: Adversary,
     qc1: Sequence[Subset],
@@ -173,8 +147,9 @@ def check_property3(
 
 # The checks proper: integer loops over family masks (``*_masks[i]`` is
 # the mask of the family's ``i``-th member).  A system that holds its
-# masks (:class:`repro.core.rqs.RefinedQuorumSystem`) calls these; the
-# ``check_property*`` entry points above convert and delegate.  Each
+# masks (:class:`repro.core.rqs.RefinedQuorumSystem`) calls these; a
+# caller holding plain families converts them with :func:`family_masks`
+# (:func:`check_property3` does, for the Theorem 3 exhibit).  Each
 # property is *decided* by a ``property*_failing`` search, which returns
 # the indices of the first failing instance (or ``None``) and builds
 # nothing; its ``property*_witness`` names that instance's witness.

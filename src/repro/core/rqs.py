@@ -21,7 +21,6 @@ from typing import (
     FrozenSet,
     Hashable,
     Iterable,
-    Iterator,
     Optional,
     Tuple,
 )
@@ -248,7 +247,8 @@ class RefinedQuorumSystem:
         When ``True`` (default) Properties 1–3 are checked eagerly and a
         :class:`~repro.errors.PropertyViolation` is raised on failure.
         Pass ``False`` to build deliberately-broken systems for the
-        lower-bound experiments, then call :meth:`violations` yourself.
+        lower-bound experiments, then call :meth:`violated` /
+        :meth:`first_violation` yourself.
     """
 
     def __init__(
@@ -380,41 +380,35 @@ class RefinedQuorumSystem:
 
     # -- validation ----------------------------------------------------------
 
-    def _witnesses(self) -> Iterator[Tuple[str, object]]:
-        """``(name, witness)`` of each violated property, checked lazily
-        in the order P1, P2, P3 on the system's own masks."""
-        adversary = self._adversary
-        quorums = (self._quorums, self._masks[3])
-        qc1 = (self._qc1, self._masks[1])
-        qc2 = (self._qc2, self._masks[2])
-        witness = props.property1_witness(adversary, *quorums)
-        if witness is not None:
-            yield ("P1", witness)
-        witness = props.property2_witness(adversary, *qc1, *quorums)
-        if witness is not None:
-            yield ("P2", witness)
-        witness = props.property3_witness(adversary, *qc1, *qc2, *quorums)
-        if witness is not None:
-            yield ("P3", witness)
-
     def first_violation(self):
         """Return ``(name, witness)`` for the first violated property.
 
-        Checks Properties 1, 2, 3 in order (a later one is not checked
-        once an earlier one fails); returns ``None`` when all hold.
+        Checks Properties 1, 2, 3 in order on the system's own masks (a
+        later one is not checked once an earlier one fails); returns
+        ``None`` when all hold.
         """
-        return next(self._witnesses(), None)
-
-    def violations(self) -> Tuple[Tuple[str, object], ...]:
-        """All violated properties with witnesses (possibly empty)."""
-        return tuple(self._witnesses())
+        adversary = self._adversary
+        quorums = (self._quorums, self._masks[3])
+        qc1 = (self._qc1, self._masks[1])
+        witness = props.property1_witness(adversary, *quorums)
+        if witness is not None:
+            return ("P1", witness)
+        witness = props.property2_witness(adversary, *qc1, *quorums)
+        if witness is not None:
+            return ("P2", witness)
+        witness = props.property3_witness(
+            adversary, *qc1, self._qc2, self._masks[2], *quorums
+        )
+        if witness is not None:
+            return ("P3", witness)
+        return None
 
     def violated(self) -> Tuple[str, ...]:
         """The names of the violated properties, in the order P1, P2,
-        P3 — what :meth:`violations` names, decided without building a
-        witness (the ``property*_failing`` searches of
-        :mod:`repro.core.properties`), so ``B`` is never walked to name
-        one."""
+        P3, decided without building a witness (the
+        ``property*_failing`` searches of :mod:`repro.core.properties`),
+        so ``B`` is never walked to name one; :meth:`first_violation`
+        names the first one's witness."""
         adversary = self._adversary
         masks = self._masks
         failing = (

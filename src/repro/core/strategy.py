@@ -291,9 +291,8 @@ class Strategy:
     (validated on construction — no float drift, ever).  ``load`` is
     the peak per-node load the strategy induces under ``read_fraction``
     and the capacities it was computed for; ``capacity = 1 / load`` is
-    the predicted sustainable throughput.  The object is frozen and
-    picklable, so it can ride inside a :class:`ScenarioSpec` across
-    the multiprocessing sweep backend.
+    the predicted sustainable throughput.  The object is frozen, so it
+    can ride inside a :class:`ScenarioSpec` as a field.
     """
 
     read_weights: Weights
@@ -332,12 +331,6 @@ class Strategy:
         if self.load is None or self.load == 0:
             return None
         return ONE / self.load
-
-    def quorums(self) -> Tuple[Subset, ...]:
-        """Every quorum carrying positive weight (either direction)."""
-        positive = {q for q, w in self.read_weights if w > 0}
-        positive |= {q for q, w in self.write_weights if w > 0}
-        return normalize_family(positive)
 
     # -- seeded draws --------------------------------------------------------
 

@@ -14,15 +14,21 @@ class) never stalls its whole batch, and a batched RQS read keeps the
 paper's one-round read when a class-1 quorum answers consistently.  The
 contract is ``p99(batched) <= 1.5 x p99(unbatched)`` read latency per
 protocol and plan — asserted in ``tests/experiments/test_experiments.py``
-— on :data:`TAIL_GRID`: the two per-element protocols × batch on/off ×
-two plans.  ``plan="tail"`` is the lossy-until-GST fault plan of
+— on :data:`TAIL_GRID`: the three per-element protocols × batch on/off
+× two plans.  ``plan="tail"`` is the lossy-until-GST fault plan of
 :data:`TAIL_PLANS`, which deliberately makes the unbatched tail
 non-trivial (rqs-storage: two crashed servers plus a lossy one degrade
 the responded-quorum class, so unbatched reads hit the Theorem 9
 three-round ceiling; fast-ABD: a lossy server plus a slowed writer leg
 to two servers widen the pre-write race window, so some unbatched reads
 write back).  ``plan="none"`` is the fault-free run, where every read
-of either protocol, batched or not, takes one round.
+of any protocol, batched or not, takes one round.
+
+``rqs-regular`` is the Section 6 remark: Properties 1 and 3a suffice for
+a *regular* register, whose reader never writes back.  On rqs-storage's
+plans its cells hold the paper's claim — every cell's verdict is
+``regular``, and no read takes more rounds than the atomic reader's on
+the same batch and plan.
 :data:`FABRICATOR_GRID` holds the same contract for rqs-storage with a
 fabricating server, which lies to a batched read as to an unbatched one.
 
@@ -55,12 +61,15 @@ TAIL_SEED = 11
 #: Per-protocol lossy-until-GST plans tuned so the *unbatched* read
 #: tail is the protocol's honest degraded-mode figure (see module
 #: docstring) — the 1.5x assertion is vacuous against an all-fast tail.
-#: The fault-free cells (``plan="none"``) hold the other end.
+#: The fault-free cells (``plan="none"``) hold the other end.  The
+#: Section 6 regular reader runs rqs-storage's plan.
+_RQS_TAIL_PLAN = FaultPlan(
+    crashes=(Crash(6, 0.0), Crash(7, 0.0)),
+    asynchrony=(Drop(src=(5,), until=GST, label="lossy server 5"),),
+)
 TAIL_PLANS: Dict[str, FaultPlan] = {
-    "rqs-storage": FaultPlan(
-        crashes=(Crash(6, 0.0), Crash(7, 0.0)),
-        asynchrony=(Drop(src=(5,), until=GST, label="lossy server 5"),),
-    ),
+    "rqs-storage": _RQS_TAIL_PLAN,
+    "rqs-regular": _RQS_TAIL_PLAN,
     "fastabd": FaultPlan(
         asynchrony=(
             Drop(src=(2,), until=GST, label="lossy server 2"),
@@ -113,7 +122,7 @@ def _tail_measure(point: Mapping, result) -> Mapping:
 TAIL_GRID = SweepSpec(
     name="batched_tail",
     axes={
-        "protocol": ("fastabd", "rqs-storage"),
+        "protocol": ("fastabd", "rqs-storage", "rqs-regular"),
         "batch": (1, TAIL_BATCH),
         "plan": ("tail", "none"),
         "seed": (TAIL_SEED,),

@@ -129,21 +129,6 @@ class CellResult:
             )
         return self
 
-    def unwrap(self) -> Any:
-        """The live :class:`RunResult` handle, or a clear error.
-
-        Raises when the cell failed (propagating its captured error) or
-        when the cell ran out-of-process and carries portable metrics
-        only (multiprocessing backend).
-        """
-        self.require()
-        if self.result is None:
-            raise ScenarioError(
-                f"cell {self.index} {dict(self.point)} has no live result "
-                f"handle; run the sweep on the serial executor"
-            )
-        return self.result
-
     def to_jsonable(self) -> Dict[str, Any]:
         return {
             "index": self.index,
@@ -161,9 +146,10 @@ class CellResult:
 class SweepResult:
     """Every cell of one executed sweep, plus the grid's axis labels.
 
-    The table is queryable (:meth:`select`, :meth:`cell`,
-    :meth:`verdict_counts`, :meth:`summarize`) and exportable
-    (:meth:`to_json` / :meth:`to_csv`).
+    The table is queryable (:meth:`select`, :meth:`verdict_counts`,
+    :meth:`summarize`) and exportable (:meth:`to_json` /
+    :meth:`to_csv`).  One cell is ``(cell,) = result.select(...)``; a
+    cell's live run is ``cell.require().result`` (serial backend).
     """
 
     name: str
@@ -190,28 +176,14 @@ class SweepResult:
     # -- queries --------------------------------------------------------------
 
     def select(self, **filters: Any) -> Tuple[CellResult, ...]:
-        """Cells whose axis labels match every filter, read as
-        :meth:`SweepSpec.where <repro.scenarios.sweeps.SweepSpec.where>`
-        reads them (:func:`filter_labels`): a label the sweep does not
-        have raises instead of matching nothing."""
+        """Cells whose axis labels match every filter
+        (:func:`filter_labels`): a label the sweep does not have raises
+        instead of matching nothing."""
         wanted = filter_labels(self.name, self.axes, filters)
         return tuple(
             c for c in self.cells
             if all(c.point.get(k) in v for k, v in wanted.items())
         )
-
-    def cell(self, **filters: Any) -> CellResult:
-        """The unique cell matching ``filters``."""
-        matches = self.select(**filters)
-        if len(matches) != 1:
-            raise ScenarioError(
-                f"expected exactly one cell for {filters!r} in sweep "
-                f"{self.name!r}, found {len(matches)}"
-            )
-        return matches[0]
-
-    def failures(self) -> Tuple[CellResult, ...]:
-        return tuple(c for c in self.cells if not c.ok)
 
     def verdict_counts(self) -> Dict[str, int]:
         """``{verdict: cell count}``, failed cells counted as ``"error"``."""

@@ -96,11 +96,12 @@ AsynchronyRule = Union[Hold, Drop, Delay]
 
 @dataclass(frozen=True)
 class PayloadIs:
-    """A picklable payload predicate matching one message type.
+    """A payload predicate matching one message type.
 
     Equivalent to ``lambda p: isinstance(p, message_type)`` but, being a
-    frozen dataclass over an importable class, survives pickling — use
-    it in fault plans that must cross to multiprocessing sweep workers.
+    frozen dataclass, two built alike compare equal and print alike — so
+    are the fault plans that hold them, and a plan's ``repr`` is a
+    stable sweep-axis label.
     """
 
     message_type: type
@@ -110,7 +111,8 @@ class PayloadIs:
 
 
 def payload_is(message_type: type) -> PayloadIs:
-    """A picklable ``isinstance`` payload predicate for Hold/Drop/Delay."""
+    """An ``isinstance`` payload predicate for Hold/Drop/Delay
+    (:class:`PayloadIs`)."""
     return PayloadIs(message_type)
 
 

@@ -59,12 +59,14 @@ class ResultSurface:
     """What a run reports however many processes executed it.
 
     Both result classes provide the counters (``ops_begun`` /
-    ``ops_completed`` / ``op_kinds`` / ``waves`` / ``blocked`` /
-    ``messages`` / ``events_processed``), the verdict (``online`` /
-    ``online_refusal`` / ``streamed``), ``latency_streaming``,
-    ``n_shards``, ``worker_processes``, ``shard_rss_kb`` and
-    :meth:`_loads`; the fleet questions and the digest are answered
-    here, once.
+    ``ops_completed`` / ``op_kinds`` / ``blocked`` / ``messages`` /
+    ``events_processed``), the verdict (``online`` /
+    ``online_refusal`` / ``streamed``), ``server_history``,
+    ``latency_streaming``,
+    ``execute_seconds``, ``n_shards``, ``worker_processes``,
+    ``shard_rss_kb`` and :meth:`_loads`; the fleet questions are
+    answered here, once, and :func:`soak_row` is the flat digest of
+    either.
     """
 
     def _loads(self) -> Tuple[Tuple[int, float], ...]:
@@ -100,54 +102,6 @@ class ResultSurface:
     @property
     def max_shard_rss_kb(self) -> int:
         return max(self.shard_rss_kb)
-
-    def summary(self) -> Dict[str, Any]:
-        """A portable mode-independent digest of this execution:
-        per-kind op counts, completion waves by size (``{size:
-        count}``) and streaming latency summaries, message
-        volume, the ``shards`` block of a fleet of more than one, and
-        whichever safety verdict this mode carries."""
-        out: Dict[str, Any] = {
-            "operations": self.ops_begun(),
-            "completed": self.ops_completed(),
-            "blocked": len(self.blocked),
-            "messages": self.messages,
-            "kinds": {
-                kind: {
-                    "begun": self.ops_begun(kind),
-                    "completed": self.ops_completed(kind),
-                    "waves": self.waves(kind),
-                    "latency": self.latency_streaming(kind),
-                }
-                for kind in self.op_kinds()
-            },
-        }
-        if self.n_shards > 1:
-            out["shards"] = {
-                "count": self.n_shards,
-                "workers": self.worker_processes,
-                "cpu_seconds": round(self.cpu_seconds, 6),
-                "capacity_ops_per_sec": round(
-                    self.capacity_ops_per_sec, 2
-                ),
-                "imbalance": round(self.imbalance, 4),
-                "max_shard_rss_kb": self.max_shard_rss_kb,
-            }
-        online = self.online
-        if online is not None:
-            out["verdict"] = online.verdict
-            out["verdict_source"] = "online-windowed"
-            out["checker_mode"] = online.mode
-            out["keys_checked"] = len(online.keys)
-            out["violations"] = online.violation_count
-        elif not self.streamed:
-            out["verdict_source"] = "post-hoc"
-        else:
-            out["verdict_source"] = "unchecked"
-            refusal = self.online_refusal
-            if refusal is not None:
-                out["online_refusal"] = refusal.reason
-        return out
 
 
 #: What a streamed run with no checker wired reports: a refusal, never
@@ -294,10 +248,6 @@ class RunResult(ResultSurface):
     def op_kinds(self) -> Tuple[str, ...]:
         """Operation kinds begun during this run, sorted."""
         return tuple(sorted(self.adapter.trace.begun))
-
-    def waves(self, kind: str) -> Dict[int, int]:
-        """Completion waves of one kind by size (``Trace.waves``)."""
-        return self.adapter.trace.waves(kind)
 
     @property
     def events_processed(self) -> int:

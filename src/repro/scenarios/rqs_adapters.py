@@ -69,7 +69,10 @@ def _resolve_strategy(spec, rqs) -> Optional[Strategy]:
 
     family = rqs.quorums
     if isinstance(choice, Strategy):
-        stray = [q for q in choice.quorums() if q not in family]
+        stray = [
+            q for q, w in choice.read_weights + choice.write_weights
+            if w > 0 and q not in family
+        ]
         if stray:
             raise ScenarioError(
                 f"quorum_strategy puts weight on "
@@ -186,8 +189,9 @@ class RqsRegularAdapter(RqsStorageAdapter):
     deployment whose readers are
     :class:`~repro.storage.regular.RegularReader`\\ s (no write-back).
     It claims regularity, not atomicity, so the register checker runs
-    without its read-inversion rule: ``RunResult.atomicity.regular`` is
-    the verdict (``.atomic`` is never claimed, hence False)."""
+    without its read-inversion rule: ``RunResult.atomicity.verdict``
+    reads ``"regular"`` when it held (``.atomic`` is never claimed,
+    hence False)."""
 
     reader_class = RegularReader
     claim = "regular"

@@ -27,8 +27,9 @@ yield only in-shard operations, so the union of the shard schedules is
 a fixed partition of the unsharded schedule — the basis of the
 equivalence tests.
 
-**Collection.**  Each shard is one item of :func:`map_in_pool`, the
-package's one process pool (one worker per shard); its
+**Collection.**  Each shard index is one item of :func:`map_in_pool`,
+the package's one process pool (one worker per shard, each handed the
+spec by fork); its
 :class:`ShardOutcome` — per-kind op counters, latency accumulators, the
 shard's online verdict, server history stats, CPU seconds, and peak RSS
 — comes home in shard order.  A worker that dies fails the run with a
@@ -60,8 +61,7 @@ multiprocessing ``run_grid`` worker is not daemonic and forks them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Tuple)
 
@@ -121,10 +121,24 @@ class ShardOutcome:
     online: Optional[OnlineReport]
     online_refusal: Optional[OnlineRefusal]
     server_history: Optional[Dict[str, Any]] = None
-    waves: Dict[str, Dict[int, int]] = field(default_factory=dict)
     execute_seconds: float = 0.0
     cpu_seconds: float = 0.0
     peak_rss_kb: int = 0
+
+
+#: The sharded spec a shard worker runs, set by :func:`_shard_initialize`
+#: (a slot of its own: a grid worker that forks shards keeps its
+#: sweep's).
+_WORKER_SPEC: Optional[ScenarioSpec] = None
+
+
+def _shard_initialize(spec: ScenarioSpec) -> None:
+    global _WORKER_SPEC
+    _WORKER_SPEC = spec
+
+
+def _pool_run_shard(index: int) -> ShardOutcome:
+    return _run_shard(_WORKER_SPEC, index)
 
 
 def _run_shard(spec: ScenarioSpec, index: int) -> ShardOutcome:
@@ -153,7 +167,6 @@ def _run_shard(spec: ScenarioSpec, index: int) -> ShardOutcome:
         online=result.online,
         online_refusal=result.online_refusal,
         server_history=result.server_history,
-        waves={kind: trace.waves(kind) for kind in completed},
         execute_seconds=result.execute_seconds or 0.0,
         cpu_seconds=result.cpu_seconds,
         peak_rss_kb=result.max_shard_rss_kb,
@@ -241,8 +254,11 @@ class ShardedRunResult(ResultSurface):
     """The merged result of a sharded soak: the streaming surface of
     :class:`~repro.scenarios.result.RunResult` (op counters, online
     verdict/refusal, accumulator-backed latency, server history) over
-    the per-shard outcomes; the fleet questions and :meth:`summary` are
+    the per-shard outcomes; the fleet questions are
     :class:`~repro.scenarios.result.ResultSurface`'s."""
+
+    #: A fleet never retains records.
+    streamed = True
 
     def __init__(self, spec: ScenarioSpec, outcomes: List[ShardOutcome],
                  worker_processes: int):
@@ -259,10 +275,6 @@ class ShardedRunResult(ResultSurface):
 
     # -- streaming surface (mirrors RunResult) --------------------------------
 
-    @property
-    def streamed(self) -> bool:
-        return True
-
     def op_kinds(self) -> Tuple[str, ...]:
         return tuple(sorted({k for o in self.outcomes for k in o.begun}))
 
@@ -275,14 +287,6 @@ class ShardedRunResult(ResultSurface):
         if kind is None:
             return sum(sum(o.completed.values()) for o in self.outcomes)
         return sum(o.completed.get(kind, 0) for o in self.outcomes)
-
-    def waves(self, kind: str) -> Dict[int, int]:
-        """The shards' completion waves of one kind, summed by size."""
-        total: Dict[int, int] = {}
-        for outcome in self.outcomes:
-            for size, count in outcome.waves.get(kind, {}).items():
-                total[size] = total.get(size, 0) + count
-        return dict(sorted(total.items()))
 
     @property
     def online(self) -> Optional[OnlineReport]:
@@ -310,9 +314,6 @@ class ShardedRunResult(ResultSurface):
     @property
     def messages(self) -> int:
         return sum(o.messages for o in self.outcomes)
-
-    def latency(self, kind: str) -> LatencySummary:
-        return self.latency_streaming(kind)
 
     def latency_streaming(self, kind: str) -> LatencySummary:
         from repro.analysis.latency import LatencySummary
@@ -353,10 +354,13 @@ def map_in_pool(
 
     The package's one process pool: a fork-context
     ``ProcessPoolExecutor`` (a worker inherits the parent's imports; a
-    ``-c`` or stdin parent has no ``__main__`` to re-import).  A worker
-    that dies raises a :class:`~repro.errors.ScenarioError` reading
-    ``lost`` — never a hang, never a partial list.  A daemonic caller
-    cannot fork: it maps in-process and reports 0 processes.
+    ``-c`` or stdin parent has no ``__main__`` to re-import).  Only
+    ``fn`` (by name), ``items`` and the results are pickled:
+    ``initargs`` reach the workers by fork, so a payload that does not
+    pickle travels there.  A worker that dies raises a
+    :class:`~repro.errors.ScenarioError` reading ``lost`` — never a
+    hang, never a partial list.  A daemonic caller cannot fork: it maps
+    in-process and reports 0 processes.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -400,9 +404,10 @@ def run_sharded(spec: ScenarioSpec) -> ShardedRunResult:
         )
     start = time.perf_counter()
     outcomes, workers = map_in_pool(
-        partial(_run_shard, spec), range(spec.shards), spec.shards,
+        _pool_run_shard, range(spec.shards), spec.shards,
         lost=f"a shard worker of {spec.protocol!r} x {spec.shards} died "
         f"before reporting its outcome; nothing is merged",
+        initializer=_shard_initialize, initargs=(spec,),
     )
     result = ShardedRunResult(spec, outcomes, worker_processes=workers)
     result.execute_seconds = time.perf_counter() - start

@@ -374,21 +374,6 @@ class ScenarioSpec:
             self, "params", MappingProxyType(dict(self.params))
         )
 
-    # ``params`` is a mappingproxy (immutable view), which pickle cannot
-    # serialize; swap it for a plain dict in transit so specs can cross
-    # process boundaries (the sweeps multiprocessing backend).
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["params"] = dict(state["params"])
-        return state
-
-    def __setstate__(self, state):
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
-        object.__setattr__(
-            self, "params", MappingProxyType(dict(state["params"]))
-        )
-
     def param(self, name: str, default: Any = None) -> Any:
         return self.params.get(name, default)
 

@@ -25,9 +25,9 @@ Three hooks cover every experiment shape: ``build`` (grid point →
 ``ScenarioSpec``; defaults to applying spec-field axes onto ``base``),
 ``measure`` (point + :class:`~repro.scenarios.result.RunResult` →
 metrics mapping; defaults to :func:`default_measure`), and ``evaluate``
-(point → metrics, for analytic sweeps that never run a scenario).  Use
-module-level functions for hooks you want to run on the multiprocessing
-backend — lambdas and closures do not pickle.
+(point → metrics, for analytic sweeps that never run a scenario).  Any
+callable serves on either backend: the multiprocessing workers inherit
+the sweep by fork.
 
 Doctest — a 2-protocol × 2-seed grid in four lines::
 
@@ -46,7 +46,8 @@ Doctest — a 2-protocol × 2-seed grid in four lines::
     >>> result = run_grid(grid)
     >>> result.verdict_counts()
     {'atomic': 4}
-    >>> result.cell(protocol="abd", seed=0).metrics["operations"]
+    >>> (cell,) = result.select(protocol="abd", seed=0)
+    >>> cell.metrics["operations"]
     2
 """
 
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ScenarioError
@@ -64,7 +65,6 @@ from repro.scenarios.aggregate import (
     CellResult,
     SweepResult,
     axis_label,
-    filter_labels,
     jsonable,
     summary_stats,
 )
@@ -213,23 +213,6 @@ class SweepSpec:
             return self.build(cell.point)
         return default_build(self.base, cell.point)
 
-    # -- slicing --------------------------------------------------------------
-
-    def where(self, **filters: Any) -> "SweepSpec":
-        """A sub-grid keeping only matching axis values.
-
-        Filters compare by label (``seed=3`` keeps the value labelled
-        ``"3"``); a value, or a list/tuple/set of values, is accepted,
-        and a label the axis does not have raises
-        (:func:`~repro.scenarios.aggregate.filter_labels`).
-        """
-        wanted = filter_labels(self.name, self.labels(), filters)
-        return replace(self, axes=tuple(
-            (name, tuple(v for v in values if axis_label(v) in wanted[name])
-             if name in wanted else values)
-            for name, values in self.axes
-        ))
-
     def labels(self) -> Tuple[Tuple[str, Tuple[str, ...]], ...]:
         """``(axis, its value labels)`` pairs — a result's ``axes``."""
         return tuple(
@@ -343,16 +326,17 @@ def run_serial(sweep: SweepSpec) -> Tuple[CellResult, ...]:
     )
 
 
+#: The sweep a grid worker runs and its cells, set by
+#: :func:`_mp_initialize` (a slot of their own: a grid worker that runs
+#: a sharded cell sets the shards' slot too).
 _WORKER_SWEEP: Optional[SweepSpec] = None
 _WORKER_CELLS: Tuple[Cell, ...] = ()
 
 
-def _mp_initialize(payload: bytes) -> None:
+def _mp_initialize(sweep: SweepSpec) -> None:
     global _WORKER_SWEEP, _WORKER_CELLS
-    import pickle
-
-    _WORKER_SWEEP = pickle.loads(payload)
-    _WORKER_CELLS = _WORKER_SWEEP.cells()
+    _WORKER_SWEEP = sweep
+    _WORKER_CELLS = sweep.cells()
 
 
 def _mp_run_cell(index: int) -> CellResult:
@@ -364,35 +348,25 @@ def run_multiprocessing(
 ) -> Tuple[CellResult, ...]:
     """Run the grid on :func:`~repro.scenarios.sharding.map_in_pool`.
 
-    The sweep is pickled once into each worker; cell indices go out in
-    contiguous runs, ~4 per worker (slack for uneven cell costs, one
-    round-trip per run, not per cell), and results come back in grid
-    order, byte-identical to the serial backend's.  Live ``RunResult``
-    handles cannot cross processes: cells carry portable metrics only.
-    A worker that dies raises :class:`~repro.errors.ScenarioError`.
-    ``pickle`` and the pool stack load on the first call, never with
-    the serial backend.
+    Each worker inherits the sweep by fork (nothing of it is pickled,
+    so a lambda hook runs here as on the serial backend); cell indices
+    go out in contiguous runs, ~4 per worker (slack for uneven cell
+    costs, one round-trip per run, not per cell), and results come back
+    in grid order, byte-identical to the serial backend's.  Live
+    ``RunResult`` handles cannot cross processes: cells carry portable
+    metrics only.  A worker that dies raises
+    :class:`~repro.errors.ScenarioError`.  The pool stack loads on the
+    first call, never with the serial backend.
     """
-    import pickle
-
     from repro.scenarios.sharding import map_in_pool
 
-    try:
-        payload = pickle.dumps(sweep)
-    except Exception as exc:
-        raise ScenarioError(
-            f"sweep {sweep.name!r} is not picklable for the "
-            f"multiprocessing backend ({exc}); move build/measure hooks "
-            f"and fault-plan payload predicates to module level, or use "
-            f"the serial executor"
-        )
     total = sweep.size
     workers = processes or min(os.cpu_count() or 1, total)
     return map_in_pool(
         _mp_run_cell, range(total), workers,
         lost=f"a sweep worker of {sweep.name!r} x {workers} died before "
         f"reporting its cells; nothing is aggregated",
-        initializer=_mp_initialize, initargs=(payload,),
+        initializer=_mp_initialize, initargs=(sweep,),
         chunksize=max(1, total // (4 * workers)),
     )[0]
 

@@ -353,6 +353,3 @@ class ConditionMap:
         ):
             self._pool.append(item)
 
-    def __len__(self) -> int:
-        return len(self._items)
-

@@ -12,12 +12,13 @@ whole waves, so a 16-element batch costs each layer one call.
 ``retain=True`` (FULL tracing) keeps every record for post-hoc
 checkers, fingerprints and test assertions; ``retain=False`` (METRICS)
 hands records to subscribers and drops them.  Both keep per-kind begun
-counters, completion waves by size and an online
+counters and an online
 :class:`~repro.analysis.streaming.LatencyAccumulator` per kind (its
 ``count`` *is* the kind's completed counter), so a horizon-free run
 reports in O(1) memory per kind, and the streaming summaries can be
 held to the list-based ones on retained runs
-(``tests/scenarios/test_streaming.py``).
+(``tests/scenarios/test_streaming.py``).  Wave sizes are not counted
+here: an ``on_complete`` subscriber sees each wave whole.
 """
 
 from __future__ import annotations
@@ -73,9 +74,8 @@ class Trace:
         self._records: List[OperationRecord] = []
         self._next_id = 0
         self.begun: Dict[str, int] = {}
-        # kind -> its online latency summary and its completion waves
-        # by size (one lookup a wave finds both).
-        self._kinds: Dict[str, Tuple[LatencyAccumulator, Dict[int, int]]] = {}
+        # kind -> its online latency summary.
+        self._kinds: Dict[str, LatencyAccumulator] = {}
         self._on_begin: List[Observer] = []
         self._on_complete: List[Observer] = []
 
@@ -153,13 +153,10 @@ class Trace:
             raise SimulationError("an empty wave completes nothing")
         kind = record.kind
         try:
-            accumulator, waves = self._kinds[kind]
+            accumulator = self._kinds[kind]
         except KeyError:
-            accumulator, waves = self._kinds[kind] = (
-                self._accumulator_factory(kind), {}
-            )
+            accumulator = self._kinds[kind] = self._accumulator_factory(kind)
         accumulator.observe(rounds, time - record.invoked_at, size)
-        waves[size] = waves.get(size, 0) + 1
         for observer in self._on_complete:
             observer(records)
 
@@ -175,24 +172,16 @@ class Trace:
         accumulators (there is one from a kind's first completion on)."""
         return {
             kind: accumulator.count
-            for kind, (accumulator, _) in self._kinds.items()
+            for kind, accumulator in self._kinds.items()
         }
 
     def completed_total(self) -> int:
-        return sum(acc.count for acc, _ in self._kinds.values())
+        return sum(acc.count for acc in self._kinds.values())
 
     def accumulator(self, kind: str) -> Optional[LatencyAccumulator]:
         """The online latency summary for one kind (None before the
         first completion of that kind)."""
-        entry = self._kinds.get(kind)
-        return entry[0] if entry else None
-
-    def waves(self, kind: str) -> Dict[int, int]:
-        """The completion waves of one kind by size, ``{size: count}``
-        in ascending size; the sizes weighted by the counts sum to the
-        kind's completed operations."""
-        entry = self._kinds.get(kind)
-        return dict(sorted(entry[1].items())) if entry else {}
+        return self._kinds.get(kind)
 
     # -- retained records ------------------------------------------------------
 

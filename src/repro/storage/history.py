@@ -110,9 +110,6 @@ class History:
         self.stable_ts = 0
         self.last_wr: Dict[Hashable, Tuple[int, int]] = {}
 
-    def get(self, ts: int, rnd: int) -> Entry:
-        return self._cells.get((ts, rnd), INITIAL_ENTRY)
-
     def store(self, ts: int, rnd: int, value: Any, sets: FrozenSet[QuorumId]) -> int:
         """Apply a ``wr⟨ts, v, QC'2, rnd⟩`` message (Figure 6, lines 3-6).
 
@@ -165,9 +162,6 @@ class History:
     def clear(self) -> None:
         """Reset to the initial state σ0 (Byzantine state forging only)."""
         self._cells.clear()
-
-    def __len__(self) -> int:
-        return len(self._cells)
 
 
 class HistoryView:

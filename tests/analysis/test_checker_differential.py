@@ -173,7 +173,10 @@ def test_online_verdict_agrees_with_record_backed_checker(cell):
         online = streamed.online
         assert online is not None, f"checker not wired for {spec!r}"
         assert online.mode == cell.mode
-        assert online.checked_ops == streamed.ops_completed()
+        assert (
+            online.checked_writes + online.checked_reads
+            == streamed.ops_completed()
+        )
         replayed = full.atomicity
         assert replayed.overrun_unchecked == 0
 

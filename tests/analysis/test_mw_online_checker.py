@@ -243,7 +243,7 @@ class TestWindowFold:
             d.read("r1", t + 0.5, t + 0.9, i, stamp=stamp)
         report = d.checker.report()
         assert report.atomic
-        assert report.checked_ops == 8000
+        assert report.checked_writes + report.checked_reads == 8000
         assert report.max_retained < 50
 
     def test_evicted_in_flight_write_skips_later_reads_visibly(self):

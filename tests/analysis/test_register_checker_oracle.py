@@ -800,7 +800,9 @@ def test_replay_agrees_with_the_references(ops):
         },
         lambda records: {
             "atomic": check_history(records).atomic,
-            "regular": check_history(records, claim="regular").regular,
+            "regular": check_history(
+                records, claim="regular"
+            ).violation_count == 0,
         },
         [records], judge,
     )
@@ -819,7 +821,7 @@ def test_regular_claim_drops_only_read_inversion():
     assert [v.rule for v in atomic.violations] == ["read-inversion"]
     assert atomic.key_violations == {DEFAULT_KEY: 1}
     regular = check_history(records, claim="regular")
-    assert regular.regular and not regular.atomic
+    assert regular.violation_count == 0 and not regular.atomic
     assert regular.verdict == "regular"
 
 
@@ -832,14 +834,18 @@ def test_exhibit_cells_match_the_reference(name):
     grid = importlib.import_module(f"repro.experiments.{name}").GRID
     cells = run_grid(grid).cells
     for cell in cells:
-        assert cell.verdict == cell.unwrap().atomicity.verdict, cell.point
+        assert cell.verdict == cell.require().result.atomicity.verdict, (
+            cell.point
+        )
 
     def verdict(report):
         return {"atomic": report.atomic,
                 "rules": {v.rule for v in report.violations}}
 
     agree(
-        lambda cell: verdict(check_swmr_atomicity(cell.unwrap().records)),
-        lambda cell: verdict(cell.unwrap().atomicity),
+        lambda cell: verdict(
+            check_swmr_atomicity(cell.require().result.records)
+        ),
+        lambda cell: verdict(cell.require().result.atomicity),
         cells, judge,
     )

@@ -52,8 +52,8 @@ class TestThresholdAdversary:
 
     def test_large_iff_size_above_2k(self):
         adv = ThresholdAdversary(SERVERS, 2)
-        assert not adv.is_large({1, 2, 3, 4})
-        assert adv.is_large({1, 2, 3, 4, 5})
+        assert not adv.is_large_mask(adv.mask({1, 2, 3, 4}))
+        assert adv.is_large_mask(adv.mask({1, 2, 3, 4, 5}))
 
     def test_maximal_sets_have_cardinality_k(self):
         adv = ThresholdAdversary(SERVERS, 2)
@@ -133,7 +133,7 @@ def test_explicit_adversary_is_subset_closed(family, probe):
 def test_large_implies_basic(family, probe):
     """A large subset is always basic (Lemma 2 degenerate form)."""
     adv = ExplicitAdversary(SERVERS, family)
-    if adv.is_large(probe):
+    if adv.is_large_mask(adv.mask(probe)):
         assert adv.is_basic(probe)
 
 
@@ -151,15 +151,16 @@ def test_threshold_matches_explicit_materialization(k, probe):
     assert threshold.contains(probe) == explicit.contains(probe)
     assert threshold.is_basic(probe) == explicit.is_basic(probe)
     if probe <= set(SERVERS):
-        assert threshold.is_large(probe) == explicit.is_large(probe)
+        assert threshold.is_large_mask(threshold.mask(probe)) == (
+            explicit.is_large_mask(explicit.mask(probe))
+        )
 
 
 def test_a_set_that_leaves_the_ground_set_has_one_answer():
-    """A set with a member outside ``S`` is not in ``B`` — hence basic
-    and large — whichever class answers.  (``B_k`` used to count its
-    members, so ``{1, 'x'}`` was not large for ``k = 1`` while its
-    explicit materialization said it was.)"""
-    assert ThresholdAdversary(SERVERS, 1).is_large({1, "x"})
+    """A set with a member outside ``S`` has no mask and is not in
+    ``B`` — hence basic — whichever class answers; inside ``S`` both
+    classes answer by cardinality."""
+    assert ThresholdAdversary(SERVERS, 1).mask({1, "x"}) is None
     for n in range(1, 6):
         servers = tuple(range(1, n + 1))
         universe = servers + ("x",)
@@ -170,22 +171,25 @@ def test_a_set_that_leaves_the_ground_set_has_one_answer():
                 for probe in map(frozenset, combinations(universe, size)):
                     answers = [
                         (adv.contains(probe), adv.is_basic(probe),
-                         adv.is_large(probe))
+                         adv.mask(probe))
                         for adv in (threshold, explicit)
                     ]
                     assert answers[0] == answers[1]
                     if "x" in probe:
-                        assert answers[0] == (False, True, True)
-                    else:
-                        assert answers[0] == (
-                            size <= k, size > k, size > 2 * k
-                        )
+                        assert answers[0] == (False, True, None)
+                        continue
+                    assert answers[0][:2] == (size <= k, size > k)
+                    assert [
+                        adv.is_large_mask(answers[0][2])
+                        for adv in (threshold, explicit)
+                    ] == [size > 2 * k] * 2
 
 
 @given(family=family_strategy, probe=subset_strategy)
 @settings(max_examples=200, deadline=None)
 def test_large_means_not_covered_by_two(family, probe):
-    """Cross-check is_large against its definition by enumeration."""
+    """Cross-check is_large_mask against its definition by
+    enumeration."""
     adv = ExplicitAdversary(SERVERS, family)
     target = as_subset(probe)
     covered = any(
@@ -193,4 +197,4 @@ def test_large_means_not_covered_by_two(family, probe):
         for b1 in adv.enumerate()
         for b2 in adv.enumerate()
     )
-    assert adv.is_large(target) == (not covered)
+    assert adv.is_large_mask(adv.mask(target)) == (not covered)

@@ -15,7 +15,6 @@ from repro.core.algebra import (
     demo_grid_system,
     majority,
 )
-from repro.core.properties import check_property1
 from repro.errors import QuorumSystemError
 
 a, b, c = Node("a"), Node("b"), Node("c")
@@ -144,7 +143,7 @@ class TestLift:
     def test_to_rqs_passes_property_check(self):
         # to_rqs validates on construction; P1 also holds directly.
         rqs = demo_grid_rqs()
-        assert check_property1(rqs.adversary, rqs.quorums) is None
+        assert "P1" not in rqs.violated()
 
     def test_to_rqs_carries_capacities(self):
         rqs = demo_grid_rqs(heterogeneous=True)

@@ -24,12 +24,14 @@ class TestProperty1:
     def test_holds_for_majorities_crash(self):
         adv = ExplicitAdversary(tuple(range(1, 6)))
         quorums = family({1, 2, 3}, {3, 4, 5}, {1, 4, 5})
-        assert props.check_property1(adv, quorums) is None
+        masks = props.family_masks(adv, quorums)
+        assert props.property1_witness(adv, *masks) is None
 
     def test_detects_corruptible_intersection(self):
         adv = ThresholdAdversary(tuple(range(1, 6)), 1)
         quorums = family({1, 2, 3}, {3, 4, 5})
-        witness = props.check_property1(adv, quorums)
+        masks = props.family_masks(adv, quorums)
+        witness = props.property1_witness(adv, *masks)
         assert witness is not None
         assert witness.q & witness.q_prime == frozenset({3})
         assert "P1" in witness.describe()
@@ -37,24 +39,29 @@ class TestProperty1:
     def test_self_intersection_checked(self):
         adv = ThresholdAdversary(tuple(range(1, 6)), 2)
         quorums = family({1, 2})  # Q ∩ Q = {1,2} ∈ B2
-        assert props.check_property1(adv, quorums) is not None
+        masks = props.family_masks(adv, quorums)
+        assert props.property1_witness(adv, *masks) is not None
 
 
 class TestProperty2:
     def test_holds_with_large_triple_intersections(self):
         # n=8, t=3, k=1, q=1: |Q1∩Q1'∩Q| >= 8-2-3 = 3 > 2k
         rqs = threshold_rqs(8, 3, 1, 1, 2)
-        assert (
-            props.check_property2(rqs.adversary, rqs.qc1, rqs.quorums)
-            is None
-        )
+        adv = rqs.adversary
+        assert props.property2_witness(
+            adv, *props.family_masks(adv, rqs.qc1),
+            *props.family_masks(adv, rqs.quorums),
+        ) is None
 
     def test_detects_small_triple_intersection(self):
         # n=5, q=2, t=2, k=0: triple intersections can be empty
         adv = ExplicitAdversary(tuple(range(1, 6)))
         quorums = family({1, 2, 3}, {3, 4, 5}, {1, 2, 3, 4, 5})
         qc1 = family({1, 2, 3}, {3, 4, 5})
-        witness = props.check_property2(adv, qc1, quorums)
+        witness = props.property2_witness(
+            adv, *props.family_masks(adv, qc1),
+            *props.family_masks(adv, quorums),
+        )
         # {1,2,3} ∩ {3,4,5} ∩ any = at most {3}; with B = {∅} it is
         # large iff non-empty, so the witness only appears if some
         # triple is empty — here {1,2,3}∩{3,4,5}∩... = {3}, non-empty.
@@ -64,7 +71,10 @@ class TestProperty2:
         adv = ExplicitAdversary(tuple(range(1, 6)))
         quorums = family({1, 2}, {4, 5}, {2, 3, 4})
         qc1 = family({1, 2}, {4, 5})
-        witness = props.check_property2(adv, qc1, quorums)
+        witness = props.property2_witness(
+            adv, *props.family_masks(adv, qc1),
+            *props.family_masks(adv, quorums),
+        )
         assert witness is not None
         assert witness.q1 & witness.q1_prime & witness.q == frozenset()
 
@@ -103,7 +113,8 @@ class TestProperty3:
         q2, q = witness.q2, witness.q
         assert (q2 & q) - witness.b1_prime == witness.b2
         assert rqs.adversary.contains(witness.b2)
-        assert witness.b0 <= witness.b1
+        # B0 = Q1∩Q2∩Q lies inside B1 = Q2∩Q∩B'1.
+        assert (witness.q1 or frozenset()) & q2 & q <= witness.b1
         assert (q2 & q) == witness.b1 | witness.b2
 
     def test_empty_intersection_violates_p3(self):
@@ -208,11 +219,12 @@ class TestProperty3FirstWitness:
             example7_adversary(), (q1, q2, q2_prime),
             qc1=(q1,), qc2=(q1, q2, q2_prime), validate=False,
         )
-        assert rqs.violations() == (("P3", props.P3Witness(
+        assert rqs.violated() == ("P3",)
+        assert rqs.first_violation() == ("P3", props.P3Witness(
             q1=q1, q2=q2, q=q2_prime,
             b1_prime=frozenset({"s1", "s2"}),
             b2=frozenset({"s3", "s4"}),
-        )),)
+        ))
 
     def test_same_witness_as_the_per_pair_check(self):
         # n <= t + r + k + min(k, q): Property 3 fails in each.

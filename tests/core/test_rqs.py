@@ -70,11 +70,12 @@ class TestValidation:
             adv, [{1, 2, 3}, {3, 4, 5}], validate=False
         )
         assert not rqs.is_valid()
-        names = [name for name, _ in rqs.violations()]
-        assert "P1" in names
+        assert "P1" in rqs.violated()
+        assert rqs.first_violation()[0] == "P1"
 
     def test_valid_system_reports_no_violations(self):
-        assert figure3_rqs().violations() == ()
+        rqs = figure3_rqs()
+        assert rqs.violated() == () and rqs.first_violation() is None
 
 
 class TestQuorumClasses:

@@ -1,12 +1,14 @@
 """Differential oracle for the greedy RQS search (``core/search.py``).
 
 ``property1_family`` used to probe frozensets through the adversary's
-public answers, and ``classify_quorums`` re-ran a *full*
-``check_property2`` / ``check_property3`` — every pair of the grown
-class against every quorum, the families converted to masks afresh —
-for each candidate.  Both now convert the pool once and decide a
-candidate on the instances it adds.  The previous code lives on *only
-here*, verbatim from the parent commit:
+public answers, and ``classify_quorums`` re-ran a *full* Property 2 /
+``check_property3`` check — every pair of the grown class against every
+quorum, the families converted to masks afresh — for each candidate.
+Both now convert the pool once and decide a candidate on the instances
+it adds.  The previous code lives on *only here*, verbatim from the
+parent commit but for the Property 2 entry point, which is spelled
+``property2_witness`` over ``family_masks`` since that helper left
+``src/``:
 
 * :func:`reference_property1_family`,
 * :func:`reference_classify_quorums`,
@@ -66,7 +68,10 @@ def reference_classify_quorums(adversary, quorums):
     qc1: List = []
     for candidate in ordered:
         trial = qc1 + [candidate]
-        if props.check_property2(adversary, trial, quorums) is None:
+        if props.property2_witness(
+            adversary, *props.family_masks(adversary, trial),
+            *props.family_masks(adversary, quorums),
+        ) is None:
             qc1.append(candidate)
 
     qc2: List = list(qc1)
@@ -168,7 +173,10 @@ def test_a_class_holding_property2_holds_property3_as_its_own_qc2(pool, data):
     passes Property 3 as ``QC2 = QC1`` against it."""
     adversary, quorums = pool
     qc1 = data.draw(st.lists(st.sampled_from(quorums), unique=True))
-    if props.check_property2(adversary, qc1, quorums) is None:
+    if props.property2_witness(
+        adversary, *props.family_masks(adversary, qc1),
+        *props.family_masks(adversary, quorums),
+    ) is None:
         assert props.check_property3(adversary, qc1, qc1, quorums) is None
 
 

@@ -3,11 +3,12 @@
 An exhibit is its grid (``repro.experiments``): each cell's measure hook
 records the verdict and the numbers the paper states, and each test
 below reads them off ``run_grid(GRID)`` with the expected value next to
-it — through ``cell.unwrap()`` where a fact is not a metric (the rule a
-checker names, the values two executions returned).
+it — through ``cell.require().result`` where a fact is not a metric
+(the rule a checker names, the values two executions returned).
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -44,8 +45,8 @@ class TestFig1:
     sweep = _sweep(fig1.GRID)
 
     def test_naive_violates(self, sweep):
-        cell = sweep.cell(algorithm=fig1.NAIVE)
-        result = cell.unwrap()
+        (cell,) = sweep.select(algorithm=fig1.NAIVE)
+        result = cell.require().result
         assert all(read.complete for read in result.reads)
         assert cell.verdict == "violation"
         assert {v.rule for v in result.atomicity.violations} == {
@@ -56,8 +57,8 @@ class TestFig1:
         assert cell.metrics["r2_value"] == "⊥"
 
     def test_fastabd_survives_same_schedule(self, sweep):
-        cell = sweep.cell(algorithm=fig1.FASTABD)
-        assert all(read.complete for read in cell.unwrap().reads)
+        (cell,) = sweep.select(algorithm=fig1.FASTABD)
+        assert all(read.complete for read in cell.require().result.reads)
         assert cell.verdict == "atomic"
         assert cell.metrics["r2_value"] == repr("v")
 
@@ -67,9 +68,10 @@ class TestFig4:
 
     def test_matches_paper(self, sweep):
         assert sweep.verdict_counts() == {"atomic": 2}
-        assert sweep.cell(stage="ex1").metrics["write_rounds"] == 1
-        composed = sweep.cell(stage="ex3+ex4")
-        assert all(read.complete for read in composed.unwrap().reads)
+        (ex1,) = sweep.select(stage="ex1")
+        assert ex1.metrics["write_rounds"] == 1
+        (composed,) = sweep.select(stage="ex3+ex4")
+        assert all(read.complete for read in composed.require().result.reads)
         assert composed.metrics["ex3_value"] == repr(1)
         assert composed.metrics["ex3_rounds"] == 2
         assert composed.metrics["ex4_value"] == repr(1)
@@ -81,7 +83,7 @@ class TestStorageLatency:
         assert sweep.verdict_counts() == {"atomic": 6}
         for cls, rounds in storage_latency.PAPER_CLAIM.items():
             for op, expected in zip(("write", "read"), rounds):
-                cell = sweep.cell(op=op, quorum_class=cls)
+                (cell,) = sweep.select(op=op, quorum_class=cls)
                 assert cell.metrics["rounds"] == expected, (op, cls)
 
 
@@ -90,7 +92,8 @@ class TestConsensusLatency:
         sweep = run_grid(consensus_latency.GRID)
         assert sweep.verdict_counts() == {"ok": 3}
         for cls, delay in consensus_latency.PAPER_CLAIM.items():
-            metrics = sweep.cell(quorum_class=cls).metrics
+            (cell,) = sweep.select(quorum_class=cls)
+            metrics = cell.metrics
             assert metrics["worst_delay"] == delay, cls
             # Every learner learned, none later than the claim.
             assert max(metrics["delays"].values()) == delay, cls
@@ -103,10 +106,10 @@ class TestTheorem3:
         """rd1 is fast and returns v1, rd2 cannot tell ex4 from ex5, and
         the checker catches the execution that was realized: whatever
         rd2 returns, one of the two is wrong."""
-        ex4 = sweep.cell(execution=theorem3.WITH_WRITE)
-        ex5 = sweep.cell(execution=theorem3.WITHOUT_WRITE)
-        ex4_r1, ex4_r2 = ex4.unwrap().reads
-        (ex5_r2,) = ex5.unwrap().reads
+        (ex4,) = sweep.select(execution=theorem3.WITH_WRITE)
+        (ex5,) = sweep.select(execution=theorem3.WITHOUT_WRITE)
+        ex4_r1, ex4_r2 = ex4.require().result.reads
+        (ex5_r2,) = ex5.require().result.reads
         assert ex4_r1.complete and ex4_r2.complete and ex5_r2.complete
         assert ex4.metrics["r1_rounds"] == 1
         assert ex4.metrics["r1_value"] == repr("v1")
@@ -120,7 +123,8 @@ class TestTheorem3:
         from repro.storage.messages import RdAck
 
         def replies(label):
-            log = sweep.cell(execution=label).unwrap().adapter.network.log
+            (cell,) = sweep.select(execution=label)
+            log = cell.require().result.adapter.network.log
             return sorted(
                 (m.src, m.payload.rnd, tuple(m.payload.history.cells.items()))
                 for m in log
@@ -134,8 +138,7 @@ class TestTheorem3:
 
     def test_broken_rqs_fails_only_p3(self):
         rqs = theorem3.broken_rqs()
-        names = [name for name, _ in rqs.violations()]
-        assert names == ["P3"]
+        assert rqs.violated() == ("P3",)
 
     def test_valid_sibling_admits_no_witness(self):
         """The control: example6, the family the broken one is cut
@@ -156,8 +159,9 @@ class TestTheorem6:
 
     def test_choose_exhibit(self):
         sweep = run_grid(theorem6.CHOOSE_GRID)
-        assert sweep.cell(family="broken").metrics["value"] == 0
-        assert sweep.cell(family="valid").metrics["value"] == 1
+        for family, value in (("broken", 0), ("valid", 1)):
+            (cell,) = sweep.select(family=family)
+            assert cell.metrics["value"] == value
 
 
 class TestBounds:
@@ -175,8 +179,23 @@ class TestBounds:
         assert len(points) == 953
         for params in points:
             rqs = threshold_rqs(*params, validate=False)
+            adversary = rqs.adversary
+            qc1, quorums = (
+                properties.family_masks(adversary, family)
+                for family in (rqs.qc1, rqs.quorums)
+            )
+            witnesses = {
+                "P1": properties.property1_witness(adversary, *quorums),
+                "P2": properties.property2_witness(
+                    adversary, *qc1, *quorums
+                ),
+                "P3": check_property3(
+                    adversary, rqs.qc1, rqs.qc2, rqs.quorums
+                ),
+            }
             assert rqs.violated() == tuple(
-                name for name, _ in rqs.violations()
+                name for name, witness in witnesses.items()
+                if witness is not None
             ), params
 
     def test_the_grid_builds_no_witness(self, monkeypatch):
@@ -226,7 +245,7 @@ class TestStress:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_storage_stress(self, sweep, seed):
-        cell = sweep.cell(seed=seed)
+        (cell,) = sweep.select(seed=seed)
         assert cell.verdict == "wait-free atomic"
         assert cell.metrics["completed"] == cell.metrics["operations"]
 
@@ -248,13 +267,18 @@ class TestContention:
             )
 
     def test_zipfian_8key_per_key_verdicts(self, sweep):
-        cell = sweep.cell(protocol="rqs-storage", n_keys=8, skew=1.2, seed=0)
+        (cell,) = sweep.select(
+            protocol="rqs-storage", n_keys=8, skew=1.2, seed=0
+        )
         verdicts = cell.metrics["per_key"]
         assert len(verdicts) > 1
         assert all(v == "atomic" for v in verdicts.values())
 
     def test_serial_and_mp_backends_agree(self):
-        grid = contention.GRID.where(protocol="fastabd", n_keys=8)
+        grid = replace(contention.GRID, axes={
+            **dict(contention.GRID.axes), "protocol": ("fastabd",),
+            "n_keys": (8,),
+        })
         serial = run_grid(grid)
         parallel = run_grid(grid, executor="multiprocessing", processes=2)
         assert serial.to_json() == parallel.to_json()
@@ -271,11 +295,16 @@ class TestContention:
 
 
 class TestBatchedTail:
+    sweep = _sweep(batched.TAIL_GRID)
+
     def test_tail_grid_shape(self):
         axes = dict(batched.TAIL_GRID.axes)
-        assert axes["protocol"] == ("fastabd", "rqs-storage")
+        assert axes["protocol"] == ("fastabd", "rqs-storage", "rqs-regular")
         assert axes["batch"] == (1, batched.TAIL_BATCH)
         assert axes["plan"] == ("tail", "none")
+        assert batched.TAIL_PLANS["rqs-regular"] == (
+            batched.TAIL_PLANS["rqs-storage"]
+        )
         for protocol in axes["protocol"]:
             for plan, faults in (("tail", batched.TAIL_PLANS[protocol]),
                                  ("none", FaultPlan())):
@@ -286,7 +315,7 @@ class TestBatchedTail:
                 assert spec.faults == faults
                 assert spec.workload[0].batch_size == 16
 
-    def test_tail_p99_contract(self):
+    def test_tail_p99_contract(self, sweep):
         """The per-element completion claim: batching never inflates the
         p99 read tail beyond 1.5× the unbatched protocol, under the
         lossy-GST plans and fault-free — and the comparison is
@@ -294,26 +323,44 @@ class TestBatchedTail:
         (rqs-storage to the Theorem 9 three-round figure, fast-ABD to a
         write-back), and fault-free every read, batched or not, takes
         the one round of the paper's headline."""
-        sweep = run_grid(batched.TAIL_GRID)
-        assert sweep.verdict_counts() == {"atomic": 8}
-        for protocol in ("fastabd", "rqs-storage"):
+        assert sweep.verdict_counts() == {"atomic": 8, "regular": 4}
+
+        def metrics(protocol, batch, plan):
+            (cell,) = sweep.select(protocol=protocol, batch=batch, plan=plan)
+            return cell.metrics
+
+        for protocol in ("fastabd", "rqs-storage", "rqs-regular"):
             for plan in ("tail", "none"):
                 unbatched, batched_p99 = (
-                    sweep.cell(protocol=protocol, batch=batch,
-                               plan=plan).metrics["read_p99"]
+                    metrics(protocol, batch, plan)["read_p99"]
                     for batch in (1, batched.TAIL_BATCH)
                 )
                 assert unbatched > 0
                 assert batched_p99 <= 1.5 * unbatched, (protocol, plan)
             for batch in (1, batched.TAIL_BATCH):
-                fault_free = sweep.cell(protocol=protocol, batch=batch,
-                                        plan="none").metrics
+                fault_free = metrics(protocol, batch, "none")
                 assert fault_free["read_p99"] == 2.0
                 assert fault_free["max_rounds"] == 1
-        assert sweep.cell(protocol="rqs-storage", batch=1,
-                          plan="tail").metrics["read_p99"] >= 6.0
-        assert sweep.cell(protocol="fastabd", batch=1,
-                          plan="tail").metrics["read_p99"] > 2.0
+        assert metrics("rqs-storage", 1, "tail")["read_p99"] >= 6.0
+        assert metrics("fastabd", 1, "tail")["read_p99"] > 2.0
+
+    def test_a_regular_read_takes_no_more_rounds_than_an_atomic_one(
+        self, sweep,
+    ):
+        """The Section 6 remark on rqs-storage's plans: every rqs-regular
+        cell is judged regular, and its reads never take more rounds
+        than the atomic reader's on the same batch and plan."""
+        regular = sweep.select(protocol="rqs-regular")
+        assert {cell.verdict for cell in regular} == {"regular"}
+        for cell in regular:
+            (atomic,) = sweep.select(
+                protocol="rqs-storage", batch=cell.point["batch"],
+                plan=cell.point["plan"],
+            )
+            assert atomic.verdict == "atomic"
+            assert (
+                cell.metrics["max_rounds"] <= atomic.metrics["max_rounds"]
+            ), cell.point
 
     def test_fabricator_cells(self):
         """A fabricating server lies to batched reads as to unbatched
@@ -325,8 +372,9 @@ class TestBatchedTail:
         sweep = run_grid(batched.FABRICATOR_GRID)
         assert sweep.verdict_counts() == {"atomic": 2}
         unbatched, batched_cell = (
-            sweep.cell(batch=batch).metrics
+            cell.metrics
             for batch in (1, batched.TAIL_BATCH)
+            for cell in sweep.select(batch=batch)
         )
         for metrics in (unbatched, batched_cell):
             assert metrics["reads"] == batched.TAIL_READS

@@ -16,7 +16,6 @@ import operator
 import os
 import signal
 import time
-from collections import Counter
 
 import pytest
 
@@ -33,7 +32,7 @@ from repro.scenarios import (
     shard_assignment,
 )
 from repro.scenarios import sharding
-from repro.scenarios.result import ResultSurface, soak_row
+from repro.scenarios.result import soak_row
 from repro.scenarios.sharding import (
     ShardOutcome,
     _merge_online,
@@ -289,7 +288,10 @@ def _assert_same_counts_and_verdicts(base, sharded, mode):
     assert base.online is not None and sharded.online is not None
     assert sharded.ops_begun() == base.ops_begun()
     assert sharded.ops_completed() == base.ops_completed()
-    assert sharded.online.checked_ops == base.online.checked_ops
+    assert (
+        sharded.online.checked_writes + sharded.online.checked_reads
+        == base.online.checked_writes + base.online.checked_reads
+    )
     if base.spec.max_ops is None:
         # (An op budget is split across the shards up front, so each
         # shard cuts its own stream: the total is preserved, the
@@ -383,7 +385,7 @@ class TestEquivalence:
         spec = sharded_soak_spec(max_ops=500)
         sharded = run(spec.with_(shards=4))
         assert sharded.ops_begun() == 500
-        assert sharded.summary()["shards"]["count"] == 4
+        assert sharded.n_shards == 4
 
     def test_serial_fallback_matches_pool_execution(self):
         spec = sparse_open_loop_spec().with_(shards=2)
@@ -401,21 +403,25 @@ class TestEquivalence:
             )
 
 
-def _grid_cell_with_nested_shards(spec):
-    """Module-level so the pool can pickle it (fork)."""
-    result = run_sharded(spec)
+def _nested_shards_spec():
+    return sharded_soak_spec(writes=20, reads=30).with_(shards=2)
+
+
+def _grid_cell_with_nested_shards():
+    """Module-level so the stdlib pool can pickle it by name (a spec
+    does not pickle: the worker builds its own)."""
+    result = run_sharded(_nested_shards_spec())
     return (result.worker_processes, result.ops_begun(),
             result.online.verdict)
 
 
 class TestNestedMultiprocessing:
     def test_daemonic_worker_falls_back_to_serial(self):
-        spec = sharded_soak_spec(writes=20, reads=30).with_(shards=2)
-        direct = run_sharded(spec)
+        direct = run_sharded(_nested_shards_spec())
         context = multiprocessing.get_context("fork")
         with context.Pool(1) as pool:
             workers, begun, verdict = pool.apply(
-                _grid_cell_with_nested_shards, (spec,)
+                _grid_cell_with_nested_shards
             )
         assert workers == 0  # serial in-process fallback
         assert begun == direct.ops_begun()
@@ -478,8 +484,9 @@ class TestMergeOnline:
         outcomes = [_run_shard(spec, index) for index in range(4)]
         report, refusal = _merge_online(outcomes)
         assert refusal is None
-        assert report.checked_ops == sum(
-            o.online.checked_ops for o in outcomes
+        assert report.checked_writes + report.checked_reads == sum(
+            o.online.checked_writes + o.online.checked_reads
+            for o in outcomes
         )
         assert set(report.keys) == {
             key for o in outcomes for key in o.online.keys
@@ -494,8 +501,9 @@ class TestMergeOnline:
         result = ShardedRunResult(spec, [good, bad], worker_processes=0)
         assert result.online is None
         assert result.online_refusal.reason == "shard-refused"
-        assert result.summary()["verdict_source"] == "unchecked"
-        assert result.summary()["online_refusal"] == "shard-refused"
+        result.execute_seconds = 1.0  # run_sharded's stamp; rates use it
+        row = soak_row(result)
+        assert (row["verdict"], row["atomic"]) == ("unchecked", False)
 
 
 class TestImbalance:
@@ -525,39 +533,22 @@ class TestImbalance:
     def test_live_run_surface(self):
         """A real sharded run reports its imbalance."""
         result = run(sharded_soak_spec().with_(shards=2))
-        summary = result.summary()["shards"]
-        assert summary["imbalance"] == pytest.approx(
+        assert soak_row(result)["imbalance"] == pytest.approx(
             result.imbalance, abs=1e-4
         )
         assert result.imbalance >= 1.0
 
 
 class TestShardedResultSurface:
-    def test_a_fleets_waves_are_its_shards_summed(self):
-        result = run(sharded_soak_spec(batch_size=16).with_(shards=2))
-        assert len(result.outcomes) == 2
-        for kind in ("write", "read"):
-            summed = Counter()
-            for outcome in result.outcomes:
-                assert outcome.waves[kind]
-                summed.update(outcome.waves[kind])
-            waves = result.summary()["kinds"][kind]["waves"]
-            assert waves == dict(sorted(summed.items()))
-            assert sum(size * n for size, n in waves.items()) == (
-                result.ops_completed(kind)
-            )
-
-    def test_summary_shape_and_extras(self):
+    def test_soak_row_shape_and_extras(self):
         spec = sharded_soak_spec().with_(shards=4)
         result = run(spec)
-        summary = result.summary()
-        assert summary["verdict"] == "atomic"
-        assert summary["verdict_source"] == "online-windowed"
-        assert set(summary["kinds"]) == {"write", "read"}
-        shards = summary["shards"]
-        assert shards["count"] == 4
-        assert shards["cpu_seconds"] > 0
-        assert shards["capacity_ops_per_sec"] > 0
+        row = soak_row(result)
+        assert (row["verdict"], row["shards"]) == ("atomic", 4)
+        assert result.op_kinds() == ("read", "write")
+        assert {"read_p99", "write_p99"} <= set(row)
+        assert row["host"]["cpu_seconds"] > 0
+        assert row["host"]["capacity_ops_per_sec"] > 0
         assert len(result.shard_rss_kb) == 4
         assert result.max_shard_rss_kb == max(result.shard_rss_kb)
         assert result.streamed
@@ -602,7 +593,7 @@ class TestFleetOfOne:
         )
         assert result.messages == result.adapter.network.sent_count > 0
 
-    def test_one_row_shape_and_one_summary_body(self):
+    def test_one_row_shape(self):
         spec = batched_soak_spec()
         plain, fleet = run(spec), run(spec.with_(shards=2))
         rows = [soak_row(plain), soak_row(fleet)]
@@ -615,11 +606,6 @@ class TestFleetOfOne:
             assert row["keys_checked"] == 16 and row["checker_mode"] == "sw"
             assert row["overrun_unchecked"] == 0
             assert len(row["host"]["shard_rss_kb"]) == row["shards"]
-        for result in (plain, fleet):
-            assert type(result).summary is ResultSurface.summary
-        assert "shards" not in plain.summary()
-        assert fleet.summary()["shards"]["count"] == 2
-        assert set(fleet.summary()) - {"shards"} == set(plain.summary())
 
     def test_default_measure_is_backend_independent_without_host(self):
         """Invariant 2 for streamed cells, a sharded one included (under
@@ -643,7 +629,7 @@ class TestFleetOfOne:
 
 
 def _shard_one_is_killed(spec, index):
-    """Module-level so the pool can pickle it (fork)."""
+    """Stands in for ``sharding._run_shard``: shard 1's worker dies."""
     if index == 1:
         os.kill(os.getpid(), signal.SIGKILL)
     return _run_shard(spec, index)

@@ -90,7 +90,7 @@ class TestNamedRqs:
         for _ in range(2):
             rqs = resolve_rqs("example6-broken-p3")
             assert not rqs.is_valid()
-            assert [name for name, _ in rqs.violations()] == ["P3"]
+            assert rqs.violated() == ("P3",)
 
     def test_threshold_construction_string(self):
         rqs = resolve_rqs("threshold:8,3,1,1,2")

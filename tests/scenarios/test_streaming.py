@@ -32,6 +32,7 @@ from repro.scenarios import (
     Write,
     run,
 )
+from repro.scenarios.result import soak_row
 
 MIX_DRAWS = {
     "single-key": dict(mix=RandomMix(5, 8, horizon=50.0), n_readers=3,
@@ -131,7 +132,10 @@ class TestStreamedVerdicts:
         result = run(spec)
         online = result.online
         assert online is not None and online.atomic
-        assert online.checked_ops == result.ops_completed()
+        assert (
+            online.checked_writes + online.checked_reads
+            == result.ops_completed()
+        )
 
     def test_post_hoc_checkers_refuse_streamed_runs(self):
         spec = ScenarioSpec(
@@ -158,7 +162,7 @@ class TestStreamedVerdicts:
         result = run(spec)
         assert result.online is None
         assert result.online_refusal.reason == "workload-shape"
-        assert result.summary()["online_refusal"] == "workload-shape"
+        assert soak_row(result)["verdict"] == "unchecked"
         assert result.ops_completed() == 20
 
     def test_multi_writer_streams_get_mw_online_verdict(self):
@@ -171,10 +175,12 @@ class TestStreamedVerdicts:
         online = result.online
         assert online is not None and online.atomic
         assert online.mode == "mw"
-        assert online.checked_ops == result.ops_completed()
-        summary = result.summary()
-        assert summary["verdict_source"] == "online-windowed"
-        assert summary["checker_mode"] == "mw"
+        assert (
+            online.checked_writes + online.checked_reads
+            == result.ops_completed()
+        )
+        row = soak_row(result)
+        assert (row["verdict"], row["checker_mode"]) == ("atomic", "mw")
 
     def test_consensus_streams_refuse_with_reason(self):
         spec = ScenarioSpec(
@@ -228,7 +234,10 @@ class TestOpenLoop:
         online = result.online
         assert online is not None and online.atomic
         assert online.violations == ()
-        assert online.checked_ops == result.ops_completed() == 1500
+        assert (
+            online.checked_writes + online.checked_reads
+            == result.ops_completed() == 1500
+        )
         assert len(online.keys) == 8
         assert online.max_retained < 100
         history = result.server_history

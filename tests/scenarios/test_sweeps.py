@@ -6,6 +6,7 @@ import io
 import json
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -31,7 +32,7 @@ from tests.scenarios.test_sharding import (
     batched_soak_spec,
 )
 
-#: A picklable base spec shared by the executor-parity tests.
+#: A base spec shared by the executor-parity tests.
 BASE = ScenarioSpec(
     protocol="abd",
     readers=1,
@@ -54,8 +55,7 @@ ACCEPTANCE_GRID = SweepSpec(
 
 
 def _dying_build(point):
-    """Module-level so the pool can pickle it: the worker that builds
-    seed 2 exits without a word."""
+    """The worker that builds seed 2 exits without a word."""
     if point["seed"] == 2:
         os._exit(1)
     return BASE.with_(seed=point["seed"])
@@ -128,18 +128,6 @@ class TestExpansion:
         assert cells[0].labels["faults"] == "none"
         assert isinstance(cells[0].point["faults"], FaultPlan)
 
-    def test_where_slices_by_label(self):
-        sub = ACCEPTANCE_GRID.where(protocol="abd", seed=[0, 2])
-        assert sub.size == 4
-        assert all(c.labels["protocol"] == "abd" for c in sub.cells())
-        assert sorted({c.labels["seed"] for c in sub.cells()}) == ["0", "2"]
-
-    def test_where_unknown_axis_or_value(self):
-        with pytest.raises(ScenarioError):
-            ACCEPTANCE_GRID.where(nope=1)
-        with pytest.raises(ScenarioError):
-            ACCEPTANCE_GRID.where(protocol="paxos")
-
     def test_reserved_axis_names_rejected(self):
         with pytest.raises(ScenarioError):
             SweepSpec(name="bad", axes={"ok": (1,)}, base=BASE)
@@ -191,27 +179,33 @@ class TestExecutors:
         assert serial.verdict_counts() == {"atomic": 12}
 
     def test_serial_keeps_live_result_handles(self):
-        sweep = run_grid(ACCEPTANCE_GRID.where(seed=0))
-        result = sweep.cells[0].unwrap()
+        sweep = run_grid(replace(
+            ACCEPTANCE_GRID, axes={**dict(ACCEPTANCE_GRID.axes), "seed": (0,)}
+        ))
+        result = sweep.cells[0].require().result
         assert result.read().result == "v"
 
     def test_multiprocessing_cells_are_portable_only(self):
         sweep = run_grid(
-            ACCEPTANCE_GRID.where(seed=0, protocol="abd"),
+            replace(ACCEPTANCE_GRID, axes={
+                **dict(ACCEPTANCE_GRID.axes), "protocol": ("abd",),
+                "seed": (0,),
+            }),
             executor="multiprocessing",
         )
-        assert sweep.cells[0].ok
-        with pytest.raises(ScenarioError):
-            sweep.cells[0].unwrap()
+        assert sweep.cells[0].ok and sweep.cells[0].result is None
 
-    def test_unpicklable_sweep_raises_clearly(self):
+    def test_a_lambda_hook_runs_on_the_multiprocessing_backend(self):
+        """The workers inherit the sweep by fork, so a hook that does
+        not pickle runs there as it does serially."""
         grid = SweepSpec(
             name="lambdas",
-            axes={"seed": (0,)},
-            build=lambda point: BASE,  # noqa: E731 — deliberately unpicklable
+            axes={"seed": (0, 1)},
+            build=lambda point: BASE.with_(seed=point["seed"]),
         )
-        with pytest.raises(ScenarioError, match="not picklable"):
-            run_grid(grid, executor="multiprocessing")
+        pooled = run_grid(grid, executor="multiprocessing", processes=2)
+        assert pooled.to_json() == run_grid(grid).to_json()
+        assert pooled.verdict_counts() == {"atomic": 2}
 
     def test_a_dead_worker_fails_the_grid(self, watchdog):
         """A worker that exits mid-grid raises, naming the sweep — it
@@ -241,9 +235,8 @@ class TestExecutors:
 
 
 #: Strategy-parameterized cells: the knob is a spec field, so the
-#: default builder sweeps it like any other axis.  Picklable end to
-#: end (Strategy is frozen and picklable) — the mp backend must agree
-#: byte-for-byte with serial despite the per-client strategy RNGs.
+#: default builder sweeps it like any other axis — the mp backend must
+#: agree byte-for-byte with serial despite the per-client strategy RNGs.
 STRATEGY_GRID = SweepSpec(
     name="strategy-parity",
     axes={
@@ -304,7 +297,7 @@ class TestFailureIsolation:
         sweep = run_grid(FAILING_GRID)
         assert len(sweep.cells) == 3
         good = [c for c in sweep.cells if c.ok]
-        bad = sweep.failures()
+        bad = [c for c in sweep.cells if not c.ok]
         assert len(good) == 2 and len(bad) == 1
         assert bad[0].point == {"seed": "1"}
         assert "ValueError: cell sabotage" in bad[0].error
@@ -315,11 +308,6 @@ class TestFailureIsolation:
         parallel = run_grid(FAILING_GRID, executor="multiprocessing")
         assert serial.to_json() == parallel.to_json()
 
-    def test_unwrap_failed_cell_raises_with_error(self):
-        sweep = run_grid(FAILING_GRID)
-        with pytest.raises(ScenarioError, match="cell sabotage"):
-            sweep.failures()[0].unwrap()
-
     def test_a_failed_shard_is_a_failed_cell_with_its_reason(
         self, monkeypatch
     ):
@@ -328,7 +316,9 @@ class TestFailureIsolation:
         assert not capped.ok
         assert "shard 0 of 2 failed: SimulationError" in capped.error
         monkeypatch.setattr(sharding, "_run_shard", _shard_one_is_killed)
-        (killed,) = run_grid(SHARDED_GRID.where(max_events="None")).cells
+        (killed,) = run_grid(
+            replace(SHARDED_GRID, axes={"max_events": (None,)})
+        ).cells
         assert not killed.ok
         assert "ScenarioError: a shard worker" in killed.error
 
@@ -338,7 +328,8 @@ class TestAnalyticSweeps:
         sweep = run_grid(ANALYTIC_GRID)
         assert [c.metrics["square"] for c in sweep.cells] == [1, 4, 9, 16]
         assert sweep.verdict_counts() == {"even": 2, "odd": 2}
-        assert sweep.cell(x=3).verdict == "odd"
+        (cell,) = sweep.select(x=3)
+        assert cell.verdict == "odd"
 
 
 class TestAggregation:
@@ -381,8 +372,8 @@ class TestAggregation:
         assert stats["mean"] == pytest.approx(7.5)
         assert stats["p50"] == 4 and stats["p99"] == 16
         # dotted keys reach nested summaries from the default measure
-        latency = run_grid(ACCEPTANCE_GRID.where(seed=0))
-        assert latency.metric_values("latency.p99")
+        latency = run_grid(ACCEPTANCE_GRID)
+        assert latency.metric_values("latency.p99", seed=0)
 
     def test_select_filters_by_axis_label(self):
         sweep = run_grid(ACCEPTANCE_GRID)
@@ -390,25 +381,22 @@ class TestAggregation:
         assert len(subset) == 3
         with pytest.raises(ScenarioError):
             sweep.select(bogus=1)
-        with pytest.raises(ScenarioError):
-            sweep.cell(protocol="abd")  # ambiguous: six cells
 
     def test_a_query_that_can_match_nothing_raises(self):
-        """A result reads a filter as ``where`` does — a list keeps its
-        labels, a labeled value its label — and a label its axis does
-        not have raises instead of selecting nothing, so a claim
-        asserted over the selection cannot pass vacuously."""
+        """A result reads a filter by label — a list keeps its labels, a
+        labeled value its label — and a label its axis does not have
+        raises instead of selecting nothing, so a claim asserted over
+        the selection cannot pass vacuously."""
         sweep = run_grid(ACCEPTANCE_GRID)
         assert len(sweep.select(protocol="abd", seed=[0, 2])) == 4
         crash = dict(ACCEPTANCE_GRID.axes)["faults"][1]
         assert sweep.select(faults=crash) == sweep.select(faults="one-crash")
-        assert sweep.cell(protocol="abd", faults=crash, seed=0).ok
+        (cell,) = sweep.select(protocol="abd", faults=crash, seed=0)
+        assert cell.ok
         for filters in ({"seed": 7}, {"seed": [0, 7]}, {"protocol": "paxos"},
                         {"seed": []}):
             with pytest.raises(ScenarioError, match="no value matching"):
                 sweep.select(**filters)
-            with pytest.raises(ScenarioError, match="no value matching"):
-                ACCEPTANCE_GRID.where(**filters)
         with pytest.raises(ScenarioError, match="values: 0, 1, 2"):
             sweep.metric_values("latency.p99", seed=[7, 8])
 
@@ -434,7 +422,7 @@ class TestAggregation:
         ok_cell = [c for c in sweep.cells if c.ok][0]
         assert ok_cell.require() is ok_cell
         with pytest.raises(ScenarioError, match="cell sabotage"):
-            sweep.failures()[0].require()
+            [c for c in sweep.cells if not c.ok][0].require()
 
     def test_percentile_nearest_rank(self):
         assert percentile([1, 2, 3, 4], 50) == 2

@@ -268,7 +268,7 @@ def test_every_write_round_waits_its_own_timer():
     result, calls = profiled(
         lambda: run(staircase_writes()), constructions(Timer)
     )
-    write = result.summary()["kinds"]["write"]["latency"]
+    write = result.latency_streaming("write")
     assert (write.min_rounds, write.max_rounds) == (1, 3)
     # Every round 1 and 2 armed its 2Δ timer.
     assert calls["Timer.__init__"] > write.count
@@ -289,5 +289,5 @@ def test_a_write_round_leaves_no_timer_to_the_cyclic_collector():
     finally:
         gc.set_debug(debug)
         gc.garbage.clear()
-    assert result.summary()["kinds"]["write"]["latency"].max_rounds == 3
+    assert result.latency_streaming("write").max_rounds == 3
     assert cyclic == []

@@ -22,7 +22,6 @@ def test_a_wave_is_its_elements_in_order():
     assert (second.op_id, second.value, second.key) == (1, "b", "y")
     trace.complete([first, second], 4.0, ("OK", "OK"), 2)
     assert trace.completed_counts == {"write": 2}
-    assert trace.waves("write") == {2: 1}
     accumulator = trace.accumulator("write")
     assert (accumulator.count, accumulator.rounds_sum) == (2, 4)
     assert accumulator.time_sum == 6
@@ -39,7 +38,7 @@ def test_observers_take_whole_waves():
     trace.complete(wave[:2], 1.0, ("a", "b"), 1)
     trace.complete(wave[2:], 2.0, ("c",), 2)
     assert seen == [("begin", 3), ("complete", 2), ("complete", 1)]
-    assert trace.waves("read") == {1: 1, 2: 1}
+    assert trace.completed_counts == {"read": 3}
     assert trace.records == ()
 
 
@@ -86,5 +85,5 @@ def test_an_empty_wave_completes_nothing():
     trace.begin("write", "w", 0.0, (("v", 0),))
     with pytest.raises(SimulationError, match="empty wave"):
         trace.complete([], 1.0, [], 1)
-    assert trace.completed_counts == {} and trace.waves("write") == {}
+    assert trace.completed_counts == {} and trace.accumulator("write") is None
 

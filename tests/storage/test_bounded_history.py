@@ -50,9 +50,9 @@ class TestHistoryAccounting:
         history.store(2, 2, "b", frozenset())
         history.store(3, 1, "c", frozenset())
         assert history.gc_below(3) == 5  # ts=1 (3 cells) + ts=2 (2 cells)
-        assert history.get(1, 1) == INITIAL_ENTRY
-        assert history.get(2, 1) == INITIAL_ENTRY
-        assert history.get(3, 1).pair == Pair(3, "c")
+        assert history.snapshot().get(1, 1) == INITIAL_ENTRY
+        assert history.snapshot().get(2, 1) == INITIAL_ENTRY
+        assert history.snapshot().get(3, 1).pair == Pair(3, "c")
         assert history.snapshot().max_timestamp() == 3
         assert history.gc_below(3) == 0
 
@@ -81,8 +81,8 @@ class TestEvidenceRules:
         server.handle_write("w2", _wr(2, 1, "b"))
         assert server.gc_removed == 0
         server.handle_write("w2", _wr(2, 2, "b"))
-        assert server.histories[0].get(1, 1) == INITIAL_ENTRY
-        assert server.histories[0].get(2, 1).pair == Pair(2, "b")
+        assert server.histories[0].snapshot().get(1, 1) == INITIAL_ENTRY
+        assert server.histories[0].snapshot().get(2, 1).pair == Pair(2, "b")
         assert server.gc_removed == 1
         assert server.history_cells == len(server.histories[0]._cells)
 
@@ -96,9 +96,9 @@ class TestEvidenceRules:
         server.handle_write("w", _wr(3, 1, "c"))   # proves ts=2 acked
         # Stable mark is 2: ts=1 is superseded and dropped; ts=2 (the
         # newest *proven* state) and ts=3 are retained.
-        assert server.histories[0].get(1, 1) == INITIAL_ENTRY
-        assert server.histories[0].get(2, 1).pair == Pair(2, "b")
-        assert server.histories[0].get(3, 1).pair == Pair(3, "c")
+        assert server.histories[0].snapshot().get(1, 1) == INITIAL_ENTRY
+        assert server.histories[0].snapshot().get(2, 1).pair == Pair(2, "b")
+        assert server.histories[0].snapshot().get(3, 1).pair == Pair(3, "c")
         assert server.gc_removed == 1
 
     def test_same_ts_writeback_reuse_is_not_evidence(self):
@@ -112,7 +112,7 @@ class TestEvidenceRules:
         server.handle_write("reader1", _wr(4, 2, "v"))
         assert server.histories[0].stable_ts == 4
         assert server.history_cells == cells_after_first
-        assert server.histories[0].get(4, 2).pair == Pair(4, "v")
+        assert server.histories[0].snapshot().get(4, 2).pair == Pair(4, "v")
         # Both write-backs were acked regardless.
         acks = [p for _, p in server.outbox if isinstance(p, WrAck)]
         assert len(acks) == 2
@@ -126,7 +126,7 @@ class TestEvidenceRules:
         assert server.histories[0].stable_ts == 5
         cells = server.history_cells
         server.handle_write("w1", _wr(3, 1, "old"))
-        assert server.histories[0].get(3, 1) == INITIAL_ENTRY
+        assert server.histories[0].snapshot().get(3, 1) == INITIAL_ENTRY
         assert server.history_cells == cells
         assert server.gc_removed == 1             # the late cell itself
         assert any(
@@ -138,15 +138,15 @@ class TestEvidenceRules:
         server.handle_write("w", _wr(1, 1, "a", key="x"))
         server.handle_write("w", _wr(2, 2, "b", key="x"))
         server.handle_write("w", _wr(1, 1, "a", key="y"))
-        assert server.history_for("x").get(1, 1) == INITIAL_ENTRY
-        assert server.history_for("y").get(1, 1).pair == Pair(1, "a")
+        assert server.history_for("x").snapshot().get(1, 1) == INITIAL_ENTRY
+        assert server.history_for("y").snapshot().get(1, 1).pair == Pair(1, "a")
 
     def test_unbounded_server_never_collects(self):
         server = _SinkServer(1, bounded_history=False)
         server.handle_write("w", _wr(1, 1, "a"))
         server.handle_write("w", _wr(2, 2, "b"))
         assert server.gc_removed == 0
-        assert server.histories[0].get(1, 1).pair == Pair(1, "a")
+        assert server.histories[0].snapshot().get(1, 1).pair == Pair(1, "a")
         assert server.max_history_cells == server.history_cells == 3
 
 

@@ -15,28 +15,28 @@ from repro.storage.history import (
 class TestStore:
     def test_untouched_cells_report_initial(self):
         history = History()
-        assert history.get(5, 2) == INITIAL_ENTRY
-        assert history.get(5, 2).pair == Pair(0, BOTTOM)
+        assert history.snapshot().get(5, 2) == INITIAL_ENTRY
+        assert history.snapshot().get(5, 2).pair == Pair(0, BOTTOM)
 
     def test_round_r_fills_all_lower_slots(self):
         history = History()
         history.store(1, 3, "v", frozenset())
         for slot in (1, 2, 3):
-            assert history.get(1, slot).pair == Pair(1, "v")
+            assert history.snapshot().get(1, slot).pair == Pair(1, "v")
 
     def test_sets_only_attached_at_exact_round(self):
         history = History()
         q = frozenset({1, 2, 3})
         history.store(1, 2, "v", frozenset({q}))
-        assert history.get(1, 1).sets == frozenset()
-        assert history.get(1, 2).sets == frozenset({q})
+        assert history.snapshot().get(1, 1).sets == frozenset()
+        assert history.snapshot().get(1, 2).sets == frozenset({q})
 
     def test_sets_accumulate(self):
         history = History()
         q1, q2 = frozenset({1, 2}), frozenset({2, 3})
         history.store(1, 1, "v", frozenset({q1}))
         history.store(1, 1, "v", frozenset({q2}))
-        assert history.get(1, 1).sets == frozenset({q1, q2})
+        assert history.snapshot().get(1, 1).sets == frozenset({q1, q2})
 
     def test_conflicting_pair_does_not_overwrite(self):
         """Figure 6 line 4: a cell holding a different pair is left
@@ -44,14 +44,14 @@ class TestStore:
         history = History()
         history.store(1, 1, "first", frozenset())
         history.store(1, 1, "second", frozenset())
-        assert history.get(1, 1).pair == Pair(1, "first")
+        assert history.snapshot().get(1, 1).pair == Pair(1, "first")
 
     def test_different_timestamps_are_independent(self):
         history = History()
         history.store(1, 1, "a", frozenset())
         history.store(2, 1, "b", frozenset())
-        assert history.get(1, 1).pair == Pair(1, "a")
-        assert history.get(2, 1).pair == Pair(2, "b")
+        assert history.snapshot().get(1, 1).pair == Pair(1, "a")
+        assert history.snapshot().get(2, 1).pair == Pair(2, "b")
 
 
 class TestSnapshots:
@@ -88,9 +88,9 @@ class TestSnapshots:
         history.store(1, 1, "v", frozenset())
         saved = history.snapshot()
         history.clear()
-        assert len(history) == 0
+        assert not history.snapshot().cells
         history.overwrite(saved)
-        assert history.get(1, 1).pair == Pair(1, "v")
+        assert history.snapshot().get(1, 1).pair == Pair(1, "v")
 
 
 def test_bottom_is_singleton():
@@ -118,10 +118,10 @@ def test_store_is_sticky_and_monotone(writes):
         history.store(ts, rnd, value, frozenset({quorum}))
         for key in list(previous):
             pair, sets = previous[key]
-            entry = history.get(*key)
+            entry = history.snapshot().get(*key)
             assert entry.pair == pair            # sticky (Lemma 8)
             assert entry.sets >= sets            # monotone (Lemma 9)
         for slot in (1, 2, 3):
-            entry = history.get(ts, slot)
+            entry = history.snapshot().get(ts, slot)
             if entry != INITIAL_ENTRY:
                 previous[(ts, slot)] = (entry.pair, entry.sets)

@@ -33,7 +33,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.constructions import threshold_rqs
 from repro.core.rqs import RefinedQuorumSystem
 from repro.scenarios import resolve_rqs
-from repro.sim.conditions import Check, Condition
 from repro.storage.batching import ReadBatchAck
 from repro.storage.history import (
     BOTTOM,
@@ -66,7 +65,6 @@ class ReferenceReadState:
         self.view: Dict[ServerId, HistoryView] = {}
         self.qc2_responded: Tuple[QuorumId, ...] = ()   # QC'2 (line 30-31)
         self.highest_ts: int = 0                        # (line 29)
-        self._watchers: List[Condition] = []
         self._responded = 0                   # mask of ``view``'s servers
         self._round_acks: Dict[int, int] = {}           # rnd -> ack mask
         # Derived from the current views; dropped by every ack.
@@ -92,32 +90,12 @@ class ReferenceReadState:
         self._slots.clear()
         self._pairs = None
         self._quorums = None
-        for condition in self._watchers:
-            condition.signal()
-
-    def when(self, predicate, label: str = "") -> Condition:
-        """An ack-indexed wait on any predicate over this state.
-
-        Pair with :meth:`unwatch` once the wait resumes, so completed
-        rounds stop fanning signals out to dead conditions.
-        """
-        condition = Check(predicate, label)
-        self._watchers.append(condition)
-        return condition
-
-    def unwatch(self, condition: Condition) -> None:
-        self._watchers.remove(condition)
 
     def _responded_masks(self) -> Tuple[int, ...]:
         quorums = self._quorums
         if quorums is None:
             quorums = self._quorums = self._ix.responding(self._responded)
         return quorums
-
-    def responded_quorums(self) -> Tuple[QuorumId, ...]:
-        """The ``Responded`` set (lines 52-53): fully-answering quorums."""
-        quorum_at = self._ix.quorum_at
-        return tuple(quorum_at[mask] for mask in self._responded_masks())
 
     def round_quorum(self, rnd: int) -> bool:
         """Has some quorum fully answered round ``rnd``?"""
@@ -133,9 +111,6 @@ class ReferenceReadState:
         self.qc2_responded = self.rqs.responding_quorums(round1, cls=2)
 
     # -- low-level lookups --------------------------------------------------------
-
-    def entry(self, server: ServerId, ts: int, rnd: int):
-        return self.view.get(server, EMPTY_VIEW).get(ts, rnd)
 
     def _slot(self, c: Pair, rnd: int) -> _Slot:
         """Who reports ``c`` in slot ``rnd`` (ids are carried per entry,
@@ -171,13 +146,6 @@ class ReferenceReadState:
         ``rnd``, as a mask over ``rqs.index``."""
         return self._slot(c, rnd)[0]
 
-    def read_pred(self, c: Pair, server: ServerId) -> bool:
-        """``read(c, i)`` (line 7): ``c`` in slot 1 or 2 of the snapshot."""
-        return bool(
-            (self.holders(c, 1) | self.holders(c, 2))
-            & self._ix.bit.get(server, 0)
-        )
-
     def observed_pairs(self) -> List[Pair]:
         """All candidate pairs: anything readable from any snapshot."""
         pairs = self._pairs
@@ -191,8 +159,11 @@ class ReferenceReadState:
     # -- validity predicates ---------------------------------------------------------
 
     # Lines 3-5 on masks: the quorum and who reports ``c`` (``invalid``
-    # looks the holders up once and walks ``Responded`` with these; the
-    # public predicates are the same tests on a quorum id).
+    # looks the holders up once and walks ``Responded`` with these).
+    # Line 3's maximal ``T`` suffices: supersets of basic sets are
+    # basic.  Line 5's only ``B`` worth checking for a fixed ``Q2`` is
+    # its non-conforming servers: any valid ``B`` covers them, and P3b
+    # is anti-monotone in ``B``.
 
     def _valid1(self, held1: int, quorum: int) -> bool:
         held = held1 & quorum
@@ -219,29 +190,6 @@ class ReferenceReadState:
             if all(q1 & conforming for q1 in qc1):
                 return True
         return False
-
-    def valid1(self, c: Pair, quorum: QuorumId) -> bool:
-        """Line 3: a basic ``T ⊆ Q`` stores ``c`` in slot 1.
-
-        The maximal candidate ``T`` suffices: supersets of basic sets are
-        basic (the adversary is subset-closed).
-        """
-        return self._valid1(self.holders(c, 1), self._ix.mask(quorum))
-
-    def valid2(self, c: Pair, quorum: QuorumId) -> bool:
-        """Line 4: some server of ``Q`` stores ``c`` in slot 2."""
-        return self._valid2(self.holders(c, 2), self._ix.mask(quorum))
-
-    def valid3(self, c: Pair, quorum: QuorumId) -> bool:
-        """Line 5: ∃ Q2 ∈ QC2, ∃ B ∈ B with P3b(Q2, Q, B) such that every
-        server of ``Q2 ∩ Q \\ B`` stores ``c`` in slot 1 with id ``Q2``.
-
-        For a fixed ``Q2`` the minimal witness ``B`` is the set of
-        non-conforming servers of ``Q2 ∩ Q`` (any valid ``B`` must cover
-        it, and P3b is anti-monotone in ``B``), so only that ``B`` needs
-        checking.
-        """
-        return self._valid3(self._slot(c, 1)[1], self._ix.mask(quorum))
 
     def invalid(self, c: Pair) -> bool:
         """Line 6."""
@@ -283,13 +231,6 @@ class ReferenceReadState:
             for c in self.observed_pairs()
             if self.safe(c) and self.high_cand(c)
         ]
-
-    def select(self) -> Optional[Pair]:
-        """Line 35: the candidate with the highest timestamp, or ``None``."""
-        candidates = self.candidates()
-        if not candidates:
-            return None
-        return max(candidates, key=lambda p: p.ts)
 
     # -- best-case detector ------------------------------------------------------------
 
@@ -447,10 +388,6 @@ class NaiveReadState:
             for c in self.observed_pairs()
             if self.safe(c) and self.high_cand(c)
         ]
-
-    def select(self):
-        candidates = self.candidates()
-        return max(candidates, key=lambda p: p.ts) if candidates else None
 
     def bcd1(self, c, big_r):
         for q1 in self.rqs.qc1:

@@ -54,7 +54,7 @@ class TestRegularReads:
             read = result.read()
             assert result.write().rounds == max(1, crashed)
             assert (read.result, read.rounds) == ("v", 1)
-            assert result.atomicity.regular
+            assert result.atomicity.violation_count == 0
 
     def test_initial_read(self):
         record = regular("threshold:5,1,1,0,1", Read(0.0)).read()
@@ -78,7 +78,7 @@ class TestRegularReads:
             readers=3, seed=seed,
         )
         report = result.atomicity
-        assert report.regular, report.violations
+        assert report.violation_count == 0, report.violations
         digest = hashlib.sha256(repr(result.fingerprint()).encode())
         assert digest.hexdigest() == FACADE_EXECUTIONS[seed]
 
@@ -106,7 +106,7 @@ class TestRegularReads:
         r1, r2 = result.reads
         assert r1.complete and r1.completed_at <= 10.0 and r1.result == "v"
         assert r2.complete
-        assert result.atomicity.regular
+        assert result.atomicity.violation_count == 0
         if r2.result is BOTTOM:
             # inversion realized: atomicity must reject what
             # regularity accepts

@@ -168,7 +168,7 @@ def test_running_the_exhibit_grids_imports_nothing_their_set_up_did_not():
     built, added = imports(EXHIBIT_GRIDS, """
     from repro.scenarios import run_grid
     for grid in grids:
-        assert not run_grid(grid).failures(), grid.name
+        assert all(cell.ok for cell in run_grid(grid).cells), grid.name
     """)
     assert added == set(), "a timed run_grid imported a module"
     assert "repro.scenarios.consensus_adapters" in built
@@ -177,9 +177,9 @@ def test_running_the_exhibit_grids_imports_nothing_their_set_up_did_not():
 
 def test_the_multiprocessing_backend_imports_its_pool_on_first_call():
     """The pool stack and ``pickle`` load inside the first
-    multiprocessing ``run_grid`` of a process, and the forked workers'
-    initializer unpickles the sweep with them: the output is the serial
-    backend's, byte for byte."""
+    multiprocessing ``run_grid`` of a process, whose forked workers
+    inherit the sweep: the output is the serial backend's, byte for
+    byte."""
     built, added = imports(
         """
         from repro.experiments import stress

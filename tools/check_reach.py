@@ -15,8 +15,9 @@ invariant 9).  This gate measures it: it enumerates every ``def`` under
   name — delete it and move its tests to the API that runs, or give it
   a surface;
 * an allowlist line whose ``def`` was entered or no longer exists, or
-  whose reason is neither one of :data:`REASONS` nor ``group (a|b|c),
-  ROADMAP item N`` with ``N`` an open item.
+  whose reason is neither one of :data:`REASONS` nor ``group (b|c),
+  ROADMAP item N`` with ``N`` an open item.  Test-only API (ROADMAP
+  item 17's old group (a)) is not a reason: it leaves ``src/``.
 
 The surface is what a reader reproducing the paper runs:
 
@@ -36,7 +37,7 @@ in-process: while it runs, this process counts as daemonic, which sends
 ``sharding.map_in_pool`` down its in-process branch.  What a forked pool
 child runs (the multiprocessing grid backend of
 ``examples/parameter_sweep.py``) is not seen, so its entry points are
-allowlisted.  Takes about 30-40 s on a 2-core host.
+allowlisted.  Takes about 35-45 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ REASONS = (
     "safety path",             # no fault-free run takes it
     "oracle seam",             # a differential oracle or a digest reads it
 )
-#: ROADMAP item 17's groups: test-only API still to move or go (a), a
-#: registered row (b) or a paper artifact (c) that still needs a surface.
-DEFERRED = re.compile(r"^group \((a|b|c)\), ROADMAP item (\d+)$")
+#: ROADMAP item 17's groups: a registered row (b) or a paper artifact
+#: (c) that still needs a surface.
+DEFERRED = re.compile(r"^group \((b|c)\), ROADMAP item (\d+)$")
 
 Location = Tuple[str, int]
 
