@@ -14,6 +14,7 @@ vacuously when any shard ran unchecked.
 import multiprocessing
 import operator
 import os
+import pickle
 import signal
 import time
 
@@ -402,6 +403,17 @@ class TestEquivalence:
                 == pooled.latency_streaming(kind)
             )
 
+    def test_the_pool_hands_shards_a_spec_that_does_not_pickle(self):
+        """The shard workers inherit the spec by fork: a spec does not
+        pickle, yet every shard runs on a worker process of its own."""
+        spec = sharded_soak_spec().with_(shards=2)
+        with pytest.raises(TypeError):
+            pickle.dumps(spec)
+        pooled = run_sharded(spec)
+        assert pooled.worker_processes == 2
+        assert [o.index for o in pooled.outcomes] == [0, 1]
+        assert pooled.ops_begun() == run(spec.with_(shards=1)).ops_begun()
+
 
 def _nested_shards_spec():
     return sharded_soak_spec(writes=20, reads=30).with_(shards=2)
@@ -540,6 +552,36 @@ class TestImbalance:
 
 
 class TestShardedResultSurface:
+    def test_a_fleets_counters_are_its_shards_summed(self):
+        """Outcomes come home in any order; the fleet sorts them by
+        shard, sums each counter over them and names a blocked client
+        by its shard."""
+        def outcome(index, begun, completed, blocked, events, messages):
+            return ShardOutcome(
+                index=index, begun=begun, completed=completed,
+                blocked=blocked, events=events, messages=messages,
+                accumulators={}, online=None, online_refusal=None,
+            )
+
+        result = ShardedRunResult(
+            sharded_soak_spec().with_(shards=2),
+            [
+                outcome(1, {"write": 4}, {"write": 3}, ("r1",), 50, 30),
+                outcome(0, {"write": 2, "read": 5}, {"read": 5}, (), 70, 40),
+            ],
+            worker_processes=2,
+        )
+        assert [o.index for o in result.outcomes] == [0, 1]
+        assert result.n_shards == 2
+        assert result.op_kinds() == ("read", "write")
+        assert (result.ops_begun(), result.ops_begun("write")) == (11, 6)
+        assert (result.ops_completed(), result.ops_completed("write")) == (
+            8, 3
+        )
+        assert result.ops_completed("cas") == 0
+        assert (result.events_processed, result.messages) == (120, 70)
+        assert result.blocked == ("shard1:r1",)
+
     def test_soak_row_shape_and_extras(self):
         spec = sharded_soak_spec().with_(shards=4)
         result = run(spec)
