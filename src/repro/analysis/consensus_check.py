@@ -12,13 +12,13 @@ produced by the consensus protocols of :mod:`repro.scenarios`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.records import record
 from repro.sim.trace import OperationRecord
 
 
-@dataclass
+@record
 class ConsensusReport:
     """Outcome of checking one consensus execution."""
 

@@ -20,14 +20,14 @@ replaced is the reference of ``tests/analysis/test_streaming.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.analysis.streaming import LatencyAccumulator
+from repro.records import record
 from repro.sim.trace import OperationRecord
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LatencySummary:
     """Aggregated latency numbers for one operation kind.
 

@@ -48,7 +48,7 @@ from __future__ import annotations
 import random
 import zlib
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import field
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
@@ -56,6 +56,7 @@ from operator import itemgetter
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.errors import CheckerError
+from repro.records import record
 from repro.storage.history import BOTTOM
 
 #: Default bounded-sample size of the quantile reservoir.  Runs with at
@@ -315,7 +316,7 @@ class LatencyAccumulator:
 
 # -- the windowed online checker ----------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OnlineViolation:
     """One safety violation caught by the windowed checker."""
 
@@ -327,7 +328,7 @@ class OnlineViolation:
         return f"[{self.rule}] key={self.key!r}: {self.description}"
 
 
-@dataclass
+@record
 class OnlineReport:
     """The register checker's verdict for one execution, streamed or
     replayed (:func:`check_history`).
@@ -375,7 +376,7 @@ class OnlineReport:
         }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OnlineRefusal:
     """A structured reason why a run carries no online verdict.
 

@@ -8,17 +8,15 @@ best case, per the paper's model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, FrozenSet, Hashable, Optional, Tuple
 
 from repro.crypto.signatures import Signed
-from repro.sim.wire import wire_payload
+from repro.records import record
 
 QuorumId = FrozenSet[Hashable]
 
 
-@wire_payload
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Prepare:
     """``prepare⟨v, view, vProof, Q⟩`` (Figure 15 line 9)."""
 
@@ -28,8 +26,7 @@ class Prepare:
     quorum: Optional[QuorumId]              # the quorum vProof came from
 
 
-@wire_payload
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Update:
     """``update_step⟨v, view, Q⟩`` (Figure 15 lines 33/38).
 
@@ -49,8 +46,7 @@ def update_statement(step: int, value: Any, view: int) -> Tuple:
     return ("update", step, value, view)
 
 
-@wire_payload
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class NewView:
     """``new_view⟨view, viewProof⟩`` (Figure 15 line 2)."""
 
@@ -58,8 +54,7 @@ class NewView:
     view_proof: Optional[Tuple[Signed, ...]]  # signed view_change messages
 
 
-@wire_payload
-@dataclass(frozen=True, slots=True, eq=False)
+@record(frozen=True, slots=True, eq=False)
 class AckData:
     """The unsigned body of a ``new_view_ack`` (Figure 15 line 28).
 
@@ -102,8 +97,7 @@ class AckData:
         )
 
 
-@wire_payload
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class NewViewAck:
     """A signed ``new_view_ack``: the body plus the acceptor signature."""
 
@@ -111,8 +105,7 @@ class NewViewAck:
     signature: Signed
 
 
-@wire_payload
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class SignReq:
     """``sign_req⟨v, w, step⟩`` (Figure 15 line 24)."""
 
@@ -121,16 +114,14 @@ class SignReq:
     step: int
 
 
-@wire_payload
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class SignAck:
     """``sign_ack⟨m⟩σ`` (Figure 15 line 29): a signed update statement."""
 
     signature: Signed
 
 
-@wire_payload
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ViewChange:
     """``view_change⟨nextView⟩σ`` (Figure 14 line 4)."""
 
@@ -138,21 +129,18 @@ class ViewChange:
     signature: Signed
 
 
-@wire_payload
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Decision:
     """``decision⟨v⟩`` (Figure 14 line 7 / Figure 15 line 40)."""
 
     value: Any
 
 
-@wire_payload
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class DecisionPull:
     """``⟨decision_pull⟩`` (Figure 15 line 103)."""
 
 
-@wire_payload
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class Sync:
     """``sync`` (Figure 15 line 102): arms acceptor suspect timers."""

@@ -11,34 +11,34 @@ row of experiment E12.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Set, Tuple
 
+from repro.records import record
 from repro.sim.conditions import AckSet, ConditionMap
 from repro.sim.process import Process
 from repro.sim.tasks import WaitUntil
 from repro.sim.trace import Trace
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PaxPrepare:
     ballot: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PaxPromise:
     ballot: int
     accepted_ballot: int
     accepted_value: Any
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PaxAccept:
     ballot: int
     value: Any
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PaxAccepted:
     ballot: int
     value: Any

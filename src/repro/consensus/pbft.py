@@ -16,37 +16,37 @@ fault-free fast path of E12).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional, Set, Tuple
 
+from repro.records import record
 from repro.sim.process import Process
 from repro.sim.trace import Trace
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Request:
     value: Any
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PrePrepare:
     view: int
     value: Any
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BftPrepare:
     view: int
     value: Any
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Commit:
     view: int
     value: Any
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Committed:
     view: int
     value: Any

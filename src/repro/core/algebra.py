@@ -40,7 +40,6 @@ validated by the ordinary RQS property checks on construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (
     Dict,
@@ -63,6 +62,7 @@ from repro.core.strategy import (
     uniform_strategy,
 )
 from repro.errors import PropertyViolation, QuorumSystemError
+from repro.records import record
 
 Subset = FrozenSet[Hashable]
 Family = Tuple[Subset, ...]
@@ -138,7 +138,7 @@ def _check_operands(operands: Sequence[Expr], kind: str) -> None:
             )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Node(Expr):
     """A named server with read/write capacities (ops per time unit)."""
 
@@ -171,7 +171,7 @@ class Node(Expr):
     __add__ = Expr.__add__
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Choose(Expr):
     """Any ``k`` of the operands (``1 ≤ k ≤ n``)."""
 
@@ -212,7 +212,7 @@ class Choose(Expr):
         return f"choose({self.k}, [{inner}])"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class And(Expr):
     """Every operand must be covered (``a * b``)."""
 
@@ -241,7 +241,7 @@ class And(Expr):
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Or(Expr):
     """Any one operand suffices (``a + b``)."""
 
@@ -326,7 +326,7 @@ class CapacitatedRqs(RefinedQuorumSystem):
         self.write_capacity = dict(write_capacity or {})
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuorumSystem:
     """A planning-level quorum system defined by expressions.
 

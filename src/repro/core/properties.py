@@ -21,16 +21,16 @@ Notation follows Definition 2 of the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, Iterable, Optional, Sequence, Tuple
 
 from repro.core.adversary import Adversary, as_subset
 from repro.errors import QuorumSystemError
+from repro.records import record
 
 Subset = FrozenSet[Hashable]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class P1Witness:
     """Two quorums whose intersection lies in the adversary structure."""
 
@@ -44,7 +44,7 @@ class P1Witness:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class P2Witness:
     """Class-1 quorums and a quorum whose triple intersection is not large."""
 
@@ -62,7 +62,7 @@ class P2Witness:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class P3Witness:
     """The negation witness used in the Theorem 3/6 proofs.
 

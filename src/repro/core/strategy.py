@@ -37,7 +37,7 @@ from __future__ import annotations
 import random
 import zlib
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import field
 from fractions import Fraction
 from typing import (
     Dict,
@@ -53,6 +53,7 @@ from typing import (
 
 from repro.core.properties import normalize_family
 from repro.errors import QuorumSystemError
+from repro.records import record
 
 Subset = FrozenSet[Hashable]
 Weights = Tuple[Tuple[Subset, Fraction], ...]
@@ -282,7 +283,7 @@ def _check_distribution(weights: Weights, label: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Strategy:
     """A validated access strategy: exact quorum distributions.
 

@@ -23,11 +23,12 @@ has accepted.  Each is derived once per run instead of once per receiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Set, Tuple
 
+from repro.records import record
 
-@dataclass(frozen=True)
+
+@record(frozen=True)
 class Signed:
     """A signed statement: ``content`` claimed to be signed by ``signer``."""
 

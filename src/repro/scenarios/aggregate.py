@@ -22,7 +22,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from pathlib import Path
 from typing import (
     Any,
@@ -38,6 +38,7 @@ from typing import (
 
 from repro.analysis.streaming import nearest_rank
 from repro.errors import ScenarioError
+from repro.records import record
 
 #: Column names a sweep axis may not use (they anchor the CSV layout).
 RESERVED_COLUMNS = ("index", "ok", "verdict", "error")
@@ -94,7 +95,7 @@ def summary_stats(values: Sequence[float]) -> Dict[str, float]:
 
 # -- one cell ------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CellResult:
     """The outcome of one grid cell.
 
@@ -142,7 +143,7 @@ class CellResult:
 
 # -- the aggregated table ------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SweepResult:
     """Every cell of one executed sweep, plus the grid's axis labels.
 
@@ -288,7 +289,7 @@ class SweepResult:
         return buffer.getvalue()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AxisValue:
     """An axis value with an explicit human-readable label.
 

@@ -17,15 +17,15 @@ place of the benign one; crashes become ``schedule_crash`` calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, FrozenSet, Hashable, List, Mapping, Tuple, Union
 
+from repro.records import record
 from repro.sim.network import Delay, Drop, Hold
 
 ProcessId = Hashable
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Crash:
     """Process ``process`` crashes at absolute simulated time ``at``.
 
@@ -44,7 +44,7 @@ ACCEPTOR = "acceptor"
 PROPOSER = "proposer"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ByzantineRole:
     """Run one process as a Byzantine one.
 
@@ -66,7 +66,7 @@ class ByzantineRole:
     role: str = SERVER
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Partition:
     """Hold every message crossing between two process groups.
 
@@ -94,7 +94,7 @@ class Partition:
 AsynchronyRule = Union[Hold, Drop, Delay]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PayloadIs:
     """A payload predicate matching one message type.
 
@@ -130,7 +130,7 @@ def crashes(schedule: Mapping[ProcessId, float]) -> Tuple[Crash, ...]:
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FaultPlan:
     """Everything the adversary does in one execution."""
 

@@ -61,7 +61,6 @@ multiprocessing ``run_grid`` worker is not daemonic and forks them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Tuple)
 
@@ -72,6 +71,7 @@ from repro.analysis.streaming import (
     OnlineReport,
 )
 from repro.errors import ScenarioError
+from repro.records import record
 from repro.scenarios.registry import get_protocol
 from repro.scenarios.result import ResultSurface
 from repro.scenarios.spec import ScenarioSpec
@@ -105,7 +105,7 @@ def shard_spec(spec: ScenarioSpec, index: int) -> ScenarioSpec:
     )
 
 
-@dataclass
+@record
 class ShardOutcome:
     """Everything one shard's worker sends home — the full streaming
     surface of its :class:`RunResult`, flattened to plain picklable
@@ -261,17 +261,23 @@ class ShardedRunResult(ResultSurface):
     streamed = True
 
     def __init__(self, spec: ScenarioSpec, outcomes: List[ShardOutcome],
-                 worker_processes: int):
+                 worker_processes: int, started: Optional[float] = None):
         self.spec = spec
         self.outcomes = sorted(outcomes, key=lambda o: o.index)
         self.n_shards = len(self.outcomes)
         #: Worker processes actually used (0 = the shards ran serially
         #: in-process, as a daemonic caller cannot fork).
         self.worker_processes = worker_processes
-        #: Parent wall seconds for the whole sharded execute phase.
-        self.execute_seconds: Optional[float] = None
         self._online, self._online_refusal = _merge_online(self.outcomes)
         self._accumulators = _merge_accumulators(self.outcomes)
+        #: Parent wall seconds for the whole sharded execute phase —
+        #: fork, shards, IPC and this merge — since ``started``
+        #: (``run_sharded``'s ``perf_counter``); a fleet merged from
+        #: outcomes alone reads its slowest shard's.
+        self.execute_seconds: float = (
+            max((o.execute_seconds for o in self.outcomes), default=0.0)
+            if started is None else time.perf_counter() - started
+        )
 
     # -- streaming surface (mirrors RunResult) --------------------------------
 
@@ -409,6 +415,6 @@ def run_sharded(spec: ScenarioSpec) -> ShardedRunResult:
         f"before reporting its outcome; nothing is merged",
         initializer=_shard_initialize, initargs=(spec,),
     )
-    result = ShardedRunResult(spec, outcomes, worker_processes=workers)
-    result.execute_seconds = time.perf_counter() - start
-    return result
+    return ShardedRunResult(
+        spec, outcomes, worker_processes=workers, started=start
+    )

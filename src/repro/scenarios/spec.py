@@ -11,7 +11,7 @@ checked :class:`~repro.scenarios.result.RunResult`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import lru_cache
 from importlib import import_module
 from types import MappingProxyType
@@ -20,6 +20,7 @@ from typing import (
 )
 
 from repro.errors import ScenarioError, SimulationError
+from repro.records import record
 from repro.scenarios.faults import FaultPlan
 from repro.scenarios.registry import get_protocol
 from repro.scenarios.workloads import RandomMix, Workload, WorkloadOp
@@ -175,7 +176,7 @@ def _construct(spec: str) -> RefinedQuorumSystem:
 
 # -- the spec itself -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScenarioSpec:
     """A complete declarative description of one execution.
 
@@ -275,8 +276,9 @@ class ScenarioSpec:
         :class:`~repro.scenarios.sharding.ShardedRunResult`.  Requires
         a storage protocol, a single-``RandomMix`` workload at
         ``TraceLevel.METRICS``, and ``n_keys >= shards``.  Such a spec
-        imports the process-pool stack (``concurrent.futures.process``)
-        when it is built; no other spec loads it.
+        imports the process-pool stack (``concurrent.futures.process``,
+        and the ``multiprocessing.popen_fork`` / ``.synchronize`` its
+        first fork needs) when it is built; no other spec loads it.
     """
 
     protocol: str
@@ -369,7 +371,10 @@ class ScenarioSpec:
                     f"{self.shards} shards (each shard needs an op budget "
                     f">= 1)"
                 )
+            # The pool stack, and what its first fork imports.
             import concurrent.futures.process  # noqa: F401
+            import multiprocessing.popen_fork  # noqa: F401
+            import multiprocessing.synchronize  # noqa: F401
         object.__setattr__(
             self, "params", MappingProxyType(dict(self.params))
         )

@@ -55,10 +55,11 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ScenarioError
+from repro.records import record
 from repro.scenarios.aggregate import (
     RESERVED_COLUMNS,
     AxisValue,
@@ -90,7 +91,7 @@ def axis_value(value: Any) -> Any:
 
 # -- the grid ------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Cell:
     """One expanded grid point: raw values plus portable labels."""
 
@@ -99,7 +100,7 @@ class Cell:
     labels: Mapping[str, str]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SweepSpec:
     """A declarative grid of scenarios (or analytic evaluations).
 

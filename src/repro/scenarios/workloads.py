@@ -45,12 +45,12 @@ from __future__ import annotations
 import random
 import zlib
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Any, Hashable, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import ScenarioError
+from repro.records import record
 from repro.storage.history import DEFAULT_KEY
 
 #: Valid ``RandomMix.distribution`` names.
@@ -126,7 +126,7 @@ def shard_assignment(
     return tuple(table)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Write:
     """Writer ``writer`` writes ``value`` to register ``key``, starting
     no earlier than ``at``."""
@@ -137,7 +137,7 @@ class Write:
     writer: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Read:
     """Reader ``reader`` reads register ``key``, starting no earlier
     than ``at``."""
@@ -147,7 +147,7 @@ class Read:
     key: Hashable = DEFAULT_KEY
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Propose:
     """Proposer ``proposer`` proposes ``value`` at time ``at``."""
 
@@ -156,7 +156,7 @@ class Propose:
     proposer: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Resync:
     """Proposer ``proposer`` re-sends Sync/DecisionPull at time ``at``."""
 
@@ -164,7 +164,7 @@ class Resync:
     proposer: int = 0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RandomMix:
     """``writes`` writes and ``reads`` reads at seeded-random times in
     ``[start, start + horizon)``; write values are sequential integers,

@@ -79,13 +79,13 @@ from __future__ import annotations
 
 import enum
 from heapq import heappush
-from dataclasses import dataclass
 from typing import (
     Any, Callable, ClassVar, Collection, Dict, Hashable, List, Optional,
     Sequence, Tuple, Union,
 )
 
 from repro.errors import SimulationError
+from repro.records import record
 from repro.sim.simulator import Block, Simulator
 
 ProcessId = Hashable
@@ -125,7 +125,7 @@ class TraceLevel(enum.IntEnum):
         )
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class Message:
     """A message in flight (or delivered, or held)."""
 
@@ -171,7 +171,7 @@ class _Channels:
                 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Hold(_Channels):
     """Keep matching messages in transit forever (asynchrony device)."""
 
@@ -185,7 +185,7 @@ class Hold(_Channels):
     label: str = ""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Drop(_Channels):
     """Lose matching messages (the consensus model's lossy channels)."""
 
@@ -199,7 +199,7 @@ class Drop(_Channels):
     label: str = ""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Delay(_Channels):
     """Deliver matching messages after a fixed ``delay`` instead of Δ.
 

@@ -23,15 +23,15 @@ here: an ``on_complete`` subscriber sees each wave whole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple,
 )
 
 from repro.errors import SimulationError
+from repro.records import record
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class OperationRecord:
     """A single high-level operation (read / write / propose / learn)."""
 

@@ -49,7 +49,6 @@ row they came from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
 from typing import (
@@ -57,11 +56,11 @@ from typing import (
     Tuple,
 )
 
+from repro.records import record
 from repro.sim.conditions import AckSet, ConditionMap
 from repro.sim.process import Process
 from repro.sim.tasks import WaitUntil
 from repro.sim.trace import Trace
-from repro.sim.wire import wire_payload
 from repro.storage.batching import (
     BatchAck,
     BatchAcks,
@@ -81,8 +80,7 @@ SlotPairs = Tuple[Pair, ...]
 
 # -- wire vocabulary ----------------------------------------------------------
 
-@wire_payload
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class SlotWrite:
     """Store ``⟨ts, value⟩`` in ``slot`` of register ``key`` (under the
     ``ts >`` rule)."""
@@ -93,23 +91,20 @@ class SlotWrite:
     key: Hashable = DEFAULT_KEY
 
 
-@wire_payload
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class SlotWriteAck:
     ts: int
     slot: str
     key: Hashable = DEFAULT_KEY
 
 
-@wire_payload
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class SlotRead:
     read_no: int
     key: Hashable = DEFAULT_KEY
 
 
-@wire_payload
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class SlotReadAck:
     read_no: int
     pairs: SlotPairs
@@ -163,7 +158,7 @@ class WriteRound(NamedTuple):
     early_exit: bool = False
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RegisterProtocol:
     """One count-quorum register algorithm, as data."""
 

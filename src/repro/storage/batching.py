@@ -50,11 +50,10 @@ interprets the payloads its own way:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, FrozenSet, Hashable, Tuple
 
+from repro.records import record
 from repro.sim.conditions import AckSet, ConditionMap
-from repro.sim.wire import wire_payload
 
 __all__ = [
     "WriteBatch",
@@ -66,8 +65,7 @@ __all__ = [
 ]
 
 
-@wire_payload
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class WriteBatch:
     """Up to ``batch_size`` write applications in one message.
 
@@ -87,8 +85,7 @@ class WriteBatch:
     sets: FrozenSet
 
 
-@wire_payload
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class BatchAck:
     """One server's acknowledgement of a whole :class:`WriteBatch`."""
 
@@ -96,8 +93,7 @@ class BatchAck:
     rnd: int
 
 
-@wire_payload
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ReadBatch:
     """One collect round-trip covering ``keys`` (in batch order).
 
@@ -110,8 +106,7 @@ class ReadBatch:
     keys: Tuple[Hashable, ...]
 
 
-@wire_payload
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class ReadBatchAck:
     """Per-key replies, positionally aligned with the batch's keys."""
 

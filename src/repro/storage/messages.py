@@ -16,17 +16,15 @@ the historical single-register protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, FrozenSet, Hashable
 
-from repro.sim.wire import wire_payload
+from repro.records import record
 from repro.storage.history import DEFAULT_KEY, HistoryView
 
 QuorumId = FrozenSet[Hashable]
 
 
-@wire_payload
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class WR:
     """``wr⟨ts, v, QC'2, rnd⟩`` — write round ``rnd`` (Figure 5, line 10)."""
 
@@ -37,8 +35,7 @@ class WR:
     key: Hashable = DEFAULT_KEY
 
 
-@wire_payload
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class WrAck:
     """``wr_ack⟨ts, rnd⟩`` (Figure 6, line 7)."""
 
@@ -47,8 +44,7 @@ class WrAck:
     key: Hashable = DEFAULT_KEY
 
 
-@wire_payload
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class RD:
     """``rd⟨read_no, rnd⟩`` (Figure 7, line 25).
 
@@ -62,8 +58,7 @@ class RD:
     key: Hashable = DEFAULT_KEY
 
 
-@wire_payload
-@dataclass(frozen=True, slots=True)
+@record(frozen=True, slots=True)
 class RdAck:
     """``rd_ack⟨read_no, rnd, history⟩`` (Figure 6, line 9).
 

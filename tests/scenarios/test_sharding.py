@@ -513,7 +513,6 @@ class TestMergeOnline:
         result = ShardedRunResult(spec, [good, bad], worker_processes=0)
         assert result.online is None
         assert result.online_refusal.reason == "shard-refused"
-        result.execute_seconds = 1.0  # run_sharded's stamp; rates use it
         row = soak_row(result)
         assert (row["verdict"], row["atomic"]) == ("unchecked", False)
 
@@ -581,6 +580,28 @@ class TestShardedResultSurface:
         assert result.ops_completed("cas") == 0
         assert (result.events_processed, result.messages) == (120, 70)
         assert result.blocked == ("shard1:r1",)
+
+    def test_a_fleet_merged_from_outcomes_has_a_soak_row(self):
+        """Without ``run_sharded``'s clock a fleet reads its slowest
+        shard's execute seconds, so the row's rates are defined; with
+        it, the seconds since the clock started, the merge included."""
+        spec = sharded_soak_spec().with_(shards=2)
+        outcomes = [_run_shard(spec, index) for index in range(2)]
+        result = ShardedRunResult(spec, outcomes, worker_processes=0)
+        slowest = max(o.execute_seconds for o in outcomes)
+        assert result.execute_seconds == slowest > 0
+        row = soak_row(result)
+        assert row["verdict"] == "atomic"
+        assert row["host"]["execute_seconds"] == round(slowest, 4)
+        assert row["host"]["ops_per_sec"] == round(
+            result.ops_completed() / slowest, 1
+        )
+        clocked = ShardedRunResult(
+            spec, outcomes, worker_processes=0,
+            started=time.perf_counter() - 2.0,
+        )
+        assert clocked.execute_seconds >= 2.0
+        assert soak_row(clocked)["host"]["execute_seconds"] >= 2.0
 
     def test_soak_row_shape_and_extras(self):
         spec = sharded_soak_spec().with_(shards=4)

@@ -41,7 +41,8 @@ POOL = (
 )
 
 #: What the probe reports: ``repro``'s modules, :data:`POOL`, and the
-#: CSV writer that only ``SweepResult.to_csv`` imports.
+#: CSV writer that only ``SweepResult.to_csv`` imports — each name with
+#: its submodules (``multiprocessing.popen_fork`` is a pool module).
 PROBED = POOL + ("csv",)
 
 _PROBE = """
@@ -49,7 +50,8 @@ import json, sys
 
 def loaded():
     return {m for m in sys.modules
-            if m == "repro" or m.startswith("repro.") or m in %r}
+            if any(m == family or m.startswith(family + ".")
+                   for family in ("repro",) + %r)}
 
 %s
 built = loaded()
@@ -60,8 +62,9 @@ print(json.dumps([sorted(built), sorted(loaded() - built)]))
 
 def imports(build: str, use: str = ""):
     """``(modules after build, modules use imported on top)`` — the
-    :data:`PROBED` modules a fresh interpreter holds after
-    running ``build``, and the ones running ``use`` afterwards added."""
+    :data:`PROBED` modules (and their submodules) a fresh interpreter
+    holds after running ``build``, and the ones running ``use``
+    afterwards added."""
     code = _PROBE % (PROBED, textwrap.dedent(build), textwrap.dedent(use))
     out = subprocess.run(
         [sys.executable, "-c", code],
@@ -135,7 +138,9 @@ def test_an_rqs_storage_soak_imports_no_consensus_and_no_abd():
 def test_a_sharded_spec_loads_the_pool_where_it_is_built():
     built, added = imports(soak("abd", changes={"shards": 2}), RUN_SOAK)
     assert added == set(), "a timed sharded run imported a module"
-    assert set(POOL) <= built
+    assert set(POOL) | {
+        "multiprocessing.popen_fork", "multiprocessing.synchronize",
+    } <= built
 
 
 def test_a_quorum_strategy_loads_its_solver_where_the_spec_is_built():

@@ -30,12 +30,16 @@ payload — every handler is ``on_message(self, src, payload)`` — and a
 wake pass visits only the signalled waiters (no park-order list to
 sweep).
 
-A wire payload — every frozen dataclass under ``storage/`` and every
-dataclass in ``consensus/messages.py`` — is built the way one message is
-(docs/architecture.md, "Wire payloads"): ``@wire_payload`` on top of
-``@dataclass(frozen=True, slots=True)``, and otherwise the dataclass's
-own — frozen, with the ``==``, ``hash``, ``repr``, ``fields``,
-``replace`` and pickling of a plain frozen twin.
+A record class is built one way (docs/architecture.md, "Record
+classes"): nothing under ``src/repro`` but the builder,
+``repro.records``, calls the stdlib's ``dataclass`` or
+``make_dataclass``.  Each record is held to a stdlib ``@dataclass`` twin
+compiled from its own source with the same flags — signature, defaults
+and factories, ``==``, ``hash``, ``repr``, ``__doc__``,
+``FrozenInstanceError``, ``fields``, ``replace``, ``__match_args__``,
+``__post_init__`` and a pickle round trip — five seeded builder mutants
+die of that differential, and importing every record module runs one
+``exec`` per record class and none in ``dataclasses``.
 
 A register history has one checker (docs/architecture.md, "Streaming
 pipeline & online checking"): the stamp-ordered ``OnlineChecker``,
@@ -74,17 +78,27 @@ checker's rules are fed only by its one ``on_begin`` / ``on_complete``
 pair — no single-record method beside them.
 """
 
+import __future__
 import ast
+import contextlib
 import dataclasses
 import importlib
 import inspect
+import json
+import os
 import pickle
 import re
+import subprocess
+import sys
+import textwrap
+import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from repro.sim.wire import wire_payload
+from repro.records import record
+from tests.differential import agree, assert_killed, each_mutant
 
 ROOT = Path(__file__).resolve().parent.parent
 WIRING = re.compile(r"\b(?:Simulator|Network)\(")
@@ -97,10 +111,11 @@ BENCHMARK_PLUGIN = re.compile(
     r"pytest[-_]benchmark|def \w+\([^)]*\bbenchmark\b"
 )
 SEND_LOOP = re.compile(r"^ *for .* in .*:\s*\n *self\.send\(", re.MULTILINE)
-DATACLASS = re.compile(r"^((?:@.*\n)*)@dataclass\((.*)\)\nclass (\w+)", re.MULTILINE)
-PAYLOAD_FILES = sorted(
-    [*(ROOT / "src/repro/storage").glob("*.py"),
-     ROOT / "src/repro/consensus/messages.py"]
+RECORD = re.compile(r"^@record\b.*\nclass (\w+)", re.MULTILINE)
+STDLIB_DATACLASS = re.compile(
+    r"\bmake_dataclass\b|\bdataclasses\.dataclass\b"
+    r"|^from dataclasses import .*\bdataclass\b|^\s*@dataclass\b",
+    re.MULTILINE,
 )
 EVERYWHERE = ("src/repro", "benchmarks", "examples")
 ORACLE_USE = re.compile(
@@ -207,7 +222,8 @@ def test_an_exhibit_is_its_grid(path):
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
     }
-    assert "dataclasses" not in imported  # no dataclass can be declared
+    # no record can be declared
+    assert imported.isdisjoint({"dataclasses", "repro.records"})
     expected = ["collect"] if path.name == "capacity.py" else []
     assert _grid_runs(tree) == expected
 
@@ -302,109 +318,349 @@ def test_a_fan_out_is_a_send_all():
     assert len(SEND_LOOP.findall(proposer)) == 1
 
 
-def _payload_classes():
-    """``(module, class name, decorators above @dataclass, its
-    arguments)`` of every wire payload class."""
-    found = []
-    for path in PAYLOAD_FILES:
-        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
-        for above, args, name in DATACLASS.findall(path.read_text()):
-            if "frozen=True" in args and (
-                "slots=True" in args or path.name == "messages.py"
-            ):
-                found.append((module, name, above, args))
-    return found
+def _record_classes():
+    """``(module, class name)`` of every class ``@record`` builds under
+    ``src/repro``."""
+    return [
+        (".".join(path.relative_to(ROOT / "src").with_suffix("").parts), name)
+        for path in sorted((ROOT / "src/repro").rglob("*.py"))
+        for name in RECORD.findall(path.read_text(encoding="utf-8"))
+    ]
 
 
-PAYLOADS = [
+RECORDS = [
     getattr(importlib.import_module(module), name)
-    for module, name, _, _ in _payload_classes()
+    for module, name in _record_classes()
 ]
 
 
-def test_every_wire_payload_is_built_by_its_slots():
-    found = _payload_classes()
-    assert len(found) == 23
-    for module, name, above, args in found:
-        assert above == "@wire_payload\n", f"{module}.{name}"
-        assert "slots=True" in args, f"{module}.{name}"
-    consensus = (ROOT / "src/repro/consensus/messages.py").read_text()
-    assert consensus.count("@dataclass(") == 11
+def test_every_record_class_is_built_by_the_one_builder():
+    assert _sites(STDLIB_DATACLASS, "src/repro") == ["src/repro/records.py"]
+    assert len(RECORDS) >= 70
+    modules = {importlib.import_module(cls.__module__) for cls in RECORDS}
+    assert {
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__module__ == module.__name__
+        and "__dataclass_fields__" in vars(value)
+    } == set(RECORDS)
 
 
-def _twin(cls):
-    """A plain frozen dataclass with ``cls``'s fields, name and
-    parameters."""
-    params = cls.__dataclass_params__
-    twin = dataclasses.make_dataclass(
-        cls.__name__,
-        [(f.name, f.type, dataclasses.field(default=f.default))
-         for f in dataclasses.fields(cls)],
-        frozen=True, slots=True, eq=params.eq,
-    )
-    twin.__qualname__ = cls.__qualname__
-    return twin
-
-
-@pytest.mark.parametrize("cls", PAYLOADS, ids=lambda cls: cls.__name__)
-def test_a_wire_payload_is_its_frozen_dataclass(cls):
-    twin = _twin(cls)
-    names = [f.name for f in dataclasses.fields(cls)]
-    values = [(cls.__name__, name) for name in names]
-    payload, plain = cls(*values), twin(*values)
-    assert "__setattr__" not in cls.__init__.__code__.co_names
-    assert repr(payload) == repr(plain)
-    assert [(f.name, f.default) for f in dataclasses.fields(payload)] == [
-        (f.name, f.default) for f in dataclasses.fields(plain)
-    ]
-    assert (payload == cls(*values)) == (plain == twin(*values))
-    if cls.__dataclass_params__.eq:
-        assert hash(payload) == hash(plain)
-    else:
-        assert type(payload).__hash__ is type(plain).__hash__ is object.__hash__
-    for name in names:
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(payload, name, None)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(payload, name)
-    if names:
-        changed = {names[0]: "changed"}
-        assert repr(dataclasses.replace(payload, **changed)) == repr(
-            dataclasses.replace(plain, **changed)
+def test_a_record_stores_its_fields_by_its_kind():
+    """A frozen slotted payload stores through its slots' descriptors,
+    another frozen record through ``object.__setattr__``, a mutable one
+    by plain assignment (descriptor stores would triple
+    ``OperationRecord``'s constructor)."""
+    for cls in RECORDS:
+        init = cls.__init__.__code__
+        if init.co_filename != "<string>" or not dataclasses.fields(cls):
+            continue  # the class wrote its own, or stores nothing
+        params, names = cls.__dataclass_params__, set(init.co_names)
+        through = (
+            "descriptor" if any(n.startswith("_set_") for n in names)
+            else "object.__setattr__" if "_object_setattr" in names
+            else "assignment"
         )
-        assert repr(cls(**dict(zip(names, values)))) == repr(plain)
-    copy = pickle.loads(pickle.dumps(payload))
-    assert type(copy) is cls and repr(copy) == repr(payload)
-    assert copy.__getstate__() == plain.__getstate__()
+        assert through == (
+            "assignment" if not params.frozen
+            else "descriptor" if "__slots__" in vars(cls)
+            else "object.__setattr__"
+        ), cls.__qualname__
 
 
-def _dataclass(**params):
-    def build(body):
-        return dataclasses.dataclass(frozen=True, slots=True, **params)(body)
+def _twin(cls, decorator=dataclasses.dataclass):
+    """``cls`` built again from its own source with ``decorator`` in
+    place of ``record``: the stdlib ``@dataclass`` with the same flags
+    and body, or a builder under test."""
+    source = textwrap.dedent(inspect.getsource(cls))
+    namespace = {**vars(sys.modules[cls.__module__]), "record": decorator}
+    exec(compile(
+        source, inspect.getsourcefile(cls), "exec",
+        flags=__future__.annotations.compiler_flag, dont_inherit=True,
+    ), namespace)
+    return namespace[cls.__name__]
 
-    return build
+
+def _evaluate(point):
+    return {"n": point["n"]}
 
 
-@pytest.mark.parametrize("build, why", [
-    (lambda: _dataclass()(type("Hook", (), {
-        "__annotations__": {"x": int},
-        "__post_init__": lambda self: None,
-    })), "__post_init__"),
-    (lambda: _dataclass()(type("Factory", (), {
-        "__annotations__": {"x": list},
-        "x": dataclasses.field(default_factory=list),
-    })), "default_factory"),
-    (lambda: _dataclass()(type("Hidden", (), {
-        "__annotations__": {"x": int},
-        "x": dataclasses.field(default=0, init=False),
-    })), "not a positional"),
-    (lambda: dataclasses.dataclass(frozen=True)(type("NoSlots", (), {
-        "__annotations__": {"x": int},
-    })), "frozen=True, slots=True"),
-])
-def test_wire_payload_refuses_what_would_diverge(build, why):
-    with pytest.raises(TypeError, match=re.escape(why)):
-        wire_payload(build())
+def _example(cls):
+    """``(call, call with defaults, replace changes)`` for ``cls``: a
+    call is ``(args, kwargs)``.  Without an entry in :data:`EXAMPLES`,
+    every field gets a tuple naming it, and the last one is replaced."""
+    if cls.__qualname__ in EXAMPLES:
+        return EXAMPLES[cls.__qualname__]()
+    own = [f for f in dataclasses.fields(cls) if f.init]
+    given = {f.name: (cls.__qualname__, f.name) for f in own}
+    required = {
+        name: value for name, value in given.items()
+        if cls.__dataclass_fields__[name].default is dataclasses.MISSING
+        and cls.__dataclass_fields__[name].default_factory
+        is dataclasses.MISSING
+    }
+    changes = {own[-1].name: ("changed",)} if own else {}
+    return ((), given), ((), required), changes
+
+
+def _algebra():
+    from repro.core.algebra import Node
+
+    return Node("a"), Node("b", 2, 3), Node("c")
+
+
+def _weights(*quorums):
+    share = Fraction(1, len(quorums))
+    return tuple((frozenset(q), share) for q in quorums)
+
+
+#: Records whose ``__post_init__`` or own ``__init__`` refuses a tuple
+#: of names: a call that builds one.
+EXAMPLES = {
+    "Delay": lambda: (
+        ((), {"delay": 2.5, "src": ("writer",), "label": "slow"}),
+        ((), {"delay": 0}), {"delay": 1.0},
+    ),
+    "RandomMix": lambda: (
+        ((), {"writes": 3, "reads": 4, "horizon": 10.0,
+              "distribution": "zipfian", "batch_size": 2}),
+        ((), {"writes": 1, "reads": 1, "horizon": 1.0}), {"skew": 2.0},
+    ),
+    "ScenarioSpec": lambda: (
+        ((), {"protocol": "abd", "workload": [("op",)], "seed": 3,
+              "params": {"n": 3}}),
+        ((), {"protocol": "abd"}), {"seed": 7},
+    ),
+    "SweepSpec": lambda: (
+        ((), {"name": "grid", "axes": {"n": [1, 2]}, "evaluate": _evaluate}),
+        ((), {"name": "grid", "axes": [("n", [1])]}), {"name": "other"},
+    ),
+    "SweepResult": lambda: (
+        ((), {"name": "grid", "axes": [("n", ["1", "2"])], "cells": [],
+              "metadata": {"k": 1}}),
+        ((), {"name": "grid", "axes": (), "cells": ()}), {"name": "other"},
+    ),
+    "Strategy": lambda: (
+        ((), {"read_weights": _weights("ab", "bc"),
+              "write_weights": _weights("abc"), "read_fraction": 0.25}),
+        ((), {"read_weights": _weights("a"), "write_weights": _weights("a")}),
+        {"load": Fraction(1, 2)},
+    ),
+    "Node": lambda: (
+        ((), {"name": "a", "read_capacity": 2, "write_capacity": 3}),
+        ((), {"name": "a"}), {"write_capacity": 5},
+    ),
+    "Choose": lambda: (
+        ((2, *_algebra()), {}), ((1, _algebra()[0]), {}), {"k": 1},
+    ),
+    "And": lambda: (
+        (_algebra(), {}), (_algebra()[:1], {}),
+        {"operands": _algebra()[1:]},
+    ),
+    "Or": lambda: (
+        (_algebra(), {}), (_algebra()[:1], {}),
+        {"operands": _algebra()[1:]},
+    ),
+    "QuorumSystem": lambda: (
+        ((), {"reads": _algebra()[0] * _algebra()[2]}),
+        ((), {"writes": _algebra()[0]}), {"writes": None},
+    ),
+}
+
+
+def _outcome(call):
+    """What ``call()`` returned, or the error it raised."""
+    try:
+        return "returned", call()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+@contextlib.contextmanager
+def _published(cls):
+    """``cls`` under its own name in its module while pickle looks it
+    up there (a twin is not the module's class)."""
+    module = sys.modules[cls.__module__]
+    shipped = getattr(module, cls.__name__)
+    setattr(module, cls.__name__, cls)
+    try:
+        yield
+    finally:
+        setattr(module, cls.__name__, shipped)
+
+
+def _post_init_calls(side, call):
+    """How many times building ``call`` runs ``side.__post_init__``."""
+    if not hasattr(side, "__post_init__"):
+        return None
+    own, real, calls = vars(side).get("__post_init__"), side.__post_init__, []
+
+    def counted(self):
+        calls.append(self)
+        real(self)
+
+    side.__post_init__ = counted
+    try:
+        return _outcome(lambda: repr(side(*call[0], **call[1]))), len(calls)
+    finally:
+        if own is None:
+            del side.__post_init__
+        else:
+            side.__post_init__ = own
+
+
+#: What the differential compares, one observation a step.
+OBSERVATIONS = {
+    "signature": lambda side, make, call, changes: inspect.signature(side),
+    "doc": lambda side, make, call, changes: side.__doc__,
+    "match_args": lambda side, make, call, changes: side.__match_args__,
+    "params": lambda side, make, call, changes: repr(
+        side.__dataclass_params__
+    ),
+    "fields": lambda side, make, call, changes: [
+        (f.name, f.type, f.default, getattr(
+            f.default_factory, "__qualname__", f.default_factory
+        ), f.init, f.repr, f.hash, f.compare, f.kw_only)
+        for f in dataclasses.fields(side)
+    ],
+    "post_init": lambda side, make, call, changes: _post_init_calls(
+        side, call
+    ),
+    "repr": lambda side, make, call, changes: _outcome(lambda: repr(make())),
+    "defaults": lambda side, make, call, changes: _outcome(
+        lambda: repr(side(*call[0], **call[1]))
+    ),
+    "factories": lambda side, make, call, changes: _outcome(lambda: [
+        getattr(first, f.name) is getattr(second, f.name)
+        for first, second in [(side(*call[0], **call[1]),
+                               side(*call[0], **call[1]))]
+        for f in dataclasses.fields(side)
+        if f.default_factory is not dataclasses.MISSING
+    ]),
+    "eq": lambda side, make, call, changes: _outcome(lambda: [
+        (x == make(), x != make(), x == side(*call[0], **call[1]),
+         x == types.SimpleNamespace(**{
+             f.name: getattr(x, f.name) for f in dataclasses.fields(x)
+         }))
+        for x in [make()]
+    ]),
+    "hash": lambda side, make, call, changes: (
+        side.__hash__ if side.__hash__ in (None, object.__hash__)
+        else _outcome(lambda: hash(make()))
+    ),
+    "setattr": lambda side, make, call, changes: _outcome(lambda: [
+        ([_outcome(lambda: setattr(x, name, ("set",))) for name in names],
+         repr(x))
+        for x, names in [(make(), [f.name for f in dataclasses.fields(side)])]
+    ]),
+    "delattr": lambda side, make, call, changes: _outcome(lambda: [
+        _outcome(lambda: delattr(make(), f.name))
+        for f in dataclasses.fields(side)
+    ]),
+    "replace": lambda side, make, call, changes: _outcome(
+        lambda: repr(dataclasses.replace(make(), **changes))
+    ),
+    "pickle": lambda side, make, call, changes: _outcome(lambda: [
+        (repr(copy), copy == x, x.__getstate__() == copy.__getstate__())
+        for x in [make()]
+        for copy in [pickle.loads(pickle.dumps(x))]
+    ]),
+}
+
+
+def _differential(reference, subject, example):
+    """Hold ``subject`` to ``reference`` on every observation of
+    ``example`` (:func:`_example`'s triple)."""
+    (args, kwargs), defaults, changes = example
+
+    def observe(side, step):
+        with _published(side):
+            return OBSERVATIONS[step](
+                side, lambda: side(*args, **kwargs), defaults, changes
+            )
+
+    agree(reference, subject, list(OBSERVATIONS), observe)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+def test_a_record_is_its_stdlib_dataclass(cls):
+    _differential(_twin(cls), cls, _example(cls))
+
+
+#: Seeded builder mutants: ``(record it dies on, builder text, mutant
+#: text)``.
+MUTANTS = {
+    "a hash that drops the last field": (
+        "WR", "_tuple('self', keyed)", "_tuple('self', keyed[:-1])",
+    ),
+    "an __eq__ without the class check": (
+        "WR", '" if other.__class__ is self.__class__:"', '" if True:"',
+    ),
+    "an __init__ that skips __post_init__": (
+        "FaultPlan", 'body.append(" self.__post_init__()")', "pass",
+    ),
+    "an unguarded __delattr__": (
+        "WR", "cls.__delattr__ = _frozen_delattr", "pass",
+    ),
+    "a default_factory called once at class build": (
+        "OnlineReport",
+        'namespace[f"_factory_{f.name}"] = f.default_factory',
+        'namespace[f"_factory_{f.name}"] = '
+        "(lambda made: lambda: made)(f.default_factory())",
+    ),
+}
+
+
+def _mutant_builder(old, new):
+    """``record`` from a copy of the builder with ``old`` (which it
+    holds once) replaced by ``new``."""
+    source = (ROOT / "src/repro/records.py").read_text(encoding="utf-8")
+    assert source.count(old) == 1, old
+    module = types.ModuleType("repro.records")
+    exec(compile(source.replace(old, new), "records.py", "exec"),
+         module.__dict__)
+    return module.record
+
+
+@each_mutant(MUTANTS)
+def test_a_builder_mutant_dies_on_its_record(mutant):
+    name, old, new = MUTANTS[mutant]
+    (cls,) = [cls for cls in RECORDS if cls.__qualname__ == name]
+    example = _example(cls)
+
+    def rebuild(builder):
+        _differential(_twin(cls), _twin(cls, builder), example)
+
+    assert_killed(rebuild, record, _mutant_builder(old, new))
+
+
+def test_a_record_class_costs_one_exec():
+    """Importing every module that declares records runs one ``exec``
+    per record class, in the builder, and none in ``dataclasses``
+    (counted by a wrapped ``exec``; no clock)."""
+    modules = sorted({module for module, _ in _record_classes()})
+    probe = textwrap.dedent(f"""
+        import builtins, importlib, json, sys
+        calls, real = {{}}, builtins.exec
+
+        def counting(*args, **kwargs):
+            caller = sys._getframe(1).f_globals.get("__name__")
+            calls[caller] = calls.get(caller, 0) + 1
+            return real(*args, **kwargs)
+
+        builtins.exec = counting
+        for name in {modules!r}:
+            importlib.import_module(name)
+        print(json.dumps(calls))
+    """)
+    calls = json.loads(subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, check=True, text=True, timeout=120,
+    ).stdout)
+    assert calls.get("repro.records") == len(RECORDS)
+    assert "dataclasses" not in calls
 
 
 def test_the_cost_pins_share_one_profile_hook():
