@@ -16,14 +16,10 @@ Grammar (each connective is also available as operator sugar):
   capacities are operations per time unit and feed the strategy engine.
 * ``And(e1, e2, ...)`` / ``e1 * e2`` — every operand must be covered.
 * ``Or(e1, e2, ...)`` / ``e1 + e2`` — any one operand suffices.
-* ``Choose(k, e1, ..., en)`` — any ``k`` of the ``n`` operands
-  (``And = Choose(n)``, ``Or = Choose(1)``; ``majority(...)`` picks
-  ``⌊n/2⌋ + 1``).
 
 ``expr.quorums()`` materializes the *minimal* sets satisfying the
 expression (an antichain — supersets are dropped), and ``expr.dual()``
-gives the transversal-closed dual (``dual(And) = Or`` of duals,
-``dual(Choose(k of n)) = Choose(n − k + 1 of n)``), so
+gives the transversal-closed dual (``dual(And) = Or`` of duals), so
 ``QuorumSystem(reads=e)`` uses ``e.dual()`` for writes and every read
 quorum intersects every write quorum by construction.
 
@@ -31,15 +27,14 @@ The lift (:meth:`QuorumSystem.to_rqs`) produces a
 :class:`CapacitatedRqs` — a :class:`RefinedQuorumSystem` whose quorum
 family is the minimal antichain of read∪write unions, carrying the
 expression's capacity maps and the read/write split alongside.  Under
-the crash-only adversary ``B = {∅}`` (the default), Property P1 is
-exactly pairwise intersection, which holds by transversality; richer
-adversaries and expression-defined ``qc1``/``qc2`` classes are
-validated by the ordinary RQS property checks on construction.
+the crash-only adversary ``B = {∅}`` it lifts under, Property P1 is
+exactly pairwise intersection, which holds by transversality; the
+richest quorum classes the ordinary RQS property checks accept are
+chosen.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import (
     Dict,
@@ -172,47 +167,6 @@ class Node(Expr):
 
 
 @record(frozen=True)
-class Choose(Expr):
-    """Any ``k`` of the operands (``1 ≤ k ≤ n``)."""
-
-    k: int
-    operands: Tuple[Expr, ...]
-
-    def __init__(self, k: int, *operands: Expr):
-        # Accept both Choose(2, a, b, c) and Choose(k=2, operands=(...)).
-        if len(operands) == 1 and isinstance(operands[0], tuple):
-            operands = operands[0]
-        _check_operands(operands, "Choose")
-        if not 1 <= k <= len(operands):
-            raise QuorumSystemError(
-                f"Choose k={k} out of range for {len(operands)} operands"
-            )
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "operands", tuple(operands))
-
-    def quorums(self) -> Family:
-        picks = itertools.combinations(self.operands, self.k)
-        return _minimal_antichain(
-            q
-            for subset in picks
-            for q in _cross_union([op.quorums() for op in subset])
-        )
-
-    def dual(self) -> "Choose":
-        n = len(self.operands)
-        return Choose(
-            n - self.k + 1, *(op.dual() for op in self.operands)
-        )
-
-    def nodes(self) -> Tuple[Node, ...]:
-        return _merge_nodes(self.operands)
-
-    def __str__(self) -> str:
-        inner = ", ".join(str(op) for op in self.operands)
-        return f"choose({self.k}, [{inner}])"
-
-
-@record(frozen=True)
 class And(Expr):
     """Every operand must be covered (``a * b``)."""
 
@@ -268,17 +222,6 @@ class Or(Expr):
         return " + ".join(str(op) for op in self.operands)
 
 
-def choose(k: int, exprs: Iterable[Expr]) -> Choose:
-    """``Choose(k, ...)`` over an iterable of expressions."""
-    return Choose(k, *tuple(exprs))
-
-
-def majority(exprs: Iterable[Expr]) -> Choose:
-    """Any strict majority (``⌊n/2⌋ + 1``) of the expressions."""
-    exprs = tuple(exprs)
-    return Choose(len(exprs) // 2 + 1, *exprs)
-
-
 def _merge_nodes(operands: Iterable[Expr]) -> Tuple[Node, ...]:
     """All leaves, deduped by name; conflicting duplicates are an error."""
     by_name: Dict[Hashable, Node] = {}
@@ -313,13 +256,12 @@ class CapacitatedRqs(RefinedQuorumSystem):
         quorums: Iterable[Iterable[Hashable]],
         qc1: Iterable[Iterable[Hashable]] = (),
         qc2: Optional[Iterable[Iterable[Hashable]]] = None,
-        validate: bool = True,
         read_quorums: Iterable[Iterable[Hashable]] = (),
         write_quorums: Iterable[Iterable[Hashable]] = (),
         read_capacity: Optional[Mapping[Hashable, Fraction]] = None,
         write_capacity: Optional[Mapping[Hashable, Fraction]] = None,
     ):
-        super().__init__(adversary, quorums, qc1, qc2, validate)
+        super().__init__(adversary, quorums, qc1, qc2)
         self.read_quorums = normalize_family(read_quorums)
         self.write_quorums = normalize_family(write_quorums)
         self.read_capacity = dict(read_capacity or {})
@@ -406,26 +348,6 @@ class QuorumSystem:
             write_capacity=self.write_capacities(),
         )
 
-    def load(
-        self, read_fraction: Union[Fraction, float, str] = Fraction(1, 2)
-    ) -> Fraction:
-        return self.strategy(read_fraction).load
-
-    def capacity(
-        self, read_fraction: Union[Fraction, float, str] = Fraction(1, 2)
-    ) -> Fraction:
-        return self.strategy(read_fraction).capacity
-
-    def read_resilience(self) -> int:
-        """Max ``f`` such that every ``f``-subset leaves a read quorum."""
-        return _resilience(self.ground_set(), self.read_quorums())
-
-    def write_resilience(self) -> int:
-        return _resilience(self.ground_set(), self.write_quorums())
-
-    def resilience(self) -> int:
-        return min(self.read_resilience(), self.write_resilience())
-
     # -- the lift ------------------------------------------------------------
 
     def lifted_quorums(self) -> Family:
@@ -439,81 +361,28 @@ class QuorumSystem:
             for w in self.write_quorums()
         )
 
-    def to_rqs(
-        self,
-        adversary: Optional[Adversary] = None,
-        qc1: Union[None, Expr, Iterable[Iterable[Hashable]]] = None,
-        qc2: Union[None, Expr, Iterable[Iterable[Hashable]]] = None,
-        validate: bool = True,
-    ) -> CapacitatedRqs:
-        """Lift into a :class:`CapacitatedRqs`.
-
-        ``adversary`` defaults to the crash-only ``B = {∅}`` over the
-        expression's ground set.  ``qc1``/``qc2`` may be expressions or
-        explicit families and must be sub-families of the lifted
-        family; when omitted, the richest classes that validate are
-        chosen (all quorums class-1 if P2 holds, else all class-2 if
-        P3 holds, else all class-3).
-        """
-        if adversary is None:
-            adversary = ExplicitAdversary(self.ground_set())
+    def to_rqs(self) -> CapacitatedRqs:
+        """Lift into a :class:`CapacitatedRqs` under the crash-only
+        adversary ``B = {∅}`` over the expression's ground set, with
+        the richest classes that validate: all quorums class-1 if P2
+        holds, else all class-2 if P3 holds, else all class-3 (P1, all
+        class-3 needs, holds by transversality)."""
+        adversary = ExplicitAdversary(self.ground_set())
         family = self.lifted_quorums()
-
-        def as_family(spec) -> Family:
-            resolved = (
-                spec.quorums() if isinstance(spec, Expr)
-                else normalize_family(spec)
-            )
-            stray = [q for q in resolved if q not in family]
-            if stray:
-                raise QuorumSystemError(
-                    f"class family member {sorted(stray[0], key=repr)} "
-                    f"is not a lifted quorum"
-                )
-            return resolved
-
         kwargs = dict(
             read_quorums=self.read_quorums(),
             write_quorums=self.write_quorums(),
             read_capacity=self.read_capacities(),
             write_capacity=self.write_capacities(),
         )
-        if qc1 is not None or qc2 is not None:
-            return CapacitatedRqs(
-                adversary, family,
-                qc1=as_family(qc1) if qc1 is not None else (),
-                qc2=as_family(qc2) if qc2 is not None else None,
-                validate=validate, **kwargs,
-            )
-        if not validate:
-            return CapacitatedRqs(
-                adversary, family, validate=False, **kwargs
-            )
-        # Richest classes that validate: try QC1 = QC2 = RQS, then
-        # QC2 = RQS, then plain class-3.
-        for classes in (
-            dict(qc1=family, qc2=family),
-            dict(qc1=(), qc2=family),
-            dict(qc1=(), qc2=None),
-        ):
+        for qc1 in (family, ()):
             try:
-                return CapacitatedRqs(adversary, family, **classes, **kwargs)
+                return CapacitatedRqs(
+                    adversary, family, qc1=qc1, qc2=family, **kwargs
+                )
             except PropertyViolation:
                 continue
-        raise QuorumSystemError(
-            "lifted family fails Property P1 under the given adversary"
-        )
-
-
-def _resilience(ground: Subset, family: Family) -> int:
-    """Largest ``f`` with a surviving quorum for every ``f``-crash set."""
-    ground = sorted(ground, key=repr)
-    for f in range(len(ground) + 1):
-        for dead in itertools.combinations(ground, f):
-            dead_set = frozenset(dead)
-            if not any(not (q & dead_set) for q in family):
-                return f - 1
-    return len(ground)
+        return CapacitatedRqs(adversary, family, **kwargs)
 
 
 # -- the demo systems used by E16, the example and the registry ---------------

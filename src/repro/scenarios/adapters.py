@@ -165,11 +165,7 @@ class ProtocolAdapter:
 
         The simulator's default 1M-event cap is a guard against genuine
         livelock, but a million-op open-loop run legitimately processes
-        tens of millions of events; scale the cap with the op budget
-        (``spec.params["max_events"]`` overrides it outright)."""
-        override = spec.param("max_events")
-        if override is not None:
-            return int(override)
+        tens of millions of events; scale the cap with the op budget."""
         budget = 1_000_000
         if spec.max_ops is not None:
             budget = max(budget, spec.max_ops * 100)

@@ -45,10 +45,6 @@ _NAMED_RQS: Dict[str, Callable[[], RefinedQuorumSystem]] = {}
 #: :func:`_construct`, a bounded cache instead.
 _BUILT_RQS: Dict[str, RefinedQuorumSystem] = {}
 
-#: The construction-string kinds :func:`_construct` builds.
-_CONSTRUCTIONS = ("threshold", "majority", "byzantine", "pbft")
-
-
 def register_rqs(name: str, factory: Callable[[], RefinedQuorumSystem]) -> None:
     """Register a named RQS construction usable as ``ScenarioSpec.rqs``."""
     if name in _NAMED_RQS:
@@ -99,11 +95,8 @@ def resolve_rqs(spec: RqsSpec) -> Optional[RefinedQuorumSystem]:
     protocols that do not take an RQS), a registered name or a
     parameterized construction string:
 
-    * ``"threshold:n,t,k,q,r"`` — Example 6 (append ``,novalidate`` to
-      skip the property check, for lower-bound scenarios),
-    * ``"majority:n"`` — Example 2,
-    * ``"byzantine:n"`` — Example 3,
-    * ``"pbft:t"`` — the ``n = 3t + 1`` instantiation.
+    ``"threshold:n,t,k,q,r"`` — Example 6 (append ``,novalidate`` to
+    skip the property check, for lower-bound scenarios).
 
     A system is immutable apart from its lazily built index, so one
     built from a string is shared, like a registered one: every
@@ -132,44 +125,29 @@ def resolve_rqs(spec: RqsSpec) -> Optional[RefinedQuorumSystem]:
         if rqs is None:
             rqs = _BUILT_RQS[spec] = _NAMED_RQS[spec]()
         return rqs
-    kind, colon, _ = spec.partition(":")
-    if colon and kind in _CONSTRUCTIONS:
+    if spec.startswith("threshold:"):
         return _construct(spec)
     raise ScenarioError(
         f"unknown RQS name {spec!r}; known names: {', '.join(named_rqs())} "
-        f"or threshold:n,t,k,q,r / majority:n / byzantine:n / pbft:t"
+        f"or threshold:n,t,k,q,r"
     )
 
 
 @lru_cache(maxsize=8)
 def _construct(spec: str) -> RefinedQuorumSystem:
-    """Parse and build a construction string (its kind is one of
-    :data:`_CONSTRUCTIONS`) — validated, unless it says
-    ``novalidate``, once per string while it stays cached.  A string
-    that fails to parse or to validate raises, and nothing is kept."""
-    from repro.core.constructions import (
-        byzantine_quorum_system,
-        majority_quorum_system,
-        pbft_style_rqs,
-        threshold_rqs,
-    )
+    """Parse and build a ``threshold:`` construction string —
+    validated, unless it says ``novalidate``, once per string while it
+    stays cached.  A string that fails to parse or to validate raises,
+    and nothing is kept."""
+    from repro.core.constructions import threshold_rqs
 
-    kind, _, arg_text = spec.partition(":")
-    args = [a.strip() for a in arg_text.split(",") if a.strip()]
+    args = [a.strip() for a in spec.partition(":")[2].split(",") if a.strip()]
+    validate = not (args and args[-1] == "novalidate")
+    if not validate:
+        args = args[:-1]
     try:
-        if kind == "threshold":
-            validate = True
-            if args and args[-1] == "novalidate":
-                validate = False
-                args = args[:-1]
-            n, t, k, q, r = (int(a) for a in args)
-            return threshold_rqs(n, t, k, q, r, validate=validate)
-        (size,) = (int(a) for a in args)
-        if kind == "majority":
-            return majority_quorum_system(size)
-        if kind == "byzantine":
-            return byzantine_quorum_system(size)
-        return pbft_style_rqs(size)
+        n, t, k, q, r = (int(a) for a in args)
+        return threshold_rqs(n, t, k, q, r, validate=validate)
     except ValueError as exc:
         raise ScenarioError(f"bad RQS construction {spec!r}: {exc}")
 

@@ -328,7 +328,7 @@ class OpStream:
         self._draw = None
         self._shard_table: Optional[Tuple[int, ...]] = None
 
-    def _in_shard(self, key: Hashable) -> bool:
+    def _in_shard(self, key: int) -> bool:
         if self.shard is None:
             return True
         index, count = self.shard
@@ -338,9 +338,7 @@ class OpStream:
                 self.n_keys, count, self.seed,
                 self.mix.distribution, self.mix.skew,
             )
-        if isinstance(key, int) and 0 <= key < len(table):
-            return table[key] == index
-        return key_shard(key, count, self.seed) == index
+        return table[key] == index
 
     def _schedule(self):
         if self._draw is None:
@@ -508,12 +506,7 @@ def open_loop_stream(
             key = keys.draw(rng)
         else:
             key = keys.draw(rng)
-            owner = (
-                table[key]
-                if isinstance(key, int) and 0 <= key < len(table)
-                else key_shard(key, shard[1], seed)
-            )
-            if owner != shard[0]:
+            if table[key] != shard[0]:
                 serial += 1
                 continue
             if not budget.take():

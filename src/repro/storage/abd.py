@@ -36,7 +36,8 @@ registry id per row, by :mod:`repro.scenarios.adapters`).
 
 The register space is keyed (independent slots per key, keys on every
 message).  Multi-writer deployments (``n_writers > 1``) use the
-standard MW-ABD lift — a quorum collect discovers the highest stored
+standard MW-ABD lift — a quorum collect (one ``ReadBatch`` over the
+write's or the batch's distinct keys) discovers the highest stored
 timestamp and writes stamp ``(seq, writer_id)`` (see
 :func:`~repro.storage.history.make_stamp`) — which leaves each row's
 completion rule, naive's actual flaw included, untouched.  Single-writer
@@ -53,7 +54,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import (
     Any, Callable, Collection, Dict, Hashable, List, NamedTuple, Optional,
-    Tuple,
+    Sequence, Tuple,
 )
 
 from repro.records import record
@@ -367,12 +368,8 @@ class RegisterWriter(_RegisterClient):
         if not self.stamps.multi_writer:
             ts, discovery_rounds = self.stamps.bare(key), 0
         else:
-            # MW timestamp discovery (a quorum collect round).
-            replies = yield from self._query(
-                lambda number: SlotRead(number, key), False
-            )
-            observed = max(map(_TS, chain.from_iterable(replies.values())))
-            ts, discovery_rounds = self.stamps.stamped(key, observed), 1
+            (ts,) = yield from self._discover_batch(((value, key),))
+            discovery_rounds = 1
         # Surface the timestamp for the stamp-ordered online checker.
         record.ts = ts
         for rnd, (slot, wait_out, exit_at) in enumerate(self.rounds, 1):
@@ -402,17 +399,7 @@ class RegisterWriter(_RegisterClient):
             stamps = [self.stamps.bare(key) for _, key in elems]
             discovery_rounds = 0
         else:
-            keys = distinct_keys(elems)
-            replies = yield from self._query(
-                lambda number: ReadBatch(number, 0, keys), False
-            )
-            observed = {
-                key: max(map(_TS, chain.from_iterable(column)))
-                for key, column in zip(keys, zip(*replies.values()))
-            }
-            stamps = [
-                self.stamps.stamped(key, observed[key]) for _, key in elems
-            ]
+            stamps = yield from self._discover_batch(elems)
             discovery_rounds = 1
         for record, ts in zip(records, stamps):
             record.ts = ts
@@ -434,6 +421,21 @@ class RegisterWriter(_RegisterClient):
             rnd + discovery_rounds,
         )
         return records
+
+    def _discover_batch(self, elems: Sequence[Tuple[Any, Hashable]]):
+        """MW timestamp discovery for a write or a batch: one quorum
+        collect over the elements' distinct keys, and each element's
+        stamp, in draw order, above the highest timestamp the replies
+        hold for its key."""
+        keys = distinct_keys(elems)
+        replies = yield from self._query(
+            lambda number: ReadBatch(number, 0, keys), False
+        )
+        observed = {
+            key: max(map(_TS, chain.from_iterable(column)))
+            for key, column in zip(keys, zip(*replies.values()))
+        }
+        return [self.stamps.stamped(key, observed[key]) for _, key in elems]
 
 
 class RegisterReader(_RegisterClient):

@@ -97,8 +97,8 @@ class BatchAck:
 class ReadBatch:
     """One collect round-trip covering ``keys`` (in batch order).
 
-    ``rnd`` follows the unbatched convention: 0 is the multi-writer
-    timestamp-discovery collect, >= 1 a read round.
+    ``rnd`` 0 is the multi-writer timestamp-discovery collect (every
+    multi-writer write's, batched or not), >= 1 a read round.
     """
 
     read_no: int

@@ -141,11 +141,12 @@ class History:
 
         The caller must hold evidence that a full quorum acked state at
         ``stable_ts`` (or newer): any cell older than that is superseded
-        — no future candidate selection can need it, because discovery
-        reads the *maximum* advertised timestamp from a quorum that
-        intersects the acked one, and reader predicates only confirm
-        candidates at or above what a quorum advertises.  Returns the
-        number of cells removed.
+        — discovery never needs it, because it reads the *maximum*
+        advertised timestamp from a quorum that intersects the acked
+        one.  A reader with a partial view may: it could have confirmed
+        an older pair from the dropped cells, and without them it takes
+        another round (the verdict holds; the execution differs).
+        Returns the number of cells removed.
         """
         stale = [cell for cell in self._cells if cell[0] < stable_ts]
         for cell in stale:

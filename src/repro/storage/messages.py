@@ -46,12 +46,7 @@ class WrAck:
 
 @record(frozen=True, slots=True)
 class RD:
-    """``rd⟨read_no, rnd⟩`` (Figure 7, line 25).
-
-    ``rnd = 0`` is the multi-writer timestamp-discovery round: writers
-    reuse the read protocol to learn the highest stored timestamp of a
-    key before stamping their own.
-    """
+    """``rd⟨read_no, rnd⟩`` (Figure 7, line 25)."""
 
     read_no: int
     rnd: int

@@ -65,12 +65,16 @@ class StorageServer(Process):
       proves the previous round was quorum-acked, since clients are
       sequential and block on each round.
 
-    Cells strictly below the resulting stable timestamp are dropped;
-    ``max_timestamp`` and the reader predicates only ever confirm
-    candidates at or above what a quorum advertises, so FULL-trace runs
-    are bit-identical with the knob on or off (pinned by golden
-    fingerprints).  Counters (``history_cells``, ``max_history_cells``,
-    ``gc_removed``) feed ``RunResult.server_history``.
+    Cells strictly below the resulting stable timestamp are dropped.
+    Discovery never needs them (``max_timestamp`` of a quorum that
+    meets the acking one), and verdicts do not change, but an execution
+    can: a reader with a partial view can no longer confirm an older
+    pair whose cells were collected, so it takes another round.  The
+    golden-fingerprint specs run bit-identical with the knob on or off;
+    two batched ``lossy-view`` cells do not (both pinned in
+    ``tests/storage/test_bounded_history.py``).  Counters
+    (``history_cells``, ``max_history_cells``, ``gc_removed``) feed
+    ``RunResult.server_history``.
     """
 
     def __init__(self, pid: Hashable, bounded_history: bool = False):

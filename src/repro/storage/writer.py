@@ -27,9 +27,10 @@ Writers come in two modes:
 * **Multi-writer** (``writer_id`` an index): timestamps are stamped
   ``(seq, writer_id)`` via :func:`~repro.storage.history.make_stamp`
   (totally ordered across writers), and each write is preceded by a
-  **timestamp-discovery round** — the writer reuses the read protocol
-  (``rd`` with ``rnd = 0``) to collect a quorum of history snapshots
-  and picks ``seq`` above everything stored.  Any completed write's
+  **timestamp-discovery round** — one batched read collect
+  (``ReadBatch`` with ``rnd = 0``, over a batch's distinct keys or a
+  single write's one key) gathers a quorum of history snapshots and
+  the writer picks ``seq`` above everything stored.  Any completed write's
   timestamp sits in slot 1 at a full quorum, and any two quorums
   intersect in a correct server (Property 1), so discovery never misses
   a completed predecessor; Byzantine inflation of the reported maximum
@@ -38,7 +39,9 @@ Writers come in two modes:
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Hashable, List, Optional, Tuple
+from typing import (
+    Any, FrozenSet, Hashable, List, Optional, Sequence, Tuple,
+)
 
 from repro.core.rqs import RefinedQuorumSystem
 from repro.sim.conditions import AckSet, ConditionMap
@@ -54,7 +57,7 @@ from repro.storage.batching import (
     distinct_keys,
 )
 from repro.storage.history import DEFAULT_KEY
-from repro.storage.messages import RD, RdAck, WR, WrAck
+from repro.storage.messages import WR, WrAck
 from repro.storage.stamping import DiscoveryInbox, StampIssuer
 
 QuorumId = FrozenSet[Hashable]
@@ -121,8 +124,6 @@ class StorageWriter(StorageClient):
             acks = self._acks.peek(payload.key, payload.ts, payload.rnd)
             if acks is not None:
                 acks.add(src)
-        elif isinstance(payload, RdAck) and payload.rnd == 0:
-            self._discovery.record(payload.read_no, src, payload.history)
         elif isinstance(payload, BatchAck):
             self._batches.record(payload.batch_no, payload.rnd, src)
         elif isinstance(payload, ReadBatchAck) and payload.rnd == 0:
@@ -147,8 +148,8 @@ class StorageWriter(StorageClient):
         if not self.stamps.multi_writer:
             ts, extra_rounds = self.stamps.bare(key), 0
         else:
-            observed = yield from self._discover(key, target)
-            ts, extra_rounds = self.stamps.stamped(key, observed), 1
+            (ts,) = yield from self._discover_batch(((value, key),), target)
+            extra_rounds = 1
         # Surface the timestamp for the stamp-ordered online checker
         # (set before completion so trace observers see it).
         record.ts = ts
@@ -201,19 +202,6 @@ class StorageWriter(StorageClient):
         yield WaitUntil(quorum_acked)
         return acks
 
-    def _discover(self, key: Hashable, target=None):
-        """MW timestamp discovery: the highest stored timestamp for
-        ``key`` at some responding quorum (the ``rnd = 0`` read round)."""
-        number = self._discovery.open()
-        self.send_all(self._targets(target), RD(number, 0, key))
-        yield WaitUntil(
-            self._discovery.responders(number).includes_quorum(
-                self.rqs.contains_quorum
-            )
-        )
-        views = self._discovery.close(number)
-        return max(view.max_timestamp() for view in views.values())
-
     # -- batched protocol --------------------------------------------------------
 
     def write_batch(self, elems: List[Tuple[Any, Hashable]]):
@@ -232,12 +220,7 @@ class StorageWriter(StorageClient):
             stamps = [self.stamps.bare(key) for _, key in elems]
             extra_rounds = 0
         else:
-            observed = yield from self._discover_batch(
-                distinct_keys(elems), target
-            )
-            stamps = [
-                self.stamps.stamped(key, observed[key]) for _, key in elems
-            ]
+            stamps = yield from self._discover_batch(elems, target)
             extra_rounds = 1
         for record, ts in zip(records, stamps):
             record.ts = ts
@@ -259,9 +242,15 @@ class StorageWriter(StorageClient):
         )
         return records
 
-    def _discover_batch(self, keys: Tuple[Hashable, ...], target=None):
-        """One MW discovery collect over the batch's distinct keys —
-        per-key highest stored timestamps at some responding quorum."""
+    def _discover_batch(
+        self, elems: Sequence[Tuple[Any, Hashable]], target
+    ):
+        """MW timestamp discovery for a write or a batch (the
+        ``rnd = 0`` read round): one collect over the elements'
+        distinct keys, and each element's stamp, in draw order, above
+        the highest timestamp some responding quorum stores for its
+        key."""
+        keys = distinct_keys(elems)
         number = self._discovery.open()
         self.send_all(self._targets(target), ReadBatch(number, 0, keys))
         yield WaitUntil(
@@ -270,10 +259,11 @@ class StorageWriter(StorageClient):
             )
         )
         views = self._discovery.close(number)
-        return {
+        observed = {
             key: max(
                 snapshots[i].max_timestamp()
                 for snapshots in views.values()
             )
             for i, key in enumerate(keys)
         }
+        return [self.stamps.stamped(key, observed[key]) for _, key in elems]

@@ -55,7 +55,7 @@ class TestBestCase:
         assert all(d == 4.0 for d in delays.values())
 
     def test_pbft_style_instance(self):
-        delays = best_case(rqs="pbft:1").learner_delays
+        delays = best_case(rqs="threshold:4,1,1,0,1").learner_delays
         assert all(d == 2.0 for d in delays.values())
 
     def test_acceptors_decide_too(self):

@@ -1,24 +1,34 @@
 """Tests for the quorum expression algebra and its RQS lift."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from repro.core.algebra import (
     And,
-    Choose,
     Node,
     Or,
     QuorumSystem,
-    choose,
     demo_grid_rqs,
     demo_grid_system,
-    majority,
 )
 from repro.errors import QuorumSystemError
 
 a, b, c = Node("a"), Node("b"), Node("c")
 d, e, f = Node("d"), Node("e"), Node("f")
+
+
+def resilience(family, ground):
+    """The largest ``r`` such that every ``r`` failures leave a quorum
+    of ``family`` whole, by brute force over the ground set."""
+    r = 0
+    while r < len(ground) and all(
+        any(not q & set(failed) for q in family)
+        for failed in combinations(sorted(ground), r + 1)
+    ):
+        r += 1
+    return r
 
 
 class TestExpressions:
@@ -40,27 +50,18 @@ class TestExpressions:
         assert expr.quorums() == (frozenset("a"),)
 
     def test_choose_enumerates_k_subsets(self):
-        expr = Choose(2, a, b, c)
+        # 2-of-3 as a sum of products: exactly the three 2-subsets.
+        expr = a * b + a * c + b * c
         assert expr.quorums() == (
             frozenset("ab"), frozenset("ac"), frozenset("bc"),
         )
 
-    def test_majority_helper(self):
-        expr = majority([a, b, c])
-        assert expr.k == 2
-        assert expr.quorums() == choose(2, [a, b, c]).quorums()
-
     def test_str_round_trips_the_grammar(self):
         assert str(a * b * c + d * e * f) == "a*b*c + d*e*f"
-        assert str(Choose(2, a, b, c)) == "choose(2, [a, b, c])"
 
     def test_node_rejects_non_positive_capacity(self):
         with pytest.raises(QuorumSystemError, match="positive"):
             Node("x", read_capacity=0)
-
-    def test_choose_k_out_of_range(self):
-        with pytest.raises(QuorumSystemError, match="out of range"):
-            Choose(4, a, b, c)
 
 
 class TestDuality:
@@ -76,9 +77,10 @@ class TestDuality:
         assert all(len(q) == 2 for q in duals)
 
     def test_choose_dual_complements_k(self):
-        expr = Choose(2, a, b, c)
-        assert expr.dual().k == 2  # n - k + 1 = 3 - 2 + 1
-        # Self-dual: majority-of-3.
+        # The dual of k-of-n is (n - k + 1)-of-n: 1-of-3 <-> 3-of-3 ...
+        assert (a + b + c).dual().quorums() == (frozenset("abc"),)
+        # ... and majority-of-3 (2-of-3) is self-dual.
+        expr = a * b + a * c + b * c
         assert expr.dual().quorums() == expr.quorums()
 
     def test_double_dual_is_identity_on_families(self):
@@ -118,19 +120,18 @@ class TestQuorumSystem:
 
     def test_resilience_of_grid(self):
         system = demo_grid_system()
-        # Reads survive any 2 failures only if a full row remains: one
-        # node from each row kills both rows' complements? No — one
-        # failure per row kills both read quorums, so read resilience 1.
-        assert system.read_resilience() == 1
-        # Writes (one node per row) survive any 2 failures within a row.
-        assert system.write_resilience() == 2
-        assert system.resilience() == 1
+        ground = system.ground_set()
+        # One failure per row kills both read quorums: read resilience 1.
+        assert resilience(system.read_quorums(), ground) == 1
+        # Writes (one node per row) survive any 2 failures, not 3.
+        assert resilience(system.write_quorums(), ground) == 2
 
     def test_optimal_strategy_beats_uniform_on_hetero_grid(self):
         system = demo_grid_system(heterogeneous=True)
         fr = Fraction(1, 2)
-        assert system.load(fr) < system.uniform(fr).load
-        assert system.capacity(fr) > system.uniform(fr).capacity
+        optimal, uniform = system.strategy(fr), system.uniform(fr)
+        assert optimal.load < uniform.load
+        assert optimal.capacity > uniform.capacity
 
 
 class TestLift:

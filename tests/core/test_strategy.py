@@ -3,6 +3,7 @@
 import pickle
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -205,20 +206,36 @@ class TestQuoracleTutorial:
             Fraction(1): Fraction(1, 2),       # 0.5
             Fraction(1, 4): Fraction(3, 8),    # 0.375
         }
-        assert {fr: grid.load(fr) for fr in expected} == expected
+        assert {fr: grid.strategy(fr).load for fr in expected} == expected
 
     def test_resilience(self):
         grid = self.grid()
-        assert (grid.read_resilience(), grid.write_resilience(),
-                grid.resilience()) == (1, 2, 1)
+        ground = sorted(grid.ground_set())
+
+        def resilience(family):
+            return max(
+                r for r in range(len(ground))
+                if all(any(not q & set(failed) for q in family)
+                       for failed in combinations(ground, r))
+            )
+
+        # The tutorial prints read, write and overall resilience 1, 2, 1.
+        read = resilience(grid.read_quorums())
+        write = resilience(grid.write_quorums())
+        assert (read, write, min(read, write)) == (1, 2, 1)
 
     def test_capacity_with_read_and_write_capacities(self):
         grid = self.grid(read=(10_000, 5_000), write=(1_000, 500))
-        assert grid.capacity(Fraction(1)) == 10_000
-        assert grid.capacity(Fraction(1, 2)) == Fraction(90_000, 23)  # 3913
-        assert grid.capacity(Fraction(0)) == 2_000
+        capacity = {fr: grid.strategy(fr).capacity
+                    for fr in (Fraction(1), Fraction(1, 2), Fraction(0))}
+        assert capacity == {
+            Fraction(1): 10_000,
+            Fraction(1, 2): Fraction(90_000, 23),  # 3913
+            Fraction(0): 2_000,
+        }
 
     def test_capacity_with_one_capacity_per_node(self):
         grid = self.grid(read=(1_000, 500), write=(1_000, 500))
-        assert grid.load(Fraction(3, 4)) == Fraction(3, 4000)      # 0.00075
-        assert grid.capacity(Fraction(3, 4)) == Fraction(4000, 3)  # 1333
+        strategy = grid.strategy(Fraction(3, 4))
+        assert strategy.load == Fraction(3, 4000)      # 0.00075
+        assert strategy.capacity == Fraction(4000, 3)  # 1333

@@ -8,6 +8,11 @@ from collections import Counter
 import pytest
 
 from repro.core import rqs as rqs_module
+from repro.core.constructions import (
+    byzantine_quorum_system,
+    majority_quorum_system,
+    pbft_style_rqs,
+)
 from repro.core.rqs import RefinedQuorumSystem
 from repro.errors import PropertyViolation, ScenarioError, UnknownProtocolError
 from repro.experiments import stress
@@ -101,9 +106,18 @@ class TestNamedRqs:
         assert not rqs.is_valid()
 
     def test_majority_and_byzantine_and_pbft(self):
-        assert len(resolve_rqs("majority:5").ground_set) == 5
-        assert len(resolve_rqs("byzantine:7").ground_set) == 7
-        assert len(resolve_rqs("pbft:1").ground_set) == 4
+        # The majority:n / byzantine:n / pbft:t strings are gone; the
+        # PBFT-style system is the threshold string with k = r = t, q = 0.
+        for text in ("majority:5", "byzantine:7", "pbft:1"):
+            with pytest.raises(ScenarioError, match="unknown RQS name"):
+                resolve_rqs(text)
+        pbft, threshold = pbft_style_rqs(1), resolve_rqs("threshold:4,1,1,0,1")
+        assert len(threshold.ground_set) == 4
+        for cls in (1, 2, 3):
+            assert (set(threshold.class_quorums(cls))
+                    == set(pbft.class_quorums(cls)))
+        assert (len(majority_quorum_system(5).ground_set),
+                len(byzantine_quorum_system(7).ground_set)) == (5, 7)
 
     def test_unknown_name_raises(self):
         with pytest.raises(ScenarioError, match="unknown RQS name"):
@@ -134,7 +148,7 @@ class TestSharedConstructions:
     def test_one_string_is_one_instance_while_cached(self):
         spec_module._construct.cache_clear()
         for text in ("threshold:8,3,1,1,2", "threshold:8,3,1,1,3,novalidate",
-                     "majority:5", "byzantine:7", "pbft:1"):
+                     "threshold:4,1,1,0,1"):
             rqs = resolve_rqs(text)
             assert resolve_rqs(text) is rqs
             assert ScenarioSpec("rqs-storage", rqs=text).resolved_rqs() is rqs
@@ -161,7 +175,7 @@ class TestSharedConstructions:
         with pytest.raises(PropertyViolation):
             resolve_rqs("threshold:8,3,1,1,3")
         with pytest.raises(ScenarioError):
-            resolve_rqs("majority:five")
+            resolve_rqs("threshold:4,1,1,0,five")
         assert spec_module._construct.cache_info().currsize == 0
 
     def test_serial_and_multiprocessing_stress_grids_are_byte_identical(self):

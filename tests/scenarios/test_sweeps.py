@@ -24,10 +24,11 @@ from repro.scenarios import (
     run_grid,
     write_bench_json,
 )
-from repro.scenarios import sharding
+from repro.scenarios import runner, sharding
 from repro.scenarios import sweeps as sweeps_module
 
 from tests.scenarios.test_sharding import (
+    _seed_6_livelocks,
     _shard_one_is_killed,
     batched_soak_spec,
 )
@@ -80,14 +81,14 @@ FAILING_GRID = SweepSpec(
 
 
 def _sharded_build(point):
-    params = {"max_events": point["max_events"]}
-    return batched_soak_spec(params=params).with_(shards=2)
+    return batched_soak_spec(seed=point["seed"]).with_(shards=2)
 
 
-#: A sharded soak, and the same soak with an event cap no shard fits in.
+#: Two sharded soaks; under ``_seed_6_livelocks`` the seed-6 one's
+#: shards fail.
 SHARDED_GRID = SweepSpec(
     name="shard-failure",
-    axes={"max_events": (None, 50)},
+    axes={"seed": (5, 6)},
     build=_sharded_build,
 )
 
@@ -311,13 +312,14 @@ class TestFailureIsolation:
     def test_a_failed_shard_is_a_failed_cell_with_its_reason(
         self, monkeypatch
     ):
+        monkeypatch.setattr(runner, "run", _seed_6_livelocks)
         fine, capped = run_grid(SHARDED_GRID).cells
         assert fine.ok and fine.verdict == "atomic"
         assert not capped.ok
         assert "shard 0 of 2 failed: SimulationError" in capped.error
         monkeypatch.setattr(sharding, "_run_shard", _shard_one_is_killed)
         (killed,) = run_grid(
-            replace(SHARDED_GRID, axes={"max_events": (None,)})
+            replace(SHARDED_GRID, axes={"seed": (5,)})
         ).cells
         assert not killed.ok
         assert "ScenarioError: a shard worker" in killed.error

@@ -8,11 +8,13 @@ Three layers:
   it receives) driven message by message, including the edge cases —
   same-timestamp write-back reuse, late stragglers below the stable
   mark, and the rejoin-after-isolation path;
-* end-to-end invisibility: FULL-trace executions with
-  ``bounded_history=True`` are **bit-identical** (fingerprints and
-  verdicts) to unbounded runs — pinned against the pre-keyed golden
-  fingerprints and against fresh multi-writer/keyed runs — while
-  retaining strictly fewer history cells.
+* end to end: FULL-trace executions with ``bounded_history=True``
+  keep their verdicts and retain strictly fewer history cells.  They
+  are **bit-identical** to unbounded runs on the pre-keyed golden specs
+  and on fresh multi-writer/keyed runs, but not always: where a
+  reader's view is partial it can no longer confirm an older pair whose
+  cells were collected, and takes another round (two batched
+  ``lossy-view`` cells, pinned below).
 """
 
 from functools import partial
@@ -34,6 +36,7 @@ from tests.scenarios.test_golden_fingerprints import (
     GOLDEN_FINGERPRINTS,
     SPECS,
 )
+from tests.storage.test_batched_rqs_goldens import cell_spec
 
 
 class TestHistoryAccounting:
@@ -264,3 +267,39 @@ class TestEndToEndInvisibility:
             server.history_cells
             for server in honest.adapter.servers.values()
         )
+
+
+#: Per protocol: the verdict, and messages sent with GC off and on.
+LOSSY_VIEW = {
+    "rqs-storage": ("atomic", (982, 1046)),
+    "rqs-regular": ("regular", (886, 902)),
+}
+
+
+class TestPartialViews:
+    @pytest.mark.parametrize("protocol", sorted(LOSSY_VIEW))
+    def test_gc_changes_a_lossy_view_execution_not_its_verdict(
+        self, protocol
+    ):
+        """Readers whose replies from servers 1-3 are lost see only part
+        of the system: with GC on, a read can no longer confirm an older
+        pair whose cells the servers collected, and takes another round.
+        Same verdict, different execution."""
+        verdict, sent = LOSSY_VIEW[protocol]
+        spec = cell_spec(protocol, 1, 2, "lossy-view")
+        plain = run(spec)
+        bounded = run(spec.with_(params={"bounded_history": True}))
+        assert plain.atomicity.verdict == bounded.atomicity.verdict == verdict
+        assert (
+            plain.adapter.network.sent_count,
+            bounded.adapter.network.sent_count,
+        ) == sent
+        if protocol == "rqs-storage":
+            assert (plain.events_processed, bounded.events_processed) == (
+                957, 1021
+            )
+            first = [
+                [r.rounds for r in result.reads if r.process == "reader2"][0]
+                for result in (plain, bounded)
+            ]
+            assert first == [4, 5]

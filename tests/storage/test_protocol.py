@@ -19,6 +19,8 @@ from repro.storage.history import BOTTOM
 from repro.storage.server import FabricatingServer, SilentServer
 
 EXAMPLE6 = "threshold:8,3,1,1,2"
+#: Example 6's ``n = 3t + 1`` instantiation at ``t = 1``.
+PBFT1 = "threshold:4,1,1,0,1"
 FABRICATING = ByzantineRole(
     4, partial(FabricatingServer, forged_ts=999, forged_value="EVIL")
 )
@@ -33,18 +35,18 @@ def storage(rqs, *workload, readers=1, **spec_fields):
 
 class TestBestCase:
     def test_initial_read_returns_bottom_in_one_round(self):
-        record = storage("pbft:1", Read(0.0)).read()
+        record = storage(PBFT1, Read(0.0)).read()
         assert record.result is BOTTOM and record.rounds == 1
 
     def test_write_then_read_single_round(self):
-        result = storage("pbft:1", Write(0.0, "hello"), Read(10.0))
+        result = storage(PBFT1, Write(0.0, "hello"), Read(10.0))
         read = result.read()
         assert result.write().rounds == 1
         assert (read.result, read.rounds) == ("hello", 1)
 
     def test_sequential_writes_monotone_timestamps(self):
         result = storage(
-            "pbft:1",
+            PBFT1,
             *(Write(0.0, value) for value in ("a", "b", "c")),
             Read(20.0),
         )
@@ -52,7 +54,7 @@ class TestBestCase:
 
     def test_two_readers_agree(self):
         result = storage(
-            "pbft:1", Write(0.0, "x"), Read(10.0, reader=0),
+            PBFT1, Write(0.0, "x"), Read(10.0, reader=0),
             Read(20.0, reader=1), readers=2,
         )
         assert [read.result for read in result.reads] == ["x", "x"]
@@ -112,20 +114,20 @@ class TestGracefulDegradation:
 class TestByzantineResilience:
     def test_fabricating_server_cannot_forge_values(self):
         result = storage(
-            "pbft:1", Write(0.0, "good"), Read(10.0),
+            PBFT1, Write(0.0, "good"), Read(10.0),
             faults=FaultPlan(byzantine=(FABRICATING,)),
         )
         assert result.read().result == "good"
 
     def test_fabricating_server_initial_read(self):
         result = storage(
-            "pbft:1", Read(0.0), faults=FaultPlan(byzantine=(FABRICATING,))
+            PBFT1, Read(0.0), faults=FaultPlan(byzantine=(FABRICATING,))
         )
         assert result.read().result is BOTTOM
 
     def test_silent_server_tolerated(self):
         result = storage(
-            "pbft:1", Write(0.0, "v"), Read(10.0),
+            PBFT1, Write(0.0, "v"), Read(10.0),
             faults=FaultPlan(byzantine=(ByzantineRole(1, SilentServer),)),
         )
         write, read = result.write(), result.read()
@@ -156,7 +158,7 @@ class TestContention:
 
     def test_reader_concurrent_with_write(self):
         result = storage(
-            "pbft:1", Write(0.0, "v1"), Read(1.0)  # overlaps the write
+            PBFT1, Write(0.0, "v1"), Read(1.0)  # overlaps the write
         )
         write, read = result.write(), result.read()
         assert read.invoked_at < write.completed_at

@@ -1,5 +1,7 @@
 """Unit tests for writer-side details of Figure 5."""
 
+import pytest
+
 from repro.core.constructions import threshold_rqs
 from repro.scenarios import (
     Crash,
@@ -9,7 +11,9 @@ from repro.scenarios import (
     Write,
     run,
 )
-from repro.storage.messages import WR
+from repro.storage.abd import SlotRead
+from repro.storage.batching import ReadBatch
+from repro.storage.messages import RD, WR
 
 
 def write_only(rqs, *values, faults=FaultPlan()):
@@ -91,3 +95,24 @@ def test_stale_round1_acks_do_not_complete_round2():
         )),
     )
     assert result.write().rounds == 3
+
+
+@pytest.mark.parametrize("protocol, rqs", [
+    ("rqs-storage", "example6"), ("abd", None),
+])
+def test_a_multi_writer_write_discovers_through_one_batched_collect(
+    protocol, rqs
+):
+    """Each family has one discovery collect: an unbatched multi-writer
+    write sends every server one ``ReadBatch`` of its key with
+    ``rnd = 0``, and no unbatched read message."""
+    result = run(ScenarioSpec(
+        protocol, rqs=rqs, readers=0, n_writers=2,
+        workload=(Write(0.0, "v", key=3),),
+    ))
+    sent = [m for m in result.adapter.network.log if m.src == "writer"]
+    collects = [m for m in sent if isinstance(m.payload, ReadBatch)]
+    assert [m.dst for m in collects] == list(result.adapter.servers)
+    assert {(m.payload.rnd, m.payload.keys) for m in collects} == {(0, (3,))}
+    assert not [m for m in sent if isinstance(m.payload, (RD, SlotRead))]
+    assert result.write().rounds == 2
