@@ -115,13 +115,13 @@ CONSENSUS_GRID = SweepSpec(
             labeled("RQS consensus (class 3)", _rqs_consensus_spec(3)),
             labeled(
                 "crash Paxos",
-                ScenarioSpec(protocol="paxos", params={"n_acceptors": 5},
-                             workload=_CONSENSUS_WORKLOAD, horizon=60.0),
+                ScenarioSpec(protocol="paxos", workload=_CONSENSUS_WORKLOAD,
+                             horizon=60.0),
             ),
             labeled(
                 "PBFT-lite",
-                ScenarioSpec(protocol="pbft", params={"f": 1},
-                             workload=_CONSENSUS_WORKLOAD, horizon=60.0),
+                ScenarioSpec(protocol="pbft", workload=_CONSENSUS_WORKLOAD,
+                             horizon=60.0),
             ),
         )
     },

@@ -64,24 +64,24 @@ never retained — counters, online latency accumulators and (for
 client for horizon-free million-op soaks in O(clients + keys) memory.
 
 The biggest soaks **shard**: ``ScenarioSpec.shards > 1`` partitions a
-keyed streaming soak across worker processes by the deterministic
-load-weighted :func:`shard_assignment` rule (crc32 for uniform mixes,
-a greedy LPT bin-pack over the zipfian draw weights for skewed ones —
-independent single-writer registers need no coordination) and merges
-per-shard counters, accumulators and online verdicts into one
-:class:`ShardedRunResult` — see :mod:`repro.scenarios.sharding`.
+keyed open-loop soak (``duration`` or ``max_ops``) across worker
+processes by the deterministic load-weighted :func:`shard_assignment`
+rule (crc32 for uniform mixes, a greedy LPT bin-pack over the zipfian
+draw weights for skewed ones — independent single-writer registers
+need no coordination) and merges per-shard counters, accumulators and
+online verdicts into one :class:`ShardedRunResult` — see
+:mod:`repro.scenarios.sharding`.
 
 Quorum systems can be **expression-defined**: a planning-level
 :class:`~repro.core.algebra.QuorumSystem` (``a*b + c*d`` over
 capacitated :class:`~repro.core.algebra.Node` leaves) is a valid
 ``ScenarioSpec.rqs`` value (lifted on resolution), and the
-``quorum_strategy`` knob (``"uniform"``/``"optimal"``/a
-:class:`~repro.core.strategy.Strategy`) makes storage clients draw each
-operation's quorum from a seeded distribution instead of broadcasting —
-see :mod:`repro.core.algebra` and :mod:`repro.core.strategy`.
+``quorum_strategy`` knob (``"uniform"`` or ``"optimal"``) makes
+storage clients draw each operation's quorum from a seeded distribution
+instead of broadcasting — see :mod:`repro.core.algebra` and
+:mod:`repro.core.strategy`.
 """
 
-from repro import _lazy
 from repro.scenarios.aggregate import (
     AxisValue,
     CellResult,
@@ -139,9 +139,6 @@ from repro.scenarios.workloads import (
 from repro.sim.network import TraceLevel
 from repro.storage.history import DEFAULT_KEY
 
-# The strategy engine is the quorum algebra's: it loads when named.
-__getattr__, __dir__ = _lazy(globals(), {"Strategy": "repro.core.strategy"})
-
 __all__ = [
     "ACCEPTOR",
     "AxisValue",
@@ -164,7 +161,6 @@ __all__ = [
     "RunResult",
     "ScenarioSpec",
     "ShardedRunResult",
-    "Strategy",
     "SweepResult",
     "SweepSpec",
     "TraceLevel",

@@ -367,12 +367,11 @@ class StorageAdapter(ProtocolAdapter):
             return (*self._literal_ops(spec), 1)
         mix = workload[0]
         n_writers, n_readers = len(self.writers), len(self.readers)
-        shard = self._shard_of(spec)
         if not open_loop:
             # Closed loop: per-client lazy views of the one seeded draw.
             stream = mix.stream(
                 n_readers, spec.seed, n_keys=spec.n_keys,
-                n_writers=n_writers, shard=shard,
+                n_writers=n_writers,
             )
             return (
                 {i: stream.writer_ops(i) for i in stream.writers_with_ops},
@@ -389,6 +388,7 @@ class StorageAdapter(ProtocolAdapter):
                 f"readers >= 1 (or reads=0)"
             )
         budget = OpBudget(spec.max_ops)
+        shard = self._shard_of(spec)
 
         def clients(role: str, count: int):
             return {

@@ -2,8 +2,10 @@
 ``pbft``.
 
 The paper's RQS-based Byzantine consensus (Figures 9–15) and its two
-baselines, crash Paxos and PBFT-lite, over one shared
-:class:`ConsensusAdapter`.  The registry imports this module on the
+baselines, crash Paxos (:data:`PAXOS_ACCEPTORS` acceptors) and
+PBFT-lite (``3f + 1`` replicas for :data:`PBFT_F`), over one shared
+:class:`ConsensusAdapter`.  The baselines are fixed deployments: a
+spec for either sets no ``params``.  The registry imports this module on the
 first lookup of one of the three ids, so only a run that names a
 consensus protocol compiles :mod:`repro.consensus` and
 :mod:`repro.crypto`.
@@ -33,8 +35,22 @@ from repro.consensus.pbft import PbftLearner, PbftReplica, Request
 from repro.consensus.proposer import Proposer
 
 
+#: The crash-Paxos baseline's acceptor count (a majority is 3).
+PAXOS_ACCEPTORS = 5
+#: The PBFT-lite baseline's fault bound: ``3f + 1 = 4`` replicas.
+PBFT_F = 1
+
+
 def _learner_ids(spec) -> Tuple[str, ...]:
     return tuple(f"l{index + 1}" for index in range(spec.learners))
+
+
+def _no_params(adapter: ProtocolAdapter, spec, deployment: str) -> None:
+    if spec.params:
+        raise ScenarioError(
+            f"protocol {adapter.protocol_id!r} takes no params: it "
+            f"deploys {deployment}; got {dict(spec.params)!r}"
+        )
 
 
 class ConsensusAdapter(ProtocolAdapter):
@@ -155,16 +171,16 @@ class RqsConsensusAdapter(ConsensusAdapter):
 
 @register_protocol("paxos")
 class PaxosAdapter(ConsensusAdapter):
-    """Single-decree crash Paxos baseline (``params["n_acceptors"]``
-    acceptors ``1..n``, default 5)."""
+    """Single-decree crash Paxos baseline (acceptors
+    ``1..PAXOS_ACCEPTORS``)."""
 
     def __init__(self, spec):
         _unsupported_roles(self, spec)
         _unsupported_strategy(self, spec)
+        _no_params(self, spec, f"{PAXOS_ACCEPTORS} acceptors")
         super().__init__(spec)
         network = self.network
-        n_acceptors = spec.param("n_acceptors", 5)
-        acceptor_ids = tuple(range(1, n_acceptors + 1))
+        acceptor_ids = tuple(range(1, PAXOS_ACCEPTORS + 1))
         learner_ids = _learner_ids(spec)
         self.acceptors = {
             aid: PaxosAcceptor(aid, learner_ids).bind(network)
@@ -178,7 +194,7 @@ class PaxosAdapter(ConsensusAdapter):
             for index in range(spec.proposers)
         ]
         self.learners = [
-            PaxosLearner(lid, n_acceptors, self.trace).bind(network)
+            PaxosLearner(lid, PAXOS_ACCEPTORS, self.trace).bind(network)
             for lid in learner_ids
         ]
 
@@ -186,24 +202,25 @@ class PaxosAdapter(ConsensusAdapter):
 @register_protocol("pbft")
 class PbftAdapter(ConsensusAdapter):
     """PBFT-lite baseline (fault-free normal case, fixed primary):
-    ``3f + 1`` replicas for ``params["f"]`` (default 1)."""
+    ``3f + 1`` replicas for ``f = PBFT_F``."""
 
     def __init__(self, spec):
         _unsupported_roles(self, spec)
         _unsupported_strategy(self, spec)
+        _no_params(self, spec, f"{3 * PBFT_F + 1} replicas (f = {PBFT_F})")
         super().__init__(spec)
         network = self.network
-        f = spec.param("f", 1)
-        replica_ids = tuple(range(1, 3 * f + 2))
+        replica_ids = tuple(range(1, 3 * PBFT_F + 2))
         learner_ids = _learner_ids(spec)
         self.replicas = {
             rid: PbftReplica(
-                rid, replica_ids, learner_ids, f, primary=replica_ids[0]
+                rid, replica_ids, learner_ids, PBFT_F,
+                primary=replica_ids[0],
             ).bind(network)
             for rid in replica_ids
         }
         self.learners = [
-            PbftLearner(lid, f, self.trace).bind(network)
+            PbftLearner(lid, PBFT_F, self.trace).bind(network)
             for lid in learner_ids
         ]
         self.client = Process("client").bind(network)

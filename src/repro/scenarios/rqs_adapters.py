@@ -50,7 +50,8 @@ def _workload_read_fraction(spec) -> Fraction:
 
 
 def _resolve_strategy(spec, rqs) -> Optional[Strategy]:
-    """Resolve ``spec.quorum_strategy`` against the resolved RQS.
+    """Build the ``"uniform"`` or ``"optimal"`` strategy a spec names
+    over the resolved RQS.
 
     The distributions range over the RQS's (single) quorum family —
     read operations draw from the strategy's read distribution, write
@@ -61,25 +62,9 @@ def _resolve_strategy(spec, rqs) -> Optional[Strategy]:
     choice = spec.quorum_strategy
     if choice is None:
         return None
-    from repro.core.strategy import (
-        Strategy,
-        optimal_strategy,
-        uniform_strategy,
-    )
+    from repro.core.strategy import optimal_strategy, uniform_strategy
 
     family = rqs.quorums
-    if isinstance(choice, Strategy):
-        stray = [
-            q for q, w in choice.read_weights + choice.write_weights
-            if w > 0 and q not in family
-        ]
-        if stray:
-            raise ScenarioError(
-                f"quorum_strategy puts weight on "
-                f"{sorted(stray[0], key=repr)}, which is not a quorum of "
-                f"the spec's RQS"
-            )
-        return choice
     read_caps = getattr(rqs, "read_capacity", None) or None
     write_caps = getattr(rqs, "write_capacity", None) or None
     fr = _workload_read_fraction(spec)

@@ -2,11 +2,12 @@
 
 Single-writer registers are independent by construction — the per-key
 verdict partitioning and the windowed online checker already exploit
-this — so a streamed keyed ``RandomMix`` soak partitions across worker
-processes without coordination.  :func:`run_sharded` splits a spec with
-``shards > 1`` into per-key-shard sub-specs, runs each shard's
-simulator in its own process, and merges the per-shard streaming
-surfaces into one :class:`ShardedRunResult` — the same
+this — so a streamed keyed open-loop ``RandomMix`` soak (``duration``
+or ``max_ops``; a spec refuses ``shards > 1`` without one) partitions
+across worker processes without coordination.  :func:`run_sharded`
+splits a spec with ``shards > 1`` into per-key-shard sub-specs, runs
+each shard's simulator in its own process, and merges the per-shard
+streaming surfaces into one :class:`ShardedRunResult` — the same
 :class:`~repro.scenarios.result.ResultSurface` a streamed
 :class:`~repro.scenarios.result.RunResult` presents as a fleet of one.
 
@@ -21,15 +22,16 @@ keys with a greedy LPT bin-pack over the exact Fraction draw weights
 ``1/(k+1)**skew``, so a skewed soak keeps its shards near-evenly
 loaded (:attr:`ShardedRunResult.imbalance`).  Either way the rule is
 deterministic, derived from the spec, and independent of the op
-stream.  Every shard's generators consume the *full* seeded draw
-(identical gaps, keys, and value serials as the unsharded run) and
-yield only in-shard operations, so the union of the shard schedules is
-a fixed partition of the unsharded schedule — the basis of the
-equivalence tests.
+stream.  Every shard's open-loop generators
+(:func:`~repro.scenarios.workloads.open_loop_stream`) consume the
+*full* seeded draw (identical gaps, keys, and value serials as the
+unsharded run) and yield only in-shard operations, so the union of the
+shard schedules is a fixed partition of the unsharded schedule — the
+basis of the equivalence tests.
 
 **Collection.**  Each shard index is one item of :func:`map_in_pool`,
 the package's one process pool (one worker per shard, each handed the
-spec by fork); its
+spec by fork inside the mapped function); its
 :class:`ShardOutcome` — per-kind op counters, latency accumulators, the
 shard's online verdict, server history stats, CPU seconds, and peak RSS
 — comes home in shard order.  A worker that dies fails the run with a
@@ -61,6 +63,7 @@ multiprocessing ``run_grid`` worker is not daemonic and forks them.
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Tuple)
 
@@ -124,21 +127,6 @@ class ShardOutcome:
     execute_seconds: float = 0.0
     cpu_seconds: float = 0.0
     peak_rss_kb: int = 0
-
-
-#: The sharded spec a shard worker runs, set by :func:`_shard_initialize`
-#: (a slot of its own: a grid worker that forks shards keeps its
-#: sweep's).
-_WORKER_SPEC: Optional[ScenarioSpec] = None
-
-
-def _shard_initialize(spec: ScenarioSpec) -> None:
-    global _WORKER_SPEC
-    _WORKER_SPEC = spec
-
-
-def _pool_run_shard(index: int) -> ShardOutcome:
-    return _run_shard(_WORKER_SPEC, index)
 
 
 def _run_shard(spec: ScenarioSpec, index: int) -> ShardOutcome:
@@ -349,41 +337,53 @@ class ShardedRunResult(ResultSurface):
 # -- the executor -------------------------------------------------------------
 
 
+#: The function the pool's workers map, set by :func:`map_in_pool`
+#: before it forks them.  One slot, saved and restored around each pool:
+#: a grid worker that forks a sharded cell's shards gets its own cell
+#: function back for its next cell.  (One slot per process, so a
+#: process maps one pool at a time, as every caller here does.)
+_POOL_FN: Optional[Callable] = None
+
+
+def _pool_call(item: Any) -> Any:
+    return _POOL_FN(item)
+
+
 def map_in_pool(
     fn: Callable, items: Iterable, workers: int, lost: str,
-    initializer: Optional[Callable] = None, initargs: Tuple = (),
     chunksize: int = 1,
 ) -> Tuple[Tuple[Any, ...], int]:
-    """``tuple(map(fn, items))`` on ``workers`` processes (each
-    runs ``initializer(*initargs)`` once; items go in contiguous runs of
-    ``chunksize``), and the number of processes used.
+    """``tuple(map(fn, items))`` on ``workers`` processes (items go in
+    contiguous runs of ``chunksize``), and the number of processes used.
 
     The package's one process pool: a fork-context
     ``ProcessPoolExecutor`` (a worker inherits the parent's imports; a
-    ``-c`` or stdin parent has no ``__main__`` to re-import).  Only
-    ``fn`` (by name), ``items`` and the results are pickled:
-    ``initargs`` reach the workers by fork, so a payload that does not
-    pickle travels there.  A worker that dies raises a
+    ``-c`` or stdin parent has no ``__main__`` to re-import).  ``fn``
+    reaches the workers by fork, through :data:`_POOL_FN`, so a closure
+    over a payload that does not pickle travels there; only ``items``
+    and the results are pickled.  A worker that dies raises a
     :class:`~repro.errors.ScenarioError` reading ``lost`` — never a
     hang, never a partial list.  A daemonic caller cannot fork: it maps
     in-process and reports 0 processes.
     """
+    global _POOL_FN
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     if multiprocessing.current_process().daemon:
-        if initializer is not None:
-            initializer(*initargs)
         return tuple(map(fn, items)), 0
-    with ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=initializer, initargs=initargs,
-    ) as pool:
-        try:
-            return tuple(pool.map(fn, items, chunksize=chunksize)), workers
-        except BrokenProcessPool as exc:
-            raise ScenarioError(lost) from exc
+    saved, _POOL_FN = _POOL_FN, fn
+    try:
+        with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+        ) as pool:
+            return (tuple(pool.map(_pool_call, items, chunksize=chunksize)),
+                    workers)
+    except BrokenProcessPool as exc:
+        raise ScenarioError(lost) from exc
+    finally:
+        _POOL_FN = saved
 
 
 def run_sharded(spec: ScenarioSpec) -> ShardedRunResult:
@@ -410,10 +410,9 @@ def run_sharded(spec: ScenarioSpec) -> ShardedRunResult:
         )
     start = time.perf_counter()
     outcomes, workers = map_in_pool(
-        _pool_run_shard, range(spec.shards), spec.shards,
+        partial(_run_shard, spec), range(spec.shards), spec.shards,
         lost=f"a shard worker of {spec.protocol!r} x {spec.shards} died "
         f"before reporting its outcome; nothing is merged",
-        initializer=_shard_initialize, initargs=(spec,),
     )
     return ShardedRunResult(
         spec, outcomes, worker_processes=workers, started=start

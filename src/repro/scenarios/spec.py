@@ -29,7 +29,6 @@ from repro.sim.network import TraceLevel
 if TYPE_CHECKING:
     from repro.core.algebra import QuorumSystem
     from repro.core.rqs import RefinedQuorumSystem
-    from repro.core.strategy import Strategy
 
 RqsSpec = Union["RefinedQuorumSystem", "QuorumSystem", str, None]
 
@@ -95,8 +94,9 @@ def resolve_rqs(spec: RqsSpec) -> Optional[RefinedQuorumSystem]:
     protocols that do not take an RQS), a registered name or a
     parameterized construction string:
 
-    ``"threshold:n,t,k,q,r"`` — Example 6 (append ``,novalidate`` to
-    skip the property check, for lower-bound scenarios).
+    ``"threshold:n,t,k,q,r"`` — Example 6, validated (an unvalidated
+    system is built with ``threshold_rqs(..., validate=False)`` and
+    passed as an instance).
 
     A system is immutable apart from its lazily built index, so one
     built from a string is shared, like a registered one: every
@@ -135,21 +135,20 @@ def resolve_rqs(spec: RqsSpec) -> Optional[RefinedQuorumSystem]:
 
 @lru_cache(maxsize=8)
 def _construct(spec: str) -> RefinedQuorumSystem:
-    """Parse and build a ``threshold:`` construction string —
-    validated, unless it says ``novalidate``, once per string while it
-    stays cached.  A string that fails to parse or to validate raises,
-    and nothing is kept."""
+    """Parse and build a ``threshold:n,t,k,q,r`` construction string —
+    five integers, validated — once per string while it stays cached.
+    A string that fails to parse or to validate raises, and nothing is
+    kept."""
     from repro.core.constructions import threshold_rqs
 
-    args = [a.strip() for a in spec.partition(":")[2].split(",") if a.strip()]
-    validate = not (args and args[-1] == "novalidate")
-    if not validate:
-        args = args[:-1]
     try:
-        n, t, k, q, r = (int(a) for a in args)
-        return threshold_rqs(n, t, k, q, r, validate=validate)
+        n, t, k, q, r = (int(a) for a in spec.partition(":")[2].split(","))
+        return threshold_rqs(n, t, k, q, r)
     except ValueError as exc:
-        raise ScenarioError(f"bad RQS construction {spec!r}: {exc}")
+        raise ScenarioError(
+            f"bad RQS construction {spec!r}: {exc} (the one form is "
+            f"threshold:n,t,k,q,r, five integers)"
+        )
 
 
 # -- the spec itself -----------------------------------------------------------
@@ -226,16 +225,15 @@ class ScenarioSpec:
         from the load-optimal LP distribution of
         :func:`repro.core.strategy.optimal_strategy` (the read fraction
         is taken from the workload's mix, and per-node capacities from
-        the RQS when it carries them); a
-        :class:`~repro.core.strategy.Strategy` instance is used as
-        given.  Strategy draws consume a dedicated per-client RNG
-        stream, never the workload RNGs.  Only the ``rqs-storage``
-        protocol supports the knob.  A spec that sets it imports the
-        solver, :mod:`repro.core.strategy`, when it is built.
+        the RQS when it carries them).  No other value is accepted.
+        Strategy draws consume a dedicated per-client RNG stream, never
+        the workload RNGs.  Only the ``rqs-storage`` protocol supports
+        the knob.  A spec that sets it imports the solver,
+        :mod:`repro.core.strategy`, when it is built.
     params:
         Protocol-specific extras (e.g. ``n``/``t`` for ABD-family
-        baselines, ``f`` for PBFT, ``sync_delay`` or ``proposer_values``
-        for the RQS consensus).
+        baselines, ``sync_delay`` or ``proposer_values`` for the RQS
+        consensus).  Paxos and PBFT deploy fixed sizes and take none.
     shards:
         Split the run over this many **key shards**, each simulated in
         its own worker process (``1``, the default, is the historical
@@ -253,10 +251,12 @@ class ScenarioSpec:
         per-shard streams into one aggregate
         :class:`~repro.scenarios.sharding.ShardedRunResult`.  Requires
         a storage protocol, a single-``RandomMix`` workload at
-        ``TraceLevel.METRICS``, and ``n_keys >= shards``.  Such a spec
-        imports the process-pool stack (``concurrent.futures.process``,
-        and the ``multiprocessing.popen_fork`` / ``.synchronize`` its
-        first fork needs) when it is built; no other spec loads it.
+        ``TraceLevel.METRICS``, the open-loop stopping rule
+        (``duration`` or ``max_ops``), and ``n_keys >= shards``.  Such
+        a spec imports the process-pool stack
+        (``concurrent.futures.process``, and the
+        ``multiprocessing.popen_fork`` / ``.synchronize`` its first fork
+        needs) when it is built; no other spec loads it.
     """
 
     protocol: str
@@ -274,7 +274,7 @@ class ScenarioSpec:
     duration: Optional[float] = None
     max_ops: Optional[int] = None
     trace_level: Union[TraceLevel, str] = TraceLevel.FULL
-    quorum_strategy: Union[None, str, "Strategy"] = None
+    quorum_strategy: Optional[str] = None
     params: Mapping[str, Any] = field(default_factory=dict)
     shards: int = 1
 
@@ -288,16 +288,12 @@ class ScenarioSpec:
             resolve_rqs(self.rqs)
         object.__setattr__(self, "workload", tuple(self.workload))
         if self.quorum_strategy is not None:
-            from repro.core.strategy import Strategy
-
-            if self.quorum_strategy not in STRATEGY_NAMES and not isinstance(
-                self.quorum_strategy, Strategy
-            ):
+            if self.quorum_strategy not in STRATEGY_NAMES:
                 raise ScenarioError(
-                    f"quorum_strategy must be None, one of "
-                    f"{'/'.join(STRATEGY_NAMES)}, or a Strategy instance; "
-                    f"got {self.quorum_strategy!r}"
+                    f"quorum_strategy must be None, 'uniform' or "
+                    f"'optimal'; got {self.quorum_strategy!r}"
                 )
+            import repro.core.strategy  # noqa: F401
         if self.n_writers < 1:
             raise ScenarioError(
                 f"n_writers must be >= 1, got {self.n_writers}"
@@ -342,6 +338,12 @@ class ScenarioSpec:
                     "sharded runs stream: only counters, accumulators and "
                     "online verdicts cross the process boundary, so "
                     "shards > 1 requires trace_level='metrics'"
+                )
+            if self.duration is None and self.max_ops is None:
+                raise ScenarioError(
+                    "sharded runs (shards > 1) are open-loop: set "
+                    "duration or max_ops, or run the closed-loop mix "
+                    "with shards=1"
                 )
             if self.max_ops is not None and self.max_ops < self.shards:
                 raise ScenarioError(

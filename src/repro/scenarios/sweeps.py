@@ -22,12 +22,13 @@ Guarantees:
   to JSON/CSV unchanged.
 
 Three hooks cover every experiment shape: ``build`` (grid point →
-``ScenarioSpec``; defaults to applying spec-field axes onto ``base``),
-``measure`` (point + :class:`~repro.scenarios.result.RunResult` →
-metrics mapping; defaults to :func:`default_measure`), and ``evaluate``
-(point → metrics, for analytic sweeps that never run a scenario).  Any
-callable serves on either backend: the multiprocessing workers inherit
-the sweep by fork.
+``ScenarioSpec``; without it, spec-field axes are applied onto
+``base``, and a scenario sweep needs one of the two), ``measure``
+(point + :class:`~repro.scenarios.result.RunResult` → metrics mapping;
+defaults to :func:`default_measure`), and ``evaluate`` (point →
+metrics, for analytic sweeps that never run a scenario).  Any callable
+serves on either backend: the multiprocessing workers inherit the sweep
+by fork.
 
 Doctest — a 2-protocol × 2-seed grid in four lines::
 
@@ -39,8 +40,6 @@ Doctest — a 2-protocol × 2-seed grid in four lines::
     ...     base=ScenarioSpec(protocol="abd", readers=1,
     ...                       workload=(Write(0.0, "v"), Read(5.0))),
     ... )
-    >>> grid.size
-    4
     >>> [cell.labels["protocol"] for cell in grid.cells()]
     ['abd', 'abd', 'fastabd', 'fastabd']
     >>> result = run_grid(grid)
@@ -119,7 +118,8 @@ class SweepSpec:
     base:
         Template spec for the default builder; axes named after
         ``ScenarioSpec`` fields (``protocol``, ``rqs``, ``seed``,
-        ``faults``, ``workload``, …) are applied onto it per cell.
+        ``faults``, ``workload``, …) are applied onto it per cell.  A
+        scenario sweep needs ``base`` or ``build``.
     build:
         Custom point → ``ScenarioSpec`` hook (overrides ``base``).
     measure:
@@ -176,19 +176,18 @@ class SweepSpec:
                 "evaluate sweeps are analytic: they take no "
                 "base/build/measure hooks"
             )
+        if self.evaluate is None and self.base is None and self.build is None:
+            raise ScenarioError(
+                f"sweep {self.name!r} runs scenarios: give it a base spec "
+                f"or a build hook (or an evaluate hook for an analytic "
+                f"sweep)"
+            )
 
     # -- expansion ------------------------------------------------------------
 
     @property
     def axis_names(self) -> Tuple[str, ...]:
         return tuple(name for name, _ in self.axes)
-
-    @property
-    def size(self) -> int:
-        product = 1
-        for _, values in self.axes:
-            product *= len(values)
-        return product
 
     def cells(self) -> Tuple[Cell, ...]:
         """Every grid point, in deterministic row-major order."""
@@ -222,17 +221,11 @@ class SweepSpec:
         )
 
 
-def default_build(base: Optional[ScenarioSpec], point: Point) -> ScenarioSpec:
-    """Apply the point's spec-field axes onto ``base`` (or build fresh
-    from a ``protocol`` axis).  Non-field axes are metadata: they label
-    the cell and reach the measure hook, but do not touch the spec."""
+def default_build(base: ScenarioSpec, point: Point) -> ScenarioSpec:
+    """Apply the point's spec-field axes onto ``base``.  Non-field axes
+    are metadata: they label the cell and reach the measure hook, but
+    do not touch the spec."""
     changes = {k: v for k, v in point.items() if k in SPEC_FIELDS}
-    if base is None:
-        if "protocol" not in changes:
-            raise ScenarioError(
-                "a sweep without base/build needs a 'protocol' axis"
-            )
-        return ScenarioSpec(**changes)
     return base.with_(**changes) if changes else base
 
 
@@ -327,31 +320,15 @@ def run_serial(sweep: SweepSpec) -> Tuple[CellResult, ...]:
     )
 
 
-#: The sweep a grid worker runs and its cells, set by
-#: :func:`_mp_initialize` (a slot of their own: a grid worker that runs
-#: a sharded cell sets the shards' slot too).
-_WORKER_SWEEP: Optional[SweepSpec] = None
-_WORKER_CELLS: Tuple[Cell, ...] = ()
-
-
-def _mp_initialize(sweep: SweepSpec) -> None:
-    global _WORKER_SWEEP, _WORKER_CELLS
-    _WORKER_SWEEP = sweep
-    _WORKER_CELLS = sweep.cells()
-
-
-def _mp_run_cell(index: int) -> CellResult:
-    return run_cell(_WORKER_SWEEP, _WORKER_CELLS[index])
-
-
 def run_multiprocessing(
     sweep: SweepSpec, processes: Optional[int] = None
 ) -> Tuple[CellResult, ...]:
     """Run the grid on :func:`~repro.scenarios.sharding.map_in_pool`.
 
-    Each worker inherits the sweep by fork (nothing of it is pickled,
-    so a lambda hook runs here as on the serial backend); cell indices
-    go out in contiguous runs, ~4 per worker (slack for uneven cell
+    Each worker inherits the sweep and its cells by fork, inside the
+    mapped function (nothing of them is pickled, so a lambda hook runs
+    here as on the serial backend); cell indices go out in contiguous
+    runs, ~4 per worker (slack for uneven cell
     costs, one round-trip per run, not per cell), and results come back
     in grid order, byte-identical to the serial backend's.  Live
     ``RunResult`` handles cannot cross processes: cells carry portable
@@ -361,13 +338,13 @@ def run_multiprocessing(
     """
     from repro.scenarios.sharding import map_in_pool
 
-    total = sweep.size
+    cells = sweep.cells()
+    total = len(cells)
     workers = processes or min(os.cpu_count() or 1, total)
     return map_in_pool(
-        _mp_run_cell, range(total), workers,
+        lambda index: run_cell(sweep, cells[index]), range(total), workers,
         lost=f"a sweep worker of {sweep.name!r} x {workers} died before "
         f"reporting its cells; nothing is aggregated",
-        initializer=_mp_initialize, initargs=(sweep,),
         chunksize=max(1, total // (4 * workers)),
     )[0]
 

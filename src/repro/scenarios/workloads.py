@@ -29,15 +29,15 @@ closed-loop draw entirely: :func:`open_loop_stream` gives each client an
 independent seeded generator that draws inter-arrival gaps and keys one
 operation at a time — O(1) state per client, unbounded op counts.
 
-Sharded soaks (``ScenarioSpec.shards > 1``) filter at this level:
-:func:`shard_assignment` maps every key of ``range(n_keys)`` to a shard
-deterministically from the spec — uniform draws keep the historical
-crc32 rule (:func:`key_shard`), zipfian draws balance *expected load*
-with a greedy LPT bin-pack over exact Fraction weights so hot keys
-spread across shards — and both stream paths accept a ``shard=(index,
-count)`` view that consumes the identical RNG stream while yielding
-only in-shard ops — the union of shard schedules is a fixed partition
-of the unsharded draw.
+Sharded soaks (``ScenarioSpec.shards > 1``, always open-loop) filter
+at this level: :func:`shard_assignment` maps every key of
+``range(n_keys)`` to a shard deterministically from the spec — uniform
+draws keep the historical crc32 rule (:func:`key_shard`), zipfian draws
+balance *expected load* with a greedy LPT bin-pack over exact Fraction
+weights so hot keys spread across shards — and :func:`open_loop_stream`
+takes a ``shard=(index, count)`` view that consumes the identical RNG
+stream while yielding only in-shard ops, so the union of shard
+schedules is a fixed partition of the unsharded draw.
 """
 
 from __future__ import annotations
@@ -219,20 +219,13 @@ class RandomMix:
         first_value: int = 1,
         n_keys: int = 1,
         n_writers: int = 1,
-        shard: Optional[Tuple[int, int]] = None,
     ) -> "OpStream":
         """Lazy per-client schedules over one seeded draw (fixed RNG
         consumption order, round-robin client assignment; write values
-        count up from ``first_value``).
-
-        ``shard=(index, count)`` filters the *same* draw down to the
-        ops whose key lands in shard ``index`` under :func:`key_shard`
-        — times, values and keys are untouched, so shard streams union
-        back to the unsharded schedule exactly."""
+        count up from ``first_value``)."""
         return OpStream(
             self, n_readers, seed,
             first_value=first_value, n_keys=n_keys, n_writers=n_writers,
-            shard=shard,
         )
 
 
@@ -309,7 +302,6 @@ class OpStream:
         first_value: int = 1,
         n_keys: int = 1,
         n_writers: int = 1,
-        shard: Optional[Tuple[int, int]] = None,
     ):
         if n_writers < 1:
             raise ScenarioError(f"n_writers must be >= 1, got {n_writers}")
@@ -324,21 +316,7 @@ class OpStream:
         self.first_value = first_value
         self.n_keys = n_keys
         self.n_writers = n_writers
-        self.shard = shard
         self._draw = None
-        self._shard_table: Optional[Tuple[int, ...]] = None
-
-    def _in_shard(self, key: int) -> bool:
-        if self.shard is None:
-            return True
-        index, count = self.shard
-        table = self._shard_table
-        if table is None:
-            table = self._shard_table = shard_assignment(
-                self.n_keys, count, self.seed,
-                self.mix.distribution, self.mix.skew,
-            )
-        return table[key] == index
 
     def _schedule(self):
         if self._draw is None:
@@ -359,8 +337,6 @@ class OpStream:
     def writer_ops(self, writer: int) -> Iterator[Tuple[float, Any, Hashable]]:
         write_times, _, write_keys, _ = self._schedule()
         for index in range(writer, self.mix.writes, self.n_writers):
-            if not self._in_shard(write_keys[index]):
-                continue
             yield (
                 write_times[index],
                 self.first_value + index,
@@ -372,7 +348,7 @@ class OpStream:
         ops = [
             (time, read_keys[index])
             for index, (slot_reader, time) in enumerate(read_slots)
-            if slot_reader == reader and self._in_shard(read_keys[index])
+            if slot_reader == reader
         ]
         ops.sort(key=lambda item: item[0])
         return iter(ops)

@@ -5,7 +5,7 @@ from functools import partial
 import pytest
 
 from repro.consensus.proposer import EquivocatingProposer
-from repro.errors import CheckerError
+from repro.errors import CheckerError, ScenarioError
 from repro.scenarios import (
     ByzantineRole,
     Crash,
@@ -198,6 +198,20 @@ class TestConsensusRoundTrip:
             horizon=60.0,
         ))
         assert pbft.worst_learner_delay == 5.0 and pbft.consensus.ok
+        assert (len(paxos.adapter.acceptors), len(pbft.adapter.replicas)) \
+            == (5, 4)
+
+    @pytest.mark.parametrize("protocol, params, deployment", (
+        ("paxos", {"n_acceptors": 7}, "5 acceptors"),
+        ("pbft", {"f": 2}, r"4 replicas \(f = 1\)"),
+    ))
+    def test_the_baselines_take_no_params(self, protocol, params,
+                                          deployment):
+        spec = ScenarioSpec(protocol=protocol, params=params,
+                            workload=(Propose(0.0, "v"),), horizon=60.0)
+        with pytest.raises(ScenarioError,
+                           match=f"takes no params: it deploys {deployment}"):
+            run(spec)
 
 
 class TestDeterminism:

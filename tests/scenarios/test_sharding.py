@@ -42,17 +42,21 @@ from repro.scenarios.sharding import (
     split_max_ops,
 )
 from repro.scenarios.sweeps import SweepSpec, run_grid
-from repro.scenarios.workloads import OpBudget, OpStream, open_loop_stream
+from repro.scenarios.workloads import OpBudget, open_loop_stream
 from repro.experiments.builders import keyed_mix_spec
 
 
 def sharded_soak_spec(**overrides):
-    """A small single-writer keyed streaming soak (closed-loop)."""
+    """A small single-writer keyed streaming soak, open-loop as every
+    sharded spec is: bounded by ``duration`` (the mix's horizon) unless
+    an op budget is given."""
     settings = dict(
         protocol="abd", n_keys=12, writes=60, reads=90, readers=4,
         trace_level="metrics", seed=7,
     )
     settings.update(overrides)
+    if settings.get("max_ops") is None:
+        settings.setdefault("duration", 150.0)
     return keyed_mix_spec(**settings)
 
 
@@ -164,6 +168,14 @@ class TestSpecValidation:
         with pytest.raises(ScenarioError, match="metrics"):
             sharded_soak_spec(trace_level="full").with_(shards=2)
 
+    def test_sharded_needs_the_open_loop_rule(self):
+        """A closed-loop mix does not shard: the refusal names the two
+        stopping rules that do."""
+        closed = sharded_soak_spec(duration=None)
+        assert run(closed).ops_begun() == 150
+        with pytest.raises(ScenarioError, match="set duration or max_ops"):
+            closed.with_(shards=2)
+
     def test_sharded_needs_budget_per_shard(self):
         with pytest.raises(ScenarioError, match="max_ops"):
             sharded_soak_spec(max_ops=2).with_(shards=4)
@@ -199,57 +211,32 @@ class TestSplitMaxOps:
 class TestSchedulePartition:
     """The union of shard schedules is exactly the unsharded schedule."""
 
-    def test_closed_loop_stream_partitions(self):
-        mix = RandomMix(writes=50, reads=80, horizon=100.0)
-        readers, seed, n_keys, shards = 4, 13, 16, 4
-
-        def ops(shard):
-            stream = OpStream(
-                mix, readers, seed, n_keys=n_keys, shard=shard
-            )
-            out = []
-            for index in stream.writers_with_ops:
-                out.extend(
-                    ("w", index) + op for op in stream.writer_ops(index)
-                )
-            for index in stream.readers_with_ops:
-                out.extend(
-                    ("r", index) + op for op in stream.reader_ops(index)
-                )
-            return out
-
-        whole = ops(None)
-        parts = [ops((index, shards)) for index in range(shards)]
-        assert all(parts[index] for index in range(shards))
-        assert sorted(sum(parts, [])) == sorted(whole)
-        # disjoint: sizes add up exactly
-        assert sum(len(part) for part in parts) == len(whole)
-
     def test_zipfian_stream_partitions(self):
-        """The LPT table is still a fixed partition of one seeded draw."""
+        """The LPT table is still a fixed partition of one seeded draw:
+        every client's shard views add up to its unsharded stream, and
+        each view yields only the keys the table gives its shard."""
         mix = RandomMix(writes=50, reads=80, horizon=100.0,
                         distribution="zipfian", skew=1.2)
         readers, seed, n_keys, shards = 4, 13, 16, 4
+        table = shard_assignment(n_keys, shards, seed, "zipfian", 1.2)
 
         def ops(shard):
-            stream = OpStream(
-                mix, readers, seed, n_keys=n_keys, shard=shard
-            )
             out = []
-            for index in stream.writers_with_ops:
-                out.extend(
-                    ("w", index) + op for op in stream.writer_ops(index)
-                )
-            for index in stream.readers_with_ops:
-                out.extend(
-                    ("r", index) + op for op in stream.reader_ops(index)
-                )
+            for role, count in (("writer", 2), ("reader", readers)):
+                for index in range(count):
+                    out.extend((role, index) + op for op in open_loop_stream(
+                        mix, role, index, count, seed, OpBudget(None),
+                        100.0, n_keys=n_keys, shard=shard,
+                    ))
             return out
 
         whole = ops(None)
         parts = [ops((index, shards)) for index in range(shards)]
+        assert all(parts)
         assert sorted(sum(parts, [])) == sorted(whole)
         assert sum(len(part) for part in parts) == len(whole)
+        for index, part in enumerate(parts):
+            assert {table[op[-1]] for op in part} == {index}
 
     def test_open_loop_stream_partitions(self):
         mix = RandomMix(writes=200, reads=0, horizon=1000.0)
@@ -274,7 +261,7 @@ MW_SOAKS = {
     f"{loop}-{label}": dict(
         n_writers=3, n_keys=16, seed=5, max_ops=max_ops, **settings
     )
-    for loop, max_ops in (("closed", None), ("open", 3000))
+    for loop, max_ops in (("duration", None), ("open", 3000))
     for label, settings in (
         ("abd", dict(protocol="abd")),
         ("rqs-bounded", dict(protocol="rqs-storage",
@@ -312,7 +299,7 @@ def _assert_same_counts_and_verdicts(base, sharded, mode):
 class TestEquivalence:
     """Sharded-vs-unsharded: the streaming surface agrees."""
 
-    def test_closed_loop_counts_and_verdicts(self):
+    def test_duration_bounded_counts_and_verdicts(self):
         spec = sharded_soak_spec()
         _assert_same_counts_and_verdicts(
             run(spec), run(spec.with_(shards=4)), "sw"
@@ -439,6 +426,24 @@ class TestNestedMultiprocessing:
         assert begun == direct.ops_begun()
         assert verdict == direct.online.verdict
 
+    def test_a_grid_worker_gets_its_cell_function_back(self, watchdog):
+        """One grid worker runs every cell: the first two fork their
+        shards' pool, and the two unsharded cells after them still run
+        as cells, because the pool restores the worker's slot."""
+        grid = SweepSpec(
+            name="slot", axes=(("shards", (2, 1)), ("seed", (7, 8))),
+            base=sharded_soak_spec(),
+        )
+
+        def without_host(sweep):
+            assert sweep.verdict_counts() == {"atomic": 4}
+            for cell in sweep.cells:
+                cell.metrics.pop("host")
+            return sweep.to_json()
+
+        pooled = run_grid(grid, executor="multiprocessing", processes=1)
+        assert without_host(pooled) == without_host(run_grid(grid))
+
 
 class TestMapInPool:
     def test_results_keep_item_order_over_uneven_chunks(self, watchdog):
@@ -457,18 +462,19 @@ class TestMapInPool:
     def test_a_daemonic_caller_initializes_and_maps_in_process(
         self, monkeypatch
     ):
-        """The in-process branch runs the initializer once, before the
-        first item, and reports no worker processes."""
+        """The in-process branch maps ``fn`` itself, in item order —
+        there is no initializer: ``fn`` carries what it needs — leaves
+        the pool's slot alone and reports no worker processes."""
         monkeypatch.setitem(
             multiprocessing.current_process()._config, "daemon", True
         )
         calls = []
         results, used = sharding.map_in_pool(
             calls.append, ("a", "b"), 4, lost="lost",
-            initializer=calls.append, initargs=("init",),
         )
-        assert calls == ["init", "a", "b"]
+        assert calls == ["a", "b"]
         assert (results, used) == ((None, None), 0)
+        assert sharding._POOL_FN is None
 
 
 class TestMergeOnline:

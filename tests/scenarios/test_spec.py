@@ -101,9 +101,11 @@ class TestNamedRqs:
         rqs = resolve_rqs("threshold:8,3,1,1,2")
         assert len(rqs.ground_set) == 8 and rqs.is_valid()
 
-    def test_novalidate_suffix(self):
-        rqs = resolve_rqs("threshold:8,3,1,1,3,novalidate")
-        assert not rqs.is_valid()
+    def test_a_novalidate_suffix_is_refused(self):
+        # An unvalidated system is an instance built with
+        # threshold_rqs(..., validate=False), not a string.
+        with pytest.raises(ScenarioError, match="threshold:n,t,k,q,r"):
+            resolve_rqs("threshold:8,3,1,1,3,novalidate")
 
     def test_majority_and_byzantine_and_pbft(self):
         # The majority:n / byzantine:n / pbft:t strings are gone; the
@@ -137,8 +139,9 @@ class TestNamedRqs:
 
 def distinct_literals(count):
     """``count`` distinct construction strings, each the small valid
-    ``threshold:4,1,0,0,0`` (an empty argument is skipped)."""
-    return [f"threshold:4,1,0,0,0{',' * extra}" for extra in range(count)]
+    ``threshold:4,1,0,0,0`` (its last zero written with leading
+    zeros)."""
+    return [f"threshold:4,1,0,0,{'0' * (extra + 1)}" for extra in range(count)]
 
 
 class TestSharedConstructions:
@@ -147,7 +150,7 @@ class TestSharedConstructions:
 
     def test_one_string_is_one_instance_while_cached(self):
         spec_module._construct.cache_clear()
-        for text in ("threshold:8,3,1,1,2", "threshold:8,3,1,1,3,novalidate",
+        for text in ("threshold:8,3,1,1,2", "threshold:7,2,2,0,2",
                      "threshold:4,1,1,0,1"):
             rqs = resolve_rqs(text)
             assert resolve_rqs(text) is rqs

@@ -7,12 +7,10 @@ pre-strategy executions byte-for-byte (the golden-fingerprint suite
 covers the latter; here we pin the former).
 """
 
-from fractions import Fraction
-
 import pytest
 
 from repro.core.algebra import Node, QuorumSystem, demo_grid_rqs
-from repro.core.strategy import optimal_strategy, uniform_strategy
+from repro.core.strategy import uniform_strategy
 from repro.errors import ScenarioError
 from repro.scenarios import (
     Propose,
@@ -51,10 +49,17 @@ class TestSpecValidation:
         with pytest.raises(ScenarioError, match="quorum_strategy"):
             grid_spec(quorum_strategy="fastest")
 
-    def test_accepts_names_and_instances(self):
-        strategy = uniform_strategy(demo_grid_rqs().quorums)
-        for value in (None, "uniform", "optimal", strategy):
+    def test_accepts_none_and_the_two_names(self):
+        for value in (None, "uniform", "optimal"):
             assert grid_spec(quorum_strategy=value).quorum_strategy == value
+
+    def test_rejects_a_strategy_instance(self):
+        # The knob names a distribution the adapter builds over the
+        # spec's own RQS; a prebuilt Strategy is not one of its forms.
+        strategy = uniform_strategy(demo_grid_rqs().quorums)
+        with pytest.raises(ScenarioError,
+                           match="None, 'uniform' or 'optimal'"):
+            grid_spec(quorum_strategy=strategy)
 
     def test_quorum_system_is_a_valid_rqs_value(self):
         a, b, c, d = (Node(x) for x in "abcd")
@@ -75,24 +80,6 @@ class TestStrategyRuns:
         result = run(grid_spec(quorum_strategy=strategy))
         assert result.ops_completed() == result.ops_begun()
         assert result.atomicity.atomic
-
-    def test_strategy_instance_used_as_given(self):
-        rqs = demo_grid_rqs()
-        strategy = optimal_strategy(
-            rqs.quorums,
-            read_fraction=Fraction(1, 2),
-            read_capacity=rqs.read_capacity,
-            write_capacity=rqs.write_capacity,
-        )
-        result = run(grid_spec(quorum_strategy=strategy))
-        assert result.atomicity.atomic
-
-    def test_foreign_strategy_instance_rejected(self):
-        foreign = uniform_strategy(
-            (frozenset("xy"), frozenset("yz"), frozenset("xz"))
-        )
-        with pytest.raises(ScenarioError, match="not a quorum"):
-            run(grid_spec(quorum_strategy=foreign))
 
     def test_strategy_draws_never_move_the_workload(self):
         # Same seed, knob off vs on: identical arrival schedules.  A

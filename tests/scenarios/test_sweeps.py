@@ -107,7 +107,6 @@ ANALYTIC_GRID = SweepSpec(
 class TestExpansion:
     def test_row_major_order_and_size(self):
         grid = ACCEPTANCE_GRID
-        assert grid.size == 12
         cells = grid.cells()
         assert [c.index for c in cells] == list(range(12))
         # protocol is the slowest axis, seed the fastest.
@@ -137,10 +136,9 @@ class TestExpansion:
         with pytest.raises(ScenarioError):
             SweepSpec(name="bad", axes={"seed": ()}, base=BASE)
 
-    def test_default_builder_needs_protocol(self):
-        grid = SweepSpec(name="bad", axes={"seed": (0,)})
-        with pytest.raises(ScenarioError):
-            grid.spec_for(grid.cells()[0])
+    def test_a_scenario_sweep_needs_base_or_build(self):
+        with pytest.raises(ScenarioError, match="base spec or a build hook"):
+            SweepSpec(name="bad", axes={"protocol": ("abd", "fastabd")})
 
     def test_unknown_protocol_on_the_axis_raises_where_the_grid_is_built(
         self,

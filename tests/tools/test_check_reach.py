@@ -3,9 +3,11 @@ convicts a dead ``def`` that is not.
 
 ``tools/check_reach.py`` enumerates every ``def`` under ``src/repro/``,
 runs the reproduction surface under ``sys.setprofile`` and fails on a
-``def`` nothing entered unless its allowlist names it with a reason.
-The full surface takes ~35-45 s and runs in CI's ``gates`` job; here each
-mutant is a one-module tree whose surface calls some of its ``def``s.
+``def`` nothing entered unless its allowlist names it with a reason;
+its ``--lines`` report lists the body lines an entered ``def`` never
+ran.  The full surface takes ~35-45 s and runs in CI's ``gates`` job;
+here each mutant is a one-module tree whose surface calls some of its
+``def``s.
 """
 
 import importlib.util
@@ -23,7 +25,10 @@ MUTANT = '''
 import functools
 
 
-def used():
+def used(flag=False):
+    if flag:
+        extra = dead()
+        return extra + 1
     return Box().size + helper()
 
 
@@ -102,6 +107,16 @@ def test_definitions_name_every_def_where_its_code_starts(tmp_path):
     for (_, first), name in found.items():
         if name.endswith(("::cached", "::Box.size")):
             assert lines[first - 1].lstrip().startswith("@")
+
+
+def test_lines_lists_the_untaken_branch_of_an_entered_def(tmp_path):
+    """Of the entered defs only ``used`` skipped lines: the body of the
+    ``if`` its surface call does not take, as one span."""
+    root = mutant_tree(tmp_path)
+    first = MUTANT.splitlines().index("        extra = dead()") + 1
+    assert check_reach.unrun_spans(
+        root / "src" / "repro", surface_of(root)
+    ) == {"repro/mutant.py::used": [(first, first + 1)]}
 
 
 def test_an_unlisted_dead_def_fails(tmp_path):

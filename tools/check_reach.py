@@ -5,6 +5,7 @@ Run from the repository root (CI's ``gates`` job does)::
 
     python tools/check_reach.py          # the gate
     python tools/check_reach.py --list   # every never-entered def
+    python tools/check_reach.py --lines  # what never ran inside the rest
 
 Code that only tests call does not belong in ``src/`` (ROADMAP
 invariant 9).  This gate measures it: it enumerates every ``def`` under
@@ -38,12 +39,20 @@ in-process: while it runs, this process counts as daemonic, which sends
 child runs (the multiprocessing grid backend of
 ``examples/parameter_sweep.py``) is not seen, so its entry points are
 allowlisted.  Takes about 35-45 s on a 2-core host.
+
+``--lines`` is a report, not a gate: it runs the same surface under
+:func:`sys.settrace` and prints, for every entered ``def``, the spans
+of its body that never ran — an input form or a branch that no surface
+takes inside a ``def`` that one does.  It reads the lines of each
+``def``'s own code object (a lambda or comprehension in it is a code
+object of its own and is not listed).
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import dis
 import io
 import multiprocessing
 import re
@@ -117,6 +126,58 @@ def entered(surface: Callable[[], None]) -> Set[Location]:
     finally:
         sys.setprofile(None)
     return {(code.co_filename, code.co_firstlineno) for code in codes}
+
+
+def unrun_spans(package: Path, surface: Callable[[], None]
+                ) -> Dict[str, List[Tuple[int, int]]]:
+    """``"path::qualname" -> [(first, last), ...]`` for every ``def``
+    under ``package`` that ``surface`` entered without running all of
+    its body: each span is a run of the code's line starts (the def line
+    aside) that never ran, consecutive in the code's own line order."""
+    prefix = str(package.resolve())
+    ran: Dict[Location, Set[int]] = {}
+    starts: Dict[Location, Set[int]] = {}
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if not code.co_filename.startswith(prefix):
+            return None
+        place = code.co_filename, code.co_firstlineno
+        if place not in ran:
+            ran[place] = set()
+            starts[place] = {line for _, line in dis.findlinestarts(code)
+                             if line is not None} - {code.co_firstlineno}
+        lines = ran[place]
+
+        def line(frame, event, arg):
+            if event == "line":
+                lines.add(frame.f_lineno)
+            return line
+
+        return line
+
+    sys.settrace(hook)
+    try:
+        surface()
+    finally:
+        sys.settrace(None)
+    report = {}
+    for place, name in definitions(package).items():
+        if place not in ran:
+            continue
+        spans: List[Tuple[int, int]] = []
+        open_span = False
+        for line in sorted(starts[place]):
+            if line in ran[place]:
+                open_span = False
+            elif open_span:
+                spans[-1] = spans[-1][0], line
+            else:
+                spans.append((line, line))
+                open_span = True
+        if spans:
+            report[name] = spans
+    return report
 
 
 def read_allowlist(path: Path) -> Dict[str, str]:
@@ -265,6 +326,16 @@ def main(argv: Iterable[str] = ()) -> int:
         print("\n".join(dead))
         print(f"{len(dead)} of {len(definitions(ROOT / 'src' / 'repro'))} "
               f"defs never entered")
+        return 0
+    if "--lines" in argv:
+        report = unrun_spans(ROOT / "src" / "repro", surface)
+        for name, spans in sorted(report.items()):
+            print(f"{name}  " + ", ".join(
+                str(first) if first == last else f"{first}-{last}"
+                for first, last in spans
+            ))
+        print(f"{sum(map(len, report.values()))} spans in {len(report)} "
+              f"entered defs never ran")
         return 0
     allowed = read_allowlist(ALLOWLIST)
     return finish(
