@@ -11,13 +11,9 @@ consensus half.
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
-from repro.errors import ScenarioError
 from repro.scenarios.adapters import (
-    ProtocolAdapter,
     StorageAdapter,
-    _unsupported_roles,
+    _byzantine_factories,
     _unsupported_strategy,
 )
 from repro.scenarios.registry import register_protocol
@@ -30,52 +26,38 @@ from repro.storage.abd import (
 )
 
 
-def _require_range(
-    adapter: ProtocolAdapter, name: str, value: Any, low: int,
-    high: Optional[int] = None,
-) -> None:
-    """Refuse ``params[name]`` unless it is an int in ``low..high``."""
-    if not isinstance(value, int) or not (
-        low <= value and (high is None or value <= high)
-    ):
-        bound = f"{low} <= {name}" + ("" if high is None else f" <= {high}")
-        raise ScenarioError(
-            f"protocol {adapter.protocol_id!r}: params[{name!r}]={value!r}"
-            f" is out of range; need {bound}"
-        )
+#: The paper's Section 1.2 deployment, the one every kernel row runs:
+#: five servers ``1..5``, up to two crash failures, and fast write
+#: quorums of four.
+KERNEL_SERVERS = 5
+KERNEL_T = 2
+KERNEL_FAST = 4
 
 
 class RegisterAdapter(StorageAdapter):
     """The crash-model count-quorum baselines — classic ABD, the
     Section 1.2 fast variant and the broken greedy algorithm of
-    Figure 1 — each one row of :data:`repro.storage.abd.PROTOCOLS`:
-    ``params["n"]`` servers (``1..n``), up to ``params["t"]`` crash
-    failures, ``params["fast"]`` acks to exit a write round early.  The
-    defaults are the paper's Section 1.2 instance (``n=5, t=2,
-    fast=4``); every row refuses ``n < 1``, ``t`` outside ``0..n-1`` and
-    ``fast`` outside ``1..n``, even the rows whose thresholds do not
-    depend on ``t`` or ``fast``."""
+    Figure 1 — each one row of :data:`repro.storage.abd.PROTOCOLS`,
+    deployed on the paper's Section 1.2 instance:
+    :data:`KERNEL_SERVERS` servers, up to :data:`KERNEL_T` crash
+    failures, :data:`KERNEL_FAST` acks to exit a write round early."""
 
     def __init__(self, spec):
-        _unsupported_roles(self, spec)
+        _byzantine_factories(self, spec)
         _unsupported_strategy(self, spec)
-        n, t = spec.param("n", 5), spec.param("t", 2)
-        fast = spec.param("fast", 4)
-        _require_range(self, "n", n, 1)
-        _require_range(self, "t", t, 0, n - 1)
-        _require_range(self, "fast", fast, 1, n)
         super().__init__(spec)
         protocol = PROTOCOLS[self.protocol_id]
-        server_ids = tuple(range(1, n + 1))
+        server_ids = tuple(range(1, KERNEL_SERVERS + 1))
+        delta = self.network.delta
         self._bind(
             spec, server_ids,
             lambda sid: RegisterServer(sid, protocol.slots),
             lambda pid, writer_id: RegisterWriter(
-                pid, server_ids, self.trace, protocol, t, fast,
-                spec.delta, writer_id=writer_id,
+                pid, server_ids, self.trace, protocol, KERNEL_T,
+                KERNEL_FAST, delta, writer_id=writer_id,
             ),
             lambda pid: RegisterReader(
-                pid, server_ids, self.trace, protocol, t, spec.delta
+                pid, server_ids, self.trace, protocol, KERNEL_T, delta
             ),
         )
 

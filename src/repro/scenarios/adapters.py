@@ -51,7 +51,8 @@ from __future__ import annotations
 
 from operator import itemgetter
 from typing import (
-    Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple,
+    Any, Callable, Collection, Dict, Hashable, Iterable, List, Optional,
+    Sequence, Tuple,
 )
 
 from repro.analysis.streaming import OnlineRefusal
@@ -76,11 +77,16 @@ class ProtocolAdapter:
 
     kind: str = ""            # "storage" | "consensus"
     protocol_id: str = ""     # set by register_protocol
+    #: The ``spec.params`` keys this row reads; a spec naming any other
+    #: key is refused when it is built.
+    param_keys: Tuple[str, ...] = ()
 
     def __init__(self, spec):
+        # Δ is the unit of simulated time: the network runs at its
+        # default, and clients read their timeouts off ``network.delta``.
         self.sim = Simulator()
         self.network = Network(
-            self.sim, delta=spec.delta, rules=spec.faults.rules(),
+            self.sim, rules=spec.faults.rules(),
             trace_level=spec.trace_level,
         )
         self.trace = Trace(
@@ -191,12 +197,31 @@ def _addressed(clients: Sequence[Any], index: int, verb: str, noun: str):
     return clients[index]
 
 
-def _unsupported_roles(adapter: ProtocolAdapter, spec) -> None:
-    if spec.faults.byzantine:
-        raise ScenarioError(
-            f"protocol {adapter.protocol_id!r} does not support "
-            f"Byzantine role assignments"
-        )
+def _byzantine_factories(
+    adapter: ProtocolAdapter, spec, **bindable: Collection[Hashable]
+) -> Dict[str, Dict[Hashable, Callable[..., Any]]]:
+    """``role -> {process: factory}`` for the plan's Byzantine roles.
+
+    ``bindable`` names, per role (``server=``, ``acceptor=``,
+    ``proposer=``: the values of ``faults.SERVER`` / ``ACCEPTOR`` /
+    ``PROPOSER``), the processes this deployment can run as Byzantine
+    ones; a ``ByzantineRole`` of any other role or process
+    is refused, so a Byzantine experiment never runs benign by
+    accident."""
+    factories = {role: {} for role in bindable}
+    for byzantine in spec.faults.byzantine:
+        if byzantine.process not in bindable.get(byzantine.role, ()):
+            could = "; ".join(
+                f"{role} {', '.join(map(repr, ids))}"
+                for role, ids in bindable.items()
+            )
+            raise ScenarioError(
+                f"protocol {adapter.protocol_id!r} cannot bind the "
+                f"{byzantine.role} role of process {byzantine.process!r}; "
+                f"the Byzantine roles it binds: {could or 'none'}"
+            )
+        factories[byzantine.role][byzantine.process] = byzantine.factory
+    return factories
 
 
 def _unsupported_strategy(adapter: ProtocolAdapter, spec) -> None:
@@ -229,6 +254,8 @@ class StorageAdapter(ProtocolAdapter):
     """
 
     kind = "storage"
+    #: The shard view :func:`~repro.scenarios.sharding.shard_spec` sets.
+    param_keys = ("shard_index", "shard_count")
     #: The register semantics the protocol claims, hence what the
     #: register checker judges (``RunResult.atomicity``): ``"atomic"``,
     #: or ``"regular"`` (every rule but read-inversion).

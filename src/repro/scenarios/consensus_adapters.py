@@ -4,8 +4,8 @@
 The paper's RQS-based Byzantine consensus (Figures 9–15) and its two
 baselines, crash Paxos (:data:`PAXOS_ACCEPTORS` acceptors) and
 PBFT-lite (``3f + 1`` replicas for :data:`PBFT_F`), over one shared
-:class:`ConsensusAdapter`.  The baselines are fixed deployments: a
-spec for either sets no ``params``.  The registry imports this module on the
+:class:`ConsensusAdapter`.  The baselines are fixed deployments and
+read no ``params``.  The registry imports this module on the
 first lookup of one of the three ids, so only a run that names a
 consensus protocol compiles :mod:`repro.consensus` and
 :mod:`repro.crypto`.
@@ -21,10 +21,9 @@ from repro.errors import ScenarioError
 from repro.scenarios.adapters import (
     ProtocolAdapter,
     _addressed,
-    _unsupported_roles,
+    _byzantine_factories,
     _unsupported_strategy,
 )
-from repro.scenarios.faults import ACCEPTOR, PROPOSER
 from repro.scenarios.registry import register_protocol
 from repro.scenarios.workloads import Propose, RandomMix, Resync
 from repro.sim.process import Process
@@ -43,14 +42,6 @@ PBFT_F = 1
 
 def _learner_ids(spec) -> Tuple[str, ...]:
     return tuple(f"l{index + 1}" for index in range(spec.learners))
-
-
-def _no_params(adapter: ProtocolAdapter, spec, deployment: str) -> None:
-    if spec.params:
-        raise ScenarioError(
-            f"protocol {adapter.protocol_id!r} takes no params: it "
-            f"deploys {deployment}; got {dict(spec.params)!r}"
-        )
 
 
 class ConsensusAdapter(ProtocolAdapter):
@@ -126,22 +117,23 @@ class ConsensusAdapter(ProtocolAdapter):
 class RqsConsensusAdapter(ConsensusAdapter):
     """The paper's RQS-based Byzantine consensus (Figures 9-15)."""
 
+    param_keys = ("sync_delay", "proposer_values")
+
     def __init__(self, spec):
         _unsupported_strategy(self, spec)
         rqs = spec.resolved_rqs()
         if rqs is None:
             raise ScenarioError("rqs-consensus requires a quorum system")
-        acceptor_factories = {
-            role.process: role.factory
-            for role in spec.faults.byzantine_for(ACCEPTOR)
-        }
-        proposer_factories = {
-            role.process: role.factory
-            for role in spec.faults.byzantine_for(PROPOSER)
-        }
+        factories = _byzantine_factories(
+            self, spec, acceptor=rqs.servers,
+            proposer=range(spec.proposers),
+        )
+        acceptor_factories = factories["acceptor"]
+        proposer_factories = factories["proposer"]
         super().__init__(spec)
         self.rqs = rqs
-        network, delta = self.network, spec.delta
+        network = self.network
+        delta = network.delta
         service = SignatureService()
         proposer_ids = tuple(f"p{i + 1}" for i in range(spec.proposers))
         learner_ids = _learner_ids(spec)
@@ -175,9 +167,8 @@ class PaxosAdapter(ConsensusAdapter):
     ``1..PAXOS_ACCEPTORS``)."""
 
     def __init__(self, spec):
-        _unsupported_roles(self, spec)
+        _byzantine_factories(self, spec)
         _unsupported_strategy(self, spec)
-        _no_params(self, spec, f"{PAXOS_ACCEPTORS} acceptors")
         super().__init__(spec)
         network = self.network
         acceptor_ids = tuple(range(1, PAXOS_ACCEPTORS + 1))
@@ -205,9 +196,8 @@ class PbftAdapter(ConsensusAdapter):
     ``3f + 1`` replicas for ``f = PBFT_F``."""
 
     def __init__(self, spec):
-        _unsupported_roles(self, spec)
+        _byzantine_factories(self, spec)
         _unsupported_strategy(self, spec)
-        _no_params(self, spec, f"{3 * PBFT_F + 1} replicas (f = {PBFT_F})")
         super().__init__(spec)
         network = self.network
         replica_ids = tuple(range(1, 3 * PBFT_F + 2))

@@ -51,14 +51,16 @@ class ByzantineRole:
     ``factory`` builds the process in place of the benign one, called
     with the benign constructor's arguments: a protocol subclass, or a
     ``functools.partial`` of one that fixes its own arguments —
-    ``SilentServer``,
     ``partial(FabricatingServer, forged_ts=…, forged_value=…)``,
     ``partial(ForgetfulServer, trigger_time=…, forged_state=…)``,
     ``partial(QuorumForgettingServer, trigger_time=…)`` (all in
-    :mod:`repro.storage.server`) or ``EquivocatingProposer``.  ``role``
+    :mod:`repro.storage.server`) or ``EquivocatingProposer``.  A server
+    that never answers is a crash, ``Crash(sid, 0.0)``.  ``role``
     disambiguates targets whose id spaces overlap: storage servers
     (default), consensus acceptors, or consensus proposers (addressed by
-    index).
+    index).  The adapter refuses a role it cannot bind — a role its
+    protocol has no Byzantine slot for, or a process it does not
+    deploy — naming the roles and ids it could bind.
     """
 
     process: ProcessId
@@ -157,6 +159,3 @@ class FaultPlan:
                               until=p.until, label=p.label))
         rules.extend(self.asynchrony)
         return rules
-
-    def byzantine_for(self, role: str) -> Tuple[ByzantineRole, ...]:
-        return tuple(b for b in self.byzantine if b.role == role)

@@ -405,8 +405,9 @@ class RunResult(ResultSurface):
 
     @property
     def learner_delays(self) -> Dict[Hashable, Optional[float]]:
-        """Learner pid → message-delay latency from the first propose
-        (``None`` for learners that never learned)."""
+        """Learner pid → message-delay latency from the first propose:
+        simulated time over the network's Δ (``None`` for learners that
+        never learned)."""
         proposes = self.proposes
         origin = proposes[0].invoked_at if proposes else 0.0
         delays: Dict[Hashable, Optional[float]] = {}
@@ -415,7 +416,7 @@ class RunResult(ResultSurface):
         for record in self.learns:
             if record.complete:
                 delays[record.process] = (
-                    (record.completed_at - origin) / self.spec.delta
+                    (record.completed_at - origin) / self.adapter.network.delta
                 )
         return delays
 

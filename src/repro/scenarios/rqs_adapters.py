@@ -17,10 +17,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Dict, Hashable, Optional
 
 from repro.errors import ScenarioError
-from repro.scenarios.adapters import StorageAdapter
-from repro.scenarios.faults import SERVER
+from repro.scenarios.adapters import StorageAdapter, _byzantine_factories
 from repro.scenarios.registry import register_protocol
-from repro.scenarios.workloads import RandomMix, Read, Write
+from repro.scenarios.workloads import RandomMix
 from repro.storage.reader import StorageReader
 from repro.storage.regular import RegularReader
 from repro.storage.server import RateLimitedServer, StorageServer
@@ -31,22 +30,19 @@ if TYPE_CHECKING:
 
 
 def _workload_read_fraction(spec) -> Fraction:
-    """The spec's read mix as an exact fraction (for ``"optimal"``).
-
-    Counts reads and writes across the workload literals; a workload
-    with no countable operations defaults to a balanced 1/2.
-    """
-    reads = writes = 0
-    for op in spec.workload:
-        if isinstance(op, RandomMix):
-            reads += op.reads
-            writes += op.writes
-        elif isinstance(op, Read):
-            reads += 1
-        elif isinstance(op, Write):
-            writes += 1
-    total = reads + writes
-    return Fraction(reads, total) if total else Fraction(1, 2)
+    """The read fraction a strategy plans for: the reads of the spec's
+    one :class:`RandomMix` over its operations (1/2 for an empty mix).
+    A strategy spec runs one mix literal and nothing else."""
+    workload = spec.workload
+    if len(workload) != 1 or not isinstance(workload[0], RandomMix):
+        raise ScenarioError(
+            f"quorum_strategy={spec.quorum_strategy!r} reads its read "
+            f"fraction off the workload's one RandomMix literal, the only "
+            f"workload form it takes; got {workload!r}"
+        )
+    mix = workload[0]
+    total = mix.reads + mix.writes
+    return Fraction(mix.reads, total) if total else Fraction(1, 2)
 
 
 def _resolve_strategy(spec, rqs) -> Optional[Strategy]:
@@ -86,6 +82,9 @@ class RqsStorageAdapter(StorageAdapter):
     """
 
     reader_class = StorageReader
+    param_keys = (
+        "bounded_history", "capacity_model", *StorageAdapter.param_keys,
+    )
 
     def __init__(self, spec):
         rqs = spec.resolved_rqs()
@@ -99,10 +98,9 @@ class RqsStorageAdapter(StorageAdapter):
                 "capacity_model requires an RQS with per-node capacities "
                 "(lift one from a quorum expression, e.g. rqs='grid-hetero')"
             )
-        factories = {
-            role.process: role.factory
-            for role in spec.faults.byzantine_for(SERVER)
-        }
+        factories = _byzantine_factories(
+            self, spec, server=rqs.servers
+        )["server"]
         strategy = _resolve_strategy(spec, rqs)
         super().__init__(spec)
         self.rqs = rqs
@@ -132,14 +130,15 @@ class RqsStorageAdapter(StorageAdapter):
 
             return QuorumSelector(strategy, spec.seed, pid)
 
+        delta = self.network.delta
         self._bind(
             spec, rqs.servers, make_server,
             lambda pid, writer_id: StorageWriter(
-                pid, rqs, self.trace, delta=spec.delta,
+                pid, rqs, self.trace, delta=delta,
                 writer_id=writer_id, selector=selector(pid),
             ),
             lambda pid: self.reader_class(
-                pid, rqs, self.trace, delta=spec.delta,
+                pid, rqs, self.trace, delta=delta,
                 selector=selector(pid),
             ),
         )

@@ -2,9 +2,11 @@
 
 A :class:`ScenarioSpec` is a frozen literal describing one complete
 execution: which protocol runs, over which refined quorum system (an
-:class:`~repro.core.rqs.RefinedQuorumSystem` instance or a registered
-name), how many clients participate, the synchrony bound Δ, the fault
-plan, the workload, the seed, and how long to run.  ``run(spec)`` in
+:class:`~repro.core.rqs.RefinedQuorumSystem` instance, a registered
+name or a construction string), how many clients participate, the
+fault plan, the workload, the seed, and how long to run.  Time is
+counted in message delays: every deployment runs its network at the
+synchrony bound Δ = 1.  ``run(spec)`` in
 :mod:`repro.scenarios.runner` is the only step between a spec and a
 checked :class:`~repro.scenarios.result.RunResult`.
 """
@@ -27,10 +29,9 @@ from repro.scenarios.workloads import RandomMix, Workload, WorkloadOp
 from repro.sim.network import TraceLevel
 
 if TYPE_CHECKING:
-    from repro.core.algebra import QuorumSystem
     from repro.core.rqs import RefinedQuorumSystem
 
-RqsSpec = Union["RefinedQuorumSystem", "QuorumSystem", str, None]
+RqsSpec = Union["RefinedQuorumSystem", str, None]
 
 #: Legal string values of ``ScenarioSpec.quorum_strategy``.
 STRATEGY_NAMES = ("uniform", "optimal")
@@ -77,7 +78,8 @@ register_rqs("example6-broken-p3",
 register_rqs("example7", _deferred(_BUILDERS, "example7_rqs"))
 register_rqs("figure3", _deferred(_BUILDERS, "figure3_rqs"))
 register_rqs("section12", _deferred(_BUILDERS, "section12_rqs"))
-# Expression-defined systems (the quorum algebra lift): the 2×3 grid
+# Expression-defined systems (the quorum algebra lift, the one way a
+# planning-level ``QuorumSystem`` reaches a spec): the 2×3 grid
 # ``a*b*c + d*e*f`` with heterogeneous / homogeneous node capacities.
 register_rqs("grid-hetero", _deferred("repro.core.algebra", "demo_grid_rqs",
                                       heterogeneous=True))
@@ -88,11 +90,8 @@ register_rqs("grid-homog", _deferred("repro.core.algebra", "demo_grid_rqs",
 def resolve_rqs(spec: RqsSpec) -> Optional[RefinedQuorumSystem]:
     """Resolve a spec's ``rqs`` field to a concrete system.
 
-    Accepts an instance, a planning-level
-    :class:`~repro.core.algebra.QuorumSystem` (lifted via its
-    :meth:`~repro.core.algebra.QuorumSystem.to_rqs`), ``None`` (for
-    protocols that do not take an RQS), a registered name or a
-    parameterized construction string:
+    Accepts ``None`` (for protocols that do not take an RQS), an
+    instance, a registered name or a parameterized construction string:
 
     ``"threshold:n,t,k,q,r"`` — Example 6, validated (an unvalidated
     system is built with ``threshold_rqs(..., validate=False)`` and
@@ -112,13 +111,11 @@ def resolve_rqs(spec: RqsSpec) -> Optional[RefinedQuorumSystem]:
 
         if isinstance(spec, RefinedQuorumSystem):
             return spec
-        from repro.core.algebra import QuorumSystem
-
-        if isinstance(spec, QuorumSystem):
-            return spec.to_rqs()
         raise ScenarioError(
-            f"rqs must be a RefinedQuorumSystem, a name, or None; "
-            f"got {spec!r}"
+            f"rqs must be None, a RefinedQuorumSystem, a registered name "
+            f"or a threshold:n,t,k,q,r string; got {spec!r} (a quorum "
+            f"expression runs through its registered lift, e.g. "
+            f"'grid-hetero')"
         )
     if spec in _NAMED_RQS:
         rqs = _BUILT_RQS.get(spec)
@@ -166,11 +163,12 @@ class ScenarioSpec:
         module then, and an unknown id raises
         :class:`~repro.errors.UnknownProtocolError` there.
     rqs:
-        The refined quorum system (instance or name); ``None`` for
-        baselines parameterized by counts instead (ABD, Paxos, PBFT).
-        A name or construction string is resolved (:func:`resolve_rqs`)
-        when the spec is built, so the system is built in set-up and an
-        unknown name raises :class:`~repro.errors.ScenarioError` there.
+        The refined quorum system (instance, registered name or
+        construction string); ``None`` for the fixed-size baselines
+        (the ABD kernel, Paxos, PBFT).  It is resolved
+        (:func:`resolve_rqs`) when the spec is built, so the system is
+        built in set-up and an unknown name — or a value of any other
+        kind — raises :class:`~repro.errors.ScenarioError` there.
     readers / proposers / learners:
         Client counts; each adapter uses the ones its protocol has.
     n_writers:
@@ -185,8 +183,6 @@ class ScenarioSpec:
         (keys ``0 .. n_keys-1``; explicit ``Write``/``Read`` literals
         may address any hashable key regardless).  ``1`` (default)
         keeps every operation on the default register.
-    delta:
-        The synchrony bound Δ (default network latency).
     faults:
         The adversary's :class:`~repro.scenarios.faults.FaultPlan`.
     workload:
@@ -224,16 +220,22 @@ class ScenarioSpec:
         draws uniformly over the RQS's quorums; ``"optimal"`` draws
         from the load-optimal LP distribution of
         :func:`repro.core.strategy.optimal_strategy` (the read fraction
-        is taken from the workload's mix, and per-node capacities from
-        the RQS when it carries them).  No other value is accepted.
+        is taken from the workload, which must be one ``RandomMix``
+        literal, and per-node capacities from the RQS when it carries
+        them).  No other value is accepted.
         Strategy draws consume a dedicated per-client RNG stream, never
         the workload RNGs.  Only the ``rqs-storage`` protocol supports
         the knob.  A spec that sets it imports the solver,
         :mod:`repro.core.strategy`, when it is built.
     params:
-        Protocol-specific extras (e.g. ``n``/``t`` for ABD-family
-        baselines, ``sync_delay`` or ``proposer_values`` for the RQS
-        consensus).  Paxos and PBFT deploy fixed sizes and take none.
+        Protocol-specific extras.  Each registry row declares the keys
+        it reads (its adapter's ``param_keys``) and the spec refuses any
+        other key, by name, when it is built: ``bounded_history`` /
+        ``capacity_model`` on the RQS storage rows, ``sync_delay`` /
+        ``proposer_values`` on ``rqs-consensus``, and on every storage
+        row the ``shard_index`` / ``shard_count`` view
+        :func:`~repro.scenarios.sharding.shard_spec` sets.  The kernel
+        rows, Paxos and PBFT deploy fixed sizes and read none.
     shards:
         Split the run over this many **key shards**, each simulated in
         its own worker process (``1``, the default, is the historical
@@ -266,7 +268,6 @@ class ScenarioSpec:
     learners: int = 3
     n_writers: int = 1
     n_keys: int = 1
-    delta: float = 1.0
     faults: FaultPlan = field(default_factory=FaultPlan)
     workload: Workload = ()
     seed: int = 0
@@ -283,8 +284,8 @@ class ScenarioSpec:
         # spec literal is built, never inside a timed ``run``; so does
         # resolving an RQS name (an unknown one raises here), and so
         # do the strategy solver and a sharded run's pool stack below.
-        get_protocol(self.protocol)
-        if isinstance(self.rqs, str):
+        adapter = get_protocol(self.protocol)
+        if self.rqs is not None:
             resolve_rqs(self.rqs)
         object.__setattr__(self, "workload", tuple(self.workload))
         if self.quorum_strategy is not None:
@@ -358,6 +359,13 @@ class ScenarioSpec:
         object.__setattr__(
             self, "params", MappingProxyType(dict(self.params))
         )
+        unread = [key for key in self.params if key not in adapter.param_keys]
+        if unread:
+            raise ScenarioError(
+                f"protocol {self.protocol!r} reads no params key "
+                f"{', '.join(map(repr, unread))}; the keys it reads: "
+                f"{', '.join(adapter.param_keys) or 'none'}"
+            )
 
     def param(self, name: str, default: Any = None) -> Any:
         return self.params.get(name, default)

@@ -109,7 +109,7 @@ class SweepSpec:
         The sweep's identity — names exported artifacts
         (``BENCH_<name>.json``).
     axes:
-        Ordered mapping (or sequence of pairs) ``axis name -> values``.
+        Ordered mapping ``axis name -> values`` (the one form).
         Values may be plain objects or :func:`labeled` pairs; the cross
         product expands in row-major order (last axis fastest).  The
         ids on a ``protocol`` axis are resolved when the grid is built,
@@ -142,13 +142,13 @@ class SweepSpec:
     def __post_init__(self):
         if not self.name:
             raise ScenarioError("a sweep needs a name")
-        pairs = (
-            tuple(self.axes.items())
-            if isinstance(self.axes, Mapping)
-            else tuple((name, values) for name, values in self.axes)
-        )
+        if not isinstance(self.axes, Mapping):
+            raise ScenarioError(
+                f"sweep {self.name!r}: axes must be a mapping of axis "
+                f"name -> values; got {self.axes!r}"
+            )
         normalized = []
-        for name, values in pairs:
+        for name, values in self.axes.items():
             if name in RESERVED_COLUMNS:
                 raise ScenarioError(
                     f"axis name {name!r} is reserved "

@@ -428,7 +428,6 @@ def open_loop_stream(
     budget: OpBudget,
     duration: Optional[float],
     n_keys: int = 1,
-    first_value: int = 1,
     shard: Optional[Tuple[int, int]] = None,
 ) -> Iterator[Tuple]:
     """One client's unbounded lazy op sequence for a horizon-free run.
@@ -439,8 +438,8 @@ def open_loop_stream(
     mix (``horizon / ops`` spread over the role's clients), plus one
     register per op from the mix's keyspace distribution — O(1) state,
     no materialized schedule.  Writer values use the closed-loop
-    round-robin encoding (``first_value + index + i * count``), so
-    per-key value sequences stay monotone for the online checker.
+    round-robin encoding (``1 + index + i * count``), so per-key value
+    sequences stay monotone for the online checker.
 
     Generation stops when the shared :class:`OpBudget` is exhausted or
     the next start time would fall at/after ``duration``.  Yields
@@ -488,7 +487,7 @@ def open_loop_stream(
             if not budget.take():
                 return
         if role == "writer":
-            yield at, first_value + index + serial * count, key
+            yield at, 1 + index + serial * count, key
         else:
             yield at, key
         serial += 1

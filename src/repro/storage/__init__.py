@@ -19,8 +19,7 @@ __getattr__, __dir__ = _lazy(globals(), {
     "ReadState": "repro.storage.predicates",
     "StorageReader": "repro.storage.reader",
     **dict.fromkeys(
-        ("StorageServer", "SilentServer", "FabricatingServer",
-         "ForgetfulServer"),
+        ("StorageServer", "FabricatingServer", "ForgetfulServer"),
         "repro.storage.server",
     ),
     "RegularReader": "repro.storage.regular",
@@ -39,7 +38,6 @@ __all__ = [
     "ReadState",
     "StorageReader",
     "StorageServer",
-    "SilentServer",
     "FabricatingServer",
     "ForgetfulServer",
     "RegularReader",

@@ -14,9 +14,9 @@ signals the client's wait).  Byzantine state mutations below (forging,
 rollbacks) therefore need no signalling either — they only influence
 clients through future replies.
 
-Byzantine variants used by tests and proof replays:
+Byzantine variants used by tests and proof replays (a server that never
+answers is a crash, ``Crash(sid, 0.0)``, not a variant):
 
-* :class:`SilentServer` — never answers (crash-equivalent).
 * :class:`FabricatingServer` — answers reads with a forged history
   advertising an arbitrary high-timestamp value (the fabrication attack
   that the reader's ``safe`` predicate must defeat).
@@ -251,15 +251,6 @@ class RateLimitedServer(StorageServer):
                 handler(client, payload)
 
         self.sim.call_at(done, finish)
-
-
-class SilentServer(StorageServer):
-    """Byzantine: ignores every message."""
-
-    benign = False
-
-    def on_message(self, src: Hashable, payload: Any) -> None:
-        return
 
 
 class FabricatingServer(StorageServer):

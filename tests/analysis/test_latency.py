@@ -23,12 +23,12 @@ def test_summarize_empty_kind():
 
 
 def test_learner_delays_with_a_crashed_learner():
-    """Delays are simulated time over Δ (here 2.0: learned at t=4.0 is
-    two message delays); a learner that never learned maps to ``None``,
-    and then so does the worst delay."""
+    """Delays are simulated time over Δ, the unit of simulated time
+    (learned at t=2.0 is two message delays); a learner that never
+    learned maps to ``None``, and then so does the worst delay."""
     result = run(ScenarioSpec(
         "rqs-consensus", rqs="example6", workload=(Propose(0.0, "V"),),
-        horizon=60.0, delta=2.0,
+        horizon=60.0,
         faults=FaultPlan(crashes=(Crash("l1", 0.0),)),
     ))
     assert result.learner_delays == {"l1": None, "l2": 2.0, "l3": 2.0}

@@ -128,7 +128,10 @@ def test_batching_collapses_events_per_op(protocol):
         run(keyed_mix_spec(
             protocol, 16, writes=4000, reads=6000, readers=8, seed=5,
             trace_level="metrics", max_ops=1000, batch_size=batch_size,
-            params={"bounded_history": protocol == "rqs-storage"},
+            params=(
+                {"bounded_history": True} if protocol == "rqs-storage"
+                else {}
+            ),
         ))
         for batch_size in (1, 16)
     )

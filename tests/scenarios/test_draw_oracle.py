@@ -153,7 +153,7 @@ def stream_ops(stream, mix, role, n_keys, seed, max_ops, duration, shard):
     sides = [
         make(
             mix, role, 1, 3, seed, OpBudget(max_ops), duration,
-            n_keys=n_keys, first_value=5, shard=shard,
+            n_keys=n_keys, shard=shard,
         )
         for make in (reference_open_loop_stream, stream)
     ]

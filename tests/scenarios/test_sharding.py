@@ -431,7 +431,7 @@ class TestNestedMultiprocessing:
         shards' pool, and the two unsharded cells after them still run
         as cells, because the pool restores the worker's slot."""
         grid = SweepSpec(
-            name="slot", axes=(("shards", (2, 1)), ("seed", (7, 8))),
+            name="slot", axes={"shards": (2, 1), "seed": (7, 8)},
             base=sharded_soak_spec(),
         )
 

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import weakref
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -16,8 +17,14 @@ from repro.core.constructions import (
 from repro.core.rqs import RefinedQuorumSystem
 from repro.errors import PropertyViolation, ScenarioError, UnknownProtocolError
 from repro.experiments import stress
+from repro.storage.server import FabricatingServer
+from repro.consensus.acceptor import Acceptor
+from repro.consensus.proposer import EquivocatingProposer
 from repro.scenarios import spec as spec_module
 from repro.scenarios import (
+    ACCEPTOR,
+    PROPOSER,
+    ByzantineRole,
     FaultPlan,
     RandomMix,
     ScenarioSpec,
@@ -43,11 +50,21 @@ class TestScenarioSpec:
         assert isinstance(spec.workload, tuple)
 
     def test_params_are_read_only(self):
-        spec = ScenarioSpec(protocol="abd", params={"n": 7})
-        assert spec.param("n") == 7
-        assert spec.param("missing", 3) == 3
+        spec = ScenarioSpec(protocol="rqs-storage", rqs="example6",
+                            params={"bounded_history": True})
+        assert spec.param("bounded_history") is True
+        assert spec.param("capacity_model", 3) == 3
         with pytest.raises(TypeError):
-            spec.params["n"] = 9
+            spec.params["bounded_history"] = False
+
+    def test_delta_is_the_unit_not_a_field(self):
+        # Every deployment runs its network at Δ = 1: time is counted
+        # in message delays, as the paper states its bounds.
+        with pytest.raises(TypeError, match="delta"):
+            ScenarioSpec(protocol="abd", delta=2.0)
+        result = run(ScenarioSpec(protocol="abd",
+                                  workload=(Write(0.0, "v"),)))
+        assert result.adapter.network.delta == 1.0
 
     def test_with_replaces_fields(self):
         spec = ScenarioSpec(protocol="rqs-storage", rqs="example6")
@@ -73,6 +90,37 @@ class TestScenarioSpec:
         mix = RandomMix(2, 3, horizon=10.0, distribution="zipfian",
                         skew=0.0)
         assert mix.skew == 0.0
+
+
+class TestParamsContract:
+    """Each registry row names the ``params`` keys it reads; the spec
+    refuses any other key, by name, where it is built."""
+
+    @pytest.mark.parametrize("protocol, rqs, misspelled, accepted", (
+        ("rqs-storage", "example6", "bounded_histroy", "bounded_history"),
+        ("rqs-consensus", "example6", "sync_dealy", "sync_delay"),
+    ))
+    def test_a_misspelled_key_is_refused(self, protocol, rqs, misspelled,
+                                         accepted):
+        with pytest.raises(ScenarioError) as refused:
+            ScenarioSpec(protocol, rqs=rqs, params={misspelled: True})
+        message = str(refused.value)
+        assert f"reads no params key {misspelled!r}" in message
+        assert accepted in message
+
+    def test_each_row_declares_the_keys_it_reads(self):
+        shard_view = ("shard_index", "shard_count")
+        rqs_storage = ("bounded_history", "capacity_model", *shard_view)
+        expected = {
+            "abd": shard_view, "fastabd": shard_view, "naive": shard_view,
+            "rqs-storage": rqs_storage, "rqs-regular": rqs_storage,
+            "rqs-consensus": ("sync_delay", "proposer_values"),
+            "paxos": (), "pbft": (),
+        }
+        assert {
+            protocol: get_protocol(protocol).param_keys
+            for protocol in expected
+        } == expected
 
 
 class TestNamedRqs:
@@ -238,6 +286,43 @@ class TestRegistry:
     def test_storage_protocol_requires_rqs(self):
         with pytest.raises(ScenarioError, match="requires a quorum"):
             run(ScenarioSpec(protocol="rqs-storage"))
+
+    @pytest.mark.parametrize("protocol, rqs, role, could", (
+        # Server 9 of a four-server system.
+        ("rqs-storage", "threshold:4,1,1,0,1",
+         ByzantineRole(9, partial(FabricatingServer, forged_ts=9,
+                                  forged_value="EVIL")),
+         "server 1, 2, 3, 4"),
+        # An acceptor role on a storage deployment.
+        ("rqs-storage", "example6",
+         ByzantineRole(1, partial(FabricatingServer, forged_ts=9,
+                                  forged_value="EVIL"), role=ACCEPTOR),
+         "server 1, 2, 3, 4, 5, 6, 7, 8"),
+        # Acceptor 9 of example6's eight, then proposer index 2 of two.
+        ("rqs-consensus", "example6",
+         ByzantineRole(9, Acceptor, role=ACCEPTOR),
+         "acceptor 1, 2, 3, 4, 5, 6, 7, 8; proposer 0, 1"),
+        ("rqs-consensus", "example6",
+         ByzantineRole(2, EquivocatingProposer, role=PROPOSER),
+         "acceptor 1, 2, 3, 4, 5, 6, 7, 8; proposer 0, 1"),
+        ("abd", None, ByzantineRole(1, partial(FabricatingServer,
+                                               forged_ts=9,
+                                               forged_value="EVIL")),
+         "none"),
+    ))
+    def test_a_byzantine_role_that_binds_nothing_is_refused(
+        self, protocol, rqs, role, could
+    ):
+        # Dropped, the role would leave every process benign and the
+        # Byzantine experiment would pass vacuously.
+        spec = ScenarioSpec(protocol, rqs=rqs,
+                            faults=FaultPlan(byzantine=(role,)))
+        with pytest.raises(ScenarioError) as refused:
+            run(spec)
+        message = str(refused.value)
+        assert (f"cannot bind the {role.role} role of process "
+                f"{role.process!r}") in message
+        assert message.endswith(f"the Byzantine roles it binds: {could}")
 
     def test_crash_target_must_exist(self):
         from repro.scenarios import Crash

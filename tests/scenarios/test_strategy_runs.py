@@ -61,17 +61,28 @@ class TestSpecValidation:
                            match="None, 'uniform' or 'optimal'"):
             grid_spec(quorum_strategy=strategy)
 
-    def test_quorum_system_is_a_valid_rqs_value(self):
+    def test_a_quorum_system_is_refused_as_rqs(self):
+        # A planning-level expression reaches a spec through its
+        # registered lift ("grid-hetero"), never as the value itself.
         a, b, c, d = (Node(x) for x in "abcd")
-        spec = ScenarioSpec(
-            protocol="rqs-storage",
-            rqs=QuorumSystem(reads=a * b + c * d),
-            readers=1,
-            workload=(Write(0.0, "v"), Read(5.0)),
-        )
-        result = run(spec)
-        assert result.atomicity.atomic
-        assert result.read().result == "v"
+        with pytest.raises(ScenarioError,
+                           match="a threshold:n,t,k,q,r string"):
+            ScenarioSpec(
+                protocol="rqs-storage",
+                rqs=QuorumSystem(reads=a * b + c * d),
+                readers=1,
+                workload=(Write(0.0, "v"), Read(5.0)),
+            )
+
+    @pytest.mark.parametrize("workload", (
+        (Write(0.0, 1), Read(5.0), Read(6.0)),
+        (RandomMix(8, 8, horizon=30.0), Read(40.0)),
+    ), ids=("literals", "mix-and-literal"))
+    def test_a_strategy_reads_its_fraction_off_one_mix(self, workload):
+        spec = grid_spec(quorum_strategy="optimal", workload=workload)
+        with pytest.raises(ScenarioError,
+                           match="the workload's one RandomMix literal"):
+            run(spec)
 
 
 class TestStrategyRuns:

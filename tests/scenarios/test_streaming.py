@@ -33,6 +33,7 @@ from repro.scenarios import (
     run,
 )
 from repro.scenarios.result import soak_row
+from repro.scenarios.workloads import OpBudget, open_loop_stream
 
 MIX_DRAWS = {
     "single-key": dict(mix=RandomMix(5, 8, horizon=50.0), n_readers=3,
@@ -276,6 +277,16 @@ class TestOpenLoop:
         )
         with pytest.raises(ScenarioError, match="storage"):
             run(spec)
+
+    def test_writer_values_count_from_one(self):
+        # An open-loop writer's values are the closed-loop round-robin
+        # encoding from 1; there is no other starting value to set.
+        mix = RandomMix(4, 0, horizon=8.0)
+        ops = open_loop_stream(mix, "writer", 1, 2, 5, OpBudget(3), None)
+        assert [value for _, value, _ in ops] == [2, 4, 6]
+        with pytest.raises(TypeError, match="first_value"):
+            open_loop_stream(mix, "writer", 1, 2, 5, OpBudget(3), None,
+                             first_value=5)
 
     def test_spec_validates_stopping_rule(self):
         with pytest.raises(ScenarioError, match="duration"):

@@ -132,6 +132,12 @@ class TestExpansion:
         with pytest.raises(ScenarioError):
             SweepSpec(name="bad", axes={"ok": (1,)}, base=BASE)
 
+    def test_axes_are_a_mapping(self):
+        # A sequence of (name, values) pairs was a second spelling of
+        # the same grid; only the mapping is accepted.
+        with pytest.raises(ScenarioError, match="mapping of axis name"):
+            SweepSpec(name="bad", axes=(("seed", (0, 1)),), base=BASE)
+
     def test_empty_axis_rejected(self):
         with pytest.raises(ScenarioError):
             SweepSpec(name="bad", axes={"seed": ()}, base=BASE)

@@ -25,20 +25,19 @@ class TestAbd:
     def test_reads_always_two_rounds(self):
         result = register(
             "abd", Write(0.0, "a"), *(Read(10.0) for _ in range(3)),
-            params={"n": 5},
         )
         assert [(r.rounds, r.result) for r in result.reads] == [(2, "a")] * 3
 
     def test_tolerates_minority_crashes(self):
         result = register(
-            "abd", Write(0.0, "v"), Read(10.0), params={"n": 5},
+            "abd", Write(0.0, "v"), Read(10.0),
             faults=FaultPlan(crashes=crashes({1: 0.0, 2: 0.0})),
         )
         assert result.read().result == "v"
 
     def test_blocks_on_majority_crash(self):
         result = register(
-            "abd", Write(0.0, "v"), params={"n": 5},
+            "abd", Write(0.0, "v"),
             faults=FaultPlan(crashes=crashes({1: 0.0, 2: 0.0, 3: 0.0})),
         )
         assert not result.write().complete
@@ -48,7 +47,7 @@ class TestAbd:
         result = register(
             "abd", Write(0.0, "a"), Read(10.0, reader=0),
             Write(20.0, "b"), Read(30.0, reader=1),
-            readers=2, params={"n": 5},
+            readers=2,
         )
         assert [read.result for read in result.reads] == ["a", "b"]
         assert result.atomicity.atomic
@@ -107,43 +106,15 @@ class TestNaive:
         assert result.read().result == "v"
 
 
-#: Ill-formed count-quorum deployments: each used to raise a bare
-#: ``ValueError`` from deep in the client, or to block every op while
-#: the run still reported ``atomic``.
-BAD_PARAMS = (
-    ({"t": 5}, "t", "0 <= t <= 4"),          # quorum n - t = 0
-    ({"n": 0}, "n", "1 <= n"),
-    ({"t": -1}, "t", "0 <= t <= 4"),         # needs n + 1 of n acks
-    ({"fast": 0}, "fast", "1 <= fast <= 5"),
-    ({"fast": 6}, "fast", "1 <= fast <= 5"),  # fast = n + 1
-)
-
-
 @pytest.mark.parametrize("protocol", ("abd", "fastabd", "naive"))
-@pytest.mark.parametrize("params, name, bound", BAD_PARAMS)
-def test_ill_formed_params_are_refused(protocol, params, name, bound):
-    with pytest.raises(ScenarioError) as refused:
-        register(protocol, Write(0.0, "v"), Read(5.0), params=params)
-    message = str(refused.value)
-    assert f"params[{name!r}]" in message and bound in message
-    assert repr(protocol) in message
-
-
-#: The edges of the accepted ranges: a single server, and the largest
-#: ``t`` and ``fast`` the five-server deployment admits.
-EDGE_PARAMS = (
-    {"n": 1, "t": 0, "fast": 1},
-    {"n": 5, "t": 4, "fast": 5},
-)
-
-
-@pytest.mark.parametrize("protocol", ("abd", "fastabd", "naive"))
-@pytest.mark.parametrize("params", EDGE_PARAMS)
-def test_edge_params_are_accepted(protocol, params):
-    result = register(
-        protocol, Write(0.0, "v"), Read(5.0), params=params, horizon=20.0
-    )
-    assert result.write().complete
-    assert result.read().result == "v"
-    assert result.blocked == ()
-    assert result.atomicity.atomic
+@pytest.mark.parametrize("key", ("n", "t", "fast"))
+def test_the_kernel_deploys_one_instance(protocol, key):
+    """Every kernel row runs the Section 1.2 instance (five servers,
+    t = 2, fast quorums of four): a spec that sizes it is refused where
+    it is built, naming the key."""
+    with pytest.raises(ScenarioError, match=f"reads no params key {key!r}"):
+        ScenarioSpec(protocol, params={key: 3})
+    adapter = run(ScenarioSpec(protocol, workload=(Write(0.0, "v"),))).adapter
+    writer = adapter.writers[0]
+    assert sorted(adapter.servers) == [1, 2, 3, 4, 5]
+    assert (writer.quorum, writer.timeout) == (3, 2.0)  # n - t; 2Δ, Δ = 1

@@ -26,9 +26,10 @@ mutants of the batch — BCD skipped for one element, a class-2 element
 completed at the collect, a group's ``WriteBatch`` carrying another
 group's x1 set — must each die on their named script.
 
-With a Byzantine server in the deployment (``Case.liar``: silent,
-fabricating, forgetful with its trigger inside the read, or
-quorum-forgetting) each batched element is held to its unbatched twin
+With a Byzantine server in the deployment (``Case.liar``: fabricating,
+forgetful with its trigger inside the read, or quorum-forgetting; a
+server that never answers is a crash, which the crash cases cover) each
+batched element is held to its unbatched twin
 the same way, for the atomic and the regular reader.  A scripted liar
 must change what some read shows, and two seeded server mutants — a
 fabricator that answers ``ReadBatch`` from its real histories, a forger
@@ -53,7 +54,7 @@ from repro.storage.predicates import ReadState
 from repro.storage.reader import StorageReader
 from repro.storage.regular import RegularReader
 from repro.storage.server import (
-    FabricatingServer, ForgetfulServer, QuorumForgettingServer, SilentServer,
+    FabricatingServer, ForgetfulServer, QuorumForgettingServer,
 )
 from tests.differential import (
     DIFFERENTIAL, agree, assert_killed, each_mutant,
@@ -567,7 +568,6 @@ def _forged_sigma():
 
 FORGERY = (("forged_ts", 999), ("forged_value", "EVIL"))
 liars = st.one_of(
-    st.sampled_from(SERVERS).map(lambda sid: Liar(sid, SilentServer)),
     st.sampled_from(SERVERS).map(
         lambda sid: Liar(sid, FabricatingServer, FORGERY)
     ),
@@ -600,9 +600,6 @@ WRITTEN_AT_2 = Write((_servers((8,)), _servers((8,))))
 #: Each liar on a script where its lie shows: the rounds (and, for the
 #: fabricator, the values) the unbatched reads take with it in place.
 LIARS = {
-    # One round short of answers: class-2 takes line 49.
-    "silent": (SCRIPTS["class-2"]._replace(liar=Liar(1, SilentServer)),
-               [3, 3], ["a1", "b1"]),
     # Server 6, a2's only holder, shows its forged pair instead: a1.
     "fabricating": (
         SCRIPTS["second-round"]._replace(

@@ -16,7 +16,7 @@ from repro.scenarios import (
     run,
 )
 from repro.storage.history import BOTTOM
-from repro.storage.server import FabricatingServer, SilentServer
+from repro.storage.server import FabricatingServer
 
 EXAMPLE6 = "threshold:8,3,1,1,2"
 #: Example 6's ``n = 3t + 1`` instantiation at ``t = 1``.
@@ -126,9 +126,10 @@ class TestByzantineResilience:
         assert result.read().result is BOTTOM
 
     def test_silent_server_tolerated(self):
+        # A server that never answers is a crash at time 0.
         result = storage(
             PBFT1, Write(0.0, "v"), Read(10.0),
-            faults=FaultPlan(byzantine=(ByzantineRole(1, SilentServer),)),
+            faults=FaultPlan(crashes=(Crash(1, 0.0),)),
         )
         write, read = result.write(), result.read()
         assert read.result == "v"

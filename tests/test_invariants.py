@@ -244,7 +244,7 @@ def test_a_message_goes_straight_to_its_handler():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.FunctionDef) and node.name == "on_message"
     ]
-    assert len(handlers) >= 16
+    assert len(handlers) >= 15
     assert [h for h in handlers if h[2] != ["self", "src", "payload"]] == []
 
 
@@ -265,6 +265,16 @@ def test_a_byzantine_role_is_a_process_factory():
     assert [field.name for field in dataclasses.fields(ByzantineRole)] == [
         "process", "factory", "role",
     ]
+
+
+def test_a_server_that_never_answers_is_a_crash():
+    # ``Crash(sid, 0.0)``: a silent Byzantine server would be a second
+    # spelling of it.
+    import repro.storage
+    from repro.storage import server
+
+    assert not hasattr(server, "SilentServer")
+    assert "SilentServer" not in repro.storage.__all__
 
 
 def test_one_count_primitive_and_one_deadline():
@@ -429,12 +439,12 @@ EXAMPLES = {
     ),
     "ScenarioSpec": lambda: (
         ((), {"protocol": "abd", "workload": [("op",)], "seed": 3,
-              "params": {"n": 3}}),
+              "params": {"shard_count": 3}}),
         ((), {"protocol": "abd"}), {"seed": 7},
     ),
     "SweepSpec": lambda: (
         ((), {"name": "grid", "axes": {"n": [1, 2]}, "evaluate": _evaluate}),
-        ((), {"name": "grid", "axes": [("n", [1])]}), {"name": "other"},
+        ((), {"name": "grid", "axes": {"n": [1]}}), {"name": "other"},
     ),
     "SweepResult": lambda: (
         ((), {"name": "grid", "axes": [("n", ["1", "2"])], "cells": [],
