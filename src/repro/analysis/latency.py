@@ -11,9 +11,9 @@ the same latency, which is how the best-case benches are configured.
 Summaries have one producer, an online
 :class:`~repro.analysis.streaming.LatencyAccumulator`
 (:meth:`LatencySummary.from_accumulator`): the live one a streamed run
-(METRICS trace) fed as operations completed, or — on a FULL run — a
-fresh one the retained records are replayed through, its reservoir
-sized to hold them all so the quantiles are exact
+(METRICS trace) fed as operations completed, or — on a record-keeping
+run — a fresh one the retained records are replayed through, its
+reservoir sized to hold them all so the quantiles are exact
 (:meth:`LatencySummary.from_records`).  The list-based summary it
 replaced is the reference of ``tests/analysis/test_streaming.py``.
 """

@@ -11,7 +11,7 @@ the records one client begins or completes at one instant
   :class:`QuantileReservoir` (Vitter's algorithm R, seeded: exact below
   capacity), taking a wave's identical samples in one call.  The mean
   is exact: an integer running sum over the samples' common denominator
-  (:attr:`LatencyAccumulator.time_sum`).  FULL runs replay their
+  (:attr:`LatencyAccumulator.time_sum`).  Record-keeping runs replay their
   records through a fresh one
   (:meth:`~repro.analysis.latency.LatencySummary.from_records`).  Both
   carry an order-independent ``merge`` for sharded soaks
@@ -30,8 +30,8 @@ the records one client begins or completes at one instant
   that overlap the window is caught, and a read older than the window
   is convicted through the monotone bound (as a stale read).
   :func:`check_history` replays a retained history through a fresh
-  checker whose window never evicts: the exact post-hoc check of FULL
-  runs (``RunResult.atomicity``).
+  checker whose window never evicts: the exact post-hoc check of
+  record-keeping runs (``RunResult.atomicity``).
 
 The previous implementations are the references of differentials:
 the scanning window and the ``Fraction``-per-operation accumulator in
@@ -82,13 +82,16 @@ def nearest_rank(sorted_samples, fraction: float) -> Optional[float]:
 class QuantileReservoir:
     """A fixed-size uniform sample of a stream (Vitter's algorithm R).
 
-    Deterministic: the replacement RNG is seeded at construction, and
-    samples arrive in simulated-event order, so repeated runs of the
-    same scenario produce identical estimates.
+    Deterministic: the replacement RNG is seeded from the seed given
+    at construction, and samples arrive in simulated-event order, so
+    repeated runs of the same scenario produce identical estimates.
+    The RNG (a few KB of Mersenne Twister state) is built at the first
+    replacement: a reservoir that never overflows holds none.
     """
 
     __slots__ = (
-        "capacity", "seen", "merged", "_samples", "_sorted", "_rng",
+        "capacity", "seen", "merged", "_samples", "_sorted", "_seed",
+        "_rng",
     )
 
     def __init__(self, capacity: int = RESERVOIR_CAPACITY, seed: int = 9973):
@@ -100,7 +103,8 @@ class QuantileReservoir:
         self.merged = False
         self._samples: List[float] = []
         self._sorted: Optional[List[float]] = None
-        self._rng = random.Random(seed)
+        self._seed = seed
+        self._rng: Optional[random.Random] = None
 
     def observe(self, sample: float, count: int) -> None:
         """Take ``count`` copies of ``sample``, one after the other."""
@@ -113,6 +117,8 @@ class QuantileReservoir:
         self._sorted = None
         seen = self.seen
         end = self.seen = seen + count
+        if end > self.capacity and self._rng is None:
+            self._rng = random.Random(self._seed)
         samples = self._samples
         while seen < end:
             seen += 1

@@ -100,7 +100,6 @@ def _tail_build(point: Mapping) -> ScenarioSpec:
         horizon=TAIL_HORIZON,
         skew=TAIL_SKEW,
         seed=point["seed"],
-        trace_level="full",
         batch_size=int(point["batch"]),
     ).with_(faults=plans[str(point["plan"])])
 

@@ -30,7 +30,7 @@ def keyed_mix_spec(
     n_writers: int = 1,
     skew: Optional[float] = None,
     seed: int = 0,
-    trace_level: str = "full",
+    trace_level: str = "records",
     duration: Optional[float] = None,
     max_ops: Optional[int] = None,
     rqs: str = DEFAULT_RQS,

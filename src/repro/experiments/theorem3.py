@@ -23,7 +23,9 @@ From a concrete negation witness ``(Q1, Q2, Q, B'1, B2)`` with
 The driver is the two-cell sweep :data:`GRID` — ex''2+ex4 *and* ex5, two
 scenario specs differing only in workload and forged state.  The claim
 is asserted on its cells: the two runs are indistinguishable to ``r2``
-(same output), and the checker finds the atomicity violation.
+(same output, read from the same replies — so the cells run at
+``TraceLevel.FULL``, the one level that logs messages), and the checker
+finds the atomicity violation.
 """
 
 from __future__ import annotations
@@ -142,6 +144,10 @@ def _build(point: Mapping) -> ScenarioSpec:
         faults=_staged_faults(rqs, witness, with_write=with_write),
         workload=workload,
         horizon=60.0,
+        # The indistinguishability claim is about messages: rd2 reads
+        # the same replies in both executions, which only the network's
+        # send log shows.
+        trace_level="full",
     )
 
 

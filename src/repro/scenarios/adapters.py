@@ -63,6 +63,7 @@ from repro.scenarios.workloads import (
     Read,
     Write,
     open_loop_stream,
+    shard_assignment,
 )
 from repro.sim.network import Network, TraceLevel
 from repro.sim.process import Process
@@ -90,7 +91,7 @@ class ProtocolAdapter:
             trace_level=spec.trace_level,
         )
         self.trace = Trace(
-            retain=self.network.trace_level >= TraceLevel.FULL
+            retain=self.network.trace_level >= TraceLevel.RECORDS
         )
 
     # -- uniform access -------------------------------------------------------
@@ -207,7 +208,8 @@ def _byzantine_factories(
     ``PROPOSER``), the processes this deployment can run as Byzantine
     ones; a ``ByzantineRole`` of any other role or process
     is refused, so a Byzantine experiment never runs benign by
-    accident."""
+    accident — and so are two that name one process in one role, so
+    neither is dropped without a word."""
     factories = {role: {} for role in bindable}
     for byzantine in spec.faults.byzantine:
         if byzantine.process not in bindable.get(byzantine.role, ()):
@@ -220,7 +222,15 @@ def _byzantine_factories(
                 f"{byzantine.role} role of process {byzantine.process!r}; "
                 f"the Byzantine roles it binds: {could or 'none'}"
             )
-        factories[byzantine.role][byzantine.process] = byzantine.factory
+        bound = factories[byzantine.role]
+        if byzantine.process in bound:
+            raise ScenarioError(
+                f"two ByzantineRoles name the {byzantine.role} role of "
+                f"process {byzantine.process!r}: "
+                f"{bound[byzantine.process]!r} and {byzantine.factory!r}; "
+                f"a process runs one factory"
+            )
+        bound[byzantine.process] = byzantine.factory
     return factories
 
 
@@ -305,14 +315,18 @@ class StorageAdapter(ProtocolAdapter):
         ]
 
     @staticmethod
-    def _shard_of(spec) -> Optional[Tuple[int, int]]:
-        """The ``(index, count)`` shard view a per-shard worker spec
-        carries in its params (set by ``run_sharded``); None for
+    def _shard_of(spec, mix) -> Optional[Tuple[int, Tuple[int, ...]]]:
+        """The ``(index, table)`` shard view of a per-shard worker spec
+        (its params carry ``shard_index`` / ``shard_count``, set by
+        ``run_sharded``): the run's key -> shard table, computed once
+        and filtered through by every client stream.  None for
         ordinary unsharded runs."""
         count = spec.param("shard_count")
         if count is None:
             return None
-        return (int(spec.param("shard_index", 0)), int(count))
+        return (int(spec.param("shard_index", 0)), shard_assignment(
+            spec.n_keys, int(count), spec.seed, mix.distribution, mix.skew
+        ))
 
     def schedule(self, spec) -> None:
         writer_ops, reader_ops, batch_size = self._client_ops(spec)
@@ -415,7 +429,7 @@ class StorageAdapter(ProtocolAdapter):
                 f"readers >= 1 (or reads=0)"
             )
         budget = OpBudget(spec.max_ops)
-        shard = self._shard_of(spec)
+        shard = self._shard_of(spec, mix)
 
         def clients(role: str, count: int):
             return {

@@ -5,11 +5,12 @@ correctness verdicts.  Checkers are *lazy* — the register or consensus
 check only runs when its property is first read, so cheap smoke runs
 pay nothing for verdicts they never look at.
 
-Results report uniformly across retention modes.  On FULL runs the
-record-backed surface (``records``/``atomicity``/``latency``) is exact
-and post-hoc — ``atomicity`` is the streaming register checker replayed
-over the records, so both modes carry one report type, judged by one
-set of rules; on streaming runs (``TraceLevel.METRICS``) the history was
+Results report uniformly across retention modes.  On record-keeping
+runs (``RECORDS``, the default, and ``FULL``) the record-backed surface
+(``records``/``atomicity``/``latency``) is exact and post-hoc —
+``atomicity`` is the streaming register checker replayed over the
+records, so both modes carry one report type, judged by one set of
+rules; on streaming runs (``TraceLevel.METRICS``) the history was
 never materialized, so the record-backed verdicts raise with guidance
 and the streaming surface takes over: per-kind begun/completed counts
 (:meth:`ops_begun`/:meth:`ops_completed`), accumulator-backed latency
@@ -306,7 +307,7 @@ class RunResult(ResultSurface):
                 f"operations complete); use RunResult.online for the "
                 f"windowed streaming verdict, the ops_begun/ops_completed "
                 f"counters, and the accumulator-backed latency summaries "
-                f"— or run at TraceLevel.FULL"
+                f"— or run at TraceLevel.RECORDS"
             )
 
     def _retained(self) -> Tuple[OperationRecord, ...]:
@@ -322,8 +323,8 @@ class RunResult(ResultSurface):
         (:func:`~repro.analysis.streaming.check_history`), judging the
         semantics the adapter claims (``"atomic"``, or ``"regular"``
         for ``rqs-regular``); per-register verdicts are
-        :attr:`key_verdicts`.  Requires retained records (FULL tracing;
-        streamed runs use :attr:`online`) and raises
+        :attr:`key_verdicts`.  Requires retained records (``RECORDS``
+        or above; streamed runs use :attr:`online`) and raises
         :class:`~repro.errors.CheckerError` wherever the adapter refuses
         the checker — consensus rows, unsound multi-writer stamps —
         rather than pass an empty or misordered history.
@@ -376,7 +377,7 @@ class RunResult(ResultSurface):
     def latency(self, kind: str) -> LatencySummary:
         """The latency summary for one operation kind.
 
-        On FULL runs the records are replayed through a fresh
+        On record-keeping runs the records are replayed through a fresh
         accumulator that keeps them all (exact quantiles,
         :meth:`LatencySummary.from_records`); streamed runs read the live
         accumulator — the two agree exactly whenever its reservoir holds
@@ -436,7 +437,7 @@ class RunResult(ResultSurface):
         Single-key histories keep the historical digest shape
         byte-for-byte; multi-register histories append each record's
         key so per-key schedules are pinned too.  Requires retained
-        records (FULL tracing) — on streamed runs the digest would
+        records (``RECORDS`` or above) — on streamed runs the digest would
         silently collapse to the message count alone, so it refuses
         instead; assert on the streaming counters
         (``ops_begun``/``ops_completed``/``events_processed``/

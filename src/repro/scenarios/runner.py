@@ -15,10 +15,10 @@ single- and multi-writer specs alike, its report labelled ``"sw"`` /
 verdict without ever materializing the history; read it via
 ``RunResult.online``.  Where no checker applies, a structured
 :class:`~repro.analysis.streaming.OnlineRefusal` lands on
-``RunResult.online_refusal`` instead of a bare ``None``.  FULL runs are
-judged by the same checker, replayed over the retained records when
-``RunResult.atomicity`` is first read — and refused for the same
-reasons.
+``RunResult.online_refusal`` instead of a bare ``None``.  Record-keeping
+runs (``RECORDS`` / ``FULL``) are judged by the same checker, replayed
+over the retained records when ``RunResult.atomicity`` is first read —
+and refused for the same reasons.
 
 The execute phase (the event loop proper, excluding wiring and RQS
 construction) is wall-timed onto ``RunResult.execute_seconds`` so perf
@@ -52,7 +52,7 @@ def _wire_online_checker(adapter, spec) -> None:
     ``RunResult`` can explain the missing verdict.
     """
     if adapter.trace.retain:
-        # FULL traces keep records: RunResult.atomicity replays them.
+        # RECORDS / FULL keep records: RunResult.atomicity replays them.
         return
     refusal = adapter.register_refusal(spec)
     if refusal is None and (

@@ -205,13 +205,14 @@ class ScenarioSpec:
     trace_level:
         How much history the execution retains — a
         :class:`~repro.sim.network.TraceLevel` or its name
-        (``"full"``/``"metrics"``).  ``FULL`` (default) keeps every
-        operation record (the post-hoc verdicts and ``fingerprint()``
-        read them) and the message log (``Network.log``, read only by
-        tests); ``METRICS`` keeps counters, latency accumulators and the
-        online verdict only, bounding memory on big sweeps/benchmarks
-        (the log is then empty).  Held messages stay releasable at both
-        levels.
+        (``"metrics"``/``"records"``/``"full"``).  ``RECORDS`` (default)
+        keeps every operation record (the post-hoc verdicts,
+        ``fingerprint()`` and the consensus check read them) and no
+        message log; ``FULL`` adds the log (``Network.log``, read only
+        by tests, which refuses at the lower levels); ``METRICS`` keeps
+        counters, latency accumulators and the online verdict only,
+        bounding memory on big sweeps/benchmarks.  Held messages stay
+        releasable at every level.
     quorum_strategy:
         How storage clients pick the quorum each operation contacts.
         ``None`` (default) is the paper's model — broadcast to the
@@ -274,7 +275,7 @@ class ScenarioSpec:
     horizon: Optional[float] = None
     duration: Optional[float] = None
     max_ops: Optional[int] = None
-    trace_level: Union[TraceLevel, str] = TraceLevel.FULL
+    trace_level: Union[TraceLevel, str] = TraceLevel.RECORDS
     quorum_strategy: Optional[str] = None
     params: Mapping[str, Any] = field(default_factory=dict)
     shards: int = 1

@@ -428,7 +428,7 @@ def open_loop_stream(
     budget: OpBudget,
     duration: Optional[float],
     n_keys: int = 1,
-    shard: Optional[Tuple[int, int]] = None,
+    shard: Optional[Tuple[int, Tuple[int, ...]]] = None,
 ) -> Iterator[Tuple]:
     """One client's unbounded lazy op sequence for a horizon-free run.
 
@@ -447,24 +447,22 @@ def open_loop_stream(
     for readers — the same per-client shapes :class:`OpStream` hands
     out, so the adapter consumes both modes identically.
 
-    ``shard=(index, count)`` makes this client a shard-local view of
+    ``shard=(shard_index, table)`` makes this client a shard-local view of
     the *same* generator: the full gap/key RNG stream is consumed in
     the identical order (times, values and keys match the unsharded
     stream op for op, including the round-robin value serials of
-    filtered-out ops), but only ops whose key lands in the shard under
-    :func:`shard_assignment` are yielded — and only those draw from
-    the shard's op budget.
+    filtered-out ops), but only ops whose key the run's
+    :func:`shard_assignment` ``table`` gives shard ``shard_index`` are
+    yielded — and only those draw from the shard's op budget.  The
+    table is the run's, computed once and shared by every client.
     """
     per_role_ops = mix.writes if role == "writer" else mix.reads
     if per_role_ops <= 0:
         return
     rng = random.Random(client_seed(seed, role, index))
     keys = _KeyDrawer(mix, n_keys)
-    table: Tuple[int, ...] = ()
     if shard is not None:
-        table = shard_assignment(
-            n_keys, shard[1], seed, mix.distribution, mix.skew
-        )
+        shard_index, table = shard
     # Mean gap that reproduces the closed-loop op density per client;
     # ``span * random()`` is ``uniform(0.0, span)`` bit for bit.
     span = 2.0 * (mix.horizon * count / per_role_ops)
@@ -481,7 +479,7 @@ def open_loop_stream(
             key = keys.draw(rng)
         else:
             key = keys.draw(rng)
-            if table[key] != shard[0]:
+            if table[key] != shard_index:
                 serial += 1
                 continue
             if not budget.take():

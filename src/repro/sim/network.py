@@ -63,11 +63,13 @@ from those entries when it is read.
   once the last rule window has closed (a ``lossy_until_gst`` run after
   GST): a rule matches a send time before its ``until`` only.  Rules
   are fixed at construction, so an entry is never invalidated.
-* **Trace levels** — :class:`TraceLevel` says how much message history
-  is retained.  ``FULL`` (the default) keeps the send entries
-  :attr:`Network.log` is built from (a dropped message is the entry of
-  its log whose ``dropped`` is set); ``METRICS`` keeps no entry — only
-  counters, bounding memory on long workloads.
+* **Trace levels** — :class:`TraceLevel` says how much history is
+  retained.  Only ``FULL`` keeps the send entries :attr:`Network.log`
+  is built from (a dropped message is the entry of its log whose
+  ``dropped`` is set); ``RECORDS`` (a scenario's default) and
+  ``METRICS`` keep none — only counters — and :attr:`Network.log`
+  refuses there rather than read as an empty log.  A network built
+  directly logs at ``FULL`` unless told otherwise.
   Nothing under ``repro`` reads the log: verdicts and fingerprints read
   operation records (:mod:`repro.sim.trace`), and a replay of held
   messages reads :attr:`Network.in_transit` — held messages are always
@@ -92,22 +94,29 @@ ProcessId = Hashable
 
 
 class TraceLevel(enum.IntEnum):
-    """How much message history a network retains.
+    """How much history an execution retains; each level keeps what
+    the one below it keeps.
 
     ``METRICS``
-        Counters only: no send is logged, so ``Network.log`` is empty
-        and a dropped message's record is not kept.  Use for big sweeps
-        and benchmarks where only metrics/verdict-free results matter.
+        Counters, latency accumulators and the online verdict only:
+        operation records stream past and no send is logged.  Use for
+        big sweeps and soaks.
+    ``RECORDS``
+        Every operation record as well — what the post-hoc verdicts,
+        ``fingerprint()`` and the consensus check read — but no send
+        log.  A scenario's default.
     ``FULL``
-        Log every send, one entry per ``send`` / ``send_all`` call:
-        ``Network.log`` is every message as a :class:`Message`, the
-        dropped ones with ``dropped`` set.  Only per-message test inspection reads it; no
-        verdict, fingerprint or replay does (held messages are kept in
+        The records and a log of every send, one entry per ``send`` /
+        ``send_all`` call: ``Network.log`` is every message as a
+        :class:`Message`, the dropped ones with ``dropped`` set.  Only
+        per-message inspection in tests reads it; no verdict,
+        fingerprint or replay does (held messages are kept in
         ``in_transit`` at every level).
     """
 
     METRICS = 1
-    FULL = 2
+    RECORDS = 2
+    FULL = 3
 
     @classmethod
     def of(cls, value: Union["TraceLevel", str]) -> "TraceLevel":
@@ -274,10 +283,17 @@ class Network:
 
     @property
     def log(self) -> List[Message]:
-        """Every message sent, in send order (empty at ``METRICS``),
-        built on each read: a delivered message gets a fresh record, a
-        held or dropped one is its live record — a later
-        :meth:`release_held` shows."""
+        """Every message sent, in send order, built on each read: a
+        delivered message gets a fresh record, a held or dropped one is
+        its live record — a later :meth:`release_held` shows.  Only a
+        ``FULL`` network keeps a log; below it this raises, so a check
+        over the log never passes on one that was not kept."""
+        if not self.full_trace:
+            raise SimulationError(
+                f"this network kept no message log: it ran at trace "
+                f"level {self.trace_level.name}, and only FULL logs "
+                f"sends; run the spec with trace_level='full'"
+            )
         log = []
         for entry in self._sends:
             src, destinations, payload, send_time, deliver_time, exceptions = (

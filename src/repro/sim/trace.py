@@ -9,7 +9,7 @@ together; any other operation is a wave of one.  :meth:`Trace.begin`
 and :meth:`Trace.complete` are the only entry points and observers take
 whole waves, so a 16-element batch costs each layer one call.
 
-``retain=True`` (FULL tracing) keeps every record for post-hoc
+``retain=True`` (``RECORDS`` / ``FULL``) keeps every record for post-hoc
 checkers, fingerprints and test assertions; ``retain=False`` (METRICS)
 hands records to subscribers and drops them.  Both keep per-kind begun
 counters and an online

@@ -642,6 +642,10 @@ def test_seeded_checker_mutants_are_killed(mutant):
 class ReferenceReservoir(QuantileReservoir):
     __slots__ = ()
 
+    def __init__(self, capacity, seed=9973):
+        super().__init__(capacity, seed)
+        self._rng = random.Random(seed)   # built at construction, as it was
+
     def observe(self, sample: float) -> None:
         self.seen += 1
         self._sorted = None
@@ -681,6 +685,16 @@ class ReferenceFractionAccumulator(LatencyAccumulator):
         self.reservoir.observe(elapsed)
 
 
+def rng_state(reservoir):
+    """The replacement RNG's state — a fresh one from the seed while
+    the shipped reservoir has built none (it builds it at its first
+    replacement, from the same seed)."""
+    rng = reservoir._rng
+    if rng is None:
+        rng = random.Random(reservoir._seed)
+    return rng.getstate()
+
+
 def summary_of(accumulator):
     return {
         "count": accumulator.count,
@@ -691,7 +705,7 @@ def summary_of(accumulator):
         "times": (accumulator.min_time, accumulator.max_time),
         "seen": accumulator.reservoir.seen,
         "samples": list(accumulator.reservoir._samples),
-        "rng": accumulator.reservoir._rng.getstate(),
+        "rng": rng_state(accumulator.reservoir),
         "summary": LatencySummary.from_accumulator(accumulator),
     }
 
@@ -810,6 +824,8 @@ class SlotFromRandomRandom(LatencyAccumulator):
                     continue
                 self.seen += 1
                 self._sorted = None
+                if self._rng is None:
+                    self._rng = random.Random(self._seed)
                 slot = int(self._rng.random() * self.seen)
                 if slot < self.capacity:
                     self._samples[slot] = sample

@@ -61,6 +61,25 @@ class TestQuantileReservoir:
         assert reservoir.quantile(0.5) == 3.0
         assert reservoir.quantile(0.99) == 5.0
 
+    def test_no_rng_until_the_first_replacement(self):
+        # The RNG is only drawn from past capacity, so a reservoir that
+        # never overflows never builds one; the first replacement builds
+        # it from the construction seed.
+        reservoir = QuantileReservoir(capacity=4, seed=11)
+        reservoir.observe(1.0, 3)
+        reservoir.observe(2.0, 1)
+        assert reservoir.seen == reservoir.capacity
+        assert reservoir._rng is None
+        reservoir.observe(3.0, 1)
+        assert reservoir._rng is not None
+        fresh = random.Random(11)
+        slot = fresh.randrange(5)
+        assert reservoir._rng.getstate() == fresh.getstate()
+        assert reservoir._samples == (
+            [3.0 if index == slot else sample
+             for index, sample in enumerate([1.0, 1.0, 1.0, 2.0])]
+        )
+
     def test_bounded_and_deterministic_above_capacity(self):
         def fill():
             reservoir = QuantileReservoir(capacity=64)

@@ -116,7 +116,8 @@ def test_a_broadcast_is_one_send_all(monkeypatch):
                                       for _, _, payload in members[-room:]]),
     ):
         monkeypatch.setattr(owner, name, counted(owner, name, counter, tally))
-    result = run(_best_case(3))
+    # At FULL, so the log holds every message the counters must cover.
+    result = run(_best_case(3).with_(trace_level="full"))
     adapter = result.adapter
     targets = len(adapter.rqs.servers) + len(adapter.learners)
     assert single[Update] == 0 and broadcast[Update] >= 15 * targets

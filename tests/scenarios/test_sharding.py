@@ -17,6 +17,7 @@ import os
 import pickle
 import signal
 import time
+from collections import Counter
 
 import pytest
 
@@ -32,7 +33,7 @@ from repro.scenarios import (
     run_sharded,
     shard_assignment,
 )
-from repro.scenarios import runner, sharding
+from repro.scenarios import adapters, runner, sharding, workloads
 from repro.scenarios.result import soak_row
 from repro.scenarios.sharding import (
     ShardOutcome,
@@ -44,6 +45,7 @@ from repro.scenarios.sharding import (
 from repro.scenarios.sweeps import SweepSpec, run_grid
 from repro.scenarios.workloads import OpBudget, open_loop_stream
 from repro.experiments.builders import keyed_mix_spec
+from tests.counting import counted
 
 
 def sharded_soak_spec(**overrides):
@@ -231,16 +233,30 @@ class TestSchedulePartition:
             return out
 
         whole = ops(None)
-        parts = [ops((index, shards)) for index in range(shards)]
+        parts = [ops((index, table)) for index in range(shards)]
         assert all(parts)
         assert sorted(sum(parts, [])) == sorted(whole)
         assert sum(len(part) for part in parts) == len(whole)
         for index, part in enumerate(parts):
             assert {table[op[-1]] for op in part} == {index}
 
+    def test_a_shard_run_computes_its_key_table_once(self, monkeypatch):
+        """The table is a pure function of the spec: a shard's run
+        computes it once and hands it to every client stream (here six:
+        two writers, four readers)."""
+        calls = Counter()
+        table = counted(workloads, "shard_assignment", calls)
+        for module in (adapters, workloads):
+            monkeypatch.setattr(module, "shard_assignment", table)
+        spec = sharded_soak_spec(skew=1.2, n_writers=2).with_(shards=2)
+        outcome = _run_shard(spec, 0)
+        assert sum(outcome.completed.values()) > 0
+        assert calls == {"shard_assignment": 1}
+
     def test_open_loop_stream_partitions(self):
         mix = RandomMix(writes=200, reads=0, horizon=1000.0)
         seed, shards = 5, 4
+        table = shard_assignment(16, shards, seed)
 
         def ops(shard):
             return list(open_loop_stream(
@@ -249,7 +265,7 @@ class TestSchedulePartition:
             ))
 
         whole = ops(None)
-        parts = [ops((index, shards)) for index in range(shards)]
+        parts = [ops((index, table)) for index in range(shards)]
         assert sorted(sum(parts, [])) == sorted(whole)
         # value serials match the unsharded encoding even after filtering
         assert set(sum(parts, [])) <= set(whole)

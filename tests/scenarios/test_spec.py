@@ -17,7 +17,7 @@ from repro.core.constructions import (
 from repro.core.rqs import RefinedQuorumSystem
 from repro.errors import PropertyViolation, ScenarioError, UnknownProtocolError
 from repro.experiments import stress
-from repro.storage.server import FabricatingServer
+from repro.storage.server import FabricatingServer, ForgetfulServer
 from repro.consensus.acceptor import Acceptor
 from repro.consensus.proposer import EquivocatingProposer
 from repro.scenarios import spec as spec_module
@@ -323,6 +323,22 @@ class TestRegistry:
         assert (f"cannot bind the {role.role} role of process "
                 f"{role.process!r}") in message
         assert message.endswith(f"the Byzantine roles it binds: {could}")
+
+    def test_two_byzantine_roles_for_one_process_are_refused(self):
+        # Kept silently, the last role would win and the fabricator
+        # would never run.
+        fabricator = partial(FabricatingServer, forged_ts=999,
+                             forged_value="EVIL")
+        forgetter = partial(ForgetfulServer, trigger_time=1.0)
+        spec = ScenarioSpec("rqs-storage", rqs="example6", faults=FaultPlan(
+            byzantine=(ByzantineRole(8, fabricator),
+                       ByzantineRole(8, forgetter)),
+        ))
+        with pytest.raises(ScenarioError) as refused:
+            run(spec)
+        message = str(refused.value)
+        assert "the server role of process 8" in message
+        assert repr(fabricator) in message and repr(forgetter) in message
 
     def test_crash_target_must_exist(self):
         from repro.scenarios import Crash

@@ -494,13 +494,17 @@ class World:
             "counters": (net.sent_count, net.delivered_count,
                          net.dropped_count, net.held_count),
             "in_transit": [self.record(m) for m in net.in_transit],
-            "net_log": [self.record(m) for m in net.log],
+            # Below FULL the shipped log refuses to be read; the
+            # reference's stays an empty list.
+            "net_log": (
+                [self.record(m) for m in net.log] if net.full_trace else None
+            ),
             "net_dropped": [
                 self.record(m) for m in (
                     net.dropped if isinstance(net, ReferenceNetwork)
                     else [m for m in net.log if m.dropped]
                 )
-            ],
+            ] if net.full_trace else None,
             "crashed": [pid for pid, proc in self.procs.items() if proc.crashed],
             "tokens": list(self.tokens),
             "log": list(self.log),

@@ -63,7 +63,10 @@ class TestTransport:
         Sink("a").bind(net)
         net.send("a", "a", 1)
         net.send_all("a", ["a"], 2)
-        assert net.log == [] and net.sent_count == 2
+        assert net.sent_count == 2
+        # No log was kept, so there is none to read — not an empty one.
+        with pytest.raises(SimulationError, match="FULL"):
+            net.log
 
 
 class TestRules:

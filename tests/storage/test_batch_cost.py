@@ -212,7 +212,7 @@ def test_a_batched_regular_reader_never_writes_back():
     })
 
     def reader_write_backs(protocol):
-        result = run(spec.with_(protocol=protocol))
+        result = run(spec.with_(protocol=protocol, trace_level="full"))
         assert result.ops_completed("read") == batched_tail.TAIL_READS
         readers = {reader.pid for reader in result.adapter.readers}
         return sum(

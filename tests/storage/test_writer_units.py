@@ -18,10 +18,11 @@ from repro.storage.messages import RD, WR
 
 def write_only(rqs, *values, faults=FaultPlan()):
     """Run back-to-back writes of ``values`` on a reader-less
-    deployment."""
+    deployment, logging every message (FULL)."""
     return run(ScenarioSpec(
         "rqs-storage", rqs=rqs, readers=0, faults=faults,
         workload=tuple(Write(0.0, value) for value in values),
+        trace_level="full",
     ))
 
 
@@ -108,7 +109,7 @@ def test_a_multi_writer_write_discovers_through_one_batched_collect(
     ``rnd = 0``, and no unbatched read message."""
     result = run(ScenarioSpec(
         protocol, rqs=rqs, readers=0, n_writers=2,
-        workload=(Write(0.0, "v", key=3),),
+        workload=(Write(0.0, "v", key=3),), trace_level="full",
     ))
     sent = [m for m in result.adapter.network.log if m.src == "writer"]
     collects = [m for m in sent if isinstance(m.payload, ReadBatch)]

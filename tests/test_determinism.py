@@ -23,6 +23,7 @@ def storage_fingerprint(seed):
         "rqs-storage", rqs="example6", readers=3,
         faults=FaultPlan(crashes=(Crash(4, 20.0),)),
         workload=(RandomMix(5, 8, horizon=50.0),), seed=seed,
+        trace_level="full",
     ))
     return tuple(
         (r.kind, r.process, r.invoked_at, r.completed_at, repr(r.result), r.rounds)
@@ -35,7 +36,7 @@ def consensus_fingerprint():
         "rqs-consensus", rqs="example6", proposers=2,
         workload=(Propose(0.0, "A", proposer=0),
                   Propose(0.0, "B", proposer=1)),
-        horizon=300.0,
+        horizon=300.0, trace_level="full",
     ))
     return (
         tuple(sorted(result.learned.items())),
@@ -73,7 +74,7 @@ result = run(ScenarioSpec(
     "rqs-consensus", rqs="example7", proposers=2, learners=1,
     faults=FaultPlan(asynchrony=(Hold(payload=late, until=60.0),)),
     workload=(Propose(0.0, 1, proposer=0), Propose(0.0, 2, proposer=1)),
-    horizon=200.0,
+    horizon=200.0, trace_level="full",
 ))
 log = tuple(
     (m.send_time, repr(m.src), repr(m.dst), type(m.payload).__name__)
