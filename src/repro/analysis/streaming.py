@@ -372,13 +372,16 @@ class OnlineReport:
 
     def as_metrics(self) -> Dict[str, Any]:
         """The portable metrics view of this verdict, as embedded in
-        :func:`repro.scenarios.result.soak_row`."""
+        :func:`repro.scenarios.result.soak_row` (``overrun_unchecked``:
+        operations the windowed checker skipped, which ``atomic`` does
+        not cover)."""
         return {
             "atomic": self.atomic,
             "violations": self.violation_count,
             "keys_checked": len(self.keys),
             "checker_max_retained": self.max_retained,
             "checker_mode": self.mode,
+            "overrun_unchecked": self.overrun_unchecked,
         }
 
 
@@ -688,14 +691,19 @@ class OnlineChecker:
 
     def _sweep(self) -> None:
         self._since_sweep = 0
+        retained = self._retained_now()
+        if retained > self.max_retained:
+            self.max_retained = retained
+
+    def _retained_now(self) -> int:
+        """Every key pruned to the floor, then what the checker holds."""
         floor = self._floor
         retained = len(self._pending) + len(self._overrun)
         for state in self._keys.values():
             if state.pruned_at != floor:
                 state.prune(floor)
             retained += state.retained()
-        if retained > self.max_retained:
-            self.max_retained = retained
+        return retained
 
     # -- the rules ------------------------------------------------------------
 
@@ -885,14 +893,16 @@ class OnlineChecker:
     # -- reporting ------------------------------------------------------------
 
     def report(self) -> OnlineReport:
-        self._sweep()   # final measurement (runs shorter than a sweep)
+        # The final measurement (runs shorter than a sweep) is reported,
+        # not recorded: reading a live run's verdict moves neither the
+        # sweep schedule nor the high-water mark it later reports.
         return OnlineReport(
             checked_writes=self.checked_writes,
             checked_reads=self.checked_reads,
             violation_count=self.violation_count,
             violations=tuple(self.violations),
             keys=tuple(sorted(self._keys, key=repr)),
-            max_retained=self.max_retained,
+            max_retained=max(self.max_retained, self._retained_now()),
             overrun_unchecked=self.overrun_unchecked,
             mode=self.mode,
             key_violations=dict(self.key_violations),

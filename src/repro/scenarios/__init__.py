@@ -1,7 +1,8 @@
 """The unified scenario layer — the public way to run any execution.
 
 One declarative :class:`ScenarioSpec` describes protocol, quorum system,
-clients, synchrony bound, fault plan, workload and seed; :func:`run`
+clients, fault plan, workload and seed (time is counted in Δ, the
+network's synchrony bound, so no spec field sets it); :func:`run`
 executes it and returns a :class:`RunResult` with the trace, latency
 metrics and lazy correctness verdicts.  Every protocol in the repository
 is registered here:
@@ -68,18 +69,20 @@ keyed open-loop soak (``duration`` or ``max_ops``) across worker
 processes by the deterministic load-weighted :func:`shard_assignment`
 rule (crc32 for uniform mixes, a greedy LPT bin-pack over the zipfian
 draw weights for skewed ones — independent single-writer registers
-need no coordination) and merges per-shard counters, accumulators and
-online verdicts into one :class:`ShardedRunResult` — see
+need no coordination) and returns the shards' outcomes as one
+:class:`ShardedRunResult`, which answers every streaming question as a
+:class:`RunResult` (a fleet of one) does — see
 :mod:`repro.scenarios.sharding`.
 
 Quorum systems can be **expression-defined**: a planning-level
 :class:`~repro.core.algebra.QuorumSystem` (``a*b + c*d`` over
-capacitated :class:`~repro.core.algebra.Node` leaves) is a valid
-``ScenarioSpec.rqs`` value (lifted on resolution), and the
-``quorum_strategy`` knob (``"uniform"`` or ``"optimal"``) makes
-storage clients draw each operation's quorum from a seeded distribution
-instead of broadcasting — see :mod:`repro.core.algebra` and
-:mod:`repro.core.strategy`.
+capacitated :class:`~repro.core.algebra.Node` leaves) reaches a spec
+through a registered lift (``rqs="grid-hetero"`` / ``"grid-homog"``,
+the 2×3 grid ``a*b*c + d*e*f``) — a spec refuses the expression
+itself — and the ``quorum_strategy`` knob (``"uniform"`` or
+``"optimal"``) makes storage clients draw each operation's quorum from
+a seeded distribution instead of broadcasting — see
+:mod:`repro.core.algebra` and :mod:`repro.core.strategy`.
 """
 
 from repro.scenarios.aggregate import (

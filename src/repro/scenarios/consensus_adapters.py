@@ -25,7 +25,7 @@ from repro.scenarios.adapters import (
     _unsupported_strategy,
 )
 from repro.scenarios.registry import register_protocol
-from repro.scenarios.workloads import Propose, RandomMix, Resync
+from repro.scenarios.workloads import Propose, Resync
 from repro.sim.process import Process
 from repro.consensus.acceptor import Acceptor
 from repro.consensus.learner import Learner
@@ -79,13 +79,6 @@ class ConsensusAdapter(ProtocolAdapter):
                 self._schedule_propose(op)
             elif isinstance(op, Resync):
                 self._schedule_resync(op)
-            elif isinstance(op, RandomMix) and op.batch_size != 1:
-                raise ScenarioError(
-                    f"consensus protocol {self.protocol_id!r} does not "
-                    f"support the batch_size knob (got "
-                    f"batch_size={op.batch_size!r}); operation batching "
-                    f"is a storage feature"
-                )
             else:
                 raise ScenarioError(
                     f"consensus protocol {self.protocol_id!r} cannot run "

@@ -17,10 +17,12 @@ and the streaming surface takes over: per-kind begun/completed counts
 summaries (``latency`` falls through to the online path), and the
 windowed online safety verdict (:attr:`online`).
 
-Every result is a fleet (:class:`ResultSurface`): a plain
-:class:`RunResult` answers the fleet questions as a fleet of one
-(``n_shards == 1``, ``imbalance == 1.0``, its own process's peak RSS),
-:class:`~repro.scenarios.sharding.ShardedRunResult` for its workers.
+Every result is a fleet of :class:`ShardOutcome` records, one per
+process that ran a part of it, and :class:`ResultSurface` answers every
+streaming question once, over them: a plain :class:`RunResult` is a
+fleet of one (its outcome read off the live adapter),
+:class:`~repro.scenarios.sharding.ShardedRunResult` the outcomes its
+workers sent home.
 :func:`soak_row` is the one flat projection of a streamed result that
 every soak table (the default sweep measure, every row of
 ``benchmarks/bench_workload.py``) is cut from.
@@ -31,14 +33,18 @@ from __future__ import annotations
 import resource
 import sys
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Dict, Hashable, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, Hashable, List, Optional,
+                    Sequence, Tuple)
 
 from repro.analysis.streaming import (
+    MAX_REPORTED,
+    LatencyAccumulator,
     OnlineRefusal,
     OnlineReport,
     check_history,
 )
 from repro.errors import CheckerError
+from repro.records import record
 from repro.sim.trace import OperationRecord
 from repro.storage.history import DEFAULT_KEY
 
@@ -56,29 +62,182 @@ def peak_rss_kb() -> int:
     return peak
 
 
+@record
+class ShardOutcome:
+    """What one process reports of a run: its counters, latency
+    accumulators, online verdict or refusal, server history stats,
+    execute-phase wall / CPU seconds and peak RSS — plain picklable data
+    plus the live accumulators, so a shard's worker sends it home."""
+
+    index: int
+    begun: Dict[str, int]
+    completed: Dict[str, int]
+    blocked: Tuple[str, ...]
+    events: int
+    messages: int
+    accumulators: Dict[str, LatencyAccumulator]
+    online: Optional[OnlineReport]
+    online_refusal: Optional[OnlineRefusal]
+    server_history: Optional[Dict[str, Any]] = None
+    execute_seconds: float = 0.0
+    cpu_seconds: float = 0.0
+    peak_rss_kb: int = 0
+
+
+def _merge_online(
+    outcomes: Sequence[ShardOutcome],
+) -> Tuple[Optional[OnlineReport], Optional[OnlineRefusal]]:
+    """One aggregate verdict, or a structured refusal if any shard ran
+    unchecked — a sharded soak never passes vacuously.  A fleet of one
+    reports its own verdict or refusal unchanged."""
+    if len(outcomes) == 1:
+        return outcomes[0].online, outcomes[0].online_refusal
+    unchecked = [o for o in outcomes if o.online is None]
+    if unchecked:
+        details = "; ".join(
+            f"shard {o.index}: "
+            + (o.online_refusal.reason if o.online_refusal else "no-verdict")
+            for o in unchecked
+        )
+        return None, OnlineRefusal(
+            "shard-refused",
+            f"{len(unchecked)}/{len(outcomes)} shards carry no online "
+            f"verdict ({details}); the merged soak refuses rather than "
+            f"pass vacuously",
+        )
+    reports = [o.online for o in outcomes]
+    violations: List[Any] = []
+    key_violations: Dict[Any, int] = {}
+    for report in reports:
+        violations.extend(report.violations)
+        for key, count in report.key_violations.items():
+            key_violations[key] = key_violations.get(key, 0) + count
+    keys = sorted(
+        {key for report in reports for key in report.keys}, key=repr
+    )
+    return OnlineReport(
+        checked_writes=sum(r.checked_writes for r in reports),
+        checked_reads=sum(r.checked_reads for r in reports),
+        violation_count=sum(r.violation_count for r in reports),
+        violations=tuple(violations[:MAX_REPORTED]),
+        keys=tuple(keys),
+        # Shards peak independently, so the sum is an upper bound on
+        # simultaneous retention — conservative for the flat-memory gate.
+        max_retained=sum(r.max_retained for r in reports),
+        overrun_unchecked=sum(r.overrun_unchecked for r in reports),
+        # Every shard ran the same spec.
+        mode=reports[0].mode,
+        key_violations=key_violations,
+        claim=reports[0].claim,
+    ), None
+
+
 class ResultSurface:
     """What a run reports however many processes executed it.
 
-    Both result classes provide the counters (``ops_begun`` /
-    ``ops_completed`` / ``op_kinds`` / ``blocked`` / ``messages`` /
-    ``events_processed``), the verdict (``online`` /
-    ``online_refusal`` / ``streamed``), ``server_history``,
-    ``latency_streaming``,
-    ``execute_seconds``, ``n_shards``, ``worker_processes``,
-    ``shard_rss_kb`` and :meth:`_loads`; the fleet questions are
-    answered here, once, and :func:`soak_row` is the flat digest of
-    either.
+    Every question here is answered once, over :attr:`outcomes` — one
+    :class:`ShardOutcome` per process that ran a part of it: the
+    counters (``ops_begun`` / ``ops_completed`` / ``op_kinds`` /
+    ``messages`` / ``events_processed``), the verdict (``online`` /
+    ``online_refusal``), ``server_history``, ``latency_streaming`` and
+    the fleet questions.  A fleet of one reports its outcome unchanged.
+    Each class provides ``outcomes``, ``blocked``, ``streamed``,
+    ``execute_seconds`` and ``worker_processes``; :func:`soak_row` is
+    the flat digest of either.
     """
 
-    def _loads(self) -> Tuple[Tuple[int, float], ...]:
-        """Per shard: ``(completed ops, CPU seconds of its execute
-        phase)``."""
-        raise NotImplementedError
+    outcomes: Tuple[ShardOutcome, ...]
+
+    @property
+    def n_shards(self) -> int:
+        return len(self.outcomes)
+
+    def op_kinds(self) -> Tuple[str, ...]:
+        """Operation kinds begun during this run, sorted."""
+        return tuple(sorted({k for o in self.outcomes for k in o.begun}))
+
+    def ops_begun(self, kind: Optional[str] = None) -> int:
+        """Operations invoked (one kind, or all) — counter-backed, so
+        exact at every retention mode."""
+        if kind is None:
+            return sum(sum(o.begun.values()) for o in self.outcomes)
+        return sum(o.begun.get(kind, 0) for o in self.outcomes)
+
+    def ops_completed(self, kind: Optional[str] = None) -> int:
+        if kind is None:
+            return sum(sum(o.completed.values()) for o in self.outcomes)
+        return sum(o.completed.get(kind, 0) for o in self.outcomes)
+
+    @property
+    def events_processed(self) -> int:
+        """Simulator events consumed by the execute phase."""
+        return sum(o.events for o in self.outcomes)
+
+    @property
+    def messages(self) -> int:
+        """Messages the network was handed (delivered or not)."""
+        return sum(o.messages for o in self.outcomes)
+
+    @property
+    def online(self) -> Optional[OnlineReport]:
+        """The windowed online checker's verdict, when one was wired
+        (streaming RandomMix storage runs — SW or MW mode); else None,
+        with :attr:`online_refusal` naming the reason."""
+        return _merge_online(self.outcomes)[0]
+
+    @property
+    def online_refusal(self) -> Optional[OnlineRefusal]:
+        """Why this run carries no online verdict (streamed runs the
+        runner declined to wire a checker to, or a fleet with a shard
+        that ran unchecked); None when a checker ran or when records
+        were retained (``RunResult.atomicity`` replays them, and raises
+        for the refusals this would name)."""
+        return _merge_online(self.outcomes)[1]
+
+    @property
+    def server_history(self) -> Optional[Dict[str, Any]]:
+        """Server-side history-matrix accounting (rqs-storage systems,
+        benign servers only): retained/GC'd cell counters and the
+        ``bounded_history`` flag — the flat-memory exhibit for bounded
+        soaks.  None for protocols without a history matrix."""
+        parts = [o.server_history for o in self.outcomes]
+        if len(parts) == 1:
+            return parts[0]
+        if any(part is None for part in parts):
+            return None
+        return {
+            "bounded_history": all(part["bounded_history"] for part in parts),
+            "retained_cells": sum(part["retained_cells"] for part in parts),
+            "max_retained_cells": sum(
+                part["max_retained_cells"] for part in parts
+            ),
+            "gc_removed_cells": sum(
+                part["gc_removed_cells"] for part in parts
+            ),
+        }
+
+    def latency_streaming(self, kind: str) -> LatencySummary:
+        """The accumulator-backed summary (available at every mode);
+        a fleet's shards merge order-independently."""
+        from repro.analysis.latency import LatencySummary
+
+        parts = [o.accumulators[kind] for o in self.outcomes
+                 if kind in o.accumulators]
+        if len(self.outcomes) > 1 and parts:
+            accumulator = LatencyAccumulator.merge(parts)
+        else:
+            accumulator = parts[0] if parts else None
+        return LatencySummary.from_accumulator(accumulator, kind)
+
+    @property
+    def shard_rss_kb(self) -> Tuple[int, ...]:
+        """Per-shard peak RSS (``ru_maxrss``, KiB on Linux)."""
+        return tuple(o.peak_rss_kb for o in self.outcomes)
 
     @property
     def cpu_seconds(self) -> float:
         """Total CPU seconds of the execute phase across shards."""
-        return sum(cpu for _, cpu in self._loads())
+        return sum(o.cpu_seconds for o in self.outcomes)
 
     @property
     def capacity_ops_per_sec(self) -> float:
@@ -86,7 +245,10 @@ class ResultSurface:
         completed ops per CPU second.  CPU time is immune to
         timesharing, so this measures what the fleet sustains with a
         core per shard even when the host has fewer cores."""
-        return sum(done / cpu for done, cpu in self._loads() if cpu > 0)
+        return sum(
+            sum(o.completed.values()) / o.cpu_seconds
+            for o in self.outcomes if o.cpu_seconds > 0
+        )
 
     @property
     def imbalance(self) -> float:
@@ -96,7 +258,7 @@ class ResultSurface:
         Duration-bounded zipfian soaks surface the key→shard rule's
         quality here (budget-bounded runs split ``max_ops`` evenly by
         construction)."""
-        counts = [done for done, _ in self._loads()]
+        counts = [sum(o.completed.values()) for o in self.outcomes]
         mean = sum(counts) / len(counts)
         return max(counts) / mean if mean > 0 else 1.0
 
@@ -118,9 +280,8 @@ def soak_row(result: ResultSurface) -> Dict[str, Any]:
     """The flat row of one streamed run, sharded or not.
 
     Everything outside ``"host"`` is a pure function of the spec —
-    counts, the verdict (``overrun_unchecked``: operations the windowed
-    checker skipped, which ``atomic`` does not cover), server history
-    cells, per-kind simulated latency, the fleet's shape — so two
+    counts, the verdict (:meth:`OnlineReport.as_metrics`), server
+    history cells, per-kind simulated latency, the fleet's shape — so two
     backends emit it byte for byte.  ``"host"`` holds what depends on
     the machine and on where the run was dispatched: wall / CPU seconds,
     the rates quoted on them, how many worker processes the shards got
@@ -136,10 +297,7 @@ def soak_row(result: ResultSurface) -> Dict[str, Any]:
         "blocked": len(result.blocked),
         "events": result.events_processed,
         "messages": result.messages,
-        **(UNCHECKED if online is None else {
-            **online.as_metrics(),
-            "overrun_unchecked": online.overrun_unchecked,
-        }),
+        **(UNCHECKED if online is None else online.as_metrics()),
         "bounded_history": bool(history.get("bounded_history", False)),
         "server_retained_cells": history.get("retained_cells", 0),
         "server_max_retained_cells": history.get("max_retained_cells", 0),
@@ -167,18 +325,48 @@ def soak_row(result: ResultSurface) -> Dict[str, Any]:
 
 
 class RunResult(ResultSurface):
-    """Trace + metrics + verdicts for one executed scenario."""
+    """Trace + metrics + verdicts for one executed scenario: a fleet of
+    one, whose outcome is read off the live adapter."""
 
-    def __init__(self, spec, adapter):
+    worker_processes = 1
+
+    def __init__(self, spec, adapter, execute_seconds: float,
+                 execute_cpu_seconds: float):
         self.spec = spec
         self.adapter = adapter
-        #: Wall seconds of the execute phase (set by the runner); what
-        #: the benches quote throughput on.
-        self.execute_seconds: Optional[float] = None
+        #: Wall seconds of the execute phase; what the benches quote
+        #: throughput on.
+        self.execute_seconds = execute_seconds
         #: CPU seconds of the execute phase (``time.process_time``) —
         #: immune to timesharing; what :attr:`cpu_seconds` and
         #: :attr:`capacity_ops_per_sec` are quoted on.
-        self.execute_cpu_seconds: Optional[float] = None
+        self.execute_cpu_seconds = execute_cpu_seconds
+
+    @property
+    def outcomes(self) -> Tuple[ShardOutcome, ...]:
+        """This run's one :class:`ShardOutcome`, built from the adapter
+        on every read — so the surface stays live while the caller keeps
+        driving ``adapter.sim`` — and indexed by the spec's
+        ``shard_index`` (0 unsharded)."""
+        adapter = self.adapter
+        trace = adapter.trace
+        completed = trace.completed_counts
+        checker = getattr(adapter, "online_checker", None)
+        return (ShardOutcome(
+            index=self.spec.params.get("shard_index", 0),
+            begun=dict(trace.begun),
+            completed=completed,
+            blocked=self.blocked,
+            events=adapter.sim.events_processed,
+            messages=adapter.network.sent_count,
+            accumulators={kind: trace.accumulator(kind) for kind in completed},
+            online=None if checker is None else checker.report(),
+            online_refusal=getattr(adapter, "online_refusal", None),
+            server_history=adapter.history_stats(),
+            execute_seconds=self.execute_seconds,
+            cpu_seconds=self.execute_cpu_seconds,
+            peak_rss_kb=peak_rss_kb(),
+        ),)
 
     # -- raw execution access -------------------------------------------------
 
@@ -225,79 +413,10 @@ class RunResult(ResultSurface):
         workloads, and a batched RQS read's stuck write-back groups."""
         return tuple(t.name for t in self.adapter.sim.blocked_tasks())
 
-    # -- streaming surface (valid at every retention mode) --------------------
-
     @property
     def streamed(self) -> bool:
         """True when operation records were not retained (METRICS)."""
         return not self.adapter.trace.retain
-
-    def ops_begun(self, kind: Optional[str] = None) -> int:
-        """Operations invoked (one kind, or all) — counter-backed, so
-        exact at every retention mode."""
-        trace = self.adapter.trace
-        if kind is None:
-            return trace.begun_total()
-        return trace.begun.get(kind, 0)
-
-    def ops_completed(self, kind: Optional[str] = None) -> int:
-        trace = self.adapter.trace
-        if kind is None:
-            return trace.completed_total()
-        return trace.completed_counts.get(kind, 0)
-
-    def op_kinds(self) -> Tuple[str, ...]:
-        """Operation kinds begun during this run, sorted."""
-        return tuple(sorted(self.adapter.trace.begun))
-
-    @property
-    def events_processed(self) -> int:
-        """Simulator events consumed by the execute phase."""
-        return self.adapter.sim.events_processed
-
-    @property
-    def messages(self) -> int:
-        """Messages the network was handed (delivered or not)."""
-        return self.adapter.network.sent_count
-
-    # -- a fleet of one -------------------------------------------------------
-
-    n_shards = 1
-    worker_processes = 1
-
-    @property
-    def shard_rss_kb(self) -> Tuple[int, ...]:
-        """This process's peak RSS so far, as the one shard's."""
-        return (peak_rss_kb(),)
-
-    def _loads(self) -> Tuple[Tuple[int, float], ...]:
-        return ((self.ops_completed(), self.execute_cpu_seconds or 0.0),)
-
-    @property
-    def online(self) -> Optional[OnlineReport]:
-        """The windowed online checker's verdict, when one was wired
-        (streaming RandomMix storage runs — SW or MW mode); else None,
-        with :attr:`online_refusal` naming the reason."""
-        checker = getattr(self.adapter, "online_checker", None)
-        return checker.report() if checker is not None else None
-
-    @property
-    def online_refusal(self) -> Optional[OnlineRefusal]:
-        """Why this run carries no online verdict (streamed runs the
-        runner declined to wire a checker to); None when a checker ran
-        or when records were retained (:attr:`atomicity` replays them,
-        and raises for the refusals this would name)."""
-        if getattr(self.adapter, "online_checker", None) is not None:
-            return None
-        return getattr(self.adapter, "online_refusal", None)
-
-    @property
-    def server_history(self) -> Optional[Dict[str, Any]]:
-        """Server-side history-matrix accounting (rqs-storage systems,
-        benign servers only): retained/GC'd cell counters and the
-        ``bounded_history`` flag — the flat-memory exhibit for bounded
-        soaks.  None for protocols without a history matrix."""
-        return self.adapter.history_stats()
 
     def _require_records(self, what: str) -> None:
         if self.streamed and self.ops_begun() > len(self._retained()):
@@ -388,14 +507,6 @@ class RunResult(ResultSurface):
         if self.streamed:
             return self.latency_streaming(kind)
         return LatencySummary.from_records(self.records, kind)
-
-    def latency_streaming(self, kind: str) -> LatencySummary:
-        """The accumulator-backed summary (available at every mode)."""
-        from repro.analysis.latency import LatencySummary
-
-        return LatencySummary.from_accumulator(
-            self.adapter.trace.accumulator(kind), kind
-        )
 
     @property
     def learned(self) -> Dict[Hashable, Any]:

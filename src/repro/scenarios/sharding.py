@@ -6,10 +6,12 @@ this — so a streamed keyed open-loop ``RandomMix`` soak (``duration``
 or ``max_ops``; a spec refuses ``shards > 1`` without one) partitions
 across worker processes without coordination.  :func:`run_sharded`
 splits a spec with ``shards > 1`` into per-key-shard sub-specs, runs
-each shard's simulator in its own process, and merges the per-shard
-streaming surfaces into one :class:`ShardedRunResult` — the same
-:class:`~repro.scenarios.result.ResultSurface` a streamed
-:class:`~repro.scenarios.result.RunResult` presents as a fleet of one.
+each shard's simulator in its own process, and returns the shards'
+outcomes as one :class:`ShardedRunResult` — a fleet of
+:class:`~repro.scenarios.result.ShardOutcome` records, as a
+:class:`~repro.scenarios.result.RunResult` is a fleet of one, whose
+every streaming question the one
+:class:`~repro.scenarios.result.ResultSurface` answers.
 
 **The key→shard rule.**
 :func:`~repro.scenarios.workloads.shard_assignment` maps every key of
@@ -31,18 +33,19 @@ basis of the equivalence tests.
 
 **Collection.**  Each shard index is one item of :func:`map_in_pool`,
 the package's one process pool (one worker per shard, each handed the
-spec by fork inside the mapped function); its
-:class:`ShardOutcome` — per-kind op counters, latency accumulators, the
-shard's online verdict, server history stats, CPU seconds, and peak RSS
-— comes home in shard order.  A worker that dies fails the run with a
+spec by fork inside the mapped function); its run's one
+:class:`~repro.scenarios.result.ShardOutcome` — per-kind op counters,
+latency accumulators, the shard's online verdict, server history
+stats, CPU seconds, and peak RSS — comes home in shard order.  A
+worker that dies fails the run with a
 :class:`~repro.errors.ScenarioError` and nothing is merged; an
 exception raised inside a worker reaches the caller naming the shard.
 A ``shards > 1`` :class:`~repro.scenarios.spec.ScenarioSpec` loads the
 pool stack when it is built, so a sharded run pays the import in its
 set-up and every other run never pays it.
 
-**Merge semantics.**  Counters and Fraction-exact latency sums add;
-reservoirs merge order-independently
+**Merge semantics** (applied when a question is read).  Counters and
+Fraction-exact latency sums add; reservoirs merge order-independently
 (:meth:`~repro.analysis.streaming.QuantileReservoir.merge`); the merged
 online verdict sums checked/violation counts (per key too) over the
 repr-sorted key union, and REFUSES — ``online is None`` with a structured
@@ -64,23 +67,12 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
-                    Optional, Tuple)
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
-from repro.analysis.streaming import (
-    MAX_REPORTED,
-    LatencyAccumulator,
-    OnlineRefusal,
-    OnlineReport,
-)
 from repro.errors import ScenarioError
-from repro.records import record
 from repro.scenarios.registry import get_protocol
-from repro.scenarios.result import ResultSurface
+from repro.scenarios.result import ResultSurface, ShardOutcome
 from repro.scenarios.spec import ScenarioSpec
-
-if TYPE_CHECKING:
-    from repro.analysis.latency import LatencySummary
 
 
 def split_max_ops(max_ops: Optional[int], shards: int) -> List[Optional[int]]:
@@ -108,33 +100,12 @@ def shard_spec(spec: ScenarioSpec, index: int) -> ScenarioSpec:
     )
 
 
-@record
-class ShardOutcome:
-    """Everything one shard's worker sends home — the full streaming
-    surface of its :class:`RunResult`, flattened to plain picklable
-    data plus the live accumulators."""
-
-    index: int
-    begun: Dict[str, int]
-    completed: Dict[str, int]
-    blocked: Tuple[str, ...]
-    events: int
-    messages: int
-    accumulators: Dict[str, LatencyAccumulator]
-    online: Optional[OnlineReport]
-    online_refusal: Optional[OnlineRefusal]
-    server_history: Optional[Dict[str, Any]] = None
-    execute_seconds: float = 0.0
-    cpu_seconds: float = 0.0
-    peak_rss_kb: int = 0
-
-
 def _run_shard(spec: ScenarioSpec, index: int) -> ShardOutcome:
     """Execute shard ``index`` of a sharded spec in this process."""
     from repro.scenarios.runner import run
 
     try:
-        result = run(shard_spec(spec, index))
+        (outcome,) = run(shard_spec(spec, index)).outcomes
     except Exception as exc:
         # Raised here so the pooled and the serial path name the shard
         # alike; the executor re-raises it in the parent.
@@ -142,189 +113,38 @@ def _run_shard(spec: ScenarioSpec, index: int) -> ShardOutcome:
             f"shard {index} of {spec.shards} failed: "
             f"{type(exc).__name__}: {exc}"
         ) from exc
-    trace = result.adapter.trace
-    completed = trace.completed_counts
-    return ShardOutcome(
-        index=index,
-        begun=dict(trace.begun),
-        completed=completed,
-        blocked=result.blocked,
-        events=result.events_processed,
-        messages=result.messages,
-        accumulators={kind: trace.accumulator(kind) for kind in completed},
-        online=result.online,
-        online_refusal=result.online_refusal,
-        server_history=result.server_history,
-        execute_seconds=result.execute_seconds or 0.0,
-        cpu_seconds=result.cpu_seconds,
-        peak_rss_kb=result.max_shard_rss_kb,
-    )
-
-
-# -- merging ------------------------------------------------------------------
-
-
-def _merge_online(
-    outcomes: List[ShardOutcome],
-) -> Tuple[Optional[OnlineReport], Optional[OnlineRefusal]]:
-    """One aggregate verdict, or a structured refusal if any shard ran
-    unchecked — a sharded soak never passes vacuously."""
-    unchecked = [o for o in outcomes if o.online is None]
-    if unchecked:
-        details = "; ".join(
-            f"shard {o.index}: "
-            + (o.online_refusal.reason if o.online_refusal else "no-verdict")
-            for o in unchecked
-        )
-        return None, OnlineRefusal(
-            "shard-refused",
-            f"{len(unchecked)}/{len(outcomes)} shards carry no online "
-            f"verdict ({details}); the merged soak refuses rather than "
-            f"pass vacuously",
-        )
-    reports = [o.online for o in outcomes]
-    violations: List[Any] = []
-    key_violations: Dict[Any, int] = {}
-    for report in reports:
-        violations.extend(report.violations)
-        for key, count in report.key_violations.items():
-            key_violations[key] = key_violations.get(key, 0) + count
-    keys = sorted(
-        {key for report in reports for key in report.keys}, key=repr
-    )
-    return OnlineReport(
-        checked_writes=sum(r.checked_writes for r in reports),
-        checked_reads=sum(r.checked_reads for r in reports),
-        violation_count=sum(r.violation_count for r in reports),
-        violations=tuple(violations[:MAX_REPORTED]),
-        keys=tuple(keys),
-        # Shards peak independently, so the sum is an upper bound on
-        # simultaneous retention — conservative for the flat-memory gate.
-        max_retained=sum(r.max_retained for r in reports),
-        overrun_unchecked=sum(r.overrun_unchecked for r in reports),
-        # Every shard ran the same spec.
-        mode=reports[0].mode,
-        key_violations=key_violations,
-        claim=reports[0].claim,
-    ), None
-
-
-def _merge_server_history(
-    outcomes: List[ShardOutcome],
-) -> Optional[Dict[str, Any]]:
-    parts = [o.server_history for o in outcomes]
-    if any(part is None for part in parts):
-        return None
-    return {
-        "bounded_history": all(part["bounded_history"] for part in parts),
-        "retained_cells": sum(part["retained_cells"] for part in parts),
-        "max_retained_cells": sum(
-            part["max_retained_cells"] for part in parts
-        ),
-        "gc_removed_cells": sum(part["gc_removed_cells"] for part in parts),
-    }
-
-
-def _merge_accumulators(
-    outcomes: List[ShardOutcome],
-) -> Dict[str, LatencyAccumulator]:
-    kinds = sorted({kind for o in outcomes for kind in o.accumulators})
-    return {
-        kind: LatencyAccumulator.merge(
-            [o.accumulators[kind] for o in outcomes
-             if kind in o.accumulators]
-        )
-        for kind in kinds
-    }
+    return outcome
 
 
 class ShardedRunResult(ResultSurface):
-    """The merged result of a sharded soak: the streaming surface of
-    :class:`~repro.scenarios.result.RunResult` (op counters, online
-    verdict/refusal, accumulator-backed latency, server history) over
-    the per-shard outcomes; the fleet questions are
-    :class:`~repro.scenarios.result.ResultSurface`'s."""
+    """The merged result of a sharded soak: the fleet of its shards'
+    outcomes, whose every streaming question
+    :class:`~repro.scenarios.result.ResultSurface` answers."""
 
     #: A fleet never retains records.
     streamed = True
 
-    def __init__(self, spec: ScenarioSpec, outcomes: List[ShardOutcome],
+    def __init__(self, spec: ScenarioSpec, outcomes: Iterable[ShardOutcome],
                  worker_processes: int, started: Optional[float] = None):
         self.spec = spec
-        self.outcomes = sorted(outcomes, key=lambda o: o.index)
-        self.n_shards = len(self.outcomes)
+        self.outcomes = tuple(sorted(outcomes, key=lambda o: o.index))
         #: Worker processes actually used (0 = the shards ran serially
         #: in-process, as a daemonic caller cannot fork).
         self.worker_processes = worker_processes
-        self._online, self._online_refusal = _merge_online(self.outcomes)
-        self._accumulators = _merge_accumulators(self.outcomes)
         #: Parent wall seconds for the whole sharded execute phase —
-        #: fork, shards, IPC and this merge — since ``started``
-        #: (``run_sharded``'s ``perf_counter``); a fleet merged from
-        #: outcomes alone reads its slowest shard's.
+        #: fork, shards and IPC — since ``started`` (``run_sharded``'s
+        #: ``perf_counter``); a fleet made from outcomes alone reads its
+        #: slowest shard's.
         self.execute_seconds: float = (
             max((o.execute_seconds for o in self.outcomes), default=0.0)
             if started is None else time.perf_counter() - started
         )
-
-    # -- streaming surface (mirrors RunResult) --------------------------------
-
-    def op_kinds(self) -> Tuple[str, ...]:
-        return tuple(sorted({k for o in self.outcomes for k in o.begun}))
-
-    def ops_begun(self, kind: Optional[str] = None) -> int:
-        if kind is None:
-            return sum(sum(o.begun.values()) for o in self.outcomes)
-        return sum(o.begun.get(kind, 0) for o in self.outcomes)
-
-    def ops_completed(self, kind: Optional[str] = None) -> int:
-        if kind is None:
-            return sum(sum(o.completed.values()) for o in self.outcomes)
-        return sum(o.completed.get(kind, 0) for o in self.outcomes)
-
-    @property
-    def online(self) -> Optional[OnlineReport]:
-        return self._online
-
-    @property
-    def online_refusal(self) -> Optional[OnlineRefusal]:
-        return self._online_refusal
-
-    @property
-    def server_history(self) -> Optional[Dict[str, Any]]:
-        return _merge_server_history(self.outcomes)
 
     @property
     def blocked(self) -> Tuple[str, ...]:
         return tuple(
             f"shard{o.index}:{name}"
             for o in self.outcomes for name in o.blocked
-        )
-
-    @property
-    def events_processed(self) -> int:
-        return sum(o.events for o in self.outcomes)
-
-    @property
-    def messages(self) -> int:
-        return sum(o.messages for o in self.outcomes)
-
-    def latency_streaming(self, kind: str) -> LatencySummary:
-        from repro.analysis.latency import LatencySummary
-
-        return LatencySummary.from_accumulator(
-            self._accumulators.get(kind), kind
-        )
-
-    @property
-    def shard_rss_kb(self) -> Tuple[int, ...]:
-        """Per-shard worker peak RSS (``ru_maxrss``, KiB on Linux)."""
-        return tuple(o.peak_rss_kb for o in self.outcomes)
-
-    def _loads(self) -> Tuple[Tuple[int, float], ...]:
-        return tuple(
-            (sum(o.completed.values()), o.cpu_seconds)
-            for o in self.outcomes
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -181,9 +181,9 @@ class RandomMix:
     pending operations into one batched round-trip (stamps still issued
     per batch element in the historical draw order); the default of 1
     is today's one-op-per-round-trip behavior, bit-identical to every
-    existing seed.  Batching is a storage feature: consensus adapters
-    reject mixes carrying it, as does a workload that mixes explicit
-    literals with the mix.
+    existing seed.  Batching is a storage feature (a consensus row runs
+    no mix at all), and a workload that mixes explicit literals with
+    the mix refuses it.
     """
 
     writes: int

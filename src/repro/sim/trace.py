@@ -162,10 +162,6 @@ class Trace:
 
     # -- counters & streaming summaries ---------------------------------------
 
-    def begun_total(self) -> int:
-        """Operations invoked, at any retention mode."""
-        return sum(self.begun.values())
-
     @property
     def completed_counts(self) -> Dict[str, int]:
         """Operations completed, per kind — a view of the per-kind
@@ -174,9 +170,6 @@ class Trace:
             kind: accumulator.count
             for kind, accumulator in self._kinds.items()
         }
-
-    def completed_total(self) -> int:
-        return sum(acc.count for acc in self._kinds.values())
 
     def accumulator(self, kind: str) -> Optional[LatencyAccumulator]:
         """The online latency summary for one kind (None before the

@@ -371,7 +371,7 @@ def _run_observing_waves(spec):
     adapter.apply_faults(spec)
     adapter.schedule(spec)
     adapter.execute(spec)
-    return RunResult(spec, adapter), waves
+    return RunResult(spec, adapter, 0.0, 0.0), waves
 
 
 class TestCompletionWaves:

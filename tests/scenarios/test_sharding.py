@@ -21,6 +21,7 @@ from collections import Counter
 
 import pytest
 
+from repro.analysis.streaming import LatencyAccumulator
 from repro.errors import ScenarioError, SimulationError
 from repro.scenarios import (
     RandomMix,
@@ -34,16 +35,10 @@ from repro.scenarios import (
     shard_assignment,
 )
 from repro.scenarios import adapters, runner, sharding, workloads
-from repro.scenarios.result import soak_row
-from repro.scenarios.sharding import (
-    ShardOutcome,
-    _merge_online,
-    _run_shard,
-    shard_spec,
-    split_max_ops,
-)
+from repro.scenarios.result import ShardOutcome, _merge_online, soak_row
+from repro.scenarios.sharding import _run_shard, shard_spec, split_max_ops
 from repro.scenarios.sweeps import SweepSpec, run_grid
-from repro.scenarios.workloads import OpBudget, open_loop_stream
+from repro.scenarios.workloads import OpBudget, Propose, open_loop_stream
 from repro.experiments.builders import keyed_mix_spec
 from tests.counting import counted
 
@@ -340,7 +335,9 @@ class TestEquivalence:
         sharded = run(spec.with_(shards=4))
         for kind in ("write", "read"):
             base_acc = base.adapter.trace.accumulator(kind)
-            merged_acc = sharded._accumulators[kind]
+            merged_acc = LatencyAccumulator.merge(
+                o.accumulators[kind] for o in sharded.outcomes
+            )
             # Fraction-exact: the summed time numerators agree, not
             # just their rounded float projections.
             assert merged_acc.time_sum == base_acc.time_sum
@@ -380,7 +377,9 @@ class TestEquivalence:
         sharded = run(spec.with_(shards=4))
         for kind in ("write", "read"):
             base_acc = base.adapter.trace.accumulator(kind)
-            merged_acc = sharded._accumulators[kind]
+            merged_acc = LatencyAccumulator.merge(
+                o.accumulators[kind] for o in sharded.outcomes
+            )
             assert merged_acc.time_sum == base_acc.time_sum
             assert merged_acc.count == base_acc.count
         assert sharded.ops_begun() == base.ops_begun()
@@ -691,6 +690,80 @@ class TestFleetOfOne:
             assert row["keys_checked"] == 16 and row["checker_mode"] == "sw"
             assert row["overrun_unchecked"] == 0
             assert len(row["host"]["shard_rss_kb"]) == row["shards"]
+
+    def test_a_fleet_of_one_reports_as_its_run_does(self):
+        """A run's one outcome, made a fleet, reports the same row: the
+        two classes answer every streaming question with one code."""
+        spec = batched_soak_spec()
+        plain = run(spec)
+        fleet = ShardedRunResult(spec, plain.outcomes, worker_processes=1)
+        rows = [soak_row(plain), soak_row(fleet)]
+        for row in rows:
+            del row["host"]
+        assert rows[0] == rows[1]
+        assert rows[0]["verdict"] == "atomic"
+
+    def test_a_shards_run_carries_its_index(self):
+        spec = batched_soak_spec().with_(shards=2)
+        (outcome,) = run(shard_spec(spec, 1)).outcomes
+        assert outcome.index == 1
+        assert run(batched_soak_spec()).outcomes[0].index == 0
+
+    @pytest.mark.parametrize("reason, spec", [
+        ("workload-shape", ScenarioSpec(
+            "abd", workload=(Write(0.0, "v"), Read(10.0)),
+            trace_level="metrics",
+        )),
+        ("unsound-stamps", ScenarioSpec(
+            "naive", n_writers=2, readers=2, seed=3, trace_level="metrics",
+            workload=(RandomMix(6, 6, horizon=40.0),),
+        )),
+        ("not-storage", ScenarioSpec(
+            "paxos", workload=(Propose(0.0, "v"),), trace_level="metrics",
+        )),
+    ])
+    def test_a_refused_run_keeps_its_own_reason(self, reason, spec):
+        """Only a fleet of several shards refuses as ``shard-refused``;
+        one run, or one outcome made a fleet, names its own reason."""
+        result = run(spec)
+        fleet = ShardedRunResult(spec, result.outcomes, worker_processes=1)
+        for surface in (result, fleet):
+            assert surface.online is None
+            assert surface.online_refusal.reason == reason
+            assert soak_row(surface)["verdict"] == "unchecked"
+
+    def test_the_surface_stays_live(self):
+        """Each read builds the outcome afresh, so driving the
+        simulator on after ``run`` moves the counters."""
+        result = run(ScenarioSpec(
+            "abd", workload=(Write(0.0, "v"), Read(10.0)), horizon=5.0,
+        ))
+        events = result.events_processed
+        assert (result.ops_completed(), len(result.blocked)) == (1, 1)
+        result.adapter.sim.run(until=50.0)
+        assert result.events_processed > events
+        assert (result.ops_completed(), result.blocked) == (2, ())
+
+    def test_reading_a_live_run_moves_nothing_it_reports(self):
+        """Every read of a streamed run asks its checker for a report;
+        a run read at each step of a hand-driven tail reports what an
+        unread one does, the sampled ``max_retained`` included."""
+        spec = batched_soak_spec(batch_size=1, max_ops=4000)
+
+        def drive(read):
+            result = run(spec.with_(horizon=50.0))
+            cut = result.ops_completed()
+            for step in range(1, 40):
+                result.adapter.sim.run(until=50.0 + 7.0 * step)
+                if read:
+                    result.online, result.events_processed
+            assert result.ops_completed() > cut
+            return soak_row(result)
+
+        rows = [drive(read) for read in (False, True)]
+        for row in rows:
+            del row["host"]
+        assert rows[0] == rows[1]
 
     def test_default_measure_is_backend_independent_without_host(self):
         """Invariant 2 for streamed cells, a sharded one included (under

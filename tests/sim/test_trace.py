@@ -66,7 +66,7 @@ def test_of_kind_filter():
     trace.begin("write", "w", 0.0, ((None, 0),))
     trace.begin("read", "r", 0.0, ((None, 0),))
     assert len(trace.of_kind("write")) == 1
-    assert trace.begun_total() == 2
+    assert trace.begun == {"write": 1, "read": 1}
     assert all(r.kind == "read" for r in trace.of_kind("read"))
 
 
@@ -74,7 +74,7 @@ def test_an_empty_wave_begins_nothing_and_books_no_kind():
     trace = Trace()
     with pytest.raises(SimulationError, match="'read'"):
         trace.begin("read", "r", 0.0, [])
-    assert trace.begun == {} and trace.begun_total() == 0
+    assert trace.begun == {}
     # The next wave still starts at op id 0.
     record, = trace.begin("write", "w", 1.0, (("v", 0),))
     assert record.op_id == 0 and trace.begun == {"write": 1}
